@@ -616,6 +616,24 @@ func BenchmarkPipelineScaling(b *testing.B) {
 	}
 }
 
+// Set-up in front of the product: edge list → Graph → Eout, Ein on an
+// R-MAT scale-14 multigraph, the step the construct workload of bench/
+// reports as setup_s.
+func BenchmarkGraphSetup(b *testing.B) {
+	edges := dataset.RMAT(rand.New(rand.NewSource(3)), 14, 8).Edges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := adjarray.NewGraph(edges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := adjarray.Incidence(g, adjarray.PlusTimes(), adjarray.Weights[float64]{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // End-to-end public-API benchmark: the full Build pipeline including
 // condition checks, as a downstream user would call it.
 func BenchmarkBuildPipeline(b *testing.B) {

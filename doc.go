@@ -137,6 +137,14 @@
 // second map used to double the key-set memory. The facade API stays
 // string-keyed; interning is purely an internal representation.
 //
+// The batch path interns too: NewGraph sorts the edge list once,
+// interns each endpoint column and keeps per-edge positions, and
+// Incidence assembles Eout and Ein directly as unit-row CSRs that share
+// the Graph's own key Sets. Their row Sets are one pointer, so the key
+// alignment Adjacency performs before multiplying (Eoutᵀ's columns
+// against Ein's rows) is O(1) instead of one string compare per edge,
+// and IsAdjacencyOf checks Definition I.5 on positions.
+//
 // # Quick start
 //
 //	eout := adjarray.FromTriples([]adjarray.Triple[float64]{

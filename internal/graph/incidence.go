@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"adjarray/internal/assoc"
+	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
+	"adjarray/internal/sparse"
 )
 
 // Weights assigns the incidence-array entries for an edge. Definition
@@ -33,9 +35,9 @@ func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *a
 	if inW == nil {
 		inW = func(Edge) V { return ops.One }
 	}
-	outT := make([]assoc.Triple[V], 0, g.NumEdges())
-	inT := make([]assoc.Triple[V], 0, g.NumEdges())
-	for _, e := range g.Edges() {
+	n := len(g.edges)
+	outV, inV := make([]V, n), make([]V, n)
+	for i, e := range g.edges {
 		ov, iv := outW(e), inW(e)
 		if ops.IsZero(ov) {
 			return nil, nil, fmt.Errorf("graph: out-weight of edge %q is the zero element", e.Key)
@@ -43,49 +45,66 @@ func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *a
 		if ops.IsZero(iv) {
 			return nil, nil, fmt.Errorf("graph: in-weight of edge %q is the zero element", e.Key)
 		}
-		outT = append(outT, assoc.Triple[V]{Row: e.Key, Col: e.Src, Val: ov})
-		inT = append(inT, assoc.Triple[V]{Row: e.Key, Col: e.Dst, Val: iv})
+		outV[i], inV[i] = ov, iv
 	}
-	return assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), nil
+	// One entry per row, rows already in edge-key order: both arrays
+	// share the row pointer 0..n and the graph's own key sets.
+	rowPtr := make([]int, n+1)
+	for i := range rowPtr {
+		rowPtr[i] = i
+	}
+	eout, err = unitRows(g.edgeKeys, g.outVerts, rowPtr, g.srcPos, outV)
+	if err != nil {
+		return nil, nil, err
+	}
+	ein, err = unitRows(g.edgeKeys, g.inVerts, rowPtr, g.dstPos, inV)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eout, ein, nil
+}
+
+// unitRows assembles the rows×cols array whose row i holds the single
+// entry val[i] in column pos[i].
+func unitRows[V any](rows, cols *keys.Set, rowPtr []int, pos []int32, val []V) (*assoc.Array[V], error) {
+	colIdx := make([]int, len(pos))
+	for i, p := range pos {
+		colIdx[i] = int(p)
+	}
+	mat, err := sparse.NewCSR(rows.Len(), cols.Len(), rowPtr, colIdx, val)
+	if err != nil {
+		return nil, fmt.Errorf("graph: incidence array: %w", err)
+	}
+	return assoc.New(rows, cols, mat)
 }
 
 // GraphFromIncidence reconstructs the multigraph encoded by a pair of
 // incidence arrays: each shared row key k with a non-zero entry in
 // column a of eout and column b of ein contributes the edge k : a → b.
-// Rows with no source or no target entry are rejected (they encode no
-// edge), as are rows with multiple sources or targets (not a simple
-// directed edge).
+// Rows with multiple sources or targets are rejected (not a simple
+// directed edge), as are rows with no source or no target entry (they
+// encode no edge); either error names the first such row.
 func GraphFromIncidence[V any](eout, ein *assoc.Array[V]) (*Graph, error) {
 	if !eout.RowKeys().Equal(ein.RowKeys()) {
 		return nil, fmt.Errorf("graph: incidence arrays disagree on edge keys")
 	}
-	src := make(map[string]string)
-	dst := make(map[string]string)
-	var dup string
-	eout.Iterate(func(k, a string, _ V) {
-		if _, ok := src[k]; ok {
-			dup = "source of " + k
+	rows, om, im := eout.RowKeys(), eout.Matrix(), ein.Matrix()
+	for i := 0; i < rows.Len(); i++ {
+		if om.RowNNZ(i) > 1 {
+			return nil, fmt.Errorf("graph: incidence row has multiple entries: source of %s", rows.Key(i))
 		}
-		src[k] = a
-	})
-	ein.Iterate(func(k, b string, _ V) {
-		if _, ok := dst[k]; ok {
-			dup = "target of " + k
+		if im.RowNNZ(i) > 1 {
+			return nil, fmt.Errorf("graph: incidence row has multiple entries: target of %s", rows.Key(i))
 		}
-		dst[k] = b
-	})
-	if dup != "" {
-		return nil, fmt.Errorf("graph: incidence row has multiple entries: %s", dup)
 	}
-	edges := make([]Edge, 0, eout.RowKeys().Len())
-	for i := 0; i < eout.RowKeys().Len(); i++ {
-		k := eout.RowKeys().Key(i)
-		s, okS := src[k]
-		d, okD := dst[k]
-		if !okS || !okD {
-			return nil, fmt.Errorf("graph: edge %q lacks a source or target entry", k)
+	edges := make([]Edge, rows.Len())
+	for i := range edges {
+		srcs, _ := om.Row(i)
+		dsts, _ := im.Row(i)
+		if len(srcs) == 0 || len(dsts) == 0 {
+			return nil, fmt.Errorf("graph: edge %q lacks a source or target entry", rows.Key(i))
 		}
-		edges = append(edges, Edge{Key: k, Src: s, Dst: d})
+		edges[i] = Edge{Key: rows.Key(i), Src: eout.ColKeys().Key(srcs[0]), Dst: ein.ColKeys().Key(dsts[0])}
 	}
 	return New(edges)
 }
@@ -139,20 +158,33 @@ func IsAdjacencyOf[V any](a *assoc.Array[V], g *Graph, isZero func(V) bool) erro
 	if !a.ColKeys().Equal(g.InVertices()) {
 		return fmt.Errorf("graph: adjacency col keys %v differ from Kin %v", a.ColKeys(), g.InVertices())
 	}
+	// Equal key sets mean a's row and column indices are positions in
+	// Kout and Kin, so both directions of Definition I.5 run on integers:
+	// the stored entries and the pair index are both in (row, col) order
+	// and are merged, then every edge probes its own cell.
+	mat, pairs := a.Matrix(), g.pairIndex().pair
+	at := 0
 	var violation error
-	a.Iterate(func(x, y string, v V) {
-		if violation != nil {
-			return
+	mat.IterateUntil(func(i, j int, v V) bool {
+		if isZero(v) {
+			return true
 		}
-		if !isZero(v) && !g.HasEdge(x, y) {
-			violation = fmt.Errorf("graph: A(%s,%s) non-zero but no edge %s→%s exists", x, y, x, y)
+		p := packPair(int32(i), int32(j))
+		for at < len(pairs) && pairs[at] < p {
+			at++
 		}
+		if at < len(pairs) && pairs[at] == p {
+			return true
+		}
+		x, y := g.outVerts.Key(i), g.inVerts.Key(j)
+		violation = fmt.Errorf("graph: A(%s,%s) non-zero but no edge %s→%s exists", x, y, x, y)
+		return false
 	})
 	if violation != nil {
 		return violation
 	}
-	for _, e := range g.Edges() {
-		v, ok := a.At(e.Src, e.Dst)
+	for i, e := range g.edges {
+		v, ok := mat.At(int(g.srcPos[i]), int(g.dstPos[i]))
 		if !ok || isZero(v) {
 			return fmt.Errorf("graph: edge %s→%s (key %s) exists but A(%s,%s) is zero",
 				e.Src, e.Dst, e.Key, e.Src, e.Dst)

@@ -3,7 +3,8 @@ package keys
 import (
 	"hash/maphash"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 )
@@ -235,16 +236,21 @@ func (in *Interner) SortedView() (*Set, []int32) {
 		ks[id] = in.keyAt(int32(id))
 	}
 	in.mu.RUnlock()
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ks[ids[a]] < ks[ids[b]] })
-	sorted := make([]string, n)
+	sorted := ks
 	pos := make([]int32, n)
-	for p, id := range ids {
-		sorted[p] = ks[id]
-		pos[id] = int32(p)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	// Ids already in key order (sorted input interned in order) need no
+	// sort: the view is the identity.
+	if !slices.IsSorted(ks) {
+		ids := slices.Clone(pos)
+		slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(ks[a], ks[b]) })
+		sorted = make([]string, n)
+		for p, id := range ids {
+			sorted[p] = ks[id]
+			pos[id] = int32(p)
+		}
 	}
 	set, err := FromSorted(sorted)
 	if err != nil {

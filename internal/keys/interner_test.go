@@ -146,6 +146,30 @@ func TestSortedViewAndBinding(t *testing.T) {
 	}
 }
 
+// TestSortedViewOfOrderedIds covers the no-sort path: keys interned in
+// ascending order give the identity view, and one key out of place puts
+// the view back on the sorting path with the same contract.
+func TestSortedViewOfOrderedIds(t *testing.T) {
+	ordered := append([]string(nil), adversarialKeys...)
+	sort.Strings(ordered)
+	for _, ks := range [][]string{nil, {"only"}, ordered, append(append([]string(nil), ordered...), "\x00first")} {
+		in := NewInterner()
+		in.InternBatch(ks, make([]int32, len(ks)))
+		set, pos := in.SortedView()
+		if want := New(ks...); !set.Equal(want) {
+			t.Fatalf("SortedView of %q = %v, want %v", ks, set, want)
+		}
+		for id, k := range ks {
+			if set.Key(int(pos[id])) != k {
+				t.Fatalf("pos[%d]=%d does not map id back to %q", id, pos[id], k)
+			}
+			if p, ok := set.Index(k); !ok || p != int(pos[id]) {
+				t.Fatalf("bound Index(%q) = %d,%v, want %d,true", k, p, ok, pos[id])
+			}
+		}
+	}
+}
+
 // TestBoundSetMatchesMapIndex differentially checks the interner-backed
 // Index against the map-backed Index of an identical unbound Set over a
 // randomized key population.
