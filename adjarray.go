@@ -29,7 +29,8 @@ type Table = assoc.Table
 // ExplodeOptions configures the table → incidence transform.
 type ExplodeOptions = assoc.ExplodeOptions
 
-// MulOptions tunes array multiplication (workers, grain, kernel).
+// MulOptions tunes how a multiplication is scheduled (Workers,
+// FlopFloor); the zero value is serial.
 type MulOptions = assoc.MulOptions
 
 // FromTriples builds an Array from entries; nil combine keeps the last
@@ -213,13 +214,11 @@ type BuildResult = core.Result
 // BuildBackend selects the construction engine.
 type BuildBackend = core.Backend
 
-// Construction engines.
+// Construction engines other than the default (the zero BuildBackend:
+// the sparse engine, parallel when BuildRequest.Workers says so).
 const (
-	BackendCSR      = core.BackendCSR
-	BackendParallel = core.BackendParallel
-	BackendTStore   = core.BackendTStore
-	BackendDense    = core.BackendDense
-	BackendSharded  = core.BackendSharded
+	BackendDense   = core.BackendDense
+	BackendSharded = core.BackendSharded
 )
 
 // Build runs the end-to-end construction pipeline: semiring resolution,

@@ -127,7 +127,7 @@ func TestSetAlgebraViaFacade(t *testing.T) {
 func TestBuildPipelineViaFacade(t *testing.T) {
 	e1, e2 := dataset.MusicE1E2()
 	res, err := adjarray.Build(adjarray.BuildRequest{
-		Eout: e1, Ein: e2, Semiring: "+.*", Backend: adjarray.BackendParallel,
+		Eout: e1, Ein: e2, Semiring: "+.*", Workers: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

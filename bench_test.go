@@ -23,7 +23,6 @@ import (
 	"adjarray/internal/semiring"
 	"adjarray/internal/shard"
 	"adjarray/internal/sparse"
-	"adjarray/internal/tstore"
 	"adjarray/internal/value"
 )
 
@@ -190,7 +189,30 @@ func BenchmarkDocWordsUnionIntersect(b *testing.B) {
 	}
 }
 
-// E11 — construction scaling across workload sizes and backends.
+// engineArms runs the engine serial and at 2 workers, and the merge
+// reference, over one product.
+func engineArms(b *testing.B, name string, a, c *sparse.CSR[float64]) {
+	ops := semiring.PlusTimes()
+	for _, arm := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"mxm", func() error { _, err := sparse.Mxm(nil, a, c, ops, sparse.MxmOptions{}); return err }},
+		{"mxm-w2", func() error { _, err := sparse.Mxm(nil, a, c, ops, sparse.MxmOptions{Workers: 2}); return err }},
+		{"merge", func() error { _, err := sparse.MulMerge(a, c, ops); return err }},
+	} {
+		b.Run(name+"/"+arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := arm.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// E11 — construction scaling across workload sizes.
 func BenchmarkConstructionScaling(b *testing.B) {
 	for _, scale := range []int{8, 10, 12} {
 		g := dataset.RMAT(rand.New(rand.NewSource(3)), scale, 8)
@@ -199,64 +221,16 @@ func BenchmarkConstructionScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		moutT := eout.Transpose().Matrix()
-		min := ein.Matrix()
-		b.Run(fmt.Sprintf("rmat-s%d/legacy", scale), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.MulLegacy(moutT, min, semiring.PlusTimes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("rmat-s%d/csr", scale), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.MulGustavson(moutT, min, semiring.PlusTimes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("rmat-s%d/twophase", scale), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.MulTwoPhase(moutT, min, semiring.PlusTimes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("rmat-s%d/parallel", scale), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.MulParallel(moutT, min, semiring.PlusTimes(), -1, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if scale <= 10 { // tstore is the slow path; keep the sweep bounded
-			sOut := tstore.FromArray(eout, value.FormatFloat, tstore.Options{})
-			sIn := tstore.FromArray(ein, value.FormatFloat, tstore.Options{})
-			codec := tstore.Codec[float64]{Parse: value.ParseFloat, Format: value.FormatFloat}
-			b.Run(fmt.Sprintf("rmat-s%d/tstore", scale), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := tstore.AdjacencyFromTables(sOut, sIn, semiring.PlusTimes(), codec); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		engineArms(b, fmt.Sprintf("rmat-s%d", scale), eout.Transpose().Matrix(), ein.Matrix())
 	}
 }
 
-// Ablation — SpGEMM accumulator variants (DESIGN.md §5). "legacy" is
-// the seed repo's kernel frozen verbatim (append + unconditional sort),
-// so the two-phase engine's speedup can be read off a single run.
-// Two workload shapes per scale: "rmat-sN" is the construction product
-// Eoutᵀ·Ein (one flop per edge — memory-latency bound, where the win
-// is allocation), and "rmat-sN-2hop" is the downstream A·Aᵀ product
-// (flops ≫ nnz — where the two-phase engine's time win shows); the
-// s12 cases are the large ones.
+// The engine against the merge reference on two workload shapes per
+// scale: "rmat-sN" is the construction product Eoutᵀ·Ein (one flop per
+// edge — memory-latency bound), and "rmat-sN-2hop" is the downstream
+// A·Aᵀ product (flops ≫ nnz); the s12 cases are the large ones. The
+// legacy/gustavson/hash arms this benchmark carried until PR 13 left
+// their last numbers in CHANGES.md.
 func BenchmarkSpGEMMVariants(b *testing.B) {
 	for _, cfg := range []struct {
 		scale int
@@ -269,34 +243,14 @@ func BenchmarkSpGEMMVariants(b *testing.B) {
 		c := ein.Matrix()
 		name := fmt.Sprintf("rmat-s%d", cfg.scale)
 		if cfg.hop2 {
-			adj, err := sparse.Mul(a, c, semiring.PlusTimes())
+			adj, err := sparse.Mxm(nil, a, c, semiring.PlusTimes(), sparse.MxmOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			a, c = adj, adj.Transpose()
 			name += "-2hop"
 		}
-		variants := []struct {
-			name string
-			fn   func() error
-		}{
-			{"legacy", func() error { _, err := sparse.MulLegacy(a, c, semiring.PlusTimes()); return err }},
-			{"gustavson", func() error { _, err := sparse.MulGustavson(a, c, semiring.PlusTimes()); return err }},
-			{"hash", func() error { _, err := sparse.MulHash(a, c, semiring.PlusTimes()); return err }},
-			{"merge", func() error { _, err := sparse.MulMerge(a, c, semiring.PlusTimes()); return err }},
-			{"twophase", func() error { _, err := sparse.MulTwoPhase(a, c, semiring.PlusTimes()); return err }},
-			{"parallel", func() error { _, err := sparse.MulParallel(a, c, semiring.PlusTimes(), -1, 0); return err }},
-		}
-		for _, v := range variants {
-			b.Run(name+"/"+v.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := v.fn(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		engineArms(b, name, a, c)
 	}
 }
 
@@ -331,114 +285,35 @@ func BenchmarkKeyAlignment(b *testing.B) {
 	})
 }
 
-// Ablation — parallel grain size.
-func BenchmarkParallelGrain(b *testing.B) {
-	g := dataset.RMAT(rand.New(rand.NewSource(6)), 11, 8)
-	one := func(graph.Edge) float64 { return 1 }
-	eout, ein, _ := graph.Incidence(g, semiring.PlusTimes(), graph.Weights[float64]{Out: one, In: one})
-	a := eout.Transpose().Matrix()
-	c := ein.Matrix()
-	for _, grain := range []int{1, 16, 256, 0} {
-		name := fmt.Sprintf("grain-%d", grain)
-		if grain == 0 {
-			name = "grain-auto"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.MulParallel(a, c, semiring.PlusTimes(), -1, grain); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Ablation — materialized CSR multiply vs streaming tstore TableMult.
-func BenchmarkTableMultVsCSR(b *testing.B) {
-	g := dataset.RMAT(rand.New(rand.NewSource(7)), 9, 8)
-	one := func(graph.Edge) float64 { return 1 }
-	eout, ein, _ := graph.Incidence(g, semiring.PlusTimes(), graph.Weights[float64]{Out: one, In: one})
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		a := eout.Transpose().Matrix()
-		c := ein.Matrix()
-		for i := 0; i < b.N; i++ {
-			if _, err := sparse.MulGustavson(a, c, semiring.PlusTimes()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tstore", func(b *testing.B) {
-		b.ReportAllocs()
-		sOut := tstore.FromArray(eout, value.FormatFloat, tstore.Options{})
-		sIn := tstore.FromArray(ein, value.FormatFloat, tstore.Options{})
-		codec := tstore.Codec[float64]{Parse: value.ParseFloat, Format: value.FormatFloat}
-		for i := 0; i < b.N; i++ {
-			if _, err := tstore.AdjacencyFromTables(sOut, sIn, semiring.PlusTimes(), codec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// Ablation — the cost of the generic Ops[V] abstraction versus a
-// hand-specialized float64 +.× kernel.
+// Ablation — the cost of the generic Ops[V] abstraction: the engine
+// under +.* built by hand (closure calls per flop) versus the registry's
+// +.*, whose kernel hint selects the monomorphized row function.
 func BenchmarkGenericVsSpecialized(b *testing.B) {
 	g := dataset.RMAT(rand.New(rand.NewSource(8)), 10, 8)
 	one := func(graph.Edge) float64 { return 1 }
 	eout, ein, _ := graph.Incidence(g, semiring.PlusTimes(), graph.Weights[float64]{Out: one, In: one})
 	a := eout.Transpose().Matrix()
 	c := ein.Matrix()
-
-	b.Run("generic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sparse.MulGustavson(a, c, semiring.PlusTimes()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("specialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			specializedPlusTimes(a, c)
-		}
-	})
-}
-
-// specializedPlusTimes is a monomorphic float64 Gustavson kernel used
-// only as the ablation baseline.
-func specializedPlusTimes(a, b *sparse.CSR[float64]) int {
-	acc := make([]float64, b.Cols())
-	stamp := make([]int, b.Cols())
-	touched := make([]int, 0, b.Cols())
-	cur := 0
-	nnz := 0
-	for i := 0; i < a.Rows(); i++ {
-		cur++
-		touched = touched[:0]
-		aCols, aVals := a.Row(i)
-		for p, k := range aCols {
-			av := aVals[p]
-			bCols, bVals := b.Row(k)
-			for q, j := range bCols {
-				if stamp[j] != cur {
-					stamp[j] = cur
-					acc[j] = av * bVals[q]
-					touched = append(touched, j)
-				} else {
-					acc[j] += av * bVals[q]
+	generic := semiring.Ops[float64]{
+		Name: "generic +.*",
+		Add:  func(x, y float64) float64 { return x + y },
+		Mul:  func(x, y float64) float64 { return x * y },
+		Zero: 0, One: 1,
+		Equal: value.Float64Equal,
+	}
+	for _, arm := range []struct {
+		name string
+		ops  semiring.Ops[float64]
+	}{{"generic", generic}, {"specialized", semiring.PlusTimes()}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sparse.Mxm(nil, a, c, arm.ops, sparse.MxmOptions{}); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-		for _, j := range touched {
-			if acc[j] != 0 {
-				nnz++
-			}
-		}
+		})
 	}
-	return nnz
 }
 
 // Ablation — serial vs parallel transpose.
@@ -475,14 +350,19 @@ func BenchmarkMaskedVsUnmaskedTriangles(b *testing.B) {
 	}
 	p := bld.Build()
 	ops := semiring.PlusTimes()
-	b.Run("masked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := assoc.MulMasked(p, p, p, ops); err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		opt  assoc.MulOptions
+	}{{"masked", assoc.MulOptions{}}, {"masked-w2", assoc.MulOptions{Workers: 2}}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := assoc.MulMasked(p, p, p, ops, arm.opt); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("unmasked", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -638,12 +518,12 @@ func BenchmarkGraphSetup(b *testing.B) {
 // condition checks, as a downstream user would call it.
 func BenchmarkBuildPipeline(b *testing.B) {
 	e1, e2 := dataset.MusicE1E2()
-	for _, backend := range []adjarray.BuildBackend{adjarray.BackendCSR, adjarray.BackendParallel} {
-		b.Run(string(backend), func(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := adjarray.Build(adjarray.BuildRequest{
-					Eout: e1, Ein: e2, Semiring: "+.*", Backend: backend,
+					Eout: e1, Ein: e2, Semiring: "+.*", Workers: workers,
 				}); err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	adjbuild -eout eout.tsv -ein ein.tsv -semiring "+.*" -o adj.tsv
-//	adjbuild -eout eout.tsv -ein ein.tsv -semiring max.min -backend parallel -grid
+//	adjbuild -eout eout.tsv -ein ein.tsv -semiring max.min -workers -1 -grid
 package main
 
 import (
@@ -30,8 +30,8 @@ func main() {
 	eoutPath := flag.String("eout", "", "TSV triples of the source incidence array Eout (required)")
 	einPath := flag.String("ein", "", "TSV triples of the target incidence array Ein (required)")
 	sr := flag.String("semiring", "+.*", "operator pair name")
-	backend := flag.String("backend", "csr", "construction backend: csr | parallel | tstore | dense")
-	workers := flag.Int("workers", 0, "worker count for the parallel backend (0 = all cores)")
+	backend := flag.String("backend", "", "construction backend other than the sparse engine: dense | sharded")
+	workers := flag.Int("workers", 0, "worker count (0 or 1 = serial, <0 = all cores)")
 	out := flag.String("o", "-", "output TSV path ('-' = stdout)")
 	grid := flag.Bool("grid", false, "print a formatted grid instead of TSV triples")
 	force := flag.Bool("force", false, "construct even if the algebra violates the Theorem II.1 conditions")
@@ -69,8 +69,8 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Fprintf(os.Stderr, "adjbuild: %s backend=%s nnz=%d elapsed=%s\n",
-		res.Ops.Name, *backend, res.Adjacency.NNZ(), res.Elapsed)
+	fmt.Fprintf(os.Stderr, "adjbuild: %s backend=%q workers=%d nnz=%d elapsed=%s\n",
+		res.Ops.Name, *backend, *workers, res.Adjacency.NNZ(), res.Elapsed)
 
 	var w io.Writer = os.Stdout
 	if *out != "-" {

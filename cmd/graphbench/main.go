@@ -1,14 +1,14 @@
 // Command graphbench times adjacency construction over synthetic
-// workloads — the scaling experiment (E11). It sweeps generator sizes,
-// backends, and worker counts, and prints one row per configuration:
+// workloads — the scaling experiment (E11). It sweeps generator sizes
+// and worker counts, and prints one row per configuration:
 //
 //	generator  vertices  edges  semiring  backend  workers  nnz  build_time  allocs_op  kb_op
 //
 // Usage:
 //
-//	graphbench                       # default R-MAT sweep, all backends
+//	graphbench                       # default R-MAT sweep, serial and all-cores
 //	graphbench -gen er -n 2000 -p 0.002
-//	graphbench -gen rmat -scale 12 -ef 8 -backend parallel -workers 8
+//	graphbench -gen rmat -scale 12 -ef 8 -workers 8
 //	graphbench -gen rmat -scale 14 -workersweep 1,2,4,8
 //	graphbench -gen stream -scale 12 -deltas 100
 //	graphbench -gen durable -scale 12 -deltas 100   # WAL fsync policies + recovery
@@ -33,8 +33,8 @@
 // Correlate rebuild at final size).
 //
 // The bench4 workload is the committed BENCH_4.json matrix: scales
-// 12/14/16 × workers 1/2/4/8 over the parallel construction backend and
-// both stream arms.
+// 12/14/16 × workers 1/2/4/8 over the construction engine and both
+// stream arms.
 //
 // The durable workload is the committed BENCH_5.json matrix: the stream
 // append workload through the write-ahead log under each fsync policy
@@ -107,6 +107,26 @@ type jsonBaseline struct {
 	Rows       []jsonRow `json:"rows"`
 }
 
+// buildArm is one construction row. The engine's rows keep the labels
+// the committed BENCH_1–4 baselines use, so benchdiff still pairs them:
+// "csr" is the serial run and "parallel" the run at a worker count.
+type buildArm struct {
+	label   string
+	backend core.Backend
+	workers int // Request.Workers
+	shown   int // the workers column
+}
+
+// parallelArm is the engine at w workers, where 0 keeps its historical
+// meaning on a parallel row: all cores.
+func parallelArm(w int) buildArm {
+	req := w
+	if w == 0 {
+		req = -1
+	}
+	return buildArm{label: "parallel", workers: req, shown: w}
+}
+
 // measure is one timed section with its allocation cost.
 type measure struct {
 	elapsed time.Duration
@@ -168,8 +188,8 @@ func main() {
 	n := flag.Int("n", 1000, "Erdős–Rényi / bipartite vertex count")
 	p := flag.Float64("p", 0.005, "Erdős–Rényi edge probability")
 	sr := flag.String("semiring", "+.*", "operator pair")
-	backend := flag.String("backend", "", "single backend (default: all)")
-	workers := flag.Int("workers", 0, "parallel backend workers (0 = all cores)")
+	backend := flag.String("backend", "", "time this backend (dense | sharded) instead of the engine's csr and parallel rows")
+	workers := flag.Int("workers", 0, "workers of the parallel row (0 = all cores)")
 	workerSweepFlag := flag.String("workersweep", "", "comma-separated worker counts; each configuration runs once per count (e.g. 1,2,4,8)")
 	flopFloor := flag.Int64("flopfloor", 0, "parallel serial-fallback flop threshold (0 = default, -1 = always parallel)")
 	seed := flag.Int64("seed", 1, "generator seed")
@@ -222,7 +242,7 @@ func main() {
 		})
 	}
 
-	runOn := func(name string, g *graph.Graph, backends []core.Backend, sweep []int) {
+	runOn := func(name string, g *graph.Graph, arms []buildArm) {
 		one := func(graph.Edge) float64 { return 1 }
 		eout, ein, err := graph.Incidence(g, semiring.PlusTimes(), graph.Weights[float64]{Out: one, In: one})
 		if err != nil {
@@ -232,56 +252,47 @@ func main() {
 		oracleName := ""
 		if *verify {
 			// The literal Definition I.3 oracle costs O(V²·E); past a
-			// budget fall back to the serial two-phase reference, which
-			// the conformance harness keeps pinned to the oracle.
-			oracleName = string(core.BackendDense)
+			// budget fall back to the serial engine, which the
+			// conformance harness keeps pinned to the oracle.
+			oracleBackend := core.BackendDense
+			oracleName = string(oracleBackend)
 			if v, e := g.Vertices().Len(), g.NumEdges(); int64(v)*int64(v)*int64(e) > 1<<27 {
-				oracleName = string(core.BackendCSR)
+				oracleBackend, oracleName = "", "csr"
 			}
-			r, err := core.Build(core.Request{Eout: eout, Ein: ein, Semiring: *sr, Backend: core.Backend(oracleName)})
+			r, err := core.Build(core.Request{Eout: eout, Ein: ein, Semiring: *sr, Backend: oracleBackend})
 			if err != nil {
 				fail(err)
 			}
 			oracle = r.Adjacency
 		}
-		for _, b := range backends {
-			ws := sweep
-			if b != core.BackendParallel && len(sweep) > 1 {
-				// Only the parallel backend varies with the worker count;
-				// one row is enough for the others, labelled with the
-				// plain -workers value (the historical BENCH_1 convention)
-				// rather than a sweep entry it did not use.
-				ws = []int{*workers}
-			}
-			for _, w := range ws {
-				var res *core.Result
-				var best measure
-				for rep := 0; rep < *reps || rep == 0; rep++ {
-					var r *core.Result
-					m, err := timed(func() error {
-						var err error
-						r, err = core.Build(core.Request{
-							Eout: eout, Ein: ein, Semiring: *sr, Backend: b,
-							Workers: w, FlopFloor: *flopFloor,
-						})
-						return err
+		for _, arm := range arms {
+			var res *core.Result
+			var best measure
+			for rep := 0; rep < *reps || rep == 0; rep++ {
+				var r *core.Result
+				m, err := timed(func() error {
+					var err error
+					r, err = core.Build(core.Request{
+						Eout: eout, Ein: ein, Semiring: *sr, Backend: arm.backend,
+						Workers: arm.workers, FlopFloor: *flopFloor,
 					})
-					if err != nil {
-						fail(err)
-					}
-					if res == nil || m.elapsed < best.elapsed {
-						res, best = r, m
-					}
+					return err
+				})
+				if err != nil {
+					fail(err)
 				}
-				if oracle != nil {
-					if diff := assoc.Diff(oracle, res.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
-						fmt.Fprintf(os.Stderr, "graphbench: VERIFY FAILED: backend %s diverges from %s oracle on %s: %s\n",
-							b, oracleName, name, diff)
-						os.Exit(1)
-					}
+				if res == nil || m.elapsed < best.elapsed {
+					res, best = r, m
 				}
-				emit(name, g.Vertices().Len(), g.NumEdges(), string(b), w, res.Adjacency.NNZ(), best)
 			}
+			if oracle != nil {
+				if diff := assoc.Diff(oracle, res.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
+					fmt.Fprintf(os.Stderr, "graphbench: VERIFY FAILED: backend %s diverges from %s oracle on %s: %s\n",
+						arm.label, oracleName, name, diff)
+					os.Exit(1)
+				}
+			}
+			emit(name, g.Vertices().Len(), g.NumEdges(), arm.label, arm.shown, res.Adjacency.NNZ(), best)
 		}
 	}
 
@@ -766,7 +777,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		res, err := core.Build(core.Request{Eout: eout, Ein: ein, Semiring: *sr, Backend: core.BackendCSR})
+		res, err := core.Build(core.Request{Eout: eout, Ein: ein, Semiring: *sr})
 		if err != nil {
 			fail(err)
 		}
@@ -830,12 +841,18 @@ func main() {
 		}
 	}
 
+	// run times one serial row plus a parallel row per sweep entry, or
+	// the -backend alone.
 	run := func(name string, g *graph.Graph) {
-		backends := []core.Backend{core.BackendCSR, core.BackendParallel, core.BackendTStore}
 		if *backend != "" {
-			backends = []core.Backend{core.Backend(*backend)}
+			runOn(name, g, []buildArm{{label: *backend, backend: core.Backend(*backend), workers: *workers, shown: *workers}})
+			return
 		}
-		runOn(name, g, backends, sweep)
+		arms := []buildArm{{label: "csr", shown: *workers}}
+		for _, w := range sweep {
+			arms = append(arms, parallelArm(w))
+		}
+		runOn(name, g, arms)
 	}
 
 	r := rand.New(rand.NewSource(*seed))
@@ -869,7 +886,11 @@ func main() {
 		for _, s := range []int{12, 14, 16} {
 			name := fmt.Sprintf("rmat-s%d", s)
 			g := dataset.RMAT(rand.New(rand.NewSource(*seed)), s, *ef)
-			runOn(name, g, []core.Backend{core.BackendParallel}, ws)
+			arms := make([]buildArm, len(ws))
+			for i, w := range ws {
+				arms[i] = parallelArm(w)
+			}
+			runOn(name, g, arms)
 			for i, w := range ws {
 				runStream(name, g, *deltas, w, i == 0)
 			}

@@ -34,8 +34,9 @@
 //   - the graph layer: incidence extraction, adjacency construction and
 //     validation, reverse graphs, and the constructive counterexample
 //     gadgets of Lemmas II.2–II.4;
-//   - the end-to-end Build pipeline with serial, parallel, streaming
-//     triple-store, sharded, and dense-verification backends;
+//   - the end-to-end Build pipeline on the one multiplication engine
+//     (serial or parallel by Workers), with sharded and
+//     dense-verification backends beside it;
 //   - incremental maintenance: AdjacencyView keeps A up to date under
 //     continuous edge ingest, and Ingest accumulates arriving triples
 //     into its delta batches;
@@ -70,8 +71,7 @@
 //     style suite that mechanically gates the invariants past PRs had
 //     to find by hand — nondeterministic ⊕-folds over map iteration,
 //     dropped fsync errors on the WAL path, sync.Pool scratch aliasing,
-//     statically-invalid MulOptions, and in-place mutation of
-//     copy-on-write snapshot slices; run standalone (adjlint ./...) or
+//     and in-place mutation of copy-on-write snapshot slices; run standalone (adjlint ./...) or
 //     as go vet -vettool, gating in CI.
 //
 // # Batch and incremental construction
@@ -98,28 +98,31 @@
 //
 // # Multiplication engine
 //
-// Array multiplication runs on a two-phase symbolic/numeric SpGEMM
-// engine: a stamp-only symbolic pass computes exact per-row output
-// sizes, the output arrays are allocated once, and the numeric pass
-// writes rows in place (no stitch step). With MulOptions.Workers > 1
-// both phases run across FLOP-BALANCED row spans: the per-row flop
-// counts from the symbolic model are prefix-summed and cut into
-// equal-work spans by binary search, so the hub rows of a skewed
-// (R-MAT-like) workload spread across workers instead of serializing
-// one of them. A product whose total flop count is below
-// MulOptions.FlopFloor (default sparse.DefaultParallelFlopFloor) falls
-// back to the serial kernel — goroutine overhead never makes the
-// parallel backend slower than serial on small inputs. Kernel scratch
-// (symbolic stamps, numeric accumulators) is recycled through
+// Every array multiplication runs on one engine, sparse.Mxm(mask, A, B,
+// ⊕.⊗, options): two-phase symbolic/numeric SpGEMM. A stamp-only
+// symbolic pass computes exact per-row output sizes (under a mask the
+// mask's own row sizes are the bound and the pass is skipped), the
+// output arrays are allocated once, and the numeric pass writes rows in
+// place (no stitch step). MulOptions{} is serial: one span, run inline.
+// With MulOptions.Workers > 1 (or < 0 for GOMAXPROCS) both phases run
+// across FLOP-BALANCED row spans: the per-row flop counts from the
+// symbolic model are prefix-summed and cut into equal-work spans by
+// binary search, so the hub rows of a skewed (R-MAT-like) workload
+// spread across workers instead of serializing one of them. A product
+// whose total flop count is below MulOptions.FlopFloor (default
+// sparse.DefaultParallelFlopFloor) runs serially anyway — goroutine
+// overhead never makes a parallel request slower than a serial one on
+// small inputs. Scratch (stamps, accumulators) is recycled through
 // sync.Pool, so steady-state repeated multiplications allocate only
-// their exact output. MulOptions.Kernel selects an engine for
-// ablation: "twophase" (default), "gustavson" (append-grown single
-// pass), "hash", or "merge" (the oracle). Built-in scalar operator
-// pairs (e.g. "+.*") dispatch to monomorphized kernels with the
-// arithmetic inlined. Every kernel folds the contributions to an
-// output entry in ascending key order over the shared dimension, so
-// all engines are bit-identical even for non-commutative or
-// non-associative ⊕.
+// their output. The canonical "+.*" over float64 dispatches to a
+// monomorphized row function with the arithmetic inlined — the engine's
+// only specialization. Beside the engine stand two implementations no
+// production path runs: sparse.MulMerge, the independent sparse
+// reference, and sparse.MulDense, the literal Definition I.3 oracle
+// (BackendDense). All three fold the contributions to an output entry
+// in ascending key order over the shared dimension, so they are
+// bit-identical even for non-commutative or non-associative ⊕ wherever
+// Theorem II.1 makes the dense comparison meaningful.
 //
 // # Key interning
 //

@@ -76,11 +76,11 @@ func main() {
 	// 6. The same correlation through the end-to-end Build service,
 	// which checks the Theorem II.1 conditions first.
 	res, err := adjarray.Build(adjarray.BuildRequest{
-		Eout: e1, Ein: e2, Semiring: "min.+", Backend: adjarray.BackendParallel,
+		Eout: e1, Ein: e2, Semiring: "min.+", Workers: -1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Build(min.+, parallel backend): nnz=%d, conditions ok=%v\n",
+	fmt.Printf("Build(min.+, all cores): nnz=%d, conditions ok=%v\n",
 		res.Adjacency.NNZ(), res.Report.TheoremII1())
 }

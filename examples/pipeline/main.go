@@ -1,11 +1,12 @@
-// Database-resident construction — the D4M/Accumulo deployment shape.
+// The end-to-end construction service.
 //
-// Incidence data lives in a sorted triple store (the in-process
-// Accumulo stand-in). Adjacency construction runs *server-side* as a
-// streaming TableMult over the stored rows, never materializing CSR
-// matrices, and the result lands back in a store. The example also
-// shows the pipeline refusing an unsafe algebra with a concrete
-// counterexample, and the escape hatch to force construction anyway.
+// Incidence arrays go through adjarray.Build: the operator pair is
+// resolved by name, the Theorem II.1 conditions are checked on the
+// pair's domain and the data, the adjacency array is constructed, and
+// the result is validated against the graph the incidence arrays
+// encode. The example also shows the pipeline refusing an unsafe
+// algebra with a concrete counterexample, and the escape hatch to force
+// construction anyway.
 //
 // Run with: go run ./examples/pipeline
 package main
@@ -17,59 +18,49 @@ import (
 
 	"adjarray"
 	"adjarray/internal/dataset"
-	"adjarray/internal/tstore"
-	"adjarray/internal/value"
 )
 
 func main() {
-	// 1. Generate a power-law citation-style graph and load its
-	// incidence arrays into two stores, as an ingest job would.
+	// 1. Generate a power-law citation-style graph and its incidence
+	// arrays, as an ingest job would.
 	g := dataset.RMAT(rand.New(rand.NewSource(7)), 7, 4) // 128 vertices, 512 edges
 	one := func(adjarray.Edge) float64 { return 1 }
 	eout, ein, err := adjarray.Incidence(g, adjarray.PlusTimes(), adjarray.Weights[float64]{Out: one, In: one})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sOut := tstore.FromArray(eout, value.FormatFloat, tstore.Options{MemLimit: 128})
-	sIn := tstore.FromArray(ein, value.FormatFloat, tstore.Options{MemLimit: 128})
-	fmt.Printf("ingested: Eout %s, Ein %s (%d edges)\n", sOut, sIn, g.NumEdges())
 
-	// 2. Server-side multiply: C = Eoutᵀ ⊕.⊗ Ein streamed over edge-key
-	// rows in sorted order.
-	codec := tstore.Codec[float64]{Parse: value.ParseFloat, Format: value.FormatFloat}
-	a, err := tstore.AdjacencyFromTables(sOut, sIn, adjarray.PlusTimes(), codec)
+	// 2. Build on two workers and validate against Definition I.5.
+	built, err := adjarray.Build(adjarray.BuildRequest{
+		Eout: eout, Ein: ein, Semiring: "+.*", Workers: 2, Validate: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("server-side adjacency: %d non-zero vertex pairs\n", a.NNZ())
+	fmt.Printf("built and validated: %d edges -> %d non-zero vertex pairs\n", g.NumEdges(), built.Adjacency.NNZ())
 
-	// 3. Cross-check against the in-memory CSR kernel: the streaming
-	// result must be identical.
+	// 3. Cross-check against the one-line product: the service adds
+	// checks, not a different answer.
 	want, err := adjarray.Adjacency(eout, ein, adjarray.PlusTimes(), adjarray.MulOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	aligned, err := a.Reindex(want.RowKeys(), want.ColKeys())
-	if err != nil {
-		log.Fatal(err)
+	if !want.Equal(built.Adjacency, func(x, y float64) bool { return x == y }) {
+		log.Fatal("Build diverges from Adjacency")
 	}
-	if !want.Equal(aligned, func(x, y float64) bool { return x == y }) {
-		log.Fatal("server-side result diverges from CSR kernel")
-	}
-	fmt.Println("server-side result identical to CSR kernel ✓")
+	fmt.Println("identical to adjarray.Adjacency ✓")
 
 	// 4. Safety: the Build service refuses an algebra that cannot
 	// guarantee adjacency arrays, and explains why with a gadget.
 	_, err = adjarray.Build(adjarray.BuildRequest{
-		Eout: eout, Ein: ein, Semiring: "max.+@0", Backend: adjarray.BackendTStore,
+		Eout: eout, Ein: ein, Semiring: "max.+@0",
 	})
 	fmt.Printf("\nunsafe algebra refused: %v\n", err)
 
 	// 5. The escape hatch: forcing construction is possible, and the
 	// violation report still travels with the result.
 	res, err := adjarray.Build(adjarray.BuildRequest{
-		Eout: eout, Ein: ein, Semiring: "max.+@0", Backend: adjarray.BackendTStore,
-		SkipConditionCheck: true,
+		Eout: eout, Ein: ein, Semiring: "max.+@0", SkipConditionCheck: true,
 	})
 	if err != nil {
 		log.Fatal(err)

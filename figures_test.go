@@ -113,23 +113,16 @@ func TestGoldenFigure4(t *testing.T) {
 func TestGoldenFigure3AcrossBackends(t *testing.T) {
 	e1, e2 := dataset.MusicE1E2()
 	want := dataset.Figure3Expected()["+.*"]
-	for _, backend := range []adjarray.BuildBackend{
-		adjarray.BackendCSR, adjarray.BackendParallel, adjarray.BackendTStore, adjarray.BackendDense,
+	for _, req := range []adjarray.BuildRequest{
+		{}, {Workers: 2, FlopFloor: -1}, {Backend: adjarray.BackendSharded}, {Backend: adjarray.BackendDense},
 	} {
-		res, err := adjarray.Build(adjarray.BuildRequest{
-			Eout: e1, Ein: e2, Semiring: "+.*", Backend: backend,
-		})
+		req.Eout, req.Ein, req.Semiring = e1, e2, "+.*"
+		res, err := adjarray.Build(req)
 		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
+			t.Fatalf("%q workers %d: %v", req.Backend, req.Workers, err)
 		}
-		got := res.Adjacency
-		if backend == adjarray.BackendTStore {
-			if got, err = got.Reindex(want.RowKeys(), want.ColKeys()); err != nil {
-				t.Fatalf("%s: %v", backend, err)
-			}
-		}
-		if !got.Equal(want, eqFloat) {
-			t.Errorf("%s: Figure 3 +.* differs", backend)
+		if !res.Adjacency.Equal(want, eqFloat) {
+			t.Errorf("%q workers %d: Figure 3 +.* differs", req.Backend, req.Workers)
 		}
 	}
 }

@@ -247,7 +247,7 @@ func TriangleCount[V any](a *assoc.Array[V]) (int, error) {
 	ops := semiring.PlusTimes()
 	// Masked multiply computes (A·A) ∘ A directly, never materializing
 	// the dense wedge matrix A² — the GraphBLAS triangle idiom.
-	masked, err := assoc.MulMasked(p, p, p, ops)
+	masked, err := assoc.MulMasked(p, p, p, ops, assoc.MulOptions{})
 	if err != nil {
 		return 0, err
 	}

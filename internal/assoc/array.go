@@ -207,7 +207,8 @@ func (a *Array[V]) Transpose() *Array[V] {
 }
 
 // TransposeParallel is Transpose with the storage scatter parallelized
-// across workers (< 1 selects GOMAXPROCS); identical result.
+// across workers, read as MulOptions.Workers is (0 or 1 serial, < 0
+// GOMAXPROCS); identical result.
 func (a *Array[V]) TransposeParallel(workers int) *Array[V] {
 	return &Array[V]{rows: a.cols, cols: a.rows, mat: sparse.TransposeParallel(a.mat, workers)}
 }

@@ -157,27 +157,6 @@ func TestEmbedInto(t *testing.T) {
 	}
 }
 
-func TestMulRejectsKernelWorkersConflict(t *testing.T) {
-	a := FromTriples([]Triple[float64]{{Row: "r", Col: "k", Val: 1}}, nil)
-	b := FromTriples([]Triple[float64]{{Row: "k", Col: "c", Val: 1}}, nil)
-	ops := semiring.PlusTimes()
-	for _, kernel := range []string{"gustavson", "hash", "merge"} {
-		if _, err := Mul(a, b, ops, MulOptions{Workers: 4, Kernel: kernel}); err == nil {
-			t.Errorf("kernel %q with Workers=4 accepted", kernel)
-		}
-		if _, err := Mul(a, b, ops, MulOptions{Workers: -1, Kernel: kernel}); err == nil {
-			t.Errorf("kernel %q with Workers=-1 accepted", kernel)
-		}
-	}
-	// The compatible combinations still run.
-	if _, err := Mul(a, b, ops, MulOptions{Workers: 4, Kernel: "twophase"}); err != nil {
-		t.Errorf("twophase parallel rejected: %v", err)
-	}
-	if _, err := Mul(a, b, ops, MulOptions{Workers: 1, Kernel: "hash"}); err != nil {
-		t.Errorf("serial hash rejected: %v", err)
-	}
-}
-
 func TestGrowColsMatchesEmbedInto(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	a := FromTriples(randomTriples(r, 40, 10, 8, "e"), nil)

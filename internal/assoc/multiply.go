@@ -8,31 +8,9 @@ import (
 	"adjarray/internal/sparse"
 )
 
-// MulOptions tunes array multiplication.
-type MulOptions struct {
-	// Workers selects the parallel two-phase kernel when > 1 (or < 0
-	// for GOMAXPROCS); 0 or 1 runs serially.
-	Workers int
-	// Grain is the parallel row-block size; <= 0 picks automatically.
-	Grain int
-	// FlopFloor is the symbolic flop count below which a parallel
-	// multiplication falls back to the serial two-phase kernel (the
-	// result is identical; goroutine overhead is not). 0 selects
-	// sparse.DefaultParallelFlopFloor; negative disables the fallback —
-	// the ablation/conformance setting that forces the parallel code
-	// path even on tiny products.
-	FlopFloor int64
-	// Kernel optionally forces a specific SpGEMM variant for ablation:
-	// "twophase" (the default symbolic/numeric engine), "gustavson",
-	// "hash", "merge".
-	//
-	// Kernel and Workers interact: the parallel path always runs the
-	// two-phase engine, so requesting parallelism together with any
-	// other kernel is a conflicting ablation and Mul returns an error
-	// rather than silently dropping the kernel choice. "" and
-	// "twophase" compose with any Workers value.
-	Kernel string
-}
+// MulOptions tunes how a multiplication is scheduled — the engine's own
+// options, Workers and FlopFloor; the result never depends on it.
+type MulOptions = sparse.MxmOptions
 
 // Mul computes C = A ⊕.⊗ B (Definition I.3): C(k1,k2) = ⊕_k A(k1,k)
 // ⊗ B(k,k2), with the fold running in ascending key order over the
@@ -69,26 +47,7 @@ func Mul[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V],
 			}
 		}
 	}
-	var cm *sparse.CSR[V]
-	var err error
-	switch {
-	case opt.Workers > 1 || opt.Workers < 0:
-		if opt.Kernel != "" && opt.Kernel != "twophase" {
-			return nil, fmt.Errorf("assoc: kernel %q requires serial execution; the parallel path (Workers=%d) always runs the two-phase engine — set Workers to 0 or 1 for kernel ablation",
-				opt.Kernel, opt.Workers)
-		}
-		cm, err = sparse.MulParallelOpt(am, bm, ops, opt.Workers, opt.Grain, opt.FlopFloor)
-	case opt.Kernel == "hash":
-		cm, err = sparse.MulHash(am, bm, ops)
-	case opt.Kernel == "merge":
-		cm, err = sparse.MulMerge(am, bm, ops)
-	case opt.Kernel == "gustavson":
-		cm, err = sparse.MulGustavson(am, bm, ops)
-	case opt.Kernel == "" || opt.Kernel == "twophase":
-		cm, err = sparse.MulTwoPhase(am, bm, ops)
-	default:
-		return nil, fmt.Errorf("assoc: unknown kernel %q", opt.Kernel)
-	}
+	cm, err := sparse.Mxm(nil, am, bm, ops, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -102,13 +61,7 @@ func Mul[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V],
 // When opt requests parallelism, the transpose runs on the parallel
 // scatter kernel too.
 func Correlate[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
-	var at *Array[V]
-	if opt.Workers > 1 || opt.Workers < 0 {
-		at = a.TransposeParallel(opt.Workers)
-	} else {
-		at = a.Transpose()
-	}
-	return Mul(at, b, ops, opt)
+	return Mul(a.TransposeParallel(opt.Workers), b, ops, opt)
 }
 
 // Add computes the element-wise A ⊕ B over the union of key sets:
@@ -164,32 +117,14 @@ func alignUnion[V any](a, b *Array[V]) (*Array[V], *Array[V], error) {
 // full product — GraphBLAS-style masked multiplication. The operands
 // must already be key-aligned: A's column keys equal B's row keys, and
 // M's key sets equal A's rows × B's columns.
-func MulMasked[V, M any](a, b *Array[V], mask *Array[M], ops semiring.Ops[V]) (*Array[V], error) {
-	return MulMaskedOpt(a, b, mask, ops, MulOptions{})
-}
-
-// MulMaskedOpt is MulMasked with kernel tuning: Workers > 1 (or < 0 for
-// GOMAXPROCS) runs the flop-balanced parallel masked kernel, bit-identical
-// to the serial one. Grain and FlopFloor behave as in Mul; Kernel is
-// rejected — the masked product has exactly one serial and one parallel
-// engine.
-func MulMaskedOpt[V, M any](a, b *Array[V], mask *Array[M], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
+func MulMasked[V, M any](a, b *Array[V], mask *Array[M], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
 	if !a.cols.Equal(b.rows) {
 		return nil, fmt.Errorf("assoc: MulMasked requires aligned shared keys")
 	}
 	if !mask.rows.Equal(a.rows) || !mask.cols.Equal(b.cols) {
 		return nil, fmt.Errorf("assoc: MulMasked mask keys must be rows(A)×cols(B)")
 	}
-	if opt.Kernel != "" && opt.Kernel != "twophase" {
-		return nil, fmt.Errorf("assoc: masked multiplication has no %q kernel", opt.Kernel)
-	}
-	var m *sparse.CSR[V]
-	var err error
-	if opt.Workers > 1 || opt.Workers < 0 {
-		m, err = sparse.MulMaskedParallel(a.mat, b.mat, mask.mat, ops, opt.Workers, opt.Grain, opt.FlopFloor)
-	} else {
-		m, err = sparse.MulMasked(a.mat, b.mat, mask.mat, ops)
-	}
+	m, err := sparse.Mxm(mask.mat.Pattern(), a.mat, b.mat, ops, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adjarray/internal/semiring"
+	"adjarray/internal/sparse"
 )
 
 // incidencePair builds the paper's Lemma II.2 gadget as associative
@@ -77,13 +78,28 @@ func TestMulKernelsAndParallelAgree(t *testing.T) {
 		b2.Set("e"+strconv.Itoa(r.Intn(40)), "w"+strconv.Itoa(r.Intn(25)), float64(1+r.Intn(5)))
 	}
 	eout, ein := b1.Build(), b2.Build()
-	ref, err := Correlate(eout, ein, semiring.MaxPlus(), MulOptions{Kernel: "merge"})
+	// The reference: sparse.MulMerge over the union of the edge keys
+	// (an edge key on one side only is an empty row on the other, and
+	// contributes nothing).
+	edges := eout.RowKeys().Union(ein.RowKeys())
+	eo, err := eout.Reindex(edges, eout.ColKeys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ei, err := ein.Reindex(edges, ein.ColKeys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sparse.MulMerge(eo.Matrix().Transpose(), ei.Matrix(), semiring.MaxPlus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(eout.ColKeys(), ein.ColKeys(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, opt := range []MulOptions{
-		{}, {Kernel: "hash"}, {Kernel: "gustavson"},
-		{Workers: 4}, {Workers: -1, Grain: 2},
+		{}, {Workers: 1}, {Workers: 4}, {Workers: 4, FlopFloor: -1}, {Workers: -1, FlopFloor: -1},
 	} {
 		got, err := Correlate(eout, ein, semiring.MaxPlus(), opt)
 		if err != nil {
@@ -92,9 +108,6 @@ func TestMulKernelsAndParallelAgree(t *testing.T) {
 		if !ref.Equal(got, eqF) {
 			t.Errorf("option %+v disagrees with merge kernel", opt)
 		}
-	}
-	if _, err := Mul(eout.Transpose(), ein, semiring.MaxPlus(), MulOptions{Kernel: "nope"}); err == nil {
-		t.Error("unknown kernel accepted")
 	}
 }
 

@@ -48,8 +48,7 @@ func MulKeys[V, W any](a *Array[V], b *Array[W]) (*Array[value.Set], error) {
 	bk := sparse.Convert(bm, func(i, _ int, _ W) value.Set {
 		return value.NewSet(sharedKeys.Key(i))
 	})
-	unionOps := keyUnionOps()
-	cm, err := sparse.MulGustavson(ak, bk, unionOps)
+	cm, err := sparse.Mxm(nil, ak, bk, keyUnionOps(), sparse.MxmOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func TestMulMaskedAssocLevel(t *testing.T) {
 		{Row: "b", Col: "c", Val: 1}, {Row: "c", Col: "b", Val: 1},
 	}, nil)
 	ops := semiring.PlusTimes()
-	masked, err := MulMasked(p, p, p, ops)
+	masked, err := MulMasked(p, p, p, ops, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestMulMaskedAssocLevel(t *testing.T) {
 
 	// Misaligned mask keys are rejected.
 	badMask := FromTriples([]Triple[float64]{{Row: "a", Col: "z", Val: 1}}, nil)
-	if _, err := MulMasked(p, p, badMask, ops); err == nil {
+	if _, err := MulMasked(p, p, badMask, ops, MulOptions{}); err == nil {
 		t.Error("misaligned mask accepted")
 	}
 	// Misaligned shared dimension is rejected.
 	q := FromTriples([]Triple[float64]{{Row: "x", Col: "y", Val: 1}}, nil)
-	if _, err := MulMasked(p, q, p, ops); err == nil {
+	if _, err := MulMasked(p, q, p, ops, MulOptions{}); err == nil {
 		t.Error("misaligned operands accepted")
 	}
 }
@@ -123,20 +123,16 @@ func TestMulMaskedOptParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := semiring.PlusTimes()
-	serial, err := MulMasked(p, p, mask, ops)
+	serial, err := MulMasked(p, p, mask, ops, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// FlopFloor -1 forces the parallel path even on this small product.
-	par, err := MulMaskedOpt(p, p, mask, ops, MulOptions{Workers: 4, FlopFloor: -1})
+	par, err := MulMasked(p, p, mask, ops, MulOptions{Workers: 4, FlopFloor: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !serial.Equal(par, value.Float64Equal) {
-		t.Fatal("MulMaskedOpt(Workers:4) differs from serial MulMasked")
-	}
-	// The masked product has no alternative kernels to ablate.
-	if _, err := MulMaskedOpt(p, p, mask, ops, MulOptions{Kernel: "hash"}); err == nil {
-		t.Error("kernel ablation accepted for masked multiplication")
+		t.Fatal("MulMasked(Workers:4) differs from serial MulMasked")
 	}
 }

@@ -26,10 +26,10 @@ func TestDifferentialAllPathsAllPairs(t *testing.T) {
 }
 
 // A second seed with the paths listed explicitly, guarding against the
-// registry accidentally shrinking to fewer than the five shipped paths.
+// registry accidentally losing a shipped path.
 func TestBuiltinPathRoster(t *testing.T) {
 	want := map[string]bool{
-		"csr-gustavson": false, "csr-twophase": false, "parallel": false,
+		"reference-merge": false, "parallel": false,
 		"sharded": false, "stream": false,
 	}
 	for _, name := range PathNames() {
@@ -138,10 +138,8 @@ func TestRunShrinksAndWritesArtifact(t *testing.T) {
 // and unregistering restores the roster.
 func TestRegisterExtendsCoverage(t *testing.T) {
 	alias := Path{
-		Name: "alias-merge-kernel",
-		Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
-			return assoc.Correlate(eout, ein, ops, assoc.MulOptions{Kernel: "merge"})
-		},
+		Name:  "alias-merge-kernel",
+		Build: buildReferenceMerge,
 	}
 	if err := Register(alias); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func (d *Divergence) Error() string {
 }
 
 // Compare runs one instance through every path and reports the first
-// divergence, or nil when all agree. The serial two-phase kernel is the
+// divergence, or nil when all agree. The serial engine is the
 // reference; paths that re-associate the fold are skipped when ⊕ is not
 // associative on the instance's value closure, and the dense oracle is
 // consulted only when the pair passes the Theorem II.1 conditions (plus
@@ -49,7 +49,7 @@ func (d *Divergence) Error() string {
 func Compare(inst Instance, entry semiring.Entry, paths []Path) *Divergence {
 	ops := entry.Ops
 	eout, ein := inst.Incidence()
-	ref, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{Kernel: "twophase"})
+	ref, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
 	if err != nil {
 		return &Divergence{Pair: entry.Name, Path: "reference", Detail: err.Error(), Instance: inst}
 	}

@@ -8,6 +8,7 @@ import (
 	"adjarray/internal/assoc"
 	"adjarray/internal/semiring"
 	"adjarray/internal/shard"
+	"adjarray/internal/sparse"
 	"adjarray/internal/stream"
 	"adjarray/internal/wal"
 )
@@ -33,16 +34,12 @@ type Path struct {
 func builtinPaths() []Path {
 	return []Path{
 		{
-			Name: "csr-gustavson",
-			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
-				return assoc.Correlate(eout, ein, ops, assoc.MulOptions{Kernel: "gustavson"})
-			},
-		},
-		{
-			Name: "csr-twophase",
-			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
-				return assoc.Correlate(eout, ein, ops, assoc.MulOptions{Kernel: "twophase"})
-			},
+			// The independent sparse implementation: expansion, stable
+			// sort, run fold (sparse.MulMerge) shares no accumulator, no
+			// symbolic pass and no scheduling with the engine that
+			// computes Compare's reference.
+			Name:  "reference-merge",
+			Build: buildReferenceMerge,
 		},
 		{
 			Name: "parallel",
@@ -107,6 +104,17 @@ func builtinPaths() []Path {
 			Build:        buildStreamDurableRecovered,
 		},
 	}
+}
+
+func buildReferenceMerge(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
+	if !eout.RowKeys().Equal(ein.RowKeys()) {
+		return nil, fmt.Errorf("conformance: incidence arrays disagree on edge keys")
+	}
+	m, err := sparse.MulMerge(eout.Matrix().Transpose(), ein.Matrix(), ops)
+	if err != nil {
+		return nil, err
+	}
+	return assoc.New(eout.ColKeys(), ein.ColKeys(), m)
 }
 
 // buildStream replays the instance through an incremental stream.View:

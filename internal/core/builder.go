@@ -4,7 +4,7 @@
 // it resolves the requested ⊕.⊗ operator pair, checks the Theorem II.1
 // conditions up front (refusing, or warning, when the algebra cannot
 // guarantee an adjacency array), computes A = Eoutᵀ ⊕.⊗ Ein on the
-// selected backend (serial CSR, parallel CSR, streaming triple store,
+// selected backend (the sparse engine, edge-sharded partial products,
 // or the dense Definition I.3 oracle), and optionally validates the
 // result against Definition I.5.
 package core
@@ -17,20 +17,17 @@ import (
 	"adjarray/internal/graph"
 	"adjarray/internal/semiring"
 	"adjarray/internal/shard"
-	"adjarray/internal/tstore"
 	"adjarray/internal/value"
 )
 
 // Backend selects the construction engine.
 type Backend string
 
-// Available backends.
+// Available backends — one per algorithm. The zero value is the sparse
+// engine (sparse.Mxm), serial or parallel as Request.Workers says.
 const (
-	BackendCSR      Backend = "csr"      // serial two-phase symbolic/numeric SpGEMM
-	BackendParallel Backend = "parallel" // row-blocked parallel two-phase SpGEMM
-	BackendTStore   Backend = "tstore"   // streaming server-side TableMult
-	BackendDense    Backend = "dense"    // literal Definition I.3 (verification)
-	BackendSharded  Backend = "sharded"  // edge-sharded partial products (requires associative ⊕)
+	BackendDense   Backend = "dense"   // literal Definition I.3 (verification)
+	BackendSharded Backend = "sharded" // edge-sharded partial products (requires associative ⊕)
 )
 
 // Request describes one construction.
@@ -40,15 +37,12 @@ type Request struct {
 	Eout, Ein *assoc.Array[float64]
 	// Semiring is the registry name of the operator pair, e.g. "+.*".
 	Semiring string
-	// Backend defaults to BackendCSR.
+	// Backend defaults to the sparse engine.
 	Backend Backend
-	// Workers tunes BackendParallel (<1 = GOMAXPROCS).
-	Workers int
-	// FlopFloor tunes BackendParallel's serial-fallback threshold: a
-	// product whose symbolic flop count is below the floor runs the
-	// serial two-phase kernel (identical result, no goroutine
-	// overhead). 0 selects sparse.DefaultParallelFlopFloor; negative
-	// disables the fallback (the ablation setting).
+	// Workers and FlopFloor schedule the engine as assoc.MulOptions
+	// does (Workers 0 or 1 serial, < 0 GOMAXPROCS); BackendSharded
+	// reads Workers as its shard-worker count.
+	Workers   int
 	FlopFloor int64
 	// SkipConditionCheck constructs even when the algebra violates the
 	// Theorem II.1 conditions (useful for demonstrations; the Result
@@ -110,15 +104,8 @@ func Build(req Request) (*Result, error) {
 	var a *assoc.Array[float64]
 	var err error
 	switch req.Backend {
-	case BackendCSR, "":
-		a, err = graph.Adjacency(req.Eout, req.Ein, ops, assoc.MulOptions{Kernel: "twophase"})
-	case BackendParallel:
-		a, err = graph.Adjacency(req.Eout, req.Ein, ops, assoc.MulOptions{Workers: workersOrAll(req.Workers), FlopFloor: req.FlopFloor})
-	case BackendTStore:
-		codec := tstore.Codec[float64]{Parse: value.ParseFloat, Format: value.FormatFloat}
-		sOut := tstore.FromArray(req.Eout, value.FormatFloat, tstore.Options{})
-		sIn := tstore.FromArray(req.Ein, value.FormatFloat, tstore.Options{})
-		a, err = tstore.AdjacencyFromTables(sOut, sIn, ops, codec)
+	case "":
+		a, err = graph.Adjacency(req.Eout, req.Ein, ops, assoc.MulOptions{Workers: req.Workers, FlopFloor: req.FlopFloor})
 	case BackendDense:
 		a, err = graph.AdjacencyDense(req.Eout, req.Ein, ops)
 	case BackendSharded:
@@ -128,7 +115,6 @@ func Build(req Request) (*Result, error) {
 		}
 		a, err = shard.Construct(req.Eout, req.Ein, ops, shard.Options{
 			Shards: shards, Workers: req.Workers, CheckAssociative: true,
-			Mul: assoc.MulOptions{Kernel: "twophase"},
 		})
 	default:
 		return res, fmt.Errorf("core: unknown backend %q", req.Backend)
@@ -155,16 +141,6 @@ func Build(req Request) (*Result, error) {
 	return res, nil
 }
 
-// workersOrAll maps 0 to "all cores" for the parallel backend (a
-// Request that says BackendParallel means parallelism even if Workers
-// was left zero).
-func workersOrAll(w int) int {
-	if w == 0 {
-		return -1
-	}
-	return w
-}
-
 // appendDataValues extends sample with up to max distinct values stored
 // in a, so condition checks cover the data actually being multiplied.
 func appendDataValues(sample []float64, a *assoc.Array[float64], max int) []float64 {
@@ -184,5 +160,5 @@ func appendDataValues(sample []float64, a *assoc.Array[float64], max int) []floa
 
 // Backends lists the available construction engines.
 func Backends() []Backend {
-	return []Backend{BackendCSR, BackendParallel, BackendTStore, BackendDense, BackendSharded}
+	return []Backend{"", BackendDense, BackendSharded}
 }

@@ -9,9 +9,6 @@
 //	            (PR 6's WAL)
 //	poolleak    sync.Pool scratch escaping or aliased after Put (PR 5's
 //	            kernel scratch)
-//	kernelopts  assoc.MulOptions combinations that only fail at runtime
-//	            (PR 2's Kernel/Workers conflict, PR 7's masked-kernel
-//	            restriction)
 //	cowmut      in-place mutation of snapshot-shared //adjlint:cow
 //	            slices (PR 5/7's copy-on-write id→position arrays)
 //
@@ -24,7 +21,6 @@ import (
 	"adjarray/internal/lint/cowmut"
 	"adjarray/internal/lint/detfold"
 	"adjarray/internal/lint/extra"
-	"adjarray/internal/lint/kernelopts"
 	"adjarray/internal/lint/loader"
 	"adjarray/internal/lint/poolleak"
 	"adjarray/internal/lint/syncerr"
@@ -36,7 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 		detfold.Analyzer,
 		syncerr.Analyzer,
 		poolleak.Analyzer,
-		kernelopts.Analyzer,
 		cowmut.Analyzer,
 		extra.Nilness,
 		extra.Shadow,

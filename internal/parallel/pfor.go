@@ -63,9 +63,8 @@ func For(n, workers int, fn func(lo, hi int)) {
 
 // ForGrain is For with an explicit grain size: [0, n) is split into
 // ⌈n/grain⌉ tasks executed by a pool of `workers` goroutines pulling
-// from a shared counter. Small grains load-balance irregular rows
-// (hypersparse matrices) at the cost of more synchronization; the
-// BenchmarkParallelGrain ablation quantifies the trade-off.
+// from a shared counter. Small grains load-balance irregular tasks at
+// the cost of more synchronization.
 func ForGrain(n, workers, grain int, fn func(lo, hi int)) {
 	ForGrainWorker(n, workers, grain, func(_, lo, hi int) { fn(lo, hi) })
 }

@@ -48,10 +48,6 @@ type Options struct {
 	// incidence values before constructing and fails fast if the
 	// re-associated merge could diverge from the sequential fold.
 	CheckAssociative bool
-	// Mul tunes the per-shard partial-product multiplication (kernel
-	// selection; per-shard Workers are forced to 1 since shards already
-	// run concurrently).
-	Mul assoc.MulOptions
 }
 
 // Construct computes A = Eoutᵀ ⊕.⊗ Ein by edge-sharded partial
@@ -64,9 +60,7 @@ func Construct[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Option
 	if opt.Shards < 1 {
 		opt.Shards = runtime.GOMAXPROCS(0)
 	}
-	shardMul := opt.Mul
-	shardMul.Workers = 1 // shards already run concurrently
-	eng := Engine[V]{Ops: ops, Mul: shardMul}
+	eng := Engine[V]{Ops: ops} // serial partial products: shards already run concurrently
 	if opt.CheckAssociative {
 		if err := eng.CheckAssociative(eout, ein); err != nil {
 			return nil, fmt.Errorf("%w — use the row-blocked kernel instead", err)

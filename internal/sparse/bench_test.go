@@ -1,9 +1,8 @@
 package sparse
 
-// Kernel-level ablation benchmarks for the two-phase engine design
-// choices. The repo-root bench_test.go measures the same kernels on
-// graph-shaped workloads; these operate directly on random CSRs so the
-// effects are isolated from incidence construction.
+// Engine-level benchmarks. The repo-root bench_test.go measures the
+// same engine on graph-shaped workloads; these operate directly on
+// random CSRs so the effects are isolated from incidence construction.
 
 import (
 	"fmt"
@@ -18,15 +17,6 @@ import (
 func benchMatrices(n int, density float64) (*CSR[float64], *CSR[float64]) {
 	r := rand.New(rand.NewSource(99))
 	return randomCSR(r, n, n, density), randomCSR(r, n, n, density)
-}
-
-// mulLegacy delegates to the frozen seed kernel (see legacy.go).
-func mulLegacy(a, b *CSR[float64], ops semiring.Ops[float64]) *CSR[float64] {
-	out, err := MulLegacy(a, b, ops)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // incidenceWorkload builds the adjacency-construction multiplication
@@ -50,14 +40,13 @@ func incidenceWorkload(n, ef int) (*CSR[float64], *CSR[float64]) {
 	return cooA.ToCSR(nil), cooB.ToCSR(nil)
 }
 
-// Ablation — symbolic/numeric two-phase with exact preallocation vs the
-// append-grown kernels: "legacy" is the seed kernel (append + sort
-// always + closure ops), "append" is MulGustavson after this PR (append
-// + adaptive emission), "twophase" is the production engine. legacy →
-// twophase is the pre-change → post-change comparison, measured in one
-// process so machine noise cancels. The "incidence" workloads are the
-// adjacency-construction shape of the root BenchmarkConstructionScaling.
-func BenchmarkSymbolicVsAppend(b *testing.B) {
+// BenchmarkMxm times the engine serial and at 2 workers against the
+// merge reference, on random squares and on the adjacency-construction
+// shape of the root BenchmarkConstructionScaling. (The masked arms are
+// BenchmarkMulMaskedParallel; the append-grown legacy/gustavson/hash
+// kernels this benchmark used to carry left their last numbers in
+// CHANGES.md, PR 13.)
+func BenchmarkMxm(b *testing.B) {
 	type workload struct {
 		name string
 		a, c *CSR[float64]
@@ -73,24 +62,23 @@ func BenchmarkSymbolicVsAppend(b *testing.B) {
 	}
 	ops := semiring.PlusTimes()
 	for _, w := range ws {
-		b.Run(w.name+"/legacy", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mulLegacy(w.a, w.c, ops)
-			}
-		})
-		b.Run(w.name+"/append", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := MulGustavson(w.a, w.c, ops); err != nil {
-					b.Fatal(err)
+		for _, arm := range []struct {
+			name string
+			opt  MxmOptions
+		}{{"mxm", MxmOptions{}}, {"mxm-w2", MxmOptions{Workers: 2}}} {
+			b.Run(w.name+"/"+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Mxm(nil, w.a, w.c, ops, arm.opt); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(w.name+"/twophase", func(b *testing.B) {
+			})
+		}
+		b.Run(w.name+"/merge", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MulTwoPhase(w.a, w.c, ops); err != nil {
+				if _, err := MulMerge(w.a, w.c, ops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -118,7 +106,7 @@ func BenchmarkAdaptiveVsSort(b *testing.B) {
 			defer func() { adaptiveSpanFactor = old }()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MulTwoPhase(a, c, ops); err != nil {
+				if _, err := mxm(a, c, ops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -126,7 +114,7 @@ func BenchmarkAdaptiveVsSort(b *testing.B) {
 		b.Run(cfg.name+"/adaptive", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MulTwoPhase(a, c, ops); err != nil {
+				if _, err := mxm(a, c, ops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,7 +139,7 @@ func BenchmarkParallelFlopFloor(b *testing.B) {
 			b.Run(fmt.Sprintf("n%d/%s", n, cfg.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := MulParallelOpt(a, c, ops, 4, 0, cfg.floor); err != nil {
+					if _, err := Mxm(nil, a, c, ops, MxmOptions{Workers: 4, FlopFloor: cfg.floor}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,11 +1,11 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"adjarray/internal/semiring"
-	"adjarray/internal/value"
 )
 
 func TestMulMaskedEqualsFilteredProduct(t *testing.T) {
@@ -14,34 +14,7 @@ func TestMulMaskedEqualsFilteredProduct(t *testing.T) {
 		a := randomCSR(r, 20, 25, 0.2)
 		b := randomCSR(r, 25, 15, 0.2)
 		mask := randomCSR(r, 20, 15, 0.3)
-		ops := semiring.PlusTimes()
-
-		got, err := MulMasked(a, b, mask, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := MulGustavson(a, b, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Oracle: full product filtered to the mask pattern.
-		want := full.Prune(func(float64) bool { return false }) // clone via no-op prune
-		keep := make(map[[2]int]bool)
-		mask.Iterate(func(i, j int, _ float64) { keep[[2]int{i, j}] = true })
-		filtered := newRowAppender[float64](full.Rows(), full.Cols())
-		for i := 0; i < full.Rows(); i++ {
-			cols, vals := full.Row(i)
-			for p, j := range cols {
-				if keep[[2]int{i, j}] {
-					filtered.append(j, vals[p])
-				}
-			}
-			filtered.endRow()
-		}
-		_ = want
-		if !Equal(filtered.finish(), got, value.Float64Equal) {
-			t.Fatalf("trial %d: masked product != filtered full product", trial)
-		}
+		checkMxm(t, fmt.Sprintf("trial %d", trial), mask, a, b, semiring.PlusTimes(), true)
 	}
 }
 
@@ -49,11 +22,13 @@ func TestMulMaskedDimChecks(t *testing.T) {
 	a := Empty[float64](2, 3)
 	b := Empty[float64](3, 4)
 	badMask := Empty[float64](2, 5)
-	if _, err := MulMasked(a, b, badMask, semiring.PlusTimes()); err == nil {
-		t.Error("mismatched mask accepted")
+	_, err := Mxm(badMask.Pattern(), a, b, semiring.PlusTimes(), MxmOptions{})
+	var se *ShapeError
+	if !asShapeError(err, &se) {
+		t.Errorf("mismatched mask: got %v, want *ShapeError", err)
 	}
 	badB := Empty[float64](9, 4)
-	if _, err := MulMasked(a, badB, Empty[float64](2, 4), semiring.PlusTimes()); err == nil {
+	if _, err := Mxm(Empty[float64](2, 4).Pattern(), a, badB, semiring.PlusTimes(), MxmOptions{}); err == nil {
 		t.Error("mismatched inner dims accepted")
 	}
 }
@@ -61,7 +36,7 @@ func TestMulMaskedDimChecks(t *testing.T) {
 func TestMulMaskedEmptyMaskGivesEmptyResult(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	a := randomCSR(r, 10, 10, 0.5)
-	got, err := MulMasked(a, a, Empty[float64](10, 10), semiring.PlusTimes())
+	got, err := Mxm(Empty[float64](10, 10).Pattern(), a, a, semiring.PlusTimes(), MxmOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +46,13 @@ func TestMulMaskedEmptyMaskGivesEmptyResult(t *testing.T) {
 }
 
 func TestMulMaskedFoldOrderNonCommutative(t *testing.T) {
-	// Same contract as the unmasked kernels: ascending-k fold.
+	// Same contract as the unmasked product: ascending-k fold.
 	r := rand.New(rand.NewSource(6))
 	a := randomCSR(r, 15, 20, 0.3)
 	b := randomCSR(r, 20, 15, 0.3)
 	mask := randomCSR(r, 15, 15, 0.5)
 	ops := semiring.LeftmostNonzero()
-	got, err := MulMasked(a, b, mask, ops)
+	got, err := Mxm(mask.Pattern(), a, b, ops, MxmOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

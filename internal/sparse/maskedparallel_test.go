@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,18 +34,16 @@ func hubSkewedCSR(r *rand.Rand, rows, cols, hubs int, hubDensity, tailDensity fl
 	return coo.ToCSR(nil)
 }
 
-// The parallel masked kernel must be bit-identical to the serial
-// MulMasked for every algebra the unmasked parallel kernel is held to:
+// The masked product must match the filtered merge reference under
+// every scheduling for every algebra the unmasked product is held to:
 // +.* (cancellation pruning), first.* (non-commutative ⊕), and a−b
-// (non-commutative AND non-associative). flopFloor −1 forces the
-// parallel path even on tiny products.
+// (non-commutative AND non-associative).
 func TestMulMaskedParallelBitIdenticalToSerial(t *testing.T) {
 	algebras := []semiring.Ops[float64]{
 		semiring.PlusTimes(),
 		semiring.LeftmostNonzero(),
 		subtractOps(),
 	}
-	configs := [][2]int{{2, 0}, {4, 1}, {3, 7}, {8, 2}, {16, 0}, {-1, 3}}
 	r := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 25; trial++ {
 		rows, inner, cols := 1+r.Intn(40), 1+r.Intn(40), 1+r.Intn(40)
@@ -53,32 +52,16 @@ func TestMulMaskedParallelBitIdenticalToSerial(t *testing.T) {
 		b := signedCSR(r, inner, cols, density)
 		mask := signedCSR(r, rows, cols, 0.05+r.Float64()*0.5)
 		for _, ops := range algebras {
-			ref, err := MulMasked(a, b, mask, ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cfg := range configs {
-				got, err := MulMaskedParallel(a, b, mask, ops, cfg[0], cfg[1], -1)
-				if err != nil {
-					t.Fatalf("trial %d %s w=%d g=%d: %v", trial, ops.Name, cfg[0], cfg[1], err)
-				}
-				if !Equal(ref, got, value.Float64Equal) {
-					t.Fatalf("trial %d: w=%d g=%d differs from serial MulMasked under %s",
-						trial, cfg[0], cfg[1], ops.Name)
-				}
-				if _, err := NewCSR(got.rows, got.cols, got.rowPtr, got.colIdx, got.val); err != nil {
-					t.Fatalf("trial %d: w=%d g=%d produced invalid CSR under %s: %v",
-						trial, cfg[0], cfg[1], ops.Name, err)
-				}
-			}
+			checkMxm(t, fmt.Sprintf("trial %d", trial), mask, a, b, ops, false)
 		}
 	}
 }
 
-// Hub-skewed instances exercise the numeric re-balance: the masked
-// flops concentrate in the hub rows, so the scan-flop spans and the
-// scan+masked-flop spans genuinely differ. Run with -race this also
-// sweeps the disjoint-write claim of the numeric pass.
+// Hub-skewed instances: the flops concentrate in the hub rows, so the
+// flop-balanced spans are far from an even row split, and the mask
+// decides how much of each hub row survives. Run with -race this also
+// sweeps the disjoint-write claim of the numeric pass under a mask
+// bound.
 func TestMulMaskedParallelHubSkew(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	a := hubSkewedCSR(r, 200, 150, 4, 0.7, 0.02)
@@ -91,25 +74,13 @@ func TestMulMaskedParallelHubSkew(t *testing.T) {
 	}
 	for _, ops := range []semiring.Ops[float64]{semiring.PlusTimes(), semiring.MinPlus()} {
 		for name, mask := range masks {
-			ref, err := MulMasked(a, b, mask, ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cfg := range [][2]int{{2, 0}, {4, 8}, {8, 1}, {16, 5}} {
-				got, err := MulMaskedParallel(a, b, mask, ops, cfg[0], cfg[1], -1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !Equal(ref, got, value.Float64Equal) {
-					t.Fatalf("%s mask %s: w=%d g=%d differs from serial", ops.Name, name, cfg[0], cfg[1])
-				}
-			}
+			checkMxm(t, "mask "+name, mask, a, b, ops, false)
 		}
 	}
 }
 
 // Below the flop floor (and for workers <= 1) the call must take the
-// serial path and still agree; an explicit floor above the instance's
+// inline path and still agree; an explicit floor above the instance's
 // scan flops exercises the fallback branch.
 func TestMulMaskedParallelSerialFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
@@ -117,10 +88,11 @@ func TestMulMaskedParallelSerialFallback(t *testing.T) {
 	b := randomCSR(r, 10, 14, 0.3)
 	mask := randomCSR(r, 12, 14, 0.4)
 	ops := semiring.PlusTimes()
-	ref, err := MulMasked(a, b, mask, ops)
+	ref, err := MulMerge(a, b, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := filterTo(ref, mask)
 	for _, tc := range []struct {
 		name    string
 		workers int
@@ -131,12 +103,12 @@ func TestMulMaskedParallelSerialFallback(t *testing.T) {
 		{"floorDefault", 4, 0}, // tiny instance sits below DefaultParallelFlopFloor
 		{"floorHuge", 4, 1 << 40},
 	} {
-		got, err := MulMaskedParallel(a, b, mask, ops, tc.workers, 0, tc.floor)
+		got, err := Mxm(mask.Pattern(), a, b, ops, MxmOptions{Workers: tc.workers, FlopFloor: tc.floor})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !Equal(ref, got, value.Float64Equal) {
-			t.Fatalf("%s: fallback result differs from serial", tc.name)
+		if !Equal(want, got, value.Float64Equal) {
+			t.Fatalf("%s: fallback result differs from the reference", tc.name)
 		}
 	}
 }
@@ -144,34 +116,31 @@ func TestMulMaskedParallelSerialFallback(t *testing.T) {
 func TestMulMaskedParallelDimChecks(t *testing.T) {
 	a := Empty[float64](2, 3)
 	b := Empty[float64](3, 4)
-	if _, err := MulMaskedParallel(a, b, Empty[float64](2, 5), semiring.PlusTimes(), 4, 0, -1); err == nil {
+	par := MxmOptions{Workers: 4, FlopFloor: -1}
+	if _, err := Mxm(Empty[float64](2, 5).Pattern(), a, b, semiring.PlusTimes(), par); err == nil {
 		t.Error("mismatched mask accepted")
 	}
-	if _, err := MulMaskedParallel(a, Empty[float64](9, 4), Empty[float64](2, 4), semiring.PlusTimes(), 4, 0, -1); err == nil {
+	if _, err := Mxm(Empty[float64](2, 4).Pattern(), a, Empty[float64](9, 4), semiring.PlusTimes(), par); err == nil {
 		t.Error("mismatched inner dims accepted")
 	}
 }
 
-// Ablation benchmark: serial masked kernel vs the parallel one at 2 and
-// 4 workers, on a hub-skewed instance under a half-dense mask — the
-// shape where the numeric re-balance matters.
+// The masked product serial and at 2 and 4 workers, on a hub-skewed
+// instance under a half-dense mask.
 func BenchmarkMulMaskedParallel(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
 	a := hubSkewedCSR(r, 2000, 1500, 16, 0.4, 0.01)
 	m2 := hubSkewedCSR(r, 1500, 1800, 12, 0.35, 0.012)
-	mask := signedCSR(r, 2000, 1800, 0.12)
+	mask := signedCSR(r, 2000, 1800, 0.12).Pattern()
 	ops := semiring.PlusTimes()
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MulMasked(a, m2, mask, ops); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, w := range []int{2, 4} {
-		b.Run(map[int]string{2: "par2", 4: "par4"}[w], func(b *testing.B) {
+	for _, arm := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"par2", 2}, {"par4", 4}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MulMaskedParallel(a, m2, mask, ops, w, 0, -1); err != nil {
+				if _, err := Mxm(mask, a, m2, ops, MxmOptions{Workers: arm.workers, FlopFloor: -1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -128,12 +128,12 @@ func TestMulParallelOptFloor(t *testing.T) {
 	ops := semiring.PlusTimes()
 	a := randomCSRFor(r, 20, 20, 0.2)
 	b := randomCSRFor(r, 20, 20, 0.2)
-	want, err := MulTwoPhase(a, b, ops)
+	want, err := mxm(a, b, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, floor := range []int64{0, -1, 1, 1 << 40} {
-		got, err := MulParallelOpt(a, b, ops, 4, 0, floor)
+		got, err := Mxm(nil, a, b, ops, MxmOptions{Workers: 4, FlopFloor: floor})
 		if err != nil {
 			t.Fatal(err)
 		}

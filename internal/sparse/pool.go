@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Kernel scratch pooling. The two-phase SpGEMM engine needs O(cols)
-// scratch per worker — a stamp array for the symbolic pass, a value
-// accumulator for the numeric pass. Allocating that per Mul call is
+// Kernel scratch pooling. Mxm needs O(cols) scratch per span — a stamp
+// array for both passes, a value accumulator for the numeric one.
+// Allocating that per call is
 // invisible for one-shot batch construction but dominates steady-state
 // allocation when multiplications run continuously (the stream
 // materialize fold, per-batch partial products, bench loops). The
@@ -24,7 +24,7 @@ import (
 // been fully written to its own storage, so no pooled buffer is ever
 // reachable from a result.
 
-// stampBox is the symbolic SPA scratch: type-independent, one shared
+// stampBox is the stamp scratch: type-independent, one shared
 // pool for every value-type instantiation.
 type stampBox struct {
 	stamp   []int
@@ -51,16 +51,12 @@ func getStampBox(cols int) *stampBox {
 	return b
 }
 
-func putStampBox(b *stampBox) {
-	if b != nil {
-		stampPool.Put(b)
-	}
-}
+func putStampBox(b *stampBox) { stampPool.Put(b) }
 
 // accBox is the numeric accumulator scratch, pooled per value type via
 // valuePools (package-level generic vars are impossible; a sync.Map
-// keyed by reflect.Type costs one lookup per Mul call, amortized over
-// the whole multiplication).
+// keyed by reflect.Type costs one lookup per span, amortized over the
+// span's rows).
 type accBox[V any] struct {
 	acc []V
 }
@@ -90,13 +86,8 @@ func getAccBox[V any](pool *sync.Pool, cols int) *accBox[V] {
 	return b
 }
 
-// pooledSym assembles a symbolicSPA view over a pooled stamp box.
-func pooledSym(b *stampBox) *symbolicSPA {
-	return &symbolicSPA{stamp: b.stamp, current: b.current}
-}
-
 // pooledSPA assembles a numeric spa over a pooled stamp box and value
-// box, continuing the box's stamp counter (the symbolic pass already
+// box, continuing the box's stamp counter (earlier passes and calls
 // advanced it; continuing rather than restarting keeps every stamp
 // comparison unambiguous).
 func pooledSPA[V any](sb *stampBox, vb *accBox[V]) *spa[V] {
@@ -106,16 +97,9 @@ func pooledSPA[V any](sb *stampBox, vb *accBox[V]) *spa[V] {
 // releaseKernelScratch returns the boxes to their pools, saving the
 // advanced stamp counter and the touched backing for reuse.
 func releaseKernelScratch[V any](pool *sync.Pool, sb *stampBox, s *spa[V], vb *accBox[V]) {
-	if s != nil {
-		sb.current = s.current
-		sb.touched = s.touched[:0]
-		if vb != nil {
-			vb.acc = s.acc
-		}
-	}
-	if vb != nil {
-		pool.Put(vb)
-	}
+	sb.current = s.current
+	sb.touched = s.touched[:0]
+	pool.Put(vb)
 	putStampBox(sb)
 }
 

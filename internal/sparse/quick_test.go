@@ -110,10 +110,10 @@ func TestQuickMulAssociative(t *testing.T) {
 		b := randomCSR(r, a.Cols(), 1+r.Intn(10), 0.3)
 		c := randomCSR(r, b.Cols(), 1+r.Intn(10), 0.3)
 		ops := semiring.PlusTimes()
-		ab, _ := MulGustavson(a, b, ops)
-		abc1, _ := MulGustavson(ab, c, ops)
-		bc, _ := MulGustavson(b, c, ops)
-		abc2, _ := MulGustavson(a, bc, ops)
+		ab, _ := mxm(a, b, ops)
+		abc1, _ := mxm(ab, c, ops)
+		bc, _ := mxm(b, c, ops)
+		abc2, _ := mxm(a, bc, ops)
 		return Equal(abc1, abc2, value.Float64Equal)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
@@ -128,8 +128,8 @@ func TestQuickTransposeOfProduct(t *testing.T) {
 		a := randomCSR(r, 1+r.Intn(12), 1+r.Intn(12), 0.3)
 		b := randomCSR(r, a.Cols(), 1+r.Intn(12), 0.3)
 		ops := semiring.PlusTimes()
-		ab, _ := MulGustavson(a, b, ops)
-		btat, _ := MulGustavson(b.Transpose(), a.Transpose(), ops)
+		ab, _ := mxm(a, b, ops)
+		btat, _ := mxm(b.Transpose(), a.Transpose(), ops)
 		return Equal(ab.Transpose(), btat, value.Float64Equal)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
@@ -146,9 +146,9 @@ func TestQuickMulDistributesOverAdd(t *testing.T) {
 		c := randomCSR(r, b.Rows(), b.Cols(), 0.3)
 		ops := semiring.PlusTimes()
 		bc, _ := EWiseAdd(b, c, ops)
-		left, _ := MulGustavson(a, bc, ops)
-		ab, _ := MulGustavson(a, b, ops)
-		ac, _ := MulGustavson(a, c, ops)
+		left, _ := mxm(a, bc, ops)
+		ab, _ := mxm(a, b, ops)
+		ac, _ := mxm(a, c, ops)
 		right, _ := EWiseAdd(ab, ac, ops)
 		return Equal(left, right, value.Float64Equal)
 	}
@@ -166,11 +166,11 @@ func TestQuickMaskedSubPattern(t *testing.T) {
 		b := randomCSR(r, a.Cols(), 1+r.Intn(12), 0.3)
 		mask := randomCSR(r, a.Rows(), b.Cols(), 0.4)
 		ops := semiring.PlusTimes()
-		got, err := MulMasked(a, b, mask, ops)
+		got, err := Mxm(mask.Pattern(), a, b, ops, MxmOptions{})
 		if err != nil {
 			return false
 		}
-		full, _ := MulGustavson(a, b, ops)
+		full, _ := mxm(a, b, ops)
 		ok := true
 		got.Iterate(func(i, j int, v float64) {
 			if _, inMask := mask.At(i, j); !inMask {

@@ -10,24 +10,21 @@ import (
 
 // SpGEMM — sparse matrix × sparse matrix under an operator pair ⊕.⊗.
 //
-// Contract shared by every variant: the contributions to output entry
+// Three implementations: Mxm (mxm.go) is the engine; MulMerge below is
+// the independent sparse reference the engine is tested against; and
+// MulDense is the Definition I.3 oracle.
+//
+// Contract shared by all three: the contributions to output entry
 // C(i,j) = ⊕_k A(i,k) ⊗ B(k,j) are folded strictly in ascending k order,
 // matching the ordered reduction of Definition I.3, so results agree
-// across variants even for non-associative / non-commutative ⊕.
+// even for non-associative / non-commutative ⊕.
 //
 // Sparse multiplication inherently skips k where A(i,k) or B(k,j) is
 // missing; this silently *assumes* the annihilator and ⊕-identity laws.
-// MulDense below implements the literal Definition I.3 over every
-// k (including zeros) and is the ground truth the theorem machinery
+// MulDense implements the literal Definition I.3 over every k
+// (including zeros) and is the ground truth the theorem machinery
 // compares against: Theorem II.1 is precisely the condition under which
 // the sparse shortcut is sound for adjacency construction.
-
-// Mul multiplies a (m×k) by b (k×n) with the default kernel — the
-// two-phase symbolic/numeric engine — and prunes entries that fold to
-// the algebra's zero.
-func Mul[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
-	return MulTwoPhase(a, b, ops)
-}
 
 func checkDims[V any](a, b *CSR[V]) error {
 	if a.cols != b.rows {
@@ -36,37 +33,16 @@ func checkDims[V any](a, b *CSR[V]) error {
 	return nil
 }
 
-// MulGustavson is row-by-row SpGEMM with a dense scratch accumulator
-// (SPA): O(rows·flops) time, O(cols) scratch. The classical kernel of
-// Gustavson (1978) and the CSR workhorse in GraphBLAS implementations.
-// Output storage is append-grown; MulTwoPhase is the exact-preallocation
-// refinement and the production default.
-func MulGustavson[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
-	if err := checkDims(a, b); err != nil {
-		return nil, err
-	}
-	out := newRowAppender[V](a.rows, b.cols)
-	spa := newSPA[V](b.cols)
-	for i := 0; i < a.rows; i++ {
-		gustavsonRow(a, b, ops, i, spa, out)
-	}
-	return out.finish(), nil
-}
-
 // spa is a sparse accumulator: dense value scratch plus an occupancy
 // stamp, reusable across rows without clearing. minJ/maxJ bound the
 // touched column span so emission can choose between a dense flag-scan
-// and sorting (see orderedTouched).
+// and sorting (see emit).
 type spa[V any] struct {
 	acc        []V
 	stamp      []int
 	current    int
 	touched    []int
 	minJ, maxJ int
-}
-
-func newSPA[V any](cols int) *spa[V] {
-	return &spa[V]{acc: make([]V, cols), stamp: make([]int, cols)}
 }
 
 func (s *spa[V]) reset() {
@@ -76,7 +52,7 @@ func (s *spa[V]) reset() {
 }
 
 // accumulate folds row i of a·b into the SPA in ascending k order — the
-// Definition I.3 fold order every kernel must preserve. The CSR arrays
+// Definition I.3 fold order. The CSR arrays
 // are indexed directly (rather than through Row) to keep the per-flop
 // cost down to the two algebra calls.
 func (s *spa[V]) accumulate(a, b *CSR[V], ops semiring.Ops[V], i int) {
@@ -125,9 +101,8 @@ func scanBeatsSort(span, t int) bool {
 }
 
 // sortTouched sorts a touched list in place: straight insertion sort
-// (sortInts, shared with the masked kernel) for short hypersparse rows
-// — beating the general sort's pivot and partition machinery at that
-// size — and sort.Ints beyond.
+// for short hypersparse rows — beating the general sort's pivot and
+// partition machinery at that size — and sort.Ints beyond.
 func sortTouched(xs []int) {
 	if len(xs) <= 24 {
 		sortInts(xs)
@@ -136,32 +111,12 @@ func sortTouched(xs []int) {
 	sort.Ints(xs)
 }
 
-// orderedTouched returns the touched columns in ascending order,
-// choosing adaptively between a dense flag-scan of [minJ, maxJ] (dense
-// rows: linear in the span, no sort) and sorting (hypersparse rows:
-// span much wider than the touched count). The choice only affects the
-// order entries are *emitted* in — the per-entry ⊕ fold already happened
-// in ascending-k order inside accumulate — so the non-commutative /
-// non-associative ⊕ contract is preserved either way.
-func (s *spa[V]) orderedTouched() []int {
-	t := len(s.touched)
-	if t <= 1 {
-		return s.touched
-	}
-	if scanBeatsSort(s.maxJ-s.minJ+1, t) {
-		// Rebuild the touched list in order by scanning the stamp over
-		// the span; reuses the touched backing array, so no allocation.
-		out := s.touched[:0]
-		for j := s.minJ; j <= s.maxJ; j++ {
-			if s.stamp[j] == s.current {
-				out = append(out, j)
-			}
+func sortInts(xs []int) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
+			xs[j-1], xs[j] = xs[j], xs[j-1]
 		}
-		s.touched = out
-		return out
 	}
-	sortTouched(s.touched)
-	return s.touched
 }
 
 // emit writes the accumulated row into dstCol/dstVal in ascending
@@ -197,60 +152,12 @@ func (s *spa[V]) emit(ops semiring.Ops[V], dstCol []int, dstVal []V) int {
 	return n
 }
 
-// gustavsonRow computes one output row into out using the SPA.
-func gustavsonRow[V any](a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], out *rowAppender[V]) {
-	s.reset()
-	s.accumulate(a, b, ops, i)
-	for _, j := range s.orderedTouched() {
-		if !ops.IsZero(s.acc[j]) {
-			out.append(j, s.acc[j])
-		}
-	}
-	out.endRow()
-}
-
-// MulHash is SpGEMM with a per-row hash-map accumulator: no O(cols)
-// scratch, better for hypersparse outputs; slower constants. Ablation
-// partner of MulGustavson.
-func MulHash[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
-	if err := checkDims(a, b); err != nil {
-		return nil, err
-	}
-	out := newRowAppender[V](a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		acc := make(map[int]V)
-		aCols, aVals := a.Row(i)
-		for p, k := range aCols {
-			av := aVals[p]
-			bCols, bVals := b.Row(k)
-			for q, j := range bCols {
-				prod := ops.Mul(av, bVals[q])
-				if cur, ok := acc[j]; ok {
-					acc[j] = ops.Add(cur, prod)
-				} else {
-					acc[j] = prod
-				}
-			}
-		}
-		js := make([]int, 0, len(acc))
-		for j := range acc {
-			js = append(js, j)
-		}
-		sort.Ints(js)
-		for _, j := range js {
-			if !ops.IsZero(acc[j]) {
-				out.append(j, acc[j])
-			}
-		}
-		out.endRow()
-	}
-	return out.finish(), nil
-}
-
 // MulMerge is SpGEMM by expansion and stable merge: gather every
 // (j, product) contribution of the row in generation (ascending-k)
 // order, stable-sort by j, then fold runs. Highest constant factor but
-// the simplest to verify; used as the oracle in property tests.
+// the simplest to verify, and it shares no accumulator with Mxm: the
+// independent sparse reference of the property tests and of the
+// conformance sweep's reference-merge path.
 func MulMerge[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
 	if err := checkDims(a, b); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestMulKnownProduct(t *testing.T) {
 	// [3 4] [7 8] = [3*5+4*7  3*6+4*8] = [43 50]
 	a := fromTriples(t, 2, 2, [][3]float64{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}, {1, 1, 4}})
 	b := fromTriples(t, 2, 2, [][3]float64{{0, 0, 5}, {0, 1, 6}, {1, 0, 7}, {1, 1, 8}})
-	c, err := Mul(a, b, semiring.PlusTimes())
+	c, err := mxm(a, b, semiring.PlusTimes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +98,14 @@ func TestMulDimensionMismatch(t *testing.T) {
 	a := Empty[float64](2, 3)
 	b := Empty[float64](4, 2)
 	for _, mul := range []func(x, y *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error){
-		MulGustavson[float64], MulHash[float64], MulMerge[float64], MulDense[float64],
+		mxm[float64], MulMerge[float64], MulDense[float64],
 	} {
 		if _, err := mul(a, b, semiring.PlusTimes()); err == nil {
 			t.Error("dimension mismatch accepted")
 		}
 	}
-	if _, err := MulParallel(a, b, semiring.PlusTimes(), 4, 0); err == nil {
-		t.Error("MulParallel accepted mismatch")
+	if _, err := Mxm(nil, a, b, semiring.PlusTimes(), MxmOptions{Workers: 4}); err == nil {
+		t.Error("parallel Mxm accepted mismatch")
 	}
 }
 
@@ -116,7 +117,7 @@ func TestMulMinPlusShortestPath(t *testing.T) {
 		{0, 1, 1}, {1, 2, 2}, {0, 2, 10},
 	})
 	ops := semiring.MinPlus()
-	d2, err := Mul(d, d, ops)
+	d2, err := mxm(d, d, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,10 @@ func TestMulProducesSortedColumns(t *testing.T) {
 	a := randomCSR(rand.New(rand.NewSource(1)), 30, 40, 0.2)
 	b := randomCSR(rand.New(rand.NewSource(2)), 40, 25, 0.2)
 	for name, mul := range map[string]func(x, y *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error){
-		"gustavson": MulGustavson[float64], "hash": MulHash[float64], "merge": MulMerge[float64],
+		"mxm": mxm[float64], "merge": MulMerge[float64],
+		"mxm-par": func(x, y *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error) {
+			return Mxm(nil, x, y, o, MxmOptions{Workers: 3, FlopFloor: -1})
+		},
 	} {
 		c, err := mul(a, b, semiring.PlusTimes())
 		if err != nil {
@@ -155,33 +159,16 @@ func randomCSR(r *rand.Rand, rows, cols int, density float64) *CSR[float64] {
 	return coo.ToCSR(nil)
 }
 
-// All SpGEMM variants (and the parallel one at several worker/grain
-// settings) must agree exactly — including with the dense Definition
-// I.3 oracle, because +.* satisfies Theorem II.1.
+// The engine under every scheduling, the merge reference and the dense
+// Definition I.3 oracle must agree exactly on positive matrices,
+// because +.* satisfies Theorem II.1.
 func TestMulVariantsAgreeRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		rows, inner, cols := 1+r.Intn(30), 1+r.Intn(30), 1+r.Intn(30)
 		a := randomCSR(r, rows, inner, 0.15)
 		b := randomCSR(r, inner, cols, 0.15)
-		ops := semiring.PlusTimes()
-
-		ref, err := MulMerge(a, b, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		others := map[string]*CSR[float64]{}
-		others["gustavson"], _ = MulGustavson(a, b, ops)
-		others["hash"], _ = MulHash(a, b, ops)
-		others["dense"], _ = MulDense(a, b, ops)
-		others["par2"], _ = MulParallel(a, b, ops, 2, 0)
-		others["par8g1"], _ = MulParallel(a, b, ops, 8, 1)
-		others["par3g7"], _ = MulParallel(a, b, ops, 3, 7)
-		for name, got := range others {
-			if !Equal(ref, got, value.Float64Equal) {
-				t.Fatalf("trial %d: %s disagrees with merge oracle", trial, name)
-			}
-		}
+		checkMxm(t, fmt.Sprintf("trial %d", trial), nil, a, b, semiring.PlusTimes(), true)
 	}
 }
 
@@ -193,23 +180,11 @@ func TestMulVariantsAgreeNonCommutative(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomCSR(r, 20, 25, 0.2)
 		b := randomCSR(r, 25, 15, 0.2)
-		ref, err := MulMerge(a, b, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, _ := MulGustavson(a, b, ops)
-		h, _ := MulHash(a, b, ops)
-		d, _ := MulDense(a, b, ops)
-		p, _ := MulParallel(a, b, ops, 4, 3)
-		for name, got := range map[string]*CSR[float64]{"gustavson": g, "hash": h, "dense": d, "parallel": p} {
-			if !Equal(ref, got, value.Float64Equal) {
-				t.Fatalf("trial %d: %s disagrees under non-commutative ⊕", trial, name)
-			}
-		}
+		checkMxm(t, fmt.Sprintf("trial %d", trial), nil, a, b, ops, true)
 	}
 }
 
-// Under every Figure 3/5 operator pair, all kernels agree with the dense
+// Under every Figure 3/5 operator pair, the engine agrees with the dense
 // oracle on random non-negative matrices (these pairs satisfy
 // Theorem II.1, so sparse == dense is exactly the theorem's content).
 func TestMulSparseMatchesDenseForCompliantPairs(t *testing.T) {
@@ -217,7 +192,7 @@ func TestMulSparseMatchesDenseForCompliantPairs(t *testing.T) {
 	for _, ops := range semiring.Figure3Pairs() {
 		a := randomCSR(r, 15, 12, 0.25)
 		b := randomCSR(r, 12, 18, 0.25)
-		s, err := MulGustavson(a, b, ops)
+		s, err := mxm(a, b, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +214,7 @@ func TestMulSparseDivergesFromDenseForNonCompliantPair(t *testing.T) {
 	ops := semiring.MaxPlusAtZero()
 	a := fromTriples(t, 1, 2, [][3]float64{{0, 0, 5}}) // row [5 0]
 	b := fromTriples(t, 2, 1, [][3]float64{{1, 0, 7}}) // col [0 7]ᵀ
-	s, err := MulGustavson(a, b, ops)
+	s, err := mxm(a, b, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,17 +234,17 @@ func TestMulSparseDivergesFromDenseForNonCompliantPair(t *testing.T) {
 
 func TestMulEmptyOperands(t *testing.T) {
 	a := Empty[float64](0, 0)
-	c, err := Mul(a, a, semiring.PlusTimes())
+	c, err := mxm(a, a, semiring.PlusTimes())
 	if err != nil || c.Rows() != 0 || c.Cols() != 0 {
 		t.Errorf("0×0 product failed: %v", err)
 	}
 	b := Empty[float64](3, 4)
 	d := Empty[float64](4, 2)
-	c, err = Mul(b, d, semiring.PlusTimes())
+	c, err = mxm(b, d, semiring.PlusTimes())
 	if err != nil || c.NNZ() != 0 || c.Rows() != 3 || c.Cols() != 2 {
 		t.Errorf("empty product wrong: %v", err)
 	}
-	c, err = MulParallel(b, d, semiring.PlusTimes(), 4, 0)
+	c, err = Mxm(nil, b, d, semiring.PlusTimes(), MxmOptions{Workers: 4, FlopFloor: -1})
 	if err != nil || c.NNZ() != 0 {
 		t.Errorf("parallel empty product wrong: %v", err)
 	}

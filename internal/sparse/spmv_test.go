@@ -54,7 +54,7 @@ func TestSpMSpVMatchesSpGEMM(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			R, C := 1+r.Intn(20), 1+r.Intn(20)
 			ids, xv, m := randomVecMat(r, R, C, []float64{0.5, 1, 2, 3, 7})
-			want, err := MulTwoPhase(vecCSR(R, ids, xv), m, ops)
+			want, err := mxm(vecCSR(R, ids, xv), m, ops)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,12 +9,9 @@ import (
 	"adjarray/internal/value"
 )
 
-// twophase_test.go — property tests for the two-phase symbolic/numeric
-// engine. The repo's defining correctness contract: every SpGEMM
-// variant is bit-identical to the MulMerge oracle for every ⊕ —
-// including non-commutative and non-associative ones — because all of
-// them fold the contributions to an output entry in ascending inner-key
-// order.
+// twophase_test.go — the two-phase engine's specific hazards:
+// cancellation under the symbolic bound, disjoint parallel writes, and
+// the adaptive emission choice. mxm_test.go holds the broad table.
 
 // signedCSR generates a random matrix with values in {-4..-1, 1..4} so
 // +.* products can cancel to exactly zero, exercising the two-phase
@@ -48,33 +46,10 @@ func subtractOps() semiring.Ops[float64] {
 	}
 }
 
-// mulVariants enumerates every SpGEMM variant under test, with the
-// parallel engine at several worker/grain settings.
-func mulVariants() map[string]func(a, b *CSR[float64], ops semiring.Ops[float64]) (*CSR[float64], error) {
-	return map[string]func(a, b *CSR[float64], ops semiring.Ops[float64]) (*CSR[float64], error){
-		"legacy":    MulLegacy[float64],
-		"gustavson": MulGustavson[float64],
-		"hash":      MulHash[float64],
-		"twophase":  MulTwoPhase[float64],
-		"par2": func(a, b *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error) {
-			return MulParallel(a, b, o, 2, 0)
-		},
-		"par4g1": func(a, b *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error) {
-			return MulParallel(a, b, o, 4, 1)
-		},
-		"par3g7": func(a, b *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error) {
-			return MulParallel(a, b, o, 3, 7)
-		},
-		"par8g2": func(a, b *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error) {
-			return MulParallel(a, b, o, 8, 2)
-		},
-	}
-}
-
-// All variants must be bit-identical to the merge oracle on random
-// signed matrices under +.* (specialized kernel + cancellation pruning),
-// first.* (non-commutative ⊕), and a−b (non-commutative AND
-// non-associative, no left identity).
+// The engine under every scheduling must be bit-identical to the merge
+// reference on random signed matrices under +.* (specialized row
+// function + cancellation pruning), first.* (non-commutative ⊕), and
+// a−b (non-commutative AND non-associative, no left identity).
 func TestTwoPhaseVariantsBitIdenticalToOracle(t *testing.T) {
 	algebras := []semiring.Ops[float64]{
 		semiring.PlusTimes(),
@@ -88,22 +63,7 @@ func TestTwoPhaseVariantsBitIdenticalToOracle(t *testing.T) {
 		a := signedCSR(r, rows, inner, density)
 		b := signedCSR(r, inner, cols, density)
 		for _, ops := range algebras {
-			ref, err := MulMerge(a, b, ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, mul := range mulVariants() {
-				got, err := mul(a, b, ops)
-				if err != nil {
-					t.Fatalf("trial %d %s/%s: %v", trial, ops.Name, name, err)
-				}
-				if !Equal(ref, got, value.Float64Equal) {
-					t.Fatalf("trial %d: %s disagrees with merge oracle under %s", trial, name, ops.Name)
-				}
-				if _, err := NewCSR(got.rows, got.cols, got.rowPtr, got.colIdx, got.val); err != nil {
-					t.Fatalf("trial %d: %s produced structurally invalid CSR under %s: %v", trial, name, ops.Name, err)
-				}
-			}
+			checkMxm(t, fmt.Sprintf("trial %d", trial), nil, a, b, ops, false)
 		}
 	}
 }
@@ -134,7 +94,7 @@ func TestTwoPhaseCompactsPrunedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MulTwoPhase(a, b, ops)
+	got, err := mxm(a, b, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +104,7 @@ func TestTwoPhaseCompactsPrunedRows(t *testing.T) {
 	if _, ok := got.At(0, 0); ok {
 		t.Error("cancelled entry (0,0) survived pruning")
 	}
-	par, err := MulParallel(a, b, ops, 3, 1)
+	par, err := Mxm(nil, a, b, ops, MxmOptions{Workers: 3, FlopFloor: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,49 +114,52 @@ func TestTwoPhaseCompactsPrunedRows(t *testing.T) {
 }
 
 // The parallel numeric pass writes into disjoint preallocated ranges;
-// run it with many workers and tiny grains over a larger product so the
-// race detector (go test -race) sweeps the disjoint-write claim.
+// run it with many workers over a larger product so the race detector
+// (go test -race) sweeps the disjoint-write claim.
 func TestMulParallelNumericPassRace(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	a := signedCSR(r, 300, 200, 0.08)
 	b := signedCSR(r, 200, 250, 0.08)
 	ops := semiring.PlusTimes()
-	ref, err := MulTwoPhase(a, b, ops)
+	ref, err := mxm(a, b, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range [][2]int{{2, 0}, {4, 1}, {8, 3}, {16, 0}, {3, 64}} {
-		got, err := MulParallel(a, b, ops, cfg[0], cfg[1])
+	for _, w := range []int{2, 3, 4, 8, 16} {
+		got, err := Mxm(nil, a, b, ops, MxmOptions{Workers: w, FlopFloor: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !Equal(ref, got, value.Float64Equal) {
-			t.Fatalf("workers=%d grain=%d differs from serial two-phase", cfg[0], cfg[1])
+			t.Fatalf("workers=%d differs from serial", w)
 		}
 	}
 }
 
 // The adaptive emission must agree with the sort-always path entry for
-// entry on workloads mixing dense and hypersparse rows.
+// entry on workloads mixing dense and hypersparse rows — masked rows
+// included, which emit through the same spa.emit.
 func TestAdaptiveEmissionMatchesSortAlways(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	ops := semiring.LeftmostNonzero()
 	for trial := 0; trial < 10; trial++ {
 		a := signedCSR(r, 40, 30, 0.3)
 		b := signedCSR(r, 30, 500, 0.02+r.Float64()*0.2)
-		adaptive, err := MulTwoPhase(a, b, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := adaptiveSpanFactor
-		adaptiveSpanFactor = 0 // force the sort path everywhere
-		sorted, err := MulTwoPhase(a, b, ops)
-		adaptiveSpanFactor = old
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(adaptive, sorted, value.Float64Equal) {
-			t.Fatal("adaptive emission changed the result")
+		for _, mask := range []*Pattern{nil, signedCSR(r, 40, 500, 0.5).Pattern()} {
+			adaptive, err := Mxm(mask, a, b, ops, MxmOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := adaptiveSpanFactor
+			adaptiveSpanFactor = 0 // force the sort path everywhere
+			sorted, err := Mxm(mask, a, b, ops, MxmOptions{})
+			adaptiveSpanFactor = old
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(adaptive, sorted, value.Float64Equal) {
+				t.Fatalf("adaptive emission changed the result (masked=%v)", mask != nil)
+			}
 		}
 	}
 }
