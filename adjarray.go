@@ -265,34 +265,38 @@ func AdjacencyViewFromIncidence[V any](eout, ein *Array[V], ops Ops[V], opt Stre
 	return stream.FromIncidence(eout, ein, ops, opt)
 }
 
-// Sharded ingest: route-by-hash scatter across per-shard views with
-// scatter-gather snapshots (see stream.ShardedView).
+// The ingest store: N ≥ 1 shards (route-by-hash scatter, scatter-gather
+// snapshots), in memory or on a directory (see stream.Store).
 
-// ShardedStreamOptions tunes a sharded maintained view: the shard count
-// plus the per-shard StreamOptions.
-type ShardedStreamOptions = stream.ShardedOptions
-
-// ShardedAdjacencyView hash-partitions the ingested vertex space across
-// goroutine-shards, each owning its own AdjacencyView, so concurrent
+// AdjacencyStore hash-partitions the ingested vertex space across
+// goroutine-shards, each owning its own AdjacencyView and — opened on a
+// directory — its own write-ahead log and checkpoints, so concurrent
 // appends to different shards never contend. Snapshot pins one
-// consistent epoch per shard and lazily ⊕-merges the per-shard
-// adjacencies — bit-identical to the single-view construction because
-// shards own disjoint adjacency rows.
-type ShardedAdjacencyView[V any] = stream.ShardedView[V]
+// consistent epoch per shard and ⊕-merges the per-shard adjacencies —
+// bit-identical to the one-shard construction because shards own
+// disjoint adjacency rows. One shard is shards = 1, not another type.
+type AdjacencyStore[V any] = stream.Store[V]
 
-// ShardedAdjacencySnapshot is an immutable scatter-gather read view
+// AdjacencyStoreSnapshot is an immutable scatter-gather read view
 // pinned at one epoch vector.
-type ShardedAdjacencySnapshot[V any] = stream.ShardedSnapshot[V]
+type AdjacencyStoreSnapshot[V any] = stream.StoreSnapshot[V]
 
-// ShardedStreamStats aggregates per-shard view counters.
-type ShardedStreamStats = stream.ShardedStats
+// AdjacencyStoreStats aggregates per-shard view counters.
+type AdjacencyStoreStats = stream.StoreStats
 
-// NewShardedAdjacencyView creates an empty in-memory sharded view.
-func NewShardedAdjacencyView[V any](ops Ops[V], opt ShardedStreamOptions) *ShardedAdjacencyView[V] {
-	return stream.NewShardedView(ops, opt)
+// DurableStreamOptions tunes the durable side of a store opened on a
+// directory (fsync policy, checkpoint cadence, value codec).
+type DurableStreamOptions[V any] = stream.DurableOptions[V]
+
+// OpenAdjacencyStore opens a store: dir "" keeps it in memory, anything
+// else recovers from (or creates) that directory. shards 0 or 1 is one
+// shard, < 0 selects GOMAXPROCS; a directory that already holds a store
+// refuses an explicit count other than its own.
+func OpenAdjacencyStore[V any](dir string, ops Ops[V], shards int, opt StreamOptions, dopt DurableStreamOptions[V]) (*AdjacencyStore[V], error) {
+	return stream.Open(dir, ops, shards, opt, dopt)
 }
 
-// Ingest accumulates edge triples and feeds a maintained view — the
+// Ingest accumulates edge triples and feeds an AdjacencyStore — the
 // ingest-side counterpart of Build.
 type Ingest = core.Ingest
 

@@ -15,17 +15,17 @@
 //
 // Ingest is sharded by default: -shards (default GOMAXPROCS) partitions
 // the vertex space by source-vertex hash across goroutine-shards, each
-// owning its own view (and, when durable, its own WAL/checkpoint
-// subdirectory), so appends to different shards never contend on one
-// lock. Queries resolve against scatter-gather snapshots pinned at one
-// consistent epoch per shard — every response carries that epoch
-// vector. -shards 1 keeps the classic single view.
+// owning its own view (and, when durable, its own WAL and checkpoints),
+// so appends to different shards never contend on one lock. Queries
+// resolve against scatter-gather snapshots pinned at one consistent
+// epoch per shard — every response carries that epoch vector. One shard
+// is -shards 1: the same store, nothing to scatter or gather.
 //
 // With -serve the process answers HTTP queries from live snapshots
 // while ingesting (see internal/serve, the production front door):
 //
-//	GET /stats               ingest counters (JSON; per-shard breakdown when sharded)
-//	GET /healthz             liveness + durability position (fsync epoch, WAL lag)
+//	GET /stats               ingest counters (JSON; aggregate plus per-shard breakdown)
+//	GET /healthz             liveness + durability position (per-shard epoch vectors and their sums, WAL lag)
 //	GET /metrics             Prometheus text exposition (latency histograms, epochs, WAL lag, admission)
 //	GET /at?src=a&dst=b      one adjacency entry
 //	GET /row?src=a           one row of the adjacency array
@@ -55,9 +55,11 @@
 // the log under the -fsync policy (batch, interval, or off), background
 // checkpoints run every -checkpoint-every batches, and shutdown —
 // stream end or SIGINT/SIGTERM — flushes partial batches and writes a
-// final covering checkpoint before the process exits. A sharded
-// durable store keeps one WAL/checkpoint directory per shard plus a
-// SHARDS meta file; reopening adopts the recorded shard count.
+// final covering checkpoint before the process exits. One shard keeps
+// its WAL and checkpoints at the directory root; several keep one
+// subdirectory each plus a SHARDS meta file. Reopening with -shards
+// left at its default adopts the count the directory holds; an explicit
+// different count is refused (it would re-partition the vertex space).
 //
 // A storage fault (failed fsync, ENOSPC, I/O error on the WAL) wedges
 // the durable store read-only rather than risking silent data loss.
@@ -88,7 +90,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,7 +151,7 @@ func main() {
 	flag.StringVar(&cfg.in, "in", "-", "edge stream: file path or - for stdin")
 	flag.BoolVar(&cfg.keyed, "keyed", false, "lines carry an explicit leading edge key")
 	flag.IntVar(&cfg.batch, "batch", 512, "edges per delta batch")
-	flag.IntVar(&cfg.shards, "shards", runtime.GOMAXPROCS(0), "goroutine-shards for ingest (route-by-hash on src); 1 = classic single view")
+	flag.IntVar(&cfg.shards, "shards", -1, "goroutine-shards for ingest (route-by-hash on src); < 0 = GOMAXPROCS, or what -data-dir already holds")
 	flag.IntVar(&cfg.compactEvery, "compact-every", 0, "auto-Compact after this many batches (0 = never)")
 	flag.BoolVar(&cfg.check, "check", false, "sample the ⊕-associativity guard on every batch")
 	flag.StringVar(&cfg.serve, "serve", "", "HTTP listen address for snapshot queries (e.g. :8080); empty = ingest only")
@@ -207,14 +208,9 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	if d := ing.Durable(); d != nil {
-		rec, st := d.Recovery(), d.Durability()
-		fmt.Fprintf(os.Stderr,
-			"adjserve: recovered epoch %d (durable %d) from %s — checkpoint seq %d, %d batches replayed, %d torn bytes truncated, fsync=%s\n",
-			st.Epoch, st.DurableEpoch, cfg.dataDir, rec.CheckpointSeq, rec.Replayed, rec.TornBytes, st.Policy)
-	}
-	if sv := ing.Sharded(); sv != nil && sv.Durable() {
-		recs, durs := sv.Recovery(), sv.Durability()
+	store := ing.Store()
+	if store.Persistent() {
+		recs, durs := store.Recovery(), store.Durability()
 		replayed, torn := 0, int64(0)
 		epochs := make([]uint64, len(durs))
 		for i := range recs {
@@ -224,7 +220,7 @@ func run(cfg config) error {
 		}
 		fmt.Fprintf(os.Stderr,
 			"adjserve: recovered %d shards from %s — epoch vector %v, %d batches replayed, %d torn bytes truncated, fsync=%s\n",
-			sv.Shards(), cfg.dataDir, epochs, replayed, torn, durs[0].Policy)
+			store.Shards(), cfg.dataDir, epochs, replayed, torn, durs[0].Policy)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -241,12 +237,9 @@ func run(cfg config) error {
 		if err := f.flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "adjserve: final flush:", err)
 		}
-		durable := ing.Durable() != nil || (ing.Sharded() != nil && ing.Sharded().Durable())
-		if err := f.close(); err != nil {
+		if err := ing.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "adjserve: durability shutdown:", err)
-		} else if d := ing.Durable(); d != nil {
-			fmt.Fprintf(os.Stderr, "adjserve: final checkpoint at epoch %d\n", d.Durability().CheckpointSeq)
-		} else if durable {
+		} else if store.Persistent() {
 			fmt.Fprintln(os.Stderr, "adjserve: final per-shard checkpoints written")
 		}
 	}()
@@ -367,25 +360,14 @@ func run(cfg config) error {
 	if err := f.flush(); err != nil {
 		return err
 	}
-	if sv := ing.Sharded(); sv != nil {
-		if _, err := sv.Snapshot(); err != nil { // materialize for the final stats
-			return err
-		}
-		st := sv.Stats()
-		fmt.Fprintf(os.Stderr,
-			"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, exact=%v\n",
-			f.edges.Load(), time.Since(start).Round(time.Millisecond),
-			st.Shards, st.AdjNNZ, st.Pending, st.Epochs, st.Exact)
-	} else {
-		if _, err := ing.Snapshot(); err != nil { // flush + materialize for the final stats
-			return err
-		}
-		st := ing.View().Stats()
-		fmt.Fprintf(os.Stderr,
-			"adjserve: ingested %d edges in %v — %d out-vertices, %d in-vertices, %d adjacency entries (%d pending), exact=%v\n",
-			f.edges.Load(), time.Since(start).Round(time.Millisecond),
-			st.OutVertices, st.InVertices, st.AdjNNZ, st.PendingNNZ, st.Exact)
+	if _, err := store.Snapshot(); err != nil { // materialize for the final stats
+		return err
 	}
+	st := store.Stats()
+	fmt.Fprintf(os.Stderr,
+		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, exact=%v\n",
+		f.edges.Load(), time.Since(start).Round(time.Millisecond),
+		st.Shards, st.AdjNNZ, st.Pending, st.Epochs, st.Exact)
 
 	if srv != nil {
 		fmt.Fprintln(os.Stderr, "adjserve: stream ended; still serving (interrupt to exit)")
@@ -399,29 +381,23 @@ func run(cfg config) error {
 	return nil
 }
 
-// front is the ingest-side write path.
-//
-// Single-view mode keeps the historical design: one process-wide mutex
-// serializes the core.Ingest accumulator (Add, Flush, and the append
-// they trigger all run under it).
-//
-// Sharded mode is what ROADMAP item 4 asked for: the process-wide
-// critical section shrinks to the local batch buffer and the edge
-// counter (an atomic). The Append itself — scatter, per-shard key
-// assignment, fold, WAL write — runs OUTSIDE that lock against the
-// sharded view's per-shard locks, so concurrent producers (and the
-// periodic flusher) only contend when they touch the same shard. A
-// small ordering mutex serializes buffer swap + append so batches reach
-// each shard in arrival order, which keeps explicit -keyed streams
-// within the per-shard ascending-key discipline.
+// front is the ingest-side write path. The process-wide critical
+// section is the local batch buffer and the edge counter (an atomic);
+// the append itself — scatter, per-shard key assignment, fold, WAL
+// write — runs OUTSIDE that lock against the store's per-shard locks,
+// so concurrent producers (and the periodic flusher) only contend when
+// they touch the same shard. A small ordering mutex serializes buffer
+// swap + append so batches reach each shard in arrival order, which
+// keeps explicit -keyed streams within the per-shard ascending-key
+// discipline.
 type front struct {
 	ing  *core.Ingest
-	sv   *stream.ShardedView[float64] // nil in single-view mode
 	size int
 
-	mu    sync.Mutex // single-view: accumulator guard; sharded: batch-buffer guard only
-	amu   sync.Mutex // sharded: swap+append ordering (never held while buffering edges)
+	mu    sync.Mutex // batch-buffer guard only
+	amu   sync.Mutex // swap+append ordering (never held while buffering edges)
 	buf   []stream.Edge[float64]
+	spare []stream.Edge[float64] // the previous flush's buffer, reused under amu
 	edges atomic.Int64
 }
 
@@ -429,25 +405,15 @@ func newFront(ing *core.Ingest, batch int) *front {
 	if batch <= 0 {
 		batch = 512
 	}
-	f := &front{ing: ing, sv: ing.Sharded(), size: batch}
-	if f.sv != nil {
-		f.buf = make([]stream.Edge[float64], 0, batch)
+	return &front{
+		ing: ing, size: batch,
+		buf:   make([]stream.Edge[float64], 0, batch),
+		spare: make([]stream.Edge[float64], 0, batch),
 	}
-	return f
 }
 
 // add buffers one edge and flushes full batches.
 func (f *front) add(e stream.Edge[float64]) error {
-	if f.sv == nil {
-		f.mu.Lock()
-		err := f.ing.Add(e)
-		f.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		f.edges.Add(1)
-		return nil
-	}
 	f.mu.Lock()
 	f.buf = append(f.buf, e)
 	full := len(f.buf) >= f.size
@@ -459,34 +425,19 @@ func (f *front) add(e stream.Edge[float64]) error {
 	return nil
 }
 
-// flush appends whatever is buffered. In sharded mode the buffer is
-// swapped out under the narrow lock and appended outside it.
+// flush appends whatever is buffered: the buffer is swapped for the
+// spare under the narrow lock and appended outside it.
 func (f *front) flush() error {
-	if f.sv == nil {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.ing.Flush()
-	}
 	f.amu.Lock()
 	defer f.amu.Unlock()
 	f.mu.Lock()
 	b := f.buf
-	f.buf = make([]stream.Edge[float64], 0, f.size)
+	f.buf = f.spare
 	f.mu.Unlock()
-	if len(b) == 0 {
-		return nil
-	}
-	return f.sv.Append(b)
-}
-
-// close shuts the ingest down (final checkpoint + log close when
-// durable). The single-view path serializes against add/flush.
-func (f *front) close() error {
-	if f.sv == nil {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-	}
-	return f.ing.Close()
+	err := f.ing.AppendBatch(b)
+	clear(b) // the store keeps nothing of the batch; neither should we
+	f.spare = b[:0]
+	return err
 }
 
 // ingest drains the edge stream into the front, which counts accepted

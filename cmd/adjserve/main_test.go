@@ -166,14 +166,14 @@ func TestDurableRestartAndHealthz(t *testing.T) {
 
 	ing = open()
 	defer ing.Close()
-	d := ing.Durable()
-	if d == nil {
+	d := ing.Store()
+	if !d.Persistent() {
 		t.Fatal("DataDir set but ingest is not durable")
 	}
-	if st := d.Durability(); st.Epoch != 1 || st.DurableEpoch != 1 {
+	if st := d.Durability()[0]; st.Epoch != 1 || st.DurableEpoch != 1 {
 		t.Fatalf("recovered position = %+v, want epoch 1 durable 1", st)
 	}
-	if st := ing.View().Stats(); st.Edges != 3 {
+	if st := ing.Store().Stats(); st.Edges != 3 {
 		t.Fatalf("recovered %d edges, want 3", st.Edges)
 	}
 	// Ingest continues on the recovered store: auto keys must extend the
@@ -285,7 +285,7 @@ func TestBFSDuringConcurrentIngest(t *testing.T) {
 	if levels["v00"].(float64) != 0 || levels["v01"] == nil || levels["v02"] == nil {
 		t.Fatalf("final /bfs levels = %v", levels)
 	}
-	if st := ing.View().Stats(); st.Edges != 402 {
+	if st := ing.Store().Stats(); st.Edges != 402 {
 		t.Fatalf("ingested %d edges, want 402", st.Edges)
 	}
 }

@@ -47,9 +47,9 @@ func decodeEpochs(t *testing.T, body map[string]any) []int {
 func TestEpochVectorPinnedDuringShardedIngest(t *testing.T) {
 	const shards = 3
 	ing := newShardedTestIngest(t, shards)
-	sv := ing.Sharded()
-	if sv == nil {
-		t.Fatal("Shards: 3 did not produce a sharded ingest")
+	sv := ing.Store()
+	if sv.Shards() != shards {
+		t.Fatalf("Shards: 3 produced %d shards", sv.Shards())
 	}
 	// Seed a known reachable pair so /bfs?src=v00 always resolves.
 	seed := []stream.Edge[float64]{
@@ -200,8 +200,8 @@ func TestShardedDurableRestartAndHealthz(t *testing.T) {
 	// Shards: -1 (GOMAXPROCS) must still adopt the recorded count 3.
 	ing = open(-1)
 	defer ing.Close()
-	sv := ing.Sharded()
-	if sv == nil || !sv.Durable() {
+	sv := ing.Store()
+	if !sv.Persistent() {
 		t.Fatal("reopened store is not a durable sharded ingest")
 	}
 	if sv.Shards() != 3 {

@@ -55,7 +55,7 @@ func runFaultSchedules(root string, seed int64, schedules int, logf func(string,
 		schedSeed := seed ^ int64(i+1)*0x9e3779b9
 		rng := rand.New(rand.NewSource(schedSeed))
 		inj := iofault.New()
-		d, err := stream.Open(dir, ops, stream.DurableOptions[float64]{
+		d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{
 			FS: iofault.Wrap(iofault.OS, inj),
 			WAL: wal.Options{
 				Policy:       wal.SyncEveryAppend,
@@ -91,12 +91,12 @@ func runFaultSchedules(root string, seed int64, schedules int, logf func(string,
 
 		if wedgeErr != nil {
 			wedges++
-			if st := d.Durability(); st.DurableEpoch != lastAcked {
+			if st := d.Durability()[0]; st.DurableEpoch != lastAcked {
 				d.Abort()
 				return fmt.Errorf("schedule %d: durable epoch %d after wedge, want last acked %d (a failed fsync advanced the durable boundary)",
 					i, st.DurableEpoch, lastAcked)
 			}
-			if h := d.StorageHealth(); h.State != stream.StorageReadOnly {
+			if h, _ := d.StorageHealth(); h.State != stream.StorageReadOnly {
 				d.Abort()
 				return fmt.Errorf("schedule %d: storage state %v after wedge, want read-only", i, h.State)
 			}
@@ -108,7 +108,7 @@ func runFaultSchedules(root string, seed int64, schedules int, logf func(string,
 			}
 			d.Abort()
 		} else {
-			if h := d.StorageHealth(); h.State == stream.StorageDegraded {
+			if h, _ := d.StorageHealth(); h.State == stream.StorageDegraded {
 				degradedOnly++ // a checkpoint fault degraded without wedging
 			}
 			inj.Clear()
@@ -214,7 +214,7 @@ func runDegradedServing(dir string, seed int64, logf func(string, ...any)) error
 	if err != nil {
 		return err
 	}
-	d, err := stream.Open(dir, ops, stream.DurableOptions[float64]{})
+	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
 	if err != nil {
 		return fmt.Errorf("reopen after degraded serving: %w", err)
 	}
@@ -226,6 +226,6 @@ func runDegradedServing(dir string, seed int64, logf func(string, ...any)) error
 	if v, ok := snap.Adjacency.At("a", "b"); !ok || v != 1 {
 		return fmt.Errorf("acked edge a->b lost across reopen (value %v stored %v)", v, ok)
 	}
-	logf("degraded serving: reads stayed non-5xx through the wedge; acked data recovered (epoch %d)", d.Durability().Epoch)
+	logf("degraded serving: reads stayed non-5xx through the wedge; acked data recovered (epoch %d)", d.Durability()[0].Epoch)
 	return nil
 }

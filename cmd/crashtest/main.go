@@ -207,12 +207,12 @@ func verifyRecovered(dir string, seed int64, minEpoch uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	d, err := stream.Open(dir, ops, stream.DurableOptions[float64]{})
+	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
 	if err != nil {
 		return 0, fmt.Errorf("recovery failed: %w", err)
 	}
 	defer d.Close() //adjlint:ignore syncerr read-only recovery probe; nothing was appended to lose
-	st := d.Durability()
+	st := d.Durability()[0]
 	if st.Epoch < minEpoch {
 		return 0, fmt.Errorf("LOST ACKNOWLEDGED DATA: recovered epoch %d < last acked %d", st.Epoch, minEpoch)
 	}
@@ -261,7 +261,7 @@ func childMain() error {
 	if err != nil {
 		return err
 	}
-	d, err := stream.Open(dir, ops, stream.DurableOptions[float64]{
+	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{
 		WAL: wal.Options{
 			Policy: wal.SyncEveryAppend,
 			// Tiny segments force rotation (and retirement, under the
@@ -277,7 +277,7 @@ func childMain() error {
 	// and acked batches are already durable under SyncEveryAppend.
 	//adjlint:ignore syncerr
 	defer d.Close()
-	for b := d.Durability().Epoch + 1; b <= maxB; b++ {
+	for b := d.Durability()[0].Epoch + 1; b <= maxB; b++ {
 		if err := d.Append(batchEdges(seed, b, keyBase(seed, b))); err != nil {
 			return fmt.Errorf("batch %d: %w", b, err)
 		}
@@ -387,7 +387,7 @@ func buildCleanStore(dir string, seed int64, batches uint64, ckptEvery int) erro
 	if err != nil {
 		return err
 	}
-	d, err := stream.Open(dir, ops, stream.DurableOptions[float64]{})
+	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
 	if err != nil {
 		return err
 	}
@@ -490,7 +490,7 @@ func runCorruption(root string, seed int64, logf func(string, ...any)) error {
 	if err := flipByte(segs[0], fi.Size()/2); err != nil {
 		return err
 	}
-	if _, err := stream.Open(dir, ops, stream.DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 		return fmt.Errorf("mid-log flip: Open returned %v, want the typed corruption error", err)
 	}
 	logf("corruption: mid-log bit flip refused with ErrCorrupt")

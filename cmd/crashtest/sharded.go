@@ -44,7 +44,7 @@ import (
 
 // scatterBatch regenerates global batch b and groups it by the view's
 // shard routing.
-func scatterBatch(sv *stream.ShardedView[float64], seed int64, b uint64) [][]stream.Edge[float64] {
+func scatterBatch(sv *stream.Store[float64], seed int64, b uint64) [][]stream.Edge[float64] {
 	bySh := make([][]stream.Edge[float64], sv.Shards())
 	for _, e := range batchEdges(seed, b, keyBase(seed, b)) {
 		s := sv.ShardFor(e.Src)
@@ -73,7 +73,7 @@ const walkCap = 1 << 20
 // or a torn shard tail) is re-appended in batch order — per shard the
 // missing sub-batches are always the newest, so explicit keys keep
 // ascending. Returns the next unwritten global batch.
-func shardedCatchUp(sv *stream.ShardedView[float64], seed int64) (uint64, error) {
+func shardedCatchUp(sv *stream.Store[float64], seed int64) (uint64, error) {
 	remaining := append([]int{}, sv.Stats().Epochs...)
 	b := uint64(0)
 	for anyPositive(remaining) {
@@ -113,7 +113,7 @@ func verifyShardedRecovered(dir string, seed int64, shards int, minEpoch uint64)
 	if err != nil {
 		return nil, 0, err
 	}
-	sv, err := stream.OpenSharded(dir, ops, stream.ShardedOptions{Shards: shards}, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{})
 	if err != nil {
 		return nil, 0, fmt.Errorf("sharded recovery failed: %w", err)
 	}
@@ -163,12 +163,8 @@ func verifyShardedRecovered(dir string, seed int64, shards int, minEpoch uint64)
 	if err != nil {
 		return nil, 0, err
 	}
-	got, err := snap.Adjacency()
-	if err != nil {
-		return nil, 0, err
-	}
 	bitEqual := func(a, b float64) bool { return a == b }
-	if diff := assoc.Diff(want, got, bitEqual, value.FormatFloat); diff != "" {
+	if diff := assoc.Diff(want, snap.Adjacency, bitEqual, value.FormatFloat); diff != "" {
 		return nil, 0, fmt.Errorf("gathered adjacency diverges from the dense oracle (epoch vector %v): %s", epochs, diff)
 	}
 	return epochs, covered, nil
@@ -184,7 +180,7 @@ func childShardedMain(dir string, seed int64, maxB uint64, shards, ckptEvery int
 	if err != nil {
 		return err
 	}
-	sv, err := stream.OpenSharded(dir, ops, stream.ShardedOptions{Shards: shards}, stream.DurableOptions[float64]{
+	sv, err := stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{
 		WAL: wal.Options{
 			Policy:       wal.SyncEveryAppend,
 			SegmentBytes: 16 << 10,
@@ -297,7 +293,7 @@ func runShardedTornShard(root string, seed int64, logf func(string, ...any)) err
 		return err
 	}
 	dir := filepath.Join(root, "sharded-torn")
-	sv, err := stream.OpenSharded(dir, ops, stream.ShardedOptions{Shards: shards}, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{})
 	if err != nil {
 		return err
 	}
@@ -345,7 +341,7 @@ func runShardedTornShard(root string, seed int64, logf func(string, ...any)) err
 
 	// Catch-up: re-append the lost sub-batch, then the store must verify
 	// at full coverage.
-	sv, err = stream.OpenSharded(dir, ops, stream.ShardedOptions{Shards: shards}, stream.DurableOptions[float64]{})
+	sv, err = stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{})
 	if err != nil {
 		return err
 	}

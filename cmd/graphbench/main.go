@@ -475,12 +475,12 @@ func main() {
 			}
 			return bs
 		}
-		openStore := func(p wal.SyncPolicy) (*stream.DurableView[float64], string) {
+		openStore := func(p wal.SyncPolicy) (*stream.Store[float64], string) {
 			dir, err := os.MkdirTemp("", "graphbench-durable-*")
 			if err != nil {
 				fail(err)
 			}
-			d, err := stream.Open(dir, entry.Ops, stream.DurableOptions[float64]{
+			d, err := stream.Open(dir, entry.Ops, 1, stream.Options{}, stream.DurableOptions[float64]{
 				WAL: wal.Options{Policy: p},
 			})
 			if err != nil {
@@ -524,12 +524,16 @@ func main() {
 				}
 				nnz, edges = snap.Adjacency.NNZ(), snap.Edges
 				if *verify {
-					want, err := assoc.Correlate(snap.Eout, snap.Ein, entry.Ops, assoc.MulOptions{})
+					eout, ein, err := snap.Logs()
+					if err != nil {
+						fail(err)
+					}
+					want, err := assoc.Correlate(eout, ein, entry.Ops, assoc.MulOptions{})
 					if err != nil {
 						fail(err)
 					}
 					if diff := assoc.Diff(want, snap.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
-						fmt.Fprintf(os.Stderr, "graphbench: VERIFY FAILED: durable view diverges from full rebuild on %s: %s\n", name, diff)
+						fmt.Fprintf(os.Stderr, "graphbench: VERIFY FAILED: durable store diverges from full rebuild on %s: %s\n", name, diff)
 						os.Exit(1)
 					}
 				}
@@ -566,7 +570,7 @@ func main() {
 		var best measure
 		for rep := 0; rep < *reps || rep == 0; rep++ {
 			m, err := timed(func() error {
-				d, err := stream.Open(replayDir, entry.Ops, stream.DurableOptions[float64]{})
+				d, err := stream.Open(replayDir, entry.Ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
 				if err != nil {
 					return err
 				}
@@ -583,7 +587,7 @@ func main() {
 
 		// Checkpoint arm: one covering checkpoint of the final state.
 		{
-			d, err := stream.Open(ckptDir, entry.Ops, stream.DurableOptions[float64]{})
+			d, err := stream.Open(ckptDir, entry.Ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
 			if err != nil {
 				fail(err)
 			}
@@ -600,7 +604,7 @@ func main() {
 		// Recovery arm 2: load the covering checkpoint (no tail).
 		for rep := 0; rep < *reps || rep == 0; rep++ {
 			m, err := timed(func() error {
-				d, err := stream.Open(ckptDir, entry.Ops, stream.DurableOptions[float64]{})
+				d, err := stream.Open(ckptDir, entry.Ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
 				if err != nil {
 					return err
 				}
@@ -619,8 +623,8 @@ func main() {
 	// runShard measures the goroutine-sharded ingest against the
 	// single-view baseline: 4 concurrent producers push -deltas
 	// delta-batches (auto-assigned keys — the adjserve front's write
-	// shape) through a ShardedView at each shard count; shards=1 IS the
-	// single-view path (one view, one lock), so the workers column
+	// shape) through a stream.Store at each shard count; shards=1 is
+	// the one-shard store (one view, one lock), so the workers column
 	// doubles as the shard axis and the 1-row is the baseline.
 	//
 	//   - "sharded_append": mean per-batch wall time across the
@@ -652,7 +656,7 @@ func main() {
 			}
 			return lists
 		}
-		appendAll := func(sv *stream.ShardedView[float64], lists [][][]stream.Edge[float64]) error {
+		appendAll := func(sv *stream.Store[float64], lists [][][]stream.Edge[float64]) error {
 			var wg sync.WaitGroup
 			errs := make([]error, producers)
 			for p := 0; p < producers; p++ {
@@ -675,11 +679,18 @@ func main() {
 			}
 			return nil
 		}
+		memStore := func(n int, opt stream.Options) *stream.Store[float64] {
+			sv, err := stream.Open("", entry.Ops, n, opt, stream.DurableOptions[float64]{})
+			if err != nil {
+				fail(err)
+			}
+			return sv
+		}
 		for _, n := range counts {
 			var appendBest measure
 			var nnz, edges int
 			for rep := 0; rep < *reps || rep == 0; rep++ {
-				sv := stream.NewShardedView(entry.Ops, stream.ShardedOptions{Shards: n})
+				sv := memStore(n, stream.Options{})
 				lists := pregen()
 				total, err := timed(func() error { return appendAll(sv, lists) })
 				if err != nil {
@@ -697,17 +708,17 @@ func main() {
 				if err != nil {
 					fail(err)
 				}
-				merged, err := snap.Merged()
-				if err != nil {
-					fail(err)
-				}
-				nnz, edges = merged.Adjacency.NNZ(), merged.Edges
+				nnz, edges = snap.Adjacency.NNZ(), snap.Edges
 				if *verify {
-					want, err := assoc.Correlate(merged.Eout, merged.Ein, entry.Ops, assoc.MulOptions{})
+					eout, ein, err := snap.Logs()
 					if err != nil {
 						fail(err)
 					}
-					if diff := assoc.Diff(want, merged.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
+					want, err := assoc.Correlate(eout, ein, entry.Ops, assoc.MulOptions{})
+					if err != nil {
+						fail(err)
+					}
+					if diff := assoc.Diff(want, snap.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
 						fmt.Fprintf(os.Stderr, "graphbench: VERIFY FAILED: %d-shard gather diverges from full rebuild on %s: %s\n", n, name, diff)
 						os.Exit(1)
 					}
@@ -719,19 +730,12 @@ func main() {
 			// then one gather folds every shard and ⊕-merges.
 			var matBest measure
 			for rep := 0; rep < *reps || rep == 0; rep++ {
-				sv := stream.NewShardedView(entry.Ops, stream.ShardedOptions{
-					Shards: n,
-					Stream: stream.Options{PendingBudget: 1 << 30},
-				})
+				sv := memStore(n, stream.Options{PendingBudget: 1 << 30})
 				if err := appendAll(sv, pregen()); err != nil {
 					fail(err)
 				}
 				m, err := timed(func() error {
-					snap, err := sv.Snapshot()
-					if err != nil {
-						return err
-					}
-					_, err = snap.Adjacency()
+					_, err := sv.Snapshot()
 					return err
 				})
 				if err != nil {

@@ -71,7 +71,7 @@ func main() {
 	flag.StringVar(&cfg.target, "target", "", "base URL of a running adjserve (empty = self-serve in-process)")
 	flag.IntVar(&cfg.scale, "scale", 12, "R-MAT scale for self-serve mode (2^scale vertices)")
 	flag.IntVar(&cfg.edgeFactor, "edge-factor", 8, "R-MAT edges per vertex")
-	flag.IntVar(&cfg.shards, "shards", 0, "self-serve ingest shards (0/1 = single view)")
+	flag.IntVar(&cfg.shards, "shards", 0, "self-serve ingest shards (0/1 = one shard, < 0 = GOMAXPROCS)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "generator and workload seed")
 	flag.Float64Var(&cfg.rate, "rate", 2000, "offered request rate per second (open model)")
 	flag.DurationVar(&cfg.duration, "duration", 5*time.Second, "load duration")
@@ -372,12 +372,7 @@ func selfServe(cfg config, rng *rand.Rand) (*selfServer, graphInfo, error) {
 		return a < b
 	})
 	info.vertices = len(info.sources)
-	if sv := ing.Sharded(); sv != nil {
-		st := sv.Stats()
-		info.nnz = st.AdjNNZ
-	} else {
-		info.nnz = ing.View().Stats().AdjNNZ
-	}
+	info.nnz = ing.Store().Stats().AdjNNZ
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

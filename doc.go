@@ -39,18 +39,19 @@
 //     dense-verification backends beside it;
 //   - incremental maintenance: AdjacencyView keeps A up to date under
 //     continuous edge ingest, and Ingest accumulates arriving triples
-//     into its delta batches;
-//   - durability: internal/stream.Open recovers a maintained view from
-//     a write-ahead incidence log plus checkpoints (internal/wal), with
-//     torn-tail repair, typed corruption errors, and a kill-and-recover
+//     into the delta batches of one AdjacencyStore;
+//   - one ingest store, shards × optional WAL: OpenAdjacencyStore
+//     (internal/stream.Open) hash-partitions the vertex space by source
+//     across N ≥ 1 shards (per-shard views and append locks), with
+//     snapshots pinned to a per-shard epoch vector and ⊕-merged once per
+//     vector, bit-identical to one shard because shards own disjoint
+//     adjacency rows. One shard is shards = 1; in-memory is "no
+//     directory". On a directory every shard recovers from a
+//     write-ahead incidence log plus checkpoints (internal/wal), with
+//     torn-tail repair, typed corruption errors, a refusal to reopen a
+//     directory under a different shard count, and a kill-and-recover
 //     gate in cmd/crashtest holding recovery bit-identical to the dense
 //     oracle;
-//   - goroutine-sharded ingest: ShardedAdjacencyView hash-partitions
-//     the vertex space by source across N shards (per-shard views,
-//     append locks, and — durable — WAL/checkpoint directories), with
-//     snapshots pinned to a per-shard epoch vector and lazily ⊕-merged
-//     at gather time, bit-identical to the single-view path because
-//     shards own disjoint adjacency rows;
 //   - production serving: internal/serve is cmd/adjserve's front door —
 //     Prometheus-style GET /metrics (dependency-free internal/obs),
 //     bounded admission pools per endpoint class shedding overload as
@@ -59,7 +60,7 @@
 //     load and records per-endpoint latency percentiles (BENCH_7.json);
 //   - fault tolerance: internal/iofault injects deterministic disk
 //     faults (EIO, ENOSPC, short and torn writes) through a VFS seam
-//     under the WAL and durable views; a failed fsync or log write
+//     under the WAL and the store's shards; a failed fsync or log write
 //     wedges the store read-only — the durable boundary never advances
 //     past a failed sync — while failed checkpoints only degrade, and
 //     the front door keeps serving reads from the last good snapshot,

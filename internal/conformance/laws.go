@@ -163,7 +163,7 @@ func CheckShardedBatchEqualsIncremental(inst Instance, entry semiring.Entry, sha
 	if err != nil {
 		return fmt.Errorf("conformance: sharded batch==incremental: batch: %w", err)
 	}
-	got, err := replayShardedStream(ops, inst, shards, stream.Options{})
+	got, err := replayStore("", ops, inst, shards, stream.Options{})
 	if err != nil {
 		return fmt.Errorf("conformance: sharded batch==incremental: %d shards: %w", shards, err)
 	}

@@ -117,90 +117,63 @@ func buildReferenceMerge(eout, ein *assoc.Array[float64], ops semiring.Ops[float
 	return assoc.New(eout.ColKeys(), ein.ColKeys(), m)
 }
 
-// buildStream replays the instance through an incremental stream.View:
-// one Append per split segment with a Snapshot between batches, so every
+// The incremental paths are three configurations of the one
+// stream.Store: one shard in memory, three shards in memory, one shard
+// on disk crashed and recovered.
+
+// buildStream replays the instance through a one-shard store: one
+// Append per split segment with a Snapshot between batches, so every
 // batch boundary becomes a fold re-association point — the most
 // adversarial grouping the incremental path can produce.
 func buildStream(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStream(ops, inst, stream.Options{})
+	return replayStore("", ops, inst, 1, stream.Options{})
 }
 
 func buildStreamInternedParallel(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStream(ops, inst, stream.Options{
+	return replayStore("", ops, inst, 1, stream.Options{
 		Mul:           assoc.MulOptions{Workers: 2, FlopFloor: -1},
 		PendingBudget: 1,
 	})
 }
 
 // buildStreamDurableRecovered replays the instance through a durable
-// view in a throwaway directory, aborts without the final checkpoint or
-// sync, reopens, and materializes from the recovered state. One
-// checkpoint is taken after the first batch so recovery exercises the
-// checkpoint-plus-tail path, not just a cold replay.
+// store in a throwaway directory, aborts without the final checkpoint
+// or sync, reopens, and materializes from the recovered state.
 func buildStreamDurableRecovered(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
 	dir, err := os.MkdirTemp("", "adjarray-conformance-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	d, err := stream.Open(dir, ops, stream.DurableOptions[float64]{
-		// No fsync: the simulated failure is a process exit, not a power
-		// cut, so written-but-unsynced records must survive the reopen.
-		WAL: wal.Options{Policy: wal.SyncNever},
-	})
-	if err != nil {
-		return nil, err
-	}
-	prev, first := 0, true
-	cuts := append(append([]int{}, inst.Splits...), len(inst.Edges))
-	for _, cut := range cuts {
-		if cut <= prev {
-			continue
-		}
-		batch := make([]stream.Edge[float64], cut-prev)
-		for i, e := range inst.Edges[prev:cut] {
-			batch[i] = stream.Weighted(e.Key, e.Src, e.Dst, e.Out, e.In)
-		}
-		if err := d.Append(batch); err != nil {
-			d.Abort()
-			return nil, err
-		}
-		if first {
-			if err := d.Checkpoint(); err != nil {
-				d.Abort()
-				return nil, err
-			}
-			first = false
-		}
-		prev = cut
-	}
-	d.Abort()
-	re, err := stream.Open(dir, ops, stream.DurableOptions[float64]{})
-	if err != nil {
-		return nil, err
-	}
-	defer re.Close()
-	snap, err := re.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return snap.Adjacency, nil
+	return replayStore(dir, ops, inst, 1, stream.Options{})
 }
 
 func buildStreamSharded(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayShardedStream(ops, inst, 3, stream.Options{
+	return replayStore("", ops, inst, 3, stream.Options{
 		// Route the cross-shard merges through the span-parallel kernels
-		// (per-shard folds are forced serial by the sharded view itself —
-		// the shards are already concurrent).
+		// (per-shard folds are forced serial by the store itself — the
+		// shards are already concurrent).
 		Mul: assoc.MulOptions{Workers: 2, FlopFloor: -1},
 	})
 }
 
-// replayShardedStream is replayStream over an N-shard view: identical
-// batch boundaries, but each Append scatters its edges to per-shard
-// sub-batches and each boundary Snapshot pins a full epoch vector.
-func replayShardedStream(ops semiring.Ops[float64], inst Instance, shards int, opt stream.Options) (*assoc.Array[float64], error) {
-	v := stream.NewShardedView(ops, stream.ShardedOptions{Shards: shards, Stream: opt})
+// replayStore replays the instance's batches through a store and
+// returns the adjacency of its final snapshot. Each Append scatters its
+// edges to per-shard sub-batches and each boundary Snapshot pins a full
+// epoch vector and forces the pending backlogs into the materialized
+// level, so the next batch folds against already-folded state. One
+// checkpoint is taken after the first batch; with a directory the store
+// is then aborted (no final checkpoint, no final sync) and the adjacency
+// comes from the REOPENED store — checkpoint load plus WAL-tail replay.
+func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards int, opt stream.Options) (*assoc.Array[float64], error) {
+	// No fsync: the simulated failure is a process exit, not a power
+	// cut, so written-but-unsynced records must survive the reopen.
+	dopt := stream.DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	s, err := stream.Open(dir, ops, shards, opt, dopt)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { s.Abort() }()
 	prev := 0
 	cuts := append(append([]int{}, inst.Splits...), len(inst.Edges))
 	for _, cut := range cuts {
@@ -211,48 +184,29 @@ func replayShardedStream(ops semiring.Ops[float64], inst Instance, shards int, o
 		for i, e := range inst.Edges[prev:cut] {
 			batch[i] = stream.Weighted(e.Key, e.Src, e.Dst, e.Out, e.In)
 		}
-		if err := v.Append(batch); err != nil {
+		if err := s.Append(batch); err != nil {
 			return nil, err
 		}
-		if _, err := v.Snapshot(); err != nil {
+		if _, err := s.Snapshot(); err != nil {
 			return nil, err
+		}
+		if prev == 0 {
+			if err := s.Checkpoint(); err != nil {
+				return nil, err
+			}
 		}
 		prev = cut
 	}
-	snap, err := v.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return snap.Adjacency()
-}
-
-func replayStream(ops semiring.Ops[float64], inst Instance, opt stream.Options) (*assoc.Array[float64], error) {
-	v := stream.NewView(ops, opt)
-	prev := 0
-	cuts := append(append([]int{}, inst.Splits...), len(inst.Edges))
-	for _, cut := range cuts {
-		if cut <= prev {
-			continue
-		}
-		batch := make([]stream.Edge[float64], cut-prev)
-		for i, e := range inst.Edges[prev:cut] {
-			batch[i] = stream.Weighted(e.Key, e.Src, e.Dst, e.Out, e.In)
-		}
-		if err := v.Append(batch); err != nil {
+	if dir != "" {
+		s.Abort()
+		re, err := stream.Open(dir, ops, shards, opt, dopt)
+		if err != nil {
 			return nil, err
 		}
-		// Force the pending backlog into the materialized level so the
-		// next batch folds against already-folded state.
-		if _, err := v.Snapshot(); err != nil {
-			return nil, err
-		}
-		prev = cut
+		s = re
 	}
-	snap, err := v.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return snap.Adjacency, nil
+	snap, err := s.Snapshot()
+	return snap.Adjacency, err
 }
 
 var (

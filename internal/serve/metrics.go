@@ -73,53 +73,31 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 			return time.Since(m.lastAdvance).Seconds()
 		})
 
-	// Ingest positions, pulled from the view(s) at scrape time. The
-	// per-scrape Stats() call takes the view lock briefly — the same
-	// cost as one /stats request.
-	registerInternerGauges(reg, ing)
-	if sv := ing.Sharded(); sv != nil {
-		reg.CounterFunc("adjserve_ingest_edges_total",
-			"Edges ever applied to the view (rate() of this is the ingest rate).",
-			func() float64 { return float64(sv.Stats().Edges) })
-		reg.GaugeFunc("adjserve_adjacency_nnz",
-			"Stored adjacency entries across shards.",
-			func() float64 { return float64(sv.Stats().AdjNNZ) })
-		reg.GaugeFunc("adjserve_pending_entries",
-			"Contribution entries awaiting the backlog fold.",
-			func() float64 { return float64(sv.Stats().Pending) })
-		for i := 0; i < sv.Shards(); i++ {
-			shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
-			reg.CounterFunc("adjserve_shard_epoch",
-				"Batches applied per shard (the consistency vector).",
-				func() float64 { return float64(sv.Stats().PerShard[i].Epoch) }, shard)
-			if sv.Durable() {
-				reg.GaugeFunc("adjserve_wal_lag_batches",
-					"Batches a crash right now would lose, per shard.",
-					func() float64 { return float64(sv.Durability()[i].WALLag) }, shard)
-			}
-		}
-	} else {
-		v := ing.View()
-		reg.CounterFunc("adjserve_ingest_edges_total",
-			"Edges ever applied to the view (rate() of this is the ingest rate).",
-			func() float64 { return float64(v.Stats().Edges) })
-		reg.GaugeFunc("adjserve_adjacency_nnz",
-			"Stored adjacency entries in the materialized main level.",
-			func() float64 { return float64(v.Stats().AdjNNZ) })
-		reg.GaugeFunc("adjserve_pending_entries",
-			"Contribution entries awaiting the backlog fold.",
-			func() float64 { return float64(v.Stats().PendingNNZ) })
+	// Ingest positions, pulled from the store at scrape time. The
+	// per-scrape Stats() call takes each shard's view lock briefly — the
+	// same cost as one /stats request.
+	store := ing.Store()
+	registerInternerGauges(reg, store.InternerStats)
+	reg.CounterFunc("adjserve_ingest_edges_total",
+		"Edges ever applied to the store (rate() of this is the ingest rate).",
+		func() float64 { return float64(store.Stats().Edges) })
+	reg.GaugeFunc("adjserve_adjacency_nnz",
+		"Stored adjacency entries across shards.",
+		func() float64 { return float64(store.Stats().AdjNNZ) })
+	reg.GaugeFunc("adjserve_pending_entries",
+		"Contribution entries awaiting the backlog fold.",
+		func() float64 { return float64(store.Stats().Pending) })
+	for i := 0; i < store.Shards(); i++ {
+		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
 		reg.CounterFunc("adjserve_shard_epoch",
-			"Batches applied (single view).",
-			func() float64 { return float64(v.Stats().Epoch) }, obs.Label{Name: "shard", Value: "0"})
-		if d := ing.Durable(); d != nil {
-			reg.GaugeFunc("adjserve_wal_lag_batches",
-				"Batches a crash right now would lose.",
-				func() float64 { return float64(d.Durability().WALLag) }, obs.Label{Name: "shard", Value: "0"})
-			reg.GaugeFunc("adjserve_checkpoint_seq",
-				"WAL seq covered by the newest on-disk checkpoint.",
-				func() float64 { return float64(d.Durability().CheckpointSeq) })
-		}
+			"Batches applied per shard (the consistency vector).",
+			func() float64 { return float64(store.Stats().PerShard[i].Epoch) }, shard)
+		reg.GaugeFunc("adjserve_wal_lag_batches",
+			"Batches a crash right now would lose, per shard (0 without a WAL).",
+			func() float64 { return float64(store.Durability()[i].WALLag) }, shard)
+		reg.GaugeFunc("adjserve_checkpoint_seq",
+			"WAL seq covered by the shard's newest on-disk checkpoint.",
+			func() float64 { return float64(store.Durability()[i].CheckpointSeq) }, shard)
 	}
 	return m
 }
@@ -127,13 +105,9 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 // registerInternerGauges exports the key-interner footprint: the slab
 // is the dominant steady-state memory of a long-lived ingest (key bytes
 // are never evicted), so operators need its growth rate on /metrics,
-// not just in heap profiles. Lock-free on the view — the interners
+// not just in heap profiles. Lock-free on the views — the interners
 // synchronize internally.
-func registerInternerGauges(reg *obs.Registry, ing *core.Ingest) {
-	stats := func() (out, in keys.InternerStats) { return ing.View().InternerStats() }
-	if sv := ing.Sharded(); sv != nil {
-		stats = sv.InternerStats
-	}
+func registerInternerGauges(reg *obs.Registry, stats func() (out, in keys.InternerStats)) {
 	for _, side := range []struct {
 		label obs.Label
 		pick  func(out, in keys.InternerStats) keys.InternerStats

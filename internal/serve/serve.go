@@ -246,34 +246,15 @@ func safeFloatMap(m map[string]float64) map[string]any {
 }
 
 // takeSnapshot pins one consistent read: the adjacency plus the epoch
-// vector it was pinned at. A single view reports a one-element vector;
-// a sharded view gathers the per-shard adjacencies (cached per vector,
-// so repeated queries between appends share one merge).
+// vector it was gathered at (cached per vector, so repeated queries
+// between appends share one gather).
 func (s *Server) takeSnapshot() (*assoc.Array[float64], []int, bool, error) {
-	adj, epochs, exact, err := takeSnapshot(s.ing)
-	if err == nil {
-		s.met.observeEpochs(epochs)
-	}
-	return adj, epochs, exact, err
-}
-
-func takeSnapshot(ing *core.Ingest) (*assoc.Array[float64], []int, bool, error) {
-	if sv := ing.Sharded(); sv != nil {
-		ss, err := sv.Snapshot()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		adj, err := ss.Adjacency()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		return adj, ss.Epochs, ss.Exact, nil
-	}
-	snap, err := ing.View().Snapshot()
+	snap, err := s.ing.Store().Snapshot()
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return snap.Adjacency, []int{snap.Epoch}, snap.Exact, nil
+	s.met.observeEpochs(snap.Epochs)
+	return snap.Adjacency, snap.Epochs, snap.Exact, nil
 }
 
 // snapshot is takeSnapshot with the HTTP error path folded in.
@@ -368,11 +349,7 @@ func newerEpochs(a, b []int) bool {
 // ---- handlers ----
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if sv := s.ing.Sharded(); sv != nil {
-		s.writeJSON(w, sv.Stats())
-		return
-	}
-	s.writeJSON(w, s.ing.View().Stats())
+	s.writeJSON(w, s.ing.Store().Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -380,48 +357,39 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// degraded and read-only modes: a read-only store still serves every
 	// read endpoint, so an orchestrator must not kill the process over
 	// it. The storage fields carry the ok → degraded → read-only state
-	// machine for alerting.
-	resp := map[string]any{"ok": true, "durable": false}
-	agg, per := s.ing.StorageHealth()
-	resp["storage"] = agg.State.String()
+	// machine for alerting. Positions are per-shard vectors plus their
+	// scalar sums, the convention epochFields uses for query responses.
+	store := s.ing.Store()
+	agg, _ := store.StorageHealth()
+	durs := store.Durability()
+	n := len(durs)
+	states, epochs, durable := make([]string, n), make([]uint64, n), make([]uint64, n)
+	var epoch, durableEpoch, lag uint64
+	for i, st := range durs {
+		states[i] = st.Storage.State.String()
+		epochs[i], durable[i] = st.Epoch, st.DurableEpoch
+		epoch += st.Epoch
+		durableEpoch += st.DurableEpoch
+		lag += st.WALLag
+	}
+	resp := map[string]any{
+		"ok":             true,
+		"durable":        store.Persistent(),
+		"storage":        agg.State.String(),
+		"storage_shards": states,
+		"shards":         n,
+		"epochs":         epochs,
+		"epoch":          epoch,
+		"durable_epochs": durable, // last batch per shard on stable storage (fsync or checkpoint)
+		"durable_epoch":  durableEpoch,
+		"wal_lag":        lag, // batches across all shards a crash right now would lose
+		"fsync_policy":   durs[0].Policy,
+	}
 	if agg.Faults > 0 {
 		resp["storage_faults"] = agg.Faults
 	}
 	if agg.Err != "" {
 		resp["storage_error"] = agg.Err
-	}
-	if len(per) > 0 {
-		states := make([]string, len(per))
-		for i, h := range per {
-			states[i] = h.State.String()
-		}
-		resp["storage_shards"] = states
-	}
-	if sv := s.ing.Sharded(); sv != nil {
-		resp["shards"] = sv.Shards()
-		if durs := sv.Durability(); durs != nil {
-			epochs := make([]uint64, len(durs))
-			durable := make([]uint64, len(durs))
-			lag := uint64(0)
-			for i, st := range durs {
-				epochs[i] = st.Epoch
-				durable[i] = st.DurableEpoch
-				lag += st.WALLag
-			}
-			resp["durable"] = true
-			resp["epochs"] = epochs
-			resp["durable_epochs"] = durable
-			resp["wal_lag"] = lag // batches across all shards a crash right now would lose
-			resp["fsync_policy"] = durs[0].Policy
-		}
-	} else if d := s.ing.Durable(); d != nil {
-		st := d.Durability()
-		resp["durable"] = true
-		resp["epoch"] = st.Epoch
-		resp["durable_epoch"] = st.DurableEpoch // last batch on stable storage (fsync or checkpoint)
-		resp["wal_lag"] = st.WALLag
-		resp["checkpoint_seq"] = st.CheckpointSeq
-		resp["fsync_policy"] = st.Policy
 	}
 	s.writeJSON(w, resp)
 }

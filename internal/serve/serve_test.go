@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -464,5 +465,68 @@ func TestQueriesDuringConcurrentIngest(t *testing.T) {
 	}
 	if code, _ := get(t, s, "/bfs?src=v00"); code != 200 {
 		t.Fatalf("final /bfs = %d", code)
+	}
+}
+
+// One HTTP shape for every store: /stats and /healthz carry the same
+// keys, and /metrics the same families, whatever the shard count and
+// whether or not there is a WAL — the per-shard families labelled by
+// shard throughout.
+func TestOneShapeForEveryShardCount(t *testing.T) {
+	keysOf := func(m map[string]any) string {
+		ks := make([]string, 0, len(m))
+		for k := range m {
+			ks = append(ks, k)
+		}
+		slices.Sort(ks)
+		return strings.Join(ks, " ")
+	}
+	var first [3]string
+	for _, shards := range []int{1, 2} {
+		for _, durable := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d durable=%v", shards, durable)
+			opt := core.IngestOptions{Shards: shards}
+			if durable {
+				opt.DataDir = t.TempDir()
+			}
+			ing := newTestIngest(t, opt)
+			defer ing.Close()
+			seedEdges(t, ing, [2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"a", "c"})
+			s := New(ing, Options{})
+
+			_, stats := get(t, s, "/stats")
+			_, hz := get(t, s, "/healthz")
+			if stats["Edges"] != 3.0 || len(stats["PerShard"].([]any)) != shards {
+				t.Errorf("%s: /stats = %v", name, stats)
+			}
+			if hz["durable"] != durable || hz["shards"] != float64(shards) || hz["epoch"] == nil || hz["durable_epoch"] == nil ||
+				len(hz["epochs"].([]any)) != shards || len(hz["durable_epochs"].([]any)) != shards || len(hz["storage_shards"].([]any)) != shards {
+				t.Errorf("%s: /healthz = %v", name, hz)
+			}
+
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			var families []string
+			for _, line := range strings.Split(rec.Body.String(), "\n") {
+				if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+					families = append(families, f)
+				}
+			}
+			for _, fam := range []string{"adjserve_shard_epoch", "adjserve_wal_lag_batches", "adjserve_checkpoint_seq"} {
+				if last := fmt.Sprintf(`%s{shard="%d"}`, fam, shards-1); !strings.Contains(rec.Body.String(), last) {
+					t.Errorf("%s: /metrics has no %s", name, last)
+				}
+			}
+
+			shape := [3]string{keysOf(stats), keysOf(hz), strings.Join(families, "\n")}
+			if first == [3]string{} {
+				first = shape
+			}
+			for i, what := range []string{"/stats keys", "/healthz keys", "/metrics families"} {
+				if shape[i] != first[i] {
+					t.Errorf("%s: %s differ from the first store's:\n%s\nvs\n%s", name, what, shape[i], first[i])
+				}
+			}
+		}
 	}
 }

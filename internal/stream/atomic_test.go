@@ -158,7 +158,7 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 	batches := durableBatches(77, 4, 5)
 	dir := t.TempDir()
 
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 	}
 
 	boom := errors.New("injected failure")
-	d.v.failpoint = func(site string) error {
+	d.parts[0].v.failpoint = func(site string) error {
 		if site == "commit:counted" {
 			return boom
 		}
@@ -178,9 +178,9 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 	if err := d.Append(batches[2]); !errors.Is(err, boom) {
 		t.Fatalf("durable Append error = %v, want the injected failure", err)
 	}
-	d.v.failpoint = nil
+	d.parts[0].v.failpoint = nil
 
-	st := d.Durability()
+	st := d.Durability()[0]
 	if st.Epoch != 2 || st.DurableEpoch != 2 || st.WALLag != 0 {
 		t.Fatalf("after rejected batch: epoch %d durable %d lag %d, want 2/2/0", st.Epoch, st.DurableEpoch, st.WALLag)
 	}
@@ -194,18 +194,15 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, ops, DurableOptions[float64]{})
+	re, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Recovery(); got.Replayed != 4 || got.TornBytes != 0 {
+	if got := re.Recovery()[0]; got.Replayed != 4 || got.TornBytes != 0 {
 		t.Fatalf("recovery = %+v, want 4 replayed records and a clean tail", got)
 	}
-	got, err := re.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, re)
 	snapEqual(t, got, controlView(t, batches, 4, ops), "recovered after mid-run rollback")
 
 	// The log itself must hold exactly one record per accepted batch.

@@ -205,3 +205,26 @@ func TestSnapshotIsolationUnderConcurrentAppend(t *testing.T) {
 		t.Error("concurrent ingest + compaction diverged from the batch construction")
 	}
 }
+
+// Compact changes no epoch, so the store must not answer the next
+// Snapshot from its per-vector cache: under a non-associative ⊕ the
+// rebuilt adjacency differs from the incrementally folded one.
+func TestStoreSnapshotAfterCompactIsFresh(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		st := memStore(t, semiring.PlusTimes(), shards, Options{})
+		if err := st.Append([]Edge[float64]{{Src: "a", Dst: "b"}, {Src: "b", Dst: "c"}}); err != nil {
+			t.Fatal(err)
+		}
+		before := mustShardSnap(t, st)
+		if err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		after := mustShardSnap(t, st)
+		if after.g == before.g {
+			t.Errorf("%d shards: Snapshot after Compact came from the cache", shards)
+		}
+		if !after.Adjacency.Equal(before.Adjacency, eqF) || after.Epoch != before.Epoch {
+			t.Errorf("%d shards: Compact changed the +.* adjacency or the epoch", shards)
+		}
+	}
+}

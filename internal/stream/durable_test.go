@@ -36,6 +36,31 @@ func snapEqual(t *testing.T, got, want Snapshot[float64], label string) {
 	}
 }
 
+// flatSnap pins a store snapshot and flattens it into a plain Snapshot:
+// the gathered adjacency and incidence logs, Epoch the vector's sum.
+func flatSnap(t *testing.T, s *Store[float64]) Snapshot[float64] {
+	t.Helper()
+	ss, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eout, ein, err := ss.Logs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Snapshot[float64]{Adjacency: ss.Adjacency, Eout: eout, Ein: ein, Edges: ss.Edges, Epoch: ss.Epoch, Exact: ss.Exact}
+}
+
+// memStore opens an in-memory store.
+func memStore(t *testing.T, ops semiring.Ops[float64], shards int, opt Options) *Store[float64] {
+	t.Helper()
+	s, err := Open("", ops, shards, opt, DurableOptions[float64]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // durableBatches generates deterministic batches; batch b is derived
 // only from (seed, b) so a control view can replay any prefix.
 func durableBatches(seed int64, batches, perBatch int) [][]Edge[float64] {
@@ -95,7 +120,7 @@ func TestDurableRoundTripCleanClose(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(1, 12, 7)
 
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("Open fresh: %v", err)
 	}
@@ -104,25 +129,22 @@ func TestDurableRoundTripCleanClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := d.Durability(); st.Epoch != 12 || st.DurableEpoch != 12 || st.WALLag != 0 {
+	if st := d.Durability()[0]; st.Epoch != 12 || st.DurableEpoch != 12 || st.WALLag != 0 {
 		t.Fatalf("batch policy durability = %+v, want epoch==durable==12", st)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer d2.Close()
-	if rec := d2.Recovery(); rec.Replayed != 12 || rec.CheckpointSeq != 0 || rec.TornBytes != 0 {
+	if rec := d2.Recovery()[0]; rec.Replayed != 12 || rec.CheckpointSeq != 0 || rec.TornBytes != 0 {
 		t.Fatalf("recovery = %+v, want 12 replayed from empty checkpoint", rec)
 	}
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, controlView(t, batches, 12, ops), "clean close")
 }
 
@@ -131,7 +153,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(2, 10, 5)
 
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,18 +172,15 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 	}
 	d.Abort() // unclean exit: no final checkpoint
 
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer d2.Close()
-	if rec := d2.Recovery(); rec.CheckpointSeq != 6 || rec.Replayed != 4 {
+	if rec := d2.Recovery()[0]; rec.CheckpointSeq != 6 || rec.Replayed != 4 {
 		t.Fatalf("recovery = %+v, want checkpoint 6 + 4 replayed", rec)
 	}
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, controlView(t, batches, 10, ops), "checkpoint+tail")
 
 	// The recovered view must keep ingesting with the key discipline
@@ -178,7 +197,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 func TestDurableAutoKeysReplayIdentically(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,21 +219,15 @@ func TestDurableAutoKeysReplayIdentically(t *testing.T) {
 	if err := d.Append(mk(3)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := flatSnap(t, d)
 	d.Abort()
 
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, want, "auto keys")
 }
 
@@ -223,7 +236,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(3, 8, 6)
 
-	d, err := Open(dir, ops, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,19 +261,16 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
 	defer d2.Close()
-	rec := d2.Recovery()
+	rec := d2.Recovery()[0]
 	if rec.TornBytes == 0 || rec.Replayed != 7 {
 		t.Fatalf("recovery = %+v, want 7 replayed with a torn tail", rec)
 	}
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, controlView(t, batches, 7, ops), "torn tail")
 }
 
@@ -269,7 +279,7 @@ func TestDurableMidLogCorruptionIsTypedError(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(4, 6, 5)
 
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +303,7 @@ func TestDurableMidLogCorruptionIsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open(dir, ops, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("mid-log corruption: Open err = %v, want wal.ErrCorrupt", err)
 	}
 }
@@ -303,7 +313,7 @@ func TestDurableStaleCheckpointLongerWAL(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(5, 10, 4)
 
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,19 +354,16 @@ func TestDurableStaleCheckpointLongerWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen with stale checkpoint: %v", err)
 	}
 	defer d2.Close()
-	rec := d2.Recovery()
+	rec := d2.Recovery()[0]
 	if rec.CheckpointSeq != 5 || rec.Replayed != 5 || rec.SkippedCheckpoints != 1 {
 		t.Fatalf("recovery = %+v, want checkpoint 5 + 5 replayed + 1 skipped", rec)
 	}
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, controlView(t, batches, 10, ops), "stale checkpoint")
 }
 
@@ -369,7 +376,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 	// end-to-end path.
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +399,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 	if err := os.WriteFile(cks[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, ops, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("sole damaged checkpoint: Open err = %v, want wal.ErrCorrupt", err)
 	}
 }
@@ -400,7 +407,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 func TestDurableBackgroundCheckpoint(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, DurableOptions[float64]{CheckpointEvery: 3})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{CheckpointEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,25 +429,22 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if rec := d2.Recovery(); rec.CheckpointSeq < 3 {
+	if rec := d2.Recovery()[0]; rec.CheckpointSeq < 3 {
 		t.Fatalf("recovery = %+v, want a checkpoint at seq >= 3", rec)
 	}
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, controlView(t, durableBatches(7, 5, 4), 5, ops), "background checkpoint")
 }
 
 func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,24 +464,21 @@ func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer d2.Close()
-	if rec := d2.Recovery(); rec.Replayed != 2 {
+	if rec := d2.Recovery()[0]; rec.Replayed != 2 {
 		t.Fatalf("recovery replayed %d records, want 2 (rejected batch logged?)", rec.Replayed)
 	}
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, controlView(t, good, 2, ops), "rejection")
 }
 
 func TestDurableWrongAlgebraRefused(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, plusTimes(t), DurableOptions[float64]{})
+	d, err := Open(dir, plusTimes(t), 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +495,7 @@ func TestDurableWrongAlgebraRefused(t *testing.T) {
 	if !ok {
 		t.Fatal("min.+ pair not registered")
 	}
-	if _, err := Open(dir, e.Ops, DurableOptions[float64]{}); err == nil {
+	if _, err := Open(dir, e.Ops, 1, Options{}, DurableOptions[float64]{}); err == nil {
 		t.Fatal("checkpoint written under +.* opened under min.+")
 	}
 }

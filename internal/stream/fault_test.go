@@ -24,14 +24,14 @@ func TestDurableFsyncFailureReadOnly(t *testing.T) {
 	batches := durableBatches(31, 6, 5)
 	inj := iofault.New()
 
-	d, err := Open(dir, ops, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj)})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj)})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	if err := d.Append(batches[0]); err != nil {
 		t.Fatalf("append 1: %v", err)
 	}
-	if h := d.StorageHealth(); h.State != StorageOK || h.Faults != 0 {
+	if h, _ := d.StorageHealth(); h.State != StorageOK || h.Faults != 0 {
 		t.Fatalf("healthy store reports %+v", h)
 	}
 
@@ -43,10 +43,10 @@ func TestDurableFsyncFailureReadOnly(t *testing.T) {
 	if !errors.Is(err, ErrReadOnly) || !errors.Is(err, wal.ErrWedged) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("want ErrReadOnly wrapping the wedged EIO, got %v", err)
 	}
-	if st := d.Durability(); st.DurableEpoch != 1 {
+	if st := d.Durability()[0]; st.DurableEpoch != 1 {
 		t.Fatalf("failed fsync advanced DurableEpoch to %d; must stay 1", st.DurableEpoch)
 	}
-	if h := d.StorageHealth(); h.State != StorageReadOnly || h.Faults == 0 || h.Err == "" {
+	if h, _ := d.StorageHealth(); h.State != StorageReadOnly || h.Faults == 0 || h.Err == "" {
 		t.Fatalf("after fsync failure health = %+v, want read-only with faults", h)
 	}
 
@@ -61,7 +61,7 @@ func TestDurableFsyncFailureReadOnly(t *testing.T) {
 	if err := d.Checkpoint(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("checkpoint after wedge: want ErrReadOnly, got %v", err)
 	}
-	if st := d.Durability(); st.DurableEpoch != 1 || st.Storage.State != StorageReadOnly {
+	if st := d.Durability()[0]; st.DurableEpoch != 1 || st.Storage.State != StorageReadOnly {
 		t.Fatalf("post-wedge durability = %+v", st)
 	}
 	snap, err := d.Snapshot()
@@ -77,15 +77,12 @@ func TestDurableFsyncFailureReadOnly(t *testing.T) {
 	inj.Clear()
 	d.Abort() // the process dies; the fault condition has cleared
 
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen after fault cleared: %v", err)
 	}
 	defer d2.Close()
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	// The acked batch must survive; batch 2's record hit the file
 	// before its failed fsync, so recovery may deliver it too —
 	// recovering MORE than acked is fine, losing acked data is not.
@@ -105,7 +102,7 @@ func TestDurableCheckpointDegradedNotWedged(t *testing.T) {
 	batches := durableBatches(32, 8, 4)
 	inj := iofault.New()
 
-	d, err := Open(dir, ops, DurableOptions[float64]{
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{
 		FS:                iofault.Wrap(iofault.OS, inj),
 		CheckpointRetries: 2,
 		CheckpointBackoff: time.Millisecond,
@@ -126,7 +123,7 @@ func TestDurableCheckpointDegradedNotWedged(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint with one transient fault must retry and pass: %v", err)
 	}
-	if h := d.StorageHealth(); h.State != StorageOK || h.Faults != 1 {
+	if h, _ := d.StorageHealth(); h.State != StorageOK || h.Faults != 1 {
 		t.Fatalf("after retried checkpoint health = %+v, want ok with 1 fault", h)
 	}
 
@@ -138,7 +135,7 @@ func TestDurableCheckpointDegradedNotWedged(t *testing.T) {
 	if err := d.Checkpoint(); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("exhausted checkpoint retries: want ENOSPC, got %v", err)
 	}
-	if h := d.StorageHealth(); h.State != StorageDegraded || h.Err == "" {
+	if h, _ := d.StorageHealth(); h.State != StorageDegraded || h.Err == "" {
 		t.Fatalf("after failed checkpoint health = %+v, want degraded", h)
 	}
 	if n := countTmp(t, dir); n != 0 {
@@ -149,7 +146,7 @@ func TestDurableCheckpointDegradedNotWedged(t *testing.T) {
 	if err := d.Append(batches[4]); err != nil {
 		t.Fatalf("degraded store must keep accepting appends: %v", err)
 	}
-	if st := d.Durability(); st.DurableEpoch != 5 {
+	if st := d.Durability()[0]; st.DurableEpoch != 5 {
 		t.Fatalf("degraded durability = %+v, want DurableEpoch 5 via WAL", st)
 	}
 
@@ -159,10 +156,10 @@ func TestDurableCheckpointDegradedNotWedged(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after faults cleared: %v", err)
 	}
-	if h := d.StorageHealth(); h.State != StorageOK {
+	if h, _ := d.StorageHealth(); h.State != StorageOK {
 		t.Fatalf("health after recovery = %+v, want ok", h)
 	}
-	if st := d.Durability(); st.CheckpointSeq != 5 {
+	if st := d.Durability()[0]; st.CheckpointSeq != 5 {
 		t.Fatalf("recovered checkpoint covers %d, want 5", st.CheckpointSeq)
 	}
 }
@@ -175,7 +172,7 @@ func TestDurableOpenReapsTempCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(33, 3, 4)
 
-	d, err := Open(dir, ops, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,21 +193,18 @@ func TestDurableOpenReapsTempCheckpoints(t *testing.T) {
 		}
 	}
 
-	d2, err := Open(dir, ops, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen over orphaned temps: %v", err)
 	}
 	defer d2.Close()
-	if rec := d2.Recovery(); rec.ReapedTempFiles != 2 {
+	if rec := d2.Recovery()[0]; rec.ReapedTempFiles != 2 {
 		t.Fatalf("recovery reaped %d temp files, want 2 (%+v)", rec.ReapedTempFiles, rec)
 	}
 	if n := countTmp(t, dir); n != 0 {
 		t.Fatalf("%d temp files survived open", n)
 	}
-	got, err := d2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := flatSnap(t, d2)
 	snapEqual(t, got, controlView(t, batches, 3, ops), "recovery after reap")
 }
 
@@ -226,10 +220,10 @@ func TestShardedDegradedSiblingIsolation(t *testing.T) {
 	const sick = 1
 	inj := iofault.New()
 
-	sv, err := OpenSharded(dir, ops, ShardedOptions{Shards: shards},
+	sv, err := Open(dir, ops, shards, Options{},
 		DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj)})
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 
 	// Craft per-shard sub-batches with explicit ascending keys so a
@@ -308,8 +302,8 @@ func TestShardedDegradedSiblingIsolation(t *testing.T) {
 	if snap.Epochs[sick] != beforeEpochs[sick] {
 		t.Fatalf("sick shard pinned epoch %d, want its last good %d", snap.Epochs[sick], beforeEpochs[sick])
 	}
-	if _, err := snap.Adjacency(); err != nil {
-		t.Fatalf("merged adjacency while sick: %v", err)
+	if snap.Adjacency == nil {
+		t.Fatal("no gathered adjacency while sick")
 	}
 
 	// The fault clears, the process restarts: recovery must be
@@ -317,34 +311,19 @@ func TestShardedDegradedSiblingIsolation(t *testing.T) {
 	// batches never reached its log, so acked == recovered exactly).
 	inj.Clear()
 	sv.Abort()
-	rv, err := OpenSharded(dir, ops, ShardedOptions{Shards: shards}, DurableOptions[float64]{})
+	rv, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen after fault cleared: %v", err)
 	}
 	defer rv.Close()
 
-	control := NewShardedView(ops, ShardedOptions{Shards: shards})
+	control := memStore(t, ops, shards, Options{})
 	for _, b := range acked {
 		if err := control.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	gotSnap, err := rv.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSnap, err := control.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := gotSnap.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := wantSnap.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, want := flatSnap(t, rv), flatSnap(t, control)
 	snapEqual(t, got, want, "sharded recovery after sick shard cleared")
 	if aggR, _ := rv.StorageHealth(); aggR.State != StorageOK {
 		t.Fatalf("recovered store health = %+v, want ok", aggR)

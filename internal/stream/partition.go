@@ -1,0 +1,528 @@
+package stream
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"adjarray/internal/iofault"
+	"adjarray/internal/semiring"
+	"adjarray/internal/wal"
+)
+
+// DurableOptions tunes the durable side of a store opened on a
+// directory.
+type DurableOptions[V any] struct {
+	// WAL selects the fsync policy and segment sizing (wal.Options
+	// defaults apply).
+	WAL wal.Options
+	// Codec serializes V for the log and checkpoints. Zero selects the
+	// built-in codec when V is float64; other value types must supply
+	// one.
+	Codec ValueCodec[V]
+	// CheckpointEvery triggers a background checkpoint once this many
+	// batches accumulate past the last checkpoint (0 disables the
+	// batch-count trigger).
+	CheckpointEvery int
+	// CheckpointInterval triggers a background checkpoint on a timer
+	// when batches arrived since the last one (0 disables the timer).
+	CheckpointInterval time.Duration
+	// KeepCheckpoints is how many checkpoint files to retain (the
+	// newest is the recovery source, older ones are corruption
+	// fallbacks). <= 0 selects 2.
+	KeepCheckpoints int
+	// FS routes every durable byte — WAL segments, checkpoints,
+	// directory fsyncs — through a filesystem seam; nil selects the
+	// real filesystem. Tests and the crashtest harness install an
+	// iofault.FaultFS here.
+	FS iofault.FS
+	// CheckpointRetries is how many extra attempts a failed checkpoint
+	// write gets before the attempt is abandoned until the next
+	// trigger (transient ENOSPC/EIO may clear). <= 0 selects 2.
+	CheckpointRetries int
+	// CheckpointBackoff is the delay before the first checkpoint
+	// retry, doubling each retry. Appends stall for the backoff total
+	// in the worst case, so it stays small. <= 0 selects 5ms.
+	CheckpointBackoff time.Duration
+}
+
+// RecoveryInfo describes what Open found in one shard's directory.
+type RecoveryInfo struct {
+	// CheckpointSeq is the WAL seq the loaded checkpoint covered (0:
+	// started from the empty state).
+	CheckpointSeq uint64
+	// SkippedCheckpoints counts newer checkpoint files that failed
+	// validation and were passed over for an older valid one.
+	SkippedCheckpoints int
+	// Replayed is how many WAL records were re-applied on top of the
+	// checkpoint.
+	Replayed int
+	// TornBytes is how many trailing bytes were truncated from the log
+	// as an interrupted final write (0: the log ended cleanly).
+	TornBytes int64
+	// ReapedTempFiles is how many orphaned checkpoint temp files
+	// (ckpt-*.tmp, leftovers of a write that died mid-publish) Open
+	// removed.
+	ReapedTempFiles int
+}
+
+// StorageState is the storage-health state machine a shard surfaces:
+// ok → degraded → read-only. An in-memory shard is always ok.
+type StorageState int
+
+const (
+	// StorageOK: the durable path is healthy.
+	StorageOK StorageState = iota
+	// StorageDegraded: the last checkpoint attempt failed (after
+	// retries). Appends still work and remain durable through the WAL;
+	// replay time and log size grow until a checkpoint succeeds. The
+	// state clears on the next successful checkpoint.
+	StorageDegraded
+	// StorageReadOnly: a WAL write or fsync failed. The write path is
+	// permanently wedged (see wal.WedgedError); appends are refused
+	// with ErrReadOnly while reads keep serving the in-memory view.
+	// Recovery is reopening the directory once the fault clears.
+	StorageReadOnly
+)
+
+func (s StorageState) String() string {
+	switch s {
+	case StorageOK:
+		return "ok"
+	case StorageDegraded:
+		return "degraded"
+	case StorageReadOnly:
+		return "read-only"
+	default:
+		return fmt.Sprintf("StorageState(%d)", int(s))
+	}
+}
+
+// StorageHealth is one shard's position in the state machine.
+type StorageHealth struct {
+	// State is ok, degraded, or read-only.
+	State StorageState
+	// Faults counts I/O faults observed on the durable path since
+	// Open (failed WAL writes/fsyncs, failed checkpoint attempts).
+	Faults uint64
+	// Err is the sticky failure (read-only) or the last checkpoint
+	// error (degraded); "" when ok.
+	Err string
+}
+
+// DurabilityStats reports one shard's durability position for health
+// endpoints. An in-memory shard reports its Epoch, Policy "none", and
+// zeros.
+type DurabilityStats struct {
+	// Epoch is the number of batches applied to the in-memory view.
+	Epoch uint64
+	// DurableEpoch is the highest batch acknowledged durable (on
+	// stable storage, by fsync or by a covering checkpoint).
+	DurableEpoch uint64
+	// WALLag = Epoch - DurableEpoch: batches that would be lost by a
+	// crash right now.
+	WALLag uint64
+	// CheckpointSeq is the newest on-disk checkpoint's covered seq.
+	CheckpointSeq uint64
+	// Policy is the fsync policy's string form (batch/interval/off), or
+	// "none" for an in-memory shard.
+	Policy string
+	// Recovery is what the last Open found.
+	Recovery RecoveryInfo
+	// Storage is the store's storage-health state.
+	Storage StorageHealth
+}
+
+// partition is one shard of a Store: the View that owns its adjacency
+// rows plus, when the store was opened on a directory, the write-ahead
+// log and checkpoints that make its batches survive process death.
+// w == nil is the in-memory shard; that is decided here and tested in
+// this type only — every method below has the trivial in-memory answer
+// first, so nothing above the partition asks "is there a log".
+//
+// With a log, every append is applied to the view and then written to
+// the WAL, and openPartition rebuilds the identical view from the last
+// checkpoint plus the log tail. One WAL record holds one batch, and the
+// record's sequence number equals the view's epoch after the batch, so
+// "epoch" is the durability unit throughout.
+//
+// The append path is view-first: a batch the view rejects (key
+// discipline, guard refusal, grow failure) never reaches the log, so
+// recovery replays only batches that were accepted. The window the
+// opposite order would open — a logged batch that fails on replay —
+// cannot happen; the crash window that remains (accepted in memory,
+// process dies before the log write) loses only a batch that was never
+// acknowledged, which is exactly the contract.
+type partition[V any] struct {
+	v *View[V]
+
+	mu    sync.Mutex
+	w     *wal.Writer // nil: in-memory, and every field below is unused
+	dir   string
+	codec ValueCodec[V]
+	opt   DurableOptions[V]
+
+	ckptSeq uint64 // newest on-disk checkpoint's covered seq
+	buf     []byte // record encode scratch, reused under mu
+	failed  error  // sticky: a WAL write failed after the view applied
+	ckptErr error  // last checkpoint failure (degraded); nil after success
+	faults  atomic.Uint64
+	closed  bool
+
+	recovery RecoveryInfo
+
+	notify chan struct{} // batch-count checkpoint trigger
+	done   chan struct{}
+	bg     sync.WaitGroup
+}
+
+// openPartition creates the shard's view — fresh in memory when dir is
+// "", recovered from dir otherwise — with prefix seeding its auto-key
+// generator unless a checkpoint already carries one.
+func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix string, opt DurableOptions[V]) (*partition[V], error) {
+	if dir == "" {
+		v := NewView(ops, vopt)
+		v.autoBase = prefix
+		return &partition[V]{v: v}, nil
+	}
+	codec := opt.Codec
+	if codec.Append == nil || codec.Decode == nil {
+		var ok bool
+		if codec, ok = defaultCodec[V](); !ok {
+			return nil, fmt.Errorf("stream: no value codec for this value type; set DurableOptions.Codec")
+		}
+	}
+	if opt.KeepCheckpoints <= 0 {
+		opt.KeepCheckpoints = 2
+	}
+	if opt.CheckpointRetries <= 0 {
+		opt.CheckpointRetries = 2
+	}
+	if opt.CheckpointBackoff <= 0 {
+		opt.CheckpointBackoff = 5 * time.Millisecond
+	}
+	fsys := opt.FS
+	opt.WAL.FS = fsys
+
+	var rec RecoveryInfo
+	// A temp file is never a recovery source; reap orphans before
+	// looking for checkpoints so they cannot accumulate across crashes.
+	reaped, err := wal.ReapTempCheckpoints(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	rec.ReapedTempFiles = reaped
+	payload, ckptSeq, skipped, err := wal.LoadCheckpointFS(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	rec.CheckpointSeq = ckptSeq
+	rec.SkippedCheckpoints = len(skipped)
+	v := NewView(ops, vopt)
+	if payload != nil {
+		v, err = decodeView(payload, ops, vopt, codec)
+		if err != nil {
+			return nil, fmt.Errorf("stream: checkpoint seq %d: %w", ckptSeq, err)
+		}
+		if uint64(v.epoch) != ckptSeq {
+			return nil, fmt.Errorf("stream: checkpoint seq %d holds view epoch %d", ckptSeq, v.epoch)
+		}
+	}
+	if v.autoBase == "" {
+		v.autoBase = prefix
+	}
+
+	expect := ckptSeq
+	st, err := wal.ReplayFS(fsys, dir, ckptSeq, func(seq uint64, payload []byte) error {
+		if seq != expect+1 {
+			return fmt.Errorf("stream: replay reached seq %d at view epoch %d", seq, expect)
+		}
+		edges, err := decodeBatch(payload, codec)
+		if err != nil {
+			return fmt.Errorf("stream: wal record seq %d: %w", seq, err)
+		}
+		if err := v.Append(edges); err != nil {
+			return fmt.Errorf("stream: replaying wal record seq %d: %w", seq, err)
+		}
+		expect = seq
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rec.Replayed = st.Records
+	rec.TornBytes = st.TornBytes
+
+	w, err := wal.NewWriter(dir, max(st.LastSeq, ckptSeq)+1, opt.WAL)
+	if err != nil {
+		return nil, err
+	}
+	p := &partition[V]{
+		v: v, w: w, dir: dir, codec: codec, opt: opt,
+		ckptSeq: ckptSeq, recovery: rec,
+		notify: make(chan struct{}, 1), done: make(chan struct{}),
+	}
+	if opt.CheckpointEvery > 0 || opt.CheckpointInterval > 0 {
+		p.bg.Add(1)
+		go p.checkpointLoop()
+	}
+	return p, nil
+}
+
+func (p *partition[V]) durable() bool { return p.w != nil }
+
+// checkpointLoop is the background checkpoint + retirement worker: it
+// wakes on the batch-count trigger and/or the timer and checkpoints
+// when the view advanced past the last checkpoint, bounding both
+// replay time and log size.
+func (p *partition[V]) checkpointLoop() {
+	defer p.bg.Done()
+	var tick <-chan time.Time
+	if p.opt.CheckpointInterval > 0 {
+		t := time.NewTicker(p.opt.CheckpointInterval)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		select {
+		case <-p.done:
+			return
+		case <-p.notify:
+		case <-tick:
+		}
+		p.mu.Lock()
+		if !p.closed && p.failed == nil && p.epoch() > p.ckptSeq {
+			// A failed checkpoint degrades the shard (p.ckptErr, set
+			// inside) but must NOT wedge it: the batches are already
+			// durable through the WAL, and the next trigger retries.
+			p.checkpointLocked() //adjlint:ignore syncerr degraded state carries the error; the next trigger retries
+		}
+		p.mu.Unlock()
+	}
+}
+
+func (p *partition[V]) epoch() uint64 {
+	p.v.mu.Lock()
+	e := uint64(p.v.epoch)
+	p.v.mu.Unlock()
+	return e
+}
+
+// usableLocked is the shared preamble of the durable write operations.
+func (p *partition[V]) usableLocked() error {
+	if p.closed {
+		return fmt.Errorf("stream: store is closed")
+	}
+	if p.failed != nil {
+		return &readOnlyError{err: p.failed}
+	}
+	return nil
+}
+
+// append ingests one batch: the view applies it first (a rejected batch
+// touches nothing), then — with a log — the batch is framed into the
+// WAL under the configured fsync policy.
+func (p *partition[V]) append(edges []Edge[V]) error {
+	if p.w == nil {
+		return p.v.Append(edges)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.usableLocked(); err != nil {
+		return err
+	}
+	p.buf = appendBatch(p.buf[:0], edges, p.codec)
+	before := p.epoch()
+	verr := p.v.Append(edges)
+	if verr != nil && p.epoch() == before {
+		// The batch was rolled back; the view is unchanged and the log
+		// must stay unchanged too.
+		return verr
+	}
+	// Committed — possibly with a post-commit maintenance error, in
+	// which case the epoch still advanced and the record must still be
+	// written to keep seq == epoch; verr is reported after.
+	if _, err := p.w.Append(p.buf); err != nil {
+		// The view is now ahead of the log; acknowledging further
+		// batches would promise durability the log cannot deliver.
+		return p.storageFailedLocked(err)
+	}
+	if p.opt.CheckpointEvery > 0 && before+1-p.ckptSeq >= uint64(p.opt.CheckpointEvery) {
+		select {
+		case p.notify <- struct{}{}:
+		default:
+		}
+	}
+	return verr
+}
+
+// storageFailedLocked records the sticky WAL failure and returns it
+// wrapped so it (and every subsequent refusal) matches ErrReadOnly.
+func (p *partition[V]) storageFailedLocked(err error) error {
+	if p.failed == nil {
+		p.failed = err
+		p.faults.Add(1)
+	}
+	return &readOnlyError{err: p.failed}
+}
+
+func (p *partition[V]) sync() error {
+	if p.w == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.usableLocked(); err != nil {
+		return err
+	}
+	if err := p.w.Sync(); err != nil {
+		return p.storageFailedLocked(err)
+	}
+	return nil
+}
+
+func (p *partition[V]) checkpoint() error {
+	if p.w == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.usableLocked(); err != nil {
+		return err
+	}
+	return p.checkpointLocked()
+}
+
+func (p *partition[V]) checkpointLocked() error {
+	v := p.v
+	v.mu.Lock()
+	err := v.flushLogLocked()
+	if err == nil {
+		err = v.materializeLocked()
+	}
+	if err == nil {
+		err = v.embedMainLocked(v.eout.ColKeys(), v.ein.ColKeys())
+	}
+	if err != nil {
+		// A view-maintenance failure, not a storage fault: report it
+		// without touching the storage-health state.
+		v.mu.Unlock()
+		return err
+	}
+	seq := uint64(v.epoch)
+	payload := v.encodeViewLocked(nil, p.codec)
+	v.mu.Unlock()
+	if seq == p.ckptSeq {
+		return nil
+	}
+	// The write phase retries: ENOSPC/EIO can be transient (space
+	// freed, path remounted), and the temp-file dance is idempotent.
+	// Appends stall on p.mu for the backoff total, so it stays capped.
+	fsys, backoff := p.opt.FS, p.opt.CheckpointBackoff
+	for attempt := 0; ; attempt++ {
+		_, err = wal.WriteCheckpointFS(fsys, p.dir, seq, payload)
+		if err == nil {
+			break
+		}
+		p.faults.Add(1)
+		// The failed attempt may have orphaned its temp file (its own
+		// cleanup can fault too); reap best-effort.
+		wal.ReapTempCheckpoints(fsys, p.dir) //adjlint:ignore syncerr best-effort reap; the write error is the one reported
+		if attempt >= p.opt.CheckpointRetries {
+			p.ckptErr = err
+			return err
+		}
+		time.Sleep(backoff)
+		backoff *= 2
+	}
+	p.ckptSeq = seq
+	p.ckptErr = nil
+	// The checkpoint itself is durable; failed retirement only leaves
+	// extra files behind. Degraded, not fatal.
+	if _, err = wal.RetireCheckpointsFS(fsys, p.dir, p.opt.KeepCheckpoints); err == nil {
+		_, err = wal.RetireSegmentsFS(fsys, p.dir, seq)
+	}
+	if err != nil {
+		p.faults.Add(1)
+		p.ckptErr = err
+	}
+	return err
+}
+
+// health reports the shard's position in the ok → degraded → read-only
+// state machine.
+func (p *partition[V]) health() StorageHealth {
+	if p.w == nil {
+		return StorageHealth{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.healthLocked()
+}
+
+func (p *partition[V]) healthLocked() StorageHealth {
+	h := StorageHealth{Faults: p.faults.Load()}
+	switch {
+	case p.failed != nil:
+		h.State = StorageReadOnly
+		h.Err = p.failed.Error()
+	case p.ckptErr != nil:
+		h.State = StorageDegraded
+		h.Err = p.ckptErr.Error()
+	}
+	return h
+}
+
+func (p *partition[V]) durability() DurabilityStats {
+	if p.w == nil {
+		return DurabilityStats{Epoch: p.epoch(), Policy: "none"}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	epoch := p.epoch()
+	durable := p.ckptSeq
+	if !p.closed {
+		durable = max(durable, p.w.DurableSeq())
+	}
+	lag := uint64(0)
+	if epoch > durable {
+		lag = epoch - durable
+	}
+	return DurabilityStats{
+		Epoch:         epoch,
+		DurableEpoch:  durable,
+		WALLag:        lag,
+		CheckpointSeq: p.ckptSeq,
+		Policy:        p.opt.WAL.Policy.String(),
+		Recovery:      p.recovery,
+		Storage:       p.healthLocked(),
+	}
+}
+
+// close syncs the log and releases the shard, reporting a sticky write
+// failure if the log itself closed cleanly.
+func (p *partition[V]) close() error {
+	if p.w == nil {
+		return nil
+	}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil
+	}
+	p.closed = true
+	close(p.done)
+	err := p.w.Close()
+	if err == nil {
+		err = p.failed
+	}
+	p.mu.Unlock()
+	p.bg.Wait()
+	return err
+}
+
+// abort is close without the promise: the crash-simulation hook.
+func (p *partition[V]) abort() {
+	p.close() //adjlint:ignore syncerr deliberate crash simulation; losing unsynced bytes is the point
+}

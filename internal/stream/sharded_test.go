@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 	"adjarray/internal/wal"
 )
 
-func mustShardSnap[V any](t *testing.T, sv *ShardedView[V]) *ShardedSnapshot[V] {
+func mustShardSnap[V any](t *testing.T, sv *Store[V]) StoreSnapshot[V] {
 	t.Helper()
 	ss, err := sv.Snapshot()
 	if err != nil {
@@ -22,13 +23,12 @@ func mustShardSnap[V any](t *testing.T, sv *ShardedView[V]) *ShardedSnapshot[V] 
 	return ss
 }
 
-func mustAdj[V any](t *testing.T, ss *ShardedSnapshot[V]) *assoc.Array[V] {
+func mustAdj[V any](t *testing.T, ss StoreSnapshot[V]) *assoc.Array[V] {
 	t.Helper()
-	adj, err := ss.Adjacency()
-	if err != nil {
-		t.Fatal(err)
+	if ss.Adjacency == nil {
+		t.Fatal("snapshot carries no adjacency")
 	}
-	return adj
+	return ss.Adjacency
 }
 
 // The tentpole property: a sharded replay of any split sequence is
@@ -48,7 +48,7 @@ func TestShardedEqualsSingleViewAcrossPairsAndSplits(t *testing.T) {
 			want := oneShot(t, edges, ops)
 
 			single := NewView(ops, Options{})
-			sv := NewShardedView(ops, ShardedOptions{Shards: shards})
+			sv := memStore(t, ops, shards, Options{})
 			for lo := 0; lo < len(edges); {
 				hi := lo + 1 + r.Intn(13)
 				if hi > len(edges) {
@@ -89,7 +89,7 @@ func TestShardedLogsMatchSingleView(t *testing.T) {
 	edges := randomEdges(r, 90, 9, []float64{1, 2, 5})
 
 	single := NewView(ops, Options{})
-	sv := NewShardedView(ops, ShardedOptions{Shards: 4})
+	sv := memStore(t, ops, 4, Options{})
 	if err := single.Append(edges); err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +107,7 @@ func TestShardedLogsMatchSingleView(t *testing.T) {
 	if !ein.Equal(ref.Ein, eqF) {
 		t.Error("merged Ein != single-view Ein")
 	}
-	merged, err := mustShardSnap(t, sv).Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := flatSnap(t, sv)
 	if merged.Edges != ref.Edges {
 		t.Errorf("merged Edges = %d, want %d", merged.Edges, ref.Edges)
 	}
@@ -127,7 +124,7 @@ func TestShardedLogsMatchSingleView(t *testing.T) {
 func TestShardedConcurrentAppendMatchesBatch(t *testing.T) {
 	ops := semiring.PlusTimes()
 	const producers, batches, per = 4, 12, 16
-	sv := NewShardedView(ops, ShardedOptions{Shards: 3})
+	sv := memStore(t, ops, 3, Options{})
 
 	all := make([][]Edge[float64], producers)
 	for p := range all {
@@ -189,6 +186,21 @@ func TestShardedConcurrentAppendMatchesBatch(t *testing.T) {
 	if !mustAdj(t, ss).Equal(want, eqF) {
 		t.Error("concurrent sharded ingest != one-shot batch")
 	}
+
+	// Append leaves the caller's slice untouched: generated keys live in
+	// the shard's view, at one shard (no scatter copy) as at two.
+	for _, shards := range []int{1, 2} {
+		st := memStore(t, ops, shards, Options{})
+		batch := []Edge[float64]{{Src: "a", Dst: "b"}, {Src: "b", Dst: "c"}, {Src: "c", Dst: "a"}}
+		if err := st.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range batch {
+			if e.Key != "" {
+				t.Errorf("%d shards: Append wrote key %q into the caller's batch[%d]", shards, e.Key, i)
+			}
+		}
+	}
 }
 
 // Snapshots are cached per epoch vector: unchanged vector returns the
@@ -196,7 +208,7 @@ func TestShardedConcurrentAppendMatchesBatch(t *testing.T) {
 // shard bumps exactly that vector component.
 func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 	ops := semiring.PlusTimes()
-	sv := NewShardedView(ops, ShardedOptions{Shards: 3})
+	sv := memStore(t, ops, 3, Options{})
 	if err := sv.Append([]Edge[float64]{
 		Weighted("e0", "a", "b", 1.0, 1.0),
 		Weighted("e1", "b", "c", 1.0, 1.0),
@@ -208,7 +220,7 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 	if len(s1.Epochs) != 3 {
 		t.Fatalf("epoch vector length %d, want 3", len(s1.Epochs))
 	}
-	if s2 := mustShardSnap(t, sv); s2 != s1 {
+	if s2 := mustShardSnap(t, sv); s2.Adjacency != s1.Adjacency || s2.g != s1.g {
 		t.Error("unchanged epoch vector must return the cached snapshot")
 	}
 
@@ -217,7 +229,7 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3 := mustShardSnap(t, sv)
-	if s3 == s1 {
+	if s3.g == s1.g {
 		t.Fatal("append must invalidate the cached snapshot")
 	}
 	for i := range s3.Epochs {
@@ -239,7 +251,7 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 // agree with the snapshot.
 func TestShardedStats(t *testing.T) {
 	ops := semiring.PlusTimes()
-	sv := NewShardedView(ops, ShardedOptions{Shards: 2})
+	sv := memStore(t, ops, 2, Options{})
 	edges := randomEdges(rand.New(rand.NewSource(5)), 40, 8, []float64{1, 2})
 	if err := sv.Append(edges); err != nil {
 		t.Fatal(err)
@@ -269,7 +281,7 @@ func TestShardedDurableRecoveryMatchesSingleView(t *testing.T) {
 	dir := t.TempDir()
 	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
 
-	sv, err := OpenSharded(filepath.Join(dir, "store"), ops, ShardedOptions{Shards: 3}, dopt)
+	sv, err := Open(filepath.Join(dir, "store"), ops, 3, Options{}, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +305,8 @@ func TestShardedDurableRecoveryMatchesSingleView(t *testing.T) {
 	}
 	sv.Abort() // crash: checkpoint covers a prefix, WAL tails carry the rest
 
-	// Shards <= 0 adopts the recorded count from the SHARDS meta file.
-	rec, err := OpenSharded(filepath.Join(dir, "store"), ops, ShardedOptions{}, dopt)
+	// Shards < 0 adopts the recorded count from the SHARDS meta file.
+	rec, err := Open(filepath.Join(dir, "store"), ops, -1, Options{}, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +350,7 @@ func TestShardedDurableAutoKeysRecoverExactly(t *testing.T) {
 	ops := semiring.PlusTimes()
 	dir := filepath.Join(t.TempDir(), "store")
 	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
-	sv, err := OpenSharded(dir, ops, ShardedOptions{Shards: 2}, dopt)
+	sv, err := Open(dir, ops, 2, Options{}, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +368,7 @@ func TestShardedDurableAutoKeysRecoverExactly(t *testing.T) {
 	want := mustAdj(t, mustShardSnap(t, sv))
 	sv.Abort()
 
-	rec, err := OpenSharded(dir, ops, ShardedOptions{}, dopt)
+	rec, err := Open(dir, ops, -1, Options{}, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,14 +391,14 @@ func TestOpenShardedCountMismatchRefused(t *testing.T) {
 	ops := semiring.PlusTimes()
 	dir := filepath.Join(t.TempDir(), "store")
 	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
-	sv, err := OpenSharded(dir, ops, ShardedOptions{Shards: 2}, dopt)
+	sv, err := Open(dir, ops, 2, Options{}, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(dir, ops, ShardedOptions{Shards: 4}, dopt); err == nil {
+	if _, err := Open(dir, ops, 4, Options{}, dopt); err == nil {
 		t.Fatal("shard-count mismatch must be refused")
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, shardMetaFile)); err != nil || string(data) != "2\n" {
@@ -397,12 +409,151 @@ func TestOpenShardedCountMismatchRefused(t *testing.T) {
 // Routing is a fixed function of the source vertex: stable across view
 // instances (unlike the interner's per-process maphash).
 func TestShardRoutingDeterministic(t *testing.T) {
-	a := NewShardedView(semiring.PlusTimes(), ShardedOptions{Shards: 4})
-	b := NewShardedView(semiring.PlusTimes(), ShardedOptions{Shards: 4})
+	a := memStore(t, semiring.PlusTimes(), 4, Options{})
+	b := memStore(t, semiring.PlusTimes(), 4, Options{})
 	for i := 0; i < 200; i++ {
 		src := fmt.Sprintf("vertex-%d", i)
 		if a.ShardFor(src) != b.ShardFor(src) {
 			t.Fatalf("routing for %q differs across instances", src)
 		}
+	}
+}
+
+// A snapshot read for its adjacency never merges the incidence logs:
+// the gather is per epoch vector, the log merge on first request.
+func TestStoreSnapshotMergesLogsOnDemand(t *testing.T) {
+	ops := semiring.PlusTimes()
+	st := memStore(t, ops, 2, Options{})
+	if err := st.Append(randomEdges(rand.New(rand.NewSource(6)), 30, 8, []float64{1, 2})); err != nil {
+		t.Fatal(err)
+	}
+	ss := mustShardSnap(t, st)
+	if ss.Adjacency.NNZ() == 0 {
+		t.Fatal("empty gathered adjacency")
+	}
+	if ss.g.eout != nil || ss.g.ein != nil {
+		t.Fatal("Snapshot merged the incidence logs before anyone asked")
+	}
+	eout, ein, err := ss.Logs()
+	if err != nil || eout.RowKeys().Len() != 30 || ein.RowKeys().Len() != 30 {
+		t.Fatalf("Logs() = %v rows / %v rows, %v", eout.RowKeys().Len(), ein.RowKeys().Len(), err)
+	}
+	if again := mustShardSnap(t, st); again.g != ss.g {
+		t.Error("unchanged vector must share the merged logs")
+	}
+}
+
+// One Open owns the layout: a directory refuses an explicit shard count
+// other than the one it holds — across the 1↔N boundary too, where the
+// one-shard layout (root) and the N-shard layout (SHARDS + shard-NNN/)
+// do not share a file — and a count left to GOMAXPROCS adopts it.
+func TestOpenLayoutMismatchRefused(t *testing.T) {
+	ops := semiring.PlusTimes()
+	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	for _, tc := range []struct{ first, then int }{{1, 4}, {4, 1}, {2, 3}, {0, 2}} {
+		dir := filepath.Join(t.TempDir(), "store")
+		st, err := Open(dir, ops, tc.first, Options{}, dopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append([]Edge[float64]{{Src: "a", Dst: "b"}, {Src: "b", Dst: "c"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, ops, tc.then, Options{}, dopt); err == nil || !strings.Contains(err.Error(), "would re-partition the vertex space") {
+			t.Errorf("%d→%d shards: reopen err = %v, want the re-partition refusal", tc.first, tc.then, err)
+		}
+		re, err := Open(dir, ops, -1, Options{}, dopt)
+		if err != nil {
+			t.Fatalf("%d→GOMAXPROCS: %v", tc.first, err)
+		}
+		if want := max(tc.first, 1); re.Shards() != want || re.Stats().Edges != 2 {
+			t.Errorf("adopting reopen: %d shards, %d edges; want %d shards, 2 edges", re.Shards(), re.Stats().Edges, want)
+		}
+		re.Close()
+	}
+}
+
+// Directories written before shards owned their key generator hold
+// explicit "sNNN-" keys in the log and no generator prefix in the
+// checkpoint. They must reopen and take keyless appends: the generator
+// continues the sequence where it can and reseeds past the log's last
+// key where the next key would not sort after it. The SHARDS=1 layout
+// (one shard under shard-000/) is one of them.
+func TestStoreReopensLegacyAutoKeyDirectories(t *testing.T) {
+	ops := semiring.PlusTimes()
+	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	for _, tc := range []struct {
+		shards int
+		gap    int // sequence numbers skipped, as after a rejected batch
+	}{{2, 0}, {2, 5}, {1, 0}} {
+		dir := filepath.Join(t.TempDir(), "store")
+		if tc.shards == 1 {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, shardMetaFile), []byte("1\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := Open(dir, ops, tc.shards, Options{}, dopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := make([]int, tc.shards)
+		legacy := func(n int) []Edge[float64] {
+			batch := make([]Edge[float64], n)
+			for i := range batch {
+				src := fmt.Sprintf("v%02d", i%9)
+				sh := st.ShardFor(src)
+				batch[i] = Edge[float64]{Key: fmt.Sprintf("s%03d-%012d", sh, seq[sh]), Src: src, Dst: "d"}
+				seq[sh]++
+			}
+			return batch
+		}
+		if err := st.Append(legacy(20)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range seq {
+			seq[i] += tc.gap
+		}
+		if err := st.Append(legacy(10)); err != nil { // the WAL tail
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.shards == 1 {
+			if _, err := os.Stat(filepath.Join(dir, "shard-000")); err != nil {
+				t.Fatalf("SHARDS=1 directory did not keep its shard-000 layout: %v", err)
+			}
+		}
+
+		re, err := Open(dir, ops, tc.shards, Options{}, dopt)
+		if err != nil {
+			t.Fatalf("%d shards, gap %d: reopen: %v", tc.shards, tc.gap, err)
+		}
+		keyless := make([]Edge[float64], 12)
+		for i := range keyless {
+			keyless[i] = Edge[float64]{Src: fmt.Sprintf("v%02d", i%9), Dst: "d"}
+		}
+		for round := 0; round < 2; round++ {
+			if err := re.Append(keyless); err != nil {
+				t.Fatalf("%d shards, gap %d: keyless append %d on a legacy directory: %v", tc.shards, tc.gap, round, err)
+			}
+		}
+		eout, _, err := mustShardSnap(t, re).Logs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eout.RowKeys().Len() != 54 {
+			t.Errorf("%d shards, gap %d: %d log rows, want 54 distinct keys", tc.shards, tc.gap, eout.RowKeys().Len())
+		}
+		re.Close()
 	}
 }

@@ -181,7 +181,7 @@ type View[V any] struct {
 	epoch    int // total batches ever applied
 	exact    bool
 	autoSeq  int    // generator for auto-assigned edge keys
-	autoBase string // prefix for auto keys; seeded past the log's last key
+	autoBase string // prefix for auto keys: "" selects "e"; a Store gives each of several shards its own
 
 	scr batchScratch[V] // per-append buffers, reused under mu
 
@@ -368,8 +368,9 @@ func rebindSide(in *keys.Interner, set *keys.Set) []int32 {
 // Append ingests one edge batch. Edge keys must be strictly increasing
 // within the batch and sort after every key already in the log (the
 // append-only discipline that keeps fold order equal to arrival order);
-// an empty Key is auto-assigned from a monotone sequence — don't mix
-// auto-assigned and explicit keys. Duplicate keys are rejected.
+// an empty Key is auto-assigned from the view's monotone generator —
+// don't mix auto-assigned and explicit keys. Duplicate keys are
+// rejected. The caller's slice is never written.
 func (v *View[V]) Append(edges []Edge[V]) error {
 	if len(edges) == 0 {
 		return nil
@@ -381,21 +382,24 @@ func (v *View[V]) Append(edges []Edge[V]) error {
 	s.rowKeys = s.rowKeys[:0]
 	s.srcs, s.dsts = s.srcs[:0], s.dsts[:0]
 	s.outs, s.ins = s.outs[:0], s.ins[:0]
+	// The generator state moves only if the batch commits.
+	base, seq, seeded := v.autoBase, v.autoSeq, false
 	prev := ""
 	for i, e := range edges {
 		key := e.Key
 		if key == "" {
-			if v.autoBase == "" {
-				// Seed the generator past whatever is already in the
-				// log (e.g. a FromIncidence bootstrap with explicit
-				// keys), so auto keys keep the ascending discipline.
-				if v.edges > 0 {
-					v.autoBase = v.lastKey + "+"
-				} else {
-					v.autoBase = "e"
-				}
+			if base == "" {
+				base = "e"
 			}
-			key = fmt.Sprintf("%s%012d", v.autoBase, v.autoSeq+i)
+			key = fmt.Sprintf("%s%012d", base, seq+i)
+			if !seeded && v.edges > 0 && key <= v.lastKey {
+				// The next generated key would not sort after the log
+				// (a bootstrap or a recovered log with other keys):
+				// reseed the generator past the log's last key.
+				base, seq = v.lastKey+"+", -i
+				key = fmt.Sprintf("%s%012d", base, 0)
+			}
+			seeded = true
 		}
 		if i > 0 && key <= prev {
 			return fmt.Errorf("stream: batch edge keys not strictly increasing at %d: %q <= %q", i, key, prev)
@@ -420,11 +424,13 @@ func (v *View[V]) Append(edges []Edge[V]) error {
 	if v.edges > 0 && s.rowKeys[0] <= v.lastKey {
 		return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", s.rowKeys[0], v.lastKey)
 	}
-	if err := v.appendResolvedLocked(); err != nil {
-		return err
+	before := v.epoch
+	err := v.appendResolvedLocked()
+	if v.epoch != before {
+		// Committed, even when follow-on maintenance then failed.
+		v.autoBase, v.autoSeq = base, seq+len(edges)
 	}
-	v.autoSeq += len(edges)
-	return nil
+	return err
 }
 
 // appendResolvedLocked applies the batch staged in v.scr: the fused fast
