@@ -245,10 +245,16 @@ type StreamOptions = stream.Options
 
 // AdjacencyView maintains A = Eoutᵀ ⊕.⊗ Ein under continuous edge
 // ingest: appended batches apply via the delta identity
-// A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:] instead of full rebuilds.
+// A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:] instead of full rebuilds. An Append
+// costs O(batch) whether or not the batch introduces vertices: the view
+// stores its edge log and backlog by stable vertex id and establishes
+// key order once per fold.
 type AdjacencyView[V any] = stream.View[V]
 
-// AdjacencySnapshot is an immutable read view of an AdjacencyView.
+// AdjacencySnapshot is an immutable read view of an AdjacencyView: the
+// adjacency array and counters as fields, the key-ordered incidence
+// arrays Eout and Ein of its epoch through Logs(), built on first
+// request.
 type AdjacencySnapshot[V any] = stream.Snapshot[V]
 
 // StreamStats summarizes a view's counters.
@@ -260,7 +266,8 @@ func NewAdjacencyView[V any](ops Ops[V], opt StreamOptions) *AdjacencyView[V] {
 }
 
 // AdjacencyViewFromIncidence bootstraps a view from batch-built
-// incidence arrays; subsequent appends apply deltas on top.
+// incidence arrays (exactly one entry per row and side, Definition I.4);
+// subsequent appends apply deltas on top.
 func AdjacencyViewFromIncidence[V any](eout, ein *Array[V], ops Ops[V], opt StreamOptions) (*AdjacencyView[V], error) {
 	return stream.FromIncidence(eout, ein, ops, opt)
 }

@@ -375,12 +375,16 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		logOut, logIn, err := snap.Logs()
+		if err != nil {
+			fail(err)
+		}
 
 		// Materialize arm: batches queue under an effectively unbounded
 		// budget, then one Snapshot folds the whole backlog. Repetitions
 		// refill the backlog with fresh batches (the log keeps growing —
 		// pessimistic, never flattering).
-		vm, err := stream.FromIncidence(snap.Eout, snap.Ein, entry.Ops, stream.Options{
+		vm, err := stream.FromIncidence(logOut, logIn, entry.Ops, stream.Options{
 			Mul: mulOpt, PendingBudget: 1 << 30,
 		})
 		if err != nil {
@@ -413,7 +417,7 @@ func main() {
 			var r *assoc.Array[float64]
 			m, err := timed(func() error {
 				var err error
-				r, err = assoc.Correlate(snap.Eout, snap.Ein, entry.Ops, assoc.MulOptions{})
+				r, err = assoc.Correlate(logOut, logIn, entry.Ops, assoc.MulOptions{})
 				return err
 			})
 			if err != nil {

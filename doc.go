@@ -38,8 +38,12 @@
 //     (serial or parallel by Workers), with sharded and
 //     dense-verification backends beside it;
 //   - incremental maintenance: AdjacencyView keeps A up to date under
-//     continuous edge ingest, and Ingest accumulates arriving triples
-//     into the delta batches of one AdjacencyStore;
+//     continuous edge ingest — its edge log and delta backlog are kept
+//     by stable interner id, so an append is O(batch) even when it
+//     introduces vertices, and key order (the sorted vertex universe,
+//     the key-ordered incidence arrays of Snapshot.Logs) is established
+//     at the fold and on request — and Ingest accumulates arriving
+//     triples into the delta batches of one AdjacencyStore;
 //   - one ingest store, shards × optional WAL: OpenAdjacencyStore
 //     (internal/stream.Open) hash-partitions the vertex space by source
 //     across N ≥ 1 shards (per-shard views and append locks), with

@@ -53,8 +53,13 @@ func main() {
 	fmt.Print(adjarray.Format(snap.Adjacency, adjarray.FormatFloat))
 
 	// 3. The incremental state equals the one-shot construction — the
-	// delta identity is exact for associative ⊕.
-	oneShot, err := adjarray.Correlate(snap.Eout, snap.Ein, adjarray.PlusTimes(), adjarray.MulOptions{})
+	// delta identity is exact for associative ⊕. The view keeps its edge
+	// log by vertex id; Logs builds the key-ordered incidence arrays.
+	eout, ein, err := snap.Logs()
+	if err != nil {
+		log.Fatal(err)
+	}
+	oneShot, err := adjarray.Correlate(eout, ein, adjarray.PlusTimes(), adjarray.MulOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -92,6 +92,14 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		reg.CounterFunc("adjserve_shard_epoch",
 			"Batches applied per shard (the consistency vector).",
 			func() float64 { return float64(store.Stats().PerShard[i].Epoch) }, shard)
+		// Vertex-universe growth is paid in the fold, not in the append:
+		// these two are where an ingest of new vertices shows.
+		reg.CounterFunc("adjserve_view_folds_total",
+			"Backlog folds run per shard (budget-triggered or for a snapshot).",
+			func() float64 { return float64(store.Stats().PerShard[i].Folds) }, shard)
+		reg.CounterFunc("adjserve_view_fold_seconds_total",
+			"Seconds spent in folds per shard: universe sync, backlog fold, merge into the adjacency.",
+			func() float64 { return time.Duration(store.Stats().PerShard[i].FoldNanos).Seconds() }, shard)
 		reg.GaugeFunc("adjserve_wal_lag_batches",
 			"Batches a crash right now would lose, per shard (0 without a WAL).",
 			func() float64 { return float64(store.Durability()[i].WALLag) }, shard)

@@ -512,7 +512,8 @@ func TestOneShapeForEveryShardCount(t *testing.T) {
 					families = append(families, f)
 				}
 			}
-			for _, fam := range []string{"adjserve_shard_epoch", "adjserve_wal_lag_batches", "adjserve_checkpoint_seq"} {
+			for _, fam := range []string{"adjserve_shard_epoch", "adjserve_wal_lag_batches", "adjserve_checkpoint_seq",
+				"adjserve_view_folds_total", "adjserve_view_fold_seconds_total"} {
 				if last := fmt.Sprintf(`%s{shard="%d"}`, fam, shards-1); !strings.Contains(rec.Body.String(), last) {
 					t.Errorf("%s: /metrics has no %s", name, last)
 				}

@@ -37,6 +37,28 @@ func (m *CSR[V]) AppendBinary(dst []byte, appendVal func(dst []byte, v V) []byte
 	return dst
 }
 
+// AppendUnitRowsBinary appends the serialized form of the len(ids)×cols
+// matrix whose row i holds the single entry vals[i] in column
+// pos[ids[i]] — byte for byte what AppendBinary writes for that matrix,
+// without building it. It is how an incidence log kept as one vertex id
+// per edge reaches a checkpoint in column-position space.
+func AppendUnitRowsBinary[V any](dst []byte, cols int, ids, pos []int32, vals []V, appendVal func(dst []byte, v V) []byte) []byte {
+	n := len(ids)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(cols))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+	for i := 0; i <= n; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
+	}
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(pos[id]))
+	}
+	for _, v := range vals[:n] {
+		dst = appendVal(dst, v)
+	}
+	return dst
+}
+
 // DecodeCSR decodes a matrix serialized by AppendBinary from the front
 // of buf, returning the remaining bytes. decodeVal decodes one value
 // and returns how many bytes it consumed. The result passes through

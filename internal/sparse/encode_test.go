@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -42,6 +43,28 @@ func TestCSRBinaryRoundTrip(t *testing.T) {
 		}
 		if !Equal(m, got, func(a, b float64) bool { return a == b }) {
 			t.Fatalf("round trip changed the matrix (%d×%d nnz %d)", m.Rows(), m.Cols(), m.NNZ())
+		}
+	}
+}
+
+// AppendUnitRowsBinary must write exactly the bytes AppendBinary writes
+// for the unit-row matrix it describes (empty log included).
+func TestAppendUnitRowsBinaryMatchesAppendBinary(t *testing.T) {
+	pos := []int32{2, -1, 0, 1} // id → column; id 1 is not in the universe
+	for _, ids := range [][]int32{{0, 2, 3, 2, 0}, {}} {
+		vals := []float64{1.5, -2, 3, 0.25, 7}[:len(ids)]
+		rowPtr, colIdx := make([]int, len(ids)+1), make([]int, len(ids))
+		for i, id := range ids {
+			rowPtr[i+1], colIdx[i] = i+1, int(pos[id])
+		}
+		m, err := NewCSR(len(ids), 3, rowPtr, colIdx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := m.AppendBinary([]byte("hdr"), appendF64)
+		got := AppendUnitRowsBinary([]byte("hdr"), 3, ids, pos, vals, appendF64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d rows: unit-row encoding differs from AppendBinary", len(ids))
 		}
 	}
 }

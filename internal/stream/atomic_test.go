@@ -10,13 +10,15 @@ import (
 // The atomicity contract: a batch that fails mid-append leaves the view
 // bit-identical to the state before the call, and the SAME batch (or
 // any other valid one) still appends cleanly afterwards. Each failpoint
-// site below aborts the append at a different depth — after one
-// universe grew, after both, after the log rows landed, after staging,
-// after the counters bumped — and every one must roll back completely.
+// site below aborts the append at a different depth — after the
+// endpoints were interned, after the edges landed in the log, after the
+// backlog and the counters moved — and every one must roll back
+// completely, for a batch over known vertices and for one that
+// introduces vertices alike (they take the same path).
 
 // atomicSeed returns the base batches every subject/control pair starts
-// from: one that grows both universes (slow path) and one entirely over
-// known vertices (fast path).
+// from: one that introduces every vertex it names and one entirely over
+// known vertices.
 func atomicSeed() [][]Edge[float64] {
 	return [][]Edge[float64]{
 		{
@@ -37,27 +39,29 @@ type stateFingerprint struct {
 	edges, appends, epoch int
 	autoSeq               int
 	exact                 bool
-	lastKey               string
-	nStage, nPend         int
+	nIDs, nVals, nPend    int
+	synced                int
 }
 
 func fingerprint(v *View[float64]) stateFingerprint {
 	return stateFingerprint{
-		edges: v.edges, appends: v.appends, epoch: v.epoch,
-		autoSeq: v.autoSeq, exact: v.exact, lastKey: v.lastKey,
-		nStage: len(v.stageKeys), nPend: len(v.pendCell),
+		edges: len(v.keys), appends: v.appends, epoch: v.epoch,
+		autoSeq: v.autoSeq, exact: v.exact,
+		nIDs: len(v.srcID) + len(v.dstID), nVals: len(v.out) + len(v.in),
+		nPend: len(v.pendCell) + len(v.pendVal), synced: v.synced,
 	}
 }
 
 func TestAppendRollsBackAtEveryFailpoint(t *testing.T) {
 	ops := plusTimes(t)
-	// Poison batches: one per route. The fast batch reuses seeded
-	// vertices; the slow batch introduces new ones on both sides.
-	poisonFast := []Edge[float64]{
+	// Poison batches: one reuses seeded vertices, the other introduces
+	// new ones on both sides — whose interner ids outlive the rollback as
+	// orphans the retry and the next universe sync must absorb.
+	poisonKnown := []Edge[float64]{
 		Weighted("e06", "s2", "t1", 2.5, 3.5),
 		Weighted("e07", "s3", "t2", 4.5, 5.5),
 	}
-	poisonSlow := []Edge[float64]{
+	poisonNew := []Edge[float64]{
 		Weighted("e06", "s9", "t1", 2.5, 3.5),
 		Weighted("e07", "s2", "t9", 4.5, 5.5),
 	}
@@ -65,16 +69,33 @@ func TestAppendRollsBackAtEveryFailpoint(t *testing.T) {
 		Weighted("e08", "s1", "t3", 6.5, 7.5),
 		Weighted("e09", "s9", "t9", 8.5, 9.5),
 	}
-	cases := []struct {
+	// sidestep never names the poison batch's new vertices: applied in
+	// place of the retry it leaves their interner ids orphaned for good,
+	// and the universe the next sync builds must not contain them.
+	sidestep := [][]Edge[float64]{{
+		Weighted("e06", "s0", "t1", 1.5, 2.5),
+		Weighted("e07", "s25", "t5", 3.5, 4.5),
+	}, {
+		Weighted("e08", "s1", "t3", 6.5, 7.5),
+		Weighted("e09", "s25", "t0", 8.5, 9.5),
+	}}
+	type failCase struct {
 		site   string
 		poison []Edge[float64]
-	}{
-		{"fast:staged", poisonFast},
-		{"commit:counted", poisonFast},
-		{"slow:grew-src", poisonSlow},
-		{"slow:grew-dst", poisonSlow},
-		{"slow:appended-rows", poisonSlow},
-		{"commit:counted", poisonSlow},
+		after  [][]Edge[float64]
+	}
+	var cases []failCase
+	for _, c := range []failCase{
+		{site: "append:interned", poison: poisonKnown},
+		{site: "append:logged", poison: poisonKnown},
+		{site: "commit:counted", poison: poisonKnown},
+		{site: "append:interned", poison: poisonNew},
+		{site: "append:logged", poison: poisonNew},
+		{site: "commit:counted", poison: poisonNew},
+	} {
+		cases = append(cases,
+			failCase{c.site, c.poison, [][]Edge[float64]{c.poison, follow}},
+			failCase{c.site, c.poison, sidestep})
 	}
 	for i, tc := range cases {
 		subject := NewView(ops, Options{})
@@ -111,9 +132,10 @@ func TestAppendRollsBackAtEveryFailpoint(t *testing.T) {
 		}
 
 		// The identical batch must now succeed (interner orphans from the
-		// rolled-back attempt included), and everything downstream must be
-		// indistinguishable from a view that never saw the failure.
-		for _, b := range [][]Edge[float64]{tc.poison, follow} {
+		// rolled-back attempt included), so must a different one, and
+		// everything downstream must be indistinguishable from a view
+		// that never saw the failure.
+		for _, b := range tc.after {
 			if err := subject.Append(b); err != nil {
 				t.Fatalf("case %d (%s): retry after rollback: %v", i, tc.site, err)
 			}

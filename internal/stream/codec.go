@@ -82,14 +82,6 @@ func decodeU64(b []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(b), b[8:], nil
 }
 
-func appendI32s(dst []byte, xs []int32) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
-	}
-	return dst
-}
-
 func decodeI32s(b []byte) ([]int32, []byte, error) {
 	if len(b) < 4 {
 		return nil, nil, fmt.Errorf("stream: truncated i32 slice")
@@ -218,14 +210,15 @@ func decodeBatch[V any](b []byte, codec ValueCodec[V]) ([]Edge[V], error) {
 const ckptFormat = 1
 
 // encodeViewLocked serializes the full view state. The caller holds
-// v.mu and must have flushed, materialized, and embedded first
-// (Snapshot's preamble), so the staged run and the pending backlog are
-// empty and main spans the log's universe — none of them need to be in
-// the format.
+// v.mu and must have folded first (materializeLocked), so the pending
+// backlog is empty, the universe covers the whole log and main spans it
+// — none of that needs to be in the format. The format predates the
+// id-space log and keeps its position-space incidence CSRs: the log's
+// ids are mapped through the position arrays as they are written.
 func (v *View[V]) encodeViewLocked(dst []byte, codec ValueCodec[V]) []byte {
 	dst = append(dst, ckptFormat)
 	dst = appendStr(dst, v.eng.Ops.Name)
-	dst = appendU64(dst, uint64(v.edges))
+	dst = appendU64(dst, uint64(len(v.keys)))
 	dst = appendU64(dst, uint64(v.appends))
 	dst = appendU64(dst, uint64(v.epoch))
 	dst = appendU64(dst, uint64(v.autoSeq))
@@ -235,30 +228,45 @@ func (v *View[V]) encodeViewLocked(dst []byte, codec ValueCodec[V]) []byte {
 		dst = append(dst, 0)
 	}
 	dst = appendStr(dst, v.autoBase)
-	dst = appendStr(dst, v.lastKey)
+	lastKey := ""
+	if n := len(v.keys); n > 0 {
+		lastKey = v.keys[n-1]
+	}
+	dst = appendStr(dst, lastKey)
 	dst = v.srcIn.AppendBinary(dst)
 	dst = v.dstIn.AppendBinary(dst)
-	dst = appendI32s(dst, v.srcPos)
-	dst = appendI32s(dst, v.dstPos)
-	rows := v.eout.RowKeys()
-	edgeKeys := make([]string, rows.Len())
-	for i := range edgeKeys {
-		edgeKeys[i] = rows.Key(i)
-	}
-	dst = appendStrs(dst, edgeKeys)
-	dst = v.eout.Matrix().AppendBinary(dst, codec.Append)
-	dst = v.ein.Matrix().AppendBinary(dst, codec.Append)
+	dst = appendPosMap(dst, v.srcPos, v.srcIn.Len())
+	dst = appendPosMap(dst, v.dstPos, v.dstIn.Len())
+	dst = appendStrs(dst, v.keys)
+	dst = sparse.AppendUnitRowsBinary(dst, v.uRows.Len(), v.srcID, v.srcPos, v.out, codec.Append)
+	dst = sparse.AppendUnitRowsBinary(dst, v.uCols.Len(), v.dstID, v.dstPos, v.in, codec.Append)
 	dst = v.main.Matrix().AppendBinary(dst, codec.Append)
 	return dst
 }
 
+// appendPosMap writes an id→position array as decodeI32s reads it,
+// extended with -1 to the n ids its interner holds: ids past the array
+// are orphans of rolled-back batches, and the decoder wants a position
+// for every interned id.
+func appendPosMap(dst []byte, pos []int32, n int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	for _, p := range pos {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p))
+	}
+	for i := len(pos); i < n; i++ {
+		dst = binary.LittleEndian.AppendUint32(dst, math.MaxUint32)
+	}
+	return dst
+}
+
 // sideFromPos inverts an id→position map into the sorted universe key
-// Set it describes, validating that the positions are a bijection onto
-// [0, count) and that the keys they order really are sorted (FromSorted
-// re-checks strict ascent — the corruption detector for the key data).
-func sideFromPos(in *keys.Interner, pos []int32) (*keys.Set, error) {
+// Set it describes and the id at each position, validating that the
+// positions are a bijection onto [0, count) and that the keys they order
+// really are sorted (FromSorted re-checks strict ascent — the corruption
+// detector for the key data).
+func sideFromPos(in *keys.Interner, pos []int32) (set *keys.Set, byPos []int32, err error) {
 	if len(pos) != in.Len() {
-		return nil, fmt.Errorf("stream: position map covers %d ids, interner holds %d", len(pos), in.Len())
+		return nil, nil, fmt.Errorf("stream: position map covers %d ids, interner holds %d", len(pos), in.Len())
 	}
 	count := 0
 	for _, p := range pos {
@@ -267,30 +275,33 @@ func sideFromPos(in *keys.Interner, pos []int32) (*keys.Set, error) {
 		}
 	}
 	sorted := make([]string, count)
+	byPos = make([]int32, count)
 	seen := make([]bool, count)
 	for id, p := range pos {
 		if p < 0 {
 			continue
 		}
 		if int(p) >= count || seen[p] {
-			return nil, fmt.Errorf("stream: position map is not a bijection at id %d", id)
+			return nil, nil, fmt.Errorf("stream: position map is not a bijection at id %d", id)
 		}
 		seen[p] = true
 		sorted[p] = in.Key(int32(id))
+		byPos[p] = int32(id)
 	}
-	set, err := keys.FromSorted(sorted)
+	set, err = keys.FromSorted(sorted)
 	if err != nil {
-		return nil, fmt.Errorf("stream: universe keys: %w", err)
+		return nil, nil, fmt.Errorf("stream: universe keys: %w", err)
 	}
 	set.Bind(&keys.InternIndex{In: in, Pos: pos})
-	return set, nil
+	return set, byPos, nil
 }
 
 // decodeView reconstructs a View from a checkpoint payload. Every
 // structural invariant is re-validated on the way in: interner offsets,
 // position-map bijectivity, key-set sortedness, CSR shape (through
-// NewCSR), and the cross-array dimension agreement — damaged bytes that
-// beat the outer CRC still cannot become a silently wrong view.
+// NewCSR), one entry per incidence row, and the cross-array dimension
+// agreement — damaged bytes that beat the outer CRC still cannot become
+// a silently wrong view.
 func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], error) {
 	b := payload
 	if len(b) < 1 || b[0] != ckptFormat {
@@ -365,38 +376,39 @@ func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec V
 		return nil, fmt.Errorf("stream: %d trailing bytes after checkpoint payload", len(b))
 	}
 
-	srcSet, err := sideFromPos(srcIn, srcPos)
+	srcSet, srcByPos, err := sideFromPos(srcIn, srcPos)
 	if err != nil {
 		return nil, err
 	}
-	dstSet, err := sideFromPos(dstIn, dstPos)
+	dstSet, dstByPos, err := sideFromPos(dstIn, dstPos)
 	if err != nil {
 		return nil, err
 	}
-	edgeSet, err := keys.FromSorted(edgeKeys)
-	if err != nil {
+	if _, err := keys.FromSorted(edgeKeys); err != nil {
 		return nil, fmt.Errorf("stream: edge keys: %w", err)
 	}
-	if int(edges) != edgeSet.Len() {
-		return nil, fmt.Errorf("stream: checkpoint counts %d edges, key set holds %d", edges, edgeSet.Len())
+	if int(edges) != len(edgeKeys) {
+		return nil, fmt.Errorf("stream: checkpoint counts %d edges, key set holds %d", edges, len(edgeKeys))
 	}
-	if edgeSet.Len() > 0 && edgeSet.Key(edgeSet.Len()-1) != lastKey {
+	if len(edgeKeys) > 0 && edgeKeys[len(edgeKeys)-1] != lastKey {
 		return nil, fmt.Errorf("stream: checkpoint last key %q disagrees with edge set", lastKey)
 	}
-	if eoutM.Rows() != edgeSet.Len() || eoutM.Cols() != srcSet.Len() {
-		return nil, fmt.Errorf("stream: eout is %d×%d, want %d×%d", eoutM.Rows(), eoutM.Cols(), edgeSet.Len(), srcSet.Len())
+	if eoutM.Rows() != len(edgeKeys) || eoutM.Cols() != srcSet.Len() {
+		return nil, fmt.Errorf("stream: eout is %d×%d, want %d×%d", eoutM.Rows(), eoutM.Cols(), len(edgeKeys), srcSet.Len())
 	}
-	if einM.Rows() != edgeSet.Len() || einM.Cols() != dstSet.Len() {
-		return nil, fmt.Errorf("stream: ein is %d×%d, want %d×%d", einM.Rows(), einM.Cols(), edgeSet.Len(), dstSet.Len())
+	if einM.Rows() != len(edgeKeys) || einM.Cols() != dstSet.Len() {
+		return nil, fmt.Errorf("stream: ein is %d×%d, want %d×%d", einM.Rows(), einM.Cols(), len(edgeKeys), dstSet.Len())
 	}
 	if mainM.Rows() != srcSet.Len() || mainM.Cols() != dstSet.Len() {
 		return nil, fmt.Errorf("stream: adjacency is %d×%d, want %d×%d", mainM.Rows(), mainM.Cols(), srcSet.Len(), dstSet.Len())
 	}
-	eout, err := assoc.New(edgeSet, srcSet, eoutM)
+	// Back into id space: each incidence row's one column position is
+	// the position of the endpoint's id.
+	srcID, out, err := unitRowIDs(eoutM, srcByPos)
 	if err != nil {
 		return nil, err
 	}
-	ein, err := assoc.New(edgeSet, dstSet, einM)
+	dstID, in, err := unitRowIDs(einM, dstByPos)
 	if err != nil {
 		return nil, err
 	}
@@ -407,20 +419,24 @@ func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec V
 	v := &View[V]{
 		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
 		opt:      opt,
-		eout:     eout,
-		ein:      ein,
-		main:     main,
+		keys:     edgeKeys,
+		srcID:    srcID,
+		dstID:    dstID,
+		out:      out,
+		in:       in,
 		srcIn:    srcIn,
 		dstIn:    dstIn,
+		uRows:    srcSet,
+		uCols:    dstSet,
 		srcPos:   srcPos,
 		dstPos:   dstPos,
-		edges:    int(edges),
+		synced:   len(edgeKeys),
+		main:     main,
 		appends:  int(appends),
 		epoch:    int(epoch),
 		exact:    exact,
 		autoSeq:  int(autoSeq),
 		autoBase: autoBase,
-		lastKey:  lastKey,
 	}
 	return v, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adjarray/internal/assoc"
 	"adjarray/internal/semiring"
 	"adjarray/internal/wal"
 )
@@ -28,12 +29,24 @@ func snapEqual(t *testing.T, got, want Snapshot[float64], label string) {
 	if !got.Adjacency.Equal(want.Adjacency, eq) {
 		t.Fatalf("%s: adjacency diverged", label)
 	}
-	if !got.Eout.Equal(want.Eout, eq) {
+	gotOut, gotIn := mustLogs(t, got)
+	wantOut, wantIn := mustLogs(t, want)
+	if !gotOut.Equal(wantOut, eq) {
 		t.Fatalf("%s: Eout diverged", label)
 	}
-	if !got.Ein.Equal(want.Ein, eq) {
+	if !gotIn.Equal(wantIn, eq) {
 		t.Fatalf("%s: Ein diverged", label)
 	}
+}
+
+// mustLogs resolves a snapshot's key-ordered incidence arrays.
+func mustLogs[V any](t *testing.T, s Snapshot[V]) (eout, ein *assoc.Array[V]) {
+	t.Helper()
+	eout, ein, err := s.Logs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eout, ein
 }
 
 // flatSnap pins a store snapshot and flattens it into a plain Snapshot:
@@ -48,7 +61,9 @@ func flatSnap(t *testing.T, s *Store[float64]) Snapshot[float64] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Snapshot[float64]{Adjacency: ss.Adjacency, Eout: eout, Ein: ein, Edges: ss.Edges, Epoch: ss.Epoch, Exact: ss.Exact}
+	resolved := &logView[float64]{eout: eout, ein: ein}
+	resolved.once.Do(func() {})
+	return Snapshot[float64]{Adjacency: ss.Adjacency, Edges: ss.Edges, Epoch: ss.Epoch, Exact: ss.Exact, log: resolved}
 }
 
 // memStore opens an in-memory store.

@@ -13,16 +13,17 @@ import (
 )
 
 // adversarialVertices stresses the interner's byte-oriented hash
-// through the slow append path: unicode, embedded NUL, 0xff, empty
+// through vertex-introducing appends: unicode, embedded NUL, 0xff, empty
 // string, and long shared prefixes.
 var adversarialVertices = []string{
 	"", "\x00", "\xff", "a\x00b", "κόμβος", "🔑", "v", "v1", "v10",
 	"prefix-aaaaaaaaaaaaaaaa", "prefix-aaaaaaaaaaaaaaab",
 }
 
-// TestInternedSlowPathMatchesBatch drives growth through the interner
-// slow path (every batch introduces vertices) and checks the
-// incremental adjacency against a one-shot batch construction.
+// TestInternedSlowPathMatchesBatch grows the universe with every batch
+// (each one interns vertices the view has not seen — what was once a
+// separate slow path) and checks the incremental adjacency against a
+// one-shot batch construction.
 func TestInternedSlowPathMatchesBatch(t *testing.T) {
 	ops := semiring.PlusTimes()
 	v := NewView(ops, Options{})
@@ -43,7 +44,7 @@ func TestInternedSlowPathMatchesBatch(t *testing.T) {
 		seq++
 	}
 	addBatch(batch...)
-	// Round 2: revisit known vertices (fast path) interleaved with new.
+	// Round 2: revisit known vertices interleaved with new.
 	r := rand.New(rand.NewSource(3))
 	for round := 0; round < 20; round++ {
 		var b []Edge[float64]
@@ -63,7 +64,8 @@ func TestInternedSlowPathMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One-shot oracle from the log itself.
-	oracle, err := assoc.Correlate(snap.Eout, snap.Ein, ops, assoc.MulOptions{})
+	eout, ein := mustLogs(t, snap)
+	oracle, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestInternedSlowPathMatchesBatch(t *testing.T) {
 		Len() int
 		Key(int) string
 		Index(string) (int, bool)
-	}{snap.Eout.ColKeys(), snap.Ein.ColKeys()} {
+	}{eout.ColKeys(), ein.ColKeys()} {
 		if !set.Interned() {
 			t.Fatal("universe key set not interner-bound")
 		}
@@ -265,7 +267,8 @@ func TestScratchPoolAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := assoc.Correlate(snap.Eout, snap.Ein, ops, assoc.MulOptions{})
+	logOut, logIn := mustLogs(t, snap)
+	oracle, err := assoc.Correlate(logOut, logIn, ops, assoc.MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

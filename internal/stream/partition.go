@@ -397,13 +397,7 @@ func (p *partition[V]) checkpoint() error {
 func (p *partition[V]) checkpointLocked() error {
 	v := p.v
 	v.mu.Lock()
-	err := v.flushLogLocked()
-	if err == nil {
-		err = v.materializeLocked()
-	}
-	if err == nil {
-		err = v.embedMainLocked(v.eout.ColKeys(), v.ein.ColKeys())
-	}
+	err := v.materializeLocked()
 	if err != nil {
 		// A view-maintenance failure, not a storage fault: report it
 		// without touching the storage-health state.

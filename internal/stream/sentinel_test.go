@@ -26,13 +26,13 @@ func TestUnweightedEdgeSelectsOnePerAlgebra(t *testing.T) {
 		ops := entry.Ops
 		want := ops.Mul(ops.One, ops.One)
 		v := NewView(ops, Options{})
-		// First batch takes the slow (universe-growing) path, second the
-		// resolved fast path; the convention must hold on both.
+		// The first batch introduces its vertices, the second names only
+		// known ones; the convention must hold on both.
 		if err := v.Append([]Edge[float64]{{Key: "k1", Src: "a", Dst: "b"}}); err != nil {
 			t.Fatalf("%s: append: %v", ops.Name, err)
 		}
 		if err := v.Append([]Edge[float64]{{Key: "k2", Src: "b", Dst: "a"}}); err != nil {
-			t.Fatalf("%s: fast append: %v", ops.Name, err)
+			t.Fatalf("%s: second append: %v", ops.Name, err)
 		}
 		snap := mustSnap(t, v)
 		for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}} {
@@ -100,7 +100,8 @@ func TestExplicitZeroWeightRoundTrips(t *testing.T) {
 		}
 		// The log keeps the literal value — the ingested weight is not
 		// rewritten.
-		if got, stored := snap.Eout.At("k1", "a"); !stored || !ops.Equal(got, ops.Zero) {
+		eout, _ := mustLogs(t, snap)
+		if got, stored := eout.At("k1", "a"); !stored || !ops.Equal(got, ops.Zero) {
 			t.Errorf("%s: log stored out-weight %v (stored=%v), want the explicit Zero %v", name, got, stored, ops.Zero)
 		}
 	}

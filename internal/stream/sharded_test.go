@@ -101,10 +101,11 @@ func TestShardedLogsMatchSingleView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eout.Equal(ref.Eout, eqF) {
+	refOut, refIn := mustLogs(t, ref)
+	if !eout.Equal(refOut, eqF) {
 		t.Error("merged Eout != single-view Eout")
 	}
-	if !ein.Equal(ref.Ein, eqF) {
+	if !ein.Equal(refIn, eqF) {
 		t.Error("merged Ein != single-view Ein")
 	}
 	merged := flatSnap(t, sv)
@@ -268,6 +269,11 @@ func TestShardedStats(t *testing.T) {
 	}
 	if len(st.PerShard) != 2 || st.PerShard[0].Edges+st.PerShard[1].Edges != 40 {
 		t.Errorf("per-shard breakdown inconsistent: %+v", st.PerShard)
+	}
+	// The snapshot folded each shard's backlog once, and said so.
+	if st.Folds != 2 || st.PerShard[0].Folds != 1 || st.PerShard[1].Folds != 1 ||
+		st.FoldNanos <= 0 || st.FoldNanos != st.PerShard[0].FoldNanos+st.PerShard[1].FoldNanos {
+		t.Errorf("fold counters inconsistent: %d folds, %d ns, per shard %+v", st.Folds, st.FoldNanos, st.PerShard)
 	}
 }
 

@@ -396,15 +396,21 @@ func (s StoreSnapshot[V]) Logs() (eout, ein *assoc.Array[V], err error) {
 }
 
 func mergeLogs[V any](shards []Snapshot[V], ops semiring.Ops[V]) (eout, ein *assoc.Array[V], err error) {
-	eout, ein = shards[0].Eout, shards[0].Ein
+	if eout, ein, err = shards[0].Logs(); err != nil {
+		return nil, nil, err
+	}
 	for _, sn := range shards[1:] {
-		if sn.Eout.RowKeys().Len() == 0 {
+		if sn.Edges == 0 {
 			continue
 		}
-		if eout, err = assoc.Add(eout, sn.Eout, ops); err != nil {
+		so, si, err := sn.Logs()
+		if err != nil {
 			return nil, nil, err
 		}
-		if ein, err = assoc.Add(ein, sn.Ein, ops); err != nil {
+		if eout, err = assoc.Add(eout, so, ops); err != nil {
+			return nil, nil, err
+		}
+		if ein, err = assoc.Add(ein, si, ops); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -466,13 +472,15 @@ func (s *Store[V]) Abort() {
 
 // StoreStats aggregates the per-shard counters.
 type StoreStats struct {
-	Shards   int     // shard count
-	Edges    int     // edges across all shard logs
-	Epochs   []int   // per-shard batch epochs (the consistency vector)
-	AdjNNZ   int     // stored adjacency entries across shards (rows are disjoint, so the sum is exact)
-	Pending  int     // contribution entries awaiting per-shard folds
-	Exact    bool    // every shard provably equals its one-shot construction
-	PerShard []Stats // the full per-shard counters
+	Shards    int     // shard count
+	Edges     int     // edges across all shard logs
+	Epochs    []int   // per-shard batch epochs (the consistency vector)
+	AdjNNZ    int     // stored adjacency entries across shards (rows are disjoint, so the sum is exact)
+	Pending   int     // contribution entries awaiting per-shard folds
+	Exact     bool    // every shard provably equals its one-shot construction
+	Folds     int     // backlog folds run across shards
+	FoldNanos int64   // time in them, summed (shards fold concurrently)
+	PerShard  []Stats // the full per-shard counters
 }
 
 // Stats returns aggregated counters plus the per-shard breakdown.
@@ -490,6 +498,8 @@ func (s *Store[V]) Stats() StoreStats {
 		st.Edges += ps.Edges
 		st.AdjNNZ += ps.AdjNNZ
 		st.Pending += ps.PendingNNZ
+		st.Folds += ps.Folds
+		st.FoldNanos += ps.FoldNanos
 		st.Exact = st.Exact && ps.Exact
 	}
 	return st

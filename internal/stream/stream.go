@@ -8,23 +8,31 @@
 //
 //	A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:]
 //
-// (the delta identity). A View owns a pair of append-only incidence
-// arrays — the edge log — plus the current adjacency array, and applies
-// each batch through the shared partial-product engine in
-// internal/shard instead of rebuilding from scratch.
+// (the delta identity), and that makes an append cost O(|K′|). A View
+// honours the bound by storing everything an append touches in
+// coordinates that never move. Endpoint strings go through per-side
+// slab-backed interners (keys.Interner): every distinct vertex is stored
+// once and gets a dense id in arrival order, stable for the life of the
+// view. The edge log is five flat append-only slices — key, source id,
+// destination id and the two incidence values of each edge — and a
+// pending contribution is the pair (source id, destination id) packed
+// into one integer, plus its value. A new vertex, wherever its key
+// sorts, gets the next id and moves nothing, so Append is one path:
+// validate the keys, intern the endpoints, append to the slices.
 //
-// Vertex resolution goes through per-side slab-backed key interners
-// (keys.Interner): every distinct endpoint string is stored once and
-// mapped to a stable dense id, and the view maintains one flat id →
-// column-position array per side. The hot Append path therefore
-// resolves endpoints with two array reads per edge — no map[string]int,
-// no binary search, no re-sorting of string slices — and a batch that
-// introduces new vertices sorts only the NEW keys (typically a handful)
-// before the merge-sweep union grows the universe. The universe key
-// Sets are Bound to the interners, so every downstream lookup
-// (EmbedInto, merge alignment, facade queries against snapshots)
-// resolves through the same hash table instead of building per-Set
-// maps.
+// Key order — the order of Definition I.1's key sets, which the
+// adjacency array and the incidence arrays are stored in — is
+// established only where it is consumed. The fold that merges the
+// backlog into the adjacency first syncs the vertex universe: the ids
+// first referenced since the last fold are collected, only THEIR keys
+// are sorted, one merge sweep per side folds them into the sorted key
+// Sets, and a new id → position array per side is built (the Sets are
+// Bound to the interners through those arrays, so every downstream key
+// lookup resolves through the same hash table instead of a per-Set
+// map). Pending pairs are then mapped to cells of that universe and
+// folded. The key-ordered incidence arrays Eout and Ein themselves are
+// built from the log on request (Snapshot.Logs), which only Compact, the
+// checkpoint encoder and callers that want the arrays ask for.
 //
 // Soundness hypothesis: folding a delta into already-folded state
 // re-associates the per-cell ⊕ fold — ((earlier edges) ⊕ (delta))
@@ -39,10 +47,10 @@
 // Options.CheckAssociative samples the hypothesis on every append and
 // fails fast instead.
 //
-// Reads are served from Snapshots: immutable views that share CSR
-// backing with the live state (copy-on-write — an append never mutates
-// storage reachable from a handed-out snapshot), so taking one is O(1)
-// and snapshot readers never block ingest.
+// Reads are served from Snapshots: immutable views that share storage
+// with the live state (copy-on-write — an append never mutates storage
+// reachable from a handed-out snapshot), so taking one is O(1) and
+// snapshot readers never block ingest.
 package stream
 
 import (
@@ -50,8 +58,10 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
@@ -112,82 +122,84 @@ type Options struct {
 	PendingBudget int
 }
 
-// View is a maintained adjacency array: an append-only incidence log
-// and the current A = Eoutᵀ ⊕.⊗ Ein, updated per batch by the delta
-// identity. All methods are safe for concurrent use; reads should go
-// through Snapshot, which never blocks on ingest more than the O(1)
-// bookkeeping under the lock (plus a pending fold when appends happened
-// since the last read).
+// View is a maintained adjacency array: an append-only edge log and the
+// current A = Eoutᵀ ⊕.⊗ Ein, updated per batch by the delta identity.
+// All methods are safe for concurrent use; reads should go through
+// Snapshot, which never blocks on ingest more than the O(1) bookkeeping
+// under the lock (plus a fold when appends happened since the last
+// read).
 //
 // The adjacency is held in two levels, LSM-style: `main`, the
 // materialized array snapshots share, and a pending delta backlog —
-// each appended edge's contribution out⊗in recorded as an integer cell
-// coordinate plus value, in arrival order. An append therefore costs
-// O(batch) — not O(nnz(main)) — and the backlog is folded into main (one
-// sort + one ⊕-merge) only when it outgrows Options.PendingBudget or a
-// snapshot needs the materialized state. Level order is fold order:
-// main holds the earlier edge keys, so a fold re-associates but never
-// reorders contributions.
+// each appended edge's contribution out⊗in recorded with its endpoint
+// ids, in arrival order. Level order is fold order: main holds the
+// earlier edge keys, so a fold re-associates but never reorders
+// contributions.
 //
-// The hot Append path is allocation-lean by construction: batch
-// vertices resolve through the per-side interners to integer positions
-// (two flat array reads per edge), the log grows by single-entry CSR
-// rows in place, and the pending backlog is two flat slices. A batch
-// that introduces vertices unseen by the log sorts only the new keys
-// and grows the universe by one merge sweep — cold ingest from an empty
-// view stays amortized even though nearly every early batch lands
-// there.
+// An Append costs O(batch) whatever the view holds and whatever the
+// batch introduces: the log and the backlog are indexed by interner id,
+// and ids never move (see the package comment). Everything that depends
+// on key ORDER — the sorted vertex universe, the id → position arrays,
+// main's key sets — is brought up to date by the fold, once per fold:
+// when the backlog outgrows Options.PendingBudget or a Snapshot needs
+// the materialized state. Cold ingest from an empty view, where nearly
+// every batch introduces vertices, is therefore the same code at the
+// same cost per edge as steady-state ingest.
 type View[V any] struct {
 	mu  sync.Mutex
 	eng shard.Engine[V]
 	opt Options
 
-	eout, ein *assoc.Array[V] // append-only incidence log (reified rows)
+	// The edge log, one entry per edge in arrival order — which the key
+	// discipline makes ascending key order. Append-only: an entry is
+	// never rewritten once its batch committed, so a Snapshot captures
+	// the log by slice header. The key-ordered incidence arrays are
+	// built from it on request (Snapshot.Logs).
+	keys         []string
+	srcID, dstID []int32 // endpoint ids in srcIn / dstIn
+	out, in      []V     // Eout(k, src), Ein(k, dst)
 
-	// The fast path stages its unit rows here instead of growing the
-	// log arrays per batch: reifying a batch into eout/ein costs five
-	// small wrapper allocations (Set, two CSRs, two Arrays) every
-	// append, while staging is five slice appends into view-owned
-	// buffers. flushLogLocked reifies the whole run in one shot at the
-	// next boundary that needs the arrays (Snapshot, Compact, a
-	// universe-growing batch) — so between snapshots the hot path
-	// allocates only on amortized slice growth. Column positions stay
-	// valid while staged because only the slow path changes the
-	// universe, and it flushes first. lastKey tracks the newest edge
-	// key across reified AND staged rows (v.edges > 0 marks it valid).
-	stageKeys           []string
-	stageOut, stageIn   []int
-	stageOutV, stageInV []V
-	lastKey             string
-
-	// srcIn/dstIn intern endpoint strings to stable dense ids; srcPos/
-	// dstPos map each id to its column position in the current universe
-	// (-1: interned but not, or no longer provisionally, in the
-	// universe). The position arrays are REPLACED, never mutated, when
-	// the universe grows, so the InternIndex bindings handed to older
-	// Sets keep describing the universe those Sets froze.
+	// srcIn/dstIn intern endpoint strings to stable dense ids.
 	srcIn, dstIn *keys.Interner
+
+	// The vertex universe as of the last sync (syncUniverseLocked):
+	// uRows/uCols are the sorted key sets of the endpoints of
+	// keys[:synced], srcPos/dstPos map an id to its position in them
+	// (-1 or out of range: not in the universe — an id first referenced
+	// past synced, or left behind by a rolled-back batch). The position
+	// arrays are REPLACED, never mutated, when the universe grows, so
+	// the InternIndex bindings handed to older Sets keep describing the
+	// universe those Sets froze.
+	uRows, uCols *keys.Set
 	//adjlint:cow
 	srcPos, dstPos []int32
+	synced         int
 
-	main       *assoc.Array[V] // materialized adjacency (snapshots share it); always spans the log's vertex universe
-	pendCell   []int64         // pending contribution cells, row*C+col in universe coords, arrival order
+	main       *assoc.Array[V] // materialized adjacency (snapshots share it); spans uRows × uCols
+	pendCell   []int64         // pending contributions, srcID<<32 | dstID, arrival order
 	pendVal    []V             // pending contribution values, parallel to pendCell
 	mainShared bool            // a Snapshot holds main's storage
 	mainScr    sparse.MergeScratch[V]
 
-	edges    int // rows in the log
-	appends  int // batches since the last compact
-	epoch    int // total batches ever applied
-	exact    bool
-	autoSeq  int    // generator for auto-assigned edge keys
-	autoBase string // prefix for auto keys: "" selects "e"; a Store gives each of several shards its own
+	// logs is what Snapshot hands out for the current log and universe;
+	// nil once an append moved either. Keeping it lets every snapshot of
+	// one epoch (and Compact, and the next checkpoint) share one build
+	// of the incidence arrays, and keeps a clean Snapshot allocation-free.
+	logs *logView[V]
 
-	scr batchScratch[V] // per-append buffers, reused under mu
+	appends   int // batches since the last compact
+	epoch     int // total batches ever applied
+	exact     bool
+	autoSeq   int    // generator for auto-assigned edge keys
+	autoBase  string // prefix for auto keys: "" selects "e"; a Store gives each of several shards its own
+	folds     int    // folds run (Stats.Folds)
+	foldNanos int64  // time spent in them (Stats.FoldNanos)
+
+	scr batchScratch[V] // per-append and per-fold buffers, reused under mu
 
 	// failpoint, when set (tests only), is consulted at named sites
-	// inside the append paths; a non-nil return aborts the append there.
-	// It exists to prove the rollback below restores the view exactly.
+	// inside Append; a non-nil return aborts the append there. It exists
+	// to prove the rollback below restores the view exactly.
 	failpoint func(site string) error
 }
 
@@ -200,75 +212,67 @@ func (v *View[V]) fail(site string) error {
 }
 
 // committedError marks an error raised AFTER a batch was fully
-// committed (counters bumped, rows in the log) by follow-on
+// committed (counters bumped, edges in the log) by follow-on
 // maintenance — the backlog fold or an auto-compact. Rolling the batch
 // back there would be wrong (the maintenance may have merged in place),
-// so the append paths let it through without restoring.
+// so Append lets it through without restoring.
 type committedError struct{ err error }
 
 func (e *committedError) Error() string { return e.err.Error() }
 func (e *committedError) Unwrap() error { return e.err }
 
-// appendRollback is the state an in-flight append may change, captured
-// as slice headers and counters. Arrays are copy-on-write throughout
-// the append paths (the backlog rebase included), so restoring the
-// headers restores the view bit for bit: bytes past a restored length
-// are garbage a future append overwrites before reading.
-type appendRollback[V any] struct {
-	eout, ein, main *assoc.Array[V]
-	srcPos, dstPos  []int32
-	pendCell        []int64
-	pendVal         []V
-	nStage          int
-	mainShared      bool
-	edges           int
-	appends         int
-	epoch           int
-	exact           bool
-	lastKey         string
+// appendRollback is the state an in-flight append changes before its
+// commit point: the lengths of the append-only slices and the counters.
+// Restoring them restores the view bit for bit — entries past a
+// restored length are garbage a future append overwrites before
+// anything reads them, and no Snapshot can have captured them (it takes
+// the lock the append holds).
+type appendRollback struct {
+	nLog, nPend    int
+	appends, epoch int
+	autoSeq        int
+	autoBase       string
 }
 
-func (v *View[V]) captureLocked() appendRollback[V] {
-	return appendRollback[V]{
-		eout: v.eout, ein: v.ein, main: v.main,
-		srcPos: v.srcPos, dstPos: v.dstPos,
-		pendCell: v.pendCell, pendVal: v.pendVal,
-		nStage:     len(v.stageKeys),
-		mainShared: v.mainShared,
-		edges:      v.edges, appends: v.appends, epoch: v.epoch,
-		exact: v.exact, lastKey: v.lastKey,
+func (v *View[V]) captureLocked() appendRollback {
+	return appendRollback{
+		nLog: len(v.keys), nPend: len(v.pendCell),
+		appends: v.appends, epoch: v.epoch,
+		autoSeq: v.autoSeq, autoBase: v.autoBase,
 	}
 }
 
-func (v *View[V]) restoreLocked(rb appendRollback[V]) {
-	v.eout, v.ein, v.main = rb.eout, rb.ein, rb.main
-	v.srcPos, v.dstPos = rb.srcPos, rb.dstPos
-	v.pendCell, v.pendVal = rb.pendCell, rb.pendVal
-	v.stageKeys = v.stageKeys[:rb.nStage]
-	v.stageOut, v.stageIn = v.stageOut[:rb.nStage], v.stageIn[:rb.nStage]
-	v.stageOutV, v.stageInV = v.stageOutV[:rb.nStage], v.stageInV[:rb.nStage]
-	v.mainShared = rb.mainShared
-	v.edges, v.appends, v.epoch = rb.edges, rb.appends, rb.epoch
-	v.exact, v.lastKey = rb.exact, rb.lastKey
-	// Interner ids assigned for the failed batch stay behind as
-	// orphans (id → position -1); growSideLocked is built to absorb
-	// them on the next universe growth.
+// rollbackLocked restores the captured state for a batch that failed
+// before its commit point — unless err is a committedError, in which
+// case the batch stays applied and only the maintenance error
+// propagates. Interner ids assigned for a rolled-back batch stay behind
+// as orphans no log entry references; the universe sync never sees
+// them, and picks one up like any new id if a later batch uses its key.
+func (v *View[V]) rollbackLocked(rb appendRollback, err error) error {
+	if ce, ok := err.(*committedError); ok {
+		return ce.err
+	}
+	v.keys = v.keys[:rb.nLog]
+	v.srcID, v.dstID = v.srcID[:rb.nLog], v.dstID[:rb.nLog]
+	v.out, v.in = v.out[:rb.nLog], v.in[:rb.nLog]
+	v.pendCell, v.pendVal = v.pendCell[:rb.nPend], v.pendVal[:rb.nPend]
+	v.appends, v.epoch = rb.appends, rb.epoch
+	v.autoSeq, v.autoBase = rb.autoSeq, rb.autoBase
+	return err
 }
 
-// batchScratch holds the fast path's per-append buffers. Append runs
+// batchScratch holds the per-append and per-fold buffers. Both run
 // under the view lock, so one set per view suffices; in steady state the
-// ingest path stops allocating.
+// ingest path allocates only on amortized slice growth.
 type batchScratch[V any] struct {
 	rowKeys        []string
 	srcs, dsts     []string
 	outs, ins      []V
 	srcIDs, dstIDs []int32 // interner ids, parallel to srcs/dsts
-	srcID          []int   // column positions, parallel to srcs
-	dstID          []int
-	newIDs         []int32  // slow path: ids of keys new to one universe
-	newKeys        []string // slow path: their key strings, then sorted
-	enc            []int64  // materialize: (cell, seq) encoding
-	foldPtr        []int    // materialize: fold CSR row pointer
+	autoBuf        []byte  // the batch's auto-assigned keys, back to back
+	autoEnd        []int   // autoEnd[j]: where the j-th of them ends
+	enc            []int64 // materialize: (cell, seq) encoding
+	foldPtr        []int   // materialize: fold CSR row pointer
 	foldCol        []int
 	foldVal        []V
 	tmpCol         []int   // parallel materialize: span-local fold staging
@@ -279,16 +283,15 @@ type batchScratch[V any] struct {
 
 // NewView creates an empty view for the given operator pair.
 func NewView[V any](ops semiring.Ops[V], opt Options) *View[V] {
-	// Each log line gets its own empty array: reuse-append chains grow
-	// their receiver's backing, so eout and ein must never share one.
+	main := assoc.FromTriples[V](nil, nil)
 	return &View[V]{
 		eng:   shard.Engine[V]{Ops: ops, Mul: opt.Mul},
 		opt:   opt,
-		eout:  assoc.FromTriples[V](nil, nil),
-		ein:   assoc.FromTriples[V](nil, nil),
-		main:  assoc.FromTriples[V](nil, nil),
 		srcIn: keys.NewInterner(),
 		dstIn: keys.NewInterner(),
+		uRows: main.RowKeys(),
+		uCols: main.ColKeys(),
+		main:  main,
 		exact: true,
 	}
 }
@@ -296,6 +299,8 @@ func NewView[V any](ops semiring.Ops[V], opt Options) *View[V] {
 // FromIncidence bootstraps a view from an existing batch-built pair of
 // incidence arrays: the initial adjacency is constructed one-shot (the
 // exact sequential fold), and subsequent Appends apply deltas on top.
+// Every row must hold exactly one entry per side (Definition I.4) — the
+// shape the edge log stores.
 func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Options) (*View[V], error) {
 	if !eout.RowKeys().Equal(ein.RowKeys()) {
 		return nil, fmt.Errorf("stream: incidence arrays disagree on edge keys")
@@ -308,61 +313,75 @@ func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Op
 	if err != nil {
 		return nil, err
 	}
-	v.eout, v.ein, v.main = eout, ein, adj
-	v.edges = eout.RowKeys().Len()
-	v.lastKey = eout.RowKeys().Key(v.edges - 1)
-	v.rebindLocked()
+	v.keys = eout.RowKeys().Keys()
+	if v.srcPos, v.srcID, v.out, err = bootstrapSide(v.srcIn, eout); err != nil {
+		return nil, err
+	}
+	if v.dstPos, v.dstID, v.in, err = bootstrapSide(v.dstIn, ein); err != nil {
+		return nil, err
+	}
+	v.uRows, v.uCols, v.main = eout.ColKeys(), ein.ColKeys(), adj
+	v.synced = len(v.keys)
 	return v, nil
 }
 
-// flushLogLocked reifies the staged fast-path rows into the log arrays
-// — one AppendIncidencePair for the whole run since the last flush.
-// Boundaries that read or reshape the log (Snapshot, Compact, the
-// universe-growing append paths) flush first; between them the arrays'
-// ROW dimension lags the staged run while the column universe stays
-// exact (only flushed paths may grow it).
-func (v *View[V]) flushLogLocked() error {
-	if len(v.stageKeys) == 0 {
-		return nil
+// bootstrapSide interns one bootstrap array's column universe, binds the
+// key Set to the interner, and reads the array's unit rows back into log
+// columns.
+func bootstrapSide[V any](in *keys.Interner, a *assoc.Array[V]) (pos, ids []int32, vals []V, err error) {
+	set := a.ColKeys()
+	colID := make([]int32, set.Len())
+	for j := range colID {
+		colID[j] = in.Intern(set.Key(j))
 	}
-	eout, ein, err := assoc.AppendIncidencePair(v.eout, v.ein, v.stageKeys, v.stageOut, v.stageIn, v.stageOutV, v.stageInV)
-	if err != nil {
-		return err
-	}
-	v.eout, v.ein = eout, ein
-	v.stageKeys = v.stageKeys[:0]
-	v.stageOut, v.stageIn = v.stageOut[:0], v.stageIn[:0]
-	v.stageOutV, v.stageInV = v.stageOutV[:0], v.stageInV[:0]
-	return nil
-}
-
-// rebindLocked resynchronizes the interners with the log's column
-// universes from scratch — the recovery path for batches that grow the
-// universe outside the interner-aware route (AppendArrays, the packed-
-// coordinate overflow fallback) and the FromIncidence bootstrap. It
-// interns every universe key (existing ids are reused; ids never
-// change) and rebuilds the id→position arrays, then binds the universe
-// Sets so their Index resolves through the interner.
-func (v *View[V]) rebindLocked() {
-	v.srcPos = rebindSide(v.srcIn, v.eout.ColKeys())
-	v.dstPos = rebindSide(v.dstIn, v.ein.ColKeys())
-}
-
-func rebindSide(in *keys.Interner, set *keys.Set) []int32 {
-	n := set.Len()
-	ids := make([]int32, n)
-	for i := 0; i < n; i++ {
-		ids[i] = in.Intern(set.Key(i))
-	}
-	pos := make([]int32, in.Len())
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, id := range ids {
-		pos[id] = int32(i)
+	pos = make([]int32, in.Len())
+	for j, id := range colID {
+		pos[id] = int32(j)
 	}
 	set.Bind(&keys.InternIndex{In: in, Pos: pos})
-	return pos
+	ids, vals, err = unitRowIDs(a.Matrix(), colID)
+	return pos, ids, vals, err
+}
+
+// unitRowIDs reads an incidence matrix — exactly one entry per row
+// (Definition I.4) — back into log columns: each row's vertex id (colID
+// maps a column position to its interner id) and its value.
+func unitRowIDs[V any](m *sparse.CSR[V], colID []int32) (ids []int32, vals []V, err error) {
+	ids, vals = make([]int32, m.Rows()), make([]V, m.Rows())
+	for i := range ids {
+		cols, vs := m.Row(i)
+		if len(cols) != 1 {
+			return nil, nil, fmt.Errorf("stream: incidence row %d holds %d entries, want exactly one", i, len(cols))
+		}
+		ids[i], vals[i] = colID[cols[0]], vs[0]
+	}
+	return ids, vals, nil
+}
+
+// grow returns s with room for n more elements, doubling on growth: the
+// built-in append backs off to ~1.25x for large slices, which costs
+// ~2.5x more copying over an append-only log's lifetime (internal/sparse
+// and internal/keys grow their logs the same way).
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make([]T, len(s), max(2*len(s), len(s)+n))
+	copy(out, s)
+	return out
+}
+
+// appendAutoKey appends base and n zero-padded to twelve digits — what
+// fmt's "%s%012d" prints for n ≥ 0, the form every auto-assigned key in
+// a log or WAL written so far has.
+func appendAutoKey(dst []byte, base string, n int) []byte {
+	dst = append(dst, base...)
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(n), 10)
+	for i := len(digits); i < 12; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // Append ingests one edge batch. Edge keys must be strictly increasing
@@ -370,36 +389,67 @@ func rebindSide(in *keys.Interner, set *keys.Set) []int32 {
 // append-only discipline that keeps fold order equal to arrival order);
 // an empty Key is auto-assigned from the view's monotone generator —
 // don't mix auto-assigned and explicit keys. Duplicate keys are
-// rejected. The caller's slice is never written.
+// rejected. The caller's slice is never written. A batch is applied
+// whole or not at all.
 func (v *View[V]) Append(edges []Edge[V]) error {
 	if len(edges) == 0 {
 		return nil
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	rb := v.captureLocked()
+	if err := v.appendLocked(edges); err != nil {
+		return v.rollbackLocked(rb, err)
+	}
+	return nil
+}
+
+// appendLocked is Append under the lock: validate, intern, log, queue,
+// count — then the budget and compaction policies, whose failures are
+// committedErrors. Nothing of the view is touched before the batch has
+// passed every check.
+func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	ops := v.eng.Ops
 	s := &v.scr
+	n0, n := len(v.keys), len(edges)
+	last := ""
+	if n0 > 0 {
+		last = v.keys[n0-1]
+	}
+	// Auto-assigned keys are generated first, into one buffer converted
+	// to a string once and sliced per key. The generator state moves
+	// only if the batch commits.
+	base, seq := v.autoBase, v.autoSeq
+	s.autoBuf, s.autoEnd = s.autoBuf[:0], s.autoEnd[:0]
+	for i := range edges {
+		if edges[i].Key != "" {
+			continue
+		}
+		if base == "" {
+			base = "e"
+		}
+		start := len(s.autoBuf)
+		s.autoBuf = appendAutoKey(s.autoBuf, base, seq+i)
+		if len(s.autoEnd) == 0 && n0 > 0 && string(s.autoBuf[start:]) <= last {
+			// The next generated key would not sort after the log (a
+			// bootstrap or a recovered log with other keys): reseed the
+			// generator past the log's last key.
+			base, seq = last+"+", -i
+			s.autoBuf = appendAutoKey(s.autoBuf[:start], base, 0)
+		}
+		s.autoEnd = append(s.autoEnd, len(s.autoBuf))
+	}
+	auto, autoAt := string(s.autoBuf), 0
+
 	s.rowKeys = s.rowKeys[:0]
 	s.srcs, s.dsts = s.srcs[:0], s.dsts[:0]
 	s.outs, s.ins = s.outs[:0], s.ins[:0]
-	// The generator state moves only if the batch commits.
-	base, seq, seeded := v.autoBase, v.autoSeq, false
+	autoEnd := s.autoEnd
 	prev := ""
 	for i, e := range edges {
 		key := e.Key
 		if key == "" {
-			if base == "" {
-				base = "e"
-			}
-			key = fmt.Sprintf("%s%012d", base, seq+i)
-			if !seeded && v.edges > 0 && key <= v.lastKey {
-				// The next generated key would not sort after the log
-				// (a bootstrap or a recovered log with other keys):
-				// reseed the generator past the log's last key.
-				base, seq = v.lastKey+"+", -i
-				key = fmt.Sprintf("%s%012d", base, 0)
-			}
-			seeded = true
+			key, autoAt, autoEnd = auto[autoAt:autoEnd[0]], autoEnd[0], autoEnd[1:]
 		}
 		if i > 0 && key <= prev {
 			return fmt.Errorf("stream: batch edge keys not strictly increasing at %d: %q <= %q", i, key, prev)
@@ -418,333 +468,50 @@ func (v *View[V]) Append(edges []Edge[V]) error {
 		s.outs = append(s.outs, ov)
 		s.ins = append(s.ins, iv)
 	}
-	// Cross-batch key discipline, validated before anything is staged
-	// or committed: the batch's first key must sort after everything in
-	// the log, reified or staged.
-	if v.edges > 0 && s.rowKeys[0] <= v.lastKey {
-		return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", s.rowKeys[0], v.lastKey)
+	if n0 > 0 && s.rowKeys[0] <= last {
+		return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", s.rowKeys[0], last)
 	}
-	before := v.epoch
-	err := v.appendResolvedLocked()
-	if v.epoch != before {
-		// Committed, even when follow-on maintenance then failed.
-		v.autoBase, v.autoSeq = base, seq+len(edges)
-	}
-	return err
-}
-
-// appendResolvedLocked applies the batch staged in v.scr: the fused fast
-// path when every batch vertex resolves through the interners to a
-// position in the current universe, the general grow route otherwise.
-func (v *View[V]) appendResolvedLocked() error {
-	s := &v.scr
-	n := len(s.rowKeys)
-	if cap(s.srcIDs) < n {
-		s.srcIDs = make([]int32, 0, 2*n)
-		s.dstIDs = make([]int32, 0, 2*n)
-	}
-	s.srcIDs, s.dstIDs = s.srcIDs[:n], s.dstIDs[:n]
-	s.srcID = s.srcID[:0]
-	s.dstID = s.dstID[:0]
-	// One read-lock acquisition per side resolves the whole batch to
-	// interner ids; ids then map to column positions with a flat array
-	// read. No maps, no binary searches, no sorting.
-	resolved := v.srcIn.LookupBatch(s.srcs, s.srcIDs) && v.dstIn.LookupBatch(s.dsts, s.dstIDs)
-	if resolved {
-		for i := 0; i < n; i++ {
-			sid, did := s.srcIDs[i], s.dstIDs[i]
-			if int(sid) >= len(v.srcPos) || v.srcPos[sid] < 0 ||
-				int(did) >= len(v.dstPos) || v.dstPos[did] < 0 {
-				resolved = false
-				break
-			}
-			s.srcID = append(s.srcID, int(v.srcPos[sid]))
-			s.dstID = append(s.dstID, int(v.dstPos[did]))
-		}
-	}
-	C := int64(v.ein.ColKeys().Len())
-	if resolved && (C == 0 || int64(v.eout.ColKeys().Len()) <= math.MaxInt64/C) {
-		rb := v.captureLocked()
-		if err := v.appendFastLocked(); err != nil {
-			return v.rollbackLocked(rb, err)
-		}
-		return nil
-	}
-	// Reify the staged run before capturing: the flush commits PRIOR
-	// batches (already accepted), not this one, so it must survive a
-	// rollback of this batch.
-	if err := v.flushLogLocked(); err != nil {
-		return err
-	}
-	rb := v.captureLocked()
-	if err := v.appendSlowLocked(); err != nil {
-		return v.rollbackLocked(rb, err)
-	}
-	return nil
-}
-
-// rollbackLocked restores the captured state for a batch that failed
-// before its commit point — unless err is a committedError, in which
-// case the batch stays applied and only the maintenance error
-// propagates.
-func (v *View[V]) rollbackLocked(rb appendRollback[V], err error) error {
-	if ce, ok := err.(*committedError); ok {
-		return ce.err
-	}
-	v.restoreLocked(rb)
-	return err
-}
-
-// appendSlowLocked handles a staged batch that introduces vertices
-// unseen by the log. The batch endpoints are interned (new keys land in
-// the slab and get fresh ids); only the keys NEW to each universe are
-// sorted — a handful, not the whole batch — and the column universes
-// grow by one merge-sweep union (GrowCols, no hashing, growth maps for
-// free). The id→position arrays are rebuilt copy-on-write, the pending
-// backlog's integer coordinates are rebased into the grown universe —
-// O(backlog), no fold — and the batch's contributions queue raw exactly
-// like the fast path's.
-func (v *View[V]) appendSlowLocked() error {
-	s := &v.scr
-	n := len(s.rowKeys)
 	if v.opt.CheckAssociative {
 		if err := v.checkBatchAssociativeLocked(); err != nil {
 			return err
 		}
 	}
-	// The staged run was reified by the caller (appendResolvedLocked)
-	// before the rollback capture: positions staged earlier refer to
-	// the universe this batch is about to grow.
+
+	// One lock acquisition per side resolves the whole batch to interner
+	// ids, new vertices included: a new key takes the next id, and no
+	// existing id — so nothing already stored — moves.
+	s.srcIDs, s.dstIDs = grow(s.srcIDs[:0], n)[:n], grow(s.dstIDs[:0], n)[:n]
 	v.srcIn.InternBatch(s.srcs, s.srcIDs)
 	v.dstIn.InternBatch(s.dsts, s.dstIDs)
-	srcPos, err := v.growSideLocked(v.srcIn, v.srcPos, s.srcIDs, true)
-	if err != nil {
+	if err := v.fail("append:interned"); err != nil {
 		return err
 	}
-	if err := v.fail("slow:grew-src"); err != nil {
+	v.keys = append(grow(v.keys, n), s.rowKeys...)
+	v.srcID = append(grow(v.srcID, n), s.srcIDs...)
+	v.dstID = append(grow(v.dstID, n), s.dstIDs...)
+	v.out = append(grow(v.out, n), s.outs...)
+	v.in = append(grow(v.in, n), s.ins...)
+	if err := v.fail("append:logged"); err != nil {
 		return err
 	}
-	dstPos, err := v.growSideLocked(v.dstIn, v.dstPos, s.dstIDs, false)
-	if err != nil {
-		return err
-	}
-	if err := v.fail("slow:grew-dst"); err != nil {
-		return err
-	}
-	newC := int64(v.ein.ColKeys().Len())
-	if newC > 0 && int64(v.eout.ColKeys().Len()) > math.MaxInt64/newC {
-		// Cell coordinates no longer pack into an int64: fall back to
-		// the array route (flush + direct merge), which never packs.
-		// The universes have already grown consistently, so only the
-		// log rows and the adjacency merge remain.
-		dout, din, err := buildDelta(s.rowKeys, s.srcs, s.dsts, s.outs, s.ins)
-		if err != nil {
-			return err
-		}
-		return v.appendArraysLocked(dout, din, nil)
-	}
-	// Per-edge positions in the grown universes.
-	s.srcID, s.dstID = s.srcID[:0], s.dstID[:0]
-	for i := 0; i < n; i++ {
-		s.srcID = append(s.srcID, int(srcPos[s.srcIDs[i]]))
-		s.dstID = append(s.dstID, int(dstPos[s.dstIDs[i]]))
-	}
-	eout, ein, err := assoc.AppendIncidencePair(v.eout, v.ein, s.rowKeys, s.srcID, s.dstID, s.outs, s.ins)
-	if err != nil {
-		return err
-	}
-	v.eout, v.ein = eout, ein
-	if err := v.fail("slow:appended-rows"); err != nil {
-		return err
-	}
-	return v.commitBatchLocked(newC)
-}
-
-// growSideLocked grows one side's column universe to cover the batch
-// ids in batchIDs, committing the grown array, the rebased backlog
-// coordinates (the src side owns the row coordinate, the dst side the
-// column), and the new id→position array. It returns the committed
-// position array. When the batch introduces no new keys the existing
-// position array is returned untouched.
-func (v *View[V]) growSideLocked(in *keys.Interner, pos []int32, batchIDs []int32, isSrc bool) ([]int32, error) {
-	s := &v.scr
-	// Collect the distinct ids that are not (or not yet) in the
-	// universe, in first-appearance order, using a grown copy of the
-	// position array as the visited set (-2 marks "queued").
-	total := in.Len()
-	newPos := make([]int32, total)
-	copy(newPos, pos)
-	for i := len(pos); i < total; i++ {
-		newPos[i] = -1
-	}
-	s.newIDs = s.newIDs[:0]
-	for _, id := range batchIDs {
-		if newPos[id] == -1 {
-			newPos[id] = -2
-			s.newIDs = append(s.newIDs, id)
-		}
-	}
-	side := v.eout
-	if !isSrc {
-		side = v.ein
-	}
-	if len(s.newIDs) == 0 {
-		// No growth on this side: keep the existing array and binding.
-		if len(newPos) == len(pos) {
-			return pos, nil
-		}
-		// Interner grew (orphans from an earlier failed batch) but this
-		// universe did not; publish the extended map so ids stay in
-		// bounds.
-		side.ColKeys().Bind(&keys.InternIndex{In: in, Pos: newPos})
-		if isSrc {
-			v.srcPos = newPos
-		} else {
-			v.dstPos = newPos
-		}
-		return newPos, nil
-	}
-	// Sort ONLY the new keys — the interner already deduplicated them.
-	s.newKeys = s.newKeys[:0]
-	for _, id := range s.newIDs {
-		s.newKeys = append(s.newKeys, in.Key(id))
-	}
-	order := make([]int, len(s.newIDs))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return strings.Compare(s.newKeys[a], s.newKeys[b]) })
-	sorted := make([]string, len(order))
-	for j, oi := range order {
-		sorted[j] = s.newKeys[oi]
-	}
-	extra, err := keys.FromSorted(sorted)
-	if err != nil {
-		return nil, fmt.Errorf("stream: batch keys: %w", err)
-	}
-	grown, oldPos, extraPos, err := side.GrowCols(extra)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild this side's id→position map copy-on-write: existing ids
-	// remap through oldPos; new ids take their union positions.
-	for id, p := range newPos {
-		switch {
-		case p >= 0 && oldPos != nil:
-			newPos[id] = int32(oldPos[p])
-		case p == -2:
-			newPos[id] = -1 // filled from the sorted order below
-		}
-	}
-	for j, oi := range order {
-		up := j
-		if extraPos != nil {
-			up = extraPos[j]
-		}
-		newPos[s.newIDs[oi]] = int32(up)
-	}
-	// Rebase the backlog into the grown universe. The source side owns
-	// the row coordinate, the destination side the column; the column
-	// stride changes only when the dst side grows, and the caller grows
-	// dst AFTER src, so rebasing per side in call order stays exact.
-	// The rebase is copy-on-write — a later failure in this append must
-	// be able to restore the pre-batch backlog by slice header alone.
-	oldC := int64(v.ein.ColKeys().Len())
-	if len(v.pendCell) > 0 && oldPos != nil {
-		rebased := make([]int64, len(v.pendCell))
-		if isSrc {
-			for i, cell := range v.pendCell {
-				r, c := cell/oldC, cell%oldC
-				rebased[i] = int64(oldPos[r])*oldC + c
-			}
-		} else {
-			newC := int64(grown.ColKeys().Len())
-			for i, cell := range v.pendCell {
-				r, c := cell/oldC, cell%oldC
-				rebased[i] = r*newC + int64(oldPos[c])
-			}
-		}
-		v.pendCell = rebased
-	} else if !isSrc && len(v.pendCell) > 0 && oldC != int64(grown.ColKeys().Len()) {
-		newC := int64(grown.ColKeys().Len())
-		rebased := make([]int64, len(v.pendCell))
-		for i, cell := range v.pendCell {
-			r, c := cell/oldC, cell%oldC
-			rebased[i] = r*newC + c
-		}
-		v.pendCell = rebased
-	}
-	grown.ColKeys().Bind(&keys.InternIndex{In: in, Pos: newPos})
-	if isSrc {
-		v.eout = grown
-		v.srcPos = newPos
-	} else {
-		v.ein = grown
-		v.dstPos = newPos
-	}
-	return newPos, nil
-}
-
-// appendFastLocked is the steady-state ingest path: all batch vertices
-// resolved to positions in the (unchanged) universe, so the batch's
-// unit rows are STAGED (five slice appends; reified in bulk at the next
-// flush boundary) and its contributions queue as raw (cell, value)
-// pairs — no delta arrays, no per-batch product, no key-set work, no
-// wrapper allocations.
-func (v *View[V]) appendFastLocked() error {
-	s := &v.scr
-
-	if v.opt.CheckAssociative {
-		if err := v.checkBatchAssociativeLocked(); err != nil {
-			return err
-		}
-	}
-	v.stageKeys = append(v.stageKeys, s.rowKeys...)
-	v.stageOut = append(v.stageOut, s.srcID...)
-	v.stageIn = append(v.stageIn, s.dstID...)
-	v.stageOutV = append(v.stageOutV, s.outs...)
-	v.stageInV = append(v.stageInV, s.ins...)
-	if err := v.fail("fast:staged"); err != nil {
-		return err
-	}
-	return v.commitBatchLocked(int64(v.ein.ColKeys().Len()))
-}
-
-// commitBatchLocked is the shared tail of both append paths: it queues
-// the staged batch's contributions as (cell, value) pairs against the
-// committed universe (stride C), bumps the counters, and applies the
-// budget/compaction policies. The caller must already have grown the
-// log and assigned v.eout/v.ein.
-func (v *View[V]) commitBatchLocked(C int64) error {
-	s := &v.scr
-	ops := v.eng.Ops
-	if need := len(v.pendCell) + len(s.srcID); cap(v.pendCell) < need {
-		// Grow by doubling (the built-in append backs off to ~1.25x for
-		// large slices): the backlog fills toward the fold budget and
-		// resets keeping its capacity, so growth stops after the first
-		// fold cycle. Never pre-reserve the budget itself — it is a CAP,
-		// and callers legitimately set it huge to defer folding.
-		c := 2 * cap(v.pendCell)
-		if c < need {
-			c = need
-		}
-		pc := make([]int64, len(v.pendCell), c)
-		pv := make([]V, len(v.pendVal), c)
-		copy(pc, v.pendCell)
-		copy(pv, v.pendVal)
-		v.pendCell, v.pendVal = pc, pv
-	}
-	for i := range s.srcID {
-		v.pendCell = append(v.pendCell, int64(s.srcID[i])*C+int64(s.dstID[i]))
+	// The backlog fills toward the fold budget and resets keeping its
+	// capacity, so its growth stops after the first fold cycle. The
+	// budget itself is never pre-reserved — it is a CAP, and callers
+	// legitimately set it huge to defer folding.
+	v.pendCell, v.pendVal = grow(v.pendCell, n), grow(v.pendVal, n)
+	for i := range s.srcIDs {
+		v.pendCell = append(v.pendCell, int64(s.srcIDs[i])<<32|int64(s.dstIDs[i]))
 		v.pendVal = append(v.pendVal, ops.Mul(s.outs[i], s.ins[i]))
 	}
-	v.edges += len(s.rowKeys)
-	v.lastKey = s.rowKeys[len(s.rowKeys)-1]
 	v.appends++
 	v.epoch++
+	v.autoBase, v.autoSeq = base, seq+n
 	if err := v.fail("commit:counted"); err != nil {
 		return err
 	}
+	// Committed: from here on v.logs no longer describes the log, and a
+	// failure is the maintenance's, not the batch's.
+	v.logs = nil
 	if len(v.pendVal) >= v.pendingBudget() {
 		if err := v.materializeLocked(); err != nil {
 			return &committedError{err}
@@ -783,166 +550,6 @@ func (v *View[V]) checkBatchAssociativeLocked() error {
 	return nil
 }
 
-// buildDelta constructs a batch's delta incidence arrays in one
-// map-free pass. Because an incidence row holds exactly one entry per
-// side (Definition I.4), each side is a unit-diagonal-shaped CSR whose
-// column indices come from one argsort of the batch's vertex keys; no
-// hash maps are built.
-//
-// The returned arrays retain the callers' slices (rowKeys, outs, ins)
-// — the view passes its per-append scratch here, so they must not
-// outlive the append that built them. The log append copies everything
-// it keeps.
-func buildDelta[V any](rowKeys, srcs, dsts []string, outs, ins []V) (dout, din *assoc.Array[V], err error) {
-	n := len(rowKeys)
-	rows, err := keys.FromSorted(rowKeys)
-	if err != nil {
-		return nil, nil, fmt.Errorf("stream: batch keys: %w", err)
-	}
-	srcSet, si := argsortUnique(srcs)
-	dstSet, di := argsortUnique(dsts)
-	rowPtr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] = i + 1
-	}
-	outM, err := sparse.NewCSR(n, srcSet.Len(), rowPtr, si, outs)
-	if err != nil {
-		return nil, nil, err
-	}
-	inM, err := sparse.NewCSR(n, dstSet.Len(), append([]int(nil), rowPtr...), di, ins)
-	if err != nil {
-		return nil, nil, err
-	}
-	dout, err = assoc.New(rows, srcSet, outM)
-	if err != nil {
-		return nil, nil, err
-	}
-	din, err = assoc.New(rows, dstSet, inM)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dout, din, nil
-}
-
-// argsortUnique returns the sorted unique key Set of ks plus each
-// element's position in it — one argsort instead of a set sort followed
-// by per-element binary searches.
-func argsortUnique(ks []string) (*keys.Set, []int) {
-	idx := make([]int, len(ks))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int { return strings.Compare(ks[a], ks[b]) })
-	uniq := make([]string, 0, len(ks))
-	pos := make([]int, len(ks))
-	for _, e := range idx {
-		if len(uniq) == 0 || uniq[len(uniq)-1] != ks[e] {
-			uniq = append(uniq, ks[e])
-		}
-		pos[e] = len(uniq) - 1
-	}
-	set, err := keys.FromSorted(uniq)
-	if err != nil {
-		panic("stream: argsortUnique produced unsorted keys: " + err.Error())
-	}
-	return set, pos
-}
-
-// AppendArrays ingests one batch given directly as a pair of delta
-// incidence arrays sharing their edge-key row set — the entry point for
-// ingest pipelines that already build arrays (internal/core's
-// accumulator, replayed batch files). The same key discipline as Append
-// applies.
-func (v *View[V]) AppendArrays(dout, din *assoc.Array[V]) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.appendArraysLocked(dout, din, nil)
-}
-
-// appendArraysLocked applies one delta batch on the general array route:
-// the batch's partial product (computed through the shared shard engine
-// when not supplied) is ⊕-merged into the main adjacency directly. This
-// path can grow the vertex universe outside the interner-aware route,
-// so the pending backlog — encoded in the old universe's coordinates —
-// is folded first, and the interners are resynchronized after.
-func (v *View[V]) appendArraysLocked(dout, din, partial *assoc.Array[V]) error {
-	if !dout.RowKeys().Equal(din.RowKeys()) {
-		return fmt.Errorf("stream: delta incidence arrays disagree on edge keys")
-	}
-	if dout.RowKeys().Len() == 0 {
-		return nil
-	}
-	if partial == nil {
-		var err error
-		partial, err = v.eng.Partial(dout, din)
-		if err != nil {
-			return err
-		}
-	}
-	if v.opt.CheckAssociative {
-		if err := v.eng.CheckAssociative(dout, din, partial); err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
-	}
-	// Reify staged rows and fold the backlog under the universe their
-	// coordinates refer to, before the log append below can grow it.
-	if err := v.flushLogLocked(); err != nil {
-		return err
-	}
-	if err := v.materializeLocked(); err != nil {
-		return err
-	}
-	// Grow the log next: AppendRows validates the key discipline, and
-	// failing before the merge keeps log and adjacency consistent.
-	oldSrcSet, oldDstSet := v.eout.ColKeys(), v.ein.ColKeys()
-	eout, err := v.eout.AppendRows(dout, true)
-	if err != nil {
-		return err
-	}
-	ein, err := v.ein.AppendRows(din, true)
-	if err != nil {
-		return err
-	}
-	v.eout, v.ein = eout, ein
-	// Resynchronize the interners only when the universe actually grew
-	// (AppendRows returns the SAME column Set pointers otherwise, and a
-	// same-pointer Set means every cached id→position entry is still
-	// exact) — the steady-state array route stays O(batch), not
-	// O(universe).
-	if eout.ColKeys() != oldSrcSet || ein.ColKeys() != oldDstSet {
-		v.rebindLocked()
-	}
-	uRows, uCols := eout.ColKeys(), ein.ColKeys()
-	pe, err := partial.EmbedInto(uRows, uCols)
-	if err != nil {
-		return err
-	}
-	if err := v.embedMainLocked(uRows, uCols); err != nil {
-		return err
-	}
-	if v.main.NNZ() > 0 && partial.NNZ() > 0 && !v.opt.CheckAssociative {
-		// The merge groups this batch's folded contribution against
-		// already-folded state under unverified ⊕.
-		v.exact = false
-	}
-	main, err := v.eng.MergeScratch(v.main, pe, !v.mainShared, &v.mainScr)
-	if err != nil {
-		return err
-	}
-	if main != v.main {
-		v.mainShared = false
-	}
-	v.main = main
-	v.edges += dout.RowKeys().Len()
-	v.lastKey = dout.RowKeys().Key(dout.RowKeys().Len() - 1)
-	v.appends++
-	v.epoch++
-	if v.opt.CompactEvery > 0 && v.appends >= v.opt.CompactEvery {
-		return v.compactLocked()
-	}
-	return nil
-}
-
 func (v *View[V]) pendingBudget() int {
 	if v.opt.PendingBudget > 0 {
 		return v.opt.PendingBudget
@@ -954,19 +561,102 @@ func (v *View[V]) pendingBudget() int {
 	return b
 }
 
-// embedMainLocked grows main's key sets to the universe. EmbedInto
-// shares main's storage (no value copy), so mainShared must stay as it
-// is.
-func (v *View[V]) embedMainLocked(uRows, uCols *keys.Set) error {
-	if v.main.RowKeys().Equal(uRows) && v.main.ColKeys().Equal(uCols) {
+// syncUniverseLocked brings the sorted vertex universe up to the log:
+// the endpoints of the entries appended since the last sync join uRows
+// and uCols, and main is embedded into the grown key sets through the
+// position maps the union yields (integer remapping; values shared, so
+// mainShared stays as it is). This is the one place key order is
+// established for what appends stored by id, and it costs O(new entries
+// + universe + nnz(main)) — once per fold, not once per batch.
+func (v *View[V]) syncUniverseLocked() error {
+	if v.synced == len(v.keys) {
 		return nil
 	}
-	main, err := v.main.EmbedInto(uRows, uCols)
+	uRows, srcPos, rowMap, err := growSide(v.srcIn, v.uRows, v.srcPos, v.srcID[v.synced:])
 	if err != nil {
 		return err
 	}
-	v.main = main
+	uCols, dstPos, colMap, err := growSide(v.dstIn, v.uCols, v.dstPos, v.dstID[v.synced:])
+	if err != nil {
+		return err
+	}
+	if uRows != v.uRows || uCols != v.uCols {
+		m, err := sparse.Embed(v.main.Matrix(), rowMap, colMap, uRows.Len(), uCols.Len())
+		if err != nil {
+			return err
+		}
+		main, err := assoc.New(uRows, uCols, m)
+		if err != nil {
+			return err
+		}
+		v.main = main
+	}
+	v.uRows, v.srcPos, v.uCols, v.dstPos = uRows, srcPos, uCols, dstPos
+	v.synced = len(v.keys)
 	return nil
+}
+
+// growSide returns one side's universe grown to cover ids — the
+// interner ids of the log entries appended since the last sync. The ids
+// not yet in the universe are collected, ONLY their keys are sorted
+// (the interner already deduplicated them), and one merge sweep unions
+// them into the sorted key Set, yielding the position maps for free.
+// pos is never written: growth builds a new id → position array and
+// binds it to the new Set. oldPos maps a position in set to its position
+// in the grown Set (nil: unchanged). With nothing new, set and pos come
+// back as they are.
+func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grownSet *keys.Set, grown []int32, oldPos []int, err error) {
+	type idKey struct {
+		id  int32
+		key string
+	}
+	// grown is pos extended over the whole interner, made on the first
+	// new id; -2 marks "queued".
+	var fresh []idKey
+	for _, id := range ids {
+		if int(id) < len(pos) && pos[id] >= 0 {
+			continue
+		}
+		if grown == nil {
+			grown = make([]int32, in.Len())
+			for i := copy(grown, pos); i < len(grown); i++ {
+				grown[i] = -1
+			}
+		}
+		if grown[id] == -1 {
+			grown[id] = -2
+			fresh = append(fresh, idKey{id, in.Key(id)})
+		}
+	}
+	if grown == nil {
+		return set, pos, nil, nil
+	}
+	slices.SortFunc(fresh, func(a, b idKey) int { return strings.Compare(a.key, b.key) })
+	sorted := make([]string, len(fresh))
+	for j, f := range fresh {
+		sorted[j] = f.key
+	}
+	extra, err := keys.FromSorted(sorted)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("stream: new vertex keys: %w", err)
+	}
+	grownSet, oldPos, extraPos := set.UnionOffsets(extra)
+	if oldPos != nil {
+		for id, p := range grown {
+			if p >= 0 {
+				grown[id] = int32(oldPos[p])
+			}
+		}
+	}
+	for j, f := range fresh {
+		p := j
+		if extraPos != nil {
+			p = extraPos[j]
+		}
+		grown[f.id] = int32(p)
+	}
+	grownSet.Bind(&keys.InternIndex{In: in, Pos: grown})
+	return grownSet, grown, oldPos, nil
 }
 
 // minParallelFold is the backlog size below which the materialize fold
@@ -974,15 +664,17 @@ func (v *View[V]) embedMainLocked(uRows, uCols *keys.Set) error {
 // a small sort+fold undercuts on one core.
 const minParallelFold = 4096
 
-// materializeLocked folds the pending backlog into the main adjacency:
-// the contributions are grouped by cell while preserving arrival order
-// within each cell, each cell's run is ⊕-folded (pruning folds equal to
-// the algebra's zero, the kernels' contract), and the resulting delta
-// array ⊕-merges into main with main's entries on the left. Level order
-// is edge-key order, so only the fold's GROUPING changes, never its
-// order — and the grouping changes only at this main-vs-backlog
-// boundary, which is where a non-associative ⊕ can diverge (flagged via
-// Exact unless the guard is on).
+// materializeLocked folds the pending backlog into the main adjacency.
+// The universe is synced first, so every pending (source id, destination
+// id) pair has a cell row*C+col in it; the contributions are then
+// grouped by cell while preserving arrival order within each cell, each
+// cell's run is ⊕-folded (pruning folds equal to the algebra's zero, the
+// kernels' contract), and the resulting delta array ⊕-merges into main
+// with main's entries on the left. Level order is edge-key order, so
+// only the fold's GROUPING changes, never its order — and the grouping
+// changes only at this main-vs-backlog boundary, which is where a
+// non-associative ⊕ can diverge (flagged via Exact unless the guard is
+// on).
 //
 // With Options.Mul requesting parallelism and a backlog worth
 // splitting, the fold runs across row spans balanced by pending-entry
@@ -994,9 +686,21 @@ func (v *View[V]) materializeLocked() error {
 	if n == 0 {
 		return nil
 	}
+	start := time.Now()
+	defer func() {
+		v.folds++
+		v.foldNanos += time.Since(start).Nanoseconds()
+	}()
+	if err := v.syncUniverseLocked(); err != nil {
+		return err
+	}
 	s := &v.scr
-	uRows, uCols := v.eout.ColKeys(), v.ein.ColKeys()
-	R, C := uRows.Len(), uCols.Len()
+	R, C := v.uRows.Len(), v.uCols.Len()
+	// Ids to cells, in place: the backlog is the view's alone and is
+	// emptied below.
+	for i, c := range v.pendCell {
+		v.pendCell[i] = int64(v.srcPos[c>>32])*int64(C) + int64(v.dstPos[uint32(c)])
+	}
 	w := 1
 	if mw := v.opt.Mul.Workers; (mw > 1 || mw < 0) && n >= minParallelFold {
 		w = parallel.Workers(mw, R)
@@ -1019,11 +723,8 @@ func (v *View[V]) materializeLocked() error {
 	if err != nil {
 		return err
 	}
-	fold, err := assoc.New(uRows, uCols, fm)
+	fold, err := assoc.New(v.uRows, v.uCols, fm)
 	if err != nil {
-		return err
-	}
-	if err := v.embedMainLocked(uRows, uCols); err != nil {
 		return err
 	}
 	if v.main.NNZ() > 0 && !v.opt.CheckAssociative {
@@ -1299,8 +1000,8 @@ func (v *View[V]) foldPendingParallel(R, C, w int) {
 }
 
 // Snapshot returns an immutable read view of the current state: the
-// adjacency array, both incidence arrays, and counters. The arrays
-// share storage with the live state, and subsequent appends leave
+// adjacency array, the edge log behind Logs, and counters. Everything
+// shares storage with the live state, and subsequent appends leave
 // everything reachable from the snapshot untouched (copy-on-write), so
 // a snapshot costs O(1) — except when appends happened since the last
 // read, in which case the pending backlog is folded into the main
@@ -1308,23 +1009,16 @@ func (v *View[V]) foldPendingParallel(R, C, w int) {
 func (v *View[V]) Snapshot() (Snapshot[V], error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if err := v.flushLogLocked(); err != nil {
-		return Snapshot[V]{}, err
-	}
 	if err := v.materializeLocked(); err != nil {
-		return Snapshot[V]{}, err
-	}
-	if err := v.embedMainLocked(v.eout.ColKeys(), v.ein.ColKeys()); err != nil {
 		return Snapshot[V]{}, err
 	}
 	v.mainShared = true
 	return Snapshot[V]{
 		Adjacency: v.main,
-		Eout:      v.eout,
-		Ein:       v.ein,
-		Edges:     v.edges,
+		Edges:     len(v.keys),
 		Epoch:     v.epoch,
 		Exact:     v.exact,
+		log:       v.logsLocked(),
 	}, nil
 }
 
@@ -1332,8 +1026,6 @@ func (v *View[V]) Snapshot() (Snapshot[V], error) {
 type Snapshot[V any] struct {
 	// Adjacency is A = Eoutᵀ ⊕.⊗ Ein as maintained incrementally.
 	Adjacency *assoc.Array[V]
-	// Eout and Ein are the incidence log at this epoch.
-	Eout, Ein *assoc.Array[V]
 	// Edges is the number of edges in the log.
 	Edges int
 	// Epoch counts batches applied since the view was created.
@@ -1344,6 +1036,84 @@ type Snapshot[V any] struct {
 	// CheckAssociative set the guard is sampled, not proven — a
 	// violation outside the sample can still slip through.)
 	Exact bool
+
+	log *logView[V]
+}
+
+// Logs returns the incidence log at this snapshot's epoch as the
+// key-ordered arrays Eout and Ein of Definition I.4, over the vertex
+// universe of that epoch. They are built on first request — O(edges) —
+// and shared by every copy of the snapshot.
+func (s Snapshot[V]) Logs() (eout, ein *assoc.Array[V], err error) {
+	return s.log.arrays()
+}
+
+// logView is the edge log and the vertex universe of one epoch, captured
+// by slice header (the log is append-only past the captured length, the
+// position arrays and key Sets are never mutated), plus the incidence
+// arrays built from them.
+type logView[V any] struct {
+	keys           []string
+	srcID, dstID   []int32
+	out, in        []V
+	srcPos, dstPos []int32
+	uRows, uCols   *keys.Set
+
+	once      sync.Once
+	eout, ein *assoc.Array[V]
+	err       error
+}
+
+// logsLocked returns the logView of the current log, which must be
+// synced with the universe.
+func (v *View[V]) logsLocked() *logView[V] {
+	if v.logs == nil {
+		n := len(v.keys)
+		v.logs = &logView[V]{
+			keys:  v.keys[:n:n],
+			srcID: v.srcID, dstID: v.dstID,
+			out: v.out[:n:n], in: v.in[:n:n],
+			srcPos: v.srcPos, dstPos: v.dstPos,
+			uRows: v.uRows, uCols: v.uCols,
+		}
+	}
+	return v.logs
+}
+
+func (l *logView[V]) arrays() (eout, ein *assoc.Array[V], err error) {
+	l.once.Do(l.build)
+	return l.eout, l.ein, l.err
+}
+
+// build assembles Eout and Ein as unit-row CSRs: rows are the edge keys
+// in log order (already ascending), row i's single entry sits in the
+// column its endpoint id has in this epoch's universe. Keys and values
+// are shared with the log, capacity-clipped so that nothing grown from
+// the arrays can write into it.
+func (l *logView[V]) build() {
+	rows, err := keys.FromSorted(l.keys)
+	if err != nil {
+		l.err = fmt.Errorf("stream: edge log: %w", err)
+		return
+	}
+	rowPtr := make([]int, len(l.keys)+1)
+	for i := range rowPtr {
+		rowPtr[i] = i
+	}
+	side := func(cols *keys.Set, ids, pos []int32, vals []V) (*assoc.Array[V], error) {
+		colIdx := make([]int, len(vals))
+		for i := range colIdx {
+			colIdx[i] = int(pos[ids[i]])
+		}
+		m, err := sparse.NewCSR(len(vals), cols.Len(), rowPtr, colIdx, vals)
+		if err != nil {
+			return nil, fmt.Errorf("stream: edge log: %w", err)
+		}
+		return assoc.New(rows, cols, m)
+	}
+	if l.eout, l.err = side(l.uRows, l.srcID, l.srcPos, l.out); l.err == nil {
+		l.ein, l.err = side(l.uCols, l.dstID, l.dstPos, l.in)
+	}
 }
 
 // Compact rebuilds the adjacency one-shot from the full incidence log —
@@ -1357,43 +1127,47 @@ func (v *View[V]) Compact() error {
 }
 
 func (v *View[V]) compactLocked() error {
-	if err := v.flushLogLocked(); err != nil {
+	if err := v.syncUniverseLocked(); err != nil {
 		return err
+	}
+	if len(v.keys) > 0 {
+		eout, ein, err := v.logsLocked().arrays()
+		if err != nil {
+			return err
+		}
+		adj, err := v.eng.Partial(eout, ein)
+		if err != nil {
+			return err
+		}
+		if !v.mainShared {
+			v.mainScr.Recycle(v.main.Matrix())
+		}
+		v.main = adj
+		v.mainShared = false
 	}
 	v.pendCell = v.pendCell[:0]
 	v.pendVal = v.pendVal[:0]
-	if v.edges == 0 {
-		v.appends = 0
-		v.exact = true
-		return nil
-	}
-	adj, err := v.eng.Partial(v.eout, v.ein)
-	if err != nil {
-		return err
-	}
-	if !v.mainShared {
-		v.mainScr.Recycle(v.main.Matrix())
-	}
-	v.main = adj
-	v.mainShared = false
 	v.appends = 0
 	v.exact = true
 	return nil
 }
 
 // Stats summarizes the view without exposing its arrays. Taking stats
-// never materializes: AdjNNZ counts the folded main level only, with
-// PendingNNZ contribution entries still in the backlog (pre-fold, so
-// several entries may later collapse into one stored cell).
+// never folds: AdjNNZ and the vertex counts describe the folded main
+// level only, with PendingNNZ contribution entries still in the backlog
+// (pre-fold, so several entries may later collapse into one stored cell,
+// and their endpoints join the vertex counts at the fold).
 type Stats struct {
-	Edges       int  // edges in the log
-	OutVertices int  // distinct source vertices
-	InVertices  int  // distinct destination vertices
-	AdjNNZ      int  // stored entries in the materialized main level
-	PendingNNZ  int  // contribution entries awaiting the backlog fold
-	Appends     int  // batches since the last compact
-	Epoch       int  // batches ever applied
-	Exact       bool // see Snapshot.Exact
+	Edges       int   // edges in the log
+	OutVertices int   // distinct source vertices, as of the last fold
+	InVertices  int   // distinct destination vertices, as of the last fold
+	AdjNNZ      int   // stored entries in the materialized main level
+	PendingNNZ  int   // contribution entries awaiting the backlog fold
+	Appends     int   // batches since the last compact
+	Epoch       int   // batches ever applied
+	Exact       bool  // see Snapshot.Exact
+	Folds       int   // backlog folds run (budget-triggered or for a Snapshot)
+	FoldNanos   int64 // time in them: universe sync + backlog fold + merge into main
 }
 
 // InternerStats reports the footprint of the out-side (source) and
@@ -1409,13 +1183,15 @@ func (v *View[V]) Stats() Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return Stats{
-		Edges:       v.edges,
-		OutVertices: v.eout.ColKeys().Len(),
-		InVertices:  v.ein.ColKeys().Len(),
+		Edges:       len(v.keys),
+		OutVertices: v.uRows.Len(),
+		InVertices:  v.uCols.Len(),
 		AdjNNZ:      v.main.NNZ(),
 		PendingNNZ:  len(v.pendVal),
 		Appends:     v.appends,
 		Epoch:       v.epoch,
 		Exact:       v.exact,
+		Folds:       v.folds,
+		FoldNanos:   v.foldNanos,
 	}
 }

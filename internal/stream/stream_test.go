@@ -234,7 +234,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	snap := mustSnap(t, v)
 	frozenAdj := snap.Adjacency.Triples()
-	frozenOut := snap.Eout.Triples()
+	eout, _ := mustLogs(t, snap)
+	frozenOut := eout.Triples()
 	for lo := 50; lo < 100; lo += 10 {
 		if err := v.Append(edges[lo : lo+10]); err != nil {
 			t.Fatal(err)
@@ -243,7 +244,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got := snap.Adjacency.Triples(); !tripleSlicesEqual(frozenAdj, got) {
 		t.Error("snapshot adjacency mutated by later appends")
 	}
-	if got := snap.Eout.Triples(); !tripleSlicesEqual(frozenOut, got) {
+	if got := eout.Triples(); !tripleSlicesEqual(frozenOut, got) {
 		t.Error("snapshot incidence mutated by later appends")
 	}
 	// And the live view moved on.
@@ -288,7 +289,9 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 				}
 				sum := 0.0
 				snap.Adjacency.Iterate(func(_, _ string, val float64) { sum += val })
-				_ = snap.Eout.NNZ()
+				if eout, _, err := snap.Logs(); err != nil || eout.NNZ() != snap.Edges {
+					panic(fmt.Sprint("snapshot log: ", err))
+				}
 			}
 		}()
 	}
@@ -416,10 +419,14 @@ func edgesOf(s Snapshot[float64]) []Edge[float64] {
 		a.Iterate(func(k, v string, val float64) { m[k] = [2]any{v, val} })
 		return m
 	}
-	outs, ins := bySide(s.Eout), bySide(s.Ein)
+	eout, ein, err := s.Logs()
+	if err != nil {
+		panic(err)
+	}
+	outs, ins := bySide(eout), bySide(ein)
 	edges := make([]Edge[float64], 0, s.Edges)
-	for i := 0; i < s.Eout.RowKeys().Len(); i++ {
-		k := s.Eout.RowKeys().Key(i)
+	for i := 0; i < eout.RowKeys().Len(); i++ {
+		k := eout.RowKeys().Key(i)
 		o, n := outs[k], ins[k]
 		edges = append(edges, Weighted(k, o[0].(string), n[0].(string), o[1].(float64), n[1].(float64)))
 	}
