@@ -51,7 +51,13 @@
 //     vector, bit-identical to one shard because shards own disjoint
 //     adjacency rows. One shard is shards = 1; in-memory is "no
 //     directory". On a directory every shard recovers from a
-//     write-ahead incidence log plus checkpoints (internal/wal), with
+//     write-ahead incidence log plus checkpoints (internal/wal). A
+//     checkpoint is the view as it lies in memory — the id-space edge
+//     log, the interner slabs, the id → position arrays and the folded
+//     adjacency, as CRC-closed sections (ADJCKPT format 2; format 1 is
+//     still read) — pinned by slice header under the view lock and
+//     streamed to disk with that lock released, so readers never wait
+//     on one and nothing it allocates grows with the view. Recovery has
 //     torn-tail repair, typed corruption errors, a refusal to reopen a
 //     directory under a different shard count, and a kill-and-recover
 //     gate in cmd/crashtest holding recovery bit-identical to the dense

@@ -9,11 +9,11 @@ import (
 )
 
 // Grow/merge entry points. The batch constructors (FromTriples, New)
-// build whole arrays; a maintained adjacency view instead grows an
-// append-only incidence log row batch by row batch and ⊕-folds small
-// delta products into a large accumulator. These paths reuse existing
-// key sets and CSR backing wherever possible instead of re-sorting and
-// re-allocating per batch (see internal/stream for the driver).
+// build whole arrays; a maintained adjacency view instead ⊕-folds small
+// delta products into a large accumulator whose key sets grow. These
+// paths reuse existing key sets and CSR backing wherever possible
+// instead of re-sorting and re-allocating per batch (see internal/stream
+// for the driver).
 
 // AppendRows stacks extra's rows below a's. extra's row keys must all
 // sort strictly after a's last row key — the append-only discipline of a
@@ -51,68 +51,6 @@ func (a *Array[V]) AppendRows(extra *Array[V], reuse bool) (*Array[V], error) {
 		return nil, fmt.Errorf("assoc: AppendRows: %w", err)
 	}
 	return &Array[V]{rows: rows, cols: cols, mat: m}, nil
-}
-
-// AppendUnitRows appends one single-entry row per element of rowKeys:
-// row rowKeys[i] holds value vals[i] at column position colPos[i] of a's
-// existing column key set. It is the fused fast path of AppendRows for
-// incidence-log ingest where the batch's vertices are already resolved
-// against the log's column set — no delta array is constructed and the
-// column set is shared untouched. rowKeys must be strictly increasing
-// and sort after a's last row key; backing grows with append semantics
-// (only the latest array in a chain may be extended further).
-func (a *Array[V]) AppendUnitRows(rowKeys []string, colPos []int, vals []V) (*Array[V], error) {
-	rows, err := a.rows.AppendSorted(rowKeys...)
-	if err != nil {
-		return nil, fmt.Errorf("assoc: AppendUnitRows: %w", err)
-	}
-	m, err := sparse.AppendUnitRows(a.mat, colPos, vals, true)
-	if err != nil {
-		return nil, fmt.Errorf("assoc: AppendUnitRows: %w", err)
-	}
-	return &Array[V]{rows: rows, cols: a.cols, mat: m}, nil
-}
-
-// GrowCols returns a with its column key set grown to the union with
-// extra, plus the position maps of the growth: oldPos maps a's current
-// column indices into the union (nil = identity — a's columns kept
-// their indices), extraPos maps extra's indices (nil = identity).
-// Values are never copied; when new columns interleave with existing
-// ones the stored column indices are remapped (O(nnz)). The union is a
-// straight merge sweep — no hashing — so growing by a small batch
-// against a large set costs O(|a.cols| + |extra|) comparisons.
-func (a *Array[V]) GrowCols(extra *keys.Set) (grown *Array[V], oldPos, extraPos []int, err error) {
-	cols, aPos, ePos := a.cols.UnionOffsets(extra)
-	m, err := sparse.Embed(a.mat, nil, aPos, a.rows.Len(), cols.Len())
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("assoc: GrowCols: %w", err)
-	}
-	return &Array[V]{rows: a.rows, cols: cols, mat: m}, aPos, ePos, nil
-}
-
-// AppendIncidencePair appends matched unit rows to an incidence-array
-// pair: row rowKeys[i] gains value outs[i] at column position outPos[i]
-// of eout and value ins[i] at inPos[i] of ein. The pair must share its
-// edge-key row set (the incidence-log invariant), and after the call it
-// shares one grown row chain — the edge keys are stored once, not once
-// per side, and the append-only discipline is validated once.
-func AppendIncidencePair[V any](eout, ein *Array[V], rowKeys []string, outPos, inPos []int, outs, ins []V) (*Array[V], *Array[V], error) {
-	if !eout.rows.Equal(ein.rows) {
-		return nil, nil, fmt.Errorf("assoc: AppendIncidencePair arrays disagree on edge keys")
-	}
-	rows, err := eout.rows.AppendSorted(rowKeys...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("assoc: AppendIncidencePair: %w", err)
-	}
-	mo, err := sparse.AppendUnitRows(eout.mat, outPos, outs, true)
-	if err != nil {
-		return nil, nil, fmt.Errorf("assoc: AppendIncidencePair out: %w", err)
-	}
-	mi, err := sparse.AppendUnitRows(ein.mat, inPos, ins, true)
-	if err != nil {
-		return nil, nil, fmt.Errorf("assoc: AppendIncidencePair in: %w", err)
-	}
-	return &Array[V]{rows: rows, cols: eout.cols, mat: mo}, &Array[V]{rows: rows, cols: ein.cols, mat: mi}, nil
 }
 
 // AddInto computes a ⊕= b over the union key space, with a's entries on

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
 )
 
@@ -155,117 +154,4 @@ func TestEmbedInto(t *testing.T) {
 	if _, err := a.EmbedInto(FromTriples([]Triple[float64]{{Row: "z", Col: "y", Val: 1}}, nil).RowKeys(), cols); err == nil {
 		t.Error("target missing a's rows accepted")
 	}
-}
-
-func TestGrowColsMatchesEmbedInto(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	a := FromTriples(randomTriples(r, 40, 10, 8, "e"), nil)
-	extra := keys.New("c0002", "c0500", "c0900", "zzz")
-	grown, oldPos, extraPos, err := a.GrowCols(extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	union := a.ColKeys().Union(extra)
-	if !grown.ColKeys().Equal(union) {
-		t.Fatal("grown column set is not the union")
-	}
-	want, err := a.EmbedInto(a.RowKeys(), union)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !grown.Equal(want, eqFloat) {
-		t.Fatal("GrowCols != EmbedInto over the union")
-	}
-	// Position maps resolve keys into the union.
-	for i := 0; i < a.ColKeys().Len(); i++ {
-		p := i
-		if oldPos != nil {
-			p = oldPos[i]
-		}
-		if union.Key(p) != a.ColKeys().Key(i) {
-			t.Fatalf("oldPos[%d] wrong", i)
-		}
-	}
-	for i := 0; i < extra.Len(); i++ {
-		p := i
-		if extraPos != nil {
-			p = extraPos[i]
-		}
-		if union.Key(p) != extra.Key(i) {
-			t.Fatalf("extraPos[%d] wrong", i)
-		}
-	}
-	// Subset growth is a no-op share.
-	same, op, ep, err := a.GrowCols(keys.New(a.ColKeys().Key(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same.ColKeys().Equal(a.ColKeys()) || op != nil || ep == nil && a.ColKeys().Key(0) != same.ColKeys().Key(0) {
-		t.Error("subset GrowCols should keep a's column set")
-	}
-}
-
-func TestAppendUnitRowsAndIncidencePair(t *testing.T) {
-	ops := semiring.PlusTimes()
-	mk := func() (*Array[float64], *Array[float64]) {
-		eout := FromTriples([]Triple[float64]{
-			{Row: "e01", Col: "a", Val: 1}, {Row: "e02", Col: "b", Val: 1},
-		}, nil)
-		ein := FromTriples([]Triple[float64]{
-			{Row: "e01", Col: "b", Val: 1}, {Row: "e02", Col: "c", Val: 1},
-		}, nil)
-		return eout, ein
-	}
-	eout, ein := mk()
-	// Unit rows on one side.
-	pos, ok := eout.ColKeys().Index("a")
-	if !ok {
-		t.Fatal("missing col")
-	}
-	grown, err := eout.AppendUnitRows([]string{"e03", "e04"}, []int{pos, pos}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := grown.At("e04", "a"); !ok || v != 3 {
-		t.Fatalf("unit row lost: %v %v", v, ok)
-	}
-	if _, err := grown.AppendUnitRows([]string{"e03"}, []int{pos}, []float64{1}); err == nil {
-		t.Error("stale key accepted")
-	}
-
-	// The pair append matches two independent AppendRows.
-	eout, ein = mk()
-	wantOut, wantIn := mk()
-	bo, bi := mk2Batch()
-	wo, err := wantOut.AppendRows(bo, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wi, err := wantIn.AppendRows(bi, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po, _ := eout.ColKeys().Index("b")
-	pi, _ := ein.ColKeys().Index("c")
-	go2, gi2, err := AppendIncidencePair(eout, ein, []string{"e03"}, []int{po}, []int{pi}, []float64{5}, []float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !go2.Equal(wo, eqFloat) || !gi2.Equal(wi, eqFloat) {
-		t.Error("pair append != general append")
-	}
-	if !go2.RowKeys().Equal(gi2.RowKeys()) {
-		t.Error("pair append broke the shared-row invariant")
-	}
-	// And the grown pair keeps folding correctly through the engine path.
-	if _, err := Correlate(go2, gi2, ops, MulOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// mk2Batch is the delta for the pair-append oracle: edge e03 with
-// Eout(e03,b)=5, Ein(e03,c)=7.
-func mk2Batch() (*Array[float64], *Array[float64]) {
-	return FromTriples([]Triple[float64]{{Row: "e03", Col: "b", Val: 5}}, nil),
-		FromTriples([]Triple[float64]{{Row: "e03", Col: "c", Val: 7}}, nil)
 }

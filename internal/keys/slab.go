@@ -1,42 +1,77 @@
 package keys
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 )
 
-// Interner slab serialization. The wire layout is the slab itself plus
-// the offset array — the two arrays that define the id space:
+// Interner slab serialization. What defines the id space is the slab
+// itself plus the offset array; checkpoints store exactly those two
+// (Prefix hands them out, InternerFromParts takes them back). The hash
+// table and seed are NOT serialized: maphash seeds are process-local by
+// design, so loading rebuilds the table by re-hashing each key under a
+// fresh seed. Ids are preserved because they are defined by slab order,
+// not by the table.
+//
+// InternerFromBinary reads the self-delimiting form format-1
+// checkpoints embed:
 //
 //	uint32 LE  key count n
 //	uint32 LE  slab length (== off[n])
 //	[n]uint32  off[1..n] (off[0] is always 0 and is not stored)
 //	[...]byte  slab bytes
-//
-// The hash table and seed are NOT serialized: maphash seeds are
-// process-local by design, so loading rebuilds the table by re-hashing
-// each key under a fresh seed. Ids are preserved because they are
-// defined by slab order, not by the table.
 
-// AppendBinary appends the interner's serialized form to dst.
-func (in *Interner) AppendBinary(dst []byte) []byte {
+// Prefix returns the storage of the first n keys: off[:n+1] and the slab
+// bytes they delimit. Both arrays are append-only, so the returned
+// slices never change and may be read without the interner's lock while
+// interning continues. They must not be written.
+func (in *Interner) Prefix(n int) (off []uint32, slab []byte) {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	n := len(in.off) - 1
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(in.slab)))
-	for _, o := range in.off[1:] {
-		dst = binary.LittleEndian.AppendUint32(dst, o)
-	}
-	return append(dst, in.slab...)
+	return in.off[: n+1 : n+1], in.slab[:in.off[n]:in.off[n]]
 }
 
-// InternerFromBinary decodes an interner serialized by AppendBinary
-// from the front of buf, returning the remaining bytes. The offset
-// array is validated (monotone, ending exactly at the slab length) and
-// the hash table is rebuilt under a fresh seed; a duplicate key in the
-// slab — impossible in a well-formed dump — is reported as corruption.
+// InternerFromParts builds an interner over an offset array (off[0] = 0,
+// one further entry per key) and the slab it delimits, taking ownership
+// of both. The offsets are validated (monotone, ending exactly at the
+// slab length) and the hash table is rebuilt under a fresh seed; a
+// duplicate key in the slab — impossible in a well-formed dump — is
+// reported as corruption.
+func InternerFromParts(off []uint32, slab []byte) (*Interner, error) {
+	n := len(off) - 1
+	if n < 0 || off[0] != 0 {
+		return nil, fmt.Errorf("keys: interner offsets do not start at 0")
+	}
+	for i := 1; i <= n; i++ {
+		if off[i] < off[i-1] {
+			return nil, fmt.Errorf("keys: interner offsets not monotone at key %d", i)
+		}
+	}
+	if int(off[n]) != len(slab) {
+		return nil, fmt.Errorf("keys: interner offsets end at %d, slab is %d bytes", off[n], len(slab))
+	}
+	size := internerMinTable
+	for n*3 > size*2 {
+		size *= 2
+	}
+	in := &Interner{seed: maphash.MakeSeed(), slab: slab, off: off, tab: newInternTable(size), mask: uint32(size - 1)}
+	for id := int32(0); id < int32(n); id++ {
+		k := in.keyAt(id)
+		_, slot, ok := in.lookupLocked(k)
+		if ok {
+			return nil, fmt.Errorf("keys: interner slab holds duplicate key %q", k)
+		}
+		in.tab[slot] = id
+	}
+	return in, nil
+}
+
+// InternerFromBinary decodes an interner from the front of buf,
+// returning the remaining bytes. See InternerFromParts for what is
+// validated.
 func InternerFromBinary(buf []byte) (*Interner, []byte, error) {
 	if len(buf) < 8 {
 		return nil, nil, fmt.Errorf("keys: interner header truncated")
@@ -50,30 +85,11 @@ func InternerFromBinary(buf []byte) (*Interner, []byte, error) {
 	off := make([]uint32, n+1)
 	for i := 1; i <= n; i++ {
 		off[i] = binary.LittleEndian.Uint32(buf[(i-1)*4:])
-		if off[i] < off[i-1] {
-			return nil, nil, fmt.Errorf("keys: interner offsets not monotone at key %d", i)
-		}
-	}
-	if int(off[n]) != slabLen {
-		return nil, nil, fmt.Errorf("keys: interner offsets end at %d, slab is %d bytes", off[n], slabLen)
 	}
 	buf = buf[n*4:]
-	in := NewInterner()
-	in.slab = append(in.slab, buf[:slabLen]...)
-	in.off = off
-	size := internerMinTable
-	for n*3 > size*2 {
-		size *= 2
-	}
-	in.tab = newInternTable(size)
-	in.mask = uint32(size - 1)
-	for id := int32(0); id < int32(n); id++ {
-		k := in.keyAt(id)
-		_, slot, ok := in.lookupLocked(k)
-		if ok {
-			return nil, nil, fmt.Errorf("keys: interner slab holds duplicate key %q", k)
-		}
-		in.tab[slot] = id
+	in, err := InternerFromParts(off, bytes.Clone(buf[:slabLen]))
+	if err != nil {
+		return nil, nil, err
 	}
 	return in, buf[slabLen:], nil
 }

@@ -1,9 +1,23 @@
 package keys
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
+
+// appendBinary writes the self-delimiting form InternerFromBinary reads
+// (format-1 checkpoints embed it; nothing writes it any more) from the
+// two arrays Prefix hands out.
+func appendBinary(dst []byte, in *Interner) []byte {
+	off, slab := in.Prefix(in.Len())
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(off)-1))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(slab)))
+	for _, o := range off[1:] {
+		dst = binary.LittleEndian.AppendUint32(dst, o)
+	}
+	return append(dst, slab...)
+}
 
 func TestInternerBinaryRoundTrip(t *testing.T) {
 	in := NewInterner()
@@ -14,7 +28,7 @@ func TestInternerBinaryRoundTrip(t *testing.T) {
 		in.Intern(fmt.Sprintf("bulk-%04d", i))
 	}
 
-	buf := in.AppendBinary([]byte("prefix"))
+	buf := appendBinary([]byte("prefix"), in)
 	got, rest, err := InternerFromBinary(buf[len("prefix"):])
 	if err != nil {
 		t.Fatalf("InternerFromBinary: %v", err)
@@ -44,7 +58,7 @@ func TestInternerBinaryRoundTrip(t *testing.T) {
 }
 
 func TestInternerBinaryEmpty(t *testing.T) {
-	got, rest, err := InternerFromBinary(NewInterner().AppendBinary(nil))
+	got, rest, err := InternerFromBinary(appendBinary(nil, NewInterner()))
 	if err != nil || got.Len() != 0 || len(rest) != 0 {
 		t.Fatalf("empty round trip: len=%d rest=%d err=%v", got.Len(), len(rest), err)
 	}
@@ -58,7 +72,7 @@ func TestInternerFromBinaryRejectsDamage(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		in.Intern(fmt.Sprintf("k%02d", i))
 	}
-	clean := in.AppendBinary(nil)
+	clean := appendBinary(nil, in)
 
 	cases := []struct {
 		name string
@@ -85,7 +99,7 @@ func TestInternerFromBinaryRejectsDuplicateKeys(t *testing.T) {
 	// real interner can never reach, so it must be flagged as corrupt.
 	in := NewInterner()
 	in.Intern("dup")
-	buf := in.AppendBinary(nil)
+	buf := appendBinary(nil, in)
 	// n=2, slab "dupdup", offsets 3,6.
 	var forged []byte
 	forged = append(forged, 2, 0, 0, 0, 6, 0, 0, 0, 3, 0, 0, 0, 6, 0, 0, 0)

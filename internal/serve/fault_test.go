@@ -2,10 +2,13 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"adjarray/internal/core"
 	"adjarray/internal/iofault"
@@ -149,5 +152,96 @@ func TestIngestEndpointValidation(t *testing.T) {
 	// still a valid append.
 	if code, _, resp := postIngest(t, s, `{"edges":[{"src":"x","dst":"y","out":0,"in":1}]}`); code != http.StatusOK || resp["appended"] != float64(1) {
 		t.Fatalf("weighted-zero append: code %d resp %v", code, resp)
+	}
+}
+
+// gateFS holds every write to a checkpoint temp file until released.
+type gateFS struct {
+	iofault.FS
+	reached chan struct{} // closed when the first such write arrives
+	release chan struct{}
+	once    sync.Once
+}
+
+type gateFile struct {
+	iofault.File
+	g *gateFS
+}
+
+func (g *gateFS) CreateTemp(dir, pattern string) (iofault.File, error) {
+	f, err := g.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{f, g}, nil
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	f.g.once.Do(func() { close(f.g.reached) })
+	<-f.g.release
+	return f.File.Write(p)
+}
+
+// TestReadsAnswerWhileACheckpointIsWritten: a checkpoint stuck in its
+// first Write holds the shard's write path, not its view — /at, /row and
+// /stats answer meanwhile (/healthz and /metrics read the durability
+// counters under the partition lock and wait, as they always have) — and
+// once it is through, /metrics reports it: one checkpoint, its size, one
+// duration observed.
+func TestReadsAnswerWhileACheckpointIsWritten(t *testing.T) {
+	gate := &gateFS{FS: iofault.OS, reached: make(chan struct{}), release: make(chan struct{})}
+	ing := newTestIngest(t, core.IngestOptions{
+		DataDir: t.TempDir(),
+		Durable: stream.DurableOptions[float64]{FS: gate},
+	})
+	defer ing.Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release() // before Close, which checkpoints: a failure above must not hang it
+	s := New(ing, Options{})
+	if code, _, _ := postIngest(t, s, `{"edges":[{"src":"a","dst":"b","out":2,"in":3},{"src":"b","dst":"c"}]}`); code != http.StatusOK {
+		t.Fatalf("ingest: code %d", code)
+	}
+	done := make(chan error, 1)
+	go func() { done <- ing.Store().Checkpoint() }()
+	select {
+	case <-gate.reached:
+	case err := <-done:
+		t.Fatalf("checkpoint finished without writing: %v", err)
+	}
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		if code, at := get(t, s, "/at?src=a&dst=b"); code != http.StatusOK || at["value"] != float64(6) {
+			t.Errorf("/at during the checkpoint: code %d body %v", code, at)
+		}
+		for _, path := range []string{"/row?src=b", "/stats"} {
+			if code, _ := get(t, s, path); code != http.StatusOK {
+				t.Errorf("GET %s during the checkpoint: code %d", path, code)
+			}
+		}
+	}()
+	select {
+	case <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("reads waited on a checkpoint blocked in Write")
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for scrape := 0; scrape < 2; scrape++ { // the second scrape must not observe the checkpoint again
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		exposition := rec.Body.String()
+		size := ing.Store().Durability()[0].CheckpointBytes
+		for _, want := range []string{
+			`adjserve_checkpoints_total{shard="0"} 1`,
+			fmt.Sprintf(`adjserve_checkpoint_bytes{shard="0"} %d`, size),
+			`adjserve_checkpoint_seconds_count{shard="0"} 1`,
+		} {
+			if size == 0 || !strings.Contains(exposition, want) {
+				t.Errorf("scrape %d: /metrics missing %q", scrape, want)
+			}
+		}
 	}
 }

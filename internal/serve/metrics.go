@@ -10,6 +10,7 @@ import (
 	"adjarray/internal/core"
 	"adjarray/internal/keys"
 	"adjarray/internal/obs"
+	"adjarray/internal/stream"
 )
 
 // metrics is the server's observability surface. Instrument-backed
@@ -35,6 +36,12 @@ type metrics struct {
 	epochMu     sync.Mutex
 	lastEpochs  []int
 	lastAdvance time.Time
+
+	// Checkpoints are written by the store's own goroutines; their
+	// durations reach the histogram when a scrape sees the count move.
+	ckptMu   sync.Mutex
+	ckptSeen []uint64
+	ckptHist []*obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
@@ -106,8 +113,33 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		reg.GaugeFunc("adjserve_checkpoint_seq",
 			"WAL seq covered by the shard's newest on-disk checkpoint.",
 			func() float64 { return float64(store.Durability()[i].CheckpointSeq) }, shard)
+		reg.CounterFunc("adjserve_checkpoints_total",
+			"Checkpoints the shard has written since the process started.",
+			func() float64 { return float64(store.Durability()[i].Checkpoints) }, shard)
+		reg.GaugeFunc("adjserve_checkpoint_bytes",
+			"Size of the last checkpoint the shard wrote.",
+			func() float64 { return float64(store.Durability()[i].CheckpointBytes) }, shard)
+		m.ckptHist = append(m.ckptHist, reg.Histogram("adjserve_checkpoint_seconds",
+			"Time from pinning the view to the published file, of the last checkpoint each scrape found new.",
+			obs.DefBuckets, shard))
 	}
+	m.ckptSeen = make([]uint64, store.Shards())
 	return m
+}
+
+// observeCheckpoints feeds the checkpoint histograms from the store's
+// durability counters. It runs before every exposition: a shard whose
+// count moved since the last one contributes its last checkpoint's
+// duration (earlier ones in the same interval are not seen).
+func (m *metrics) observeCheckpoints(durs []stream.DurabilityStats) {
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
+	for i, d := range durs {
+		if d.Checkpoints > m.ckptSeen[i] {
+			m.ckptSeen[i] = d.Checkpoints
+			m.ckptHist[i].Observe(d.CheckpointDuration.Seconds())
+		}
+	}
 }
 
 // registerInternerGauges exports the key-interner footprint: the slab

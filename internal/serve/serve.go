@@ -172,7 +172,11 @@ func (s *Server) routes() {
 	}
 	handle("/stats", nil, s.handleStats)
 	handle("/healthz", nil, s.handleHealthz)
-	handle("/metrics", nil, s.met.reg.Handler().ServeHTTP)
+	exposition := s.met.reg.Handler()
+	handle("/metrics", nil, func(w http.ResponseWriter, r *http.Request) {
+		s.met.observeCheckpoints(s.ing.Store().Durability())
+		exposition.ServeHTTP(w, r)
+	})
 	// /ingest bypasses the read/algo pools — its backpressure is the
 	// storage state machine (503 on read-only), not queue depth.
 	handle("/ingest", nil, s.handleIngest)

@@ -513,7 +513,8 @@ func TestOneShapeForEveryShardCount(t *testing.T) {
 				}
 			}
 			for _, fam := range []string{"adjserve_shard_epoch", "adjserve_wal_lag_batches", "adjserve_checkpoint_seq",
-				"adjserve_view_folds_total", "adjserve_view_fold_seconds_total"} {
+				"adjserve_view_folds_total", "adjserve_view_fold_seconds_total",
+				"adjserve_checkpoints_total", "adjserve_checkpoint_bytes", "adjserve_checkpoint_seconds_count"} {
 				if last := fmt.Sprintf(`%s{shard="%d"}`, fam, shards-1); !strings.Contains(rec.Body.String(), last) {
 					t.Errorf("%s: /metrics has no %s", name, last)
 				}

@@ -6,61 +6,22 @@ import (
 	"math"
 )
 
-// CSR serialization — the flat layout checkpoints use:
+// CSR serialization as format-1 checkpoints embed it — read here, no
+// longer written anywhere:
 //
 //	uint64 LE    rows
 //	uint64 LE    cols
 //	uint64 LE    nnz
 //	[rows+1]u64  rowPtr
 //	[nnz]u64     colIdx
-//	[nnz]byte*   values, each encoded by the caller's appendVal
-//
-// Indices are fixed-width so the layout stays mmap-friendly (every
-// array is locatable from the header without scanning); values go
-// through a codec because V is a type parameter.
+//	[nnz]byte*   values, each decoded by the caller's decodeVal
 
-// AppendBinary appends the matrix's serialized form to dst. appendVal
-// encodes one value (e.g. 8 bytes of IEEE-754 for float64).
-func (m *CSR[V]) AppendBinary(dst []byte, appendVal func(dst []byte, v V) []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.rows))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.cols))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(m.colIdx)))
-	for _, p := range m.rowPtr {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(p))
-	}
-	for _, j := range m.colIdx {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(j))
-	}
-	for _, v := range m.val {
-		dst = appendVal(dst, v)
-	}
-	return dst
-}
+// Parts returns the matrix's backing arrays — what a serializer writes.
+// They are shared with the matrix (and whatever snapshots alias it) and
+// must not be written.
+func (m *CSR[V]) Parts() (rowPtr, colIdx []int, val []V) { return m.rowPtr, m.colIdx, m.val }
 
-// AppendUnitRowsBinary appends the serialized form of the len(ids)×cols
-// matrix whose row i holds the single entry vals[i] in column
-// pos[ids[i]] — byte for byte what AppendBinary writes for that matrix,
-// without building it. It is how an incidence log kept as one vertex id
-// per edge reaches a checkpoint in column-position space.
-func AppendUnitRowsBinary[V any](dst []byte, cols int, ids, pos []int32, vals []V, appendVal func(dst []byte, v V) []byte) []byte {
-	n := len(ids)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(cols))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
-	for i := 0; i <= n; i++ {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
-	}
-	for _, id := range ids {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(pos[id]))
-	}
-	for _, v := range vals[:n] {
-		dst = appendVal(dst, v)
-	}
-	return dst
-}
-
-// DecodeCSR decodes a matrix serialized by AppendBinary from the front
-// of buf, returning the remaining bytes. decodeVal decodes one value
+// DecodeCSR decodes a matrix in the layout above from the front of buf, returning the remaining bytes. decodeVal decodes one value
 // and returns how many bytes it consumed. The result passes through
 // NewCSR, so every structural invariant (monotone rowPtr, in-bounds
 // strictly-increasing columns) is re-validated — a bit flip in the

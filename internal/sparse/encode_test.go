@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -19,6 +18,25 @@ func decodeF64(b []byte) (float64, int, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), 8, nil
 }
 
+// appendBinary writes the layout DecodeCSR reads (format-1 checkpoints
+// embed it; nothing writes it any more).
+func appendBinary(dst []byte, m *CSR[float64]) []byte {
+	rowPtr, colIdx, val := m.Parts()
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Rows()))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Cols()))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(colIdx)))
+	for _, p := range rowPtr {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p))
+	}
+	for _, j := range colIdx {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(j))
+	}
+	for _, v := range val {
+		dst = appendF64(dst, v)
+	}
+	return dst
+}
+
 func testMatrix(t *testing.T) *CSR[float64] {
 	t.Helper()
 	m, err := NewCSR(4, 5,
@@ -33,7 +51,7 @@ func testMatrix(t *testing.T) *CSR[float64] {
 
 func TestCSRBinaryRoundTrip(t *testing.T) {
 	for _, m := range []*CSR[float64]{testMatrix(t), Empty[float64](0, 0), Empty[float64](3, 7)} {
-		buf := m.AppendBinary([]byte("hdr"), appendF64)
+		buf := appendBinary([]byte("hdr"), m)
 		got, rest, err := DecodeCSR(buf[3:], decodeF64)
 		if err != nil {
 			t.Fatalf("DecodeCSR: %v", err)
@@ -47,30 +65,8 @@ func TestCSRBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// AppendUnitRowsBinary must write exactly the bytes AppendBinary writes
-// for the unit-row matrix it describes (empty log included).
-func TestAppendUnitRowsBinaryMatchesAppendBinary(t *testing.T) {
-	pos := []int32{2, -1, 0, 1} // id → column; id 1 is not in the universe
-	for _, ids := range [][]int32{{0, 2, 3, 2, 0}, {}} {
-		vals := []float64{1.5, -2, 3, 0.25, 7}[:len(ids)]
-		rowPtr, colIdx := make([]int, len(ids)+1), make([]int, len(ids))
-		for i, id := range ids {
-			rowPtr[i+1], colIdx[i] = i+1, int(pos[id])
-		}
-		m, err := NewCSR(len(ids), 3, rowPtr, colIdx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := m.AppendBinary([]byte("hdr"), appendF64)
-		got := AppendUnitRowsBinary([]byte("hdr"), 3, ids, pos, vals, appendF64)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%d rows: unit-row encoding differs from AppendBinary", len(ids))
-		}
-	}
-}
-
 func TestDecodeCSRRejectsDamage(t *testing.T) {
-	clean := testMatrix(t).AppendBinary(nil, appendF64)
+	clean := appendBinary(nil, testMatrix(t))
 	cases := []struct {
 		name string
 		mut  func(b []byte) []byte

@@ -1,0 +1,652 @@
+package stream
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"adjarray/internal/assoc"
+	"adjarray/internal/keys"
+	"adjarray/internal/semiring"
+	"adjarray/internal/shard"
+	"adjarray/internal/sparse"
+	"adjarray/internal/wal"
+)
+
+// A checkpoint holds the view as it lies in memory: the edge log in
+// interner-id space, the two interners' slabs, the id → position arrays
+// of the sorted vertex universe, and the folded adjacency. internal/wal
+// frames the file (header, per-section CRC, footer); the sections and
+// what is in them are defined here. All integers are little-endian.
+//
+//	meta     u64 edges, appends, epoch, autoSeq, srcKeys, dstKeys, exact;
+//	         then the algebra's name and the auto-key base, each a uvarint
+//	         length and that many bytes
+//	srcOff   u32[srcKeys]  end offset of each source key in srcSlab
+//	srcSlab  the source interner's key bytes, back to back, in id order
+//	dstOff, dstSlab        the same for the destination interner
+//	srcPos   i32[≤srcKeys] id → row of the adjacency; -1, or past the end:
+//	         an id no edge references (left by a rolled-back batch)
+//	dstPos   i32[≤dstKeys] id → column
+//	keyOff   u32[edges]    end offset of each edge key in keySlab
+//	keySlab  the edge keys' bytes, back to back, in log order
+//	srcID    i32[edges]    source id of each edge
+//	dstID    i32[edges]    destination id of each edge
+//	out, in  [edges]       Eout(k, src), Ein(k, dst) through the ValueCodec
+//	rowPtr   u64[rows+1]   the adjacency CSR over the sorted universe
+//	colIdx   u32[nnz]
+//	val      [nnz]         through the ValueCodec
+//
+// A float64 view therefore costs 24 bytes per edge for the log columns,
+// 4 bytes plus the key for its edge key, 12 bytes per stored adjacency
+// entry and 8 bytes plus the key per vertex and side (16 on the source
+// side, which carries the row pointer).
+//
+// Format 1 — what PRs 7–15 wrote: one payload of position-space
+// incidence CSRs — is still read (decodeView) and never written.
+const (
+	secMeta uint32 = iota + 1
+	secSrcOff
+	secSrcSlab
+	secDstOff
+	secDstSlab
+	secSrcPos
+	secDstPos
+	secKeyOff
+	secKeySlab
+	secSrcID
+	secDstID
+	secOut
+	secIn
+	secRowPtr
+	secColIdx
+	secVal
+
+	numSections = int(secVal)
+)
+
+// ckptChunk is how many encoded bytes are staged before they are handed
+// to the checkpoint writer, which buffers them into file-sized writes:
+// the encoder's one buffer, whatever the view holds.
+const ckptChunk = 16 << 10
+
+// image is a view pinned for a checkpoint: everything the file will
+// hold, captured by slice header under the view lock in O(1). The log
+// is append-only past the captured lengths, the position arrays and the
+// interner prefixes are never rewritten, and main is marked shared, so
+// the image stays the view of its epoch while appends and folds go on.
+type image[V any] struct {
+	ops                     string
+	log                     *logView[V]
+	main                    *sparse.CSR[V]
+	srcOff, dstOff          []uint32
+	srcSlab, dstSlab        []byte
+	appends, epoch, autoSeq int
+	exact                   bool
+	autoBase                string
+}
+
+// imageLocked pins the current state. The caller holds v.mu and has
+// folded (materializeLocked), so the backlog is empty, the universe
+// covers the whole log and main spans it.
+func (v *View[V]) imageLocked() *image[V] {
+	v.mainShared = true
+	im := &image[V]{
+		ops: v.eng.Ops.Name, log: v.logsLocked(), main: v.main.Matrix(),
+		appends: v.appends, epoch: v.epoch, autoSeq: v.autoSeq,
+		exact: v.exact, autoBase: v.autoBase,
+	}
+	im.srcOff, im.srcSlab = v.srcIn.Prefix(v.srcIn.Len())
+	im.dstOff, im.dstSlab = v.dstIn.Prefix(v.dstIn.Len())
+	return im
+}
+
+// sectionEncoder streams section bodies through one buffer. A write
+// error is sticky, as in bufio: everything after it is a no-op and
+// finish reports it.
+type sectionEncoder struct {
+	w   *wal.CheckpointWriter
+	buf []byte
+	err error
+}
+
+// section flushes what the previous section left and opens the next.
+func (e *sectionEncoder) section(tag uint32) {
+	e.flush()
+	if e.err == nil {
+		e.err = e.w.Section(tag)
+	}
+}
+
+func (e *sectionEncoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// spill flushes once a chunk has accumulated.
+func (e *sectionEncoder) spill() {
+	if len(e.buf) >= ckptChunk {
+		e.flush()
+	}
+}
+
+func (e *sectionEncoder) finish() error {
+	e.flush()
+	return e.err
+}
+
+func putU32s[T int | int32 | uint32](e *sectionEncoder, tag uint32, xs []T) {
+	e.section(tag)
+	for _, x := range xs {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
+		e.spill()
+	}
+}
+
+func putVals[V any](e *sectionEncoder, tag uint32, vs []V, codec ValueCodec[V]) {
+	e.section(tag)
+	for _, v := range vs {
+		e.buf = codec.Append(e.buf, v)
+		e.spill()
+	}
+}
+
+// putBytes writes a slab straight from where it lies.
+func putBytes(e *sectionEncoder, tag uint32, b []byte) {
+	e.section(tag)
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
+	}
+}
+
+// encode writes the image as the sections above.
+func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
+	// Room past the chunk for the element whose append crosses it.
+	e := &sectionEncoder{w: w, buf: make([]byte, 0, ckptChunk+256)}
+	l := im.log
+
+	e.section(secMeta)
+	exact := uint64(0)
+	if im.exact {
+		exact = 1
+	}
+	for _, x := range [...]uint64{
+		uint64(len(l.keys)), uint64(im.appends), uint64(im.epoch), uint64(im.autoSeq),
+		uint64(len(im.srcOff) - 1), uint64(len(im.dstOff) - 1), exact,
+	} {
+		e.buf = appendU64(e.buf, x)
+	}
+	e.buf = appendStr(appendStr(e.buf, im.ops), im.autoBase)
+
+	putU32s(e, secSrcOff, im.srcOff[1:])
+	putBytes(e, secSrcSlab, im.srcSlab)
+	putU32s(e, secDstOff, im.dstOff[1:])
+	putBytes(e, secDstSlab, im.dstSlab)
+	putU32s(e, secSrcPos, l.srcPos)
+	putU32s(e, secDstPos, l.dstPos)
+
+	e.section(secKeyOff)
+	end := 0
+	for _, k := range l.keys {
+		if end += len(k); end > math.MaxUint32 && e.err == nil {
+			e.err = fmt.Errorf("stream: checkpoint: the log's edge keys exceed 4 GiB")
+		}
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(end))
+		e.spill()
+	}
+	e.section(secKeySlab)
+	for _, k := range l.keys {
+		e.buf = append(e.buf, k...)
+		e.spill()
+	}
+
+	putU32s(e, secSrcID, l.srcID)
+	putU32s(e, secDstID, l.dstID)
+	putVals(e, secOut, l.out, codec)
+	putVals(e, secIn, l.in, codec)
+
+	rowPtr, colIdx, val := im.main.Parts()
+	e.section(secRowPtr)
+	for _, p := range rowPtr {
+		e.buf = appendU64(e.buf, uint64(p))
+		e.spill()
+	}
+	putU32s(e, secColIdx, colIdx)
+	putVals(e, secVal, val, codec)
+	return e.finish()
+}
+
+// decodeCheckpoint reconstructs a View from a validated checkpoint file
+// of either format. Bytes that passed their checksums but do not decode
+// into a consistent view are a *wal.CorruptError; a checkpoint written
+// under another algebra is refused with a plain error.
+func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], error) {
+	var (
+		v    *View[V]
+		name string
+		err  error
+	)
+	if ck.Format == 1 {
+		v, name, err = decodeView(ck.Payload, ops, opt, codec)
+	} else {
+		v, name, err = decodeSections(ck.Sections, ops, opt, codec)
+	}
+	if err != nil {
+		return nil, &wal.CorruptError{Path: ck.Path, Reason: err.Error()}
+	}
+	if name != ops.Name {
+		return nil, fmt.Errorf("stream: checkpoint was written under algebra %q, opened with %q", name, ops.Name)
+	}
+	return v, nil
+}
+
+// sectionDecoder reads format-2 sections. The first failure is sticky:
+// every later read returns nothing, and the caller checks err once.
+type sectionDecoder struct {
+	secs []wal.Section
+	err  error
+}
+
+func (d *sectionDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("stream: checkpoint: "+format, args...)
+	}
+}
+
+// body returns a section's bytes, nothing once the decoder has failed.
+func (d *sectionDecoder) body(tag uint32) []byte {
+	if d.err != nil {
+		return nil
+	}
+	return d.secs[tag-1].Body
+}
+
+// u32s reads a section that is one array of 4-byte integers. Its length
+// is the section's, so the allocation is bounded by the bytes present.
+func u32s[T int | int32 | uint32](d *sectionDecoder, tag uint32, name string) []T {
+	b := d.body(tag)
+	if len(b)%4 != 0 {
+		d.fail("%s section is %d bytes, not a whole number of 4-byte entries", name, len(b))
+		return nil
+	}
+	xs := make([]T, len(b)/4)
+	for i := range xs {
+		xs[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return xs
+}
+
+// vals decodes exactly n values that fill the section.
+func vals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueCodec[V]) []V {
+	b := d.body(tag)
+	if d.err != nil {
+		return nil
+	}
+	vs := make([]V, n)
+	for i := range vs {
+		v, w, err := codec.Decode(b)
+		if err != nil {
+			d.fail("%s value %d: %v", name, i, err)
+			return nil
+		}
+		vs[i], b = v, b[w:]
+	}
+	if len(b) != 0 {
+		d.fail("%d trailing bytes after %d %s values", len(b), n, name)
+	}
+	return vs
+}
+
+// side rebuilds one side of the vertex universe: the interner from its
+// offset and slab sections (the slab is copied: an interner outlives the
+// file's bytes and appends to its slab), the id → position array, the
+// sorted key Set the two describe, and the log's endpoint ids on that
+// side, every one of which must name a vertex that has a position.
+func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string, want uint64) (in *keys.Interner, pos []int32, set *keys.Set, ids []int32) {
+	ends := u32s[uint32](d, offTag, name+" key offset")
+	pos = u32s[int32](d, posTag, name+" position")
+	ids = u32s[int32](d, idTag, name+" id")
+	if d.err != nil {
+		return nil, nil, nil, nil
+	}
+	if uint64(len(ends)) != want {
+		d.fail("counts %d %s keys, offsets hold %d", want, name, len(ends))
+		return nil, nil, nil, nil
+	}
+	off := make([]uint32, len(ends)+1)
+	copy(off[1:], ends)
+	in, err := keys.InternerFromParts(off, slices.Clone(d.body(slabTag)))
+	if err == nil {
+		set, _, err = sideFromPos(in, pos)
+	}
+	if err != nil {
+		d.fail("%s side: %v", name, err)
+		return nil, nil, nil, nil
+	}
+	for i, id := range ids {
+		if id < 0 || int(id) >= len(pos) || pos[id] < 0 {
+			d.fail("edge %d names %s id %d, which is not in the vertex universe", i, name, id)
+			return nil, nil, nil, nil
+		}
+	}
+	return in, pos, set, ids
+}
+
+// edgeKeys reads the log's keys as substrings of one string and checks
+// that they ascend.
+func (d *sectionDecoder) edgeKeys() []string {
+	ends := u32s[uint32](d, secKeyOff, "edge key offset")
+	slab := string(d.body(secKeySlab))
+	ks := make([]string, len(ends))
+	at := uint32(0)
+	for i, end := range ends {
+		if end < at || uint64(end) > uint64(len(slab)) {
+			d.fail("edge key offsets not monotone at key %d", i)
+			return nil
+		}
+		ks[i], at = slab[at:end], end
+		if i > 0 && ks[i-1] >= ks[i] {
+			d.fail("edge keys not strictly sorted at %d: %q >= %q", i, ks[i-1], ks[i])
+			return nil
+		}
+	}
+	if d.err == nil && int(at) != len(slab) {
+		d.fail("edge key offsets end at %d, slab is %d bytes", at, len(slab))
+	}
+	return ks
+}
+
+// decodeSections reconstructs a View from format-2 sections, returning
+// the algebra name the checkpoint was written under. Nothing is built
+// and inverted back: the log columns decode into the slices the view
+// keeps, the edge keys are substrings of one string, and the position
+// arrays are the stored ones. Every structural invariant is re-validated
+// on the way in — interner offsets, position-map bijectivity, key
+// sortedness, ids inside the universe, CSR shape (through NewCSR) and
+// the cross-section counts — so damaged bytes that beat the checksums
+// still cannot become a silently wrong view.
+func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], string, error) {
+	if len(secs) != numSections {
+		return nil, "", fmt.Errorf("stream: checkpoint holds %d sections, want %d", len(secs), numSections)
+	}
+	for i, s := range secs {
+		if s.Tag != uint32(i+1) {
+			return nil, "", fmt.Errorf("stream: checkpoint section %d is tagged %d", i+1, s.Tag)
+		}
+	}
+	b := secs[secMeta-1].Body
+	var meta [7]uint64
+	var err error
+	for i := range meta {
+		if meta[i], b, err = decodeU64(b); err != nil {
+			return nil, "", err
+		}
+	}
+	name, b, err := decodeStr(b)
+	if err != nil {
+		return nil, "", err
+	}
+	autoBase, b, err := decodeStr(b)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(b) != 0 || meta[6] > 1 {
+		return nil, "", fmt.Errorf("stream: malformed checkpoint meta section")
+	}
+	if err := checkCounters(meta[1], meta[2], meta[3]); err != nil {
+		return nil, "", err
+	}
+
+	d := &sectionDecoder{secs: secs}
+	edgeKeys := d.edgeKeys()
+	edges := len(edgeKeys)
+	srcIn, srcPos, srcSet, srcID := d.side(secSrcOff, secSrcSlab, secSrcPos, secSrcID, "source", meta[4])
+	dstIn, dstPos, dstSet, dstID := d.side(secDstOff, secDstSlab, secDstPos, secDstID, "destination", meta[5])
+	out := vals(d, secOut, "Eout", edges, codec)
+	in := vals(d, secIn, "Ein", edges, codec)
+	rp := d.body(secRowPtr)
+	cols := u32s[int](d, secColIdx, "adjacency column")
+	val := vals(d, secVal, "adjacency", len(cols), codec)
+	if d.err != nil {
+		return nil, "", d.err
+	}
+	if uint64(edges) != meta[0] || len(srcID) != edges || len(dstID) != edges {
+		return nil, "", fmt.Errorf("stream: checkpoint counts %d edges; it holds %d keys, %d source and %d destination ids", meta[0], edges, len(srcID), len(dstID))
+	}
+	if len(rp) != 8*(srcSet.Len()+1) {
+		return nil, "", fmt.Errorf("stream: adjacency row pointer is %d bytes, want %d for %d rows", len(rp), 8*(srcSet.Len()+1), srcSet.Len())
+	}
+	rowPtr := make([]int, srcSet.Len()+1)
+	for i := range rowPtr {
+		p := binary.LittleEndian.Uint64(rp[8*i:])
+		if p > uint64(len(cols)) {
+			return nil, "", fmt.Errorf("stream: adjacency rowPtr[%d]=%d exceeds %d stored entries", i, p, len(cols))
+		}
+		rowPtr[i] = int(p)
+	}
+	mainM, err := sparse.NewCSR(srcSet.Len(), dstSet.Len(), rowPtr, cols, val)
+	if err != nil {
+		return nil, "", err
+	}
+	main, err := assoc.New(srcSet, dstSet, mainM)
+	if err != nil {
+		return nil, "", err
+	}
+	return &View[V]{
+		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
+		opt:      opt,
+		keys:     edgeKeys,
+		srcID:    srcID,
+		dstID:    dstID,
+		out:      out,
+		in:       in,
+		srcIn:    srcIn,
+		dstIn:    dstIn,
+		uRows:    srcSet,
+		uCols:    dstSet,
+		srcPos:   srcPos,
+		dstPos:   dstPos,
+		synced:   edges,
+		main:     main,
+		appends:  int(meta[1]),
+		epoch:    int(meta[2]),
+		exact:    meta[6] == 1,
+		autoSeq:  int(meta[3]),
+		autoBase: autoBase,
+	}, name, nil
+}
+
+// checkCounters refuses batch counters and an auto-key sequence no view
+// can have reached: they become ints, and the sequence is added to.
+func checkCounters(appends, epoch, autoSeq uint64) error {
+	if max(appends, epoch, autoSeq) > math.MaxInt64/2 {
+		return fmt.Errorf("stream: checkpoint counters out of range (appends %d, epoch %d, auto-key sequence %d)", appends, epoch, autoSeq)
+	}
+	return nil
+}
+
+// sideFromPos inverts an id→position map into the sorted universe key
+// Set it describes and the id at each position, validating that the
+// positions are a bijection onto [0, count) and that the keys they order
+// really are sorted (FromSorted re-checks strict ascent — the corruption
+// detector for the key data). The map may stop short of the interner:
+// ids past it have no position.
+func sideFromPos(in *keys.Interner, pos []int32) (set *keys.Set, byPos []int32, err error) {
+	if len(pos) > in.Len() {
+		return nil, nil, fmt.Errorf("stream: position map covers %d ids, interner holds %d", len(pos), in.Len())
+	}
+	count := 0
+	for _, p := range pos {
+		if p >= 0 {
+			count++
+		}
+	}
+	sorted := make([]string, count)
+	byPos = make([]int32, count)
+	seen := make([]bool, count)
+	for id, p := range pos {
+		if p < 0 {
+			continue
+		}
+		if int(p) >= count || seen[p] {
+			return nil, nil, fmt.Errorf("stream: position map is not a bijection at id %d", id)
+		}
+		seen[p] = true
+		sorted[p] = in.Key(int32(id))
+		byPos[p] = int32(id)
+	}
+	set, err = keys.FromSorted(sorted)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stream: universe keys: %w", err)
+	}
+	set.Bind(&keys.InternIndex{In: in, Pos: pos})
+	return set, byPos, nil
+}
+
+// decodeView reconstructs a View from a format-1 checkpoint payload,
+// returning the algebra name it was written under. Every structural
+// invariant is re-validated on the way in: interner offsets,
+// position-map bijectivity, key-set sortedness, CSR shape (through
+// NewCSR), one entry per incidence row, and the cross-array dimension
+// agreement.
+func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], string, error) {
+	b := payload
+	if len(b) < 1 || b[0] != 1 {
+		return nil, "", fmt.Errorf("stream: unsupported checkpoint payload format")
+	}
+	b = b[1:]
+	name, b, err := decodeStr(b)
+	if err != nil {
+		return nil, "", err
+	}
+	var edges, appends, epoch, autoSeq uint64
+	if edges, b, err = decodeU64(b); err != nil {
+		return nil, "", err
+	}
+	if appends, b, err = decodeU64(b); err != nil {
+		return nil, "", err
+	}
+	if epoch, b, err = decodeU64(b); err != nil {
+		return nil, "", err
+	}
+	if autoSeq, b, err = decodeU64(b); err != nil {
+		return nil, "", err
+	}
+	if err := checkCounters(appends, epoch, autoSeq); err != nil {
+		return nil, "", err
+	}
+	if len(b) < 1 {
+		return nil, "", fmt.Errorf("stream: truncated checkpoint flags")
+	}
+	exact := b[0] == 1
+	b = b[1:]
+	var autoBase, lastKey string
+	if autoBase, b, err = decodeStr(b); err != nil {
+		return nil, "", err
+	}
+	if lastKey, b, err = decodeStr(b); err != nil {
+		return nil, "", err
+	}
+	srcIn, b, err := keys.InternerFromBinary(b)
+	if err != nil {
+		return nil, "", err
+	}
+	dstIn, b, err := keys.InternerFromBinary(b)
+	if err != nil {
+		return nil, "", err
+	}
+	srcPos, b, err := decodeI32s(b)
+	if err != nil {
+		return nil, "", err
+	}
+	dstPos, b, err := decodeI32s(b)
+	if err != nil {
+		return nil, "", err
+	}
+	edgeKeys, b, err := decodeStrs(b)
+	if err != nil {
+		return nil, "", err
+	}
+	eoutM, b, err := sparse.DecodeCSR(b, codec.Decode)
+	if err != nil {
+		return nil, "", err
+	}
+	einM, b, err := sparse.DecodeCSR(b, codec.Decode)
+	if err != nil {
+		return nil, "", err
+	}
+	mainM, b, err := sparse.DecodeCSR(b, codec.Decode)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(b) != 0 {
+		return nil, "", fmt.Errorf("stream: %d trailing bytes after checkpoint payload", len(b))
+	}
+
+	srcSet, srcByPos, err := sideFromPos(srcIn, srcPos)
+	if err != nil {
+		return nil, "", err
+	}
+	dstSet, dstByPos, err := sideFromPos(dstIn, dstPos)
+	if err != nil {
+		return nil, "", err
+	}
+	if _, err := keys.FromSorted(edgeKeys); err != nil {
+		return nil, "", fmt.Errorf("stream: edge keys: %w", err)
+	}
+	if int(edges) != len(edgeKeys) {
+		return nil, "", fmt.Errorf("stream: checkpoint counts %d edges, key set holds %d", edges, len(edgeKeys))
+	}
+	if len(edgeKeys) > 0 && edgeKeys[len(edgeKeys)-1] != lastKey {
+		return nil, "", fmt.Errorf("stream: checkpoint last key %q disagrees with edge set", lastKey)
+	}
+	if eoutM.Rows() != len(edgeKeys) || eoutM.Cols() != srcSet.Len() {
+		return nil, "", fmt.Errorf("stream: eout is %d×%d, want %d×%d", eoutM.Rows(), eoutM.Cols(), len(edgeKeys), srcSet.Len())
+	}
+	if einM.Rows() != len(edgeKeys) || einM.Cols() != dstSet.Len() {
+		return nil, "", fmt.Errorf("stream: ein is %d×%d, want %d×%d", einM.Rows(), einM.Cols(), len(edgeKeys), dstSet.Len())
+	}
+	if mainM.Rows() != srcSet.Len() || mainM.Cols() != dstSet.Len() {
+		return nil, "", fmt.Errorf("stream: adjacency is %d×%d, want %d×%d", mainM.Rows(), mainM.Cols(), srcSet.Len(), dstSet.Len())
+	}
+	// Back into id space: each incidence row's one column position is
+	// the position of the endpoint's id.
+	srcID, out, err := unitRowIDs(eoutM, srcByPos)
+	if err != nil {
+		return nil, "", err
+	}
+	dstID, in, err := unitRowIDs(einM, dstByPos)
+	if err != nil {
+		return nil, "", err
+	}
+	main, err := assoc.New(srcSet, dstSet, mainM)
+	if err != nil {
+		return nil, "", err
+	}
+	v := &View[V]{
+		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
+		opt:      opt,
+		keys:     edgeKeys,
+		srcID:    srcID,
+		dstID:    dstID,
+		out:      out,
+		in:       in,
+		srcIn:    srcIn,
+		dstIn:    dstIn,
+		uRows:    srcSet,
+		uCols:    dstSet,
+		srcPos:   srcPos,
+		dstPos:   dstPos,
+		synced:   len(edgeKeys),
+		main:     main,
+		appends:  int(appends),
+		epoch:    int(epoch),
+		exact:    exact,
+		autoSeq:  int(autoSeq),
+		autoBase: autoBase,
+	}
+	return v, name, nil
+}

@@ -4,12 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"adjarray/internal/assoc"
-	"adjarray/internal/keys"
-	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
-	"adjarray/internal/sparse"
 )
 
 // ValueCodec serializes the view's value type V for the WAL and
@@ -98,26 +92,21 @@ func decodeI32s(b []byte) ([]int32, []byte, error) {
 	return xs, b[n*4:], nil
 }
 
-func appendStrs(dst []byte, ss []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = appendStr(dst, s)
-	}
-	return dst
-}
-
+// decodeStrs reads a counted string slice. The slice grows as strings
+// actually decode, so a count the bytes do not back costs nothing.
 func decodeStrs(b []byte) ([]string, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > uint64(len(b)) {
 		return nil, nil, fmt.Errorf("stream: truncated string slice")
 	}
 	b = b[w:]
-	ss := make([]string, n)
-	var err error
-	for i := range ss {
-		if ss[i], b, err = decodeStr(b); err != nil {
+	ss := make([]string, 0, min(n, 1024))
+	for i := uint64(0); i < n; i++ {
+		s, rest, err := decodeStr(b)
+		if err != nil {
 			return nil, nil, err
 		}
+		ss, b = append(ss, s), rest
 	}
 	return ss, b, nil
 }
@@ -160,7 +149,9 @@ func appendBatch[V any](dst []byte, edges []Edge[V], codec ValueCodec[V]) []byte
 // decodeBatch decodes a WAL record payload back into an edge batch.
 func decodeBatch[V any](b []byte, codec ValueCodec[V]) ([]Edge[V], error) {
 	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)) {
+	// An edge is at least its flag byte and three string lengths, which
+	// bounds the count — and the allocation — by the record's length.
+	if w <= 0 || n > uint64(len(b)-w)/4 {
 		return nil, fmt.Errorf("stream: truncated batch header")
 	}
 	b = b[w:]
@@ -201,242 +192,4 @@ func decodeBatch[V any](b []byte, codec ValueCodec[V]) ([]Edge[V], error) {
 		return nil, fmt.Errorf("stream: %d trailing bytes after batch", len(b))
 	}
 	return edges, nil
-}
-
-// --- checkpoint payloads -----------------------------------------------
-
-// ckptFormat versions the stream-level checkpoint payload inside the
-// wal checkpoint envelope (which has its own magic/version/CRC).
-const ckptFormat = 1
-
-// encodeViewLocked serializes the full view state. The caller holds
-// v.mu and must have folded first (materializeLocked), so the pending
-// backlog is empty, the universe covers the whole log and main spans it
-// — none of that needs to be in the format. The format predates the
-// id-space log and keeps its position-space incidence CSRs: the log's
-// ids are mapped through the position arrays as they are written.
-func (v *View[V]) encodeViewLocked(dst []byte, codec ValueCodec[V]) []byte {
-	dst = append(dst, ckptFormat)
-	dst = appendStr(dst, v.eng.Ops.Name)
-	dst = appendU64(dst, uint64(len(v.keys)))
-	dst = appendU64(dst, uint64(v.appends))
-	dst = appendU64(dst, uint64(v.epoch))
-	dst = appendU64(dst, uint64(v.autoSeq))
-	if v.exact {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = appendStr(dst, v.autoBase)
-	lastKey := ""
-	if n := len(v.keys); n > 0 {
-		lastKey = v.keys[n-1]
-	}
-	dst = appendStr(dst, lastKey)
-	dst = v.srcIn.AppendBinary(dst)
-	dst = v.dstIn.AppendBinary(dst)
-	dst = appendPosMap(dst, v.srcPos, v.srcIn.Len())
-	dst = appendPosMap(dst, v.dstPos, v.dstIn.Len())
-	dst = appendStrs(dst, v.keys)
-	dst = sparse.AppendUnitRowsBinary(dst, v.uRows.Len(), v.srcID, v.srcPos, v.out, codec.Append)
-	dst = sparse.AppendUnitRowsBinary(dst, v.uCols.Len(), v.dstID, v.dstPos, v.in, codec.Append)
-	dst = v.main.Matrix().AppendBinary(dst, codec.Append)
-	return dst
-}
-
-// appendPosMap writes an id→position array as decodeI32s reads it,
-// extended with -1 to the n ids its interner holds: ids past the array
-// are orphans of rolled-back batches, and the decoder wants a position
-// for every interned id.
-func appendPosMap(dst []byte, pos []int32, n int) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	for _, p := range pos {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(p))
-	}
-	for i := len(pos); i < n; i++ {
-		dst = binary.LittleEndian.AppendUint32(dst, math.MaxUint32)
-	}
-	return dst
-}
-
-// sideFromPos inverts an id→position map into the sorted universe key
-// Set it describes and the id at each position, validating that the
-// positions are a bijection onto [0, count) and that the keys they order
-// really are sorted (FromSorted re-checks strict ascent — the corruption
-// detector for the key data).
-func sideFromPos(in *keys.Interner, pos []int32) (set *keys.Set, byPos []int32, err error) {
-	if len(pos) != in.Len() {
-		return nil, nil, fmt.Errorf("stream: position map covers %d ids, interner holds %d", len(pos), in.Len())
-	}
-	count := 0
-	for _, p := range pos {
-		if p >= 0 {
-			count++
-		}
-	}
-	sorted := make([]string, count)
-	byPos = make([]int32, count)
-	seen := make([]bool, count)
-	for id, p := range pos {
-		if p < 0 {
-			continue
-		}
-		if int(p) >= count || seen[p] {
-			return nil, nil, fmt.Errorf("stream: position map is not a bijection at id %d", id)
-		}
-		seen[p] = true
-		sorted[p] = in.Key(int32(id))
-		byPos[p] = int32(id)
-	}
-	set, err = keys.FromSorted(sorted)
-	if err != nil {
-		return nil, nil, fmt.Errorf("stream: universe keys: %w", err)
-	}
-	set.Bind(&keys.InternIndex{In: in, Pos: pos})
-	return set, byPos, nil
-}
-
-// decodeView reconstructs a View from a checkpoint payload. Every
-// structural invariant is re-validated on the way in: interner offsets,
-// position-map bijectivity, key-set sortedness, CSR shape (through
-// NewCSR), one entry per incidence row, and the cross-array dimension
-// agreement — damaged bytes that beat the outer CRC still cannot become
-// a silently wrong view.
-func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], error) {
-	b := payload
-	if len(b) < 1 || b[0] != ckptFormat {
-		return nil, fmt.Errorf("stream: unsupported checkpoint payload format")
-	}
-	b = b[1:]
-	name, b, err := decodeStr(b)
-	if err != nil {
-		return nil, err
-	}
-	if name != ops.Name {
-		return nil, fmt.Errorf("stream: checkpoint was written under algebra %q, opened with %q", name, ops.Name)
-	}
-	var edges, appends, epoch, autoSeq uint64
-	if edges, b, err = decodeU64(b); err != nil {
-		return nil, err
-	}
-	if appends, b, err = decodeU64(b); err != nil {
-		return nil, err
-	}
-	if epoch, b, err = decodeU64(b); err != nil {
-		return nil, err
-	}
-	if autoSeq, b, err = decodeU64(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("stream: truncated checkpoint flags")
-	}
-	exact := b[0] == 1
-	b = b[1:]
-	var autoBase, lastKey string
-	if autoBase, b, err = decodeStr(b); err != nil {
-		return nil, err
-	}
-	if lastKey, b, err = decodeStr(b); err != nil {
-		return nil, err
-	}
-	srcIn, b, err := keys.InternerFromBinary(b)
-	if err != nil {
-		return nil, err
-	}
-	dstIn, b, err := keys.InternerFromBinary(b)
-	if err != nil {
-		return nil, err
-	}
-	srcPos, b, err := decodeI32s(b)
-	if err != nil {
-		return nil, err
-	}
-	dstPos, b, err := decodeI32s(b)
-	if err != nil {
-		return nil, err
-	}
-	edgeKeys, b, err := decodeStrs(b)
-	if err != nil {
-		return nil, err
-	}
-	eoutM, b, err := sparse.DecodeCSR(b, codec.Decode)
-	if err != nil {
-		return nil, err
-	}
-	einM, b, err := sparse.DecodeCSR(b, codec.Decode)
-	if err != nil {
-		return nil, err
-	}
-	mainM, b, err := sparse.DecodeCSR(b, codec.Decode)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("stream: %d trailing bytes after checkpoint payload", len(b))
-	}
-
-	srcSet, srcByPos, err := sideFromPos(srcIn, srcPos)
-	if err != nil {
-		return nil, err
-	}
-	dstSet, dstByPos, err := sideFromPos(dstIn, dstPos)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := keys.FromSorted(edgeKeys); err != nil {
-		return nil, fmt.Errorf("stream: edge keys: %w", err)
-	}
-	if int(edges) != len(edgeKeys) {
-		return nil, fmt.Errorf("stream: checkpoint counts %d edges, key set holds %d", edges, len(edgeKeys))
-	}
-	if len(edgeKeys) > 0 && edgeKeys[len(edgeKeys)-1] != lastKey {
-		return nil, fmt.Errorf("stream: checkpoint last key %q disagrees with edge set", lastKey)
-	}
-	if eoutM.Rows() != len(edgeKeys) || eoutM.Cols() != srcSet.Len() {
-		return nil, fmt.Errorf("stream: eout is %d×%d, want %d×%d", eoutM.Rows(), eoutM.Cols(), len(edgeKeys), srcSet.Len())
-	}
-	if einM.Rows() != len(edgeKeys) || einM.Cols() != dstSet.Len() {
-		return nil, fmt.Errorf("stream: ein is %d×%d, want %d×%d", einM.Rows(), einM.Cols(), len(edgeKeys), dstSet.Len())
-	}
-	if mainM.Rows() != srcSet.Len() || mainM.Cols() != dstSet.Len() {
-		return nil, fmt.Errorf("stream: adjacency is %d×%d, want %d×%d", mainM.Rows(), mainM.Cols(), srcSet.Len(), dstSet.Len())
-	}
-	// Back into id space: each incidence row's one column position is
-	// the position of the endpoint's id.
-	srcID, out, err := unitRowIDs(eoutM, srcByPos)
-	if err != nil {
-		return nil, err
-	}
-	dstID, in, err := unitRowIDs(einM, dstByPos)
-	if err != nil {
-		return nil, err
-	}
-	main, err := assoc.New(srcSet, dstSet, mainM)
-	if err != nil {
-		return nil, err
-	}
-	v := &View[V]{
-		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
-		opt:      opt,
-		keys:     edgeKeys,
-		srcID:    srcID,
-		dstID:    dstID,
-		out:      out,
-		in:       in,
-		srcIn:    srcIn,
-		dstIn:    dstIn,
-		uRows:    srcSet,
-		uCols:    dstSet,
-		srcPos:   srcPos,
-		dstPos:   dstPos,
-		synced:   len(edgeKeys),
-		main:     main,
-		appends:  int(appends),
-		epoch:    int(epoch),
-		exact:    exact,
-		autoSeq:  int(autoSeq),
-		autoBase: autoBase,
-	}
-	return v, nil
 }

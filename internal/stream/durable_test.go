@@ -112,13 +112,7 @@ func fmtKey(k int) string {
 // controlView folds the first n batches into a plain in-memory view.
 func controlView(t *testing.T, batches [][]Edge[float64], n int, ops semiring.Ops[float64]) Snapshot[float64] {
 	t.Helper()
-	v := NewView(ops, Options{})
-	for _, b := range batches[:n] {
-		if err := v.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return mustSnap(t, v)
+	return mustSnap(t, controlViewOf(t, batches[:n], ops))
 }
 
 func plusTimes(t *testing.T) semiring.Ops[float64] {

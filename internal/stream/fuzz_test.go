@@ -1,0 +1,193 @@
+package stream
+
+import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+
+	"adjarray/internal/semiring"
+	"adjarray/internal/wal"
+)
+
+// How the checkpoint fuzz target reads its bytes.
+const (
+	fuzzFile     = 0 // a checkpoint file of either format, checksums and all
+	fuzzPayload  = 1 // a format-1 payload, as if its checksum had held
+	fuzzSections = 2 // format-2 sections, as if their checksums had held
+)
+
+// frameSections is the fuzz target's own framing of format-2 sections —
+// tag, length, body — so that mutations reach decodeSections instead of
+// dying at a CRC.
+func frameSections(secs []wal.Section) []byte {
+	var b []byte
+	for _, s := range secs {
+		b = binary.LittleEndian.AppendUint32(b, s.Tag)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Body)))
+		b = append(b, s.Body...)
+	}
+	return b
+}
+
+func unframeSections(b []byte) []wal.Section {
+	var secs []wal.Section
+	for len(b) >= 8 && len(secs) < 2*numSections {
+		n := int(binary.LittleEndian.Uint32(b[4:]))
+		if n > len(b)-8 {
+			break
+		}
+		secs = append(secs, wal.Section{Tag: binary.LittleEndian.Uint32(b), Body: b[8 : 8+n]})
+		b = b[8+n:]
+	}
+	return secs
+}
+
+// fixtureCheckpoints returns the checkpoint files under testdata — what
+// PRs 14 and 15 wrote, format 1.
+func fixtureCheckpoints(t testing.TB) [][]byte {
+	t.Helper()
+	var files [][]byte
+	for _, pattern := range []string{"testdata/*/shards1/*.ckpt", "testdata/*/shards2/*/*.ckpt"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			buf, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, buf)
+		}
+	}
+	if len(files) != 6 {
+		t.Fatalf("found %d fixture checkpoints, want 6", len(files))
+	}
+	return files
+}
+
+// FuzzDecodeView: whatever the bytes, opening a checkpoint yields a typed
+// error or a view that passes validateView, survives being checkpointed
+// again unchanged, and still takes an append — never a panic, and never
+// more memory than a small multiple of the input.
+func FuzzDecodeView(f *testing.F) {
+	ops := semiring.PlusTimes()
+	for _, file := range fixtureCheckpoints(f) {
+		f.Add(uint8(fuzzFile), file)
+		ck, err := wal.ParseCheckpoint("", file)
+		if err != nil || ck.Format != 1 {
+			f.Fatalf("fixture: format %v, %v", ck, err)
+		}
+		f.Add(uint8(fuzzPayload), ck.Payload)
+	}
+	// Freshly written format-2 images: an auto-keyed and an explicit-keyed
+	// stream, whole, and with one byte flipped in each section.
+	auto := NewView(ops, Options{})
+	for _, b := range pr14Batches() {
+		if err := auto.Append(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, v := range []*View[float64]{auto, controlViewOf(f, durableBatches(47, 4, 9), ops), NewView(ops, Options{})} {
+		file := writeImage(f, v)
+		f.Add(uint8(fuzzFile), file)
+		ck, err := wal.ParseCheckpoint("", file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(fuzzSections), frameSections(ck.Sections))
+		for i, off := range sectionOffsets(f, file)[:numSections] {
+			flipped := slices.Clone(file)
+			flipped[off] ^= 0x04
+			f.Add(uint8(fuzzFile), flipped)
+			secs := slices.Clone(ck.Sections)
+			if len(secs[i].Body) > 0 {
+				secs[i].Body = slices.Clone(secs[i].Body)
+				secs[i].Body[len(secs[i].Body)/2] ^= 0x04
+			}
+			f.Add(uint8(fuzzSections), frameSections(secs))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var ck *wal.Checkpoint
+		switch mode % 3 {
+		case fuzzFile:
+			var err error
+			if ck, err = wal.ParseCheckpoint("fuzz", data); err != nil {
+				return
+			}
+		case fuzzPayload:
+			ck = &wal.Checkpoint{Path: "fuzz", Format: 1, Payload: data}
+		case fuzzSections:
+			ck = &wal.Checkpoint{Path: "fuzz", Format: 2, Sections: unframeSections(data)}
+		}
+		v, err := decodeCheckpoint(ck, ops, Options{}, Float64Codec())
+		runtime.ReadMemStats(&after)
+		// The largest legitimate ratio is a string header per byte of a
+		// format-1 key list; the fuzz engine's own allocations ride along.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<20); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		if err := validateView(v); err != nil {
+			t.Fatalf("decoded view is invalid: %v", err)
+		}
+		again, err := readImage(writeImage(t, v), ops)
+		if err != nil {
+			t.Fatalf("the decoded view does not re-encode: %v", err)
+		}
+		if err := sameView(again, v); err != nil {
+			t.Fatalf("re-encoded view: %v", err)
+		}
+		if err := v.Append([]Edge[float64]{{Src: "fuzz-src", Dst: "fuzz-dst"}}); err != nil {
+			t.Fatalf("decoded view refuses a keyless append: %v", err)
+		}
+		if _, err := v.Snapshot(); err != nil {
+			t.Fatalf("decoded view does not fold: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeBatch: a WAL record payload decodes to a typed error or to a
+// batch that encodes back to bytes decoding to the same batch — never a
+// panic, never more memory than the record's length accounts for.
+func FuzzDecodeBatch(f *testing.F) {
+	codec := Float64Codec()
+	for _, batch := range append(pr14Batches(), durableBatches(48, 2, 5)...) {
+		f.Add(appendBatch(nil, batch, codec))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xa0, 0x1f, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		edges, err := decodeBatch(data, codec)
+		runtime.ReadMemStats(&after)
+		// An edge is four bytes at least and 72 in memory, plus its strings.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<20); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		again, err := decodeBatch(appendBatch(nil, edges, codec), codec)
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		same := func(a, b Edge[float64]) bool { // a NaN weight is itself again
+			return a.Key == b.Key && a.Src == b.Src && a.Dst == b.Dst && a.HasOut == b.HasOut && a.HasIn == b.HasIn &&
+				(a.Out == b.Out || a.Out != a.Out) && (a.In == b.In || a.In != a.In)
+		}
+		if !slices.EqualFunc(again, edges, same) {
+			t.Fatalf("batch changed across a re-encode")
+		}
+	})
+}

@@ -251,40 +251,158 @@ func pr14Batches() [][]Edge[float64] {
 	return out
 }
 
-// The checkpoint format did not change when the log moved to id space
-// (ckptFormat is still 1, the incidence CSRs in it are still in column-
-// position space). testdata/pr14 holds directories the parent commit
-// wrote — a checkpoint covering three batches plus a WAL tail of two
-// more, at one and at two shards. They must reopen, take keyless appends whose
-// vertices sort all over the recovered universe, and equal the dense
-// Definition I.3 construction over everything ingested.
+// pr15Step is one append of the stream testdata/pr15 was written from
+// (see gen.go there). A rollback step was failed after its endpoints
+// were interned, so its vertices stayed behind as ids nothing
+// references: the replay skips it.
+type pr15Step struct {
+	batch    []Edge[float64]
+	rollback bool
+}
+
+// pr15Steps must stay in step with the copy in testdata/pr15/gen.go.
+// shards1 is the explicit-key stream, shards2 the auto-key one; a
+// checkpoint followed step 4.
+func pr15Steps(keyed bool) []pr15Step {
+	verts := []string{"n", "d", "y", "b", "r", "zz", "c", "e", "l", "1", "~", "nn", "orphan-mid-a"}
+	var steps []pr15Step
+	n, key := 0, 0
+	add := func(batch []Edge[float64], rollback bool) {
+		if keyed {
+			for i := range batch {
+				batch[i].Key = fmt.Sprintf("k%04d", key+i)
+			}
+			if !rollback {
+				key += len(batch)
+			}
+		}
+		steps = append(steps, pr15Step{batch, rollback})
+	}
+	orphans := func(tag string) []Edge[float64] {
+		var batch []Edge[float64]
+		for i := 0; i < 6; i++ {
+			batch = append(batch, Edge[float64]{Src: fmt.Sprintf("orphan-%s-%c", tag, 'a'+i), Dst: fmt.Sprintf("orphan-%s-%c", tag, 'f'-i)})
+		}
+		return batch
+	}
+	for b := 0; b < 5; b++ {
+		batch := make([]Edge[float64], 7)
+		for i := range batch {
+			pool := 4 + 2*b
+			if b == 3 {
+				pool = len(verts)
+			}
+			src := verts[(n*5+b)%pool]
+			dst := verts[(n*7+3)%(3+2*b)]
+			batch[i] = Edge[float64]{Src: src, Dst: dst, Out: float64(1 + n%3), HasOut: true}
+			if n%4 == 0 {
+				batch[i].In, batch[i].HasIn = 0.25, true
+			}
+			n++
+		}
+		add(batch, false)
+		switch b {
+		case 0:
+			add(orphans("mid"), true)
+		case 2:
+			add(orphans("tail"), true)
+		}
+	}
+	return steps
+}
+
+// lastKey is the newest edge key in a store's log.
+func lastKey(t *testing.T, st *Store[float64]) string {
+	t.Helper()
+	eout, _ := mustLogs(t, flatSnap(t, st))
+	return eout.RowKeys().Key(eout.RowKeys().Len() - 1)
+}
+
+// Format 1 is read, never written. testdata/pr14 and testdata/pr15 hold
+// directories earlier commits wrote — a format-1 checkpoint covering
+// three batches plus a WAL tail of two more, at one and at two shards:
+// pr14 from a position-space log, keyless; pr15 from the id-space log,
+// with ids orphaned by rolled-back batches (−1 inside the position map
+// and padded onto its end), explicit keys at one shard and auto keys at
+// two. Each must reopen bit-identical to an in-memory replay of its
+// stream, take keyless appends whose vertices sort all over the
+// recovered universe, equal the dense Definition I.3 construction over
+// everything ingested, checkpoint — format 2 now — and reopen again the
+// same, down to the next auto-assigned key.
 func TestReopensParentWrittenCheckpoints(t *testing.T) {
 	ops := semiring.PlusTimes()
 	more := [][]Edge[float64]{
 		{{Src: "!", Dst: "m"}, {Src: "m", Dst: "l"}, {Src: "zzz", Dst: "!"}},
-		{{Src: "c", Dst: "zzz", Out: 2, HasOut: true}, {Src: "l", Dst: "a"}},
+		{{Src: "c", Dst: "zzz", Out: 2, HasOut: true}, {Src: "l", Dst: "a"}, {Src: "orphan-tail-a", Dst: "n"}},
 	}
-	for _, shards := range []int{1, 2} {
+	pr15 := func(keyed bool) (batches [][]Edge[float64]) {
+		for _, step := range pr15Steps(keyed) {
+			if !step.rollback {
+				batches = append(batches, step.batch)
+			}
+		}
+		return batches
+	}
+	for _, fx := range []struct {
+		dir     string
+		shards  int
+		batches [][]Edge[float64]
+	}{
+		{"pr14/shards1", 1, pr14Batches()},
+		{"pr14/shards2", 2, pr14Batches()},
+		{"pr15/shards1", 1, pr15(true)},
+		{"pr15/shards2", 2, pr15(false)},
+	} {
 		dir := filepath.Join(t.TempDir(), "store")
-		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pr14", fmt.Sprintf("shards%d", shards)))); err != nil {
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", fx.dir))); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+		st, err := Open(dir, ops, fx.shards, Options{}, DurableOptions[float64]{})
 		if err != nil {
-			t.Fatalf("%d shards: reopening a parent-written directory: %v", shards, err)
+			t.Fatalf("%s: reopening a parent-written directory: %v", fx.dir, err)
 		}
 		for i, rec := range st.Recovery() {
-			if rec.CheckpointSeq != 3 || rec.Replayed == 0 || rec.SkippedCheckpoints != 0 {
-				t.Errorf("%d shards: shard %d recovered %+v, want checkpoint 3 + a replayed tail", shards, i, rec)
+			if rec.CheckpointSeq != 3 || rec.CheckpointFormat != 1 || rec.Replayed == 0 || rec.SkippedCheckpoints != 0 {
+				t.Errorf("%s: shard %d recovered %+v, want format-1 checkpoint 3 + a replayed tail", fx.dir, i, rec)
 			}
 		}
-		all := pr14Batches()
+		replay := memStore(t, ops, fx.shards, Options{})
+		all := slices.Clone(fx.batches)
+		for _, batch := range all {
+			if err := replay.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// same holds the store to the in-memory replay: snapshot, logs,
+		// counters, and the key the next keyless edge is given.
+		same := func(st *Store[float64], label string) {
+			t.Helper()
+			snapEqual(t, flatSnap(t, st), flatSnap(t, replay), fx.dir+", "+label)
+			got, want := st.Stats(), replay.Stats()
+			if got.Edges != want.Edges || !slices.Equal(got.Epochs, want.Epochs) || got.AdjNNZ != want.AdjNNZ || got.Pending != want.Pending {
+				t.Errorf("%s, %s: stats %+v, the replay's %+v", fx.dir, label, got, want)
+			}
+			for i := range got.PerShard {
+				g, w := got.PerShard[i], want.PerShard[i]
+				if g.OutVertices != w.OutVertices || g.InVertices != w.InVertices || g.Appends != w.Appends {
+					t.Errorf("%s, %s: shard %d stats %+v, the replay's %+v", fx.dir, label, i, g, w)
+				}
+			}
+		}
+		same(st, "as recovered")
 		for _, batch := range more {
 			if err := st.Append(batch); err != nil {
-				t.Fatalf("%d shards: keyless append on a parent-written directory: %v", shards, err)
+				t.Fatalf("%s: keyless append on a parent-written directory: %v", fx.dir, err)
+			}
+			if err := replay.Append(batch); err != nil {
+				t.Fatal(err)
 			}
 			all = append(all, batch)
+			if got, want := lastKey(t, st), lastKey(t, replay); got != want {
+				t.Fatalf("%s: a keyless edge was keyed %q, in the replay %q", fx.dir, got, want)
+			}
 		}
+		same(st, "after keyless appends")
 
 		// The oracle shares nothing with the view: its own keys in
 		// arrival order, FromTriples, the dense fold.
@@ -309,26 +427,42 @@ func TestReopensParentWrittenCheckpoints(t *testing.T) {
 		}
 		got := flatSnap(t, st)
 		if got.Edges != len(outT) || !got.Adjacency.Equal(want, eqF) {
-			t.Errorf("%d shards: recovered + appended adjacency (%d edges) != dense oracle (%d edges)", shards, got.Edges, len(outT))
+			t.Errorf("%s: recovered + appended adjacency (%d edges) != dense oracle (%d edges)", fx.dir, got.Edges, len(outT))
 		}
 		// And the recovered log is a log: its own one-shot product is the
 		// same array.
 		eout, ein := mustLogs(t, got)
 		if again, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{}); err != nil || !again.Equal(want, eqF) {
-			t.Errorf("%d shards: Correlate over the recovered Logs() != dense oracle (%v)", shards, err)
+			t.Errorf("%s: Correlate over the recovered Logs() != dense oracle (%v)", fx.dir, err)
 		}
-		// A checkpoint written now reopens too.
+		// A checkpoint written now is format 2, and reopens the same.
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+		re, err := Open(dir, ops, fx.shards, Options{}, DurableOptions[float64]{})
 		if err != nil {
-			t.Fatalf("%d shards: reopening after a new checkpoint: %v", shards, err)
+			t.Fatalf("%s: reopening after a new checkpoint: %v", fx.dir, err)
 		}
-		snapEqual(t, flatSnap(t, re), got, fmt.Sprintf("%d shards, after a new checkpoint", shards))
+		for i, rec := range re.Recovery() {
+			if rec.CheckpointFormat != 2 || rec.Replayed != 0 {
+				t.Errorf("%s: shard %d reopened from %+v, want a format-2 checkpoint and no tail", fx.dir, i, rec)
+			}
+		}
+		same(re, "after a format-2 checkpoint")
+		final := []Edge[float64]{{Src: "after", Dst: "all"}, {Src: "a", Dst: "after"}}
+		if err := re.Append(final); err != nil {
+			t.Fatal(err)
+		}
+		if err := replay.Append(final); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := lastKey(t, re), lastKey(t, replay); got != want {
+			t.Errorf("%s: after the format-2 checkpoint a keyless edge was keyed %q, in the replay %q", fx.dir, got, want)
+		}
+		same(re, "one batch past the format-2 checkpoint")
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}

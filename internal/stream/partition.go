@@ -65,6 +65,12 @@ type RecoveryInfo struct {
 	// (ckpt-*.tmp, leftovers of a write that died mid-publish) Open
 	// removed.
 	ReapedTempFiles int
+	// CheckpointFormat is the loaded checkpoint's on-disk format (1:
+	// position-space CSRs, read only; 2: the id-space log), 0 without one.
+	CheckpointFormat int
+	// CheckpointLoad is how long reading, validating and decoding the
+	// checkpoint took — recovery's cost before the WAL replay.
+	CheckpointLoad time.Duration
 }
 
 // StorageState is the storage-health state machine a shard surfaces:
@@ -125,6 +131,16 @@ type DurabilityStats struct {
 	WALLag uint64
 	// CheckpointSeq is the newest on-disk checkpoint's covered seq.
 	CheckpointSeq uint64
+	// Checkpoints counts the checkpoints this process has written.
+	Checkpoints uint64
+	// CheckpointBytes and CheckpointDuration are the size of the last
+	// checkpoint written and how long it took from pinning the view to
+	// the published file; CheckpointFormat is the on-disk format of the
+	// newest checkpoint — the one loaded at Open until the first is
+	// written, 0 with none.
+	CheckpointBytes    int64
+	CheckpointDuration time.Duration
+	CheckpointFormat   int
 	// Policy is the fsync policy's string form (batch/interval/off), or
 	// "none" for an in-memory shard.
 	Policy string
@@ -164,11 +180,15 @@ type partition[V any] struct {
 	opt   DurableOptions[V]
 
 	ckptSeq uint64 // newest on-disk checkpoint's covered seq
-	buf     []byte // record encode scratch, reused under mu
-	failed  error  // sticky: a WAL write failed after the view applied
-	ckptErr error  // last checkpoint failure (degraded); nil after success
-	faults  atomic.Uint64
-	closed  bool
+	// What Durability reports of the checkpoints written since Open.
+	ckpts     uint64
+	ckptBytes int64
+	ckptDur   time.Duration
+	buf       []byte // record encode scratch, reused under mu
+	failed    error  // sticky: a WAL write failed after the view applied
+	ckptErr   error  // last checkpoint failure (degraded); nil after success
+	faults    atomic.Uint64
+	closed    bool
 
 	recovery RecoveryInfo
 
@@ -213,21 +233,24 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 		return nil, err
 	}
 	rec.ReapedTempFiles = reaped
-	payload, ckptSeq, skipped, err := wal.LoadCheckpointFS(fsys, dir)
+	loadStart := time.Now()
+	ck, skipped, err := wal.LoadCheckpointFS(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	rec.CheckpointSeq = ckptSeq
 	rec.SkippedCheckpoints = len(skipped)
 	v := NewView(ops, vopt)
-	if payload != nil {
-		v, err = decodeView(payload, ops, vopt, codec)
+	var ckptSeq uint64
+	if ck != nil {
+		ckptSeq = ck.Seq
+		v, err = decodeCheckpoint(ck, ops, vopt, codec)
 		if err != nil {
 			return nil, fmt.Errorf("stream: checkpoint seq %d: %w", ckptSeq, err)
 		}
 		if uint64(v.epoch) != ckptSeq {
 			return nil, fmt.Errorf("stream: checkpoint seq %d holds view epoch %d", ckptSeq, v.epoch)
 		}
+		rec.CheckpointSeq, rec.CheckpointFormat, rec.CheckpointLoad = ckptSeq, ck.Format, time.Since(loadStart)
 	}
 	if v.autoBase == "" {
 		v.autoBase = prefix
@@ -240,7 +263,9 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 		}
 		edges, err := decodeBatch(payload, codec)
 		if err != nil {
-			return fmt.Errorf("stream: wal record seq %d: %w", seq, err)
+			// The record's checksum held and its contents still do not
+			// decode: damage, not an I/O condition.
+			return &wal.CorruptError{Path: dir, Reason: fmt.Sprintf("record seq %d: %v", seq, err)}
 		}
 		if err := v.Append(edges); err != nil {
 			return fmt.Errorf("stream: replaying wal record seq %d: %w", seq, err)
@@ -394,29 +419,38 @@ func (p *partition[V]) checkpoint() error {
 	return p.checkpointLocked()
 }
 
+// checkpointLocked writes a checkpoint of the view's current epoch,
+// unless the newest one already covers it. The view lock is held only to
+// fold and to pin the image — O(1) past the fold; the encode and every
+// filesystem call run with it released, so readers never wait on a
+// checkpoint. p.mu stays held throughout: no batch reaches the view or
+// the log while its checkpoint is being written.
 func (p *partition[V]) checkpointLocked() error {
 	v := p.v
+	start := time.Now()
 	v.mu.Lock()
-	err := v.materializeLocked()
-	if err != nil {
+	if uint64(v.epoch) == p.ckptSeq {
+		v.mu.Unlock()
+		return nil
+	}
+	if err := v.materializeLocked(); err != nil {
 		// A view-maintenance failure, not a storage fault: report it
 		// without touching the storage-health state.
 		v.mu.Unlock()
 		return err
 	}
-	seq := uint64(v.epoch)
-	payload := v.encodeViewLocked(nil, p.codec)
+	im := v.imageLocked()
 	v.mu.Unlock()
-	if seq == p.ckptSeq {
-		return nil
-	}
+	seq := uint64(im.epoch)
+	emit := func(w *wal.CheckpointWriter) error { return im.encode(w, p.codec) }
 	// The write phase retries: ENOSPC/EIO can be transient (space
 	// freed, path remounted), and the temp-file dance is idempotent.
 	// Appends stall on p.mu for the backoff total, so it stays capped.
 	fsys, backoff := p.opt.FS, p.opt.CheckpointBackoff
 	for attempt := 0; ; attempt++ {
-		_, err = wal.WriteCheckpointFS(fsys, p.dir, seq, payload)
+		_, size, err := wal.WriteCheckpointFS(fsys, p.dir, seq, emit)
 		if err == nil {
+			p.ckptBytes = size
 			break
 		}
 		p.faults.Add(1)
@@ -432,9 +466,12 @@ func (p *partition[V]) checkpointLocked() error {
 	}
 	p.ckptSeq = seq
 	p.ckptErr = nil
+	p.ckpts++
+	p.ckptDur = time.Since(start)
 	// The checkpoint itself is durable; failed retirement only leaves
 	// extra files behind. Degraded, not fatal.
-	if _, err = wal.RetireCheckpointsFS(fsys, p.dir, p.opt.KeepCheckpoints); err == nil {
+	_, err := wal.RetireCheckpointsFS(fsys, p.dir, p.opt.KeepCheckpoints)
+	if err == nil {
 		_, err = wal.RetireSegmentsFS(fsys, p.dir, seq)
 	}
 	if err != nil {
@@ -483,14 +520,22 @@ func (p *partition[V]) durability() DurabilityStats {
 	if epoch > durable {
 		lag = epoch - durable
 	}
+	format := p.recovery.CheckpointFormat
+	if p.ckpts > 0 {
+		format = 2 // the only format written
+	}
 	return DurabilityStats{
-		Epoch:         epoch,
-		DurableEpoch:  durable,
-		WALLag:        lag,
-		CheckpointSeq: p.ckptSeq,
-		Policy:        p.opt.WAL.Policy.String(),
-		Recovery:      p.recovery,
-		Storage:       p.healthLocked(),
+		Epoch:              epoch,
+		DurableEpoch:       durable,
+		WALLag:             lag,
+		CheckpointSeq:      p.ckptSeq,
+		Checkpoints:        p.ckpts,
+		CheckpointBytes:    p.ckptBytes,
+		CheckpointDuration: p.ckptDur,
+		CheckpointFormat:   format,
+		Policy:             p.opt.WAL.Policy.String(),
+		Recovery:           p.recovery,
+		Storage:            p.healthLocked(),
 	}
 }
 

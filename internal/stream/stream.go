@@ -31,8 +31,9 @@
 // lookup resolves through the same hash table instead of a per-Set
 // map). Pending pairs are then mapped to cells of that universe and
 // folded. The key-ordered incidence arrays Eout and Ein themselves are
-// built from the log on request (Snapshot.Logs), which only Compact, the
-// checkpoint encoder and callers that want the arrays ask for.
+// built from the log on request (Snapshot.Logs), which only Compact and
+// callers that want the arrays ask for; a checkpoint stores the log as
+// it lies here, by id (checkpoint.go).
 //
 // Soundness hypothesis: folding a delta into already-folded state
 // re-associates the per-cell ⊕ fold — ((earlier edges) ⊕ (delta))
@@ -183,8 +184,9 @@ type View[V any] struct {
 
 	// logs is what Snapshot hands out for the current log and universe;
 	// nil once an append moved either. Keeping it lets every snapshot of
-	// one epoch (and Compact, and the next checkpoint) share one build
-	// of the incidence arrays, and keeps a clean Snapshot allocation-free.
+	// one epoch (and Compact) share one build of the incidence arrays,
+	// keeps a clean Snapshot allocation-free, and is the log a checkpoint
+	// pins.
 	logs *logView[V]
 
 	appends   int // batches since the last compact

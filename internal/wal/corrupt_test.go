@@ -231,16 +231,18 @@ func TestMissingMiddleSegment(t *testing.T) {
 }
 
 // TestCheckpointCorruptionAtEveryBoundary damages a checkpoint file at
-// each interesting offset (magic, version, CRC, seq, length, payload,
-// truncation) and asserts LoadCheckpoint either falls back to an older
-// valid checkpoint or fails typed — never returns damaged bytes.
+// each interesting offset (magic, version, CRC, seq, section length,
+// payload, truncation) and asserts loading either falls back to an
+// older valid checkpoint or fails typed — never returns damaged bytes.
+// (TestEveryByteIsCovered flips every byte; this one is about the
+// fallback.)
 func TestCheckpointCorruptionAtEveryBoundary(t *testing.T) {
 	master := t.TempDir()
-	if _, err := WriteCheckpoint(master, 7, payloadFor(7)); err != nil {
+	if _, err := writeCheckpoint(iofault.OS, master, 7, payloadFor(7)); err != nil {
 		t.Fatal(err)
 	}
 	newerPayload := payloadFor(9)
-	newer, err := WriteCheckpoint(master, 9, newerPayload)
+	newer, err := writeCheckpoint(iofault.OS, master, 9, newerPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +259,9 @@ func TestCheckpointCorruptionAtEveryBoundary(t *testing.T) {
 		{"version", func(b []byte) []byte { b[8] = 99; return b }},
 		{"crc", func(b []byte) []byte { b[12] ^= 0x80; return b }},
 		{"seq", func(b []byte) []byte { b[16] ^= 0x01; return b }},
-		{"length", func(b []byte) []byte { b[24] ^= 0x01; return b }},
+		{"length", func(b []byte) []byte { b[len(b)-ckptFooterSize-8] ^= 0x01; return b }},
 		{"payload-first", func(b []byte) []byte { b[ckptHeaderSize] ^= 0x01; return b }},
-		{"payload-last", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
+		{"payload-last", func(b []byte) []byte { b[ckptHeaderSize+len(newerPayload)-1] ^= 0x01; return b }},
 		{"truncate-header", func(b []byte) []byte { return b[:ckptHeaderSize-1] }},
 		{"truncate-payload", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"empty", func(b []byte) []byte { return b[:0] }},
@@ -271,7 +273,7 @@ func TestCheckpointCorruptionAtEveryBoundary(t *testing.T) {
 			if err := os.WriteFile(path, m.mut(bytes.Clone(clean)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, seq, skipped, err := LoadCheckpoint(dir)
+			got, seq, skipped, err := loadCheckpoint(dir)
 			if err != nil {
 				t.Fatalf("%s: no fallback despite older valid checkpoint: %v", m.name, err)
 			}
@@ -287,7 +289,7 @@ func TestCheckpointCorruptionAtEveryBoundary(t *testing.T) {
 			if err := os.Remove(dir + "/" + checkpointName(7)); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := LoadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
+			if _, _, _, err := loadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s: sole damaged checkpoint gave err %v, want ErrCorrupt", m.name, err)
 			}
 		})

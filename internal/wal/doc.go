@@ -49,12 +49,17 @@
 //
 // # Checkpoints
 //
-// A checkpoint is one opaque payload (internal/stream serializes the
-// whole view state) written atomically: temp file, fsync, rename to
-// ckpt-<seq>.ckpt, directory fsync. <seq> is the sequence number of the
-// last record the checkpoint covers, so recovery is "load newest valid
-// checkpoint, replay records > seq". A checkpoint that fails its CRC or
-// header validation is skipped in favor of the next older one (stale
+// A checkpoint is a run of tagged sections (internal/stream decides
+// which, and what is in them) streamed into a temp file and published
+// atomically: temp file, fsync, rename to ckpt-<seq>.ckpt, directory
+// fsync. Each section is closed by its length and a CRC-32C, and a
+// footer with the section count, the file's length and an end magic
+// closes the file, so every byte is covered and a file cut anywhere
+// fails validation (see checkpoint.go for the layout; format 1, one
+// opaque payload under one CRC, is still read). <seq> is the sequence
+// number of the last record the checkpoint covers, so recovery is "load
+// newest valid checkpoint, replay records > seq". A checkpoint that
+// fails validation is skipped in favor of the next older one (stale
 // checkpoint + longer WAL replay is the designed fallback); only when
 // every checkpoint file is invalid does loading fail with the typed
 // error. Segments wholly covered by a checkpoint are retired by

@@ -129,13 +129,13 @@ func TestCheckpointTempReap(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.New()
 	ffs := iofault.Wrap(iofault.OS, inj)
-	if _, err := WriteCheckpointFS(ffs, dir, 5, []byte("payload-5")); err != nil {
+	if _, err := writeCheckpoint(ffs, dir, 5, []byte("payload-5")); err != nil {
 		t.Fatalf("healthy checkpoint: %v", err)
 	}
 
 	inj.Arm(iofault.Rule{Op: iofault.OpRename, Kind: iofault.ENOSPC, Count: 1})
 	inj.Arm(iofault.Rule{Op: iofault.OpRemove, Path: ".tmp", Kind: iofault.EIO, Count: 1})
-	if _, err := WriteCheckpointFS(ffs, dir, 9, []byte("payload-9")); !errors.Is(err, syscall.ENOSPC) {
+	if _, err := writeCheckpoint(ffs, dir, 9, []byte("payload-9")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("want ENOSPC from rename, got %v", err)
 	}
 	if n := countTemps(t, dir); n != 1 {
@@ -151,20 +151,21 @@ func TestCheckpointTempReap(t *testing.T) {
 	}
 
 	// The published checkpoint is untouched and still loads.
-	payload, seq, _, err := LoadCheckpoint(dir)
+	payload, seq, _, err := loadCheckpoint(dir)
 	if err != nil || seq != 5 || string(payload) != "payload-5" {
 		t.Fatalf("LoadCheckpoint after reap: payload=%q seq=%d err=%v", payload, seq, err)
 	}
 }
 
 // TestWriteCheckpointCleansTempOnWriteFault: when the temp-file write
-// itself faults, WriteCheckpointFS's own cleanup reaps the temp.
+// itself faults, WriteCheckpointFS's own cleanup reaps the temp
+// (TestWriteFaultAtEveryCall does the same at every call).
 func TestWriteCheckpointCleansTempOnWriteFault(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.New()
 	ffs := iofault.Wrap(iofault.OS, inj)
 	inj.Arm(iofault.Rule{Op: iofault.OpWrite, Path: ".tmp", Kind: iofault.ShortWrite, Count: 1})
-	if _, err := WriteCheckpointFS(ffs, dir, 3, []byte("p")); err == nil {
+	if _, err := writeCheckpoint(ffs, dir, 3, []byte("p")); err == nil {
 		t.Fatal("faulted checkpoint write must error")
 	}
 	if n := countTemps(t, dir); n != 0 {

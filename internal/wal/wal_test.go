@@ -228,10 +228,10 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := payloadFor(42)
-	if _, err := WriteCheckpoint(dir, 42, want); err != nil {
+	if _, err := writeCheckpoint(iofault.OS, dir, 42, want); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
-	got, seq, skipped, err := LoadCheckpoint(dir)
+	got, seq, skipped, err := loadCheckpoint(dir)
 	if err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestLoadCheckpointEmptyDir(t *testing.T) {
-	got, seq, skipped, err := LoadCheckpoint(t.TempDir())
+	got, seq, skipped, err := loadCheckpoint(t.TempDir())
 	if err != nil || got != nil || seq != 0 || len(skipped) != 0 {
 		t.Fatalf("empty dir: payload=%v seq=%d skipped=%d err=%v", got, seq, len(skipped), err)
 	}
@@ -249,10 +249,10 @@ func TestLoadCheckpointEmptyDir(t *testing.T) {
 
 func TestLoadCheckpointFallsBackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := WriteCheckpoint(dir, 10, payloadFor(10)); err != nil {
+	if _, err := writeCheckpoint(iofault.OS, dir, 10, payloadFor(10)); err != nil {
 		t.Fatal(err)
 	}
-	newer, err := WriteCheckpoint(dir, 20, payloadFor(20))
+	newer, err := writeCheckpoint(iofault.OS, dir, 20, payloadFor(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestLoadCheckpointFallsBackToOlder(t *testing.T) {
 	if err := os.WriteFile(newer, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, seq, skipped, err := LoadCheckpoint(dir)
+	got, seq, skipped, err := loadCheckpoint(dir)
 	if err != nil {
 		t.Fatalf("LoadCheckpoint with damaged newest: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestLoadCheckpointFallsBackToOlder(t *testing.T) {
 
 func TestLoadCheckpointAllInvalid(t *testing.T) {
 	dir := t.TempDir()
-	path, err := WriteCheckpoint(dir, 5, payloadFor(5))
+	path, err := writeCheckpoint(iofault.OS, dir, 5, payloadFor(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestLoadCheckpointAllInvalid(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := loadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("all-invalid LoadCheckpoint err = %v, want ErrCorrupt", err)
 	}
 }
@@ -299,7 +299,7 @@ func TestLoadCheckpointAllInvalid(t *testing.T) {
 func TestRetireCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	for seq := uint64(1); seq <= 5; seq++ {
-		if _, err := WriteCheckpoint(dir, seq, payloadFor(seq)); err != nil {
+		if _, err := writeCheckpoint(iofault.OS, dir, seq, payloadFor(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
