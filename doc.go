@@ -34,9 +34,10 @@
 //   - the graph layer: incidence extraction, adjacency construction and
 //     validation, reverse graphs, and the constructive counterexample
 //     gadgets of Lemmas II.2–II.4;
-//   - the end-to-end Build pipeline on the one multiplication engine
-//     (serial or parallel by Workers), with sharded and
-//     dense-verification backends beside it;
+//   - the end-to-end Build pipeline (graph-shaped operands fold,
+//     everything else multiplies on the one engine; serial or parallel
+//     by Workers), with sharded and dense-verification backends beside
+//     it;
 //   - incremental maintenance: AdjacencyView keeps A up to date under
 //     continuous edge ingest — its edge log and delta backlog are kept
 //     by stable interner id, so an append is O(batch) even when it
@@ -107,10 +108,30 @@
 // offline sharded backend and the online view share one partial-product
 // engine (internal/shard): one implementation, two drivers.
 //
+// # Construction is a fold
+//
+// Definition I.4 gives each incidence array of a graph one entry per
+// edge row, so for a graph A = Eoutᵀ ⊕.⊗ Ein is a group-by: A(s,d) is
+// the ⊕-fold, in ascending edge-key order, of Eout(k,s) ⊗ Ein(k,d) over
+// the edges k from s to d. Correlate — and with it Adjacency, Build,
+// sharded partials, Compact — recognises that shape by itself (one row
+// key set, both matrices marked unit-row where their row pointers were
+// last walked) and runs sparse.FoldUnitRows on the two column arrays: a
+// stable counting sort on the source, then per row a stable grouping on
+// the target. Nothing is transposed; a view's backlog fold is the same
+// kernel. Anything else — hyperedge rows, multi-hop A·A, masked
+// products, row keys that merely overlap — multiplies on the engine
+// below. The results cannot be told apart: row s of a unit-row Eoutᵀ
+// lists the edges out of s in key order, so the engine meets the
+// contributions to A(s,d) in the order the fold does, and both apply ⊕
+// left to right and prune at emission. internal/conformance enforces it,
+// the engine as the explicit reference and the fold as a path under test.
+//
 // # Multiplication engine
 //
-// Every array multiplication runs on one engine, sparse.Mxm(mask, A, B,
-// ⊕.⊗, options): two-phase symbolic/numeric SpGEMM. A stamp-only
+// Every general array multiplication runs on one engine,
+// sparse.Mxm(mask, A, B, ⊕.⊗, options): two-phase symbolic/numeric
+// SpGEMM. A stamp-only
 // symbolic pass computes exact per-row output sizes (under a mask the
 // mask's own row sizes are the bound and the pass is skipped), the
 // output arrays are allocated once, and the numeric pass writes rows in

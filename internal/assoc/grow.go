@@ -15,44 +15,6 @@ import (
 // instead of re-sorting and re-allocating per batch (see internal/stream
 // for the driver).
 
-// AppendRows stacks extra's rows below a's. extra's row keys must all
-// sort strictly after a's last row key — the append-only discipline of a
-// monotone edge-key log, which keeps the combined key set sorted without
-// a re-sort and keeps the row order equal to arrival order (so a later
-// sequential fold over rows replays contributions in ingest order).
-//
-// Column key sets may differ; the result's column set is the union, with
-// both sides' column indices remapped by offset (no string hashing).
-// When reuse is true, a's row-key and CSR backing grow with append
-// semantics: only the latest array in an append chain may be extended
-// further, but earlier arrays in the chain remain valid reads.
-func (a *Array[V]) AppendRows(extra *Array[V], reuse bool) (*Array[V], error) {
-	if extra.rows.Len() == 0 {
-		return a, nil
-	}
-	rows, err := a.rows.AppendSorted(extra.rows.Keys()...)
-	if err != nil {
-		return nil, fmt.Errorf("assoc: AppendRows: %w", err)
-	}
-	cols, aPos, ePos := unionFast(a.cols, extra.cols)
-	am, err := sparse.Embed(a.mat, nil, aPos, a.rows.Len(), cols.Len())
-	if err != nil {
-		return nil, fmt.Errorf("assoc: AppendRows lhs embed: %w", err)
-	}
-	em, err := sparse.Embed(extra.mat, nil, ePos, extra.rows.Len(), cols.Len())
-	if err != nil {
-		return nil, fmt.Errorf("assoc: AppendRows rhs embed: %w", err)
-	}
-	// Reuse is only sound when the left embed shared a's storage: a
-	// column remap already copied colIdx, so appending to it cannot
-	// clobber a's backing, but it also means there is nothing to reuse.
-	m, err := sparse.AppendRows(am, em, reuse && aPos == nil)
-	if err != nil {
-		return nil, fmt.Errorf("assoc: AppendRows: %w", err)
-	}
-	return &Array[V]{rows: rows, cols: cols, mat: m}, nil
-}
-
 // AddInto computes a ⊕= b over the union key space, with a's entries on
 // the left of every fold (a holds the earlier contributions). Key-set
 // growth uses sorted union-with-offsets and integer-index embedding

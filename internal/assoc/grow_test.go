@@ -96,45 +96,6 @@ func TestAddIntoGrowsKeySets(t *testing.T) {
 	}
 }
 
-func TestArrayAppendRows(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	log := FromTriples([]Triple[float64]{
-		{Row: "e0001", Col: "u", Val: 1},
-		{Row: "e0002", Col: "v", Val: 1},
-	}, nil)
-	all := log.Triples()
-	for step := 0; step < 6; step++ {
-		var ts []Triple[float64]
-		for i := 0; i < 1+r.Intn(3); i++ {
-			ts = append(ts, Triple[float64]{
-				Row: fmt.Sprintf("e%04d", 10+step*10+i),
-				Col: fmt.Sprintf("w%d", r.Intn(6)),
-				Val: float64(1 + r.Intn(5)),
-			})
-		}
-		extra := FromTriples(ts, nil)
-		grown, err := log.AppendRows(extra, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, ts...)
-		want := FromTriples(all, nil)
-		if !grown.Equal(want, eqFloat) {
-			t.Fatalf("step %d: append != batch rebuild", step)
-		}
-		log = grown
-	}
-	// Out-of-order keys are rejected.
-	stale := FromTriples([]Triple[float64]{{Row: "e0000", Col: "u", Val: 1}}, nil)
-	if _, err := log.AppendRows(stale, true); err == nil {
-		t.Error("non-monotone row keys accepted")
-	}
-	// Empty append returns the receiver.
-	if same, err := log.AppendRows(FromTriples[float64](nil, nil), true); err != nil || same != log {
-		t.Errorf("empty append: %v %v", same, err)
-	}
-}
-
 func TestEmbedInto(t *testing.T) {
 	a := FromTriples([]Triple[float64]{{Row: "b", Col: "y", Val: 3}}, nil)
 	rows := a.RowKeys().Union(FromTriples([]Triple[float64]{{Row: "a", Col: "z", Val: 1}}, nil).RowKeys())

@@ -58,9 +58,23 @@ func Mul[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V],
 // (Figures 3 and 5 captions: "this correlation is performed using the
 // transpose operation T and the array multiplication ⊕.⊗"). The result
 // relates A's column keys to B's column keys through the shared row keys.
-// When opt requests parallelism, the transpose runs on the parallel
-// scatter kernel too.
+//
+// This is the one place construction chooses its kernel. Operands that
+// share their row key set and hold one entry per row — the incidence
+// arrays of a graph (Definition I.4) — are folded column against column
+// by sparse.FoldUnitRows; everything else is Mul(Aᵀ, B), transposed on
+// the parallel scatter kernel when opt requests parallelism. Both fold
+// each cell in ascending shared-key order: the choice never shows.
 func Correlate[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
+	if a.mat.UnitRows() && b.mat.UnitRows() && a.rows.Equal(b.rows) {
+		_, src, out := a.mat.Parts()
+		_, dst, in := b.mat.Parts()
+		m, err := sparse.FoldUnitRows(a.cols.Len(), b.cols.Len(), src, dst, out, in, ops, opt, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &Array[V]{rows: a.cols, cols: b.cols, mat: m}, nil
+	}
 	return Mul(a.TransposeParallel(opt.Workers), b, ops, opt)
 }
 

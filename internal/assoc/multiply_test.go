@@ -36,6 +36,57 @@ func TestMulKnownCorrelation(t *testing.T) {
 	}
 }
 
+// Correlate folds only what has the shape of a graph's incidence pair:
+// unit rows on both sides over one row key set. A pair with a two-entry
+// row (a hyperedge), an empty row, or row key sets that merely overlap
+// takes the general engine — and whichever runs, the result is
+// Mul(Aᵀ, B), first.* (order-sensitive) included.
+func TestCorrelateFoldsUnitRowsAndFallsBackOtherwise(t *testing.T) {
+	graphOut := []Triple[float64]{{"k1", "a", 2}, {"k2", "b", 3}, {"k3", "a", 5}, {"k4", "a", 7}}
+	graphIn := []Triple[float64]{{"k1", "x", 1}, {"k2", "x", 4}, {"k3", "x", 6}, {"k4", "y", 8}}
+	for _, c := range []struct {
+		name    string
+		out, in []Triple[float64]
+		folds   bool
+	}{
+		{"graph", graphOut, graphIn, true},
+		{"two-entry row", append([]Triple[float64]{{"k2", "c", 9}}, graphOut...), graphIn, false},
+		{"empty row", graphOut, graphIn[:3], false}, // k4 has a source and no target
+		{"unequal row keys", graphOut, append([]Triple[float64]{{"k5", "y", 9}}, graphIn[1:]...), false},
+	} {
+		a, b := FromTriples(c.out, nil), FromTriples(c.in, nil)
+		if c.name == "empty row" {
+			// Same row keys, one row of b left without an entry.
+			var err error
+			if b, err = b.Reindex(a.RowKeys(), b.ColKeys()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		folds := a.mat.UnitRows() && b.mat.UnitRows() && a.rows.Equal(b.rows)
+		if folds != c.folds {
+			t.Errorf("%s: Correlate would fold = %v, want %v", c.name, folds, c.folds)
+		}
+		for _, ops := range []semiring.Ops[float64]{semiring.PlusTimes(), semiring.LeftmostNonzero(), semiring.MaxMin()} {
+			for _, opt := range []MulOptions{{}, {Workers: 2, FlopFloor: -1}} {
+				got, err := Correlate(a, b, ops, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Mul(a.Transpose(), b, ops, MulOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := Diff(want, got, ops.Equal, nil); d != "" {
+					t.Errorf("%s, %s, workers %d: Correlate differs from Mul(Transpose): %s", c.name, ops.Name, opt.Workers, d)
+				}
+				if err := got.Validate(); err != nil {
+					t.Errorf("%s, %s: %v", c.name, ops.Name, err)
+				}
+			}
+		}
+	}
+}
+
 func TestMulKeyAlignmentIntersectsSharedDimension(t *testing.T) {
 	// A's column keys {k1,k2,k3}; B's row keys {k2,k3,k4}: only k2,k3
 	// contribute.

@@ -30,6 +30,7 @@ func TestDifferentialAllPathsAllPairs(t *testing.T) {
 func TestBuiltinPathRoster(t *testing.T) {
 	want := map[string]bool{
 		"reference-merge": false, "parallel": false,
+		"fold": false, "fold-parallel": false,
 		"sharded": false, "stream": false,
 	}
 	for _, name := range PathNames() {
@@ -40,6 +41,22 @@ func TestBuiltinPathRoster(t *testing.T) {
 	for name, seen := range want {
 		if !seen {
 			t.Errorf("built-in path %q missing from the registry", name)
+		}
+	}
+}
+
+// The fold paths compare the fold only if Correlate dispatches to it:
+// every generated instance must reach it with unit-row operands over one
+// edge key set.
+func TestInstancesReachTheFold(t *testing.T) {
+	gen := NewGenerator(3)
+	for i := 0; i < 50; i++ {
+		for _, entry := range semiring.Registry() {
+			inst := gen.Instance(entry)
+			eout, ein := inst.Incidence()
+			if !eout.Matrix().UnitRows() || !ein.Matrix().UnitRows() || !eout.RowKeys().Equal(ein.RowKeys()) {
+				t.Fatalf("instance %q (%d edges) would take the general engine on the fold paths", inst.Name, len(inst.Edges))
+			}
 		}
 	}
 }

@@ -41,15 +41,17 @@ func (d *Divergence) Error() string {
 }
 
 // Compare runs one instance through every path and reports the first
-// divergence, or nil when all agree. The serial engine is the
-// reference; paths that re-associate the fold are skipped when ⊕ is not
+// divergence, or nil when all agree. The serial general engine —
+// transpose, then sparse.Mxm, spelled out so that it stays the engine
+// whatever assoc.Correlate dispatches to — is the reference; paths that
+// re-associate the fold are skipped when ⊕ is not
 // associative on the instance's value closure, and the dense oracle is
 // consulted only when the pair passes the Theorem II.1 conditions (plus
 // ⊕-identity) on its sample extended with the instance's values.
 func Compare(inst Instance, entry semiring.Entry, paths []Path) *Divergence {
 	ops := entry.Ops
 	eout, ein := inst.Incidence()
-	ref, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
+	ref, err := assoc.Mul(eout.Transpose(), ein, ops, assoc.MulOptions{})
 	if err != nil {
 		return &Divergence{Pair: entry.Name, Path: "reference", Detail: err.Error(), Instance: inst}
 	}

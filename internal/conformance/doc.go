@@ -4,16 +4,18 @@
 // other, on adversarial random instances, with automatic counterexample
 // shrinking.
 //
-// The library now has five independently-written ways to compute
-// A = Eoutᵀ ⊕.⊗ Ein — the serial Gustavson CSR kernel, the two-phase
-// symbolic/numeric engine, the row-blocked parallel engine, edge-sharded
-// partial products, and the incremental stream.View — and the paper's
+// The library has several independently-written ways to compute
+// A = Eoutᵀ ⊕.⊗ Ein — the two-phase symbolic/numeric engine sparse.Mxm
+// serial and across spans, the unit-row fold construction actually runs
+// (sparse.FoldUnitRows, serial and across spans), the expand-and-merge
+// reference, edge-sharded partial products, and the incremental
+// stream.Store — and the paper's
 // correctness claim (Theorem II.1 of the companion "Algebraic
 // Conditions" work) is about the MATHEMATICAL product, not any one
 // kernel. The harness separates those concerns into tiers:
 //
 //   - Bit-identity tier: every sparse path must produce an array Equal
-//     to the serial two-phase reference on every instance, for every
+//     to the serial engine's Mul(Eoutᵀ, Ein) on every instance, for every
 //     registry operator pair — kernels fold contributions in ascending
 //     edge-key order by contract, so even non-associative,
 //     non-commutative ⊕ must agree bit-for-bit. Paths that re-associate

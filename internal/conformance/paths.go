@@ -42,12 +42,28 @@ func builtinPaths() []Path {
 			Build: buildReferenceMerge,
 		},
 		{
+			// The general engine across spans. FlopFloor -1: conformance
+			// instances are tiny, and the default serial-fallback floor
+			// would silently route every one of them through the serial
+			// kernel — the parallel code path must stay under
+			// differential test.
 			Name: "parallel",
 			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
-				// FlopFloor -1: conformance instances are tiny, and the
-				// default serial-fallback floor would silently route every
-				// one of them through the serial kernel — the parallel code
-				// path must stay under differential test.
+				opt := assoc.MulOptions{Workers: 2, FlopFloor: -1}
+				return assoc.Mul(eout.TransposeParallel(opt.Workers), ein, ops, opt)
+			},
+		},
+		{
+			// What construction runs: an instance's arrays are unit-row
+			// over one edge key set, so Correlate folds their columns.
+			Name: "fold",
+			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
+				return assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
+			},
+		},
+		{
+			Name: "fold-parallel",
+			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
 				return assoc.Correlate(eout, ein, ops, assoc.MulOptions{Workers: 2, FlopFloor: -1})
 			},
 		},

@@ -141,20 +141,27 @@ func Build(req Request) (*Result, error) {
 	return res, nil
 }
 
-// appendDataValues extends sample with up to max distinct values stored
-// in a, so condition checks cover the data actually being multiplied.
+// appendDataValues extends sample with the distinct values stored in a,
+// in row-major order, until it holds max of them, so condition checks
+// cover the data actually being multiplied. Data is mostly runs of one
+// value (unit weights): a value equal to the one before it was already
+// decided and is skipped without a lookup.
 func appendDataValues(sample []float64, a *assoc.Array[float64], max int) []float64 {
 	seen := make(map[float64]bool, len(sample))
 	for _, v := range sample {
 		seen[v] = true
 	}
-	a.Iterate(func(_, _ string, v float64) {
-		if len(seen) >= max || seen[v] {
-			return
+	_, _, vals := a.Matrix().Parts()
+	for i, v := range vals {
+		if len(seen) >= max {
+			break
+		}
+		if (i > 0 && v == vals[i-1]) || seen[v] {
+			continue
 		}
 		seen[v] = true
 		sample = append(sample, v)
-	})
+	}
 	return sample
 }
 

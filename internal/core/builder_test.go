@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,5 +166,62 @@ func TestBuildChecksDataValuesNotJustCanonicalSample(t *testing.T) {
 	}
 	if res2.Adjacency.NNZ() != 0 {
 		t.Error("cancellation should have emptied the product")
+	}
+}
+
+// appendDataValuesByIterate is the former appendDataValues: every stored
+// entry through the string-keyed Iterate, walking on past the cap.
+func appendDataValuesByIterate(sample []float64, a *assoc.Array[float64], max int) []float64 {
+	seen := make(map[float64]bool, len(sample))
+	for _, v := range sample {
+		seen[v] = true
+	}
+	a.Iterate(func(_, _ string, v float64) {
+		if len(seen) >= max || seen[v] {
+			return
+		}
+		seen[v] = true
+		sample = append(sample, v)
+	})
+	return sample
+}
+
+// TestDataValueSampleIsUnchanged pins the condition check's data sample
+// — which values, in which order — to what the walk over every entry
+// drew: on the music arrays and on R-MAT incidence pairs with unit
+// weights (one run, the cap never reached), few distinct weights (runs
+// and repeats) and many (the cap reached early), for every registry
+// pair's canonical sample.
+func TestDataValueSampleIsUnchanged(t *testing.T) {
+	e1, e2 := dataset.MusicE1E2()
+	arrays := []*assoc.Array[float64]{e1, e2}
+	g := dataset.RMAT(rand.New(rand.NewSource(5)), 9, 8)
+	for _, distinct := range []int{1, 5, 1000} {
+		r := rand.New(rand.NewSource(int64(distinct)))
+		weight := func(graph.Edge) float64 { return float64(1 + r.Intn(distinct)) }
+		eout, ein, err := graph.Incidence(g, semiring.PlusTimes(), graph.Weights[float64]{Out: weight, In: weight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrays = append(arrays, eout, ein)
+	}
+	nan := assoc.FromTriples([]assoc.Triple[float64]{
+		{Row: "k1", Col: "a", Val: math.NaN()}, {Row: "k2", Col: "a", Val: math.NaN()},
+		{Row: "k3", Col: "a", Val: math.Copysign(0, -1)}, {Row: "k4", Col: "a", Val: 0},
+	}, nil)
+	arrays = append(arrays, nan)
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for _, entry := range semiring.Registry() {
+		for i, a := range arrays {
+			for _, max := range []int{64, len(entry.Sample), 3} {
+				got := appendDataValues(slices.Clone(entry.Sample), a, max)
+				want := appendDataValuesByIterate(slices.Clone(entry.Sample), a, max)
+				if !same(got, want) {
+					t.Fatalf("%s, array %d, cap %d: sample %v, the walk over every entry drew %v", entry.Name, i, max, got, want)
+				}
+			}
+		}
 	}
 }

@@ -10,11 +10,14 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 
 	"adjarray/internal/keys"
+	"adjarray/internal/semiring"
+	"adjarray/internal/sparse"
 )
 
 // Edge is one directed edge: Key identifies the edge (K is totally
@@ -27,17 +30,24 @@ type Edge struct {
 // edges between the same vertex pair and self-loops are allowed — the
 // paper's lemma gadgets depend on both. Immutable after construction.
 //
-// Every key crosses into integers once, in New: edges are held in
-// edge-key order, each endpoint column is interned, and edge i's
-// endpoints are kept as positions in Kout and Kin. Incidence arrays,
-// Definition I.5 checks and pair lookups then work on positions alone.
+// Every key crosses into integers once, in New, and the Graph keeps the
+// integers only: the three key sets, and per edge — in edge-key order —
+// the positions of its endpoints in Kout and Kin. Those two columns are
+// the column arrays of the incidence arrays (Definition I.4), which
+// every Incidence call shares; Definition I.5 checks and pair lookups
+// work on them too, and an Edge is put back together from the key sets
+// where one is asked for.
 type Graph struct {
-	edges    []Edge
 	edgeKeys *keys.Set
 	outVerts *keys.Set // Kout: sources of edges
 	inVerts  *keys.Set // Kin: targets of edges
-	srcPos   []int32   // srcPos[i]: position of edges[i].Src in outVerts
-	dstPos   []int32   // dstPos[i]: position of edges[i].Dst in inVerts
+	// src[i] and dst[i] are the positions of edge i's endpoints in
+	// outVerts and inVerts; rowPtr is 0, 1, …, n, built by the first
+	// Incidence. Incidence arrays alias all three.
+	//
+	//adjlint:cow
+	src, dst, rowPtr []int
+	rowsOnce         sync.Once
 
 	vertsOnce sync.Once
 	verts     *keys.Set // Kout ∪ Kin
@@ -46,34 +56,42 @@ type Graph struct {
 	pairs     pairIndex
 }
 
-// pairIndex groups the edges by vertex pair: pair[g] is the g-th
-// distinct (srcPos<<32 | dstPos) in ascending order, and its edges, in
-// edge-key order, are edge[off[g]:off[g+1]].
+// pairIndex groups the edges by vertex pair. The pairs are the cells of
+// the multiplicity array Eoutᵀ +.* Ein over unit weights — rowPtr and
+// colIdx are that array's pattern, Kout × Kin in row-major order — and
+// the edges of the g-th cell, in edge-key order, are
+// edge[off[g]:off[g+1]].
 type pairIndex struct {
-	pair []uint64
-	off  []int32
-	edge []int32
+	rowPtr, colIdx []int
+	off, edge      []int32
 }
-
-func packPair(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-
-func byKey(a, b Edge) int { return strings.Compare(a.Key, b.Key) }
 
 // New validates and builds a Graph. Edge keys must be unique and
 // non-empty; vertex keys must be non-empty. Edges are taken in edge-key
 // order (equal keys in the order given), and the first invalid edge in
-// that order is the one reported.
+// that order is the one reported. The slice is only read, and not kept.
 func New(edges []Edge) (*Graph, error) {
-	es := slices.Clone(edges)
-	if !slices.IsSortedFunc(es, byKey) {
-		slices.SortStableFunc(es, byKey)
+	n := len(edges)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges exceed the 2^31-1 an edge index holds", n)
 	}
-	eks := make([]string, len(es))
-	for i, e := range es {
-		if e.Key == "" || e.Src == "" || e.Dst == "" {
-			return nil, fmt.Errorf("graph: edge %d has empty key/src/dst: %+v", i, e)
+	// order[i] is where the i-th edge in key order sits in edges; nil
+	// when that is i itself.
+	var order []int32
+	if !slices.IsSortedFunc(edges, func(a, b Edge) int { return strings.Compare(a.Key, b.Key) }) {
+		order = make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
 		}
-		if i > 0 && es[i-1].Key == e.Key {
+		slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(edges[a].Key, edges[b].Key) })
+	}
+	eks := make([]string, n)
+	for i := range eks {
+		e := edgeAt(edges, order, i)
+		if e.Key == "" || e.Src == "" || e.Dst == "" {
+			return nil, fmt.Errorf("graph: edge %d has empty key/src/dst: %+v", i, *e)
+		}
+		if i > 0 && eks[i-1] == e.Key {
 			return nil, fmt.Errorf("graph: duplicate edge key %q", e.Key)
 		}
 		eks[i] = e.Key
@@ -82,37 +100,50 @@ func New(edges []Edge) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: edge keys: %w", err) // unreachable: checked above
 	}
-	col := make([]string, len(es))
-	for i := range es {
-		col[i] = es[i].Src
+	g := &Graph{edgeKeys: edgeKeys}
+	// The two endpoint columns share nothing: each has its own interner.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		g.outVerts, g.src = internColumn(edges, order, func(e *Edge) string { return e.Src })
+	}()
+	g.inVerts, g.dst = internColumn(edges, order, func(e *Edge) string { return e.Dst })
+	wg.Wait()
+	return g, nil
+}
+
+func edgeAt(edges []Edge, order []int32, i int) *Edge {
+	if order != nil {
+		i = int(order[i])
 	}
-	outVerts, srcPos := internColumn(col)
-	for i := range es {
-		col[i] = es[i].Dst
-	}
-	inVerts, dstPos := internColumn(col)
-	return &Graph{
-		edges:    es,
-		edgeKeys: edgeKeys,
-		outVerts: outVerts,
-		inVerts:  inVerts,
-		srcPos:   srcPos,
-		dstPos:   dstPos,
-	}, nil
+	return &edges[i]
 }
 
 // internColumn dedupes one endpoint column through a fresh interner —
 // so only the distinct keys are ever sorted — and returns them as a
-// Set bound to that interner with each entry's position in it.
-func internColumn(col []string) (*keys.Set, []int32) {
+// Set bound to that interner with each edge's position in it. The
+// column is read a block at a time; it is never copied out whole.
+func internColumn(edges []Edge, order []int32, key func(*Edge) string) (*keys.Set, []int) {
 	in := keys.NewInterner()
-	at := make([]int32, len(col))
-	in.InternBatch(col, at)
-	set, pos := in.SortedView()
-	for i, id := range at {
-		at[i] = pos[id]
+	col := make([]int, len(edges))
+	var ks [256]string
+	var ids [256]int32
+	for lo := 0; lo < len(col); lo += len(ks) {
+		blk := col[lo:min(lo+len(ks), len(col))]
+		for i := range blk {
+			ks[i] = key(edgeAt(edges, order, lo+i))
+		}
+		in.InternBatch(ks[:len(blk)], ids[:len(blk)])
+		for i := range blk {
+			blk[i] = int(ids[i])
+		}
 	}
-	return set, at
+	set, pos := in.SortedView()
+	for i, id := range col {
+		col[i] = int(pos[id])
+	}
+	return set, col
 }
 
 // MustNew is New panicking on error, for statically valid literals.
@@ -124,11 +155,22 @@ func MustNew(edges []Edge) *Graph {
 	return g
 }
 
-// Edges returns the edges in edge-key order (a copy).
-func (g *Graph) Edges() []Edge { return slices.Clone(g.edges) }
+// edge puts edge i (in edge-key order) back together from the key sets.
+func (g *Graph) edge(i int) Edge {
+	return Edge{Key: g.edgeKeys.Key(i), Src: g.outVerts.Key(g.src[i]), Dst: g.inVerts.Key(g.dst[i])}
+}
+
+// Edges returns the edges in edge-key order.
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, g.NumEdges())
+	for i := range out {
+		out[i] = g.edge(i)
+	}
+	return out
+}
 
 // NumEdges returns |K|.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.edgeKeys.Len() }
 
 // EdgeKeys returns the totally ordered edge key set K.
 func (g *Graph) EdgeKeys() *keys.Set { return g.edgeKeys }
@@ -146,46 +188,44 @@ func (g *Graph) Vertices() *keys.Set {
 }
 
 // pairIndex returns the edges grouped by vertex pair, built on first
-// use: two stable counting sorts (by target, then by source) order the
-// edge indices by (srcPos, dstPos, edge key) in O(|K| + |Kout| + |Kin|).
+// use by the construction itself: folding a 1 per edge yields the
+// distinct pairs in order with their edge counts, whose prefix sum lays
+// out the groups; the edges, in key order, then drop into their pair's.
 func (g *Graph) pairIndex() *pairIndex {
 	g.pairsOnce.Do(func() {
-		n := len(g.edges)
-		byDst := make([]int32, n)
-		for i := range byDst {
-			byDst[i] = int32(i)
+		ones := make([]int32, g.NumEdges())
+		for i := range ones {
+			ones[i] = 1
 		}
-		byDst = countingSort(byDst, g.dstPos, g.inVerts.Len())
-		ix := pairIndex{edge: countingSort(byDst, g.srcPos, g.outVerts.Len())}
-		for at, i := range ix.edge {
-			p := packPair(g.srcPos[i], g.dstPos[i])
-			if at == 0 || p != ix.pair[len(ix.pair)-1] {
-				ix.pair = append(ix.pair, p)
-				ix.off = append(ix.off, int32(at))
-			}
+		plus := semiring.Ops[int32]{Add: func(a, b int32) int32 { return a + b }, Equal: func(a, b int32) bool { return a == b }}
+		counts, err := sparse.FoldUnitRows(g.outVerts.Len(), g.inVerts.Len(), g.src, g.dst, ones, nil, plus, sparse.MxmOptions{}, nil)
+		if err != nil {
+			panic("graph: pair index: " + err.Error()) // positions come from New
 		}
-		ix.off = append(ix.off, int32(n))
-		g.pairs = ix
+		ix := &g.pairs
+		var count []int32
+		ix.rowPtr, ix.colIdx, count = counts.Parts()
+		ix.off = make([]int32, len(count)+1)
+		for p, c := range count {
+			ix.off[p+1] = ix.off[p] + c
+		}
+		ix.edge = ones // every slot is overwritten below
+		next := slices.Clone(ix.off[:len(count)])
+		for i := range ix.edge {
+			p, _ := ix.find(g.src[i], g.dst[i])
+			ix.edge[next[p]] = int32(i)
+			next[p]++
+		}
 	})
 	return &g.pairs
 }
 
-// countingSort returns idx stably reordered by ascending bucket[idx[n]],
-// every bucket value lying in [0, buckets).
-func countingSort(idx, bucket []int32, buckets int) []int32 {
-	start := make([]int32, buckets+1)
-	for _, i := range idx {
-		start[bucket[i]+1]++
-	}
-	for b := 0; b < buckets; b++ {
-		start[b+1] += start[b]
-	}
-	out := make([]int32, len(idx))
-	for _, i := range idx {
-		out[start[bucket[i]]] = i
-		start[bucket[i]]++
-	}
-	return out
+// find returns the index of the pair (src, dst), positions in Kout and
+// Kin, among the distinct pairs.
+func (ix *pairIndex) find(src, dst int) (int, bool) {
+	lo, hi := ix.rowPtr[src], ix.rowPtr[src+1]
+	p, ok := slices.BinarySearch(ix.colIdx[lo:hi], dst)
+	return lo + p, ok
 }
 
 // between returns the indices of the edges src → dst in edge-key order
@@ -200,11 +240,11 @@ func (g *Graph) between(src, dst string) []int32 {
 		return nil
 	}
 	ix := g.pairIndex()
-	n, ok := slices.BinarySearch(ix.pair, packPair(int32(s), int32(d)))
+	p, ok := ix.find(s, d)
 	if !ok {
 		return nil
 	}
-	return ix.edge[ix.off[n]:ix.off[n+1]]
+	return ix.edge[ix.off[p]:ix.off[p+1]]
 }
 
 // HasEdge reports whether at least one edge runs src → dst.
@@ -215,31 +255,20 @@ func (g *Graph) EdgesBetween(src, dst string) []Edge {
 	idx := g.between(src, dst)
 	out := make([]Edge, len(idx))
 	for n, i := range idx {
-		out[n] = g.edges[i]
+		out[n] = g.edge(int(i))
 	}
 	return out
 }
 
 // Reverse returns G with every edge direction flipped (same edge and
 // vertex keys) — the Ḡ of Corollary III.1. The two sides swap; nothing
-// is re-sorted or re-validated.
+// is copied, re-sorted or re-validated.
 func (g *Graph) Reverse() *Graph {
-	rev := make([]Edge, len(g.edges))
-	for i, e := range g.edges {
-		rev[i] = Edge{Key: e.Key, Src: e.Dst, Dst: e.Src}
-	}
-	return &Graph{
-		edges:    rev,
-		edgeKeys: g.edgeKeys,
-		outVerts: g.inVerts,
-		inVerts:  g.outVerts,
-		srcPos:   g.dstPos,
-		dstPos:   g.srcPos,
-	}
+	return &Graph{edgeKeys: g.edgeKeys, outVerts: g.inVerts, inVerts: g.outVerts, src: g.dst, dst: g.src}
 }
 
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{%d edges, %d out-vertices, %d in-vertices}",
-		len(g.edges), g.outVerts.Len(), g.inVerts.Len())
+		g.NumEdges(), g.outVerts.Len(), g.inVerts.Len())
 }

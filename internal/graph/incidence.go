@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
@@ -27,37 +28,42 @@ type Weights[V any] struct {
 // Incidence returns an error if any weight equals ops.Zero: a zero
 // entry would contradict Definition I.4's "non-zero iff incident".
 func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *assoc.Array[V], err error) {
-	outW := w.Out
-	if outW == nil {
-		outW = func(Edge) V { return ops.One }
-	}
-	inW := w.In
-	if inW == nil {
-		inW = func(Edge) V { return ops.One }
-	}
-	n := len(g.edges)
+	n := g.NumEdges()
 	outV, inV := make([]V, n), make([]V, n)
-	for i, e := range g.edges {
-		ov, iv := outW(e), inW(e)
+	for i := range outV {
+		ov, iv := ops.One, ops.One
+		if w.Out != nil || w.In != nil {
+			e := g.edge(i)
+			if w.Out != nil {
+				ov = w.Out(e)
+			}
+			if w.In != nil {
+				iv = w.In(e)
+			}
+		}
 		if ops.IsZero(ov) {
-			return nil, nil, fmt.Errorf("graph: out-weight of edge %q is the zero element", e.Key)
+			return nil, nil, fmt.Errorf("graph: out-weight of edge %q is the zero element", g.edgeKeys.Key(i))
 		}
 		if ops.IsZero(iv) {
-			return nil, nil, fmt.Errorf("graph: in-weight of edge %q is the zero element", e.Key)
+			return nil, nil, fmt.Errorf("graph: in-weight of edge %q is the zero element", g.edgeKeys.Key(i))
 		}
 		outV[i], inV[i] = ov, iv
 	}
-	// One entry per row, rows already in edge-key order: both arrays
-	// share the row pointer 0..n and the graph's own key sets.
-	rowPtr := make([]int, n+1)
-	for i := range rowPtr {
-		rowPtr[i] = i
-	}
-	eout, err = unitRows(g.edgeKeys, g.outVerts, rowPtr, g.srcPos, outV)
+	// One entry per row, rows already in edge-key order: the structure
+	// of both arrays — the row pointer 0..n and the endpoint columns —
+	// is the graph's own, as are the key sets. Only the values are new.
+	g.rowsOnce.Do(func() {
+		rowPtr := make([]int, n+1)
+		for i := range rowPtr {
+			rowPtr[i] = i
+		}
+		g.rowPtr = rowPtr
+	})
+	eout, err = unitRows(g.edgeKeys, g.outVerts, g.rowPtr, g.src, outV)
 	if err != nil {
 		return nil, nil, err
 	}
-	ein, err = unitRows(g.edgeKeys, g.inVerts, rowPtr, g.dstPos, inV)
+	ein, err = unitRows(g.edgeKeys, g.inVerts, g.rowPtr, g.dst, inV)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -65,12 +71,8 @@ func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *a
 }
 
 // unitRows assembles the rows×cols array whose row i holds the single
-// entry val[i] in column pos[i].
-func unitRows[V any](rows, cols *keys.Set, rowPtr []int, pos []int32, val []V) (*assoc.Array[V], error) {
-	colIdx := make([]int, len(pos))
-	for i, p := range pos {
-		colIdx[i] = int(p)
-	}
+// entry val[i] in column colIdx[i].
+func unitRows[V any](rows, cols *keys.Set, rowPtr, colIdx []int, val []V) (*assoc.Array[V], error) {
 	mat, err := sparse.NewCSR(rows.Len(), cols.Len(), rowPtr, colIdx, val)
 	if err != nil {
 		return nil, fmt.Errorf("graph: incidence array: %w", err)
@@ -83,7 +85,9 @@ func unitRows[V any](rows, cols *keys.Set, rowPtr []int, pos []int32, val []V) (
 // column a of eout and column b of ein contributes the edge k : a → b.
 // Rows with multiple sources or targets are rejected (not a simple
 // directed edge), as are rows with no source or no target entry (they
-// encode no edge); either error names the first such row.
+// encode no edge); either error names the first such row. The arrays'
+// column positions become the graph's endpoint columns as they are; no
+// key is looked up again.
 func GraphFromIncidence[V any](eout, ein *assoc.Array[V]) (*Graph, error) {
 	if !eout.RowKeys().Equal(ein.RowKeys()) {
 		return nil, fmt.Errorf("graph: incidence arrays disagree on edge keys")
@@ -97,16 +101,64 @@ func GraphFromIncidence[V any](eout, ein *assoc.Array[V]) (*Graph, error) {
 			return nil, fmt.Errorf("graph: incidence row has multiple entries: target of %s", rows.Key(i))
 		}
 	}
-	edges := make([]Edge, rows.Len())
-	for i := range edges {
+	if rows.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges exceed the 2^31-1 an edge index holds", rows.Len())
+	}
+	src, dst := make([]int, rows.Len()), make([]int, rows.Len())
+	for i := range src {
 		srcs, _ := om.Row(i)
 		dsts, _ := im.Row(i)
 		if len(srcs) == 0 || len(dsts) == 0 {
 			return nil, fmt.Errorf("graph: edge %q lacks a source or target entry", rows.Key(i))
 		}
-		edges[i] = Edge{Key: rows.Key(i), Src: eout.ColKeys().Key(srcs[0]), Dst: ein.ColKeys().Key(dsts[0])}
+		src[i], dst[i] = srcs[0], dsts[0]
 	}
-	return New(edges)
+	g := &Graph{edgeKeys: rows, src: src, dst: dst}
+	g.outVerts = usedColumns(eout.ColKeys(), src)
+	g.inVerts = usedColumns(ein.ColKeys(), dst)
+	// New's check on the keys themselves. A key set is sorted, so only
+	// its first key can be empty.
+	if rows.Len() > 0 && (rows.Key(0) == "" || g.outVerts.Key(0) == "" || g.inVerts.Key(0) == "") {
+		for i := range g.src {
+			if e := g.edge(i); e.Key == "" || e.Src == "" || e.Dst == "" {
+				return nil, fmt.Errorf("graph: edge %d has empty key/src/dst: %+v", i, e)
+			}
+		}
+	}
+	return g, nil
+}
+
+// usedColumns returns the keys of set that some entry of col refers to
+// — Kout and Kin hold the endpoints of edges, not every key an incidence
+// array was laid out over — renumbering col to positions in them. When
+// every key is used, that is set itself.
+func usedColumns(set *keys.Set, col []int) *keys.Set {
+	pos := make([]int, set.Len())
+	used := 0
+	for _, j := range col {
+		if pos[j] == 0 {
+			pos[j] = 1
+			used++
+		}
+	}
+	if used == len(pos) {
+		return set
+	}
+	ks := make([]string, 0, used)
+	for j, u := range pos {
+		if u != 0 {
+			pos[j] = len(ks)
+			ks = append(ks, set.Key(j))
+		}
+	}
+	for i, j := range col {
+		col[i] = pos[j]
+	}
+	sub, err := keys.FromSorted(ks)
+	if err != nil {
+		panic("graph: key set out of order: " + err.Error()) // a subsequence of a Set
+	}
+	return sub
 }
 
 // Adjacency constructs A = Eoutᵀ ⊕.⊗ Ein with the production sparse
@@ -162,18 +214,20 @@ func IsAdjacencyOf[V any](a *assoc.Array[V], g *Graph, isZero func(V) bool) erro
 	// Kout and Kin, so both directions of Definition I.5 run on integers:
 	// the stored entries and the pair index are both in (row, col) order
 	// and are merged, then every edge probes its own cell.
-	mat, pairs := a.Matrix(), g.pairIndex().pair
-	at := 0
+	mat, ix := a.Matrix(), g.pairIndex()
+	row, at := -1, 0
 	var violation error
 	mat.IterateUntil(func(i, j int, v V) bool {
 		if isZero(v) {
 			return true
 		}
-		p := packPair(int32(i), int32(j))
-		for at < len(pairs) && pairs[at] < p {
+		if i != row {
+			row, at = i, ix.rowPtr[i]
+		}
+		for at < ix.rowPtr[i+1] && ix.colIdx[at] < j {
 			at++
 		}
-		if at < len(pairs) && pairs[at] == p {
+		if at < ix.rowPtr[i+1] && ix.colIdx[at] == j {
 			return true
 		}
 		x, y := g.outVerts.Key(i), g.inVerts.Key(j)
@@ -183,9 +237,10 @@ func IsAdjacencyOf[V any](a *assoc.Array[V], g *Graph, isZero func(V) bool) erro
 	if violation != nil {
 		return violation
 	}
-	for i, e := range g.edges {
-		v, ok := mat.At(int(g.srcPos[i]), int(g.dstPos[i]))
+	for i := range g.src {
+		v, ok := mat.At(g.src[i], g.dst[i])
 		if !ok || isZero(v) {
+			e := g.edge(i)
 			return fmt.Errorf("graph: edge %s→%s (key %s) exists but A(%s,%s) is zero",
 				e.Src, e.Dst, e.Key, e.Src, e.Dst)
 		}

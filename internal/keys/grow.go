@@ -1,51 +1,11 @@
 package keys
 
-import "fmt"
-
-// Growth entry points for append-only key logs and delta-batch merges.
+// Growth entry points for delta-batch merges.
 //
 // The batch constructors (New, FromSorted) re-sort or re-validate the
-// whole key slice; a maintained adjacency view appends small key batches
+// whole key slice; a maintained adjacency view merges small key batches
 // thousands of times, so these paths grow an existing Set without
-// touching (or re-sorting) the keys already present.
-
-// AppendSorted returns a Set holding s's keys followed by ks. ks must be
-// strictly increasing and its first key must sort after s's last key, so
-// the result is sorted without any re-sort — the append-only shape of a
-// monotone edge-key log.
-//
-// The backing slice grows with append semantics: across a chain of
-// AppendSorted calls the amortized cost is O(1) per key, and the prefix
-// may be shared with s (which remains valid — Sets never expose their
-// backing for mutation). Like Go's append, only the LATEST Set in a
-// chain may be extended further; appending twice to the same base Set is
-// undefined.
-func (s *Set) AppendSorted(ks ...string) (*Set, error) {
-	if len(ks) == 0 {
-		return s, nil
-	}
-	for i := 1; i < len(ks); i++ {
-		if ks[i-1] >= ks[i] {
-			return nil, fmt.Errorf("keys: AppendSorted batch not strictly sorted at %d: %q >= %q", i, ks[i-1], ks[i])
-		}
-	}
-	if n := len(s.keys); n > 0 && s.keys[n-1] >= ks[0] {
-		return nil, fmt.Errorf("keys: AppendSorted key %q does not sort after existing %q", ks[0], s.keys[n-1])
-	}
-	grown := s.keys
-	if cap(grown)-len(grown) < len(ks) {
-		// Double on growth: the built-in append backs off to ~1.25x for
-		// large slices, which costs ~2.5x more copying across a log's
-		// lifetime of appends.
-		c := 2 * len(grown)
-		if c < len(grown)+len(ks) {
-			c = len(grown) + len(ks)
-		}
-		grown = make([]string, len(s.keys), c)
-		copy(grown, s.keys)
-	}
-	return fromSortedUnique(append(grown, ks...)), nil
-}
+// re-sorting the keys already present.
 
 // UnionOffsets returns u = s ∪ t together with position maps into u:
 // sPos[i] is the index in u of s.Key(i), tPos[j] the index in u of

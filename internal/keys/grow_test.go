@@ -7,46 +7,6 @@ import (
 	"testing"
 )
 
-func TestAppendSorted(t *testing.T) {
-	s := New("a", "c")
-	grown, err := s.AppendSorted("d", "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(grown.Keys(), []string{"a", "c", "d", "f"}) {
-		t.Errorf("grown = %v", grown.Keys())
-	}
-	if !reflect.DeepEqual(s.Keys(), []string{"a", "c"}) {
-		t.Errorf("base mutated: %v", s.Keys())
-	}
-	if same, err := grown.AppendSorted(); err != nil || same != grown {
-		t.Errorf("empty append should return receiver unchanged")
-	}
-	if _, err := grown.AppendSorted("f"); err == nil {
-		t.Error("non-increasing append accepted")
-	}
-	if _, err := grown.AppendSorted("z", "y"); err == nil {
-		t.Error("unsorted batch accepted")
-	}
-	// Chained appends stay valid.
-	g2, err := grown.AppendSorted("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g3, err := g2.AppendSorted("h", "i")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.Len() != 7 || !g3.Contains("h") || !g3.Contains("a") {
-		t.Errorf("chain broken: %v", g3.Keys())
-	}
-	// Append to the empty set works.
-	e, err := New().AppendSorted("x")
-	if err != nil || e.Len() != 1 {
-		t.Errorf("append to empty: %v %v", e, err)
-	}
-}
-
 func TestUnionOffsetsMatchesUnion(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }

@@ -23,7 +23,7 @@ import (
 // outweighs the target — a span is never split mid-index). Boundary s
 // is the smallest i with prefix[i] ≥ total·s/spans, found by binary
 // search, so the whole partition costs O(spans·log n).
-func BalancedSpans(prefix []int64, spans int) []int {
+func BalancedSpans[T int | int64](prefix []T, spans int) []int {
 	n := len(prefix) - 1
 	if spans < 1 {
 		spans = 1
@@ -46,7 +46,7 @@ func BalancedSpans(prefix []int64, spans int) []int {
 		// Target cumulative weight for the first s spans; computed as
 		// total/spans·s with the division last to avoid overflow for
 		// large totals (total ≤ 2^63/spans in any realistic workload).
-		target := total / int64(spans) * int64(s)
+		target := total / T(spans) * T(s)
 		i := sort.Search(n, func(i int) bool { return prefix[i] >= target })
 		if i < b[s-1] {
 			i = b[s-1] // keep boundaries monotone

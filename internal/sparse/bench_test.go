@@ -147,3 +147,68 @@ func BenchmarkParallelFlopFloor(b *testing.B) {
 		}
 	}
 }
+
+// rmatUnitRows samples edges·2^scale edges of a 2^scale-vertex R-MAT
+// graph (Graph500 partition probabilities; parallel edges and self-loops
+// kept) as the unit-row incidence pair Eout, Ein of Definition I.4, with
+// weights drawn from [1, 9).
+func rmatUnitRows(tb testing.TB, scale, edgeFactor int) (eout, ein *CSR[float64]) {
+	r := rand.New(rand.NewSource(41))
+	n, m := 1<<scale, edgeFactor<<scale
+	rowPtr := make([]int, m+1)
+	src, dst := make([]int, m), make([]int, m)
+	out, in := make([]float64, m), make([]float64, m)
+	for e := 0; e < m; e++ {
+		rowPtr[e+1] = e + 1
+		for bit := n >> 1; bit >= 1; bit >>= 1 {
+			switch p := r.Float64(); {
+			case p < 0.57:
+			case p < 0.76:
+				dst[e] += bit
+			case p < 0.95:
+				src[e] += bit
+			default:
+				src[e] += bit
+				dst[e] += bit
+			}
+		}
+		out[e], in[e] = float64(1+r.Intn(8)), float64(1+r.Intn(8))
+	}
+	eout, err := NewCSR(m, n, rowPtr, src, out)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ein, err = NewCSR(m, n, rowPtr, dst, in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eout, ein
+}
+
+// BenchmarkFoldUnitRows times graph construction both ways on one
+// unit-row R-MAT pair: the fold of the two column arrays, and the
+// general engine on (Eoutᵀ, Ein) with the transpose it needs.
+func BenchmarkFoldUnitRows(b *testing.B) {
+	eout, ein := rmatUnitRows(b, 12, 16)
+	for _, ops := range []semiring.Ops[float64]{semiring.PlusTimes(), semiring.MaxMin()} {
+		for _, workers := range []int{1, 2} {
+			opt := MxmOptions{Workers: workers}
+			b.Run(fmt.Sprintf("%s/fold-w%d", ops.Name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := FoldUnitRows(eout.cols, ein.cols, eout.colIdx, ein.colIdx, eout.val, ein.val, ops, opt, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/mxm-w%d", ops.Name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Mxm(nil, TransposeParallel(eout, workers), ein, ops, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,17 +1,21 @@
 // Package sparse provides the hand-rolled sparse-matrix kernels the
 // library is built on: CSR storage generic over the value type, COO
 // construction, transpose, sub-matrix extraction, element-wise merges,
-// and several SpGEMM (sparse × sparse multiply) variants, serial and
-// parallel.
+// the SpGEMM (sparse × sparse multiply) engine Mxm with its merge
+// reference and dense oracle, and FoldUnitRows, the group-by that the
+// product of two unit-row (incidence) matrices collapses to.
 //
 // Go has no sparse linear-algebra ecosystem, so these kernels are
 // written from scratch in the style of the GraphBLAS reference
 // implementations. One departure from textbook SpGEMM matters for this
-// paper: ⊕ is NOT assumed associative or commutative, so every variant
+// paper: ⊕ is NOT assumed associative or commutative, so every kernel
 // folds the contributions to an output entry strictly in ascending
 // inner-key (k) order — the ordered ⊕ over k ∈ K of Definition I.3.
-// All variants therefore produce identical results even for
-// order-sensitive ⊕ operations.
+// All of them therefore produce identical results even for
+// order-sensitive ⊕ operations; in particular FoldUnitRows on the
+// columns of (Eout, Ein) and Mxm on (Eoutᵀ, Ein) are bit-identical,
+// and which one runs (assoc.Correlate decides, from the operands'
+// shape) never shows in a result.
 package sparse
 
 import (
@@ -35,6 +39,10 @@ type CSR[V any] struct {
 	rowPtr     []int // len rows+1
 	colIdx     []int // len nnz
 	val        []V   // len nnz
+	// unitRows: every row stores exactly one entry (rowPtr[i] = i), the
+	// shape of a graph's incidence array. Noted where construction walks
+	// rowPtr anyway; false only costs speed.
+	unitRows bool
 }
 
 // NewCSR assembles a CSR from raw components, validating the structural
@@ -48,7 +56,8 @@ func NewCSR[V any](rows, cols int, rowPtr, colIdx []int, val []V) (*CSR[V], erro
 		return nil, fmt.Errorf("sparse: rowPtr length %d, want %d", len(rowPtr), rows+1)
 	}
 	m := &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
-	if err := m.Validate(); err != nil {
+	var err error
+	if m.unitRows, err = m.validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -67,6 +76,11 @@ func (m *CSR[V]) Cols() int { return m.cols }
 
 // NNZ returns the number of stored entries.
 func (m *CSR[V]) NNZ() int { return len(m.colIdx) }
+
+// UnitRows reports whether m is known to store exactly one entry in
+// every row (Definition I.4's incidence shape), which lets
+// assoc.Correlate fold its columns instead of multiplying.
+func (m *CSR[V]) UnitRows() bool { return m.unitRows }
 
 // RowNNZ returns the number of stored entries in row i.
 func (m *CSR[V]) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
@@ -120,9 +134,10 @@ func (m *CSR[V]) IterateUntil(fn func(i, j int, v V) bool) bool {
 // Clone deep-copies the matrix.
 func (m *CSR[V]) Clone() *CSR[V] {
 	out := &CSR[V]{rows: m.rows, cols: m.cols,
-		rowPtr: make([]int, len(m.rowPtr)),
-		colIdx: make([]int, len(m.colIdx)),
-		val:    make([]V, len(m.val))}
+		rowPtr:   make([]int, len(m.rowPtr)),
+		colIdx:   make([]int, len(m.colIdx)),
+		val:      make([]V, len(m.val)),
+		unitRows: m.unitRows}
 	copy(out.rowPtr, m.rowPtr)
 	copy(out.colIdx, m.colIdx)
 	copy(out.val, m.val)
@@ -207,7 +222,7 @@ func (m *CSR[V]) ExtractRows(rows []int) (*CSR[V], error) {
 		val = append(val, m.val[lo:hi]...)
 		rowPtr[r+1] = len(colIdx)
 	}
-	return &CSR[V]{rows: len(rows), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+	return &CSR[V]{rows: len(rows), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val, unitRows: m.unitRows}, nil
 }
 
 // ExtractCols returns the sub-matrix consisting of the given columns,
@@ -242,7 +257,8 @@ func (m *CSR[V]) ExtractCols(cols []int) (*CSR[V], error) {
 		}
 		rowPtr[i+1] = len(colIdx)
 	}
-	return &CSR[V]{rows: m.rows, cols: len(cols), rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+	return &CSR[V]{rows: m.rows, cols: len(cols), rowPtr: rowPtr, colIdx: colIdx, val: val,
+		unitRows: m.unitRows && len(colIdx) == len(m.colIdx)}, nil // no entry dropped
 }
 
 // Equal reports whether two matrices have identical dimensions, pattern,

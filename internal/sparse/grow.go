@@ -7,7 +7,7 @@ import (
 )
 
 // Growth kernels for incrementally maintained matrices: coordinate-space
-// embedding, row appending, and an in-place-capable ⊕-merge. These are
+// embedding and an in-place-capable ⊕-merge. These are
 // the storage layer of the delta-batch identity
 //
 //	A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:]
@@ -93,107 +93,6 @@ func checkMonotone(pos []int, bound int, name string) error {
 		}
 	}
 	return nil
-}
-
-// AppendRows stacks extra's rows below m's: the result is
-// (m.Rows()+extra.Rows())×cols with m's rows first, unchanged. The
-// column counts must match (widen with Embed first when a batch
-// introduces new columns).
-//
-// When reuse is true the result grows m's backing slices with append
-// semantics — amortized O(nnz(extra)) per call across an append chain,
-// the storage shape of an append-only incidence log. Like Go's append,
-// only the latest matrix of a chain may be extended further; earlier
-// matrices in the chain stay valid reads (their prefixes are never
-// rewritten). With reuse false the result is freshly allocated.
-func AppendRows[V any](m, extra *CSR[V], reuse bool) (*CSR[V], error) {
-	if m.cols != extra.cols {
-		return nil, fmt.Errorf("sparse: AppendRows column mismatch %d vs %d", m.cols, extra.cols)
-	}
-	base := len(m.colIdx)
-	var rowPtr []int
-	var colIdx []int
-	var val []V
-	if reuse {
-		rowPtr = grow(m.rowPtr, extra.rows)
-		colIdx = grow(m.colIdx, len(extra.colIdx))
-		val = grow(m.val, len(extra.val))
-	} else {
-		rowPtr = make([]int, m.rows+1, m.rows+extra.rows+1)
-		copy(rowPtr, m.rowPtr)
-		colIdx = make([]int, base, base+len(extra.colIdx))
-		copy(colIdx, m.colIdx)
-		val = make([]V, base, base+len(extra.val))
-		copy(val, m.val)
-	}
-	for i := 1; i <= extra.rows; i++ {
-		rowPtr = append(rowPtr, base+extra.rowPtr[i])
-	}
-	colIdx = append(colIdx, extra.colIdx...)
-	val = append(val, extra.val...)
-	return &CSR[V]{rows: m.rows + extra.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
-}
-
-// AppendUnitRows appends n single-entry rows to m: row m.Rows()+i holds
-// exactly one stored entry at column cols[i] with value vals[i] — the
-// storage shape of an incidence log, where every edge row has one source
-// (or target) entry (Definition I.4). It is the fused fast path of
-// AppendRows for a batch whose columns are already resolved to positions:
-// no delta CSR is built and nothing is validated beyond the column
-// bounds.
-//
-// Reuse semantics match AppendRows: with reuse true m's backing grows
-// with append semantics (only the latest matrix in a chain may be
-// extended further; earlier matrices stay valid reads).
-func AppendUnitRows[V any](m *CSR[V], cols []int, vals []V, reuse bool) (*CSR[V], error) {
-	if len(cols) != len(vals) {
-		return nil, fmt.Errorf("sparse: AppendUnitRows got %d columns, %d values", len(cols), len(vals))
-	}
-	for i, c := range cols {
-		if c < 0 || c >= m.cols {
-			return nil, fmt.Errorf("sparse: AppendUnitRows column %d at %d out of range [0,%d)", c, i, m.cols)
-		}
-	}
-	n := len(cols)
-	base := len(m.colIdx)
-	var rowPtr, colIdx []int
-	var val []V
-	if reuse {
-		rowPtr = grow(m.rowPtr, n)
-		colIdx = grow(m.colIdx, n)
-		val = grow(m.val, n)
-	} else {
-		rowPtr = make([]int, m.rows+1, m.rows+n+1)
-		copy(rowPtr, m.rowPtr)
-		colIdx = make([]int, base, base+n)
-		copy(colIdx, m.colIdx)
-		val = make([]V, base, base+n)
-		copy(val, m.val)
-	}
-	for i := 0; i < n; i++ {
-		rowPtr = append(rowPtr, base+i+1)
-	}
-	colIdx = append(colIdx, cols...)
-	val = append(val, vals...)
-	return &CSR[V]{rows: m.rows + n, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
-}
-
-// grow returns s with capacity for at least n more elements, doubling
-// on growth. Go's built-in append backs off to ~1.25x growth for large
-// slices, which costs ~2.5x more copying across an append-only log's
-// lifetime; an explicit doubling keeps the amortized copy at ~2 moves
-// per element. (internal/keys uses the same policy for its key log.)
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	c := 2 * len(s)
-	if c < len(s)+n {
-		c = len(s) + n
-	}
-	out := make([]T, len(s), c)
-	copy(out, s)
-	return out
 }
 
 // MergeScratch recycles output backing across repeated EWiseAddInto

@@ -95,47 +95,6 @@ func TestEmbedRejectsBadPositions(t *testing.T) {
 	}
 }
 
-func TestAppendRowsStacksAndChains(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	base := randomCSRGrow(r, 4, 6, 0.4)
-	for _, reuse := range []bool{false, true} {
-		m := base.Clone()
-		snapshots := []*CSR[float64]{m}
-		for step := 0; step < 5; step++ {
-			extra := randomCSRGrow(r, 1+r.Intn(3), 6, 0.5)
-			grown, err := AppendRows(m, extra, reuse)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Oracle: rebuild by concatenating triples.
-			want := NewCOO[float64](m.Rows()+extra.Rows(), 6)
-			m.Iterate(func(i, j int, v float64) { want.MustAppend(i, j, v) })
-			extra.Iterate(func(i, j int, v float64) { want.MustAppend(m.Rows()+i, j, v) })
-			if !Equal(grown, want.ToCSR(nil), func(a, b float64) bool { return a == b }) {
-				t.Fatalf("reuse=%v step %d: append mismatch", reuse, step)
-			}
-			m = grown
-			snapshots = append(snapshots, grown)
-		}
-		// Earlier matrices in the chain must still read their own prefix.
-		for s, snap := range snapshots {
-			snap.Iterate(func(i, j int, v float64) {
-				if got, ok := m.At(i, j); !ok || got != v {
-					t.Fatalf("reuse=%v: snapshot %d entry (%d,%d) diverged", reuse, s, i, j)
-				}
-			})
-		}
-	}
-}
-
-func TestAppendRowsRejectsColumnMismatch(t *testing.T) {
-	a := Empty[float64](2, 3)
-	b := Empty[float64](2, 4)
-	if _, err := AppendRows(a, b, false); err == nil {
-		t.Error("column mismatch accepted")
-	}
-}
-
 func TestEWiseAddIntoMatchesEWiseAdd(t *testing.T) {
 	ops := semiring.PlusTimes()
 	r := rand.New(rand.NewSource(6))
@@ -221,54 +180,5 @@ func TestEWiseAddIntoPrunesZeroFolds(t *testing.T) {
 		if _, ok := got.At(0, 0); ok {
 			t.Errorf("inPlace=%v: pruned entry still present", inPlace)
 		}
-	}
-}
-
-func TestAppendUnitRowsMatchesAppendRows(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for _, reuse := range []bool{false, true} {
-		m := randomCSRGrow(r, 4, 6, 0.4)
-		oracle := m.Clone()
-		for step := 0; step < 5; step++ {
-			n := 1 + r.Intn(4)
-			cols := make([]int, n)
-			vals := make([]float64, n)
-			rowPtr := make([]int, n+1)
-			for i := 0; i < n; i++ {
-				cols[i] = r.Intn(6)
-				vals[i] = float64(r.Intn(9) + 1)
-				rowPtr[i+1] = i + 1
-			}
-			grown, err := AppendUnitRows(m, cols, vals, reuse)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Oracle: the same rows stacked through the general path.
-			extra, err := NewCSR(n, 6, rowPtr, cols, vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := AppendRows(oracle, extra, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(grown, want, func(a, b float64) bool { return a == b }) {
-				t.Fatalf("reuse=%v step %d: unit append mismatch", reuse, step)
-			}
-			m, oracle = grown, want
-		}
-	}
-}
-
-func TestAppendUnitRowsValidates(t *testing.T) {
-	m := Empty[float64](2, 3)
-	if _, err := AppendUnitRows(m, []int{0, 1}, []float64{1}, false); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := AppendUnitRows(m, []int{3}, []float64{1}, false); err == nil {
-		t.Error("out-of-range column accepted")
-	}
-	if _, err := AppendUnitRows(m, []int{-1}, []float64{1}, false); err == nil {
-		t.Error("negative column accepted")
 	}
 }

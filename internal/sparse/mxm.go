@@ -122,13 +122,8 @@ func spanWorkers(workers, n int) int {
 // rows evenly. The same spans drive both phases: the numeric pass scans
 // the same flops the symbolic pass counted, masked or not.
 func flopSpans[V any](a, b *CSR[V], opt MxmOptions) []int {
-	w := spanWorkers(opt.Workers, a.rows)
-	if w == 1 {
+	if spanWorkers(opt.Workers, a.rows) == 1 {
 		return nil
-	}
-	floor := opt.FlopFloor
-	if floor == 0 {
-		floor = DefaultParallelFlopFloor
 	}
 	pb := getInt64(a.rows + 1)
 	defer putInt64(pb)
@@ -141,7 +136,23 @@ func flopSpans[V any](a, b *CSR[V], opt MxmOptions) []int {
 		}
 		prefix[i+1] = prefix[i] + f
 	}
-	if floor > 0 && prefix[a.rows] < floor {
+	return spansOver(prefix, opt)
+}
+
+// spansOver cuts the rows under a running work total into one balanced
+// span per worker — or nil, one inline span, for a serial request or a
+// total below the floor.
+func spansOver[T int | int64](prefix []T, opt MxmOptions) []int {
+	rows := len(prefix) - 1
+	w := spanWorkers(opt.Workers, rows)
+	if w == 1 {
+		return nil
+	}
+	floor := opt.FlopFloor
+	if floor == 0 {
+		floor = DefaultParallelFlopFloor
+	}
+	if floor > 0 && int64(prefix[rows]) < floor {
 		return nil
 	}
 	return parallel.BalancedSpans(prefix, w)
@@ -292,10 +303,9 @@ func (s *spa[V]) accumulateMasked(open []int, a, b *CSR[V], ops semiring.Ops[V],
 // rowPtr holds the bound offsets and rowLen the per-row counts actually
 // written by the numeric phase. When every row filled its bound the
 // storage is already exact and is adopted as-is; else rows are
-// compacted leftward in place (each destination precedes its source, so
-// a single forward pass is safe) and the slices resliced. A result that
-// fills under half its bound — a selective mask — is copied to exact
-// size instead, so a long-lived product does not pin the bound.
+// compacted and the slices resliced. A result that fills under half its
+// bound — a selective mask — is copied to exact size instead, so a
+// long-lived product does not pin the bound.
 func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int, val []V) *CSR[V] {
 	short := false
 	for i := 0; i < rows; i++ {
@@ -307,6 +317,20 @@ func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int, val [
 	if !short {
 		return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 	}
+	dst := compactRows(rows, rowPtr, rowLen, colIdx, val)
+	colIdx, val = colIdx[:dst], val[:dst]
+	if dst < cap(colIdx)/2 {
+		colIdx = append(make([]int, 0, dst), colIdx...)
+		val = append(make([]V, 0, dst), val...)
+	}
+	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+}
+
+// compactRows moves each row's rowLen[i] kept entries leftward from its
+// bound offset rowPtr[i] to where the rows before it end (each
+// destination precedes its source, so one forward pass is safe),
+// rewrites rowPtr to the exact offsets and returns the entry count.
+func compactRows[V any](rows int, rowPtr, rowLen, colIdx []int, val []V) int {
 	dst := 0
 	for i := 0; i < rows; i++ {
 		src := rowPtr[i]
@@ -319,10 +343,5 @@ func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int, val [
 		dst += n
 	}
 	rowPtr[rows] = dst
-	colIdx, val = colIdx[:dst], val[:dst]
-	if dst < cap(colIdx)/2 {
-		colIdx = append(make([]int, 0, dst), colIdx...)
-		val = append(make([]V, 0, dst), val...)
-	}
-	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+	return dst
 }

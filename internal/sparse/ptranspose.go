@@ -14,13 +14,7 @@ func TransposeParallel[V any](m *CSR[V], workers int) *CSR[V] {
 	if w == 1 || m.NNZ() == 0 {
 		return m.Transpose()
 	}
-	pb := getInt64(m.rows + 1)
-	prefix := pb.xs
-	for i := 0; i <= m.rows; i++ {
-		prefix[i] = int64(m.rowPtr[i])
-	}
-	bounds := parallel.BalancedSpans(prefix, w)
-	putInt64(pb)
+	bounds := parallel.BalancedSpans(m.rowPtr, w)
 	// Per-span column counts, then prefix-sum to give every span a
 	// private cursor range per column — a two-pass parallel counting
 	// sort that keeps source-row order within each column.

@@ -89,14 +89,20 @@ func numericRowPlusTimesF64(a, b *CSR[float64], _ semiring.Ops[float64], i int, 
 			}
 		}
 	}
-	s.touched = touched
-	t := len(touched)
+	s.touched, s.minJ, s.maxJ = touched, minJ, maxJ
+	return emitPlusTimesF64(s, dstCol, dstVal)
+}
+
+// emitPlusTimesF64 is spa.emit with the zero test inlined.
+func emitPlusTimesF64(s *spa[float64], dstCol []int, dstVal []float64) int {
+	t := len(s.touched)
 	if t == 0 {
 		return 0
 	}
+	acc, stamp, cur := s.acc, s.stamp, s.current
 	n := 0
-	if t > 1 && scanBeatsSort(maxJ-minJ+1, t) {
-		for j := minJ; j <= maxJ; j++ {
+	if t > 1 && scanBeatsSort(s.maxJ-s.minJ+1, t) {
+		for j := s.minJ; j <= s.maxJ; j++ {
 			if stamp[j] == cur {
 				if v := acc[j]; v != 0 {
 					dstCol[n] = j
@@ -107,8 +113,8 @@ func numericRowPlusTimesF64(a, b *CSR[float64], _ semiring.Ops[float64], i int, 
 		}
 		return n
 	}
-	sortTouched(touched)
-	for _, j := range touched {
+	sortTouched(s.touched)
+	for _, j := range s.touched {
 		if v := acc[j]; v != 0 {
 			dstCol[n] = j
 			dstVal[n] = v

@@ -133,23 +133,23 @@ func TestParallelMaterializeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelMaterializeLargeFold exercises foldPendingParallel with a
-// backlog above minParallelFold (the serial-vs-parallel routing
-// threshold) and duplicate cells that must fold in arrival order.
+// TestParallelMaterializeLargeFold exercises the span-parallel backlog
+// fold (the flop floor is disabled) on hub rows whose duplicate cells
+// must fold in arrival order.
 func TestParallelMaterializeLargeFold(t *testing.T) {
 	ops := semiring.MaxPlus()
 	r := rand.New(rand.NewSource(9))
 	mk := func(workers int) *View[float64] {
 		return NewView(ops, Options{
 			Mul:           assoc.MulOptions{Workers: workers, FlopFloor: -1},
-			PendingBudget: 1 << 20, // let the backlog grow past minParallelFold
+			PendingBudget: 1 << 20, // one fold of the whole backlog
 		})
 	}
 	serial, par := mk(0), mk(4)
 	seq := 0
 	verts := 40 // few vertices → heavy duplicate-cell folding
 	var batch []Edge[float64]
-	for i := 0; i < minParallelFold+3000; i++ {
+	for i := 0; i < 7096; i++ {
 		batch = append(batch, Weighted(fmt.Sprintf("e%07d", seq),
 			fmt.Sprintf("v%02d", r.Intn(verts)), fmt.Sprintf("v%02d", r.Intn(verts)),
 			float64(r.Intn(7))-3, float64(r.Intn(5))))

@@ -29,8 +29,11 @@
 // Sets, and a new id → position array per side is built (the Sets are
 // Bound to the interners through those arrays, so every downstream key
 // lookup resolves through the same hash table instead of a per-Set
-// map). Pending pairs are then mapped to cells of that universe and
-// folded. The key-ordered incidence arrays Eout and Ein themselves are
+// map). Pending pairs are then mapped to positions in that universe and
+// folded by sparse.FoldUnitRows — the kernel that builds an adjacency
+// array from a graph's incidence columns in one shot; the backlog is
+// such a pair of columns, with the ⊗-products already taken. The
+// key-ordered incidence arrays Eout and Ein themselves are
 // built from the log on request (Snapshot.Logs), which only Compact and
 // callers that want the arrays ask for; a checkpoint stores the log as
 // it lies here, by id (checkpoint.go).
@@ -56,9 +59,7 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,7 +67,6 @@ import (
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
-	"adjarray/internal/parallel"
 	"adjarray/internal/semiring"
 	"adjarray/internal/shard"
 	"adjarray/internal/sparse"
@@ -273,14 +273,10 @@ type batchScratch[V any] struct {
 	srcIDs, dstIDs []int32 // interner ids, parallel to srcs/dsts
 	autoBuf        []byte  // the batch's auto-assigned keys, back to back
 	autoEnd        []int   // autoEnd[j]: where the j-th of them ends
-	enc            []int64 // materialize: (cell, seq) encoding
-	foldPtr        []int   // materialize: fold CSR row pointer
-	foldCol        []int
-	foldVal        []V
-	tmpCol         []int   // parallel materialize: span-local fold staging
-	tmpVal         []V     //
-	wprefix        []int64 // parallel materialize: per-row weight prefix
-	spanOf         []int   // parallel materialize: per-entry span index
+	// materialize: the backlog's cells as universe positions, and the
+	// array they fold into
+	foldRow, foldCol []int
+	fold             sparse.FoldScratch[V]
 }
 
 // NewView creates an empty view for the given operator pair.
@@ -661,28 +657,23 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 	return grownSet, grown, oldPos, nil
 }
 
-// minParallelFold is the backlog size below which the materialize fold
-// always runs serially: span scheduling costs a few microseconds, which
-// a small sort+fold undercuts on one core.
-const minParallelFold = 4096
-
 // materializeLocked folds the pending backlog into the main adjacency.
 // The universe is synced first, so every pending (source id, destination
-// id) pair has a cell row*C+col in it; the contributions are then
-// grouped by cell while preserving arrival order within each cell, each
-// cell's run is ⊕-folded (pruning folds equal to the algebra's zero, the
-// kernels' contract), and the resulting delta array ⊕-merges into main
+// id) pair has a row and a column in it; the contributions then go
+// through sparse.FoldUnitRows — the kernel batch construction runs on a
+// graph's incidence columns — which groups them by cell, keeps arrival
+// order within each cell, ⊕-folds each cell's run and prunes folds equal
+// to the algebra's zero; the resulting delta array ⊕-merges into main
 // with main's entries on the left. Level order is edge-key order, so
 // only the fold's GROUPING changes, never its order — and the grouping
 // changes only at this main-vs-backlog boundary, which is where a
 // non-associative ⊕ can diverge (flagged via Exact unless the guard is
 // on).
 //
-// With Options.Mul requesting parallelism and a backlog worth
-// splitting, the fold runs across row spans balanced by pending-entry
-// count (foldPendingParallel) and the subsequent ⊕-merge into main runs
-// across merge-cost-balanced spans (the engine routes it through
-// sparse.EWiseAddIntoParallel) — both bit-identical to the serial path.
+// Options.Mul schedules the fold as it schedules a product, and the
+// ⊕-merge into main runs across merge-cost-balanced spans with it (the
+// engine routes it through sparse.EWiseAddIntoParallel) — both
+// bit-identical to the serial path.
 func (v *View[V]) materializeLocked() error {
 	n := len(v.pendVal)
 	if n == 0 {
@@ -697,33 +688,22 @@ func (v *View[V]) materializeLocked() error {
 		return err
 	}
 	s := &v.scr
-	R, C := v.uRows.Len(), v.uCols.Len()
-	// Ids to cells, in place: the backlog is the view's alone and is
-	// emptied below.
+	s.foldRow, s.foldCol = grow(s.foldRow[:0], n)[:n], grow(s.foldCol[:0], n)[:n]
 	for i, c := range v.pendCell {
-		v.pendCell[i] = int64(v.srcPos[c>>32])*int64(C) + int64(v.dstPos[uint32(c)])
+		s.foldRow[i], s.foldCol[i] = int(v.srcPos[c>>32]), int(v.dstPos[uint32(c)])
 	}
-	w := 1
-	if mw := v.opt.Mul.Workers; (mw > 1 || mw < 0) && n >= minParallelFold {
-		w = parallel.Workers(mw, R)
-	}
-	if w > 1 {
-		v.foldPendingParallel(R, C, w)
-	} else {
-		v.foldPendingSerial(R, C)
+	// The fold array only feeds the merge below — EWiseAddInto never
+	// returns or retains its src backing — so it may live in the scratch
+	// the next materialize reuses.
+	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, v.pendVal, nil, v.eng.Ops, v.opt.Mul, &s.fold)
+	if err != nil {
+		return err
 	}
 	v.pendCell = v.pendCell[:0]
 	v.pendVal = v.pendVal[:0]
-	if len(s.foldCol) == 0 {
+	if fm.NNZ() == 0 {
 		// Every fold pruned to the algebra's zero — nothing to merge.
 		return nil
-	}
-	// The fold array only feeds the merge below — EWiseAddInto never
-	// returns or retains its src backing — so handing it the scratch
-	// slices directly is safe; the next materialize reuses them.
-	fm, err := sparse.NewCSR(R, C, s.foldPtr[:R+1], s.foldCol, s.foldVal)
-	if err != nil {
-		return err
 	}
 	fold, err := assoc.New(v.uRows, v.uCols, fm)
 	if err != nil {
@@ -743,262 +723,6 @@ func (v *View[V]) materializeLocked() error {
 	}
 	v.main = main
 	return nil
-}
-
-// foldPendingSerial is the single-threaded backlog fold: one integer
-// sort groups the contributions by cell while preserving arrival order
-// within each cell (the (cell, seq) packed encoding, or a stable
-// argsort when the coordinate space is too large to pack), then a
-// single pass ⊕-folds each cell's run into the fold CSR scratch.
-func (v *View[V]) foldPendingSerial(R, C int) {
-	s := &v.scr
-	n := len(v.pendVal)
-	maxCell := int64(R)*int64(C) - 1
-	// Strict: cell*n + i with i < n must not wrap for cell = maxCell.
-	packed := maxCell < math.MaxInt64/int64(n)
-	s.enc = s.enc[:0]
-	if cap(s.enc) < n {
-		s.enc = make([]int64, 0, 2*n)
-	}
-	if packed {
-		for i, cell := range v.pendCell {
-			s.enc = append(s.enc, cell*int64(n)+int64(i))
-		}
-		slices.Sort(s.enc)
-	} else {
-		for i := range v.pendCell {
-			s.enc = append(s.enc, int64(i))
-		}
-		slices.SortStableFunc(s.enc, func(a, b int64) int {
-			ca, cb := v.pendCell[a], v.pendCell[b]
-			switch {
-			case ca < cb:
-				return -1
-			case ca > cb:
-				return 1
-			}
-			return 0
-		})
-	}
-	if cap(s.foldPtr) < R+1 {
-		s.foldPtr = make([]int, R+1)
-	}
-	foldPtr := s.foldPtr[:R+1]
-	foldCol := s.foldCol[:0]
-	foldVal := s.foldVal[:0]
-	ops := v.eng.Ops
-	fillRow := 0
-	emit := func(cell int64, acc V) {
-		if ops.IsZero(acc) {
-			return
-		}
-		r := int(cell / int64(C))
-		for fillRow < r {
-			foldPtr[fillRow+1] = len(foldCol)
-			fillRow++
-		}
-		foldCol = append(foldCol, int(cell%int64(C)))
-		foldVal = append(foldVal, acc)
-	}
-	foldPtr[0] = 0
-	var acc V
-	curCell := int64(-1)
-	for _, e := range s.enc {
-		var cell int64
-		var i int
-		if packed {
-			cell = e / int64(n)
-			i = int(e % int64(n))
-		} else {
-			i = int(e)
-			cell = v.pendCell[i]
-		}
-		val := v.pendVal[i]
-		if cell != curCell {
-			if curCell >= 0 {
-				emit(curCell, acc)
-			}
-			curCell = cell
-			acc = val
-		} else {
-			acc = ops.Add(acc, val)
-		}
-	}
-	if curCell >= 0 {
-		emit(curCell, acc)
-	}
-	for fillRow < R {
-		foldPtr[fillRow+1] = len(foldCol)
-		fillRow++
-	}
-	s.foldCol, s.foldVal = foldCol, foldVal
-}
-
-// foldPendingParallel is the span-parallel backlog fold: rows are
-// partitioned into spans balanced by pending-entry count (the fold's
-// work unit), entries are scattered to their owning span in arrival
-// order, each span independently sorts and ⊕-folds its rows into a
-// staging area, and the per-span results are stitched into the fold CSR
-// with one parallel copy. Per-row output is bit-identical to the serial
-// fold: cells sort ascending within each span, spans cover ascending
-// disjoint row ranges, and arrival order within a cell is preserved by
-// the same (cell, seq) encoding.
-func (v *View[V]) foldPendingParallel(R, C, w int) {
-	s := &v.scr
-	n := len(v.pendVal)
-	ops := v.eng.Ops
-
-	// Per-row pending counts → weight prefix → balanced spans.
-	if cap(s.wprefix) < R+1 {
-		s.wprefix = make([]int64, R+1)
-	}
-	wprefix := s.wprefix[:R+1]
-	for i := range wprefix {
-		wprefix[i] = 0
-	}
-	for _, cell := range v.pendCell {
-		wprefix[cell/int64(C)+1]++
-	}
-	for i := 0; i < R; i++ {
-		wprefix[i+1] += wprefix[i]
-	}
-	bounds := parallel.BalancedSpans(wprefix, w)
-
-	// Scatter entries to spans, preserving arrival order within a span.
-	maxCell := int64(R)*int64(C) - 1
-	packed := maxCell < math.MaxInt64/int64(n)
-	if cap(s.enc) < n {
-		s.enc = make([]int64, 0, 2*n)
-	}
-	enc := s.enc[:n]
-	if cap(s.spanOf) < w+1 {
-		s.spanOf = make([]int, w+1)
-	}
-	offs := s.spanOf[:w+1]
-	for i := range offs {
-		offs[i] = 0
-	}
-	spanFor := func(r int) int {
-		// bounds is short (≤ workers); binary search it.
-		return sort.Search(len(bounds)-1, func(x int) bool { return bounds[x+1] > r })
-	}
-	for _, cell := range v.pendCell {
-		offs[spanFor(int(cell/int64(C)))+1]++
-	}
-	for x := 0; x < w; x++ {
-		offs[x+1] += offs[x]
-	}
-	spanStart := make([]int, w+1)
-	copy(spanStart, offs)
-	for i, cell := range v.pendCell {
-		x := spanFor(int(cell / int64(C)))
-		if packed {
-			enc[offs[x]] = cell*int64(n) + int64(i)
-		} else {
-			enc[offs[x]] = int64(i)
-		}
-		offs[x]++
-	}
-
-	// Per-span sort + fold into the staging buffers; folded entries for
-	// span x land at [spanStart[x], spanStart[x]+spanLen[x]) — the input
-	// range bounds the output (folding only shrinks).
-	if cap(s.foldPtr) < R+1 {
-		s.foldPtr = make([]int, R+1)
-	}
-	foldPtr := s.foldPtr[:R+1]
-	for i := range foldPtr {
-		foldPtr[i] = 0
-	}
-	if cap(s.tmpCol) < n {
-		s.tmpCol = make([]int, n)
-	}
-	if cap(s.tmpVal) < n {
-		s.tmpVal = make([]V, n)
-	}
-	tmpCol, tmpVal := s.tmpCol[:n], s.tmpVal[:n]
-	spanLen := make([]int, w)
-	parallel.ForSpans(bounds, func(x, rLo, rHi int) {
-		part := enc[spanStart[x]:spanStart[x+1]]
-		if packed {
-			slices.Sort(part)
-		} else {
-			slices.SortStableFunc(part, func(a, b int64) int {
-				ca, cb := v.pendCell[a], v.pendCell[b]
-				switch {
-				case ca < cb:
-					return -1
-				case ca > cb:
-					return 1
-				}
-				return 0
-			})
-		}
-		out := 0
-		base := spanStart[x]
-		emit := func(cell int64, acc V) {
-			if ops.IsZero(acc) {
-				return
-			}
-			r := int(cell / int64(C))
-			foldPtr[r+1]++
-			tmpCol[base+out] = int(cell % int64(C))
-			tmpVal[base+out] = acc
-			out++
-		}
-		var acc V
-		curCell := int64(-1)
-		for _, e := range part {
-			var cell int64
-			var i int
-			if packed {
-				cell = e / int64(n)
-				i = int(e % int64(n))
-			} else {
-				i = int(e)
-				cell = v.pendCell[i]
-			}
-			val := v.pendVal[i]
-			if cell != curCell {
-				if curCell >= 0 {
-					emit(curCell, acc)
-				}
-				curCell = cell
-				acc = val
-			} else {
-				acc = ops.Add(acc, val)
-			}
-		}
-		if curCell >= 0 {
-			emit(curCell, acc)
-		}
-		spanLen[x] = out
-	})
-
-	// Stitch: prefix the per-row counts into foldPtr, then copy each
-	// span's staged block to its final contiguous position (span rows
-	// are contiguous, so one copy per span suffices).
-	for i := 0; i < R; i++ {
-		foldPtr[i+1] += foldPtr[i]
-	}
-	total := foldPtr[R]
-	foldCol := s.foldCol[:0]
-	if cap(foldCol) < total {
-		foldCol = make([]int, 0, total+total/2)
-	}
-	foldCol = foldCol[:total]
-	foldVal := s.foldVal[:0]
-	if cap(foldVal) < total {
-		foldVal = make([]V, 0, total+total/2)
-	}
-	foldVal = foldVal[:total]
-	parallel.ForSpans(bounds, func(x, rLo, rHi int) {
-		dst := foldPtr[rLo]
-		copy(foldCol[dst:dst+spanLen[x]], tmpCol[spanStart[x]:spanStart[x]+spanLen[x]])
-		copy(foldVal[dst:dst+spanLen[x]], tmpVal[spanStart[x]:spanStart[x]+spanLen[x]])
-	})
-	s.enc = enc
-	s.foldCol, s.foldVal = foldCol, foldVal
 }
 
 // Snapshot returns an immutable read view of the current state: the
