@@ -67,8 +67,18 @@
 //     Prometheus-style GET /metrics (dependency-free internal/obs),
 //     bounded admission pools per endpoint class shedding overload as
 //     429 + Retry-After, and POST /batch answering many ops from one
-//     pinned snapshot; cmd/loadgen drives it with open-model zipfian
-//     load and records per-endpoint latency percentiles (BENCH_7.json);
+//     pinned snapshot. Read answers are written in vertex-key order
+//     from the kernels' vectors (CSRGraph's BFSLevelVector, SSSPVector,
+//     WidestPathVector, PageRankVector) by an append-style encoder,
+//     byte-compatible with the former encoding/json output over maps
+//     (a golden test and two fuzz targets hold it to that). A point
+//     read (/at, /row) pins only the shard that owns its source vertex
+//     (AdjacencyStore.OwnerSnapshot): in its "epochs" the owner's entry
+//     is the epoch the answer was pinned at, a sibling's is that
+//     shard's current epoch, read without folding or gathering it;
+//     whole-graph answers pin every shard. cmd/loadgen drives the front
+//     door with open-model zipfian load and records per-endpoint
+//     latency percentiles (BENCH_7.json);
 //   - fault tolerance: internal/iofault injects deterministic disk
 //     faults (EIO, ENOSPC, short and torn writes) through a VFS seam
 //     under the WAL and the store's shards; a failed fsync or log write

@@ -29,9 +29,20 @@
 //     Zero-pruning — at one to two orders of magnitude less cost; see
 //     BenchmarkAlgo* and cmd/graphbench -gen algo.
 //
+// Definition I.1 makes key sets finite and totally ordered, so the
+// natural answer of a source or rank kernel is a vector over the vertex
+// key set in key order. That is what Graph computes and what its
+// BFSLevelVector, SSSPVector, WidestPathVector and PageRankVector return
+// — a dense slice indexed by position in Vertices(), with -1 or a
+// presence mask for unreached vertices, nothing allocated per vertex.
+// The map-returning methods (BFSLevels, SSSP, WidestPath, PageRank) are
+// presized adapters over them for callers that look vertices up by key.
+//
 // Graphs built with FromSnapshot read a stream.View's maintained CSR
 // directly, which is how cmd/adjserve answers /bfs, /sssp, /widest,
-// /pagerank and /triangles from live snapshots during ingest.
+// /pagerank and /triangles from live snapshots during ingest:
+// internal/serve writes the vector forms to the socket in key order,
+// without a map in between.
 package algo
 
 import (

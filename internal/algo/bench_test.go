@@ -13,7 +13,7 @@ import (
 // benchAdjacency builds an rmat adjacency array once per benchmark
 // process (scale 10 keeps the assoc arms affordable under -benchtime 1x
 // in CI; graphbench -gen algo measures s12/s14).
-func benchAdjacency(b *testing.B, scale int) (*assoc.Array[float64], *Graph, string) {
+func benchAdjacency(b testing.TB, scale int) (*assoc.Array[float64], *Graph, string) {
 	b.Helper()
 	g := dataset.RMAT(rand.New(rand.NewSource(1)), scale, 8)
 	one := func(graph.Edge) float64 { return 1 }

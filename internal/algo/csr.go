@@ -23,6 +23,13 @@ import (
 // functions over *assoc.Array remain as the map-backed reference
 // implementations (the differential oracles).
 //
+// The source and rank kernels answer with VECTORS over Vertices(), in
+// key order (BFSLevelVector, SSSPVector, WidestPathVector,
+// PageRankVector) — Definition I.1's key sets are totally ordered, so a
+// dense slice indexed by vertex position is the answer, and nothing is
+// allocated per vertex. The map-returning methods of the same names are
+// adapters over them for callers that want to look vertices up by key.
+//
 // A Graph is immutable and safe for concurrent use; the transpose
 // needed by the pull kernels is built lazily, once, on first use.
 type Graph struct {
@@ -32,8 +39,8 @@ type Graph struct {
 	trOnce sync.Once
 	tr     *sparse.CSR[float64]
 
-	prOnce sync.Once
-	prNorm *sparse.CSR[float64] // PageRank's out-degree-normalized Aᵀ
+	invOnce sync.Once
+	invDeg  []float64 // PageRank's 1/outdeg(u); 0 marks a dangling vertex
 }
 
 // ErrNotVertex is wrapped by every source-taking algorithm when the
@@ -105,11 +112,34 @@ func (g *Graph) frontierEdges(ids []int) int {
 	return e
 }
 
-// BFSLevels is the CSR-native form of the package-level BFSLevels:
-// breadth-first hop counts from source over the adjacency pattern,
-// direction-optimizing — sparse frontiers push along out-edges, dense
-// frontiers pull along in-edges with early exit per vertex.
+// BFSLevels is the CSR-native form of the package-level BFSLevels: the
+// hop counts of BFSLevelVector as a map over the reached vertices.
 func (g *Graph) BFSLevels(source string) (map[string]int, error) {
+	level, err := g.BFSLevelVector(source)
+	if err != nil {
+		return nil, err
+	}
+	reached := 0
+	for _, l := range level {
+		if l >= 0 {
+			reached++
+		}
+	}
+	out := make(map[string]int, reached)
+	for i, l := range level {
+		if l >= 0 {
+			out[g.verts.Key(i)] = l
+		}
+	}
+	return out, nil
+}
+
+// BFSLevelVector returns breadth-first hop counts from source over the
+// adjacency pattern, indexed by position in Vertices(); -1 marks an
+// unreached vertex. Direction-optimizing — sparse frontiers push along
+// out-edges, dense frontiers pull along in-edges with early exit per
+// vertex.
+func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 	src, err := g.vertex(source)
 	if err != nil {
 		return nil, err
@@ -154,13 +184,7 @@ func (g *Graph) BFSLevels(source string) (map[string]int, error) {
 		}
 		frontier, next = next, frontier
 	}
-	out := make(map[string]int)
-	for i, l := range level {
-		if l >= 0 {
-			out[g.verts.Key(i)] = l
-		}
-	}
-	return out, nil
+	return level, nil
 }
 
 // relaxToFixpoint runs the shared frontier-relaxation loop of the
@@ -253,7 +277,13 @@ func sortIDs(xs []int) {
 
 // extract converts a dense result vector back to the string-keyed map.
 func (g *Graph) extract(val []float64, has []bool) map[string]float64 {
-	out := make(map[string]float64)
+	present := 0
+	for _, ok := range has {
+		if ok {
+			present++
+		}
+	}
+	out := make(map[string]float64, present)
 	for i, ok := range has {
 		if ok {
 			out[g.verts.Key(i)] = val[i]
@@ -263,34 +293,48 @@ func (g *Graph) extract(val []float64, has []bool) map[string]float64 {
 }
 
 // SSSP is the CSR-native single-source shortest-path distance map under
-// min.+ — Bellman–Ford with a sparse active set instead of full-vector
-// products.
+// min.+: SSSPVector's reached entries by key.
 func (g *Graph) SSSP(source string) (map[string]float64, error) {
-	src, err := g.vertex(source)
-	if err != nil {
-		return nil, err
-	}
-	val, has, err := g.relaxToFixpoint(src, 0, semiring.MinPlus(), g.verts.Len(),
-		fmt.Sprintf("no fixpoint after %d rounds (negative cycle?)", g.verts.Len()))
+	val, has, err := g.SSSPVector(source)
 	if err != nil {
 		return nil, err
 	}
 	return g.extract(val, has), nil
 }
 
-// WidestPath is the CSR-native maximum-bottleneck-width map under
-// max.min; the source seeds at +Inf (an empty path constrains nothing).
-func (g *Graph) WidestPath(source string) (map[string]float64, error) {
+// SSSPVector returns shortest-path distances from source under min.+,
+// indexed by position in Vertices(); has[i] reports whether vertex i is
+// reached. Bellman–Ford with a sparse active set instead of full-vector
+// products.
+func (g *Graph) SSSPVector(source string) (dist []float64, has []bool, err error) {
 	src, err := g.vertex(source)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	val, has, err := g.relaxToFixpoint(src, value.PosInf, semiring.MaxMin(), g.verts.Len(),
-		fmt.Sprintf("widest-path failed to converge in %d rounds", g.verts.Len()))
+	return g.relaxToFixpoint(src, 0, semiring.MinPlus(), g.verts.Len(),
+		fmt.Sprintf("no fixpoint after %d rounds (negative cycle?)", g.verts.Len()))
+}
+
+// WidestPath is the CSR-native maximum-bottleneck-width map under
+// max.min: WidestPathVector's reached entries by key.
+func (g *Graph) WidestPath(source string) (map[string]float64, error) {
+	val, has, err := g.WidestPathVector(source)
 	if err != nil {
 		return nil, err
 	}
 	return g.extract(val, has), nil
+}
+
+// WidestPathVector returns maximum bottleneck widths from source under
+// max.min, in SSSPVector's form; the source seeds at +Inf (an empty path
+// constrains nothing).
+func (g *Graph) WidestPathVector(source string) (width []float64, has []bool, err error) {
+	src, err := g.vertex(source)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g.relaxToFixpoint(src, value.PosInf, semiring.MaxMin(), g.verts.Len(),
+		fmt.Sprintf("widest-path failed to converge in %d rounds", g.verts.Len()))
 }
 
 // Components is the CSR-native weakly-connected-components labeling:
@@ -402,68 +446,77 @@ func intersectCount(a, b []int) int64 {
 	return c
 }
 
-// PageRank is the CSR-native damped PageRank with uniform teleport and
-// dangling-mass redistribution: one dense pull SpMV over the
-// out-degree-normalized transpose per iteration, numerically identical
-// to the reference (same ascending in-neighbor fold, same vertex-order
-// reductions). Returns the rank map and iterations used.
+// PageRank is the CSR-native damped PageRank as a map: PageRankVector's
+// ranks by key. Returns the rank map and iterations used.
 func (g *Graph) PageRank(damping, tol float64, maxIter int) (map[string]float64, int, error) {
+	rank, used, err := g.PageRankVector(damping, tol, maxIter)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make(map[string]float64, len(rank))
+	for i, r := range rank {
+		out[g.verts.Key(i)] = r
+	}
+	return out, used, nil
+}
+
+// PageRankVector is damped PageRank with uniform teleport and
+// dangling-mass redistribution, indexed by position in Vertices(): one
+// dense pull over the transpose per iteration, numerically identical to
+// the reference (same ascending in-neighbor fold, same vertex-order
+// reductions). Returns the ranks and iterations used.
+func (g *Graph) PageRankVector(damping, tol float64, maxIter int) ([]float64, int, error) {
 	if damping <= 0 || damping >= 1 {
 		return nil, 0, fmt.Errorf("algo: damping must be in (0,1), got %v", damping)
 	}
 	n := g.verts.Len()
 	if n == 0 {
-		return map[string]float64{}, 0, nil
+		return []float64{}, 0, nil
 	}
-	// Pᵀ with value 1/outdeg(u) at (v, u): the transpose's column ids ARE
-	// the source vertices, so normalization is a value rewrite — built
-	// once per Graph, so a burst of PageRank queries against one cached
-	// snapshot epoch pays it once.
-	g.prOnce.Do(func() {
-		g.prNorm = g.transpose().Map(func(_, u int, _ float64) float64 {
-			return 1 / float64(g.adj.RowNNZ(u))
-		})
+	// Pᵀ(v, u) = 1/outdeg(u) depends on the column alone, so the
+	// normalized matrix is the transpose's pattern plus one vector —
+	// built once per Graph, so a burst of PageRank queries against one
+	// cached snapshot epoch pays it once. Scaling rank by it before the
+	// pull forms the products rank[u]·Pᵀ(v, u) the reference forms.
+	g.invOnce.Do(func() {
+		g.invDeg = make([]float64, n)
+		for u := range g.invDeg {
+			if d := g.adj.RowNNZ(u); d > 0 {
+				g.invDeg[u] = 1 / float64(d)
+			}
+		}
 	})
-	norm := g.prNorm
+	inv, t := g.invDeg, g.transpose()
 
 	rank := make([]float64, n)
-	flow := make([]float64, n)
+	scaled := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1 / float64(n)
 	}
 	for iter := 1; iter <= maxIter; iter++ {
-		for v := 0; v < n; v++ {
-			f := 0.0
-			cols, vals := norm.Row(v)
-			for p, u := range cols {
-				f += rank[u] * vals[p]
-			}
-			flow[v] = f
-		}
 		dangling := 0.0
-		for i := 0; i < n; i++ {
-			if g.adj.RowNNZ(i) == 0 {
-				dangling += rank[i]
+		for u, r := range rank {
+			if inv[u] == 0 {
+				dangling += r
+			} else {
+				scaled[u] = r * inv[u]
 			}
 		}
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		delta := 0.0
-		for i := 0; i < n; i++ {
-			nv := base + damping*flow[i]
-			delta += math.Abs(nv - rank[i])
-			rank[i] = nv
+		for v := 0; v < n; v++ {
+			flow := 0.0
+			cols, _ := t.Row(v)
+			for _, u := range cols {
+				flow += scaled[u]
+			}
+			nv := base + damping*flow
+			delta += math.Abs(nv - rank[v])
+			rank[v] = nv
 		}
 		if delta < tol {
-			return g.rankMap(rank), iter, nil
+			return rank, iter, nil
 		}
 	}
-	return g.rankMap(rank), maxIter, nil
-}
-
-func (g *Graph) rankMap(rank []float64) map[string]float64 {
-	out := make(map[string]float64, len(rank))
-	for i, r := range rank {
-		out[g.verts.Key(i)] = r
-	}
-	return out
+	return rank, maxIter, nil
 }

@@ -2,6 +2,9 @@ package algo
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"adjarray/internal/assoc"
@@ -254,6 +257,70 @@ func TestCSRPageRankMatchesOracle(t *testing.T) {
 		if d := sameFloatMap(want, got); d != "" {
 			t.Fatalf("%s: %s", ctx, d)
 		}
+	}
+}
+
+// The vector forms answer over Vertices() in key order: position i is
+// vertex Key(i), an unreached vertex is level -1 or has[i] == false, and
+// the map forms hold exactly the reached positions.
+func TestVectorFormsFollowVertexOrder(t *testing.T) {
+	adj := assoc.FromTriples([]assoc.Triple[float64]{
+		{Row: "b", Col: "c", Val: 2},
+		{Row: "c", Col: "d", Val: 3},
+		{Row: "a", Col: "b", Val: 5}, // a reaches everyone; nobody reaches a
+	}, nil)
+	g, err := FromArray(adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Vertices().Keys(); !slices.Equal(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("vertices = %v", got)
+	}
+	level, err := g.BFSLevelVector("b")
+	if err != nil || !slices.Equal(level, []int{-1, 0, 1, 2}) {
+		t.Errorf("BFSLevelVector(b) = %v, %v", level, err)
+	}
+	dist, has, err := g.SSSPVector("b")
+	if err != nil || !slices.Equal(has, []bool{false, true, true, true}) || !slices.Equal(dist[1:], []float64{0, 2, 5}) {
+		t.Errorf("SSSPVector(b) = %v %v, %v", dist, has, err)
+	}
+	width, has, err := g.WidestPathVector("b")
+	if err != nil || !slices.Equal(has, []bool{false, true, true, true}) || !slices.Equal(width[1:], []float64{math.Inf(1), 2, 2}) {
+		t.Errorf("WidestPathVector(b) = %v %v, %v", width, has, err)
+	}
+	rank, iters, err := g.PageRankVector(0.85, 1e-9, 50)
+	byKey, mapIters, merr := g.PageRank(0.85, 1e-9, 50)
+	if err != nil || merr != nil || iters != mapIters || len(rank) != 4 || len(byKey) != 4 {
+		t.Fatalf("PageRankVector = %v after %d, %v; PageRank = %v after %d, %v", rank, iters, err, byKey, mapIters, merr)
+	}
+	for i, r := range rank {
+		if byKey[g.Vertices().Key(i)] != r {
+			t.Errorf("rank[%d] = %v, the map holds %v for %q", i, r, byKey[g.Vertices().Key(i)], g.Vertices().Key(i))
+		}
+	}
+	if levels, _ := g.BFSLevels("b"); len(levels) != 3 || levels["d"] != 2 {
+		t.Errorf("BFSLevels(b) = %v", levels)
+	}
+}
+
+// PageRank keeps one 1/outdeg vector per Graph, not an out-degree-
+// normalized copy of the transpose: once the transpose and that vector
+// exist, a query allocates its two rank vectors and nothing the size of
+// the matrix.
+func TestPageRankBuildsNoMatrix(t *testing.T) {
+	_, g, _ := benchAdjacency(t, 10)
+	if _, _, err := g.PageRankVector(0.85, 1e-9, 5); err != nil {
+		t.Fatal(err)
+	}
+	n, nnz := g.Vertices().Len(), g.NumEdges()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := g.PageRankVector(0.85, 1e-9, 5); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(3*8*n) || got >= uint64(8*nnz) {
+		t.Errorf("a second PageRank allocated %d bytes over %d vertices and %d entries; want its two vectors (%d bytes)", got, n, nnz, 2*8*n)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package parallel provides the small shared-memory parallelism helpers
-// the sparse kernels build on: bounded worker pools and chunked parallel
-// loops with deterministic work assignment.
+// the sparse kernels and the sharded construction build on: a bounded
+// worker pool over grain-sized tasks and flop-balanced span scheduling,
+// both with deterministic work assignment.
 //
 // Determinism matters here more than in typical HPC code: the paper's
 // ⊕ is not assumed commutative or associative, so parallel reductions
@@ -31,51 +32,14 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// For runs fn over [0, n) split into contiguous chunks, one goroutine
-// per worker. fn receives a half-open index range [lo, hi) and must not
-// touch state owned by other ranges. For blocks until all chunks finish.
-// With workers <= 1 (or tiny n) it degrades to a plain sequential call,
-// so callers need no special single-threaded path.
-func For(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers, n)
-	if w == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ForGrain is For with an explicit grain size: [0, n) is split into
-// ⌈n/grain⌉ tasks executed by a pool of `workers` goroutines pulling
-// from a shared counter. Small grains load-balance irregular tasks at
-// the cost of more synchronization.
+// ForGrain runs fn over [0, n) split into ⌈n/grain⌉ contiguous tasks
+// executed by a pool of `workers` goroutines pulling from a shared
+// counter. fn receives a half-open index range [lo, hi) and must not
+// touch state owned by other ranges. ForGrain blocks until all tasks
+// finish. Small grains load-balance irregular tasks at the cost of more
+// synchronization; with one worker (or one task) it degrades to a plain
+// sequential call, so callers need no special single-threaded path.
 func ForGrain(n, workers, grain int, fn func(lo, hi int)) {
-	ForGrainWorker(n, workers, grain, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForGrainWorker is ForGrain exposing the identity of the worker
-// goroutine running each task as a stable index in [0, workers). Kernels
-// use it to pool per-worker scratch state (sparse accumulators) across
-// the many grain-tasks a worker executes, instead of allocating scratch
-// per task. Each worker index is owned by exactly one goroutine for the
-// whole call, so fn may touch worker-indexed state without locking.
-func ForGrainWorker(n, workers, grain int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -85,7 +49,7 @@ func ForGrainWorker(n, workers, grain int, fn func(worker, lo, hi int)) {
 	tasks := (n + grain - 1) / grain
 	w := Workers(workers, tasks)
 	if w == 1 {
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	var next int64
@@ -103,7 +67,7 @@ func ForGrainWorker(n, workers, grain int, fn func(worker, lo, hi int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for i := 0; i < w; i++ {
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				t, ok := take()
@@ -115,9 +79,9 @@ func ForGrainWorker(n, workers, grain int, fn func(worker, lo, hi int)) {
 				if hi > n {
 					hi = n
 				}
-				fn(worker, lo, hi)
+				fn(lo, hi)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 }

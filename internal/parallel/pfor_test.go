@@ -24,45 +24,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestForCoversEveryIndexExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 64} {
-		n := 1000
-		hits := make([]int32, n)
-		For(n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestForZeroAndNegativeN(t *testing.T) {
-	called := false
-	For(0, 4, func(lo, hi int) { called = true })
-	For(-5, 4, func(lo, hi int) { called = true })
-	if called {
-		t.Error("For should not invoke fn for n <= 0")
-	}
-}
-
-func TestForSequentialFallback(t *testing.T) {
-	var calls int
-	For(10, 1, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 10 {
-			t.Errorf("sequential path got [%d,%d)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Errorf("sequential path called %d times", calls)
-	}
-}
-
 func TestForGrainCoversEveryIndexExactlyOnce(t *testing.T) {
 	for _, grain := range []int{1, 3, 17, 1000, 5000} {
 		n := 997 // prime, exercises ragged final chunk
@@ -121,36 +82,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ForGrainWorker: every index covered exactly once, worker ids stay in
-// [0, workers), and each worker id is owned by a single goroutine at a
-// time — the contract that lets kernels touch worker-indexed scratch
-// without locking. Ownership is checked with per-worker in-flight
-// counters: a task observing its worker id already in flight means two
-// goroutines shared the id concurrently.
-func TestForGrainWorkerCoverageAndOwnership(t *testing.T) {
-	for _, cfg := range [][3]int{{100, 4, 3}, {7, 16, 1}, {1000, 3, 17}, {5, 1, 2}} {
-		n, workers, grain := cfg[0], cfg[1], cfg[2]
-		covered := make([]int32, n)
-		inflight := make([]int32, workers)
-		ForGrainWorker(n, workers, grain, func(worker, lo, hi int) {
-			if worker < 0 || worker >= workers {
-				t.Errorf("worker id %d out of range", worker)
-				return
-			}
-			if atomic.AddInt32(&inflight[worker], 1) != 1 {
-				t.Errorf("worker id %d entered concurrently by two goroutines", worker)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&covered[i], 1)
-			}
-			atomic.AddInt32(&inflight[worker], -1)
-		})
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("n=%d workers=%d grain=%d: index %d covered %d times", n, workers, grain, i, c)
-			}
-		}
-	}
 }

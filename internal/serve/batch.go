@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"adjarray/internal/algo"
 	"adjarray/internal/assoc"
@@ -75,19 +76,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return g, err
 	}
 
-	results := make([]map[string]any, len(req.Ops))
-	for i, op := range req.Ops {
-		res, err := s.execOp(op, adj, graph)
-		if err != nil {
-			results[i] = map[string]any{"op": op.Op, "error": err.Error(), "status": opStatus(err)}
-			continue
+	s.writeAnswer(w, func(b []byte) []byte {
+		b = append(b, `{"count":`...)
+		b = strconv.AppendInt(b, int64(len(req.Ops)), 10)
+		b = append(b, ',')
+		b = wholeStamp(epochs, exact).appendTo(b)
+		b = append(b, `"results":[`...)
+		for i, op := range req.Ops {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = s.appendOp(b, op, adj, graph); err != nil {
+				b = appendOpError(b, op.Op, err)
+			}
 		}
-		res["op"] = op.Op
-		results[i] = res
-	}
-	s.writeJSON(w, epochFields(map[string]any{
-		"results": results, "count": len(results), "exact": exact,
-	}, epochs))
+		return append(b, `]}`...)
+	})
+}
+
+// appendOpError reports one op's failure in its place among the
+// results: error, op, status — the status the single-op endpoint would
+// have answered with.
+func appendOpError(b []byte, op string, err error) []byte {
+	b = append(b, `{"error":`...)
+	b = appendJSONString(b, err.Error())
+	b = append(b, `,"op":`...)
+	b = appendJSONString(b, op)
+	b = append(b, `,"status":`...)
+	b = strconv.AppendInt(b, int64(opStatus(err)), 10)
+	return append(b, '}')
 }
 
 // errBadOp marks client-side op validation failures (400, not 422).
@@ -108,59 +126,23 @@ func opStatus(err error) int {
 	}
 }
 
-// execOp answers one batch op from the shared pinned snapshot.
-func (s *Server) execOp(op batchOp, adj *assoc.Array[float64], graph func() (*algo.Graph, error)) (map[string]any, error) {
+// appendOp answers one batch op from the shared pinned snapshot, in the
+// shape of its standalone endpoint with the op's name for a stamp. An
+// op that fails appends nothing.
+func (s *Server) appendOp(b []byte, op batchOp, adj *assoc.Array[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
+	st := stamp{op: op.Op}
+	var run func(g *algo.Graph) (result, error)
 	switch op.Op {
 	case "at":
 		if op.Src == "" || op.Dst == "" {
-			return nil, badOp("at wants src and dst")
+			return b, badOp("at wants src and dst")
 		}
-		val, stored := adj.At(op.Src, op.Dst)
-		return map[string]any{"src": op.Src, "dst": op.Dst, "value": safeFloat(val), "stored": stored}, nil
+		return appendAt(b, st, adj, op.Src, op.Dst), nil
 	case "row":
 		if op.Src == "" {
-			return nil, badOp("row wants src")
+			return b, badOp("row wants src")
 		}
-		return map[string]any{"src": op.Src, "row": rowEntries(adj, op.Src)}, nil
-	case "bfs":
-		if op.Src == "" {
-			return nil, badOp("bfs wants src")
-		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		levels, err := g.BFSLevels(op.Src)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": levels}, nil
-	case "sssp":
-		if op.Src == "" {
-			return nil, badOp("sssp wants src")
-		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		dist, err := g.SSSP(op.Src)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": safeFloatMap(dist)}, nil
-	case "widest":
-		if op.Src == "" {
-			return nil, badOp("widest wants src")
-		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		width, err := g.WidestPath(op.Src)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": safeFloatMap(width)}, nil
+		return appendRow(b, st, adj, op.Src), nil
 	case "pagerank":
 		damping, tol, iters := 0.85, 1e-9, 100
 		if op.Damping != nil {
@@ -173,28 +155,28 @@ func (s *Server) execOp(op batchOp, adj *assoc.Array[float64], graph func() (*al
 			iters = *op.Iters
 		}
 		if err := s.pageRankParams(damping, tol, iters); err != nil {
-			return nil, badOp("%s", err)
+			return b, badOp("%s", err)
 		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		rank, used, err := g.PageRank(damping, tol, iters)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": map[string]any{"rank": rank, "iterations": used}}, nil
+		run = func(g *algo.Graph) (result, error) { return pageRankAnswer(g, damping, tol, iters) }
 	case "triangles":
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		n, err := g.TriangleCount()
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": n}, nil
+		run = trianglesAnswer
 	default:
-		return nil, badOp("unknown op %q (want at, row, bfs, sssp, widest, pagerank, or triangles)", op.Op)
+		kernel, ok := sourceKernels[op.Op]
+		if !ok {
+			return b, badOp("unknown op %q (want at, row, bfs, sssp, widest, pagerank, or triangles)", op.Op)
+		}
+		if op.Src == "" {
+			return b, badOp("%s wants src", op.Op)
+		}
+		run = func(g *algo.Graph) (result, error) { return kernel(g, op.Src) }
 	}
+	g, err := graph()
+	if err != nil {
+		return b, err
+	}
+	res, err := run(g)
+	if err != nil {
+		return b, err
+	}
+	return appendResult(b, st, res), nil
 }

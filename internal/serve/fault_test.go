@@ -183,11 +183,11 @@ func (f *gateFile) Write(p []byte) (int, error) {
 }
 
 // TestReadsAnswerWhileACheckpointIsWritten: a checkpoint stuck in its
-// first Write holds the shard's write path, not its view — /at, /row and
-// /stats answer meanwhile (/healthz and /metrics read the durability
-// counters under the partition lock and wait, as they always have) — and
-// once it is through, /metrics reports it: one checkpoint, its size, one
-// duration observed.
+// first Write holds the shard's write path, not its view and not its
+// durability counters — /at, /row and /stats answer meanwhile, and so do
+// the probes an operator needs most when the disk is slow, /healthz and
+// /metrics — and once it is through, /metrics reports it: one
+// checkpoint, its size, one duration observed.
 func TestReadsAnswerWhileACheckpointIsWritten(t *testing.T) {
 	gate := &gateFS{FS: iofault.OS, reached: make(chan struct{}), release: make(chan struct{})}
 	ing := newTestIngest(t, core.IngestOptions{
@@ -214,7 +214,7 @@ func TestReadsAnswerWhileACheckpointIsWritten(t *testing.T) {
 		if code, at := get(t, s, "/at?src=a&dst=b"); code != http.StatusOK || at["value"] != float64(6) {
 			t.Errorf("/at during the checkpoint: code %d body %v", code, at)
 		}
-		for _, path := range []string{"/row?src=b", "/stats"} {
+		for _, path := range []string{"/row?src=b", "/stats", "/healthz", "/metrics"} {
 			if code, _ := get(t, s, path); code != http.StatusOK {
 				t.Errorf("GET %s during the checkpoint: code %d", path, code)
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adjarray/internal/core"
@@ -42,13 +43,53 @@ type metrics struct {
 	ckptMu   sync.Mutex
 	ckptSeen []uint64
 	ckptHist []*obs.Histogram
+
+	// The store's positions are pulled at scrape time — once per scrape:
+	// GET /metrics samples them before the exposition runs and the
+	// pull-time callbacks below all read that sample.
+	store  *stream.Store[float64]
+	sample atomic.Pointer[storeSample]
+}
+
+// storeSample is the store's counters as one scrape sees them. Taking it
+// holds each shard's view lock briefly (the cost of one /stats request)
+// and never the partition lock, so a scrape does not wait on a
+// checkpoint.
+type storeSample struct {
+	stats stream.StoreStats
+	durs  []stream.DurabilityStats
+}
+
+func (m *metrics) takeSample() *storeSample {
+	return &storeSample{stats: m.store.Stats(), durs: m.store.Durability()}
+}
+
+// beginScrape samples the store for the exposition about to run and
+// feeds the checkpoint histograms from it; endScrape drops the sample.
+func (m *metrics) beginScrape() {
+	sm := m.takeSample()
+	m.observeCheckpoints(sm.durs)
+	m.sample.Store(sm)
+}
+
+func (m *metrics) endScrape() { m.sample.Store(nil) }
+
+// sampled returns the running scrape's sample. Outside one — the
+// registry exposed by a handler other than GET /metrics, or a second
+// scrape ending first — every callback takes its own.
+func (m *metrics) sampled() *storeSample {
+	if sm := m.sample.Load(); sm != nil {
+		return sm
+	}
+	return m.takeSample()
 }
 
 func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	m := &metrics{reg: reg, lastAdvance: time.Now()}
+	store := ing.Store()
+	m := &metrics{reg: reg, lastAdvance: time.Now(), store: store}
 	m.inflight = reg.Gauge("adjserve_http_inflight_requests",
 		"Requests currently being served.")
 	m.encodeErrors = reg.Counter("adjserve_response_encode_errors_total",
@@ -63,9 +104,10 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		"Queries that pinned an older snapshot than the cached Graph and were served uncached.")
 	m.ingestShed = reg.Counter("adjserve_ingest_shed_readonly_total",
 		"POST /ingest requests answered 503 because the durable store is read-only.")
-	// Storage-health state machine, pulled at scrape time. State is the
-	// worst shard (0 ok, 1 degraded, 2 read-only); faults sum across
-	// shards over WAL appends, fsyncs, and checkpoint attempts.
+	// Storage-health state machine, pulled at scrape time (lock-free
+	// reads). State is the worst shard (0 ok, 1 degraded, 2 read-only);
+	// faults sum across shards over WAL appends, fsyncs, and checkpoint
+	// attempts.
 	reg.GaugeFunc("adjserve_storage_state",
 		"Storage health: 0 ok, 1 degraded (checkpoints failing), 2 read-only (WAL wedged; worst shard).",
 		func() float64 { agg, _ := ing.StorageHealth(); return float64(agg.State) })
@@ -80,45 +122,42 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 			return time.Since(m.lastAdvance).Seconds()
 		})
 
-	// Ingest positions, pulled from the store at scrape time. The
-	// per-scrape Stats() call takes each shard's view lock briefly — the
-	// same cost as one /stats request.
-	store := ing.Store()
+	// Ingest positions, from the scrape's sample of the store.
 	registerInternerGauges(reg, store.InternerStats)
 	reg.CounterFunc("adjserve_ingest_edges_total",
 		"Edges ever applied to the store (rate() of this is the ingest rate).",
-		func() float64 { return float64(store.Stats().Edges) })
+		func() float64 { return float64(m.sampled().stats.Edges) })
 	reg.GaugeFunc("adjserve_adjacency_nnz",
 		"Stored adjacency entries across shards.",
-		func() float64 { return float64(store.Stats().AdjNNZ) })
+		func() float64 { return float64(m.sampled().stats.AdjNNZ) })
 	reg.GaugeFunc("adjserve_pending_entries",
 		"Contribution entries awaiting the backlog fold.",
-		func() float64 { return float64(store.Stats().Pending) })
+		func() float64 { return float64(m.sampled().stats.Pending) })
 	for i := 0; i < store.Shards(); i++ {
 		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
 		reg.CounterFunc("adjserve_shard_epoch",
 			"Batches applied per shard (the consistency vector).",
-			func() float64 { return float64(store.Stats().PerShard[i].Epoch) }, shard)
+			func() float64 { return float64(m.sampled().stats.PerShard[i].Epoch) }, shard)
 		// Vertex-universe growth is paid in the fold, not in the append:
 		// these two are where an ingest of new vertices shows.
 		reg.CounterFunc("adjserve_view_folds_total",
 			"Backlog folds run per shard (budget-triggered or for a snapshot).",
-			func() float64 { return float64(store.Stats().PerShard[i].Folds) }, shard)
+			func() float64 { return float64(m.sampled().stats.PerShard[i].Folds) }, shard)
 		reg.CounterFunc("adjserve_view_fold_seconds_total",
 			"Seconds spent in folds per shard: universe sync, backlog fold, merge into the adjacency.",
-			func() float64 { return time.Duration(store.Stats().PerShard[i].FoldNanos).Seconds() }, shard)
+			func() float64 { return time.Duration(m.sampled().stats.PerShard[i].FoldNanos).Seconds() }, shard)
 		reg.GaugeFunc("adjserve_wal_lag_batches",
 			"Batches a crash right now would lose, per shard (0 without a WAL).",
-			func() float64 { return float64(store.Durability()[i].WALLag) }, shard)
+			func() float64 { return float64(m.sampled().durs[i].WALLag) }, shard)
 		reg.GaugeFunc("adjserve_checkpoint_seq",
 			"WAL seq covered by the shard's newest on-disk checkpoint.",
-			func() float64 { return float64(store.Durability()[i].CheckpointSeq) }, shard)
+			func() float64 { return float64(m.sampled().durs[i].CheckpointSeq) }, shard)
 		reg.CounterFunc("adjserve_checkpoints_total",
 			"Checkpoints the shard has written since the process started.",
-			func() float64 { return float64(store.Durability()[i].Checkpoints) }, shard)
+			func() float64 { return float64(m.sampled().durs[i].Checkpoints) }, shard)
 		reg.GaugeFunc("adjserve_checkpoint_bytes",
 			"Size of the last checkpoint the shard wrote.",
-			func() float64 { return float64(store.Durability()[i].CheckpointBytes) }, shard)
+			func() float64 { return float64(m.sampled().durs[i].CheckpointBytes) }, shard)
 		m.ckptHist = append(m.ckptHist, reg.Histogram("adjserve_checkpoint_seconds",
 			"Time from pinning the view to the published file, of the last checkpoint each scrape found new.",
 			obs.DefBuckets, shard))

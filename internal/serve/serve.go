@@ -23,15 +23,27 @@
 //     as adjserve_storage_state / adjserve_storage_faults_total.
 //
 // Every response carries the epoch vector its snapshot was pinned at,
-// so clients can order reads across shards.
+// so clients can order reads across shards. A whole-graph answer (an
+// algorithm, /triples, /batch) pins every shard and gathers; a point
+// read (/at, /row) pins only the shard that owns its source vertex —
+// that shard holds the whole row — so its vector is the owner's pinned
+// epoch with each sibling's current epoch beside it, and no sibling
+// folds or is gathered for it.
+//
+// Read answers are written, not marshalled: the kernels answer with
+// vectors over the graph's vertex key set, which is already in key
+// order, and answer.go appends them to a pooled buffer field by field
+// in the order encoding/json gives map keys — so the bytes are the ones
+// the former map-and-reflect path produced (the golden test holds them
+// to it), without a map entry or a boxed float per vertex. writeJSON
+// remains for the small, fixed-shape bodies: /stats, /healthz and the
+// /ingest ack.
 package serve
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"slices"
@@ -42,9 +54,7 @@ import (
 	"adjarray/internal/algo"
 	"adjarray/internal/assoc"
 	"adjarray/internal/core"
-	"adjarray/internal/keys"
 	"adjarray/internal/obs"
-	"adjarray/internal/value"
 )
 
 // Options tunes the front door. The zero value selects production
@@ -131,7 +141,7 @@ type Server struct {
 	met      *metrics
 	readPool *pool
 	algoPool *pool
-	buffers  sync.Pool // *bytes.Buffer for single-write JSON responses
+	buffers  sync.Pool // *bytes.Buffer, one response body each (writeJSON, writeAnswer)
 }
 
 // New builds the front door over ing.
@@ -144,7 +154,7 @@ func New(ing *core.Ingest, opt Options) *Server {
 	}
 	s.buffers.New = func() any { return new(bytes.Buffer) }
 	s.met = newMetrics(opt.Registry, ing)
-	s.cache = &graphCache{met: s.met}
+	s.cache = &graphCache{met: s.met, build: algo.FromArray}
 	s.readPool = newPool("read", opt.ReadWorkers, opt.ReadQueue, opt.RetryAfter, s.met)
 	s.algoPool = newPool("algo", opt.AlgoWorkers, opt.AlgoQueue, opt.RetryAfter, s.met)
 	s.routes()
@@ -174,7 +184,8 @@ func (s *Server) routes() {
 	handle("/healthz", nil, s.handleHealthz)
 	exposition := s.met.reg.Handler()
 	handle("/metrics", nil, func(w http.ResponseWriter, r *http.Request) {
-		s.met.observeCheckpoints(s.ing.Store().Durability())
+		s.met.beginScrape()
+		defer s.met.endScrape()
 		exposition.ServeHTTP(w, r)
 	})
 	// /ingest bypasses the read/algo pools — its backpressure is the
@@ -183,25 +194,11 @@ func (s *Server) routes() {
 	handle("/at", s.readPool, s.handleAt)
 	handle("/row", s.readPool, s.handleRow)
 	handle("/triples", s.readPool, s.handleTriples)
-	handle("/bfs", s.algoPool, s.sourceQuery(func(g *algo.Graph, src string) (any, error) {
-		return g.BFSLevels(src)
-	}))
-	handle("/sssp", s.algoPool, s.sourceQuery(func(g *algo.Graph, src string) (any, error) {
-		dist, err := g.SSSP(src)
-		if err != nil {
-			return nil, err
-		}
-		return safeFloatMap(dist), nil
-	}))
-	handle("/widest", s.algoPool, s.sourceQuery(func(g *algo.Graph, src string) (any, error) {
-		width, err := g.WidestPath(src)
-		if err != nil {
-			return nil, err
-		}
-		return safeFloatMap(width), nil
-	}))
+	for name, kernel := range sourceKernels {
+		handle("/"+name, s.algoPool, s.sourceQuery(kernel))
+	}
 	handle("/triangles", s.algoPool, func(w http.ResponseWriter, r *http.Request) {
-		s.algoQuery(w, func(g *algo.Graph) (any, error) { return g.TriangleCount() })
+		s.algoQuery(w, trianglesAnswer)
 	})
 	handle("/pagerank", s.algoPool, s.handlePageRank)
 	handle("/batch", s.algoPool, s.handleBatch)
@@ -231,24 +228,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// safeFloat renders ±Inf/NaN with the library's FormatFloat convention;
-// JSON has no encoding for them but the tropical algebras store them as
-// ordinary values (an unweighted max.min edge is width +Inf).
-func safeFloat(v float64) any {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return value.FormatFloat(v)
-	}
-	return v
-}
-
-func safeFloatMap(m map[string]float64) map[string]any {
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		out[k] = safeFloat(v)
-	}
-	return out
-}
-
 // takeSnapshot pins one consistent read: the adjacency plus the epoch
 // vector it was gathered at (cached per vector, so repeated queries
 // between appends share one gather).
@@ -271,19 +250,17 @@ func (s *Server) snapshot(w http.ResponseWriter) (*assoc.Array[float64], []int, 
 	return adj, epochs, exact, true
 }
 
-// epochFields stamps a response with its consistency token: the pinned
-// epoch vector plus the scalar sum (a single scalar for clients that
-// only order responses; the vector is the token queries were answered
-// at — every field of one response reflects shard i at exactly
-// epochs[i]).
-func epochFields(m map[string]any, epochs []int) map[string]any {
-	sum := 0
-	for _, e := range epochs {
-		sum += e
+// pinOwner pins a point read: the snapshot of the one shard that owns
+// src's row, and the epoch vector to answer with (see
+// stream.Store.OwnerSnapshot), with the HTTP error path folded in.
+func (s *Server) pinOwner(w http.ResponseWriter, src string) (*assoc.Array[float64], []int, bool) {
+	snap, epochs, err := s.ing.Store().OwnerSnapshot(src)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil, nil, false
 	}
-	m["epoch"] = sum
-	m["epochs"] = epochs
-	return m
+	s.met.observeEpochs(epochs)
+	return snap.Adjacency, epochs, true
 }
 
 // ---- graph cache ----
@@ -300,35 +277,47 @@ func epochFields(m map[string]any, epochs []int) map[string]any {
 // that pinned an older snapshot around an ingest batch gets a Graph
 // for its own epochs but must not overwrite the newer cached one —
 // the stale-overwrite would thrash the cache backwards under load.
+//
+// The lock covers the lookup and the install only. The build runs
+// outside it, once per entry: requests at the entry's vector wait for
+// that one build, and a request at any other vector — the previous one
+// included — never queues behind somebody else's.
 type graphCache struct {
 	mu     sync.Mutex
 	epochs []int
-	g      *algo.Graph
+	entry  *graphEntry
 	met    *metrics
+	build  func(*assoc.Array[float64]) (*algo.Graph, error) // algo.FromArray; tests gate it
+}
+
+// graphEntry is one Graph, built or being built.
+type graphEntry struct {
+	once sync.Once
+	g    *algo.Graph
+	err  error
 }
 
 // graphFor returns a Graph for the pinned snapshot (adj at epochs),
 // cached when the vector is current or newer than the cached one.
 func (c *graphCache) graphFor(adj *assoc.Array[float64], epochs []int) (*algo.Graph, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.g != nil && slices.Equal(c.epochs, epochs) {
+	e := c.entry
+	switch {
+	case e != nil && slices.Equal(c.epochs, epochs):
 		c.met.cacheHits.Inc()
-		return c.g, nil
-	}
-	g, err := algo.FromArray(adj)
-	if err != nil {
-		return nil, err
-	}
-	if c.g == nil || newerEpochs(epochs, c.epochs) {
-		c.g, c.epochs = g, slices.Clone(epochs)
+	case e == nil || newerEpochs(epochs, c.epochs):
+		e = &graphEntry{}
+		c.entry, c.epochs = e, slices.Clone(epochs)
 		c.met.cacheRebuilds.Inc()
-	} else {
+	default:
 		// Pinned-but-older (or incomparable) snapshot: serve it without
 		// caching; the cache keeps the newer graph.
+		e = &graphEntry{}
 		c.met.cacheStale.Inc()
 	}
-	return g, nil
+	c.mu.Unlock()
+	e.once.Do(func() { e.g, e.err = c.build(adj) })
+	return e.g, e.err
 }
 
 // newerEpochs reports whether a is element-wise ≥ b with at least one
@@ -362,7 +351,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// read endpoint, so an orchestrator must not kill the process over
 	// it. The storage fields carry the ok → degraded → read-only state
 	// machine for alerting. Positions are per-shard vectors plus their
-	// scalar sums, the convention epochFields uses for query responses.
+	// scalar sums, the convention query responses use for their epochs.
 	store := s.ing.Store()
 	agg, _ := store.StorageHealth()
 	durs := store.Durability()
@@ -404,12 +393,11 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want ?src=...&dst=...", http.StatusBadRequest)
 		return
 	}
-	adj, epochs, _, ok := s.snapshot(w)
+	adj, epochs, ok := s.pinOwner(w, src)
 	if !ok {
 		return
 	}
-	val, stored := adj.At(src, dst)
-	s.writeJSON(w, epochFields(map[string]any{"src": src, "dst": dst, "value": safeFloat(val), "stored": stored}, epochs))
+	s.writeAnswer(w, func(b []byte) []byte { return appendAt(b, stamp{epochs: epochs}, adj, src, dst) })
 }
 
 func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
@@ -418,19 +406,11 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want ?src=...", http.StatusBadRequest)
 		return
 	}
-	adj, epochs, _, ok := s.snapshot(w)
+	adj, epochs, ok := s.pinOwner(w, src)
 	if !ok {
 		return
 	}
-	s.writeJSON(w, epochFields(map[string]any{"src": src, "row": rowEntries(adj, src)}, epochs))
-}
-
-func rowEntries(adj *assoc.Array[float64], src string) map[string]any {
-	row := map[string]any{}
-	adj.SubRef(keys.Range{Lo: src, Hi: src}, nil).Iterate(func(_, d string, v float64) {
-		row[d] = safeFloat(v)
-	})
-	return row
+	s.writeAnswer(w, func(b []byte) []byte { return appendRow(b, stamp{epochs: epochs}, adj, src) })
 }
 
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
@@ -449,25 +429,14 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	total := adj.NNZ()
-	// IterateUntil stops at the limit, so ?limit=1 on a large graph is
-	// O(1) per request, not an O(nnz) sweep; memory is O(limit) too.
-	rows := make([]map[string]any, 0, min(limit, total))
-	adj.IterateUntil(func(rk, ck string, v float64) bool {
-		rows = append(rows, map[string]any{"row": rk, "col": ck, "val": safeFloat(v)})
-		return len(rows) < limit
-	})
-	s.writeJSON(w, epochFields(map[string]any{
-		"triples": rows, "total": total, "limit": limit,
-		"truncated": total > len(rows), "exact": exact,
-	}, epochs))
+	s.writeAnswer(w, func(b []byte) []byte { return appendTriples(b, wholeStamp(epochs, exact), adj, limit) })
 }
 
-// algoQuery runs compute against the per-epoch-vector cached Graph. A
-// source that is not a vertex is the client's error (404); an
-// algorithm refusing the instance (asymmetric triangles, no fixpoint)
-// is 422.
-func (s *Server) algoQuery(w http.ResponseWriter, compute func(g *algo.Graph) (any, error)) {
+// algoQuery runs a kernel against the per-epoch-vector cached Graph and
+// writes its answer. A source that is not a vertex is the client's
+// error (404); an algorithm refusing the instance (asymmetric
+// triangles, no fixpoint) is 422.
+func (s *Server) algoQuery(w http.ResponseWriter, run func(g *algo.Graph) (result, error)) {
 	adj, epochs, exact, ok := s.snapshot(w)
 	if !ok {
 		return
@@ -477,26 +446,22 @@ func (s *Server) algoQuery(w http.ResponseWriter, compute func(g *algo.Graph) (a
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	res, err := compute(g)
+	res, err := run(g)
 	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, algo.ErrNotVertex) {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), opStatus(err))
 		return
 	}
-	s.writeJSON(w, epochFields(map[string]any{"result": res, "exact": exact}, epochs))
+	s.writeAnswer(w, func(b []byte) []byte { return appendResult(b, wholeStamp(epochs, exact), res) })
 }
 
-func (s *Server) sourceQuery(run func(g *algo.Graph, src string) (any, error)) http.HandlerFunc {
+func (s *Server) sourceQuery(run func(g *algo.Graph, src string) (result, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		src := r.URL.Query().Get("src")
 		if src == "" {
 			http.Error(w, "want ?src=...", http.StatusBadRequest)
 			return
 		}
-		s.algoQuery(w, func(g *algo.Graph) (any, error) { return run(g, src) })
+		s.algoQuery(w, func(g *algo.Graph) (result, error) { return run(g, src) })
 	}
 }
 
@@ -546,11 +511,5 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.algoQuery(w, func(g *algo.Graph) (any, error) {
-		rank, used, err := g.PageRank(damping, tol, iters)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"rank": rank, "iterations": used}, nil
-	})
+	s.algoQuery(w, func(g *algo.Graph) (result, error) { return pageRankAnswer(g, damping, tol, iters) })
 }

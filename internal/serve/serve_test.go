@@ -6,12 +6,17 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"adjarray/internal/algo"
+	"adjarray/internal/assoc"
 	"adjarray/internal/core"
 	"adjarray/internal/stream"
 )
@@ -407,6 +412,85 @@ func TestGraphCacheRaceAroundAppend(t *testing.T) {
 		if len(cached) != len(epochs) || cached[0] != epochs[0] {
 			t.Fatalf("iter %d: cache ended at %v, want newest %v", iter, cached, epochs)
 		}
+	}
+}
+
+// The cache lock covers lookup and install, never a build: while the
+// Graph for a new vector is being built, a request pinned at the vector
+// cached before it is answered (by a build of its own — it is stale by
+// then — not by waiting), and every request at the new vector shares the
+// one build in flight.
+func TestGraphCacheBuildsOutsideItsLock(t *testing.T) {
+	ing := newTestIngest(t, core.IngestOptions{BatchSize: 1})
+	seedEdges(t, ing, [2]string{"a", "b"})
+	s := New(ing, Options{})
+	adj1, epochs1, _, err := s.takeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.cache.graphFor(adj1, epochs1); err != nil {
+		t.Fatal(err)
+	}
+	seedEdges(t, ing, [2]string{"b", "c"})
+	adj2, epochs2, _, err := s.takeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// From here on a build for the new snapshot blocks until released.
+	var newBuilds atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.cache.build = func(adj *assoc.Array[float64]) (*algo.Graph, error) {
+		if adj == adj2 {
+			if newBuilds.Add(1) == 1 {
+				close(entered)
+			}
+			<-release
+		}
+		return algo.FromArray(adj)
+	}
+	graphs := make(chan *algo.Graph, 2)
+	request := func() {
+		g, err := s.cache.graphFor(adj2, epochs2)
+		if err != nil {
+			t.Error(err)
+		}
+		graphs <- g
+	}
+	go request()
+	<-entered
+	hits := s.met.cacheHits.Value()
+	go request()
+	for s.met.cacheHits.Value() == hits { // the second request has found the entry in flight
+		runtime.Gosched()
+	}
+
+	answered := make(chan error, 1)
+	go func() {
+		g, err := s.cache.graphFor(adj1, epochs1)
+		if err == nil {
+			_, err = g.BFSLevels("a")
+		}
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a request at the previously cached vector waited on the build of a newer one")
+	}
+
+	close(release)
+	if g1, g2 := <-graphs, <-graphs; g1 == nil || g1 != g2 {
+		t.Errorf("two requests at one new vector got graphs %p and %p, want one shared build", g1, g2)
+	}
+	if n := newBuilds.Load(); n != 1 {
+		t.Errorf("the new vector's Graph was built %d times, want once", n)
+	}
+	if s.met.cacheRebuilds.Value() != 2 || s.met.cacheStale.Value() != 1 {
+		t.Errorf("rebuilds %d stale %d, want 2 and 1", s.met.cacheRebuilds.Value(), s.met.cacheStale.Value())
 	}
 }
 

@@ -179,16 +179,21 @@ type partition[V any] struct {
 	codec ValueCodec[V]
 	opt   DurableOptions[V]
 
-	ckptSeq uint64 // newest on-disk checkpoint's covered seq
-	// What Durability reports of the checkpoints written since Open.
-	ckpts     uint64
-	ckptBytes int64
-	ckptDur   time.Duration
-	buf       []byte // record encode scratch, reused under mu
-	failed    error  // sticky: a WAL write failed after the view applied
-	ckptErr   error  // last checkpoint failure (degraded); nil after success
-	faults    atomic.Uint64
-	closed    bool
+	// What durability and health report. Written under mu where they
+	// change, read without it: a checkpoint holds mu for as long as the
+	// disk takes, and a liveness probe or a scrape must not wait on that.
+	ckptSeq    atomic.Uint64                 // newest on-disk checkpoint's covered seq
+	walDurable atomic.Uint64                 // w.DurableSeq() as of the last log operation
+	ckpts      atomic.Uint64                 // checkpoints written since Open,
+	ckptBytes  atomic.Int64                  // the last one's size
+	ckptDur    atomic.Int64                  // and duration (ns)
+	storage    atomic.Pointer[StorageHealth] // state and error as of the last change; nil: ok
+	faults     atomic.Uint64
+
+	buf     []byte // record encode scratch, reused under mu
+	failed  error  // sticky: a WAL write failed after the view applied
+	ckptErr error  // last checkpoint failure (degraded); nil after success
+	closed  bool
 
 	recovery RecoveryInfo
 
@@ -284,10 +289,11 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 		return nil, err
 	}
 	p := &partition[V]{
-		v: v, w: w, dir: dir, codec: codec, opt: opt,
-		ckptSeq: ckptSeq, recovery: rec,
+		v: v, w: w, dir: dir, codec: codec, opt: opt, recovery: rec,
 		notify: make(chan struct{}, 1), done: make(chan struct{}),
 	}
+	p.ckptSeq.Store(ckptSeq)
+	p.walDurable.Store(w.DurableSeq())
 	if opt.CheckpointEvery > 0 || opt.CheckpointInterval > 0 {
 		p.bg.Add(1)
 		go p.checkpointLoop()
@@ -317,7 +323,7 @@ func (p *partition[V]) checkpointLoop() {
 		case <-tick:
 		}
 		p.mu.Lock()
-		if !p.closed && p.failed == nil && p.epoch() > p.ckptSeq {
+		if !p.closed && p.failed == nil && p.epoch() > p.ckptSeq.Load() {
 			// A failed checkpoint degrades the shard (p.ckptErr, set
 			// inside) but must NOT wedge it: the batches are already
 			// durable through the WAL, and the next trigger retries.
@@ -368,12 +374,14 @@ func (p *partition[V]) append(edges []Edge[V]) error {
 	// Committed — possibly with a post-commit maintenance error, in
 	// which case the epoch still advanced and the record must still be
 	// written to keep seq == epoch; verr is reported after.
-	if _, err := p.w.Append(p.buf); err != nil {
+	_, err := p.w.Append(p.buf)
+	p.walDurable.Store(p.w.DurableSeq())
+	if err != nil {
 		// The view is now ahead of the log; acknowledging further
 		// batches would promise durability the log cannot deliver.
 		return p.storageFailedLocked(err)
 	}
-	if p.opt.CheckpointEvery > 0 && before+1-p.ckptSeq >= uint64(p.opt.CheckpointEvery) {
+	if p.opt.CheckpointEvery > 0 && before+1-p.ckptSeq.Load() >= uint64(p.opt.CheckpointEvery) {
 		select {
 		case p.notify <- struct{}{}:
 		default:
@@ -388,8 +396,22 @@ func (p *partition[V]) storageFailedLocked(err error) error {
 	if p.failed == nil {
 		p.failed = err
 		p.faults.Add(1)
+		p.publishStorageLocked()
 	}
 	return &readOnlyError{err: p.failed}
+}
+
+// publishStorageLocked republishes the state machine's position for the
+// lock-free readers; call it wherever failed or ckptErr changes.
+func (p *partition[V]) publishStorageLocked() {
+	var h StorageHealth
+	switch {
+	case p.failed != nil:
+		h = StorageHealth{State: StorageReadOnly, Err: p.failed.Error()}
+	case p.ckptErr != nil:
+		h = StorageHealth{State: StorageDegraded, Err: p.ckptErr.Error()}
+	}
+	p.storage.Store(&h)
 }
 
 func (p *partition[V]) sync() error {
@@ -401,7 +423,9 @@ func (p *partition[V]) sync() error {
 	if err := p.usableLocked(); err != nil {
 		return err
 	}
-	if err := p.w.Sync(); err != nil {
+	err := p.w.Sync()
+	p.walDurable.Store(p.w.DurableSeq())
+	if err != nil {
 		return p.storageFailedLocked(err)
 	}
 	return nil
@@ -429,7 +453,7 @@ func (p *partition[V]) checkpointLocked() error {
 	v := p.v
 	start := time.Now()
 	v.mu.Lock()
-	if uint64(v.epoch) == p.ckptSeq {
+	if uint64(v.epoch) == p.ckptSeq.Load() {
 		v.mu.Unlock()
 		return nil
 	}
@@ -450,7 +474,7 @@ func (p *partition[V]) checkpointLocked() error {
 	for attempt := 0; ; attempt++ {
 		_, size, err := wal.WriteCheckpointFS(fsys, p.dir, seq, emit)
 		if err == nil {
-			p.ckptBytes = size
+			p.ckptBytes.Store(size)
 			break
 		}
 		p.faults.Add(1)
@@ -459,15 +483,15 @@ func (p *partition[V]) checkpointLocked() error {
 		wal.ReapTempCheckpoints(fsys, p.dir) //adjlint:ignore syncerr best-effort reap; the write error is the one reported
 		if attempt >= p.opt.CheckpointRetries {
 			p.ckptErr = err
+			p.publishStorageLocked()
 			return err
 		}
 		time.Sleep(backoff)
 		backoff *= 2
 	}
-	p.ckptSeq = seq
-	p.ckptErr = nil
-	p.ckpts++
-	p.ckptDur = time.Since(start)
+	p.ckptSeq.Store(seq)
+	p.ckptDur.Store(int64(time.Since(start)))
+	p.ckpts.Add(1)
 	// The checkpoint itself is durable; failed retirement only leaves
 	// extra files behind. Degraded, not fatal.
 	_, err := wal.RetireCheckpointsFS(fsys, p.dir, p.opt.KeepCheckpoints)
@@ -476,66 +500,57 @@ func (p *partition[V]) checkpointLocked() error {
 	}
 	if err != nil {
 		p.faults.Add(1)
-		p.ckptErr = err
 	}
+	p.ckptErr = err
+	p.publishStorageLocked()
 	return err
 }
 
 // health reports the shard's position in the ok → degraded → read-only
-// state machine.
+// state machine, without taking the partition lock.
 func (p *partition[V]) health() StorageHealth {
-	if p.w == nil {
-		return StorageHealth{}
+	h := StorageHealth{}
+	if pub := p.storage.Load(); pub != nil {
+		h = *pub
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.healthLocked()
-}
-
-func (p *partition[V]) healthLocked() StorageHealth {
-	h := StorageHealth{Faults: p.faults.Load()}
-	switch {
-	case p.failed != nil:
-		h.State = StorageReadOnly
-		h.Err = p.failed.Error()
-	case p.ckptErr != nil:
-		h.State = StorageDegraded
-		h.Err = p.ckptErr.Error()
-	}
+	h.Faults = p.faults.Load()
 	return h
 }
 
+// durability reports the shard's durability position without taking the
+// partition lock (see the counters' comment): each field is what the
+// last completed operation left, so a probe during a checkpoint reads
+// the position before it.
 func (p *partition[V]) durability() DurabilityStats {
 	if p.w == nil {
 		return DurabilityStats{Epoch: p.epoch(), Policy: "none"}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	// The durable boundary first: read the other way round, a batch that
+	// lands in between would show as durable past the epoch.
+	ckptSeq := p.ckptSeq.Load()
+	durable := max(ckptSeq, p.walDurable.Load())
 	epoch := p.epoch()
-	durable := p.ckptSeq
-	if !p.closed {
-		durable = max(durable, p.w.DurableSeq())
-	}
 	lag := uint64(0)
 	if epoch > durable {
 		lag = epoch - durable
 	}
+	ckpts := p.ckpts.Load()
 	format := p.recovery.CheckpointFormat
-	if p.ckpts > 0 {
+	if ckpts > 0 {
 		format = 2 // the only format written
 	}
 	return DurabilityStats{
 		Epoch:              epoch,
 		DurableEpoch:       durable,
 		WALLag:             lag,
-		CheckpointSeq:      p.ckptSeq,
-		Checkpoints:        p.ckpts,
-		CheckpointBytes:    p.ckptBytes,
-		CheckpointDuration: p.ckptDur,
+		CheckpointSeq:      ckptSeq,
+		Checkpoints:        ckpts,
+		CheckpointBytes:    p.ckptBytes.Load(),
+		CheckpointDuration: time.Duration(p.ckptDur.Load()),
 		CheckpointFormat:   format,
 		Policy:             p.opt.WAL.Policy.String(),
 		Recovery:           p.recovery,
-		Storage:            p.healthLocked(),
+		Storage:            p.health(),
 	}
 }
 
@@ -553,6 +568,7 @@ func (p *partition[V]) close() error {
 	p.closed = true
 	close(p.done)
 	err := p.w.Close()
+	p.walDurable.Store(p.w.DurableSeq())
 	if err == nil {
 		err = p.failed
 	}

@@ -248,6 +248,63 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 	}
 }
 
+// OwnerSnapshot is the read for one row: it answers from the owning
+// shard exactly what the gathered adjacency holds for that row, folds no
+// sibling, caches no gather, and reports the owner's pinned epoch beside
+// the siblings' current ones. On one shard it is that shard's Snapshot.
+func TestOwnerSnapshotPinsOneShard(t *testing.T) {
+	ops := semiring.PlusTimes()
+	for _, shards := range []int{1, 2, 3, 5} {
+		sv := memStore(t, ops, shards, Options{})
+		edges := randomEdges(rand.New(rand.NewSource(int64(shards))), 60, 9, []float64{1, 2, 3})
+		if err := sv.Append(edges[:40]); err != nil {
+			t.Fatal(err)
+		}
+		mustShardSnap(t, sv) // folds every shard
+		if err := sv.Append(edges[40:]); err != nil {
+			t.Fatal(err)
+		}
+		src := edges[len(edges)-1].Src
+		owner := sv.ShardFor(src)
+		before := sv.Stats()
+		sn, epochs, err := sv.OwnerSnapshot(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := sv.Stats()
+		if sv.cached.g != nil {
+			t.Errorf("%d shards: a point read cached a gather", shards)
+		}
+		for i := range epochs {
+			if epochs[i] != after.Epochs[i] {
+				t.Errorf("%d shards: epochs[%d] = %d, want the shard's epoch %d", shards, i, epochs[i], after.Epochs[i])
+			}
+			if i != owner && after.PerShard[i].PendingNNZ != before.PerShard[i].PendingNNZ {
+				t.Errorf("%d shards: sibling %d folded for a read of shard %d", shards, i, owner)
+			}
+		}
+		if epochs[owner] != sn.Epoch || after.PerShard[owner].PendingNNZ != 0 {
+			t.Errorf("%d shards: owner pinned at %d with %d pending, vector says %d", shards, sn.Epoch, after.PerShard[owner].PendingNNZ, epochs[owner])
+		}
+		// The owner's row is the whole row: every cell of it reads the same
+		// from the owner's array and from the gather of every shard.
+		whole := mustAdj(t, mustShardSnap(t, sv))
+		whole.Iterate(func(r, c string, v float64) {
+			if r != src {
+				return
+			}
+			if got, ok := sn.Adjacency.At(r, c); !ok || got != v {
+				t.Errorf("%d shards: owner holds (%q,%q) = %v,%v; the gather holds %v", shards, r, c, got, ok, v)
+			}
+		})
+		if i, ok := sn.Adjacency.RowKeys().Index(src); !ok {
+			t.Errorf("%d shards: the owner does not hold %q's row", shards, src)
+		} else if j, _ := whole.RowKeys().Index(src); sn.Adjacency.Matrix().RowNNZ(i) != whole.Matrix().RowNNZ(j) {
+			t.Errorf("%d shards: the owner's row has %d entries, the gathered row %d", shards, sn.Adjacency.Matrix().RowNNZ(i), whole.Matrix().RowNNZ(j))
+		}
+	}
+}
+
 // Stats aggregates per-shard counters; edge totals and epoch vector
 // agree with the snapshot.
 func TestShardedStats(t *testing.T) {

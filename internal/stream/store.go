@@ -341,6 +341,31 @@ func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
 	return snap, nil
 }
 
+// OwnerSnapshot pins only the shard that owns src — the routing hash
+// that makes the gather exact also says where a source vertex's whole
+// adjacency row lives — and returns that shard's snapshot with the
+// store's epoch vector: the owner's entry is the pinned epoch, every
+// sibling's is its current epoch, read without folding its backlog. It
+// is the read for one row or one cell: no sibling pays a fold for it and
+// nothing is gathered, so its cost does not grow with the shard count.
+// The snapshot's arrays span the owner's key universe only; a key the
+// owner has never seen is simply absent from them.
+func (s *Store[V]) OwnerSnapshot(src string) (Snapshot[V], []int, error) {
+	owner := s.ShardFor(src)
+	sn, err := s.parts[owner].v.Snapshot()
+	if err != nil {
+		return Snapshot[V]{}, nil, fmt.Errorf("stream: shard %d: %w", owner, err)
+	}
+	epochs := make([]int, len(s.parts))
+	for i, p := range s.parts {
+		if i != owner {
+			epochs[i] = int(p.epoch())
+		}
+	}
+	epochs[owner] = sn.Epoch
+	return sn, epochs, nil
+}
+
 // mergeAdjacency gathers the per-shard adjacencies into one array
 // spanning the union vertex universe: each shard's array is embedded
 // into the union key space and ⊕-merged in ascending shard order
