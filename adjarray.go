@@ -279,9 +279,10 @@ func AdjacencyViewFromIncidence[V any](eout, ein *Array[V], ops Ops[V], opt Stre
 // goroutine-shards, each owning its own AdjacencyView and — opened on a
 // directory — its own write-ahead log and checkpoints, so concurrent
 // appends to different shards never contend. Snapshot pins one
-// consistent epoch per shard and ⊕-merges the per-shard adjacencies —
-// bit-identical to the one-shard construction because shards own
-// disjoint adjacency rows. One shard is shards = 1, not another type.
+// consistent epoch per shard and concatenates the per-shard adjacencies
+// — bit-identical to the one-shard construction because shards own
+// disjoint adjacency rows, which the gather checks; Pin is the same
+// without the gather. One shard is shards = 1, not another type.
 type AdjacencyStore[V any] = stream.Store[V]
 
 // AdjacencyStoreSnapshot is an immutable scatter-gather read view

@@ -362,7 +362,7 @@ func run(cfg config) error {
 	if err := f.flush(); err != nil {
 		return err
 	}
-	if _, err := store.Snapshot(); err != nil { // materialize for the final stats
+	if _, err := store.Pin(); err != nil { // fold every shard for the final stats; nothing needs the gather
 		return err
 	}
 	st := store.Stats()

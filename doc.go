@@ -48,10 +48,13 @@
 //   - one ingest store, shards × optional WAL: OpenAdjacencyStore
 //     (internal/stream.Open) hash-partitions the vertex space by source
 //     across N ≥ 1 shards (per-shard views and append locks), with
-//     snapshots pinned to a per-shard epoch vector and ⊕-merged once per
-//     vector, bit-identical to one shard because shards own disjoint
-//     adjacency rows. One shard is shards = 1; in-memory is "no
-//     directory". On a directory every shard recovers from a
+//     snapshots pinned to a per-shard epoch vector (Pin) and gathered at
+//     most once per vector (Snapshot). Shards own disjoint adjacency
+//     rows, so the gather is a concatenation — every stored row copied
+//     once, no ⊕ — bit-identical to one shard for any operator pair, and
+//     the disjointness is checked: two shards storing one source row are
+//     refused by key, never summed. One shard is shards = 1; in-memory
+//     is "no directory". On a directory every shard recovers from a
 //     write-ahead incidence log plus checkpoints (internal/wal). A
 //     checkpoint is the view as it lies in memory — the id-space edge
 //     log, the interner slabs, the id → position arrays and the folded
@@ -75,8 +78,11 @@
 //     read (/at, /row) pins only the shard that owns its source vertex
 //     (AdjacencyStore.OwnerSnapshot): in its "epochs" the owner's entry
 //     is the epoch the answer was pinned at, a sibling's is that
-//     shard's current epoch, read without folding or gathering it;
-//     whole-graph answers pin every shard. cmd/loadgen drives the front
+//     shard's current epoch, read without its lock, a fold or a
+//     gather. Algorithm answers and /batch pin every shard and build
+//     their Graph from the pinned shards' arrays (algo.FromArrays: one
+//     copy, straight into the kernels' vertex space); only /triples
+//     reads the gathered store-wide array. cmd/loadgen drives the front
 //     door with open-model zipfian load and records per-endpoint
 //     latency percentiles (BENCH_7.json);
 //   - fault tolerance: internal/iofault injects deterministic disk

@@ -20,7 +20,10 @@
 //     reference implementations and serve as the differential oracles.
 //   - The methods on Graph run the same iterations on integer-id
 //     sparse-vector kernels (sparse.SpMSpVPush / sparse.SpMVPull) over
-//     the adjacency's CSR embedded in the square union vertex space,
+//     the adjacency's CSR embedded in the square union vertex space
+//     (FromArray) — or, for an adjacency held as row-disjoint parts, the
+//     shards of a store, the parts' rows copied once each straight into
+//     that space (FromArrays), the store-wide array never assembled —
 //     switching push→pull automatically as the frontier densifies, with
 //     a lazily built transpose for the pull direction and string↔id
 //     translation only at the API boundary. Results are BIT-identical

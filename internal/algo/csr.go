@@ -16,9 +16,10 @@ import (
 )
 
 // Graph is the CSR-native execution form of an adjacency array: the
-// array's sparse matrix embedded into the SQUARE union vertex space
-// (rows ∪ cols), with vertices as integer ids and string keys resolved
-// only at the API boundary. Every algorithm in this package has a
+// array's sparse matrix — or the matrices of its row-disjoint parts,
+// FromArrays — embedded into the SQUARE union vertex space (rows ∪ cols),
+// with vertices as integer ids and string keys resolved only at the API
+// boundary. Every algorithm in this package has a
 // method form on Graph running on the integer-id kernels; the package
 // functions over *assoc.Array remain as the map-backed reference
 // implementations (the differential oracles).
@@ -53,12 +54,22 @@ var ErrNotVertex = errors.New("is not a vertex of the array")
 // index structure but never values; when the array is already square
 // over one key set, its matrix is used as-is.
 func FromArray(a *assoc.Array[float64]) (*Graph, error) {
-	verts := a.RowKeys().Union(a.ColKeys())
-	sq, err := a.EmbedInto(verts, verts)
+	return FromArrays([]*assoc.Array[float64]{a})
+}
+
+// FromArrays builds a Graph from an adjacency array held as row-disjoint
+// parts — the pinned shards of a store partitioned by source vertex. The
+// vertex set is the union of every part's row and column keys, and each
+// part's stored rows are copied once, straight into that square space
+// (assoc.ConcatRowsSquare): the store-wide rows × cols array is never
+// assembled on the way. Parts that store the same row are refused, the
+// error naming the row and the parts.
+func FromArrays(parts []*assoc.Array[float64]) (*Graph, error) {
+	sq, err := assoc.ConcatRowsSquare(parts)
 	if err != nil {
-		return nil, fmt.Errorf("algo: embed into vertex space: %w", err)
+		return nil, fmt.Errorf("algo: gather into vertex space: %w", err)
 	}
-	return &Graph{verts: verts, adj: sq.Matrix()}, nil
+	return &Graph{verts: sq.RowKeys(), adj: sq.Matrix()}, nil
 }
 
 // FromPattern builds a Graph from any array's pattern with weight 1 per

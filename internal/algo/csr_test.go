@@ -1,15 +1,18 @@
 package algo
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/conformance"
 	"adjarray/internal/semiring"
+	"adjarray/internal/sparse"
 	"adjarray/internal/value"
 )
 
@@ -321,6 +324,83 @@ func TestPageRankBuildsNoMatrix(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(3*8*n) || got >= uint64(8*nnz) {
 		t.Errorf("a second PageRank allocated %d bytes over %d vertices and %d entries; want its two vectors (%d bytes)", got, n, nnz, 2*8*n)
+	}
+}
+
+// A Graph built from an adjacency array's row-disjoint parts is the Graph
+// built from the array gathered first: the same vertex set, the same CSR
+// entry for entry — over the conformance generators' instances (unicode,
+// NUL and 0xff keys, NaN and ±Inf weights), dealt out to 1–5 parts that
+// each know only the keys they store.
+func TestFromArraysMatchesFromArrayOfTheGathered(t *testing.T) {
+	gen := conformance.NewGenerator(103)
+	entry := lookupEntry(t, "+.*")
+	for i := 0; i < diffInstances; i++ {
+		inst := gen.Instance(entry)
+		adj := instanceAdjacency(t, inst, entry.Ops)
+		k := 1 + i%5
+		dealt := make([][]assoc.Triple[float64], k)
+		for _, tr := range adj.Triples() {
+			row, _ := adj.RowKeys().Index(tr.Row)
+			dealt[row%k] = append(dealt[row%k], tr)
+		}
+		parts := make([]*assoc.Array[float64], k)
+		for p := range parts {
+			parts[p] = assoc.FromTriples(dealt[p], nil)
+		}
+		gathered, err := assoc.ConcatRows(parts)
+		if err != nil {
+			t.Fatalf("%s[%d]: %v", inst.Name, i, err)
+		}
+		want, err := FromArray(gathered)
+		if err != nil {
+			t.Fatalf("%s[%d]: %v", inst.Name, i, err)
+		}
+		got, err := FromArrays(parts)
+		if err != nil {
+			t.Fatalf("%s[%d]: %v", inst.Name, i, err)
+		}
+		if !got.verts.Equal(want.verts) {
+			t.Fatalf("%s[%d], %d parts: vertices %v, want %v", inst.Name, i, k, got.verts, want.verts)
+		}
+		if err := got.adj.Validate(); err != nil {
+			t.Fatalf("%s[%d], %d parts: %v", inst.Name, i, k, err)
+		}
+		if !sparse.Equal(got.adj, want.adj, value.Float64Equal) {
+			t.Fatalf("%s[%d], %d parts: the CSR differs from the gathered array's", inst.Name, i, k)
+		}
+	}
+}
+
+// FromArray is the one-part call and shares what it always did: the
+// matrix itself for an array already square over one key set, the value
+// slice for any other. Parts that store one row between them are refused
+// by key.
+func TestFromArraySharingAndRefusal(t *testing.T) {
+	adj := assoc.FromTriples([]assoc.Triple[float64]{
+		{Row: "a", Col: "b", Val: 1}, {Row: "c", Col: "d", Val: 2},
+	}, nil)
+	g, err := FromArray(adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, vals := adj.Matrix().Row(0)
+	_, gvals := g.adj.Row(0)
+	if g.verts.Len() != 4 || &vals[0] != &gvals[0] {
+		t.Errorf("a non-square array's values were copied into the Graph (%d vertices)", g.verts.Len())
+	}
+	square, err := adj.EmbedInto(g.verts, g.verts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2, err := FromArray(square); err != nil || g2.adj != square.Matrix() {
+		t.Errorf("a square array's matrix was not used as it is (%v)", err)
+	}
+	other := assoc.FromTriples([]assoc.Triple[float64]{{Row: "c", Col: "a", Val: 3}}, nil)
+	_, err = FromArrays([]*assoc.Array[float64]{adj, other})
+	var rc *sparse.RowConflictError
+	if !errors.As(err, &rc) || !strings.Contains(err.Error(), `"c"`) {
+		t.Errorf("two parts storing row c: got %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // AddInto computes a ⊕= b over the union key space, with a's entries on
 // the left of every fold (a holds the earlier contributions). Key-set
-// growth uses sorted union-with-offsets and integer-index embedding
+// growth uses sorted union-with-offsets and integer-index alignment
 // rather than the string-keyed Reindex path, and when inPlace is true
 // and b's pattern is a subset of a's (after alignment), a's value buffer
 // is folded in place and a itself returned — the zero-allocation
@@ -28,63 +28,63 @@ import (
 // consumed after the call (its storage may have been folded into the
 // result).
 func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool) (*Array[V], error) {
-	return AddIntoScratch(a, b, ops, inPlace, nil)
+	return AddIntoScratchWorkers(a, b, ops, inPlace, nil, 1)
 }
 
-// AddIntoScratch is AddInto with recycled output backing: when the merge
-// cannot run in place, the result steals the scratch's slices instead of
-// allocating (see sparse.MergeScratch), and — because inPlace marks a as
-// consumed — a's superseded storage is donated back to the scratch for
-// the next call. An accumulator merged into repeatedly (internal/stream's
-// overlay, internal/shard's partial fold) therefore ping-pongs between
-// two buffers and stops allocating in steady state.
-func AddIntoScratch[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V]) (*Array[V], error) {
-	return AddIntoScratchWorkers(a, b, ops, inPlace, scratch, 1)
-}
-
-// AddIntoScratchWorkers is AddIntoScratch with the per-row union merge
-// parallelized across merge-cost-balanced row spans when workers > 1
-// (or < 0 for GOMAXPROCS) — bit-identical to the serial merge, see
-// sparse.EWiseAddIntoParallel. This is the accumulator-side counterpart
-// of MulOptions.Workers: a maintained adjacency large enough for merges
-// to dominate folds its deltas span-parallel.
+// AddIntoScratchWorkers is AddInto with recycled output backing and a
+// span-parallel merge — AddIntoMapped's scratch and workers — after
+// aligning the operands itself: the union of the key sets, b embedded
+// into it (b is the small side), and a's place in it handed on as
+// position maps, so a is never copied just to be renumbered.
 func AddIntoScratchWorkers[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V], workers int) (*Array[V], error) {
 	if b.NNZ() == 0 && b.rows.Len() == 0 && b.cols.Len() == 0 {
 		return a, nil
 	}
 	rows, aRowPos, bRowPos := unionFast(a.rows, b.rows)
 	cols, aColPos, bColPos := unionFast(a.cols, b.cols)
-	am, err := sparse.Embed(a.mat, aRowPos, aColPos, rows.Len(), cols.Len())
-	if err != nil {
-		return nil, fmt.Errorf("assoc: AddInto lhs embed: %w", err)
-	}
 	bm, err := sparse.Embed(b.mat, bRowPos, bColPos, rows.Len(), cols.Len())
 	if err != nil {
 		return nil, fmt.Errorf("assoc: AddInto rhs embed: %w", err)
 	}
-	// In-place is only meaningful when the embed shared a's value
-	// buffer unchanged — true whenever a's key sets already span the
-	// union (Embed never copies values, so am.val IS a.mat's buffer).
+	return AddIntoMapped(a, &Array[V]{rows: rows, cols: cols, mat: bm}, aRowPos, aColPos, ops, inPlace, scratch, workers)
+}
+
+// AddIntoMapped is the merge under AddInto for operands already aligned:
+// b spans the result's key sets, and a's keys sit in them at the
+// positions rowPos and colPos give (strictly increasing; nil: a's keys
+// are the first of b's, in place). The merge reads a through the maps —
+// one pass from a's own storage into the result, never an embedded copy
+// of a first. The maps' lengths, order and range are checked; that
+// position i really holds a's i-th key is the caller's word, which is
+// what makes this cheaper than AddInto: the caller (internal/stream's
+// fold, which grew the key sets itself) has the maps from the sweep that
+// grew them.
+//
+// When the merge cannot run in place the result steals the scratch's
+// slices instead of allocating (see sparse.MergeScratch), and — because
+// inPlace marks a as consumed — the kernel donates a's superseded storage
+// back to the scratch for the next call: an accumulator merged into
+// repeatedly ping-pongs between two buffers and stops allocating in
+// steady state.
+// workers > 1 (or < 0 for GOMAXPROCS) runs the per-row union merge across
+// merge-cost-balanced row spans, bit-identical to the serial merge (see
+// sparse.EWiseAddIntoParallel).
+func AddIntoMapped[V any](a, b *Array[V], rowPos, colPos []int, ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V], workers int) (*Array[V], error) {
 	var m *sparse.CSR[V]
+	var err error
 	if workers > 1 || workers < 0 {
-		m, err = sparse.EWiseAddIntoParallel(am, bm, ops, inPlace, scratch, workers)
+		m, err = sparse.EWiseAddIntoParallel(a.mat, b.mat, ops, inPlace, scratch, rowPos, colPos, workers)
 	} else {
-		m, err = sparse.EWiseAddInto(am, bm, ops, inPlace, scratch)
+		m, err = sparse.EWiseAddInto(a.mat, b.mat, ops, inPlace, scratch, rowPos, colPos)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if m == am && am.Rows() == a.mat.Rows() && am.Cols() == a.mat.Cols() && aRowPos == nil && aColPos == nil {
+	if m == a.mat && b.rows == a.rows && b.cols == a.cols {
 		// Nothing moved: the fold landed in a's own storage.
 		return a, nil
 	}
-	if scratch != nil && inPlace && m != am {
-		// The result is a full copy (scratch-backed), so consumed a's
-		// old storage is free — donate it for the next merge. (When
-		// m == am the result still aliases a's buffers: keep them.)
-		scratch.Recycle(a.mat)
-	}
-	return &Array[V]{rows: rows, cols: cols, mat: m}, nil
+	return &Array[V]{rows: b.rows, cols: b.cols, mat: m}, nil
 }
 
 // unionFast is UnionOffsets preceded by the delta-maintenance fast path:

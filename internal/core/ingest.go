@@ -19,7 +19,8 @@ import (
 // The store has Shards ≥ 1 shards: batches scatter by source-vertex hash
 // across per-shard views (each with its own lock and, with DataDir set,
 // its own WAL and checkpoints), and Snapshot gathers the per-shard
-// adjacencies into one read view pinned at a consistent epoch vector.
+// adjacencies — a concatenation: shards own disjoint rows — into one
+// read view pinned at a consistent epoch vector.
 type Ingest struct {
 	store *stream.Store[float64]
 	batch []stream.Edge[float64]

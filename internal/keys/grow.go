@@ -1,5 +1,7 @@
 package keys
 
+import "strings"
+
 // Growth entry points for delta-batch merges.
 //
 // The batch constructors (New, FromSorted) re-sort or re-validate the
@@ -70,6 +72,82 @@ func (s *Set) UnionOffsets(t *Set) (u *Set, sPos, tPos []int) {
 		sPos = nil
 	}
 	return fromSortedUnique(out), sPos, tPos
+}
+
+// UnionAll returns u, the union of every set, with one position map per
+// input: pos[i][j] is the index in u of sets[i].Key(j); nil means the
+// identity, as UnionOffsets has it. One k-way sweep over the sorted key
+// slices finds every position — k string comparisons per key of u — and
+// u's one key slice is filled from them, exact size; no Set's reverse
+// index is built or consulted. When an input already holds every key,
+// that Set itself is u. This is the alignment of a gather: the shards of
+// a partitioned array, or an array's row and column keys, brought into
+// one key space (sparse.ConcatRows renumbers through the maps).
+func UnionAll(sets []*Set) (u *Set, pos [][]int) {
+	pos = make([][]int, len(sets))
+	if len(sets) == 0 {
+		return fromSortedUnique(nil), pos
+	}
+	same := true
+	for _, s := range sets[1:] {
+		same = same && sets[0].Equal(s)
+	}
+	if same {
+		return sets[0], pos
+	}
+	heads := make([]int, len(sets))
+	for i, s := range sets {
+		pos[i] = make([]int, len(s.keys))
+	}
+	n := 0
+	ties := make([]int, 0, len(sets)) // the sets whose head is the smallest key
+	for {
+		ties = ties[:0]
+		var least string
+		for i, s := range sets {
+			if heads[i] == len(s.keys) {
+				continue
+			}
+			k := s.keys[heads[i]]
+			switch c := strings.Compare(k, least); {
+			case len(ties) == 0 || c < 0:
+				least, ties = k, append(ties[:0], i)
+			case c == 0:
+				ties = append(ties, i)
+			}
+		}
+		if len(ties) == 0 {
+			break
+		}
+		for _, i := range ties {
+			pos[i][heads[i]] = n
+			heads[i]++
+		}
+		n++
+	}
+	for i, s := range sets {
+		if len(s.keys) == n {
+			u = s
+		}
+		// Strictly increasing from 0: the last key in place means all are.
+		if last := len(s.keys) - 1; last < 0 || pos[i][last] == last {
+			pos[i] = nil
+		}
+	}
+	if u == nil {
+		out := make([]string, n)
+		for i, s := range sets {
+			if pos[i] == nil {
+				copy(out, s.keys)
+				continue
+			}
+			for j, p := range pos[i] {
+				out[p] = s.keys[j]
+			}
+		}
+		u = fromSortedUnique(out)
+	}
+	return u, pos
 }
 
 // PositionsIn returns, for each key of s, its index in super — or

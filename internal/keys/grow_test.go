@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 func TestUnionOffsetsMatchesUnion(t *testing.T) {
@@ -111,6 +112,106 @@ func TestIndexSortedAgreesWithIndex(t *testing.T) {
 		i2, ok2 := s.IndexSorted(k)
 		if ok1 != ok2 || (ok1 && i1 != i2) {
 			t.Errorf("key %q: Index (%d,%v) vs IndexSorted (%d,%v)", k, i1, ok1, i2, ok2)
+		}
+	}
+}
+
+// UnionAll against the pairwise sweep it replaces: folding the sets in
+// with repeated UnionOffsets gives the same union, and every position map
+// sends each key to itself. Small alphabets make overlaps, duplicates of
+// one set and empty sets all common.
+func TestUnionAllMatchesRepeatedUnionOffsets(t *testing.T) {
+	check := func(raw [][]uint8) bool {
+		sets := make([]*Set, len(raw))
+		for i, bs := range raw {
+			ks := make([]string, len(bs))
+			for j, b := range bs {
+				ks[j] = fmt.Sprintf("k%02d", b%24)
+			}
+			sets[i] = New(ks...)
+		}
+		if len(sets) > 2 {
+			sets[len(sets)-1] = sets[0] // one Set twice
+			sets[len(sets)-2] = New()   // an empty one
+		}
+		u, pos := UnionAll(sets)
+		want := New()
+		for _, s := range sets {
+			want, _, _ = want.UnionOffsets(s)
+		}
+		if !u.Equal(want) || len(pos) != len(sets) {
+			t.Logf("union %v, want %v (%d maps for %d sets)", u, want, len(pos), len(sets))
+			return false
+		}
+		for i, s := range sets {
+			if pos[i] != nil && len(pos[i]) != s.Len() {
+				t.Logf("set %d: %d positions for %d keys", i, len(pos[i]), s.Len())
+				return false
+			}
+			for j := 0; j < s.Len(); j++ {
+				p := j
+				if pos[i] != nil {
+					p = pos[i][j]
+				}
+				if p >= u.Len() || u.Key(p) != s.Key(j) {
+					t.Logf("set %d: key %q mapped to %d", i, s.Key(j), p)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if u, pos := UnionAll(nil); u.Len() != 0 || len(pos) != 0 {
+		t.Errorf("no sets: union %v, %d maps", u, len(pos))
+	}
+}
+
+// What comes back shared: identical sets are their own union with no
+// maps at all, an input that already holds every key IS the union, and a
+// set whose keys are the first of the union's has the nil (identity) map.
+func TestUnionAllSharesWhatItCan(t *testing.T) {
+	s := New("a", "b", "c")
+	if u, pos := UnionAll([]*Set{s, New("a", "b", "c"), s}); u != s || pos[0] != nil || pos[1] != nil || pos[2] != nil {
+		t.Errorf("identical sets: union %v maps %v", u, pos)
+	}
+	big := New("a", "b", "c", "d")
+	u, pos := UnionAll([]*Set{New("b", "d"), big, New("a", "b")})
+	if u != big || !reflect.DeepEqual(pos, [][]int{{1, 3}, nil, nil}) {
+		t.Errorf("one input holds every key: union %v maps %v", u, pos)
+	}
+	u, pos = UnionAll([]*Set{New("m"), New("a", "z"), New()})
+	if !reflect.DeepEqual(u.Keys(), []string{"a", "m", "z"}) || !reflect.DeepEqual(pos, [][]int{{1}, {0, 2}, nil}) {
+		t.Errorf("disjoint sets: union %v maps %v", u, pos)
+	}
+}
+
+// The sweep compares keys; it neither builds nor consults a reverse
+// index, on its inputs or on the union it returns (building one per
+// union — a map entry per key — is what a gather paid on every new
+// epoch).
+func TestUnionAllBuildsNoIndex(t *testing.T) {
+	var a, b, c []string
+	for i := 0; i < 300; i++ {
+		switch k := fmt.Sprintf("k%04d", i); i % 3 {
+		case 0:
+			a = append(a, k)
+		case 1:
+			b = append(b, k)
+		default:
+			a, c = append(a, k), append(c, k)
+		}
+	}
+	sets := []*Set{New(a...), New(b...), New(c...)}
+	u, pos := UnionAll(sets)
+	if u.Len() != 300 || pos[0] == nil || pos[1] == nil || pos[2] == nil {
+		t.Fatalf("union of %d keys, maps %v", u.Len(), pos)
+	}
+	for i, s := range append(sets, u) {
+		if s.index != nil || s.Interned() {
+			t.Errorf("set %d came out of UnionAll with a reverse index", i)
 		}
 	}
 }

@@ -209,3 +209,48 @@ func BenchmarkAnswer(b *testing.B) {
 		})
 	}
 }
+
+// newEpochBatch is one small ingest as the benchmark's mixed workload
+// posts it: 32 edges between vertices the preload already holds, the last
+// one into a vertex nothing has seen (so the owning shard's fold grows
+// its universe), and the read-your-write probe for that edge.
+func newEpochBatch(r *rand.Rand, n int) (body, probe string) {
+	var b strings.Builder
+	b.WriteString(`{"edges":[`)
+	var src, dst string
+	for i := 0; i < 32; i++ {
+		src, dst = fmt.Sprintf("v%06d", r.Intn(1<<14)), fmt.Sprintf("v%06d", r.Intn(1<<14))
+		if i == 31 {
+			dst = fmt.Sprintf("w%07d", n)
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"src":%q,"dst":%q}`, src, dst)
+	}
+	b.WriteString(`]}`)
+	return b.String(), "/at?src=" + src + "&dst=" + dst
+}
+
+// BenchmarkNewEpoch is what a new epoch vector costs on a 2-shard store
+// of the R-MAT scale-14 graph: one acknowledged 32-edge ingest that
+// introduces a vertex, its read-your-write /at (the owning shard folds,
+// its universe grown), then /bfs and /pagerank at the new vector (the
+// graph cache misses and rebuilds from the pinned shards) — the full
+// front door into a writer that discards.
+func BenchmarkNewEpoch(b *testing.B) {
+	s := New(rmatIngest(b, 14, 2), Options{})
+	r := rand.New(rand.NewSource(2))
+	w := &discard{header: http.Header{}}
+	bfs := httptest.NewRequest("GET", "/bfs?src="+rmatHub, nil)
+	rank := httptest.NewRequest("GET", "/pagerank?iters=20", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, probe := newEpochBatch(r, i)
+		serveDiscarding(b, s, w, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
+		serveDiscarding(b, s, w, httptest.NewRequest("GET", probe, nil))
+		serveDiscarding(b, s, w, bfs)
+		serveDiscarding(b, s, w, rank)
+	}
+}

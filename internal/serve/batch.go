@@ -32,10 +32,11 @@ type batchRequest struct {
 // arbitrarily large allocation.
 const maxBatchBody = 1 << 20
 
-// handleBatch executes many query ops against ONE pinned snapshot —
-// the epoch-vector gather, the graph-cache lookup, and (for sharded
-// views) the ⊕-merge are paid once per request instead of once per
-// op. Per-op failures are reported inline (an unknown vertex in op 3
+// handleBatch executes many query ops against ONE pinned snapshot — the
+// epoch-vector pin and the graph-cache lookup are paid once per request
+// instead of once per op, and nothing is gathered: an at or row op reads
+// the pinned shard that owns its source, an algorithm op the cached
+// Graph. Per-op failures are reported inline (an unknown vertex in op 3
 // must not void the other 99 answers); request-level failures (bad
 // JSON, too many ops) fail the whole request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -60,9 +61,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	adj, epochs, exact, ok := s.snapshot(w)
+	shards, epochs, exact, ok := s.snapshot(w)
 	if !ok {
 		return
+	}
+	// A source's whole row lives on the shard its routing hash names, so
+	// that shard's pinned array answers a point op cell for cell as the
+	// gathered one would.
+	owner := func(src string) *assoc.Array[float64] {
+		return shards[s.ing.Store().ShardFor(src)].Adjacency
 	}
 	// The Graph is built (or fetched from the cache) at most once per
 	// batch, and only when an algorithm op actually needs it.
@@ -72,7 +79,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return g, nil
 		}
 		var err error
-		g, err = s.cache.graphFor(adj, epochs)
+		g, err = s.cache.graphFor(shards, epochs)
 		return g, err
 	}
 
@@ -87,7 +94,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				b = append(b, ',')
 			}
 			var err error
-			if b, err = s.appendOp(b, op, adj, graph); err != nil {
+			if b, err = s.appendOp(b, op, owner, graph); err != nil {
 				b = appendOpError(b, op.Op, err)
 			}
 		}
@@ -129,7 +136,7 @@ func opStatus(err error) int {
 // appendOp answers one batch op from the shared pinned snapshot, in the
 // shape of its standalone endpoint with the op's name for a stamp. An
 // op that fails appends nothing.
-func (s *Server) appendOp(b []byte, op batchOp, adj *assoc.Array[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
+func (s *Server) appendOp(b []byte, op batchOp, owner func(src string) *assoc.Array[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
 	st := stamp{op: op.Op}
 	var run func(g *algo.Graph) (result, error)
 	switch op.Op {
@@ -137,12 +144,12 @@ func (s *Server) appendOp(b []byte, op batchOp, adj *assoc.Array[float64], graph
 		if op.Src == "" || op.Dst == "" {
 			return b, badOp("at wants src and dst")
 		}
-		return appendAt(b, st, adj, op.Src, op.Dst), nil
+		return appendAt(b, st, owner(op.Src), op.Src, op.Dst), nil
 	case "row":
 		if op.Src == "" {
 			return b, badOp("row wants src")
 		}
-		return appendRow(b, st, adj, op.Src), nil
+		return appendRow(b, st, owner(op.Src), op.Src), nil
 	case "pagerank":
 		damping, tol, iters := 0.85, 1e-9, 100
 		if op.Damping != nil {

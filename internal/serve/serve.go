@@ -14,7 +14,7 @@
 //     letting a burst pile up goroutines.
 //   - Batched queries: POST /batch executes many ops against ONE
 //     pinned snapshot and one cached Graph, amortizing the epoch-vector
-//     gather and the id-space embedding across the whole request.
+//     pin and the id-space embedding across the whole request.
 //   - Degraded-mode serving: POST /ingest appends edges over HTTP;
 //     when a storage fault wedges the durable store read-only the
 //     ingest path sheds 503 + Retry-After while every read endpoint
@@ -24,11 +24,18 @@
 //
 // Every response carries the epoch vector its snapshot was pinned at,
 // so clients can order reads across shards. A whole-graph answer (an
-// algorithm, /triples, /batch) pins every shard and gathers; a point
-// read (/at, /row) pins only the shard that owns its source vertex —
-// that shard holds the whole row — so its vector is the owner's pinned
+// algorithm, /triples, /batch) pins every shard. The pin gathers
+// nothing: the cached Graph is built from the pinned shards' arrays,
+// each shard's rows copied once into the square vertex space the kernels
+// run in (algo.FromArrays), a /batch point op reads the pinned shard
+// that owns its source, and only /triples asks the store for the
+// gathered store-wide array. Shards own disjoint rows and both the Graph
+// build and the gather check it: a store whose shards overlap answers
+// 500 naming the row on those paths, while point reads keep answering. A
+// point read (/at, /row) pins only the shard that owns its source vertex
+// — that shard holds the whole row — so its vector is the owner's pinned
 // epoch with each sibling's current epoch beside it, and no sibling
-// folds or is gathered for it.
+// folds, is waited for or is gathered for it.
 //
 // Read answers are written, not marshalled: the kernels answer with
 // vectors over the graph's vertex key set, which is already in key
@@ -55,6 +62,7 @@ import (
 	"adjarray/internal/assoc"
 	"adjarray/internal/core"
 	"adjarray/internal/obs"
+	"adjarray/internal/stream"
 )
 
 // Options tunes the front door. The zero value selects production
@@ -154,7 +162,7 @@ func New(ing *core.Ingest, opt Options) *Server {
 	}
 	s.buffers.New = func() any { return new(bytes.Buffer) }
 	s.met = newMetrics(opt.Registry, ing)
-	s.cache = &graphCache{met: s.met, build: algo.FromArray}
+	s.cache = &graphCache{met: s.met, build: algo.FromArrays}
 	s.readPool = newPool("read", opt.ReadWorkers, opt.ReadQueue, opt.RetryAfter, s.met)
 	s.algoPool = newPool("algo", opt.AlgoWorkers, opt.AlgoQueue, opt.RetryAfter, s.met)
 	s.routes()
@@ -228,26 +236,28 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// takeSnapshot pins one consistent read: the adjacency plus the epoch
-// vector it was gathered at (cached per vector, so repeated queries
-// between appends share one gather).
-func (s *Server) takeSnapshot() (*assoc.Array[float64], []int, bool, error) {
-	snap, err := s.ing.Store().Snapshot()
+// takeSnapshot pins one consistent read without gathering it: every
+// shard's snapshot at one epoch vector (cached per vector by the store),
+// the vector, and whether the state is provably the one-shot
+// construction. Whoever needs one array over the whole store — only
+// /triples — asks the store for the gathered snapshot instead.
+func (s *Server) takeSnapshot() ([]stream.Snapshot[float64], []int, bool, error) {
+	snap, err := s.ing.Store().Pin()
 	if err != nil {
 		return nil, nil, false, err
 	}
 	s.met.observeEpochs(snap.Epochs)
-	return snap.Adjacency, snap.Epochs, snap.Exact, nil
+	return snap.Shards, snap.Epochs, snap.Exact, nil
 }
 
 // snapshot is takeSnapshot with the HTTP error path folded in.
-func (s *Server) snapshot(w http.ResponseWriter) (*assoc.Array[float64], []int, bool, bool) {
-	adj, epochs, exact, err := s.takeSnapshot()
+func (s *Server) snapshot(w http.ResponseWriter) ([]stream.Snapshot[float64], []int, bool, bool) {
+	shards, epochs, exact, err := s.takeSnapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return nil, nil, false, false
 	}
-	return adj, epochs, exact, true
+	return shards, epochs, exact, true
 }
 
 // pinOwner pins a point read: the snapshot of the one shard that owns
@@ -268,7 +278,10 @@ func (s *Server) pinOwner(w http.ResponseWriter, src string) (*assoc.Array[float
 // graphCache memoizes the CSR-native algo.Graph per snapshot epoch
 // vector: algorithm queries between ingest batches reuse one id-space
 // embedding (and its lazily built transpose) instead of rebuilding per
-// request.
+// request. The Graph is built from the pinned shards' arrays directly —
+// each shard's rows copied once into the square vertex space the kernels
+// run in — so a new vector costs one copy of the graph, and the cached
+// Graph keeps no store-wide array alive beside its own.
 //
 // Snapshots are taken OUTSIDE the cache lock, so two concurrent
 // requests can pin different epochs and reach graphFor in either
@@ -287,7 +300,7 @@ type graphCache struct {
 	epochs []int
 	entry  *graphEntry
 	met    *metrics
-	build  func(*assoc.Array[float64]) (*algo.Graph, error) // algo.FromArray; tests gate it
+	build  func([]*assoc.Array[float64]) (*algo.Graph, error) // algo.FromArrays; tests gate it
 }
 
 // graphEntry is one Graph, built or being built.
@@ -297,9 +310,9 @@ type graphEntry struct {
 	err  error
 }
 
-// graphFor returns a Graph for the pinned snapshot (adj at epochs),
+// graphFor returns a Graph for the pinned snapshot (shards at epochs),
 // cached when the vector is current or newer than the cached one.
-func (c *graphCache) graphFor(adj *assoc.Array[float64], epochs []int) (*algo.Graph, error) {
+func (c *graphCache) graphFor(shards []stream.Snapshot[float64], epochs []int) (*algo.Graph, error) {
 	c.mu.Lock()
 	e := c.entry
 	switch {
@@ -316,7 +329,13 @@ func (c *graphCache) graphFor(adj *assoc.Array[float64], epochs []int) (*algo.Gr
 		c.met.cacheStale.Inc()
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = c.build(adj) })
+	e.once.Do(func() {
+		parts := make([]*assoc.Array[float64], len(shards))
+		for i, sn := range shards {
+			parts[i] = sn.Adjacency
+		}
+		e.g, e.err = c.build(parts)
+	})
 	return e.g, e.err
 }
 
@@ -425,11 +444,17 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		// bound, and the response says how much was actually returned.
 		limit = min(n, s.opt.TriplesMax)
 	}
-	adj, epochs, exact, ok := s.snapshot(w)
-	if !ok {
+	// The one answer read off the store-wide array: the first stored
+	// entries in row-major key order interleave every shard's rows.
+	snap, err := s.ing.Store().Snapshot()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeAnswer(w, func(b []byte) []byte { return appendTriples(b, wholeStamp(epochs, exact), adj, limit) })
+	s.met.observeEpochs(snap.Epochs)
+	s.writeAnswer(w, func(b []byte) []byte {
+		return appendTriples(b, wholeStamp(snap.Epochs, snap.Exact), snap.Adjacency, limit)
+	})
 }
 
 // algoQuery runs a kernel against the per-epoch-vector cached Graph and
@@ -437,11 +462,11 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 // error (404); an algorithm refusing the instance (asymmetric
 // triangles, no fixpoint) is 422.
 func (s *Server) algoQuery(w http.ResponseWriter, run func(g *algo.Graph) (result, error)) {
-	adj, epochs, exact, ok := s.snapshot(w)
+	shards, epochs, exact, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
-	g, err := s.cache.graphFor(adj, epochs)
+	g, err := s.cache.graphFor(shards, epochs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -440,14 +440,14 @@ func TestGraphCacheBuildsOutsideItsLock(t *testing.T) {
 	// From here on a build for the new snapshot blocks until released.
 	var newBuilds atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
-	s.cache.build = func(adj *assoc.Array[float64]) (*algo.Graph, error) {
-		if adj == adj2 {
+	s.cache.build = func(parts []*assoc.Array[float64]) (*algo.Graph, error) {
+		if parts[0] == adj2[0].Adjacency {
 			if newBuilds.Add(1) == 1 {
 				close(entered)
 			}
 			<-release
 		}
-		return algo.FromArray(adj)
+		return algo.FromArrays(parts)
 	}
 	graphs := make(chan *algo.Graph, 2)
 	request := func() {

@@ -5,7 +5,6 @@ import (
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/semiring"
-	"adjarray/internal/sparse"
 )
 
 // Engine is the partial-product-and-⊕-merge machinery shared by the two
@@ -45,24 +44,18 @@ func (e Engine[V]) Partial(eout, ein *assoc.Array[V]) (*assoc.Array[V], error) {
 // Merge ⊕-folds a partial into the accumulator, accumulator entries on
 // the left (they hold the earlier edge keys). A nil accumulator starts
 // one. With inPlace the accumulator's storage may be mutated and
-// returned (see assoc.AddInto); the caller must own it exclusively.
+// returned (see assoc.AddInto); the caller must own it exclusively. When
+// the engine's Mul options request parallelism, the ⊕-merge itself also
+// runs span-parallel — the partial products and the accumulator folds
+// scale together.
 func (e Engine[V]) Merge(acc, partial *assoc.Array[V], inPlace bool) (*assoc.Array[V], error) {
-	return e.MergeScratch(acc, partial, inPlace, nil)
-}
-
-// MergeScratch is Merge with recycled output backing for accumulator
-// loops (see assoc.AddIntoScratch). When the engine's Mul options
-// request parallelism, the ⊕-merge itself also runs span-parallel
-// (assoc.AddIntoScratchWorkers) — the partial products and the
-// accumulator folds scale together.
-func (e Engine[V]) MergeScratch(acc, partial *assoc.Array[V], inPlace bool, scratch *sparse.MergeScratch[V]) (*assoc.Array[V], error) {
 	if partial == nil {
 		return acc, nil
 	}
 	if acc == nil {
 		return partial, nil
 	}
-	return assoc.AddIntoScratchWorkers(acc, partial, e.Ops, inPlace, scratch, e.Mul.Workers)
+	return assoc.AddIntoScratchWorkers(acc, partial, e.Ops, inPlace, nil, e.Mul.Workers)
 }
 
 // CheckAssociative samples ⊕ over triples of values stored in the given

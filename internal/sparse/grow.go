@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"sort"
 
 	"adjarray/internal/semiring"
 )
@@ -24,30 +25,16 @@ import (
 // identity. Rows not hit by rowPos are empty.
 //
 // Values are never copied: the result shares m's value slice, plus its
-// column slice when colPos is nil. This is the integer-index counterpart
-// of assoc.Reindex — O(rows+nnz) with no string hashing and no COO sort.
+// column slice when colPos is nil, and an embedding that moves nothing
+// into a space of m's own shape is m itself. This is the integer-index
+// counterpart of assoc.Reindex — O(rows+nnz) with no string hashing and
+// no COO sort.
 func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V], error) {
-	if newRows < m.rows && rowPos == nil {
-		return nil, fmt.Errorf("sparse: Embed shrinks rows %d -> %d", m.rows, newRows)
+	if err := checkEmbed(m, rowPos, colPos, newRows, newCols); err != nil {
+		return nil, err
 	}
-	if newCols < m.cols && colPos == nil {
-		return nil, fmt.Errorf("sparse: Embed shrinks cols %d -> %d", m.cols, newCols)
-	}
-	if rowPos != nil {
-		if len(rowPos) != m.rows {
-			return nil, fmt.Errorf("sparse: Embed rowPos length %d, want %d", len(rowPos), m.rows)
-		}
-		if err := checkMonotone(rowPos, newRows, "rowPos"); err != nil {
-			return nil, err
-		}
-	}
-	if colPos != nil {
-		if len(colPos) != m.cols {
-			return nil, fmt.Errorf("sparse: Embed colPos length %d, want %d", len(colPos), m.cols)
-		}
-		if err := checkMonotone(colPos, newCols, "colPos"); err != nil {
-			return nil, err
-		}
+	if rowPos == nil && colPos == nil && newRows == m.rows && newCols == m.cols {
+		return m, nil
 	}
 
 	colIdx := m.colIdx
@@ -83,6 +70,35 @@ func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V
 	return &CSR[V]{rows: newRows, cols: newCols, rowPtr: rowPtr, colIdx: colIdx, val: m.val}, nil
 }
 
+// checkEmbed validates one matrix's position maps against the space it
+// is being mapped into: a map has one strictly increasing, in-range
+// position per row (column) of m; without one, m must fit as it is.
+func checkEmbed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) error {
+	if newRows < m.rows && rowPos == nil {
+		return fmt.Errorf("sparse: Embed shrinks rows %d -> %d", m.rows, newRows)
+	}
+	if newCols < m.cols && colPos == nil {
+		return fmt.Errorf("sparse: Embed shrinks cols %d -> %d", m.cols, newCols)
+	}
+	if rowPos != nil {
+		if len(rowPos) != m.rows {
+			return fmt.Errorf("sparse: Embed rowPos length %d, want %d", len(rowPos), m.rows)
+		}
+		if err := checkMonotone(rowPos, newRows, "rowPos"); err != nil {
+			return err
+		}
+	}
+	if colPos != nil {
+		if len(colPos) != m.cols {
+			return fmt.Errorf("sparse: Embed colPos length %d, want %d", len(colPos), m.cols)
+		}
+		if err := checkMonotone(colPos, newCols, "colPos"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func checkMonotone(pos []int, bound int, name string) error {
 	for i, p := range pos {
 		if p < 0 || p >= bound {
@@ -93,6 +109,105 @@ func checkMonotone(pos []int, bound int, name string) error {
 		}
 	}
 	return nil
+}
+
+// ConcatRows gathers row-disjoint parts into one rows×cols matrix: row i
+// of parts[k] lands at row rowPos[k][i] with its columns renumbered
+// through colPos[k] — Embed's maps, one pair per part, checked the same
+// way. The parts' rows are counted into the result's rowPtr, prefixed,
+// and each stored row is copied once into an exact-size result; no two
+// values ever meet, so there is no ⊕ and no operator pair to ask for.
+// That rests on the parts owning disjoint rows, which is checked, not
+// assumed: a row stored by two parts is refused with a
+// *RowConflictError naming it (a part's EMPTY row claims nothing). One
+// part is Embed: its values are shared, not copied.
+//
+//adjlint:cow-writer
+func ConcatRows[V any](parts []*CSR[V], rowPos, colPos [][]int, rows, cols int) (*CSR[V], error) {
+	if len(rowPos) != len(parts) || len(colPos) != len(parts) {
+		return nil, fmt.Errorf("sparse: ConcatRows has %d parts, %d row maps, %d column maps", len(parts), len(rowPos), len(colPos))
+	}
+	if len(parts) == 1 {
+		return Embed(parts[0], rowPos[0], colPos[0], rows, cols)
+	}
+	rowPtr := make([]int, rows+1)
+	for k, m := range parts {
+		if err := checkEmbed(m, rowPos[k], colPos[k], rows, cols); err != nil {
+			return nil, fmt.Errorf("sparse: ConcatRows part %d: %w", k, err)
+		}
+		for i := 0; i < m.rows; i++ {
+			n := m.rowPtr[i+1] - m.rowPtr[i]
+			if n == 0 {
+				continue
+			}
+			r := rowAt(rowPos[k], i)
+			if rowPtr[r+1] != 0 {
+				return nil, &RowConflictError{Row: r, First: firstOwner(parts, rowPos, r), Second: k}
+			}
+			rowPtr[r+1] = n
+		}
+	}
+	for r := 0; r < rows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	colIdx := make([]int, rowPtr[rows])
+	val := make([]V, rowPtr[rows])
+	for k, m := range parts {
+		cp := colPos[k]
+		for i := 0; i < m.rows; i++ {
+			lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+			if lo == hi {
+				continue
+			}
+			at := rowPtr[rowAt(rowPos[k], i)]
+			copy(val[at:], m.val[lo:hi])
+			if cp == nil {
+				copy(colIdx[at:], m.colIdx[lo:hi])
+				continue
+			}
+			for p, j := range m.colIdx[lo:hi] {
+				colIdx[at+p] = cp[j]
+			}
+		}
+	}
+	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+}
+
+// rowAt is where row i lands under a position map; nil is the identity.
+func rowAt(pos []int, i int) int {
+	if pos == nil {
+		return i
+	}
+	return pos[i]
+}
+
+// firstOwner finds the lowest part storing output row r — the error
+// path's look-up, so ConcatRows keeps no owner per row.
+func firstOwner[V any](parts []*CSR[V], rowPos [][]int, r int) int {
+	for k, m := range parts {
+		i := r
+		if rowPos[k] != nil {
+			i = sort.SearchInts(rowPos[k], r)
+			if i == len(rowPos[k]) || rowPos[k][i] != r {
+				continue
+			}
+		}
+		if i < m.rows && m.rowPtr[i+1] > m.rowPtr[i] {
+			return k
+		}
+	}
+	return -1
+}
+
+// RowConflictError is ConcatRows' refusal: output row Row is stored by
+// parts First and Second, so the parts are not row-disjoint and putting
+// them side by side would lose one of the two rows.
+type RowConflictError struct {
+	Row, First, Second int
+}
+
+func (e *RowConflictError) Error() string {
+	return fmt.Sprintf("sparse: ConcatRows: row %d is stored by part %d and by part %d", e.Row, e.First, e.Second)
 }
 
 // MergeScratch recycles output backing across repeated EWiseAddInto
@@ -118,6 +233,16 @@ func (s *MergeScratch[V]) Recycle(m *CSR[V]) {
 	s.val = m.val[:0]
 }
 
+// retire donates dst's backing once a merge that was handed dst to
+// consume (inPlace) has put its result somewhere else — only the kernel
+// knows whether the result still aliases dst. A nil scratch recycles
+// nothing.
+func (s *MergeScratch[V]) retire(dst *CSR[V], consumed bool) {
+	if s != nil && consumed {
+		s.Recycle(dst)
+	}
+}
+
 // take returns scratch-backed slices with the required row capacity,
 // emptying the scratch (the result will own the backing).
 func (s *MergeScratch[V]) take(rows int) (rowPtr, colIdx []int, val []V) {
@@ -131,54 +256,190 @@ func (s *MergeScratch[V]) take(rows int) (rowPtr, colIdx []int, val []V) {
 	return rowPtr, colIdx, val
 }
 
-// EWiseAddInto computes dst ⊕= src over the union pattern, with dst's
-// value on the left of every fold (dst holds the earlier contributions).
-// Entries folding to the algebra's zero are pruned, matching EWiseAdd.
-//
-// When inPlace is true and src's pattern is a subset of dst's, the fold
-// mutates dst's value buffer and returns dst itself — zero allocation,
-// the steady-state path of delta maintenance where a delta touches only
-// existing cells. Callers passing inPlace must own dst exclusively (no
-// outstanding shared snapshots). In every other case a fresh exact-size
-// matrix is returned and dst is left untouched; with a non-nil scratch
-// the fresh matrix steals the scratch backing instead of allocating.
-//
-//adjlint:cow-writer
-func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V]) (*CSR[V], error) {
-	if err := sameShape(dst, src); err != nil {
-		return nil, err
-	}
-	if len(src.colIdx) == 0 {
-		return dst, nil
-	}
+// through is a merge's accumulator read in the coordinates of the
+// result: row i of m lands at rowPos[i], column j at colPos[j]; a nil map
+// leaves that side where it is (m may still be smaller than the result —
+// its rows or columns are then a prefix of it). The maps are what a
+// key-set union yields, so merging into a key space that grew needs no
+// embedded copy of the accumulator first.
+type through[V any] struct {
+	m              *CSR[V]
+	rowPos, colPos []int
+}
 
-	// Pass 1: union size and pattern-subset check in one merge sweep.
-	subset := true
-	unionNNZ := 0
-	for i := 0; i < dst.rows; i++ {
-		dc := dst.colIdx[dst.rowPtr[i]:dst.rowPtr[i+1]]
-		sc := src.colIdx[src.rowPtr[i]:src.rowPtr[i+1]]
-		p, q := 0, 0
-		for p < len(dc) && q < len(sc) {
-			switch {
-			case dc[p] < sc[q]:
+// seek returns the first row of m that lands at or after result row r.
+func (t through[V]) seek(r int) int {
+	if t.rowPos == nil {
+		return min(r, t.m.rows)
+	}
+	return sort.SearchInts(t.rowPos, r)
+}
+
+// row returns the storage range of the row of m landing at result row r
+// — empty when none does — and the cursor for r+1, given next = seek(r).
+func (t through[V]) row(r, next int) (lo, hi, after int) {
+	if next < t.m.rows && (t.rowPos == nil || t.rowPos[next] == r) {
+		return t.m.rowPtr[next], t.m.rowPtr[next+1], next + 1
+	}
+	return 0, 0, next
+}
+
+// moves reports whether m differs from the result's space at all; an
+// accumulator that does not can be folded into in place.
+func (t through[V]) moves(rows, cols int) bool {
+	return t.rowPos != nil || t.colPos != nil || t.m.rows != rows || t.m.cols != cols
+}
+
+// countUnion sweeps rows [lo, hi) of dst ⊕ src for the size of each
+// row's union pattern — kept in count[i+1] when count is non-nil — and
+// returns their sum and whether src's pattern lies inside dst's.
+func countUnion[V any](dst through[V], src *CSR[V], lo, hi int, count []int) (total int, subset bool) {
+	subset = true
+	dcol, cp := dst.m.colIdx, dst.colPos
+	next := dst.seek(lo)
+	for i := lo; i < hi; i++ {
+		var p, dhi int
+		p, dhi, next = dst.row(i, next)
+		q, shi := src.rowPtr[i], src.rowPtr[i+1]
+		n := 0
+		for p < dhi && q < shi {
+			j := dcol[p]
+			if cp != nil {
+				j = cp[j]
+			}
+			switch sj := src.colIdx[q]; {
+			case j < sj:
 				p++
-			case dc[p] > sc[q]:
+			case j > sj:
 				subset = false
 				q++
 			default:
 				p++
 				q++
 			}
-			unionNNZ++
+			n++
 		}
-		if q < len(sc) {
+		if q < shi {
 			subset = false
 		}
-		unionNNZ += len(dc) - p + len(sc) - q
+		n += dhi - p + shi - q
+		if count != nil {
+			count[i+1] = n
+		}
+		total += n
 	}
+	return total, subset
+}
 
-	if inPlace && subset {
+// mergeUnion writes rows [lo, hi) of dst ⊕ src: dst's value on the left
+// of every fold, folds equal to the algebra's zero pruned, dst's columns
+// renumbered on the way. With rowLen nil (the serial sweep) rows are
+// packed one after another from rowPtr[lo] on and rowPtr[i+1] is set as
+// each ends; otherwise (one span of several) row i is written at its
+// counted offset rowPtr[i] and its length after pruning goes to
+// rowLen[i], for finalizeTwoPhase to close the gaps.
+//
+//adjlint:cow-writer
+func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops[V], rowPtr, rowLen, colIdx []int, val []V) {
+	dcol, dval, cp := dst.m.colIdx, dst.m.val, dst.colPos
+	next := dst.seek(lo)
+	at := rowPtr[lo]
+	for i := lo; i < hi; i++ {
+		if rowLen != nil {
+			at = rowPtr[i]
+		}
+		start := at
+		var p, dhi int
+		p, dhi, next = dst.row(i, next)
+		q, shi := src.rowPtr[i], src.rowPtr[i+1]
+		for p < dhi && q < shi {
+			j := dcol[p]
+			if cp != nil {
+				j = cp[j]
+			}
+			switch sj := src.colIdx[q]; {
+			case j < sj:
+				colIdx[at], val[at] = j, dval[p]
+				at++
+				p++
+			case j > sj:
+				colIdx[at], val[at] = sj, src.val[q]
+				at++
+				q++
+			default:
+				if s := ops.Add(dval[p], src.val[q]); !ops.IsZero(s) {
+					colIdx[at], val[at] = j, s
+					at++
+				}
+				p++
+				q++
+			}
+		}
+		// What is left of either row has nothing to meet: most rows of an
+		// accumulator meet no delta entry at all and are copied whole.
+		if cp == nil {
+			copy(colIdx[at:], dcol[p:dhi])
+		} else {
+			for k, j := range dcol[p:dhi] {
+				colIdx[at+k] = cp[j]
+			}
+		}
+		at += copy(val[at:], dval[p:dhi])
+		copy(colIdx[at:], src.colIdx[q:shi])
+		at += copy(val[at:], src.val[q:shi])
+		if rowLen != nil {
+			rowLen[i] = at - start
+		} else {
+			rowPtr[i+1] = at
+		}
+	}
+}
+
+// checkMerge validates dst and its maps against src, whose shape is the
+// result's.
+func checkMerge[V any](dst, src *CSR[V], rowPos, colPos []int) error {
+	if (rowPos == nil && dst.rows > src.rows) || (colPos == nil && dst.cols > src.cols) {
+		return &ShapeError{ARows: dst.rows, ACols: dst.cols, BRows: src.rows, BCols: src.cols}
+	}
+	return checkEmbed(dst, rowPos, colPos, src.rows, src.cols)
+}
+
+// EWiseAddInto computes dst ⊕= src over the union pattern, with dst's
+// value on the left of every fold (dst holds the earlier contributions).
+// Entries folding to the algebra's zero are pruned, matching EWiseAdd.
+//
+// src spans the result's space. dst may live in a smaller one: rowPos
+// and colPos say where its rows and columns sit in src's (Embed's maps,
+// checked the same way; nil is the identity), and the merge reads dst
+// through them — the result is what embedding dst first would give,
+// without the embedded copy.
+//
+// When inPlace is true, dst already spans the result's space and src's
+// pattern is a subset of dst's, the fold mutates dst's value buffer and
+// returns dst itself — zero allocation, the steady-state path of delta
+// maintenance where a delta touches only existing cells. Callers passing
+// inPlace must own dst exclusively (no outstanding shared snapshots) and
+// treat it as consumed. In every other case a fresh matrix is returned
+// and dst's storage is left untouched (an empty src yields dst itself, or
+// dst embedded); with a non-nil scratch the fresh matrix steals the
+// scratch backing instead of allocating, and a consumed dst that the
+// result does not alias is donated to the scratch for the next merge —
+// an accumulator merged into repeatedly ping-pongs between two buffers.
+//
+//adjlint:cow-writer
+func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V], rowPos, colPos []int) (*CSR[V], error) {
+	if err := checkMerge(dst, src, rowPos, colPos); err != nil {
+		return nil, err
+	}
+	if len(src.colIdx) == 0 {
+		return Embed(dst, rowPos, colPos, src.rows, src.cols)
+	}
+	acc := through[V]{m: dst, rowPos: rowPos, colPos: colPos}
+
+	// Pass 1: union size and pattern-subset check in one merge sweep.
+	unionNNZ, subset := countUnion(acc, src, 0, src.rows, nil)
+
+	if inPlace && subset && !acc.moves(src.rows, src.cols) {
 		zeros := 0
 		for i := 0; i < dst.rows; i++ {
 			lo := dst.rowPtr[i]
@@ -198,7 +459,9 @@ func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, sc
 			}
 		}
 		if zeros > 0 {
-			return dst.Prune(ops.IsZero), nil
+			pruned := dst.Prune(ops.IsZero)
+			scratch.retire(dst, true)
+			return pruned, nil
 		}
 		return dst, nil
 	}
@@ -206,41 +469,14 @@ func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, sc
 	var rowPtr, colIdx []int
 	var val []V
 	if scratch != nil {
-		rowPtr, colIdx, val = scratch.take(dst.rows)
+		rowPtr, colIdx, val = scratch.take(src.rows)
 	} else {
-		rowPtr = make([]int, dst.rows+1)
+		rowPtr = make([]int, src.rows+1)
 	}
-	// growTo over-provisions recycled buffers by half (see pewise.go):
-	// an accumulator's union size creeps up a little on almost every
-	// merge, and exact-size reallocation turned every one of those
-	// merges into a fresh allocation plus full copy.
-	colIdx = growTo(colIdx, unionNNZ, scratch != nil)[:0]
-	val = growTo(val, unionNNZ, scratch != nil)[:0]
-	for i := 0; i < dst.rows; i++ {
-		dlo, dhi := dst.rowPtr[i], dst.rowPtr[i+1]
-		slo, shi := src.rowPtr[i], src.rowPtr[i+1]
-		p, q := dlo, slo
-		for p < dhi || q < shi {
-			switch {
-			case q >= shi || (p < dhi && dst.colIdx[p] < src.colIdx[q]):
-				colIdx = append(colIdx, dst.colIdx[p])
-				val = append(val, dst.val[p])
-				p++
-			case p >= dhi || src.colIdx[q] < dst.colIdx[p]:
-				colIdx = append(colIdx, src.colIdx[q])
-				val = append(val, src.val[q])
-				q++
-			default:
-				s := ops.Add(dst.val[p], src.val[q])
-				if !ops.IsZero(s) {
-					colIdx = append(colIdx, dst.colIdx[p])
-					val = append(val, s)
-				}
-				p++
-				q++
-			}
-		}
-		rowPtr[i+1] = len(colIdx)
-	}
-	return &CSR[V]{rows: dst.rows, cols: dst.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+	colIdx = growTo(colIdx, unionNNZ, scratch != nil)
+	val = growTo(val, unionNNZ, scratch != nil)
+	mergeUnion(acc, src, 0, src.rows, ops, rowPtr, nil, colIdx, val)
+	scratch.retire(dst, inPlace)
+	n := rowPtr[src.rows]
+	return &CSR[V]{rows: src.rows, cols: src.cols, rowPtr: rowPtr, colIdx: colIdx[:n], val: val[:n]}, nil
 }

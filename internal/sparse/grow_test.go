@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -106,7 +108,7 @@ func TestEWiseAddIntoMatchesEWiseAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EWiseAddInto(dst.Clone(), src, ops, trial%2 == 0, nil)
+		got, err := EWiseAddInto(dst.Clone(), src, ops, trial%2 == 0, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +129,7 @@ func TestEWiseAddIntoInPlaceSubset(t *testing.T) {
 	src := NewCOO[float64](2, 4)
 	src.MustAppend(0, 3, 10)
 	s := src.ToCSR(nil)
-	got, err := EWiseAddInto(d, s, ops, true, nil)
+	got, err := EWiseAddInto(d, s, ops, true, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestEWiseAddIntoInPlaceSubset(t *testing.T) {
 	src2 := NewCOO[float64](2, 4)
 	src2.MustAppend(1, 2, 5)
 	before := d.Clone()
-	got2, err := EWiseAddInto(d, src2.ToCSR(nil), ops, true, nil)
+	got2, err := EWiseAddInto(d, src2.ToCSR(nil), ops, true, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestEWiseAddIntoInPlaceSubset(t *testing.T) {
 		t.Error("dst mutated on the allocating path")
 	}
 	// Empty src returns dst unchanged.
-	if got3, _ := EWiseAddInto(d, Empty[float64](2, 4), ops, false, nil); got3 != d {
+	if got3, _ := EWiseAddInto(d, Empty[float64](2, 4), ops, false, nil, nil, nil); got3 != d {
 		t.Error("empty src should return dst")
 	}
 }
@@ -170,7 +172,7 @@ func TestEWiseAddIntoPrunesZeroFolds(t *testing.T) {
 	src.MustAppend(0, 0, -2)
 	s := src.ToCSR(nil)
 	for _, inPlace := range []bool{false, true} {
-		got, err := EWiseAddInto(mk(), s, ops, inPlace, nil)
+		got, err := EWiseAddInto(mk(), s, ops, inPlace, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,6 +181,133 @@ func TestEWiseAddIntoPrunesZeroFolds(t *testing.T) {
 		}
 		if _, ok := got.At(0, 0); ok {
 			t.Errorf("inPlace=%v: pruned entry still present", inPlace)
+		}
+	}
+}
+
+// growInto draws a result space for a rows×cols accumulator: new rows and
+// columns before, between and after the old ones (or, one time in four
+// per side, none — the nil map, with the side possibly still extended at
+// its end).
+func growInto(r *rand.Rand, rows, cols int) (rowPos, colPos []int, newRows, newCols int) {
+	side := func(n int) ([]int, int) {
+		grown := n + r.Intn(6)
+		if r.Intn(4) == 0 {
+			return nil, grown
+		}
+		return pickPositions(r, n, grown), grown
+	}
+	rowPos, newRows = side(rows)
+	colPos, newCols = side(cols)
+	return rowPos, colPos, newRows, newCols
+}
+
+// The merge that reads its accumulator through position maps against the
+// two steps it replaces — embed the accumulator into the grown space,
+// then merge — for every registered pair, serially and across two spans,
+// with and without a recycled buffer, deltas that cancel stored values
+// included.
+func TestMappedMergeMatchesEmbedThenMerge(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for _, entry := range semiring.Registry() {
+		ops := entry.Ops
+		for trial := 0; trial < 40; trial++ {
+			rows, cols := 1+r.Intn(12), 1+r.Intn(12)
+			dst := randomCSRFor(r, rows, cols, 0.3)
+			rowPos, colPos, newRows, newCols := growInto(r, rows, cols)
+			src := randomCSRFor(r, newRows, newCols, 0.15)
+			if trial%10 == 0 {
+				src = Empty[float64](newRows, newCols)
+			}
+			embedded, err := Embed(dst, rowPos, colPos, newRows, newCols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := EWiseAddInto(embedded, src, ops, false, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s trial %d (%d×%d into %d×%d)", ops.Name, trial, rows, cols, newRows, newCols)
+			got, err := EWiseAddInto(dst.Clone(), src, ops, trial%2 == 0, nil, rowPos, colPos)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			csrEqual(t, got, want, label+" serial")
+			var scratch MergeScratch[float64]
+			scratch.Recycle(randomCSRFor(r, newRows, newCols, 0.2))
+			got, err = EWiseAddIntoParallel(dst.Clone(), src, ops, trial%2 == 0, &scratch, rowPos, colPos, 2)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			csrEqual(t, got, want, label+" two spans")
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+	}
+}
+
+// Maps are checked like Embed's, and an accumulator that does not fit the
+// result's space without one is a shape error.
+func TestMappedMergeChecksItsMaps(t *testing.T) {
+	ops := semiring.PlusTimes()
+	r := rand.New(rand.NewSource(29))
+	dst, src := randomCSRFor(r, 3, 3, 0.5), randomCSRFor(r, 5, 4, 0.5)
+	for name, maps := range map[string][2][]int{
+		"short rowPos":        {{0, 1}, nil},
+		"non-monotone rowPos": {{2, 1, 0}, nil},
+		"out-of-range colPos": {nil, {0, 1, 4}},
+	} {
+		if _, err := EWiseAddInto(dst, src, ops, false, nil, maps[0], maps[1]); err == nil {
+			t.Errorf("serial: %s accepted", name)
+		}
+		if _, err := EWiseAddIntoParallel(dst, src, ops, false, nil, maps[0], maps[1], 2); err == nil {
+			t.Errorf("two spans: %s accepted", name)
+		}
+	}
+	var se *ShapeError
+	if _, err := EWiseAddInto(src, dst, ops, false, nil, nil, nil); !errors.As(err, &se) {
+		t.Errorf("an accumulator larger than the result: got %v, want a *ShapeError", err)
+	}
+}
+
+// A merge that must allocate — nothing recycled, as when a snapshot still
+// holds the previous result — allocates exactly; head-room is for a
+// recycled buffer that proved too small, where a next merge will want it.
+func TestMergeAllocatesExactlyUnlessRecycling(t *testing.T) {
+	ops := semiring.PlusTimes()
+	r := rand.New(rand.NewSource(31))
+	dst, src := randomCSRGrow(r, 30, 30, 0.2), randomCSRGrow(r, 30, 30, 0.2)
+	var scratch MergeScratch[float64]
+	for _, workers := range []int{1, 2} {
+		got, err := EWiseAddIntoParallel(dst, src, ops, false, &scratch, nil, nil, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(got.colIdx) != len(got.colIdx) || cap(got.val) != len(got.val) {
+			t.Errorf("%d workers, empty scratch: %d entries in buffers of %d and %d", workers, got.NNZ(), cap(got.colIdx), cap(got.val))
+		}
+	}
+	scratch.Recycle(randomCSRGrow(r, 30, 30, 0.01))
+	got, err := EWiseAddInto(dst, src, ops, false, &scratch, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got.colIdx) < got.NNZ()+got.NNZ()/2 || cap(got.val) < got.NNZ()+got.NNZ()/2 {
+		t.Errorf("a recycled buffer that was too small was replaced without head-room: %d entries in %d and %d", got.NNZ(), cap(got.colIdx), cap(got.val))
+	}
+	// An accumulator handed over to be consumed is what the next merge
+	// recycles, unless the result still is that accumulator.
+	for _, workers := range []int{1, 2} {
+		acc := dst.Clone()
+		if next, err := EWiseAddIntoParallel(acc, src, ops, true, &scratch, nil, nil, workers); err != nil || next == acc {
+			t.Fatalf("%d workers: a merge that adds cells ran in place (%v)", workers, err)
+		}
+		if cap(scratch.val) == 0 || &scratch.val[:1][0] != &acc.val[0] {
+			t.Errorf("%d workers: the consumed accumulator's backing was not donated to the scratch", workers)
+		}
+		if same, err := EWiseAddIntoParallel(acc, Empty[float64](30, 30), ops, true, &scratch, nil, nil, workers); err != nil || same != acc {
+			t.Fatalf("%d workers: an empty delta did not return the accumulator itself (%v)", workers, err)
 		}
 	}
 }

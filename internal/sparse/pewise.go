@@ -9,7 +9,8 @@ import (
 // across row spans balanced by merge cost (dst's plus src's row entry
 // counts — the work of the two-pointer sweep). Rows are independent and
 // each row's dst-left fold order is unchanged, so the result is
-// bit-identical to the serial merge for any ⊕.
+// bit-identical to the serial merge for any ⊕. A span reading dst
+// through a row map finds its first dst row by binary search.
 //
 // The in-place subset fast path is preserved: when src's pattern is a
 // subset of dst's and inPlace is set, spans fold src into dst's value
@@ -20,58 +21,34 @@ import (
 // kernel, so callers need no special-case.
 //
 //adjlint:cow-writer
-func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V], workers int) (*CSR[V], error) {
-	if err := sameShape(dst, src); err != nil {
+func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V], rowPos, colPos []int, workers int) (*CSR[V], error) {
+	w := parallel.Workers(workers, src.rows)
+	if w <= 1 || len(src.colIdx) == 0 {
+		return EWiseAddInto(dst, src, ops, inPlace, scratch, rowPos, colPos)
+	}
+	if err := checkMerge(dst, src, rowPos, colPos); err != nil {
 		return nil, err
 	}
-	if len(src.colIdx) == 0 {
-		return dst, nil
-	}
-	w := parallel.Workers(workers, dst.rows)
-	if w <= 1 {
-		return EWiseAddInto(dst, src, ops, inPlace, scratch)
-	}
+	acc := through[V]{m: dst, rowPos: rowPos, colPos: colPos}
 
 	// Load model: the union sweep of row i costs nnz(dst,i)+nnz(src,i).
-	pb := getInt64(dst.rows + 1)
+	pb := getInt64(src.rows + 1)
 	prefix := pb.xs
 	prefix[0] = 0
-	for i := 0; i < dst.rows; i++ {
-		prefix[i+1] = prefix[i] +
-			int64(dst.rowPtr[i+1]-dst.rowPtr[i]) + int64(src.rowPtr[i+1]-src.rowPtr[i])
+	for i, next := 0, 0; i < src.rows; i++ {
+		var lo, hi int
+		lo, hi, next = acc.row(i, next)
+		prefix[i+1] = prefix[i] + int64(hi-lo) + int64(src.rowPtr[i+1]-src.rowPtr[i])
 	}
 	bounds := parallel.BalancedSpans(prefix, w)
 	putInt64(pb)
 
 	// Pass 1: per-row union counts (the exact output offsets pass 2
 	// writes into) plus the pattern-subset check, span-parallel.
-	rowPtr := make([]int, dst.rows+1)
+	rowPtr := make([]int, src.rows+1)
 	spanSubset := make([]bool, w)
 	parallel.ForSpans(bounds, func(s, lo, hi int) {
-		subset := true
-		for i := lo; i < hi; i++ {
-			dc := dst.colIdx[dst.rowPtr[i]:dst.rowPtr[i+1]]
-			sc := src.colIdx[src.rowPtr[i]:src.rowPtr[i+1]]
-			p, q, n := 0, 0, 0
-			for p < len(dc) && q < len(sc) {
-				switch {
-				case dc[p] < sc[q]:
-					p++
-				case dc[p] > sc[q]:
-					subset = false
-					q++
-				default:
-					p++
-					q++
-				}
-				n++
-			}
-			if q < len(sc) {
-				subset = false
-			}
-			rowPtr[i+1] = n + len(dc) - p + len(sc) - q
-		}
-		spanSubset[s] = subset
+		_, spanSubset[s] = countUnion(acc, src, lo, hi, rowPtr)
 	})
 	subset := true
 	for s := 0; s < w; s++ {
@@ -81,7 +58,7 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 		}
 	}
 
-	if inPlace && subset {
+	if inPlace && subset && !acc.moves(src.rows, src.cols) {
 		zeros := make([]int, w)
 		parallel.ForSpans(bounds, func(s, lo, hi int) {
 			z := 0
@@ -109,19 +86,21 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 			total += z
 		}
 		if total > 0 {
-			return dst.Prune(ops.IsZero), nil
+			pruned := dst.Prune(ops.IsZero)
+			scratch.retire(dst, true)
+			return pruned, nil
 		}
 		return dst, nil
 	}
 
-	for i := 0; i < dst.rows; i++ {
+	for i := 0; i < src.rows; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	unionNNZ := rowPtr[dst.rows]
+	unionNNZ := rowPtr[src.rows]
 	var colIdx []int
 	var val []V
 	if scratch != nil {
-		srowPtr, scol, sval := scratch.take(dst.rows)
+		srowPtr, scol, sval := scratch.take(src.rows)
 		copy(srowPtr, rowPtr)
 		rowPtr = srowPtr
 		colIdx, val = scol, sval
@@ -132,55 +111,28 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 	// Pass 2: span-parallel union merge with zero-prune, each row
 	// written into its disjoint [rowPtr[i], rowPtr[i+1]) range;
 	// finalizeTwoPhase compacts the (rare) pruned rows leftward.
-	rowLen := make([]int, dst.rows)
+	rowLen := make([]int, src.rows)
 	parallel.ForSpans(bounds, func(s, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := rowPtr[i]
-			n := 0
-			p, q := dst.rowPtr[i], src.rowPtr[i]
-			dhi, shi := dst.rowPtr[i+1], src.rowPtr[i+1]
-			for p < dhi || q < shi {
-				switch {
-				case q >= shi || (p < dhi && dst.colIdx[p] < src.colIdx[q]):
-					colIdx[base+n] = dst.colIdx[p]
-					val[base+n] = dst.val[p]
-					n++
-					p++
-				case p >= dhi || src.colIdx[q] < dst.colIdx[p]:
-					colIdx[base+n] = src.colIdx[q]
-					val[base+n] = src.val[q]
-					n++
-					q++
-				default:
-					sum := ops.Add(dst.val[p], src.val[q])
-					if !ops.IsZero(sum) {
-						colIdx[base+n] = dst.colIdx[p]
-						val[base+n] = sum
-						n++
-					}
-					p++
-					q++
-				}
-			}
-			rowLen[i] = n
-		}
+		mergeUnion(acc, src, lo, hi, ops, rowPtr, rowLen, colIdx, val)
 	})
-	return finalizeTwoPhase(dst.rows, dst.cols, rowPtr, rowLen, colIdx, val), nil
+	scratch.retire(dst, inPlace)
+	return finalizeTwoPhase(src.rows, src.cols, rowPtr, rowLen, colIdx, val), nil
 }
 
-// growTo returns s resized to length n. When headroom is set (scratch
-// recycling: the buffer will be reused by a steadily growing
-// accumulator) a reallocation over-provisions by half, so a merge
-// sequence whose union grows a little every time doesn't reallocate on
-// every call.
+// growTo returns s resized to length n. With headroom set, a recycled
+// buffer that proved too small is replaced by one half again as large as
+// asked: the accumulator it serves grows a little on almost every merge,
+// and exact-size replacement turned every one of those merges into a
+// fresh allocation plus full copy. With nothing to recycle the new buffer
+// is exact — a merge that allocates because a snapshot holds the previous
+// result (every read-after-write) has no next merge to save for.
 func growTo[T any](s []T, n int, headroom bool) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
 	c := n
-	if headroom {
+	if headroom && cap(s) > 0 {
 		c = n + n/2
 	}
-	out := make([]T, n, c)
-	return out
+	return make([]T, n, c)
 }

@@ -51,12 +51,12 @@ func TestEWiseAddIntoParallelMatchesSerial(t *testing.T) {
 		rows, cols := 1+r.Intn(40), 1+r.Intn(40)
 		dst := randomCSRFor(r, rows, cols, 0.2)
 		src := randomCSRFor(r, rows, cols, 0.15)
-		want, err := EWiseAddInto(dst.Clone(), src, ops, false, nil)
+		want, err := EWiseAddInto(dst.Clone(), src, ops, false, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 3, 8} {
-			got, err := EWiseAddIntoParallel(dst.Clone(), src, ops, false, nil, w)
+			got, err := EWiseAddIntoParallel(dst.Clone(), src, ops, false, nil, nil, nil, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,12 +79,12 @@ func TestEWiseAddIntoParallelInPlaceSubset(t *testing.T) {
 			}
 		})
 		src := coo.ToCSR(nil)
-		want, err := EWiseAddInto(dst.Clone(), src, ops, true, nil)
+		want, err := EWiseAddInto(dst.Clone(), src, ops, true, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		in := dst.Clone()
-		got, err := EWiseAddIntoParallel(in, src, ops, true, nil, 4)
+		got, err := EWiseAddIntoParallel(in, src, ops, true, nil, nil, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +104,11 @@ func TestEWiseAddIntoParallelScratch(t *testing.T) {
 	acc := randomCSRFor(r, 50, 50, 0.1)
 	for round := 0; round < 20; round++ {
 		src := randomCSRFor(r, 50, 50, 0.05)
-		want, err := EWiseAddInto(acc.Clone(), src, ops, false, nil)
+		want, err := EWiseAddInto(acc.Clone(), src, ops, false, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := EWiseAddIntoParallel(acc, src, ops, false, &scratch, 3)
+		next, err := EWiseAddIntoParallel(acc, src, ops, false, &scratch, nil, nil, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

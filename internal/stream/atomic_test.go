@@ -45,7 +45,7 @@ type stateFingerprint struct {
 
 func fingerprint(v *View[float64]) stateFingerprint {
 	return stateFingerprint{
-		edges: len(v.keys), appends: v.appends, epoch: v.epoch,
+		edges: len(v.keys), appends: v.appends, epoch: int(v.epoch.Load()),
 		autoSeq: v.autoSeq, exact: v.exact,
 		nIDs: len(v.srcID) + len(v.dstID), nVals: len(v.out) + len(v.in),
 		nPend: len(v.pendCell) + len(v.pendVal), synced: v.synced,
@@ -155,18 +155,18 @@ func TestRollbackSkipsCommittedError(t *testing.T) {
 	rb := v.captureLocked()
 	inner := errors.New("maintenance failed")
 
-	v.epoch = 7
+	v.epoch.Store(7)
 	if err := v.rollbackLocked(rb, &committedError{inner}); err != inner {
 		t.Fatalf("committed error = %v, want the inner error", err)
 	}
-	if v.epoch != 7 {
+	if v.epoch.Load() != 7 {
 		t.Fatal("rollback restored state for a committed batch")
 	}
 
 	if err := v.rollbackLocked(rb, inner); err != inner {
 		t.Fatalf("plain error = %v, want it back verbatim", err)
 	}
-	if v.epoch != 0 {
+	if v.epoch.Load() != 0 {
 		t.Fatal("rollback did not restore state for an uncommitted batch")
 	}
 }

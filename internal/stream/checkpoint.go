@@ -94,7 +94,7 @@ func (v *View[V]) imageLocked() *image[V] {
 	v.mainShared = true
 	im := &image[V]{
 		ops: v.eng.Ops.Name, log: v.logsLocked(), main: v.main.Matrix(),
-		appends: v.appends, epoch: v.epoch, autoSeq: v.autoSeq,
+		appends: v.appends, epoch: int(v.epoch.Load()), autoSeq: v.autoSeq,
 		exact: v.exact, autoBase: v.autoBase,
 	}
 	im.srcOff, im.srcSlab = v.srcIn.Prefix(v.srcIn.Len())
@@ -435,7 +435,7 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 	if err != nil {
 		return nil, "", err
 	}
-	return &View[V]{
+	v := &View[V]{
 		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
 		opt:      opt,
 		keys:     edgeKeys,
@@ -452,11 +452,12 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 		synced:   edges,
 		main:     main,
 		appends:  int(meta[1]),
-		epoch:    int(meta[2]),
 		exact:    meta[6] == 1,
 		autoSeq:  int(meta[3]),
 		autoBase: autoBase,
-	}, name, nil
+	}
+	v.epoch.Store(int64(meta[2]))
+	return v, name, nil
 }
 
 // checkCounters refuses batch counters and an auto-key sequence no view
@@ -643,10 +644,10 @@ func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec V
 		synced:   len(edgeKeys),
 		main:     main,
 		appends:  int(appends),
-		epoch:    int(epoch),
 		exact:    exact,
 		autoSeq:  int(autoSeq),
 		autoBase: autoBase,
 	}
+	v.epoch.Store(int64(epoch))
 	return v, name, nil
 }

@@ -38,8 +38,8 @@ func validateView[V any](v *View[V]) error {
 	if v.synced != n || len(v.pendCell) != 0 || len(v.pendVal) != 0 {
 		return fmt.Errorf("synced %d of %d edges, %d pending", v.synced, n, len(v.pendVal))
 	}
-	if v.appends < 0 || v.epoch < 0 || v.autoSeq < 0 {
-		return fmt.Errorf("negative counters: appends %d epoch %d autoSeq %d", v.appends, v.epoch, v.autoSeq)
+	if v.appends < 0 || v.epoch.Load() < 0 || v.autoSeq < 0 {
+		return fmt.Errorf("negative counters: appends %d epoch %d autoSeq %d", v.appends, v.epoch.Load(), v.autoSeq)
 	}
 	side := func(name string, in *keys.Interner, pos []int32, set *keys.Set, ids []int32) error {
 		if len(pos) > in.Len() {
@@ -98,7 +98,7 @@ func sameView(a, b *View[float64]) error {
 		return errors.New("interner sizes differ")
 	case !a.main.Equal(b.main, eq):
 		return errors.New("adjacency differs")
-	case a.appends != b.appends || a.epoch != b.epoch || a.autoSeq != b.autoSeq || a.autoBase != b.autoBase || a.exact != b.exact:
+	case a.appends != b.appends || a.epoch.Load() != b.epoch.Load() || a.autoSeq != b.autoSeq || a.autoBase != b.autoBase || a.exact != b.exact:
 		return errors.New("counters differ")
 	}
 	for id := int32(0); id < int32(a.srcIn.Len()); id++ {

@@ -252,8 +252,8 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 		if err != nil {
 			return nil, fmt.Errorf("stream: checkpoint seq %d: %w", ckptSeq, err)
 		}
-		if uint64(v.epoch) != ckptSeq {
-			return nil, fmt.Errorf("stream: checkpoint seq %d holds view epoch %d", ckptSeq, v.epoch)
+		if epoch := uint64(v.epoch.Load()); epoch != ckptSeq {
+			return nil, fmt.Errorf("stream: checkpoint seq %d holds view epoch %d", ckptSeq, epoch)
 		}
 		rec.CheckpointSeq, rec.CheckpointFormat, rec.CheckpointLoad = ckptSeq, ck.Format, time.Since(loadStart)
 	}
@@ -333,12 +333,8 @@ func (p *partition[V]) checkpointLoop() {
 	}
 }
 
-func (p *partition[V]) epoch() uint64 {
-	p.v.mu.Lock()
-	e := uint64(p.v.epoch)
-	p.v.mu.Unlock()
-	return e
-}
+// epoch is the view's batch count, read without its lock.
+func (p *partition[V]) epoch() uint64 { return uint64(p.v.epoch.Load()) }
 
 // usableLocked is the shared preamble of the durable write operations.
 func (p *partition[V]) usableLocked() error {
@@ -453,7 +449,7 @@ func (p *partition[V]) checkpointLocked() error {
 	v := p.v
 	start := time.Now()
 	v.mu.Lock()
-	if uint64(v.epoch) == p.ckptSeq.Load() {
+	if uint64(v.epoch.Load()) == p.ckptSeq.Load() {
 		v.mu.Unlock()
 		return nil
 	}

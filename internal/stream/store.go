@@ -10,12 +10,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/iofault"
 	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 )
 
 // Store is the one ingest object: N ≥ 1 shards, each a View plus — when
@@ -27,13 +27,18 @@ import (
 // hash(Src), so each shard owns a DISJOINT set of adjacency ROWS. That
 // makes the scatter-gather exact by construction: all contributions to
 // row r — for every destination column — arrive at one shard in global
-// arrival order, the shard's View folds them exactly as a single view
-// would, and the snapshot-time ⊕-merge of the per-shard adjacencies
-// never combines two values into one cell. The gathered adjacency is
-// therefore bit-identical to the one-shard construction regardless of
-// ⊕ — the only re-association points are the per-shard batch
-// boundaries, the same ones one shard has (shard.Engine's hypothesis,
-// which Options.CheckAssociative samples per batch as usual).
+// arrival order and the shard's View folds them exactly as a single view
+// would. The gather therefore has nothing to ⊕: it CONCATENATES the
+// per-shard adjacencies, each stored row copied once into the union key
+// space (assoc.ConcatRows), and the result is bit-identical to the
+// one-shard construction regardless of ⊕ — the only re-association
+// points are the per-shard batch boundaries, the same ones one shard has
+// (shard.Engine's hypothesis, which Options.CheckAssociative samples per
+// batch as usual). Disjoint row ownership is checked by that gather, not
+// assumed: two shards storing the same source row (a shard directory
+// copied over a sibling, a store written under another routing hash)
+// fail the gather with an error naming the row and the shards, where an
+// element-wise merge would have silently summed them.
 //
 // The routing hash is a fixed FNV-1a over the Src bytes — deliberately
 // NOT the interner's per-process maphash seed, so routing is stable
@@ -56,11 +61,7 @@ import (
 // committed. Callers that need all-or-nothing batches should route
 // per-shard batches themselves.
 type Store[V any] struct {
-	// eng drives the snapshot-time ⊕-merge of per-shard adjacencies;
-	// its Mul carries the caller's Workers so the merge runs
-	// span-parallel while the per-shard Views (already concurrent) run
-	// their own multiplications serially.
-	eng   shard.Engine[V]
+	ops   semiring.Ops[V]
 	parts []*partition[V]
 
 	scatter sync.Pool // *[][]Edge[V], one sub-batch per shard
@@ -107,9 +108,9 @@ const shardMetaFile = "SHARDS"
 // an explicit count that disagrees with it, in both directions.
 //
 // opt tunes each shard's View; with more than one shard the per-shard
-// Mul.Workers is forced to 1 (shards already run concurrently) and the
-// requested Workers drives the snapshot-time gather instead. dopt tunes
-// the durable side and is ignored in memory.
+// Mul.Workers is forced to 1 — shards already run concurrently, and the
+// snapshot-time gather is a copy with nothing to schedule. dopt tunes the
+// durable side and is ignored in memory.
 func Open[V any](dir string, ops semiring.Ops[V], shards int, opt Options, dopt DurableOptions[V]) (*Store[V], error) {
 	if dopt.FS == nil {
 		dopt.FS = iofault.OS
@@ -119,7 +120,7 @@ func Open[V any](dir string, ops semiring.Ops[V], shards int, opt Options, dopt 
 		return nil, err
 	}
 	n := len(dirs)
-	s := &Store[V]{eng: shard.Engine[V]{Ops: ops, Mul: opt.Mul}, parts: make([]*partition[V], n)}
+	s := &Store[V]{ops: ops, parts: make([]*partition[V], n)}
 	s.scatter.New = func() any {
 		sub := make([][]Edge[V], n)
 		return &sub
@@ -266,6 +267,8 @@ func (s *Store[V]) Append(edges []Edge[V]) error {
 // them. Every copy of one snapshot shares the gather.
 type StoreSnapshot[V any] struct {
 	// Adjacency is A = Eoutᵀ ⊕.⊗ Ein over the union vertex universe.
+	// Snapshot always fills it; Pin only when the gather at this vector
+	// has already run.
 	Adjacency *assoc.Array[V]
 	// Shards holds each shard's pinned snapshot, ascending shard order.
 	Shards []Snapshot[V]
@@ -288,24 +291,29 @@ type StoreSnapshot[V any] struct {
 
 // gather is the lazily merged state behind one epoch vector.
 type gather[V any] struct {
-	eng shard.Engine[V]
+	ops semiring.Ops[V]
 
 	adjOnce sync.Once
 	adj     *assoc.Array[V]
 	adjErr  error
+	adjDone atomic.Bool // adj and adjErr are set: readable without going through adjOnce
 
 	logOnce   sync.Once
 	eout, ein *assoc.Array[V]
 	logErr    error
 }
 
-// Snapshot pins one consistent epoch per shard and returns the read
-// view gathered at that vector. Each per-shard snapshot is immutable
-// and copy-on-write exactly as View.Snapshot. While the vector is
-// unchanged the same snapshot — and its already-gathered adjacency — is
-// returned again; the gather runs once per vector, outside the store's
-// locks, and a one-shard store has nothing to gather.
-func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
+// Pin pins one consistent epoch per shard — each shard's snapshot
+// immutable and copy-on-write exactly as View.Snapshot — and returns
+// them WITHOUT gathering: Shards, the epoch vector and the counters are
+// filled, Adjacency only if a Snapshot at the same vector has gathered
+// already. It is the read for a consumer that works from the shards'
+// arrays themselves: a graph kernel builds its vertex space straight
+// from them (algo.FromArrays), a point read goes to the shard that owns
+// its row (ShardFor), and neither needs the store-wide array a gather
+// would copy together. While the vector is unchanged the same snapshot
+// is returned again.
+func (s *Store[V]) Pin() (StoreSnapshot[V], error) {
 	var few [4]Snapshot[V] // keeps the unchanged-vector path off the heap
 	snaps := few[:0]
 	for i, p := range s.parts {
@@ -321,7 +329,7 @@ func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
 		fresh = fresh || s.cached.Epochs[i] != snaps[i].Epoch
 	}
 	if fresh {
-		c := StoreSnapshot[V]{Shards: slices.Clone(snaps), Epochs: make([]int, len(snaps)), Exact: true, g: &gather[V]{eng: s.eng}}
+		c := StoreSnapshot[V]{Shards: slices.Clone(snaps), Epochs: make([]int, len(snaps)), Exact: true, g: &gather[V]{ops: s.ops}}
 		for i, sn := range snaps {
 			c.Epochs[i] = sn.Epoch
 			c.Epoch += sn.Epoch
@@ -332,8 +340,27 @@ func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
 	}
 	snap := s.cached
 	s.cmu.Unlock()
+	if snap.g.adjDone.Load() {
+		snap.Adjacency = snap.g.adj
+	}
+	return snap, nil
+}
+
+// Snapshot is Pin plus the gather: the read view with Adjacency filled,
+// the per-shard adjacencies concatenated into one array over the union
+// vertex universe. The gather runs once per epoch vector, outside the
+// store's locks, and is shared by every snapshot at that vector; a
+// one-shard store has nothing to gather.
+func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
+	snap, err := s.Pin()
+	if err != nil {
+		return StoreSnapshot[V]{}, err
+	}
 	g := snap.g
-	g.adjOnce.Do(func() { g.adj, g.adjErr = mergeAdjacency(snap.Shards, g.eng) })
+	g.adjOnce.Do(func() {
+		g.adj, g.adjErr = mergeAdjacency(snap.Shards)
+		g.adjDone.Store(true)
+	})
 	if g.adjErr != nil {
 		return StoreSnapshot[V]{}, g.adjErr
 	}
@@ -345,11 +372,12 @@ func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
 // that makes the gather exact also says where a source vertex's whole
 // adjacency row lives — and returns that shard's snapshot with the
 // store's epoch vector: the owner's entry is the pinned epoch, every
-// sibling's is its current epoch, read without folding its backlog. It
-// is the read for one row or one cell: no sibling pays a fold for it and
-// nothing is gathered, so its cost does not grow with the shard count.
-// The snapshot's arrays span the owner's key universe only; a key the
-// owner has never seen is simply absent from them.
+// sibling's is its current epoch, read without its lock — a sibling in
+// the middle of a fold is neither waited for nor made to fold. It is the
+// read for one row or one cell: nothing is gathered, so its cost does
+// not grow with the shard count. The snapshot's arrays span the owner's
+// key universe only; a key the owner has never seen is simply absent
+// from them.
 func (s *Store[V]) OwnerSnapshot(src string) (Snapshot[V], []int, error) {
 	owner := s.ShardFor(src)
 	sn, err := s.parts[owner].v.Snapshot()
@@ -367,44 +395,20 @@ func (s *Store[V]) OwnerSnapshot(src string) (Snapshot[V], []int, error) {
 }
 
 // mergeAdjacency gathers the per-shard adjacencies into one array
-// spanning the union vertex universe: each shard's array is embedded
-// into the union key space and ⊕-merged in ascending shard order
-// through the shared engine (span-parallel when the store's Mul options
-// request workers). Because shards own disjoint row sets, the merge
-// never ⊕-combines two stored values — the gather is exact for any ⊕.
-func mergeAdjacency[V any](shards []Snapshot[V], eng shard.Engine[V]) (*assoc.Array[V], error) {
-	if len(shards) == 1 {
-		return shards[0].Adjacency, nil
+// spanning the union vertex universe. Shards own disjoint row sets, so
+// this is a concatenation — every stored row copied once, no ⊕ — and it
+// is exact for any operator pair; a row two shards both store is refused
+// (see the Store comment), the error naming its key and the shards.
+func mergeAdjacency[V any](shards []Snapshot[V]) (*assoc.Array[V], error) {
+	parts := make([]*assoc.Array[V], len(shards))
+	for i, sn := range shards {
+		parts[i] = sn.Adjacency
 	}
-	var uRows, uCols *keys.Set
-	for _, sn := range shards {
-		if uRows == nil {
-			uRows, uCols = sn.Adjacency.RowKeys(), sn.Adjacency.ColKeys()
-			continue
-		}
-		uRows = uRows.Union(sn.Adjacency.RowKeys())
-		uCols = uCols.Union(sn.Adjacency.ColKeys())
+	adj, err := assoc.ConcatRows(parts)
+	if err != nil {
+		return nil, fmt.Errorf("stream: gathering %d shards (a part is a shard): %w", len(shards), err)
 	}
-	var acc *assoc.Array[V]
-	owned := false // acc storage is merge-allocated, safe to mutate
-	for _, sn := range shards {
-		pe, err := sn.Adjacency.EmbedInto(uRows, uCols)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			// The first partial shares its shard snapshot's storage, so
-			// the first real merge below must not run in place.
-			acc = pe
-			continue
-		}
-		acc, err = eng.MergeScratch(acc, pe, owned, nil)
-		if err != nil {
-			return nil, err
-		}
-		owned = true
-	}
-	return acc, nil
+	return adj, nil
 }
 
 // Logs gathers the per-shard incidence logs into one pair spanning the
@@ -416,7 +420,7 @@ func mergeAdjacency[V any](shards []Snapshot[V], eng shard.Engine[V]) (*assoc.Ar
 // once per snapshot.
 func (s StoreSnapshot[V]) Logs() (eout, ein *assoc.Array[V], err error) {
 	g := s.g
-	g.logOnce.Do(func() { g.eout, g.ein, g.logErr = mergeLogs(s.Shards, g.eng.Ops) })
+	g.logOnce.Do(func() { g.eout, g.ein, g.logErr = mergeLogs(s.Shards, g.ops) })
 	return g.eout, g.ein, g.logErr
 }
 

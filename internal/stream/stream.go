@@ -32,7 +32,11 @@
 // map). Pending pairs are then mapped to positions in that universe and
 // folded by sparse.FoldUnitRows — the kernel that builds an adjacency
 // array from a graph's incidence columns in one shot; the backlog is
-// such a pair of columns, with the ⊗-products already taken. The
+// such a pair of columns, with the ⊗-products already taken. Merging
+// that fold into the adjacency is also what carries the adjacency into a
+// universe the sync grew: the merge reads the old array through the
+// position maps the sync's sweep produced, one pass from the old storage
+// into the new, and no embedded copy is made first. The
 // key-ordered incidence arrays Eout and Ein themselves are
 // built from the log on request (Snapshot.Logs), which only Compact and
 // callers that want the arrays ask for; a checkpoint stores the log as
@@ -63,6 +67,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adjarray/internal/assoc"
@@ -105,7 +110,8 @@ type Options struct {
 	// Mul tunes the per-batch partial products and Compact rebuilds.
 	// Mul.Workers also drives the materialize fold: with parallelism
 	// requested, the pending-backlog fold and the ⊕-merge into the main
-	// adjacency run across flop-balanced row spans.
+	// adjacency run across flop-balanced row spans. (A Store of several
+	// shards forces it to 1: the shards already run concurrently.)
 	Mul assoc.MulOptions
 	// CompactEvery, when > 0, triggers an automatic Compact after that
 	// many appends — bounding drift for non-associative ⊕ and re-packing
@@ -189,8 +195,12 @@ type View[V any] struct {
 	// pins.
 	logs *logView[V]
 
-	appends   int // batches since the last compact
-	epoch     int // total batches ever applied
+	appends int // batches since the last compact
+	// epoch counts the batches ever applied. Written under mu, it is also
+	// read without it: a point read reports its siblings' epochs
+	// (Store.OwnerSnapshot) and must not wait out a sibling's fold for a
+	// number.
+	epoch     atomic.Int64
 	exact     bool
 	autoSeq   int    // generator for auto-assigned edge keys
 	autoBase  string // prefix for auto keys: "" selects "e"; a Store gives each of several shards its own
@@ -230,16 +240,17 @@ func (e *committedError) Unwrap() error { return e.err }
 // anything reads them, and no Snapshot can have captured them (it takes
 // the lock the append holds).
 type appendRollback struct {
-	nLog, nPend    int
-	appends, epoch int
-	autoSeq        int
-	autoBase       string
+	nLog, nPend int
+	appends     int
+	epoch       int64
+	autoSeq     int
+	autoBase    string
 }
 
 func (v *View[V]) captureLocked() appendRollback {
 	return appendRollback{
 		nLog: len(v.keys), nPend: len(v.pendCell),
-		appends: v.appends, epoch: v.epoch,
+		appends: v.appends, epoch: v.epoch.Load(),
 		autoSeq: v.autoSeq, autoBase: v.autoBase,
 	}
 }
@@ -258,7 +269,8 @@ func (v *View[V]) rollbackLocked(rb appendRollback, err error) error {
 	v.srcID, v.dstID = v.srcID[:rb.nLog], v.dstID[:rb.nLog]
 	v.out, v.in = v.out[:rb.nLog], v.in[:rb.nLog]
 	v.pendCell, v.pendVal = v.pendCell[:rb.nPend], v.pendVal[:rb.nPend]
-	v.appends, v.epoch = rb.appends, rb.epoch
+	v.appends = rb.appends
+	v.epoch.Store(rb.epoch)
 	v.autoSeq, v.autoBase = rb.autoSeq, rb.autoBase
 	return err
 }
@@ -502,7 +514,7 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 		v.pendVal = append(v.pendVal, ops.Mul(s.outs[i], s.ins[i]))
 	}
 	v.appends++
-	v.epoch++
+	v.epoch.Add(1)
 	v.autoBase, v.autoSeq = base, seq+n
 	if err := v.fail("commit:counted"); err != nil {
 		return err
@@ -561,36 +573,48 @@ func (v *View[V]) pendingBudget() int {
 
 // syncUniverseLocked brings the sorted vertex universe up to the log:
 // the endpoints of the entries appended since the last sync join uRows
-// and uCols, and main is embedded into the grown key sets through the
-// position maps the union yields (integer remapping; values shared, so
-// mainShared stays as it is). This is the one place key order is
-// established for what appends stored by id, and it costs O(new entries
-// + universe + nnz(main)) — once per fold, not once per batch.
-func (v *View[V]) syncUniverseLocked() error {
+// and uCols. This is the one place key order is established for what
+// appends stored by id, and it costs O(new entries + universe) — once per
+// fold, not once per batch. main is NOT touched: it keeps spanning the
+// key sets it was built over, and the returned maps say where those sit
+// in the grown ones (nil: where they were), so the caller's merge reads
+// main through them and no embedded copy of main is made on the way.
+// Callers re-establish "main spans uRows × uCols" before releasing the
+// lock (materializeLocked, compactLocked).
+func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int, err error) {
 	if v.synced == len(v.keys) {
-		return nil
+		return nil, nil, nil
 	}
 	uRows, srcPos, rowMap, err := growSide(v.srcIn, v.uRows, v.srcPos, v.srcID[v.synced:])
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	uCols, dstPos, colMap, err := growSide(v.dstIn, v.uCols, v.dstPos, v.dstID[v.synced:])
 	if err != nil {
-		return err
-	}
-	if uRows != v.uRows || uCols != v.uCols {
-		m, err := sparse.Embed(v.main.Matrix(), rowMap, colMap, uRows.Len(), uCols.Len())
-		if err != nil {
-			return err
-		}
-		main, err := assoc.New(uRows, uCols, m)
-		if err != nil {
-			return err
-		}
-		v.main = main
+		return nil, nil, err
 	}
 	v.uRows, v.srcPos, v.uCols, v.dstPos = uRows, srcPos, uCols, dstPos
 	v.synced = len(v.keys)
+	return rowMap, colMap, nil
+}
+
+// respanMainLocked embeds main alone into a universe that a sync grew
+// and no merge followed — the backlog folded to nothing, or the fold
+// failed — through the maps that sync returned. Values are shared, so
+// mainShared stays as it is.
+func (v *View[V]) respanMainLocked(rowMap, colMap []int) error {
+	if v.main.RowKeys() == v.uRows && v.main.ColKeys() == v.uCols {
+		return nil
+	}
+	m, err := sparse.Embed(v.main.Matrix(), rowMap, colMap, v.uRows.Len(), v.uCols.Len())
+	if err != nil {
+		return err
+	}
+	main, err := assoc.New(v.uRows, v.uCols, m)
+	if err != nil {
+		return err
+	}
+	v.main = main
 	return nil
 }
 
@@ -664,19 +688,19 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 // graph's incidence columns — which groups them by cell, keeps arrival
 // order within each cell, ⊕-folds each cell's run and prunes folds equal
 // to the algebra's zero; the resulting delta array ⊕-merges into main
-// with main's entries on the left. Level order is edge-key order, so
-// only the fold's GROUPING changes, never its order — and the grouping
-// changes only at this main-vs-backlog boundary, which is where a
-// non-associative ⊕ can diverge (flagged via Exact unless the guard is
-// on).
+// with main's entries on the left. When the sync grew the universe, that
+// merge is also what moves main into it: main is read through the sync's
+// position maps, one pass from its old storage into the new array. Level
+// order is edge-key order, so only the fold's GROUPING changes, never its
+// order — and the grouping changes only at this main-vs-backlog boundary,
+// which is where a non-associative ⊕ can diverge (flagged via Exact
+// unless the guard is on).
 //
 // Options.Mul schedules the fold as it schedules a product, and the
-// ⊕-merge into main runs across merge-cost-balanced spans with it (the
-// engine routes it through sparse.EWiseAddIntoParallel) — both
-// bit-identical to the serial path.
+// ⊕-merge into main runs across merge-cost-balanced spans with it
+// (sparse.EWiseAddIntoParallel) — both bit-identical to the serial path.
 func (v *View[V]) materializeLocked() error {
-	n := len(v.pendVal)
-	if n == 0 {
+	if len(v.pendVal) == 0 {
 		return nil
 	}
 	start := time.Now()
@@ -684,9 +708,23 @@ func (v *View[V]) materializeLocked() error {
 		v.folds++
 		v.foldNanos += time.Since(start).Nanoseconds()
 	}()
-	if err := v.syncUniverseLocked(); err != nil {
+	rowMap, colMap, err := v.syncUniverseLocked()
+	if err != nil {
 		return err
 	}
+	err = v.mergeBacklogLocked(rowMap, colMap)
+	// A backlog that folded to nothing, or failed to, merged nothing.
+	if rerr := v.respanMainLocked(rowMap, colMap); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// mergeBacklogLocked is materializeLocked past the sync: rowMap and
+// colMap place main's key sets in the universe, as the sync returned
+// them.
+func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int) error {
+	n := len(v.pendVal)
 	s := &v.scr
 	s.foldRow, s.foldCol = grow(s.foldRow[:0], n)[:n], grow(s.foldCol[:0], n)[:n]
 	for i, c := range v.pendCell {
@@ -714,7 +752,7 @@ func (v *View[V]) materializeLocked() error {
 		// against already-folded state under unverified ⊕.
 		v.exact = false
 	}
-	main, err := v.eng.MergeScratch(v.main, fold, !v.mainShared, &v.mainScr)
+	main, err := assoc.AddIntoMapped(v.main, fold, rowMap, colMap, v.eng.Ops, !v.mainShared, &v.mainScr, v.opt.Mul.Workers)
 	if err != nil {
 		return err
 	}
@@ -742,7 +780,7 @@ func (v *View[V]) Snapshot() (Snapshot[V], error) {
 	return Snapshot[V]{
 		Adjacency: v.main,
 		Edges:     len(v.keys),
-		Epoch:     v.epoch,
+		Epoch:     int(v.epoch.Load()),
 		Exact:     v.exact,
 		log:       v.logsLocked(),
 	}, nil
@@ -853,16 +891,18 @@ func (v *View[V]) Compact() error {
 }
 
 func (v *View[V]) compactLocked() error {
-	if err := v.syncUniverseLocked(); err != nil {
+	rowMap, colMap, err := v.syncUniverseLocked()
+	if err != nil {
 		return err
 	}
 	if len(v.keys) > 0 {
-		eout, ein, err := v.logsLocked().arrays()
+		// The rebuild spans the synced universe and replaces main whole:
+		// nothing of the old main is embedded, unless the rebuild fails.
+		adj, err := v.rebuildLocked()
 		if err != nil {
-			return err
-		}
-		adj, err := v.eng.Partial(eout, ein)
-		if err != nil {
+			if rerr := v.respanMainLocked(rowMap, colMap); rerr != nil {
+				return fmt.Errorf("%w (and main could not follow the universe: %v)", err, rerr)
+			}
 			return err
 		}
 		if !v.mainShared {
@@ -876,6 +916,16 @@ func (v *View[V]) compactLocked() error {
 	v.appends = 0
 	v.exact = true
 	return nil
+}
+
+// rebuildLocked constructs the adjacency one-shot from the whole log,
+// over the synced universe.
+func (v *View[V]) rebuildLocked() (*assoc.Array[V], error) {
+	eout, ein, err := v.logsLocked().arrays()
+	if err != nil {
+		return nil, err
+	}
+	return v.eng.Partial(eout, ein)
 }
 
 // Stats summarizes the view without exposing its arrays. Taking stats
@@ -915,7 +965,7 @@ func (v *View[V]) Stats() Stats {
 		AdjNNZ:      v.main.NNZ(),
 		PendingNNZ:  len(v.pendVal),
 		Appends:     v.appends,
-		Epoch:       v.epoch,
+		Epoch:       int(v.epoch.Load()),
 		Exact:       v.exact,
 		Folds:       v.folds,
 		FoldNanos:   v.foldNanos,
