@@ -331,17 +331,20 @@ func CorrelateKeys[V, W any](a *Array[V], b *Array[W]) (*Array[Set], error) {
 
 // Graph algorithms on constructed adjacency arrays.
 //
-// Each algorithm has two execution forms: the package-level functions
-// below iterate the map-backed assoc.Mul reference, while CSRGraph
-// methods run the same iterations on integer-id CSR kernels with
-// automatic push–pull switching — bit-identical results, one to two
-// orders of magnitude faster (see cmd/graphbench -gen algo).
+// One engine, two call shapes. CSRGraph runs every algorithm on
+// integer-id CSR kernels with automatic push–pull switching; the
+// package-level functions below are its one-shot form — build a
+// CSRGraph from the array, call the method of the same name, drop it.
+// Use them for one question about one array. Hold a CSRGraph whenever a
+// second query meets the same array: the build is O(nnz), and the
+// transpose and PageRank's 1/outdeg vector are built once per graph
+// rather than once per call.
 
-// CSRGraph is the CSR-native execution form of an adjacency array:
-// integer vertex ids over the square union vertex space, with string
-// keys only at the API boundary. Its methods (BFSLevels, SSSP,
-// WidestPath, Components, TriangleCount, PageRank) mirror the
-// package-level functions.
+// CSRGraph is the engine the algorithms run on: an adjacency array
+// embedded in the square union vertex space, integer vertex ids inside,
+// string keys only at the API boundary. Its methods (BFSLevels, SSSP,
+// WidestPath, Components, TriangleCount, PageRank) are what the
+// package-level functions call.
 type CSRGraph = algo.Graph
 
 // NewCSRGraph builds a CSRGraph from an adjacency array, keeping stored
@@ -412,9 +415,12 @@ type ConformanceDivergence = conformance.Divergence
 
 // SelfCheck runs the cross-backend conformance harness: `instances`
 // adversarial random instances per registry operator pair, each fed
-// through every registered construction path (serial CSR, two-phase,
-// parallel, sharded, incremental stream) and compared against the dense
-// Definition I.3 oracle where the Theorem II.1 conditions license it.
+// through every registered construction path — ConformancePaths() lists
+// them: the merge reference, the engine in parallel, the unit-row fold
+// serial and parallel, edge-sharded partials, and the incremental stream
+// plain, interned, goroutine-sharded and recovered from its WAL — and
+// compared against the explicit Mul(Eoutᵀ, Ein) and, where the Theorem
+// II.1 conditions license it, the dense Definition I.3 oracle.
 // The first divergence is returned as a *ConformanceDivergence error
 // with a minimized counterexample; nil means every path agreed on every
 // instance. Deployments embedding custom backends can call this at

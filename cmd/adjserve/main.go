@@ -46,8 +46,8 @@
 // queries run in separate bounded worker pools (-read-workers,
 // -algo-workers) with queue-depth admission control (-read-queue,
 // -algo-queue); excess load is shed as 429 + Retry-After instead of
-// piling up goroutines. cmd/loadgen drives SLO curves against this
-// front door.
+// piling up goroutines. The repository's benchmark (bench/) drives this
+// front door as a child process.
 //
 // With -data-dir the store is durable: on start the view is recovered
 // from the newest valid checkpoint plus a WAL replay (the recovered and

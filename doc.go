@@ -82,9 +82,10 @@
 //     gather. Algorithm answers and /batch pin every shard and build
 //     their Graph from the pinned shards' arrays (algo.FromArrays: one
 //     copy, straight into the kernels' vertex space); only /triples
-//     reads the gathered store-wide array. cmd/loadgen drives the front
-//     door with open-model zipfian load and records per-endpoint
-//     latency percentiles (BENCH_7.json);
+//     reads the gathered store-wide array. The query_static and
+//     mixed_rw workloads of the repository's benchmark (bench/,
+//     BENCHMARK.json) drive the front door of a real adjserve child and
+//     record per-endpoint latency percentiles;
 //   - fault tolerance: internal/iofault injects deterministic disk
 //     faults (EIO, ENOSPC, short and torn writes) through a VFS seam
 //     under the WAL and the store's shards; a failed fsync or log write

@@ -111,3 +111,40 @@ func ExampleBuild() {
 	// Output:
 	// true
 }
+
+// A store partitions the vertex space by source across shards, each with
+// its own append lock; a snapshot pins one epoch per shard and gathers
+// the shards' row-disjoint arrays into one adjacency array. dir "" keeps
+// the store in memory; a directory would make every append durable.
+func ExampleOpenAdjacencyStore() {
+	sv, err := adjarray.OpenAdjacencyStore("", adjarray.PlusTimes(), 4,
+		adjarray.StreamOptions{}, adjarray.DurableStreamOptions[float64]{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer sv.Close()
+	err = sv.Append([]adjarray.StreamEdge[float64]{
+		{Src: "alice", Dst: "bob"}, // keyless: the owning shard assigns the edge key
+		{Src: "alice", Dst: "bob"},
+		adjarray.WeightedStreamEdge("e3", "bob", "carol", 2.0, 3.0),
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	snap, err := sv.Snapshot()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	ab, _ := snap.Adjacency.At("alice", "bob")
+	bc, _ := snap.Adjacency.At("bob", "carol")
+	fmt.Println("alice→bob:", ab) // two parallel edges, +.× sums
+	fmt.Println("bob→carol:", bc) // out 2 ⊗ in 3
+	fmt.Println("epoch vector length:", len(snap.Epochs))
+	// Output:
+	// alice→bob: 2
+	// bob→carol: 6
+	// epoch vector length: 4
+}

@@ -10,27 +10,34 @@
 // under a different algebra: or.and for reachability (BFS), min.+ for
 // shortest paths (Bellman–Ford), max.min for widest paths, min with
 // left-projection for label-propagation components, and +.× for
-// triangle counting and PageRank — the GraphBLAS catalogue, built on
-// the same Mul kernel as the paper's figures.
+// triangle counting and PageRank — the GraphBLAS catalogue.
 //
-// Each algorithm exists in two forms:
+// There is one engine and two call shapes:
 //
-//   - The package-level functions over *assoc.Array iterate the string
-//     keyed, map-backed assoc.Mul directly. They are the readable
-//     reference implementations and serve as the differential oracles.
-//   - The methods on Graph run the same iterations on integer-id
-//     sparse-vector kernels (sparse.SpMSpVPush / sparse.SpMVPull) over
-//     the adjacency's CSR embedded in the square union vertex space
-//     (FromArray) — or, for an adjacency held as row-disjoint parts, the
-//     shards of a store, the parts' rows copied once each straight into
-//     that space (FromArrays), the store-wide array never assembled —
-//     switching push→pull automatically as the frontier densifies, with
-//     a lazily built transpose for the pull direction and string↔id
-//     translation only at the API boundary. Results are BIT-identical
-//     to the reference forms — the kernels share their fold order
-//     (ascending in-neighbor id per output, Definition I.3) and their
-//     Zero-pruning — at one to two orders of magnitude less cost; see
-//     BenchmarkAlgo* and cmd/graphbench -gen algo.
+//   - Graph runs the iterations on integer-id sparse-vector kernels
+//     (sparse.SpMSpVPush / sparse.SpMVPull) over the adjacency's CSR
+//     embedded in the square union vertex space (FromArray) — or, for an
+//     adjacency held as row-disjoint parts, the shards of a store, the
+//     parts' rows copied once each straight into that space (FromArrays),
+//     the store-wide array never assembled — switching push→pull
+//     automatically as the frontier densifies, with a lazily built
+//     transpose for the pull direction and string↔id translation only
+//     at the API boundary.
+//   - The package-level functions over *assoc.Array (BFSLevels, SSSP,
+//     WidestPath, Components, TriangleCount, PageRank) are the one-shot
+//     form: build a Graph, call the method, drop the Graph. They answer
+//     one question about one array. Hold a Graph instead whenever a
+//     second query meets the same array: the build is O(nnz), and the
+//     transpose and PageRank's 1/outdeg vector are built once per Graph,
+//     not once per call.
+//
+// The string-keyed loops over assoc.Mul that the kernels were derived
+// from are the differential oracle in reference_test.go. Results are
+// BIT-identical to them — the kernels share their fold order (ascending
+// in-neighbor id per output, Definition I.3) and their Zero-pruning —
+// at one to two orders of magnitude less cost; see BenchmarkAlgo*.
+// TransitiveClosure and the degree folds have no kernel form and stay
+// on assoc.
 //
 // Definition I.1 makes key sets finite and totally ordered, so the
 // natural answer of a source or rank kernel is a vector over the vertex
@@ -57,23 +64,6 @@ import (
 	"adjarray/internal/value"
 )
 
-// RowVector builds a 1×n associative array with the given row key and
-// entries — the frontier/distance vectors of the iterative algorithms.
-func RowVector[V any](rowKey string, entries map[string]V) *assoc.Array[V] {
-	b := assoc.NewBuilder[V](nil)
-	for col, v := range entries {
-		b.Set(rowKey, col, v)
-	}
-	return b.Build()
-}
-
-// vectorEntries extracts the single-row array's entries as a map.
-func vectorEntries[V any](vec *assoc.Array[V]) map[string]V {
-	out := make(map[string]V, vec.NNZ())
-	vec.Iterate(func(_, col string, v V) { out[col] = v })
-	return out
-}
-
 // Pattern converts any array to its boolean support: true wherever an
 // entry is stored. isZero, if non-nil, additionally drops algebraic
 // zeros.
@@ -90,33 +80,11 @@ func Pattern[V any](a *assoc.Array[V], isZero func(V) bool) *assoc.Array[bool] {
 // hop count (source = 0). Vertices that are only row keys (pure sinks
 // unreachable from source) are absent.
 func BFSLevels[V any](a *assoc.Array[V], source string) (map[string]int, error) {
-	if !a.RowKeys().Contains(source) && !a.ColKeys().Contains(source) {
-		return nil, fmt.Errorf("algo: source %q is not a vertex of the array", source)
+	g, err := FromPattern(a)
+	if err != nil {
+		return nil, err
 	}
-	pattern := Pattern(a, nil)
-	ops := semiring.BoolOrAnd()
-	levels := map[string]int{source: 0}
-	frontier := RowVector("f", map[string]bool{source: true})
-	for depth := 1; frontier.NNZ() > 0; depth++ {
-		next, err := assoc.Mul(frontier, pattern, ops, assoc.MulOptions{})
-		if err != nil {
-			return nil, err
-		}
-		fresh := map[string]bool{}
-		next.Iterate(func(_, v string, reached bool) {
-			if reached {
-				if _, seen := levels[v]; !seen {
-					levels[v] = depth
-					fresh[v] = true
-				}
-			}
-		})
-		if len(fresh) == 0 {
-			break
-		}
-		frontier = RowVector("f", fresh)
-	}
-	return levels, nil
+	return g.BFSLevels(source)
 }
 
 // SSSP computes single-source shortest path distances over the min.+
@@ -125,29 +93,11 @@ func BFSLevels[V any](a *assoc.Array[V], source string) (map[string]int, error) 
 // adjacency values; they must be non-negative or at least free of
 // negative cycles (a remaining change after |V| rounds reports one).
 func SSSP(a *assoc.Array[float64], source string) (map[string]float64, error) {
-	if !a.RowKeys().Contains(source) && !a.ColKeys().Contains(source) {
-		return nil, fmt.Errorf("algo: source %q is not a vertex of the array", source)
+	g, err := FromArray(a)
+	if err != nil {
+		return nil, err
 	}
-	ops := semiring.MinPlus()
-	dist := RowVector("d", map[string]float64{source: 0})
-	bound := a.RowKeys().Union(a.ColKeys()).Len()
-	for round := 0; ; round++ {
-		relaxed, err := assoc.Mul(dist, a, ops, assoc.MulOptions{})
-		if err != nil {
-			return nil, err
-		}
-		next, err := assoc.Add(dist, relaxed, ops) // ⊕ = min over union pattern
-		if err != nil {
-			return nil, err
-		}
-		if next.Equal(dist, value.Float64Equal) {
-			return vectorEntries(dist), nil
-		}
-		if round >= bound {
-			return nil, fmt.Errorf("algo: no fixpoint after %d rounds (negative cycle?)", bound)
-		}
-		dist = next
-	}
+	return g.SSSP(source)
 }
 
 // WidestPath computes the maximum bottleneck width from source to every
@@ -155,29 +105,11 @@ func SSSP(a *assoc.Array[float64], source string) (map[string]float64, error) {
 // the smallest edge weight on the path. The source itself has width
 // +Inf (the algebra's ⊗-identity: an empty path constrains nothing).
 func WidestPath(a *assoc.Array[float64], source string) (map[string]float64, error) {
-	if !a.RowKeys().Contains(source) && !a.ColKeys().Contains(source) {
-		return nil, fmt.Errorf("algo: source %q is not a vertex of the array", source)
+	g, err := FromArray(a)
+	if err != nil {
+		return nil, err
 	}
-	ops := semiring.MaxMin()
-	width := RowVector("w", map[string]float64{source: value.PosInf})
-	bound := a.RowKeys().Union(a.ColKeys()).Len()
-	for round := 0; ; round++ {
-		relaxed, err := assoc.Mul(width, a, ops, assoc.MulOptions{})
-		if err != nil {
-			return nil, err
-		}
-		next, err := assoc.Add(width, relaxed, ops) // ⊕ = max over union pattern
-		if err != nil {
-			return nil, err
-		}
-		if next.Equal(width, value.Float64Equal) {
-			return vectorEntries(width), nil
-		}
-		if round >= bound {
-			return nil, fmt.Errorf("algo: widest-path failed to converge in %d rounds", bound)
-		}
-		width = next
-	}
+	return g.WidestPath(source)
 }
 
 // minLeft is the min.select1st pair of the GraphBLAS catalogue: ⊕ = min
@@ -201,51 +133,11 @@ func minLeft() semiring.Ops[float64] {
 // connected component), via min-label propagation over the symmetrized
 // pattern with the min.select1st pair.
 func Components[V any](a *assoc.Array[V]) (map[string]string, error) {
-	verts := a.RowKeys().Union(a.ColKeys())
-	if verts.Len() == 0 {
-		return map[string]string{}, nil
+	g, err := FromPattern(a)
+	if err != nil {
+		return nil, err
 	}
-	// Symmetrize the pattern with weight 1 edges both ways.
-	b := assoc.NewBuilder[float64](nil)
-	a.Iterate(func(r, c string, _ V) {
-		b.Set(r, c, 1)
-		b.Set(c, r, 1)
-	})
-	for i := 0; i < verts.Len(); i++ { // self-loops keep isolated keys alive
-		b.Set(verts.Key(i), verts.Key(i), 1)
-	}
-	sym := b.Build()
-
-	// Numeric labels = index in sorted vertex order, so the minimum
-	// label corresponds to the lexicographically smallest key.
-	labels := make(map[string]float64, verts.Len())
-	for i := 0; i < verts.Len(); i++ {
-		labels[verts.Key(i)] = float64(i)
-	}
-	vec := RowVector("l", labels)
-	ops := minLeft()
-	for round := 0; ; round++ {
-		prop, err := assoc.Mul(vec, sym, ops, assoc.MulOptions{})
-		if err != nil {
-			return nil, err
-		}
-		next, err := assoc.Add(vec, prop, ops) // ⊕ = min
-		if err != nil {
-			return nil, err
-		}
-		if next.Equal(vec, value.Float64Equal) {
-			break
-		}
-		if round > verts.Len() {
-			return nil, fmt.Errorf("algo: component propagation failed to converge")
-		}
-		vec = next
-	}
-	out := make(map[string]string, verts.Len())
-	vec.Iterate(func(_, v string, label float64) {
-		out[v] = verts.Key(int(label))
-	})
-	return out, nil
+	return g.Components()
 }
 
 // TriangleCount counts triangles in an undirected simple graph given as
@@ -253,26 +145,11 @@ func Components[V any](a *assoc.Array[V]) (map[string]string, error) {
 // divided by 6 (each triangle is counted twice per vertex). Returns an
 // error if the array is not symmetric.
 func TriangleCount[V any](a *assoc.Array[V]) (int, error) {
-	p := assoc.Convert(a, func(_, _ string, _ V) float64 { return 1 })
-	pt := p.Transpose()
-	if !assoc.SamePattern(p, pt) {
-		return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
-	}
-	ops := semiring.PlusTimes()
-	// Masked multiply computes (A·A) ∘ A directly, never materializing
-	// the dense wedge matrix A² — the GraphBLAS triangle idiom.
-	masked, err := assoc.MulMasked(p, p, p, ops, assoc.MulOptions{})
+	g, err := FromPattern(a)
 	if err != nil {
 		return 0, err
 	}
-	total, any := assoc.ReduceAll(masked, ops.Add)
-	if !any {
-		return 0, nil
-	}
-	if math.Mod(total, 6) != 0 {
-		return 0, fmt.Errorf("algo: wedge count %v not divisible by 6 (self-loops present?)", total)
-	}
-	return int(total) / 6, nil
+	return g.TriangleCount()
 }
 
 // TransitiveClosure computes the reachability pattern A⁺ (one or more
@@ -317,64 +194,9 @@ func InDegrees[V any](a *assoc.Array[V]) map[string]float64 {
 // or maxIter rounds elapse. Returns the rank vector and the number of
 // iterations used.
 func PageRank[V any](a *assoc.Array[V], damping, tol float64, maxIter int) (map[string]float64, int, error) {
-	if damping <= 0 || damping >= 1 {
-		return nil, 0, fmt.Errorf("algo: damping must be in (0,1), got %v", damping)
-	}
-	verts := a.RowKeys().Union(a.ColKeys())
-	n := verts.Len()
-	if n == 0 {
-		return map[string]float64{}, 0, nil
-	}
-	// Row-normalized transition array P over the union vertex space.
-	outDeg := OutDegrees(a)
-	b := assoc.NewBuilder[float64](nil)
-	a.Iterate(func(r, c string, _ V) {
-		b.Set(r, c, 1/outDeg[r])
-	})
-	p := b.Build()
-	pFull, err := p.Reindex(verts, verts)
+	g, err := FromPattern(a)
 	if err != nil {
 		return nil, 0, err
 	}
-
-	rank := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		rank[verts.Key(i)] = 1 / float64(n)
-	}
-	ops := semiring.PlusTimes()
-	for iter := 1; iter <= maxIter; iter++ {
-		vec, err := RowVector("r", rank).Reindex(RowVector("r", rank).RowKeys(), verts)
-		if err != nil {
-			return nil, 0, err
-		}
-		flowed, err := assoc.Mul(vec, pFull, ops, assoc.MulOptions{})
-		if err != nil {
-			return nil, 0, err
-		}
-		flow := vectorEntries(flowed)
-		// Dangling vertices leak their rank; redistribute uniformly. The
-		// sum runs in vertex-key order so the float fold is deterministic
-		// (map iteration order would make reruns differ in final bits).
-		dangling := 0.0
-		for i := 0; i < n; i++ {
-			v := verts.Key(i)
-			if _, hasOut := outDeg[v]; !hasOut {
-				dangling += rank[v]
-			}
-		}
-		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		next := make(map[string]float64, n)
-		delta := 0.0
-		for i := 0; i < n; i++ {
-			v := verts.Key(i)
-			nv := base + damping*flow[v]
-			delta += math.Abs(nv - rank[v])
-			next[v] = nv
-		}
-		rank = next
-		if delta < tol {
-			return rank, iter, nil
-		}
-	}
-	return rank, maxIter, nil
+	return g.PageRank(damping, tol, maxIter)
 }

@@ -11,8 +11,11 @@ import (
 )
 
 // benchAdjacency builds an rmat adjacency array once per benchmark
-// process (scale 10 keeps the assoc arms affordable under -benchtime 1x
-// in CI; graphbench -gen algo measures s12/s14).
+// process (scale 10 keeps the reference arms affordable under
+// -benchtime 1x in CI). Every BenchmarkAlgo* has three arms: "reference"
+// is the assoc.Mul loop of reference_test.go, "graph" a method on a
+// Graph built once outside the timer, "oneshot" the package-level
+// function — the same method with the Graph build inside the timer.
 func benchAdjacency(b testing.TB, scale int) (*assoc.Array[float64], *Graph, string) {
 	b.Helper()
 	g := dataset.RMAT(rand.New(rand.NewSource(1)), scale, 8)
@@ -40,63 +43,36 @@ func benchAdjacency(b testing.TB, scale int) (*assoc.Array[float64], *Graph, str
 	return adj, cg, src
 }
 
-func BenchmarkAlgoBFS(b *testing.B) {
-	adj, cg, src := benchAdjacency(b, 10)
-	b.Run("assoc", func(b *testing.B) {
+// arm times one call shape of an algorithm as a sub-benchmark.
+func arm(b *testing.B, name string, run func() error) {
+	b.Run(name, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := BFSLevels(adj, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cg.BFSLevels(src); err != nil {
+			if err := run(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
+func BenchmarkAlgoBFS(b *testing.B) {
+	adj, cg, src := benchAdjacency(b, 10)
+	arm(b, "reference", func() error { _, err := refBFSLevels(adj, src); return err })
+	arm(b, "graph", func() error { _, err := cg.BFSLevels(src); return err })
+	arm(b, "oneshot", func() error { _, err := BFSLevels(adj, src); return err })
+}
+
 func BenchmarkAlgoSSSP(b *testing.B) {
 	adj, cg, src := benchAdjacency(b, 10)
-	b.Run("assoc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := SSSP(adj, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cg.SSSP(src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	arm(b, "reference", func() error { _, err := refSSSP(adj, src); return err })
+	arm(b, "graph", func() error { _, err := cg.SSSP(src); return err })
+	arm(b, "oneshot", func() error { _, err := SSSP(adj, src); return err })
 }
 
 func BenchmarkAlgoPageRank(b *testing.B) {
 	adj, cg, _ := benchAdjacency(b, 10)
 	const damping, tol, iters = 0.85, 1e-10, 30
-	b.Run("assoc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := PageRank(adj, damping, tol, iters); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := cg.PageRank(damping, tol, iters); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	arm(b, "reference", func() error { _, _, err := refPageRank(adj, damping, tol, iters); return err })
+	arm(b, "graph", func() error { _, _, err := cg.PageRank(damping, tol, iters); return err })
+	arm(b, "oneshot", func() error { _, _, err := PageRank(adj, damping, tol, iters); return err })
 }

@@ -15,14 +15,12 @@ import (
 	"adjarray/internal/value"
 )
 
-// Graph is the CSR-native execution form of an adjacency array: the
-// array's sparse matrix — or the matrices of its row-disjoint parts,
-// FromArrays — embedded into the SQUARE union vertex space (rows ∪ cols),
-// with vertices as integer ids and string keys resolved only at the API
-// boundary. Every algorithm in this package has a
-// method form on Graph running on the integer-id kernels; the package
-// functions over *assoc.Array remain as the map-backed reference
-// implementations (the differential oracles).
+// Graph is the engine every algorithm in this package runs on: an
+// adjacency array's sparse matrix — or the matrices of its row-disjoint
+// parts, FromArrays — embedded into the SQUARE union vertex space
+// (rows ∪ cols), with vertices as integer ids and string keys resolved
+// only at the API boundary. The package functions over *assoc.Array
+// build one, call the method of the same name and drop it.
 //
 // The source and rank kernels answer with VECTORS over Vertices(), in
 // key order (BFSLevelVector, SSSPVector, WidestPathVector,
@@ -123,8 +121,8 @@ func (g *Graph) frontierEdges(ids []int) int {
 	return e
 }
 
-// BFSLevels is the CSR-native form of the package-level BFSLevels: the
-// hop counts of BFSLevelVector as a map over the reached vertices.
+// BFSLevels returns the hop counts of BFSLevelVector as a map over the
+// reached vertices.
 func (g *Graph) BFSLevels(source string) (map[string]int, error) {
 	level, err := g.BFSLevelVector(source)
 	if err != nil {
@@ -204,9 +202,10 @@ func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 // sparse. Contributions to an output fold in ascending in-neighbor
 // order (the kernels' contract), folds equal to the algebra's Zero are
 // pruned, and a merge leaves a stored value in place unless ⊕ moves it
-// — exactly the semantics of the assoc reference loop, so converged
-// results are bit-identical. Returns the dense value array and its
-// presence mask, or an error after bound unconverged rounds.
+// — exactly the semantics of the assoc reference loop
+// (reference_test.go), so converged results are bit-identical. Returns
+// the dense value array and its presence mask, or an error after bound
+// unconverged rounds.
 func (g *Graph) relaxToFixpoint(src int, seed float64, ops semiring.Ops[float64], bound int, diverged string) ([]float64, []bool, error) {
 	n := g.verts.Len()
 	val := make([]float64, n)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -16,12 +17,16 @@ import (
 	"adjarray/internal/value"
 )
 
-// The differential suite: every CSR-native kernel pinned against its
-// assoc-based oracle over the conformance generators' adversarial
-// instances — R-MAT skew, parallel edges, unicode/NUL/0xff keys, NaN
-// and ±Inf weights. Results must be BIT-identical: the kernels share
-// the oracles' fold order (ascending in-neighbor id per output) and
-// pruning rules, so exact equality is the contract, not a tolerance.
+// The differential suite: both call shapes of the engine — the Graph
+// methods and the one-shot package functions — pinned against the
+// assoc.Mul reference loops (reference_test.go) over the conformance
+// generators' adversarial instances — R-MAT skew, parallel edges,
+// unicode/NUL/0xff keys, NaN and ±Inf weights. Results must be
+// BIT-identical: the kernels share the reference's fold order (ascending
+// in-neighbor id per output) and pruning rules, so exact equality is the
+// contract, not a tolerance. The oracle side of every comparison is a
+// ref* function: the package-level names ARE Graph, and comparing them
+// with a Graph method would compare the engine with itself.
 
 const diffInstances = 60
 
@@ -82,15 +87,43 @@ func sameFloatMap(a, b map[string]float64) string {
 	return ""
 }
 
-// sameErr requires both paths to agree on failure: either both succeed
-// or both fail (divergence/convergence behavior is part of the oracle).
-func sameErr(t *testing.T, ctx string, oracleErr, csrErr error) bool {
-	t.Helper()
-	if (oracleErr == nil) != (csrErr == nil) {
-		t.Errorf("%s: oracle err=%v, csr err=%v", ctx, oracleErr, csrErr)
-		return false
+// ranked is PageRank's answer: the ranks and the iterations they took.
+type ranked struct {
+	rank  map[string]float64
+	iters int
+}
+
+func rankedOf(rank map[string]float64, iters int, err error) (ranked, error) {
+	return ranked{rank, iters}, err
+}
+
+// sameAnswer is reflect.DeepEqual, except that float maps compare by
+// value.Float64Equal: a propagated NaN weight must match its NaN, which
+// DeepEqual's == never does.
+func sameAnswer(want, got any) bool {
+	switch w := want.(type) {
+	case map[string]float64:
+		return sameFloatMap(w, got.(map[string]float64)) == ""
+	case ranked:
+		g := got.(ranked)
+		return w.iters == g.iters && sameFloatMap(w.rank, g.rank) == ""
 	}
-	return oracleErr == nil
+	return reflect.DeepEqual(want, got)
+}
+
+// agree fails unless an arm of the engine answered as the reference did:
+// the same value (and iteration count), or — divergence and refusal are
+// part of the oracle — the same error text.
+func agree(t *testing.T, ctx, arm string, want any, werr error, got any, gerr error) {
+	t.Helper()
+	switch {
+	case werr != nil || gerr != nil:
+		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+			t.Fatalf("%s: reference err = %v, %s err = %v", ctx, werr, arm, gerr)
+		}
+	case !sameAnswer(want, got):
+		t.Fatalf("%s: %s = %v, reference = %v", ctx, arm, got, want)
+	}
 }
 
 func TestCSRBFSMatchesOracle(t *testing.T) {
@@ -107,20 +140,12 @@ func TestCSRBFSMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range testSources(adj) {
-			want, werr := BFSLevels(adj, src)
-			got, gerr := g.BFSLevels(src)
 			ctx := fmt.Sprintf("%s[%d] bfs from %q", inst.Name, i, src)
-			if !sameErr(t, ctx, werr, gerr) {
-				continue
-			}
-			if len(want) != len(got) {
-				t.Fatalf("%s: %d levels vs %d", ctx, len(got), len(want))
-			}
-			for k, wl := range want {
-				if gl, ok := got[k]; !ok || gl != wl {
-					t.Fatalf("%s: level[%q] = %d, want %d", ctx, k, gl, wl)
-				}
-			}
+			want, werr := refBFSLevels(adj, src)
+			got, gerr := g.BFSLevels(src)
+			agree(t, ctx, "graph", want, werr, got, gerr)
+			got, gerr = BFSLevels(adj, src)
+			agree(t, ctx, "oneshot", want, werr, got, gerr)
 		}
 	}
 }
@@ -139,15 +164,12 @@ func TestCSRSSSPMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range testSources(adj) {
-			want, werr := SSSP(adj, src)
-			got, gerr := g.SSSP(src)
 			ctx := fmt.Sprintf("%s[%d] sssp from %q", inst.Name, i, src)
-			if !sameErr(t, ctx, werr, gerr) {
-				continue
-			}
-			if d := sameFloatMap(want, got); d != "" {
-				t.Fatalf("%s: %s", ctx, d)
-			}
+			want, werr := refSSSP(adj, src)
+			got, gerr := g.SSSP(src)
+			agree(t, ctx, "graph", want, werr, got, gerr)
+			got, gerr = SSSP(adj, src)
+			agree(t, ctx, "oneshot", want, werr, got, gerr)
 		}
 	}
 }
@@ -166,15 +188,12 @@ func TestCSRWidestPathMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range testSources(adj) {
-			want, werr := WidestPath(adj, src)
-			got, gerr := g.WidestPath(src)
 			ctx := fmt.Sprintf("%s[%d] widest from %q", inst.Name, i, src)
-			if !sameErr(t, ctx, werr, gerr) {
-				continue
-			}
-			if d := sameFloatMap(want, got); d != "" {
-				t.Fatalf("%s: %s", ctx, d)
-			}
+			want, werr := refWidestPath(adj, src)
+			got, gerr := g.WidestPath(src)
+			agree(t, ctx, "graph", want, werr, got, gerr)
+			got, gerr = WidestPath(adj, src)
+			agree(t, ctx, "oneshot", want, werr, got, gerr)
 		}
 	}
 }
@@ -189,20 +208,12 @@ func TestCSRComponentsMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, werr := Components(adj)
-		got, gerr := g.Components()
 		ctx := fmt.Sprintf("%s[%d] components", inst.Name, i)
-		if !sameErr(t, ctx, werr, gerr) {
-			continue
-		}
-		if len(want) != len(got) {
-			t.Fatalf("%s: %d labels vs %d", ctx, len(got), len(want))
-		}
-		for k, wl := range want {
-			if gl, ok := got[k]; !ok || gl != wl {
-				t.Fatalf("%s: label[%q] = %q, want %q", ctx, k, gl, wl)
-			}
-		}
+		want, werr := refComponents(adj)
+		got, gerr := g.Components()
+		agree(t, ctx, "graph", want, werr, got, gerr)
+		got, gerr = Components(adj)
+		agree(t, ctx, "oneshot", want, werr, got, gerr)
 	}
 }
 
@@ -216,7 +227,7 @@ func TestCSRTriangleCountMatchesOracle(t *testing.T) {
 		}
 		adj := instanceAdjacency(t, inst, entry.Ops)
 		// Symmetrize the pattern: triangle counting requires an undirected
-		// adjacency, so both paths consume A ∨ Aᵀ with weight 1.
+		// adjacency, so every arm consumes A ∨ Aᵀ with weight 1.
 		p := assoc.Convert(adj, func(_, _ string, _ float64) float64 { return 1 })
 		sym, err := assoc.Add(p, p.Transpose(), semiring.MaxMin())
 		if err != nil {
@@ -226,15 +237,12 @@ func TestCSRTriangleCountMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, werr := TriangleCount(sym)
-		got, gerr := g.TriangleCount()
 		ctx := fmt.Sprintf("%s[%d] triangles", inst.Name, i)
-		if !sameErr(t, ctx, werr, gerr) {
-			continue
-		}
-		if want != got {
-			t.Fatalf("%s: %d triangles, want %d", ctx, got, want)
-		}
+		want, werr := refTriangleCount(sym)
+		got, gerr := g.TriangleCount()
+		agree(t, ctx, "graph", want, werr, got, gerr)
+		got, gerr = TriangleCount(sym)
+		agree(t, ctx, "oneshot", want, werr, got, gerr)
 	}
 }
 
@@ -248,17 +256,79 @@ func TestCSRPageRankMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wIters, werr := PageRank(adj, 0.85, 1e-12, 40)
-		got, gIters, gerr := g.PageRank(0.85, 1e-12, 40)
 		ctx := fmt.Sprintf("%s[%d] pagerank", inst.Name, i)
-		if !sameErr(t, ctx, werr, gerr) {
-			continue
+		want, werr := rankedOf(refPageRank(adj, 0.85, 1e-12, 40))
+		got, gerr := rankedOf(g.PageRank(0.85, 1e-12, 40))
+		agree(t, ctx, "graph", want, werr, got, gerr)
+		got, gerr = rankedOf(PageRank(adj, 0.85, 1e-12, 40))
+		agree(t, ctx, "oneshot", want, werr, got, gerr)
+	}
+}
+
+// The inputs a generator rarely draws, each put to all six one-shot
+// functions and their reference loops: empty arrays, self-loops, unknown
+// sources, an asymmetric triangle input, damping out of range, maxIter 0,
+// a negative cycle, ±Inf, 0 and NaN weights. Answers, iteration counts
+// and error text must be the reference's — and an unknown source must be
+// matchable with errors.Is, which the reference's unwrapped error is not.
+func TestOneShotFormsMatchReferenceOnEdgeCases(t *testing.T) {
+	arr := func(ts ...assoc.Triple[float64]) *assoc.Array[float64] { return assoc.FromTriples(ts, nil) }
+	e := func(r, c string, v float64) assoc.Triple[float64] {
+		return assoc.Triple[float64]{Row: r, Col: c, Val: v}
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		adj  *assoc.Array[float64]
+	}{
+		{"empty", arr()},
+		{"self-loop only", arr(e("a", "a", 1))},
+		{"self-loop on a path", arr(e("a", "a", 2), e("a", "b", 1), e("b", "c", 1))},
+		{"symmetric with a self-loop", arr(e("a", "a", 1), e("a", "b", 1), e("b", "a", 1))},
+		{"one directed edge", arr(e("a", "b", 1))},
+		{"triangle", arr(e("a", "b", 1), e("b", "a", 1), e("b", "c", 1), e("c", "b", 1), e("a", "c", 1), e("c", "a", 1))},
+		{"negative cycle", arr(e("a", "b", -1), e("b", "a", -1), e("b", "c", 4))},
+		{"negative edge, no cycle", arr(e("a", "b", 5), e("a", "c", 2), e("c", "b", -4))},
+		{"infinite weights", arr(e("a", "b", inf), e("b", "c", -inf), e("a", "c", 1), e("c", "d", inf))},
+		{"zero weights", arr(e("a", "b", 0), e("b", "c", 0), e("a", "c", 3))},
+		{"NaN weight", arr(e("a", "b", nan), e("b", "c", 1), e("a", "c", 2), e("c", "d", 1))},
+		{"two components and a pure sink", arr(e("b", "a", 1), e("x", "y", 7), e("y", "z", 0.5))},
+	}
+	for _, c := range cases {
+		verts := c.adj.RowKeys().Union(c.adj.ColKeys())
+		sources := append(verts.Keys(), "zz", "")
+		for _, src := range sources {
+			ctx := fmt.Sprintf("%s, source %q", c.name, src)
+			wl, werr := refBFSLevels(c.adj, src)
+			gl, bfsErr := BFSLevels(c.adj, src)
+			agree(t, ctx+": bfs", "oneshot", wl, werr, gl, bfsErr)
+			wd, werr := refSSSP(c.adj, src)
+			gd, ssspErr := SSSP(c.adj, src)
+			agree(t, ctx+": sssp", "oneshot", wd, werr, gd, ssspErr)
+			ww, werr := refWidestPath(c.adj, src)
+			gw, widestErr := WidestPath(c.adj, src)
+			agree(t, ctx+": widest", "oneshot", ww, werr, gw, widestErr)
+			if !verts.Contains(src) {
+				for _, err := range []error{bfsErr, ssspErr, widestErr} {
+					if !errors.Is(err, ErrNotVertex) {
+						t.Errorf("%s: %v does not wrap ErrNotVertex", ctx, err)
+					}
+				}
+			}
 		}
-		if wIters != gIters {
-			t.Fatalf("%s: %d iterations, want %d", ctx, gIters, wIters)
-		}
-		if d := sameFloatMap(want, got); d != "" {
-			t.Fatalf("%s: %s", ctx, d)
+		wc, werr := refComponents(c.adj)
+		gc, gerr := Components(c.adj)
+		agree(t, c.name+": components", "oneshot", wc, werr, gc, gerr)
+		wt, werr := refTriangleCount(c.adj)
+		gt, gerr := TriangleCount(c.adj)
+		agree(t, c.name+": triangles", "oneshot", wt, werr, gt, gerr)
+		for _, damping := range []float64{0.85, 0.5, 0, 1, 1.5, -0.1} {
+			for _, maxIter := range []int{50, 1, 0} {
+				ctx := fmt.Sprintf("%s: pagerank(%v, 1e-9, %d)", c.name, damping, maxIter)
+				want, werr := rankedOf(refPageRank(c.adj, damping, 1e-9, maxIter))
+				got, gerr := rankedOf(PageRank(c.adj, damping, 1e-9, maxIter))
+				agree(t, ctx, "oneshot", want, werr, got, gerr)
+			}
 		}
 	}
 }
@@ -404,8 +474,7 @@ func TestFromArraySharingAndRefusal(t *testing.T) {
 	}
 }
 
-// The asymmetric-input and unknown-source error paths behave like the
-// oracles'.
+// The asymmetric-input, unknown-source and bad-damping refusals.
 func TestCSRGraphErrors(t *testing.T) {
 	adj := assoc.FromTriples([]assoc.Triple[float64]{
 		{Row: "a", Col: "b", Val: 1},

@@ -1,9 +1,13 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/dataset"
@@ -219,4 +223,82 @@ func BenchmarkStreamAppendGrowingUniverse(b *testing.B) {
 			return s.Append
 		})
 	})
+}
+
+// BenchmarkShardedAppendScaling is the one timing gate CI keeps: 4
+// producers push 40 batches of 1% of rmat-s14 (keyless edges, adjserve's
+// write shape) through an in-memory Store at 1 shard and at 4, best of 2
+// runs each, and the 1-shard per-batch time over the 4-shard one — the
+// aggregate append speedup sharding buys — must reach 2×. A ratio of two
+// arms of one run on one machine cancels the machine's speed, which is
+// why this may gate where no absolute timing does. It needs four cores
+// to mean anything: below that it reports the ratio and asserts nothing.
+// CI runs it with GOMAXPROCS=4 -benchtime 1x; `go test ./...` never does.
+func BenchmarkShardedAppendScaling(b *testing.B) {
+	const (
+		producers = 4
+		deltas    = 40
+		reps      = 2
+		required  = 2.0
+	)
+	es := dataset.RMAT(rand.New(rand.NewSource(1)), 14, 8).Edges()
+	per := len(es) / 100
+	// One set of batches, dealt round-robin to the producers, for both
+	// shard counts and all reps: Append never writes its argument.
+	sg := rand.New(rand.NewSource(3))
+	lists := make([][][]Edge[float64], producers)
+	for d := 0; d < deltas; d++ {
+		batch := make([]Edge[float64], per)
+		for i := range batch {
+			e := es[sg.Intn(len(es))]
+			batch[i] = Weighted("", e.Src, e.Dst, 1.0, 1)
+		}
+		lists[d%producers] = append(lists[d%producers], batch)
+	}
+	perBatch := func(shards int) time.Duration {
+		var best time.Duration
+		for rep := 0; rep < reps; rep++ {
+			sv, err := Open("", semiring.PlusTimes(), shards, Options{}, DurableOptions[float64]{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			errs := make([]error, producers)
+			var wg sync.WaitGroup
+			// Each timed section starts from a collected heap, or an arm
+			// pays for collecting the garbage of the one before it.
+			runtime.GC()
+			start := time.Now()
+			for p := range lists {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, batch := range lists[p] {
+						if errs[p] = sv.Append(batch); errs[p] != nil {
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			if err := errors.Join(append(errs, sv.Close())...); err != nil {
+				b.Fatal(err)
+			}
+			if rep == 0 || elapsed < best {
+				best = elapsed
+			}
+		}
+		return best / deltas
+	}
+	var one, four time.Duration
+	for i := 0; i < b.N; i++ {
+		one, four = perBatch(1), perBatch(4)
+	}
+	ratio := float64(one) / float64(four)
+	b.ReportMetric(float64(one.Microseconds()), "µs/batch@1shard")
+	b.ReportMetric(float64(four.Microseconds()), "µs/batch@4shards")
+	b.ReportMetric(ratio, "x@4shards")
+	if runtime.NumCPU() >= 4 && runtime.GOMAXPROCS(0) >= 4 && ratio < required {
+		b.Fatalf("aggregate append speedup at 4 shards is %.2fx, want >= %.1fx", ratio, required)
+	}
 }

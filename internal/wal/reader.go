@@ -195,9 +195,6 @@ func RetireSegmentsFS(fsys iofault.FS, dir string, uptoSeq uint64) (removed int,
 	return removed, nil
 }
 
-// LogSize sums on the real filesystem. See LogSizeFS.
-func LogSize(dir string) (int64, error) { return LogSizeFS(iofault.OS, dir) }
-
 // LogSizeFS sums the byte sizes of all segment files.
 func LogSizeFS(fsys iofault.FS, dir string) (int64, error) {
 	segs, err := listSegments(fsys, dir)

@@ -262,9 +262,6 @@ func (w *Writer) Sync() error {
 	return nil
 }
 
-// NextSeq returns the sequence number the next Append will use.
-func (w *Writer) NextSeq() uint64 { return w.nextSeq }
-
 // DurableSeq returns the highest sequence number guaranteed on stable
 // storage.
 func (w *Writer) DurableSeq() uint64 { return w.durableSeq }
