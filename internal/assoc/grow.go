@@ -16,27 +16,21 @@ import (
 // for the driver).
 
 // AddInto computes a ⊕= b over the union key space, with a's entries on
-// the left of every fold (a holds the earlier contributions). Key-set
-// growth uses sorted union-with-offsets and integer-index alignment
-// rather than the string-keyed Reindex path, and when inPlace is true
-// and b's pattern is a subset of a's (after alignment), a's value buffer
-// is folded in place and a itself returned — the zero-allocation
-// steady-state of delta maintenance.
+// the left of every fold (a holds the earlier contributions). It aligns
+// the operands itself — the union of the key sets by sorted
+// union-with-offsets, b (the small side) embedded into it, a's place in
+// it handed on as position maps, so a is never copied just to be
+// renumbered and nothing goes through the string-keyed Reindex path —
+// and merges them with AddIntoMapped, span-parallel under workers. When
+// inPlace is true and b's pattern is a subset of a's (after alignment),
+// a's value buffer is folded in place and a itself returned — the
+// zero-allocation steady-state of delta maintenance.
 //
 // Callers passing inPlace must own a exclusively: no snapshot handed out
 // since a was last replaced may still be in use, and a must be treated as
 // consumed after the call (its storage may have been folded into the
 // result).
-func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool) (*Array[V], error) {
-	return AddIntoScratchWorkers(a, b, ops, inPlace, nil, 1)
-}
-
-// AddIntoScratchWorkers is AddInto with recycled output backing and a
-// span-parallel merge — AddIntoMapped's scratch and workers — after
-// aligning the operands itself: the union of the key sets, b embedded
-// into it (b is the small side), and a's place in it handed on as
-// position maps, so a is never copied just to be renumbered.
-func AddIntoScratchWorkers[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V], workers int) (*Array[V], error) {
+func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, workers int) (*Array[V], error) {
 	if b.NNZ() == 0 && b.rows.Len() == 0 && b.cols.Len() == 0 {
 		return a, nil
 	}
@@ -46,7 +40,7 @@ func AddIntoScratchWorkers[V any](a, b *Array[V], ops semiring.Ops[V], inPlace b
 	if err != nil {
 		return nil, fmt.Errorf("assoc: AddInto rhs embed: %w", err)
 	}
-	return AddIntoMapped(a, &Array[V]{rows: rows, cols: cols, mat: bm}, aRowPos, aColPos, ops, inPlace, scratch, workers)
+	return AddIntoMapped(a, &Array[V]{rows: rows, cols: cols, mat: bm}, aRowPos, aColPos, ops, inPlace, nil, workers)
 }
 
 // AddIntoMapped is the merge under AddInto for operands already aligned:

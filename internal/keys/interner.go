@@ -113,6 +113,21 @@ func (in *Interner) Key(id int32) string {
 	return in.keyAt(id)
 }
 
+// KeysByPos stores the key of every id that has a position — pos[id] in
+// [0, len(dst)) — at dst[pos[id]]: the keys of an id → position map laid
+// out by position, read under one lock acquisition rather than one Key
+// call per id. Ids without a position are skipped. The strings share the
+// slab's backing, as Key's do.
+func (in *Interner) KeysByPos(pos []int32, dst []string) {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	for id, p := range pos {
+		if p >= 0 && int(p) < len(dst) {
+			dst[p] = in.keyAt(int32(id))
+		}
+	}
+}
+
 // lookupLocked probes for k; returns (id, true) when present, or the
 // insertion slot and false.
 func (in *Interner) lookupLocked(k string) (int32, uint32, bool) {

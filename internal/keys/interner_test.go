@@ -102,6 +102,18 @@ func TestInternerKeyRoundTrip(t *testing.T) {
 			t.Fatalf("Key(%d) = %q, want %q", i, got, k)
 		}
 	}
+	// The bulk read: keys laid out by an id → position map that skips an
+	// id, places one out of range and stops short of the interner.
+	in.Intern("w")
+	dst := []string{"", ""}
+	in.KeysByPos([]int32{1, -1, 0}, dst)
+	if dst[0] != "z" || dst[1] != "x" {
+		t.Fatalf("KeysByPos laid out %q, want [z x]", dst)
+	}
+	in.KeysByPos([]int32{2, 0}, dst)
+	if dst[0] != "y" || dst[1] != "x" {
+		t.Fatalf("KeysByPos with an out-of-range position laid out %q, want [y x]", dst)
+	}
 }
 
 func TestSortedViewAndBinding(t *testing.T) {

@@ -55,7 +55,7 @@ func (e Engine[V]) Merge(acc, partial *assoc.Array[V], inPlace bool) (*assoc.Arr
 	if acc == nil {
 		return partial, nil
 	}
-	return assoc.AddIntoScratchWorkers(acc, partial, e.Ops, inPlace, nil, e.Mul.Workers)
+	return assoc.AddInto(acc, partial, e.Ops, inPlace, e.Mul.Workers)
 }
 
 // CheckAssociative samples ⊕ over triples of values stored in the given

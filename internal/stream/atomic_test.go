@@ -45,7 +45,7 @@ type stateFingerprint struct {
 
 func fingerprint(v *View[float64]) stateFingerprint {
 	return stateFingerprint{
-		edges: len(v.keys), appends: v.appends, epoch: int(v.epoch.Load()),
+		edges: len(v.srcID), appends: v.appends, epoch: int(v.epoch.Load()),
 		autoSeq: v.autoSeq, exact: v.exact,
 		nIDs: len(v.srcID) + len(v.dstID), nVals: len(v.out) + len(v.in),
 		nPend: len(v.pendCell) + len(v.pendVal), synced: v.synced,

@@ -75,6 +75,31 @@ func BenchmarkStreamAppendS12(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamAppendUnkeyed is the serving workloads' append: batches
+// of 256 edges with no key and no weight over known vertices, on a view
+// that starts empty. Beside the time it reports what the view retains per
+// logged edge (the id columns' growth slack included, so it steps down as
+// b.N approaches a power of two).
+func BenchmarkStreamAppendUnkeyed(b *testing.B) {
+	batch := unkeyedBatch(256)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := NewView(semiring.PlusTimes(), Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(b.N*len(batch)), "B-retained/edge")
+}
+
 // BenchmarkFullRebuildS12 is the batch arm: what serving the same delta
 // would cost with a full Correlate rebuild per batch.
 func BenchmarkFullRebuildS12(b *testing.B) {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -29,19 +30,30 @@ import (
 //	srcPos   i32[≤srcKeys] id → row of the adjacency; -1, or past the end:
 //	         an id no edge references (left by a rolled-back batch)
 //	dstPos   i32[≤dstKeys] id → column
-//	keyOff   u32[edges]    end offset of each edge key in keySlab
+//	keyOff   u32[edges]    end offset of each edge key in keySlab — or
+//	         empty, with keySlab, when the keys are the run of the
+//	         generator in meta: key i is the auto-key base followed by
+//	         %012d of autoSeq − edges + i
 //	keySlab  the edge keys' bytes, back to back, in log order
 //	srcID    i32[edges]    source id of each edge
 //	dstID    i32[edges]    destination id of each edge
 //	out, in  [edges]       Eout(k, src), Ein(k, dst) through the ValueCodec
+//	         — or empty, when no edge carried a weight on that side: every
+//	         value is the algebra's One
 //	rowPtr   u64[rows+1]   the adjacency CSR over the sorted universe
 //	colIdx   u32[nnz]
 //	val      [nnz]         through the ValueCodec
 //
-// A float64 view therefore costs 24 bytes per edge for the log columns,
-// 4 bytes plus the key for its edge key, 12 bytes per stored adjacency
-// entry and 8 bytes plus the key per vertex and side (16 on the source
-// side, which carries the row pointer).
+// An empty key or value section of a non-empty log is a column the view
+// does not hold either (keyCol, View.out): what a checkpoint stores is
+// what lies in memory. The id columns are there for every edge and give
+// the log its length. A float64 view therefore costs 8 bytes per edge for
+// an unkeyed, unweighted stream — and, for one that spells them out, 8
+// more per weighted side and 4 bytes plus the key for its edge key — then
+// 12 bytes per stored adjacency entry and 8 bytes plus the key per vertex
+// and side (16 on the source side, which carries the row pointer).
+// Readers accept the spelled-out form of a column that could have been
+// left out (PRs 16–20 wrote every column in full) and do not keep it.
 //
 // Format 1 — what PRs 7–15 wrote: one payload of position-space
 // incidence CSRs — is still read (decodeView) and never written.
@@ -167,6 +179,7 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 	// Room past the chunk for the element whose append crosses it.
 	e := &sectionEncoder{w: w, buf: make([]byte, 0, ckptChunk+256)}
 	l := im.log
+	edges := len(l.srcID)
 
 	e.section(secMeta)
 	exact := uint64(0)
@@ -174,7 +187,7 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 		exact = 1
 	}
 	for _, x := range [...]uint64{
-		uint64(len(l.keys)), uint64(im.appends), uint64(im.epoch), uint64(im.autoSeq),
+		uint64(edges), uint64(im.appends), uint64(im.epoch), uint64(im.autoSeq),
 		uint64(len(im.srcOff) - 1), uint64(len(im.dstOff) - 1), exact,
 	} {
 		e.buf = appendU64(e.buf, x)
@@ -188,19 +201,31 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 	putU32s(e, secSrcPos, l.srcPos)
 	putU32s(e, secDstPos, l.dstPos)
 
+	// A key column that is the generator's one run is in meta already:
+	// both of its sections stay empty. So does the section of a value
+	// column that does not exist (putVals over nil).
+	stored := !l.keys.oneRun(edges, im.autoBase, im.autoSeq)
 	e.section(secKeyOff)
-	end := 0
-	for _, k := range l.keys {
-		if end += len(k); end > math.MaxUint32 && e.err == nil {
-			e.err = fmt.Errorf("stream: checkpoint: the log's edge keys exceed 4 GiB")
-		}
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(end))
-		e.spill()
+	if stored {
+		end := 0
+		l.keys.each(edges, func(r keyRun, stop int) {
+			for i := r.at; i < stop; i++ {
+				if end += l.keys.keyLen(r, i); end > math.MaxUint32 && e.err == nil {
+					e.err = fmt.Errorf("stream: checkpoint: the log's edge keys exceed 4 GiB")
+				}
+				e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(end))
+				e.spill()
+			}
+		})
 	}
 	e.section(secKeySlab)
-	for _, k := range l.keys {
-		e.buf = append(e.buf, k...)
-		e.spill()
+	if stored {
+		l.keys.each(edges, func(r keyRun, stop int) {
+			for i := r.at; i < stop; i++ {
+				e.buf = l.keys.appendKey(e.buf, r, i)
+				e.spill()
+			}
+		})
 	}
 
 	putU32s(e, secSrcID, l.srcID)
@@ -335,28 +360,90 @@ func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string
 	return in, pos, set, ids
 }
 
-// edgeKeys reads the log's keys as substrings of one string and checks
-// that they ascend.
-func (d *sectionDecoder) edgeKeys() []string {
-	ends := u32s[uint32](d, secKeyOff, "edge key offset")
-	slab := string(d.body(secKeySlab))
-	ks := make([]string, len(ends))
+// edgeKeys reads the key column of an n-edge log whose generator stands
+// at (base, seq). Empty sections mean the column is that generator's one
+// run and was left to meta; stored keys are walked where they lie —
+// offsets monotone, keys strictly ascending, the slab used up — and only
+// if some key is not the one the run would hold are they kept, as
+// substrings of one string. A log whose every key the run generates stays
+// a run, whoever spelled it out.
+func (d *sectionDecoder) edgeKeys(n int, base string, seq uint64) keyCol {
+	off, slab := d.body(secKeyOff), d.body(secKeySlab)
+	if d.err != nil || n == 0 && len(off) == 0 && len(slab) == 0 {
+		return keyCol{}
+	}
+	// checkCounters has bounded seq, so it is an int.
+	run := keyCol{runs: []keyRun{{base: base, seq: int(seq) - n, gen: true}}}
+	isRun := run.oneRun(n, base, int(seq))
+	if len(off) == 0 {
+		switch {
+		case len(slab) != 0:
+			d.fail("no edge key offsets beside a key slab of %d bytes", len(slab))
+		case !isRun:
+			d.fail("no edge keys stored, and the generator (base %q, sequence %d) has not produced the log's %d", base, seq, n)
+		}
+		return run
+	}
+	if len(off) != 4*n {
+		d.fail("edge key offsets are %d bytes, want %d for %d edges", len(off), 4*n, n)
+		return keyCol{}
+	}
+	var prev []byte
+	var buf [64]byte
 	at := uint32(0)
-	for i, end := range ends {
+	for i := 0; i < n; i++ {
+		end := binary.LittleEndian.Uint32(off[4*i:])
 		if end < at || uint64(end) > uint64(len(slab)) {
 			d.fail("edge key offsets not monotone at key %d", i)
-			return nil
+			return keyCol{}
 		}
-		ks[i], at = slab[at:end], end
-		if i > 0 && ks[i-1] >= ks[i] {
-			d.fail("edge keys not strictly sorted at %d: %q >= %q", i, ks[i-1], ks[i])
-			return nil
+		key := slab[at:end]
+		if i > 0 && bytes.Compare(prev, key) >= 0 {
+			d.fail("edge keys not strictly sorted at %d: %q >= %q", i, prev, key)
+			return keyCol{}
 		}
+		if isRun {
+			isRun = bytes.Equal(key, appendAutoKey(buf[:0], base, int(seq)-n+i))
+		}
+		prev, at = key, end
 	}
-	if d.err == nil && int(at) != len(slab) {
+	if int(at) != len(slab) {
 		d.fail("edge key offsets end at %d, slab is %d bytes", at, len(slab))
+		return keyCol{}
 	}
-	return ks
+	if isRun {
+		return run
+	}
+	all := string(slab)
+	ks := make([]string, n)
+	at = 0
+	for i := range ks {
+		end := binary.LittleEndian.Uint32(off[4*i:])
+		ks[i], at = all[at:end], end
+	}
+	return spelledKeys(ks)
+}
+
+// logVals reads one of the log's value columns: nil — the column does not
+// exist, every entry is One — when the section is empty, and also when it
+// spells out n values that each encode as One does (walked where they
+// lie); anything else is decoded as the weighted column it is.
+func logVals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueCodec[V], one []byte) []V {
+	b := d.body(tag)
+	if len(b) == 0 {
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		_, w, err := codec.Decode(b)
+		if err != nil || !bytes.Equal(b[:w], one) {
+			return vals(d, tag, name, n, codec)
+		}
+		b = b[w:]
+	}
+	if len(b) != 0 {
+		d.fail("%d trailing bytes after %d %s values", len(b), n, name)
+	}
+	return nil
 }
 
 // decodeSections reconstructs a View from format-2 sections, returning
@@ -400,21 +487,24 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 		return nil, "", err
 	}
 
+	// The id columns say how long the log is — they are stored for every
+	// edge, so the bytes present bound every allocation below.
 	d := &sectionDecoder{secs: secs}
-	edgeKeys := d.edgeKeys()
-	edges := len(edgeKeys)
 	srcIn, srcPos, srcSet, srcID := d.side(secSrcOff, secSrcSlab, secSrcPos, secSrcID, "source", meta[4])
 	dstIn, dstPos, dstSet, dstID := d.side(secDstOff, secDstSlab, secDstPos, secDstID, "destination", meta[5])
-	out := vals(d, secOut, "Eout", edges, codec)
-	in := vals(d, secIn, "Ein", edges, codec)
+	edges := len(srcID)
+	if d.err == nil && (uint64(edges) != meta[0] || len(dstID) != edges) {
+		d.fail("counts %d edges; it holds %d source and %d destination ids", meta[0], edges, len(dstID))
+	}
+	edgeKeys := d.edgeKeys(edges, autoBase, meta[3])
+	one := codec.Append(nil, ops.One)
+	out := logVals(d, secOut, "Eout", edges, codec, one)
+	in := logVals(d, secIn, "Ein", edges, codec, one)
 	rp := d.body(secRowPtr)
 	cols := u32s[int](d, secColIdx, "adjacency column")
 	val := vals(d, secVal, "adjacency", len(cols), codec)
 	if d.err != nil {
 		return nil, "", d.err
-	}
-	if uint64(edges) != meta[0] || len(srcID) != edges || len(dstID) != edges {
-		return nil, "", fmt.Errorf("stream: checkpoint counts %d edges; it holds %d keys, %d source and %d destination ids", meta[0], edges, len(srcID), len(dstID))
 	}
 	if len(rp) != 8*(srcSet.Len()+1) {
 		return nil, "", fmt.Errorf("stream: adjacency row pointer is %d bytes, want %d for %d rows", len(rp), 8*(srcSet.Len()+1), srcSet.Len())
@@ -496,9 +586,9 @@ func sideFromPos(in *keys.Interner, pos []int32) (set *keys.Set, byPos []int32, 
 			return nil, nil, fmt.Errorf("stream: position map is not a bijection at id %d", id)
 		}
 		seen[p] = true
-		sorted[p] = in.Key(int32(id))
 		byPos[p] = int32(id)
 	}
+	in.KeysByPos(pos, sorted)
 	set, err = keys.FromSorted(sorted)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: universe keys: %w", err)
@@ -630,7 +720,7 @@ func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec V
 	v := &View[V]{
 		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
 		opt:      opt,
-		keys:     edgeKeys,
+		keys:     spelledKeys(edgeKeys),
 		srcID:    srcID,
 		dstID:    dstID,
 		out:      out,

@@ -26,12 +26,13 @@ import (
 // key Sets holding the interners' keys in sorted order, every logged
 // endpoint inside the universe, and an adjacency of that shape.
 func validateView[V any](v *View[V]) error {
-	n := len(v.keys)
-	if len(v.srcID) != n || len(v.dstID) != n || len(v.out) != n || len(v.in) != n {
-		return fmt.Errorf("log columns %d/%d/%d/%d for %d keys", len(v.srcID), len(v.dstID), len(v.out), len(v.in), n)
+	n := len(v.srcID)
+	if len(v.dstID) != n || v.out != nil && len(v.out) != n || v.in != nil && len(v.in) != n {
+		return fmt.Errorf("log columns %d/%d/%d/%d", n, len(v.dstID), len(v.out), len(v.in))
 	}
+	ks, _, _ := spelledLog(v)
 	for i := 1; i < n; i++ {
-		if v.keys[i-1] >= v.keys[i] {
+		if ks[i-1] >= ks[i] {
 			return fmt.Errorf("edge keys not ascending at %d", i)
 		}
 	}
@@ -82,15 +83,36 @@ func validateView[V any](v *View[V]) error {
 	return v.main.Matrix().Validate()
 }
 
-// sameView compares everything a checkpoint carries.
+// spelledLog returns a view's key and value columns as the log means
+// them, whatever it stores: every generated key formatted, every unit
+// weight present.
+func spelledLog[V any](v *View[V]) (ks []string, out, in []V) {
+	n := len(v.srcID)
+	ones := func(col []V) []V {
+		if col != nil {
+			return col
+		}
+		col = make([]V, n)
+		for i := range col {
+			col[i] = v.eng.Ops.One
+		}
+		return col
+	}
+	return v.keys.spell(n), ones(v.out), ones(v.in)
+}
+
+// sameView compares everything a checkpoint carries — the log by what it
+// means: a run and the keys it generates are the same column.
 func sameView(a, b *View[float64]) error {
 	eq := func(x, y float64) bool { return x == y || x != x && y != y }
+	aKeys, aOut, aIn := spelledLog(a)
+	bKeys, bOut, bIn := spelledLog(b)
 	switch {
-	case !slices.Equal(a.keys, b.keys):
+	case !slices.Equal(aKeys, bKeys):
 		return errors.New("edge keys differ")
 	case !slices.Equal(a.srcID, b.srcID) || !slices.Equal(a.dstID, b.dstID):
 		return errors.New("endpoint ids differ")
-	case !slices.EqualFunc(a.out, b.out, eq) || !slices.EqualFunc(a.in, b.in, eq):
+	case !slices.EqualFunc(aOut, bOut, eq) || !slices.EqualFunc(aIn, bIn, eq):
 		return errors.New("incidence values differ")
 	case !slices.Equal(a.srcPos, b.srcPos) || !slices.Equal(a.dstPos, b.dstPos):
 		return errors.New("position maps differ")
@@ -406,59 +428,107 @@ func TestCheckpointCostIndependentOfLogSize(t *testing.T) {
 	}
 }
 
-// The size of a checkpoint, to the byte, for an auto-keyed float64 view:
-// the formula is the format.
-func TestCheckpointFileSize(t *testing.T) {
-	ops := plusTimes(t)
-	v := NewView(ops, Options{})
-	r := rand.New(rand.NewSource(3))
-	const edges, per = 4096, 256
+// sizedView appends edges edges that walk the cells of a 700 × 90
+// universe in turn, so that 63,000 of them saturate the adjacency:
+// unkeyed and unweighted, or — spelled — under given thirteen-byte keys
+// with both weights.
+func sizedView(t testing.TB, edges int, spelled bool) *View[float64] {
+	t.Helper()
+	v := NewView(plusTimes(t), Options{})
+	const per = 256
 	for n := 0; n < edges; n += per {
 		batch := make([]Edge[float64], per)
 		for i := range batch {
-			batch[i] = Edge[float64]{Src: fmt.Sprintf("s%d", r.Intn(700)), Dst: fmt.Sprintf("d%d", r.Intn(90))}
+			batch[i] = Edge[float64]{Src: fmt.Sprintf("s%d", (n+i)%700), Dst: fmt.Sprintf("d%d", (n+i)/700%90)}
+			if spelled {
+				batch[i].Key = fmt.Sprintf("k%012d", n+i)
+				batch[i].Out, batch[i].In, batch[i].HasOut, batch[i].HasIn = 2, 3, true, true
+			}
 		}
 		if err := v.Append(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf := writeImage(t, v)
-	snap := mustSnap(t, v)
-	rows, cols := snap.Adjacency.Shape()
-	nnz := snap.Adjacency.NNZ()
-	srcBytes, dstBytes := v.srcIn.Stats().SlabBytes, v.dstIn.Stats().SlabBytes
+	return v
+}
 
-	pad := func(n int) int { return (n + 7) &^ 7 }
-	const (
-		header, footer, trailer = 24, 24, 16
-		autoKey                 = 13 // "e" and twelve digits
-	)
-	sections := []int{
-		7*8 + (1 + len(ops.Name)) + (1 + len("e")), // meta: seven counters, the algebra's name, the key base
-		4 * rows, srcBytes, // source interner: an offset per key, the key bytes
-		4 * cols, dstBytes, // destination interner
-		4 * rows, 4 * cols, // id → position, both sides
-		4 * edges, autoKey * edges, // edge keys: an offset each, the key bytes
-		4 * edges, 4 * edges, // source id, destination id
-		8 * edges, 8 * edges, // Eout and Ein values
-		8 * (rows + 1), 4 * nnz, 8 * nnz, // adjacency: row pointer, columns, values
+// The size of a checkpoint, to the byte, for a float64 view: the formula
+// is the format. A log of generated keys and unit weights stores its two
+// id columns and nothing else per edge; given keys and weights are stored
+// as they always were.
+func TestCheckpointFileSize(t *testing.T) {
+	const edges, key = 4096, 13 // "e" or "k" and twelve digits
+	for _, arm := range []struct {
+		name            string
+		spelled         bool
+		base            string
+		keyOff, keySlab int
+		vals            int
+	}{
+		{name: "implicit", base: "e"},
+		{name: "spelled", spelled: true, keyOff: 4 * edges, keySlab: key * edges, vals: 8 * edges},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			v := sizedView(t, edges, arm.spelled)
+			buf := writeImage(t, v)
+			snap := mustSnap(t, v)
+			rows, cols := snap.Adjacency.Shape()
+			nnz := snap.Adjacency.NNZ()
+			srcBytes, dstBytes := v.srcIn.Stats().SlabBytes, v.dstIn.Stats().SlabBytes
+
+			pad := func(n int) int { return (n + 7) &^ 7 }
+			const header, footer, trailer = 24, 24, 16
+			sections := []int{
+				7*8 + (1 + len(v.eng.Ops.Name)) + (1 + len(arm.base)), // meta: seven counters, the algebra's name, the key base
+				4 * rows, srcBytes, // source interner: an offset per key, the key bytes
+				4 * cols, dstBytes, // destination interner
+				4 * rows, 4 * cols, // id → position, both sides
+				arm.keyOff, arm.keySlab, // edge keys: an offset each, the key bytes — or nothing
+				4 * edges, 4 * edges, // source id, destination id
+				arm.vals, arm.vals, // Eout and Ein values — or nothing
+				8 * (rows + 1), 4 * nnz, 8 * nnz, // adjacency: row pointer, columns, values
+			}
+			want := header + footer
+			for _, n := range sections {
+				want += pad(n) + trailer
+			}
+			if len(buf) != want {
+				t.Fatalf("checkpoint is %d bytes, the format says %d", len(buf), want)
+			}
+			// The same, as rates: 8 B of id columns per edge, plus — spelled
+			// out — 16 B of values, a 4 B offset and the key; 12 B per
+			// adjacency entry; 8 B and the key per vertex and side, 8 more
+			// per row for its pointer; and a fixed 16 sections' framing.
+			perEdge := 8 + (arm.keyOff+arm.keySlab+2*arm.vals)/edges
+			rates := perEdge*edges + 12*nnz + (8*rows + srcBytes) + (8*cols + dstBytes) + 8*(rows+1)
+			if framing := want - rates; framing < 0 || framing > header+footer+16*(trailer+7)+64 {
+				t.Errorf("%d bytes are not accounted for by the per-edge, per-entry and per-vertex rates", framing)
+			}
+			t.Logf("%d edges, %d×%d universe, %d entries: %d bytes, %.1f B per log edge", edges, rows, cols, nnz, len(buf), float64(len(buf))/edges)
+		})
 	}
-	want := header + footer
-	for _, n := range sections {
-		want += pad(n) + trailer
+}
+
+// What one more logged edge adds to a checkpoint, exactly, with the
+// universe and the adjacency pattern saturated so that nothing else
+// grows: the two endpoint ids of an unkeyed unit edge, 8 bytes; 33 more
+// — two values, a key offset, a thirteen-byte key — for one that spells
+// its key and weights out.
+func TestCheckpointBytesPerEdge(t *testing.T) {
+	const small, large = 1 << 16, 1 << 17
+	for _, arm := range []struct {
+		name    string
+		spelled bool
+		want    int
+	}{{"implicit", false, 8}, {"spelled", true, 8 + 16 + 4 + 13}} {
+		a, b := sizedView(t, small, arm.spelled), sizedView(t, large, arm.spelled)
+		if an, bn := mustSnap(t, a).Adjacency.NNZ(), mustSnap(t, b).Adjacency.NNZ(); an != 700*90 || bn != an {
+			t.Fatalf("%s: adjacency not saturated (%d and %d entries of %d)", arm.name, an, bn, 700*90)
+		}
+		if grew := len(writeImage(t, b)) - len(writeImage(t, a)); grew != arm.want*(large-small) {
+			t.Errorf("%s log: %d more edges add %d bytes to the checkpoint, want exactly %d each", arm.name, large-small, grew, arm.want)
+		}
 	}
-	if len(buf) != want {
-		t.Fatalf("checkpoint is %d bytes, the format says %d", len(buf), want)
-	}
-	// The same, as rates: 24 B of log columns, a 4 B offset and the key
-	// per edge; 12 B per adjacency entry; 8 B and the key per vertex and
-	// side, 8 more per row for its pointer; and a fixed 16 sections'
-	// framing.
-	rates := (24+4+autoKey)*edges + 12*nnz + (8*rows + srcBytes) + (8*cols + dstBytes) + 8*(rows+1)
-	if framing := want - rates; framing < 0 || framing > header+footer+16*(trailer+7)+64 {
-		t.Errorf("%d bytes are not accounted for by the per-edge, per-entry and per-vertex rates", framing)
-	}
-	t.Logf("%d edges, %d×%d universe, %d entries: %d bytes, %.1f B per log edge", edges, rows, cols, nnz, len(buf), float64(len(buf))/edges)
 }
 
 // Opening a checkpoint allocates per section, not per edge: the log
@@ -487,7 +557,7 @@ func TestCheckpointDecodeAllocsIndependentOfEdges(t *testing.T) {
 		buf := writeImage(t, v)
 		return testing.AllocsPerRun(10, func() {
 			got, err := readImage(buf, ops)
-			if err != nil || len(got.keys) != edges {
+			if err != nil || len(got.srcID) != edges {
 				t.Fatalf("decode: %v", err)
 			}
 		})
@@ -828,6 +898,12 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 			le32(b[len(b)-4:], 1<<24)
 			return s
 		}},
+		{"no key offsets beside a key slab", func(s []wal.Section) []wal.Section { s[secKeyOff-1].Body = nil; return s }},
+		{"key offsets beside no key slab", func(s []wal.Section) []wal.Section { s[secKeySlab-1].Body = nil; return s }},
+		{"no keys stored and no generator to have made them", func(s []wal.Section) []wal.Section {
+			s[secKeyOff-1].Body, s[secKeySlab-1].Body = nil, nil
+			return s
+		}},
 		{"values short", func(s []wal.Section) []wal.Section { s[secOut-1].Body = s[secOut-1].Body[8:]; return s }},
 		{"values long", func(s []wal.Section) []wal.Section { s[secIn-1].Body = append(s[secIn-1].Body, 0); return s }},
 		{"row pointer past the entries", func(s []wal.Section) []wal.Section { s[secRowPtr-1].Body[8+2] = 1; return s }},
@@ -843,6 +919,27 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 		if !errors.Is(err, wal.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
+	}
+	// A log of generated keys and unit weights stores neither, and what
+	// stands in for the keys is the generator in meta: one that has not
+	// reached the log's length cannot have made it.
+	implicit, err := wal.ParseCheckpoint("mem", writeImage(t, sizedView(t, 512, false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []uint32{secKeyOff, secKeySlab, secOut, secIn} {
+		if n := len(implicit.Sections[tag-1].Body); n != 0 {
+			t.Fatalf("section %d of an unkeyed unit log holds %d bytes", tag, n)
+		}
+	}
+	if v, err := decodeCheckpoint(implicit, ops, Options{}, Float64Codec()); err != nil || len(v.srcID) != 512 {
+		t.Fatalf("an unkeyed unit log does not reopen: %v", err)
+	}
+	meta := slices.Clone(implicit.Sections[secMeta-1].Body)
+	le32(meta[8*3:], 511) // the auto-key sequence
+	implicit.Sections[secMeta-1].Body = meta
+	if _, err := decodeCheckpoint(implicit, ops, Options{}, Float64Codec()); !errors.Is(err, wal.ErrCorrupt) {
+		t.Errorf("a generator at 511 behind 512 unstored keys: err = %v, want ErrCorrupt", err)
 	}
 	// Another algebra's checkpoint is refused, but it is not damage.
 	other, _ := semiring.Lookup("min.+")
@@ -882,13 +979,13 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 	// 0, three empty strings) until the bytes run out a quarter in.
 	record := append([]byte{0xa0, 0x1f}, make([]byte, 4096)...)
 	if got := allocated(func() {
-		if _, err := decodeBatch(record, codec); err == nil {
+		if _, err := decodeBatch(record, codec, nil); err == nil {
 			t.Error("a record claiming 4,000 edges in 4 KiB decoded")
 		}
 	}); got > 16<<10 {
 		t.Errorf("refusing it allocated %d bytes", got)
 	}
-	if _, err := decodeBatch(append([]byte{0x80, 0x08}, make([]byte, 4096)...), codec); err != nil {
+	if _, err := decodeBatch(append([]byte{0x80, 0x08}, make([]byte, 4096)...), codec, nil); err != nil {
 		t.Errorf("1,024 empty edges in 4 KiB are a valid record: %v", err)
 	}
 	// A count of 4,095 over 200 bytes of empty strings.

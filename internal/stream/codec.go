@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // ValueCodec serializes the view's value type V for the WAL and
@@ -121,7 +122,10 @@ const (
 
 // appendBatch encodes one edge batch as a WAL record payload. Edges
 // are stored verbatim — including empty auto-assign keys, which replay
-// re-derives identically because autoSeq/autoBase are checkpointed.
+// re-derives identically because autoSeq/autoBase are checkpointed, and
+// an absent weight as a flag bit, not as One. The view's log in memory
+// and the checkpoint's log sections hold generated keys and unit weights
+// the same way: not at all.
 func appendBatch[V any](dst []byte, edges []Edge[V], codec ValueCodec[V]) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(edges)))
 	for _, e := range edges {
@@ -146,16 +150,37 @@ func appendBatch[V any](dst []byte, edges []Edge[V], codec ValueCodec[V]) []byte
 	return dst
 }
 
-// decodeBatch decodes a WAL record payload back into an edge batch.
-func decodeBatch[V any](b []byte, codec ValueCodec[V]) ([]Edge[V], error) {
+// decodeBatch decodes a WAL record payload back into an edge batch, in
+// into's storage when that is large enough: a replay decodes every record
+// into one slice. The endpoint names are substrings of one copy of the
+// record — they live until the batch is interned — and only a given edge
+// key, which the log keeps, is a string of its own.
+func decodeBatch[V any](b []byte, codec ValueCodec[V], into []Edge[V]) ([]Edge[V], error) {
 	n, w := binary.Uvarint(b)
 	// An edge is at least its flag byte and three string lengths, which
 	// bounds the count — and the allocation — by the record's length.
 	if w <= 0 || n > uint64(len(b)-w)/4 {
 		return nil, fmt.Errorf("stream: truncated batch header")
 	}
+	record := string(b)
 	b = b[w:]
-	edges := make([]Edge[V], n)
+	// str reads a length-prefixed string at the front of b as a substring
+	// of record.
+	str := func() (string, error) {
+		size, w := binary.Uvarint(b)
+		if w <= 0 || size > uint64(len(b)-w) {
+			return "", fmt.Errorf("stream: truncated string")
+		}
+		at := len(record) - len(b) + w
+		b = b[w+int(size):]
+		return record[at : at+int(size)], nil
+	}
+	edges := into[:0]
+	if uint64(cap(edges)) < n {
+		edges = make([]Edge[V], 0, n)
+	}
+	edges = edges[:n]
+	clear(edges)
 	var err error
 	for i := range edges {
 		if len(b) < 1 {
@@ -164,13 +189,14 @@ func decodeBatch[V any](b []byte, codec ValueCodec[V]) ([]Edge[V], error) {
 		flags := b[0]
 		b = b[1:]
 		e := &edges[i]
-		if e.Key, b, err = decodeStr(b); err != nil {
+		if e.Key, err = str(); err != nil {
 			return nil, err
 		}
-		if e.Src, b, err = decodeStr(b); err != nil {
+		e.Key = strings.Clone(e.Key)
+		if e.Src, err = str(); err != nil {
 			return nil, err
 		}
-		if e.Dst, b, err = decodeStr(b); err != nil {
+		if e.Dst, err = str(); err != nil {
 			return nil, err
 		}
 		if flags&edgeHasOut != 0 {

@@ -115,7 +115,7 @@ func controlView(t *testing.T, batches [][]Edge[float64], n int, ops semiring.Op
 	return mustSnap(t, controlViewOf(t, batches[:n], ops))
 }
 
-func plusTimes(t *testing.T) semiring.Ops[float64] {
+func plusTimes(t testing.TB) semiring.Ops[float64] {
 	t.Helper()
 	e, ok := semiring.Lookup("+.*")
 	if !ok {

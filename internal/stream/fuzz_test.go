@@ -83,15 +83,31 @@ func FuzzDecodeView(f *testing.F) {
 		}
 		f.Add(uint8(fuzzPayload), ck.Payload)
 	}
-	// Freshly written format-2 images: an auto-keyed and an explicit-keyed
-	// stream, whole, and with one byte flipped in each section.
+	// What PR 20 wrote: format 2 with every key and value spelled out.
+	spelled, err := filepath.Glob("testdata/pr20/*1/*.ckpt")
+	if err != nil || len(spelled) != 2 {
+		f.Fatalf("found %d PR 20 checkpoints (%v), want 2", len(spelled), err)
+	}
+	for _, p := range spelled {
+		buf, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(fuzzFile), buf)
+	}
+	// Freshly written format-2 images: an auto-keyed weighted, an
+	// explicit-keyed, an empty and an auto-keyed unit stream (whose key and
+	// value sections are empty) — whole, with one byte flipped in each
+	// section, and with each of the key and value sections emptied, which
+	// leaves among others key offsets beside no slab and a slab beside no
+	// offsets.
 	auto := NewView(ops, Options{})
 	for _, b := range pr14Batches() {
 		if err := auto.Append(b); err != nil {
 			f.Fatal(err)
 		}
 	}
-	for _, v := range []*View[float64]{auto, controlViewOf(f, durableBatches(47, 4, 9), ops), NewView(ops, Options{})} {
+	for _, v := range []*View[float64]{auto, controlViewOf(f, durableBatches(47, 4, 9), ops), NewView(ops, Options{}), controlViewOf(f, pr20Batches(false), ops)} {
 		file := writeImage(f, v)
 		f.Add(uint8(fuzzFile), file)
 		ck, err := wal.ParseCheckpoint("", file)
@@ -99,6 +115,11 @@ func FuzzDecodeView(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(uint8(fuzzSections), frameSections(ck.Sections))
+		for _, tag := range []uint32{secKeyOff, secKeySlab, secOut, secIn} {
+			secs := slices.Clone(ck.Sections)
+			secs[tag-1].Body = nil
+			f.Add(uint8(fuzzSections), frameSections(secs))
+		}
 		for i, off := range sectionOffsets(f, file)[:numSections] {
 			flipped := slices.Clone(file)
 			flipped[off] ^= 0x04
@@ -169,7 +190,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		edges, err := decodeBatch(data, codec)
+		edges, err := decodeBatch(data, codec, nil)
 		runtime.ReadMemStats(&after)
 		// An edge is four bytes at least and 72 in memory, plus its strings.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<20); got > limit {
@@ -178,7 +199,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeBatch(appendBatch(nil, edges, codec), codec)
+		// Into a slice that held another batch, as a replay decodes: nothing
+		// of that batch may show through.
+		stale := slices.Repeat([]Edge[float64]{Weighted("stale", "stale", "stale", 9.0, 9)}, len(edges)+1)
+		again, err := decodeBatch(appendBatch(nil, edges, codec), codec, stale)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}

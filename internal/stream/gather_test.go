@@ -48,7 +48,7 @@ func referenceGather[V any](t *testing.T, shards []Snapshot[V], ops semiring.Ops
 			acc = pe
 			continue
 		}
-		if acc, err = assoc.AddInto(acc, pe, ops, false); err != nil {
+		if acc, err = assoc.AddInto(acc, pe, ops, false, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -468,3 +468,80 @@ func TestReopensParentWrittenCheckpoints(t *testing.T) {
 		}
 	}
 }
+
+// pr20Batches is the edge stream testdata/pr20 was written from (see
+// gen.go there, which holds the copy this must stay in step with): five
+// batches, a checkpoint after the third — unkeyed and unweighted, or
+// under given keys with both weights.
+func pr20Batches(keyed bool) [][]Edge[float64] {
+	verts := []string{"p", "f", "w", "a", "t", "zz", "c", "g", "j", "2", "~", "pp"}
+	var out [][]Edge[float64]
+	n := 0
+	for b := 0; b < 5; b++ {
+		batch := make([]Edge[float64], 6)
+		for i := range batch {
+			batch[i] = Edge[float64]{Src: verts[(n*5+b)%(4+2*b)], Dst: verts[(n*7+3)%(3+2*b)]}
+			if keyed {
+				batch[i].Key = fmt.Sprintf("k%04d", n)
+				batch[i].Out, batch[i].HasOut = float64(1+n%3), true
+				batch[i].In, batch[i].HasIn = 0.5, n%4 == 0
+			}
+			n++
+		}
+		out = append(out, batch)
+	}
+	return out
+}
+
+// testdata/pr20 holds directories PR 20 wrote: format-2 checkpoints that
+// spell out every edge key and both values of every edge, generated and
+// unit or not, plus a WAL tail. Each reopens equal — Logs() and adjacency
+// — to an in-memory replay of its stream; the unkeyed, unweighted ones
+// open COMPACT (the keys they spell are the generator's run, the values
+// all One: neither column is kept), the keyed, weighted ones as the
+// columns they are; and a checkpoint written now — the compact ones
+// without those sections' bodies — reopens the same again.
+func TestReopensSpelledOutFormat2(t *testing.T) {
+	ops := semiring.PlusTimes()
+	for _, fx := range []struct {
+		dir    string
+		shards int
+		keyed  bool
+	}{{"auto1", 1, false}, {"auto2", 2, false}, {"keyed1", 1, true}, {"keyed2", 2, true}} {
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pr20", fx.dir))); err != nil {
+			t.Fatal(err)
+		}
+		replay := memStore(t, ops, fx.shards, Options{})
+		for _, batch := range pr20Batches(fx.keyed) {
+			if err := replay.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round, label := range []string{"as PR 20 wrote it", "after a checkpoint of its own"} {
+			st, err := Open(dir, ops, fx.shards, Options{}, DurableOptions[float64]{})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", fx.dir, label, err)
+			}
+			for i, rec := range st.Recovery() {
+				if rec.CheckpointFormat != 2 || rec.SkippedCheckpoints != 0 || (rec.Replayed > 0) != (round == 0) {
+					t.Errorf("%s, %s: shard %d recovered %+v, want a format-2 checkpoint, with a WAL tail the first time only", fx.dir, label, i, rec)
+				}
+			}
+			snapEqual(t, flatSnap(t, st), flatSnap(t, replay), fx.dir+", "+label)
+			for i, p := range st.parts {
+				v := p.v
+				if compact := len(v.keys.spelled) == 0 && v.out == nil && v.in == nil; compact == fx.keyed {
+					t.Errorf("%s, %s: shard %d holds %d runs, %d spelled keys, %d and %d values for %d edges", fx.dir, label, i,
+						len(v.keys.runs), len(v.keys.spelled), len(v.out), len(v.in), len(v.srcID))
+				}
+			}
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

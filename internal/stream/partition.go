@@ -262,12 +262,13 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 	}
 
 	expect := ckptSeq
+	var edges []Edge[V] // every record decodes into this one slice
 	st, err := wal.ReplayFS(fsys, dir, ckptSeq, func(seq uint64, payload []byte) error {
 		if seq != expect+1 {
 			return fmt.Errorf("stream: replay reached seq %d at view epoch %d", seq, expect)
 		}
-		edges, err := decodeBatch(payload, codec)
-		if err != nil {
+		var err error
+		if edges, err = decodeBatch(payload, codec, edges); err != nil {
 			// The record's checksum held and its contents still do not
 			// decode: damage, not an I/O condition.
 			return &wal.CorruptError{Path: dir, Reason: fmt.Sprintf("record seq %d: %v", seq, err)}

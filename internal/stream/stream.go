@@ -13,12 +13,20 @@
 // coordinates that never move. Endpoint strings go through per-side
 // slab-backed interners (keys.Interner): every distinct vertex is stored
 // once and gets a dense id in arrival order, stable for the life of the
-// view. The edge log is five flat append-only slices — key, source id,
-// destination id and the two incidence values of each edge — and a
+// view. The edge log is flat append-only columns — source id and
+// destination id of every edge, and only what those do not imply: an edge
+// key is stored when the caller gave it, while generated keys, which are
+// arrival order under a prefix, are kept as runs (first log index, base,
+// first sequence number — keyCol), and an incidence value column exists
+// from the first edge that carries a weight on that side, every value
+// before that being the algebra's One (Definition I.4 asks only that an
+// entry be non-zero; Figure 1's unweighted arrays are this case). An
+// unkeyed, unweighted edge costs its 8 bytes of ids — in memory, in a
+// checkpoint, and, give or take the endpoint strings, in the WAL. A
 // pending contribution is the pair (source id, destination id) packed
 // into one integer, plus its value. A new vertex, wherever its key
 // sorts, gets the next id and moves nothing, so Append is one path:
-// validate the keys, intern the endpoints, append to the slices.
+// validate the keys, intern the endpoints, append to the columns.
 //
 // Key order — the order of Definition I.1's key sets, which the
 // adjacency array and the incidence arrays are stored in — is
@@ -39,8 +47,10 @@
 // into the new, and no embedded copy is made first. The
 // key-ordered incidence arrays Eout and Ein themselves are
 // built from the log on request (Snapshot.Logs), which only Compact and
-// callers that want the arrays ask for; a checkpoint stores the log as
-// it lies here, by id (checkpoint.go).
+// callers that want the arrays ask for — that build is the one place
+// generated keys are formatted and unit weights written out, once per
+// epoch; a checkpoint stores the log as it lies here, by id and with the
+// same columns left out (checkpoint.go).
 //
 // Soundness hypothesis: folding a delta into already-folded state
 // re-associates the per-cell ⊕ fold — ((earlier edges) ⊕ (delta))
@@ -64,7 +74,6 @@ package stream
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,9 +171,18 @@ type View[V any] struct {
 	// never rewritten once its batch committed, so a Snapshot captures
 	// the log by slice header. The key-ordered incidence arrays are
 	// built from it on request (Snapshot.Logs).
-	keys         []string
+	//
+	// Only the endpoint ids are stored for every edge; their length is
+	// the log's. The key column spells out caller-given keys and keeps
+	// generated ones as runs (keyCol). A value column exists only from
+	// the first edge that carried a weight on that side (Edge.HasOut /
+	// HasIn — the flag, not a comparison with One): while it is nil every
+	// entry on that side is ops.One, and the edge that ends that fills a
+	// NEW slice with One up to itself, so a logView pinned earlier keeps
+	// reading its own nil column.
+	keys         keyCol
 	srcID, dstID []int32 // endpoint ids in srcIn / dstIn
-	out, in      []V     // Eout(k, src), Ein(k, dst)
+	out, in      []V     // Eout(k, src), Ein(k, dst); nil: all ops.One
 
 	// srcIn/dstIn intern endpoint strings to stable dense ids.
 	srcIn, dstIn *keys.Interner
@@ -240,16 +258,20 @@ func (e *committedError) Unwrap() error { return e.err }
 // anything reads them, and no Snapshot can have captured them (it takes
 // the lock the append holds).
 type appendRollback struct {
-	nLog, nPend int
-	appends     int
-	epoch       int64
-	autoSeq     int
-	autoBase    string
+	nLog, nPend     int
+	nRuns, nSpelled int  // the key column's lengths
+	hasOut, hasIn   bool // whether the value columns existed
+	appends         int
+	epoch           int64
+	autoSeq         int
+	autoBase        string
 }
 
 func (v *View[V]) captureLocked() appendRollback {
 	return appendRollback{
-		nLog: len(v.keys), nPend: len(v.pendCell),
+		nLog: len(v.srcID), nPend: len(v.pendCell),
+		nRuns: len(v.keys.runs), nSpelled: len(v.keys.spelled),
+		hasOut: v.out != nil, hasIn: v.in != nil,
 		appends: v.appends, epoch: v.epoch.Load(),
 		autoSeq: v.autoSeq, autoBase: v.autoBase,
 	}
@@ -265,9 +287,11 @@ func (v *View[V]) rollbackLocked(rb appendRollback, err error) error {
 	if ce, ok := err.(*committedError); ok {
 		return ce.err
 	}
-	v.keys = v.keys[:rb.nLog]
+	v.keys.runs, v.keys.spelled = v.keys.runs[:rb.nRuns], v.keys.spelled[:rb.nSpelled]
 	v.srcID, v.dstID = v.srcID[:rb.nLog], v.dstID[:rb.nLog]
-	v.out, v.in = v.out[:rb.nLog], v.in[:rb.nLog]
+	// The columns are truncated as they lie: one the batch brought into
+	// being goes back to not existing.
+	v.out, v.in = truncateVals(v.out, rb.hasOut, rb.nLog), truncateVals(v.in, rb.hasIn, rb.nLog)
 	v.pendCell, v.pendVal = v.pendCell[:rb.nPend], v.pendVal[:rb.nPend]
 	v.appends = rb.appends
 	v.epoch.Store(rb.epoch)
@@ -275,16 +299,20 @@ func (v *View[V]) rollbackLocked(rb appendRollback, err error) error {
 	return err
 }
 
+func truncateVals[V any](col []V, existed bool, n int) []V {
+	if !existed {
+		return nil
+	}
+	return col[:n]
+}
+
 // batchScratch holds the per-append and per-fold buffers. Both run
 // under the view lock, so one set per view suffices; in steady state the
 // ingest path allocates only on amortized slice growth.
 type batchScratch[V any] struct {
-	rowKeys        []string
 	srcs, dsts     []string
 	outs, ins      []V
 	srcIDs, dstIDs []int32 // interner ids, parallel to srcs/dsts
-	autoBuf        []byte  // the batch's auto-assigned keys, back to back
-	autoEnd        []int   // autoEnd[j]: where the j-th of them ends
 	// materialize: the backlog's cells as universe positions, and the
 	// array they fold into
 	foldRow, foldCol []int
@@ -323,7 +351,7 @@ func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Op
 	if err != nil {
 		return nil, err
 	}
-	v.keys = eout.RowKeys().Keys()
+	v.keys = spelledKeys(eout.RowKeys().Keys())
 	if v.srcPos, v.srcID, v.out, err = bootstrapSide(v.srcIn, eout); err != nil {
 		return nil, err
 	}
@@ -331,8 +359,16 @@ func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Op
 		return nil, err
 	}
 	v.uRows, v.uCols, v.main = eout.ColKeys(), ein.ColKeys(), adj
-	v.synced = len(v.keys)
+	v.synced = len(v.srcID)
 	return v, nil
+}
+
+// spelledKeys is the key column of a log whose keys are all given.
+func spelledKeys(ks []string) keyCol {
+	if len(ks) == 0 {
+		return keyCol{}
+	}
+	return keyCol{runs: []keyRun{{}}, spelled: ks}
 }
 
 // bootstrapSide interns one bootstrap array's column universe, binds the
@@ -381,19 +417,6 @@ func grow[T any](s []T, n int) []T {
 	return out
 }
 
-// appendAutoKey appends base and n zero-padded to twelve digits — what
-// fmt's "%s%012d" prints for n ≥ 0, the form every auto-assigned key in
-// a log or WAL written so far has.
-func appendAutoKey(dst []byte, base string, n int) []byte {
-	dst = append(dst, base...)
-	var d [20]byte
-	digits := strconv.AppendInt(d[:0], int64(n), 10)
-	for i := len(digits); i < 12; i++ {
-		dst = append(dst, '0')
-	}
-	return append(dst, digits...)
-}
-
 // Append ingests one edge batch. Edge keys must be strictly increasing
 // within the batch and sort after every key already in the log (the
 // append-only discipline that keeps fold order equal to arrival order);
@@ -421,47 +444,45 @@ func (v *View[V]) Append(edges []Edge[V]) error {
 func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	ops := v.eng.Ops
 	s := &v.scr
-	n0, n := len(v.keys), len(edges)
-	last := ""
+	n0, n := len(v.srcID), len(edges)
+	var last keyRef
 	if n0 > 0 {
-		last = v.keys[n0-1]
+		last = v.keys.ref(n0 - 1)
 	}
-	// Auto-assigned keys are generated first, into one buffer converted
-	// to a string once and sliced per key. The generator state moves
-	// only if the batch commits.
+	// Keys are checked as references: a generated key is a sequence
+	// number under the generator's base, compared as a number while it
+	// follows a key of its own run and formatted only where it meets
+	// another kind of key. The generator state moves only if the batch
+	// commits.
 	base, seq := v.autoBase, v.autoSeq
-	s.autoBuf, s.autoEnd = s.autoBuf[:0], s.autoEnd[:0]
-	for i := range edges {
-		if edges[i].Key != "" {
-			continue
-		}
+	if i := slices.IndexFunc(edges, func(e Edge[V]) bool { return e.Key == "" }); i >= 0 {
 		if base == "" {
 			base = "e"
 		}
-		start := len(s.autoBuf)
-		s.autoBuf = appendAutoKey(s.autoBuf, base, seq+i)
-		if len(s.autoEnd) == 0 && n0 > 0 && string(s.autoBuf[start:]) <= last {
+		if n0 > 0 && !last.less(keyRef{s: base, seq: seq + i, auto: true}) {
 			// The next generated key would not sort after the log (a
 			// bootstrap or a recovered log with other keys): reseed the
 			// generator past the log's last key.
-			base, seq = last+"+", -i
-			s.autoBuf = appendAutoKey(s.autoBuf[:start], base, 0)
+			base, seq = last.String()+"+", -i
 		}
-		s.autoEnd = append(s.autoEnd, len(s.autoBuf))
 	}
-	auto, autoAt := string(s.autoBuf), 0
-
-	s.rowKeys = s.rowKeys[:0]
+	keyOf := func(i int) keyRef {
+		if k := edges[i].Key; k != "" {
+			return keyRef{s: k}
+		}
+		return keyRef{s: base, seq: seq + i, auto: true}
+	}
 	s.srcs, s.dsts = s.srcs[:0], s.dsts[:0]
 	s.outs, s.ins = s.outs[:0], s.ins[:0]
-	autoEnd := s.autoEnd
-	prev := ""
+	var prev keyRef
+	given := 0
+	hasOut, hasIn := v.out != nil, v.in != nil
 	for i, e := range edges {
-		key := e.Key
-		if key == "" {
-			key, autoAt, autoEnd = auto[autoAt:autoEnd[0]], autoEnd[0], autoEnd[1:]
+		key := keyOf(i)
+		if e.Key != "" {
+			given++
 		}
-		if i > 0 && key <= prev {
+		if i > 0 && !prev.less(key) {
 			return fmt.Errorf("stream: batch edge keys not strictly increasing at %d: %q <= %q", i, key, prev)
 		}
 		prev = key
@@ -472,14 +493,14 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 		if !e.HasIn {
 			iv = ops.One
 		}
-		s.rowKeys = append(s.rowKeys, key)
+		hasOut, hasIn = hasOut || e.HasOut, hasIn || e.HasIn
 		s.srcs = append(s.srcs, e.Src)
 		s.dsts = append(s.dsts, e.Dst)
 		s.outs = append(s.outs, ov)
 		s.ins = append(s.ins, iv)
 	}
-	if n0 > 0 && s.rowKeys[0] <= last {
-		return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", s.rowKeys[0], last)
+	if first := keyOf(0); n0 > 0 && !last.less(first) {
+		return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", first, last)
 	}
 	if v.opt.CheckAssociative {
 		if err := v.checkBatchAssociativeLocked(); err != nil {
@@ -496,11 +517,17 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	if err := v.fail("append:interned"); err != nil {
 		return err
 	}
-	v.keys = append(grow(v.keys, n), s.rowKeys...)
+	// A batch of generated keys that continues the log's run adds nothing
+	// to the key column; one of unweighted edges nothing to a value column
+	// that does not exist yet.
+	v.keys.spelled = grow(v.keys.spelled, given)
+	for i := range edges {
+		v.keys.add(n0+i, keyOf(i))
+	}
 	v.srcID = append(grow(v.srcID, n), s.srcIDs...)
 	v.dstID = append(grow(v.dstID, n), s.dstIDs...)
-	v.out = append(grow(v.out, n), s.outs...)
-	v.in = append(grow(v.in, n), s.ins...)
+	v.out = appendVals(v.out, hasOut, n0, s.outs, ops.One)
+	v.in = appendVals(v.in, hasIn, n0, s.ins, ops.One)
 	if err := v.fail("append:logged"); err != nil {
 		return err
 	}
@@ -533,6 +560,22 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 		}
 	}
 	return nil
+}
+
+// appendVals appends a batch's values to one value column of the log. A
+// column exists only once an edge has carried a weight on its side: the
+// first that does brings it into being, One for every earlier edge.
+func appendVals[V any](col []V, exists bool, n0 int, vals []V, one V) []V {
+	if !exists {
+		return nil
+	}
+	if col == nil {
+		col = make([]V, n0, max(2*n0, n0+len(vals)))
+		for i := range col {
+			col[i] = one
+		}
+	}
+	return append(grow(col, len(vals)), vals...)
 }
 
 // checkBatchAssociativeLocked samples the associativity guard over the
@@ -582,7 +625,7 @@ func (v *View[V]) pendingBudget() int {
 // Callers re-establish "main spans uRows × uCols" before releasing the
 // lock (materializeLocked, compactLocked).
 func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int, err error) {
-	if v.synced == len(v.keys) {
+	if v.synced == len(v.srcID) {
 		return nil, nil, nil
 	}
 	uRows, srcPos, rowMap, err := growSide(v.srcIn, v.uRows, v.srcPos, v.srcID[v.synced:])
@@ -594,7 +637,7 @@ func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int, err error) {
 		return nil, nil, err
 	}
 	v.uRows, v.srcPos, v.uCols, v.dstPos = uRows, srcPos, uCols, dstPos
-	v.synced = len(v.keys)
+	v.synced = len(v.srcID)
 	return rowMap, colMap, nil
 }
 
@@ -779,7 +822,7 @@ func (v *View[V]) Snapshot() (Snapshot[V], error) {
 	v.mainShared = true
 	return Snapshot[V]{
 		Adjacency: v.main,
-		Edges:     len(v.keys),
+		Edges:     len(v.srcID),
 		Epoch:     int(v.epoch.Load()),
 		Exact:     v.exact,
 		log:       v.logsLocked(),
@@ -814,12 +857,16 @@ func (s Snapshot[V]) Logs() (eout, ein *assoc.Array[V], err error) {
 
 // logView is the edge log and the vertex universe of one epoch, captured
 // by slice header (the log is append-only past the captured length, the
-// position arrays and key Sets are never mutated), plus the incidence
-// arrays built from them.
+// position arrays and key Sets are never mutated, a key run has no end to
+// move and a value column that comes into being later is a new slice),
+// plus the incidence arrays built from them. It holds the log as the view
+// does — generated keys as runs, a nil value column for a side no edge
+// has weighted — and only build spells them out.
 type logView[V any] struct {
-	keys           []string
-	srcID, dstID   []int32
-	out, in        []V
+	keys           keyCol
+	srcID, dstID   []int32 // their length is the log's
+	out, in        []V     // nil: every entry is one
+	one            V
 	srcPos, dstPos []int32
 	uRows, uCols   *keys.Set
 
@@ -832,11 +879,12 @@ type logView[V any] struct {
 // synced with the universe.
 func (v *View[V]) logsLocked() *logView[V] {
 	if v.logs == nil {
-		n := len(v.keys)
+		n := len(v.srcID)
 		v.logs = &logView[V]{
-			keys:  v.keys[:n:n],
-			srcID: v.srcID, dstID: v.dstID,
-			out: v.out[:n:n], in: v.in[:n:n],
+			keys:  v.keys.pinned(),
+			srcID: v.srcID[:n:n], dstID: v.dstID[:n:n],
+			out: slices.Clip(v.out), in: slices.Clip(v.in),
+			one:    v.eng.Ops.One,
 			srcPos: v.srcPos, dstPos: v.dstPos,
 			uRows: v.uRows, uCols: v.uCols,
 		}
@@ -851,25 +899,33 @@ func (l *logView[V]) arrays() (eout, ein *assoc.Array[V], err error) {
 
 // build assembles Eout and Ein as unit-row CSRs: rows are the edge keys
 // in log order (already ascending), row i's single entry sits in the
-// column its endpoint id has in this epoch's universe. Keys and values
-// are shared with the log, capacity-clipped so that nothing grown from
-// the arrays can write into it.
+// column its endpoint id has in this epoch's universe. This is where
+// generated keys and unit weights are spelled out, once per epoch; keys
+// and values the log does store are shared with it, capacity-clipped so
+// that nothing grown from the arrays can write into it.
 func (l *logView[V]) build() {
-	rows, err := keys.FromSorted(l.keys)
+	n := len(l.srcID)
+	rows, err := keys.FromSorted(l.keys.spell(n))
 	if err != nil {
 		l.err = fmt.Errorf("stream: edge log: %w", err)
 		return
 	}
-	rowPtr := make([]int, len(l.keys)+1)
+	rowPtr := make([]int, n+1)
 	for i := range rowPtr {
 		rowPtr[i] = i
 	}
 	side := func(cols *keys.Set, ids, pos []int32, vals []V) (*assoc.Array[V], error) {
-		colIdx := make([]int, len(vals))
+		if vals == nil {
+			vals = make([]V, n)
+			for i := range vals {
+				vals[i] = l.one
+			}
+		}
+		colIdx := make([]int, n)
 		for i := range colIdx {
 			colIdx[i] = int(pos[ids[i]])
 		}
-		m, err := sparse.NewCSR(len(vals), cols.Len(), rowPtr, colIdx, vals)
+		m, err := sparse.NewCSR(n, cols.Len(), rowPtr, colIdx, vals)
 		if err != nil {
 			return nil, fmt.Errorf("stream: edge log: %w", err)
 		}
@@ -895,7 +951,7 @@ func (v *View[V]) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	if len(v.keys) > 0 {
+	if len(v.srcID) > 0 {
 		// The rebuild spans the synced universe and replaces main whole:
 		// nothing of the old main is embedded, unless the rebuild fails.
 		adj, err := v.rebuildLocked()
@@ -959,7 +1015,7 @@ func (v *View[V]) Stats() Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return Stats{
-		Edges:       len(v.keys),
+		Edges:       len(v.srcID),
 		OutVertices: v.uRows.Len(),
 		InVertices:  v.uCols.Len(),
 		AdjNNZ:      v.main.NNZ(),
