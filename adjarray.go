@@ -214,12 +214,10 @@ type BuildResult = core.Result
 // BuildBackend selects the construction engine.
 type BuildBackend = core.Backend
 
-// Construction engines other than the default (the zero BuildBackend:
-// the sparse engine, parallel when BuildRequest.Workers says so).
-const (
-	BackendDense   = core.BackendDense
-	BackendSharded = core.BackendSharded
-)
+// BackendDense is the one construction engine other than the default
+// (the zero BuildBackend: the sparse engine, parallel when
+// BuildRequest.Workers says so): the literal Definition I.3 oracle.
+const BackendDense = core.BackendDense
 
 // Build runs the end-to-end construction pipeline: semiring resolution,
 // Theorem II.1 condition check (with gadget counterexample on failure),
@@ -417,8 +415,8 @@ type ConformanceDivergence = conformance.Divergence
 // adversarial random instances per registry operator pair, each fed
 // through every registered construction path — ConformancePaths() lists
 // them: the merge reference, the engine in parallel, the unit-row fold
-// serial and parallel, edge-sharded partials, and the incremental stream
-// plain, interned, goroutine-sharded and recovered from its WAL — and
+// serial and parallel, and the incremental stream plain, interned,
+// goroutine-sharded and recovered from its WAL — and
 // compared against the explicit Mul(Eoutᵀ, Ein) and, where the Theorem
 // II.1 conditions license it, the dense Definition I.3 oracle.
 // The first divergence is returned as a *ConformanceDivergence error

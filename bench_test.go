@@ -21,7 +21,6 @@ import (
 	"adjarray/internal/dataset"
 	"adjarray/internal/graph"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 	"adjarray/internal/sparse"
 	"adjarray/internal/value"
 )
@@ -440,32 +439,6 @@ func BenchmarkProvenanceMultiply(b *testing.B) {
 			}
 		}
 	})
-}
-
-// Ablation — construction decomposition: output-row-blocked SpGEMM vs
-// edge-sharded partial products (the D4M parallel-ingest shape).
-func BenchmarkShardedVsRowBlocked(b *testing.B) {
-	g := dataset.RMAT(rand.New(rand.NewSource(14)), 10, 8)
-	one := func(graph.Edge) float64 { return 1 }
-	eout, ein, _ := graph.Incidence(g, semiring.PlusTimes(), graph.Weights[float64]{Out: one, In: one})
-	b.Run("row-blocked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := assoc.Correlate(eout, ein, semiring.PlusTimes(), assoc.MulOptions{Workers: -1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, shards := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := shard.Construct(eout, ein, semiring.PlusTimes(), shard.Options{Shards: shards, Workers: -1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // Pipeline at scale: the full Figure 1→3 flow (explode → subref →

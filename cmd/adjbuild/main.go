@@ -30,7 +30,7 @@ func main() {
 	eoutPath := flag.String("eout", "", "TSV triples of the source incidence array Eout (required)")
 	einPath := flag.String("ein", "", "TSV triples of the target incidence array Ein (required)")
 	sr := flag.String("semiring", "+.*", "operator pair name")
-	backend := flag.String("backend", "", "construction backend other than the sparse engine: dense | sharded")
+	backend := flag.String("backend", "", "construction backend other than the sparse engine: dense")
 	workers := flag.Int("workers", 0, "worker count (0 or 1 = serial, <0 = all cores)")
 	out := flag.String("o", "-", "output TSV path ('-' = stdout)")
 	grid := flag.Bool("grid", false, "print a formatted grid instead of TSV triples")

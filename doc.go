@@ -36,8 +36,8 @@
 //     gadgets of Lemmas II.2–II.4;
 //   - the end-to-end Build pipeline (graph-shaped operands fold,
 //     everything else multiplies on the one engine; serial or parallel
-//     by Workers), with sharded and dense-verification backends beside
-//     it;
+//     by Workers), with the dense Definition I.3 oracle as the one
+//     verification backend beside it;
 //   - incremental maintenance: AdjacencyView keeps A up to date under
 //     continuous edge ingest — its edge log and delta backlog are kept
 //     by stable interner id, so an append is O(batch) even when it
@@ -121,9 +121,7 @@
 // (sampled by StreamOptions.CheckAssociative; see the paper's companion
 // work on algebraic conditions for generating accurate adjacency
 // arrays). For non-associative ⊕, Snapshot.Exact reports the possible
-// divergence and Compact rebuilds the exact fold from the log. The
-// offline sharded backend and the online view share one partial-product
-// engine (internal/shard): one implementation, two drivers.
+// divergence and Compact rebuilds the exact fold from the log.
 //
 // # Construction is a fold
 //
@@ -131,7 +129,7 @@
 // edge row, so for a graph A = Eoutᵀ ⊕.⊗ Ein is a group-by: A(s,d) is
 // the ⊕-fold, in ascending edge-key order, of Eout(k,s) ⊗ Ein(k,d) over
 // the edges k from s to d. Correlate — and with it Adjacency, Build,
-// sharded partials, Compact — recognises that shape by itself (one row
+// Compact, a bootstrapped view — recognises that shape by itself (one row
 // key set, both matrices marked unit-row where their row pointers were
 // last walked) and runs sparse.FoldUnitRows on the two column arrays: a
 // stable counting sort on the source, then per row a stable grouping on

@@ -114,7 +114,7 @@ func TestGoldenFigure3AcrossBackends(t *testing.T) {
 	e1, e2 := dataset.MusicE1E2()
 	want := dataset.Figure3Expected()["+.*"]
 	for _, req := range []adjarray.BuildRequest{
-		{}, {Workers: 2, FlopFloor: -1}, {Backend: adjarray.BackendSharded}, {Backend: adjarray.BackendDense},
+		{}, {Workers: 2, FlopFloor: -1}, {Backend: adjarray.BackendDense},
 	} {
 		req.Eout, req.Ein, req.Semiring = e1, e2, "+.*"
 		res, err := adjarray.Build(req)

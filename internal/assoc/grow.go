@@ -30,6 +30,9 @@ import (
 // since a was last replaced may still be in use, and a must be treated as
 // consumed after the call (its storage may have been folded into the
 // result).
+//
+// Kept, without a production caller, as the reference the mapped merge
+// and the gather are tested against.
 func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, workers int) (*Array[V], error) {
 	if b.NNZ() == 0 && b.rows.Len() == 0 && b.cols.Len() == 0 {
 		return a, nil
@@ -99,8 +102,8 @@ func unionFast(a, b *keys.Set) (u *keys.Set, aPos, bPos []int) {
 // fast integer-index form of Reindex for the grow-only case: values are
 // never copied, shared backing is reused where possible, and positions
 // resolve through the supersets' cached reverse indexes — O(len(a's
-// keys)) when the targets are long-lived sets (internal/stream embeds
-// every batch partial into the log's stable vertex universe this way).
+// keys)) when the targets are long-lived sets. Kept, like AddInto, as
+// the tests' reference (embed, then merge).
 func (a *Array[V]) EmbedInto(rows, cols *keys.Set) (*Array[V], error) {
 	rowPos, ok := a.rows.PositionsIn(rows)
 	if !ok {

@@ -7,7 +7,6 @@ import (
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 	"adjarray/internal/value"
 )
 
@@ -116,20 +115,20 @@ func valueClosure(ops semiring.Ops[float64], inst Instance) []float64 {
 }
 
 // deltaCompatibleOn probes the hypotheses under which re-associating
-// merges (sharded, stream) equal the sequential fold: ⊕ associative on
+// merges (the stream paths) equal the sequential fold: ⊕ associative on
 // the sampled closure, and Zero a two-sided ⊕-identity on it. The
-// identity half matters because partial products PRUNE cells that fold
+// identity half matters because partial folds PRUNE cells that fold
 // to Zero, and the merge then treats that absence as "contributes
 // nothing" — sound only when v ⊕ 0 = 0 ⊕ v = v. (The conformance
 // harness originally gated on associativity alone and promptly caught
 // the gap on max.+@0 over signed data: 2 ⊗ −2 = 0 is a zero-divisor
 // product whose pruning loses max(−1, 0) ≠ −1.)
 //
-// The probe IS the backends' own guard — shard.Engine's sampled check —
-// so the executor's skip condition can never drift from what sharded
-// construction and stream ingest actually verify.
+// The probe IS the ingest path's own guard — the sampled check
+// stream.Options.CheckAssociative runs per batch — so the executor's
+// skip condition can never drift from what stream ingest verifies.
 func deltaCompatibleOn(ops semiring.Ops[float64], vals []float64) bool {
-	return shard.Engine[float64]{Ops: ops}.CheckAssociativeValues(vals) == nil
+	return semiring.CheckAssociativeValues(ops, vals) == nil
 }
 
 // oracleEligible decides whether the dense Definition I.3 oracle is a

@@ -8,8 +8,7 @@
 // A = Eoutᵀ ⊕.⊗ Ein — the two-phase symbolic/numeric engine sparse.Mxm
 // serial and across spans, the unit-row fold construction actually runs
 // (sparse.FoldUnitRows, serial and across spans), the expand-and-merge
-// reference, edge-sharded partial products, and the incremental
-// stream.Store — and the paper's
+// reference, and the incremental stream.Store — and the paper's
 // correctness claim (Theorem II.1 of the companion "Algebraic
 // Conditions" work) is about the MATHEMATICAL product, not any one
 // kernel. The harness separates those concerns into tiers:
@@ -19,7 +18,7 @@
 //     registry operator pair — kernels fold contributions in ascending
 //     edge-key order by contract, so even non-associative,
 //     non-commutative ⊕ must agree bit-for-bit. Paths that re-associate
-//     the per-cell fold (sharded, stream) are compared only when ⊕ is
+//     the per-cell fold (the stream paths) are compared only when ⊕ is
 //     associative on the instance's value closure, mirroring the guard
 //     they ship with.
 //

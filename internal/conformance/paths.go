@@ -7,7 +7,6 @@ import (
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 	"adjarray/internal/sparse"
 	"adjarray/internal/stream"
 	"adjarray/internal/wal"
@@ -65,13 +64,6 @@ func builtinPaths() []Path {
 			Name: "fold-parallel",
 			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
 				return assoc.Correlate(eout, ein, ops, assoc.MulOptions{Workers: 2, FlopFloor: -1})
-			},
-		},
-		{
-			Name:         "sharded",
-			ReAssociates: true,
-			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
-				return shard.Construct(eout, ein, ops, shard.Options{Shards: 3, Workers: 2})
 			},
 		},
 		{

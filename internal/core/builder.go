@@ -4,9 +4,8 @@
 // it resolves the requested ⊕.⊗ operator pair, checks the Theorem II.1
 // conditions up front (refusing, or warning, when the algebra cannot
 // guarantee an adjacency array), computes A = Eoutᵀ ⊕.⊗ Ein on the
-// selected backend (the sparse engine, edge-sharded partial products,
-// or the dense Definition I.3 oracle), and optionally validates the
-// result against Definition I.5.
+// selected backend (the sparse engine or the dense Definition I.3
+// oracle), and optionally validates the result against Definition I.5.
 package core
 
 import (
@@ -16,19 +15,16 @@ import (
 	"adjarray/internal/assoc"
 	"adjarray/internal/graph"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 	"adjarray/internal/value"
 )
 
 // Backend selects the construction engine.
 type Backend string
 
-// Available backends — one per algorithm. The zero value is the sparse
-// engine (sparse.Mxm), serial or parallel as Request.Workers says.
-const (
-	BackendDense   Backend = "dense"   // literal Definition I.3 (verification)
-	BackendSharded Backend = "sharded" // edge-sharded partial products (requires associative ⊕)
-)
+// The zero value is the sparse engine (assoc.Correlate), serial or
+// parallel as Request.Workers says; BackendDense is the literal
+// Definition I.3 (verification).
+const BackendDense Backend = "dense"
 
 // Request describes one construction.
 type Request struct {
@@ -40,8 +36,7 @@ type Request struct {
 	// Backend defaults to the sparse engine.
 	Backend Backend
 	// Workers and FlopFloor schedule the engine as assoc.MulOptions
-	// does (Workers 0 or 1 serial, < 0 GOMAXPROCS); BackendSharded
-	// reads Workers as its shard-worker count.
+	// does (Workers 0 or 1 serial, < 0 GOMAXPROCS).
 	Workers   int
 	FlopFloor int64
 	// SkipConditionCheck constructs even when the algebra violates the
@@ -75,6 +70,9 @@ func Build(req Request) (*Result, error) {
 	if req.Eout == nil || req.Ein == nil {
 		return nil, fmt.Errorf("core: both incidence arrays are required")
 	}
+	if req.Backend != "" && req.Backend != BackendDense {
+		return nil, fmt.Errorf("core: unknown backend %q (known: \"\" — the sparse engine — and %q)", req.Backend, BackendDense)
+	}
 	entry, ok := semiring.Lookup(req.Semiring)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown operator pair %q (known: %v)", req.Semiring, semiring.Names())
@@ -103,21 +101,10 @@ func Build(req Request) (*Result, error) {
 	start := time.Now()
 	var a *assoc.Array[float64]
 	var err error
-	switch req.Backend {
-	case "":
-		a, err = graph.Adjacency(req.Eout, req.Ein, ops, assoc.MulOptions{Workers: req.Workers, FlopFloor: req.FlopFloor})
-	case BackendDense:
+	if req.Backend == BackendDense {
 		a, err = graph.AdjacencyDense(req.Eout, req.Ein, ops)
-	case BackendSharded:
-		shards := req.Workers * 4
-		if shards < 4 {
-			shards = 8
-		}
-		a, err = shard.Construct(req.Eout, req.Ein, ops, shard.Options{
-			Shards: shards, Workers: req.Workers, CheckAssociative: true,
-		})
-	default:
-		return res, fmt.Errorf("core: unknown backend %q", req.Backend)
+	} else {
+		a, err = graph.Adjacency(req.Eout, req.Ein, ops, assoc.MulOptions{Workers: req.Workers, FlopFloor: req.FlopFloor})
 	}
 	if err != nil {
 		return res, err
@@ -167,5 +154,5 @@ func appendDataValues(sample []float64, a *assoc.Array[float64], max int) []floa
 
 // Backends lists the available construction engines.
 func Backends() []Backend {
-	return []Backend{"", BackendDense, BackendSharded}
+	return []Backend{"", BackendDense}
 }

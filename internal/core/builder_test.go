@@ -106,8 +106,17 @@ func TestBuildUnknownInputs(t *testing.T) {
 	if _, err := Build(Request{Semiring: "+.*"}); err == nil {
 		t.Error("nil incidence arrays accepted")
 	}
-	if _, err := Build(Request{Eout: e1, Ein: e2, Semiring: "+.*", Backend: "quantum"}); err == nil {
-		t.Error("unknown backend accepted")
+	// The backend is refused before the arrays are read: under a pair
+	// that would fail the condition check, the answer is still the
+	// backend, with the known values named and no report computed.
+	for _, semiring := range []string{"+.*", "max.+@0"} {
+		res, err := Build(Request{Eout: e1, Ein: e2, Semiring: semiring, Backend: "sharded"})
+		if err == nil || !strings.Contains(err.Error(), `unknown backend "sharded" (known: "" — the sparse engine — and "dense")`) {
+			t.Errorf("%s: unknown backend: %v", semiring, err)
+		}
+		if res != nil {
+			t.Errorf("%s: unknown backend still computed a result: %+v", semiring, res.Report)
+		}
 	}
 }
 

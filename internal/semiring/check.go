@@ -166,6 +166,40 @@ func checkAssoc[V any](op func(V, V) V, eq func(V, V) bool, s []V, sym string, f
 	return Condition{Holds: true}
 }
 
+// CheckAssociativeValues is the guard of every path that re-associates
+// the per-cell ⊕ fold (internal/stream: each appended batch is folded on
+// its own and ⊕-merged into the running adjacency). Over the first
+// maxTripleSample of vals it reports the first triple on which ⊕ is not
+// associative — the hypothesis under which the regrouped fold equals the
+// sequential Definition I.3 fold; the fold ORDER is kept, so
+// commutativity is not required.
+//
+// Besides associativity it verifies that Zero is a two-sided ⊕-identity
+// on the sample: a partial fold prunes cells that fold to the algebra's
+// Zero, and the merge treats the resulting absence as "contributes
+// nothing" — sound only when v ⊕ 0 = 0 ⊕ v = v. An algebra with
+// zero-divisor products and a non-identity Zero (max.+ anchored at 0
+// over signed data, where 2 ⊗ −2 = 0 but max(−1, 0) ≠ −1) passes a pure
+// associativity probe yet diverges; the cross-backend conformance
+// harness caught exactly that gap.
+func CheckAssociativeValues[V any](o Ops[V], vals []V) error {
+	if len(vals) > maxTripleSample {
+		vals = vals[:maxTripleSample]
+	}
+	format := func(v V) string { return fmt.Sprint(v) }
+	if c := checkAssoc(o.Add, o.Equal, vals, "⊕", format); !c.Holds {
+		return fmt.Errorf("semiring: ⊕ is not associative on the data: %s; "+
+			"re-associated merge would diverge from the sequential fold", c.Witness)
+	}
+	for _, a := range vals {
+		if !o.Equal(o.Add(a, o.Zero), a) || !o.Equal(o.Add(o.Zero, a), a) {
+			return fmt.Errorf("semiring: 0 is not a ⊕-identity on the data (%v); "+
+				"pruned partial-fold cells would diverge from the sequential fold", a)
+		}
+	}
+	return nil
+}
+
 func checkCommut[V any](op func(V, V) V, eq func(V, V) bool, s []V, sym string, format func(V) string) Condition {
 	for _, a := range s {
 		for _, b := range s {

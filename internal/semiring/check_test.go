@@ -183,3 +183,54 @@ func TestClassifyMatchesPaperSectionIII(t *testing.T) {
 		}
 	}
 }
+
+// The guard of the re-associating paths, where it lives: ⊕ associative
+// AND Zero a two-sided ⊕-identity, on the first 12 values handed in.
+func TestCheckAssociativeValues(t *testing.T) {
+	avg := Ops[float64]{
+		Name: "avg.*",
+		Add:  func(a, b float64) float64 { return (a + b) / 2 },
+		Mul:  func(a, b float64) float64 { return a * b },
+		Zero: 0, One: 1,
+		Equal: value.Float64Equal,
+	}
+	benign := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11} // 12 values max.+@0 folds soundly
+	type guardCase struct {
+		name   string
+		ops    Ops[float64]
+		vals   []float64
+		refuse string // substring of the refusal; "" = accepted
+	}
+	cases := []guardCase{
+		// Four parallel edges a→b weighted 1,3,5,9 against unit targets:
+		// avg(avg(1,3),5) = 3.5 but avg(1,avg(3,5)) = 2.5, so folding the
+		// edges in two groups and merging diverges from the one fold.
+		{"avg on four parallel edges", avg, []float64{1, 3, 5, 9, 1, 1, 1, 1}, "not associative"},
+		{"+.* on the same data", PlusTimes(), []float64{1, 3, 5, 9, 1, 1, 1, 1}, ""},
+		// max is associative; what breaks is the pruning: 2 ⊗ −2 = 0 is
+		// dropped as Zero, and max(−1, 0) ≠ −1.
+		{"max.+@0 on signed data", MaxPlusAtZero(), []float64{2, -2, -1}, "not a ⊕-identity"},
+		{"max.+@0 on its own domain", MaxPlusAtZero(), benign, ""},
+		{"a 13th value is not sampled", MaxPlusAtZero(), append(append([]float64{}, benign...), -1), ""},
+		{"the same value inside the sample", MaxPlusAtZero(), append([]float64{-1}, benign...), "not a ⊕-identity"},
+		{"nothing to fold", avg, nil, ""},
+	}
+	for _, e := range Registry() {
+		refuse := ""
+		if e.Name == "max.+@0-signed" {
+			// The registry's standing example of the hazard: its sample
+			// is the signed data above.
+			refuse = "not a ⊕-identity"
+		}
+		cases = append(cases, guardCase{"registry " + e.Name, e.Ops, e.Sample, refuse})
+	}
+	for _, c := range cases {
+		err := CheckAssociativeValues(c.ops, c.vals)
+		switch {
+		case c.refuse == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.refuse != "" && (err == nil || !strings.Contains(err.Error(), c.refuse)):
+			t.Errorf("%s: want a refusal containing %q, got %v", c.name, c.refuse, err)
+		}
+	}
+}

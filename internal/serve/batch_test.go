@@ -15,10 +15,7 @@ import (
 
 func postBatch(t *testing.T, s *Server, body string) (int, map[string]any) {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", "/batch", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	s.ServeHTTP(rec, req)
+	rec := postRaw(s, "/batch", []byte(body))
 	var out map[string]any
 	if rec.Code == http.StatusOK {
 		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {

@@ -10,7 +10,6 @@ import (
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 	"adjarray/internal/sparse"
 	"adjarray/internal/wal"
 )
@@ -105,7 +104,7 @@ type image[V any] struct {
 func (v *View[V]) imageLocked() *image[V] {
 	v.mainShared = true
 	im := &image[V]{
-		ops: v.eng.Ops.Name, log: v.logsLocked(), main: v.main.Matrix(),
+		ops: v.ops.Name, log: v.logsLocked(), main: v.main.Matrix(),
 		appends: v.appends, epoch: int(v.epoch.Load()), autoSeq: v.autoSeq,
 		exact: v.exact, autoBase: v.autoBase,
 	}
@@ -526,7 +525,7 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 		return nil, "", err
 	}
 	v := &View[V]{
-		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
+		ops:      ops,
 		opt:      opt,
 		keys:     edgeKeys,
 		srcID:    srcID,
@@ -718,7 +717,7 @@ func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec V
 		return nil, "", err
 	}
 	v := &View[V]{
-		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Mul},
+		ops:      ops,
 		opt:      opt,
 		keys:     spelledKeys(edgeKeys),
 		srcID:    srcID,

@@ -94,7 +94,7 @@ func spelledLog[V any](v *View[V]) (ks []string, out, in []V) {
 		}
 		col = make([]V, n)
 		for i := range col {
-			col[i] = v.eng.Ops.One
+			col[i] = v.ops.One
 		}
 		return col
 	}
@@ -479,7 +479,7 @@ func TestCheckpointFileSize(t *testing.T) {
 			pad := func(n int) int { return (n + 7) &^ 7 }
 			const header, footer, trailer = 24, 24, 16
 			sections := []int{
-				7*8 + (1 + len(v.eng.Ops.Name)) + (1 + len(arm.base)), // meta: seven counters, the algebra's name, the key base
+				7*8 + (1 + len(v.ops.Name)) + (1 + len(arm.base)), // meta: seven counters, the algebra's name, the key base
 				4 * rows, srcBytes, // source interner: an offset per key, the key bytes
 				4 * cols, dstBytes, // destination interner
 				4 * rows, 4 * cols, // id → position, both sides

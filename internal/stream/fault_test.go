@@ -3,8 +3,12 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -337,4 +341,161 @@ func countTmp(t *testing.T, dir string) int {
 		t.Fatal(err)
 	}
 	return len(matches)
+}
+
+// countFS counts what reaches the filesystem seam: Write and Sync calls
+// per file, and every other mutating operation in one bucket.
+type countFS struct {
+	iofault.FS
+	mu     sync.Mutex
+	writes map[string]int // by shard directory / file name
+	syncs  map[string]int
+	other  []string
+}
+
+type countFile struct {
+	iofault.File
+	c *countFS
+}
+
+func (c *countFS) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writes, c.syncs, c.other = map[string]int{}, map[string]int{}, nil
+}
+
+// inShard names a file by its last two path elements: the shards' WAL
+// segments share their base names.
+func inShard(name string) string {
+	return filepath.Join(filepath.Base(filepath.Dir(name)), filepath.Base(name))
+}
+
+func (c *countFS) note(op, name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.other = append(c.other, op+" "+inShard(name))
+}
+
+func (c *countFS) OpenFile(name string, flag int, perm fs.FileMode) (iofault.File, error) {
+	if flag&(os.O_WRONLY|os.O_RDWR) != 0 {
+		c.note("open-for-write", name)
+	}
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countFile{f, c}, nil
+}
+
+func (c *countFS) CreateTemp(dir, pattern string) (iofault.File, error) {
+	c.note("create-temp", pattern)
+	f, err := c.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &countFile{f, c}, nil
+}
+
+func (c *countFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
+	c.note("write-file", name)
+	return c.FS.WriteFile(name, data, perm)
+}
+func (c *countFS) Remove(name string) error { c.note("remove", name); return c.FS.Remove(name) }
+func (c *countFS) Rename(o, n string) error { c.note("rename", n); return c.FS.Rename(o, n) }
+func (c *countFS) SyncDir(dir string) error { c.note("sync-dir", dir); return c.FS.SyncDir(dir) }
+func (c *countFS) Truncate(name string, size int64) error {
+	c.note("truncate", name)
+	return c.FS.Truncate(name, size)
+}
+
+func (f *countFile) Write(p []byte) (int, error) {
+	f.c.mu.Lock()
+	f.c.writes[inShard(f.Name())]++
+	f.c.mu.Unlock()
+	return f.File.Write(p)
+}
+
+func (f *countFile) Sync() error {
+	f.c.mu.Lock()
+	f.c.syncs[inShard(f.Name())]++
+	f.c.mu.Unlock()
+	return f.File.Sync()
+}
+
+// What a durable append costs at the filesystem seam, under the default
+// fsync-per-append policy: a batch routed to one shard is one Write and
+// one Sync on that shard's open WAL segment, and nothing else — no second
+// write for a header, no directory sync, no file opened.
+func TestAppendIsOneWriteOneSync(t *testing.T) {
+	ops := plusTimes(t)
+	for _, shards := range []int{1, 2} {
+		cfs := &countFS{FS: iofault.OS}
+		cfs.reset()
+		st, err := Open(t.TempDir(), ops, shards, Options{}, DurableOptions[float64]{FS: cfs})
+		if err != nil {
+			t.Fatalf("%d shards: Open: %v", shards, err)
+		}
+		// One source per shard, so a batch is routed whole to the shard
+		// of its choosing.
+		srcOf := make([]string, shards)
+		for i, found := 0, 0; found < shards; i++ {
+			src := fmt.Sprintf("s%d", i)
+			if sh := st.ShardFor(src); srcOf[sh] == "" {
+				srcOf[sh] = src
+				found++
+			}
+		}
+		k := 0
+		batchFor := func(sh int) []Edge[float64] {
+			b := make([]Edge[float64], 5)
+			for i := range b {
+				b[i] = Weighted(fmtKey(k), srcOf[sh], fmt.Sprintf("d%d", k%7), 1.5, 2)
+				k++
+			}
+			return b
+		}
+		for sh := 0; sh < shards; sh++ { // warm-up: every segment is open and has been written to
+			for i := 0; i < 2; i++ {
+				if err := st.Append(batchFor(sh)); err != nil {
+					t.Fatalf("%d shards: warm-up: %v", shards, err)
+				}
+			}
+		}
+
+		cfs.reset()
+		const n = 12
+		perShard := make([]int, shards)
+		for i := 0; i < n; i++ {
+			sh := (i % 3) % shards // unevenly: 8 and 4 of 12 on two shards
+			perShard[sh]++
+			if err := st.Append(batchFor(sh)); err != nil {
+				t.Fatalf("%d shards: append %d: %v", shards, i, err)
+			}
+		}
+		// Nothing runs in the background (no checkpoint trigger is set),
+		// so the counts are read without the lock.
+		writes, syncs, other := cfs.writes, cfs.syncs, cfs.other
+		if len(other) != 0 {
+			t.Errorf("%d shards: %d appends also did %v", shards, n, other)
+		}
+		if len(writes) != shards || len(syncs) != shards {
+			t.Errorf("%d shards: writes touched %v, syncs %v; want one WAL segment per shard", shards, writes, syncs)
+		}
+		var got []int
+		for name, w := range writes {
+			if !strings.HasPrefix(filepath.Base(name), "wal-") || syncs[name] != w {
+				t.Errorf("%d shards: %s saw %d writes and %d syncs", shards, name, w, syncs[name])
+			}
+			got = append(got, w)
+		}
+		slices.Sort(got)
+		want := slices.Clone(perShard)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%d shards: writes per segment %v, want one per routed batch %v", shards, got, want)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

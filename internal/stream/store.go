@@ -33,12 +33,13 @@ import (
 // space (assoc.ConcatRows), and the result is bit-identical to the
 // one-shard construction regardless of ⊕ — the only re-association
 // points are the per-shard batch boundaries, the same ones one shard has
-// (shard.Engine's hypothesis, which Options.CheckAssociative samples per
-// batch as usual). Disjoint row ownership is checked by that gather, not
-// assumed: two shards storing the same source row (a shard directory
-// copied over a sibling, a store written under another routing hash)
-// fail the gather with an error naming the row and the shards, where an
-// element-wise merge would have silently summed them.
+// (semiring.CheckAssociativeValues' hypothesis, which
+// Options.CheckAssociative samples per batch as usual). Disjoint row
+// ownership is checked by that gather, not assumed: two shards storing
+// the same source row (a shard directory copied over a sibling, a store
+// written under another routing hash) fail the gather with an error
+// naming the row and the shards, where an element-wise merge would have
+// silently summed them.
 //
 // The routing hash is a fixed FNV-1a over the Src bytes — deliberately
 // NOT the interner's per-process maphash seed, so routing is stable

@@ -58,8 +58,8 @@
 // edge keys are required to arrive in ascending order, the fold ORDER
 // is preserved and only the grouping changes, so the incremental state
 // equals the one-shot construction exactly when ⊕ is associative on the
-// data (the same hypothesis internal/shard checks, per the paper's
-// companion work on algebraic conditions). For a non-associative ⊕ the
+// data (the hypothesis semiring.CheckAssociativeValues samples, per the
+// paper's companion work on algebraic conditions). For a non-associative ⊕ the
 // view still ingests — deterministically — but may diverge from the
 // batch result; Compact rebuilds from the full log and recovers it.
 // Options.CheckAssociative samples the hypothesis on every append and
@@ -82,7 +82,6 @@ import (
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 	"adjarray/internal/sparse"
 )
 
@@ -129,7 +128,7 @@ type Options struct {
 	// CheckAssociative, when set, samples the delta-identity hypotheses
 	// (⊕ associative, Zero a ⊕-identity) over each batch's values before
 	// accepting it and fails the Append if the re-associated fold could
-	// diverge (the shard.Engine guard).
+	// diverge (semiring.CheckAssociativeValues).
 	CheckAssociative bool
 	// PendingBudget bounds the delta backlog: once this many pending
 	// contribution entries accumulate they are folded into the main
@@ -163,7 +162,7 @@ type Options struct {
 // same cost per edge as steady-state ingest.
 type View[V any] struct {
 	mu  sync.Mutex
-	eng shard.Engine[V]
+	ops semiring.Ops[V]
 	opt Options
 
 	// The edge log, one entry per edge in arrival order — which the key
@@ -323,7 +322,7 @@ type batchScratch[V any] struct {
 func NewView[V any](ops semiring.Ops[V], opt Options) *View[V] {
 	main := assoc.FromTriples[V](nil, nil)
 	return &View[V]{
-		eng:   shard.Engine[V]{Ops: ops, Mul: opt.Mul},
+		ops:   ops,
 		opt:   opt,
 		srcIn: keys.NewInterner(),
 		dstIn: keys.NewInterner(),
@@ -347,7 +346,7 @@ func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Op
 	if eout.RowKeys().Len() == 0 {
 		return v, nil
 	}
-	adj, err := v.eng.Partial(eout, ein)
+	adj, err := assoc.Correlate(eout, ein, ops, opt.Mul)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +441,7 @@ func (v *View[V]) Append(edges []Edge[V]) error {
 // committedErrors. Nothing of the view is touched before the batch has
 // passed every check.
 func (v *View[V]) appendLocked(edges []Edge[V]) error {
-	ops := v.eng.Ops
+	ops := v.ops
 	s := &v.scr
 	n0, n := len(v.srcID), len(edges)
 	var last keyRef
@@ -583,7 +582,7 @@ func appendVals[V any](col []V, exists bool, n0 int, vals []V, one V) []V {
 // fold will actually combine.
 func (v *View[V]) checkBatchAssociativeLocked() error {
 	s := &v.scr
-	ops := v.eng.Ops
+	ops := v.ops
 	sample := make([]V, 0, 12)
 	for i := range s.outs {
 		if len(sample) >= 12 {
@@ -597,7 +596,7 @@ func (v *View[V]) checkBatchAssociativeLocked() error {
 			sample = append(sample, ops.Mul(s.outs[i], s.ins[i]))
 		}
 	}
-	if err := v.eng.CheckAssociativeValues(sample); err != nil {
+	if err := semiring.CheckAssociativeValues(ops, sample); err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
 	return nil
@@ -776,7 +775,7 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int) error {
 	// The fold array only feeds the merge below — EWiseAddInto never
 	// returns or retains its src backing — so it may live in the scratch
 	// the next materialize reuses.
-	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, v.pendVal, nil, v.eng.Ops, v.opt.Mul, &s.fold)
+	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, v.pendVal, nil, v.ops, v.opt.Mul, &s.fold)
 	if err != nil {
 		return err
 	}
@@ -795,7 +794,7 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int) error {
 		// against already-folded state under unverified ⊕.
 		v.exact = false
 	}
-	main, err := assoc.AddIntoMapped(v.main, fold, rowMap, colMap, v.eng.Ops, !v.mainShared, &v.mainScr, v.opt.Mul.Workers)
+	main, err := assoc.AddIntoMapped(v.main, fold, rowMap, colMap, v.ops, !v.mainShared, &v.mainScr, v.opt.Mul.Workers)
 	if err != nil {
 		return err
 	}
@@ -884,7 +883,7 @@ func (v *View[V]) logsLocked() *logView[V] {
 			keys:  v.keys.pinned(),
 			srcID: v.srcID[:n:n], dstID: v.dstID[:n:n],
 			out: slices.Clip(v.out), in: slices.Clip(v.in),
-			one:    v.eng.Ops.One,
+			one:    v.ops.One,
 			srcPos: v.srcPos, dstPos: v.dstPos,
 			uRows: v.uRows, uCols: v.uCols,
 		}
@@ -981,7 +980,7 @@ func (v *View[V]) rebuildLocked() (*assoc.Array[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.eng.Partial(eout, ein)
+	return assoc.Correlate(eout, ein, v.ops, v.opt.Mul)
 }
 
 // Stats summarizes the view without exposing its arrays. Taking stats
