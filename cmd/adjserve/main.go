@@ -212,17 +212,17 @@ func run(cfg config) error {
 	if store.Persistent() {
 		recs, durs := store.Recovery(), store.Durability()
 		replayed, torn := 0, int64(0)
-		epochs, formats := make([]uint64, len(durs)), make([]int, len(durs))
+		epochs := make([]uint64, len(durs))
 		var load time.Duration // shards open one after another
 		for i := range recs {
 			replayed += recs[i].Replayed
 			torn += recs[i].TornBytes
-			epochs[i], formats[i] = durs[i].Epoch, recs[i].CheckpointFormat
+			epochs[i] = durs[i].Epoch
 			load += recs[i].CheckpointLoad
 		}
 		fmt.Fprintf(os.Stderr,
-			"adjserve: recovered %d shards from %s — epoch vector %v, checkpoint formats %v (0: none) loaded in %s, %d batches replayed, %d torn bytes truncated, fsync=%s\n",
-			store.Shards(), cfg.dataDir, epochs, formats, load.Round(time.Microsecond), replayed, torn, durs[0].Policy)
+			"adjserve: recovered %d shards from %s — epoch vector %v, checkpoints loaded in %s, %d batches replayed, %d torn bytes truncated, fsync=%s\n",
+			store.Shards(), cfg.dataDir, epochs, load.Round(time.Microsecond), replayed, torn, durs[0].Policy)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -58,12 +58,14 @@
 //     write-ahead incidence log plus checkpoints (internal/wal). A
 //     checkpoint is the view as it lies in memory — the id-space edge
 //     log, the interner slabs, the id → position arrays and the folded
-//     adjacency, as CRC-closed sections (ADJCKPT format 2; format 1 is
-//     still read) — pinned by slice header under the view lock and
+//     adjacency, as CRC-closed sections (ADJCKPT format 2, the one
+//     format) — pinned by slice header under the view lock and
 //     streamed to disk with that lock released, so readers never wait
 //     on one and nothing it allocates grows with the view. Recovery has
-//     torn-tail repair, typed corruption errors, a refusal to reopen a
-//     directory under a different shard count, and a kill-and-recover
+//     torn-tail repair, typed corruption errors, a refusal by name of
+//     what it will not read — a directory under a different shard
+//     count, a sharded one that lost its SHARDS file, a format-1
+//     checkpoint (last written by PR 15) — and a kill-and-recover
 //     gate in cmd/crashtest holding recovery bit-identical to the dense
 //     oracle;
 //   - production serving: internal/serve is cmd/adjserve's front door —

@@ -1,11 +1,8 @@
 package keys
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"math"
 )
 
 // Interner slab serialization. What defines the id space is the slab
@@ -15,14 +12,6 @@ import (
 // design, so loading rebuilds the table by re-hashing each key under a
 // fresh seed. Ids are preserved because they are defined by slab order,
 // not by the table.
-//
-// InternerFromBinary reads the self-delimiting form format-1
-// checkpoints embed:
-//
-//	uint32 LE  key count n
-//	uint32 LE  slab length (== off[n])
-//	[n]uint32  off[1..n] (off[0] is always 0 and is not stored)
-//	[...]byte  slab bytes
 
 // Prefix returns the storage of the first n keys: off[:n+1] and the slab
 // bytes they delimit. Both arrays are append-only, so the returned
@@ -67,29 +56,4 @@ func InternerFromParts(off []uint32, slab []byte) (*Interner, error) {
 		in.tab[slot] = id
 	}
 	return in, nil
-}
-
-// InternerFromBinary decodes an interner from the front of buf,
-// returning the remaining bytes. See InternerFromParts for what is
-// validated.
-func InternerFromBinary(buf []byte) (*Interner, []byte, error) {
-	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("keys: interner header truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	slabLen := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	if n > math.MaxInt32 || int64(len(buf)) < int64(n)*4+int64(slabLen) {
-		return nil, nil, fmt.Errorf("keys: interner body truncated (n=%d slab=%d have=%d)", n, slabLen, len(buf))
-	}
-	off := make([]uint32, n+1)
-	for i := 1; i <= n; i++ {
-		off[i] = binary.LittleEndian.Uint32(buf[(i-1)*4:])
-	}
-	buf = buf[n*4:]
-	in, err := InternerFromParts(off, bytes.Clone(buf[:slabLen]))
-	if err != nil {
-		return nil, nil, err
-	}
-	return in, buf[slabLen:], nil
 }

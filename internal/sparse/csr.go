@@ -92,6 +92,11 @@ func (m *CSR[V]) Row(i int) (cols []int, vals []V) {
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
 
+// Parts returns the matrix's backing arrays — what a serializer writes.
+// They are shared with the matrix (and whatever snapshots alias it) and
+// must not be written.
+func (m *CSR[V]) Parts() (rowPtr, colIdx []int, val []V) { return m.rowPtr, m.colIdx, m.val }
+
 // At returns the stored value at (i, j) and whether an entry exists.
 func (m *CSR[V]) At(i, j int) (V, bool) {
 	var zero V

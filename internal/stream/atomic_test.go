@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"adjarray/internal/iofault"
 	"adjarray/internal/wal"
 )
 
@@ -229,7 +230,7 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 
 	// The log itself must hold exactly one record per accepted batch.
 	var seqs []uint64
-	if _, err := wal.Replay(dir, 0, func(seq uint64, _ []byte) error {
+	if _, err := wal.ReplayFS(iofault.OS, dir, 0, func(seq uint64, _ []byte) error {
 		seqs = append(seqs, seq)
 		return nil
 	}); err != nil {

@@ -54,8 +54,9 @@ import (
 // Readers accept the spelled-out form of a column that could have been
 // left out (PRs 16–20 wrote every column in full) and do not keep it.
 //
-// Format 1 — what PRs 7–15 wrote: one payload of position-space
-// incidence CSRs — is still read (decodeView) and never written.
+// Version 1 of the file held the position-space CSRs of Eout and Ein, to
+// be inverted back into this log on every load; nothing has written it
+// since PR 15, and wal.ParseCheckpoint refuses it by name.
 const (
 	secMeta uint32 = iota + 1
 	secSrcOff
@@ -243,21 +244,12 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 	return e.finish()
 }
 
-// decodeCheckpoint reconstructs a View from a validated checkpoint file
-// of either format. Bytes that passed their checksums but do not decode
-// into a consistent view are a *wal.CorruptError; a checkpoint written
-// under another algebra is refused with a plain error.
+// decodeCheckpoint reconstructs a View from a validated checkpoint file.
+// Bytes that passed their checksums but do not decode into a consistent
+// view are a *wal.CorruptError; a checkpoint written under another
+// algebra is refused with a plain error.
 func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], error) {
-	var (
-		v    *View[V]
-		name string
-		err  error
-	)
-	if ck.Format == 1 {
-		v, name, err = decodeView(ck.Payload, ops, opt, codec)
-	} else {
-		v, name, err = decodeSections(ck.Sections, ops, opt, codec)
-	}
+	v, name, err := decodeSections(ck.Sections, ops, opt, codec)
 	if err != nil {
 		return nil, &wal.CorruptError{Path: ck.Path, Reason: err.Error()}
 	}
@@ -267,8 +259,9 @@ func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], opt Option
 	return v, nil
 }
 
-// sectionDecoder reads format-2 sections. The first failure is sticky:
-// every later read returns nothing, and the caller checks err once.
+// sectionDecoder reads a checkpoint's sections. The first failure is
+// sticky: every later read returns nothing, and the caller checks err
+// once.
 type sectionDecoder struct {
 	secs []wal.Section
 	err  error
@@ -344,7 +337,7 @@ func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string
 	copy(off[1:], ends)
 	in, err := keys.InternerFromParts(off, slices.Clone(d.body(slabTag)))
 	if err == nil {
-		set, _, err = sideFromPos(in, pos)
+		set, err = sideFromPos(in, pos)
 	}
 	if err != nil {
 		d.fail("%s side: %v", name, err)
@@ -445,9 +438,9 @@ func logVals[V any](d *sectionDecoder, tag uint32, name string, n int, codec Val
 	return nil
 }
 
-// decodeSections reconstructs a View from format-2 sections, returning
-// the algebra name the checkpoint was written under. Nothing is built
-// and inverted back: the log columns decode into the slices the view
+// decodeSections reconstructs a View from a checkpoint's sections,
+// returning the algebra name it was written under. Nothing is built and
+// inverted back: the log columns decode into the slices the view
 // keeps, the edge keys are substrings of one string, and the position
 // arrays are the stored ones. Every structural invariant is re-validated
 // on the way in — interner offsets, position-map bijectivity, key
@@ -559,14 +552,13 @@ func checkCounters(appends, epoch, autoSeq uint64) error {
 }
 
 // sideFromPos inverts an id→position map into the sorted universe key
-// Set it describes and the id at each position, validating that the
-// positions are a bijection onto [0, count) and that the keys they order
-// really are sorted (FromSorted re-checks strict ascent — the corruption
-// detector for the key data). The map may stop short of the interner:
-// ids past it have no position.
-func sideFromPos(in *keys.Interner, pos []int32) (set *keys.Set, byPos []int32, err error) {
+// Set it describes, validating that the positions are a bijection onto
+// [0, count) and that the keys they order really are sorted (FromSorted
+// re-checks strict ascent — the corruption detector for the key data).
+// The map may stop short of the interner: ids past it have no position.
+func sideFromPos(in *keys.Interner, pos []int32) (*keys.Set, error) {
 	if len(pos) > in.Len() {
-		return nil, nil, fmt.Errorf("stream: position map covers %d ids, interner holds %d", len(pos), in.Len())
+		return nil, fmt.Errorf("stream: position map covers %d ids, interner holds %d", len(pos), in.Len())
 	}
 	count := 0
 	for _, p := range pos {
@@ -575,168 +567,21 @@ func sideFromPos(in *keys.Interner, pos []int32) (set *keys.Set, byPos []int32, 
 		}
 	}
 	sorted := make([]string, count)
-	byPos = make([]int32, count)
 	seen := make([]bool, count)
 	for id, p := range pos {
 		if p < 0 {
 			continue
 		}
 		if int(p) >= count || seen[p] {
-			return nil, nil, fmt.Errorf("stream: position map is not a bijection at id %d", id)
+			return nil, fmt.Errorf("stream: position map is not a bijection at id %d", id)
 		}
 		seen[p] = true
-		byPos[p] = int32(id)
 	}
 	in.KeysByPos(pos, sorted)
-	set, err = keys.FromSorted(sorted)
+	set, err := keys.FromSorted(sorted)
 	if err != nil {
-		return nil, nil, fmt.Errorf("stream: universe keys: %w", err)
+		return nil, fmt.Errorf("stream: universe keys: %w", err)
 	}
 	set.Bind(&keys.InternIndex{In: in, Pos: pos})
-	return set, byPos, nil
-}
-
-// decodeView reconstructs a View from a format-1 checkpoint payload,
-// returning the algebra name it was written under. Every structural
-// invariant is re-validated on the way in: interner offsets,
-// position-map bijectivity, key-set sortedness, CSR shape (through
-// NewCSR), one entry per incidence row, and the cross-array dimension
-// agreement.
-func decodeView[V any](payload []byte, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], string, error) {
-	b := payload
-	if len(b) < 1 || b[0] != 1 {
-		return nil, "", fmt.Errorf("stream: unsupported checkpoint payload format")
-	}
-	b = b[1:]
-	name, b, err := decodeStr(b)
-	if err != nil {
-		return nil, "", err
-	}
-	var edges, appends, epoch, autoSeq uint64
-	if edges, b, err = decodeU64(b); err != nil {
-		return nil, "", err
-	}
-	if appends, b, err = decodeU64(b); err != nil {
-		return nil, "", err
-	}
-	if epoch, b, err = decodeU64(b); err != nil {
-		return nil, "", err
-	}
-	if autoSeq, b, err = decodeU64(b); err != nil {
-		return nil, "", err
-	}
-	if err := checkCounters(appends, epoch, autoSeq); err != nil {
-		return nil, "", err
-	}
-	if len(b) < 1 {
-		return nil, "", fmt.Errorf("stream: truncated checkpoint flags")
-	}
-	exact := b[0] == 1
-	b = b[1:]
-	var autoBase, lastKey string
-	if autoBase, b, err = decodeStr(b); err != nil {
-		return nil, "", err
-	}
-	if lastKey, b, err = decodeStr(b); err != nil {
-		return nil, "", err
-	}
-	srcIn, b, err := keys.InternerFromBinary(b)
-	if err != nil {
-		return nil, "", err
-	}
-	dstIn, b, err := keys.InternerFromBinary(b)
-	if err != nil {
-		return nil, "", err
-	}
-	srcPos, b, err := decodeI32s(b)
-	if err != nil {
-		return nil, "", err
-	}
-	dstPos, b, err := decodeI32s(b)
-	if err != nil {
-		return nil, "", err
-	}
-	edgeKeys, b, err := decodeStrs(b)
-	if err != nil {
-		return nil, "", err
-	}
-	eoutM, b, err := sparse.DecodeCSR(b, codec.Decode)
-	if err != nil {
-		return nil, "", err
-	}
-	einM, b, err := sparse.DecodeCSR(b, codec.Decode)
-	if err != nil {
-		return nil, "", err
-	}
-	mainM, b, err := sparse.DecodeCSR(b, codec.Decode)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(b) != 0 {
-		return nil, "", fmt.Errorf("stream: %d trailing bytes after checkpoint payload", len(b))
-	}
-
-	srcSet, srcByPos, err := sideFromPos(srcIn, srcPos)
-	if err != nil {
-		return nil, "", err
-	}
-	dstSet, dstByPos, err := sideFromPos(dstIn, dstPos)
-	if err != nil {
-		return nil, "", err
-	}
-	if _, err := keys.FromSorted(edgeKeys); err != nil {
-		return nil, "", fmt.Errorf("stream: edge keys: %w", err)
-	}
-	if int(edges) != len(edgeKeys) {
-		return nil, "", fmt.Errorf("stream: checkpoint counts %d edges, key set holds %d", edges, len(edgeKeys))
-	}
-	if len(edgeKeys) > 0 && edgeKeys[len(edgeKeys)-1] != lastKey {
-		return nil, "", fmt.Errorf("stream: checkpoint last key %q disagrees with edge set", lastKey)
-	}
-	if eoutM.Rows() != len(edgeKeys) || eoutM.Cols() != srcSet.Len() {
-		return nil, "", fmt.Errorf("stream: eout is %d×%d, want %d×%d", eoutM.Rows(), eoutM.Cols(), len(edgeKeys), srcSet.Len())
-	}
-	if einM.Rows() != len(edgeKeys) || einM.Cols() != dstSet.Len() {
-		return nil, "", fmt.Errorf("stream: ein is %d×%d, want %d×%d", einM.Rows(), einM.Cols(), len(edgeKeys), dstSet.Len())
-	}
-	if mainM.Rows() != srcSet.Len() || mainM.Cols() != dstSet.Len() {
-		return nil, "", fmt.Errorf("stream: adjacency is %d×%d, want %d×%d", mainM.Rows(), mainM.Cols(), srcSet.Len(), dstSet.Len())
-	}
-	// Back into id space: each incidence row's one column position is
-	// the position of the endpoint's id.
-	srcID, out, err := unitRowIDs(eoutM, srcByPos)
-	if err != nil {
-		return nil, "", err
-	}
-	dstID, in, err := unitRowIDs(einM, dstByPos)
-	if err != nil {
-		return nil, "", err
-	}
-	main, err := assoc.New(srcSet, dstSet, mainM)
-	if err != nil {
-		return nil, "", err
-	}
-	v := &View[V]{
-		ops:      ops,
-		opt:      opt,
-		keys:     spelledKeys(edgeKeys),
-		srcID:    srcID,
-		dstID:    dstID,
-		out:      out,
-		in:       in,
-		srcIn:    srcIn,
-		dstIn:    dstIn,
-		uRows:    srcSet,
-		uCols:    dstSet,
-		srcPos:   srcPos,
-		dstPos:   dstPos,
-		synced:   len(edgeKeys),
-		main:     main,
-		appends:  int(appends),
-		exact:    exact,
-		autoSeq:  int(autoSeq),
-		autoBase: autoBase,
-	}
-	v.epoch.Store(int64(epoch))
-	return v, name, nil
+	return set, nil
 }

@@ -660,9 +660,6 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/%d shards, phase %d", ops.Name, shards, phase)
 				for i, p := range st.parts {
-					if p.recovery.CheckpointSeq > 0 && p.recovery.CheckpointFormat != 2 {
-						t.Fatalf("%s: shard %d loaded format %d", label, i, p.recovery.CheckpointFormat)
-					}
 					if err := validateView(p.v); err != nil && p.recovery.Replayed == 0 {
 						t.Fatalf("%s: shard %d: %v", label, i, err)
 					}
@@ -915,7 +912,7 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 		for i, s := range ck.Sections {
 			secs[i] = wal.Section{Tag: s.Tag, Body: slices.Clone(s.Body)}
 		}
-		_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Format: 2, Sections: tc.mut(secs)}, ops, Options{}, Float64Codec())
+		_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: tc.mut(secs)}, ops, Options{}, Float64Codec())
 		if !errors.Is(err, wal.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
@@ -961,8 +958,8 @@ func controlViewOf(t testing.TB, batches [][]Edge[float64], ops semiring.Ops[flo
 }
 
 // A count the bytes cannot back is refused before anything is allocated
-// for it — in a WAL record, in a format-1 string slice — and a WAL
-// record that does not decode fails recovery as corruption.
+// for it, and a WAL record that does not decode fails recovery as
+// corruption.
 func TestDecodersBoundAllocationsByLength(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
@@ -988,15 +985,6 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 	if _, err := decodeBatch(append([]byte{0x80, 0x08}, make([]byte, 4096)...), codec, nil); err != nil {
 		t.Errorf("1,024 empty edges in 4 KiB are a valid record: %v", err)
 	}
-	// A count of 4,095 over 200 bytes of empty strings.
-	strs := append([]byte{0xff, 0x1f}, make([]byte, 198)...)
-	if got := allocated(func() {
-		if _, _, err := decodeStrs(strs); err == nil {
-			t.Error("a truncated string slice decoded")
-		}
-	}); got > 16<<10 {
-		t.Errorf("refusing a truncated string slice allocated %d bytes", got)
-	}
 
 	// End to end: a record whose frame is intact and whose contents are
 	// not a batch.
@@ -1017,8 +1005,8 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 }
 
 // Durability reports the checkpoints a shard wrote: how many, and the
-// size, duration and format of the last; Recovery reports the format and
-// load time of the one it opened from.
+// size and duration of the last; Recovery reports the seq and load time
+// of the one it opened from.
 func TestDurabilityReportsCheckpoints(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
@@ -1026,7 +1014,7 @@ func TestDurabilityReportsCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := st.Durability()[0]; d.Checkpoints != 0 || d.CheckpointBytes != 0 || d.CheckpointFormat != 0 {
+	if d := st.Durability()[0]; d.Checkpoints != 0 || d.CheckpointBytes != 0 {
 		t.Fatalf("fresh store: %+v", d)
 	}
 	for i, b := range durableBatches(46, 4, 6) {
@@ -1044,7 +1032,7 @@ func TestDurabilityReportsCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Checkpoints != 2 || d.CheckpointBytes != fi.Size() || d.CheckpointDuration <= 0 || d.CheckpointFormat != 2 {
+	if d.Checkpoints != 2 || d.CheckpointBytes != fi.Size() || d.CheckpointDuration <= 0 {
 		t.Fatalf("after two checkpoints: %+v (file is %d bytes)", d, fi.Size())
 	}
 	if err := st.Close(); err != nil {
@@ -1055,13 +1043,13 @@ func TestDurabilityReportsCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if rec := re.Recovery()[0]; rec.CheckpointFormat != 2 || rec.CheckpointLoad <= 0 || rec.CheckpointSeq != 4 {
+	if rec := re.Recovery()[0]; rec.CheckpointLoad <= 0 || rec.CheckpointSeq != 4 {
 		t.Fatalf("recovery = %+v", rec)
 	}
-	if d := re.Durability()[0]; d.Checkpoints != 0 || d.CheckpointFormat != 2 {
+	if d := re.Durability()[0]; d.Checkpoints != 0 || d.CheckpointSeq != 4 {
 		t.Fatalf("reopened store: %+v", d)
 	}
-	if d := memStore(t, ops, 1, Options{}).Durability()[0]; d.Checkpoints != 0 || d.CheckpointFormat != 0 {
+	if d := memStore(t, ops, 1, Options{}).Durability()[0]; d.Checkpoints != 0 || d.CheckpointSeq != 0 {
 		t.Fatalf("in-memory store: %+v", d)
 	}
 }

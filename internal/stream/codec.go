@@ -77,41 +77,6 @@ func decodeU64(b []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(b), b[8:], nil
 }
 
-func decodeI32s(b []byte) ([]int32, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("stream: truncated i32 slice")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n > math.MaxInt32 || len(b) < n*4 {
-		return nil, nil, fmt.Errorf("stream: truncated i32 slice body (n=%d)", n)
-	}
-	xs := make([]int32, n)
-	for i := range xs {
-		xs[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return xs, b[n*4:], nil
-}
-
-// decodeStrs reads a counted string slice. The slice grows as strings
-// actually decode, so a count the bytes do not back costs nothing.
-func decodeStrs(b []byte) ([]string, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("stream: truncated string slice")
-	}
-	b = b[w:]
-	ss := make([]string, 0, min(n, 1024))
-	for i := uint64(0); i < n; i++ {
-		s, rest, err := decodeStr(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		ss, b = append(ss, s), rest
-	}
-	return ss, b, nil
-}
-
 // --- WAL batch records -------------------------------------------------
 
 // Edge flag bits in the WAL batch encoding.

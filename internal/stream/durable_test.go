@@ -381,7 +381,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 	// impossible; damaged WITH the CRC catching it and no fallback must
 	// be the typed error. Damage that somehow passes the CRC layer is
 	// simulated by corrupting payload THROUGH a rewritten checkpoint —
-	// covered in decodeView validation tests elsewhere; here the
+	// covered by TestDecodeSectionsRejectsInconsistency; here the
 	// end-to-end path.
 	ops := plusTimes(t)
 	dir := t.TempDir()

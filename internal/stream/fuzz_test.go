@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,12 +15,12 @@ import (
 
 // How the checkpoint fuzz target reads its bytes.
 const (
-	fuzzFile     = 0 // a checkpoint file of either format, checksums and all
-	fuzzPayload  = 1 // a format-1 payload, as if its checksum had held
-	fuzzSections = 2 // format-2 sections, as if their checksums had held
+	fuzzFile     = 0 // a checkpoint file, checksums and all
+	fuzzSections = 1 // its sections, as if their checksums had held
+	fuzzModes    = 2
 )
 
-// frameSections is the fuzz target's own framing of format-2 sections —
+// frameSections is the fuzz target's own framing of a file's sections —
 // tag, length, body — so that mutations reach decodeSections instead of
 // dying at a CRC.
 func frameSections(secs []wal.Section) []byte {
@@ -45,12 +46,12 @@ func unframeSections(b []byte) []wal.Section {
 	return secs
 }
 
-// fixtureCheckpoints returns the checkpoint files under testdata — what
-// PRs 14 and 15 wrote, format 1.
+// fixtureCheckpoints returns the format-1 checkpoint files under
+// testdata — what PR 15 wrote.
 func fixtureCheckpoints(t testing.TB) [][]byte {
 	t.Helper()
 	var files [][]byte
-	for _, pattern := range []string{"testdata/*/shards1/*.ckpt", "testdata/*/shards2/*/*.ckpt"} {
+	for _, pattern := range []string{"testdata/pr15/shards1/*.ckpt", "testdata/pr15/shards2/*/*.ckpt"} {
 		paths, err := filepath.Glob(pattern)
 		if err != nil {
 			t.Fatal(err)
@@ -63,10 +64,42 @@ func fixtureCheckpoints(t testing.TB) [][]byte {
 			files = append(files, buf)
 		}
 	}
-	if len(files) != 6 {
-		t.Fatalf("found %d fixture checkpoints, want 6", len(files))
+	if len(files) != 3 {
+		t.Fatalf("found %d fixture checkpoints, want 3", len(files))
 	}
 	return files
+}
+
+// orphanedView is a view two of whose batches died after their endpoints
+// were interned: the first leaves -1 inside the position maps once later
+// vertices take positions, the second — the last thing the view saw —
+// leaves the interners' newest ids without one.
+func orphanedView(t testing.TB, ops semiring.Ops[float64]) *View[float64] {
+	t.Helper()
+	v := NewView(ops, Options{})
+	boom := errors.New("rolled back")
+	doom := func(tag string) {
+		v.failpoint = func(site string) error {
+			if site == "append:interned" {
+				return boom
+			}
+			return nil
+		}
+		if err := v.Append([]Edge[float64]{{Src: "orphan-" + tag + "-a", Dst: "orphan-" + tag + "-b"}}); !errors.Is(err, boom) {
+			t.Fatalf("doomed batch: %v", err)
+		}
+		v.failpoint = nil
+	}
+	for i, b := range pr20Batches(false) {
+		if i == 1 {
+			doom("mid")
+		}
+		if err := v.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doom("tail")
+	return v
 }
 
 // FuzzDecodeView: whatever the bytes, opening a checkpoint yields a typed
@@ -75,13 +108,13 @@ func fixtureCheckpoints(t testing.TB) [][]byte {
 // more memory than a small multiple of the input.
 func FuzzDecodeView(f *testing.F) {
 	ops := semiring.PlusTimes()
+	// Format 1 comes back as the typed refusal, whatever is done to it.
 	for _, file := range fixtureCheckpoints(f) {
-		f.Add(uint8(fuzzFile), file)
-		ck, err := wal.ParseCheckpoint("", file)
-		if err != nil || ck.Format != 1 {
-			f.Fatalf("fixture: format %v, %v", ck, err)
+		var ce *wal.CorruptError
+		if ck, err := wal.ParseCheckpoint("", file); ck != nil || !errors.As(err, &ce) || ce.Offset != 8 {
+			f.Fatalf("format-1 fixture: checkpoint %v, err %v; want the refusal at the version word", ck, err)
 		}
-		f.Add(uint8(fuzzPayload), ck.Payload)
+		f.Add(uint8(fuzzFile), file)
 	}
 	// What PR 20 wrote: format 2 with every key and value spelled out.
 	spelled, err := filepath.Glob("testdata/pr20/*1/*.ckpt")
@@ -95,19 +128,16 @@ func FuzzDecodeView(f *testing.F) {
 		}
 		f.Add(uint8(fuzzFile), buf)
 	}
-	// Freshly written format-2 images: an auto-keyed weighted, an
-	// explicit-keyed, an empty and an auto-keyed unit stream (whose key and
-	// value sections are empty) — whole, with one byte flipped in each
-	// section, and with each of the key and value sections emptied, which
-	// leaves among others key offsets beside no slab and a slab beside no
-	// offsets.
-	auto := NewView(ops, Options{})
-	for _, b := range pr14Batches() {
-		if err := auto.Append(b); err != nil {
-			f.Fatal(err)
-		}
-	}
-	for _, v := range []*View[float64]{auto, controlViewOf(f, durableBatches(47, 4, 9), ops), NewView(ops, Options{}), controlViewOf(f, pr20Batches(false), ops)} {
+	// Freshly written images: an auto-keyed weighted, an explicit-keyed, an
+	// empty and an auto-keyed unit stream (whose key and value sections are
+	// empty), and one with ids no edge references — whole, with one byte
+	// flipped in each section, and with each of the key and value sections
+	// emptied, which leaves among others key offsets beside no slab and a
+	// slab beside no offsets.
+	for _, v := range []*View[float64]{
+		controlViewOf(f, pr14Batches(), ops), controlViewOf(f, durableBatches(47, 4, 9), ops),
+		NewView(ops, Options{}), controlViewOf(f, pr20Batches(false), ops), orphanedView(f, ops),
+	} {
 		file := writeImage(f, v)
 		f.Add(uint8(fuzzFile), file)
 		ck, err := wal.ParseCheckpoint("", file)
@@ -137,21 +167,20 @@ func FuzzDecodeView(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var ck *wal.Checkpoint
-		switch mode % 3 {
+		switch mode % fuzzModes {
 		case fuzzFile:
 			var err error
 			if ck, err = wal.ParseCheckpoint("fuzz", data); err != nil {
 				return
 			}
-		case fuzzPayload:
-			ck = &wal.Checkpoint{Path: "fuzz", Format: 1, Payload: data}
 		case fuzzSections:
-			ck = &wal.Checkpoint{Path: "fuzz", Format: 2, Sections: unframeSections(data)}
+			ck = &wal.Checkpoint{Path: "fuzz", Sections: unframeSections(data)}
 		}
 		v, err := decodeCheckpoint(ck, ops, Options{}, Float64Codec())
 		runtime.ReadMemStats(&after)
-		// The largest legitimate ratio is a string header per byte of a
-		// format-1 key list; the fuzz engine's own allocations ride along.
+		// The largest legitimate ratio is a 16-byte string header per
+		// 4-byte entry of a position map or a key-offset column; the fuzz
+		// engine's own allocations ride along.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<20); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}

@@ -3,17 +3,19 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
-	"adjarray/internal/assoc"
-	"adjarray/internal/graph"
 	"adjarray/internal/semiring"
+	"adjarray/internal/wal"
 )
 
 // The log and the backlog are stored by interner id, so what an Append
@@ -229,8 +231,9 @@ func TestOldSnapshotLogsKeepTheirEpoch(t *testing.T) {
 	}
 }
 
-// pr14Batches is the edge stream testdata/pr14 was written from (see
-// gen.go there): five keyless batches, a checkpoint after the third.
+// pr14Batches is the keyless, weighted edge stream PR 14's format-1
+// fixture was written from. The fixture went with format 1; the stream
+// stays as the one the fuzz targets seed from.
 func pr14Batches() [][]Edge[float64] {
 	verts := []string{"m", "c", "x", "a", "q", "zz", "b", "d", "k", "0", "~", "mm"}
 	var out [][]Edge[float64]
@@ -251,220 +254,65 @@ func pr14Batches() [][]Edge[float64] {
 	return out
 }
 
-// pr15Step is one append of the stream testdata/pr15 was written from
-// (see gen.go there). A rollback step was failed after its endpoints
-// were interned, so its vertices stayed behind as ids nothing
-// references: the replay skips it.
-type pr15Step struct {
-	batch    []Edge[float64]
-	rollback bool
-}
-
-// pr15Steps must stay in step with the copy in testdata/pr15/gen.go.
-// shards1 is the explicit-key stream, shards2 the auto-key one; a
-// checkpoint followed step 4.
-func pr15Steps(keyed bool) []pr15Step {
-	verts := []string{"n", "d", "y", "b", "r", "zz", "c", "e", "l", "1", "~", "nn", "orphan-mid-a"}
-	var steps []pr15Step
-	n, key := 0, 0
-	add := func(batch []Edge[float64], rollback bool) {
-		if keyed {
-			for i := range batch {
-				batch[i].Key = fmt.Sprintf("k%04d", key+i)
-			}
-			if !rollback {
-				key += len(batch)
-			}
-		}
-		steps = append(steps, pr15Step{batch, rollback})
-	}
-	orphans := func(tag string) []Edge[float64] {
-		var batch []Edge[float64]
-		for i := 0; i < 6; i++ {
-			batch = append(batch, Edge[float64]{Src: fmt.Sprintf("orphan-%s-%c", tag, 'a'+i), Dst: fmt.Sprintf("orphan-%s-%c", tag, 'f'-i)})
-		}
-		return batch
-	}
-	for b := 0; b < 5; b++ {
-		batch := make([]Edge[float64], 7)
-		for i := range batch {
-			pool := 4 + 2*b
-			if b == 3 {
-				pool = len(verts)
-			}
-			src := verts[(n*5+b)%pool]
-			dst := verts[(n*7+3)%(3+2*b)]
-			batch[i] = Edge[float64]{Src: src, Dst: dst, Out: float64(1 + n%3), HasOut: true}
-			if n%4 == 0 {
-				batch[i].In, batch[i].HasIn = 0.25, true
-			}
-			n++
-		}
-		add(batch, false)
-		switch b {
-		case 0:
-			add(orphans("mid"), true)
-		case 2:
-			add(orphans("tail"), true)
-		}
-	}
-	return steps
-}
-
-// lastKey is the newest edge key in a store's log.
-func lastKey(t *testing.T, st *Store[float64]) string {
+// dirBytes reads every file under dir, by path relative to it.
+func dirBytes(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	eout, _ := mustLogs(t, flatSnap(t, st))
-	return eout.RowKeys().Key(eout.RowKeys().Len() - 1)
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		buf, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(buf)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
-// Format 1 is read, never written. testdata/pr14 and testdata/pr15 hold
-// directories earlier commits wrote — a format-1 checkpoint covering
-// three batches plus a WAL tail of two more, at one and at two shards:
-// pr14 from a position-space log, keyless; pr15 from the id-space log,
-// with ids orphaned by rolled-back batches (−1 inside the position map
-// and padded onto its end), explicit keys at one shard and auto keys at
-// two. Each must reopen bit-identical to an in-memory replay of its
-// stream, take keyless appends whose vertices sort all over the
-// recovered universe, equal the dense Definition I.3 construction over
-// everything ingested, checkpoint — format 2 now — and reopen again the
-// same, down to the next auto-assigned key.
-func TestReopensParentWrittenCheckpoints(t *testing.T) {
+// Format 1 is refused, not read. testdata/pr15 holds directories PR 15 —
+// the last commit to write format 1 — wrote: a format-1 checkpoint
+// covering three batches plus a WAL tail of two more, at one and at two
+// shards. Open hands back no store and an error that matches
+// wal.ErrCorrupt and names the checkpoint file, the shard, the format and
+// the build that still reads it — never a store opened empty or from the
+// WAL tail alone — and leaves the directory as it found it: no new
+// segment, nothing reaped, truncated or retired.
+func TestFormatOneDirectoriesAreRefused(t *testing.T) {
 	ops := semiring.PlusTimes()
-	more := [][]Edge[float64]{
-		{{Src: "!", Dst: "m"}, {Src: "m", Dst: "l"}, {Src: "zzz", Dst: "!"}},
-		{{Src: "c", Dst: "zzz", Out: 2, HasOut: true}, {Src: "l", Dst: "a"}, {Src: "orphan-tail-a", Dst: "n"}},
-	}
-	pr15 := func(keyed bool) (batches [][]Edge[float64]) {
-		for _, step := range pr15Steps(keyed) {
-			if !step.rollback {
-				batches = append(batches, step.batch)
-			}
-		}
-		return batches
-	}
 	for _, fx := range []struct {
-		dir     string
-		shards  int
-		batches [][]Edge[float64]
+		dir, ckpt string
+		names     []string
+		shards    []int // the counts the layout admits, -1 adopting it
 	}{
-		{"pr14/shards1", 1, pr14Batches()},
-		{"pr14/shards2", 2, pr14Batches()},
-		{"pr15/shards1", 1, pr15(true)},
-		{"pr15/shards2", 2, pr15(false)},
+		{"shards1", "ckpt-0000000000000003.ckpt", nil, []int{1, 0, -1}},
+		{"shards2", filepath.Join("shard-000", "ckpt-0000000000000003.ckpt"), []string{"shard 0"}, []int{2, -1}},
 	} {
 		dir := filepath.Join(t.TempDir(), "store")
-		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", fx.dir))); err != nil {
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pr15", fx.dir))); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(dir, ops, fx.shards, Options{}, DurableOptions[float64]{})
-		if err != nil {
-			t.Fatalf("%s: reopening a parent-written directory: %v", fx.dir, err)
-		}
-		for i, rec := range st.Recovery() {
-			if rec.CheckpointSeq != 3 || rec.CheckpointFormat != 1 || rec.Replayed == 0 || rec.SkippedCheckpoints != 0 {
-				t.Errorf("%s: shard %d recovered %+v, want format-1 checkpoint 3 + a replayed tail", fx.dir, i, rec)
+		before := dirBytes(t, dir)
+		for _, shards := range fx.shards {
+			st, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+			if st != nil {
+				t.Fatalf("%s opened with %d shards asked: %d edges", fx.dir, shards, st.Stats().Edges)
 			}
-		}
-		replay := memStore(t, ops, fx.shards, Options{})
-		all := slices.Clone(fx.batches)
-		for _, batch := range all {
-			if err := replay.Append(batch); err != nil {
-				t.Fatal(err)
+			var ce *wal.CorruptError
+			if !errors.Is(err, wal.ErrCorrupt) || !errors.As(err, &ce) || ce.Path != filepath.Join(dir, fx.ckpt) || ce.Offset != 8 {
+				t.Fatalf("%s, %d shards asked: err = %v, want a *wal.CorruptError at the version word of %s", fx.dir, shards, err, fx.ckpt)
 			}
-		}
-		// same holds the store to the in-memory replay: snapshot, logs,
-		// counters, and the key the next keyless edge is given.
-		same := func(st *Store[float64], label string) {
-			t.Helper()
-			snapEqual(t, flatSnap(t, st), flatSnap(t, replay), fx.dir+", "+label)
-			got, want := st.Stats(), replay.Stats()
-			if got.Edges != want.Edges || !slices.Equal(got.Epochs, want.Epochs) || got.AdjNNZ != want.AdjNNZ || got.Pending != want.Pending {
-				t.Errorf("%s, %s: stats %+v, the replay's %+v", fx.dir, label, got, want)
-			}
-			for i := range got.PerShard {
-				g, w := got.PerShard[i], want.PerShard[i]
-				if g.OutVertices != w.OutVertices || g.InVertices != w.InVertices || g.Appends != w.Appends {
-					t.Errorf("%s, %s: shard %d stats %+v, the replay's %+v", fx.dir, label, i, g, w)
+			for _, want := range append([]string{fx.ckpt, "format 1", "b3cab25", "checkpoint"}, fx.names...) {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s, %d shards asked: the refusal does not say %q: %v", fx.dir, shards, want, err)
 				}
 			}
-		}
-		same(st, "as recovered")
-		for _, batch := range more {
-			if err := st.Append(batch); err != nil {
-				t.Fatalf("%s: keyless append on a parent-written directory: %v", fx.dir, err)
+			if after := dirBytes(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("%s, %d shards asked: the refused open changed the directory: %d files before, %d after", fx.dir, shards, len(before), len(after))
 			}
-			if err := replay.Append(batch); err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, batch)
-			if got, want := lastKey(t, st), lastKey(t, replay); got != want {
-				t.Fatalf("%s: a keyless edge was keyed %q, in the replay %q", fx.dir, got, want)
-			}
-		}
-		same(st, "after keyless appends")
-
-		// The oracle shares nothing with the view: its own keys in
-		// arrival order, FromTriples, the dense fold.
-		var outT, inT []assoc.Triple[float64]
-		for _, batch := range all {
-			for _, e := range batch {
-				k := fmt.Sprintf("k%04d", len(outT))
-				ov, iv := 1.0, 1.0
-				if e.HasOut {
-					ov = e.Out
-				}
-				if e.HasIn {
-					iv = e.In
-				}
-				outT = append(outT, assoc.Triple[float64]{Row: k, Col: e.Src, Val: ov})
-				inT = append(inT, assoc.Triple[float64]{Row: k, Col: e.Dst, Val: iv})
-			}
-		}
-		want, err := graph.AdjacencyDense(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := flatSnap(t, st)
-		if got.Edges != len(outT) || !got.Adjacency.Equal(want, eqF) {
-			t.Errorf("%s: recovered + appended adjacency (%d edges) != dense oracle (%d edges)", fx.dir, got.Edges, len(outT))
-		}
-		// And the recovered log is a log: its own one-shot product is the
-		// same array.
-		eout, ein := mustLogs(t, got)
-		if again, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{}); err != nil || !again.Equal(want, eqF) {
-			t.Errorf("%s: Correlate over the recovered Logs() != dense oracle (%v)", fx.dir, err)
-		}
-		// A checkpoint written now is format 2, and reopens the same.
-		if err := st.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(dir, ops, fx.shards, Options{}, DurableOptions[float64]{})
-		if err != nil {
-			t.Fatalf("%s: reopening after a new checkpoint: %v", fx.dir, err)
-		}
-		for i, rec := range re.Recovery() {
-			if rec.CheckpointFormat != 2 || rec.Replayed != 0 {
-				t.Errorf("%s: shard %d reopened from %+v, want a format-2 checkpoint and no tail", fx.dir, i, rec)
-			}
-		}
-		same(re, "after a format-2 checkpoint")
-		final := []Edge[float64]{{Src: "after", Dst: "all"}, {Src: "a", Dst: "after"}}
-		if err := re.Append(final); err != nil {
-			t.Fatal(err)
-		}
-		if err := replay.Append(final); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := lastKey(t, re), lastKey(t, replay); got != want {
-			t.Errorf("%s: after the format-2 checkpoint a keyless edge was keyed %q, in the replay %q", fx.dir, got, want)
-		}
-		same(re, "one batch past the format-2 checkpoint")
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -524,8 +372,8 @@ func TestReopensSpelledOutFormat2(t *testing.T) {
 				t.Fatalf("%s, %s: %v", fx.dir, label, err)
 			}
 			for i, rec := range st.Recovery() {
-				if rec.CheckpointFormat != 2 || rec.SkippedCheckpoints != 0 || (rec.Replayed > 0) != (round == 0) {
-					t.Errorf("%s, %s: shard %d recovered %+v, want a format-2 checkpoint, with a WAL tail the first time only", fx.dir, label, i, rec)
+				if rec.CheckpointSeq == 0 || rec.SkippedCheckpoints != 0 || (rec.Replayed > 0) != (round == 0) {
+					t.Errorf("%s, %s: shard %d recovered %+v, want a checkpoint, with a WAL tail the first time only", fx.dir, label, i, rec)
 				}
 			}
 			snapEqual(t, flatSnap(t, st), flatSnap(t, replay), fx.dir+", "+label)

@@ -65,9 +65,6 @@ type RecoveryInfo struct {
 	// (ckpt-*.tmp, leftovers of a write that died mid-publish) Open
 	// removed.
 	ReapedTempFiles int
-	// CheckpointFormat is the loaded checkpoint's on-disk format (1:
-	// position-space CSRs, read only; 2: the id-space log), 0 without one.
-	CheckpointFormat int
 	// CheckpointLoad is how long reading, validating and decoding the
 	// checkpoint took — recovery's cost before the WAL replay.
 	CheckpointLoad time.Duration
@@ -135,12 +132,9 @@ type DurabilityStats struct {
 	Checkpoints uint64
 	// CheckpointBytes and CheckpointDuration are the size of the last
 	// checkpoint written and how long it took from pinning the view to
-	// the published file; CheckpointFormat is the on-disk format of the
-	// newest checkpoint — the one loaded at Open until the first is
-	// written, 0 with none.
+	// the published file.
 	CheckpointBytes    int64
 	CheckpointDuration time.Duration
-	CheckpointFormat   int
 	// Policy is the fsync policy's string form (batch/interval/off), or
 	// "none" for an in-memory shard.
 	Policy string
@@ -255,7 +249,7 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 		if epoch := uint64(v.epoch.Load()); epoch != ckptSeq {
 			return nil, fmt.Errorf("stream: checkpoint seq %d holds view epoch %d", ckptSeq, epoch)
 		}
-		rec.CheckpointSeq, rec.CheckpointFormat, rec.CheckpointLoad = ckptSeq, ck.Format, time.Since(loadStart)
+		rec.CheckpointSeq, rec.CheckpointLoad = ckptSeq, time.Since(loadStart)
 	}
 	if v.autoBase == "" {
 		v.autoBase = prefix
@@ -531,20 +525,14 @@ func (p *partition[V]) durability() DurabilityStats {
 	if epoch > durable {
 		lag = epoch - durable
 	}
-	ckpts := p.ckpts.Load()
-	format := p.recovery.CheckpointFormat
-	if ckpts > 0 {
-		format = 2 // the only format written
-	}
 	return DurabilityStats{
 		Epoch:              epoch,
 		DurableEpoch:       durable,
 		WALLag:             lag,
 		CheckpointSeq:      ckptSeq,
-		Checkpoints:        ckpts,
+		Checkpoints:        p.ckpts.Load(),
 		CheckpointBytes:    p.ckptBytes.Load(),
 		CheckpointDuration: time.Duration(p.ckptDur.Load()),
-		CheckpointFormat:   format,
 		Policy:             p.opt.WAL.Policy.String(),
 		Recovery:           p.recovery,
 		Storage:            p.health(),

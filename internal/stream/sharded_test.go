@@ -2,14 +2,17 @@ package stream
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"adjarray/internal/assoc"
+	"adjarray/internal/iofault"
 	"adjarray/internal/semiring"
 	"adjarray/internal/wal"
 )
@@ -467,6 +470,62 @@ func TestOpenShardedCountMismatchRefused(t *testing.T) {
 	if data, err := os.ReadFile(filepath.Join(dir, shardMetaFile)); err != nil || string(data) != "2\n" {
 		t.Fatalf("SHARDS meta = %q, %v", data, err)
 	}
+}
+
+// A sharded directory that lost its SHARDS file is refused under every
+// count a caller can ask for — at one shard it would open empty beside
+// the shard directories, at another count re-partitioned — by an error
+// naming the directory and the missing file, and the refused open leaves
+// the directory as it found it. SHARDS itself is on stable storage before
+// the first shard directory exists.
+func TestOpenWithoutShardsFileRefused(t *testing.T) {
+	ops := semiring.PlusTimes()
+	dir := filepath.Join(t.TempDir(), "store")
+	cfs := &countFS{FS: iofault.OS}
+	cfs.reset()
+	st, err := Open(dir, ops, 2, Options{}, DurableOptions[float64]{FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What Open did, in order: SHARDS written, fsynced, published and its
+	// directory synced — and only then anything under shard-000.
+	synced := slices.Index(cfs.other, "sync-dir "+inShard(dir))
+	firstShard := slices.IndexFunc(cfs.other, func(op string) bool { return strings.Contains(op, "shard-000") })
+	if cfs.syncs[inShard(filepath.Join(dir, shardMetaFile+".tmp"))] != 1 || synced < 0 || firstShard < synced ||
+		!slices.Contains(cfs.other[:synced], "rename "+inShard(filepath.Join(dir, shardMetaFile))) {
+		t.Errorf("creating a 2-shard store did %v (file syncs %v); want SHARDS fsynced, renamed into place and its directory synced before the first shard directory is touched", cfs.other, cfs.syncs)
+	}
+	if err := st.Append(randomEdges(rand.New(rand.NewSource(23)), 16, 6, []float64{1, 2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, shardMetaFile)); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	for _, shards := range []int{1, 0, 3, 2, -1} {
+		re, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+		if re != nil {
+			t.Fatalf("%d shards asked: opened with %d shards and %d of 16 edges", shards, re.Shards(), re.Stats().Edges)
+		}
+		if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "no "+shardMetaFile+" file") {
+			t.Errorf("%d shards asked: err = %v, want a refusal naming %s and the missing %s file", shards, err, dir, shardMetaFile)
+		}
+		if after := dirBytes(t, dir); !maps.Equal(after, before) {
+			t.Fatalf("%d shards asked: the refused open changed the directory: %d files before, %d after", shards, len(before), len(after))
+		}
+	}
+	// Put back, it is the store it was.
+	if err := os.WriteFile(filepath.Join(dir, shardMetaFile), []byte("2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, ops, -1, Options{}, DurableOptions[float64]{})
+	if err != nil || re.Shards() != 2 || re.Stats().Edges != 16 {
+		t.Fatalf("with SHARDS restored: %v", err)
+	}
+	re.Close()
 }
 
 // Routing is a fixed function of the source vertex: stable across view

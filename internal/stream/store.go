@@ -104,9 +104,12 @@ const shardMetaFile = "SHARDS"
 //
 // shards follows one convention everywhere: 0 or 1 is one shard, < 0
 // selects GOMAXPROCS. A single shard lives at the directory root; more
-// live under dir/shard-NNN with the count recorded in dir/SHARDS. The
-// directory's layout wins over a count left to GOMAXPROCS and refuses
-// an explicit count that disagrees with it, in both directions.
+// live under dir/shard-NNN with the count recorded in dir/SHARDS, which
+// is on stable storage before the first of them exists. The directory's
+// layout wins over a count left to GOMAXPROCS and refuses an explicit
+// count that disagrees with it, in both directions; shard-NNN
+// directories whose SHARDS file is gone are refused under every count —
+// Open reads what the directory holds or says by name why not.
 //
 // opt tunes each shard's View; with more than one shard the per-shard
 // Mul.Workers is forced to 1 — shards already run concurrently, and the
@@ -175,9 +178,14 @@ func layout(fsys iofault.FS, dir string, shards int) ([]string, error) {
 			return nil, err
 		}
 		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), "wal-") || strings.HasPrefix(e.Name(), "ckpt-") {
+			switch name := e.Name(); {
+			case e.IsDir() && strings.HasPrefix(name, "shard-"):
+				// Opened at the root it would come up empty, under a new
+				// count re-partitioned: neither is this store.
+				return nil, fmt.Errorf("stream: %s holds %s but no %s file: the shard count it was created with is lost; restore %s (one line, the number of shard-NNN directories) to open it",
+					dir, name, shardMetaFile, metaPath)
+			case strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "ckpt-"):
 				recorded = 1
-				break
 			}
 		}
 	}
@@ -187,7 +195,7 @@ func layout(fsys iofault.FS, dir string, shards int) ([]string, error) {
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		if err := fsys.WriteFile(metaPath, []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
+		if err := writeShardMeta(fsys, dir, n); err != nil {
 			return nil, err
 		}
 	case recorded == 0:
@@ -204,6 +212,33 @@ func layout(fsys iofault.FS, dir string, shards int) ([]string, error) {
 		dirs[i] = filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 	}
 	return dirs, nil
+}
+
+// writeShardMeta publishes dir/SHARDS and makes it durable — temp file,
+// fsync, rename, directory fsync — before the caller creates the first
+// shard directory: shard-NNN directories without the count that routes
+// to them are a store nothing can open (see layout), so the count must
+// never be the younger of the two on disk.
+func writeShardMeta(fsys iofault.FS, dir string, n int) error {
+	metaPath := filepath.Join(dir, shardMetaFile)
+	f, err := fsys.OpenFile(metaPath+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write([]byte(strconv.Itoa(n) + "\n"))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(metaPath+".tmp", metaPath)
+	}
+	if err == nil {
+		err = fsys.SyncDir(dir)
+	}
+	return err
 }
 
 // Shards returns the shard count.

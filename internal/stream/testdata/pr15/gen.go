@@ -1,17 +1,21 @@
 //go:build ignore
 
-// Writes the checkpoint + WAL-tail fixture directories of
+// Wrote the checkpoint + WAL-tail fixture directories of
 // internal/stream/testdata/pr15: ADJCKPT format 1 as PR 15 wrote it from
-// an id-space log. It needs the view's failpoint to roll batches back, so
-// it is a test of package stream, not a program: it was run at commit
-// 26f5a85 (PR 15, the last to write format 1) from a copy of that
-// checkout as
+// an id-space log. They are the REFUSAL fixtures: format 1 was read until
+// PR 22 and is refused by name since (TestFormatOneDirectoriesAreRefused,
+// wal.TestFormatOneIsRefused, FuzzDecodeView's seeds), and these are the
+// only files a format-1 writer ever left in the tree. Kept as the record
+// of where they came from; no current code can run it. It needed the
+// view's failpoint to roll batches back, so it was a test of package
+// stream, not a program: it was run at commit 26f5a85 (PR 15, the last to
+// write format 1) from a copy of that checkout as
 //
 //	sed 1,2d testdata/pr15/gen.go > pr15gen_test.go   # in internal/stream
 //	PR15_OUT=$PWD/testdata/pr15 go test -run TestGeneratePR15 .
 //
-// The files are that run's output and are not to be regenerated with
-// later code.
+// The files are that run's output, byte for byte, and are not to be
+// regenerated.
 package stream
 
 import (
@@ -32,9 +36,10 @@ type pr15Step struct {
 	rollback bool
 }
 
-// pr15Steps must stay in step with the copy in
-// internal/stream/idspace_test.go. shards1 is the explicit-key stream,
-// shards2 the auto-key one. A checkpoint follows step 4, so the ids the
+// pr15Steps is the stream the fixtures hold (the copy that
+// internal/stream/idspace_test.go replayed went with the format-1
+// reader). shards1 is the explicit-key stream, shards2 the auto-key one.
+// A checkpoint follows step 4, so the ids the
 // second rolled-back batch orphaned are the interner's newest and the
 // format-1 position map is padded with -1 for them; the first
 // rolled-back batch leaves -1 inside the map, and step 5 later uses one

@@ -14,9 +14,9 @@ import (
 	"adjarray/internal/iofault"
 )
 
-// Checkpoint file layout, format 2 — the format this package writes. A
-// fixed header, a run of tagged sections whose contents belong to the
-// caller, and a footer:
+// Checkpoint file layout, format 2 — the one format this package writes
+// and reads. A fixed header, a run of tagged sections whose contents
+// belong to the caller, and a footer:
 //
 //	header   offset 0   [8]byte    magic "ADJCKPT1"
 //	         offset 8   uint32 LE  format version (2)
@@ -42,20 +42,12 @@ import (
 // anywhere, or a file cut at any byte (the footer is gone, or its length
 // disagrees), fails validation.
 //
-// Format 1 — one opaque payload under one header CRC — is still read,
-// never written:
-//
-//	offset 0  [8]byte    magic "ADJCKPT1"
-//	offset 8  uint32 LE  format version (1)
-//	offset 12 uint32 LE  CRC-32C over bytes [16, 32+n)
-//	offset 16 uint64 LE  covered seq
-//	offset 24 uint64 LE  payload length n
-//	offset 32 [n]byte    payload
+// Version 1 — one opaque payload under one header CRC, last written by
+// PR 15 — is refused by name: a second reader is a second format to keep
+// right, and ParseCheckpoint says which build still has it.
 const (
 	ckptMagic    = "ADJCKPT1"
 	ckptEndMagic = "ADJCKEND"
-
-	ckptV1HeaderSize = 8 + 4 + 4 + 8 + 8
 
 	ckptHeaderSize  = 8 + 4 + 4 + 8
 	ckptTrailerSize = 4 + 4 + 8
@@ -269,8 +261,8 @@ func listCheckpoints(fsys iofault.FS, dir string) ([]checkpointInfo, error) {
 	return cks, nil
 }
 
-// Section is one validated section of a format-2 checkpoint. Body
-// aliases the file's bytes.
+// Section is one validated section of a checkpoint. Body aliases the
+// file's bytes.
 type Section struct {
 	Tag  uint32
 	Body []byte
@@ -282,16 +274,13 @@ type Checkpoint struct {
 	Path string
 	// Seq is the last WAL record the checkpoint covers.
 	Seq uint64
-	// Format is the file's format version: 1 or 2.
-	Format int
-	// Payload is a format-1 file's one opaque payload.
-	Payload []byte
-	// Sections are a format-2 file's sections, in file order.
+	// Sections are the file's sections, in file order.
 	Sections []Section
 }
 
-// ParseCheckpoint validates the bytes of one checkpoint file of either
-// format. Damage of any kind is a *CorruptError naming path.
+// ParseCheckpoint validates the bytes of one checkpoint file. Damage of
+// any kind — and a version this package does not read — is a
+// *CorruptError naming path.
 func ParseCheckpoint(path string, buf []byte) (*Checkpoint, error) {
 	corrupt := func(off int, format string, args ...any) (*Checkpoint, error) {
 		return nil, &CorruptError{Path: path, Offset: int64(off), Reason: fmt.Sprintf(format, args...)}
@@ -305,20 +294,9 @@ func ParseCheckpoint(path string, buf []byte) (*Checkpoint, error) {
 	ck := &Checkpoint{Path: path, Seq: binary.LittleEndian.Uint64(buf[16:])}
 	wantCRC := binary.LittleEndian.Uint32(buf[12:])
 	switch v := binary.LittleEndian.Uint32(buf[8:]); v {
-	case 1:
-		if len(buf) < ckptV1HeaderSize {
-			return corrupt(0, "short checkpoint header")
-		}
-		if n := binary.LittleEndian.Uint64(buf[24:]); uint64(len(buf)) != ckptV1HeaderSize+n {
-			return corrupt(24, "checkpoint size %d does not match header length %d", len(buf), n)
-		}
-		if crc32.Checksum(buf[16:], castagnoli) != wantCRC {
-			return corrupt(12, "checkpoint checksum mismatch")
-		}
-		ck.Format, ck.Payload = 1, buf[ckptV1HeaderSize:]
-		return ck, nil
 	case 2:
-		ck.Format = 2
+	case 1:
+		return corrupt(8, "ADJCKPT format 1 is no longer readable; open the directory once with a build at or before b3cab25 (PR 22) and checkpoint")
 	default:
 		return corrupt(8, "unsupported checkpoint version %d", v)
 	}
@@ -408,12 +386,6 @@ func LoadCheckpointFS(fsys iofault.FS, dir string) (ck *Checkpoint, skipped []er
 		return nil, skipped, skipped[0]
 	}
 	return nil, nil, nil
-}
-
-// RetireCheckpoints retires on the real filesystem. See
-// RetireCheckpointsFS.
-func RetireCheckpoints(dir string, keep int) (removed int, err error) {
-	return RetireCheckpointsFS(iofault.OS, dir, keep)
 }
 
 // RetireCheckpointsFS deletes all but the keep newest checkpoint files.

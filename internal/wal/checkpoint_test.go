@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -31,15 +31,11 @@ func writeCheckpoint(fsys iofault.FS, dir string, seq uint64, payload []byte) (s
 }
 
 // loadCheckpoint loads the newest valid checkpoint and returns its
-// payload: the one section of a writeCheckpoint file, or a format-1
-// file's payload.
+// payload: the one section of a writeCheckpoint file.
 func loadCheckpoint(dir string) (payload []byte, seq uint64, skipped []error, err error) {
 	ck, skipped, err := LoadCheckpointFS(iofault.OS, dir)
 	if err != nil || ck == nil {
 		return nil, 0, skipped, err
-	}
-	if ck.Format == 1 {
-		return ck.Payload, ck.Seq, skipped, nil
 	}
 	if len(ck.Sections) != 1 || ck.Sections[0].Tag != testTag {
 		return nil, 0, skipped, errors.New("not a writeCheckpoint file")
@@ -47,47 +43,44 @@ func loadCheckpoint(dir string) (payload []byte, seq uint64, skipped []error, er
 	return ck.Sections[0].Body, ck.Seq, skipped, nil
 }
 
-// formatOneFile is the format-1 file PRs 7–15 wrote around payload.
-func formatOneFile(seq uint64, payload []byte) []byte {
-	buf := append([]byte(nil), ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, 1)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC patched below
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	binary.LittleEndian.PutUint32(buf[12:], crc32.Checksum(buf[16:], castagnoli))
-	return buf
-}
-
-// TestFormatOneStillLoads: a format-1 file is read — its payload handed
-// back whole — ranks by seq against format-2 files like any other, and
-// every damage to it is still caught.
-func TestFormatOneStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := writeCheckpoint(iofault.OS, dir, 3, payloadFor(3)); err != nil {
+// TestFormatOneIsRefused: a format-1 file — one PR 15 really wrote — is a
+// *CorruptError at the version word that names the format and the
+// remedy; a directory holding nothing newer fails to load rather than
+// load as empty; and below a format-2 file of higher seq it is never
+// read at all.
+func TestFormatOneIsRefused(t *testing.T) {
+	const name = "ckpt-0000000000000003.ckpt"
+	old, err := os.ReadFile(filepath.Join("..", "stream", "testdata", "pr15", "shards1", name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	clean := formatOneFile(8, payloadFor(8))
-	path := filepath.Join(dir, checkpointName(8))
-	if err := os.WriteFile(path, clean, 0o644); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	refused := func(err error) {
+		t.Helper()
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Path != path || ce.Offset != 8 ||
+			!strings.Contains(ce.Reason, "format 1") || !strings.Contains(ce.Reason, "b3cab25") {
+			t.Fatalf("err = %v, want a *CorruptError at offset 8 of %s naming format 1 and the last build that reads it", err, path)
+		}
+	}
+	ck, err := ParseCheckpoint(path, old)
+	if refused(err); ck != nil {
+		t.Fatalf("ParseCheckpoint handed back a checkpoint beside the refusal: %+v", ck)
 	}
 	ck, skipped, err := LoadCheckpointFS(iofault.OS, dir)
-	if err != nil || len(skipped) != 0 {
-		t.Fatalf("load: %v (%d skipped)", err, len(skipped))
+	if refused(err); ck != nil || len(skipped) != 1 {
+		t.Fatalf("load of a format-1 directory: checkpoint %v, %d skipped; want nil and the one refusal", ck, len(skipped))
 	}
-	if ck.Format != 1 || ck.Seq != 8 || !bytes.Equal(ck.Payload, payloadFor(8)) || ck.Sections != nil {
-		t.Fatalf("loaded format %d seq %d with %d sections, want the format-1 payload of seq 8", ck.Format, ck.Seq, len(ck.Sections))
+	if _, err := writeCheckpoint(iofault.OS, dir, 8, payloadFor(8)); err != nil {
+		t.Fatal(err)
 	}
-	for i := range clean {
-		damaged := bytes.Clone(clean)
-		damaged[i] ^= 0x20
-		if _, err := ParseCheckpoint(path, damaged); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("format 1 with byte %d flipped: err = %v, want ErrCorrupt", i, err)
-		}
-		if _, err := ParseCheckpoint(path, clean[:i]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("format 1 cut to %d bytes: err = %v, want ErrCorrupt", i, err)
-		}
+	payload, seq, skipped, err := loadCheckpoint(dir)
+	if err != nil || seq != 8 || len(skipped) != 0 || !bytes.Equal(payload, payloadFor(8)) {
+		t.Fatalf("format 2 at seq 8 above format 1 at seq 3: seq %d, %d skipped, err %v", seq, len(skipped), err)
 	}
 }
 
@@ -134,8 +127,8 @@ func TestSectionsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Format != 2 || ck.Seq != 11 || len(ck.Sections) != len(bodies) {
-		t.Fatalf("loaded format %d seq %d with %d sections, want 2, 11, %d", ck.Format, ck.Seq, len(ck.Sections), len(bodies))
+	if ck.Seq != 11 || len(ck.Sections) != len(bodies) {
+		t.Fatalf("loaded seq %d with %d sections, want 11, %d", ck.Seq, len(ck.Sections), len(bodies))
 	}
 	for i, s := range ck.Sections {
 		if s.Tag != uint32(100+i) || !bytes.Equal(s.Body, bodies[i]) {

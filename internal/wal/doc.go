@@ -35,7 +35,7 @@
 //
 // # Recovery semantics
 //
-// Replay validates every needed record's CRC and sequence number. An
+// ReplayFS validates every needed record's CRC and sequence number. An
 // invalid record at the very tail of the log — an incomplete frame, or
 // a checksum failure on the final frame of the last segment — is a torn
 // write: the tail is truncated (the repair is written back to the file)
@@ -55,13 +55,13 @@
 // fsync. Each section is closed by its length and a CRC-32C, and a
 // footer with the section count, the file's length and an end magic
 // closes the file, so every byte is covered and a file cut anywhere
-// fails validation (see checkpoint.go for the layout; format 1, one
-// opaque payload under one CRC, is still read). <seq> is the sequence
+// fails validation (see checkpoint.go for the layout; a file of format 1,
+// last written by PR 15, is refused by name). <seq> is the sequence
 // number of the last record the checkpoint covers, so recovery is "load
 // newest valid checkpoint, replay records > seq". A checkpoint that
 // fails validation is skipped in favor of the next older one (stale
 // checkpoint + longer WAL replay is the designed fallback); only when
 // every checkpoint file is invalid does loading fail with the typed
 // error. Segments wholly covered by a checkpoint are retired by
-// RetireSegments, which bounds log growth.
+// RetireSegmentsFS, which bounds log growth.
 package wal

@@ -64,7 +64,7 @@ func TestWriterWedgesOnSyncFailure(t *testing.T) {
 	// deliver it too — recovering MORE than was acked is allowed,
 	// losing acked data is not.
 	seen := map[uint64]bool{}
-	st, err := Replay(dir, 0, func(seq uint64, payload []byte) error {
+	st, err := ReplayFS(iofault.OS, dir, 0, func(seq uint64, payload []byte) error {
 		seen[seq] = true
 		return nil
 	})
@@ -107,7 +107,7 @@ func TestWriterWedgesOnWriteFailure(t *testing.T) {
 			// The torn bytes sit at the log tail, so recovery repairs
 			// them and the acked record survives.
 			var last uint64
-			st, err := Replay(dir, 0, func(seq uint64, payload []byte) error {
+			st, err := ReplayFS(iofault.OS, dir, 0, func(seq uint64, payload []byte) error {
 				last = seq
 				return nil
 			})

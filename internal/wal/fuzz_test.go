@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"adjarray/internal/iofault"
 )
 
 // FuzzReplay: whatever one or two segment files hold, replaying them ends
@@ -73,7 +75,7 @@ func FuzzReplay(f *testing.F) {
 		}
 		replay := func() ([]record, RecoverStats, error) {
 			var got []record
-			st, err := Replay(dir, fromSeq, func(seq uint64, payload []byte) error {
+			st, err := ReplayFS(iofault.OS, dir, fromSeq, func(seq uint64, payload []byte) error {
 				got = append(got, record{seq, payload})
 				return nil
 			})

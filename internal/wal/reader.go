@@ -11,7 +11,7 @@ import (
 	"adjarray/internal/iofault"
 )
 
-// RecoverStats reports what Replay found and repaired.
+// RecoverStats reports what ReplayFS found and repaired.
 type RecoverStats struct {
 	// Segments is how many segment files were read.
 	Segments int
@@ -63,11 +63,6 @@ func listSegments(fsys iofault.FS, dir string) ([]segmentInfo, error) {
 		}
 	}
 	return segs, nil
-}
-
-// Replay scans the real filesystem. See ReplayFS.
-func Replay(dir string, fromSeq uint64, fn func(seq uint64, payload []byte) error) (RecoverStats, error) {
-	return ReplayFS(iofault.OS, dir, fromSeq, fn)
 }
 
 // ReplayFS scans the log and calls fn once per valid record with seq >=
@@ -162,11 +157,6 @@ func ReplayFS(fsys iofault.FS, dir string, fromSeq uint64, fn func(seq uint64, p
 		}
 	}
 	return st, nil
-}
-
-// RetireSegments retires on the real filesystem. See RetireSegmentsFS.
-func RetireSegments(dir string, uptoSeq uint64) (removed int, err error) {
-	return RetireSegmentsFS(iofault.OS, dir, uptoSeq)
 }
 
 // RetireSegmentsFS deletes segments every record of which has seq <=

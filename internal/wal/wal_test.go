@@ -46,7 +46,7 @@ func writeLog(t *testing.T, dir string, n int, opt Options) *Writer {
 func replayAll(t *testing.T, dir string, fromSeq uint64) (map[uint64][]byte, RecoverStats, error) {
 	t.Helper()
 	got := map[uint64][]byte{}
-	st, err := Replay(dir, fromSeq, func(seq uint64, payload []byte) error {
+	st, err := ReplayFS(iofault.OS, dir, fromSeq, func(seq uint64, payload []byte) error {
 		got[seq] = bytes.Clone(payload)
 		return nil
 	})
@@ -110,7 +110,7 @@ func TestReplayAfterRetireSegments(t *testing.T) {
 		t.Fatalf("want >=3 segments, got %d (err %v)", len(segs), err)
 	}
 	// Retire under a checkpoint at seq 60; everything above must survive.
-	if _, err := RetireSegments(dir, 60); err != nil {
+	if _, err := RetireSegmentsFS(iofault.OS, dir, 60); err != nil {
 		t.Fatalf("RetireSegments: %v", err)
 	}
 	got, _, err := replayAll(t, dir, 60)
@@ -135,7 +135,7 @@ func TestRetireSegmentsNeverRemovesLast(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if n, err := RetireSegments(dir, 10); err != nil || n != 0 {
+	if n, err := RetireSegmentsFS(iofault.OS, dir, 10); err != nil || n != 0 {
 		t.Fatalf("RetireSegments removed %d (err %v), want 0 — last segment must survive", n, err)
 	}
 	if _, st, err := replayAll(t, dir, 0); err != nil || st.Records != 10 {
@@ -303,7 +303,7 @@ func TestRetireCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := RetireCheckpoints(dir, 2)
+	n, err := RetireCheckpointsFS(iofault.OS, dir, 2)
 	if err != nil || n != 3 {
 		t.Fatalf("RetireCheckpoints removed %d (err %v), want 3", n, err)
 	}
@@ -400,7 +400,7 @@ func TestReplayCallbackErrorAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
-	_, err := Replay(dir, 0, func(seq uint64, _ []byte) error {
+	_, err := ReplayFS(iofault.OS, dir, 0, func(seq uint64, _ []byte) error {
 		if seq == 3 {
 			return boom
 		}
