@@ -173,6 +173,27 @@
 // bit-identical even for non-commutative or non-associative ⊕ wherever
 // Theorem II.1 makes the dense comparison meaningful.
 //
+// # One index width
+//
+// Definition I.1 makes every array an array over finite, totally
+// ordered key sets, so an index is a position in a key set — and below
+// the API it is an int32, once: sparse.CSR's rowPtr and colIdx, the
+// Graph's endpoint columns, every key-set position map, the kernels'
+// frontiers and touched lists, the interner's ids, the view's edge log
+// and ADJCKPT's colIdx section are all 4 bytes wide, and nothing is
+// widened or narrowed in between. A stored entry of a float64 array is
+// 12 bytes (8 of value) and a row 4; a serving algo.Graph is 16 bytes
+// per entry — its CSR plus a pattern-only transpose, a
+// sparse.CSR[struct{}] whose values occupy nothing — and 24 once SSSP
+// or WidestPath has pulled along weighted in-edges. The cap that buys is
+// 2³¹−1 rows, columns and stored entries per array. It is refused by
+// name wherever an array is assembled (errors wrapping
+// sparse.ErrIndexRange or keys.ErrTooManyKeys; NewGraph and the interner
+// imposed it already), and a stored checkpoint word of 2³¹ or more is a
+// *wal.CorruptError naming its section and offset. Dimensions, NNZ(),
+// At's coordinates and the vectors the algorithms hand back
+// (BFSLevelVector's []int) keep the types they had.
+//
 // # Key interning
 //
 // The string-key boundary is served by slab-backed interners

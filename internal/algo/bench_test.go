@@ -76,3 +76,36 @@ func BenchmarkAlgoPageRank(b *testing.B) {
 	arm(b, "graph", func() error { _, _, err := cg.PageRank(damping, tol, iters); return err })
 	arm(b, "oneshot", func() error { _, _, err := PageRank(adj, damping, tol, iters); return err })
 }
+
+// BenchmarkFromArrays is what a new epoch vector costs the serving path
+// per Graph: the gather of two row-disjoint parts into the vertex space,
+// alone ("build") and with the first structural query's pattern
+// transpose ("build+bfs").
+func BenchmarkFromArrays(b *testing.B) {
+	adj, _, src := benchAdjacency(b, 12)
+	parts := dealRows(adj, 2)
+	arm(b, "build", func() error { _, err := FromArrays(parts); return err })
+	arm(b, "build+bfs", func() error {
+		g, err := FromArrays(parts)
+		if err != nil {
+			return err
+		}
+		_, err = g.BFSLevelVector(src)
+		return err
+	})
+}
+
+// dealRows deals adj's rows out to k arrays, row i to part i mod k, each
+// over only the keys it stores — the shape of a store's pinned shards.
+func dealRows(adj *assoc.Array[float64], k int) []*assoc.Array[float64] {
+	dealt := make([][]assoc.Triple[float64], k)
+	for _, tr := range adj.Triples() {
+		row, _ := adj.RowKeys().Index(tr.Row)
+		dealt[row%k] = append(dealt[row%k], tr)
+	}
+	parts := make([]*assoc.Array[float64], k)
+	for p := range parts {
+		parts[p] = assoc.FromTriples(dealt[p], nil)
+	}
+	return parts
+}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"adjarray/internal/assoc"
@@ -30,13 +30,20 @@ import (
 // adapters over them for callers that want to look vertices up by key.
 //
 // A Graph is immutable and safe for concurrent use; the transpose
-// needed by the pull kernels is built lazily, once, on first use.
+// needed by the pull kernels is built lazily, once, on first use — as a
+// pattern, 4 bytes per stored entry, which is all BFS, PageRank and
+// TriangleCount read. Only the weighted pull (SSSP, WidestPath) needs
+// Aᵀ's values, and lays them onto that pattern on its first use: a Graph
+// costs 12 + 4 (+ 8 once a weighted pull ran) bytes per entry.
 type Graph struct {
 	verts *keys.Set
 	adj   *sparse.CSR[float64]
 
 	trOnce sync.Once
-	tr     *sparse.CSR[float64]
+	tr     *sparse.Pattern
+
+	trValOnce sync.Once
+	trVal     *sparse.CSR[float64]
 
 	invOnce sync.Once
 	invDeg  []float64 // PageRank's 1/outdeg(u); 0 marks a dangling vertex
@@ -91,19 +98,32 @@ func (g *Graph) Vertices() *keys.Set { return g.verts }
 // NumEdges returns the number of stored adjacency entries.
 func (g *Graph) NumEdges() int { return g.adj.NNZ() }
 
-// transpose returns the cached Aᵀ, building it on first use (the pull
-// kernels and PageRank gather along in-edges).
-func (g *Graph) transpose() *sparse.CSR[float64] {
-	g.trOnce.Do(func() { g.tr = g.adj.Transpose() })
+// transpose returns the cached pattern of Aᵀ, building it on first use
+// (the pull kernels and PageRank gather along in-edges).
+func (g *Graph) transpose() *sparse.Pattern {
+	g.trOnce.Do(func() { g.tr = g.adj.Pattern().Transpose() })
 	return g.tr
 }
 
-func (g *Graph) vertex(source string) (int, error) {
+// weightedTranspose returns the cached Aᵀ with its values, on the
+// pattern transpose's own index arrays.
+func (g *Graph) weightedTranspose() *sparse.CSR[float64] {
+	g.trValOnce.Do(func() {
+		t, err := g.adj.TransposeOnto(g.transpose())
+		if err != nil {
+			panic("algo: " + err.Error()) // the pattern is adj's own
+		}
+		g.trVal = t
+	})
+	return g.trVal
+}
+
+func (g *Graph) vertex(source string) (int32, error) {
 	id, ok := g.verts.IndexSorted(source)
 	if !ok {
 		return 0, fmt.Errorf("algo: source %q %w", source, ErrNotVertex)
 	}
-	return id, nil
+	return int32(id), nil
 }
 
 // pullAlpha tunes the push→pull switch: a step runs pull once the edges
@@ -113,10 +133,10 @@ func (g *Graph) vertex(source string) (int, error) {
 const pullAlpha = 8
 
 // frontierEdges sums the out-degrees of the frontier rows.
-func (g *Graph) frontierEdges(ids []int) int {
+func (g *Graph) frontierEdges(ids []int32) int {
 	e := 0
 	for _, u := range ids {
-		e += g.adj.RowNNZ(u)
+		e += g.adj.RowNNZ(int(u))
 	}
 	return e
 }
@@ -159,19 +179,19 @@ func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 		level[i] = -1
 	}
 	level[src] = 0
-	frontier := []int{src}
-	var next []int
+	frontier := []int32{src}
+	var next []int32
 	for depth := 1; len(frontier) > 0; depth++ {
 		next = next[:0]
 		if g.frontierEdges(frontier)*pullAlpha > g.adj.NNZ() {
 			// Pull: every undiscovered vertex scans its in-neighbors for a
 			// member of the current frontier; first hit wins.
 			t := g.transpose()
-			for v := 0; v < n; v++ {
+			for v := int32(0); int(v) < n; v++ {
 				if level[v] >= 0 {
 					continue
 				}
-				cols, _ := t.Row(v)
+				cols, _ := t.Row(int(v))
 				for _, u := range cols {
 					if level[u] == depth-1 {
 						level[v] = depth
@@ -182,7 +202,7 @@ func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 			}
 		} else {
 			for _, u := range frontier {
-				cols, _ := g.adj.Row(u)
+				cols, _ := g.adj.Row(int(u))
 				for _, v := range cols {
 					if level[v] < 0 {
 						level[v] = depth
@@ -206,18 +226,18 @@ func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 // (reference_test.go), so converged results are bit-identical. Returns
 // the dense value array and its presence mask, or an error after bound
 // unconverged rounds.
-func (g *Graph) relaxToFixpoint(src int, seed float64, ops semiring.Ops[float64], bound int, diverged string) ([]float64, []bool, error) {
+func (g *Graph) relaxToFixpoint(src int32, seed float64, ops semiring.Ops[float64], bound int, diverged string) ([]float64, []bool, error) {
 	n := g.verts.Len()
 	val := make([]float64, n)
 	has := make([]bool, n)
 	val[src], has[src] = seed, true
 
-	frontier := []int{src}
+	frontier := []int32{src}
 	frontVals := []float64{seed}
 	frontMask := make([]bool, n)
 	acc := make([]float64, n)
 	hit := make([]bool, n)
-	var touched []int
+	var touched []int32
 	nnz := g.adj.NNZ()
 	for round := 0; len(frontier) > 0; round++ {
 		if round > bound {
@@ -228,7 +248,7 @@ func (g *Graph) relaxToFixpoint(src int, seed float64, ops semiring.Ops[float64]
 			for _, u := range frontier {
 				frontMask[u] = true
 			}
-			touched = sparse.SpMVPull(g.transpose(), val, frontMask, ops.Add, ops.Mul, acc, hit, touched)
+			touched = sparse.SpMVPull(g.weightedTranspose(), val, frontMask, ops.Add, ops.Mul, acc, hit, touched)
 			for _, u := range frontier {
 				frontMask[u] = false
 			}
@@ -271,11 +291,11 @@ func (g *Graph) relaxToFixpoint(src int, seed float64, ops semiring.Ops[float64]
 }
 
 // sortIDs orders a touched-id list ascending: insertion sort while the
-// list is small (no interface overhead on the hot relaxation path),
-// sort.Ints once a dense round would make insertion sort quadratic.
-func sortIDs(xs []int) {
+// list is small (no call overhead on the hot relaxation path),
+// slices.Sort once a dense round would make insertion sort quadratic.
+func sortIDs(xs []int32) {
 	if len(xs) > 64 {
-		sort.Ints(xs)
+		slices.Sort(xs)
 		return
 	}
 	for i := 1; i < len(xs); i++ {
@@ -372,16 +392,16 @@ func (g *Graph) Components() (map[string]string, error) {
 
 	ops := minLeft()
 	label := make([]float64, n)
-	frontier := make([]int, n)
+	frontier := make([]int32, n)
 	frontVals := make([]float64, n)
 	for i := range label {
 		label[i] = float64(i)
-		frontier[i] = i
+		frontier[i] = int32(i)
 		frontVals[i] = label[i]
 	}
 	acc := make([]float64, n)
 	hit := make([]bool, n)
-	var touched []int
+	var touched []int32
 	for round := 0; len(frontier) > 0; round++ {
 		if round > n {
 			return nil, fmt.Errorf("algo: component propagation failed to converge")
@@ -417,7 +437,7 @@ func onesLike(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 // intersection — the masked (A·A) ∘ A of the reference without
 // materializing products — summed and divided by 6. Only index
 // structure is read, so the symmetry check reuses the Graph's cached
-// transpose and no value copies are made.
+// pattern transpose and no value is copied.
 func (g *Graph) TriangleCount() (int, error) {
 	if !sparse.SamePattern(g.adj, g.transpose()) {
 		return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
@@ -427,7 +447,7 @@ func (g *Graph) TriangleCount() (int, error) {
 	for i := 0; i < n; i++ {
 		ri, _ := g.adj.Row(i)
 		for _, j := range ri {
-			rj, _ := g.adj.Row(j)
+			rj, _ := g.adj.Row(int(j))
 			wedges += intersectCount(ri, rj)
 		}
 	}
@@ -438,7 +458,7 @@ func (g *Graph) TriangleCount() (int, error) {
 }
 
 // intersectCount counts common elements of two ascending id slices.
-func intersectCount(a, b []int) int64 {
+func intersectCount(a, b []int32) int64 {
 	var c int64
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

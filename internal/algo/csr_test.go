@@ -409,15 +409,7 @@ func TestFromArraysMatchesFromArrayOfTheGathered(t *testing.T) {
 		inst := gen.Instance(entry)
 		adj := instanceAdjacency(t, inst, entry.Ops)
 		k := 1 + i%5
-		dealt := make([][]assoc.Triple[float64], k)
-		for _, tr := range adj.Triples() {
-			row, _ := adj.RowKeys().Index(tr.Row)
-			dealt[row%k] = append(dealt[row%k], tr)
-		}
-		parts := make([]*assoc.Array[float64], k)
-		for p := range parts {
-			parts[p] = assoc.FromTriples(dealt[p], nil)
-		}
+		parts := dealRows(adj, k)
 		gathered, err := assoc.ConcatRows(parts)
 		if err != nil {
 			t.Fatalf("%s[%d]: %v", inst.Name, i, err)
@@ -495,5 +487,61 @@ func TestCSRGraphErrors(t *testing.T) {
 	}
 	if _, _, err := g.PageRank(1.5, 1e-9, 10); err == nil {
 		t.Error("out-of-range damping accepted")
+	}
+}
+
+// The bytes of a serving Graph, as a MemStats delta: building it from
+// two row-disjoint parts copies every stored entry once (12 B: a column
+// index and a value), the structural kernels add the pattern transpose
+// (4 B) and vectors over the vertices, and only the first weighted pull
+// lays the transpose's values down (8 B more).
+func TestGraphBytesPerEntry(t *testing.T) {
+	adj, _, src := benchAdjacency(t, 12)
+	parts := dealRows(adj, 2)
+	allocated := func(f func()) int {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc - before.TotalAlloc)
+	}
+	var g *Graph
+	structural := allocated(func() {
+		var err error
+		if g, err = FromArrays(parts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = g.BFSLevelVector(src); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err = g.PageRankVector(0.85, 1e-9, 5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	nnz, verts := g.NumEdges(), g.Vertices().Len()
+	t.Logf("%d entries over %d vertices: %d B structural", nnz, verts, structural)
+	// Per vertex: its key's header in the vertex set (16), the four
+	// position maps of the gather (16), two row pointers and the
+	// transpose's cursor (12), BFS's levels and frontiers (16), PageRank's
+	// rank, scaled rank and inverse degrees (24).
+	if limit := 16*nnz + 96*verts + 1<<12; structural > limit {
+		t.Errorf("FromArrays + BFS + PageRank allocated %d B for %d entries over %d vertices (%.1f B/entry), want at most %d",
+			structural, nnz, verts, float64(structural)/float64(nnz), limit)
+	}
+	weighted := allocated(func() {
+		if _, _, err := g.SSSPVector(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The values on the pattern (8 per entry), its cursor (4 per vertex),
+	// and the relaxation's vectors: values and accumulator (16), three
+	// masks (3), and the frontiers, their values and the touched list,
+	// each grown by doubling (up to 2 × 20).
+	t.Logf("%d B for the first weighted pull", weighted)
+	if limit := 8*nnz + 72*verts + 1<<12; weighted > limit {
+		t.Errorf("the first SSSP allocated %d B for %d entries over %d vertices, want at most %d", weighted, nnz, verts, limit)
+	}
+	if got := allocated(func() { g.SSSPVector(src) }); got >= 8*nnz {
+		t.Errorf("a second SSSP allocated %d B: the valued transpose was built again", got)
 	}
 }

@@ -25,8 +25,14 @@ func ConcatRows[V any](parts []*Array[V]) (*Array[V], error) {
 	for k, p := range parts {
 		rowSets[k], colSets[k] = p.rows, p.cols
 	}
-	rows, rowPos := keys.UnionAll(rowSets)
-	cols, colPos := keys.UnionAll(colSets)
+	rows, rowPos, err := keys.UnionAll(rowSets)
+	if err != nil {
+		return nil, fmt.Errorf("assoc: ConcatRows row keys: %w", err)
+	}
+	cols, colPos, err := keys.UnionAll(colSets)
+	if err != nil {
+		return nil, fmt.Errorf("assoc: ConcatRows column keys: %w", err)
+	}
 	return concatRows(parts, rows, cols, rowPos, colPos)
 }
 
@@ -40,15 +46,18 @@ func ConcatRowsSquare[V any](parts []*Array[V]) (*Array[V], error) {
 	for _, p := range parts {
 		sets = append(sets, p.rows, p.cols)
 	}
-	verts, pos := keys.UnionAll(sets)
-	rowPos, colPos := make([][]int, len(parts)), make([][]int, len(parts))
+	verts, pos, err := keys.UnionAll(sets)
+	if err != nil {
+		return nil, fmt.Errorf("assoc: ConcatRowsSquare vertex keys: %w", err)
+	}
+	rowPos, colPos := make([][]int32, len(parts)), make([][]int32, len(parts))
 	for k := range parts {
 		rowPos[k], colPos[k] = pos[2*k], pos[2*k+1]
 	}
 	return concatRows(parts, verts, verts, rowPos, colPos)
 }
 
-func concatRows[V any](parts []*Array[V], rows, cols *keys.Set, rowPos, colPos [][]int) (*Array[V], error) {
+func concatRows[V any](parts []*Array[V], rows, cols *keys.Set, rowPos, colPos [][]int32) (*Array[V], error) {
 	mats := make([]*sparse.CSR[V], len(parts))
 	for k, p := range parts {
 		mats[k] = p.mat

@@ -66,7 +66,7 @@ func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, workers i
 // workers > 1 (or < 0 for GOMAXPROCS) runs the per-row union merge across
 // merge-cost-balanced row spans, bit-identical to the serial merge (see
 // sparse.EWiseAddIntoParallel).
-func AddIntoMapped[V any](a, b *Array[V], rowPos, colPos []int, ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V], workers int) (*Array[V], error) {
+func AddIntoMapped[V any](a, b *Array[V], rowPos, colPos []int32, ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V], workers int) (*Array[V], error) {
 	var m *sparse.CSR[V]
 	var err error
 	if workers > 1 || workers < 0 {
@@ -89,7 +89,7 @@ func AddIntoMapped[V any](a, b *Array[V], rowPos, colPos []int, ops semiring.Ops
 // state — a delta touching only known keys against a long-lived set),
 // the union IS a and only b's positions are produced, in O(len(b))
 // instead of a sweep over both sets.
-func unionFast(a, b *keys.Set) (u *keys.Set, aPos, bPos []int) {
+func unionFast(a, b *keys.Set) (u *keys.Set, aPos, bPos []int32) {
 	if p, ok := b.PositionsIn(a); ok {
 		return a, nil, p
 	}

@@ -86,7 +86,7 @@ func TestGraphFromIncidenceTakesColumnPositions(t *testing.T) {
 	// Arrays laid out over more columns than the edges use: Kout and Kin
 	// are the endpoints only, as New would have made them.
 	rows, cols := keys.New("k1", "k2", "k3"), keys.New("a", "b", "c", "d", "e")
-	wide, err := GraphFromIncidence(rowsArray(t, rows, cols, [][]int{{1}, {3}, {1}}), rowsArray(t, rows, cols, [][]int{{3}, {3}, {4}}))
+	wide, err := GraphFromIncidence(rowsArray(t, rows, cols, [][]int32{{1}, {3}, {1}}), rowsArray(t, rows, cols, [][]int32{{3}, {3}, {4}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,22 +106,61 @@ func TestGraphFromIncidenceTakesColumnPositions(t *testing.T) {
 	}
 
 	// New's refusal of empty keys, edge for edge.
-	one := [][]int{{1}, {1}}
+	one := [][]int32{{1}, {1}}
 	for _, c := range []struct {
 		name       string
 		rows, cols *keys.Set
-		eout       [][]int
+		eout       [][]int32
 		want       string
 	}{
 		{"empty edge key", keys.New("", "k"), keys.New("a", "b"), one,
 			`graph: edge 0 has empty key/src/dst: {Key: Src:b Dst:b}`},
-		{"empty source of the second edge", keys.New("k1", "k2"), keys.New("", "b"), [][]int{{1}, {0}},
+		{"empty source of the second edge", keys.New("k1", "k2"), keys.New("", "b"), [][]int32{{1}, {0}},
 			`graph: edge 1 has empty key/src/dst: {Key:k2 Src: Dst:b}`},
 		{"an empty column key no edge uses", keys.New("k1", "k2"), keys.New("", "b"), one, `<nil>`},
 	} {
 		_, err := GraphFromIncidence(rowsArray(t, c.rows, c.cols, c.eout), rowsArray(t, c.rows, c.cols, one))
 		if errText(err) != c.want {
 			t.Errorf("%s: %v, want %s", c.name, err, c.want)
+		}
+	}
+}
+
+// Both value columns of an unweighted graph are copies of One and nothing
+// ever writes an incidence array, so Eout and Ein hold one slice between
+// them; a weight on either side gives each its own.
+func TestUnweightedIncidenceSharesOneValueColumn(t *testing.T) {
+	g := MustNew(ring(64))
+	two := func(Edge) float64 { return 2 }
+	for name, c := range map[string]struct {
+		w      Weights[float64]
+		shared bool
+	}{
+		"no weights":  {Weights[float64]{}, true},
+		"out weights": {Weights[float64]{Out: two}, false},
+		"in weights":  {Weights[float64]{In: two}, false},
+		"both":        {Weights[float64]{Out: two, In: two}, false},
+	} {
+		eout, ein, err := Incidence(g, semiring.PlusTimes(), c.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, out := eout.Matrix().Parts()
+		_, _, in := ein.Matrix().Parts()
+		if shared := &out[0] == &in[0]; shared != c.shared {
+			t.Errorf("%s: the value columns alias = %v, want %v", name, shared, c.shared)
+		}
+		wantOut, wantIn := 1.0, 1.0
+		if c.w.Out != nil {
+			wantOut = 2
+		}
+		if c.w.In != nil {
+			wantIn = 2
+		}
+		for i := range out {
+			if out[i] != wantOut || in[i] != wantIn {
+				t.Fatalf("%s: edge %d holds (%v, %v), want (%v, %v)", name, i, out[i], in[i], wantOut, wantIn)
+			}
 		}
 	}
 }
@@ -156,31 +195,33 @@ func TestSetupAndConstructionBytes(t *testing.T) {
 	})
 	verts := g.OutVertices().Len() + g.InVertices().Len()
 	// Per edge: its key's string header in the edge key Set (16), its two
-	// endpoint positions (8 + 8), its slot in the row pointer 0..n the
-	// two arrays share (8), its two values (8 + 8) — 56 B; an edge list
-	// on the side would be 48 more, a string column to intern from 16
-	// more. Per vertex and side: the interner's slab, offsets and hash
-	// table, each grown by doubling, and the sorted key Set with its
-	// position map — under 256 B.
-	if limit := 56*n + 256*verts + 1<<14; setup > limit {
+	// endpoint positions (4 + 4), its slot in the row pointer 0..n the
+	// two arrays share (4), its value in the one column of Ones the two
+	// unweighted arrays share (8) — 36 B; an edge list on the side would
+	// be 48 more, a string column to intern from 16 more. Per vertex and
+	// side: the interner's slab, offsets and hash table, each grown by
+	// doubling, and the sorted key Set with its position map — under
+	// 256 B.
+	if limit := 36*n + 256*verts + 1<<14; setup > limit {
 		t.Errorf("New + Incidence allocated %d B for %d edges over %d vertices (%.1f B/edge), want at most %d", setup, n, verts, float64(setup)/float64(n), limit)
 	}
 
 	// A second pair over the same graph shares the structure: only the
-	// two value slices are new.
+	// value slice is new.
 	again := allocated(func() {
 		if _, _, err := Incidence(g, ops, Weights[float64]{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if again < 16*n || again > 16*n+1024 {
-		t.Errorf("a second Incidence allocated %d B, want its two value slices (%d B) and a few headers", again, 16*n)
+	if again < 8*n || again > 8*n+1024 {
+		t.Errorf("a second Incidence allocated %d B, want its one value slice (%d B) and a few headers", again, 8*n)
 	}
 
-	// Construction allocates its output — bounded by one column and one
-	// value per edge — the output's row pointer and per-row counts, and
-	// (when a collection emptied the pools) the accumulator over Kin:
-	// nothing the size of a transposed operand (16 B per edge more).
+	// Construction allocates its output — bounded by one column (4) and
+	// one value (8) per edge — the output's row pointer and per-row
+	// counts, and (when a collection emptied the pools) the accumulator
+	// over Kin: nothing the size of a transposed operand (12 B per edge
+	// more).
 	build := func() {
 		if _, err := Adjacency(eout, ein, ops, assoc.MulOptions{}); err != nil {
 			t.Fatal(err)
@@ -188,7 +229,7 @@ func TestSetupAndConstructionBytes(t *testing.T) {
 	}
 	build()
 	rows, cols := g.OutVertices().Len(), g.InVertices().Len()
-	if got, limit := allocated(build), 16*n+16*(rows+1)+32*cols+1<<12; got > limit {
+	if got, limit := allocated(build), 12*n+8*(rows+1)+32*cols+1<<12; got > limit {
 		t.Errorf("Adjacency allocated %d B for %d edges over %d×%d, want at most %d", got, n, rows, cols, limit)
 	}
 }

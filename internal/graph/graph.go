@@ -46,7 +46,7 @@ type Graph struct {
 	// Incidence. Incidence arrays alias all three.
 	//
 	//adjlint:cow
-	src, dst, rowPtr []int
+	src, dst, rowPtr []int32
 	rowsOnce         sync.Once
 
 	vertsOnce sync.Once
@@ -62,7 +62,7 @@ type Graph struct {
 // the edges of the g-th cell, in edge-key order, are
 // edge[off[g]:off[g+1]].
 type pairIndex struct {
-	rowPtr, colIdx []int
+	rowPtr, colIdx []int32
 	off, edge      []int32
 }
 
@@ -123,25 +123,22 @@ func edgeAt(edges []Edge, order []int32, i int) *Edge {
 // internColumn dedupes one endpoint column through a fresh interner —
 // so only the distinct keys are ever sorted — and returns them as a
 // Set bound to that interner with each edge's position in it. The
-// column is read a block at a time; it is never copied out whole.
-func internColumn(edges []Edge, order []int32, key func(*Edge) string) (*keys.Set, []int) {
+// column is read a block at a time — the interner writes its ids
+// straight into the column — and is never copied out whole.
+func internColumn(edges []Edge, order []int32, key func(*Edge) string) (*keys.Set, []int32) {
 	in := keys.NewInterner()
-	col := make([]int, len(edges))
+	col := make([]int32, len(edges))
 	var ks [256]string
-	var ids [256]int32
 	for lo := 0; lo < len(col); lo += len(ks) {
 		blk := col[lo:min(lo+len(ks), len(col))]
 		for i := range blk {
 			ks[i] = key(edgeAt(edges, order, lo+i))
 		}
-		in.InternBatch(ks[:len(blk)], ids[:len(blk)])
-		for i := range blk {
-			blk[i] = int(ids[i])
-		}
+		in.InternBatch(ks[:len(blk)], blk)
 	}
 	set, pos := in.SortedView()
 	for i, id := range col {
-		col[i] = int(pos[id])
+		col[i] = pos[id]
 	}
 	return set, col
 }
@@ -157,7 +154,7 @@ func MustNew(edges []Edge) *Graph {
 
 // edge puts edge i (in edge-key order) back together from the key sets.
 func (g *Graph) edge(i int) Edge {
-	return Edge{Key: g.edgeKeys.Key(i), Src: g.outVerts.Key(g.src[i]), Dst: g.inVerts.Key(g.dst[i])}
+	return Edge{Key: g.edgeKeys.Key(i), Src: g.outVerts.Key(int(g.src[i])), Dst: g.inVerts.Key(int(g.dst[i]))}
 }
 
 // Edges returns the edges in edge-key order.
@@ -222,10 +219,10 @@ func (g *Graph) pairIndex() *pairIndex {
 
 // find returns the index of the pair (src, dst), positions in Kout and
 // Kin, among the distinct pairs.
-func (ix *pairIndex) find(src, dst int) (int, bool) {
+func (ix *pairIndex) find(src, dst int32) (int, bool) {
 	lo, hi := ix.rowPtr[src], ix.rowPtr[src+1]
 	p, ok := slices.BinarySearch(ix.colIdx[lo:hi], dst)
-	return lo + p, ok
+	return int(lo) + p, ok
 }
 
 // between returns the indices of the edges src → dst in edge-key order
@@ -240,7 +237,7 @@ func (g *Graph) between(src, dst string) []int32 {
 		return nil
 	}
 	ix := g.pairIndex()
-	p, ok := ix.find(s, d)
+	p, ok := ix.find(int32(s), int32(d))
 	if !ok {
 		return nil
 	}

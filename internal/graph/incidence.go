@@ -29,7 +29,13 @@ type Weights[V any] struct {
 // entry would contradict Definition I.4's "non-zero iff incident".
 func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *assoc.Array[V], err error) {
 	n := g.NumEdges()
-	outV, inV := make([]V, n), make([]V, n)
+	// Both columns of an unweighted graph are n copies of One, and the
+	// arrays are never written: Eout and Ein share one.
+	outV := make([]V, n)
+	inV := outV
+	if w.Out != nil || w.In != nil {
+		inV = make([]V, n)
+	}
 	for i := range outV {
 		ov, iv := ops.One, ops.One
 		if w.Out != nil || w.In != nil {
@@ -53,9 +59,9 @@ func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *a
 	// of both arrays — the row pointer 0..n and the endpoint columns —
 	// is the graph's own, as are the key sets. Only the values are new.
 	g.rowsOnce.Do(func() {
-		rowPtr := make([]int, n+1)
+		rowPtr := make([]int32, n+1)
 		for i := range rowPtr {
-			rowPtr[i] = i
+			rowPtr[i] = int32(i)
 		}
 		g.rowPtr = rowPtr
 	})
@@ -72,7 +78,7 @@ func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *a
 
 // unitRows assembles the rows×cols array whose row i holds the single
 // entry val[i] in column colIdx[i].
-func unitRows[V any](rows, cols *keys.Set, rowPtr, colIdx []int, val []V) (*assoc.Array[V], error) {
+func unitRows[V any](rows, cols *keys.Set, rowPtr, colIdx []int32, val []V) (*assoc.Array[V], error) {
 	mat, err := sparse.NewCSR(rows.Len(), cols.Len(), rowPtr, colIdx, val)
 	if err != nil {
 		return nil, fmt.Errorf("graph: incidence array: %w", err)
@@ -104,7 +110,7 @@ func GraphFromIncidence[V any](eout, ein *assoc.Array[V]) (*Graph, error) {
 	if rows.Len() > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d edges exceed the 2^31-1 an edge index holds", rows.Len())
 	}
-	src, dst := make([]int, rows.Len()), make([]int, rows.Len())
+	src, dst := make([]int32, rows.Len()), make([]int32, rows.Len())
 	for i := range src {
 		srcs, _ := om.Row(i)
 		dsts, _ := im.Row(i)
@@ -132,8 +138,8 @@ func GraphFromIncidence[V any](eout, ein *assoc.Array[V]) (*Graph, error) {
 // — Kout and Kin hold the endpoints of edges, not every key an incidence
 // array was laid out over — renumbering col to positions in them. When
 // every key is used, that is set itself.
-func usedColumns(set *keys.Set, col []int) *keys.Set {
-	pos := make([]int, set.Len())
+func usedColumns(set *keys.Set, col []int32) *keys.Set {
+	pos := make([]int32, set.Len())
 	used := 0
 	for _, j := range col {
 		if pos[j] == 0 {
@@ -147,7 +153,7 @@ func usedColumns(set *keys.Set, col []int) *keys.Set {
 	ks := make([]string, 0, used)
 	for j, u := range pos {
 		if u != 0 {
-			pos[j] = len(ks)
+			pos[j] = int32(len(ks))
 			ks = append(ks, set.Key(j))
 		}
 	}
@@ -215,30 +221,24 @@ func IsAdjacencyOf[V any](a *assoc.Array[V], g *Graph, isZero func(V) bool) erro
 	// the stored entries and the pair index are both in (row, col) order
 	// and are merged, then every edge probes its own cell.
 	mat, ix := a.Matrix(), g.pairIndex()
-	row, at := -1, 0
-	var violation error
-	mat.IterateUntil(func(i, j int, v V) bool {
-		if isZero(v) {
-			return true
+	for i := 0; i < mat.Rows(); i++ {
+		cols, vals := mat.Row(i)
+		at, end := ix.rowPtr[i], ix.rowPtr[i+1]
+		for p, j := range cols {
+			if isZero(vals[p]) {
+				continue
+			}
+			for at < end && ix.colIdx[at] < j {
+				at++
+			}
+			if at == end || ix.colIdx[at] != j {
+				x, y := g.outVerts.Key(i), g.inVerts.Key(int(j))
+				return fmt.Errorf("graph: A(%s,%s) non-zero but no edge %s→%s exists", x, y, x, y)
+			}
 		}
-		if i != row {
-			row, at = i, ix.rowPtr[i]
-		}
-		for at < ix.rowPtr[i+1] && ix.colIdx[at] < j {
-			at++
-		}
-		if at < ix.rowPtr[i+1] && ix.colIdx[at] == j {
-			return true
-		}
-		x, y := g.outVerts.Key(i), g.inVerts.Key(j)
-		violation = fmt.Errorf("graph: A(%s,%s) non-zero but no edge %s→%s exists", x, y, x, y)
-		return false
-	})
-	if violation != nil {
-		return violation
 	}
 	for i := range g.src {
-		v, ok := mat.At(g.src[i], g.dst[i])
+		v, ok := mat.At(int(g.src[i]), int(g.dst[i]))
 		if !ok || isZero(v) {
 			e := g.edge(i)
 			return fmt.Errorf("graph: edge %s→%s (key %s) exists but A(%s,%s) is zero",

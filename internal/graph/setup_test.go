@@ -429,13 +429,13 @@ func TestIncidenceReportsFirstZeroWeightInKeyOrder(t *testing.T) {
 
 // rowsArray builds a len(rows)-row array over cols whose row i stores
 // 1 in each of the listed column positions.
-func rowsArray(t *testing.T, rows, cols *keys.Set, entries [][]int) *assoc.Array[float64] {
+func rowsArray(t *testing.T, rows, cols *keys.Set, entries [][]int32) *assoc.Array[float64] {
 	t.Helper()
-	rowPtr := []int{0}
-	var colIdx []int
+	rowPtr := []int32{0}
+	var colIdx []int32
 	for _, cs := range entries {
 		colIdx = append(colIdx, cs...)
-		rowPtr = append(rowPtr, len(colIdx))
+		rowPtr = append(rowPtr, int32(len(colIdx)))
 	}
 	val := make([]float64, len(colIdx))
 	for i := range val {
@@ -454,21 +454,21 @@ func rowsArray(t *testing.T, rows, cols *keys.Set, entries [][]int) *assoc.Array
 
 func TestGraphFromIncidenceNamesFirstOffendingRow(t *testing.T) {
 	rows, cols := keys.New("k1", "k2", "k3"), keys.New("a", "b")
-	one := [][]int{{0}, {1}, {0}}
+	one := [][]int32{{0}, {1}, {0}}
 	cases := []struct {
 		name      string
-		eout, ein [][]int
+		eout, ein [][]int32
 		want      string
 	}{
-		{"two rows with two sources", [][]int{{0}, {0, 1}, {0, 1}}, one,
+		{"two rows with two sources", [][]int32{{0}, {0, 1}, {0, 1}}, one,
 			"graph: incidence row has multiple entries: source of k2"},
-		{"a target row before a source row", [][]int{{0}, {1}, {0, 1}}, [][]int{{0}, {0, 1}, {1}},
+		{"a target row before a source row", [][]int32{{0}, {1}, {0, 1}}, [][]int32{{0}, {0, 1}, {1}},
 			"graph: incidence row has multiple entries: target of k2"},
-		{"source before target on the same row", [][]int{{0, 1}, {1}, {0}}, [][]int{{0, 1}, {0}, {1}},
+		{"source before target on the same row", [][]int32{{0, 1}, {1}, {0}}, [][]int32{{0, 1}, {0}, {1}},
 			"graph: incidence row has multiple entries: source of k1"},
-		{"multiple entries outrank an earlier empty row", [][]int{{}, {1}, {0, 1}}, one,
+		{"multiple entries outrank an earlier empty row", [][]int32{{}, {1}, {0, 1}}, one,
 			"graph: incidence row has multiple entries: source of k3"},
-		{"two rows lack an entry", [][]int{{0}, {}, {0}}, [][]int{{0}, {1}, {}},
+		{"two rows lack an entry", [][]int32{{0}, {}, {0}}, [][]int32{{0}, {1}, {}},
 			`graph: edge "k2" lacks a source or target entry`},
 	}
 	for _, c := range cases {

@@ -32,7 +32,7 @@ func FuzzParse(f *testing.F) {
 			if !sel.Match(sub.Key(n)) {
 				t.Fatalf("selected key %q does not Match", sub.Key(n))
 			}
-			if idx[n] < 0 || idx[n] >= keySet.Len() {
+			if idx[n] < 0 || int(idx[n]) >= keySet.Len() {
 				t.Fatalf("origin index %d out of range", idx[n])
 			}
 			if n > 0 && idx[n-1] >= idx[n] {

@@ -1,6 +1,11 @@
 package keys
 
-import "strings"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Growth entry points for delta-batch merges.
 //
@@ -16,8 +21,11 @@ import "strings"
 // delta batch introduces no new keys, which costs only the subset check.
 //
 // The maps are strictly increasing, which is exactly what sparse.Embed
-// needs to remap CSR coordinates without re-sorting rows.
-func (s *Set) UnionOffsets(t *Set) (u *Set, sPos, tPos []int) {
+// needs to remap CSR coordinates without re-sorting rows. A position is
+// an int32 — the index type of internal/sparse, whose kernels refuse a
+// space of more than 2³¹−1 keys by its dimension, so a map into a union
+// that large is never read.
+func (s *Set) UnionOffsets(t *Set) (u *Set, sPos, tPos []int32) {
 	if t.Len() == 0 || s.Equal(t) {
 		return s, nil, nil
 	}
@@ -39,33 +47,33 @@ func (s *Set) UnionOffsets(t *Set) (u *Set, sPos, tPos []int) {
 		return t, pos, nil
 	}
 	out := make([]string, 0, len(s.keys)+len(t.keys))
-	sPos = make([]int, len(s.keys))
-	tPos = make([]int, len(t.keys))
+	sPos = make([]int32, len(s.keys))
+	tPos = make([]int32, len(t.keys))
 	i, j := 0, 0
 	for i < len(s.keys) && j < len(t.keys) {
+		n := int32(len(out))
 		switch {
 		case s.keys[i] < t.keys[j]:
-			sPos[i] = len(out)
+			sPos[i] = n
 			out = append(out, s.keys[i])
 			i++
 		case s.keys[i] > t.keys[j]:
-			tPos[j] = len(out)
+			tPos[j] = n
 			out = append(out, t.keys[j])
 			j++
 		default:
-			sPos[i] = len(out)
-			tPos[j] = len(out)
+			sPos[i], tPos[j] = n, n
 			out = append(out, s.keys[i])
 			i++
 			j++
 		}
 	}
 	for ; i < len(s.keys); i++ {
-		sPos[i] = len(out)
+		sPos[i] = int32(len(out))
 		out = append(out, s.keys[i])
 	}
 	for ; j < len(t.keys); j++ {
-		tPos[j] = len(out)
+		tPos[j] = int32(len(out))
 		out = append(out, t.keys[j])
 	}
 	if identity(sPos) {
@@ -82,22 +90,23 @@ func (s *Set) UnionOffsets(t *Set) (u *Set, sPos, tPos []int) {
 // index is built or consulted. When an input already holds every key,
 // that Set itself is u. This is the alignment of a gather: the shards of
 // a partitioned array, or an array's row and column keys, brought into
-// one key space (sparse.ConcatRows renumbers through the maps).
-func UnionAll(sets []*Set) (u *Set, pos [][]int) {
-	pos = make([][]int, len(sets))
+// one key space (sparse.ConcatRows renumbers through the maps). A union
+// of more keys than a position can number is refused (ErrTooManyKeys).
+func UnionAll(sets []*Set) (u *Set, pos [][]int32, err error) {
+	pos = make([][]int32, len(sets))
 	if len(sets) == 0 {
-		return fromSortedUnique(nil), pos
+		return fromSortedUnique(nil), pos, nil
 	}
 	same := true
 	for _, s := range sets[1:] {
 		same = same && sets[0].Equal(s)
 	}
 	if same {
-		return sets[0], pos
+		return sets[0], pos, nil
 	}
 	heads := make([]int, len(sets))
 	for i, s := range sets {
-		pos[i] = make([]int, len(s.keys))
+		pos[i] = make([]int32, len(s.keys))
 	}
 	n := 0
 	ties := make([]int, 0, len(sets)) // the sets whose head is the smallest key
@@ -120,17 +129,20 @@ func UnionAll(sets []*Set) (u *Set, pos [][]int) {
 			break
 		}
 		for _, i := range ties {
-			pos[i][heads[i]] = n
+			pos[i][heads[i]] = int32(n)
 			heads[i]++
 		}
 		n++
+	}
+	if err := checkLen(n); err != nil {
+		return nil, nil, err
 	}
 	for i, s := range sets {
 		if len(s.keys) == n {
 			u = s
 		}
 		// Strictly increasing from 0: the last key in place means all are.
-		if last := len(s.keys) - 1; last < 0 || pos[i][last] == last {
+		if last := len(s.keys) - 1; last < 0 || int(pos[i][last]) == last {
 			pos[i] = nil
 		}
 	}
@@ -147,7 +159,19 @@ func UnionAll(sets []*Set) (u *Set, pos [][]int) {
 		}
 		u = fromSortedUnique(out)
 	}
-	return u, pos
+	return u, pos, nil
+}
+
+// ErrTooManyKeys is wrapped by the refusal to number more keys than an
+// int32 position holds — the cap of the interner's ids and of every
+// index in internal/sparse.
+var ErrTooManyKeys = errors.New("exceed the 2³¹−1 (2147483647) an int32 position holds")
+
+func checkLen(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("keys: %d keys %w", n, ErrTooManyKeys)
+	}
+	return nil
 }
 
 // PositionsIn returns, for each key of s, its index in super — or
@@ -160,20 +184,20 @@ func UnionAll(sets []*Set) (u *Set, pos [][]int) {
 // long-lived key set (the incidence log's vertex columns, a maintained
 // adjacency's key space), where the super set object survives thousands
 // of batches and the walk over its full length would dominate.
-func (s *Set) PositionsIn(super *Set) ([]int, bool) {
+func (s *Set) PositionsIn(super *Set) ([]int32, bool) {
 	if s.Equal(super) {
 		return nil, true
 	}
 	if s.Len() > super.Len() {
 		return nil, false
 	}
-	pos := make([]int, len(s.keys))
+	pos := make([]int32, len(s.keys))
 	for i, k := range s.keys {
 		j, ok := super.Index(k)
 		if !ok {
 			return nil, false
 		}
-		pos[i] = j
+		pos[i] = int32(j)
 	}
 	if identity(pos) {
 		pos = nil
@@ -183,11 +207,11 @@ func (s *Set) PositionsIn(super *Set) ([]int, bool) {
 
 // subsetPositions reports whether every key of sub is present in super,
 // and if so where: pos[i] is the index in super of sub.Key(i).
-func subsetPositions(sub, super *Set) (bool, []int) {
+func subsetPositions(sub, super *Set) (bool, []int32) {
 	if sub.Len() > super.Len() {
 		return false, nil
 	}
-	pos := make([]int, len(sub.keys))
+	pos := make([]int32, len(sub.keys))
 	j := 0
 	for i, k := range sub.keys {
 		for j < len(super.keys) && super.keys[j] < k {
@@ -196,15 +220,15 @@ func subsetPositions(sub, super *Set) (bool, []int) {
 		if j >= len(super.keys) || super.keys[j] != k {
 			return false, nil
 		}
-		pos[i] = j
+		pos[i] = int32(j)
 		j++
 	}
 	return true, pos
 }
 
-func identity(pos []int) bool {
+func identity(pos []int32) bool {
 	for i, p := range pos {
-		if p != i {
+		if int(p) != i {
 			return false
 		}
 	}

@@ -1,9 +1,12 @@
 package keys
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -26,12 +29,12 @@ func TestUnionOffsetsMatchesUnion(t *testing.T) {
 		if !u.Equal(s.Union(tt)) {
 			t.Fatalf("trial %d: union mismatch: %v vs %v", trial, u, s.Union(tt))
 		}
-		check := func(side *Set, pos []int, name string) {
+		check := func(side *Set, pos []int32, name string) {
 			for i := 0; i < side.Len(); i++ {
 				want := side.Key(i)
 				ui := i
 				if pos != nil {
-					ui = pos[i]
+					ui = int(pos[i])
 				}
 				if ui >= u.Len() || u.Key(ui) != want {
 					t.Fatalf("trial %d: %s pos[%d]=%d maps %q to %q", trial, name, i, ui, want, u.Key(ui))
@@ -52,7 +55,7 @@ func TestUnionOffsetsFastPaths(t *testing.T) {
 	}
 	// Subset of s: u is s, t mapped.
 	u, sp, tp = s.UnionOffsets(New("a", "c"))
-	if u != s || sp != nil || !reflect.DeepEqual(tp, []int{0, 2}) {
+	if u != s || sp != nil || !reflect.DeepEqual(tp, []int32{0, 2}) {
 		t.Errorf("subset path: %v %v %v", u, sp, tp)
 	}
 	// Prefix subset with identity positions.
@@ -68,7 +71,7 @@ func TestUnionOffsetsFastPaths(t *testing.T) {
 	}
 	// Pure suffix growth: s's positions stay the identity.
 	u, sp, tp = s.UnionOffsets(New("x", "y"))
-	if sp != nil || !reflect.DeepEqual(tp, []int{3, 4}) {
+	if sp != nil || !reflect.DeepEqual(tp, []int32{3, 4}) {
 		t.Errorf("suffix growth: %v %v", sp, tp)
 	}
 	if !reflect.DeepEqual(u.Keys(), []string{"a", "b", "c", "x", "y"}) {
@@ -134,7 +137,11 @@ func TestUnionAllMatchesRepeatedUnionOffsets(t *testing.T) {
 			sets[len(sets)-1] = sets[0] // one Set twice
 			sets[len(sets)-2] = New()   // an empty one
 		}
-		u, pos := UnionAll(sets)
+		u, pos, err := UnionAll(sets)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
 		want := New()
 		for _, s := range sets {
 			want, _, _ = want.UnionOffsets(s)
@@ -151,7 +158,7 @@ func TestUnionAllMatchesRepeatedUnionOffsets(t *testing.T) {
 			for j := 0; j < s.Len(); j++ {
 				p := j
 				if pos[i] != nil {
-					p = pos[i][j]
+					p = int(pos[i][j])
 				}
 				if p >= u.Len() || u.Key(p) != s.Key(j) {
 					t.Logf("set %d: key %q mapped to %d", i, s.Key(j), p)
@@ -164,7 +171,7 @@ func TestUnionAllMatchesRepeatedUnionOffsets(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-	if u, pos := UnionAll(nil); u.Len() != 0 || len(pos) != 0 {
+	if u, pos, err := UnionAll(nil); err != nil || u.Len() != 0 || len(pos) != 0 {
 		t.Errorf("no sets: union %v, %d maps", u, len(pos))
 	}
 }
@@ -174,16 +181,16 @@ func TestUnionAllMatchesRepeatedUnionOffsets(t *testing.T) {
 // set whose keys are the first of the union's has the nil (identity) map.
 func TestUnionAllSharesWhatItCan(t *testing.T) {
 	s := New("a", "b", "c")
-	if u, pos := UnionAll([]*Set{s, New("a", "b", "c"), s}); u != s || pos[0] != nil || pos[1] != nil || pos[2] != nil {
+	if u, pos, _ := UnionAll([]*Set{s, New("a", "b", "c"), s}); u != s || pos[0] != nil || pos[1] != nil || pos[2] != nil {
 		t.Errorf("identical sets: union %v maps %v", u, pos)
 	}
 	big := New("a", "b", "c", "d")
-	u, pos := UnionAll([]*Set{New("b", "d"), big, New("a", "b")})
-	if u != big || !reflect.DeepEqual(pos, [][]int{{1, 3}, nil, nil}) {
+	u, pos, _ := UnionAll([]*Set{New("b", "d"), big, New("a", "b")})
+	if u != big || !reflect.DeepEqual(pos, [][]int32{{1, 3}, nil, nil}) {
 		t.Errorf("one input holds every key: union %v maps %v", u, pos)
 	}
-	u, pos = UnionAll([]*Set{New("m"), New("a", "z"), New()})
-	if !reflect.DeepEqual(u.Keys(), []string{"a", "m", "z"}) || !reflect.DeepEqual(pos, [][]int{{1}, {0, 2}, nil}) {
+	u, pos, _ = UnionAll([]*Set{New("m"), New("a", "z"), New()})
+	if !reflect.DeepEqual(u.Keys(), []string{"a", "m", "z"}) || !reflect.DeepEqual(pos, [][]int32{{1}, {0, 2}, nil}) {
 		t.Errorf("disjoint sets: union %v maps %v", u, pos)
 	}
 }
@@ -205,7 +212,10 @@ func TestUnionAllBuildsNoIndex(t *testing.T) {
 		}
 	}
 	sets := []*Set{New(a...), New(b...), New(c...)}
-	u, pos := UnionAll(sets)
+	u, pos, err := UnionAll(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if u.Len() != 300 || pos[0] == nil || pos[1] == nil || pos[2] == nil {
 		t.Fatalf("union of %d keys, maps %v", u.Len(), pos)
 	}
@@ -213,5 +223,20 @@ func TestUnionAllBuildsNoIndex(t *testing.T) {
 		if s.index != nil || s.Interned() {
 			t.Errorf("set %d came out of UnionAll with a reverse index", i)
 		}
+	}
+}
+
+// A position is an int32: a union of more keys than one can number is
+// refused, by the count alone.
+func TestUnionAllRefusesMoreKeysThanAPositionNumbers(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot hold 2³¹ here")
+	}
+	most := math.MaxInt32
+	if err := checkLen(most); err != nil {
+		t.Errorf("2³¹−1 keys are refused: %v", err)
+	}
+	if err := checkLen(most + 1); !errors.Is(err, ErrTooManyKeys) {
+		t.Errorf("2³¹ keys: %v, want ErrTooManyKeys", err)
 	}
 }

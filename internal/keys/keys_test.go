@@ -1,7 +1,7 @@
 package keys
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,7 +90,7 @@ func TestSelectRange(t *testing.T) {
 	if !sub.Equal(New("Genre|Electronic", "Genre|Pop", "Genre|Rock")) {
 		t.Errorf("range select = %v", sub)
 	}
-	wantIdx := []int{1, 2, 3}
+	wantIdx := []int32{1, 2, 3}
 	for i, w := range wantIdx {
 		if idx[i] != w {
 			t.Errorf("origin idx = %v, want %v", idx, wantIdx)
@@ -225,7 +225,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 		if !sub.Equal(s) {
 			return false
 		}
-		return sort.IntsAreSorted(idx)
+		return slices.IsSorted(idx)
 	}
 	if err := quick.Check(selfAll, cfg); err != nil {
 		t.Error(err)

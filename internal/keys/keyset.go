@@ -217,13 +217,13 @@ func (s *Set) Intersect(t *Set) *Set {
 // Select applies a Selector, returning the selected sub-Set and, for
 // each selected key, its index in the original Set. The returned indices
 // are strictly increasing.
-func (s *Set) Select(sel Selector) (*Set, []int) {
+func (s *Set) Select(sel Selector) (*Set, []int32) {
 	if sel == nil {
 		sel = All{}
 	}
 	lo, hi, prefixed := sel.bounds()
 	var picked []string
-	var origin []int
+	var origin []int32
 	start := 0
 	if prefixed {
 		start = sort.SearchStrings(s.keys, lo)
@@ -235,7 +235,7 @@ func (s *Set) Select(sel Selector) (*Set, []int) {
 		}
 		if sel.Match(k) {
 			picked = append(picked, k)
-			origin = append(origin, i)
+			origin = append(origin, int32(i))
 		}
 	}
 	return fromSortedUnique(picked), origin

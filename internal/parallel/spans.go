@@ -23,7 +23,7 @@ import (
 // outweighs the target — a span is never split mid-index). Boundary s
 // is the smallest i with prefix[i] ≥ total·s/spans, found by binary
 // search, so the whole partition costs O(spans·log n).
-func BalancedSpans[T int | int64](prefix []T, spans int) []int {
+func BalancedSpans[T int32 | int64](prefix []T, spans int) []int {
 	n := len(prefix) - 1
 	if spans < 1 {
 		spans = 1

@@ -112,7 +112,7 @@ func appendRow(b []byte, st stamp, adj *assoc.Array[float64], src string) []byte
 			if p > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, colKeys.Key(j))
+			b = appendJSONString(b, colKeys.Key(int(j)))
 			b = append(b, ':')
 			b = appendJSONFloat(b, vals[p])
 		}

@@ -155,12 +155,12 @@ func BenchmarkParallelFlopFloor(b *testing.B) {
 func rmatUnitRows(tb testing.TB, scale, edgeFactor int) (eout, ein *CSR[float64]) {
 	r := rand.New(rand.NewSource(41))
 	n, m := 1<<scale, edgeFactor<<scale
-	rowPtr := make([]int, m+1)
-	src, dst := make([]int, m), make([]int, m)
+	rowPtr := make([]int32, m+1)
+	src, dst := make([]int32, m), make([]int32, m)
 	out, in := make([]float64, m), make([]float64, m)
 	for e := 0; e < m; e++ {
-		rowPtr[e+1] = e + 1
-		for bit := n >> 1; bit >= 1; bit >>= 1 {
+		rowPtr[e+1] = int32(e + 1)
+		for bit := int32(n >> 1); bit >= 1; bit >>= 1 {
 			switch p := r.Float64(); {
 			case p < 0.57:
 			case p < 0.76:

@@ -16,20 +16,20 @@ import (
 // columns that covers what it stores. It returns the parts with their
 // position maps back into rows×cols; identity maps come back nil some of
 // the time, the way a key-set union reports them.
-func disjointParts(r *rand.Rand, rows, cols, k int) (parts []*CSR[float64], rowPos, colPos [][]int) {
+func disjointParts(r *rand.Rand, rows, cols, k int) (parts []*CSR[float64], rowPos, colPos [][]int32) {
 	full := randomCSRFor(r, rows, cols, 0.3)
 	owner := make([]int, rows)
 	for i := range owner {
 		owner[i] = r.Intn(k+1) - 1 // -1: nobody's
 	}
 	for p := 0; p < k; p++ {
-		var rp, cp []int
+		var rp, cp []int32
 		keep := make([]bool, cols)
 		for i := 0; i < rows; i++ {
 			if owner[i] != p {
 				continue
 			}
-			rp = append(rp, i)
+			rp = append(rp, int32(i))
 			cs, _ := full.Row(i)
 			for _, j := range cs {
 				keep[j] = true
@@ -39,12 +39,12 @@ func disjointParts(r *rand.Rand, rows, cols, k int) (parts []*CSR[float64], rowP
 		for j := range keep {
 			if keep[j] || r.Intn(3) == 0 {
 				remap[j] = len(cp)
-				cp = append(cp, j)
+				cp = append(cp, int32(j))
 			}
 		}
 		coo := NewCOO[float64](len(rp), len(cp))
 		for li, i := range rp {
-			cs, vs := full.Row(i)
+			cs, vs := full.Row(int(i))
 			for q, j := range cs {
 				coo.MustAppend(li, remap[j], vs[q])
 			}
@@ -104,8 +104,8 @@ func TestConcatRowsRefusesARowStoredTwice(t *testing.T) {
 	a := mk(2, [2]int{0, 1}, [2]int{1, 2})               // its rows land at 1 and 4
 	b := mk(3, [2]int{0, 0}, [2]int{2, 3})               // at 0, 4 (empty) and 5
 	c := mk(2, [2]int{0, 3}, [2]int{1, 0}, [2]int{1, 1}) // at 2 and 4: the conflict with a
-	rowPos := [][]int{{1, 4}, {0, 4, 5}, {2, 4}}
-	none := [][]int{nil, nil, nil}
+	rowPos := [][]int32{{1, 4}, {0, 4, 5}, {2, 4}}
+	none := [][]int32{nil, nil, nil}
 	if _, err := ConcatRows([]*CSR[float64]{a, b}, rowPos[:2], none[:2], 6, 4); err != nil {
 		t.Fatalf("an empty row over a stored one: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestConcatRowsRefusesARowStoredTwice(t *testing.T) {
 		t.Errorf("the refusal does not name the row: %v", err)
 	}
 	// With identity maps the parts' own row numbers are the result's.
-	_, err = ConcatRows([]*CSR[float64]{b, a}, [][]int{nil, nil}, none[:2], 3, 4)
+	_, err = ConcatRows([]*CSR[float64]{b, a}, [][]int32{nil, nil}, none[:2], 3, 4)
 	if !errors.As(err, &rc) || *rc != (RowConflictError{Row: 0, First: 0, Second: 1}) {
 		t.Fatalf("row 0 stored by both parts under identity maps: got %v", err)
 	}
@@ -127,7 +127,7 @@ func TestConcatRowsRefusesARowStoredTwice(t *testing.T) {
 func TestConcatRowsChecksItsMaps(t *testing.T) {
 	m := randomCSRGrow(rand.New(rand.NewSource(3)), 3, 3, 0.5)
 	two := []*CSR[float64]{m, m}
-	for name, maps := range map[string][2][][]int{
+	for name, maps := range map[string][2][][]int32{
 		"short rowPos":        {{{0, 1}, {3, 4, 5}}, {nil, nil}},
 		"non-monotone rowPos": {{{2, 1, 0}, {3, 4, 5}}, {nil, nil}},
 		"out-of-range rowPos": {{{0, 1, 2}, {3, 4, 9}}, {nil, nil}},
@@ -138,7 +138,7 @@ func TestConcatRowsChecksItsMaps(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := ConcatRows(two, [][]int{nil, {3, 4, 5}}, [][]int{nil, nil}, 6, 2); err == nil {
+	if _, err := ConcatRows(two, [][]int32{nil, {3, 4, 5}}, [][]int32{nil, nil}, 6, 2); err == nil {
 		t.Error("column shrink accepted")
 	}
 }
@@ -147,14 +147,14 @@ func TestConcatRowsChecksItsMaps(t *testing.T) {
 // nothing moves.
 func TestConcatRowsOfOnePartIsEmbed(t *testing.T) {
 	m := randomCSRGrow(rand.New(rand.NewSource(4)), 4, 5, 0.6)
-	got, err := ConcatRows([]*CSR[float64]{m}, [][]int{{1, 2, 4, 6}}, [][]int{{0, 2, 3, 5, 7}}, 7, 8)
+	got, err := ConcatRows([]*CSR[float64]{m}, [][]int32{{1, 2, 4, 6}}, [][]int32{{0, 2, 3, 5, 7}}, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NNZ() != m.NNZ() || &got.val[0] != &m.val[0] {
 		t.Error("one part's values were copied")
 	}
-	if same, _ := ConcatRows([]*CSR[float64]{m}, [][]int{nil}, [][]int{nil}, 4, 5); same != m {
+	if same, _ := ConcatRows([]*CSR[float64]{m}, [][]int32{nil}, [][]int32{nil}, 4, 5); same != m {
 		t.Error("one part that moves nowhere is not returned as it is")
 	}
 }
@@ -169,11 +169,11 @@ func BenchmarkConcatRows(b *testing.B) {
 		b.Fatal(err)
 	}
 	var parts []*CSR[float64]
-	var rowPos [][]int
+	var rowPos [][]int32
 	for p := 0; p < 2; p++ {
-		var rows []int
+		var rows []int32
 		for i := p; i < adj.rows; i += 2 {
-			rows = append(rows, i)
+			rows = append(rows, int32(i))
 		}
 		half, err := adj.ExtractRows(rows)
 		if err != nil {
@@ -184,7 +184,7 @@ func BenchmarkConcatRows(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ConcatRows(parts, rowPos, [][]int{nil, nil}, adj.rows, adj.cols); err != nil {
+		if _, err := ConcatRows(parts, rowPos, [][]int32{nil, nil}, adj.rows, adj.cols); err != nil {
 			b.Fatal(err)
 		}
 	}

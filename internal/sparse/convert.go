@@ -8,7 +8,7 @@ func Convert[V, W any](m *CSR[V], f func(i, j int, v V) W) *CSR[W] {
 	val := make([]W, len(m.val))
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			val[p] = f(i, m.colIdx[p], m.val[p])
+			val[p] = f(i, int(m.colIdx[p]), m.val[p])
 		}
 	}
 	return &CSR[W]{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, val: val}

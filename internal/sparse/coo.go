@@ -58,7 +58,9 @@ func (c *COO[V]) MustAppend(row, col int, v V) {
 // ToCSR sorts the triples row-major and combines duplicate coordinates
 // with combine (nil combine keeps the last value, D4M overwrite
 // semantics). Duplicates are folded left-to-right in insertion order.
+// A builder past the index range panics with the ErrIndexRange error.
 func (c *COO[V]) ToCSR(combine func(V, V) V) *CSR[V] {
+	mustFitIndex(c.rows, c.cols, len(c.triples))
 	ts := make([]Triple[V], len(c.triples))
 	copy(ts, c.triples)
 	// Stable keeps insertion order among equal coordinates so the
@@ -69,8 +71,8 @@ func (c *COO[V]) ToCSR(combine func(V, V) V) *CSR[V] {
 		}
 		return ts[a].Col < ts[b].Col
 	})
-	rowPtr := make([]int, c.rows+1)
-	colIdx := make([]int, 0, len(ts))
+	rowPtr := make([]int32, c.rows+1)
+	colIdx := make([]int32, 0, len(ts))
 	val := make([]V, 0, len(ts))
 	for i := 0; i < len(ts); {
 		j := i + 1
@@ -83,7 +85,7 @@ func (c *COO[V]) ToCSR(combine func(V, V) V) *CSR[V] {
 			}
 			j++
 		}
-		colIdx = append(colIdx, ts[i].Col)
+		colIdx = append(colIdx, int32(ts[i].Col))
 		val = append(val, acc)
 		rowPtr[ts[i].Row+1]++
 		i = j
@@ -100,8 +102,11 @@ func (c *COO[V]) ToCSR(combine func(V, V) V) *CSR[V] {
 // isZero is false. Ragged input rows are an error.
 func FromDense[V any](dense [][]V, cols int, isZero func(V) bool) (*CSR[V], error) {
 	rows := len(dense)
-	rowPtr := make([]int, rows+1)
-	var colIdx []int
+	if err := checkIndexRange(rows, cols, 0); err != nil {
+		return nil, err
+	}
+	rowPtr := make([]int32, rows+1)
+	var colIdx []int32
 	var val []V
 	for i, row := range dense {
 		if len(row) != cols {
@@ -109,11 +114,14 @@ func FromDense[V any](dense [][]V, cols int, isZero func(V) bool) (*CSR[V], erro
 		}
 		for j, v := range row {
 			if !isZero(v) {
-				colIdx = append(colIdx, j)
+				colIdx = append(colIdx, int32(j))
 				val = append(val, v)
 			}
 		}
-		rowPtr[i+1] = len(colIdx)
+		rowPtr[i+1] = int32(len(colIdx))
+	}
+	if err := checkIndexRange(rows, cols, len(colIdx)); err != nil {
+		return nil, err // rowPtr has wrapped; nothing is built from it
 	}
 	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
 }

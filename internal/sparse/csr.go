@@ -16,11 +16,23 @@
 // columns of (Eout, Ein) and Mxm on (Eoutᵀ, Ein) are bit-identical,
 // and which one runs (assoc.Correlate decides, from the operands'
 // shape) never shows in a result.
+//
+// An index is an int32, once: a position in a finite key set
+// (Definition I.1), the width the interner's ids, the edge log and the
+// ADJCKPT colIdx section already have. rowPtr, colIdx, every position
+// map and every id list a kernel takes or returns are []int32, so a
+// stored entry of a CSR[float64] costs 12 bytes and a row 4. Dimensions
+// and scalar arguments stay int. The price is a cap: a matrix has at
+// most 2³¹−1 rows, columns and stored entries, and whatever assembles
+// one refuses more with an error wrapping ErrIndexRange (index.go) —
+// NewCSR, FromDense, FoldUnitRows, Embed/ConcatRows/EWiseAddInto and
+// Mxm's symbolic bound by returning it, Empty and COO.ToCSR, which
+// return no error, by panicking with it.
 package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row matrix over values of type V. Column
@@ -36,9 +48,9 @@ import (
 //adjlint:cow
 type CSR[V any] struct {
 	rows, cols int
-	rowPtr     []int // len rows+1
-	colIdx     []int // len nnz
-	val        []V   // len nnz
+	rowPtr     []int32 // len rows+1
+	colIdx     []int32 // len nnz
+	val        []V     // len nnz
 	// unitRows: every row stores exactly one entry (rowPtr[i] = i), the
 	// shape of a graph's incidence array. Noted where construction walks
 	// rowPtr anyway; false only costs speed.
@@ -48,9 +60,12 @@ type CSR[V any] struct {
 // NewCSR assembles a CSR from raw components, validating the structural
 // invariants (monotone rowPtr, in-bounds strictly-increasing columns).
 // The slices are retained, not copied.
-func NewCSR[V any](rows, cols int, rowPtr, colIdx []int, val []V) (*CSR[V], error) {
+func NewCSR[V any](rows, cols int, rowPtr, colIdx []int32, val []V) (*CSR[V], error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("sparse: negative dimensions %d×%d", rows, cols)
+	}
+	if err := checkIndexRange(rows, cols, len(colIdx)); err != nil {
+		return nil, err
 	}
 	if len(rowPtr) != rows+1 {
 		return nil, fmt.Errorf("sparse: rowPtr length %d, want %d", len(rowPtr), rows+1)
@@ -63,9 +78,11 @@ func NewCSR[V any](rows, cols int, rowPtr, colIdx []int, val []V) (*CSR[V], erro
 	return m, nil
 }
 
-// Empty returns an all-zero rows×cols matrix.
+// Empty returns an all-zero rows×cols matrix. Dimensions past the
+// index range panic with the ErrIndexRange error.
 func Empty[V any](rows, cols int) *CSR[V] {
-	return &CSR[V]{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
+	mustFitIndex(rows, cols, 0)
+	return &CSR[V]{rows: rows, cols: cols, rowPtr: make([]int32, rows+1)}
 }
 
 // Rows returns the number of rows.
@@ -83,11 +100,11 @@ func (m *CSR[V]) NNZ() int { return len(m.colIdx) }
 func (m *CSR[V]) UnitRows() bool { return m.unitRows }
 
 // RowNNZ returns the number of stored entries in row i.
-func (m *CSR[V]) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
+func (m *CSR[V]) RowNNZ(i int) int { return int(m.rowPtr[i+1] - m.rowPtr[i]) }
 
 // Row returns the column indices and values of row i as sub-slice views
 // into the matrix storage. Callers must not mutate them.
-func (m *CSR[V]) Row(i int) (cols []int, vals []V) {
+func (m *CSR[V]) Row(i int) (cols []int32, vals []V) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
@@ -95,7 +112,20 @@ func (m *CSR[V]) Row(i int) (cols []int, vals []V) {
 // Parts returns the matrix's backing arrays — what a serializer writes.
 // They are shared with the matrix (and whatever snapshots alias it) and
 // must not be written.
-func (m *CSR[V]) Parts() (rowPtr, colIdx []int, val []V) { return m.rowPtr, m.colIdx, m.val }
+func (m *CSR[V]) Parts() (rowPtr, colIdx []int32, val []V) { return m.rowPtr, m.colIdx, m.val }
+
+// Pattern is the structure of a CSR without its values: a []struct{}
+// occupies nothing, so a Pattern costs its index arrays and its
+// Transpose 4 bytes per stored entry. It is the form a mask takes (Mxm)
+// and what the structural graph kernels read.
+type Pattern = CSR[struct{}]
+
+// Pattern returns m's structure, sharing (not copying) its index
+// arrays.
+func (m *CSR[V]) Pattern() *Pattern {
+	return &Pattern{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx,
+		val: make([]struct{}, len(m.colIdx)), unitRows: m.unitRows}
+}
 
 // At returns the stored value at (i, j) and whether an entry exists.
 func (m *CSR[V]) At(i, j int) (V, bool) {
@@ -105,9 +135,8 @@ func (m *CSR[V]) At(i, j int) (V, bool) {
 	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	cols := m.colIdx[lo:hi]
-	p := sort.SearchInts(cols, j)
-	if p < len(cols) && cols[p] == j {
-		return m.val[lo+p], true
+	if p, ok := slices.BinarySearch(cols, int32(j)); ok {
+		return m.val[int(lo)+p], true
 	}
 	return zero, false
 }
@@ -116,7 +145,7 @@ func (m *CSR[V]) At(i, j int) (V, bool) {
 func (m *CSR[V]) Iterate(fn func(i, j int, v V)) {
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			fn(i, m.colIdx[p], m.val[p])
+			fn(i, int(m.colIdx[p]), m.val[p])
 		}
 	}
 }
@@ -128,7 +157,7 @@ func (m *CSR[V]) Iterate(fn func(i, j int, v V)) {
 func (m *CSR[V]) IterateUntil(fn func(i, j int, v V) bool) bool {
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			if !fn(i, m.colIdx[p], m.val[p]) {
+			if !fn(i, int(m.colIdx[p]), m.val[p]) {
 				return false
 			}
 		}
@@ -139,13 +168,10 @@ func (m *CSR[V]) IterateUntil(fn func(i, j int, v V) bool) bool {
 // Clone deep-copies the matrix.
 func (m *CSR[V]) Clone() *CSR[V] {
 	out := &CSR[V]{rows: m.rows, cols: m.cols,
-		rowPtr:   make([]int, len(m.rowPtr)),
-		colIdx:   make([]int, len(m.colIdx)),
-		val:      make([]V, len(m.val)),
+		rowPtr:   slices.Clone(m.rowPtr),
+		colIdx:   slices.Clone(m.colIdx),
+		val:      slices.Clone(m.val),
 		unitRows: m.unitRows}
-	copy(out.rowPtr, m.rowPtr)
-	copy(out.colIdx, m.colIdx)
-	copy(out.val, m.val)
 	return out
 }
 
@@ -157,7 +183,7 @@ func (m *CSR[V]) Map(fn func(i, j int, v V) V) *CSR[V] {
 	out := m.Clone()
 	for i := 0; i < out.rows; i++ {
 		for p := out.rowPtr[i]; p < out.rowPtr[i+1]; p++ {
-			out.val[p] = fn(i, out.colIdx[p], out.val[p])
+			out.val[p] = fn(i, int(out.colIdx[p]), out.val[p])
 		}
 	}
 	return out
@@ -166,8 +192,8 @@ func (m *CSR[V]) Map(fn func(i, j int, v V) V) *CSR[V] {
 // Prune drops stored entries for which isZero reports true, producing a
 // matrix whose explicit pattern matches its algebraic support.
 func (m *CSR[V]) Prune(isZero func(V) bool) *CSR[V] {
-	rowPtr := make([]int, m.rows+1)
-	colIdx := make([]int, 0, len(m.colIdx))
+	rowPtr := make([]int32, m.rows+1)
+	colIdx := make([]int32, 0, len(m.colIdx))
 	val := make([]V, 0, len(m.val))
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
@@ -176,7 +202,7 @@ func (m *CSR[V]) Prune(isZero func(V) bool) *CSR[V] {
 				val = append(val, m.val[p])
 			}
 		}
-		rowPtr[i+1] = len(colIdx)
+		rowPtr[i+1] = int32(len(colIdx))
 	}
 	return &CSR[V]{rows: m.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
@@ -184,18 +210,17 @@ func (m *CSR[V]) Prune(isZero func(V) bool) *CSR[V] {
 // Transpose returns mᵀ using a counting sort over columns: O(nnz + cols).
 // This is the paper's Definition I.2 at the storage level.
 func (m *CSR[V]) Transpose() *CSR[V] {
-	rowPtr := make([]int, m.cols+1)
+	rowPtr := make([]int32, m.cols+1)
 	for _, j := range m.colIdx {
 		rowPtr[j+1]++
 	}
 	for j := 0; j < m.cols; j++ {
 		rowPtr[j+1] += rowPtr[j]
 	}
-	colIdx := make([]int, len(m.colIdx))
+	colIdx := make([]int32, len(m.colIdx))
 	val := make([]V, len(m.val))
-	next := make([]int, m.cols)
-	copy(next, rowPtr[:m.cols])
-	for i := 0; i < m.rows; i++ {
+	next := slices.Clone(rowPtr[:m.cols])
+	for i := int32(0); int(i) < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			j := m.colIdx[p]
 			q := next[j]
@@ -207,25 +232,58 @@ func (m *CSR[V]) Transpose() *CSR[V] {
 	return &CSR[V]{rows: m.cols, cols: m.rows, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
+// TransposeOnto returns mᵀ laid onto its own pattern t — what
+// m.Pattern().Transpose() returned: the result shares t's index arrays
+// and only the values move, in one counting pass over m. t's shape and
+// the length of each of its rows are checked against m; that those rows
+// hold m's columns and not some others of the same lengths is the
+// caller's word.
+func (m *CSR[V]) TransposeOnto(t *Pattern) (*CSR[V], error) {
+	if t.rows != m.cols || t.cols != m.rows || len(t.colIdx) != len(m.colIdx) {
+		return nil, fmt.Errorf("sparse: TransposeOnto: a %d×%d pattern of %d entries is not the transpose of a %d×%d matrix of %d",
+			t.rows, t.cols, len(t.colIdx), m.rows, m.cols, len(m.colIdx))
+	}
+	val := make([]V, len(m.val))
+	next := slices.Clone(t.rowPtr[:t.rows])
+	for p, j := range m.colIdx { // row-major: each column's entries in ascending row order
+		q := next[j]
+		if int(q) == len(val) {
+			break // a row of t is shorter than m's column; reported below
+		}
+		next[j]++
+		val[q] = m.val[p]
+	}
+	for j, end := range next {
+		if end != t.rowPtr[j+1] {
+			return nil, fmt.Errorf("sparse: TransposeOnto: row %d of the pattern does not have the length of the matrix's column", j)
+		}
+	}
+	return &CSR[V]{rows: t.rows, cols: t.cols, rowPtr: t.rowPtr, colIdx: t.colIdx, val: val}, nil
+}
+
 // ExtractRows returns the sub-matrix consisting of the given rows (in
 // the given order, which need not be sorted). Row indices must be in
 // range.
-func (m *CSR[V]) ExtractRows(rows []int) (*CSR[V], error) {
-	rowPtr := make([]int, len(rows)+1)
+func (m *CSR[V]) ExtractRows(rows []int32) (*CSR[V], error) {
+	rowPtr := make([]int32, len(rows)+1)
 	nnz := 0
 	for _, i := range rows {
-		if i < 0 || i >= m.rows {
+		if i < 0 || int(i) >= m.rows {
 			return nil, fmt.Errorf("sparse: row %d out of range [0,%d)", i, m.rows)
 		}
-		nnz += m.RowNNZ(i)
+		nnz += m.RowNNZ(int(i))
 	}
-	colIdx := make([]int, 0, nnz)
+	// Rows may repeat, so the selection can outgrow the matrix.
+	if err := checkIndexRange(len(rows), m.cols, nnz); err != nil {
+		return nil, err
+	}
+	colIdx := make([]int32, 0, nnz)
 	val := make([]V, 0, nnz)
 	for r, i := range rows {
 		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 		colIdx = append(colIdx, m.colIdx[lo:hi]...)
 		val = append(val, m.val[lo:hi]...)
-		rowPtr[r+1] = len(colIdx)
+		rowPtr[r+1] = int32(len(colIdx))
 	}
 	return &CSR[V]{rows: len(rows), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val, unitRows: m.unitRows}, nil
 }
@@ -233,25 +291,25 @@ func (m *CSR[V]) ExtractRows(rows []int) (*CSR[V], error) {
 // ExtractCols returns the sub-matrix consisting of the given columns,
 // renumbered 0..len(cols)-1 in the given order. cols must be strictly
 // increasing (keeping per-row column order intact without a sort).
-func (m *CSR[V]) ExtractCols(cols []int) (*CSR[V], error) {
-	// Dense []int remap (-1 = dropped) instead of a hash map: the remap
-	// sits on the key-alignment hot path and a flat array lookup per
-	// stored entry is a constant-factor win over map access.
-	remap := make([]int, m.cols)
+func (m *CSR[V]) ExtractCols(cols []int32) (*CSR[V], error) {
+	// Dense remap (-1 = dropped) instead of a hash map: the remap sits on
+	// the key-alignment hot path and a flat array lookup per stored entry
+	// is a constant-factor win over map access.
+	remap := make([]int32, m.cols)
 	for j := range remap {
 		remap[j] = -1
 	}
 	for n, j := range cols {
-		if j < 0 || j >= m.cols {
+		if j < 0 || int(j) >= m.cols {
 			return nil, fmt.Errorf("sparse: column %d out of range [0,%d)", j, m.cols)
 		}
 		if n > 0 && cols[n-1] >= j {
 			return nil, fmt.Errorf("sparse: ExtractCols indices must be strictly increasing")
 		}
-		remap[j] = n
+		remap[j] = int32(n)
 	}
-	rowPtr := make([]int, m.rows+1)
-	var colIdx []int
+	rowPtr := make([]int32, m.rows+1)
+	var colIdx []int32
 	var val []V
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
@@ -260,7 +318,7 @@ func (m *CSR[V]) ExtractCols(cols []int) (*CSR[V], error) {
 				val = append(val, m.val[p])
 			}
 		}
-		rowPtr[i+1] = len(colIdx)
+		rowPtr[i+1] = int32(len(colIdx))
 	}
 	return &CSR[V]{rows: m.rows, cols: len(cols), rowPtr: rowPtr, colIdx: colIdx, val: val,
 		unitRows: m.unitRows && len(colIdx) == len(m.colIdx)}, nil // no entry dropped

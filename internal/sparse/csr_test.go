@@ -13,7 +13,7 @@ import (
 //	[ 3 4 0 ]
 func small(t *testing.T) *CSR[float64] {
 	t.Helper()
-	m, err := NewCSR(3, 3, []int{0, 2, 2, 4}, []int{0, 2, 0, 1}, []float64{1, 2, 3, 4})
+	m, err := NewCSR(3, 3, []int32{0, 2, 2, 4}, []int32{0, 2, 0, 1}, []float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,26 +24,26 @@ func TestNewCSRValidation(t *testing.T) {
 	cases := []struct {
 		name         string
 		rows, cols   int
-		rowPtr, cidx []int
+		rowPtr, cidx []int32
 		vals         []float64
 	}{
-		{"negative dims", -1, 3, []int{0}, nil, nil},
-		{"short rowPtr", 2, 2, []int{0, 0}, nil, nil},
-		{"rowPtr not starting at 0", 1, 1, []int{1, 1}, nil, nil},
-		{"nnz mismatch", 1, 2, []int{0, 2}, []int{0}, []float64{1}},
-		{"val mismatch", 1, 2, []int{0, 1}, []int{0}, []float64{1, 2}},
-		{"non-monotone rowPtr", 2, 2, []int{0, 2, 1}, []int{0, 1}, []float64{1, 2}},
-		{"col out of range", 1, 2, []int{0, 1}, []int{2}, []float64{1}},
-		{"negative col", 1, 2, []int{0, 1}, []int{-1}, []float64{1}},
-		{"duplicate col", 1, 3, []int{0, 2}, []int{1, 1}, []float64{1, 2}},
-		{"decreasing cols", 1, 3, []int{0, 2}, []int{2, 0}, []float64{1, 2}},
+		{"negative dims", -1, 3, []int32{0}, nil, nil},
+		{"short rowPtr", 2, 2, []int32{0, 0}, nil, nil},
+		{"rowPtr not starting at 0", 1, 1, []int32{1, 1}, nil, nil},
+		{"nnz mismatch", 1, 2, []int32{0, 2}, []int32{0}, []float64{1}},
+		{"val mismatch", 1, 2, []int32{0, 1}, []int32{0}, []float64{1, 2}},
+		{"non-monotone rowPtr", 2, 2, []int32{0, 2, 1}, []int32{0, 1}, []float64{1, 2}},
+		{"col out of range", 1, 2, []int32{0, 1}, []int32{2}, []float64{1}},
+		{"negative col", 1, 2, []int32{0, 1}, []int32{-1}, []float64{1}},
+		{"duplicate col", 1, 3, []int32{0, 2}, []int32{1, 1}, []float64{1, 2}},
+		{"decreasing cols", 1, 3, []int32{0, 2}, []int32{2, 0}, []float64{1, 2}},
 	}
 	for _, c := range cases {
 		if _, err := NewCSR(c.rows, c.cols, c.rowPtr, c.cidx, c.vals); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := NewCSR(3, 3, []int{0, 2, 2, 4}, []int{0, 2, 0, 1}, []float64{1, 2, 3, 4}); err != nil {
+	if _, err := NewCSR(3, 3, []int32{0, 2, 2, 4}, []int32{0, 2, 0, 1}, []float64{1, 2, 3, 4}); err != nil {
 		t.Errorf("valid CSR rejected: %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestTranspose(t *testing.T) {
 
 func TestExtractRows(t *testing.T) {
 	m := small(t)
-	sub, err := m.ExtractRows([]int{2, 0})
+	sub, err := m.ExtractRows([]int32{2, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +179,14 @@ func TestExtractRows(t *testing.T) {
 	if v, _ := sub.At(1, 0); v != 1 {
 		t.Errorf("second row wrong: %v", v)
 	}
-	if _, err := m.ExtractRows([]int{5}); err == nil {
+	if _, err := m.ExtractRows([]int32{5}); err == nil {
 		t.Error("out-of-range row accepted")
 	}
 }
 
 func TestExtractCols(t *testing.T) {
 	m := small(t)
-	sub, err := m.ExtractCols([]int{0, 2})
+	sub, err := m.ExtractCols([]int32{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +199,10 @@ func TestExtractCols(t *testing.T) {
 	if _, ok := sub.At(2, 1); ok {
 		t.Error("dropped column leaked through")
 	}
-	if _, err := m.ExtractCols([]int{2, 0}); err == nil {
+	if _, err := m.ExtractCols([]int32{2, 0}); err == nil {
 		t.Error("unsorted column indices accepted")
 	}
-	if _, err := m.ExtractCols([]int{9}); err == nil {
+	if _, err := m.ExtractCols([]int32{9}); err == nil {
 		t.Error("out-of-range column accepted")
 	}
 }

@@ -42,7 +42,7 @@ const foldShortRow = 24
 // fold of a maintained view, whose result only feeds a merge. The zero
 // value is ready to use.
 type FoldScratch[V any] struct {
-	rowPtr, rowLen, colIdx []int
+	rowPtr, rowLen, colIdx []int32
 	val                    []V
 }
 
@@ -56,15 +56,18 @@ type FoldScratch[V any] struct {
 // With a nil scr the result owns fresh storage. Otherwise it aliases the
 // scratch and is valid until the scratch's next use; only O(1)
 // bookkeeping is allocated.
-func FoldUnitRows[V any](rows, cols int, row, col []int, out, in []V, ops semiring.Ops[V], opt MxmOptions, scr *FoldScratch[V]) (*CSR[V], error) {
+func FoldUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops semiring.Ops[V], opt MxmOptions, scr *FoldScratch[V]) (*CSR[V], error) {
 	n := len(row)
 	if len(col) != n || len(out) != n || (in != nil && len(in) != n) {
 		return nil, fmt.Errorf("sparse: FoldUnitRows got %d rows, %d columns, %d and %d values", n, len(col), len(out), len(in))
 	}
+	if err := checkIndexRange(rows, cols, n); err != nil {
+		return nil, err
+	}
 	f := foldJob[V]{cols: cols, row: row, col: col, out: out, in: in, ops: ops, rowFn: foldRowFor(ops)}
 	if scr == nil {
-		f.rowPtr, f.rowLen = make([]int, rows+1), make([]int, rows)
-		f.colIdx, f.val = make([]int, n), make([]V, n)
+		f.rowPtr, f.rowLen = make([]int32, rows+1), make([]int32, rows)
+		f.colIdx, f.val = make([]int32, n), make([]V, n)
 	} else {
 		scr.rowPtr, scr.rowLen = growTo(scr.rowPtr, rows+1, false), growTo(scr.rowLen, rows, false)
 		scr.colIdx, scr.val = growTo(scr.colIdx, n, true), growTo(scr.val, n, true)
@@ -72,7 +75,7 @@ func FoldUnitRows[V any](rows, cols int, row, col []int, out, in []V, ops semiri
 		clear(f.rowPtr)
 	}
 	for k, r := range row {
-		if uint(r) >= uint(rows) || uint(col[k]) >= uint(cols) {
+		if uint32(r) >= uint32(rows) || uint32(col[k]) >= uint32(cols) {
 			return nil, fmt.Errorf("sparse: FoldUnitRows contribution %d at (%d,%d) outside %d×%d", k, r, col[k], rows, cols)
 		}
 		f.rowPtr[r+1]++
@@ -99,11 +102,11 @@ func FoldUnitRows[V any](rows, cols int, row, col []int, out, in []V, ops semiri
 // the row's bound offset on, and then the count the row kept.
 type foldJob[V any] struct {
 	cols                   int
-	row, col               []int
+	row, col               []int32
 	out, in                []V
 	ops                    semiring.Ops[V]
 	rowFn                  foldRowFunc[V]
-	rowPtr, rowLen, colIdx []int
+	rowPtr, rowLen, colIdx []int32
 	val                    []V
 }
 
@@ -116,8 +119,9 @@ type foldJob[V any] struct {
 func (f *foldJob[V]) span(lo, hi int) {
 	rowPtr, rowLen, colIdx, val := f.rowPtr, f.rowLen, f.colIdx, f.val
 	col, out, in, mul := f.col, f.out, f.in, f.ops.Mul
+	first, end := int32(lo), int32(hi)
 	for k, r := range f.row { // ascending k: Definition I.3 fold order
-		if r < lo || r >= hi {
+		if r < first || r >= end {
 			continue
 		}
 		q := rowLen[r]
@@ -143,7 +147,7 @@ func (f *foldJob[V]) span(lo, hi int) {
 			sb, vb = getStampBox(f.cols), getAccBox[V](pool, f.cols)
 			s = pooledSPA(sb, vb)
 		}
-		rowLen[r] = f.rowFn(f.ops, s, colIdx[a:b], val[a:b])
+		rowLen[r] = int32(f.rowFn(f.ops, s, colIdx[a:b], val[a:b]))
 	}
 	if s != nil {
 		releaseKernelScratch(pool, sb, s, vb)
@@ -154,7 +158,7 @@ func (f *foldJob[V]) span(lo, hi int) {
 // contributions in edge order and receive its surviving cells in
 // ascending column order; the count is returned. s is only there for a
 // row longer than foldShortRow.
-type foldRowFunc[V any] func(ops semiring.Ops[V], s *spa[V], cols []int, vals []V) int
+type foldRowFunc[V any] func(ops semiring.Ops[V], s *spa[V], cols []int32, vals []V) int
 
 // foldRowFor selects the row fold as numericRowFor selects Mxm's.
 func foldRowFor[V any](ops semiring.Ops[V]) foldRowFunc[V] {
@@ -168,7 +172,7 @@ func foldRowFor[V any](ops semiring.Ops[V]) foldRowFunc[V] {
 
 // sortRowStable insertion-sorts a short row by column; equal columns
 // keep their edge order.
-func sortRowStable[V any](cols []int, vals []V) {
+func sortRowStable[V any](cols []int32, vals []V) {
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
 		j := i
@@ -179,7 +183,7 @@ func sortRowStable[V any](cols []int, vals []V) {
 	}
 }
 
-func foldRow[V any](ops semiring.Ops[V], s *spa[V], cols []int, vals []V) int {
+func foldRow[V any](ops semiring.Ops[V], s *spa[V], cols []int32, vals []V) int {
 	if len(cols) <= foldShortRow {
 		sortRowStable(cols, vals)
 		n := 0
@@ -214,7 +218,7 @@ func foldRow[V any](ops semiring.Ops[V], s *spa[V], cols []int, vals []V) int {
 // foldRowPlusTimesF64 is foldRow monomorphized for +.* over float64
 // under the contract of specialized.go: same fold order, same pruning
 // (v != 0), arithmetic inlined.
-func foldRowPlusTimesF64(_ semiring.Ops[float64], s *spa[float64], cols []int, vals []float64) int {
+func foldRowPlusTimesF64(_ semiring.Ops[float64], s *spa[float64], cols []int32, vals []float64) int {
 	if len(cols) <= foldShortRow {
 		sortRowStable(cols, vals)
 		n := 0

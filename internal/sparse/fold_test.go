@@ -22,7 +22,7 @@ import (
 type foldCase struct {
 	name       string
 	rows, cols int
-	row, col   []int
+	row, col   []int32
 	out, in    []float64
 	skipDense  bool // the oracle is O(rows·n·cols)
 }
@@ -46,7 +46,7 @@ func foldCases(r *rand.Rand, pool []float64, zero float64) []foldCase {
 		c := foldCase{name: name, rows: rows, cols: cols}
 		for k := 0; k < n; k++ {
 			i, j := at(k)
-			c.row, c.col = append(c.row, i), append(c.col, j)
+			c.row, c.col = append(c.row, int32(i)), append(c.col, int32(j))
 			c.out, c.in = append(c.out, w()), append(c.in, w())
 		}
 		return c
@@ -106,9 +106,9 @@ func keySet(prefix string, n int) *keys.Set {
 // incidence returns the case as the unit-row pair Eout, Ein.
 func (c foldCase) incidence(t *testing.T) (eout, ein *sparse.CSR[float64]) {
 	t.Helper()
-	rowPtr := make([]int, len(c.row)+1)
+	rowPtr := make([]int32, len(c.row)+1)
 	for i := range rowPtr {
-		rowPtr[i] = i
+		rowPtr[i] = int32(i)
 	}
 	eout, err := sparse.NewCSR(len(c.row), c.rows, rowPtr, c.row, c.out)
 	if err != nil {
@@ -218,10 +218,10 @@ func TestFoldUnitRowsMatchesMxmAndOracle(t *testing.T) {
 func TestFoldUnitRowsPrunesZeroFolds(t *testing.T) {
 	ops := semiring.PlusTimes()
 	for _, n := range []int{4, 40} { // per row: below and above the short-row limit
-		var row, col []int
+		var row, col []int32
 		var out, in []float64
 		for k := 0; k < n; k++ {
-			row, col = append(row, 1, 1), append(col, k%7, k%7)
+			row, col = append(row, 1, 1), append(col, int32(k%7), int32(k%7))
 			out, in = append(out, 1, -1), append(in, 1, 1)
 		}
 		row, col, out, in = append(row, 1), append(col, 9), append(out, 3), append(in, 2)
@@ -243,19 +243,19 @@ func TestFoldUnitRowsRejectsBadInput(t *testing.T) {
 	one := []float64{1}
 	for name, call := range map[string]func() (*sparse.CSR[float64], error){
 		"row out of range": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int{2}, []int{0}, one, one, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{2}, []int32{0}, one, one, ops, sparse.MxmOptions{}, nil)
 		},
 		"negative row": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int{-1}, []int{0}, one, one, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{-1}, []int32{0}, one, one, ops, sparse.MxmOptions{}, nil)
 		},
 		"column out of range": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int{0}, []int{2}, one, nil, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{0}, []int32{2}, one, nil, ops, sparse.MxmOptions{}, nil)
 		},
 		"length mismatch": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int{0, 1}, []int{0}, one, one, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{0, 1}, []int32{0}, one, one, ops, sparse.MxmOptions{}, nil)
 		},
 		"value mismatch": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int{0}, []int{0}, one, []float64{1, 2}, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{0}, []int32{0}, one, []float64{1, 2}, ops, sparse.MxmOptions{}, nil)
 		},
 	} {
 		if m, err := call(); err == nil {
@@ -267,30 +267,30 @@ func TestFoldUnitRowsRejectsBadInput(t *testing.T) {
 // The unit-row mark is set where rowPtr is walked, survives the
 // structure-preserving operations, and is never set on anything else.
 func TestUnitRowsIsRecorded(t *testing.T) {
-	unit, err := sparse.NewCSR(3, 4, []int{0, 1, 2, 3}, []int{2, 0, 2}, []float64{1, 2, 3})
+	unit, err := sparse.NewCSR(3, 4, []int32{0, 1, 2, 3}, []int32{2, 0, 2}, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := unit.ExtractRows([]int{2, 0})
+	sub, err := unit.ExtractRows([]int32{2, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := unit.ExtractCols([]int{0, 1, 2, 3})
+	all, err := unit.ExtractCols([]int32{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped, err := unit.ExtractCols([]int{0, 1})
+	dropped, err := unit.ExtractCols([]int32{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	coo := sparse.NewCOO[float64](2, 2)
 	coo.MustAppend(1, 0, 5)
 	coo.MustAppend(0, 1, 6)
-	two, err := sparse.NewCSR(2, 3, []int{0, 2, 2}, []int{0, 1}, []float64{1, 1})
+	two, err := sparse.NewCSR(2, 3, []int32{0, 2, 2}, []int32{0, 1}, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gap, err := sparse.NewCSR(3, 3, []int{0, 1, 1, 2}, []int{0, 1}, []float64{1, 1})
+	gap, err := sparse.NewCSR(3, 3, []int32{0, 1, 1, 2}, []int32{0, 1}, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

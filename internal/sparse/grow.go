@@ -2,7 +2,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"adjarray/internal/semiring"
 )
@@ -29,7 +29,7 @@ import (
 // into a space of m's own shape is m itself. This is the integer-index
 // counterpart of assoc.Reindex — O(rows+nnz) with no string hashing and
 // no COO sort.
-func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V], error) {
+func Embed[V any](m *CSR[V], rowPos, colPos []int32, newRows, newCols int) (*CSR[V], error) {
 	if err := checkEmbed(m, rowPos, colPos, newRows, newCols); err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V
 
 	colIdx := m.colIdx
 	if colPos != nil {
-		colIdx = make([]int, len(m.colIdx))
+		colIdx = make([]int32, len(m.colIdx))
 		for p, j := range m.colIdx {
 			colIdx[p] = colPos[j]
 		}
@@ -49,21 +49,21 @@ func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V
 	case rowPos == nil && newRows == m.rows:
 		// share rowPtr as-is
 	case rowPos == nil:
-		rowPtr = make([]int, newRows+1)
+		rowPtr = make([]int32, newRows+1)
 		copy(rowPtr, m.rowPtr)
 		for i := m.rows + 1; i <= newRows; i++ {
 			rowPtr[i] = m.rowPtr[m.rows]
 		}
 	default:
-		rowPtr = make([]int, newRows+1)
-		next := 0
+		rowPtr = make([]int32, newRows+1)
+		var next int32
 		for i := 0; i < m.rows; i++ {
 			for r := next; r <= rowPos[i]; r++ {
 				rowPtr[r] = m.rowPtr[i]
 			}
 			next = rowPos[i] + 1
 		}
-		for r := next; r <= newRows; r++ {
+		for r := int(next); r <= newRows; r++ {
 			rowPtr[r] = m.rowPtr[m.rows]
 		}
 	}
@@ -71,9 +71,13 @@ func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V
 }
 
 // checkEmbed validates one matrix's position maps against the space it
-// is being mapped into: a map has one strictly increasing, in-range
-// position per row (column) of m; without one, m must fit as it is.
-func checkEmbed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) error {
+// is being mapped into, which must be one an index can number: a map has
+// one strictly increasing, in-range position per row (column) of m;
+// without one, m must fit as it is.
+func checkEmbed[V any](m *CSR[V], rowPos, colPos []int32, newRows, newCols int) error {
+	if err := checkIndexRange(newRows, newCols, 0); err != nil {
+		return err
+	}
 	if newRows < m.rows && rowPos == nil {
 		return fmt.Errorf("sparse: Embed shrinks rows %d -> %d", m.rows, newRows)
 	}
@@ -99,9 +103,9 @@ func checkEmbed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) er
 	return nil
 }
 
-func checkMonotone(pos []int, bound int, name string) error {
+func checkMonotone(pos []int32, bound int, name string) error {
 	for i, p := range pos {
-		if p < 0 || p >= bound {
+		if p < 0 || int(p) >= bound {
 			return fmt.Errorf("sparse: Embed %s[%d]=%d out of range [0,%d)", name, i, p, bound)
 		}
 		if i > 0 && pos[i-1] >= p {
@@ -123,18 +127,25 @@ func checkMonotone(pos []int, bound int, name string) error {
 // part is Embed: its values are shared, not copied.
 //
 //adjlint:cow-writer
-func ConcatRows[V any](parts []*CSR[V], rowPos, colPos [][]int, rows, cols int) (*CSR[V], error) {
+func ConcatRows[V any](parts []*CSR[V], rowPos, colPos [][]int32, rows, cols int) (*CSR[V], error) {
 	if len(rowPos) != len(parts) || len(colPos) != len(parts) {
 		return nil, fmt.Errorf("sparse: ConcatRows has %d parts, %d row maps, %d column maps", len(parts), len(rowPos), len(colPos))
 	}
 	if len(parts) == 1 {
 		return Embed(parts[0], rowPos[0], colPos[0], rows, cols)
 	}
-	rowPtr := make([]int, rows+1)
+	nnz := 0
 	for k, m := range parts {
 		if err := checkEmbed(m, rowPos[k], colPos[k], rows, cols); err != nil {
 			return nil, fmt.Errorf("sparse: ConcatRows part %d: %w", k, err)
 		}
+		nnz += len(m.colIdx)
+	}
+	if err := checkIndexRange(rows, cols, nnz); err != nil {
+		return nil, fmt.Errorf("sparse: ConcatRows: %w", err)
+	}
+	rowPtr := make([]int32, rows+1)
+	for k, m := range parts {
 		for i := 0; i < m.rows; i++ {
 			n := m.rowPtr[i+1] - m.rowPtr[i]
 			if n == 0 {
@@ -150,7 +161,7 @@ func ConcatRows[V any](parts []*CSR[V], rowPos, colPos [][]int, rows, cols int) 
 	for r := 0; r < rows; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	colIdx := make([]int, rowPtr[rows])
+	colIdx := make([]int32, rowPtr[rows])
 	val := make([]V, rowPtr[rows])
 	for k, m := range parts {
 		cp := colPos[k]
@@ -165,8 +176,9 @@ func ConcatRows[V any](parts []*CSR[V], rowPos, colPos [][]int, rows, cols int) 
 				copy(colIdx[at:], m.colIdx[lo:hi])
 				continue
 			}
+			dst := colIdx[at:]
 			for p, j := range m.colIdx[lo:hi] {
-				colIdx[at+p] = cp[j]
+				dst[p] = cp[j]
 			}
 		}
 	}
@@ -174,21 +186,21 @@ func ConcatRows[V any](parts []*CSR[V], rowPos, colPos [][]int, rows, cols int) 
 }
 
 // rowAt is where row i lands under a position map; nil is the identity.
-func rowAt(pos []int, i int) int {
+func rowAt(pos []int32, i int) int {
 	if pos == nil {
 		return i
 	}
-	return pos[i]
+	return int(pos[i])
 }
 
 // firstOwner finds the lowest part storing output row r — the error
 // path's look-up, so ConcatRows keeps no owner per row.
-func firstOwner[V any](parts []*CSR[V], rowPos [][]int, r int) int {
+func firstOwner[V any](parts []*CSR[V], rowPos [][]int32, r int) int {
 	for k, m := range parts {
 		i := r
 		if rowPos[k] != nil {
-			i = sort.SearchInts(rowPos[k], r)
-			if i == len(rowPos[k]) || rowPos[k][i] != r {
+			var ok bool
+			if i, ok = slices.BinarySearch(rowPos[k], int32(r)); !ok {
 				continue
 			}
 		}
@@ -217,7 +229,7 @@ func (e *RowConflictError) Error() string {
 // donates a dead matrix's backing for the next merge. The zero value is
 // ready to use.
 type MergeScratch[V any] struct {
-	rowPtr, colIdx []int
+	rowPtr, colIdx []int32
 	val            []V
 }
 
@@ -245,11 +257,11 @@ func (s *MergeScratch[V]) retire(dst *CSR[V], consumed bool) {
 
 // take returns scratch-backed slices with the required row capacity,
 // emptying the scratch (the result will own the backing).
-func (s *MergeScratch[V]) take(rows int) (rowPtr, colIdx []int, val []V) {
+func (s *MergeScratch[V]) take(rows int) (rowPtr, colIdx []int32, val []V) {
 	rowPtr, colIdx, val = s.rowPtr, s.colIdx[:0], s.val[:0]
 	s.rowPtr, s.colIdx, s.val = nil, nil, nil
 	if cap(rowPtr) < rows+1 {
-		rowPtr = make([]int, rows+1)
+		rowPtr = make([]int32, rows+1)
 	}
 	rowPtr = rowPtr[:rows+1]
 	rowPtr[0] = 0
@@ -264,7 +276,7 @@ func (s *MergeScratch[V]) take(rows int) (rowPtr, colIdx []int, val []V) {
 // embedded copy of the accumulator first.
 type through[V any] struct {
 	m              *CSR[V]
-	rowPos, colPos []int
+	rowPos, colPos []int32
 }
 
 // seek returns the first row of m that lands at or after result row r.
@@ -272,13 +284,14 @@ func (t through[V]) seek(r int) int {
 	if t.rowPos == nil {
 		return min(r, t.m.rows)
 	}
-	return sort.SearchInts(t.rowPos, r)
+	i, _ := slices.BinarySearch(t.rowPos, int32(r))
+	return i
 }
 
 // row returns the storage range of the row of m landing at result row r
 // — empty when none does — and the cursor for r+1, given next = seek(r).
-func (t through[V]) row(r, next int) (lo, hi, after int) {
-	if next < t.m.rows && (t.rowPos == nil || t.rowPos[next] == r) {
+func (t through[V]) row(r, next int) (lo, hi int32, after int) {
+	if next < t.m.rows && (t.rowPos == nil || int(t.rowPos[next]) == r) {
 		return t.m.rowPtr[next], t.m.rowPtr[next+1], next + 1
 	}
 	return 0, 0, next
@@ -293,15 +306,15 @@ func (t through[V]) moves(rows, cols int) bool {
 // countUnion sweeps rows [lo, hi) of dst ⊕ src for the size of each
 // row's union pattern — kept in count[i+1] when count is non-nil — and
 // returns their sum and whether src's pattern lies inside dst's.
-func countUnion[V any](dst through[V], src *CSR[V], lo, hi int, count []int) (total int, subset bool) {
+func countUnion[V any](dst through[V], src *CSR[V], lo, hi int, count []int32) (total int, subset bool) {
 	subset = true
 	dcol, cp := dst.m.colIdx, dst.colPos
 	next := dst.seek(lo)
 	for i := lo; i < hi; i++ {
-		var p, dhi int
+		var p, dhi int32
 		p, dhi, next = dst.row(i, next)
 		q, shi := src.rowPtr[i], src.rowPtr[i+1]
-		n := 0
+		var n int32
 		for p < dhi && q < shi {
 			j := dcol[p]
 			if cp != nil {
@@ -326,7 +339,7 @@ func countUnion[V any](dst through[V], src *CSR[V], lo, hi int, count []int) (to
 		if count != nil {
 			count[i+1] = n
 		}
-		total += n
+		total += int(n)
 	}
 	return total, subset
 }
@@ -340,7 +353,7 @@ func countUnion[V any](dst through[V], src *CSR[V], lo, hi int, count []int) (to
 // rowLen[i], for finalizeTwoPhase to close the gaps.
 //
 //adjlint:cow-writer
-func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops[V], rowPtr, rowLen, colIdx []int, val []V) {
+func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops[V], rowPtr, rowLen, colIdx []int32, val []V) {
 	dcol, dval, cp := dst.m.colIdx, dst.m.val, dst.colPos
 	next := dst.seek(lo)
 	at := rowPtr[lo]
@@ -349,7 +362,7 @@ func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops
 			at = rowPtr[i]
 		}
 		start := at
-		var p, dhi int
+		var p, dhi int32
 		p, dhi, next = dst.row(i, next)
 		q, shi := src.rowPtr[i], src.rowPtr[i+1]
 		for p < dhi && q < shi {
@@ -380,13 +393,14 @@ func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops
 		if cp == nil {
 			copy(colIdx[at:], dcol[p:dhi])
 		} else {
+			rest := colIdx[at:]
 			for k, j := range dcol[p:dhi] {
-				colIdx[at+k] = cp[j]
+				rest[k] = cp[j]
 			}
 		}
-		at += copy(val[at:], dval[p:dhi])
+		at += int32(copy(val[at:], dval[p:dhi]))
 		copy(colIdx[at:], src.colIdx[q:shi])
-		at += copy(val[at:], src.val[q:shi])
+		at += int32(copy(val[at:], src.val[q:shi]))
 		if rowLen != nil {
 			rowLen[i] = at - start
 		} else {
@@ -397,7 +411,7 @@ func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops
 
 // checkMerge validates dst and its maps against src, whose shape is the
 // result's.
-func checkMerge[V any](dst, src *CSR[V], rowPos, colPos []int) error {
+func checkMerge[V any](dst, src *CSR[V], rowPos, colPos []int32) error {
 	if (rowPos == nil && dst.rows > src.rows) || (colPos == nil && dst.cols > src.cols) {
 		return &ShapeError{ARows: dst.rows, ACols: dst.cols, BRows: src.rows, BCols: src.cols}
 	}
@@ -427,7 +441,7 @@ func checkMerge[V any](dst, src *CSR[V], rowPos, colPos []int) error {
 // an accumulator merged into repeatedly ping-pongs between two buffers.
 //
 //adjlint:cow-writer
-func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V], rowPos, colPos []int) (*CSR[V], error) {
+func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V], rowPos, colPos []int32) (*CSR[V], error) {
 	if err := checkMerge(dst, src, rowPos, colPos); err != nil {
 		return nil, err
 	}
@@ -450,11 +464,11 @@ func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, sc
 				for dc[p] < j {
 					p++
 				}
-				s := ops.Add(dst.val[lo+p], src.val[q])
+				s := ops.Add(dst.val[int(lo)+p], src.val[q])
 				if ops.IsZero(s) {
 					zeros++
 				}
-				dst.val[lo+p] = s
+				dst.val[int(lo)+p] = s
 				p++
 			}
 		}
@@ -466,12 +480,15 @@ func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, sc
 		return dst, nil
 	}
 
-	var rowPtr, colIdx []int
+	if err := checkIndexRange(src.rows, src.cols, unionNNZ); err != nil {
+		return nil, fmt.Errorf("sparse: EWiseAddInto: %w", err)
+	}
+	var rowPtr, colIdx []int32
 	var val []V
 	if scratch != nil {
 		rowPtr, colIdx, val = scratch.take(src.rows)
 	} else {
-		rowPtr = make([]int, src.rows+1)
+		rowPtr = make([]int32, src.rows+1)
 	}
 	colIdx = growTo(colIdx, unionNNZ, scratch != nil)
 	val = growTo(val, unionNNZ, scratch != nil)

@@ -61,7 +61,7 @@ func TestEmbedScatterMatchesManual(t *testing.T) {
 		}
 		want := NewCOO[float64](newRows, newCols)
 		m.Iterate(func(i, j int, v float64) {
-			want.MustAppend(rowPos[i], colPos[j], v)
+			want.MustAppend(int(rowPos[i]), int(colPos[j]), v)
 		})
 		if !Equal(got, want.ToCSR(nil), func(a, b float64) bool { return a == b }) {
 			t.Fatalf("trial %d: scatter mismatch", trial)
@@ -70,9 +70,11 @@ func TestEmbedScatterMatchesManual(t *testing.T) {
 }
 
 // pickPositions draws a strictly increasing map [0,n) → [0,newN).
-func pickPositions(r *rand.Rand, n, newN int) []int {
-	perm := r.Perm(newN)[:n]
-	pos := append([]int(nil), perm...)
+func pickPositions(r *rand.Rand, n, newN int) []int32 {
+	pos := make([]int32, n)
+	for i, p := range r.Perm(newN)[:n] {
+		pos[i] = int32(p)
+	}
 	for i := 1; i < len(pos); i++ {
 		for j := i; j > 0 && pos[j-1] > pos[j]; j-- {
 			pos[j-1], pos[j] = pos[j], pos[j-1]
@@ -83,13 +85,13 @@ func pickPositions(r *rand.Rand, n, newN int) []int {
 
 func TestEmbedRejectsBadPositions(t *testing.T) {
 	m := randomCSRGrow(rand.New(rand.NewSource(3)), 3, 3, 0.5)
-	if _, err := Embed(m, []int{0, 1}, nil, 4, 3); err == nil {
+	if _, err := Embed(m, []int32{0, 1}, nil, 4, 3); err == nil {
 		t.Error("short rowPos accepted")
 	}
-	if _, err := Embed(m, []int{2, 1, 0}, nil, 4, 3); err == nil {
+	if _, err := Embed(m, []int32{2, 1, 0}, nil, 4, 3); err == nil {
 		t.Error("non-monotone rowPos accepted")
 	}
-	if _, err := Embed(m, []int{0, 1, 5}, nil, 4, 3); err == nil {
+	if _, err := Embed(m, []int32{0, 1, 5}, nil, 4, 3); err == nil {
 		t.Error("out-of-range rowPos accepted")
 	}
 	if _, err := Embed(m, nil, nil, 2, 3); err == nil {
@@ -189,8 +191,8 @@ func TestEWiseAddIntoPrunesZeroFolds(t *testing.T) {
 // columns before, between and after the old ones (or, one time in four
 // per side, none — the nil map, with the side possibly still extended at
 // its end).
-func growInto(r *rand.Rand, rows, cols int) (rowPos, colPos []int, newRows, newCols int) {
-	side := func(n int) ([]int, int) {
+func growInto(r *rand.Rand, rows, cols int) (rowPos, colPos []int32, newRows, newCols int) {
+	side := func(n int) ([]int32, int) {
 		grown := n + r.Intn(6)
 		if r.Intn(4) == 0 {
 			return nil, grown
@@ -253,7 +255,7 @@ func TestMappedMergeChecksItsMaps(t *testing.T) {
 	ops := semiring.PlusTimes()
 	r := rand.New(rand.NewSource(29))
 	dst, src := randomCSRFor(r, 3, 3, 0.5), randomCSRFor(r, 5, 4, 0.5)
-	for name, maps := range map[string][2][]int{
+	for name, maps := range map[string][2][]int32{
 		"short rowPos":        {{0, 1}, nil},
 		"non-monotone rowPos": {{2, 1, 0}, nil},
 		"out-of-range colPos": {nil, {0, 1, 4}},

@@ -68,7 +68,7 @@ func TestMulMaskedFoldOrderNonCommutative(t *testing.T) {
 }
 
 func TestSortInts(t *testing.T) {
-	xs := []int{5, 1, 4, 1, 3}
+	xs := []int32{5, 1, 4, 1, 3}
 	sortInts(xs)
 	for i := 1; i < len(xs); i++ {
 		if xs[i-1] > xs[i] {

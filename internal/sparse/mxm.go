@@ -1,6 +1,9 @@
 package sparse
 
 import (
+	"fmt"
+	"slices"
+
 	"adjarray/internal/parallel"
 	"adjarray/internal/semiring"
 )
@@ -26,20 +29,6 @@ import (
 // the result is bit-identical across Workers for any ⊕, including
 // non-commutative and non-associative ones.
 
-// Pattern is the structure of a CSR without its values — the form a
-// mask takes, so Mxm needs no second type parameter and nil means
-// unmasked.
-type Pattern struct {
-	rows, cols     int
-	rowPtr, colIdx []int
-}
-
-// Pattern returns m's structure, sharing (not copying) its index
-// arrays.
-func (m *CSR[V]) Pattern() *Pattern {
-	return &Pattern{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx}
-}
-
 // DefaultParallelFlopFloor is the symbolic flop count below which Mxm
 // runs as one inline span whatever Workers says: goroutine spawn and
 // span scheduling cost a few microseconds, so a product whose whole
@@ -61,9 +50,11 @@ type MxmOptions struct {
 // Mxm computes C = A ⊕.⊗ B restricted to the cells mask stores
 // (GraphBLAS's C⟨M⟩; nil mask = the whole product), pruning entries
 // that fold to the algebra's zero. Contributions to cells outside the
-// mask are never accumulated, not merely filtered afterwards. Scratch
-// comes from the package pools, so repeated multiplications allocate
-// only their output.
+// mask are never accumulated, not merely filtered afterwards. The mask
+// is a Pattern, so Mxm needs no second type parameter. Scratch comes
+// from the package pools, so repeated multiplications allocate only
+// their output. A product whose symbolic bound passes 2³¹−1 entries is
+// refused (ErrIndexRange) before anything is allocated for it.
 func Mxm[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], opt MxmOptions) (*CSR[V], error) {
 	if err := checkDims(a, b); err != nil {
 		return nil, err
@@ -76,23 +67,24 @@ func Mxm[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], opt MxmOptions
 	// flop prefix.
 	bounds := flopSpans(a, b, opt)
 
-	rowPtr := make([]int, rows+1)
+	var rowPtr []int32
 	if mask != nil {
-		copy(rowPtr, mask.rowPtr)
+		rowPtr = slices.Clone(mask.rowPtr)
 	} else {
+		rowPtr = make([]int32, rows+1)
 		if bounds == nil {
 			symbolicSpan(a, b, rowPtr, 0, rows)
 		} else {
 			parallel.ForSpans(bounds, func(_, lo, hi int) { symbolicSpan(a, b, rowPtr, lo, hi) })
 		}
-		for i := 0; i < rows; i++ {
-			rowPtr[i+1] += rowPtr[i]
+		if err := prefixCounts(rowPtr); err != nil {
+			return nil, fmt.Errorf("sparse: Mxm: symbolic bound: %w", err)
 		}
 	}
 
-	colIdx := make([]int, rowPtr[rows])
+	colIdx := make([]int32, rowPtr[rows])
 	val := make([]V, rowPtr[rows])
-	rowLen := make([]int, rows)
+	rowLen := make([]int32, rows)
 	if bounds == nil {
 		numericSpan(mask, a, b, ops, rowPtr, rowLen, colIdx, val, 0, rows)
 	} else {
@@ -142,7 +134,7 @@ func flopSpans[V any](a, b *CSR[V], opt MxmOptions) []int {
 // spansOver cuts the rows under a running work total into one balanced
 // span per worker — or nil, one inline span, for a serial request or a
 // total below the floor.
-func spansOver[T int | int64](prefix []T, opt MxmOptions) []int {
+func spansOver[T int32 | int64](prefix []T, opt MxmOptions) []int {
 	rows := len(prefix) - 1
 	w := spanWorkers(opt.Workers, rows)
 	if w == 1 {
@@ -160,7 +152,7 @@ func spansOver[T int | int64](prefix []T, opt MxmOptions) []int {
 
 // symbolicSpan writes the distinct-output-column count of rows
 // [lo, hi) into rowPtr[i+1].
-func symbolicSpan[V any](a, b *CSR[V], rowPtr []int, lo, hi int) {
+func symbolicSpan[V any](a, b *CSR[V], rowPtr []int32, lo, hi int) {
 	sb := getStampBox(b.cols)
 	for i := lo; i < hi; i++ {
 		rowPtr[i+1] = symbolicRow(a, b, i, sb)
@@ -172,14 +164,14 @@ func symbolicSpan[V any](a, b *CSR[V], rowPtr []int, lo, hi int) {
 // stamping alone (no values). A row with a single inner key needs no stamping:
 // its output pattern is exactly that one b row, whose columns are
 // already distinct.
-func symbolicRow[V any](a, b *CSR[V], i int, s *stampBox) int {
+func symbolicRow[V any](a, b *CSR[V], i int, s *stampBox) int32 {
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
 	if hi-lo == 1 {
 		k := a.colIdx[lo]
 		return b.rowPtr[k+1] - b.rowPtr[k]
 	}
 	s.current++
-	count := 0
+	var count int32
 	cur := s.current
 	stamp := s.stamp
 	for _, k := range a.colIdx[lo:hi] {
@@ -195,7 +187,7 @@ func symbolicRow[V any](a, b *CSR[V], i int, s *stampBox) int {
 
 // numericSpan folds rows [lo, hi) into their preallocated output
 // ranges and records how many entries each row kept in rowLen.
-func numericSpan[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], rowPtr, rowLen, colIdx []int, val []V, lo, hi int) {
+func numericSpan[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], rowPtr, rowLen, colIdx []int32, val []V, lo, hi int) {
 	pool := accPoolFor[V]()
 	sb := getStampBox(b.cols)
 	vb := getAccBox[V](pool, b.cols)
@@ -203,11 +195,11 @@ func numericSpan[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], rowPtr
 	if mask == nil {
 		rowFn := numericRowFor(ops)
 		for i := lo; i < hi; i++ {
-			rowLen[i] = rowFn(a, b, ops, i, s, colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]])
+			rowLen[i] = int32(rowFn(a, b, ops, i, s, colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]))
 		}
 	} else {
 		for i := lo; i < hi; i++ {
-			rowLen[i] = maskedRow(mask, a, b, ops, i, s, colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]])
+			rowLen[i] = int32(maskedRow(mask, a, b, ops, i, s, colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]))
 		}
 	}
 	releaseKernelScratch(pool, sb, s, vb)
@@ -217,7 +209,7 @@ func numericSpan[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], rowPtr
 // (non-zero) entries in ascending column order into dstCol/dstVal,
 // returning how many were written. dst slices must have room for the
 // row's symbolic count.
-func numericRow[V any](a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstCol []int, dstVal []V) int {
+func numericRow[V any](a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstCol []int32, dstVal []V) int {
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
 	if hi-lo == 1 {
 		// Single inner key: the row is av ⊗ (row k of b), already in
@@ -244,7 +236,7 @@ func numericRow[V any](a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstC
 
 // maskedRow is numericRow restricted to the cells of mask row i; dst
 // slices must have room for that mask row.
-func maskedRow[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstCol []int, dstVal []V) int {
+func maskedRow[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstCol []int32, dstVal []V) int {
 	open := mask.colIdx[mask.rowPtr[i]:mask.rowPtr[i+1]]
 	if len(open) == 0 {
 		return 0
@@ -258,7 +250,7 @@ func maskedRow[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], i int, s
 // before ⊗ is called. One stamp array carries both facts — a row takes
 // two consecutive stamp values, cur-1 marking a column open and not yet
 // hit, cur marking it accumulated — so emit reads the stamps unchanged.
-func (s *spa[V]) accumulateMasked(open []int, a, b *CSR[V], ops semiring.Ops[V], i int) {
+func (s *spa[V]) accumulateMasked(open []int32, a, b *CSR[V], ops semiring.Ops[V], i int) {
 	s.current += 2
 	acc, stamp, cur := s.acc, s.stamp, s.current
 	unhit := cur - 1
@@ -266,7 +258,7 @@ func (s *spa[V]) accumulateMasked(open []int, a, b *CSR[V], ops semiring.Ops[V],
 		stamp[j] = unhit
 	}
 	touched := s.touched[:0]
-	minJ, maxJ := -1, -1
+	var minJ, maxJ int32 = -1, -1
 	for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ { // ascending k: Definition I.3 fold order
 		k := a.colIdx[p]
 		av := a.val[p]
@@ -306,7 +298,7 @@ func (s *spa[V]) accumulateMasked(open []int, a, b *CSR[V], ops semiring.Ops[V],
 // compacted and the slices resliced. A result that fills under half its
 // bound — a selective mask — is copied to exact size instead, so a
 // long-lived product does not pin the bound.
-func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int, val []V) *CSR[V] {
+func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int32, val []V) *CSR[V] {
 	short := false
 	for i := 0; i < rows; i++ {
 		if rowLen[i] != rowPtr[i+1]-rowPtr[i] {
@@ -320,7 +312,7 @@ func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int, val [
 	dst := compactRows(rows, rowPtr, rowLen, colIdx, val)
 	colIdx, val = colIdx[:dst], val[:dst]
 	if dst < cap(colIdx)/2 {
-		colIdx = append(make([]int, 0, dst), colIdx...)
+		colIdx = append(make([]int32, 0, dst), colIdx...)
 		val = append(make([]V, 0, dst), val...)
 	}
 	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
@@ -330,8 +322,8 @@ func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int, val [
 // bound offset rowPtr[i] to where the rows before it end (each
 // destination precedes its source, so one forward pass is safe),
 // rewrites rowPtr to the exact offsets and returns the entry count.
-func compactRows[V any](rows int, rowPtr, rowLen, colIdx []int, val []V) int {
-	dst := 0
+func compactRows[V any](rows int, rowPtr, rowLen, colIdx []int32, val []V) int {
+	var dst int32
 	for i := 0; i < rows; i++ {
 		src := rowPtr[i]
 		n := rowLen[i]
@@ -343,5 +335,5 @@ func compactRows[V any](rows int, rowPtr, rowLen, colIdx []int, val []V) int {
 		dst += n
 	}
 	rowPtr[rows] = dst
-	return dst
+	return int(dst)
 }

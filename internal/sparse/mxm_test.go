@@ -45,7 +45,7 @@ func filterTo(full, mask *CSR[float64]) *CSR[float64] {
 	for i := 0; i < full.rows; i++ {
 		cols, vals := full.Row(i)
 		for p, j := range cols {
-			if _, ok := mask.At(i, j); ok {
+			if _, ok := mask.At(i, int(j)); ok {
 				out.append(j, vals[p])
 			}
 		}

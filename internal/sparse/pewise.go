@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"fmt"
+
 	"adjarray/internal/parallel"
 	"adjarray/internal/semiring"
 )
@@ -21,7 +23,7 @@ import (
 // kernel, so callers need no special-case.
 //
 //adjlint:cow-writer
-func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V], rowPos, colPos []int, workers int) (*CSR[V], error) {
+func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, scratch *MergeScratch[V], rowPos, colPos []int32, workers int) (*CSR[V], error) {
 	w := parallel.Workers(workers, src.rows)
 	if w <= 1 || len(src.colIdx) == 0 {
 		return EWiseAddInto(dst, src, ops, inPlace, scratch, rowPos, colPos)
@@ -36,7 +38,7 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 	prefix := pb.xs
 	prefix[0] = 0
 	for i, next := 0, 0; i < src.rows; i++ {
-		var lo, hi int
+		var lo, hi int32
 		lo, hi, next = acc.row(i, next)
 		prefix[i+1] = prefix[i] + int64(hi-lo) + int64(src.rowPtr[i+1]-src.rowPtr[i])
 	}
@@ -45,7 +47,7 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 
 	// Pass 1: per-row union counts (the exact output offsets pass 2
 	// writes into) plus the pattern-subset check, span-parallel.
-	rowPtr := make([]int, src.rows+1)
+	rowPtr := make([]int32, src.rows+1)
 	spanSubset := make([]bool, w)
 	parallel.ForSpans(bounds, func(s, lo, hi int) {
 		_, spanSubset[s] = countUnion(acc, src, lo, hi, rowPtr)
@@ -71,11 +73,11 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 					for dc[p] < j {
 						p++
 					}
-					sum := ops.Add(dst.val[rlo+p], src.val[q])
+					sum := ops.Add(dst.val[int(rlo)+p], src.val[q])
 					if ops.IsZero(sum) {
 						z++
 					}
-					dst.val[rlo+p] = sum
+					dst.val[int(rlo)+p] = sum
 					p++
 				}
 			}
@@ -93,11 +95,11 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 		return dst, nil
 	}
 
-	for i := 0; i < src.rows; i++ {
-		rowPtr[i+1] += rowPtr[i]
+	if err := prefixCounts(rowPtr); err != nil {
+		return nil, fmt.Errorf("sparse: EWiseAddInto: %w", err)
 	}
-	unionNNZ := rowPtr[src.rows]
-	var colIdx []int
+	unionNNZ := int(rowPtr[src.rows])
+	var colIdx []int32
 	var val []V
 	if scratch != nil {
 		srowPtr, scol, sval := scratch.take(src.rows)
@@ -111,7 +113,7 @@ func EWiseAddIntoParallel[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace 
 	// Pass 2: span-parallel union merge with zero-prune, each row
 	// written into its disjoint [rowPtr[i], rowPtr[i+1]) range;
 	// finalizeTwoPhase compacts the (rare) pruned rows leftward.
-	rowLen := make([]int, src.rows)
+	rowLen := make([]int32, src.rows)
 	parallel.ForSpans(bounds, func(s, lo, hi int) {
 		mergeUnion(acc, src, lo, hi, ops, rowPtr, rowLen, colIdx, val)
 	})

@@ -27,9 +27,9 @@ import (
 // stampBox is the stamp scratch: type-independent, one shared
 // pool for every value-type instantiation.
 type stampBox struct {
-	stamp   []int
+	stamp   []int // generation counts, see spa
 	current int
-	touched []int
+	touched []int32
 }
 
 var stampPool = sync.Pool{New: func() any { return new(stampBox) }}

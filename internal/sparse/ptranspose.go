@@ -18,17 +18,17 @@ func TransposeParallel[V any](m *CSR[V], workers int) *CSR[V] {
 	// Per-span column counts, then prefix-sum to give every span a
 	// private cursor range per column — a two-pass parallel counting
 	// sort that keeps source-row order within each column.
-	counts := make([][]int, w)
+	counts := make([][]int32, w)
 	parallel.ForSpans(bounds, func(s, lo, hi int) {
-		c := make([]int, m.cols)
+		c := make([]int32, m.cols)
 		for p := m.rowPtr[lo]; p < m.rowPtr[hi]; p++ {
 			c[m.colIdx[p]]++
 		}
 		counts[s] = c
 	})
-	rowPtr := make([]int, m.cols+1)
+	rowPtr := make([]int32, m.cols+1)
 	for j := 0; j < m.cols; j++ {
-		total := 0
+		var total int32
 		for b := 0; b < w; b++ {
 			if counts[b] == nil {
 				continue
@@ -42,11 +42,11 @@ func TransposeParallel[V any](m *CSR[V], workers int) *CSR[V] {
 	for j := 0; j < m.cols; j++ {
 		rowPtr[j+1] += rowPtr[j]
 	}
-	colIdx := make([]int, m.NNZ())
+	colIdx := make([]int32, m.NNZ())
 	val := make([]V, m.NNZ())
 	parallel.ForSpans(bounds, func(s, lo, hi int) {
 		cursor := counts[s]
-		for i := lo; i < hi; i++ {
+		for i := int32(lo); i < int32(hi); i++ {
 			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 				j := m.colIdx[p]
 				q := rowPtr[j] + cursor[j]

@@ -217,13 +217,13 @@ func TestQuickPrune(t *testing.T) {
 // the identity.
 func TestQuickExtractIdentity(t *testing.T) {
 	f := func(g genMatrix) bool {
-		rows := make([]int, g.m.Rows())
+		rows := make([]int32, g.m.Rows())
 		for i := range rows {
-			rows[i] = i
+			rows[i] = int32(i)
 		}
-		cols := make([]int, g.m.Cols())
+		cols := make([]int32, g.m.Cols())
 		for j := range cols {
-			cols[j] = j
+			cols[j] = int32(j)
 		}
 		er, err1 := g.m.ExtractRows(rows)
 		ec, err2 := g.m.ExtractCols(cols)

@@ -30,7 +30,7 @@ import (
 // by the generic and specialized implementations. Selecting the row
 // function once per multiplication costs one indirect call per row —
 // amortized over the row's flops — instead of two per flop.
-type numericRowFunc[V any] func(a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstCol []int, dstVal []V) int
+type numericRowFunc[V any] func(a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstCol []int32, dstVal []V) int
 
 // numericRowFor returns the numeric-phase row kernel for ops:
 // a monomorphic specialization when the pair carries a kernel hint and
@@ -47,7 +47,7 @@ func numericRowFor[V any](ops semiring.Ops[V]) numericRowFunc[V] {
 // numericRowPlusTimesF64 is numericRow monomorphized for +.* over
 // float64: acc[j] += av*bv with v != 0 pruning, arithmetic fully
 // inlined. Fold order and emission are identical to the generic path.
-func numericRowPlusTimesF64(a, b *CSR[float64], _ semiring.Ops[float64], i int, s *spa[float64], dstCol []int, dstVal []float64) int {
+func numericRowPlusTimesF64(a, b *CSR[float64], _ semiring.Ops[float64], i int, s *spa[float64], dstCol []int32, dstVal []float64) int {
 	if lo, hi := a.rowPtr[i], a.rowPtr[i+1]; hi-lo == 1 {
 		// Single inner key: av × (row k of b), already column-sorted.
 		k := a.colIdx[lo]
@@ -67,7 +67,7 @@ func numericRowPlusTimesF64(a, b *CSR[float64], _ semiring.Ops[float64], i int, 
 	bPtr, bCol, bVal := b.rowPtr, b.colIdx, b.val
 	acc, stamp, cur := s.acc, s.stamp, s.current
 	touched := s.touched
-	minJ, maxJ := -1, -1
+	var minJ, maxJ int32 = -1, -1
 	for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ { // ascending k: Definition I.3 fold order
 		k := a.colIdx[p]
 		av := a.val[p]
@@ -94,14 +94,14 @@ func numericRowPlusTimesF64(a, b *CSR[float64], _ semiring.Ops[float64], i int, 
 }
 
 // emitPlusTimesF64 is spa.emit with the zero test inlined.
-func emitPlusTimesF64(s *spa[float64], dstCol []int, dstVal []float64) int {
+func emitPlusTimesF64(s *spa[float64], dstCol []int32, dstVal []float64) int {
 	t := len(s.touched)
 	if t == 0 {
 		return 0
 	}
 	acc, stamp, cur := s.acc, s.stamp, s.current
 	n := 0
-	if t > 1 && scanBeatsSort(s.maxJ-s.minJ+1, t) {
+	if t > 1 && scanBeatsSort(int(s.maxJ-s.minJ)+1, t) {
 		for j := s.minJ; j <= s.maxJ; j++ {
 			if stamp[j] == cur {
 				if v := acc[j]; v != 0 {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"adjarray/internal/semiring"
@@ -36,13 +37,14 @@ func checkDims[V any](a, b *CSR[V]) error {
 // spa is a sparse accumulator: dense value scratch plus an occupancy
 // stamp, reusable across rows without clearing. minJ/maxJ bound the
 // touched column span so emission can choose between a dense flag-scan
-// and sorting (see emit).
+// and sorting (see emit). A stamp is a generation count, not an index:
+// a pooled box outlives 2³¹ rows, so it stays an int.
 type spa[V any] struct {
 	acc        []V
 	stamp      []int
 	current    int
-	touched    []int
-	minJ, maxJ int
+	touched    []int32
+	minJ, maxJ int32
 }
 
 func (s *spa[V]) reset() {
@@ -102,16 +104,16 @@ func scanBeatsSort(span, t int) bool {
 
 // sortTouched sorts a touched list in place: straight insertion sort
 // for short hypersparse rows — beating the general sort's pivot and
-// partition machinery at that size — and sort.Ints beyond.
-func sortTouched(xs []int) {
+// partition machinery at that size — and slices.Sort beyond.
+func sortTouched(xs []int32) {
 	if len(xs) <= 24 {
 		sortInts(xs)
 		return
 	}
-	sort.Ints(xs)
+	slices.Sort(xs)
 }
 
-func sortInts(xs []int) {
+func sortInts(xs []int32) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
 			xs[j-1], xs[j] = xs[j], xs[j-1]
@@ -123,13 +125,13 @@ func sortInts(xs []int) {
 // column order, pruning algebraic zeros; it returns the entry count.
 // The scan strategy fuses ordering and emission into one pass over the
 // span; the sort strategy orders touched then emits.
-func (s *spa[V]) emit(ops semiring.Ops[V], dstCol []int, dstVal []V) int {
+func (s *spa[V]) emit(ops semiring.Ops[V], dstCol []int32, dstVal []V) int {
 	t := len(s.touched)
 	if t == 0 {
 		return 0
 	}
 	n := 0
-	if t > 1 && scanBeatsSort(s.maxJ-s.minJ+1, t) {
+	if t > 1 && scanBeatsSort(int(s.maxJ-s.minJ)+1, t) {
 		for j := s.minJ; j <= s.maxJ; j++ {
 			if s.stamp[j] == s.current {
 				if v := s.acc[j]; !ops.IsZero(v) {
@@ -163,7 +165,7 @@ func MulMerge[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
 		return nil, err
 	}
 	type contrib struct {
-		j int
+		j int32
 		v V
 	}
 	out := newRowAppender[V](a.rows, b.cols)
@@ -172,7 +174,7 @@ func MulMerge[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
 		aCols, aVals := a.Row(i)
 		for p, k := range aCols {
 			av := aVals[p]
-			bCols, bVals := b.Row(k)
+			bCols, bVals := b.Row(int(k))
 			for q, j := range bCols {
 				cs = append(cs, contrib{j: j, v: ops.Mul(av, bVals[q])})
 			}
@@ -226,7 +228,7 @@ func MulDense[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
 				acc = ops.Zero
 			}
 			if !ops.IsZero(acc) {
-				out.append(j, acc)
+				out.append(int32(j), acc)
 			}
 		}
 		out.endRow()
@@ -237,27 +239,27 @@ func MulDense[V any](a, b *CSR[V], ops semiring.Ops[V]) (*CSR[V], error) {
 // rowAppender assembles a CSR row by row.
 type rowAppender[V any] struct {
 	rows, cols int
-	rowPtr     []int
-	colIdx     []int
+	rowPtr     []int32
+	colIdx     []int32
 	val        []V
 }
 
 func newRowAppender[V any](rows, cols int) *rowAppender[V] {
-	return &rowAppender[V]{rows: rows, cols: cols, rowPtr: make([]int, 1, rows+1)}
+	return &rowAppender[V]{rows: rows, cols: cols, rowPtr: make([]int32, 1, rows+1)}
 }
 
-func (r *rowAppender[V]) append(j int, v V) {
+func (r *rowAppender[V]) append(j int32, v V) {
 	r.colIdx = append(r.colIdx, j)
 	r.val = append(r.val, v)
 }
 
 func (r *rowAppender[V]) endRow() {
-	r.rowPtr = append(r.rowPtr, len(r.colIdx))
+	r.rowPtr = append(r.rowPtr, int32(len(r.colIdx)))
 }
 
 func (r *rowAppender[V]) finish() *CSR[V] {
 	for len(r.rowPtr) < r.rows+1 {
-		r.rowPtr = append(r.rowPtr, len(r.colIdx))
+		r.rowPtr = append(r.rowPtr, int32(len(r.colIdx)))
 	}
 	return &CSR[V]{rows: r.rows, cols: r.cols, rowPtr: r.rowPtr, colIdx: r.colIdx, val: r.val}
 }

@@ -27,10 +27,10 @@ package sparse
 // and hit must have length m.Cols() with hit false everywhere touched is
 // empty; ids newly occupied are appended to touched (unsorted) and
 // returned.
-func SpMSpVPush[V any](m *CSR[V], xIDs []int, xVals []V, add, mul func(V, V) V, acc []V, hit []bool, touched []int) []int {
+func SpMSpVPush[V any](m *CSR[V], xIDs []int32, xVals []V, add, mul func(V, V) V, acc []V, hit []bool, touched []int32) []int32 {
 	for i, u := range xIDs {
 		xv := xVals[i]
-		cols, vals := m.Row(u)
+		cols, vals := m.Row(int(u))
 		for p, j := range cols {
 			pv := mul(xv, vals[p])
 			if !hit[j] {
@@ -50,9 +50,9 @@ func SpMSpVPush[V any](m *CSR[V], xIDs []int, xVals []V, add, mul func(V, V) V, 
 // ascending u and folded where xMask[u] is set, reading values from the
 // dense x. acc/hit/touched follow the SpMSpVPush contract (touched comes
 // back ascending).
-func SpMVPull[V any](t *CSR[V], x []V, xMask []bool, add, mul func(V, V) V, acc []V, hit []bool, touched []int) []int {
-	for j := 0; j < t.rows; j++ {
-		cols, vals := t.Row(j)
+func SpMVPull[V any](t *CSR[V], x []V, xMask []bool, add, mul func(V, V) V, acc []V, hit []bool, touched []int32) []int32 {
+	for j := int32(0); int(j) < t.rows; j++ {
+		cols, vals := t.Row(int(j))
 		for p, u := range cols {
 			if !xMask[u] {
 				continue

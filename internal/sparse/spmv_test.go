@@ -2,19 +2,19 @@ package sparse
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"adjarray/internal/semiring"
 )
 
 // randomVecMat draws a sparse 1×R vector (as ids+vals) and an R×C matrix.
-func randomVecMat(r *rand.Rand, R, C int, vals []float64) ([]int, []float64, *CSR[float64]) {
-	var ids []int
+func randomVecMat(r *rand.Rand, R, C int, vals []float64) ([]int32, []float64, *CSR[float64]) {
+	var ids []int32
 	var xv []float64
 	for i := 0; i < R; i++ {
 		if r.Intn(3) == 0 {
-			ids = append(ids, i)
+			ids = append(ids, int32(i))
 			xv = append(xv, vals[r.Intn(len(vals))])
 		}
 	}
@@ -30,8 +30,8 @@ func randomVecMat(r *rand.Rand, R, C int, vals []float64) ([]int, []float64, *CS
 }
 
 // vecCSR wraps the sparse vector as a 1×R CSR for the SpGEMM reference.
-func vecCSR(R int, ids []int, vals []float64) *CSR[float64] {
-	m, err := NewCSR(1, R, []int{0, len(ids)}, append([]int(nil), ids...), append([]float64(nil), vals...))
+func vecCSR(R int, ids []int32, vals []float64) *CSR[float64] {
+	m, err := NewCSR(1, R, []int32{0, int32(len(ids))}, append([]int32(nil), ids...), append([]float64(nil), vals...))
 	if err != nil {
 		panic(err)
 	}
@@ -59,8 +59,8 @@ func TestSpMSpVMatchesSpGEMM(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			check := func(kind string, acc []float64, hit []bool, touched []int) {
-				got := map[int]float64{}
+			check := func(kind string, acc []float64, hit []bool, touched []int32) {
+				got := map[int32]float64{}
 				for _, j := range touched {
 					if !ops.IsZero(acc[j]) { // the engine prunes Zero folds; kernels leave it to callers
 						got[j] = acc[j]
@@ -91,7 +91,7 @@ func TestSpMSpVMatchesSpGEMM(t *testing.T) {
 			hit2 := make([]bool, C)
 			touched2 := SpMVPull(m.Transpose(), xDense, xMask, ops.Add, ops.Mul, acc2, hit2, nil)
 			check("pull", acc2, hit2, touched2)
-			if !sort.IntsAreSorted(touched2) {
+			if !slices.IsSorted(touched2) {
 				t.Fatalf("pull touched ids not ascending: %v", touched2)
 			}
 		}

@@ -23,7 +23,7 @@ func (m *CSR[V]) validate() (unitRows bool, err error) {
 	if len(m.rowPtr) != m.rows+1 {
 		return false, fmt.Errorf("sparse: rowPtr length %d, want %d", len(m.rowPtr), m.rows+1)
 	}
-	if m.rowPtr[0] != 0 || m.rowPtr[m.rows] != len(m.colIdx) || len(m.colIdx) != len(m.val) {
+	if m.rowPtr[0] != 0 || int(m.rowPtr[m.rows]) != len(m.colIdx) || len(m.colIdx) != len(m.val) {
 		return false, fmt.Errorf("sparse: inconsistent nnz: rowPtr[0]=%d rowPtr[end]=%d colIdx=%d val=%d",
 			m.rowPtr[0], m.rowPtr[m.rows], len(m.colIdx), len(m.val))
 	}
@@ -35,11 +35,11 @@ func (m *CSR[V]) validate() (unitRows bool, err error) {
 		if m.rowPtr[i] > m.rowPtr[i+1] {
 			return false, fmt.Errorf("sparse: rowPtr not monotone at row %d", i)
 		}
-		unitRows = unitRows && m.rowPtr[i+1] == i+1
+		unitRows = unitRows && int(m.rowPtr[i+1]) == i+1
 	}
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			if m.colIdx[p] < 0 || m.colIdx[p] >= m.cols {
+			if m.colIdx[p] < 0 || int(m.colIdx[p]) >= m.cols {
 				return false, fmt.Errorf("sparse: column %d out of range [0,%d) at row %d", m.colIdx[p], m.cols, i)
 			}
 			if p > m.rowPtr[i] && m.colIdx[p-1] >= m.colIdx[p] {

@@ -10,7 +10,7 @@ import (
 // by poking unexported fields directly — NewCSR (correctly) refuses to
 // build them.
 func TestValidate(t *testing.T) {
-	good, err := NewCSR(2, 3, []int{0, 2, 3}, []int{0, 2, 1}, []float64{1, 2, 3})
+	good, err := NewCSR(2, 3, []int32{0, 2, 3}, []int32{0, 2, 1}, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,31 +28,31 @@ func TestValidate(t *testing.T) {
 	}{
 		{
 			name: "rowPtr length",
-			m:    CSR[float64]{rows: 2, cols: 2, rowPtr: []int{0, 0}},
+			m:    CSR[float64]{rows: 2, cols: 2, rowPtr: []int32{0, 0}},
 			want: "rowPtr length",
 		},
 		{
 			name: "non-monotone rowPtr",
-			m: CSR[float64]{rows: 2, cols: 2, rowPtr: []int{0, 2, 1},
-				colIdx: []int{0}, val: []float64{1}},
+			m: CSR[float64]{rows: 2, cols: 2, rowPtr: []int32{0, 2, 1},
+				colIdx: []int32{0}, val: []float64{1}},
 			want: "not monotone",
 		},
 		{
 			name: "column out of range",
-			m: CSR[float64]{rows: 1, cols: 2, rowPtr: []int{0, 1},
-				colIdx: []int{5}, val: []float64{1}},
+			m: CSR[float64]{rows: 1, cols: 2, rowPtr: []int32{0, 1},
+				colIdx: []int32{5}, val: []float64{1}},
 			want: "out of range",
 		},
 		{
 			name: "columns not increasing",
-			m: CSR[float64]{rows: 1, cols: 3, rowPtr: []int{0, 2},
-				colIdx: []int{1, 1}, val: []float64{1, 2}},
+			m: CSR[float64]{rows: 1, cols: 3, rowPtr: []int32{0, 2},
+				colIdx: []int32{1, 1}, val: []float64{1, 2}},
 			want: "not strictly increasing",
 		},
 		{
 			name: "val length mismatch",
-			m: CSR[float64]{rows: 1, cols: 2, rowPtr: []int{0, 1},
-				colIdx: []int{0}, val: nil},
+			m: CSR[float64]{rows: 1, cols: 2, rowPtr: []int32{0, 1},
+				colIdx: []int32{0}, val: nil},
 			want: "inconsistent nnz",
 		},
 	}

@@ -150,7 +150,9 @@ func (e *sectionEncoder) finish() error {
 	return e.err
 }
 
-func putU32s[T int | int32 | uint32](e *sectionEncoder, tag uint32, xs []T) {
+// putU32s writes a section that is one array of 4-byte words; an int32
+// is written as the word with its bits (−1 is 0xFFFFFFFF).
+func putU32s[T int32 | uint32](e *sectionEncoder, tag uint32, xs []T) {
 	e.section(tag)
 	for _, x := range xs {
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
@@ -281,9 +283,10 @@ func (d *sectionDecoder) body(tag uint32) []byte {
 	return d.secs[tag-1].Body
 }
 
-// u32s reads a section that is one array of 4-byte integers. Its length
-// is the section's, so the allocation is bounded by the bytes present.
-func u32s[T int | int32 | uint32](d *sectionDecoder, tag uint32, name string) []T {
+// u32s reads a section that is one array of 4-byte words, as putU32s
+// wrote them. Its length is the section's, so the allocation is bounded
+// by the bytes present.
+func u32s[T int32 | uint32](d *sectionDecoder, tag uint32, name string) []T {
 	b := d.body(tag)
 	if len(b)%4 != 0 {
 		d.fail("%s section is %d bytes, not a whole number of 4-byte entries", name, len(b))
@@ -292,6 +295,22 @@ func u32s[T int | int32 | uint32](d *sectionDecoder, tag uint32, name string) []
 	xs := make([]T, len(b)/4)
 	for i := range xs {
 		xs[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return xs
+}
+
+// indexes reads a section of 4-byte indices. A stored word of 2³¹ or more
+// is no index, and is refused here by section and byte offset — not let
+// through as a negative number for some later bounds check to catch.
+// The one exception is the word 0xFFFFFFFF in a section that may hold
+// "none" (a position map's −1).
+func indexes(d *sectionDecoder, tag uint32, name string, none bool) []int32 {
+	xs := u32s[int32](d, tag, name)
+	for i, x := range xs {
+		if x < 0 && !(none && x == -1) {
+			d.fail("%s section: the word at byte offset %d is %#x, not an index below 2³¹", name, 4*i, uint32(x))
+			return nil
+		}
 	}
 	return xs
 }
@@ -324,8 +343,8 @@ func vals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueC
 // side, every one of which must name a vertex that has a position.
 func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string, want uint64) (in *keys.Interner, pos []int32, set *keys.Set, ids []int32) {
 	ends := u32s[uint32](d, offTag, name+" key offset")
-	pos = u32s[int32](d, posTag, name+" position")
-	ids = u32s[int32](d, idTag, name+" id")
+	pos = indexes(d, posTag, name+" position", true)
+	ids = indexes(d, idTag, name+" id", false)
 	if d.err != nil {
 		return nil, nil, nil, nil
 	}
@@ -344,7 +363,7 @@ func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string
 		return nil, nil, nil, nil
 	}
 	for i, id := range ids {
-		if id < 0 || int(id) >= len(pos) || pos[id] < 0 {
+		if int(id) >= len(pos) || pos[id] < 0 {
 			d.fail("edge %d names %s id %d, which is not in the vertex universe", i, name, id)
 			return nil, nil, nil, nil
 		}
@@ -493,7 +512,7 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 	out := logVals(d, secOut, "Eout", edges, codec, one)
 	in := logVals(d, secIn, "Ein", edges, codec, one)
 	rp := d.body(secRowPtr)
-	cols := u32s[int](d, secColIdx, "adjacency column")
+	cols := indexes(d, secColIdx, "adjacency column", false)
 	val := vals(d, secVal, "adjacency", len(cols), codec)
 	if d.err != nil {
 		return nil, "", d.err
@@ -501,13 +520,13 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 	if len(rp) != 8*(srcSet.Len()+1) {
 		return nil, "", fmt.Errorf("stream: adjacency row pointer is %d bytes, want %d for %d rows", len(rp), 8*(srcSet.Len()+1), srcSet.Len())
 	}
-	rowPtr := make([]int, srcSet.Len()+1)
+	rowPtr := make([]int32, srcSet.Len()+1)
 	for i := range rowPtr {
 		p := binary.LittleEndian.Uint64(rp[8*i:])
-		if p > uint64(len(cols)) {
-			return nil, "", fmt.Errorf("stream: adjacency rowPtr[%d]=%d exceeds %d stored entries", i, p, len(cols))
+		if p > uint64(len(cols)) || p > math.MaxInt32 {
+			return nil, "", fmt.Errorf("stream: adjacency row pointer section: rowPtr[%d] at byte offset %d is %d, past the %d stored entries", i, 8*i, p, len(cols))
 		}
-		rowPtr[i] = int(p)
+		rowPtr[i] = int32(p)
 	}
 	mainM, err := sparse.NewCSR(srcSet.Len(), dstSet.Len(), rowPtr, cols, val)
 	if err != nil {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -857,6 +859,60 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 		}
 		if _, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("%s: sole damaged checkpoint: Open err = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// A stored index word of 2³¹ or more is refused where it is read, as a
+// *wal.CorruptError naming its section and byte offset — not decoded into
+// a negative int32 for whichever bounds check comes next to stumble on.
+// Only a position map may hold "none", and only as 0xFFFFFFFF.
+func TestStoredIndexPast31BitsIsRefusedBySectionAndOffset(t *testing.T) {
+	ops := plusTimes(t)
+	ck, err := wal.ParseCheckpoint("mem", writeImage(t, orphanedView(t, ops)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tag     uint32
+		section string
+		width   int
+		word    uint64
+		ok      bool
+	}{
+		{secSrcPos, "source position", 4, 0x80000000, false},
+		{secDstPos, "destination position", 4, 0xfffffffe, false},
+		{secSrcID, "source id", 4, 0x80000000, false},
+		{secDstID, "destination id", 4, 0xffffffff, false},
+		{secColIdx, "adjacency column", 4, 0x80000000, false},
+		{secColIdx, "adjacency column", 4, 0xffffffff, false},
+		{secRowPtr, "adjacency row pointer", 8, 0x80000000, false},
+		{secRowPtr, "adjacency row pointer", 8, 1 << 40, false},
+		// "none" in a position map is what a rolled-back batch leaves.
+		{secSrcPos, "source position", 4, 0xffffffff, true},
+	} {
+		body := ck.Sections[tc.tag-1].Body
+		if len(body) < 2*tc.width {
+			t.Fatalf("the %s section holds %d bytes", tc.section, len(body))
+		}
+		for _, at := range []int{0, len(body) - tc.width} {
+			secs := slices.Clone(ck.Sections)
+			mut := slices.Clone(body)
+			if tc.width == 4 {
+				binary.LittleEndian.PutUint32(mut[at:], uint32(tc.word))
+			} else {
+				binary.LittleEndian.PutUint64(mut[at:], tc.word)
+			}
+			secs[tc.tag-1].Body = mut
+			_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: secs}, ops, Options{}, Float64Codec())
+			// What else the view makes of a position gone may still refuse
+			// it; the word itself is not the reason.
+			var ce *wal.CorruptError
+			named := errors.As(err, &ce) && strings.Contains(ce.Reason, tc.section+" section") &&
+				strings.Contains(ce.Reason, fmt.Sprintf("byte offset %d ", at))
+			if named == tc.ok {
+				t.Errorf("%s word %#x at %d: refused by section and offset = %v, want %v (%v)", tc.section, tc.word, at, named, !tc.ok, err)
+			}
 		}
 	}
 }

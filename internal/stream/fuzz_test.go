@@ -150,6 +150,16 @@ func FuzzDecodeView(f *testing.F) {
 			secs[tag-1].Body = nil
 			f.Add(uint8(fuzzSections), frameSections(secs))
 		}
+		// The word 2³¹, which is no index, as the adjacency's first column
+		// and as its second row pointer.
+		for tag, at := range map[uint32]int{secColIdx: 0, secRowPtr: 8} {
+			if body := ck.Sections[tag-1].Body; len(body) >= at+4 {
+				secs := slices.Clone(ck.Sections)
+				secs[tag-1].Body = slices.Clone(body)
+				binary.LittleEndian.PutUint32(secs[tag-1].Body[at:], 0x80000000)
+				f.Add(uint8(fuzzSections), frameSections(secs))
+			}
+		}
 		for i, off := range sectionOffsets(f, file)[:numSections] {
 			flipped := slices.Clone(file)
 			flipped[off] ^= 0x04

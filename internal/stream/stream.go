@@ -314,7 +314,7 @@ type batchScratch[V any] struct {
 	srcIDs, dstIDs []int32 // interner ids, parallel to srcs/dsts
 	// materialize: the backlog's cells as universe positions, and the
 	// array they fold into
-	foldRow, foldCol []int
+	foldRow, foldCol []int32
 	fold             sparse.FoldScratch[V]
 }
 
@@ -623,7 +623,7 @@ func (v *View[V]) pendingBudget() int {
 // main through them and no embedded copy of main is made on the way.
 // Callers re-establish "main spans uRows × uCols" before releasing the
 // lock (materializeLocked, compactLocked).
-func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int, err error) {
+func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int32, err error) {
 	if v.synced == len(v.srcID) {
 		return nil, nil, nil
 	}
@@ -644,7 +644,7 @@ func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int, err error) {
 // and no merge followed — the backlog folded to nothing, or the fold
 // failed — through the maps that sync returned. Values are shared, so
 // mainShared stays as it is.
-func (v *View[V]) respanMainLocked(rowMap, colMap []int) error {
+func (v *View[V]) respanMainLocked(rowMap, colMap []int32) error {
 	if v.main.RowKeys() == v.uRows && v.main.ColKeys() == v.uCols {
 		return nil
 	}
@@ -669,7 +669,7 @@ func (v *View[V]) respanMainLocked(rowMap, colMap []int) error {
 // binds it to the new Set. oldPos maps a position in set to its position
 // in the grown Set (nil: unchanged). With nothing new, set and pos come
 // back as they are.
-func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grownSet *keys.Set, grown []int32, oldPos []int, err error) {
+func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grownSet *keys.Set, grown, oldPos []int32, err error) {
 	type idKey struct {
 		id  int32
 		key string
@@ -708,16 +708,16 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 	if oldPos != nil {
 		for id, p := range grown {
 			if p >= 0 {
-				grown[id] = int32(oldPos[p])
+				grown[id] = oldPos[p]
 			}
 		}
 	}
 	for j, f := range fresh {
-		p := j
+		p := int32(j)
 		if extraPos != nil {
 			p = extraPos[j]
 		}
-		grown[f.id] = int32(p)
+		grown[f.id] = p
 	}
 	grownSet.Bind(&keys.InternIndex{In: in, Pos: grown})
 	return grownSet, grown, oldPos, nil
@@ -765,12 +765,12 @@ func (v *View[V]) materializeLocked() error {
 // mergeBacklogLocked is materializeLocked past the sync: rowMap and
 // colMap place main's key sets in the universe, as the sync returned
 // them.
-func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int) error {
+func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 	n := len(v.pendVal)
 	s := &v.scr
 	s.foldRow, s.foldCol = grow(s.foldRow[:0], n)[:n], grow(s.foldCol[:0], n)[:n]
 	for i, c := range v.pendCell {
-		s.foldRow[i], s.foldCol[i] = int(v.srcPos[c>>32]), int(v.dstPos[uint32(c)])
+		s.foldRow[i], s.foldCol[i] = v.srcPos[c>>32], v.dstPos[uint32(c)]
 	}
 	// The fold array only feeds the merge below — EWiseAddInto never
 	// returns or retains its src backing — so it may live in the scratch
@@ -909,9 +909,9 @@ func (l *logView[V]) build() {
 		l.err = fmt.Errorf("stream: edge log: %w", err)
 		return
 	}
-	rowPtr := make([]int, n+1)
+	rowPtr := make([]int32, n+1)
 	for i := range rowPtr {
-		rowPtr[i] = i
+		rowPtr[i] = int32(i)
 	}
 	side := func(cols *keys.Set, ids, pos []int32, vals []V) (*assoc.Array[V], error) {
 		if vals == nil {
@@ -920,9 +920,9 @@ func (l *logView[V]) build() {
 				vals[i] = l.one
 			}
 		}
-		colIdx := make([]int, n)
+		colIdx := make([]int32, n)
 		for i := range colIdx {
-			colIdx[i] = int(pos[ids[i]])
+			colIdx[i] = pos[ids[i]]
 		}
 		m, err := sparse.NewCSR(n, cols.Len(), rowPtr, colIdx, vals)
 		if err != nil {
