@@ -30,7 +30,7 @@ func referenceGather(t *testing.T, parts []*Array[float64], ops semiring.Ops[flo
 			acc = e
 			continue
 		}
-		if acc, err = AddInto(acc, e, ops, false, 1); err != nil {
+		if acc, err = AddInto(acc, e, ops, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestAddIntoMappedMatchesAddInto(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		a := FromTriples(randomTriples(r, 20, 8, 8, "r"), ops.Add)
 		b := FromTriples(randomTriples(r, 10, 12, 12, "r"), ops.Add)
-		want, err := AddInto(a, b, ops, false, 1)
+		want, err := AddInto(a, b, ops, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestAddIntoMappedMatchesAddInto(t *testing.T) {
 			t.Fatal(err)
 		}
 		var scratch sparse.MergeScratch[float64]
-		got, err := AddIntoMapped(a, aligned, rowPos, colPos, ops, false, &scratch, 1+trial%2)
+		got, err := AddIntoMapped(a, aligned, rowPos, colPos, ops, false, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

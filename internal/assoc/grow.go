@@ -21,10 +21,10 @@ import (
 // union-with-offsets, b (the small side) embedded into it, a's place in
 // it handed on as position maps, so a is never copied just to be
 // renumbered and nothing goes through the string-keyed Reindex path —
-// and merges them with AddIntoMapped, span-parallel under workers. When
-// inPlace is true and b's pattern is a subset of a's (after alignment),
-// a's value buffer is folded in place and a itself returned — the
-// zero-allocation steady-state of delta maintenance.
+// and merges them with AddIntoMapped. When inPlace is true and b's
+// pattern is a subset of a's (after alignment), a's value buffer is
+// folded in place and a itself returned — the zero-allocation
+// steady-state of delta maintenance.
 //
 // Callers passing inPlace must own a exclusively: no snapshot handed out
 // since a was last replaced may still be in use, and a must be treated as
@@ -33,7 +33,7 @@ import (
 //
 // Kept, without a production caller, as the reference the mapped merge
 // and the gather are tested against.
-func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, workers int) (*Array[V], error) {
+func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool) (*Array[V], error) {
 	if b.NNZ() == 0 && b.rows.Len() == 0 && b.cols.Len() == 0 {
 		return a, nil
 	}
@@ -43,7 +43,7 @@ func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, workers i
 	if err != nil {
 		return nil, fmt.Errorf("assoc: AddInto rhs embed: %w", err)
 	}
-	return AddIntoMapped(a, &Array[V]{rows: rows, cols: cols, mat: bm}, aRowPos, aColPos, ops, inPlace, nil, workers)
+	return AddIntoMapped(a, &Array[V]{rows: rows, cols: cols, mat: bm}, aRowPos, aColPos, ops, inPlace, nil)
 }
 
 // AddIntoMapped is the merge under AddInto for operands already aligned:
@@ -63,17 +63,8 @@ func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool, workers i
 // back to the scratch for the next call: an accumulator merged into
 // repeatedly ping-pongs between two buffers and stops allocating in
 // steady state.
-// workers > 1 (or < 0 for GOMAXPROCS) runs the per-row union merge across
-// merge-cost-balanced row spans, bit-identical to the serial merge (see
-// sparse.EWiseAddIntoParallel).
-func AddIntoMapped[V any](a, b *Array[V], rowPos, colPos []int32, ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V], workers int) (*Array[V], error) {
-	var m *sparse.CSR[V]
-	var err error
-	if workers > 1 || workers < 0 {
-		m, err = sparse.EWiseAddIntoParallel(a.mat, b.mat, ops, inPlace, scratch, rowPos, colPos, workers)
-	} else {
-		m, err = sparse.EWiseAddInto(a.mat, b.mat, ops, inPlace, scratch, rowPos, colPos)
-	}
+func AddIntoMapped[V any](a, b *Array[V], rowPos, colPos []int32, ops semiring.Ops[V], inPlace bool, scratch *sparse.MergeScratch[V]) (*Array[V], error) {
+	m, err := sparse.EWiseAddInto(a.mat, b.mat, ops, inPlace, scratch, rowPos, colPos)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func TestAddIntoMatchesAdd(t *testing.T) {
 		}
 		// Clone a so the in-place trials cannot poison later oracles.
 		ac := FromTriples(a.Triples(), ops.Add)
-		got, err := AddInto(ac, b, ops, trial%2 == 0, 1)
+		got, err := AddInto(ac, b, ops, trial%2 == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestAddIntoInPlaceAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AddInto(a, br, ops, true, 1)
+	got, err := AddInto(a, br, ops, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAddIntoInPlaceAliasing(t *testing.T) {
 	// Without inPlace, a must stay untouched.
 	a2 := FromTriples([]Triple[float64]{{Row: "x", Col: "p", Val: 1}}, nil)
 	b2 := FromTriples([]Triple[float64]{{Row: "x", Col: "p", Val: 3}}, nil)
-	got2, err := AddInto(a2, b2, ops, false, 1)
+	got2, err := AddInto(a2, b2, ops, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAddIntoGrowsKeySets(t *testing.T) {
 	ops := semiring.MaxPlus()
 	a := FromTriples([]Triple[float64]{{Row: "a", Col: "a", Val: 1}}, nil)
 	b := FromTriples([]Triple[float64]{{Row: "b", Col: "c", Val: 2}}, nil)
-	got, err := AddInto(a, b, ops, true, 1)
+	got, err := AddInto(a, b, ops, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,17 +72,15 @@ func builtinPaths() []Path {
 			Build:        buildStream,
 		},
 		{
-			// The interned ingest path under maximum pressure: a fold per
-			// batch (PendingBudget 1) exercises the materialize machinery
-			// at every split boundary, and Workers 2 with the flop floor
-			// disabled routes every partial product, backlog fold, and
-			// ⊕-merge through the span-parallel kernels and the pooled
-			// scratch. Gates the interner's byte-hash (unicode, NUL, 0xff,
-			// prefix-colliding keys from the adversarial generators) and
-			// the parallel fold against the dense Definition I.3 oracle.
-			Name:         "stream-interned-parallel",
+			// A fold inside every Append: PendingBudget 1 makes each batch
+			// overrun the backlog budget, so the universe sync, the backlog
+			// fold and the ⊕-merge into main run under the append itself
+			// (plain "stream" folds only in the Snapshot between batches),
+			// with the interner's byte-hash fed the adversarial generators'
+			// keys (unicode, NUL, 0xff, prefix collisions) on the way.
+			Name:         "stream-fold-per-append",
 			ReAssociates: true,
-			Build:        buildStreamInternedParallel,
+			Build:        buildStreamFoldPerAppend,
 		},
 		{
 			// The goroutine-sharded ingest as a construction path: every
@@ -90,8 +88,9 @@ func builtinPaths() []Path {
 			// (interleaved per-shard appends — a batch's edges land on
 			// different shards in sub-batches), with a gathered snapshot
 			// between batches so each boundary pins an epoch vector and
-			// forces the per-shard folds. The final adjacency is the lazy
-			// cross-shard ⊕-merge. Gates the routing/merge machinery —
+			// forces the per-shard folds. The final adjacency is the gather's
+			// checked concatenation of the row-disjoint shards
+			// (assoc.ConcatRows). Gates the routing/gather machinery —
 			// including the adversarial keys from the generators (unicode,
 			// NUL, prefix collisions) flowing through the FNV router —
 			// against the dense Definition I.3 oracle.
@@ -137,11 +136,8 @@ func buildStream(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Ins
 	return replayStore("", ops, inst, 1, stream.Options{})
 }
 
-func buildStreamInternedParallel(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStore("", ops, inst, 1, stream.Options{
-		Mul:           assoc.MulOptions{Workers: 2, FlopFloor: -1},
-		PendingBudget: 1,
-	})
+func buildStreamFoldPerAppend(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
+	return replayStore("", ops, inst, 1, stream.Options{PendingBudget: 1})
 }
 
 // buildStreamDurableRecovered replays the instance through a durable
@@ -157,12 +153,7 @@ func buildStreamDurableRecovered(_, _ *assoc.Array[float64], ops semiring.Ops[fl
 }
 
 func buildStreamSharded(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStore("", ops, inst, 3, stream.Options{
-		// Route the cross-shard merges through the span-parallel kernels
-		// (per-shard folds are forced serial by the store itself — the
-		// shards are already concurrent).
-		Mul: assoc.MulOptions{Workers: 2, FlopFloor: -1},
-	})
+	return replayStore("", ops, inst, 3, stream.Options{})
 }
 
 // replayStore replays the instance's batches through a store and

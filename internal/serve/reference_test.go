@@ -142,7 +142,7 @@ func rowEntries(adj *assoc.Array[float64], src string) map[string]any {
 }
 
 func (s *refServer) handleTriples(w http.ResponseWriter, r *http.Request) {
-	limit := s.opt.TriplesDefault
+	limit := min(triplesDefault, s.opt.TriplesMax)
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n <= 0 {

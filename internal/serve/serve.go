@@ -69,9 +69,6 @@ import (
 // defaults (see withDefaults); a negative pool size or queue depth
 // selects the smallest legal value, not unlimited.
 type Options struct {
-	// TriplesDefault is the /triples row budget when the client sends
-	// no ?limit (default 10000).
-	TriplesDefault int
 	// TriplesMax clamps client-supplied ?limit values (default 100000):
 	// one client must not be able to ask the process to serialize an
 	// arbitrarily large response.
@@ -113,7 +110,6 @@ func (o Options) withDefaults() Options {
 			*v = 1
 		}
 	}
-	def(&o.TriplesDefault, 10000)
 	def(&o.TriplesMax, 100000)
 	def(&o.MaxIters, 1000)
 	def(&o.MaxBatchOps, 256)
@@ -129,9 +125,6 @@ func (o Options) withDefaults() Options {
 		o.AlgoQueue = 4 * o.AlgoWorkers
 	} else if o.AlgoQueue < 0 {
 		o.AlgoQueue = 0
-	}
-	if o.TriplesDefault > o.TriplesMax {
-		o.TriplesDefault = o.TriplesMax
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
@@ -432,8 +425,12 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
 	s.writeAnswer(w, func(b []byte) []byte { return appendRow(b, stamp{epochs: epochs}, adj, src) })
 }
 
+// triplesDefault is the /triples row budget when the client sends no
+// ?limit; Options.TriplesMax clamps it like any other limit.
+const triplesDefault = 10000
+
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
-	limit := s.opt.TriplesDefault
+	limit := min(triplesDefault, s.opt.TriplesMax)
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n <= 0 {

@@ -279,17 +279,9 @@ type through[V any] struct {
 	rowPos, colPos []int32
 }
 
-// seek returns the first row of m that lands at or after result row r.
-func (t through[V]) seek(r int) int {
-	if t.rowPos == nil {
-		return min(r, t.m.rows)
-	}
-	i, _ := slices.BinarySearch(t.rowPos, int32(r))
-	return i
-}
-
 // row returns the storage range of the row of m landing at result row r
-// — empty when none does — and the cursor for r+1, given next = seek(r).
+// — empty when none does — and the cursor for r+1, given the cursor for r
+// (0 for row 0: a sweep visits the result's rows in order).
 func (t through[V]) row(r, next int) (lo, hi int32, after int) {
 	if next < t.m.rows && (t.rowPos == nil || int(t.rowPos[next]) == r) {
 		return t.m.rowPtr[next], t.m.rowPtr[next+1], next + 1
@@ -303,14 +295,13 @@ func (t through[V]) moves(rows, cols int) bool {
 	return t.rowPos != nil || t.colPos != nil || t.m.rows != rows || t.m.cols != cols
 }
 
-// countUnion sweeps rows [lo, hi) of dst ⊕ src for the size of each
-// row's union pattern — kept in count[i+1] when count is non-nil — and
-// returns their sum and whether src's pattern lies inside dst's.
-func countUnion[V any](dst through[V], src *CSR[V], lo, hi int, count []int32) (total int, subset bool) {
+// countUnion sweeps dst ⊕ src for the size of the union pattern and
+// whether src's pattern lies inside dst's.
+func countUnion[V any](dst through[V], src *CSR[V]) (total int, subset bool) {
 	subset = true
 	dcol, cp := dst.m.colIdx, dst.colPos
-	next := dst.seek(lo)
-	for i := lo; i < hi; i++ {
+	next := 0
+	for i := 0; i < src.rows; i++ {
 		var p, dhi int32
 		p, dhi, next = dst.row(i, next)
 		q, shi := src.rowPtr[i], src.rowPtr[i+1]
@@ -335,33 +326,22 @@ func countUnion[V any](dst through[V], src *CSR[V], lo, hi int, count []int32) (
 		if q < shi {
 			subset = false
 		}
-		n += dhi - p + shi - q
-		if count != nil {
-			count[i+1] = n
-		}
-		total += int(n)
+		total += int(n + dhi - p + shi - q)
 	}
 	return total, subset
 }
 
-// mergeUnion writes rows [lo, hi) of dst ⊕ src: dst's value on the left
-// of every fold, folds equal to the algebra's zero pruned, dst's columns
-// renumbered on the way. With rowLen nil (the serial sweep) rows are
-// packed one after another from rowPtr[lo] on and rowPtr[i+1] is set as
-// each ends; otherwise (one span of several) row i is written at its
-// counted offset rowPtr[i] and its length after pruning goes to
-// rowLen[i], for finalizeTwoPhase to close the gaps.
+// mergeUnion writes dst ⊕ src: dst's value on the left of every fold,
+// folds equal to the algebra's zero pruned, dst's columns renumbered on
+// the way. Rows are packed one after another from offset 0 and
+// rowPtr[i+1] is set as each ends.
 //
 //adjlint:cow-writer
-func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops[V], rowPtr, rowLen, colIdx []int32, val []V) {
+func mergeUnion[V any](dst through[V], src *CSR[V], ops semiring.Ops[V], rowPtr, colIdx []int32, val []V) {
 	dcol, dval, cp := dst.m.colIdx, dst.m.val, dst.colPos
-	next := dst.seek(lo)
-	at := rowPtr[lo]
-	for i := lo; i < hi; i++ {
-		if rowLen != nil {
-			at = rowPtr[i]
-		}
-		start := at
+	var at int32
+	next := 0
+	for i := 0; i < src.rows; i++ {
 		var p, dhi int32
 		p, dhi, next = dst.row(i, next)
 		q, shi := src.rowPtr[i], src.rowPtr[i+1]
@@ -401,11 +381,7 @@ func mergeUnion[V any](dst through[V], src *CSR[V], lo, hi int, ops semiring.Ops
 		at += int32(copy(val[at:], dval[p:dhi]))
 		copy(colIdx[at:], src.colIdx[q:shi])
 		at += int32(copy(val[at:], src.val[q:shi]))
-		if rowLen != nil {
-			rowLen[i] = at - start
-		} else {
-			rowPtr[i+1] = at
-		}
+		rowPtr[i+1] = at
 	}
 }
 
@@ -451,7 +427,7 @@ func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, sc
 	acc := through[V]{m: dst, rowPos: rowPos, colPos: colPos}
 
 	// Pass 1: union size and pattern-subset check in one merge sweep.
-	unionNNZ, subset := countUnion(acc, src, 0, src.rows, nil)
+	unionNNZ, subset := countUnion(acc, src)
 
 	if inPlace && subset && !acc.moves(src.rows, src.cols) {
 		zeros := 0
@@ -492,8 +468,26 @@ func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, sc
 	}
 	colIdx = growTo(colIdx, unionNNZ, scratch != nil)
 	val = growTo(val, unionNNZ, scratch != nil)
-	mergeUnion(acc, src, 0, src.rows, ops, rowPtr, nil, colIdx, val)
+	mergeUnion(acc, src, ops, rowPtr, colIdx, val)
 	scratch.retire(dst, inPlace)
 	n := rowPtr[src.rows]
 	return &CSR[V]{rows: src.rows, cols: src.cols, rowPtr: rowPtr, colIdx: colIdx[:n], val: val[:n]}, nil
+}
+
+// growTo returns s resized to length n. With headroom set, a recycled
+// buffer that proved too small is replaced by one half again as large as
+// asked: the accumulator it serves grows a little on almost every merge,
+// and exact-size replacement turned every one of those merges into a
+// fresh allocation plus full copy. With nothing to recycle the new buffer
+// is exact — a merge that allocates because a snapshot holds the previous
+// result (every read-after-write) has no next merge to save for.
+func growTo[T any](s []T, n int, headroom bool) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	c := n
+	if headroom && cap(s) > 0 {
+		c = n + n/2
+	}
+	return make([]T, n, c)
 }

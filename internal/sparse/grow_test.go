@@ -21,6 +21,40 @@ func randomCSRGrow(r *rand.Rand, rows, cols int, density float64) *CSR[float64] 
 	return coo.ToCSR(nil)
 }
 
+// randomCSRFor is randomCSRGrow with signed values, so folds can cancel.
+func randomCSRFor(r *rand.Rand, rows, cols int, density float64) *CSR[float64] {
+	coo := NewCOO[float64](rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if r.Float64() < density {
+				coo.MustAppend(i, j, float64(r.Intn(9)-4)) // includes zero-sum material
+			}
+		}
+	}
+	return coo.ToCSR(nil)
+}
+
+func csrEqual(t *testing.T, got, want *CSR[float64], label string) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Cols() != want.Cols() || got.NNZ() != want.NNZ() {
+		t.Fatalf("%s: shape/nnz %dx%d/%d, want %dx%d/%d", label,
+			got.Rows(), got.Cols(), got.NNZ(), want.Rows(), want.Cols(), want.NNZ())
+	}
+	for i := 0; i < want.Rows(); i++ {
+		gc, gv := got.Row(i)
+		wc, wv := want.Row(i)
+		if len(gc) != len(wc) {
+			t.Fatalf("%s: row %d length %d, want %d", label, i, len(gc), len(wc))
+		}
+		for p := range wc {
+			if gc[p] != wc[p] || gv[p] != wv[p] {
+				t.Fatalf("%s: row %d entry %d = (%d,%v), want (%d,%v)",
+					label, i, p, gc[p], gv[p], wc[p], wv[p])
+			}
+		}
+	}
+}
+
 func TestEmbedIdentitySharing(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	m := randomCSRGrow(r, 5, 7, 0.3)
@@ -206,9 +240,8 @@ func growInto(r *rand.Rand, rows, cols int) (rowPos, colPos []int32, newRows, ne
 
 // The merge that reads its accumulator through position maps against the
 // two steps it replaces — embed the accumulator into the grown space,
-// then merge — for every registered pair, serially and across two spans,
-// with and without a recycled buffer, deltas that cancel stored values
-// included.
+// then merge — for every registered pair, with and without a recycled
+// buffer, deltas that cancel stored values included.
 func TestMappedMergeMatchesEmbedThenMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for _, entry := range semiring.Registry() {
@@ -234,14 +267,14 @@ func TestMappedMergeMatchesEmbedThenMerge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			csrEqual(t, got, want, label+" serial")
+			csrEqual(t, got, want, label)
 			var scratch MergeScratch[float64]
 			scratch.Recycle(randomCSRFor(r, newRows, newCols, 0.2))
-			got, err = EWiseAddIntoParallel(dst.Clone(), src, ops, trial%2 == 0, &scratch, rowPos, colPos, 2)
+			got, err = EWiseAddInto(dst.Clone(), src, ops, trial%2 == 0, &scratch, rowPos, colPos)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			csrEqual(t, got, want, label+" two spans")
+			csrEqual(t, got, want, label+" recycled buffer")
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -261,10 +294,7 @@ func TestMappedMergeChecksItsMaps(t *testing.T) {
 		"out-of-range colPos": {nil, {0, 1, 4}},
 	} {
 		if _, err := EWiseAddInto(dst, src, ops, false, nil, maps[0], maps[1]); err == nil {
-			t.Errorf("serial: %s accepted", name)
-		}
-		if _, err := EWiseAddIntoParallel(dst, src, ops, false, nil, maps[0], maps[1], 2); err == nil {
-			t.Errorf("two spans: %s accepted", name)
+			t.Errorf("%s accepted", name)
 		}
 	}
 	var se *ShapeError
@@ -281,17 +311,15 @@ func TestMergeAllocatesExactlyUnlessRecycling(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	dst, src := randomCSRGrow(r, 30, 30, 0.2), randomCSRGrow(r, 30, 30, 0.2)
 	var scratch MergeScratch[float64]
-	for _, workers := range []int{1, 2} {
-		got, err := EWiseAddIntoParallel(dst, src, ops, false, &scratch, nil, nil, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cap(got.colIdx) != len(got.colIdx) || cap(got.val) != len(got.val) {
-			t.Errorf("%d workers, empty scratch: %d entries in buffers of %d and %d", workers, got.NNZ(), cap(got.colIdx), cap(got.val))
-		}
+	got, err := EWiseAddInto(dst, src, ops, false, &scratch, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got.colIdx) != len(got.colIdx) || cap(got.val) != len(got.val) {
+		t.Errorf("empty scratch: %d entries in buffers of %d and %d", got.NNZ(), cap(got.colIdx), cap(got.val))
 	}
 	scratch.Recycle(randomCSRGrow(r, 30, 30, 0.01))
-	got, err := EWiseAddInto(dst, src, ops, false, &scratch, nil, nil)
+	got, err = EWiseAddInto(dst, src, ops, false, &scratch, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,16 +328,14 @@ func TestMergeAllocatesExactlyUnlessRecycling(t *testing.T) {
 	}
 	// An accumulator handed over to be consumed is what the next merge
 	// recycles, unless the result still is that accumulator.
-	for _, workers := range []int{1, 2} {
-		acc := dst.Clone()
-		if next, err := EWiseAddIntoParallel(acc, src, ops, true, &scratch, nil, nil, workers); err != nil || next == acc {
-			t.Fatalf("%d workers: a merge that adds cells ran in place (%v)", workers, err)
-		}
-		if cap(scratch.val) == 0 || &scratch.val[:1][0] != &acc.val[0] {
-			t.Errorf("%d workers: the consumed accumulator's backing was not donated to the scratch", workers)
-		}
-		if same, err := EWiseAddIntoParallel(acc, Empty[float64](30, 30), ops, true, &scratch, nil, nil, workers); err != nil || same != acc {
-			t.Fatalf("%d workers: an empty delta did not return the accumulator itself (%v)", workers, err)
-		}
+	acc := dst.Clone()
+	if next, err := EWiseAddInto(acc, src, ops, true, &scratch, nil, nil); err != nil || next == acc {
+		t.Fatalf("a merge that adds cells ran in place (%v)", err)
+	}
+	if cap(scratch.val) == 0 || &scratch.val[:1][0] != &acc.val[0] {
+		t.Error("the consumed accumulator's backing was not donated to the scratch")
+	}
+	if same, err := EWiseAddInto(acc, Empty[float64](30, 30), ops, true, &scratch, nil, nil); err != nil || same != acc {
+		t.Fatalf("an empty delta did not return the accumulator itself (%v)", err)
 	}
 }

@@ -332,3 +332,26 @@ func TestMxmSerialAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestMulParallelOptFloor verifies the serial-fallback threshold: a
+// tiny product under the floor must produce the identical result
+// through the serial kernel, and a disabled floor must too (both are
+// differentially checked; the fallback itself is observable only as
+// the absence of goroutine overhead, covered by the bench ablation).
+func TestMulParallelOptFloor(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	ops := semiring.PlusTimes()
+	a := randomCSRFor(r, 20, 20, 0.2)
+	b := randomCSRFor(r, 20, 20, 0.2)
+	want, err := mxm(a, b, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, floor := range []int64{0, -1, 1, 1 << 40} {
+		got, err := Mxm(nil, a, b, ops, MxmOptions{Workers: 4, FlopFloor: floor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		csrEqual(t, got, want, "flop floor")
+	}
+}

@@ -171,40 +171,27 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterializeFold measures one backlog fold of `deltas`
-// batches into the main adjacency — the Snapshot-time cost — at
-// several worker counts (the workers=1 arm is the serial fold; on
-// multi-core hardware the span-parallel arms should beat it).
+// BenchmarkMaterializeFold measures one backlog fold of 20 batches into
+// the main adjacency — the Snapshot-time cost.
 func BenchmarkMaterializeFold(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			baseOut, baseIn, batches := s12Workload(b, b.N*20)
-			mul := assoc.MulOptions{}
-			if workers > 1 {
-				mul.Workers = workers
-				mul.FlopFloor = -1
-			}
-			v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{
-				Mul: mul, PendingBudget: 1 << 30,
-			})
-			if err != nil {
+	baseOut, baseIn, batches := s12Workload(b, b.N*20)
+	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{PendingBudget: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for d := 0; d < 20; d++ {
+			if err := v.Append(batches[i*20+d]); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for d := 0; d < 20; d++ {
-					if err := v.Append(batches[i*20+d]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				if _, err := v.Snapshot(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
+		b.StartTimer()
+		if _, err := v.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

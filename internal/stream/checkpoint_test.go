@@ -693,7 +693,7 @@ func faultedStore(t *testing.T, dir string, batches [][]Edge[float64]) (*Store[f
 	t.Helper()
 	inj := iofault.New()
 	st, err := Open(dir, plusTimes(t), 1, Options{}, DurableOptions[float64]{
-		FS: iofault.Wrap(iofault.OS, inj), CheckpointBackoff: time.Microsecond,
+		FS: iofault.Wrap(iofault.OS, inj),
 	})
 	if err != nil {
 		t.Fatal(err)

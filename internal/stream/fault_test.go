@@ -11,7 +11,6 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"adjarray/internal/iofault"
 	"adjarray/internal/wal"
@@ -107,9 +106,7 @@ func TestDurableCheckpointDegradedNotWedged(t *testing.T) {
 	inj := iofault.New()
 
 	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{
-		FS:                iofault.Wrap(iofault.OS, inj),
-		CheckpointRetries: 2,
-		CheckpointBackoff: time.Millisecond,
+		FS: iofault.Wrap(iofault.OS, inj),
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -400,6 +397,10 @@ func (c *countFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	c.note("write-file", name)
 	return c.FS.WriteFile(name, data, perm)
 }
+func (c *countFS) MkdirAll(path string, perm fs.FileMode) error {
+	c.note("mkdir-all", path)
+	return c.FS.MkdirAll(path, perm)
+}
 func (c *countFS) Remove(name string) error { c.note("remove", name); return c.FS.Remove(name) }
 func (c *countFS) Rename(o, n string) error { c.note("rename", n); return c.FS.Rename(o, n) }
 func (c *countFS) SyncDir(dir string) error { c.note("sync-dir", dir); return c.FS.SyncDir(dir) }
@@ -497,5 +498,61 @@ func TestAppendIsOneWriteOneSync(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A shard-NNN directory is made by its WAL writer, which syncs that
+// directory and not the root its entry lives in. Open syncs the root once
+// the last of them exists — before it returns, so before any batch can be
+// acknowledged — and a store at the root, which has no such entry, pays
+// no sync it did not pay before; a root that cannot be synced is a store
+// that did not open.
+func TestOpenSyncsTheRootAfterTheShardDirectories(t *testing.T) {
+	ops := plusTimes(t)
+	opened := func(shards int, fsys iofault.FS) (dir string, trace []string, err error) {
+		dir = t.TempDir()
+		cfs := &countFS{FS: fsys}
+		cfs.reset()
+		st, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{FS: cfs})
+		trace = slices.Clone(cfs.other) // what Open did, before any Append
+		if err == nil {
+			err = st.Close()
+		}
+		return dir, trace, err
+	}
+
+	dir, trace, err := opened(3, iofault.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootSync := "sync-dir " + inShard(dir)
+	lastMkdir := slices.Index(trace, "mkdir-all "+inShard(filepath.Join(dir, "shard-002")))
+	if lastMkdir < 0 || !slices.Contains(trace[lastMkdir:], rootSync) {
+		t.Errorf("3 shards: no %q after shard-002 was made (at %d) in %q", rootSync, lastMkdir, trace)
+	}
+
+	dir, trace, err = opened(1, iofault.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootSync = "sync-dir " + inShard(dir)
+	n := 0
+	for _, op := range trace {
+		if op == rootSync {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("1 shard at the root: %d root syncs in %q, want the one for its first WAL segment", n, trace)
+	}
+
+	// The 6th sync of a fresh 3-shard open is the root's last: the SHARDS
+	// file, the root for its rename, and one directory sync per shard's
+	// first segment come before it.
+	inj := iofault.New()
+	inj.Arm(iofault.Rule{Op: iofault.OpSync, Kind: iofault.EIO, After: 5})
+	dir, trace, err = opened(3, iofault.Wrap(iofault.OS, inj))
+	if !errors.Is(err, iofault.ErrInjected) || trace[len(trace)-1] != "sync-dir "+inShard(dir) {
+		t.Errorf("a root that cannot be synced: Open = %v after %q, want the injected fault on the last root sync", err, trace)
 	}
 }

@@ -48,7 +48,7 @@ func referenceGather[V any](t *testing.T, shards []Snapshot[V], ops semiring.Ops
 			acc = pe
 			continue
 		}
-		if acc, err = assoc.AddInto(acc, pe, ops, false, 1); err != nil {
+		if acc, err = assoc.AddInto(acc, pe, ops, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,9 +335,8 @@ func spansUniverse(t *testing.T, v *View[float64], when string) {
 // sync's position maps. The corners: a backlog that folds to nothing
 // while it grows the universe (main is embedded alone), a Compact right
 // after growth (main is replaced, nothing embedded), new keys before,
-// between and after the old ones, serial and two-span merges — each
-// against the one-shot construction, and main spanning the universe
-// after every step.
+// between and after the old ones — each against the one-shot
+// construction, and main spanning the universe after every step.
 func TestFoldMovesMainThroughTheMaps(t *testing.T) {
 	ring, ok := semiring.Lookup("real+.real*")
 	if !ok {
@@ -345,39 +344,33 @@ func TestFoldMovesMainThroughTheMaps(t *testing.T) {
 	}
 	ops := ring.Ops
 	w := func(src, dst string, out float64) Edge[float64] { return Weighted("", src, dst, out, 1) }
-	for _, workers := range []int{1, 2} {
-		var opt Options
-		opt.Mul.Workers = workers
-		opt.PendingBudget = 1 << 20 // folds happen where the test asks
-		v := NewView(ops, opt)
-		var all []Edge[float64]
-		step := func(when string, act func() error, edges ...Edge[float64]) {
-			t.Helper()
-			for i := range edges {
-				edges[i].Key = fmt.Sprintf("e%04d", len(all)+i)
-			}
-			all = append(all, edges...)
-			if err := v.Append(edges); err != nil {
-				t.Fatalf("%s: %v", when, err)
-			}
-			if err := act(); err != nil {
-				t.Fatalf("%s: %v", when, err)
-			}
-			when = fmt.Sprintf("%s, %d workers", when, workers)
-			spansUniverse(t, v, when)
-			if d := assoc.Diff(mustSnap(t, v).Adjacency, oneShot(t, all, ops), ops.Equal, nil); d != "" {
-				t.Fatalf("%s: %s", when, d)
-			}
+	v := NewView(ops, Options{PendingBudget: 1 << 20}) // folds happen where the test asks
+	var all []Edge[float64]
+	step := func(when string, act func() error, edges ...Edge[float64]) {
+		t.Helper()
+		for i := range edges {
+			edges[i].Key = fmt.Sprintf("e%04d", len(all)+i)
 		}
-		fold := func() error { _, err := v.Snapshot(); return err }
-		step("first fold", fold, w("m1", "m2", 2), w("m3", "m1", 3))
-		step("keys before and after", fold, w("a1", "z9", 5), w("m1", "a0", 1))
-		step("keys in between, cells that meet", fold, w("m2", "m15", 4), w("m1", "m2", 6))
-		step("a backlog that folds to nothing and grows both sides", fold, w("k1", "k2", 1), w("k1", "k2", -1))
-		step("a stored cell cancelled, no growth", fold, w("m3", "m1", -3))
-		step("compact right after growth", v.Compact, w("c1", "c2", 7), w("a0", "m2", 8))
-		step("a fold after the compact", fold, w("zz", "a1", 9))
+		all = append(all, edges...)
+		if err := v.Append(edges); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if err := act(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		spansUniverse(t, v, when)
+		if d := assoc.Diff(mustSnap(t, v).Adjacency, oneShot(t, all, ops), ops.Equal, nil); d != "" {
+			t.Fatalf("%s: %s", when, d)
+		}
 	}
+	fold := func() error { _, err := v.Snapshot(); return err }
+	step("first fold", fold, w("m1", "m2", 2), w("m3", "m1", 3))
+	step("keys before and after", fold, w("a1", "z9", 5), w("m1", "a0", 1))
+	step("keys in between, cells that meet", fold, w("m2", "m15", 4), w("m1", "m2", 6))
+	step("a backlog that folds to nothing and grows both sides", fold, w("k1", "k2", 1), w("k1", "k2", -1))
+	step("a stored cell cancelled, no growth", fold, w("m3", "m1", -3))
+	step("compact right after growth", v.Compact, w("c1", "c2", 7), w("a0", "m2", 8))
+	step("a fold after the compact", fold, w("zz", "a1", 9))
 }
 
 // What a read-after-write costs the owning view: after an append that

@@ -90,104 +90,14 @@ func TestInternedSlowPathMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestParallelMaterializeMatchesSerial ingests the identical edge
-// sequence into a serial view and a parallel one (workers=4, tiny
-// budget so the parallel fold actually runs) and requires bit-identical
-// snapshots at several epochs.
-func TestParallelMaterializeMatchesSerial(t *testing.T) {
-	ops := semiring.PlusTimes()
-	r := rand.New(rand.NewSource(5))
-	g := dataset.RMAT(r, 9, 8)
-	es := g.Edges()
-	serial := NewView(ops, Options{})
-	par := NewView(ops, Options{
-		Mul:           assoc.MulOptions{Workers: 4, FlopFloor: -1},
-		PendingBudget: 1, // force a fold per batch
-	})
-	per := 200
-	for lo := 0; lo < len(es); lo += per {
-		hi := lo + per
-		if hi > len(es) {
-			hi = len(es)
-		}
-		batch := make([]Edge[float64], hi-lo)
-		for j, e := range es[lo:hi] {
-			batch[j] = Weighted(e.Key, e.Src, e.Dst, 1, float64(j%5)+1)
-		}
-		for _, v := range []*View[float64]{serial, par} {
-			if err := v.Append(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ss, err := serial.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := par.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := assoc.Diff(ss.Adjacency, ps.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
-			t.Fatalf("parallel materialize diverges at %d edges: %s", hi, diff)
-		}
-	}
-}
-
-// TestParallelMaterializeLargeFold exercises the span-parallel backlog
-// fold (the flop floor is disabled) on hub rows whose duplicate cells
-// must fold in arrival order.
-func TestParallelMaterializeLargeFold(t *testing.T) {
-	ops := semiring.MaxPlus()
-	r := rand.New(rand.NewSource(9))
-	mk := func(workers int) *View[float64] {
-		return NewView(ops, Options{
-			Mul:           assoc.MulOptions{Workers: workers, FlopFloor: -1},
-			PendingBudget: 1 << 20, // one fold of the whole backlog
-		})
-	}
-	serial, par := mk(0), mk(4)
-	seq := 0
-	verts := 40 // few vertices → heavy duplicate-cell folding
-	var batch []Edge[float64]
-	for i := 0; i < 7096; i++ {
-		batch = append(batch, Weighted(fmt.Sprintf("e%07d", seq),
-			fmt.Sprintf("v%02d", r.Intn(verts)), fmt.Sprintf("v%02d", r.Intn(verts)),
-			float64(r.Intn(7))-3, float64(r.Intn(5))))
-		seq++
-		if len(batch) == 997 {
-			for _, v := range []*View[float64]{serial, par} {
-				if err := v.Append(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			batch = batch[:0]
-		}
-	}
-	for _, v := range []*View[float64]{serial, par} {
-		if err := v.Append(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ss, err := serial.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := par.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := assoc.Diff(ss.Adjacency, ps.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
-		t.Fatalf("large parallel fold diverges: %s", diff)
-	}
-}
-
 // TestScratchPoolAliasing is the pooled-buffer leak check: concurrent
-// parallel multiplications (hammering the sync.Pool kernel scratch)
-// race against a view's Append/Snapshot/Compact cycle (whose folds and
-// partials use the same pools), under -race in CI. Every multiplication
-// result is differentially checked against a serial reference computed
-// AFTER the concurrency, so any cross-call buffer reuse that leaked
-// state into a result is caught as a value difference.
+// parallel constructions (hammering the sync.Pool kernel scratch) race
+// against a view's Append/Snapshot/Compact cycle, which at every snapshot
+// rebuilds its own adjacency from the snapshot's log across two spans —
+// the same pools again — under -race in CI. Every parallel result is
+// differentially checked against a serial reference computed AFTER the
+// concurrency, so any cross-call buffer reuse that leaked state into a
+// result is caught as a value difference.
 func TestScratchPoolAliasing(t *testing.T) {
 	ops := semiring.PlusTimes()
 	r := rand.New(rand.NewSource(21))
@@ -203,7 +113,13 @@ func TestScratchPoolAliasing(t *testing.T) {
 	eout := assoc.FromTriples(outT, nil)
 	ein := assoc.FromTriples(inT, nil)
 
-	view := NewView(ops, Options{Mul: assoc.MulOptions{Workers: 2, FlopFloor: -1}, PendingBudget: 256})
+	view := NewView(ops, Options{PendingBudget: 256})
+	// What the view's goroutine built in parallel from each snapshot's log.
+	type rebuilt struct {
+		snap Snapshot[float64]
+		adj  *assoc.Array[float64]
+	}
+	var rebuilds []rebuilt
 
 	var wg sync.WaitGroup
 	results := make([]*assoc.Array[float64], 8)
@@ -235,10 +151,22 @@ func TestScratchPoolAliasing(t *testing.T) {
 				return
 			}
 			if round%5 == 1 {
-				if _, err := view.Snapshot(); err != nil {
+				snap, err := view.Snapshot()
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				logOut, logIn, err := snap.Logs()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				adj, err := assoc.Correlate(logOut, logIn, ops, assoc.MulOptions{Workers: 2, FlopFloor: -1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rebuilds = append(rebuilds, rebuilt{snap, adj})
 			}
 			if round%11 == 7 {
 				if err := view.Compact(); err != nil {
@@ -260,6 +188,20 @@ func TestScratchPoolAliasing(t *testing.T) {
 	for m, got := range results {
 		if diff := assoc.Diff(want, got, value.Float64Equal, value.FormatFloat); diff != "" {
 			t.Fatalf("concurrent Mul %d corrupted by pooled scratch: %s", m, diff)
+		}
+	}
+	// So must every parallel rebuild, and the state it was rebuilt beside.
+	for i, rb := range rebuilds {
+		logOut, logIn := mustLogs(t, rb.snap)
+		serial, err := assoc.Correlate(logOut, logIn, ops, assoc.MulOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := assoc.Diff(serial, rb.adj, value.Float64Equal, value.FormatFloat); diff != "" {
+			t.Fatalf("parallel rebuild %d corrupted by pooled scratch: %s", i, diff)
+		}
+		if diff := assoc.Diff(serial, rb.snap.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
+			t.Fatalf("view state at rebuild %d corrupted by pooled scratch: %s", i, diff)
 		}
 	}
 	// The view's state must equal its own one-shot rebuild.

@@ -22,29 +22,14 @@ type DurableOptions[V any] struct {
 	// one.
 	Codec ValueCodec[V]
 	// CheckpointEvery triggers a background checkpoint once this many
-	// batches accumulate past the last checkpoint (0 disables the
-	// batch-count trigger).
+	// batches accumulate past the last checkpoint (0: none in the
+	// background; Store.Checkpoint still writes one on request).
 	CheckpointEvery int
-	// CheckpointInterval triggers a background checkpoint on a timer
-	// when batches arrived since the last one (0 disables the timer).
-	CheckpointInterval time.Duration
-	// KeepCheckpoints is how many checkpoint files to retain (the
-	// newest is the recovery source, older ones are corruption
-	// fallbacks). <= 0 selects 2.
-	KeepCheckpoints int
 	// FS routes every durable byte — WAL segments, checkpoints,
 	// directory fsyncs — through a filesystem seam; nil selects the
 	// real filesystem. Tests and the crashtest harness install an
 	// iofault.FaultFS here.
 	FS iofault.FS
-	// CheckpointRetries is how many extra attempts a failed checkpoint
-	// write gets before the attempt is abandoned until the next
-	// trigger (transient ENOSPC/EIO may clear). <= 0 selects 2.
-	CheckpointRetries int
-	// CheckpointBackoff is the delay before the first checkpoint
-	// retry, doubling each retry. Appends stall for the backoff total
-	// in the worst case, so it stays small. <= 0 selects 5ms.
-	CheckpointBackoff time.Duration
 }
 
 // RecoveryInfo describes what Open found in one shard's directory.
@@ -212,15 +197,6 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 			return nil, fmt.Errorf("stream: no value codec for this value type; set DurableOptions.Codec")
 		}
 	}
-	if opt.KeepCheckpoints <= 0 {
-		opt.KeepCheckpoints = 2
-	}
-	if opt.CheckpointRetries <= 0 {
-		opt.CheckpointRetries = 2
-	}
-	if opt.CheckpointBackoff <= 0 {
-		opt.CheckpointBackoff = 5 * time.Millisecond
-	}
 	fsys := opt.FS
 	opt.WAL.FS = fsys
 
@@ -289,7 +265,7 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 	}
 	p.ckptSeq.Store(ckptSeq)
 	p.walDurable.Store(w.DurableSeq())
-	if opt.CheckpointEvery > 0 || opt.CheckpointInterval > 0 {
+	if opt.CheckpointEvery > 0 {
 		p.bg.Add(1)
 		go p.checkpointLoop()
 	}
@@ -299,23 +275,16 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 func (p *partition[V]) durable() bool { return p.w != nil }
 
 // checkpointLoop is the background checkpoint + retirement worker: it
-// wakes on the batch-count trigger and/or the timer and checkpoints
-// when the view advanced past the last checkpoint, bounding both
-// replay time and log size.
+// wakes on the batch-count trigger and checkpoints when the view
+// advanced past the last checkpoint, bounding both replay time and log
+// size.
 func (p *partition[V]) checkpointLoop() {
 	defer p.bg.Done()
-	var tick <-chan time.Time
-	if p.opt.CheckpointInterval > 0 {
-		t := time.NewTicker(p.opt.CheckpointInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-p.done:
 			return
 		case <-p.notify:
-		case <-tick:
 		}
 		p.mu.Lock()
 		if !p.closed && p.failed == nil && p.epoch() > p.ckptSeq.Load() {
@@ -434,6 +403,21 @@ func (p *partition[V]) checkpoint() error {
 	return p.checkpointLocked()
 }
 
+const (
+	// keepCheckpoints is how many checkpoint files are retained: the
+	// newest is the recovery source, the one before it the corruption
+	// fallback.
+	keepCheckpoints = 2
+	// checkpointRetries is how many extra attempts a failed checkpoint
+	// write gets before it is abandoned until the next trigger
+	// (transient ENOSPC/EIO may clear).
+	checkpointRetries = 2
+	// checkpointBackoff is the delay before the first retry, doubling
+	// each retry. Appends stall for the backoff total in the worst case,
+	// so it stays small.
+	checkpointBackoff = 5 * time.Millisecond
+)
+
 // checkpointLocked writes a checkpoint of the view's current epoch,
 // unless the newest one already covers it. The view lock is held only to
 // fold and to pin the image — O(1) past the fold; the encode and every
@@ -461,7 +445,7 @@ func (p *partition[V]) checkpointLocked() error {
 	// The write phase retries: ENOSPC/EIO can be transient (space
 	// freed, path remounted), and the temp-file dance is idempotent.
 	// Appends stall on p.mu for the backoff total, so it stays capped.
-	fsys, backoff := p.opt.FS, p.opt.CheckpointBackoff
+	fsys, backoff := p.opt.FS, checkpointBackoff
 	for attempt := 0; ; attempt++ {
 		_, size, err := wal.WriteCheckpointFS(fsys, p.dir, seq, emit)
 		if err == nil {
@@ -472,7 +456,7 @@ func (p *partition[V]) checkpointLocked() error {
 		// The failed attempt may have orphaned its temp file (its own
 		// cleanup can fault too); reap best-effort.
 		wal.ReapTempCheckpoints(fsys, p.dir) //adjlint:ignore syncerr best-effort reap; the write error is the one reported
-		if attempt >= p.opt.CheckpointRetries {
+		if attempt >= checkpointRetries {
 			p.ckptErr = err
 			p.publishStorageLocked()
 			return err
@@ -485,7 +469,7 @@ func (p *partition[V]) checkpointLocked() error {
 	p.ckpts.Add(1)
 	// The checkpoint itself is durable; failed retirement only leaves
 	// extra files behind. Degraded, not fatal.
-	_, err := wal.RetireCheckpointsFS(fsys, p.dir, p.opt.KeepCheckpoints)
+	_, err := wal.RetireCheckpointsFS(fsys, p.dir, keepCheckpoints)
 	if err == nil {
 		_, err = wal.RetireSegmentsFS(fsys, p.dir, seq)
 	}

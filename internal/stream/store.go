@@ -105,16 +105,15 @@ const shardMetaFile = "SHARDS"
 // shards follows one convention everywhere: 0 or 1 is one shard, < 0
 // selects GOMAXPROCS. A single shard lives at the directory root; more
 // live under dir/shard-NNN with the count recorded in dir/SHARDS, which
-// is on stable storage before the first of them exists. The directory's
-// layout wins over a count left to GOMAXPROCS and refuses an explicit
-// count that disagrees with it, in both directions; shard-NNN
-// directories whose SHARDS file is gone are refused under every count —
-// Open reads what the directory holds or says by name why not.
+// is on stable storage before the first of them exists, as their entries
+// in dir are before Open returns. The directory's layout wins over a
+// count left to GOMAXPROCS and refuses an explicit count that disagrees
+// with it, in both directions; shard-NNN directories whose SHARDS file is
+// gone are refused under every count — Open reads what the directory
+// holds or says by name why not.
 //
-// opt tunes each shard's View; with more than one shard the per-shard
-// Mul.Workers is forced to 1 — shards already run concurrently, and the
-// snapshot-time gather is a copy with nothing to schedule. dopt tunes the
-// durable side and is ignored in memory.
+// opt tunes each shard's View. dopt tunes the durable side and is ignored
+// in memory.
 func Open[V any](dir string, ops semiring.Ops[V], shards int, opt Options, dopt DurableOptions[V]) (*Store[V], error) {
 	if dopt.FS == nil {
 		dopt.FS = iofault.OS
@@ -129,8 +128,10 @@ func Open[V any](dir string, ops semiring.Ops[V], shards int, opt Options, dopt 
 		sub := make([][]Edge[V], n)
 		return &sub
 	}
-	if n > 1 {
-		opt.Mul.Workers = 1
+	unwind := func(opened []*partition[V]) {
+		for _, q := range opened {
+			q.close() //adjlint:ignore syncerr sibling unwind on open failure; the open error is the one returned
+		}
 	}
 	for i, d := range dirs {
 		prefix := "" // one shard: the view's own default
@@ -139,12 +140,20 @@ func Open[V any](dir string, ops semiring.Ops[V], shards int, opt Options, dopt 
 		}
 		p, err := openPartition(d, ops, opt, prefix, dopt)
 		if err != nil {
-			for _, q := range s.parts[:i] {
-				q.close() //adjlint:ignore syncerr sibling unwind on open failure; the open error is the one returned
-			}
+			unwind(s.parts[:i])
 			return nil, fmt.Errorf("stream: shard %d: %w", i, err)
 		}
 		s.parts[i] = p
+	}
+	if dir != "" && dirs[0] != dir {
+		// Each shard's log made its own directory and synced it, but a
+		// shard-NNN entry lives in dir: until dir is synced a power cut can
+		// leave a durable SHARDS and no trace of a shard whose batches were
+		// acknowledged. Once, before the first Append can be.
+		if err := dopt.FS.SyncDir(dir); err != nil {
+			unwind(s.parts)
+			return nil, err
+		}
 	}
 	return s, nil
 }

@@ -115,12 +115,6 @@ func Weighted[V any](key, src, dst string, out, in V) Edge[V] {
 
 // Options tunes a View.
 type Options struct {
-	// Mul tunes the per-batch partial products and Compact rebuilds.
-	// Mul.Workers also drives the materialize fold: with parallelism
-	// requested, the pending-backlog fold and the ⊕-merge into the main
-	// adjacency run across flop-balanced row spans. (A Store of several
-	// shards forces it to 1: the shards already run concurrently.)
-	Mul assoc.MulOptions
 	// CompactEvery, when > 0, triggers an automatic Compact after that
 	// many appends — bounding drift for non-associative ⊕ and re-packing
 	// storage. 0 disables auto-compaction.
@@ -346,7 +340,7 @@ func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Op
 	if eout.RowKeys().Len() == 0 {
 		return v, nil
 	}
-	adj, err := assoc.Correlate(eout, ein, ops, opt.Mul)
+	adj, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -737,10 +731,6 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 // order — and the grouping changes only at this main-vs-backlog boundary,
 // which is where a non-associative ⊕ can diverge (flagged via Exact
 // unless the guard is on).
-//
-// Options.Mul schedules the fold as it schedules a product, and the
-// ⊕-merge into main runs across merge-cost-balanced spans with it
-// (sparse.EWiseAddIntoParallel) — both bit-identical to the serial path.
 func (v *View[V]) materializeLocked() error {
 	if len(v.pendVal) == 0 {
 		return nil
@@ -775,7 +765,7 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 	// The fold array only feeds the merge below — EWiseAddInto never
 	// returns or retains its src backing — so it may live in the scratch
 	// the next materialize reuses.
-	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, v.pendVal, nil, v.ops, v.opt.Mul, &s.fold)
+	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, v.pendVal, nil, v.ops, sparse.MxmOptions{}, &s.fold)
 	if err != nil {
 		return err
 	}
@@ -794,7 +784,7 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 		// against already-folded state under unverified ⊕.
 		v.exact = false
 	}
-	main, err := assoc.AddIntoMapped(v.main, fold, rowMap, colMap, v.ops, !v.mainShared, &v.mainScr, v.opt.Mul.Workers)
+	main, err := assoc.AddIntoMapped(v.main, fold, rowMap, colMap, v.ops, !v.mainShared, &v.mainScr)
 	if err != nil {
 		return err
 	}
@@ -980,7 +970,7 @@ func (v *View[V]) rebuildLocked() (*assoc.Array[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	return assoc.Correlate(eout, ein, v.ops, v.opt.Mul)
+	return assoc.Correlate(eout, ein, v.ops, assoc.MulOptions{})
 }
 
 // Stats summarizes the view without exposing its arrays. Taking stats
