@@ -238,15 +238,19 @@ func WeightedStreamEdge[V any](key, src, dst string, out, in V) StreamEdge[V] {
 }
 
 // StreamOptions tunes a maintained adjacency view (compaction cadence,
-// associativity guard, pending-fold budget).
+// associativity guard; PendingBudget forces folds inside appends for
+// tests — by default a fold runs when a read needs the adjacency).
 type StreamOptions = stream.Options
 
 // AdjacencyView maintains A = Eoutᵀ ⊕.⊗ Ein under continuous edge
 // ingest: appended batches apply via the delta identity
 // A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:] instead of full rebuilds. An Append
 // costs O(batch) whether or not the batch introduces vertices: the view
-// stores its edge log and backlog by stable vertex id and establishes
-// key order once per fold.
+// stores its edge log by stable vertex id — the edges not yet folded are
+// that log's suffix, nothing more — and establishes key order once per
+// fold, which a read, a checkpoint or Compact triggers: a bulk load
+// nobody reads is appends only, and its first read pays one fold, the
+// batch construction.
 type AdjacencyView[V any] = stream.View[V]
 
 // AdjacencySnapshot is an immutable read view of an AdjacencyView: the

@@ -70,6 +70,13 @@
 // adjserve_storage_* metrics report the ok → degraded → read-only
 // state machine; recovery is a restart against the repaired disk.
 //
+// With -debug-addr a second listener, on its own mux and outside the
+// front door's admission control, answers what "what is the process doing
+// right now" needs: /debug/pprof/ (net/http/pprof), /debug/trace/start and
+// /debug/trace/stop (a runtime/trace of the window between the two calls),
+// and /metrics — the same registry as the front door's, to which it adds
+// the adjserve_runtime_* gauges read from runtime/metrics (debug.go).
+//
 // The process exits when the input stream ends (unless -serve keeps it
 // answering queries) and shuts down cleanly on SIGINT/SIGTERM.
 //
@@ -81,7 +88,7 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -113,6 +120,7 @@ type config struct {
 	compactEvery  int
 	check         bool
 	serve         string
+	debugAddr     string
 	flushEvery    time.Duration
 	skip          bool
 	dataDir       string
@@ -155,6 +163,7 @@ func main() {
 	flag.IntVar(&cfg.compactEvery, "compact-every", 0, "auto-Compact after this many batches (0 = never)")
 	flag.BoolVar(&cfg.check, "check", false, "sample the ⊕-associativity guard on every batch")
 	flag.StringVar(&cfg.serve, "serve", "", "HTTP listen address for snapshot queries (e.g. :8080); empty = ingest only")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "listen address for pprof, runtime/trace and runtime metrics (e.g. 127.0.0.1:6060), outside admission control; empty = off")
 	flag.DurationVar(&cfg.flushEvery, "flush-every", time.Second, "with -serve, flush partial batches at this interval so slow streams stay visible")
 	flag.BoolVar(&cfg.skip, "skip-condition-check", false, "accept pairs that fail the Theorem II.1 conditions")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: recover on start, WAL every batch, checkpoint on shutdown; empty = in-memory")
@@ -229,7 +238,7 @@ func run(cfg config) error {
 	defer stop()
 
 	f := newFront(ing, cfg.batch)
-	fatal := make(chan error, 2) // server or flusher failure
+	fatal := make(chan error, 3) // server, debug listener or flusher failure
 
 	// Every exit path — stream end, SIGINT/SIGTERM, fatal server error —
 	// flushes buffered edges, writes a final covering checkpoint, and
@@ -247,10 +256,13 @@ func run(cfg config) error {
 	}()
 
 	var srv *http.Server
+	var reg *serve.Registry // the front door's, when there is one
 	if cfg.serve != "" {
+		door := serve.New(ing, cfg.serveOptions())
+		reg = door.Metrics()
 		srv = &http.Server{
 			Addr:    cfg.serve,
-			Handler: serve.New(ing, cfg.serveOptions()),
+			Handler: door,
 			// Slow or stalled clients must not pin serving goroutines (or
 			// hold snapshot memory) forever.
 			ReadHeaderTimeout: 5 * time.Second,
@@ -269,6 +281,17 @@ func run(cfg config) error {
 			_ = srv.Shutdown(shutCtx)
 		}()
 		fmt.Fprintf(os.Stderr, "adjserve: serving snapshot queries on %s\n", cfg.serve)
+	}
+	if cfg.debugAddr != "" {
+		// Up before the first line is read, so a preload can be profiled.
+		dbg := &http.Server{Addr: cfg.debugAddr, Handler: debugMux(reg), ReadHeaderTimeout: 5 * time.Second}
+		go func() {
+			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				fatal <- fmt.Errorf("debug listener: %w", err)
+			}
+		}()
+		defer dbg.Close()
+		fmt.Fprintf(os.Stderr, "adjserve: pprof, trace and runtime metrics on %s\n", cfg.debugAddr)
 	}
 
 	// The flusher keeps partial batches visible on slow streams. It is a
@@ -414,15 +437,23 @@ func newFront(ing *core.Ingest, batch int) *front {
 	}
 }
 
-// add buffers one edge and flushes full batches.
-func (f *front) add(e stream.Edge[float64]) error {
-	f.mu.Lock()
-	f.buf = append(f.buf, e)
-	full := len(f.buf) >= f.size
-	f.mu.Unlock()
-	f.edges.Add(1)
-	if full {
-		return f.flush()
+// addAll buffers the edges of one read, taking the buffer lock once per
+// batch they fill rather than once per edge, and flushes each full batch
+// — the store sees the same batches whatever the reads were.
+func (f *front) addAll(es []stream.Edge[float64]) error {
+	for len(es) > 0 {
+		f.mu.Lock()
+		n := min(len(es), f.size-len(f.buf)) // > 0: whoever fills the buffer flushes it
+		f.buf = append(f.buf, es[:n]...)
+		full := len(f.buf) >= f.size
+		f.mu.Unlock()
+		f.edges.Add(int64(n))
+		es = es[n:]
+		if full {
+			if err := f.flush(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -442,39 +473,128 @@ func (f *front) flush() error {
 	return err
 }
 
+// maxLine bounds one line of the stream: a line this long or longer,
+// its terminator aside, is refused.
+const maxLine = 1 << 20
+
 // ingest drains the edge stream into the front, which counts accepted
-// edges on its atomic counter.
+// edges on its atomic counter. Each Read's complete lines become ONE
+// string, every field of every edge a substring of it, and the read's
+// edges reach the front together — no string per line, no field slice per
+// line, no lock per edge. A Read returns what is there, so a slow stream's
+// edges are buffered (and flushed by the ticker) as they arrive. An error
+// names its line; an append error names the last line of the read whose
+// edges were being handed over.
 func ingest(src io.Reader, keyed bool, f *front) error {
+	buf := make([]byte, 0, 1<<16) // holds, between reads, the line still arriving
+	var edges []stream.Edge[float64]
 	lines := 0
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		lines++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	for {
+		if len(buf) == cap(buf) {
+			if cap(buf) >= maxLine {
+				return fmt.Errorf("line %d: longer than 1 MiB", lines+1)
+			}
+			buf = append(make([]byte, 0, 2*cap(buf)), buf...)
 		}
-		e, err := parseEdge(line, keyed)
-		if err != nil {
+		tail := len(buf) // a line's beginning: no newline in it
+		n, rerr := src.Read(buf[tail:cap(buf)])
+		buf = buf[:tail+n]
+		end := 0 // of the complete lines
+		if i := bytes.LastIndexByte(buf[tail:], '\n'); i >= 0 {
+			end = tail + i + 1
+		}
+		if rerr != nil {
+			end = len(buf) // what the stream ends on is its last line
+		}
+		var perr error
+		edges = edges[:0]
+		for rest := string(buf[:end]); rest != "" && perr == nil; {
+			line := rest
+			if i := strings.IndexByte(rest, '\n'); i >= 0 {
+				line, rest = rest[:i], rest[i+1:]
+			} else {
+				rest = ""
+			}
+			lines++
+			if e, ok, err := lineEdge(line, keyed); err != nil {
+				perr = fmt.Errorf("line %d: %w", lines, err)
+			} else if ok {
+				edges = append(edges, e)
+			}
+		}
+		// The edges before a bad line were accepted, as they always were.
+		if err := f.addAll(edges); err != nil {
 			return fmt.Errorf("line %d: %w", lines, err)
 		}
-		if err := f.add(e); err != nil {
-			return fmt.Errorf("line %d: %w", lines, err)
+		clear(edges) // their strings are the read's; let it go with the batch
+		if perr != nil {
+			return perr
+		}
+		if end > 0 {
+			buf = buf[:copy(buf, buf[end:])]
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+		if rerr != nil {
+			return fmt.Errorf("read: %w", rerr)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("read: %w", err)
-	}
-	return nil
 }
+
+// lineEdge parses one line of the stream; ok is false for a blank line
+// and for a '#' comment. A line of ASCII bytes — every line adjserve is
+// usually sent — is split without allocating; any other goes the way
+// every line used to, through strings.Fields, which knows the rest of
+// Unicode's white space.
+func lineEdge(line string, keyed bool) (e stream.Edge[float64], ok bool, err error) {
+	var fields [5]string // a key, two endpoints, two weights: what edgeOf reads
+	n := 0
+	for i := 0; i < len(line); {
+		switch c := line[i]; {
+		case c >= 0x80:
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				return e, false, nil
+			}
+			e, err = parseEdge(line, keyed)
+			return e, err == nil, err
+		case asciiSpace(c):
+			i++
+		default:
+			start := i
+			for i < len(line) && line[i] < 0x80 && !asciiSpace(line[i]) {
+				i++
+			}
+			if n < len(fields) {
+				fields[n] = line[start:i]
+				n++
+			}
+		}
+	}
+	if n == 0 || fields[0][0] == '#' {
+		return e, false, nil
+	}
+	e, err = edgeOf(fields[:n], strings.TrimSpace(line), keyed)
+	return e, err == nil, err
+}
+
+// asciiSpace is unicode.IsSpace below 0x80 — what strings.Fields and
+// strings.TrimSpace split and trim on in an ASCII string.
+func asciiSpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
 
 // parseEdge splits one stream line into an Edge. Weight presence is
 // positional: a provided field sets the corresponding Has flag, so an
 // explicit weight round-trips even when it equals the algebra's Zero,
 // and an omitted one selects the algebra's One.
 func parseEdge(line string, keyed bool) (stream.Edge[float64], error) {
+	return edgeOf(strings.Fields(line), line, keyed)
+}
+
+// edgeOf is parseEdge past the split: f holds line's fields, or the
+// first five of them.
+func edgeOf(f []string, line string, keyed bool) (stream.Edge[float64], error) {
 	var e stream.Edge[float64]
-	f := strings.Fields(line)
 	if keyed {
 		if len(f) < 1 {
 			return e, fmt.Errorf("missing edge key")

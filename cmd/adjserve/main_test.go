@@ -1,15 +1,24 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"adjarray/internal/core"
+	"adjarray/internal/dataset"
+	"adjarray/internal/serve"
 	"adjarray/internal/stream"
 )
 
@@ -287,5 +296,309 @@ func TestBFSDuringConcurrentIngest(t *testing.T) {
 	}
 	if st := ing.Store().Stats(); st.Edges != 402 {
 		t.Fatalf("ingested %d edges, want 402", st.Edges)
+	}
+}
+
+// add buffers one edge and flushes full batches — how edges reached the
+// front while ingest read a line at a time.
+func (f *front) add(e stream.Edge[float64]) error {
+	f.mu.Lock()
+	f.buf = append(f.buf, e)
+	full := len(f.buf) >= f.size
+	f.mu.Unlock()
+	f.edges.Add(1)
+	if full {
+		return f.flush()
+	}
+	return nil
+}
+
+// referenceIngest is ingest as it was before it read a Read at a time: a
+// Scanner token, a string and a field slice per line, one lock round-trip
+// per edge. It also returns the number of lines it scanned.
+func referenceIngest(src io.Reader, keyed bool, f *front) (int, error) {
+	lines := 0
+	sc := bufio.NewScanner(src)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for sc.Scan() {
+		lines++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		e, err := parseEdge(line, keyed)
+		if err != nil {
+			return lines, fmt.Errorf("line %d: %w", lines, err)
+		}
+		if err := f.add(e); err != nil {
+			return lines, fmt.Errorf("line %d: %w", lines, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return lines, fmt.Errorf("read: %w", err)
+	}
+	return lines, nil
+}
+
+// readings are the ways the differential cuts one stream into Reads.
+var readings = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"data with EOF", iotest.DataErrReader},
+}
+
+// checkIngestMatchesReference holds ingest to referenceIngest on one
+// stream under every reading: the same edges in the same order, the same
+// accepted count, the same first error at the same line. Nothing is
+// flushed (the fronts' batches never fill), so the edges are read back
+// from the buffers. The one licensed difference: the reference reports an
+// over-long line as the Scanner's error, without a position.
+func checkIngestMatchesReference(t *testing.T, data []byte, keyed bool) {
+	t.Helper()
+	ref := &front{size: 1 << 62}
+	lines, refErr := referenceIngest(bytes.NewReader(data), keyed, ref)
+	want := ""
+	switch {
+	case errors.Is(refErr, bufio.ErrTooLong):
+		want = fmt.Sprintf("line %d: longer than 1 MiB", lines+1)
+	case refErr != nil:
+		want = refErr.Error()
+	}
+	for _, rd := range readings {
+		f := &front{size: 1 << 62}
+		got := ""
+		if err := ingest(rd.wrap(bytes.NewReader(data)), keyed, f); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Errorf("%s: error %q, reference %q", rd.name, got, want)
+		}
+		if f.edges.Load() != ref.edges.Load() || len(f.buf) != len(ref.buf) {
+			t.Fatalf("%s: accepted %d edges (%d buffered), reference %d (%d)", rd.name, f.edges.Load(), len(f.buf), ref.edges.Load(), len(ref.buf))
+		}
+		for i, e := range f.buf {
+			// NaN weights parse; compare them as the text they came from would.
+			if fmt.Sprintf("%+v", e) != fmt.Sprintf("%+v", ref.buf[i]) {
+				t.Fatalf("%s: edge %d is %+v, reference %+v", rd.name, i, e, ref.buf[i])
+			}
+		}
+	}
+}
+
+// ingestSeeds are the streams the differential always runs.
+func ingestSeeds() [][]byte {
+	long := func(n int) string { return strings.Repeat("x", n) }
+	return [][]byte{
+		[]byte("a b\nb c 2\nc d 2 3\n"),
+		[]byte("a b\r\nb c 2\r\n\r\nc d\r\n"),
+		[]byte("a\tb\t2\n \t b  c \t\n"),
+		[]byte("a\u00a0b\u2003 2\nc\u00a0 d\n\u2003\n\u00a0# a comment after a no-break space\n"), // strings.Fields' white space, not ASCII's
+		[]byte("a b\nc d 2\n \n # not a comment to ASCII eyes\n"),
+		[]byte("# header\n\n  # indented\na b\n#\n"),
+		[]byte("a b\nb c"),
+		[]byte("a b +Inf\nb c -Inf +Inf\nc d NaN\n"),
+		[]byte("k1 a b\nk2 b c 5\nk3 c\n"),
+		[]byte("a b\na\nb c\n"),
+		[]byte("a b x\n"),
+		[]byte("a b 1 y\n"),
+		[]byte("a b 1 2 extra fields are ignored\n"),
+		[]byte("a b\n" + long(1<<20) + " b\nc d\n"),     // a 1 MiB + 1 line: refused
+		[]byte("a b\n" + long(1<<20-3) + " b\nc d\n"),   // 1 MiB with its terminator: the longest accepted
+		[]byte("a b\nc " + long(1<<20)),                 // … and one the stream ends in
+		[]byte(long(1<<16-3) + " b\nc d\n"),             // ends exactly on the first read's boundary
+		[]byte(long(1<<16-2) + " b\nc d\n"),             // … and one byte past it
+		[]byte("caf\xc3\xa9 b\n\xff\xfe b\na\x85b c\n"), // UTF-8, invalid UTF-8, a bare NEL byte
+		[]byte("\r"),
+		nil,
+	}
+}
+
+func TestIngestMatchesReference(t *testing.T) {
+	for i, seed := range ingestSeeds() {
+		for _, keyed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed%d/keyed=%v", i, keyed), func(t *testing.T) {
+				checkIngestMatchesReference(t, seed, keyed)
+			})
+		}
+	}
+}
+
+func FuzzIngestLines(f *testing.F) {
+	for _, seed := range ingestSeeds() {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, keyed bool) {
+		checkIngestMatchesReference(t, data, keyed)
+	})
+}
+
+// Errors keep their line: a parse error its own, an over-long line the one
+// it would have been, an append the store refuses the last line of the
+// read whose edges were being handed over — and what was accepted before
+// the error stays accepted.
+func TestIngestErrorsNameTheirLine(t *testing.T) {
+	cases := []struct {
+		name, in string
+		keyed    bool
+		want     string
+		edges    int64
+	}{
+		{"parse", "a b\n# c\nb\n", false, `line 3: want 'src dst [out [in]]', got "b"`, 1},
+		{"weight", "a b\nb c 1 z\n", false, "line 2: in weight: ", 1},
+		{"too long", "a b\n\n" + strings.Repeat("x", 1<<20) + "\n", false, "line 3: longer than 1 MiB", 1},
+		{"append", "k2 a b\nk1 b c\nk3 c d\n", true, "line 3: stream: ", 2}, // the read ends at line 3; its first batch was refused
+	}
+	for _, c := range cases {
+		f := newFront(newTestIngest(t), 2)
+		err := ingest(strings.NewReader(c.in), c.keyed, f)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want prefix %q", c.name, err, c.want)
+		}
+		if got := f.edges.Load(); got != c.edges {
+			t.Errorf("%s: %d edges accepted, want %d", c.name, got, c.edges)
+		}
+	}
+}
+
+// A preload costs allocations per READ and per batch, not per line: the
+// 262k strings and field slices of a 131k-line stream are gone.
+func TestIngestAllocatesPerReadNotPerLine(t *testing.T) {
+	var b bytes.Buffer
+	const lines = 20_000
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&b, "v%d v%d\n", i%97, i%89)
+	}
+	f := &front{size: 1 << 62, buf: make([]stream.Edge[float64], 0, lines)}
+	allocs := testing.AllocsPerRun(5, func() {
+		f.buf = f.buf[:0]
+		if err := ingest(bytes.NewReader(b.Bytes()), false, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reads := float64(b.Len()>>16 + 1); allocs > 3*reads+20 {
+		t.Errorf("%d lines in %.0f reads cost %.0f allocations", lines, reads, allocs)
+	}
+}
+
+// preloadLines is the stream bench's query_static child is started on:
+// R-MAT scale 14, edge factor 8, one "src dst" line per edge.
+func preloadLines() []byte {
+	var b bytes.Buffer
+	for _, e := range dataset.RMAT(rand.New(rand.NewSource(1)), 14, 8).Edges() {
+		b.WriteString(e.Src)
+		b.WriteByte(' ')
+		b.WriteString(e.Dst)
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// BenchmarkPreload is adjserve's time to its first answer, in process:
+// the lines of a 131,072-edge file → ingest → flush → Pin, one shard,
+// batches of 512 — everything between opening -in and the "ingested …"
+// line. fold_ms is the store's own count of the time in folds (and folds
+// how many there were), parse_ms a pass of the same lines into a front
+// that never appends (so it also writes every edge of the file to memory:
+// an upper bound), append_ms what is left of the op.
+func BenchmarkPreload(b *testing.B) {
+	data := preloadLines()
+	var total, parse, fold time.Duration
+	folds := 0
+	dry := &front{size: 1 << 62}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ing, err := core.NewIngest(core.IngestOptions{Semiring: "+.*", BatchSize: 512, Shards: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := newFront(ing, 512)
+		start := time.Now()
+		if err := ingest(bytes.NewReader(data), false, f); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.flush(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ing.Store().Pin(); err != nil {
+			b.Fatal(err)
+		}
+		total += time.Since(start)
+		b.StopTimer()
+		st := ing.Store().Stats()
+		if st.Pending != 0 || int64(st.Edges) != f.edges.Load() {
+			b.Fatalf("%d edges accepted, %d stored, %d pending after the Pin", f.edges.Load(), st.Edges, st.Pending)
+		}
+		fold += time.Duration(st.FoldNanos)
+		folds += st.Folds
+		dry.buf = dry.buf[:0]
+		start = time.Now()
+		if err := ingest(bytes.NewReader(data), false, dry); err != nil {
+			b.Fatal(err)
+		}
+		parse += time.Since(start)
+		b.StartTimer()
+	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(ms(parse), "parse_ms")
+	b.ReportMetric(ms(total-parse-fold), "append_ms")
+	b.ReportMetric(ms(fold), "fold_ms")
+	b.ReportMetric(float64(folds)/float64(b.N), "folds")
+}
+
+// The debug listener answers pprof and carries the runtime's gauges into
+// the registry the front door exposes.
+func TestDebugListener(t *testing.T) {
+	door := serve.New(newTestIngest(t), serve.Options{})
+	dbg := httptest.NewServer(debugMux(door.Metrics()))
+	defer dbg.Close()
+	fetch := func(h http.Handler, url string) (int, string) {
+		t.Helper()
+		if h != nil {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+			return rec.Code, rec.Body.String()
+		}
+		resp, err := http.Get(dbg.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := fetch(nil, "/debug/pprof/heap?debug=1"); code != 200 || !strings.Contains(body, "heap profile:") {
+		t.Errorf("/debug/pprof/heap = %d %.80q", code, body)
+	}
+	if code, _ := fetch(nil, "/debug/trace/stop"); code != http.StatusConflict {
+		t.Errorf("/debug/trace/stop with no trace running = %d, want 409", code)
+	}
+	if code, _ := fetch(nil, "/debug/trace/start"); code != 200 {
+		t.Errorf("/debug/trace/start = %d", code)
+	}
+	if code, body := fetch(nil, "/debug/trace/stop"); code != 200 || len(body) == 0 {
+		t.Errorf("/debug/trace/stop = %d with %d bytes", code, len(body))
+	}
+	for _, where := range []http.Handler{door, nil} { // the front door's /metrics, and the listener's own
+		code, body := fetch(where, "/metrics")
+		if code != 200 {
+			t.Fatalf("/metrics = %d", code)
+		}
+		for _, family := range []string{
+			"adjserve_runtime_gc_pause_cpu_seconds_total", "adjserve_runtime_heap_goal_bytes", "adjserve_runtime_heap_live_bytes",
+			"adjserve_runtime_goroutines", "adjserve_runtime_sched_latency_p99_seconds",
+		} {
+			if !strings.Contains(body, "\n"+family+" ") {
+				t.Errorf("/metrics has no sample of %s", family)
+			}
+		}
 	}
 }

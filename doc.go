@@ -39,12 +39,18 @@
 //     by Workers), with the dense Definition I.3 oracle as the one
 //     verification backend beside it;
 //   - incremental maintenance: AdjacencyView keeps A up to date under
-//     continuous edge ingest — its edge log and delta backlog are kept
-//     by stable interner id, so an append is O(batch) even when it
-//     introduces vertices, and key order (the sorted vertex universe,
-//     the key-ordered incidence arrays of Snapshot.Logs) is established
-//     at the fold and on request — and Ingest accumulates arriving
-//     triples into the delta batches of one AdjacencyStore;
+//     continuous edge ingest in two levels, LSM-style: the materialized
+//     adjacency, and the suffix of the edge log it does not cover yet —
+//     no second structure, the log itself, kept by stable interner id,
+//     so an append is O(batch) even when it introduces vertices. Key
+//     order (the sorted vertex universe, the key-ordered incidence
+//     arrays of Snapshot.Logs) is established at the fold, and a fold
+//     runs when someone needs the adjacency — a read, a checkpoint,
+//     Compact — never on an append's own account: a bulk load is
+//     appends, then ONE fold at its first read, which meeting an empty
+//     adjacency is the batch construction itself (Exact stays true).
+//     Ingest accumulates arriving triples into the delta batches of one
+//     AdjacencyStore;
 //   - one ingest store, shards × optional WAL: OpenAdjacencyStore
 //     (internal/stream.Open) hash-partitions the vertex space by source
 //     across N ≥ 1 shards (per-shard views and append locks), with
@@ -135,8 +141,8 @@
 // key set, both matrices marked unit-row where their row pointers were
 // last walked) and runs sparse.FoldUnitRows on the two column arrays: a
 // stable counting sort on the source, then per row a stable grouping on
-// the target. Nothing is transposed; a view's backlog fold is the same
-// kernel. Anything else — hyperedge rows, multi-hop A·A, masked
+// the target. Nothing is transposed; a view's fold of its unfolded log
+// suffix is the same kernel. Anything else — hyperedge rows, multi-hop A·A, masked
 // products, row keys that merely overlap — multiplies on the engine
 // below. The results cannot be told apart: row s of a unit-row Eoutᵀ
 // lists the edges out of s in key order, so the engine meets the

@@ -73,9 +73,10 @@ func builtinPaths() []Path {
 		},
 		{
 			// A fold inside every Append: PendingBudget 1 makes each batch
-			// overrun the backlog budget, so the universe sync, the backlog
-			// fold and the ⊕-merge into main run under the append itself
-			// (plain "stream" folds only in the Snapshot between batches),
+			// reach the budget, so the universe sync, the fold of the log's
+			// suffix and the ⊕-merge into main run under the append itself
+			// (plain "stream" folds only in the Snapshot between batches —
+			// fold-on-read, the one trigger a view has by default),
 			// with the interner's byte-hash fed the adversarial generators'
 			// keys (unicode, NUL, 0xff, prefix collisions) on the way.
 			Name:         "stream-fold-per-append",
@@ -159,8 +160,8 @@ func buildStreamSharded(_, _ *assoc.Array[float64], ops semiring.Ops[float64], i
 // replayStore replays the instance's batches through a store and
 // returns the adjacency of its final snapshot. Each Append scatters its
 // edges to per-shard sub-batches and each boundary Snapshot pins a full
-// epoch vector and forces the pending backlogs into the materialized
-// level, so the next batch folds against already-folded state. One
+// epoch vector and folds each shard's unfolded log suffix into the
+// materialized level, so the next batch folds against already-folded state. One
 // checkpoint is taken after the first batch; with a directory the store
 // is then aborted (no final checkpoint, no final sync) and the adjacency
 // comes from the REOPENED store — checkpoint load plus WAL-tail replay.

@@ -44,7 +44,7 @@ type IngestOptions struct {
 	// an explicit count other than its own; < 0 adopts it.
 	Shards int
 	// Stream tunes the per-shard views (compaction, associativity
-	// guard, pending budget).
+	// guard).
 	Stream stream.Options
 	// SkipConditionCheck accepts operator pairs that fail the Theorem
 	// II.1 conditions (the Report is still available via Report()).

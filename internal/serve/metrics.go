@@ -131,7 +131,7 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		"Stored adjacency entries across shards.",
 		func() float64 { return float64(m.sampled().stats.AdjNNZ) })
 	reg.GaugeFunc("adjserve_pending_entries",
-		"Contribution entries awaiting the backlog fold.",
+		"Edges in the log not yet folded into the adjacency; the next read folds them (all edges, on a server nobody has read).",
 		func() float64 { return float64(m.sampled().stats.Pending) })
 	for i := 0; i < store.Shards(); i++ {
 		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
@@ -141,10 +141,10 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		// Vertex-universe growth is paid in the fold, not in the append:
 		// these two are where an ingest of new vertices shows.
 		reg.CounterFunc("adjserve_view_folds_total",
-			"Backlog folds run per shard (budget-triggered or for a snapshot).",
+			"Folds run per shard: one per read or checkpoint that found unfolded edges.",
 			func() float64 { return float64(m.sampled().stats.PerShard[i].Folds) }, shard)
 		reg.CounterFunc("adjserve_view_fold_seconds_total",
-			"Seconds spent in folds per shard: universe sync, backlog fold, merge into the adjacency.",
+			"Seconds spent in folds per shard: universe sync, fold of the unfolded log suffix, merge into the adjacency.",
 			func() float64 { return time.Duration(m.sampled().stats.PerShard[i].FoldNanos).Seconds() }, shard)
 		reg.GaugeFunc("adjserve_wal_lag_batches",
 			"Batches a crash right now would lose, per shard (0 without a WAL).",

@@ -114,8 +114,8 @@ type foldJob[V any] struct {
 // those rows. Every span reads the whole row column — a sequential scan,
 // cheap beside the scatter — so the spans share no cursor and need no
 // per-span counts. The accumulator is taken from the kernel pools by the
-// first hub row: a fold of short rows — a view's small backlog over a
-// large universe — never asks for O(cols) scratch.
+// first hub row: a fold of short rows — a view's few unfolded edges over
+// a large universe — never asks for O(cols) scratch.
 func (f *foldJob[V]) span(lo, hi int) {
 	rowPtr, rowLen, colIdx, val := f.rowPtr, f.rowLen, f.colIdx, f.val
 	col, out, in, mul := f.col, f.out, f.in, f.ops.Mul

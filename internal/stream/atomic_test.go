@@ -40,8 +40,8 @@ type stateFingerprint struct {
 	edges, appends, epoch int
 	autoSeq               int
 	exact                 bool
-	nIDs, nVals, nPend    int
-	synced                int
+	nIDs, nVals           int
+	synced, folded        int
 }
 
 func fingerprint(v *View[float64]) stateFingerprint {
@@ -49,7 +49,7 @@ func fingerprint(v *View[float64]) stateFingerprint {
 		edges: len(v.srcID), appends: v.appends, epoch: int(v.epoch.Load()),
 		autoSeq: v.autoSeq, exact: v.exact,
 		nIDs: len(v.srcID) + len(v.dstID), nVals: len(v.out) + len(v.in),
-		nPend: len(v.pendCell) + len(v.pendVal), synced: v.synced,
+		synced: v.synced, folded: v.folded,
 	}
 }
 

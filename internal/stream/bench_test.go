@@ -171,11 +171,11 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterializeFold measures one backlog fold of 20 batches into
+// BenchmarkMaterializeFold measures one fold of 20 unread batches into
 // the main adjacency — the Snapshot-time cost.
 func BenchmarkMaterializeFold(b *testing.B) {
 	baseOut, baseIn, batches := s12Workload(b, b.N*20)
-	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{PendingBudget: 1 << 30})
+	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,6 +192,10 @@ func BenchmarkMaterializeFold(b *testing.B) {
 		if _, err := v.Snapshot(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if st := v.Stats(); st.Folds != b.N {
+		b.Fatalf("%d folds for %d snapshots: an append folded", st.Folds, b.N)
 	}
 }
 

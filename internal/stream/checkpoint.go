@@ -100,8 +100,8 @@ type image[V any] struct {
 }
 
 // imageLocked pins the current state. The caller holds v.mu and has
-// folded (materializeLocked), so the backlog is empty, the universe
-// covers the whole log and main spans it.
+// folded (materializeLocked), so main covers the whole log, the universe
+// does too and main spans it.
 func (v *View[V]) imageLocked() *image[V] {
 	v.mainShared = true
 	im := &image[V]{
@@ -551,6 +551,7 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 		srcPos:   srcPos,
 		dstPos:   dstPos,
 		synced:   edges,
+		folded:   edges,
 		main:     main,
 		appends:  int(meta[1]),
 		exact:    meta[6] == 1,

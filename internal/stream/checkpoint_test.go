@@ -38,8 +38,8 @@ func validateView[V any](v *View[V]) error {
 			return fmt.Errorf("edge keys not ascending at %d", i)
 		}
 	}
-	if v.synced != n || len(v.pendCell) != 0 || len(v.pendVal) != 0 {
-		return fmt.Errorf("synced %d of %d edges, %d pending", v.synced, n, len(v.pendVal))
+	if v.synced != n || v.folded != n {
+		return fmt.Errorf("synced %d and folded %d of %d edges", v.synced, v.folded, n)
 	}
 	if v.appends < 0 || v.epoch.Load() < 0 || v.autoSeq < 0 {
 		return fmt.Errorf("negative counters: appends %d epoch %d autoSeq %d", v.appends, v.epoch.Load(), v.autoSeq)

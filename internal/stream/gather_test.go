@@ -344,7 +344,7 @@ func TestFoldMovesMainThroughTheMaps(t *testing.T) {
 	}
 	ops := ring.Ops
 	w := func(src, dst string, out float64) Edge[float64] { return Weighted("", src, dst, out, 1) }
-	v := NewView(ops, Options{PendingBudget: 1 << 20}) // folds happen where the test asks
+	v := NewView(ops, Options{}) // folds happen where the test asks: at its reads
 	var all []Edge[float64]
 	step := func(when string, act func() error, edges ...Edge[float64]) {
 		t.Helper()
@@ -371,6 +371,11 @@ func TestFoldMovesMainThroughTheMaps(t *testing.T) {
 	step("a stored cell cancelled, no growth", fold, w("m3", "m1", -3))
 	step("compact right after growth", v.Compact, w("c1", "c2", 7), w("a0", "m2", 8))
 	step("a fold after the compact", fold, w("zz", "a1", 9))
+	// One fold per step that read; the Compact step rebuilt instead, and
+	// the comparison snapshots found nothing left to fold.
+	if st := v.Stats(); st.Folds != 6 || st.PendingNNZ != 0 {
+		t.Errorf("%d folds ran and %d edges are pending after six reading steps", st.Folds, st.PendingNNZ)
+	}
 }
 
 // What a read-after-write costs the owning view: after an append that

@@ -550,9 +550,9 @@ type StoreStats struct {
 	Edges     int     // edges across all shard logs
 	Epochs    []int   // per-shard batch epochs (the consistency vector)
 	AdjNNZ    int     // stored adjacency entries across shards (rows are disjoint, so the sum is exact)
-	Pending   int     // contribution entries awaiting per-shard folds
+	Pending   int     // edges in the shards' unfolded log suffixes (all of Edges on a store nobody has read)
 	Exact     bool    // every shard provably equals its one-shot construction
-	Folds     int     // backlog folds run across shards
+	Folds     int     // folds run across shards
 	FoldNanos int64   // time in them, summed (shards fold concurrently)
 	PerShard  []Stats // the full per-shard counters
 }

@@ -22,35 +22,38 @@
 // before that being the algebra's One (Definition I.4 asks only that an
 // entry be non-zero; Figure 1's unweighted arrays are this case). An
 // unkeyed, unweighted edge costs its 8 bytes of ids — in memory, in a
-// checkpoint, and, give or take the endpoint strings, in the WAL. A
-// pending contribution is the pair (source id, destination id) packed
-// into one integer, plus its value. A new vertex, wherever its key
-// sorts, gets the next id and moves nothing, so Append is one path:
-// validate the keys, intern the endpoints, append to the columns.
+// checkpoint, and, give or take the endpoint strings, in the WAL. The
+// edges not yet folded into the adjacency are a suffix of that log and
+// nothing more: no second copy of them is kept. A new vertex, wherever
+// its key sorts, gets the next id and moves nothing, so Append is one
+// path: validate the keys, intern the endpoints, append to the columns.
 //
 // Key order — the order of Definition I.1's key sets, which the
 // adjacency array and the incidence arrays are stored in — is
-// established only where it is consumed. The fold that merges the
-// backlog into the adjacency first syncs the vertex universe: the ids
-// first referenced since the last fold are collected, only THEIR keys
-// are sorted, one merge sweep per side folds them into the sorted key
-// Sets, and a new id → position array per side is built (the Sets are
-// Bound to the interners through those arrays, so every downstream key
-// lookup resolves through the same hash table instead of a per-Set
-// map). Pending pairs are then mapped to positions in that universe and
-// folded by sparse.FoldUnitRows — the kernel that builds an adjacency
-// array from a graph's incidence columns in one shot; the backlog is
-// such a pair of columns, with the ⊗-products already taken. Merging
-// that fold into the adjacency is also what carries the adjacency into a
-// universe the sync grew: the merge reads the old array through the
-// position maps the sync's sweep produced, one pass from the old storage
-// into the new, and no embedded copy is made first. The
-// key-ordered incidence arrays Eout and Ein themselves are
-// built from the log on request (Snapshot.Logs), which only Compact and
-// callers that want the arrays ask for — that build is the one place
-// generated keys are formatted and unit weights written out, once per
-// epoch; a checkpoint stores the log as it lies here, by id and with the
-// same columns left out (checkpoint.go).
+// established only where it is consumed. The fold that brings the
+// adjacency up to the log — run when a read, a checkpoint or Compact
+// needs it, never by an append on its own account — first syncs the
+// vertex universe: the ids first referenced since the last fold are
+// collected, only THEIR keys are sorted, one merge sweep per side folds
+// them into the sorted key Sets, and a new id → position array per side
+// is built (the Sets are Bound to the interners through those arrays, so
+// every downstream key lookup resolves through the same hash table
+// instead of a per-Set map). The unfolded suffix's endpoint ids are then
+// mapped to positions in that universe and folded by
+// sparse.FoldUnitRows — the kernel that builds an adjacency array from a
+// graph's incidence columns in one shot; the suffix IS such a pair of
+// columns, and the kernel takes the ⊗-products on the way. A fold that
+// meets an empty adjacency is that batch construction and nothing else:
+// its result becomes the adjacency. Otherwise merging the fold into the
+// adjacency is also what carries the adjacency into a universe the sync
+// grew: the merge reads the old array through the position maps the
+// sync's sweep produced, one pass from the old storage into the new, and
+// no embedded copy is made first. The key-ordered incidence arrays Eout
+// and Ein themselves are built from the log on request (Snapshot.Logs),
+// which only Compact and callers that want the arrays ask for — that
+// build is the one place generated keys are formatted and unit weights
+// written out, once per epoch; a checkpoint stores the log as it lies
+// here, by id and with the same columns left out (checkpoint.go).
 //
 // Soundness hypothesis: folding a delta into already-folded state
 // re-associates the per-cell ⊕ fold — ((earlier edges) ⊕ (delta))
@@ -124,10 +127,12 @@ type Options struct {
 	// accepting it and fails the Append if the re-associated fold could
 	// diverge (semiring.CheckAssociativeValues).
 	CheckAssociative bool
-	// PendingBudget bounds the delta backlog: once this many pending
-	// contribution entries accumulate they are folded into the main
-	// adjacency. <= 0 selects max(4096, nnz(main)/4). Smaller budgets
-	// fold more eagerly (cheaper snapshots, costlier appends).
+	// PendingBudget, when > 0, folds inside the append that brings the
+	// unfolded suffix of the log to this many edges. <= 0, the default,
+	// never folds inside an append: the suffix costs nothing beyond the
+	// log itself, so a fold runs only when something needs the adjacency
+	// (Snapshot, a checkpoint, Compact). Set by tests to force the
+	// fold-in-append interleavings on small inputs.
 	PendingBudget int
 }
 
@@ -139,21 +144,23 @@ type Options struct {
 // read).
 //
 // The adjacency is held in two levels, LSM-style: `main`, the
-// materialized array snapshots share, and a pending delta backlog —
-// each appended edge's contribution out⊗in recorded with its endpoint
-// ids, in arrival order. Level order is fold order: main holds the
+// materialized array snapshots share, and the pending level — which is
+// no structure of its own but the suffix of the edge log that main does
+// not cover yet, log[folded:]. Level order is fold order: main holds the
 // earlier edge keys, so a fold re-associates but never reorders
-// contributions.
+// contributions — and the first fold, which meets an empty main, does
+// not even re-associate: it is the batch construction over its edges.
 //
 // An Append costs O(batch) whatever the view holds and whatever the
-// batch introduces: the log and the backlog are indexed by interner id,
-// and ids never move (see the package comment). Everything that depends
-// on key ORDER — the sorted vertex universe, the id → position arrays,
-// main's key sets — is brought up to date by the fold, once per fold:
-// when the backlog outgrows Options.PendingBudget or a Snapshot needs
-// the materialized state. Cold ingest from an empty view, where nearly
-// every batch introduces vertices, is therefore the same code at the
-// same cost per edge as steady-state ingest.
+// batch introduces: the log is indexed by interner id, and ids never
+// move (see the package comment). Everything that depends on key
+// ORDER — the sorted vertex universe, the id → position arrays, main's
+// key sets — is brought up to date by the fold, once per fold, and a
+// fold has one trigger: someone needs main (Snapshot, a checkpoint's
+// pin, Compact; Options.PendingBudget > 0 adds "the suffix reached the
+// budget" for tests). A bulk load nobody reads is therefore appends
+// only, and its first read pays one fold — what batch construction over
+// the same edges costs.
 type View[V any] struct {
 	mu  sync.Mutex
 	ops semiring.Ops[V]
@@ -194,8 +201,7 @@ type View[V any] struct {
 	synced         int
 
 	main       *assoc.Array[V] // materialized adjacency (snapshots share it); spans uRows × uCols
-	pendCell   []int64         // pending contributions, srcID<<32 | dstID, arrival order
-	pendVal    []V             // pending contribution values, parallel to pendCell
+	folded     int             // main covers log[:folded]; the rest is the pending level
 	mainShared bool            // a Snapshot holds main's storage
 	mainScr    sparse.MergeScratch[V]
 
@@ -236,7 +242,7 @@ func (v *View[V]) fail(site string) error {
 
 // committedError marks an error raised AFTER a batch was fully
 // committed (counters bumped, edges in the log) by follow-on
-// maintenance — the backlog fold or an auto-compact. Rolling the batch
+// maintenance — a budgeted fold or an auto-compact. Rolling the batch
 // back there would be wrong (the maintenance may have merged in place),
 // so Append lets it through without restoring.
 type committedError struct{ err error }
@@ -251,7 +257,7 @@ func (e *committedError) Unwrap() error { return e.err }
 // anything reads them, and no Snapshot can have captured them (it takes
 // the lock the append holds).
 type appendRollback struct {
-	nLog, nPend     int
+	nLog            int
 	nRuns, nSpelled int  // the key column's lengths
 	hasOut, hasIn   bool // whether the value columns existed
 	appends         int
@@ -262,7 +268,7 @@ type appendRollback struct {
 
 func (v *View[V]) captureLocked() appendRollback {
 	return appendRollback{
-		nLog: len(v.srcID), nPend: len(v.pendCell),
+		nLog:  len(v.srcID),
 		nRuns: len(v.keys.runs), nSpelled: len(v.keys.spelled),
 		hasOut: v.out != nil, hasIn: v.in != nil,
 		appends: v.appends, epoch: v.epoch.Load(),
@@ -285,7 +291,6 @@ func (v *View[V]) rollbackLocked(rb appendRollback, err error) error {
 	// The columns are truncated as they lie: one the batch brought into
 	// being goes back to not existing.
 	v.out, v.in = truncateVals(v.out, rb.hasOut, rb.nLog), truncateVals(v.in, rb.hasIn, rb.nLog)
-	v.pendCell, v.pendVal = v.pendCell[:rb.nPend], v.pendVal[:rb.nPend]
 	v.appends = rb.appends
 	v.epoch.Store(rb.epoch)
 	v.autoSeq, v.autoBase = rb.autoSeq, rb.autoBase
@@ -306,9 +311,11 @@ type batchScratch[V any] struct {
 	srcs, dsts     []string
 	outs, ins      []V
 	srcIDs, dstIDs []int32 // interner ids, parallel to srcs/dsts
-	// materialize: the backlog's cells as universe positions, and the
-	// array they fold into
+	// materialize: the unfolded suffix's endpoints as universe positions,
+	// One for a value column the log does not hold, and the array they
+	// fold into
 	foldRow, foldCol []int32
+	ones             []V
 	fold             sparse.FoldScratch[V]
 }
 
@@ -352,7 +359,7 @@ func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Op
 		return nil, err
 	}
 	v.uRows, v.uCols, v.main = eout.ColKeys(), ein.ColKeys(), adj
-	v.synced = len(v.srcID)
+	v.synced, v.folded = len(v.srcID), len(v.srcID)
 	return v, nil
 }
 
@@ -430,8 +437,8 @@ func (v *View[V]) Append(edges []Edge[V]) error {
 	return nil
 }
 
-// appendLocked is Append under the lock: validate, intern, log, queue,
-// count — then the budget and compaction policies, whose failures are
+// appendLocked is Append under the lock: validate, intern, log, count —
+// then the budget and compaction policies, whose failures are
 // committedErrors. Nothing of the view is touched before the batch has
 // passed every check.
 func (v *View[V]) appendLocked(edges []Edge[V]) error {
@@ -519,19 +526,10 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	}
 	v.srcID = append(grow(v.srcID, n), s.srcIDs...)
 	v.dstID = append(grow(v.dstID, n), s.dstIDs...)
-	v.out = appendVals(v.out, hasOut, n0, s.outs, ops.One)
-	v.in = appendVals(v.in, hasIn, n0, s.ins, ops.One)
+	v.out = appendColumn(v.out, hasOut, n0, s.outs, ops.One)
+	v.in = appendColumn(v.in, hasIn, n0, s.ins, ops.One)
 	if err := v.fail("append:logged"); err != nil {
 		return err
-	}
-	// The backlog fills toward the fold budget and resets keeping its
-	// capacity, so its growth stops after the first fold cycle. The
-	// budget itself is never pre-reserved — it is a CAP, and callers
-	// legitimately set it huge to defer folding.
-	v.pendCell, v.pendVal = grow(v.pendCell, n), grow(v.pendVal, n)
-	for i := range s.srcIDs {
-		v.pendCell = append(v.pendCell, int64(s.srcIDs[i])<<32|int64(s.dstIDs[i]))
-		v.pendVal = append(v.pendVal, ops.Mul(s.outs[i], s.ins[i]))
 	}
 	v.appends++
 	v.epoch.Add(1)
@@ -542,7 +540,7 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	// Committed: from here on v.logs no longer describes the log, and a
 	// failure is the maintenance's, not the batch's.
 	v.logs = nil
-	if len(v.pendVal) >= v.pendingBudget() {
+	if b := v.opt.PendingBudget; b > 0 && len(v.srcID)-v.folded >= b {
 		if err := v.materializeLocked(); err != nil {
 			return &committedError{err}
 		}
@@ -555,10 +553,10 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	return nil
 }
 
-// appendVals appends a batch's values to one value column of the log. A
+// appendColumn appends a batch's values to one value column of the log. A
 // column exists only once an edge has carried a weight on its side: the
 // first that does brings it into being, One for every earlier edge.
-func appendVals[V any](col []V, exists bool, n0 int, vals []V, one V) []V {
+func appendColumn[V any](col []V, exists bool, n0 int, vals []V, one V) []V {
 	if !exists {
 		return nil
 	}
@@ -594,17 +592,6 @@ func (v *View[V]) checkBatchAssociativeLocked() error {
 		return fmt.Errorf("stream: %w", err)
 	}
 	return nil
-}
-
-func (v *View[V]) pendingBudget() int {
-	if v.opt.PendingBudget > 0 {
-		return v.opt.PendingBudget
-	}
-	b := v.main.NNZ() / 4
-	if b < 4096 {
-		b = 4096
-	}
-	return b
 }
 
 // syncUniverseLocked brings the sorted vertex universe up to the log:
@@ -717,22 +704,35 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 	return grownSet, grown, oldPos, nil
 }
 
-// materializeLocked folds the pending backlog into the main adjacency.
-// The universe is synced first, so every pending (source id, destination
-// id) pair has a row and a column in it; the contributions then go
-// through sparse.FoldUnitRows — the kernel batch construction runs on a
-// graph's incidence columns — which groups them by cell, keeps arrival
-// order within each cell, ⊕-folds each cell's run and prunes folds equal
-// to the algebra's zero; the resulting delta array ⊕-merges into main
-// with main's entries on the left. When the sync grew the universe, that
-// merge is also what moves main into it: main is read through the sync's
-// position maps, one pass from its old storage into the new array. Level
-// order is edge-key order, so only the fold's GROUPING changes, never its
-// order — and the grouping changes only at this main-vs-backlog boundary,
-// which is where a non-associative ⊕ can diverge (flagged via Exact
-// unless the guard is on).
+// foldScratchKeep is the largest fold, in edges, whose buffers stay with
+// the view for the next one. A serving view folds a batch or a few
+// between reads; a bulk load's one fold is the size of the log, and
+// scratch sized by it would sit at ~20 B per loaded edge under every
+// later fold a thousandth its size.
+const foldScratchKeep = 1 << 12
+
+// materializeLocked folds the pending level — the log's unfolded suffix,
+// log[folded:] — into the main adjacency. It is the view's one fold
+// routine and runs when main is needed — Snapshot, a checkpoint's pin —
+// or inside the append that reaches Options.PendingBudget when a test set
+// one (Compact rebuilds main from the whole log instead). The universe is
+// synced first, so every endpoint id of the suffix has a row or a column
+// in it; the suffix's columns then go through sparse.FoldUnitRows — the
+// kernel batch construction runs on a graph's incidence columns — which
+// takes each edge's ⊗-product, groups them by cell, keeps arrival order
+// within each cell, ⊕-folds each cell's run and prunes folds equal to the
+// algebra's zero. Met by an empty main,
+// that array IS the adjacency of the log so far (the bulk-load case: one
+// fold, batch construction's cost, Exact untouched). Otherwise it
+// ⊕-merges into main with main's entries on the left. When the sync grew
+// the universe, that merge is also what moves main into it: main is read
+// through the sync's position maps, one pass from its old storage into
+// the new array. Level order is edge-key order, so only the fold's
+// GROUPING changes, never its order — and the grouping changes only at
+// this main-vs-suffix boundary, which is where a non-associative ⊕ can
+// diverge (flagged via Exact unless the guard is on).
 func (v *View[V]) materializeLocked() error {
-	if len(v.pendVal) == 0 {
+	if v.folded == len(v.srcID) {
 		return nil
 	}
 	start := time.Now()
@@ -745,7 +745,7 @@ func (v *View[V]) materializeLocked() error {
 		return err
 	}
 	err = v.mergeBacklogLocked(rowMap, colMap)
-	// A backlog that folded to nothing, or failed to, merged nothing.
+	// A suffix that folded to nothing, or failed to, merged nothing.
 	if rerr := v.respanMainLocked(rowMap, colMap); err == nil {
 		err = rerr
 	}
@@ -756,21 +756,32 @@ func (v *View[V]) materializeLocked() error {
 // colMap place main's key sets in the universe, as the sync returned
 // them.
 func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
-	n := len(v.pendVal)
+	from, n := v.folded, len(v.srcID)-v.folded
 	s := &v.scr
-	s.foldRow, s.foldCol = grow(s.foldRow[:0], n)[:n], grow(s.foldCol[:0], n)[:n]
-	for i, c := range v.pendCell {
-		s.foldRow[i], s.foldCol[i] = v.srcPos[c>>32], v.dstPos[uint32(c)]
+	if n > foldScratchKeep {
+		s = new(batchScratch[V]) // this fold's own; garbage when it returns
 	}
-	// The fold array only feeds the merge below — EWiseAddInto never
-	// returns or retains its src backing — so it may live in the scratch
-	// the next materialize reuses.
-	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, v.pendVal, nil, v.ops, sparse.MxmOptions{}, &s.fold)
+	s.foldRow, s.foldCol = grow(s.foldRow[:0], n)[:n], grow(s.foldCol[:0], n)[:n]
+	for i := range s.foldRow {
+		s.foldRow[i], s.foldCol[i] = v.srcPos[v.srcID[from+i]], v.dstPos[v.dstID[from+i]]
+	}
+	// A value column the log does not hold is One in every entry, here as
+	// in Logs: the fold takes One ⊗ in[k], as batch construction would.
+	out, in := s.onesFor(v.out, from, n, v.ops.One), s.onesFor(v.in, from, n, v.ops.One)
+	// A fold that only feeds the merge below — EWiseAddInto never returns
+	// or retains its src backing — may live in the scratch the next one
+	// reuses. One that meets an empty main becomes main and owns its
+	// storage.
+	adopt := v.main.NNZ() == 0
+	scr := &s.fold
+	if adopt {
+		scr = nil
+	}
+	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, out, in, v.ops, sparse.MxmOptions{}, scr)
 	if err != nil {
 		return err
 	}
-	v.pendCell = v.pendCell[:0]
-	v.pendVal = v.pendVal[:0]
+	v.folded = len(v.srcID)
 	if fm.NNZ() == 0 {
 		// Every fold pruned to the algebra's zero — nothing to merge.
 		return nil
@@ -779,9 +790,15 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 	if err != nil {
 		return err
 	}
-	if v.main.NNZ() > 0 && !v.opt.CheckAssociative {
-		// The merge below groups the backlog's folded contributions
-		// against already-folded state under unverified ⊕.
+	if adopt {
+		// Nothing was folded before: this is Definition I.4's one fold over
+		// the log so far, in edge order — no ⊕ was re-associated.
+		v.main, v.mainShared = fold, false
+		return nil
+	}
+	if !v.opt.CheckAssociative {
+		// The merge below groups the suffix's folded contributions against
+		// already-folded state under unverified ⊕.
 		v.exact = false
 	}
 	main, err := assoc.AddIntoMapped(v.main, fold, rowMap, colMap, v.ops, !v.mainShared, &v.mainScr)
@@ -795,12 +812,24 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 	return nil
 }
 
+// onesFor returns log column col's entries [from, from+n) — or, for a
+// column that does not exist, n entries of one from the scratch.
+func (s *batchScratch[V]) onesFor(col []V, from, n int, one V) []V {
+	if col != nil {
+		return col[from : from+n]
+	}
+	for len(s.ones) < n {
+		s.ones = append(s.ones, one)
+	}
+	return s.ones[:n]
+}
+
 // Snapshot returns an immutable read view of the current state: the
 // adjacency array, the edge log behind Logs, and counters. Everything
 // shares storage with the live state, and subsequent appends leave
 // everything reachable from the snapshot untouched (copy-on-write), so
 // a snapshot costs O(1) — except when appends happened since the last
-// read, in which case the pending backlog is folded into the main
+// read, in which case the log's unfolded suffix is folded into the main
 // adjacency first (amortized across those appends).
 func (v *View[V]) Snapshot() (Snapshot[V], error) {
 	v.mu.Lock()
@@ -956,8 +985,7 @@ func (v *View[V]) compactLocked() error {
 		v.main = adj
 		v.mainShared = false
 	}
-	v.pendCell = v.pendCell[:0]
-	v.pendVal = v.pendVal[:0]
+	v.folded = len(v.srcID)
 	v.appends = 0
 	v.exact = true
 	return nil
@@ -975,20 +1003,21 @@ func (v *View[V]) rebuildLocked() (*assoc.Array[V], error) {
 
 // Stats summarizes the view without exposing its arrays. Taking stats
 // never folds: AdjNNZ and the vertex counts describe the folded main
-// level only, with PendingNNZ contribution entries still in the backlog
-// (pre-fold, so several entries may later collapse into one stored cell,
-// and their endpoints join the vertex counts at the fold).
+// level only, with PendingNNZ edges of the log still to fold (pre-fold,
+// so several may later collapse into one stored cell, and their endpoints
+// join the vertex counts at the fold). On a view nobody has read,
+// PendingNNZ is Edges and Folds is 0.
 type Stats struct {
 	Edges       int   // edges in the log
 	OutVertices int   // distinct source vertices, as of the last fold
 	InVertices  int   // distinct destination vertices, as of the last fold
 	AdjNNZ      int   // stored entries in the materialized main level
-	PendingNNZ  int   // contribution entries awaiting the backlog fold
+	PendingNNZ  int   // edges in the log's unfolded suffix: Edges minus what main covers
 	Appends     int   // batches since the last compact
 	Epoch       int   // batches ever applied
 	Exact       bool  // see Snapshot.Exact
-	Folds       int   // backlog folds run (budget-triggered or for a Snapshot)
-	FoldNanos   int64 // time in them: universe sync + backlog fold + merge into main
+	Folds       int   // folds run: one per read or checkpoint that found unfolded edges
+	FoldNanos   int64 // time in them: universe sync + suffix fold + merge into main
 }
 
 // InternerStats reports the footprint of the out-side (source) and
@@ -1008,7 +1037,7 @@ func (v *View[V]) Stats() Stats {
 		OutVertices: v.uRows.Len(),
 		InVertices:  v.uCols.Len(),
 		AdjNNZ:      v.main.NNZ(),
-		PendingNNZ:  len(v.pendVal),
+		PendingNNZ:  len(v.srcID) - v.folded,
 		Appends:     v.appends,
 		Epoch:       int(v.epoch.Load()),
 		Exact:       v.exact,

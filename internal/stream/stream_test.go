@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -431,4 +432,83 @@ func edgesOf(s Snapshot[float64]) []Edge[float64] {
 		edges = append(edges, Weighted(k, o[0].(string), n[0].(string), o[1].(float64), n[1].(float64)))
 	}
 	return edges
+}
+
+// A load nobody reads is appends only, and its first read is ONE fold —
+// the batch construction over the log so far, so Exact holds and the
+// adjacency is bit for bit what assoc.Correlate makes of Logs(). Every
+// batch grows the universe on both sides; the arms differ in which value
+// columns the log holds when the fold reads its suffix. The second read,
+// after one more batch, merges a fold into a main that is not empty:
+// Exact falls unless the associativity guard vouches for the merge. (The
+// load is sized past the 4096-entry backlog budget views once had, under
+// which its fourth batch folded and its first read merged.)
+func TestUnreadAppendsFoldOnce(t *testing.T) {
+	const batches, per = 6, 1200
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	arms := []struct {
+		name   string
+		weight func(batch int, e *Edge[float64])
+	}{
+		{"unweighted", func(int, *Edge[float64]) {}},
+		{"both sides", func(b int, e *Edge[float64]) { e.Out, e.In, e.HasOut, e.HasIn = float64(b+2), 0.5, true, true }},
+		{"out only", func(b int, e *Edge[float64]) { e.Out, e.HasOut = float64(b+2), true }},
+		{"in only", func(b int, e *Edge[float64]) { e.In, e.HasIn = float64(b+2), true }},
+		{"columns appear mid-log", func(b int, e *Edge[float64]) {
+			e.HasOut, e.HasIn = b >= 2, b >= 4
+			e.Out, e.In = float64(b), 0.25
+		}},
+	}
+	for _, arm := range arms {
+		for _, guard := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/guard=%v", arm.name, guard), func(t *testing.T) {
+				r := rand.New(rand.NewSource(7))
+				ops := plusTimes(t)
+				v := NewView(ops, Options{CheckAssociative: guard})
+				batch := func(b int) []Edge[float64] {
+					es := make([]Edge[float64], per)
+					for i := range es {
+						// Vertices up to the batch's own: each batch brings new ones.
+						es[i] = Edge[float64]{Src: fmt.Sprintf("s%03d", r.Intn(40*(b+1))), Dst: fmt.Sprintf("d%03d", r.Intn(40*(b+1)))}
+						arm.weight(b, &es[i])
+					}
+					es[0].Src, es[1].Dst = fmt.Sprintf("s%03d", 40*b+39), fmt.Sprintf("d%03d", 40*b+39)
+					return es
+				}
+				check := func(when string, folds int, exact bool) {
+					t.Helper()
+					snap := mustSnap(t, v)
+					eout, ein, err := snap.Logs()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := assoc.Diff(snap.Adjacency, want, bits, nil); d != "" {
+						t.Errorf("%s: %s", when, d)
+					}
+					if st := v.Stats(); st.Folds != folds || st.PendingNNZ != 0 || st.Exact != exact || snap.Exact != exact {
+						t.Errorf("%s: %d folds, %d pending, exact %v (snapshot %v); want %d, 0, %v",
+							when, st.Folds, st.PendingNNZ, st.Exact, snap.Exact, folds, exact)
+					}
+				}
+				for b := 0; b < batches; b++ {
+					if err := v.Append(batch(b)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st := v.Stats(); st.Folds != 0 || st.PendingNNZ != st.Edges || st.Edges != batches*per || st.AdjNNZ != 0 {
+					t.Errorf("before any read: %d folds, %d of %d edges pending, %d entries", st.Folds, st.PendingNNZ, st.Edges, st.AdjNNZ)
+				}
+				check("first read", 1, true)
+				check("clean read", 1, true)
+				if err := v.Append(batch(batches)); err != nil {
+					t.Fatal(err)
+				}
+				check("read after one more batch", 2, guard)
+			})
+		}
+	}
 }
