@@ -248,9 +248,10 @@ type StreamOptions = stream.Options
 // costs O(batch) whether or not the batch introduces vertices: the view
 // stores its edge log by stable vertex id — the edges not yet folded are
 // that log's suffix, nothing more — and establishes key order once per
-// fold, which a read, a checkpoint or Compact triggers: a bulk load
-// nobody reads is appends only, and its first read pays one fold, the
-// batch construction.
+// fold, which a whole-array read (Snapshot), a checkpoint or Compact
+// triggers: a bulk load nobody reads is appends only, and its first
+// Snapshot pays one fold, the batch construction. A read of one cell or
+// row (Point) folds nothing.
 type AdjacencyView[V any] = stream.View[V]
 
 // AdjacencySnapshot is an immutable read view of an AdjacencyView: the
@@ -258,6 +259,13 @@ type AdjacencyView[V any] = stream.View[V]
 // arrays Eout and Ein of its epoch through Logs(), built on first
 // request.
 type AdjacencySnapshot[V any] = stream.Snapshot[V]
+
+// AdjacencyPointSnapshot is a view pinned for point reads — At(src, dst)
+// and Row(src, yield), nothing else — by AdjacencyView.Point or
+// AdjacencyStore.OwnerSnapshot: it answers from the folded adjacency ⊕
+// the log's unfolded suffix, bit-identical to the fold it does not run,
+// so a read-your-write costs O(batch) instead of a fold of the view.
+type AdjacencyPointSnapshot[V any] = stream.PointSnapshot[V]
 
 // StreamStats summarizes a view's counters.
 type StreamStats = stream.Stats

@@ -82,15 +82,25 @@
 //     from the kernels' vectors (CSRGraph's BFSLevelVector, SSSPVector,
 //     WidestPathVector, PageRankVector) by an append-style encoder,
 //     byte-compatible with the former encoding/json output over maps
-//     (a golden test and two fuzz targets hold it to that). A point
-//     read (/at, /row) pins only the shard that owns its source vertex
-//     (AdjacencyStore.OwnerSnapshot): in its "epochs" the owner's entry
-//     is the epoch the answer was pinned at, a sibling's is that
-//     shard's current epoch, read without its lock, a fold or a
-//     gather. Algorithm answers and /batch pin every shard and build
-//     their Graph from the pinned shards' arrays (algo.FromArrays: one
-//     copy, straight into the kernels' vertex space); only /triples
-//     reads the gathered store-wide array. The query_static and
+//     (a golden test and two fuzz targets hold it to that). A view
+//     has two pins. The whole-array pin (Snapshot, Pin) folds the
+//     log's unfolded suffix into the materialized array first, because
+//     its consumers want one array. The point pin
+//     (AdjacencyStore.OwnerSnapshot, for /at and /row) pins only the
+//     shard that owns the source vertex and never folds it, up to a
+//     threshold of max(4096, nnz/8) unfolded edges: it answers
+//     main(s,d) ⊕ the ⊕-fold of the suffix's contributions to (s,d) in
+//     log order — main on the left, since main holds the earlier edge
+//     keys, which is the grouping the fold's merge would have made, so
+//     the answer is bit-identical to the fold it did not run — and a
+//     read-your-write costs O(batch), not a copy of the shard. In its
+//     "epochs" the owner's entry is the epoch the answer was pinned
+//     at, a sibling's is that shard's current epoch, read without its
+//     lock, a fold or a gather. Algorithm answers and /batch pin every
+//     shard and build their Graph from the pinned shards' arrays
+//     (algo.FromArrays: one copy, straight into the kernels' vertex
+//     space); only /triples reads the gathered store-wide array. The
+//     query_static and
 //     mixed_rw workloads of the repository's benchmark (bench/,
 //     BENCHMARK.json) drive the front door of a real adjserve child and
 //     record per-endpoint latency percentiles;

@@ -31,7 +31,7 @@ func TestBuiltinPathRoster(t *testing.T) {
 	want := map[string]bool{
 		"reference-merge": false, "parallel": false,
 		"fold": false, "fold-parallel": false,
-		"stream": false,
+		"stream": false, "stream-point-read": false,
 	}
 	for _, name := range PathNames() {
 		if _, ok := want[name]; ok {

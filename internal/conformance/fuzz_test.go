@@ -75,7 +75,11 @@ func FuzzCorrelate(f *testing.F) {
 // batch boundaries, snapshots and compactions, and checks the final
 // state against the one-shot batch construction. Weights are exact
 // dyadics, so ⊕ = + is exactly associative and equality MUST hold —
-// including for a second guarded view, which must never reject.
+// including for a second guarded view, which must never reject, and for a
+// third that is asked point reads between its batches and folds only where
+// the fuzzer says: every cell and row read through its point pin at the
+// end — main ⊕ whatever suffix the last fold left — must be the batch
+// construction's.
 func FuzzStreamAppend(f *testing.F) {
 	f.Add([]byte{}, byte(1), byte(0))
 	f.Add([]byte{0, 0, 1, 1, 0, 0}, byte(1), byte(0xaa))
@@ -100,6 +104,7 @@ func FuzzStreamAppend(f *testing.F) {
 		}
 		plain := stream.NewView(ops, stream.Options{})
 		guarded := stream.NewView(ops, stream.Options{CheckAssociative: true})
+		pointed := stream.NewView(ops, stream.Options{})
 		k := 1 + int(batchSize)%5
 		for lo, step := 0, 0; lo < len(edges); lo, step = lo+k, step+1 {
 			hi := lo + k
@@ -112,15 +117,27 @@ func FuzzStreamAppend(f *testing.F) {
 			if err := guarded.Append(edges[lo:hi]); err != nil {
 				t.Fatalf("guard false positive on exact dyadic +: %v", err)
 			}
+			if err := pointed.Append(edges[lo:hi]); err != nil {
+				t.Fatalf("append [%d,%d): %v", lo, hi, err)
+			}
 			switch {
 			case opsMask>>(step%8)&1 == 1:
 				if err := plain.Compact(); err != nil {
 					t.Fatalf("compact: %v", err)
 				}
+				if _, err := pointed.Snapshot(); err != nil {
+					t.Fatalf("snapshot: %v", err)
+				}
 			case step%2 == 1:
 				if _, err := plain.Snapshot(); err != nil {
 					t.Fatalf("snapshot: %v", err)
 				}
+			}
+			// A point read of the cell just written: a pin between batches.
+			if pt, err := pointed.Point(); err != nil {
+				t.Fatalf("point pin: %v", err)
+			} else if _, ok := pt.At(edges[lo].Src, edges[lo].Dst); !ok {
+				t.Fatalf("step %d: (%s,%s) was appended and does not read as stored", step, edges[lo].Src, edges[lo].Dst)
 			}
 		}
 		// One-shot oracle over the same edges.
@@ -133,6 +150,24 @@ func FuzzStreamAppend(f *testing.F) {
 		want, err := assoc.Correlate(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ops, assoc.MulOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		pt, err := pointed.Point()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			src := fmt.Sprintf("v%d", i)
+			row := map[string]float64{}
+			pt.Row(src, func(dst string, v float64) { row[dst] = v })
+			for j := 0; j < 8; j++ {
+				dst := fmt.Sprintf("v%d", j)
+				got, ok := pt.At(src, dst)
+				fromRow, inRow := row[dst]
+				if wv, wok := want.At(src, dst); ok != wok || got != wv || inRow != wok || fromRow != wv {
+					t.Fatalf("point read (%s,%s) over %d unfolded edges = %v,%v (in its row: %v,%v); batch construction holds %v,%v",
+						src, dst, pt.Suffix(), got, ok, fromRow, inRow, wv, wok)
+				}
+			}
 		}
 		for name, v := range map[string]*stream.View[float64]{"plain": plain, "guarded": guarded} {
 			snap, err := v.Snapshot()

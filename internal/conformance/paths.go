@@ -2,13 +2,16 @@ package conformance
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sync"
 
 	"adjarray/internal/assoc"
+	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
 	"adjarray/internal/sparse"
 	"adjarray/internal/stream"
+	"adjarray/internal/value"
 	"adjarray/internal/wal"
 )
 
@@ -111,6 +114,20 @@ func builtinPaths() []Path {
 			ReAssociates: true,
 			Build:        buildStreamDurableRecovered,
 		},
+		{
+			// The store as a server that is asked nothing but point reads
+			// sees it: after every acknowledged batch each row appended so
+			// far is read through Store.OwnerSnapshot — main ⊕ the log's
+			// unfolded suffix, no fold — and the array those reads spell is
+			// held against the construction over the acked prefix (the dense
+			// Definition I.3 oracle where the pair is Theorem II.1-compliant
+			// on it, the serial engine otherwise). A whole-array Snapshot at
+			// every third boundary gives later suffixes a non-empty main to
+			// meet. The array returned is the one the last reads spell.
+			Name:         "stream-point-read",
+			ReAssociates: true,
+			Build:        buildStreamPointRead,
+		},
 	}
 }
 
@@ -125,9 +142,9 @@ func buildReferenceMerge(eout, ein *assoc.Array[float64], ops semiring.Ops[float
 	return assoc.New(eout.ColKeys(), ein.ColKeys(), m)
 }
 
-// The incremental paths are three configurations of the one
-// stream.Store: one shard in memory, three shards in memory, one shard
-// on disk crashed and recovered.
+// The incremental paths are configurations of the one stream.Store: one
+// shard in memory, three shards in memory, one shard on disk crashed and
+// recovered — and, last, two shards read cell by cell without folding.
 
 // buildStream replays the instance through a one-shard store: one
 // Append per split segment with a Snapshot between batches, so every
@@ -174,28 +191,14 @@ func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards in
 		return nil, err
 	}
 	defer func() { s.Abort() }()
-	prev := 0
-	cuts := append(append([]int{}, inst.Splits...), len(inst.Edges))
-	for _, cut := range cuts {
-		if cut <= prev {
-			continue
+	err = appendBatches(s, inst, func(nth, _ int) error {
+		if _, err := s.Snapshot(); err != nil || nth > 1 {
+			return err
 		}
-		batch := make([]stream.Edge[float64], cut-prev)
-		for i, e := range inst.Edges[prev:cut] {
-			batch[i] = stream.Weighted(e.Key, e.Src, e.Dst, e.Out, e.In)
-		}
-		if err := s.Append(batch); err != nil {
-			return nil, err
-		}
-		if _, err := s.Snapshot(); err != nil {
-			return nil, err
-		}
-		if prev == 0 {
-			if err := s.Checkpoint(); err != nil {
-				return nil, err
-			}
-		}
-		prev = cut
+		return s.Checkpoint()
+	})
+	if err != nil {
+		return nil, err
 	}
 	if dir != "" {
 		s.Abort()
@@ -207,6 +210,92 @@ func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards in
 	}
 	snap, err := s.Snapshot()
 	return snap.Adjacency, err
+}
+
+// appendBatches appends the instance to s one split segment at a time
+// and calls acked after each Append: nth counts the batches so far, cut
+// the edges they hold.
+func appendBatches(s *stream.Store[float64], inst Instance, acked func(nth, cut int) error) error {
+	prev, nth := 0, 0
+	for _, cut := range append(append([]int{}, inst.Splits...), len(inst.Edges)) {
+		if cut <= prev {
+			continue
+		}
+		batch := make([]stream.Edge[float64], cut-prev)
+		for i, e := range inst.Edges[prev:cut] {
+			batch[i] = stream.Weighted(e.Key, e.Src, e.Dst, e.Out, e.In)
+		}
+		if err := s.Append(batch); err != nil {
+			return err
+		}
+		nth++
+		if err := acked(nth, cut); err != nil {
+			return err
+		}
+		prev = cut
+	}
+	return nil
+}
+
+func buildStreamPointRead(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
+	s, err := stream.Open("", ops, 2, stream.Options{}, stream.DurableOptions[float64]{})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Abort()
+	entry, registered := semiring.Lookup(ops.Name)
+	got, _ := Instance{}.Incidence() // what no reads spell: the empty array
+	err = appendBatches(s, inst, func(nth, cut int) error {
+		if nth%3 == 0 {
+			if _, err := s.Snapshot(); err != nil {
+				return err
+			}
+		}
+		acked := Instance{Edges: inst.Edges[:cut]}
+		eout, ein := acked.Incidence()
+		var err error
+		if got, err = pointReadArray(s, eout.ColKeys(), ein.ColKeys()); err != nil {
+			return err
+		}
+		var want *assoc.Array[float64]
+		if registered && oracleEligible(entry, acked) {
+			want, err = assoc.MulDense(eout.Transpose(), ein, ops)
+		} else {
+			want, err = assoc.Mul(eout.Transpose(), ein, ops, assoc.MulOptions{})
+		}
+		if err != nil {
+			return err
+		}
+		if diff := assoc.Diff(want, got, ops.Equal, value.FormatFloat); diff != "" {
+			return fmt.Errorf("point reads after %d acknowledged edges: %s", cut, diff)
+		}
+		return nil
+	})
+	return got, err
+}
+
+// pointReadArray reads every row of srcs through the point pin of the
+// shard that owns it, each cell of a row once more as a cell, and returns
+// what the reads spell as an array over srcs × dsts.
+func pointReadArray(s *stream.Store[float64], srcs, dsts *keys.Set) (*assoc.Array[float64], error) {
+	var cells []assoc.Triple[float64]
+	for i := 0; i < srcs.Len(); i++ {
+		src := srcs.Key(i)
+		pt, _, err := s.OwnerSnapshot(src)
+		if err != nil {
+			return nil, err
+		}
+		pt.Row(src, func(dst string, v float64) {
+			if at, ok := pt.At(src, dst); !ok || math.Float64bits(at) != math.Float64bits(v) {
+				err = fmt.Errorf("row %q holds %q = %v; the cell reads %v, %v", src, dst, v, at, ok)
+			}
+			cells = append(cells, assoc.Triple[float64]{Row: src, Col: dst, Val: v})
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return assoc.FromTriples(cells, nil).Reindex(srcs, dsts)
 }
 
 var (

@@ -8,6 +8,7 @@ import (
 	"adjarray/internal/algo"
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
+	"adjarray/internal/stream"
 )
 
 // The one way a read answer is written. Every answer is a JSON object
@@ -83,8 +84,8 @@ func (st stamp) appendTo(b []byte) []byte {
 }
 
 // appendAt answers one cell: dst, stamp, src, stored, value.
-func appendAt(b []byte, st stamp, adj *assoc.Array[float64], src, dst string) []byte {
-	val, stored := adj.At(src, dst)
+func appendAt(b []byte, st stamp, pt stream.PointSnapshot[float64], src, dst string) []byte {
+	val, stored := pt.At(src, dst)
 	b = append(b, `{"dst":`...)
 	b = appendJSONString(b, dst)
 	b = append(b, ',')
@@ -99,24 +100,22 @@ func appendAt(b []byte, st stamp, adj *assoc.Array[float64], src, dst string) []
 }
 
 // appendRow answers one adjacency row — stamp, row, src — straight from
-// the CSR row slice and the column key set; a source that is not a row
-// key has the empty row.
-func appendRow(b []byte, st stamp, adj *assoc.Array[float64], src string) []byte {
+// the pinned shard's CSR row and column key set, merged with what the
+// log's unfolded suffix adds to it; a source that holds no row has the
+// empty one.
+func appendRow(b []byte, st stamp, pt stream.PointSnapshot[float64], src string) []byte {
 	b = append(b, '{')
 	b = st.appendTo(b)
 	b = append(b, `"row":{`...)
-	if i, ok := adj.RowKeys().Index(src); ok {
-		cols, vals := adj.Matrix().Row(i)
-		colKeys := adj.ColKeys()
-		for p, j := range cols {
-			if p > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, colKeys.Key(int(j)))
-			b = append(b, ':')
-			b = appendJSONFloat(b, vals[p])
+	open := len(b)
+	pt.Row(src, func(dst string, v float64) {
+		if len(b) > open {
+			b = append(b, ',')
 		}
-	}
+		b = appendJSONString(b, dst)
+		b = append(b, ':')
+		b = appendJSONFloat(b, v)
+	})
 	b = append(b, `},"src":`...)
 	b = appendJSONString(b, src)
 	return append(b, '}')

@@ -103,12 +103,15 @@ func TestAnswerAllocations(t *testing.T) {
 	}
 }
 
-// A point read pins the shard that owns its source and nothing else:
-// after an acknowledged append the source's /at and /row see it, while
-// every sibling still holds the backlog the append left it — so none was
-// pinned, and therefore nothing was gathered, a gather needing every
-// shard's snapshot — and the answer's epoch vector is the owner's pinned
-// epoch beside the siblings' current ones.
+// A point read pins the shard that owns its source and nothing else, and
+// folds nothing: after an acknowledged append the source's /at and /row
+// see the new edge while NO shard's fold count moves and every shard —
+// the owner too — still holds the unfolded edges the append left it (so
+// nothing was gathered either, a gather needing every shard's snapshot);
+// the answer's epoch vector is the owner's pinned epoch beside the
+// siblings' current ones. Only once the owner's unfolded suffix has
+// outgrown the threshold does a point read fold — the owner, and only the
+// owner.
 func TestPointReadPinsOnlyTheOwner(t *testing.T) {
 	for _, shards := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -135,30 +138,9 @@ func TestPointReadPinsOnlyTheOwner(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := New(ing, Options{})
-			for owner, src := range sources {
-				if err := ing.AppendBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-				before := store.Stats()
-				code, at := get(t, s, "/at?src="+src+"&dst=new")
-				if code != http.StatusOK || at["stored"] != true {
-					t.Fatalf("/at after the acknowledged append: code %d body %v", code, at)
-				}
-				code, row := get(t, s, "/row?src="+src)
-				if code != http.StatusOK || row["row"].(map[string]any)["new"] == nil || row["row"].(map[string]any)["old"] == nil {
-					t.Fatalf("/row after the acknowledged append: code %d body %v", code, row)
-				}
-				after := store.Stats()
-				for i := range sources {
-					switch pending := after.PerShard[i].PendingNNZ; {
-					case i == owner && pending != 0:
-						t.Errorf("owner shard %d still has %d pending entries: it was not pinned", i, pending)
-					case i != owner && (pending == 0 || pending != before.PerShard[i].PendingNNZ):
-						t.Errorf("sibling shard %d had %d pending entries and has %d: a point read for shard %d folded it",
-							i, before.PerShard[i].PendingNNZ, pending, owner)
-					}
-				}
-				for _, body := range []map[string]any{at, row} {
+			checkEpochs := func(after stream.StoreStats, bodies ...map[string]any) {
+				t.Helper()
+				for _, body := range bodies {
 					epochs := body["epochs"].([]any)
 					sum := 0.0
 					for i, e := range epochs {
@@ -171,9 +153,59 @@ func TestPointReadPinsOnlyTheOwner(t *testing.T) {
 						t.Errorf("epoch fields %v / %v do not describe %d shards", body["epoch"], epochs, shards)
 					}
 				}
-				if _, err := ing.Snapshot(); err != nil { // fold the siblings for the next round
+			}
+			for owner, src := range sources {
+				if err := ing.AppendBatch(batch); err != nil {
 					t.Fatal(err)
 				}
+				before := store.Stats()
+				code, at := get(t, s, "/at?src="+src+"&dst=new")
+				if code != http.StatusOK || at["stored"] != true || at["value"] != float64(owner+1) {
+					t.Fatalf("/at after the acknowledged append: code %d body %v", code, at)
+				}
+				code, row := get(t, s, "/row?src="+src)
+				if cells := row["row"].(map[string]any); code != http.StatusOK || cells["new"] != float64(owner+1) || cells["old"] != 1.0 {
+					t.Fatalf("/row after the acknowledged append: code %d body %v", code, row)
+				}
+				after := store.Stats()
+				for i := range sources {
+					if b, a := before.PerShard[i], after.PerShard[i]; a.Folds != b.Folds || a.PendingNNZ != b.PendingNNZ || a.PendingNNZ == 0 {
+						t.Errorf("shard %d had %d unfolded edges after %d folds and has %d after %d: a point read for shard %d folded it",
+							i, b.PendingNNZ, b.Folds, a.PendingNNZ, a.Folds, owner)
+					}
+				}
+				checkEpochs(after, at, row)
+			}
+			if got := scrapeMetric(t, s, `adjserve_point_reads_total{path="suffix"}`); got != float64(2*shards) {
+				t.Errorf("%v point reads counted over a suffix; want %d", got, 2*shards)
+			}
+
+			// One edge more than the threshold allows, all on shard 0's source.
+			big := make([]stream.Edge[float64], 1<<12)
+			for i := range big {
+				big[i] = stream.Edge[float64]{Src: sources[0], Dst: fmt.Sprintf("d%04d", i)}
+			}
+			if err := ing.AppendBatch(big); err != nil {
+				t.Fatal(err)
+			}
+			before := store.Stats()
+			code, at := get(t, s, "/at?src="+sources[0]+"&dst=d4095")
+			if code != http.StatusOK || at["stored"] != true {
+				t.Fatalf("/at past the threshold: code %d body %v", code, at)
+			}
+			after := store.Stats()
+			for i := range sources {
+				b, a := before.PerShard[i], after.PerShard[i]
+				switch {
+				case i == 0 && (a.Folds != b.Folds+1 || a.PendingNNZ != 0):
+					t.Errorf("the owner held %d unfolded edges and holds %d after %d more folds; want one fold of all of them", b.PendingNNZ, a.PendingNNZ, a.Folds-b.Folds)
+				case i != 0 && (a.Folds != b.Folds || a.PendingNNZ != b.PendingNNZ):
+					t.Errorf("sibling shard %d folded for a point read of shard 0", i)
+				}
+			}
+			checkEpochs(after, at)
+			if got := scrapeMetric(t, s, `adjserve_point_reads_total{path="folded"}`); got != 1 {
+				t.Errorf("%v point reads counted as folding first; want 1", got)
 			}
 		})
 	}
@@ -252,5 +284,34 @@ func BenchmarkNewEpoch(b *testing.B) {
 		serveDiscarding(b, s, w, httptest.NewRequest("GET", probe, nil))
 		serveDiscarding(b, s, w, bfs)
 		serveDiscarding(b, s, w, rank)
+	}
+}
+
+// BenchmarkReadYourWrite is a point read that meets unfolded edges, on a
+// 2-shard store of the R-MAT scale-14 graph: each iteration posts one
+// 32-edge ingest (untimed) and then reads the source it wrote last — the
+// /at of the new cell, or the whole /row — so ns/op and B/op are what one
+// read over the log's unfolded suffix costs; the suffix grows to the fold
+// threshold and starts over, as it does on a server asked nothing else.
+func BenchmarkReadYourWrite(b *testing.B) {
+	for _, arm := range []string{"at", "row"} {
+		b.Run(arm, func(b *testing.B) {
+			s := New(rmatIngest(b, 14, 2), Options{})
+			r := rand.New(rand.NewSource(2))
+			w := &discard{header: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				body, probe := newEpochBatch(r, i)
+				if arm == "row" {
+					probe = "/row?" + probe[len("/at?"):strings.Index(probe, "&")]
+				}
+				serveDiscarding(b, s, w, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
+				read := httptest.NewRequest("GET", probe, nil)
+				b.StartTimer()
+				serveDiscarding(b, s, w, read)
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"strconv"
 
 	"adjarray/internal/algo"
-	"adjarray/internal/assoc"
+	"adjarray/internal/stream"
 )
 
 // batchOp is one operation inside a POST /batch request.
@@ -67,9 +67,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// A source's whole row lives on the shard its routing hash names, so
 	// that shard's pinned array answers a point op cell for cell as the
-	// gathered one would.
-	owner := func(src string) *assoc.Array[float64] {
-		return shards[s.ing.Store().ShardFor(src)].Adjacency
+	// gathered one would. The batch's pin folded every shard: a point op
+	// reads no suffix.
+	owner := func(src string) stream.PointSnapshot[float64] {
+		return shards[s.ing.Store().ShardFor(src)].Point()
 	}
 	// The Graph is built (or fetched from the cache) at most once per
 	// batch, and only when an algorithm op actually needs it.
@@ -136,7 +137,7 @@ func opStatus(err error) int {
 // appendOp answers one batch op from the shared pinned snapshot, in the
 // shape of its standalone endpoint with the op's name for a stamp. An
 // op that fails appends nothing.
-func (s *Server) appendOp(b []byte, op batchOp, owner func(src string) *assoc.Array[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
+func (s *Server) appendOp(b []byte, op batchOp, owner func(src string) stream.PointSnapshot[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
 	st := stamp{op: op.Op}
 	var run func(g *algo.Graph) (result, error)
 	switch op.Op {

@@ -31,6 +31,11 @@ type metrics struct {
 
 	ingestShed *obs.Counter
 
+	// Point reads answered beside an unfolded log suffix, and those that
+	// found it past the threshold and folded first; one on a shard folded
+	// up to its log counts as neither.
+	pointSuffix, pointFolded *obs.Counter
+
 	// Snapshot epoch age: how long since the served epoch vector last
 	// advanced — the staleness a reader observes, as distinct from WAL
 	// lag (what a crash would lose).
@@ -104,6 +109,9 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		"Queries that pinned an older snapshot than the cached Graph and were served uncached.")
 	m.ingestShed = reg.Counter("adjserve_ingest_shed_readonly_total",
 		"POST /ingest requests answered 503 because the durable store is read-only.")
+	const pointHelp = "Point reads (/at, /row) that met unfolded edges on the owning shard: answered over the suffix, or past the fold threshold and folded first."
+	m.pointSuffix = reg.Counter("adjserve_point_reads_total", pointHelp, obs.Label{Name: "path", Value: "suffix"})
+	m.pointFolded = reg.Counter("adjserve_point_reads_total", pointHelp, obs.Label{Name: "path", Value: "folded"})
 	// Storage-health state machine, pulled at scrape time (lock-free
 	// reads). State is the worst shard (0 ok, 1 degraded, 2 read-only);
 	// faults sum across shards over WAL appends, fsyncs, and checkpoint
@@ -131,7 +139,7 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		"Stored adjacency entries across shards.",
 		func() float64 { return float64(m.sampled().stats.AdjNNZ) })
 	reg.GaugeFunc("adjserve_pending_entries",
-		"Edges in the log not yet folded into the adjacency; the next read folds them (all edges, on a server nobody has read).",
+		"Edges in the log not yet folded into the adjacency: the next whole-array read folds them (all edges, on a server nobody has read); under point reads alone it stays non-zero, bounded by max(4096, nnz/8) per shard.",
 		func() float64 { return float64(m.sampled().stats.Pending) })
 	for i := 0; i < store.Shards(); i++ {
 		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
@@ -141,7 +149,7 @@ func newMetrics(reg *obs.Registry, ing *core.Ingest) *metrics {
 		// Vertex-universe growth is paid in the fold, not in the append:
 		// these two are where an ingest of new vertices shows.
 		reg.CounterFunc("adjserve_view_folds_total",
-			"Folds run per shard: one per read or checkpoint that found unfolded edges.",
+			"Folds run per shard: one per whole-array read or checkpoint that found unfolded edges, or point read that found them past the threshold.",
 			func() float64 { return float64(m.sampled().stats.PerShard[i].Folds) }, shard)
 		reg.CounterFunc("adjserve_view_fold_seconds_total",
 			"Seconds spent in folds per shard: universe sync, fold of the unfolded log suffix, merge into the adjacency.",

@@ -253,17 +253,24 @@ func (s *Server) snapshot(w http.ResponseWriter) ([]stream.Snapshot[float64], []
 	return shards, epochs, exact, true
 }
 
-// pinOwner pins a point read: the snapshot of the one shard that owns
-// src's row, and the epoch vector to answer with (see
+// pinOwner pins a point read: the point pin of the one shard that owns
+// src's row — main beside the log's unfolded suffix, nothing folded up to
+// the threshold — and the epoch vector to answer with (see
 // stream.Store.OwnerSnapshot), with the HTTP error path folded in.
-func (s *Server) pinOwner(w http.ResponseWriter, src string) (*assoc.Array[float64], []int, bool) {
-	snap, epochs, err := s.ing.Store().OwnerSnapshot(src)
+func (s *Server) pinOwner(w http.ResponseWriter, src string) (stream.PointSnapshot[float64], []int, bool) {
+	pt, epochs, err := s.ing.Store().OwnerSnapshot(src)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return nil, nil, false
+		return pt, nil, false
 	}
 	s.met.observeEpochs(epochs)
-	return snap.Adjacency, epochs, true
+	switch {
+	case pt.Folded:
+		s.met.pointFolded.Inc()
+	case pt.Suffix() > 0:
+		s.met.pointSuffix.Inc()
+	}
+	return pt, epochs, true
 }
 
 // ---- graph cache ----
@@ -405,11 +412,11 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want ?src=...&dst=...", http.StatusBadRequest)
 		return
 	}
-	adj, epochs, ok := s.pinOwner(w, src)
+	pt, epochs, ok := s.pinOwner(w, src)
 	if !ok {
 		return
 	}
-	s.writeAnswer(w, func(b []byte) []byte { return appendAt(b, stamp{epochs: epochs}, adj, src, dst) })
+	s.writeAnswer(w, func(b []byte) []byte { return appendAt(b, stamp{epochs: epochs}, pt, src, dst) })
 }
 
 func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
@@ -418,11 +425,11 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want ?src=...", http.StatusBadRequest)
 		return
 	}
-	adj, epochs, ok := s.pinOwner(w, src)
+	pt, epochs, ok := s.pinOwner(w, src)
 	if !ok {
 		return
 	}
-	s.writeAnswer(w, func(b []byte) []byte { return appendRow(b, stamp{epochs: epochs}, adj, src) })
+	s.writeAnswer(w, func(b []byte) []byte { return appendRow(b, stamp{epochs: epochs}, pt, src) })
 }
 
 // triplesDefault is the /triples row budget when the client sends no

@@ -229,7 +229,7 @@ func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 	if err != nil {
 		t.Fatalf("point read: %v", err)
 	}
-	if v, ok := sn.Adjacency.At(src, "y"); !ok || v != 1 {
+	if v, ok := sn.At(src, "y"); !ok || v != 1 {
 		t.Errorf("the owner's row reads (%v, %v)", v, ok)
 	}
 }

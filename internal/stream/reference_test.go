@@ -393,3 +393,23 @@ func TestFirstWeightArrivesLate(t *testing.T) {
 		t.Errorf("Logs() after the first weight: Eout %v, Ein %v", eout.Triples(), ein.Triples())
 	}
 }
+
+// referenceOwnerSnapshot is Store.OwnerSnapshot as it was before a point
+// read had a pin of its own: fold the owning shard, hand out its whole
+// Snapshot. What the point pin answers over the unfolded suffix is checked
+// against the array this one folds.
+func referenceOwnerSnapshot[V any](s *Store[V], src string) (Snapshot[V], []int, error) {
+	owner := s.ShardFor(src)
+	sn, err := s.parts[owner].v.Snapshot()
+	if err != nil {
+		return Snapshot[V]{}, nil, fmt.Errorf("stream: shard %d: %w", owner, err)
+	}
+	epochs := make([]int, len(s.parts))
+	for i, p := range s.parts {
+		if i != owner {
+			epochs[i] = int(p.epoch())
+		}
+	}
+	epochs[owner] = sn.Epoch
+	return sn, epochs, nil
+}

@@ -253,8 +253,9 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 
 // OwnerSnapshot is the read for one row: it answers from the owning
 // shard exactly what the gathered adjacency holds for that row, folds no
-// sibling, caches no gather, and reports the owner's pinned epoch beside
-// the siblings' current ones. On one shard it is that shard's Snapshot.
+// shard — not even the owner, whose unfolded edges it reads beside main —
+// caches no gather, and reports the owner's pinned epoch beside the
+// siblings' current ones.
 func TestOwnerSnapshotPinsOneShard(t *testing.T) {
 	ops := semiring.PlusTimes()
 	for _, shards := range []int{1, 2, 3, 5} {
@@ -282,28 +283,36 @@ func TestOwnerSnapshotPinsOneShard(t *testing.T) {
 			if epochs[i] != after.Epochs[i] {
 				t.Errorf("%d shards: epochs[%d] = %d, want the shard's epoch %d", shards, i, epochs[i], after.Epochs[i])
 			}
-			if i != owner && after.PerShard[i].PendingNNZ != before.PerShard[i].PendingNNZ {
-				t.Errorf("%d shards: sibling %d folded for a read of shard %d", shards, i, owner)
+			if after.PerShard[i].PendingNNZ != before.PerShard[i].PendingNNZ || after.PerShard[i].Folds != before.PerShard[i].Folds {
+				t.Errorf("%d shards: shard %d folded for a point read of shard %d", shards, i, owner)
 			}
 		}
-		if epochs[owner] != sn.Epoch || after.PerShard[owner].PendingNNZ != 0 {
-			t.Errorf("%d shards: owner pinned at %d with %d pending, vector says %d", shards, sn.Epoch, after.PerShard[owner].PendingNNZ, epochs[owner])
+		if epochs[owner] != sn.Epoch || sn.Suffix() != before.PerShard[owner].PendingNNZ || sn.Suffix() == 0 || sn.Folded {
+			t.Errorf("%d shards: owner pinned at %d over %d unfolded edges (folded %v); the vector says %d, the shard held %d",
+				shards, sn.Epoch, sn.Suffix(), sn.Folded, epochs[owner], before.PerShard[owner].PendingNNZ)
+		}
+		// The fold-first read this one replaced answers the same, at the
+		// same vector.
+		ref, refEpochs, err := referenceOwnerSnapshot(sv, src)
+		if err != nil || !slices.Equal(refEpochs, epochs) || !sameRows(pointRow(sn, src), rowOf(ref.Adjacency, src)) {
+			t.Errorf("%d shards: point row %v at %v; the folded owner holds %v at %v (%v)",
+				shards, pointRow(sn, src), epochs, rowOf(ref.Adjacency, src), refEpochs, err)
 		}
 		// The owner's row is the whole row: every cell of it reads the same
-		// from the owner's array and from the gather of every shard.
+		// from the owner's pin and from the gather of every shard.
 		whole := mustAdj(t, mustShardSnap(t, sv))
+		var want []assoc.Triple[float64]
 		whole.Iterate(func(r, c string, v float64) {
 			if r != src {
 				return
 			}
-			if got, ok := sn.Adjacency.At(r, c); !ok || got != v {
+			want = append(want, assoc.Triple[float64]{Row: r, Col: c, Val: v})
+			if got, ok := sn.At(r, c); !ok || got != v {
 				t.Errorf("%d shards: owner holds (%q,%q) = %v,%v; the gather holds %v", shards, r, c, got, ok, v)
 			}
 		})
-		if i, ok := sn.Adjacency.RowKeys().Index(src); !ok {
-			t.Errorf("%d shards: the owner does not hold %q's row", shards, src)
-		} else if j, _ := whole.RowKeys().Index(src); sn.Adjacency.Matrix().RowNNZ(i) != whole.Matrix().RowNNZ(j) {
-			t.Errorf("%d shards: the owner's row has %d entries, the gathered row %d", shards, sn.Adjacency.Matrix().RowNNZ(i), whole.Matrix().RowNNZ(j))
+		if got := pointRow(sn, src); len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%d shards: the owner's row reads %v, the gathered row %v", shards, got, want)
 		}
 	}
 }

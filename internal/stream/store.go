@@ -354,9 +354,10 @@ type gather[V any] struct {
 // filled, Adjacency only if a Snapshot at the same vector has gathered
 // already. It is the read for a consumer that works from the shards'
 // arrays themselves: a graph kernel builds its vertex space straight
-// from them (algo.FromArrays), a point read goes to the shard that owns
-// its row (ShardFor), and neither needs the store-wide array a gather
-// would copy together. While the vector is unchanged the same snapshot
+// from them (algo.FromArrays), a /batch's point ops go to the pinned
+// shard that owns their row (ShardFor), and neither needs the store-wide
+// array a gather would copy together. (A point read on its own does not
+// pin the store at all: OwnerSnapshot.) While the vector is unchanged the same snapshot
 // is returned again.
 func (s *Store[V]) Pin() (StoreSnapshot[V], error) {
 	var few [4]Snapshot[V] // keeps the unchanged-vector path off the heap
@@ -415,19 +416,20 @@ func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
 
 // OwnerSnapshot pins only the shard that owns src — the routing hash
 // that makes the gather exact also says where a source vertex's whole
-// adjacency row lives — and returns that shard's snapshot with the
-// store's epoch vector: the owner's entry is the pinned epoch, every
-// sibling's is its current epoch, read without its lock — a sibling in
-// the middle of a fold is neither waited for nor made to fold. It is the
-// read for one row or one cell: nothing is gathered, so its cost does
-// not grow with the shard count. The snapshot's arrays span the owner's
-// key universe only; a key the owner has never seen is simply absent
-// from them.
-func (s *Store[V]) OwnerSnapshot(src string) (Snapshot[V], []int, error) {
+// adjacency row lives — for point reads (View.Point: main ⊕ the log's
+// unfolded suffix, no fold up to the threshold there), and returns that
+// pin with the store's epoch vector: the owner's entry is the pinned
+// epoch, every sibling's is its current epoch, read without its lock — a
+// sibling in the middle of a fold is neither waited for nor made to fold.
+// It is the read for one row or one cell: nothing is gathered and nothing
+// is copied, so its cost grows neither with the shard count nor with the
+// shard, only with what was appended since the owner's last fold. A key
+// the owner has never seen is simply absent from the answers.
+func (s *Store[V]) OwnerSnapshot(src string) (PointSnapshot[V], []int, error) {
 	owner := s.ShardFor(src)
-	sn, err := s.parts[owner].v.Snapshot()
+	pt, err := s.parts[owner].v.Point()
 	if err != nil {
-		return Snapshot[V]{}, nil, fmt.Errorf("stream: shard %d: %w", owner, err)
+		return PointSnapshot[V]{}, nil, fmt.Errorf("stream: shard %d: %w", owner, err)
 	}
 	epochs := make([]int, len(s.parts))
 	for i, p := range s.parts {
@@ -435,8 +437,8 @@ func (s *Store[V]) OwnerSnapshot(src string) (Snapshot[V], []int, error) {
 			epochs[i] = int(p.epoch())
 		}
 	}
-	epochs[owner] = sn.Epoch
-	return sn, epochs, nil
+	epochs[owner] = pt.Epoch
+	return pt, epochs, nil
 }
 
 // mergeAdjacency gathers the per-shard adjacencies into one array
@@ -550,7 +552,7 @@ type StoreStats struct {
 	Edges     int     // edges across all shard logs
 	Epochs    []int   // per-shard batch epochs (the consistency vector)
 	AdjNNZ    int     // stored adjacency entries across shards (rows are disjoint, so the sum is exact)
-	Pending   int     // edges in the shards' unfolded log suffixes (all of Edges on a store nobody has read)
+	Pending   int     // edges in the shards' unfolded log suffixes (all of Edges on a store nobody has read; under point reads alone it may stay non-zero, bounded by max(4096, AdjNNZ/8) per shard)
 	Exact     bool    // every shard provably equals its one-shot construction
 	Folds     int     // folds run across shards
 	FoldNanos int64   // time in them, summed (shards fold concurrently)

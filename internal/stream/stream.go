@@ -31,8 +31,9 @@
 // Key order — the order of Definition I.1's key sets, which the
 // adjacency array and the incidence arrays are stored in — is
 // established only where it is consumed. The fold that brings the
-// adjacency up to the log — run when a read, a checkpoint or Compact
-// needs it, never by an append on its own account — first syncs the
+// adjacency up to the log — run when a whole-array read, a checkpoint or
+// Compact needs it, never by an append on its own account and not by a
+// read of one cell or row — first syncs the
 // vertex universe: the ids first referenced since the last fold are
 // collected, only THEIR keys are sorted, one merge sweep per side folds
 // them into the sorted key Sets, and a new id → position array per side
@@ -68,10 +69,16 @@
 // Options.CheckAssociative samples the hypothesis on every append and
 // fails fast instead.
 //
-// Reads are served from Snapshots: immutable views that share storage
-// with the live state (copy-on-write — an append never mutates storage
-// reachable from a handed-out snapshot), so taking one is O(1) and
-// snapshot readers never block ingest.
+// Reads are served from two kinds of pin, both immutable views that share
+// storage with the live state (copy-on-write — an append never mutates
+// storage reachable from a handed-out pin), so that readers never block
+// ingest. The whole-array pin, Snapshot, is what a consumer of the
+// adjacency as one array takes (a graph kernel, the gather, a checkpoint):
+// it folds the log's unfolded suffix first and is O(1) when there is none.
+// The point pin, Point, is what a read of one cell or one row takes: it
+// never folds (up to a threshold, pointFoldShare) and answers from the
+// materialized array ⊕ the suffix, scanned — the delta identity read
+// instead of applied, O(suffix) per read and no allocation to pin.
 package stream
 
 import (
@@ -138,10 +145,11 @@ type Options struct {
 
 // View is a maintained adjacency array: an append-only edge log and the
 // current A = Eoutᵀ ⊕.⊗ Ein, updated per batch by the delta identity.
-// All methods are safe for concurrent use; reads should go through
-// Snapshot, which never blocks on ingest more than the O(1) bookkeeping
-// under the lock (plus a fold when appends happened since the last
-// read).
+// All methods are safe for concurrent use; reads go through one of two
+// pins, neither of which blocks on ingest more than the O(1) bookkeeping
+// under the lock: Snapshot (the whole array — plus a fold when appends
+// happened since the last one) and Point (one cell or row — no fold; see
+// PointSnapshot).
 //
 // The adjacency is held in two levels, LSM-style: `main`, the
 // materialized array snapshots share, and the pending level — which is
@@ -156,11 +164,17 @@ type Options struct {
 // move (see the package comment). Everything that depends on key
 // ORDER — the sorted vertex universe, the id → position arrays, main's
 // key sets — is brought up to date by the fold, once per fold, and a
-// fold has one trigger: someone needs main (Snapshot, a checkpoint's
-// pin, Compact; Options.PendingBudget > 0 adds "the suffix reached the
-// budget" for tests). A bulk load nobody reads is therefore appends
-// only, and its first read pays one fold — what batch construction over
-// the same edges costs.
+// fold has one trigger: someone needs main to be the whole adjacency
+// (Snapshot, a checkpoint's pin, Compact; Options.PendingBudget > 0 adds
+// "the suffix reached the budget" for tests). A bulk load nobody reads is
+// therefore appends only, and its first whole-array read pays one fold —
+// what batch construction over the same edges costs. A point read (Point)
+// is not such a someone: it reads main's cell and the suffix's
+// contributions to it and ⊕-combines them as the fold would, main on the
+// left because main holds the earlier edge keys, and makes the view fold
+// only once the suffix has grown past max(foldScratchKeep,
+// main.NNZ()/pointFoldShare) edges — so under point reads alone
+// Stats.PendingNNZ stays non-zero, bounded by that.
 type View[V any] struct {
 	mu  sync.Mutex
 	ops semiring.Ops[V]
@@ -202,7 +216,7 @@ type View[V any] struct {
 
 	main       *assoc.Array[V] // materialized adjacency (snapshots share it); spans uRows × uCols
 	folded     int             // main covers log[:folded]; the rest is the pending level
-	mainShared bool            // a Snapshot holds main's storage
+	mainShared bool            // a Snapshot or a PointSnapshot holds main's storage
 	mainScr    sparse.MergeScratch[V]
 
 	// logs is what Snapshot hands out for the current log and universe;
@@ -711,11 +725,23 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 // later fold a thousandth its size.
 const foldScratchKeep = 1 << 12
 
+// pointFoldShare sets where a point read stops scanning the unfolded
+// suffix and folds it instead (View.Point): past
+// max(foldScratchKeep, main.NNZ()/pointFoldShare) edges. Derived from the
+// two costs, not tuned: a read scans the suffix at ≈1 ns per edge, a fold
+// costs ≈100 ns per suffix edge plus a 12 B copy of every stored entry of
+// main, so a suffix an eighth of main's size is scanned by a few dozen
+// reads for the price of the one fold that would empty it — LSM-style
+// amortisation, the same on every view, which is why it is a constant and
+// not an option.
+const pointFoldShare = 8
+
 // materializeLocked folds the pending level — the log's unfolded suffix,
 // log[folded:] — into the main adjacency. It is the view's one fold
-// routine and runs when main is needed — Snapshot, a checkpoint's pin —
-// or inside the append that reaches Options.PendingBudget when a test set
-// one (Compact rebuilds main from the whole log instead). The universe is
+// routine and runs when main is needed whole — Snapshot, a checkpoint's
+// pin, a point pin whose suffix outgrew its threshold — or inside the
+// append that reaches Options.PendingBudget when a test set one (Compact
+// rebuilds main from the whole log instead). The universe is
 // synced first, so every endpoint id of the suffix has a row or a column
 // in it; the suffix's columns then go through sparse.FoldUnitRows — the
 // kernel batch construction runs on a graph's incidence columns — which
@@ -818,8 +844,11 @@ func (s *batchScratch[V]) onesFor(col []V, from, n int, one V) []V {
 	if col != nil {
 		return col[from : from+n]
 	}
-	for len(s.ones) < n {
-		s.ones = append(s.ones, one)
+	if have := len(s.ones); have < n {
+		s.ones = grow(s.ones, n-have)[:n]
+		for i := have; i < n; i++ {
+			s.ones[i] = one
+		}
 	}
 	return s.ones[:n]
 }
@@ -829,8 +858,9 @@ func (s *batchScratch[V]) onesFor(col []V, from, n int, one V) []V {
 // shares storage with the live state, and subsequent appends leave
 // everything reachable from the snapshot untouched (copy-on-write), so
 // a snapshot costs O(1) — except when appends happened since the last
-// read, in which case the log's unfolded suffix is folded into the main
-// adjacency first (amortized across those appends).
+// fold, in which case the log's unfolded suffix is folded into the main
+// adjacency first (amortized across those appends). It is the whole-array
+// pin; a read of one cell or row takes Point, which does not fold.
 func (v *View[V]) Snapshot() (Snapshot[V], error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -1006,7 +1036,9 @@ func (v *View[V]) rebuildLocked() (*assoc.Array[V], error) {
 // level only, with PendingNNZ edges of the log still to fold (pre-fold,
 // so several may later collapse into one stored cell, and their endpoints
 // join the vertex counts at the fold). On a view nobody has read,
-// PendingNNZ is Edges and Folds is 0.
+// PendingNNZ is Edges and Folds is 0; on one that is only asked point
+// reads PendingNNZ may stay non-zero, bounded by
+// max(foldScratchKeep, AdjNNZ/pointFoldShare).
 type Stats struct {
 	Edges       int   // edges in the log
 	OutVertices int   // distinct source vertices, as of the last fold
@@ -1016,7 +1048,7 @@ type Stats struct {
 	Appends     int   // batches since the last compact
 	Epoch       int   // batches ever applied
 	Exact       bool  // see Snapshot.Exact
-	Folds       int   // folds run: one per read or checkpoint that found unfolded edges
+	Folds       int   // folds run: one per whole-array read or checkpoint that found unfolded edges, or point read that found them past the threshold
 	FoldNanos   int64 // time in them: universe sync + suffix fold + merge into main
 }
 
