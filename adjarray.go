@@ -238,8 +238,8 @@ func WeightedStreamEdge[V any](key, src, dst string, out, in V) StreamEdge[V] {
 }
 
 // StreamOptions tunes a maintained adjacency view (compaction cadence,
-// associativity guard; PendingBudget forces folds inside appends for
-// tests — by default a fold runs when a read needs the adjacency).
+// associativity guard). A fold runs when a read needs the adjacency,
+// never inside an append.
 type StreamOptions = stream.Options
 
 // AdjacencyView maintains A = Eoutᵀ ⊕.⊗ Ein under continuous edge
@@ -425,20 +425,20 @@ type ConformanceDivergence = conformance.Divergence
 
 // SelfCheck runs the cross-backend conformance harness: `instances`
 // adversarial random instances per registry operator pair, each fed
-// through every registered construction path — ConformancePaths() lists
-// them: the merge reference, the engine in parallel, the unit-row fold
-// serial and parallel, and the incremental stream plain, interned,
-// goroutine-sharded and recovered from its WAL — and
+// through every construction path — ConformancePaths() lists them: the
+// merge reference, the engine in parallel, the unit-row fold serial and
+// parallel, and the incremental stream plain, goroutine-sharded,
+// recovered from its WAL and read point by point — and
 // compared against the explicit Mul(Eoutᵀ, Ein) and, where the Theorem
 // II.1 conditions license it, the dense Definition I.3 oracle.
 // The first divergence is returned as a *ConformanceDivergence error
 // with a minimized counterexample; nil means every path agreed on every
-// instance. Deployments embedding custom backends can call this at
-// startup or from their own test suites.
+// instance. A deployment can call this at startup or from its own test
+// suite.
 func SelfCheck(seed int64, instances int) error { return conformance.SelfCheck(seed, instances) }
 
-// ConformancePaths lists the registered construction-path names the
-// harness covers.
+// ConformancePaths lists the construction-path names the harness
+// covers.
 func ConformancePaths() []string { return conformance.PathNames() }
 
 // Values.

@@ -72,20 +72,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "adjbuild: %s backend=%q workers=%d nnz=%d elapsed=%s\n",
 		res.Ops.Name, *backend, *workers, res.Adjacency.NNZ(), res.Elapsed)
 
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	err = render.WriteOutput(*out, func(w io.Writer) error {
+		if *grid {
+			_, err := fmt.Fprint(w, assoc.Format(res.Adjacency, value.FormatFloat))
+			return err
 		}
-		defer f.Close()
-		w = f
-	}
-	if *grid {
-		fmt.Fprint(w, assoc.Format(res.Adjacency, value.FormatFloat))
-		return
-	}
-	if err := writeArray(w, res.Adjacency); err != nil {
+		return writeArray(w, res.Adjacency)
+	})
+	if err != nil {
 		fatal(err)
 	}
 }

@@ -60,24 +60,18 @@ func main() {
 	fmt.Fprintf(os.Stderr, "explode: %d records × %d fields -> %d×%d incidence array, %d entries\n",
 		len(td.Rows), len(td.Fields), rows, cols, e.NNZ())
 
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	err = render.WriteOutput(*out, func(w io.Writer) error {
+		if *grid {
+			_, err := fmt.Fprint(w, assoc.Format(e, value.FormatFloat))
+			return err
 		}
-		defer f.Close()
-		w = f
-	}
-	if *grid {
-		fmt.Fprint(w, assoc.Format(e, value.FormatFloat))
-		return
-	}
-	var recs []render.TripleRecord
-	e.Iterate(func(row, col string, v float64) {
-		recs = append(recs, render.TripleRecord{Row: row, Col: col, Val: value.FormatFloat(v)})
+		var recs []render.TripleRecord
+		e.Iterate(func(row, col string, v float64) {
+			recs = append(recs, render.TripleRecord{Row: row, Col: col, Val: value.FormatFloat(v)})
+		})
+		return render.WriteTriples(w, recs)
 	})
-	if err := render.WriteTriples(w, recs); err != nil {
+	if err != nil {
 		fatal(err)
 	}
 }

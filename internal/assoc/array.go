@@ -12,7 +12,6 @@ package assoc
 
 import (
 	"fmt"
-	"sort"
 
 	"adjarray/internal/keys"
 	"adjarray/internal/sparse"
@@ -222,16 +221,6 @@ func (a *Array[V]) RowDegrees() map[string]int {
 	return out
 }
 
-// ColDegrees returns the stored-entry count per column key.
-func (a *Array[V]) ColDegrees() map[string]int {
-	out := make(map[string]int, a.cols.Len())
-	t := a.mat.Transpose()
-	for j := 0; j < a.cols.Len(); j++ {
-		out[a.cols.Key(j)] = t.RowNNZ(j)
-	}
-	return out
-}
-
 // Reindex embeds the array into larger (or reordered) key sets: entries
 // keep their (rowKey, colKey) coordinates, mapped into the new sets.
 // Every existing key must be present in the new sets.
@@ -295,16 +284,4 @@ func ReduceAll[V any](a *Array[V], add func(V, V) V) (V, bool) {
 		}
 	})
 	return acc, any
-}
-
-// SortedTripleStrings renders triples as "row|col -> val" lines, sorted;
-// a convenience for golden tests and debug dumps.
-func SortedTripleStrings[V any](a *Array[V], format func(V) string) []string {
-	ts := a.Triples()
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = fmt.Sprintf("%s|%s -> %s", t.Row, t.Col, format(t.Val))
-	}
-	sort.Strings(out)
-	return out
 }

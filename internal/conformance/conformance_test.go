@@ -26,7 +26,7 @@ func TestDifferentialAllPathsAllPairs(t *testing.T) {
 }
 
 // A second seed with the paths listed explicitly, guarding against the
-// registry accidentally losing a shipped path.
+// list accidentally losing a shipped path.
 func TestBuiltinPathRoster(t *testing.T) {
 	want := map[string]bool{
 		"reference-merge": false, "parallel": false,
@@ -40,7 +40,7 @@ func TestBuiltinPathRoster(t *testing.T) {
 	}
 	for name, seen := range want {
 		if !seen {
-			t.Errorf("built-in path %q missing from the registry", name)
+			t.Errorf("built-in path %q missing from PathNames", name)
 		}
 	}
 }
@@ -79,14 +79,14 @@ func mutantPath() Path {
 }
 
 // Acceptance property: a seeded divergence — a mutated kernel injected
-// into the path registry — is caught by the executor and shrunk to a
+// beside the built-in paths — is caught by the executor and shrunk to a
 // counterexample of at most 4 incidence triples (two parallel edges).
 func TestSeededDivergenceCaughtAndShrunk(t *testing.T) {
 	entry, ok := semiring.Lookup("+.*")
 	if !ok {
 		t.Fatal("+.* not registered")
 	}
-	paths := append(Paths(), mutantPath())
+	paths := append(builtinPaths(), mutantPath())
 	gen := NewGenerator(7)
 	var caught *Divergence
 	for i := 0; i < 400 && caught == nil; i++ {
@@ -120,7 +120,7 @@ func TestRunShrinksAndWritesArtifact(t *testing.T) {
 		Seed:        7,
 		Instances:   200,
 		Entries:     []semiring.Entry{entry},
-		Paths:       append(Paths(), mutantPath()),
+		Paths:       append(builtinPaths(), mutantPath()),
 		ArtifactDir: dir,
 	})
 	if len(divs) == 0 {
@@ -146,36 +146,8 @@ func TestRunShrinksAndWritesArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("artifact does not decode: %v\n%s", err, data)
 	}
-	if c := Compare(replay, entry, append(Paths(), mutantPath())); c == nil || c.Path != "mutant-first-wins" {
+	if c := Compare(replay, entry, append(builtinPaths(), mutantPath())); c == nil || c.Path != "mutant-first-wins" {
 		t.Error("replayed artifact no longer reproduces the divergence")
-	}
-}
-
-// Registering a correct additional backend extends coverage for free —
-// and unregistering restores the roster.
-func TestRegisterExtendsCoverage(t *testing.T) {
-	alias := Path{
-		Name:  "alias-merge-kernel",
-		Build: buildReferenceMerge,
-	}
-	if err := Register(alias); err != nil {
-		t.Fatal(err)
-	}
-	defer Unregister("alias-merge-kernel")
-	if err := Register(alias); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	found := false
-	for _, n := range PathNames() {
-		if n == "alias-merge-kernel" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered path missing from PathNames")
-	}
-	if divs := Run(Config{Seed: 11, Instances: 15}); len(divs) > 0 {
-		t.Errorf("merge-kernel alias diverged: %s", divs[0].Error())
 	}
 }
 

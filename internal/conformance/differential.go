@@ -169,7 +169,7 @@ type Config struct {
 	// Entries are the operator pairs to cover (default: the full
 	// registry, compliant pairs and non-examples alike).
 	Entries []semiring.Entry
-	// Paths are the construction paths (default: Paths()).
+	// Paths are the construction paths (default: builtinPaths()).
 	Paths []Path
 	// ArtifactDir, when non-empty, receives one Encode()d file per
 	// shrunk divergence. Default: $CONFORMANCE_ARTIFACT_DIR.
@@ -187,7 +187,7 @@ func (c *Config) defaults() {
 		c.Entries = semiring.Registry()
 	}
 	if len(c.Paths) == 0 {
-		c.Paths = Paths()
+		c.Paths = builtinPaths()
 	}
 	if c.ArtifactDir == "" {
 		c.ArtifactDir = os.Getenv("CONFORMANCE_ARTIFACT_DIR")

@@ -30,7 +30,7 @@
 //     annihilator-breaking values automatically downgrade to the
 //     bit-identity tier — exactly the dichotomy the paper proves.
 //
-//   - Metamorphic tier (laws.go): transpose duality
+//   - Metamorphic tier (laws_test.go): transpose duality
 //     A(Eout,Ein)ᵀ = A(Ein,Eout) for commutative ⊗, degree-sum
 //     invariants under unit-weight +.*, sub-array selection commuting
 //     with construction, and batch == incremental under arbitrary batch
@@ -43,8 +43,8 @@
 // (shrink.go) before being reported, and optionally written to
 // CONFORMANCE_ARTIFACT_DIR for CI artifact upload.
 //
-// Future backends get all of this by registering one constructor with
-// Register; `go test ./internal/conformance -quick=N` scales the random
+// A new backend gets all of this from one entry in builtinPaths
+// (paths.go); `go test ./internal/conformance -quick=N` scales the random
 // search, and the package's native fuzz targets (FuzzCorrelate,
 // FuzzStreamAppend, FuzzExplodeImplode) drive the same executor from
 // coverage-guided inputs.

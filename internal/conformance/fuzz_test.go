@@ -61,10 +61,10 @@ func FuzzCorrelate(f *testing.F) {
 			}
 		}
 		inst.normalize()
-		if d := Compare(inst, entry, Paths()); d != nil {
+		if d := Compare(inst, entry, builtinPaths()); d != nil {
 			// Minimize and persist before failing, so a red CI fuzz run
 			// ships a replayable shrunk counterexample, not a raw blob.
-			d = shrinkDivergence(d, entry, Paths())
+			d = shrinkDivergence(d, entry, builtinPaths())
 			d.Artifact = writeArtifact(os.Getenv("CONFORMANCE_ARTIFACT_DIR"), d)
 			t.Fatalf("%s\n%s", d.Error(), d.Instance.Encode())
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sync"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
@@ -15,9 +14,9 @@ import (
 	"adjarray/internal/wal"
 )
 
-// Path is one registered way of computing A = Eoutᵀ ⊕.⊗ Ein. Register a
-// Path and the differential executor, the quick-check test, and the
-// fuzz targets all cover the new backend with no further wiring.
+// Path is one way of computing A = Eoutᵀ ⊕.⊗ Ein. A Path listed in
+// builtinPaths is covered by the differential executor, the quick-check
+// test and the fuzz targets with no further wiring.
 type Path struct {
 	// Name identifies the path in divergence reports.
 	Name string
@@ -73,18 +72,6 @@ func builtinPaths() []Path {
 			Name:         "stream",
 			ReAssociates: true,
 			Build:        buildStream,
-		},
-		{
-			// A fold inside every Append: PendingBudget 1 makes each batch
-			// reach the budget, so the universe sync, the fold of the log's
-			// suffix and the ⊕-merge into main run under the append itself
-			// (plain "stream" folds only in the Snapshot between batches —
-			// fold-on-read, the one trigger a view has by default),
-			// with the interner's byte-hash fed the adversarial generators'
-			// keys (unicode, NUL, 0xff, prefix collisions) on the way.
-			Name:         "stream-fold-per-append",
-			ReAssociates: true,
-			Build:        buildStreamFoldPerAppend,
 		},
 		{
 			// The goroutine-sharded ingest as a construction path: every
@@ -151,11 +138,7 @@ func buildReferenceMerge(eout, ein *assoc.Array[float64], ops semiring.Ops[float
 // batch boundary becomes a fold re-association point — the most
 // adversarial grouping the incremental path can produce.
 func buildStream(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStore("", ops, inst, 1, stream.Options{})
-}
-
-func buildStreamFoldPerAppend(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStore("", ops, inst, 1, stream.Options{PendingBudget: 1})
+	return replayStore("", ops, inst, 1)
 }
 
 // buildStreamDurableRecovered replays the instance through a durable
@@ -167,11 +150,11 @@ func buildStreamDurableRecovered(_, _ *assoc.Array[float64], ops semiring.Ops[fl
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	return replayStore(dir, ops, inst, 1, stream.Options{})
+	return replayStore(dir, ops, inst, 1)
 }
 
 func buildStreamSharded(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStore("", ops, inst, 3, stream.Options{})
+	return replayStore("", ops, inst, 3)
 }
 
 // replayStore replays the instance's batches through a store and
@@ -182,11 +165,11 @@ func buildStreamSharded(_, _ *assoc.Array[float64], ops semiring.Ops[float64], i
 // checkpoint is taken after the first batch; with a directory the store
 // is then aborted (no final checkpoint, no final sync) and the adjacency
 // comes from the REOPENED store — checkpoint load plus WAL-tail replay.
-func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards int, opt stream.Options) (*assoc.Array[float64], error) {
+func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards int) (*assoc.Array[float64], error) {
 	// No fsync: the simulated failure is a process exit, not a power
 	// cut, so written-but-unsynced records must survive the reopen.
 	dopt := stream.DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
-	s, err := stream.Open(dir, ops, shards, opt, dopt)
+	s, err := stream.Open(dir, ops, shards, stream.Options{}, dopt)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +185,7 @@ func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards in
 	}
 	if dir != "" {
 		s.Abort()
-		re, err := stream.Open(dir, ops, shards, opt, dopt)
+		re, err := stream.Open(dir, ops, shards, stream.Options{}, dopt)
 		if err != nil {
 			return nil, err
 		}
@@ -298,58 +281,9 @@ func pointReadArray(s *stream.Store[float64], srcs, dsts *keys.Set) (*assoc.Arra
 	return assoc.FromTriples(cells, nil).Reindex(srcs, dsts)
 }
 
-var (
-	pathMu     sync.Mutex
-	registered []Path
-)
-
-// Register adds a construction path to the global registry. Names must
-// be unique across built-ins and prior registrations.
-func Register(p Path) error {
-	if p.Name == "" || p.Build == nil {
-		return fmt.Errorf("conformance: path needs a name and a Build function")
-	}
-	pathMu.Lock()
-	defer pathMu.Unlock()
-	for _, q := range builtinPaths() {
-		if q.Name == p.Name {
-			return fmt.Errorf("conformance: path %q already registered", p.Name)
-		}
-	}
-	for _, q := range registered {
-		if q.Name == p.Name {
-			return fmt.Errorf("conformance: path %q already registered", p.Name)
-		}
-	}
-	registered = append(registered, p)
-	return nil
-}
-
-// Unregister removes a previously Registered path (built-ins cannot be
-// removed). It reports whether the name was found.
-func Unregister(name string) bool {
-	pathMu.Lock()
-	defer pathMu.Unlock()
-	for i, q := range registered {
-		if q.Name == name {
-			registered = append(registered[:i], registered[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Paths returns the built-in construction paths plus every Registered
-// one.
-func Paths() []Path {
-	pathMu.Lock()
-	defer pathMu.Unlock()
-	return append(builtinPaths(), registered...)
-}
-
-// PathNames returns the names of all current paths, built-ins first.
+// PathNames returns the names of the construction paths.
 func PathNames() []string {
-	ps := Paths()
+	ps := builtinPaths()
 	names := make([]string, len(ps))
 	for i, p := range ps {
 		names[i] = p.Name

@@ -35,10 +35,9 @@ type Request struct {
 	Semiring string
 	// Backend defaults to the sparse engine.
 	Backend Backend
-	// Workers and FlopFloor schedule the engine as assoc.MulOptions
-	// does (Workers 0 or 1 serial, < 0 GOMAXPROCS).
-	Workers   int
-	FlopFloor int64
+	// Workers schedules the engine as assoc.MulOptions does (0 or 1
+	// serial, < 0 GOMAXPROCS).
+	Workers int
 	// SkipConditionCheck constructs even when the algebra violates the
 	// Theorem II.1 conditions (useful for demonstrations; the Result
 	// then carries the violation).
@@ -104,7 +103,7 @@ func Build(req Request) (*Result, error) {
 	if req.Backend == BackendDense {
 		a, err = graph.AdjacencyDense(req.Eout, req.Ein, ops)
 	} else {
-		a, err = graph.Adjacency(req.Eout, req.Ein, ops, assoc.MulOptions{Workers: req.Workers, FlopFloor: req.FlopFloor})
+		a, err = graph.Adjacency(req.Eout, req.Ein, ops, assoc.MulOptions{Workers: req.Workers})
 	}
 	if err != nil {
 		return res, err
@@ -150,9 +149,4 @@ func appendDataValues(sample []float64, a *assoc.Array[float64], max int) []floa
 		sample = append(sample, v)
 	}
 	return sample
-}
-
-// Backends lists the available construction engines.
-func Backends() []Backend {
-	return []Backend{"", BackendDense}
 }

@@ -160,9 +160,6 @@ func (in *Ingest) Close() error {
 	return err
 }
 
-// Buffered reports how many Add-ed edges await the next flush.
-func (in *Ingest) Buffered() int { return len(in.batch) }
-
 // Ops returns the resolved operator pair.
 func (in *Ingest) Ops() semiring.Ops[float64] { return in.ops }
 

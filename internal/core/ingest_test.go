@@ -32,8 +32,8 @@ func TestIngestMatchesBuild(t *testing.T) {
 		outT[i] = assoc.Triple[float64]{Row: key, Col: e.src, Val: 1}
 		inT[i] = assoc.Triple[float64]{Row: key, Col: e.dst, Val: 1}
 	}
-	if ing.Buffered() >= 7 {
-		t.Fatalf("accumulator did not auto-flush: %d buffered", ing.Buffered())
+	if len(ing.batch) >= 7 {
+		t.Fatalf("accumulator did not auto-flush: %d buffered", len(ing.batch))
 	}
 	snap, err := ing.Snapshot()
 	if err != nil {

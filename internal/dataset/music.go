@@ -243,19 +243,3 @@ func Figure1RowDegrees() map[string]int {
 		"093012ktnA5": 9, "093012ktnA6": 9, "093012ktnA7": 9, "093012ktnA8": 6,
 	}
 }
-
-// Figure1Columns returns the 31 exploded column keys of Figure 1 in
-// sorted order.
-func Figure1Columns() []string {
-	return []string{
-		"Artist|Bandayde", "Artist|Kastle", "Artist|Kitten",
-		"Date|2010-06-30", "Date|2012-08-28", "Date|2012-09-16",
-		"Date|2013-05-30", "Date|2013-09-30", "Date|2013-10-03",
-		GenreElectronic, GenrePop, GenreRock,
-		"Label|Atlantic", "Label|Elektra Records", "Label|Free", "Label|The Control Group",
-		"Release|Cut It Out", "Release|Cut It Out Remixes", "Release|Cut It Out/Sugar",
-		"Release|Japanese Eyes", "Release|Kill The Light", "Release|Like A Stranger", "Release|Yesterday",
-		"Type|EP", "Type|LP", "Type|Single",
-		WriterBarrett, WriterChad, WriterChloe, WriterJulian, WriterNicholas,
-	}
-}

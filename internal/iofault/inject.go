@@ -167,13 +167,6 @@ func (in *Injector) Injected() int {
 	return len(in.events)
 }
 
-// Events returns a copy of the injected-fault log in injection order.
-func (in *Injector) Events() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.events...)
-}
-
 // coerce degrades write-only kinds to EIO on non-write operations.
 func coerce(op Op, k Kind) Kind {
 	if op != OpWrite && (k == ShortWrite || k == TornWrite) {

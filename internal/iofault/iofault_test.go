@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// Events returns a copy of the injected-fault log in injection order.
+func (in *Injector) Events() []Event {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]Event(nil), in.events...)
+}
+
 // TestScriptedRuleMatching exercises After/Count/Path/Op selection.
 func TestScriptedRuleMatching(t *testing.T) {
 	inj := New()

@@ -152,22 +152,6 @@ func (in *Interner) Lookup(k string) (int32, bool) {
 	return id, ok
 }
 
-// LookupBatch resolves each ks[i] into ids[i] under one lock
-// acquisition, returning false as soon as any key is absent (ids
-// contents are then unspecified). len(ids) must equal len(ks).
-func (in *Interner) LookupBatch(ks []string, ids []int32) bool {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	for i, k := range ks {
-		id, _, ok := in.lookupLocked(k)
-		if !ok {
-			return false
-		}
-		ids[i] = id
-	}
-	return true
-}
-
 // internLocked adds k (which must be absent, at the given free slot)
 // and returns its new id.
 func (in *Interner) internLocked(k string, slot uint32) int32 {

@@ -78,18 +78,6 @@ func TestInternBatchAndLookupBatch(t *testing.T) {
 			t.Fatalf("InternBatch ids = %v, want %v", ids, want)
 		}
 	}
-	got := make([]int32, len(batch))
-	if !in.LookupBatch(batch, got) {
-		t.Fatal("LookupBatch failed on present keys")
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("LookupBatch ids = %v, want %v", got, want)
-		}
-	}
-	if in.LookupBatch([]string{"pre", "missing"}, make([]int32, 2)) {
-		t.Fatal("LookupBatch succeeded with an absent key")
-	}
 }
 
 func TestInternerKeyRoundTrip(t *testing.T) {

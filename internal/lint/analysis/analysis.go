@@ -65,20 +65,13 @@ type Pass struct {
 
 // Diagnostic is one finding, anchored to a position.
 type Diagnostic struct {
-	Pos      token.Pos
-	End      token.Pos // optional
-	Category string    // optional sub-category within the analyzer
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportRangef reports a formatted diagnostic spanning an AST node.
-func (p *Pass) ReportRangef(rng ast.Node, format string, args ...any) {
-	p.report(Diagnostic{Pos: rng.Pos(), End: rng.End(), Message: fmt.Sprintf(format, args...)})
 }
 
 func (p *Pass) report(d Diagnostic) {

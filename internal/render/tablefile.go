@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Dense-table TSV I/O: the spreadsheet shape that Figure 1 starts from.
+// Dense-table TSV input: the spreadsheet shape that Figure 1 starts from.
 // Format: first line is "<rowKeyHeader>\tField1\tField2...", following
 // lines are "rowKey\tcell1\tcell2...". Empty cells mean absent; cells
 // may hold multiple ';'-separated values. Lines starting with '#' and
@@ -63,30 +63,4 @@ func ReadTable(r io.Reader) (TableData, error) {
 		return t, fmt.Errorf("render: empty table")
 	}
 	return t, nil
-}
-
-// WriteTable emits a dense TSV table.
-func WriteTable(w io.Writer, t TableData) error {
-	bw := bufio.NewWriter(w)
-	header := t.RowHeader
-	if header == "" {
-		header = "key"
-	}
-	if _, err := fmt.Fprintf(bw, "%s\t%s\n", header, strings.Join(t.Fields, "\t")); err != nil {
-		return err
-	}
-	for i, row := range t.Rows {
-		if len(t.Cells[i]) != len(t.Fields) {
-			return fmt.Errorf("render: row %d has %d cells, want %d", i, len(t.Cells[i]), len(t.Fields))
-		}
-		for _, c := range append([]string{row}, t.Cells[i]...) {
-			if strings.ContainsAny(c, "\t\n") {
-				return fmt.Errorf("render: cell %q contains tab or newline", c)
-			}
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%s\n", row, strings.Join(t.Cells[i], "\t")); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -4,8 +4,27 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
+
+// WriteOutput runs write against the file at path, or against stdout
+// when path is "-", and returns the first error of the write or of
+// closing the file: output that did not reach the disk is a failure.
+func WriteOutput(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // TripleRecord is one (row, column, value) line of a TSV triple file,
 // the interchange format of the adjbuild CLI (and the textual analogue

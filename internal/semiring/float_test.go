@@ -114,19 +114,6 @@ func TestTropicalAbsorption(t *testing.T) {
 	}
 }
 
-func TestFoldAddRespectsOrder(t *testing.T) {
-	o := LeftmostNonzero()
-	if got := o.FoldAdd([]float64{0, 5, 7}); got != 5 {
-		t.Errorf("first.* fold = %v, want 5 (leftmost non-zero)", got)
-	}
-	if got := o.FoldAdd(nil); got != 0 {
-		t.Errorf("empty fold = %v, want zero", got)
-	}
-	if got := PlusTimes().FoldAdd([]float64{1, 2, 3}); got != 6 {
-		t.Errorf("+ fold = %v", got)
-	}
-}
-
 func TestValidateRejectsNilOps(t *testing.T) {
 	var o Ops[float64]
 	o.Name = "broken"

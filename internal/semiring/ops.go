@@ -89,25 +89,6 @@ func (o Ops[V]) Validate(sample []V) error {
 	return nil
 }
 
-// FoldAdd reduces vs with ⊕, returning Zero for an empty slice. The
-// reduction is left-to-right because ⊕ is not assumed associative or
-// commutative; callers that need a specific evaluation order (as the
-// paper's Definition I.3 sum over k∈K does) get the key-order fold.
-func (o Ops[V]) FoldAdd(vs []V) V {
-	acc := o.Zero
-	for i, v := range vs {
-		if i == 0 {
-			acc = v
-			continue
-		}
-		acc = o.Add(acc, v)
-	}
-	if len(vs) == 0 {
-		return o.Zero
-	}
-	return acc
-}
-
 // Rename returns a copy of o carrying a different display name. Useful
 // when the same operation pair appears under several conventional
 // spellings (e.g. "+.×" vs "+.*").

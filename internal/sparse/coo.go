@@ -97,31 +97,3 @@ func (c *COO[V]) ToCSR(combine func(V, V) V) *CSR[V] {
 	}
 	return &CSR[V]{rows: c.rows, cols: c.cols, rowPtr: rowPtr, colIdx: colIdx, val: val, unitRows: unitRows}
 }
-
-// FromDense builds a CSR from a dense matrix, storing entries for which
-// isZero is false. Ragged input rows are an error.
-func FromDense[V any](dense [][]V, cols int, isZero func(V) bool) (*CSR[V], error) {
-	rows := len(dense)
-	if err := checkIndexRange(rows, cols, 0); err != nil {
-		return nil, err
-	}
-	rowPtr := make([]int32, rows+1)
-	var colIdx []int32
-	var val []V
-	for i, row := range dense {
-		if len(row) != cols {
-			return nil, fmt.Errorf("sparse: dense row %d has %d entries, want %d", i, len(row), cols)
-		}
-		for j, v := range row {
-			if !isZero(v) {
-				colIdx = append(colIdx, int32(j))
-				val = append(val, v)
-			}
-		}
-		rowPtr[i+1] = int32(len(colIdx))
-	}
-	if err := checkIndexRange(rows, cols, len(colIdx)); err != nil {
-		return nil, err // rowPtr has wrapped; nothing is built from it
-	}
-	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
-}

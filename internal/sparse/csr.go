@@ -25,9 +25,9 @@
 // and scalar arguments stay int. The price is a cap: a matrix has at
 // most 2³¹−1 rows, columns and stored entries, and whatever assembles
 // one refuses more with an error wrapping ErrIndexRange (index.go) —
-// NewCSR, FromDense, FoldUnitRows, Embed/ConcatRows/EWiseAddInto and
-// Mxm's symbolic bound by returning it, Empty and COO.ToCSR, which
-// return no error, by panicking with it.
+// NewCSR, FoldUnitRows, Embed/ConcatRows/EWiseAddInto and Mxm's
+// symbolic bound by returning it, COO.ToCSR, which returns no error, by
+// panicking with it.
 package sparse
 
 import (
@@ -76,13 +76,6 @@ func NewCSR[V any](rows, cols int, rowPtr, colIdx []int32, val []V) (*CSR[V], er
 		return nil, err
 	}
 	return m, nil
-}
-
-// Empty returns an all-zero rows×cols matrix. Dimensions past the
-// index range panic with the ErrIndexRange error.
-func Empty[V any](rows, cols int) *CSR[V] {
-	mustFitIndex(rows, cols, 0)
-	return &CSR[V]{rows: rows, cols: cols, rowPtr: make([]int32, rows+1)}
 }
 
 // Rows returns the number of rows.

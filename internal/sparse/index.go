@@ -25,9 +25,9 @@ func checkIndexRange(rows, cols, nnz int) error {
 	return nil
 }
 
-// mustFitIndex is checkIndexRange for the assemblers that return no
-// error (Empty, COO.ToCSR): like make with a length out of range, they
-// panic — with the error, so a recover can still errors.Is it.
+// mustFitIndex is checkIndexRange for the assembler that returns no
+// error (COO.ToCSR): like make with a length out of range, it panics —
+// with the error, so a recover can still errors.Is it.
 func mustFitIndex(rows, cols, nnz int) {
 	if err := checkIndexRange(rows, cols, nnz); err != nil {
 		panic(err)

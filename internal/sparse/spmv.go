@@ -8,8 +8,8 @@ package sparse
 // identical results: per output j the contributions x(u) ⊗ m(u,j) fold
 // in ascending u order — the Definition I.3 ordered ⊕ over the shared
 // dimension, matching every SpGEMM variant in this package — and the
-// fold seeds from the first contribution (FoldAdd semantics), not from
-// an injected Zero. They differ only in traversal:
+// fold seeds from the first contribution, not from an injected Zero.
+// They differ only in traversal:
 //
 //   - SpMSpVPush scatters each frontier row outward (gather-free); cost
 //     is proportional to the edges leaving the frontier, the right shape

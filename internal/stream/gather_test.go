@@ -66,7 +66,8 @@ func TestGatherMatchesEmbedThenMerge(t *testing.T) {
 		ops := entry.Ops
 		for _, shards := range []int{1, 2, 3, 5} {
 			verts := scatteredVertices(r, 40)
-			sv := memStore(t, ops, shards, Options{PendingBudget: 1 + r.Intn(40)})
+			budget := 1 + r.Intn(40) // a shard whose unfolded suffix reaches it folds
+			sv := memStore(t, ops, shards, Options{})
 			for lo, n := 0, 160; lo < n; {
 				hi := min(lo+1+r.Intn(19), n)
 				batch := make([]Edge[float64], hi-lo)
@@ -77,6 +78,11 @@ func TestGatherMatchesEmbedThenMerge(t *testing.T) {
 				}
 				if err := sv.Append(batch); err != nil {
 					t.Fatalf("%s/%d shards: %v", ops.Name, shards, err)
+				}
+				for _, p := range sv.parts {
+					if p.v.Stats().PendingNNZ >= budget {
+						mustSnap(t, p.v)
+					}
 				}
 				lo = hi
 				if lo < n && r.Intn(3) != 0 {

@@ -119,7 +119,8 @@ func TestGrowingUniverseMatchesOneShot(t *testing.T) {
 					verts[r.Intn(reach)], verts[r.Intn(reach)],
 					weights[r.Intn(len(weights))], weights[r.Intn(len(weights))])
 			}
-			v := NewView(ops, Options{PendingBudget: 1 + r.Intn(60), CheckAssociative: trial%2 == 0})
+			budget := 1 + r.Intn(60) // an unfolded suffix that reaches it folds
+			v := NewView(ops, Options{CheckAssociative: trial%2 == 0})
 			for lo := 0; lo < len(edges); {
 				hi := min(lo+1+r.Intn(17), len(edges))
 				if r.Intn(3) == 0 {
@@ -141,6 +142,9 @@ func TestGrowingUniverseMatchesOneShot(t *testing.T) {
 				}
 				if err := v.Append(edges[lo:hi]); err != nil {
 					t.Fatalf("%s trial %d: append [%d,%d): %v", ops.Name, trial, lo, hi, err)
+				}
+				if v.Stats().PendingNNZ >= budget {
+					mustSnap(t, v)
 				}
 				lo = hi
 				switch r.Intn(4) {

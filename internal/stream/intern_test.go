@@ -113,7 +113,7 @@ func TestScratchPoolAliasing(t *testing.T) {
 	eout := assoc.FromTriples(outT, nil)
 	ein := assoc.FromTriples(inT, nil)
 
-	view := NewView(ops, Options{PendingBudget: 256})
+	view := NewView(ops, Options{})
 	// What the view's goroutine built in parallel from each snapshot's log.
 	type rebuilt struct {
 		snap Snapshot[float64]
@@ -149,6 +149,12 @@ func TestScratchPoolAliasing(t *testing.T) {
 			if err := view.Append(batch); err != nil {
 				t.Error(err)
 				return
+			}
+			if view.Stats().PendingNNZ >= 256 {
+				if _, err := view.Snapshot(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			if round%5 == 1 {
 				snap, err := view.Snapshot()

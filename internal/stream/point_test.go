@@ -16,7 +16,7 @@ import (
 // view: what weights an edge carries, and what else happens per batch.
 type pointVariant struct {
 	name   string
-	opt    Options
+	fold   bool // a Snapshot after every batch: pins meet a freshly folded main
 	weigh  func(r *rand.Rand, e *Edge[float64])
 	fresh  bool // every batch brings a vertex nothing has seen, on alternating sides
 	doomed bool // every third batch is preceded by one that dies after interning its endpoints
@@ -40,7 +40,7 @@ func pointVariants(ops semiring.Ops[float64], sample []float64) []pointVariant {
 		{name: "explicit-zero", weigh: both(append([]float64{ops.Zero, ops.Zero}, sample...))},
 		{name: "fresh-vertex", weigh: both(usable), fresh: true},
 		{name: "rolled-back", weigh: both(usable), doomed: true},
-		{name: "budget-1", weigh: both(usable), opt: Options{PendingBudget: 1}},
+		{name: "budget-1", weigh: both(usable), fold: true},
 	}
 }
 
@@ -95,7 +95,7 @@ func TestPointReadMatchesTheFoldItSkipped(t *testing.T) {
 		for _, vr := range pointVariants(entry.Ops, entry.AdversarialSample()) {
 			t.Run(entry.Name+"/"+vr.name, func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(len(entry.Name)*31 + len(vr.name))))
-				v := NewView(entry.Ops, vr.opt)
+				v := NewView(entry.Ops, Options{})
 				var doom atomic.Bool
 				v.failpoint = func(site string) error {
 					if site == "append:interned" && doom.CompareAndSwap(true, false) {
@@ -160,6 +160,9 @@ func TestPointReadMatchesTheFoldItSkipped(t *testing.T) {
 					if err := v.Append(batch); err != nil {
 						t.Fatal(err)
 					}
+					if vr.fold {
+						mustSnap(t, v)
+					}
 					if r.Intn(2) == 0 {
 						continue
 					}
@@ -204,7 +207,7 @@ func TestPointReadMatchesTheFoldItSkipped(t *testing.T) {
 						}
 					}
 				}
-				if compared == 0 || (overSuffix == 0 && vr.opt.PendingBudget == 0) {
+				if compared == 0 || (overSuffix == 0 && !vr.fold) {
 					t.Fatalf("%d cells compared, %d pins over an unfolded suffix: the test did not test", compared, overSuffix)
 				}
 			})

@@ -134,13 +134,6 @@ type Options struct {
 	// accepting it and fails the Append if the re-associated fold could
 	// diverge (semiring.CheckAssociativeValues).
 	CheckAssociative bool
-	// PendingBudget, when > 0, folds inside the append that brings the
-	// unfolded suffix of the log to this many edges. <= 0, the default,
-	// never folds inside an append: the suffix costs nothing beyond the
-	// log itself, so a fold runs only when something needs the adjacency
-	// (Snapshot, a checkpoint, Compact). Set by tests to force the
-	// fold-in-append interleavings on small inputs.
-	PendingBudget int
 }
 
 // View is a maintained adjacency array: an append-only edge log and the
@@ -165,8 +158,8 @@ type Options struct {
 // ORDER — the sorted vertex universe, the id → position arrays, main's
 // key sets — is brought up to date by the fold, once per fold, and a
 // fold has one trigger: someone needs main to be the whole adjacency
-// (Snapshot, a checkpoint's pin, Compact; Options.PendingBudget > 0 adds
-// "the suffix reached the budget" for tests). A bulk load nobody reads is
+// (Snapshot, a checkpoint's pin, Compact), never an append: the suffix
+// costs nothing beyond the log itself. A bulk load nobody reads is
 // therefore appends only, and its first whole-array read pays one fold —
 // what batch construction over the same edges costs. A point read (Point)
 // is not such a someone: it reads main's cell and the suffix's
@@ -554,11 +547,6 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	// Committed: from here on v.logs no longer describes the log, and a
 	// failure is the maintenance's, not the batch's.
 	v.logs = nil
-	if b := v.opt.PendingBudget; b > 0 && len(v.srcID)-v.folded >= b {
-		if err := v.materializeLocked(); err != nil {
-			return &committedError{err}
-		}
-	}
 	if v.opt.CompactEvery > 0 && v.appends >= v.opt.CompactEvery {
 		if err := v.compactLocked(); err != nil {
 			return &committedError{err}
@@ -739,9 +727,8 @@ const pointFoldShare = 8
 // materializeLocked folds the pending level — the log's unfolded suffix,
 // log[folded:] — into the main adjacency. It is the view's one fold
 // routine and runs when main is needed whole — Snapshot, a checkpoint's
-// pin, a point pin whose suffix outgrew its threshold — or inside the
-// append that reaches Options.PendingBudget when a test set one (Compact
-// rebuilds main from the whole log instead). The universe is
+// pin, a point pin whose suffix outgrew its threshold (Compact rebuilds
+// main from the whole log instead). The universe is
 // synced first, so every endpoint id of the suffix has a row or a column
 // in it; the suffix's columns then go through sparse.FoldUnitRows — the
 // kernel batch construction runs on a graph's incidence columns — which

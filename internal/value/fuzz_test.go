@@ -4,30 +4,6 @@ import (
 	"testing"
 )
 
-// FuzzParseSet hardens the set literal parser: no panic, and parsing is
-// idempotent (parse → render → parse is a fixpoint).
-func FuzzParseSet(f *testing.F) {
-	for _, seed := range []string{
-		"", "{}", "{a}", "{a,b}", "a,b", "{a,,b}", "{ a , b }", "{{}}",
-		"{a,b", "a}b", "\x00", "{,}",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, input string) {
-		s := ParseSet(input)
-		again := ParseSet(s.String())
-		if !s.Equal(again) {
-			t.Fatalf("parse not idempotent: %q -> %v -> %v", input, s, again)
-		}
-		// Canonical form: sorted, deduplicated.
-		for i := 1; i < len(s); i++ {
-			if s[i-1] >= s[i] {
-				t.Fatalf("non-canonical set from %q: %v", input, s)
-			}
-		}
-	})
-}
-
 // FuzzParseFloat checks the float codec never panics and round-trips
 // every value it accepts.
 func FuzzParseFloat(f *testing.F) {

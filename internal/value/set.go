@@ -43,23 +43,6 @@ func NewSet(words ...string) Set {
 	return out
 }
 
-// ParseSet parses the textual form produced by Set.String:
-// "{a,b,c}" or a bare comma-separated list. The empty string and "{}"
-// parse to the empty set.
-func ParseSet(s string) Set {
-	s = strings.TrimSpace(s)
-	s = strings.TrimPrefix(s, "{")
-	s = strings.TrimSuffix(s, "}")
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return NewSet(parts...)
-}
-
 // IsEmpty reports whether s is ∅.
 func (s Set) IsEmpty() bool { return len(s) == 0 }
 

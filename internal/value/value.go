@@ -7,8 +7,8 @@
 // the sparse "zero" (missing entry): arithmetic uses 0, max-plus uses
 // −∞, min-plus uses +∞, string algebras use "", set algebras use ∅.
 // This package supplies the concrete value kinds used throughout the
-// library plus ordering, equality, and formatting helpers shared by the
-// semiring, sparse, and assoc packages.
+// library plus equality and formatting helpers shared by the semiring,
+// sparse, and assoc packages.
 package value
 
 import (
@@ -92,37 +92,4 @@ func ParseFloat(s string) (float64, error) {
 		return PosInf, nil
 	}
 	return strconv.ParseFloat(s, 64)
-}
-
-// CompareFloat is a total order on float64 placing NaN below -Inf so
-// sorting is deterministic.
-func CompareFloat(a, b float64) int {
-	an, bn := math.IsNaN(a), math.IsNaN(b)
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// CompareString is strings.Compare without the import, kept here so the
-// keys and semiring packages share one definition of the string order.
-func CompareString(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

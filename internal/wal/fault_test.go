@@ -51,8 +51,8 @@ func TestWriterWedgesOnSyncFailure(t *testing.T) {
 	if got := w.DurableSeq(); got != 1 {
 		t.Fatalf("DurableSeq moved to %d after wedge", got)
 	}
-	if w.Wedged() == nil {
-		t.Fatal("Wedged() must report the sticky error")
+	if _, err := w.Append(payloadFor(4)); !errors.Is(err, ErrWedged) {
+		t.Fatalf("append after the refused sync: want ErrWedged, got %v", err)
 	}
 	if err := w.Close(); !errors.Is(err, ErrWedged) {
 		t.Fatalf("close after wedge: want ErrWedged, got %v", err)

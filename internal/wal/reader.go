@@ -184,20 +184,3 @@ func RetireSegmentsFS(fsys iofault.FS, dir string, uptoSeq uint64) (removed int,
 	}
 	return removed, nil
 }
-
-// LogSizeFS sums the byte sizes of all segment files.
-func LogSizeFS(fsys iofault.FS, dir string) (int64, error) {
-	segs, err := listSegments(fsys, dir)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, s := range segs {
-		fi, err := fsys.Stat(s.path)
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size()
-	}
-	return total, nil
-}

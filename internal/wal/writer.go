@@ -174,14 +174,6 @@ func (w *Writer) wedge(err error) error {
 	return &WedgedError{Err: w.wedged}
 }
 
-// Wedged returns the sticky failure (nil while the writer is healthy).
-func (w *Writer) Wedged() error {
-	if w.wedged == nil {
-		return nil
-	}
-	return &WedgedError{Err: w.wedged}
-}
-
 // Append frames payload as the next record, writes it, and applies the
 // sync policy. It returns the record's sequence number. With
 // SyncEveryAppend the record is durable on return; under the other

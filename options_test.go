@@ -2,11 +2,7 @@ package adjarray_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -33,8 +29,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		{"internal/serve", "Options", []string{"serve.Options"}},
 	}
 	allowed := map[string]string{
-		"core.Request.FlopFloor":       "a differential test's only way to force the parallel engine on a small input (the golden figures run it)",
-		"stream.Options.PendingBudget": "a differential test's only way to force a fold inside an append on a small input",
+		"sparse.MxmOptions.FlopFloor":  "a differential test's only way to force the parallel engine on a small input (the golden figures and the conformance paths run it)",
 		"serve.Options.MaxIngestEdges": "a bound on outside input, which FuzzIngestBody lowers to reach",
 		"stream.DurableOptions.Codec":  "substitution seam: value types other than float64 bring their own",
 		"wal.Options.FS":               "substitution seam: stream hands its own FS down",
@@ -42,39 +37,14 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	}
 
 	fset := token.NewFileSet()
-	parse := func(name string) *ast.File {
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	sources := func(dir string, recursive bool) (names []string) {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && path != dir && !recursive {
-				return filepath.SkipDir
-			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				names = append(names, path)
-			}
-			return nil
-		})
-		if err != nil || len(names) == 0 {
-			t.Fatalf("no sources under %s (%v)", dir, err)
-		}
-		return names
-	}
 
 	// fields[qualified type name] = its fields, under every spelling.
 	fields := map[string][]string{}
 	canonical := map[string]string{}
 	for _, s := range structs {
 		var found []string
-		for _, name := range sources(s.dir, false) {
-			ast.Inspect(parse(name), func(n ast.Node) bool {
+		for _, name := range goSources(t, s.dir, false) {
+			ast.Inspect(parseGo(t, fset, name), func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
 				if !ok || ts.Name.Name != s.name {
 					return true
@@ -99,8 +69,8 @@ func TestEveryOptionHasASetter(t *testing.T) {
 
 	set := map[string]bool{} // canonical type name + "." + field
 	for _, root := range []string{"cmd", "bench", "examples", "internal/core"} {
-		for _, name := range sources(root, true) {
-			f := parse(name)
+		for _, name := range goSources(t, root, true) {
+			f := parseGo(t, fset, name)
 			ast.Inspect(f, func(n ast.Node) bool {
 				lit, ok := n.(*ast.CompositeLit)
 				if !ok {
