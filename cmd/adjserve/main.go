@@ -385,14 +385,25 @@ func run(cfg config) error {
 	if err := f.flush(); err != nil {
 		return err
 	}
+	pinStart := time.Now()
 	if _, err := store.Pin(); err != nil { // fold every shard for the final stats; nothing needs the gather
 		return err
 	}
+	pin := time.Since(pinStart)
 	st := store.Stats()
+	folded := 0 // shards that have folded
+	for _, ps := range st.PerShard {
+		if ps.Folds > 0 {
+			folded++
+		}
+	}
+	// The shards fold at once, so on several cores the pin's wall time is
+	// less than the fold time summed over them.
 	fmt.Fprintf(os.Stderr,
-		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, exact=%v\n",
+		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, exact=%v, pin %v, folds %v over %d shards\n",
 		f.edges.Load(), time.Since(start).Round(time.Millisecond),
-		st.Shards, st.AdjNNZ, st.Pending, st.Epochs, st.Exact)
+		st.Shards, st.AdjNNZ, st.Pending, st.Epochs, st.Exact,
+		pin.Round(time.Microsecond), time.Duration(st.FoldNanos).Round(time.Microsecond), folded)
 
 	if srv != nil {
 		fmt.Fprintln(os.Stderr, "adjserve: stream ended; still serving (interrupt to exit)")
@@ -481,18 +492,25 @@ const maxLine = 1 << 20
 // edges on its atomic counter. Each Read's complete lines become ONE
 // string, every field of every edge a substring of it, and the read's
 // edges reach the front together — no string per line, no field slice per
-// line, no lock per edge. A Read returns what is there, so a slow stream's
-// edges are buffered (and flushed by the ticker) as they arrive. An error
-// names its line; an append error names the last line of the read whose
-// edges were being handed over.
+// line, no lock per edge. They reach it on a second goroutine
+// (appender), so the store appends one read's edges while the next read
+// is parsed; two edge buffers take turns. A Read returns what is there,
+// so a slow stream's edges are buffered (and flushed by the ticker) as
+// they arrive. An error names its line; an append error names the last
+// line of the read whose edges were being handed over, and is reported
+// ahead of any error of a later read, once the next read is handed over
+// or the stream ends: a stream that stalls delays the report, not the
+// stop — no edge after a refused append is appended.
 func ingest(src io.Reader, keyed bool, f *front) error {
+	a := startAppender(f)
 	buf := make([]byte, 0, 1<<16) // holds, between reads, the line still arriving
-	var edges []stream.Edge[float64]
+	var bufs [2][]stream.Edge[float64]
+	turn := 0
 	lines := 0
 	for {
 		if len(buf) == cap(buf) {
 			if cap(buf) >= maxLine {
-				return fmt.Errorf("line %d: longer than 1 MiB", lines+1)
+				return a.stop(fmt.Errorf("line %d: longer than 1 MiB", lines+1))
 			}
 			buf = append(make([]byte, 0, 2*cap(buf)), buf...)
 		}
@@ -507,7 +525,12 @@ func ingest(src io.Reader, keyed bool, f *front) error {
 			end = len(buf) // what the stream ends on is its last line
 		}
 		var perr error
-		edges = edges[:0]
+		// Sized once for the read's lines (and a little more, so that the
+		// next read's seldom needs another).
+		edges := bufs[turn][:0]
+		if nl := bytes.Count(buf[:end], []byte{'\n'}) + 1; cap(edges) < nl {
+			edges = make([]stream.Edge[float64], 0, nl+nl/8)
+		}
 		for rest := string(buf[:end]); rest != "" && perr == nil; {
 			line := rest
 			if i := strings.IndexByte(rest, '\n'); i >= 0 {
@@ -523,23 +546,77 @@ func ingest(src io.Reader, keyed bool, f *front) error {
 			}
 		}
 		// The edges before a bad line were accepted, as they always were.
-		if err := f.addAll(edges); err != nil {
-			return fmt.Errorf("line %d: %w", lines, err)
+		bufs[turn] = edges
+		if len(edges) > 0 {
+			a.reads <- read{edges, lines}
+			turn = 1 - turn
+			if a.failed.Load() {
+				return a.stop(nil)
+			}
 		}
-		clear(edges) // their strings are the read's; let it go with the batch
 		if perr != nil {
-			return perr
+			return a.stop(perr)
 		}
 		if end > 0 {
 			buf = buf[:copy(buf, buf[end:])]
 		}
 		if rerr == io.EOF {
-			return nil
+			return a.stop(nil)
 		}
 		if rerr != nil {
-			return fmt.Errorf("read: %w", rerr)
+			return a.stop(fmt.Errorf("read: %w", rerr))
 		}
 	}
+}
+
+// read is one Read's edges on their way to the front, and the line they
+// ended on — what an append error names.
+type read struct {
+	edges []stream.Edge[float64]
+	line  int
+}
+
+// appender is ingest's second goroutine: it hands each read's edges to the
+// front, and so to the store, while ingest parses the next read. reads is
+// unbuffered: a send completes when the appender takes the read, which it
+// does only once it is done with the one before — so the buffer ingest
+// sent the time before is free again, and two buffers suffice. After the
+// first refused append the appender takes reads without appending them,
+// and says so on failed; err is read only once it has exited.
+type appender struct {
+	reads  chan read
+	done   chan struct{}
+	failed atomic.Bool
+	err    error
+}
+
+func startAppender(f *front) *appender {
+	a := &appender{reads: make(chan read), done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		for r := range a.reads {
+			if a.err == nil {
+				if err := f.addAll(r.edges); err != nil {
+					a.err = fmt.Errorf("line %d: %w", r.line, err)
+					a.failed.Store(true)
+				}
+			}
+			clear(r.edges) // their strings are the read's; let it go with the batch
+		}
+	}()
+	return a
+}
+
+// stop waits for the appender to finish what it was sent and returns the
+// error ingest ends on: an append's, which came from an earlier read or
+// from the edges before err's line, ahead of err.
+func (a *appender) stop(err error) error {
+	close(a.reads)
+	<-a.done
+	if a.err != nil {
+		return a.err
+	}
+	return err
 }
 
 // lineEdge parses one line of the stream; ok is false for a blank line

@@ -466,6 +466,52 @@ func TestIngestErrorsNameTheirLine(t *testing.T) {
 	}
 }
 
+// chunks is a reader whose Reads return one chunk each.
+type chunks []string
+
+func (c *chunks) Read(p []byte) (int, error) {
+	if len(*c) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, (*c)[0])
+	if (*c)[0] = (*c)[0][n:]; (*c)[0] == "" {
+		*c = (*c)[1:]
+	}
+	return n, nil
+}
+
+// The store appends one read while the next is parsed, and the errors keep
+// the order of the stream: a refused append is reported ahead of anything
+// wrong with a later read, and nothing after it reaches the store.
+func TestIngestReportsAnAppendAheadOfALaterRead(t *testing.T) {
+	cases := []struct {
+		name   string
+		reads  chunks
+		want   string
+		edges  int64 // accepted by the front
+		stored int   // appended to the store
+	}{
+		{"append, then a parse error", chunks{"k2 a b\nk1 a c\n", "k3 c d\nbad\n"}, "line 2: stream: ", 2, 0},
+		{"append, then good lines", chunks{"k2 a b\nk1 a c\n", "k3 c d\nk4 d e\n", "k5 e f\n"}, "line 2: stream: ", 2, 0},
+		{"append and a parse error in one read", chunks{"k2 a b\nk1 a c\nbad\n"}, "line 3: stream: ", 2, 0},
+		{"a parse error after good reads", chunks{"k1 a b\nk2 b c\n", "k3 c d\nbad\n"}, `line 4: want 'src dst [out [in]]', got "bad"`, 3, 2},
+	}
+	for _, c := range cases {
+		ing := newTestIngest(t)
+		f := newFront(ing, 2)
+		err := ingest(&c.reads, true, f)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want prefix %q", c.name, err, c.want)
+		}
+		if got := f.edges.Load(); got != c.edges {
+			t.Errorf("%s: %d edges accepted, want %d", c.name, got, c.edges)
+		}
+		if got := ing.Store().Stats().Edges; got != c.stored {
+			t.Errorf("%s: %d edges stored, want %d", c.name, got, c.stored)
+		}
+	}
+}
+
 // A preload costs allocations per READ and per batch, not per line: the
 // 262k strings and field slices of a 131k-line stream are gone.
 func TestIngestAllocatesPerReadNotPerLine(t *testing.T) {
@@ -504,22 +550,30 @@ func TestPreloadAllocations(t *testing.T) {
 // preload is adjserve from opening -in to its "ingested …" line, in
 // process: the lines → ingest → flush → Pin, one shard, batches of 512.
 func preload(tb testing.TB, data []byte) (*core.Ingest, *front) {
+	ing, f, _ := preloadShards(tb, data, 1)
+	return ing, f
+}
+
+// preloadShards is preload on a store of the given shard count; pin is
+// the time the closing Pin took.
+func preloadShards(tb testing.TB, data []byte, shards int) (ing *core.Ingest, f *front, pin time.Duration) {
 	tb.Helper()
-	ing, err := core.NewIngest(core.IngestOptions{Semiring: "+.*", BatchSize: 512, Shards: 1})
+	ing, err := core.NewIngest(core.IngestOptions{Semiring: "+.*", BatchSize: 512, Shards: shards})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f := newFront(ing, 512)
+	f = newFront(ing, 512)
 	if err := ingest(bytes.NewReader(data), false, f); err != nil {
 		tb.Fatal(err)
 	}
 	if err := f.flush(); err != nil {
 		tb.Fatal(err)
 	}
+	start := time.Now()
 	if _, err := ing.Store().Pin(); err != nil {
 		tb.Fatal(err)
 	}
-	return ing, f
+	return ing, f, time.Since(start)
 }
 
 // preloadLines is the stream bench's query_static child is started on:
@@ -537,41 +591,52 @@ func preloadLines() []byte {
 
 // BenchmarkPreload is adjserve's time to its first answer, in process:
 // preload over the lines of a 131,072-edge file — everything between
-// opening -in and the "ingested …" line. fold_ms is the store's own count of the time in folds (and folds
-// how many there were), parse_ms a pass of the same lines into a front
-// that never appends (so it also writes every edge of the file to memory:
-// an upper bound), append_ms what is left of the op.
+// opening -in and the "ingested …" line — on one shard and on two (what
+// bench's mixed_rw child runs). pin_ms is the closing Pin, whose shards
+// fold at once; fold_ms the store's own count of the time in folds,
+// summed over the shards (and folds how many there were), so on two
+// cores pin_ms comes out below fold_ms. parse_ms is a pass of the same
+// lines into a front that never appends (so it also writes every edge of
+// the file to memory: an upper bound), append_ms what is left of the op
+// past the parse and the pin: the appends run beside the parse, so it is
+// what of them the parse did not hide.
 func BenchmarkPreload(b *testing.B) {
 	data := preloadLines()
-	var total, parse, fold time.Duration
-	folds := 0
-	dry := &front{size: 1 << 62}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		ing, f := preload(b, data)
-		total += time.Since(start)
-		b.StopTimer()
-		st := ing.Store().Stats()
-		if st.Pending != 0 || int64(st.Edges) != f.edges.Load() {
-			b.Fatalf("%d edges accepted, %d stored, %d pending after the Pin", f.edges.Load(), st.Edges, st.Pending)
-		}
-		fold += time.Duration(st.FoldNanos)
-		folds += st.Folds
-		dry.buf = dry.buf[:0]
-		start = time.Now()
-		if err := ingest(bytes.NewReader(data), false, dry); err != nil {
-			b.Fatal(err)
-		}
-		parse += time.Since(start)
-		b.StartTimer()
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var total, parse, fold, pin time.Duration
+			folds := 0
+			dry := &front{size: 1 << 62}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				ing, f, p := preloadShards(b, data, shards)
+				total += time.Since(start)
+				b.StopTimer()
+				st := ing.Store().Stats()
+				if st.Pending != 0 || int64(st.Edges) != f.edges.Load() {
+					b.Fatalf("%d edges accepted, %d stored, %d pending after the Pin", f.edges.Load(), st.Edges, st.Pending)
+				}
+				pin += p
+				fold += time.Duration(st.FoldNanos)
+				folds += st.Folds
+				dry.buf = dry.buf[:0]
+				start = time.Now()
+				if err := ingest(bytes.NewReader(data), false, dry); err != nil {
+					b.Fatal(err)
+				}
+				parse += time.Since(start)
+				b.StartTimer()
+			}
+			ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+			b.ReportMetric(ms(parse), "parse_ms")
+			b.ReportMetric(ms(total-parse-pin), "append_ms")
+			b.ReportMetric(ms(pin), "pin_ms")
+			b.ReportMetric(ms(fold), "fold_ms")
+			b.ReportMetric(float64(folds)/float64(b.N), "folds")
+		})
 	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
-	b.ReportMetric(ms(parse), "parse_ms")
-	b.ReportMetric(ms(total-parse-fold), "append_ms")
-	b.ReportMetric(ms(fold), "fold_ms")
-	b.ReportMetric(float64(folds)/float64(b.N), "folds")
 }
 
 // The debug listener answers pprof and carries the runtime's gauges into

@@ -4,7 +4,6 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"unsafe"
 )
@@ -235,7 +234,6 @@ func (in *Interner) SortedView() (*Set, []int32) {
 		ks[id] = in.keyAt(int32(id))
 	}
 	in.mu.RUnlock()
-	sorted := ks
 	pos := make([]int32, n)
 	for i := range pos {
 		pos[i] = int32(i)
@@ -244,14 +242,12 @@ func (in *Interner) SortedView() (*Set, []int32) {
 	// sort: the view is the identity.
 	if !slices.IsSorted(ks) {
 		ids := slices.Clone(pos)
-		slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(ks[a], ks[b]) })
-		sorted = make([]string, n)
+		SortKeys(ks, ids)
 		for p, id := range ids {
-			sorted[p] = ks[id]
 			pos[id] = int32(p)
 		}
 	}
-	set, err := FromSorted(sorted)
+	set, err := FromSorted(ks)
 	if err != nil {
 		panic("keys: interner holds duplicate keys: " + err.Error())
 	}

@@ -48,7 +48,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOne(dec, &req); err != nil {
 		http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

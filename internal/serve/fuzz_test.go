@@ -14,9 +14,11 @@ import (
 
 // The two HTTP body decoders, fuzzed under the contract the checkpoint
 // decoders hold (FuzzDecodeView): arbitrary bytes are answered with a
-// client error or a valid response, never a panic and never a 5xx. Each
-// input meets its own in-memory one-shard server, so a crasher reproduces
-// from its corpus file alone.
+// client error or a valid response, never a panic and never a 5xx — and a
+// 200 acknowledges the whole body: it is one JSON value, white space
+// aside, and the answer counts every edge or op in it. Each input meets
+// its own in-memory one-shard server, so a crasher reproduces from its
+// corpus file alone.
 
 const fuzzBodyBudget = 8 // MaxIngestEdges / MaxBatchOps of the fuzzed servers
 
@@ -45,6 +47,8 @@ func FuzzIngestBody(f *testing.F) {
 		`{"edges":[{"src":"a","dst":"b"}],"edges":[{"src":"c","dst":"d","src":"e"}]}`,
 		`{"edges":[{"src":"a","dst":"b","out":1e999}]}`,
 		`{"edges":null}`, `[]`, ``,
+		`{"edges":[{"src":"a","dst":"b"}]}{"edges":[{"src":"c","dst":"d"}]}`, // a second value is not a second batch
+		"{\"edges\":[{\"src\":\"a\",\"dst\":\"b\"}]} \r\n\t",                 // white space after the value is fine
 	} {
 		f.Add([]byte(body))
 	}
@@ -69,6 +73,10 @@ func FuzzIngestBody(f *testing.F) {
 			if ack.Appended < 1 || ack.Appended > fuzzBodyBudget || grew != ack.Appended {
 				t.Fatalf("acknowledged %d edges (budget %d), the store grew by %d", ack.Appended, fuzzBodyBudget, grew)
 			}
+			var whole struct{ Edges []json.RawMessage }
+			if err := json.Unmarshal(body, &whole); err != nil || len(whole.Edges) != ack.Appended {
+				t.Fatalf("acknowledged %d edges of a body holding %d (%v): %q", ack.Appended, len(whole.Edges), err, body)
+			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			// A refused batch is refused whole.
 			if grew != 0 {
@@ -92,6 +100,8 @@ func FuzzBatchBody(f *testing.F) {
 		`{"ops":[{"op":"at","src":"a","dst":"b"}],"nope":1}`,
 		`{"ops":[{"op":"at","src":"a","ds`,
 		`{"ops":[]}`, `{}`, ``,
+		`{"ops":[{"op":"at","src":"a","dst":"b"}]} garbage`,
+		`{"ops":[{"op":"at","src":"a","dst":"b"}]}{"ops":[{"op":"row","src":"a"}]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -119,6 +129,10 @@ func FuzzBatchBody(f *testing.F) {
 			if out.Count < 1 || out.Count > fuzzBodyBudget || len(out.Results) != out.Count {
 				t.Fatalf("count %d (budget %d) with %d results", out.Count, fuzzBodyBudget, len(out.Results))
 			}
+			var whole batchRequest
+			if err := json.Unmarshal(body, &whole); err != nil || len(whole.Ops) != out.Count {
+				t.Fatalf("answered %d ops of a body holding %d (%v): %q", out.Count, len(whole.Ops), err, body)
+			}
 			for i, r := range out.Results {
 				failed := r.Error != nil
 				inline := r.Status == http.StatusBadRequest || r.Status == http.StatusNotFound || r.Status == http.StatusUnprocessableEntity
@@ -135,4 +149,33 @@ func FuzzBatchBody(f *testing.F) {
 			t.Fatalf("the store moved under a read batch: %d edges at %v → %d at %v", before.Edges, before.Epochs, after.Edges, after.Epochs)
 		}
 	})
+}
+
+// A body is one JSON value. What follows it — a second batch, or anything
+// else but white space — is refused with a 400 that names it, and nothing
+// of the body is appended or run; before, the first value was acknowledged
+// and the rest dropped without a word.
+func TestTrailingDataIsRefused(t *testing.T) {
+	for _, c := range []struct{ path, body string }{
+		{"/ingest", `{"edges":[{"src":"a","dst":"b"}]}{"edges":[{"src":"c","dst":"d"}]}`},
+		{"/ingest", `{"edges":[{"src":"a","dst":"b"}]} ,`},
+		{"/batch", `{"ops":[{"op":"at","src":"a","dst":"b"}]} garbage`},
+		{"/batch", `{"ops":[{"op":"at","src":"a","dst":"b"}]}{"ops":[{"op":"row","src":"a"}]}`},
+	} {
+		ing := newTestIngest(t, core.IngestOptions{})
+		s := New(ing, Options{})
+		seedEdges(t, ing, [2]string{"a", "b"})
+		rec := postRaw(s, c.path, []byte(c.body))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "trailing data") {
+			t.Errorf("POST %s %s = %d %q, want 400 naming the trailing data", c.path, c.body, rec.Code, rec.Body)
+		}
+		if st := ing.Store().Stats(); st.Edges != 1 {
+			t.Errorf("POST %s %s: the store holds %d edges, want the 1 seeded", c.path, c.body, st.Edges)
+		}
+		// The same value alone is answered.
+		end := strings.Index(c.body, "]}") + 2
+		if rec := postRaw(s, c.path, []byte(c.body[:end]+" \n")); rec.Code != http.StatusOK {
+			t.Errorf("POST %s %s = %d %q", c.path, c.body[:end], rec.Code, rec.Body)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -50,7 +51,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Edges []ingestEdge `json:"edges"`
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBody)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeOne(json.NewDecoder(r.Body), &req); err != nil {
 		http.Error(w, "decode request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -91,4 +92,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, map[string]any{"appended": len(batch)})
+}
+
+// decodeOne decodes a request body that must be one JSON value: anything
+// after it but white space is an error naming the offset where it starts
+// — a second value in the body would otherwise be acknowledged with the
+// first and never read.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the JSON value, at byte %d", end)
+	}
+	return nil
 }

@@ -27,6 +27,7 @@ func TestOneIndexWidth(t *testing.T) {
 		"stream: StoreSnapshot.Epochs":       "the epoch vector: batch counters, one per shard",
 		"stream: Store.OwnerSnapshot result": "the epoch vector",
 		"stream: StoreStats.Epochs":          "the epoch vector",
+		"stream: Store.pinned":               "the epoch vector of the last pin",
 	}
 	used := map[string]bool{}
 	fset := token.NewFileSet()

@@ -68,9 +68,12 @@ type Store[V any] struct {
 	scatter sync.Pool // *[][]Edge[V], one sub-batch per shard
 
 	// cmu guards the last snapshot, reused while the epoch vector is
-	// unchanged so repeated queries share one gather.
+	// unchanged so repeated queries share one gather, and the vector the
+	// last pin saw, which outlives the snapshot (Append drops that): a
+	// shard whose epoch is still the one pinned has nothing to fold.
 	cmu    sync.Mutex
 	cached StoreSnapshot[V]
+	pinned []int
 }
 
 // FNV-1a, fixed parameters: the routing hash must be identical across
@@ -358,16 +361,60 @@ type gather[V any] struct {
 // shard that owns their row (ShardFor), and neither needs the store-wide
 // array a gather would copy together. (A point read on its own does not
 // pin the store at all: OwnerSnapshot.) While the vector is unchanged the same snapshot
-// is returned again.
+// is returned again, without touching the heap.
+//
+// A shard whose epoch moved since the last pin has a fold to run; the
+// first such shard folds on the caller's goroutine and every further one
+// on its own, so the shards' folds overlap instead of queueing. An error
+// is the lowest-indexed shard's.
 func (s *Store[V]) Pin() (StoreSnapshot[V], error) {
 	var few [4]Snapshot[V] // keeps the unchanged-vector path off the heap
 	snaps := few[:0]
+	if len(s.parts) > len(few) {
+		snaps = make([]Snapshot[V], 0, len(s.parts))
+	}
+	snaps = snaps[:len(s.parts)]
+	s.cmu.Lock()
+	last := s.pinned
+	s.cmu.Unlock()
+	var aside []int32 // the moved shards after the first, ascending
+	lead := false
 	for i, p := range s.parts {
-		sn, err := p.v.Snapshot()
-		if err != nil {
-			return StoreSnapshot[V]{}, fmt.Errorf("stream: shard %d: %w", i, err)
+		if last != nil && int(p.epoch()) == last[i] {
+			continue
 		}
-		snaps = append(snaps, sn)
+		if lead {
+			aside = append(aside, int32(i))
+		}
+		lead = true
+	}
+	var bg *foldsAside[V]
+	if len(aside) > 0 {
+		bg = s.foldAside(aside)
+	}
+	var err error
+	errAt := len(s.parts)
+	for i, p := range s.parts {
+		if len(aside) > 0 && int(aside[0]) == i {
+			aside = aside[1:]
+			continue
+		}
+		var serr error
+		if snaps[i], serr = p.v.Snapshot(); serr != nil && i < errAt {
+			err, errAt = serr, i
+		}
+	}
+	if bg != nil {
+		bg.wg.Wait()
+		for j, i := range bg.shards {
+			snaps[i] = bg.snaps[j]
+			if bg.errs[j] != nil && int(i) < errAt {
+				err, errAt = bg.errs[j], int(i)
+			}
+		}
+	}
+	if err != nil {
+		return StoreSnapshot[V]{}, fmt.Errorf("stream: shard %d: %w", errAt, err)
 	}
 	s.cmu.Lock()
 	fresh := s.cached.g == nil
@@ -382,7 +429,7 @@ func (s *Store[V]) Pin() (StoreSnapshot[V], error) {
 			c.Edges += sn.Edges
 			c.Exact = c.Exact && sn.Exact
 		}
-		s.cached = c
+		s.cached, s.pinned = c, c.Epochs
 	}
 	snap := s.cached
 	s.cmu.Unlock()
@@ -390,6 +437,29 @@ func (s *Store[V]) Pin() (StoreSnapshot[V], error) {
 		snap.Adjacency = snap.g.adj
 	}
 	return snap, nil
+}
+
+// foldsAside is Pin's shards that snapshot on goroutines of their own.
+type foldsAside[V any] struct {
+	wg     sync.WaitGroup
+	shards []int32
+	snaps  []Snapshot[V]
+	errs   []error
+}
+
+// foldAside starts one goroutine per shard in shards, each taking that
+// shard's Snapshot (a fold, if it has appends to fold); wait on wg before
+// reading what they return.
+func (s *Store[V]) foldAside(shards []int32) *foldsAside[V] {
+	bg := &foldsAside[V]{shards: shards, snaps: make([]Snapshot[V], len(shards)), errs: make([]error, len(shards))}
+	bg.wg.Add(len(shards))
+	for j, i := range shards {
+		go func() {
+			defer bg.wg.Done()
+			bg.snaps[j], bg.errs[j] = s.parts[i].v.Snapshot()
+		}()
+	}
+	return bg
 }
 
 // Snapshot is Pin plus the gather: the read view with Adjacency filled,

@@ -84,7 +84,6 @@ package stream
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,8 +233,10 @@ type View[V any] struct {
 	scr batchScratch[V] // per-append and per-fold buffers, reused under mu
 
 	// failpoint, when set (tests only), is consulted at named sites
-	// inside Append; a non-nil return aborts the append there. It exists
-	// to prove the rollback below restores the view exactly.
+	// inside Append and at the start of a fold; a non-nil return aborts
+	// the append (or the fold) there. It exists to prove the rollback
+	// below restores the view exactly, and that a store reports a failed
+	// fold by its shard.
 	failpoint func(site string) error
 }
 
@@ -653,13 +654,10 @@ func (v *View[V]) respanMainLocked(rowMap, colMap []int32) error {
 // in the grown Set (nil: unchanged). With nothing new, set and pos come
 // back as they are.
 func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grownSet *keys.Set, grown, oldPos []int32, err error) {
-	type idKey struct {
-		id  int32
-		key string
-	}
 	// grown is pos extended over the whole interner, made on the first
 	// new id; -2 marks "queued".
-	var fresh []idKey
+	var freshIDs []int32
+	var fresh []string // their keys
 	for _, id := range ids {
 		if int(id) < len(pos) && pos[id] >= 0 {
 			continue
@@ -672,18 +670,15 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 		}
 		if grown[id] == -1 {
 			grown[id] = -2
-			fresh = append(fresh, idKey{id, in.Key(id)})
+			freshIDs = append(freshIDs, id)
+			fresh = append(fresh, in.Key(id))
 		}
 	}
 	if grown == nil {
 		return set, pos, nil, nil
 	}
-	slices.SortFunc(fresh, func(a, b idKey) int { return strings.Compare(a.key, b.key) })
-	sorted := make([]string, len(fresh))
-	for j, f := range fresh {
-		sorted[j] = f.key
-	}
-	extra, err := keys.FromSorted(sorted)
+	keys.SortKeys(fresh, freshIDs)
+	extra, err := keys.FromSorted(fresh)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("stream: new vertex keys: %w", err)
 	}
@@ -695,12 +690,12 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 			}
 		}
 	}
-	for j, f := range fresh {
+	for j, id := range freshIDs {
 		p := int32(j)
 		if extraPos != nil {
 			p = extraPos[j]
 		}
-		grown[f.id] = p
+		grown[id] = p
 	}
 	grownSet.Bind(&keys.InternIndex{In: in, Pos: grown})
 	return grownSet, grown, oldPos, nil
@@ -747,6 +742,9 @@ const pointFoldShare = 8
 func (v *View[V]) materializeLocked() error {
 	if v.folded == len(v.srcID) {
 		return nil
+	}
+	if err := v.fail("fold:start"); err != nil {
+		return err
 	}
 	start := time.Now()
 	defer func() {
