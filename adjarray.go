@@ -237,21 +237,17 @@ func WeightedStreamEdge[V any](key, src, dst string, out, in V) StreamEdge[V] {
 	return stream.Weighted(key, src, dst, out, in)
 }
 
-// StreamOptions tunes a maintained adjacency view (compaction cadence,
-// associativity guard). A fold runs when a read needs the adjacency,
-// never inside an append.
-type StreamOptions = stream.Options
-
 // AdjacencyView maintains A = Eoutᵀ ⊕.⊗ Ein under continuous edge
 // ingest: appended batches apply via the delta identity
 // A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:] instead of full rebuilds. An Append
 // costs O(batch) whether or not the batch introduces vertices: the view
 // stores its edge log by stable vertex id — the edges not yet folded are
 // that log's suffix, nothing more — and establishes key order once per
-// fold, which a whole-array read (Snapshot), a checkpoint or Compact
-// triggers: a bulk load nobody reads is appends only, and its first
-// Snapshot pays one fold, the batch construction. A read of one cell or
-// row (Point) folds nothing.
+// fold, which a whole-array read (Snapshot) or a checkpoint triggers: a
+// bulk load nobody reads is appends only, and its first Snapshot pays one
+// fold, the batch construction. A read of one cell or row (Point) folds
+// nothing. Whatever the folds, every cell is batch construction's left
+// fold over its edges, for any ⊕ whose Zero is a ⊕-identity.
 type AdjacencyView[V any] = stream.View[V]
 
 // AdjacencySnapshot is an immutable read view of an AdjacencyView: the
@@ -271,15 +267,15 @@ type AdjacencyPointSnapshot[V any] = stream.PointSnapshot[V]
 type StreamStats = stream.Stats
 
 // NewAdjacencyView creates an empty maintained view.
-func NewAdjacencyView[V any](ops Ops[V], opt StreamOptions) *AdjacencyView[V] {
-	return stream.NewView(ops, opt)
+func NewAdjacencyView[V any](ops Ops[V]) *AdjacencyView[V] {
+	return stream.NewView(ops)
 }
 
 // AdjacencyViewFromIncidence bootstraps a view from batch-built
 // incidence arrays (exactly one entry per row and side, Definition I.4);
 // subsequent appends apply deltas on top.
-func AdjacencyViewFromIncidence[V any](eout, ein *Array[V], ops Ops[V], opt StreamOptions) (*AdjacencyView[V], error) {
-	return stream.FromIncidence(eout, ein, ops, opt)
+func AdjacencyViewFromIncidence[V any](eout, ein *Array[V], ops Ops[V]) (*AdjacencyView[V], error) {
+	return stream.FromIncidence(eout, ein, ops)
 }
 
 // The ingest store: N ≥ 1 shards (route-by-hash scatter, scatter-gather
@@ -310,8 +306,8 @@ type DurableStreamOptions[V any] = stream.DurableOptions[V]
 // else recovers from (or creates) that directory. shards 0 or 1 is one
 // shard, < 0 selects GOMAXPROCS; a directory that already holds a store
 // refuses an explicit count other than its own.
-func OpenAdjacencyStore[V any](dir string, ops Ops[V], shards int, opt StreamOptions, dopt DurableStreamOptions[V]) (*AdjacencyStore[V], error) {
-	return stream.Open(dir, ops, shards, opt, dopt)
+func OpenAdjacencyStore[V any](dir string, ops Ops[V], shards int, dopt DurableStreamOptions[V]) (*AdjacencyStore[V], error) {
+	return stream.Open(dir, ops, shards, dopt)
 }
 
 // Ingest accumulates edge triples and feeds an AdjacencyStore — the

@@ -117,8 +117,6 @@ type config struct {
 	keyed         bool
 	batch         int
 	shards        int
-	compactEvery  int
-	check         bool
 	serve         string
 	debugAddr     string
 	flushEvery    time.Duration
@@ -160,8 +158,6 @@ func main() {
 	flag.BoolVar(&cfg.keyed, "keyed", false, "lines carry an explicit leading edge key")
 	flag.IntVar(&cfg.batch, "batch", 512, "edges per delta batch")
 	flag.IntVar(&cfg.shards, "shards", -1, "goroutine-shards for ingest (route-by-hash on src); < 0 = GOMAXPROCS, or what -data-dir already holds")
-	flag.IntVar(&cfg.compactEvery, "compact-every", 0, "auto-Compact after this many batches (0 = never)")
-	flag.BoolVar(&cfg.check, "check", false, "sample the ⊕-associativity guard on every batch")
 	flag.StringVar(&cfg.serve, "serve", "", "HTTP listen address for snapshot queries (e.g. :8080); empty = ingest only")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "listen address for pprof, runtime/trace and runtime metrics (e.g. 127.0.0.1:6060), outside admission control; empty = off")
 	flag.DurationVar(&cfg.flushEvery, "flush-every", time.Second, "with -serve, flush partial batches at this interval so slow streams stay visible")
@@ -193,13 +189,9 @@ func main() {
 // process parking on a bare select {} forever.
 func run(cfg config) error {
 	opt := core.IngestOptions{
-		Semiring:  cfg.semiring,
-		BatchSize: cfg.batch,
-		Shards:    cfg.shards,
-		Stream: stream.Options{
-			CompactEvery:     cfg.compactEvery,
-			CheckAssociative: cfg.check,
-		},
+		Semiring:           cfg.semiring,
+		BatchSize:          cfg.batch,
+		Shards:             cfg.shards,
 		SkipConditionCheck: cfg.skip,
 	}
 	if cfg.dataDir != "" {
@@ -400,9 +392,9 @@ func run(cfg config) error {
 	// The shards fold at once, so on several cores the pin's wall time is
 	// less than the fold time summed over them.
 	fmt.Fprintf(os.Stderr,
-		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, exact=%v, pin %v, folds %v over %d shards\n",
+		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, pin %v, folds %v over %d shards\n",
 		f.edges.Load(), time.Since(start).Round(time.Millisecond),
-		st.Shards, st.AdjNNZ, st.Pending, st.Epochs, st.Exact,
+		st.Shards, st.AdjNNZ, st.Pending, st.Epochs,
 		pin.Round(time.Microsecond), time.Duration(st.FoldNanos).Round(time.Microsecond), folded)
 
 	if srv != nil {

@@ -55,7 +55,7 @@ func runFaultSchedules(root string, seed int64, schedules int, logf func(string,
 		schedSeed := seed ^ int64(i+1)*0x9e3779b9
 		rng := rand.New(rand.NewSource(schedSeed))
 		inj := iofault.New()
-		d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{
+		d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{
 			FS: iofault.Wrap(iofault.OS, inj),
 			WAL: wal.Options{
 				Policy:       wal.SyncEveryAppend,
@@ -77,7 +77,7 @@ func runFaultSchedules(root string, seed int64, schedules int, logf func(string,
 		quota := epoch + uint64(20+rng.Intn(30))
 		var wedgeErr error
 		for b := epoch + 1; b <= quota; b++ {
-			if err := d.Append(batchEdges(seed, b, keyBase(seed, b))); err != nil {
+			if err := d.Append(batchEdges(seed, b)); err != nil {
 				if !errors.Is(err, stream.ErrReadOnly) {
 					d.Abort()
 					return fmt.Errorf("schedule %d batch %d: append failed untyped: %v", i, b, err)
@@ -102,7 +102,7 @@ func runFaultSchedules(root string, seed int64, schedules int, logf func(string,
 			}
 			// The disk "recovers" — and the wedge must not.
 			inj.Clear()
-			if err := d.Append(batchEdges(seed, quota+1, keyBase(seed, quota+1))); !errors.Is(err, stream.ErrReadOnly) {
+			if err := d.Append(batchEdges(seed, quota+1)); !errors.Is(err, stream.ErrReadOnly) {
 				d.Abort()
 				return fmt.Errorf("schedule %d: post-wedge append on a healthy disk returned %v, want ErrReadOnly", i, err)
 			}
@@ -214,7 +214,7 @@ func runDegradedServing(dir string, seed int64, logf func(string, ...any)) error
 	if err != nil {
 		return err
 	}
-	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
+	d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{})
 	if err != nil {
 		return fmt.Errorf("reopen after degraded serving: %w", err)
 	}

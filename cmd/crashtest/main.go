@@ -149,32 +149,17 @@ func mustOps() (semiring.Ops[float64], error) {
 // Deterministic workload
 // ---------------------------------------------------------------------
 
-// batchSize is batch b's edge count, derived from (seed, b) alone.
-func batchSize(seed int64, b uint64) int {
-	r := rand.New(rand.NewSource(seed ^ int64(b)*1000003))
-	return 1 + r.Intn(11)
-}
-
-// keyBase is the number of edges in batches [1, b) — the global index
-// of batch b's first edge key.
-func keyBase(seed int64, b uint64) int {
-	n := 0
-	for i := uint64(1); i < b; i++ {
-		n += batchSize(seed, i)
-	}
-	return n
-}
-
-// batchEdges regenerates batch b: keys continue the global ascending
-// sequence, endpoints land in a small vertex space (multi-edges and
-// fold pressure), weights are integers in [1, 8].
-func batchEdges(seed int64, b uint64, base int) []stream.Edge[float64] {
+// batchEdges regenerates batch b from (seed, b) alone: at most 11 edges
+// whose keys start at b·16, so keys ascend across batches without
+// counting the earlier ones; endpoints land in a small vertex space
+// (multi-edges and fold pressure), weights are integers in [1, 8].
+func batchEdges(seed int64, b uint64) []stream.Edge[float64] {
 	r := rand.New(rand.NewSource(seed ^ int64(b)*1000003))
 	n := 1 + r.Intn(11)
 	edges := make([]stream.Edge[float64], n)
 	for i := range edges {
 		edges[i] = stream.Weighted(
-			fmt.Sprintf("k%09d", base+i),
+			fmt.Sprintf("k%09d", int(b)*16+i),
 			fmt.Sprintf("s%02d", r.Intn(24)),
 			fmt.Sprintf("t%02d", r.Intn(24)),
 			float64(1+r.Intn(8)),
@@ -189,7 +174,7 @@ func batchEdges(seed int64, b uint64, base int) []stream.Edge[float64] {
 func oracle(seed int64, epoch uint64, ops semiring.Ops[float64]) (*assoc.Array[float64], error) {
 	var outT, inT []assoc.Triple[float64]
 	for b := uint64(1); b <= epoch; b++ {
-		for _, e := range batchEdges(seed, b, keyBase(seed, b)) {
+		for _, e := range batchEdges(seed, b) {
 			outT = append(outT, assoc.Triple[float64]{Row: e.Key, Col: e.Src, Val: e.Out})
 			inT = append(inT, assoc.Triple[float64]{Row: e.Key, Col: e.Dst, Val: e.In})
 		}
@@ -207,7 +192,7 @@ func verifyRecovered(dir string, seed int64, minEpoch uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
+	d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{})
 	if err != nil {
 		return 0, fmt.Errorf("recovery failed: %w", err)
 	}
@@ -261,7 +246,7 @@ func childMain() error {
 	if err != nil {
 		return err
 	}
-	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{
+	d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{
 		WAL: wal.Options{
 			Policy: wal.SyncEveryAppend,
 			// Tiny segments force rotation (and retirement, under the
@@ -278,7 +263,7 @@ func childMain() error {
 	//adjlint:ignore syncerr
 	defer d.Close()
 	for b := d.Durability()[0].Epoch + 1; b <= maxB; b++ {
-		if err := d.Append(batchEdges(seed, b, keyBase(seed, b))); err != nil {
+		if err := d.Append(batchEdges(seed, b)); err != nil {
 			return fmt.Errorf("batch %d: %w", b, err)
 		}
 		// Unbuffered on purpose: the ack must be in the pipe before the
@@ -387,12 +372,12 @@ func buildCleanStore(dir string, seed int64, batches uint64, ckptEvery int) erro
 	if err != nil {
 		return err
 	}
-	d, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{})
+	d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{})
 	if err != nil {
 		return err
 	}
 	for b := uint64(1); b <= batches; b++ {
-		if err := d.Append(batchEdges(seed, b, keyBase(seed, b))); err != nil {
+		if err := d.Append(batchEdges(seed, b)); err != nil {
 			d.Abort()
 			return err
 		}
@@ -490,7 +475,7 @@ func runCorruption(root string, seed int64, logf func(string, ...any)) error {
 	if err := flipByte(segs[0], fi.Size()/2); err != nil {
 		return err
 	}
-	if _, err := stream.Open(dir, ops, 1, stream.Options{}, stream.DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 		return fmt.Errorf("mid-log flip: Open returned %v, want the typed corruption error", err)
 	}
 	logf("corruption: mid-log bit flip refused with ErrCorrupt")

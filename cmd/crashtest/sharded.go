@@ -46,7 +46,7 @@ import (
 // shard routing.
 func scatterBatch(sv *stream.Store[float64], seed int64, b uint64) [][]stream.Edge[float64] {
 	bySh := make([][]stream.Edge[float64], sv.Shards())
-	for _, e := range batchEdges(seed, b, keyBase(seed, b)) {
+	for _, e := range batchEdges(seed, b) {
 		s := sv.ShardFor(e.Src)
 		bySh[s] = append(bySh[s], e)
 	}
@@ -113,7 +113,7 @@ func verifyShardedRecovered(dir string, seed int64, shards int, minEpoch uint64)
 	if err != nil {
 		return nil, 0, err
 	}
-	sv, err := stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
 	if err != nil {
 		return nil, 0, fmt.Errorf("sharded recovery failed: %w", err)
 	}
@@ -180,7 +180,7 @@ func childShardedMain(dir string, seed int64, maxB uint64, shards, ckptEvery int
 	if err != nil {
 		return err
 	}
-	sv, err := stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{
 		WAL: wal.Options{
 			Policy:       wal.SyncEveryAppend,
 			SegmentBytes: 16 << 10,
@@ -199,7 +199,7 @@ func childShardedMain(dir string, seed int64, maxB uint64, shards, ckptEvery int
 		return err
 	}
 	for b := next; b <= maxB; b++ {
-		if err := sv.Append(batchEdges(seed, b, keyBase(seed, b))); err != nil {
+		if err := sv.Append(batchEdges(seed, b)); err != nil {
 			return fmt.Errorf("batch %d: %w", b, err)
 		}
 		fmt.Fprintf(os.Stdout, "acked %d\n", b)
@@ -293,12 +293,12 @@ func runShardedTornShard(root string, seed int64, logf func(string, ...any)) err
 		return err
 	}
 	dir := filepath.Join(root, "sharded-torn")
-	sv, err := stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
 	if err != nil {
 		return err
 	}
 	for b := uint64(1); b <= batches; b++ {
-		if err := sv.Append(batchEdges(seed, b, keyBase(seed, b))); err != nil {
+		if err := sv.Append(batchEdges(seed, b)); err != nil {
 			sv.Abort()
 			return err
 		}
@@ -341,7 +341,7 @@ func runShardedTornShard(root string, seed int64, logf func(string, ...any)) err
 
 	// Catch-up: re-append the lost sub-batch, then the store must verify
 	// at full coverage.
-	sv, err = stream.Open(dir, ops, shards, stream.Options{}, stream.DurableOptions[float64]{})
+	sv, err = stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
 	if err != nil {
 		return err
 	}

@@ -45,10 +45,10 @@
 //     so an append is O(batch) even when it introduces vertices. Key
 //     order (the sorted vertex universe, the key-ordered incidence
 //     arrays of Snapshot.Logs) is established at the fold, and a fold
-//     runs when someone needs the adjacency — a read, a checkpoint,
-//     Compact — never on an append's own account: a bulk load is
+//     runs when someone needs the adjacency — a whole-array read or a
+//     checkpoint — never on an append's own account: a bulk load is
 //     appends, then ONE fold at its first read, which meeting an empty
-//     adjacency is the batch construction itself (Exact stays true).
+//     adjacency is the batch construction itself.
 //     Ingest accumulates arriving triples into the delta batches of one
 //     AdjacencyStore;
 //   - one ingest store, shards × optional WAL: OpenAdjacencyStore
@@ -133,26 +133,33 @@
 // adjacency and applies batches through this identity instead of
 // rebuilding; Snapshot returns immutable copy-on-write read views in
 // O(1). Edge keys must arrive in ascending order, which keeps the
-// per-cell ⊕ fold ORDER equal to the sequential Definition I.3 fold —
-// incremental folding only re-groups it, so the maintained state equals
-// the one-shot construction exactly when ⊕ is associative on the data
-// (sampled by StreamOptions.CheckAssociative; see the paper's companion
-// work on algebraic conditions for generating accurate adjacency
-// arrays). For non-associative ⊕, Snapshot.Exact reports the possible
-// divergence and Compact rebuilds the exact fold from the log.
+// per-cell ⊕ fold ORDER equal to the sequential Definition I.3 fold, and
+// a fold starts each cell it touches from the value the adjacency holds
+// there, so it never regroups either: the maintained state is the
+// one-shot construction bit for bit, for any ⊕, however reads,
+// checkpoints, restarts and shards cut the log into folds — the semiring
+// laws are as irrelevant to it as the paper's companion work on
+// algebraic conditions shows they are to EoutᵀEin being an adjacency
+// array. The one precondition is the one Ops documents, Zero a
+// ⊕-identity: a cell whose edges fold to exactly Zero is not stored, so
+// its next fold starts from absence where the one-shot fold goes on from
+// Zero.
 //
 // # Construction is a fold
 //
 // Definition I.4 gives each incidence array of a graph one entry per
 // edge row, so for a graph A = Eoutᵀ ⊕.⊗ Ein is a group-by: A(s,d) is
 // the ⊕-fold, in ascending edge-key order, of Eout(k,s) ⊗ Ein(k,d) over
-// the edges k from s to d. Correlate — and with it Adjacency, Build,
-// Compact, a bootstrapped view — recognises that shape by itself (one row
+// the edges k from s to d. Correlate — and with it Adjacency, Build, a
+// bootstrapped view — recognises that shape by itself (one row
 // key set, both matrices marked unit-row where their row pointers were
 // last walked) and runs sparse.FoldUnitRows on the two column arrays: a
 // stable counting sort on the source, then per row a stable grouping on
 // the target. Nothing is transposed; a view's fold of its unfolded log
-// suffix is the same kernel. Anything else — hyperedge rows, multi-hop A·A, masked
+// suffix is the same kernel while the view holds no adjacency yet, and
+// then sparse.GroupUnitRows, which groups the suffix by cell and leaves
+// the folding to the merge that continues the adjacency's cells.
+// Anything else — hyperedge rows, multi-hop A·A, masked
 // products, row keys that merely overlap — multiplies on the engine
 // below. The results cannot be told apart: row s of a unit-row Eoutᵀ
 // lists the edges out of s in key order, so the engine meets the

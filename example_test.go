@@ -118,7 +118,7 @@ func ExampleBuild() {
 // the store in memory; a directory would make every append durable.
 func ExampleOpenAdjacencyStore() {
 	sv, err := adjarray.OpenAdjacencyStore("", adjarray.PlusTimes(), 4,
-		adjarray.StreamOptions{}, adjarray.DurableStreamOptions[float64]{})
+		adjarray.DurableStreamOptions[float64]{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -8,9 +8,9 @@
 //	A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:]
 //
 // This example ingests a follow-event stream batch by batch, reads live
-// snapshots between batches, and then demonstrates the identity's
-// associativity hypothesis: a non-associative ⊕ diverges from the batch
-// result across incremental folds, and Compact() recovers it.
+// snapshots between batches, and then shows that the identity needs no
+// associativity: each fold continues the cells already folded, so even
+// a non-associative ⊕ gives the batch result whenever the reads fall.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	// 1. A maintained view under +.× — ⊕ counts parallel edges.
-	v := adjarray.NewAdjacencyView(adjarray.PlusTimes(), adjarray.StreamOptions{})
+	v := adjarray.NewAdjacencyView(adjarray.PlusTimes())
 
 	// 2. Edges arrive in batches (keys left empty: auto-assigned in
 	// arrival order, satisfying the ascending-key log discipline).
@@ -41,8 +41,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("after batch %d: %d edges, %d adjacency entries (exact=%v)\n",
-			i+1, snap.Edges, snap.Adjacency.NNZ(), snap.Exact)
+		fmt.Printf("after batch %d: %d edges, %d adjacency entries\n",
+			i+1, snap.Edges, snap.Adjacency.NNZ())
 	}
 
 	snap, err := v.Snapshot()
@@ -52,9 +52,9 @@ func main() {
 	fmt.Println("\nmaintained adjacency (+.*):")
 	fmt.Print(adjarray.Format(snap.Adjacency, adjarray.FormatFloat))
 
-	// 3. The incremental state equals the one-shot construction — the
-	// delta identity is exact for associative ⊕. The view keeps its edge
-	// log by vertex id; Logs builds the key-ordered incidence arrays.
+	// 3. The incremental state equals the one-shot construction. The view
+	// keeps its edge log by vertex id; Logs builds the key-ordered
+	// incidence arrays.
 	eout, ein, err := snap.Logs()
 	if err != nil {
 		log.Fatal(err)
@@ -65,9 +65,10 @@ func main() {
 	}
 	fmt.Println("incremental == one-shot Correlate:", snap.Adjacency.Equal(oneShot, func(a, b float64) bool { return a == b }))
 
-	// 4. The hypothesis matters: averaging is NOT associative, so
-	// folding a delta onto already-folded state diverges from the
-	// sequential fold. Compact() rebuilds from the log and recovers it.
+	// 4. Averaging is NOT associative: grouping the later edges on their
+	// own, 1 ⊕ (3⊕5), would give 2.50. A fold starts each cell from the
+	// value the earlier edges folded to, so a read between the batches
+	// changes nothing: the view holds the sequential fold ((1⊕3)⊕5).
 	avg := adjarray.Ops[float64]{
 		Name: "avg.*",
 		Add:  func(a, b float64) float64 { return (a + b) / 2 },
@@ -75,7 +76,7 @@ func main() {
 		Zero: 0, One: 1,
 		Equal: func(a, b float64) bool { return a == b },
 	}
-	w := adjarray.NewAdjacencyView(avg, adjarray.StreamOptions{})
+	w := adjarray.NewAdjacencyView(avg)
 	weighted := []adjarray.StreamEdge[float64]{
 		{Src: "a", Dst: "b", Out: 1, HasOut: true},
 		{Src: "a", Dst: "b", Out: 3, HasOut: true},
@@ -90,20 +91,10 @@ func main() {
 	if err := w.Append(weighted[1:]); err != nil {
 		log.Fatal(err)
 	}
-	div, err := w.Snapshot()
+	ws, err := w.Snapshot()
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, _ := div.Adjacency.At("a", "b")
-	fmt.Printf("\nnon-associative avg.*: incremental %.2f (exact=%v), sequential fold ((1⊕3)⊕5) = 3.50\n", got, div.Exact)
-
-	if err := w.Compact(); err != nil { // full rebuild from the incidence log
-		log.Fatal(err)
-	}
-	rec, err := w.Snapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	got, _ = rec.Adjacency.At("a", "b")
-	fmt.Printf("after Compact(): %.2f (exact=%v)\n", got, rec.Exact)
+	got, _ := ws.Adjacency.At("a", "b")
+	fmt.Printf("\nnon-associative avg.*: incremental %.2f, sequential fold ((1⊕3)⊕5) = 3.50\n", got)
 }

@@ -162,7 +162,7 @@ func TestFacadeCSRGraphAndStreaming(t *testing.T) {
 	// A maintained view ingests a mix of weighted and unweighted edges
 	// under max.min — the widest-path pair whose One (+Inf) the old
 	// Zero-sentinel convention could not produce from Go zero values.
-	v := adjarray.NewAdjacencyView(adjarray.MaxMin(), adjarray.StreamOptions{})
+	v := adjarray.NewAdjacencyView(adjarray.MaxMin())
 	if err := v.Append([]adjarray.StreamEdge[float64]{
 		{Src: "a", Dst: "b"}, // unweighted: width +Inf
 		adjarray.WeightedStreamEdge("", "b", "c", 3.0, 3),

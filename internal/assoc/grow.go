@@ -49,7 +49,8 @@ func AddInto[V any](a, b *Array[V], ops semiring.Ops[V], inPlace bool) (*Array[V
 // AddIntoMapped is the merge under AddInto for operands already aligned:
 // b spans the result's key sets, and a's keys sit in them at the
 // positions rowPos and colPos give (strictly increasing; nil: a's keys
-// are the first of b's, in place). The merge reads a through the maps —
+// are the first of b's, in place). A row of b may hold a cell as a run
+// of entries, folded onto a's value in order (sparse.EWiseAddInto). The merge reads a through the maps —
 // one pass from a's own storage into the result, never an embedded copy
 // of a first. The maps' lengths, order and range are checked; that
 // position i really holds a's i-th key is the caller's word, which is

@@ -69,7 +69,7 @@ func Correlate[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Arr
 	if a.mat.UnitRows() && b.mat.UnitRows() && a.rows.Equal(b.rows) {
 		_, src, out := a.mat.Parts()
 		_, dst, in := b.mat.Parts()
-		m, err := sparse.FoldUnitRows(a.cols.Len(), b.cols.Len(), src, dst, out, in, ops, opt, nil)
+		m, err := sparse.FoldUnitRows(a.cols.Len(), b.cols.Len(), src, dst, out, in, ops, opt)
 		if err != nil {
 			return nil, err
 		}

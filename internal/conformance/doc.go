@@ -17,10 +17,11 @@
 //     to the serial engine's Mul(Eoutᵀ, Ein) on every instance, for every
 //     registry operator pair — kernels fold contributions in ascending
 //     edge-key order by contract, so even non-associative,
-//     non-commutative ⊕ must agree bit-for-bit. Paths that re-associate
-//     the per-cell fold (the stream paths) are compared only when ⊕ is
-//     associative on the instance's value closure, mirroring the guard
-//     they ship with.
+//     non-commutative ⊕ must agree bit-for-bit. Paths that fold an
+//     instance in parts (the stream paths) continue each cell from what
+//     the earlier parts stored, so they agree too, wherever Zero is a
+//     ⊕-identity on the instance's products — the one precondition (a
+//     cell folded to exactly Zero is not stored).
 //
 //   - Oracle tier: when the operator pair satisfies the Theorem II.1
 //     conditions (checked on the pair's canonical sample extended with

@@ -29,7 +29,7 @@ type Instance struct {
 	Edges []Edge
 	// Splits are cut points in (0, len(Edges)): the stream path appends
 	// Edges[0:s1), Edges[s1:s2), …, Edges[sn:len) as separate batches
-	// with a snapshot between batches (maximal fold re-association).
+	// with a read between batches (the most folds an instance can take).
 	// Empty means one batch.
 	Splits []int
 }

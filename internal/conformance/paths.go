@@ -20,11 +20,13 @@ import (
 type Path struct {
 	// Name identifies the path in divergence reports.
 	Name string
-	// ReAssociates marks paths that regroup the per-cell ⊕ fold
-	// (partial-product merges): the executor compares them only when ⊕
-	// is associative on the instance's value closure, the same
-	// hypothesis the backends themselves guard.
-	ReAssociates bool
+	// Resumes marks paths that fold an instance's edges in parts — the
+	// stream paths, a part per fold — each part starting a cell from what
+	// the earlier parts stored. A cell that folded to exactly Zero is not
+	// stored, so such a path equals the one fold where Zero is a
+	// ⊕-identity on the instance's products, and the executor compares it
+	// there (zeroIsIdentityOn); associativity does not enter.
+	Resumes bool
 	// Build constructs the adjacency array from the instance's incidence
 	// arrays. inst carries extra driving data some paths need (the
 	// stream path replays inst.Splits as separate batches).
@@ -69,9 +71,9 @@ func builtinPaths() []Path {
 			},
 		},
 		{
-			Name:         "stream",
-			ReAssociates: true,
-			Build:        buildStream,
+			Name:    "stream",
+			Resumes: true,
+			Build:   buildStream,
 		},
 		{
 			// The goroutine-sharded ingest as a construction path: every
@@ -85,9 +87,9 @@ func builtinPaths() []Path {
 			// including the adversarial keys from the generators (unicode,
 			// NUL, prefix collisions) flowing through the FNV router —
 			// against the dense Definition I.3 oracle.
-			Name:         "stream-sharded",
-			ReAssociates: true,
-			Build:        buildStreamSharded,
+			Name:    "stream-sharded",
+			Resumes: true,
+			Build:   buildStreamSharded,
 		},
 		{
 			// The durability round trip as a construction path: every batch
@@ -97,9 +99,9 @@ func builtinPaths() []Path {
 			// WAL-tail replay. Gates the whole persistence stack (batch
 			// codec, checkpoint codec, interner slabs, CSR encoding,
 			// recovery sequencing) against the dense Definition I.3 oracle.
-			Name:         "stream-durable-recovered",
-			ReAssociates: true,
-			Build:        buildStreamDurableRecovered,
+			Name:    "stream-durable-recovered",
+			Resumes: true,
+			Build:   buildStreamDurableRecovered,
 		},
 		{
 			// The store as a server that is asked nothing but point reads
@@ -111,9 +113,9 @@ func builtinPaths() []Path {
 			// on it, the serial engine otherwise). A whole-array Snapshot at
 			// every third boundary gives later suffixes a non-empty main to
 			// meet. The array returned is the one the last reads spell.
-			Name:         "stream-point-read",
-			ReAssociates: true,
-			Build:        buildStreamPointRead,
+			Name:    "stream-point-read",
+			Resumes: true,
+			Build:   buildStreamPointRead,
 		},
 	}
 }
@@ -135,10 +137,10 @@ func buildReferenceMerge(eout, ein *assoc.Array[float64], ops semiring.Ops[float
 
 // buildStream replays the instance through a one-shard store: one
 // Append per split segment with a Snapshot between batches, so every
-// batch boundary becomes a fold re-association point — the most
-// adversarial grouping the incremental path can produce.
+// batch boundary is a fold that continues the cells the last one left —
+// the most parts the incremental path can cut an instance into.
 func buildStream(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStore("", ops, inst, 1)
+	return replayStore("", ops, inst, 1, "snapshot")
 }
 
 // buildStreamDurableRecovered replays the instance through a durable
@@ -150,32 +152,42 @@ func buildStreamDurableRecovered(_, _ *assoc.Array[float64], ops semiring.Ops[fl
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	return replayStore(dir, ops, inst, 1)
+	return replayStore(dir, ops, inst, 1, "snapshot")
 }
 
 func buildStreamSharded(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	return replayStore("", ops, inst, 3)
+	return replayStore("", ops, inst, 3, "snapshot")
 }
 
 // replayStore replays the instance's batches through a store and
 // returns the adjacency of its final snapshot. Each Append scatters its
-// edges to per-shard sub-batches and each boundary Snapshot pins a full
-// epoch vector and folds each shard's unfolded log suffix into the
-// materialized level, so the next batch folds against already-folded state. One
-// checkpoint is taken after the first batch; with a directory the store
-// is then aborted (no final checkpoint, no final sync) and the adjacency
-// comes from the REOPENED store — checkpoint load plus WAL-tail replay.
-func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards int) (*assoc.Array[float64], error) {
+// edges to per-shard sub-batches, and after each one the store is read
+// as read says: "snapshot" pins a full epoch vector and folds each
+// shard's unfolded log suffix into the materialized level, so the next
+// batch folds onto already-folded cells; "point" pins the owner of the
+// batch's last edge for a point read, which folds nothing; "none" reads
+// nothing. One checkpoint is taken after the first batch;
+// with a directory the store is then aborted (no final checkpoint, no
+// final sync) and the adjacency comes from the REOPENED store —
+// checkpoint load plus WAL-tail replay.
+func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards int, read string) (*assoc.Array[float64], error) {
 	// No fsync: the simulated failure is a process exit, not a power
 	// cut, so written-but-unsynced records must survive the reopen.
 	dopt := stream.DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
-	s, err := stream.Open(dir, ops, shards, stream.Options{}, dopt)
+	s, err := stream.Open(dir, ops, shards, dopt)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { s.Abort() }()
-	err = appendBatches(s, inst, func(nth, _ int) error {
-		if _, err := s.Snapshot(); err != nil || nth > 1 {
+	err = appendBatches(s, inst, func(nth, cut int) error {
+		var err error
+		switch read {
+		case "snapshot":
+			_, err = s.Snapshot()
+		case "point":
+			_, _, err = s.OwnerSnapshot(inst.Edges[cut-1].Src)
+		}
+		if err != nil || nth > 1 {
 			return err
 		}
 		return s.Checkpoint()
@@ -185,7 +197,7 @@ func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards in
 	}
 	if dir != "" {
 		s.Abort()
-		re, err := stream.Open(dir, ops, shards, stream.Options{}, dopt)
+		re, err := stream.Open(dir, ops, shards, dopt)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +233,7 @@ func appendBatches(s *stream.Store[float64], inst Instance, acked func(nth, cut 
 }
 
 func buildStreamPointRead(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	s, err := stream.Open("", ops, 2, stream.Options{}, stream.DurableOptions[float64]{})
+	s, err := stream.Open("", ops, 2, stream.DurableOptions[float64]{})
 	if err != nil {
 		return nil, err
 	}

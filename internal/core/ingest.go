@@ -43,9 +43,6 @@ type IngestOptions struct {
 	// selects GOMAXPROCS. A DataDir that already holds a store refuses
 	// an explicit count other than its own; < 0 adopts it.
 	Shards int
-	// Stream tunes the per-shard views (compaction, associativity
-	// guard).
-	Stream stream.Options
 	// SkipConditionCheck accepts operator pairs that fail the Theorem
 	// II.1 conditions (the Report is still available via Report()).
 	SkipConditionCheck bool
@@ -74,7 +71,7 @@ func NewIngest(opt IngestOptions) (*Ingest, error) {
 	if size <= 0 {
 		size = 512
 	}
-	store, err := stream.Open(opt.DataDir, entry.Ops, opt.Shards, opt.Stream, opt.Durable)
+	store, err := stream.Open(opt.DataDir, entry.Ops, opt.Shards, opt.Durable)
 	if err != nil {
 		return nil, err
 	}
@@ -99,8 +96,8 @@ func (in *Ingest) Add(e stream.Edge[float64]) error {
 }
 
 // Flush appends the buffered edges to the store as one delta batch. A
-// batch a shard rejects (key-discipline violation, failed associativity
-// guard) is DROPPED with the returned error — shards apply batches
+// batch a shard rejects (a key-discipline violation) is DROPPED with the
+// returned error — shards apply batches
 // atomically, so none of its edges were ingested there, and keeping them
 // buffered would wedge every subsequent Add on the same failure. (A
 // multi-shard flush is atomic per shard: the error names the shard that
@@ -139,7 +136,7 @@ func (in *Ingest) Snapshot() (stream.StoreSnapshot[float64], error) {
 	return in.store.Snapshot()
 }
 
-// Store exposes the maintained store (Stats, Compact, Durability, or
+// Store exposes the maintained store (Stats, Durability, Checkpoint, or
 // direct Append of pre-batched edges). Edges still buffered in the
 // accumulator are not yet in it; call Flush first when that matters.
 func (in *Ingest) Store() *stream.Store[float64] { return in.store }

@@ -195,7 +195,7 @@ func (g *Graph) pairIndex() *pairIndex {
 			ones[i] = 1
 		}
 		plus := semiring.Ops[int32]{Add: func(a, b int32) int32 { return a + b }, Equal: func(a, b int32) bool { return a == b }}
-		counts, err := sparse.FoldUnitRows(g.outVerts.Len(), g.inVerts.Len(), g.src, g.dst, ones, nil, plus, sparse.MxmOptions{}, nil)
+		counts, err := sparse.FoldUnitRows(g.outVerts.Len(), g.inVerts.Len(), g.src, g.dst, ones, nil, plus, sparse.MxmOptions{})
 		if err != nil {
 			panic("graph: pair index: " + err.Error()) // positions come from New
 		}

@@ -39,19 +39,12 @@ func (s *Server) writeAnswer(w http.ResponseWriter, render func(b []byte) []byte
 // thing that tells a standalone answer from the same answer inside a
 // /batch: standalone, the consistency token — the pinned epoch vector
 // and its scalar sum (every field of one response reflects shard i at
-// exactly epochs[i]), plus "exact" on whole-graph answers; in a batch,
-// the op's name, the token being the batch's. Either sorts at one place
-// among a shape's fields, so a shape is written once and handed its
-// stamp.
+// exactly epochs[i]); in a batch, the op's name, the token being the
+// batch's. Either sorts at one place among a shape's fields, so a shape
+// is written once and handed its stamp.
 type stamp struct {
 	op     string // a /batch op's name; "" marks a standalone answer
 	epochs []int
-	whole  bool // a whole-graph answer: carries exact
-	exact  bool
-}
-
-func wholeStamp(epochs []int, exact bool) stamp {
-	return stamp{epochs: epochs, whole: true, exact: exact}
 }
 
 // appendTo writes the stamp's fields, each followed by a comma.
@@ -74,13 +67,7 @@ func (st stamp) appendTo(b []byte) []byte {
 		}
 		b = strconv.AppendInt(b, int64(e), 10)
 	}
-	b = append(b, `],`...)
-	if st.whole {
-		b = append(b, `"exact":`...)
-		b = strconv.AppendBool(b, st.exact)
-		b = append(b, ',')
-	}
-	return b
+	return append(b, `],`...)
 }
 
 // appendAt answers one cell: dst, stamp, src, stored, value.

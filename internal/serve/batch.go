@@ -61,7 +61,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	shards, epochs, exact, ok := s.snapshot(w)
+	shards, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
@@ -88,7 +88,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		b = append(b, `{"count":`...)
 		b = strconv.AppendInt(b, int64(len(req.Ops)), 10)
 		b = append(b, ',')
-		b = wholeStamp(epochs, exact).appendTo(b)
+		b = stamp{epochs: epochs}.appendTo(b)
 		b = append(b, `"results":[`...)
 		for i, op := range req.Ops {
 			if i > 0 {

@@ -86,8 +86,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				http.StatusServiceUnavailable)
 			return
 		}
-		// Anything else is the batch's own fault (key discipline, failed
-		// associativity guard) — the view rejected it atomically.
+		// Anything else is the batch's own fault (the key discipline) —
+		// the view rejected it atomically.
 		http.Error(w, "append: "+err.Error(), http.StatusBadRequest)
 		return
 	}

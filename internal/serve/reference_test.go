@@ -87,13 +87,13 @@ func safeFloatMap(m map[string]float64) map[string]any {
 	return out
 }
 
-func (s *refServer) snapshot(w http.ResponseWriter) (*assoc.Array[float64], []int, bool, bool) {
+func (s *refServer) snapshot(w http.ResponseWriter) (*assoc.Array[float64], []int, bool) {
 	snap, err := s.ing.Store().Snapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return nil, nil, false, false
+		return nil, nil, false
 	}
-	return snap.Adjacency, snap.Epochs, snap.Exact, true
+	return snap.Adjacency, snap.Epochs, true
 }
 
 func epochFields(m map[string]any, epochs []int) map[string]any {
@@ -112,7 +112,7 @@ func (s *refServer) handleAt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want ?src=...&dst=...", http.StatusBadRequest)
 		return
 	}
-	adj, epochs, _, ok := s.snapshot(w)
+	adj, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
@@ -126,7 +126,7 @@ func (s *refServer) handleRow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want ?src=...", http.StatusBadRequest)
 		return
 	}
-	adj, epochs, _, ok := s.snapshot(w)
+	adj, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
@@ -151,7 +151,7 @@ func (s *refServer) handleTriples(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, s.opt.TriplesMax)
 	}
-	adj, epochs, exact, ok := s.snapshot(w)
+	adj, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
@@ -163,12 +163,12 @@ func (s *refServer) handleTriples(w http.ResponseWriter, r *http.Request) {
 	})
 	s.writeJSON(w, epochFields(map[string]any{
 		"triples": rows, "total": total, "limit": limit,
-		"truncated": total > len(rows), "exact": exact,
+		"truncated": total > len(rows),
 	}, epochs))
 }
 
 func (s *refServer) algoQuery(w http.ResponseWriter, compute func(g *algo.Graph) (any, error)) {
-	adj, epochs, exact, ok := s.snapshot(w)
+	adj, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
@@ -186,7 +186,7 @@ func (s *refServer) algoQuery(w http.ResponseWriter, compute func(g *algo.Graph)
 		http.Error(w, err.Error(), status)
 		return
 	}
-	s.writeJSON(w, epochFields(map[string]any{"result": res, "exact": exact}, epochs))
+	s.writeJSON(w, epochFields(map[string]any{"result": res}, epochs))
 }
 
 func (s *refServer) sourceQuery(run func(g *algo.Graph, src string) (any, error)) http.HandlerFunc {
@@ -262,7 +262,7 @@ func (s *refServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("batch of %d ops exceeds the server maximum %d", len(req.Ops), s.opt.MaxBatchOps), http.StatusBadRequest)
 		return
 	}
-	adj, epochs, exact, ok := s.snapshot(w)
+	adj, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
@@ -286,7 +286,7 @@ func (s *refServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results[i] = res
 	}
 	s.writeJSON(w, epochFields(map[string]any{
-		"results": results, "count": len(results), "exact": exact,
+		"results": results, "count": len(results),
 	}, epochs))
 }
 

@@ -230,27 +230,26 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 }
 
 // takeSnapshot pins one consistent read without gathering it: every
-// shard's snapshot at one epoch vector (cached per vector by the store),
-// the vector, and whether the state is provably the one-shot
-// construction. Whoever needs one array over the whole store — only
+// shard's snapshot at one epoch vector (cached per vector by the store)
+// and the vector. Whoever needs one array over the whole store — only
 // /triples — asks the store for the gathered snapshot instead.
-func (s *Server) takeSnapshot() ([]stream.Snapshot[float64], []int, bool, error) {
+func (s *Server) takeSnapshot() ([]stream.Snapshot[float64], []int, error) {
 	snap, err := s.ing.Store().Pin()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	s.met.observeEpochs(snap.Epochs)
-	return snap.Shards, snap.Epochs, snap.Exact, nil
+	return snap.Shards, snap.Epochs, nil
 }
 
 // snapshot is takeSnapshot with the HTTP error path folded in.
-func (s *Server) snapshot(w http.ResponseWriter) ([]stream.Snapshot[float64], []int, bool, bool) {
-	shards, epochs, exact, err := s.takeSnapshot()
+func (s *Server) snapshot(w http.ResponseWriter) ([]stream.Snapshot[float64], []int, bool) {
+	shards, epochs, err := s.takeSnapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return nil, nil, false, false
+		return nil, nil, false
 	}
-	return shards, epochs, exact, true
+	return shards, epochs, true
 }
 
 // pinOwner pins a point read: the point pin of the one shard that owns
@@ -457,7 +456,7 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.observeEpochs(snap.Epochs)
 	s.writeAnswer(w, func(b []byte) []byte {
-		return appendTriples(b, wholeStamp(snap.Epochs, snap.Exact), snap.Adjacency, limit)
+		return appendTriples(b, stamp{epochs: snap.Epochs}, snap.Adjacency, limit)
 	})
 }
 
@@ -466,7 +465,7 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 // error (404); an algorithm refusing the instance (asymmetric
 // triangles, no fixpoint) is 422.
 func (s *Server) algoQuery(w http.ResponseWriter, run func(g *algo.Graph) (result, error)) {
-	shards, epochs, exact, ok := s.snapshot(w)
+	shards, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
@@ -480,7 +479,7 @@ func (s *Server) algoQuery(w http.ResponseWriter, run func(g *algo.Graph) (resul
 		http.Error(w, err.Error(), opStatus(err))
 		return
 	}
-	s.writeAnswer(w, func(b []byte) []byte { return appendResult(b, wholeStamp(epochs, exact), res) })
+	s.writeAnswer(w, func(b []byte) []byte { return appendResult(b, stamp{epochs: epochs}, res) })
 }
 
 func (s *Server) sourceQuery(run func(g *algo.Graph, src string) (result, error)) http.HandlerFunc {

@@ -316,13 +316,13 @@ func TestGraphCacheRejectsStaleOverwrite(t *testing.T) {
 
 	// Request A pins the epoch-1 snapshot but is "slow": it has not
 	// reached the cache yet.
-	adjOld, epochsOld, _, err := s.takeSnapshot()
+	adjOld, epochsOld, err := s.takeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An ingest batch lands and request B pins + caches epoch 2.
 	seedEdges(t, ing, [2]string{"b", "c"})
-	adjNew, epochsNew, _, err := s.takeSnapshot()
+	adjNew, epochsNew, err := s.takeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestGraphCacheRaceAroundAppend(t *testing.T) {
 		request := func() {
 			defer wg.Done()
 			<-start
-			adj, epochs, _, err := s.takeSnapshot()
+			adj, epochs, err := s.takeSnapshot()
 			if err != nil {
 				t.Error(err)
 				return
@@ -399,7 +399,7 @@ func TestGraphCacheRaceAroundAppend(t *testing.T) {
 		// Whatever the interleaving, a request pinning the final state
 		// must find or install the newest vector — and once it has, the
 		// cached vector is final (nothing older can replace it).
-		adj, epochs, _, err := s.takeSnapshot()
+		adj, epochs, err := s.takeSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func TestGraphCacheBuildsOutsideItsLock(t *testing.T) {
 	ing := newTestIngest(t, core.IngestOptions{BatchSize: 1})
 	seedEdges(t, ing, [2]string{"a", "b"})
 	s := New(ing, Options{})
-	adj1, epochs1, _, err := s.takeSnapshot()
+	adj1, epochs1, err := s.takeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestGraphCacheBuildsOutsideItsLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedEdges(t, ing, [2]string{"b", "c"})
-	adj2, epochs2, _, err := s.takeSnapshot()
+	adj2, epochs2, err := s.takeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func BenchmarkFoldUnitRows(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/fold-w%d", ops.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := FoldUnitRows(eout.cols, ein.cols, eout.colIdx, ein.colIdx, eout.val, ein.val, ops, opt, nil); err != nil {
+					if _, err := FoldUnitRows(eout.cols, ein.cols, eout.colIdx, ein.colIdx, eout.val, ein.val, ops, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -164,7 +164,7 @@ func TestConcatRowsOfOnePartIsEmbed(t *testing.T) {
 // with its own row space) into the full matrix.
 func BenchmarkConcatRows(b *testing.B) {
 	eout, ein := rmatUnitRows(b, 14, 8)
-	adj, err := FoldUnitRows(eout.cols, ein.cols, eout.colIdx, ein.colIdx, eout.val, ein.val, semiring.PlusTimes(), MxmOptions{}, nil)
+	adj, err := FoldUnitRows(eout.cols, ein.cols, eout.colIdx, ein.colIdx, eout.val, ein.val, semiring.PlusTimes(), MxmOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

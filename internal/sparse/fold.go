@@ -38,25 +38,13 @@ import (
 // SPA.
 const foldShortRow = 24
 
-// FoldScratch recycles FoldUnitRows's output backing across calls — the
-// fold of a maintained view, whose result only feeds a merge. The zero
-// value is ready to use.
-type FoldScratch[V any] struct {
-	rowPtr, rowLen, colIdx []int32
-	val                    []V
-}
-
 // FoldUnitRows folds n contributions, given in edge order, into the
 // rows×cols matrix C(r,c) = ⊕ out[k] ⊗ in[k] over the k with row[k] = r
 // and col[k] = c, ascending; cells that fold to the algebra's zero are
 // pruned. A nil in means out already holds the products. opt schedules
 // the rows as it schedules Mxm's (spans balanced by contribution count,
 // the floor read against n); the result never depends on it.
-//
-// With a nil scr the result owns fresh storage. Otherwise it aliases the
-// scratch and is valid until the scratch's next use; only O(1)
-// bookkeeping is allocated.
-func FoldUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops semiring.Ops[V], opt MxmOptions, scr *FoldScratch[V]) (*CSR[V], error) {
+func FoldUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops semiring.Ops[V], opt MxmOptions) (*CSR[V], error) {
 	n := len(row)
 	if len(col) != n || len(out) != n || (in != nil && len(in) != n) {
 		return nil, fmt.Errorf("sparse: FoldUnitRows got %d rows, %d columns, %d and %d values", n, len(col), len(out), len(in))
@@ -65,15 +53,8 @@ func FoldUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops semi
 		return nil, err
 	}
 	f := foldJob[V]{cols: cols, row: row, col: col, out: out, in: in, ops: ops, rowFn: foldRowFor(ops)}
-	if scr == nil {
-		f.rowPtr, f.rowLen = make([]int32, rows+1), make([]int32, rows)
-		f.colIdx, f.val = make([]int32, n), make([]V, n)
-	} else {
-		scr.rowPtr, scr.rowLen = growTo(scr.rowPtr, rows+1, false), growTo(scr.rowLen, rows, false)
-		scr.colIdx, scr.val = growTo(scr.colIdx, n, true), growTo(scr.val, n, true)
-		f.rowPtr, f.rowLen, f.colIdx, f.val = scr.rowPtr, scr.rowLen, scr.colIdx, scr.val
-		clear(f.rowPtr)
-	}
+	f.rowPtr, f.rowLen = make([]int32, rows+1), make([]int32, rows)
+	f.colIdx, f.val = make([]int32, n), make([]V, n)
 	for k, r := range row {
 		if uint32(r) >= uint32(rows) || uint32(col[k]) >= uint32(cols) {
 			return nil, fmt.Errorf("sparse: FoldUnitRows contribution %d at (%d,%d) outside %d×%d", k, r, col[k], rows, cols)
@@ -89,11 +70,75 @@ func FoldUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops semi
 	} else {
 		parallel.ForSpans(bounds, func(_, lo, hi int) { f.span(lo, hi) })
 	}
-	if scr == nil {
-		return finalizeTwoPhase(rows, cols, f.rowPtr, f.rowLen, f.colIdx, f.val), nil
+	return finalizeTwoPhase(rows, cols, f.rowPtr, f.rowLen, f.colIdx, f.val), nil
+}
+
+// GroupScratch recycles GroupUnitRows's output backing across calls — the
+// grouping a maintained view's fold hands its merge, which keeps nothing
+// of it. The zero value is ready to use.
+type GroupScratch[V any] struct {
+	rowPtr, next, colIdx []int32
+	val                  []V
+	colPtr, perm         []int32 // the sort by column
+}
+
+// GroupUnitRows is FoldUnitRows without the fold: the rows×cols matrix
+// whose row r holds every contribution out[k] ⊗ in[k] with row[k] = r,
+// ordered by column and, within a column, by k — each cell's run, left
+// unfolded and unpruned. It is the half of a fold that a maintained
+// adjacency runs when the cells may continue ones it already stores:
+// EWiseAddInto folds each run onto the stored value as it walks both
+// (see there), so every cell is the one left fold over all its edges,
+// whatever ⊕ is. Two stable counting sorts, by column and then by row,
+// order the contributions in O(n + rows + cols).
+//
+// With a nil scr the result owns fresh storage. Otherwise it aliases the
+// scratch and is valid until the scratch's next use.
+func GroupUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops semiring.Ops[V], scr *GroupScratch[V]) (*CSR[V], error) {
+	n := len(row)
+	if len(col) != n || len(out) != n || (in != nil && len(in) != n) {
+		return nil, fmt.Errorf("sparse: GroupUnitRows got %d rows, %d columns, %d and %d values", n, len(col), len(out), len(in))
 	}
-	nnz := compactRows(rows, f.rowPtr, f.rowLen, f.colIdx, f.val)
-	return &CSR[V]{rows: rows, cols: cols, rowPtr: f.rowPtr, colIdx: f.colIdx[:nnz], val: f.val[:nnz]}, nil
+	if err := checkIndexRange(rows, cols, n); err != nil {
+		return nil, err
+	}
+	if scr == nil {
+		scr = new(GroupScratch[V])
+	}
+	colPtr, rowPtr := growTo(scr.colPtr, cols+1, false), growTo(scr.rowPtr, rows+1, false)
+	clear(colPtr)
+	clear(rowPtr)
+	for k, r := range row {
+		if uint32(r) >= uint32(rows) || uint32(col[k]) >= uint32(cols) {
+			return nil, fmt.Errorf("sparse: GroupUnitRows contribution %d at (%d,%d) outside %d×%d", k, r, col[k], rows, cols)
+		}
+		colPtr[col[k]+1]++
+		rowPtr[r+1]++
+	}
+	for c := 0; c < cols; c++ {
+		colPtr[c+1] += colPtr[c]
+	}
+	for r := 0; r < rows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	perm := growTo(scr.perm, n, true) // the contributions by column, each column's in k order
+	for k, c := range col {
+		perm[colPtr[c]] = int32(k)
+		colPtr[c]++
+	}
+	next := growTo(scr.next, rows, false) // each row's cursor
+	copy(next, rowPtr[:rows])
+	colIdx, val := growTo(scr.colIdx, n, true), growTo(scr.val, n, true)
+	for _, k := range perm {
+		q := next[row[k]]
+		next[row[k]]++
+		colIdx[q], val[q] = col[k], out[k]
+		if in != nil {
+			val[q] = ops.Mul(out[k], in[k])
+		}
+	}
+	scr.colPtr, scr.perm, scr.rowPtr, scr.next, scr.colIdx, scr.val = colPtr, perm, rowPtr, next, colIdx, val
+	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
 }
 
 // foldJob is one FoldUnitRows call: the contributions, and the output

@@ -1,8 +1,11 @@
 package sparse_test
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adjarray/internal/assoc"
@@ -174,29 +177,25 @@ func TestFoldUnitRowsMatchesMxmAndOracle(t *testing.T) {
 				mxm := wrap(sparse.Mxm(nil, eout.Transpose(), ein, ops, sparse.MxmOptions{}))
 				for _, workers := range []int{1, 2, 4} {
 					opt := sparse.MxmOptions{Workers: workers, FlopFloor: -1}
-					fold := wrap(sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, c.out, c.in, ops, opt, nil))
+					fold := wrap(sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, c.out, c.in, ops, opt))
 					if d := assoc.Diff(mxm, fold, ops.Equal, value.FormatFloat); d != "" {
 						t.Fatalf("workers %d: fold differs from Mxm: %s", workers, d)
 					}
-					// The products handed over instead of the factors, into
-					// scratch a second fold reuses.
+					// The products handed over instead of the factors.
 					prod := make([]float64, len(c.out))
 					for k := range prod {
 						prod[k] = ops.Mul(c.out[k], c.in[k])
 					}
-					var scr sparse.FoldScratch[float64]
-					for pass := 0; pass < 2; pass++ {
-						pre := wrap(sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, prod, nil, ops, opt, &scr))
-						if d := assoc.Diff(mxm, pre, ops.Equal, value.FormatFloat); d != "" {
-							t.Fatalf("workers %d, pass %d: fold of products into scratch differs from Mxm: %s", workers, pass, d)
-						}
+					pre := wrap(sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, prod, nil, ops, opt))
+					if d := assoc.Diff(mxm, pre, ops.Equal, value.FormatFloat); d != "" {
+						t.Fatalf("workers %d: fold of products differs from Mxm: %s", workers, d)
 					}
 				}
 				if c.skipDense {
 					return
 				}
 				dense := wrap(sparse.MulDense(eout.Transpose(), ein, ops))
-				fold := wrap(sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, c.out, c.in, ops, sparse.MxmOptions{}, nil))
+				fold := wrap(sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, c.out, c.in, ops, sparse.MxmOptions{}))
 				want := assoc.Diff(dense, mxm, ops.Equal, value.FormatFloat)
 				got := assoc.Diff(dense, fold, ops.Equal, value.FormatFloat)
 				// Where Theorem II.1 fails on the data the sparse product may
@@ -209,6 +208,103 @@ func TestFoldUnitRowsMatchesMxmAndOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A fold in two parts is the fold in one: the prefix's FoldUnitRows, then
+// the rest grouped by GroupUnitRows — each row by column, each cell's
+// run in edge order, nothing folded or pruned — and its runs folded onto
+// the prefix's cells by EWiseAddInto, is the one fold over all the edges,
+// in place or not. For every registry pair on its adversarial sample and
+// for a−b, which is not associative, wherever Zero is a ⊕-identity (where
+// it is not, a prefix cell folded to Zero is gone, and the rest starts it
+// from absence).
+func TestGroupedRunsContinueTheFold(t *testing.T) {
+	type algebra struct {
+		ops    semiring.Ops[float64]
+		sample []float64
+	}
+	var algebras []algebra
+	for _, e := range semiring.Registry() {
+		algebras = append(algebras, algebra{e.Ops, e.Sample}, algebra{e.Ops.Rename(e.Name + "/adversarial"), e.AdversarialSample()})
+	}
+	algebras = append(algebras, algebra{subtractOps(), []float64{0, 1, 2, 3, 0.5, -2}})
+	continued := 0
+	for _, alg := range algebras {
+		ops := alg.ops
+		var pool []float64
+		for _, v := range alg.sample {
+			if !ops.IsZero(v) {
+				pool = append(pool, v)
+			}
+		}
+		identity := semiring.Check(ops, alg.sample, value.FormatFloat).AddIdentity.Holds
+		for _, c := range foldCases(rand.New(rand.NewSource(23)), pool, ops.Zero) {
+			for _, cut := range []int{len(c.row) / 3, len(c.row) - 1} {
+				if cut < 0 {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/%s/cut=%d", ops.Name, c.name, cut), func(t *testing.T) {
+					var scr sparse.GroupScratch[float64]
+					runs, err := sparse.GroupUnitRows(c.rows, c.cols, c.row[cut:], c.col[cut:], c.out[cut:], c.in[cut:], ops, &scr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Every contribution once, by row, then column, then edge.
+					byRow := make([][]int, c.rows)
+					for k := cut; k < len(c.row); k++ {
+						byRow[c.row[k]] = append(byRow[c.row[k]], k)
+					}
+					for i, ks := range byRow {
+						slices.SortStableFunc(ks, func(a, b int) int { return cmp.Compare(c.col[a], c.col[b]) })
+						cols, vals := runs.Row(i)
+						if len(cols) != len(ks) {
+							t.Fatalf("row %d holds %d entries, want %d", i, len(cols), len(ks))
+						}
+						for q, k := range ks {
+							if p := ops.Mul(c.out[k], c.in[k]); cols[q] != c.col[k] || math.Float64bits(vals[q]) != math.Float64bits(p) {
+								t.Fatalf("row %d entry %d is (%d, %v), want edge %d's (%d, %v)", i, q, cols[q], vals[q], k, c.col[k], p)
+							}
+						}
+					}
+					prefix, err := sparse.FoldUnitRows(c.rows, c.cols, c.row[:cut], c.col[:cut], c.out[:cut], c.in[:cut], ops, sparse.MxmOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					whole, err := sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, c.out, c.in, ops, sparse.MxmOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rowKeys, colKeys := keySet("r", c.rows), keySet("c", c.cols)
+					want, err := assoc.New(rowKeys, colKeys, whole)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, inPlace := range []bool{false, true} {
+						merged, err := sparse.EWiseAddInto(prefix.Clone(), runs, ops, inPlace, nil, nil, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := assoc.New(rowKeys, colKeys, merged)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := got.Validate(); err != nil {
+							t.Fatalf("in place %v: invalid structure: %v", inPlace, err)
+						}
+						if d := assoc.Diff(want, got, ops.Equal, value.FormatFloat); d != "" && identity {
+							t.Fatalf("in place %v: the runs do not continue the prefix's fold: %s", inPlace, d)
+						}
+					}
+					if prefix.NNZ() > 0 && runs.NNZ() > 0 {
+						continued++
+					}
+				})
+			}
+		}
+	}
+	if continued < 50 {
+		t.Errorf("only %d cases continued a non-empty prefix", continued)
 	}
 }
 
@@ -225,7 +321,7 @@ func TestFoldUnitRowsPrunesZeroFolds(t *testing.T) {
 			out, in = append(out, 1, -1), append(in, 1, 1)
 		}
 		row, col, out, in = append(row, 1), append(col, 9), append(out, 3), append(in, 2)
-		m, err := sparse.FoldUnitRows(3, 10, row, col, out, in, ops, sparse.MxmOptions{}, nil)
+		m, err := sparse.FoldUnitRows(3, 10, row, col, out, in, ops, sparse.MxmOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,19 +339,28 @@ func TestFoldUnitRowsRejectsBadInput(t *testing.T) {
 	one := []float64{1}
 	for name, call := range map[string]func() (*sparse.CSR[float64], error){
 		"row out of range": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int32{2}, []int32{0}, one, one, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{2}, []int32{0}, one, one, ops, sparse.MxmOptions{})
 		},
 		"negative row": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int32{-1}, []int32{0}, one, one, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{-1}, []int32{0}, one, one, ops, sparse.MxmOptions{})
 		},
 		"column out of range": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int32{0}, []int32{2}, one, nil, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{0}, []int32{2}, one, nil, ops, sparse.MxmOptions{})
 		},
 		"length mismatch": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int32{0, 1}, []int32{0}, one, one, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{0, 1}, []int32{0}, one, one, ops, sparse.MxmOptions{})
 		},
 		"value mismatch": func() (*sparse.CSR[float64], error) {
-			return sparse.FoldUnitRows(2, 2, []int32{0}, []int32{0}, one, []float64{1, 2}, ops, sparse.MxmOptions{}, nil)
+			return sparse.FoldUnitRows(2, 2, []int32{0}, []int32{0}, one, []float64{1, 2}, ops, sparse.MxmOptions{})
+		},
+		"grouped row out of range": func() (*sparse.CSR[float64], error) {
+			return sparse.GroupUnitRows(2, 2, []int32{2}, []int32{0}, one, one, ops, nil)
+		},
+		"grouped column out of range": func() (*sparse.CSR[float64], error) {
+			return sparse.GroupUnitRows(2, 2, []int32{0}, []int32{-1}, one, nil, ops, nil)
+		},
+		"grouped length mismatch": func() (*sparse.CSR[float64], error) {
+			return sparse.GroupUnitRows(2, 2, []int32{0, 1}, []int32{0}, one, one, ops, nil)
 		},
 	} {
 		if m, err := call(); err == nil {

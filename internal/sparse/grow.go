@@ -295,6 +295,23 @@ func (t through[V]) moves(rows, cols int) bool {
 	return t.rowPos != nil || t.colPos != nil || t.m.rows != rows || t.m.cols != cols
 }
 
+// runEnd returns the end of the run of src entries at q that share its
+// column — one cell's contributions — within the row ending at end.
+func runEnd(colIdx []int32, q, end int32) int32 {
+	c := colIdx[q]
+	for q++; q < end && colIdx[q] == c; q++ {
+	}
+	return q
+}
+
+// foldRun ⊕-folds val[q:end] onto acc, left to right.
+func foldRun[V any](ops semiring.Ops[V], acc V, val []V, q, end int32) V {
+	for ; q < end; q++ {
+		acc = ops.Add(acc, val[q])
+	}
+	return acc
+}
+
 // countUnion sweeps dst ⊕ src for the size of the union pattern and
 // whether src's pattern lies inside dst's.
 func countUnion[V any](dst through[V], src *CSR[V]) (total int, subset bool) {
@@ -316,25 +333,29 @@ func countUnion[V any](dst through[V], src *CSR[V]) (total int, subset bool) {
 				p++
 			case j > sj:
 				subset = false
-				q++
+				q = runEnd(src.colIdx, q, shi)
 			default:
 				p++
-				q++
+				q = runEnd(src.colIdx, q, shi)
 			}
 			n++
 		}
 		if q < shi {
 			subset = false
 		}
-		total += int(n + dhi - p + shi - q)
+		for ; q < shi; q = runEnd(src.colIdx, q, shi) {
+			n++
+		}
+		total += int(n + dhi - p)
 	}
 	return total, subset
 }
 
-// mergeUnion writes dst ⊕ src: dst's value on the left of every fold,
-// folds equal to the algebra's zero pruned, dst's columns renumbered on
-// the way. Rows are packed one after another from offset 0 and
-// rowPtr[i+1] is set as each ends.
+// mergeUnion writes dst ⊕ src: each run of src entries folded onto dst's
+// value — or, where dst stores none, onto the run's first entry — left to
+// right, folds equal to the algebra's zero pruned, dst's columns
+// renumbered on the way. Rows are packed one after another from offset 0
+// and rowPtr[i+1] is set as each ends.
 //
 //adjlint:cow-writer
 func mergeUnion[V any](dst through[V], src *CSR[V], ops semiring.Ops[V], rowPtr, colIdx []int32, val []V) {
@@ -345,30 +366,31 @@ func mergeUnion[V any](dst through[V], src *CSR[V], ops semiring.Ops[V], rowPtr,
 		var p, dhi int32
 		p, dhi, next = dst.row(i, next)
 		q, shi := src.rowPtr[i], src.rowPtr[i+1]
-		for p < dhi && q < shi {
-			j := dcol[p]
-			if cp != nil {
-				j = cp[j]
-			}
-			switch sj := src.colIdx[q]; {
-			case j < sj:
+		for q < shi {
+			sj, j := src.colIdx[q], int32(-1)
+			for ; p < dhi; p++ { // dst's cells before src's next one
+				if j = dcol[p]; cp != nil {
+					j = cp[j]
+				}
+				if j >= sj {
+					break
+				}
 				colIdx[at], val[at] = j, dval[p]
 				at++
-				p++
-			case j > sj:
-				colIdx[at], val[at] = sj, src.val[q]
-				at++
-				q++
-			default:
-				if s := ops.Add(dval[p], src.val[q]); !ops.IsZero(s) {
-					colIdx[at], val[at] = j, s
-					at++
-				}
-				p++
-				q++
 			}
+			end := runEnd(src.colIdx, q, shi)
+			acc, from := src.val[q], q+1
+			if p < dhi && j == sj {
+				acc, from = dval[p], q // dst's value, continued
+				p++
+			}
+			if s := foldRun(ops, acc, src.val, from, end); !ops.IsZero(s) {
+				colIdx[at], val[at] = sj, s
+				at++
+			}
+			q = end
 		}
-		// What is left of either row has nothing to meet: most rows of an
+		// What is left of dst's row has nothing to meet: most rows of an
 		// accumulator meet no delta entry at all and are copied whole.
 		if cp == nil {
 			copy(colIdx[at:], dcol[p:dhi])
@@ -379,8 +401,6 @@ func mergeUnion[V any](dst through[V], src *CSR[V], ops semiring.Ops[V], rowPtr,
 			}
 		}
 		at += int32(copy(val[at:], dval[p:dhi]))
-		copy(colIdx[at:], src.colIdx[q:shi])
-		at += int32(copy(val[at:], src.val[q:shi]))
 		rowPtr[i+1] = at
 	}
 }
@@ -397,6 +417,13 @@ func checkMerge[V any](dst, src *CSR[V], rowPos, colPos []int32) error {
 // EWiseAddInto computes dst ⊕= src over the union pattern, with dst's
 // value on the left of every fold (dst holds the earlier contributions).
 // Entries folding to the algebra's zero are pruned, matching EWiseAdd.
+//
+// A row of src may hold one column several times, in a run — one cell's
+// contributions in their order, as GroupUnitRows leaves them: the run
+// folds onto dst's value left to right, dst ⊕ s₁ ⊕ s₂ …, or, where dst
+// stores nothing, onto its first entry. That is how a maintained
+// adjacency continues the cells it holds with the edges appended since,
+// exactly as one fold over all of them would.
 //
 // src spans the result's space. dst may live in a smaller one: rowPos
 // and colPos say where its rows and columns sit in src's (Embed's maps,
@@ -435,17 +462,18 @@ func EWiseAddInto[V any](dst, src *CSR[V], ops semiring.Ops[V], inPlace bool, sc
 			lo := dst.rowPtr[i]
 			dc := dst.colIdx[lo:dst.rowPtr[i+1]]
 			p := 0
-			for q := src.rowPtr[i]; q < src.rowPtr[i+1]; q++ {
-				j := src.colIdx[q]
+			for q, end := src.rowPtr[i], src.rowPtr[i+1]; q < end; {
+				j, next := src.colIdx[q], runEnd(src.colIdx, q, end)
 				for dc[p] < j {
 					p++
 				}
-				s := ops.Add(dst.val[int(lo)+p], src.val[q])
+				s := foldRun(ops, dst.val[int(lo)+p], src.val, q, next)
 				if ops.IsZero(s) {
 					zeros++
 				}
 				dst.val[int(lo)+p] = s
 				p++
+				q = next
 			}
 		}
 		if zeros > 0 {

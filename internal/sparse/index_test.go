@@ -45,11 +45,11 @@ func TestDimensionsPastTheIndexRangeAreRefused(t *testing.T) {
 			return err
 		},
 		"FoldUnitRows columns": func() error {
-			_, err := FoldUnitRows(1, big, nil, nil, []float64{}, nil, ops, MxmOptions{}, nil)
+			_, err := FoldUnitRows(1, big, nil, nil, []float64{}, nil, ops, MxmOptions{})
 			return err
 		},
 		"FoldUnitRows rows": func() error {
-			_, err := FoldUnitRows(big, 1, nil, nil, []float64{}, nil, ops, MxmOptions{}, &FoldScratch[float64]{})
+			_, err := FoldUnitRows(big, 1, nil, nil, []float64{}, nil, ops, MxmOptions{})
 			return err
 		},
 		"Embed": func() error {
@@ -132,7 +132,7 @@ func TestBytesPerStoredEntry(t *testing.T) {
 	r.Shuffle(len(row), func(a, b int) {
 		row[a], row[b], col[a], col[b], out[a], out[b] = row[b], row[a], col[b], col[a], out[b], out[a]
 	})
-	folded, err := FoldUnitRows(rows, cols, row, col, out, nil, ops, MxmOptions{}, nil)
+	folded, err := FoldUnitRows(rows, cols, row, col, out, nil, ops, MxmOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestPatternTransposeAndTransposeOnto(t *testing.T) {
 
 func BenchmarkTransposePattern(b *testing.B) {
 	eout, ein := rmatUnitRows(b, 14, 8)
-	adj, err := FoldUnitRows(eout.cols, ein.cols, eout.colIdx, ein.colIdx, eout.val, ein.val, semiring.PlusTimes(), MxmOptions{}, nil)
+	adj, err := FoldUnitRows(eout.cols, ein.cols, eout.colIdx, ein.colIdx, eout.val, ein.val, semiring.PlusTimes(), MxmOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,18 +37,17 @@ func atomicSeed() [][]Edge[float64] {
 // stateFingerprint is the directly observable pre-append state a failed
 // append must leave untouched.
 type stateFingerprint struct {
-	edges, appends, epoch int
-	autoSeq               int
-	exact                 bool
-	nIDs, nVals           int
-	synced, folded        int
+	edges, epoch   int
+	autoSeq        int
+	nIDs, nVals    int
+	synced, folded int
 }
 
 func fingerprint(v *View[float64]) stateFingerprint {
 	return stateFingerprint{
-		edges: len(v.srcID), appends: v.appends, epoch: int(v.epoch.Load()),
-		autoSeq: v.autoSeq, exact: v.exact,
-		nIDs: len(v.srcID) + len(v.dstID), nVals: len(v.out) + len(v.in),
+		edges: len(v.srcID), epoch: int(v.epoch.Load()),
+		autoSeq: v.autoSeq,
+		nIDs:    len(v.srcID) + len(v.dstID), nVals: len(v.out) + len(v.in),
 		synced: v.synced, folded: v.folded,
 	}
 }
@@ -99,8 +98,8 @@ func TestAppendRollsBackAtEveryFailpoint(t *testing.T) {
 			failCase{c.site, c.poison, sidestep})
 	}
 	for i, tc := range cases {
-		subject := NewView(ops, Options{})
-		control := NewView(ops, Options{})
+		subject := NewView(ops)
+		control := NewView(ops)
 		for _, b := range atomicSeed() {
 			if err := subject.Append(b); err != nil {
 				t.Fatal(err)
@@ -148,30 +147,6 @@ func TestAppendRollsBackAtEveryFailpoint(t *testing.T) {
 	}
 }
 
-// A committedError reports a post-commit maintenance failure: the batch
-// is already applied, so the rollback wrapper must NOT restore and must
-// surface the inner error.
-func TestRollbackSkipsCommittedError(t *testing.T) {
-	v := NewView(plusTimes(t), Options{})
-	rb := v.captureLocked()
-	inner := errors.New("maintenance failed")
-
-	v.epoch.Store(7)
-	if err := v.rollbackLocked(rb, &committedError{inner}); err != inner {
-		t.Fatalf("committed error = %v, want the inner error", err)
-	}
-	if v.epoch.Load() != 7 {
-		t.Fatal("rollback restored state for a committed batch")
-	}
-
-	if err := v.rollbackLocked(rb, inner); err != inner {
-		t.Fatalf("plain error = %v, want it back verbatim", err)
-	}
-	if v.epoch.Load() != 0 {
-		t.Fatal("rollback did not restore state for an uncommitted batch")
-	}
-}
-
 // A mid-batch failure under the durable wrapper must keep the WAL
 // aligned with the view: the rejected batch writes no record, the
 // retried batch writes exactly one, and recovery replays to the same
@@ -181,7 +156,7 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 	batches := durableBatches(77, 4, 5)
 	dir := t.TempDir()
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +192,7 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	re, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func s12Workload(b *testing.B, deltas int) (baseOut, baseIn *assoc.Array[float64
 // which only makes the measured cost pessimistic.
 func BenchmarkStreamAppendS12(b *testing.B) {
 	baseOut, baseIn, batches := s12Workload(b, b.N)
-	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{})
+	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func BenchmarkStreamAppendUnkeyed(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	v := NewView(semiring.PlusTimes(), Options{})
+	v := NewView(semiring.PlusTimes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,7 +104,7 @@ func BenchmarkStreamAppendUnkeyed(b *testing.B) {
 // would cost with a full Correlate rebuild per batch.
 func BenchmarkFullRebuildS12(b *testing.B) {
 	baseOut, baseIn, batches := s12Workload(b, 1)
-	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{})
+	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func BenchmarkFullRebuildS12(b *testing.B) {
 // BenchmarkSnapshot verifies the O(1) read-view claim.
 func BenchmarkSnapshot(b *testing.B) {
 	baseOut, baseIn, _ := s12Workload(b, 0)
-	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{})
+	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := NewView(semiring.PlusTimes(), Options{})
+		v := NewView(semiring.PlusTimes())
 		for lo := 0; lo < len(es); lo += per {
 			hi := lo + per
 			if hi > len(es) {
@@ -175,7 +175,7 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 // the main adjacency — the Snapshot-time cost.
 func BenchmarkMaterializeFold(b *testing.B) {
 	baseOut, baseIn, batches := s12Workload(b, b.N*20)
-	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes(), Options{})
+	v, err := FromIncidence(baseOut, baseIn, semiring.PlusTimes())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,12 +227,12 @@ func BenchmarkStreamAppendGrowingUniverse(b *testing.B) {
 	}
 	b.Run("view", func(b *testing.B) {
 		ingest(b, func() func([]Edge[float64]) error {
-			return NewView(semiring.PlusTimes(), Options{}).Append
+			return NewView(semiring.PlusTimes()).Append
 		})
 	})
 	b.Run("shards2", func(b *testing.B) {
 		ingest(b, func() func([]Edge[float64]) error {
-			s, err := Open("", semiring.PlusTimes(), 2, Options{}, DurableOptions[float64]{})
+			s, err := Open("", semiring.PlusTimes(), 2, DurableOptions[float64]{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func BenchmarkShardedAppendScaling(b *testing.B) {
 	perBatch := func(shards int) time.Duration {
 		var best time.Duration
 		for rep := 0; rep < reps; rep++ {
-			sv, err := Open("", semiring.PlusTimes(), shards, Options{}, DurableOptions[float64]{})
+			sv, err := Open("", semiring.PlusTimes(), shards, DurableOptions[float64]{})
 			if err != nil {
 				b.Fatal(err)
 			}

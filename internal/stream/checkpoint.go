@@ -22,7 +22,9 @@ import (
 //
 //	meta     u64 edges, appends, epoch, autoSeq, srcKeys, dstKeys, exact;
 //	         then the algebra's name and the auto-key base, each a uvarint
-//	         length and that many bytes
+//	         length and that many bytes. appends is written as epoch and
+//	         exact as 1: the words of a view that never compacted (see
+//	         decodeSections for a 0)
 //	srcOff   u32[srcKeys]  end offset of each source key in srcSlab
 //	srcSlab  the source interner's key bytes, back to back, in id order
 //	dstOff, dstSlab        the same for the destination interner
@@ -89,14 +91,13 @@ const ckptChunk = 16 << 10
 // interner prefixes are never rewritten, and main is marked shared, so
 // the image stays the view of its epoch while appends and folds go on.
 type image[V any] struct {
-	ops                     string
-	log                     *logView[V]
-	main                    *sparse.CSR[V]
-	srcOff, dstOff          []uint32
-	srcSlab, dstSlab        []byte
-	appends, epoch, autoSeq int
-	exact                   bool
-	autoBase                string
+	ops              string
+	log              *logView[V]
+	main             *sparse.CSR[V]
+	srcOff, dstOff   []uint32
+	srcSlab, dstSlab []byte
+	epoch, autoSeq   int
+	autoBase         string
 }
 
 // imageLocked pins the current state. The caller holds v.mu and has
@@ -106,8 +107,7 @@ func (v *View[V]) imageLocked() *image[V] {
 	v.mainShared = true
 	im := &image[V]{
 		ops: v.ops.Name, log: v.logsLocked(), main: v.main.Matrix(),
-		appends: v.appends, epoch: int(v.epoch.Load()), autoSeq: v.autoSeq,
-		exact: v.exact, autoBase: v.autoBase,
+		epoch: int(v.epoch.Load()), autoSeq: v.autoSeq, autoBase: v.autoBase,
 	}
 	im.srcOff, im.srcSlab = v.srcIn.Prefix(v.srcIn.Len())
 	im.dstOff, im.dstSlab = v.dstIn.Prefix(v.dstIn.Len())
@@ -184,13 +184,9 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 	edges := len(l.srcID)
 
 	e.section(secMeta)
-	exact := uint64(0)
-	if im.exact {
-		exact = 1
-	}
 	for _, x := range [...]uint64{
-		uint64(edges), uint64(im.appends), uint64(im.epoch), uint64(im.autoSeq),
-		uint64(len(im.srcOff) - 1), uint64(len(im.dstOff) - 1), exact,
+		uint64(edges), uint64(im.epoch), uint64(im.epoch), uint64(im.autoSeq),
+		uint64(len(im.srcOff) - 1), uint64(len(im.dstOff) - 1), 1,
 	} {
 		e.buf = appendU64(e.buf, x)
 	}
@@ -250,8 +246,8 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 // Bytes that passed their checksums but do not decode into a consistent
 // view are a *wal.CorruptError; a checkpoint written under another
 // algebra is refused with a plain error.
-func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], error) {
-	v, name, err := decodeSections(ck.Sections, ops, opt, codec)
+func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueCodec[V]) (*View[V], error) {
+	v, name, err := decodeSections(ck.Sections, ops, codec)
 	if err != nil {
 		return nil, &wal.CorruptError{Path: ck.Path, Reason: err.Error()}
 	}
@@ -466,7 +462,13 @@ func logVals[V any](d *sectionDecoder, tag uint32, name string, n int, codec Val
 // sortedness, ids inside the universe, CSR shape (through NewCSR) and
 // the cross-section counts — so damaged bytes that beat the checksums
 // still cannot become a silently wrong view.
-func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options, codec ValueCodec[V]) (*View[V], string, error) {
+//
+// The meta word exact reads 0 in a file written by a view whose folds
+// grouped the edges appended since the previous fold on their own: its
+// main may hold another grouping than the log's one left fold, so main
+// is rebuilt from the log here. The appends word counted the batches
+// since such a view's last compaction and is not kept.
+func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], codec ValueCodec[V]) (*View[V], string, error) {
 	if len(secs) != numSections {
 		return nil, "", fmt.Errorf("stream: checkpoint holds %d sections, want %d", len(secs), numSections)
 	}
@@ -538,7 +540,6 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 	}
 	v := &View[V]{
 		ops:      ops,
-		opt:      opt,
 		keys:     edgeKeys,
 		srcID:    srcID,
 		dstID:    dstID,
@@ -553,12 +554,15 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], opt Options,
 		synced:   edges,
 		folded:   edges,
 		main:     main,
-		appends:  int(meta[1]),
-		exact:    meta[6] == 1,
 		autoSeq:  int(meta[3]),
 		autoBase: autoBase,
 	}
 	v.epoch.Store(int64(meta[2]))
+	if meta[6] == 0 {
+		if err := v.rebuildLocked(); err != nil {
+			return nil, "", err
+		}
+	}
 	return v, name, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -41,8 +42,8 @@ func validateView[V any](v *View[V]) error {
 	if v.synced != n || v.folded != n {
 		return fmt.Errorf("synced %d and folded %d of %d edges", v.synced, v.folded, n)
 	}
-	if v.appends < 0 || v.epoch.Load() < 0 || v.autoSeq < 0 {
-		return fmt.Errorf("negative counters: appends %d epoch %d autoSeq %d", v.appends, v.epoch.Load(), v.autoSeq)
+	if v.epoch.Load() < 0 || v.autoSeq < 0 {
+		return fmt.Errorf("negative counters: epoch %d autoSeq %d", v.epoch.Load(), v.autoSeq)
 	}
 	side := func(name string, in *keys.Interner, pos []int32, set *keys.Set, ids []int32) error {
 		if len(pos) > in.Len() {
@@ -122,7 +123,7 @@ func sameView(a, b *View[float64]) error {
 		return errors.New("interner sizes differ")
 	case !a.main.Equal(b.main, eq):
 		return errors.New("adjacency differs")
-	case a.appends != b.appends || a.epoch.Load() != b.epoch.Load() || a.autoSeq != b.autoSeq || a.autoBase != b.autoBase || a.exact != b.exact:
+	case a.epoch.Load() != b.epoch.Load() || a.autoSeq != b.autoSeq || a.autoBase != b.autoBase:
 		return errors.New("counters differ")
 	}
 	for id := int32(0); id < int32(a.srcIn.Len()); id++ {
@@ -193,7 +194,7 @@ func readImage(buf []byte, ops semiring.Ops[float64]) (*View[float64], error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeCheckpoint(ck, ops, Options{}, Float64Codec())
+	return decodeCheckpoint(ck, ops, Float64Codec())
 }
 
 // sectionOffsets returns where each section's body starts in a format-2
@@ -227,7 +228,7 @@ func TestCheckpointOfUnchangedViewDoesNothing(t *testing.T) {
 		Append: func(dst []byte, v float64) []byte { encoded++; return codec.Append(dst, v) },
 		Decode: codec.Decode,
 	}
-	st, err := Open(t.TempDir(), plusTimes(t), 1, Options{}, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj), Codec: counting})
+	st, err := Open(t.TempDir(), plusTimes(t), 1, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj), Codec: counting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestCheckpointDoesNotHoldTheViewLock(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
 	gate := &gateFS{FS: iofault.OS, reached: make(chan struct{}), release: make(chan struct{})}
-	st, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{FS: gate})
+	st, err := Open(dir, ops, 1, DurableOptions[float64]{FS: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestCheckpointCostIndependentOfLogSize(t *testing.T) {
 	}
 	const per = 256
 	typical := func(logged int) (bytes, allocs uint64, size int64) {
-		st, err := Open(t.TempDir(), plusTimes(t), 1, Options{}, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+		st, err := Open(t.TempDir(), plusTimes(t), 1, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +437,7 @@ func TestCheckpointCostIndependentOfLogSize(t *testing.T) {
 // with both weights.
 func sizedView(t testing.TB, edges int, spelled bool) *View[float64] {
 	t.Helper()
-	v := NewView(plusTimes(t), Options{})
+	v := NewView(plusTimes(t))
 	const per = 256
 	for n := 0; n < edges; n += per {
 		batch := make([]Edge[float64], per)
@@ -542,7 +543,7 @@ func TestCheckpointDecodeAllocsIndependentOfEdges(t *testing.T) {
 	}
 	ops := plusTimes(t)
 	allocs := func(edges int) float64 {
-		v := NewView(ops, Options{})
+		v := NewView(ops)
 		r := rand.New(rand.NewSource(5))
 		verts := func(i int) string { return fmt.Sprintf("v%03d", i) }
 		batch := make([]Edge[float64], 250)
@@ -590,7 +591,7 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 		weights := append(slices.Clone(entry.Sample), ops.Zero)
 		foldsLikeOneShot := semiring.Check(ops, entry.Sample, nil).AddIdentity.Holds
 
-		empty := NewView(ops, Options{})
+		empty := NewView(ops)
 		got, err := readImage(writeImage(t, empty), ops)
 		if err != nil {
 			t.Fatalf("%s: empty view: %v", ops.Name, err)
@@ -606,11 +607,11 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(16 + shards)))
 			verts := scatteredVertices(r, 48)
 			dir := t.TempDir()
-			st, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+			st, err := Open(dir, ops, shards, DurableOptions[float64]{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			control := memStore(t, ops, shards, Options{})
+			control := memStore(t, ops, shards)
 			key := 0
 			for phase := 0; phase < 6; phase++ {
 				reach := 6 + 8*phase // the universe grows phase by phase
@@ -657,7 +658,7 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 					}
 				}
 				st.Abort()
-				if st, err = Open(dir, ops, shards, Options{}, DurableOptions[float64]{}); err != nil {
+				if st, err = Open(dir, ops, shards, DurableOptions[float64]{}); err != nil {
 					t.Fatalf("%s/%d shards, phase %d: reopen: %v", ops.Name, shards, phase, err)
 				}
 				label := fmt.Sprintf("%s/%d shards, phase %d", ops.Name, shards, phase)
@@ -692,7 +693,7 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 func faultedStore(t *testing.T, dir string, batches [][]Edge[float64]) (*Store[float64], *iofault.Injector) {
 	t.Helper()
 	inj := iofault.New()
-	st, err := Open(dir, plusTimes(t), 1, Options{}, DurableOptions[float64]{
+	st, err := Open(dir, plusTimes(t), 1, DurableOptions[float64]{
 		FS: iofault.Wrap(iofault.OS, inj),
 	})
 	if err != nil {
@@ -766,7 +767,7 @@ func TestCheckpointFaultAtEveryCall(t *testing.T) {
 			}
 			st.Abort()
 
-			re, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+			re, err := Open(dir, ops, 1, DurableOptions[float64]{})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", label, err)
 			}
@@ -793,7 +794,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 	ops := plusTimes(t)
 	batches := durableBatches(44, 9, 8)
 	master := t.TempDir()
-	st, err := Open(master, ops, 1, Options{}, DurableOptions[float64]{})
+	st, err := Open(master, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -844,7 +845,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+		re, err := Open(dir, ops, 1, DurableOptions[float64]{})
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", tc.name, err)
 		}
@@ -857,7 +858,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, "ckpt-0000000000000003.ckpt")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+		if _, err := Open(dir, ops, 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("%s: sole damaged checkpoint: Open err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
@@ -904,7 +905,7 @@ func TestStoredIndexPast31BitsIsRefusedBySectionAndOffset(t *testing.T) {
 				binary.LittleEndian.PutUint64(mut[at:], tc.word)
 			}
 			secs[tc.tag-1].Body = mut
-			_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: secs}, ops, Options{}, Float64Codec())
+			_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: secs}, ops, Float64Codec())
 			// What else the view makes of a position gone may still refuse
 			// it; the word itself is not the reason.
 			var ce *wal.CorruptError
@@ -968,7 +969,7 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 		for i, s := range ck.Sections {
 			secs[i] = wal.Section{Tag: s.Tag, Body: slices.Clone(s.Body)}
 		}
-		_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: tc.mut(secs)}, ops, Options{}, Float64Codec())
+		_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: tc.mut(secs)}, ops, Float64Codec())
 		if !errors.Is(err, wal.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
@@ -985,18 +986,18 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 			t.Fatalf("section %d of an unkeyed unit log holds %d bytes", tag, n)
 		}
 	}
-	if v, err := decodeCheckpoint(implicit, ops, Options{}, Float64Codec()); err != nil || len(v.srcID) != 512 {
+	if v, err := decodeCheckpoint(implicit, ops, Float64Codec()); err != nil || len(v.srcID) != 512 {
 		t.Fatalf("an unkeyed unit log does not reopen: %v", err)
 	}
 	meta := slices.Clone(implicit.Sections[secMeta-1].Body)
 	le32(meta[8*3:], 511) // the auto-key sequence
 	implicit.Sections[secMeta-1].Body = meta
-	if _, err := decodeCheckpoint(implicit, ops, Options{}, Float64Codec()); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := decodeCheckpoint(implicit, ops, Float64Codec()); !errors.Is(err, wal.ErrCorrupt) {
 		t.Errorf("a generator at 511 behind 512 unstored keys: err = %v, want ErrCorrupt", err)
 	}
 	// Another algebra's checkpoint is refused, but it is not damage.
 	other, _ := semiring.Lookup("min.+")
-	if _, err := decodeCheckpoint(ck, other.Ops, Options{}, Float64Codec()); err == nil || errors.Is(err, wal.ErrCorrupt) {
+	if _, err := decodeCheckpoint(ck, other.Ops, Float64Codec()); err == nil || errors.Is(err, wal.ErrCorrupt) {
 		t.Errorf("checkpoint of +.* opened under min.+: err = %v, want a refusal that is not ErrCorrupt", err)
 	}
 }
@@ -1004,7 +1005,7 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 // controlViewOf folds batches into a plain in-memory view and returns it.
 func controlViewOf(t testing.TB, batches [][]Edge[float64], ops semiring.Ops[float64]) *View[float64] {
 	t.Helper()
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	for _, b := range batches {
 		if err := v.Append(b); err != nil {
 			t.Fatal(err)
@@ -1055,7 +1056,7 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, plusTimes(t), 1, Options{}, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, plusTimes(t), 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("a WAL record that is not a batch: Open err = %v, want ErrCorrupt", err)
 	}
 }
@@ -1066,7 +1067,7 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 func TestDurabilityReportsCheckpoints(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	st, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	st, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1094,7 +1095,7 @@ func TestDurabilityReportsCheckpoints(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	re, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1105,7 +1106,96 @@ func TestDurabilityReportsCheckpoints(t *testing.T) {
 	if d := re.Durability()[0]; d.Checkpoints != 0 || d.CheckpointSeq != 4 {
 		t.Fatalf("reopened store: %+v", d)
 	}
-	if d := memStore(t, ops, 1, Options{}).Durability()[0]; d.Checkpoints != 0 || d.CheckpointSeq != 0 {
+	if d := memStore(t, ops, 1).Durability()[0]; d.Checkpoints != 0 || d.CheckpointSeq != 0 {
 		t.Fatalf("in-memory store: %+v", d)
+	}
+}
+
+// pr30Batches is the edge stream testdata/pr30 was written from (see
+// gen.go there, which holds the copy this must stay in step with): a→b
+// weighted 0.1, a read, a→b weighted 0.2 and 0.3, the checkpoint, then
+// b→a in the WAL tail.
+func pr30Batches() [][]Edge[float64] {
+	return [][]Edge[float64]{
+		{Weighted("k1", "a", "b", 0.1, 1)},
+		{Weighted("k2", "a", "b", 0.2, 1), Weighted("k3", "a", "b", 0.3, 1)},
+		{Weighted("k4", "b", "a", 0.5, 1)},
+	}
+}
+
+// testdata/pr30 holds a directory written while a view's folds grouped
+// the edges appended since its previous fold on their own: the
+// checkpoint's main holds 0.1 + (0.2 + 0.3) = 0.59999999999999998 at a→b
+// and its meta word exact reads 0. Open rebuilds that main from the
+// checkpoint's own log, so the store serves the batch construction,
+// (0.1 + 0.2) + 0.3 = 0.60000000000000009 — bit for bit what
+// assoc.Correlate makes of Logs(), the WAL tail included — and a
+// checkpoint written now reads exact 1 and reopens the same.
+func TestReopenRebuildsARegroupedMain(t *testing.T) {
+	ops := semiring.PlusTimes()
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pr30", "regrouped"))); err != nil {
+		t.Fatal(err)
+	}
+	// The meta word exact of the directory's newest checkpoint.
+	exactWord := func() uint64 {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("checkpoints %v (%v), want some", paths, err)
+		}
+		newest := slices.Max(paths) // the names are zero-padded sequence numbers
+		buf, err := os.ReadFile(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := wal.ParseCheckpoint(newest, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint64(ck.Sections[secMeta-1].Body[8*6:])
+	}
+	if w := exactWord(); w != 0 {
+		t.Fatalf("the fixture's checkpoint says exact %d, want 0", w)
+	}
+	for round, label := range []string{"as written at 32bfbc3", "after a checkpoint of its own"} {
+		st, err := Open(dir, ops, 1, DurableOptions[float64]{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if rec := st.Recovery()[0]; rec.CheckpointSeq == 0 || (rec.Replayed > 0) != (round == 0) {
+			t.Errorf("%s: recovered %+v, want a checkpoint, with a WAL tail the first time only", label, rec)
+		}
+		pt, _, err := st.OwnerSnapshot("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := mustShardSnap(t, st)
+		eout, ein, err := snap.Logs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := assoc.Diff(snap.Adjacency, want, bits, nil); d != "" {
+			t.Errorf("%s: %s", label, d)
+		}
+		got, _ := snap.Adjacency.At("a", "b")
+		pv, _ := pt.At("a", "b")
+		if !bits(got, 0.60000000000000009) || !bits(pv, got) || snap.Edges != 4 {
+			t.Errorf("%s: a→b reads %v (point read %v) over %d edges, want 0.60000000000000009 over 4", label, got, pv, snap.Edges)
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w := exactWord(); w != 1 {
+			t.Errorf("%s: a checkpoint written now says exact %d, want 1", label, w)
+		}
 	}
 }

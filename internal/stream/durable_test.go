@@ -18,9 +18,6 @@ import (
 // Equal adjacency and incidence arrays (key sets included).
 func snapEqual(t *testing.T, got, want Snapshot[float64], label string) {
 	t.Helper()
-	// Exact is deliberately NOT compared: a checkpoint forces a fold
-	// boundary a pure in-memory run may not have, and the flag is a
-	// conservative proof marker, not part of the data.
 	if got.Edges != want.Edges || got.Epoch != want.Epoch {
 		t.Fatalf("%s: counters (edges %d epoch %d), want (%d %d)",
 			label, got.Edges, got.Epoch, want.Edges, want.Epoch)
@@ -63,13 +60,13 @@ func flatSnap(t *testing.T, s *Store[float64]) Snapshot[float64] {
 	}
 	resolved := &logView[float64]{eout: eout, ein: ein}
 	resolved.once.Do(func() {})
-	return Snapshot[float64]{Adjacency: ss.Adjacency, Edges: ss.Edges, Epoch: ss.Epoch, Exact: ss.Exact, log: resolved}
+	return Snapshot[float64]{Adjacency: ss.Adjacency, Edges: ss.Edges, Epoch: ss.Epoch, log: resolved}
 }
 
 // memStore opens an in-memory store.
-func memStore(t *testing.T, ops semiring.Ops[float64], shards int, opt Options) *Store[float64] {
+func memStore(t *testing.T, ops semiring.Ops[float64], shards int) *Store[float64] {
 	t.Helper()
-	s, err := Open("", ops, shards, opt, DurableOptions[float64]{})
+	s, err := Open("", ops, shards, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +126,7 @@ func TestDurableRoundTripCleanClose(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(1, 12, 7)
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("Open fresh: %v", err)
 	}
@@ -145,7 +142,7 @@ func TestDurableRoundTripCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -162,7 +159,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(2, 10, 5)
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 	}
 	d.Abort() // unclean exit: no final checkpoint
 
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -206,7 +203,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 func TestDurableAutoKeysReplayIdentically(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +228,7 @@ func TestDurableAutoKeysReplayIdentically(t *testing.T) {
 	want := flatSnap(t, d)
 	d.Abort()
 
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +242,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(3, 8, 6)
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +267,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -288,7 +285,7 @@ func TestDurableMidLogCorruptionIsTypedError(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(4, 6, 5)
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +309,7 @@ func TestDurableMidLogCorruptionIsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, ops, 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("mid-log corruption: Open err = %v, want wal.ErrCorrupt", err)
 	}
 }
@@ -322,7 +319,7 @@ func TestDurableStaleCheckpointLongerWAL(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(5, 10, 4)
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +360,7 @@ func TestDurableStaleCheckpointLongerWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen with stale checkpoint: %v", err)
 	}
@@ -385,7 +382,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 	// end-to-end path.
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +405,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 	if err := os.WriteFile(cks[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, ops, 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("sole damaged checkpoint: Open err = %v, want wal.ErrCorrupt", err)
 	}
 }
@@ -416,7 +413,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 func TestDurableBackgroundCheckpoint(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{CheckpointEvery: 3})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{CheckpointEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +435,7 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +450,7 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +470,7 @@ func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -487,7 +484,7 @@ func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 
 func TestDurableWrongAlgebraRefused(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, plusTimes(t), 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, plusTimes(t), 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +501,7 @@ func TestDurableWrongAlgebraRefused(t *testing.T) {
 	if !ok {
 		t.Fatal("min.+ pair not registered")
 	}
-	if _, err := Open(dir, e.Ops, 1, Options{}, DurableOptions[float64]{}); err == nil {
+	if _, err := Open(dir, e.Ops, 1, DurableOptions[float64]{}); err == nil {
 		t.Fatal("checkpoint written under +.* opened under min.+")
 	}
 }

@@ -27,7 +27,7 @@ func TestDurableFsyncFailureReadOnly(t *testing.T) {
 	batches := durableBatches(31, 6, 5)
 	inj := iofault.New()
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj)})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj)})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestDurableFsyncFailureReadOnly(t *testing.T) {
 	inj.Clear()
 	d.Abort() // the process dies; the fault condition has cleared
 
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen after fault cleared: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestDurableCheckpointDegradedNotWedged(t *testing.T) {
 	batches := durableBatches(32, 8, 4)
 	inj := iofault.New()
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{
 		FS: iofault.Wrap(iofault.OS, inj),
 	})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestDurableOpenReapsTempCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(33, 3, 4)
 
-	d, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDurableOpenReapsTempCheckpoints(t *testing.T) {
 		}
 	}
 
-	d2, err := Open(dir, ops, 1, Options{}, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen over orphaned temps: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestShardedDegradedSiblingIsolation(t *testing.T) {
 	const sick = 1
 	inj := iofault.New()
 
-	sv, err := Open(dir, ops, shards, Options{},
+	sv, err := Open(dir, ops, shards,
 		DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj)})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -312,13 +312,13 @@ func TestShardedDegradedSiblingIsolation(t *testing.T) {
 	// batches never reached its log, so acked == recovered exactly).
 	inj.Clear()
 	sv.Abort()
-	rv, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+	rv, err := Open(dir, ops, shards, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatalf("reopen after fault cleared: %v", err)
 	}
 	defer rv.Close()
 
-	control := memStore(t, ops, shards, Options{})
+	control := memStore(t, ops, shards)
 	for _, b := range acked {
 		if err := control.Append(b); err != nil {
 			t.Fatal(err)
@@ -432,7 +432,7 @@ func TestAppendIsOneWriteOneSync(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		cfs := &countFS{FS: iofault.OS}
 		cfs.reset()
-		st, err := Open(t.TempDir(), ops, shards, Options{}, DurableOptions[float64]{FS: cfs})
+		st, err := Open(t.TempDir(), ops, shards, DurableOptions[float64]{FS: cfs})
 		if err != nil {
 			t.Fatalf("%d shards: Open: %v", shards, err)
 		}
@@ -513,7 +513,7 @@ func TestOpenSyncsTheRootAfterTheShardDirectories(t *testing.T) {
 		dir = t.TempDir()
 		cfs := &countFS{FS: fsys}
 		cfs.reset()
-		st, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{FS: cfs})
+		st, err := Open(dir, ops, shards, DurableOptions[float64]{FS: cfs})
 		trace = slices.Clone(cfs.other) // what Open did, before any Append
 		if err == nil {
 			err = st.Close()

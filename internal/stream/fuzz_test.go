@@ -76,7 +76,7 @@ func fixtureCheckpoints(t testing.TB) [][]byte {
 // leaves the interners' newest ids without one.
 func orphanedView(t testing.TB, ops semiring.Ops[float64]) *View[float64] {
 	t.Helper()
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	boom := errors.New("rolled back")
 	doom := func(tag string) {
 		v.failpoint = func(site string) error {
@@ -136,7 +136,7 @@ func FuzzDecodeView(f *testing.F) {
 	// slab beside no offsets.
 	for _, v := range []*View[float64]{
 		controlViewOf(f, pr14Batches(), ops), controlViewOf(f, durableBatches(47, 4, 9), ops),
-		NewView(ops, Options{}), controlViewOf(f, pr20Batches(false), ops), orphanedView(f, ops),
+		NewView(ops), controlViewOf(f, pr20Batches(false), ops), orphanedView(f, ops),
 	} {
 		file := writeImage(f, v)
 		f.Add(uint8(fuzzFile), file)
@@ -186,7 +186,7 @@ func FuzzDecodeView(f *testing.F) {
 		case fuzzSections:
 			ck = &wal.Checkpoint{Path: "fuzz", Sections: unframeSections(data)}
 		}
-		v, err := decodeCheckpoint(ck, ops, Options{}, Float64Codec())
+		v, err := decodeCheckpoint(ck, ops, Float64Codec())
 		runtime.ReadMemStats(&after)
 		// The largest legitimate ratio is a 16-byte string header per
 		// 4-byte entry of a position map or a key-offset column; the fuzz

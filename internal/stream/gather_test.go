@@ -67,7 +67,7 @@ func TestGatherMatchesEmbedThenMerge(t *testing.T) {
 		for _, shards := range []int{1, 2, 3, 5} {
 			verts := scatteredVertices(r, 40)
 			budget := 1 + r.Intn(40) // a shard whose unfolded suffix reaches it folds
-			sv := memStore(t, ops, shards, Options{})
+			sv := memStore(t, ops, shards)
 			for lo, n := 0, 160; lo < n; {
 				hi := min(lo+1+r.Intn(19), n)
 				batch := make([]Edge[float64], hi-lo)
@@ -103,7 +103,7 @@ func TestGatherMatchesEmbedThenMerge(t *testing.T) {
 // viewOf is a view holding the given edges, keyed in order.
 func viewOf(t *testing.T, ops semiring.Ops[float64], name string, edges ...Edge[float64]) *View[float64] {
 	t.Helper()
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	for i := range edges {
 		edges[i].Key = fmt.Sprintf("%s-%04d", name, i)
 	}
@@ -129,7 +129,7 @@ func TestGatherOfHandPlacedShards(t *testing.T) {
 		"before":  viewOf(t, ops, "b", w("a1", "a0", 7), w("a2", "m2", 1)),
 		"between": viewOf(t, ops, "i", w("m2", "m1", 4), w("m2", "m3", 6)),
 		"after":   viewOf(t, ops, "a", w("z1", "z9", 8), w("z2", "a0", 9)),
-		"empty":   NewView(ops, Options{}),
+		"empty":   NewView(ops),
 		"zeroes":  viewOf(t, ops, "z", w("k1", "k2", 1), w("k1", "k2", -1)),
 	}
 	for _, names := range [][]string{
@@ -190,7 +190,7 @@ func TestGatherRefusesARowTwoShardsStore(t *testing.T) {
 func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	st, err := Open(dir, ops, 2, Options{}, DurableOptions[float64]{})
+	st, err := Open(dir, ops, 2, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err = Open(dir, ops, 2, Options{}, DurableOptions[float64]{})
+	st, err = Open(dir, ops, 2, DurableOptions[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 // Snapshot at the same vector has run the gather, which every later pin
 // and snapshot at that vector then shares.
 func TestPinDoesNotGather(t *testing.T) {
-	sv := memStore(t, semiring.PlusTimes(), 3, Options{})
+	sv := memStore(t, semiring.PlusTimes(), 3)
 	if err := sv.Append(randomEdges(rand.New(rand.NewSource(5)), 40, 9, []float64{1, 2})); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPinDoesNotGather(t *testing.T) {
 	if again, err := sv.Pin(); err != nil || again.Adjacency != snap.Adjacency {
 		t.Errorf("a pin after the gather does not carry it: %v", err)
 	}
-	one := memStore(t, semiring.PlusTimes(), 1, Options{})
+	one := memStore(t, semiring.PlusTimes(), 1)
 	if err := one.Append([]Edge[float64]{{Src: "a", Dst: "b"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestPinDoesNotGather(t *testing.T) {
 // OwnerSnapshot for a source on another shard still returns. Run under
 // -race.
 func TestOwnerSnapshotDoesNotWaitForASibling(t *testing.T) {
-	sv := memStore(t, semiring.PlusTimes(), 2, Options{})
+	sv := memStore(t, semiring.PlusTimes(), 2)
 	var srcs [2]string // one source per shard
 	for i := 0; srcs[0] == "" || srcs[1] == ""; i++ {
 		s := fmt.Sprintf("s%02d", i)
@@ -339,9 +339,10 @@ func spansUniverse(t *testing.T, v *View[float64], when string) {
 
 // The fold moves main into a grown universe by merging through the
 // sync's position maps. The corners: a backlog that folds to nothing
-// while it grows the universe (main is embedded alone), a Compact right
-// after growth (main is replaced, nothing embedded), new keys before,
-// between and after the old ones — each against the one-shot
+// while it grows the universe (main is embedded alone), a stored cell
+// the fold continues to zero (the merge deletes it), a point read right
+// after growth (nothing folds until the step's snapshot), new keys
+// before, between and after the old ones — each against the one-shot
 // construction, and main spanning the universe after every step.
 func TestFoldMovesMainThroughTheMaps(t *testing.T) {
 	ring, ok := semiring.Lookup("real+.real*")
@@ -350,7 +351,7 @@ func TestFoldMovesMainThroughTheMaps(t *testing.T) {
 	}
 	ops := ring.Ops
 	w := func(src, dst string, out float64) Edge[float64] { return Weighted("", src, dst, out, 1) }
-	v := NewView(ops, Options{}) // folds happen where the test asks: at its reads
+	v := NewView(ops) // folds happen where the test asks: at its reads
 	var all []Edge[float64]
 	step := func(when string, act func() error, edges ...Edge[float64]) {
 		t.Helper()
@@ -375,12 +376,12 @@ func TestFoldMovesMainThroughTheMaps(t *testing.T) {
 	step("keys in between, cells that meet", fold, w("m2", "m15", 4), w("m1", "m2", 6))
 	step("a backlog that folds to nothing and grows both sides", fold, w("k1", "k2", 1), w("k1", "k2", -1))
 	step("a stored cell cancelled, no growth", fold, w("m3", "m1", -3))
-	step("compact right after growth", v.Compact, w("c1", "c2", 7), w("a0", "m2", 8))
-	step("a fold after the compact", fold, w("zz", "a1", 9))
-	// One fold per step that read; the Compact step rebuilt instead, and
-	// the comparison snapshots found nothing left to fold.
-	if st := v.Stats(); st.Folds != 6 || st.PendingNNZ != 0 {
-		t.Errorf("%d folds ran and %d edges are pending after six reading steps", st.Folds, st.PendingNNZ)
+	step("a point read right after growth", func() error { _, err := v.Point(); return err }, w("c1", "c2", 7), w("a0", "m2", 8))
+	step("a fold after the point read", fold, w("zz", "a1", 9))
+	// One fold per step: the point read folded nothing, so that step's
+	// comparison snapshot did, and the others found nothing left to fold.
+	if st := v.Stats(); st.Folds != 7 || st.PendingNNZ != 0 {
+		t.Errorf("%d folds ran and %d edges are pending after seven steps", st.Folds, st.PendingNNZ)
 	}
 }
 
@@ -394,7 +395,7 @@ func TestSnapshotAfterGrowthAllocatesOneMain(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	v := NewView(semiring.PlusTimes(), Options{})
+	v := NewView(semiring.PlusTimes())
 	var preload []Edge[float64]
 	for _, e := range dataset.RMAT(rand.New(rand.NewSource(3)), 14, 8).Edges() {
 		preload = append(preload, Edge[float64]{Src: e.Src, Dst: e.Dst})

@@ -30,7 +30,7 @@ func TestAppendCostIndependentOfLogSize(t *testing.T) {
 	}
 	const per = 256
 	typical := func(logged int) (bytes, allocs uint64) {
-		v := NewView(semiring.PlusTimes(), Options{})
+		v := NewView(semiring.PlusTimes())
 		r := rand.New(rand.NewSource(7))
 		batch := make([]Edge[float64], per)
 		for n := 0; n < logged; n += per {
@@ -96,7 +96,7 @@ func scatteredVertices(r *rand.Rand, n int) []string {
 // The differential property of the id-space view: however the edge
 // stream is cut into batches, wherever the vertices a batch introduces
 // sort on either side, and whatever happens in between — snapshots,
-// compactions, budget-triggered folds, batches that fail and roll back —
+// point reads, budget-triggered folds, batches that fail and roll back —
 // the adjacency equals the one-shot construction, and Logs() equals the
 // incidence arrays of a control view that took the whole stream as one
 // batch. Every registry pair of Figure 3.
@@ -120,7 +120,7 @@ func TestGrowingUniverseMatchesOneShot(t *testing.T) {
 					weights[r.Intn(len(weights))], weights[r.Intn(len(weights))])
 			}
 			budget := 1 + r.Intn(60) // an unfolded suffix that reaches it folds
-			v := NewView(ops, Options{CheckAssociative: trial%2 == 0})
+			v := NewView(ops)
 			for lo := 0; lo < len(edges); {
 				hi := min(lo+1+r.Intn(17), len(edges))
 				if r.Intn(3) == 0 {
@@ -151,7 +151,7 @@ func TestGrowingUniverseMatchesOneShot(t *testing.T) {
 				case 0:
 					mustSnap(t, v)
 				case 1:
-					if err := v.Compact(); err != nil {
+					if _, err := v.Point(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -160,7 +160,7 @@ func TestGrowingUniverseMatchesOneShot(t *testing.T) {
 			if !got.Adjacency.Equal(oneShot(t, edges, ops), eqF) {
 				t.Errorf("%s trial %d: incremental != one-shot", ops.Name, trial)
 			}
-			control := NewView(ops, Options{})
+			control := NewView(ops)
 			if err := control.Append(edges); err != nil {
 				t.Fatal(err)
 			}
@@ -187,8 +187,8 @@ func TestOldSnapshotLogsKeepTheirEpoch(t *testing.T) {
 		reach := 5 + i/8
 		edges[i] = Weighted(fmt.Sprintf("e%06d", i), verts[r.Intn(reach)], verts[r.Intn(reach)], 1, float64(1+i%3))
 	}
-	v := NewView(ops, Options{})
-	control := NewView(ops, Options{})
+	v := NewView(ops)
+	control := NewView(ops)
 	for _, w := range []*View[float64]{v, control} {
 		if err := w.Append(edges[:40]); err != nil {
 			t.Fatal(err)
@@ -301,7 +301,7 @@ func TestFormatOneDirectoriesAreRefused(t *testing.T) {
 		}
 		before := dirBytes(t, dir)
 		for _, shards := range fx.shards {
-			st, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+			st, err := Open(dir, ops, shards, DurableOptions[float64]{})
 			if st != nil {
 				t.Fatalf("%s opened with %d shards asked: %d edges", fx.dir, shards, st.Stats().Edges)
 			}
@@ -364,14 +364,14 @@ func TestReopensSpelledOutFormat2(t *testing.T) {
 		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pr20", fx.dir))); err != nil {
 			t.Fatal(err)
 		}
-		replay := memStore(t, ops, fx.shards, Options{})
+		replay := memStore(t, ops, fx.shards)
 		for _, batch := range pr20Batches(fx.keyed) {
 			if err := replay.Append(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for round, label := range []string{"as PR 20 wrote it", "after a checkpoint of its own"} {
-			st, err := Open(dir, ops, fx.shards, Options{}, DurableOptions[float64]{})
+			st, err := Open(dir, ops, fx.shards, DurableOptions[float64]{})
 			if err != nil {
 				t.Fatalf("%s, %s: %v", fx.dir, label, err)
 			}

@@ -26,7 +26,7 @@ var adversarialVertices = []string{
 // one-shot batch construction.
 func TestInternedSlowPathMatchesBatch(t *testing.T) {
 	ops := semiring.PlusTimes()
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	var all []Edge[float64]
 	seq := 0
 	addBatch := func(es ...Edge[float64]) {
@@ -92,7 +92,7 @@ func TestInternedSlowPathMatchesBatch(t *testing.T) {
 
 // TestScratchPoolAliasing is the pooled-buffer leak check: concurrent
 // parallel constructions (hammering the sync.Pool kernel scratch) race
-// against a view's Append/Snapshot/Compact cycle, which at every snapshot
+// against a view's Append/Snapshot cycle, which at every fifth snapshot
 // rebuilds its own adjacency from the snapshot's log across two spans —
 // the same pools again — under -race in CI. Every parallel result is
 // differentially checked against a serial reference computed AFTER the
@@ -113,7 +113,7 @@ func TestScratchPoolAliasing(t *testing.T) {
 	eout := assoc.FromTriples(outT, nil)
 	ein := assoc.FromTriples(inT, nil)
 
-	view := NewView(ops, Options{})
+	view := NewView(ops)
 	// What the view's goroutine built in parallel from each snapshot's log.
 	type rebuilt struct {
 		snap Snapshot[float64]
@@ -173,12 +173,6 @@ func TestScratchPoolAliasing(t *testing.T) {
 					return
 				}
 				rebuilds = append(rebuilds, rebuilt{snap, adj})
-			}
-			if round%11 == 7 {
-				if err := view.Compact(); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}
 	}()

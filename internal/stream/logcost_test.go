@@ -32,7 +32,7 @@ func retainedPerEdge(t testing.TB, edges int, next func(batch []Edge[float64], n
 	t.Helper()
 	batch := unkeyedBatch(256)
 	before := liveHeap()
-	v := NewView(plusTimes(t), Options{})
+	v := NewView(plusTimes(t))
 	for n := 0; n < edges; n += len(batch) {
 		if next != nil {
 			next(batch, n)
@@ -83,7 +83,7 @@ func TestAppendAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	v := NewView(plusTimes(t), Options{})
+	v := NewView(plusTimes(t))
 	batch := unkeyedBatch(256)
 	for i := 0; i < 520; i++ { // past a doubling of every column, so the runs below meet none
 		if err := v.Append(batch); err != nil {
@@ -126,7 +126,7 @@ func TestBootstrapFoldLeavesNoScratch(t *testing.T) {
 		load[i] = Edge[float64]{Src: name[r.Intn(len(name))], Dst: name[r.Intn(len(name))]}
 	}
 	before := liveHeap()
-	v := NewView(plusTimes(t), Options{})
+	v := NewView(plusTimes(t))
 	for lo := 0; lo < edges; lo += per {
 		if err := v.Append(load[lo : lo+per]); err != nil {
 			t.Fatal(err)

@@ -143,7 +143,7 @@ type DurabilityStats struct {
 // "epoch" is the durability unit throughout.
 //
 // The append path is view-first: a batch the view rejects (key
-// discipline, guard refusal, grow failure) never reaches the log, so
+// discipline, grow failure) never reaches the log, so
 // recovery replays only batches that were accepted. The window the
 // opposite order would open — a logged batch that fails on replay —
 // cannot happen; the crash window that remains (accepted in memory,
@@ -184,9 +184,9 @@ type partition[V any] struct {
 // openPartition creates the shard's view — fresh in memory when dir is
 // "", recovered from dir otherwise — with prefix seeding its auto-key
 // generator unless a checkpoint already carries one.
-func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix string, opt DurableOptions[V]) (*partition[V], error) {
+func openPartition[V any](dir string, ops semiring.Ops[V], prefix string, opt DurableOptions[V]) (*partition[V], error) {
 	if dir == "" {
-		v := NewView(ops, vopt)
+		v := NewView(ops)
 		v.autoBase = prefix
 		return &partition[V]{v: v}, nil
 	}
@@ -214,11 +214,11 @@ func openPartition[V any](dir string, ops semiring.Ops[V], vopt Options, prefix 
 		return nil, err
 	}
 	rec.SkippedCheckpoints = len(skipped)
-	v := NewView(ops, vopt)
+	v := NewView(ops)
 	var ckptSeq uint64
 	if ck != nil {
 		ckptSeq = ck.Seq
-		v, err = decodeCheckpoint(ck, ops, vopt, codec)
+		v, err = decodeCheckpoint(ck, ops, codec)
 		if err != nil {
 			return nil, fmt.Errorf("stream: checkpoint seq %d: %w", ckptSeq, err)
 		}

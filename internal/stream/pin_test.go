@@ -47,7 +47,7 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 			}
 
 			// want[i][e] is shard i's adjacency after its e-th sub-batch.
-			twin := memStore(t, ops, shards, Options{})
+			twin := memStore(t, ops, shards)
 			want := make([]map[int]*assoc.Array[float64], shards)
 			record := func() {
 				for i, p := range twin.parts {
@@ -66,7 +66,7 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 				record()
 			}
 
-			sv := memStore(t, ops, shards, Options{})
+			sv := memStore(t, ops, shards)
 			var done atomic.Bool
 			var wg sync.WaitGroup
 			var mu sync.Mutex
@@ -119,7 +119,7 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 			pins = append(pins, last)
 			// A store pinned only once, at the end, has every shard to fold:
 			// the first on the caller's goroutine, every other one aside.
-			cold := memStore(t, ops, shards, Options{})
+			cold := memStore(t, ops, shards)
 			for _, b := range batches {
 				if err := cold.Append(b); err != nil {
 					t.Fatal(err)
@@ -160,7 +160,7 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 		{2, []int{1}, 1}, {3, []int{1}, 1}, {3, []int{2}, 2}, {3, []int{1, 2}, 1}, {3, []int{0, 2}, 0},
 	} {
 		t.Run(fmt.Sprintf("shards=%d/failing=%v", c.shards, c.failing), func(t *testing.T) {
-			sv := memStore(t, ops, c.shards, Options{})
+			sv := memStore(t, ops, c.shards)
 			var batch []Edge[float64]
 			for _, src := range sourcesPerShard(sv) {
 				batch = append(batch, Edge[float64]{Src: src, Dst: "x"})
@@ -204,7 +204,7 @@ func TestPinAtAnUnchangedVectorAllocatesNothing(t *testing.T) {
 	}
 	ops := plusTimes(t)
 	for _, shards := range []int{1, 2, 3, 4} {
-		sv := memStore(t, ops, shards, Options{})
+		sv := memStore(t, ops, shards)
 		if err := sv.Append(randomEdges(rand.New(rand.NewSource(3)), 64, 20, []float64{1})); err != nil {
 			t.Fatal(err)
 		}

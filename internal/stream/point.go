@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"cmp"
 	"slices"
 	"strings"
 
@@ -23,14 +22,12 @@ import (
 // of the shard.
 //
 // The answer is the cell the fold would have stored, bit for bit and for
-// any ⊕: the suffix's contributions to the cell are ⊗-multiplied and
-// ⊕-folded in log order (sparse.FoldUnitRows' fold), a fold equal to the
-// algebra's Zero is dropped as that kernel prunes it, and what is left
-// meets main's cell with MAIN ON THE LEFT — main holds the earlier edge
-// keys, so fold order is kept and only the grouping is the merge's
-// (sparse.EWiseAddInto), the one re-association a view makes; a result
-// equal to Zero is an absent cell. A point read is therefore exactly as
-// exact as the Snapshot that follows it.
+// any ⊕: the fold's own left fold — main's value where main stores the
+// cell, else the suffix's first ⊗-product, then ⊕ each later product
+// onto it in log order (sparse.EWiseAddInto over the suffix's runs); a
+// result equal to Zero is an absent cell. A point read therefore answers what the
+// Snapshot that follows it stores, and that is the batch construction's
+// cell.
 type PointSnapshot[V any] struct {
 	// Epoch counts the batches the answers reflect.
 	Epoch int
@@ -102,22 +99,18 @@ func (p PointSnapshot[V]) At(src, dst string) (V, bool) {
 	if !ok {
 		return val, stored
 	}
-	var fold V
-	found := false
+	touched := false
 	for k, s := range p.srcID {
-		if s != sid || p.dstID[k] != did {
-			continue
-		}
-		if prod := p.product(k); found {
-			fold = p.view.ops.Add(fold, prod)
-		} else {
-			fold, found = prod, true
+		if s == sid && p.dstID[k] == did {
+			val, stored = foldStep(&p.view.ops, val, stored, p.product(k))
+			touched = true
 		}
 	}
-	if !found {
-		return val, stored
+	if touched && p.view.ops.IsZero(val) {
+		var absent V
+		return absent, false
 	}
-	return meet(&p.view.ops, val, stored, fold)
+	return val, stored
 }
 
 // product is the suffix's k-th edge as the fold takes it: Eout ⊗ Ein,
@@ -134,33 +127,23 @@ func (p PointSnapshot[V]) product(k int) V {
 	return ops.Mul(out, in)
 }
 
-// meet is main's cell ⊕ the suffix's fold for that cell, as the fold and
-// its merge would have left it: a fold equal to Zero was pruned before
-// the merge and leaves main's cell as it is, main goes on the left, and a
-// result equal to Zero is not stored.
-func meet[V any](ops *semiring.Ops[V], val V, stored bool, fold V) (V, bool) {
-	switch {
-	case ops.IsZero(fold):
-		return val, stored
-	case !stored:
-		return fold, true
+// foldStep is one step of a cell's left fold: the first contribution is
+// the cell's value, each later one is ⊕-ed onto it from the right.
+func foldStep[V any](ops *semiring.Ops[V], acc V, started bool, prod V) (V, bool) {
+	if !started {
+		return prod, true
 	}
-	if s := ops.Add(val, fold); !ops.IsZero(s) {
-		return s, true
-	}
-	var absent V
-	return absent, false
+	return ops.Add(acc, prod), true
 }
 
-// suffixCell is one cell of a row, folded over the suffix.
+// suffixCell is one of the suffix's contributions to a row.
 type suffixCell[V any] struct {
-	did  int32
 	key  string
-	fold V
+	prod V
 }
 
-// suffixRow folds the suffix's contributions to src's row, one cell per
-// destination, in destination key order; nil when there are none.
+// suffixRow returns the suffix's contributions to src's row in
+// destination key order, a cell's in log order; nil when there are none.
 func (p PointSnapshot[V]) suffixRow(src string) []suffixCell[V] {
 	if len(p.srcID) == 0 {
 		return nil
@@ -172,28 +155,18 @@ func (p PointSnapshot[V]) suffixRow(src string) []suffixCell[V] {
 	var cells []suffixCell[V]
 	for k, s := range p.srcID {
 		if s == sid {
-			cells = append(cells, suffixCell[V]{did: p.dstID[k], fold: p.product(k)})
+			cells = append(cells, suffixCell[V]{key: p.view.dstIn.Key(p.dstID[k]), prod: p.product(k)})
 		}
 	}
 	// Stable: a cell's contributions stay in log order, the fold's order.
-	slices.SortStableFunc(cells, func(a, b suffixCell[V]) int { return cmp.Compare(a.did, b.did) })
-	n := 0
-	for i := 0; i < len(cells); n++ {
-		c := cells[i]
-		for i++; i < len(cells) && cells[i].did == c.did; i++ {
-			c.fold = p.view.ops.Add(c.fold, cells[i].fold)
-		}
-		c.key = p.view.dstIn.Key(c.did)
-		cells[n] = c
-	}
-	cells = cells[:n]
-	slices.SortFunc(cells, func(a, b suffixCell[V]) int { return strings.Compare(a.key, b.key) })
+	slices.SortStableFunc(cells, func(a, b suffixCell[V]) int { return strings.Compare(a.key, b.key) })
 	return cells
 }
 
 // Row calls yield for every stored cell of src's row in ascending
-// destination key order — main's CSR row two-way merged with the suffix's
-// few cells; a source that holds no row yields nothing.
+// destination key order — main's CSR row two-way merged with the cells
+// the suffix touches, each folded from main's value on; a source that
+// holds no row yields nothing.
 func (p PointSnapshot[V]) Row(src string, yield func(dst string, v V)) {
 	var cols []int32
 	var vals []V
@@ -202,22 +175,27 @@ func (p PointSnapshot[V]) Row(src string, yield func(dst string, v V)) {
 	}
 	colKeys := p.main.ColKeys()
 	q := 0
-	for _, c := range p.suffixRow(src) {
+	cells := p.suffixRow(src)
+	for i := 0; i < len(cells); {
+		ck := cells[i].key
 		var key string
 		for ; q < len(cols); q++ {
-			if key = colKeys.Key(int(cols[q])); key >= c.key {
+			if key = colKeys.Key(int(cols[q])); key >= ck {
 				break
 			}
 			yield(key, vals[q])
 		}
 		var val V
-		stored := q < len(cols) && key == c.key
+		stored := q < len(cols) && key == ck
 		if stored {
 			val = vals[q]
 			q++
 		}
-		if v, ok := meet(&p.view.ops, val, stored, c.fold); ok {
-			yield(c.key, v)
+		for ; i < len(cells) && cells[i].key == ck; i++ {
+			val, stored = foldStep(&p.view.ops, val, stored, cells[i].prod)
+		}
+		if !p.view.ops.IsZero(val) {
+			yield(ck, val)
 		}
 	}
 	for ; q < len(cols); q++ {

@@ -95,7 +95,7 @@ func TestPointReadMatchesTheFoldItSkipped(t *testing.T) {
 		for _, vr := range pointVariants(entry.Ops, entry.AdversarialSample()) {
 			t.Run(entry.Name+"/"+vr.name, func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(len(entry.Name)*31 + len(vr.name))))
-				v := NewView(entry.Ops, Options{})
+				v := NewView(entry.Ops)
 				var doom atomic.Bool
 				v.failpoint = func(site string) error {
 					if site == "append:interned" && doom.CompareAndSwap(true, false) {
@@ -219,7 +219,7 @@ func TestPointReadMatchesTheFoldItSkipped(t *testing.T) {
 // a pin taken while a value column did not exist keeps reading One once a
 // weighted edge has brought it into being.
 func TestPointPinFoldsOnlyPastTheThreshold(t *testing.T) {
-	v := NewView(semiring.PlusTimes(), Options{})
+	v := NewView(semiring.PlusTimes())
 	if err := v.Append(unkeyedBatch(foldScratchKeep)); err != nil {
 		t.Fatal(err)
 	}

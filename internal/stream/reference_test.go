@@ -113,7 +113,7 @@ type logSubject struct {
 }
 
 func (s *logSubject) open() {
-	st, err := Open(s.dir, s.ops, 1, Options{}, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+	st, err := Open(s.dir, s.ops, 1, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		s.t.Fatalf("open: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestLogMatchesSpelledOutReference(t *testing.T) {
 				}
 				ref.autoBase, ref.autoSeq = "", 0 // a bootstrap is not a batch: the generator has not moved
 				eout, ein := ref.arrays(len(boot))
-				v, err := FromIncidence(eout, ein, ops, Options{})
+				v, err := FromIncidence(eout, ein, ops)
 				if err != nil {
 					t.Fatalf("%s: bootstrap: %v", what, err)
 				}
@@ -227,7 +227,7 @@ func TestLogMatchesSpelledOutReference(t *testing.T) {
 				sub.dir = t.TempDir()
 				sub.open()
 			default:
-				sub.v = NewView(ops, Options{})
+				sub.v = NewView(ops)
 			}
 
 			type heldSnap struct {
@@ -360,7 +360,7 @@ func (r *referenceLog) clone() *referenceLog {
 // other side, still unweighted, keeps having none.
 func TestFirstWeightArrivesLate(t *testing.T) {
 	ops := plusTimes(t)
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	unit := []Edge[float64]{{Src: "a", Dst: "b"}, {Src: "b", Dst: "c"}, {Src: "a", Dst: "c"}}
 	for i := 0; i < 2; i++ {
 		if err := v.Append(unit); err != nil {

@@ -50,8 +50,8 @@ func TestShardedEqualsSingleViewAcrossPairsAndSplits(t *testing.T) {
 			edges := randomEdges(r, 70, 11, weights)
 			want := oneShot(t, edges, ops)
 
-			single := NewView(ops, Options{})
-			sv := memStore(t, ops, shards, Options{})
+			single := NewView(ops)
+			sv := memStore(t, ops, shards)
 			for lo := 0; lo < len(edges); {
 				hi := lo + 1 + r.Intn(13)
 				if hi > len(edges) {
@@ -91,8 +91,8 @@ func TestShardedLogsMatchSingleView(t *testing.T) {
 	ops := semiring.PlusTimes()
 	edges := randomEdges(r, 90, 9, []float64{1, 2, 5})
 
-	single := NewView(ops, Options{})
-	sv := memStore(t, ops, 4, Options{})
+	single := NewView(ops)
+	sv := memStore(t, ops, 4)
 	if err := single.Append(edges); err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +115,6 @@ func TestShardedLogsMatchSingleView(t *testing.T) {
 	if merged.Edges != ref.Edges {
 		t.Errorf("merged Edges = %d, want %d", merged.Edges, ref.Edges)
 	}
-	if !merged.Exact {
-		t.Error("disjoint-row merge of exact shards should stay exact")
-	}
 }
 
 // Concurrent producers with auto-assigned keys: the final adjacency
@@ -128,7 +125,7 @@ func TestShardedLogsMatchSingleView(t *testing.T) {
 func TestShardedConcurrentAppendMatchesBatch(t *testing.T) {
 	ops := semiring.PlusTimes()
 	const producers, batches, per = 4, 12, 16
-	sv := memStore(t, ops, 3, Options{})
+	sv := memStore(t, ops, 3)
 
 	all := make([][]Edge[float64], producers)
 	for p := range all {
@@ -194,7 +191,7 @@ func TestShardedConcurrentAppendMatchesBatch(t *testing.T) {
 	// Append leaves the caller's slice untouched: generated keys live in
 	// the shard's view, at one shard (no scatter copy) as at two.
 	for _, shards := range []int{1, 2} {
-		st := memStore(t, ops, shards, Options{})
+		st := memStore(t, ops, shards)
 		batch := []Edge[float64]{{Src: "a", Dst: "b"}, {Src: "b", Dst: "c"}, {Src: "c", Dst: "a"}}
 		if err := st.Append(batch); err != nil {
 			t.Fatal(err)
@@ -212,7 +209,7 @@ func TestShardedConcurrentAppendMatchesBatch(t *testing.T) {
 // shard bumps exactly that vector component.
 func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 	ops := semiring.PlusTimes()
-	sv := memStore(t, ops, 3, Options{})
+	sv := memStore(t, ops, 3)
 	if err := sv.Append([]Edge[float64]{
 		Weighted("e0", "a", "b", 1.0, 1.0),
 		Weighted("e1", "b", "c", 1.0, 1.0),
@@ -259,7 +256,7 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 func TestOwnerSnapshotPinsOneShard(t *testing.T) {
 	ops := semiring.PlusTimes()
 	for _, shards := range []int{1, 2, 3, 5} {
-		sv := memStore(t, ops, shards, Options{})
+		sv := memStore(t, ops, shards)
 		edges := randomEdges(rand.New(rand.NewSource(int64(shards))), 60, 9, []float64{1, 2, 3})
 		if err := sv.Append(edges[:40]); err != nil {
 			t.Fatal(err)
@@ -321,7 +318,7 @@ func TestOwnerSnapshotPinsOneShard(t *testing.T) {
 // agree with the snapshot.
 func TestShardedStats(t *testing.T) {
 	ops := semiring.PlusTimes()
-	sv := memStore(t, ops, 2, Options{})
+	sv := memStore(t, ops, 2)
 	edges := randomEdges(rand.New(rand.NewSource(5)), 40, 8, []float64{1, 2})
 	if err := sv.Append(edges); err != nil {
 		t.Fatal(err)
@@ -356,12 +353,12 @@ func TestShardedDurableRecoveryMatchesSingleView(t *testing.T) {
 	dir := t.TempDir()
 	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
 
-	sv, err := Open(filepath.Join(dir, "store"), ops, 3, Options{}, dopt)
+	sv, err := Open(filepath.Join(dir, "store"), ops, 3, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edges := randomEdges(r, 60, 10, []float64{1, 2, 3})
-	single := NewView(ops, Options{})
+	single := NewView(ops)
 	if err := single.Append(edges); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +378,7 @@ func TestShardedDurableRecoveryMatchesSingleView(t *testing.T) {
 	sv.Abort() // crash: checkpoint covers a prefix, WAL tails carry the rest
 
 	// Shards < 0 adopts the recorded count from the SHARDS meta file.
-	rec, err := Open(filepath.Join(dir, "store"), ops, -1, Options{}, dopt)
+	rec, err := Open(filepath.Join(dir, "store"), ops, -1, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +422,7 @@ func TestShardedDurableAutoKeysRecoverExactly(t *testing.T) {
 	ops := semiring.PlusTimes()
 	dir := filepath.Join(t.TempDir(), "store")
 	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
-	sv, err := Open(dir, ops, 2, Options{}, dopt)
+	sv, err := Open(dir, ops, 2, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +440,7 @@ func TestShardedDurableAutoKeysRecoverExactly(t *testing.T) {
 	want := mustAdj(t, mustShardSnap(t, sv))
 	sv.Abort()
 
-	rec, err := Open(dir, ops, -1, Options{}, dopt)
+	rec, err := Open(dir, ops, -1, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,14 +463,14 @@ func TestOpenShardedCountMismatchRefused(t *testing.T) {
 	ops := semiring.PlusTimes()
 	dir := filepath.Join(t.TempDir(), "store")
 	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
-	sv, err := Open(dir, ops, 2, Options{}, dopt)
+	sv, err := Open(dir, ops, 2, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, ops, 4, Options{}, dopt); err == nil {
+	if _, err := Open(dir, ops, 4, dopt); err == nil {
 		t.Fatal("shard-count mismatch must be refused")
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, shardMetaFile)); err != nil || string(data) != "2\n" {
@@ -492,7 +489,7 @@ func TestOpenWithoutShardsFileRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	cfs := &countFS{FS: iofault.OS}
 	cfs.reset()
-	st, err := Open(dir, ops, 2, Options{}, DurableOptions[float64]{FS: cfs})
+	st, err := Open(dir, ops, 2, DurableOptions[float64]{FS: cfs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +512,7 @@ func TestOpenWithoutShardsFileRefused(t *testing.T) {
 	}
 	before := dirBytes(t, dir)
 	for _, shards := range []int{1, 0, 3, 2, -1} {
-		re, err := Open(dir, ops, shards, Options{}, DurableOptions[float64]{})
+		re, err := Open(dir, ops, shards, DurableOptions[float64]{})
 		if re != nil {
 			t.Fatalf("%d shards asked: opened with %d shards and %d of 16 edges", shards, re.Shards(), re.Stats().Edges)
 		}
@@ -530,7 +527,7 @@ func TestOpenWithoutShardsFileRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, shardMetaFile), []byte("2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, ops, -1, Options{}, DurableOptions[float64]{})
+	re, err := Open(dir, ops, -1, DurableOptions[float64]{})
 	if err != nil || re.Shards() != 2 || re.Stats().Edges != 16 {
 		t.Fatalf("with SHARDS restored: %v", err)
 	}
@@ -540,8 +537,8 @@ func TestOpenWithoutShardsFileRefused(t *testing.T) {
 // Routing is a fixed function of the source vertex: stable across view
 // instances (unlike the interner's per-process maphash).
 func TestShardRoutingDeterministic(t *testing.T) {
-	a := memStore(t, semiring.PlusTimes(), 4, Options{})
-	b := memStore(t, semiring.PlusTimes(), 4, Options{})
+	a := memStore(t, semiring.PlusTimes(), 4)
+	b := memStore(t, semiring.PlusTimes(), 4)
 	for i := 0; i < 200; i++ {
 		src := fmt.Sprintf("vertex-%d", i)
 		if a.ShardFor(src) != b.ShardFor(src) {
@@ -554,7 +551,7 @@ func TestShardRoutingDeterministic(t *testing.T) {
 // the gather is per epoch vector, the log merge on first request.
 func TestStoreSnapshotMergesLogsOnDemand(t *testing.T) {
 	ops := semiring.PlusTimes()
-	st := memStore(t, ops, 2, Options{})
+	st := memStore(t, ops, 2)
 	if err := st.Append(randomEdges(rand.New(rand.NewSource(6)), 30, 8, []float64{1, 2})); err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +580,7 @@ func TestOpenLayoutMismatchRefused(t *testing.T) {
 	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
 	for _, tc := range []struct{ first, then int }{{1, 4}, {4, 1}, {2, 3}, {0, 2}} {
 		dir := filepath.Join(t.TempDir(), "store")
-		st, err := Open(dir, ops, tc.first, Options{}, dopt)
+		st, err := Open(dir, ops, tc.first, dopt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,10 +590,10 @@ func TestOpenLayoutMismatchRefused(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, ops, tc.then, Options{}, dopt); err == nil || !strings.Contains(err.Error(), "would re-partition the vertex space") {
+		if _, err := Open(dir, ops, tc.then, dopt); err == nil || !strings.Contains(err.Error(), "would re-partition the vertex space") {
 			t.Errorf("%d→%d shards: reopen err = %v, want the re-partition refusal", tc.first, tc.then, err)
 		}
-		re, err := Open(dir, ops, -1, Options{}, dopt)
+		re, err := Open(dir, ops, -1, dopt)
 		if err != nil {
 			t.Fatalf("%d→GOMAXPROCS: %v", tc.first, err)
 		}
@@ -629,7 +626,7 @@ func TestStoreReopensLegacyAutoKeyDirectories(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st, err := Open(dir, ops, tc.shards, Options{}, dopt)
+		st, err := Open(dir, ops, tc.shards, dopt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -665,7 +662,7 @@ func TestStoreReopensLegacyAutoKeyDirectories(t *testing.T) {
 			}
 		}
 
-		re, err := Open(dir, ops, tc.shards, Options{}, dopt)
+		re, err := Open(dir, ops, tc.shards, dopt)
 		if err != nil {
 			t.Fatalf("%d shards, gap %d: reopen: %v", tc.shards, tc.gap, err)
 		}

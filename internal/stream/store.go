@@ -31,10 +31,8 @@ import (
 // would. The gather therefore has nothing to ⊕: it CONCATENATES the
 // per-shard adjacencies, each stored row copied once into the union key
 // space (assoc.ConcatRows), and the result is bit-identical to the
-// one-shard construction regardless of ⊕ — the only re-association
-// points are the per-shard batch boundaries, the same ones one shard has
-// (semiring.CheckAssociativeValues' hypothesis, which
-// Options.CheckAssociative samples per batch as usual). Disjoint row
+// one-shard construction — and so to the batch construction over the
+// store's Logs — regardless of ⊕. Disjoint row
 // ownership is checked by that gather, not assumed: two shards storing
 // the same source row (a shard directory copied over a sibling, a store
 // written under another routing hash) fail the gather with an error
@@ -115,9 +113,8 @@ const shardMetaFile = "SHARDS"
 // gone are refused under every count — Open reads what the directory
 // holds or says by name why not.
 //
-// opt tunes each shard's View. dopt tunes the durable side and is ignored
-// in memory.
-func Open[V any](dir string, ops semiring.Ops[V], shards int, opt Options, dopt DurableOptions[V]) (*Store[V], error) {
+// dopt tunes the durable side and is ignored in memory.
+func Open[V any](dir string, ops semiring.Ops[V], shards int, dopt DurableOptions[V]) (*Store[V], error) {
 	if dopt.FS == nil {
 		dopt.FS = iofault.OS
 	}
@@ -141,7 +138,7 @@ func Open[V any](dir string, ops semiring.Ops[V], shards int, opt Options, dopt 
 		if n > 1 {
 			prefix = fmt.Sprintf("s%03d-", i)
 		}
-		p, err := openPartition(d, ops, opt, prefix, dopt)
+		p, err := openPartition(d, ops, prefix, dopt)
 		if err != nil {
 			unwind(s.parts[:i])
 			return nil, fmt.Errorf("stream: shard %d: %w", i, err)
@@ -328,11 +325,6 @@ type StoreSnapshot[V any] struct {
 	Epoch int
 	// Edges is the edge count across all shard logs.
 	Edges int
-	// Exact reports whether Adjacency provably equals the one-shot
-	// batch construction (see Snapshot.Exact). Disjoint row ownership
-	// means the gather never ⊕-combines two values, so this is exactly
-	// the conjunction of the per-shard flags.
-	Exact bool
 
 	g *gather[V]
 }
@@ -422,12 +414,11 @@ func (s *Store[V]) Pin() (StoreSnapshot[V], error) {
 		fresh = fresh || s.cached.Epochs[i] != snaps[i].Epoch
 	}
 	if fresh {
-		c := StoreSnapshot[V]{Shards: slices.Clone(snaps), Epochs: make([]int, len(snaps)), Exact: true, g: &gather[V]{ops: s.ops}}
+		c := StoreSnapshot[V]{Shards: slices.Clone(snaps), Epochs: make([]int, len(snaps)), g: &gather[V]{ops: s.ops}}
 		for i, sn := range snaps {
 			c.Epochs[i] = sn.Epoch
 			c.Epoch += sn.Epoch
 			c.Edges += sn.Edges
-			c.Exact = c.Exact && sn.Exact
 		}
 		s.cached, s.pinned = c, c.Epochs
 	}
@@ -575,14 +566,6 @@ func (s *Store[V]) eachShard(fn func(p *partition[V]) error) error {
 	return first
 }
 
-// Compact rebuilds every shard's adjacency one-shot from its log. It
-// changes no epoch, so the cached snapshot is dropped: the next one
-// reads the rebuilt arrays.
-func (s *Store[V]) Compact() error {
-	defer s.dropCached()
-	return s.eachShard(func(p *partition[V]) error { return p.v.Compact() })
-}
-
 func (s *Store[V]) dropCached() {
 	s.cmu.Lock()
 	s.cached = StoreSnapshot[V]{}
@@ -623,7 +606,6 @@ type StoreStats struct {
 	Epochs    []int   // per-shard batch epochs (the consistency vector)
 	AdjNNZ    int     // stored adjacency entries across shards (rows are disjoint, so the sum is exact)
 	Pending   int     // edges in the shards' unfolded log suffixes (all of Edges on a store nobody has read; under point reads alone it may stay non-zero, bounded by max(4096, AdjNNZ/8) per shard)
-	Exact     bool    // every shard provably equals its one-shot construction
 	Folds     int     // folds run across shards
 	FoldNanos int64   // time in them, summed (shards fold concurrently)
 	PerShard  []Stats // the full per-shard counters
@@ -634,7 +616,6 @@ func (s *Store[V]) Stats() StoreStats {
 	st := StoreStats{
 		Shards:   len(s.parts),
 		Epochs:   make([]int, len(s.parts)),
-		Exact:    true,
 		PerShard: make([]Stats, len(s.parts)),
 	}
 	for i, p := range s.parts {
@@ -646,7 +627,6 @@ func (s *Store[V]) Stats() StoreStats {
 		st.Pending += ps.PendingNNZ
 		st.Folds += ps.Folds
 		st.FoldNanos += ps.FoldNanos
-		st.Exact = st.Exact && ps.Exact
 	}
 	return st
 }

@@ -31,43 +31,44 @@
 // Key order — the order of Definition I.1's key sets, which the
 // adjacency array and the incidence arrays are stored in — is
 // established only where it is consumed. The fold that brings the
-// adjacency up to the log — run when a whole-array read, a checkpoint or
-// Compact needs it, never by an append on its own account and not by a
-// read of one cell or row — first syncs the
+// adjacency up to the log — run when a whole-array read or a checkpoint
+// needs it, never by an append on its own account and not by a read of
+// one cell or row — first syncs the
 // vertex universe: the ids first referenced since the last fold are
 // collected, only THEIR keys are sorted, one merge sweep per side folds
 // them into the sorted key Sets, and a new id → position array per side
 // is built (the Sets are Bound to the interners through those arrays, so
 // every downstream key lookup resolves through the same hash table
 // instead of a per-Set map). The unfolded suffix's endpoint ids are then
-// mapped to positions in that universe and folded by
-// sparse.FoldUnitRows — the kernel that builds an adjacency array from a
-// graph's incidence columns in one shot; the suffix IS such a pair of
-// columns, and the kernel takes the ⊗-products on the way. A fold that
-// meets an empty adjacency is that batch construction and nothing else:
-// its result becomes the adjacency. Otherwise merging the fold into the
-// adjacency is also what carries the adjacency into a universe the sync
-// grew: the merge reads the old array through the position maps the
-// sync's sweep produced, one pass from the old storage into the new, and
-// no embedded copy is made first. The key-ordered incidence arrays Eout
-// and Ein themselves are built from the log on request (Snapshot.Logs),
-// which only Compact and callers that want the arrays ask for — that
-// build is the one place generated keys are formatted and unit weights
-// written out, once per epoch; a checkpoint stores the log as it lies
-// here, by id and with the same columns left out (checkpoint.go).
+// mapped to positions in that universe. A fold that meets an empty
+// adjacency is the batch construction and nothing else: the suffix IS a
+// graph's pair of incidence columns, sparse.FoldUnitRows folds them in
+// one shot, and its result becomes the adjacency. Otherwise the suffix's
+// cells may continue ones the adjacency holds: sparse.GroupUnitRows
+// groups its ⊗-products by cell, in log order and unfolded, and the merge
+// (sparse.EWiseAddInto) folds each run onto the adjacency's value there,
+// left to right, as it walks both. That merge is also what carries the
+// adjacency into a universe the sync grew: it reads the old array through
+// the position maps the sync's sweep produced, one pass from the old
+// storage into the new, and no embedded copy is made first. The key-ordered incidence arrays Eout and
+// Ein themselves are built from the log on request (Snapshot.Logs), which
+// only callers that want the arrays ask for — that build is the one place
+// generated keys are formatted and unit weights written out, once per
+// epoch; a checkpoint stores the log as it lies here, by id and with the
+// same columns left out (checkpoint.go).
 //
-// Soundness hypothesis: folding a delta into already-folded state
-// re-associates the per-cell ⊕ fold — ((earlier edges) ⊕ (delta))
-// instead of the flat left-to-right fold over all edge keys. Because
-// edge keys are required to arrive in ascending order, the fold ORDER
-// is preserved and only the grouping changes, so the incremental state
-// equals the one-shot construction exactly when ⊕ is associative on the
-// data (the hypothesis semiring.CheckAssociativeValues samples, per the
-// paper's companion work on algebraic conditions). For a non-associative ⊕ the
-// view still ingests — deterministically — but may diverge from the
-// batch result; Compact rebuilds from the full log and recovers it.
-// Options.CheckAssociative samples the hypothesis on every append and
-// fails fast instead.
+// Incremental is batch: every cell is the one flat left fold of
+// Definition I.3 over its edges in key order, ((p₁ ⊕ p₂) ⊕ p₃) …, however
+// the log was cut into folds — by reads, checkpoints, a restart or the
+// shard count — and for any ⊕, associative or not (the paper's companion
+// work on algebraic conditions: the semiring laws have nothing to do with
+// whether EoutᵀEin is an adjacency array, and they have nothing to do
+// with whether this view equals it either). A fold starts each cell from
+// the value the earlier edges folded to, so it never groups later edges
+// on their own. The one precondition is the one semiring.Ops documents:
+// Zero is a ⊕-identity. A cell whose edges fold to exactly Zero is not
+// stored, so the next fold over it starts from absence where the batch
+// fold goes on from Zero, and the two agree because Zero ⊕ p = p.
 //
 // Reads are served from two kinds of pin, both immutable views that share
 // storage with the live state (copy-on-write — an append never mutates
@@ -122,19 +123,6 @@ func Weighted[V any](key, src, dst string, out, in V) Edge[V] {
 	return Edge[V]{Key: key, Src: src, Dst: dst, Out: out, In: in, HasOut: true, HasIn: true}
 }
 
-// Options tunes a View.
-type Options struct {
-	// CompactEvery, when > 0, triggers an automatic Compact after that
-	// many appends — bounding drift for non-associative ⊕ and re-packing
-	// storage. 0 disables auto-compaction.
-	CompactEvery int
-	// CheckAssociative, when set, samples the delta-identity hypotheses
-	// (⊕ associative, Zero a ⊕-identity) over each batch's values before
-	// accepting it and fails the Append if the re-associated fold could
-	// diverge (semiring.CheckAssociativeValues).
-	CheckAssociative bool
-}
-
 // View is a maintained adjacency array: an append-only edge log and the
 // current A = Eoutᵀ ⊕.⊗ Ein, updated per batch by the delta identity.
 // All methods are safe for concurrent use; reads go through one of two
@@ -147,9 +135,9 @@ type Options struct {
 // materialized array snapshots share, and the pending level — which is
 // no structure of its own but the suffix of the edge log that main does
 // not cover yet, log[folded:]. Level order is fold order: main holds the
-// earlier edge keys, so a fold re-associates but never reorders
-// contributions — and the first fold, which meets an empty main, does
-// not even re-associate: it is the batch construction over its edges.
+// earlier edge keys, so a fold continues main's cells with the suffix's
+// contributions — and the first fold, which meets an empty main, is the
+// batch construction over its edges.
 //
 // An Append costs O(batch) whatever the view holds and whatever the
 // batch introduces: the log is indexed by interner id, and ids never
@@ -157,20 +145,19 @@ type Options struct {
 // ORDER — the sorted vertex universe, the id → position arrays, main's
 // key sets — is brought up to date by the fold, once per fold, and a
 // fold has one trigger: someone needs main to be the whole adjacency
-// (Snapshot, a checkpoint's pin, Compact), never an append: the suffix
+// (Snapshot, a checkpoint's pin), never an append: the suffix
 // costs nothing beyond the log itself. A bulk load nobody reads is
 // therefore appends only, and its first whole-array read pays one fold —
 // what batch construction over the same edges costs. A point read (Point)
 // is not such a someone: it reads main's cell and the suffix's
-// contributions to it and ⊕-combines them as the fold would, main on the
-// left because main holds the earlier edge keys, and makes the view fold
+// contributions to it and folds them as the fold would, from main's
+// value on, and makes the view fold
 // only once the suffix has grown past max(foldScratchKeep,
 // main.NNZ()/pointFoldShare) edges — so under point reads alone
 // Stats.PendingNNZ stays non-zero, bounded by that.
 type View[V any] struct {
 	mu  sync.Mutex
 	ops semiring.Ops[V]
-	opt Options
 
 	// The edge log, one entry per edge in arrival order — which the key
 	// discipline makes ascending key order. Append-only: an entry is
@@ -213,18 +200,15 @@ type View[V any] struct {
 
 	// logs is what Snapshot hands out for the current log and universe;
 	// nil once an append moved either. Keeping it lets every snapshot of
-	// one epoch (and Compact) share one build of the incidence arrays,
-	// keeps a clean Snapshot allocation-free, and is the log a checkpoint
-	// pins.
+	// one epoch share one build of the incidence arrays, keeps a clean
+	// Snapshot allocation-free, and is the log a checkpoint pins.
 	logs *logView[V]
 
-	appends int // batches since the last compact
 	// epoch counts the batches ever applied. Written under mu, it is also
 	// read without it: a point read reports its siblings' epochs
 	// (Store.OwnerSnapshot) and must not wait out a sibling's fold for a
 	// number.
 	epoch     atomic.Int64
-	exact     bool
 	autoSeq   int    // generator for auto-assigned edge keys
 	autoBase  string // prefix for auto keys: "" selects "e"; a Store gives each of several shards its own
 	folds     int    // folds run (Stats.Folds)
@@ -248,16 +232,6 @@ func (v *View[V]) fail(site string) error {
 	return nil
 }
 
-// committedError marks an error raised AFTER a batch was fully
-// committed (counters bumped, edges in the log) by follow-on
-// maintenance — a budgeted fold or an auto-compact. Rolling the batch
-// back there would be wrong (the maintenance may have merged in place),
-// so Append lets it through without restoring.
-type committedError struct{ err error }
-
-func (e *committedError) Error() string { return e.err.Error() }
-func (e *committedError) Unwrap() error { return e.err }
-
 // appendRollback is the state an in-flight append changes before its
 // commit point: the lengths of the append-only slices and the counters.
 // Restoring them restores the view bit for bit — entries past a
@@ -268,7 +242,6 @@ type appendRollback struct {
 	nLog            int
 	nRuns, nSpelled int  // the key column's lengths
 	hasOut, hasIn   bool // whether the value columns existed
-	appends         int
 	epoch           int64
 	autoSeq         int
 	autoBase        string
@@ -279,27 +252,22 @@ func (v *View[V]) captureLocked() appendRollback {
 		nLog:  len(v.srcID),
 		nRuns: len(v.keys.runs), nSpelled: len(v.keys.spelled),
 		hasOut: v.out != nil, hasIn: v.in != nil,
-		appends: v.appends, epoch: v.epoch.Load(),
+		epoch:   v.epoch.Load(),
 		autoSeq: v.autoSeq, autoBase: v.autoBase,
 	}
 }
 
 // rollbackLocked restores the captured state for a batch that failed
-// before its commit point — unless err is a committedError, in which
-// case the batch stays applied and only the maintenance error
-// propagates. Interner ids assigned for a rolled-back batch stay behind
-// as orphans no log entry references; the universe sync never sees
-// them, and picks one up like any new id if a later batch uses its key.
+// before its commit point. Interner ids assigned for a rolled-back batch
+// stay behind as orphans no log entry references; the universe sync
+// never sees them, and picks one up like any new id if a later batch
+// uses its key.
 func (v *View[V]) rollbackLocked(rb appendRollback, err error) error {
-	if ce, ok := err.(*committedError); ok {
-		return ce.err
-	}
 	v.keys.runs, v.keys.spelled = v.keys.runs[:rb.nRuns], v.keys.spelled[:rb.nSpelled]
 	v.srcID, v.dstID = v.srcID[:rb.nLog], v.dstID[:rb.nLog]
 	// The columns are truncated as they lie: one the batch brought into
 	// being goes back to not existing.
 	v.out, v.in = truncateVals(v.out, rb.hasOut, rb.nLog), truncateVals(v.in, rb.hasIn, rb.nLog)
-	v.appends = rb.appends
 	v.epoch.Store(rb.epoch)
 	v.autoSeq, v.autoBase = rb.autoSeq, rb.autoBase
 	return err
@@ -320,38 +288,36 @@ type batchScratch[V any] struct {
 	outs, ins      []V
 	srcIDs, dstIDs []int32 // interner ids, parallel to srcs/dsts
 	// materialize: the unfolded suffix's endpoints as universe positions,
-	// One for a value column the log does not hold, and the array they
-	// fold into
+	// One for a value column the log does not hold, and the suffix grouped
+	// by cell for the merge
 	foldRow, foldCol []int32
 	ones             []V
-	fold             sparse.FoldScratch[V]
+	group            sparse.GroupScratch[V]
 }
 
 // NewView creates an empty view for the given operator pair.
-func NewView[V any](ops semiring.Ops[V], opt Options) *View[V] {
+func NewView[V any](ops semiring.Ops[V]) *View[V] {
 	main := assoc.FromTriples[V](nil, nil)
 	return &View[V]{
 		ops:   ops,
-		opt:   opt,
 		srcIn: keys.NewInterner(),
 		dstIn: keys.NewInterner(),
 		uRows: main.RowKeys(),
 		uCols: main.ColKeys(),
 		main:  main,
-		exact: true,
 	}
 }
 
 // FromIncidence bootstraps a view from an existing batch-built pair of
 // incidence arrays: the initial adjacency is constructed one-shot (the
-// exact sequential fold), and subsequent Appends apply deltas on top.
-// Every row must hold exactly one entry per side (Definition I.4) — the
-// shape the edge log stores.
-func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V], opt Options) (*View[V], error) {
+// sequential fold), and subsequent Appends continue it. Every row must
+// hold exactly one entry per side (Definition I.4) — the shape the edge
+// log stores.
+func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V]) (*View[V], error) {
 	if !eout.RowKeys().Equal(ein.RowKeys()) {
 		return nil, fmt.Errorf("stream: incidence arrays disagree on edge keys")
 	}
-	v := NewView(ops, opt)
+	v := NewView(ops)
 	if eout.RowKeys().Len() == 0 {
 		return v, nil
 	}
@@ -445,10 +411,9 @@ func (v *View[V]) Append(edges []Edge[V]) error {
 	return nil
 }
 
-// appendLocked is Append under the lock: validate, intern, log, count —
-// then the budget and compaction policies, whose failures are
-// committedErrors. Nothing of the view is touched before the batch has
-// passed every check.
+// appendLocked is Append under the lock: validate, intern, log, count.
+// Nothing of the view is touched before the batch has passed every
+// check.
 func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	ops := v.ops
 	s := &v.scr
@@ -510,11 +475,6 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	if first := keyOf(0); n0 > 0 && !last.less(first) {
 		return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", first, last)
 	}
-	if v.opt.CheckAssociative {
-		if err := v.checkBatchAssociativeLocked(); err != nil {
-			return err
-		}
-	}
 
 	// One lock acquisition per side resolves the whole batch to interner
 	// ids, new vertices included: a new key takes the next id, and no
@@ -539,20 +499,13 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	if err := v.fail("append:logged"); err != nil {
 		return err
 	}
-	v.appends++
 	v.epoch.Add(1)
 	v.autoBase, v.autoSeq = base, seq+n
 	if err := v.fail("commit:counted"); err != nil {
 		return err
 	}
-	// Committed: from here on v.logs no longer describes the log, and a
-	// failure is the maintenance's, not the batch's.
+	// Committed: from here on v.logs no longer describes the log.
 	v.logs = nil
-	if v.opt.CompactEvery > 0 && v.appends >= v.opt.CompactEvery {
-		if err := v.compactLocked(); err != nil {
-			return &committedError{err}
-		}
-	}
 	return nil
 }
 
@@ -572,31 +525,6 @@ func appendColumn[V any](col []V, exists bool, n0 int, vals []V, one V) []V {
 	return append(grow(col, len(vals)), vals...)
 }
 
-// checkBatchAssociativeLocked samples the associativity guard over the
-// staged batch's values and their ⊗-products — the values the deferred
-// fold will actually combine.
-func (v *View[V]) checkBatchAssociativeLocked() error {
-	s := &v.scr
-	ops := v.ops
-	sample := make([]V, 0, 12)
-	for i := range s.outs {
-		if len(sample) >= 12 {
-			break
-		}
-		sample = append(sample, s.outs[i])
-		if len(sample) < 12 {
-			sample = append(sample, s.ins[i])
-		}
-		if len(sample) < 12 {
-			sample = append(sample, ops.Mul(s.outs[i], s.ins[i]))
-		}
-	}
-	if err := semiring.CheckAssociativeValues(ops, sample); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	return nil
-}
-
 // syncUniverseLocked brings the sorted vertex universe up to the log:
 // the endpoints of the entries appended since the last sync join uRows
 // and uCols. This is the one place key order is established for what
@@ -605,8 +533,8 @@ func (v *View[V]) checkBatchAssociativeLocked() error {
 // key sets it was built over, and the returned maps say where those sit
 // in the grown ones (nil: where they were), so the caller's merge reads
 // main through them and no embedded copy of main is made on the way.
-// Callers re-establish "main spans uRows × uCols" before releasing the
-// lock (materializeLocked, compactLocked).
+// The caller re-establishes "main spans uRows × uCols" before releasing
+// the lock (materializeLocked).
 func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int32, err error) {
 	if v.synced == len(v.srcID) {
 		return nil, nil, nil
@@ -722,23 +650,21 @@ const pointFoldShare = 8
 // materializeLocked folds the pending level — the log's unfolded suffix,
 // log[folded:] — into the main adjacency. It is the view's one fold
 // routine and runs when main is needed whole — Snapshot, a checkpoint's
-// pin, a point pin whose suffix outgrew its threshold (Compact rebuilds
-// main from the whole log instead). The universe is
+// pin, a point pin whose suffix outgrew its threshold. The universe is
 // synced first, so every endpoint id of the suffix has a row or a column
-// in it; the suffix's columns then go through sparse.FoldUnitRows — the
-// kernel batch construction runs on a graph's incidence columns — which
-// takes each edge's ⊗-product, groups them by cell, keeps arrival order
-// within each cell, ⊕-folds each cell's run and prunes folds equal to the
-// algebra's zero. Met by an empty main,
-// that array IS the adjacency of the log so far (the bulk-load case: one
-// fold, batch construction's cost, Exact untouched). Otherwise it
-// ⊕-merges into main with main's entries on the left. When the sync grew
-// the universe, that merge is also what moves main into it: main is read
-// through the sync's position maps, one pass from its old storage into
-// the new array. Level order is edge-key order, so only the fold's
-// GROUPING changes, never its order — and the grouping changes only at
-// this main-vs-suffix boundary, which is where a non-associative ⊕ can
-// diverge (flagged via Exact unless the guard is on).
+// in it. Met by an empty main, the suffix's columns go through
+// sparse.FoldUnitRows — the kernel batch construction runs on a graph's
+// incidence columns — and its array IS the adjacency of the log so far
+// (the bulk-load case: one fold, batch construction's cost). Otherwise
+// sparse.GroupUnitRows takes each edge's ⊗-product and groups them by
+// cell, arrival order kept within each, and the merge folds every run
+// onto main's value where main stores the cell (onto its first product
+// where it does not), deleting a cell that folds to the algebra's zero;
+// when the sync grew the universe, that merge is also what moves main
+// into it: main is read through the sync's position maps, one pass from
+// its old storage into the new array. Either way every cell holds the
+// left fold of all its edges in key order, as the batch construction
+// over the log would.
 func (v *View[V]) materializeLocked() error {
 	if v.folded == len(v.srcID) {
 		return nil
@@ -779,40 +705,38 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 	// A value column the log does not hold is One in every entry, here as
 	// in Logs: the fold takes One ⊗ in[k], as batch construction would.
 	out, in := s.onesFor(v.out, from, n, v.ops.One), s.onesFor(v.in, from, n, v.ops.One)
-	// A fold that only feeds the merge below — EWiseAddInto never returns
-	// or retains its src backing — may live in the scratch the next one
-	// reuses. One that meets an empty main becomes main and owns its
-	// storage.
-	adopt := v.main.NNZ() == 0
-	scr := &s.fold
-	if adopt {
-		scr = nil
+	if v.main.NNZ() == 0 {
+		// Nothing was folded before: this is Definition I.4's one fold over
+		// the log so far, in edge order. It becomes main and owns its storage.
+		fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, out, in, v.ops, sparse.MxmOptions{})
+		if err != nil {
+			return err
+		}
+		v.folded = len(v.srcID)
+		if fm.NNZ() == 0 {
+			return nil // every cell folded to the algebra's zero
+		}
+		main, err := assoc.New(v.uRows, v.uCols, fm)
+		if err != nil {
+			return err
+		}
+		v.main, v.mainShared = main, false
+		return nil
 	}
-	fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, out, in, v.ops, sparse.MxmOptions{}, scr)
+	// Otherwise the suffix's cells may continue main's: grouped by cell and
+	// left unfolded, its runs fold onto main's values in the merge. The
+	// grouping only feeds the merge — EWiseAddInto never returns or retains
+	// its src backing — so it lives in the scratch the next fold reuses.
+	gm, err := sparse.GroupUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, out, in, v.ops, &s.group)
 	if err != nil {
 		return err
 	}
 	v.folded = len(v.srcID)
-	if fm.NNZ() == 0 {
-		// Every fold pruned to the algebra's zero — nothing to merge.
-		return nil
-	}
-	fold, err := assoc.New(v.uRows, v.uCols, fm)
+	runs, err := assoc.New(v.uRows, v.uCols, gm)
 	if err != nil {
 		return err
 	}
-	if adopt {
-		// Nothing was folded before: this is Definition I.4's one fold over
-		// the log so far, in edge order — no ⊕ was re-associated.
-		v.main, v.mainShared = fold, false
-		return nil
-	}
-	if !v.opt.CheckAssociative {
-		// The merge below groups the suffix's folded contributions against
-		// already-folded state under unverified ⊕.
-		v.exact = false
-	}
-	main, err := assoc.AddIntoMapped(v.main, fold, rowMap, colMap, v.ops, !v.mainShared, &v.mainScr)
+	main, err := assoc.AddIntoMapped(v.main, runs, rowMap, colMap, v.ops, !v.mainShared, &v.mainScr)
 	if err != nil {
 		return err
 	}
@@ -857,25 +781,19 @@ func (v *View[V]) Snapshot() (Snapshot[V], error) {
 		Adjacency: v.main,
 		Edges:     len(v.srcID),
 		Epoch:     int(v.epoch.Load()),
-		Exact:     v.exact,
 		log:       v.logsLocked(),
 	}, nil
 }
 
 // Snapshot is an immutable view of a View's state at one epoch.
 type Snapshot[V any] struct {
-	// Adjacency is A = Eoutᵀ ⊕.⊗ Ein as maintained incrementally.
+	// Adjacency is A = Eoutᵀ ⊕.⊗ Ein, maintained incrementally and equal
+	// to the batch construction over Logs.
 	Adjacency *assoc.Array[V]
 	// Edges is the number of edges in the log.
 	Edges int
 	// Epoch counts batches applied since the view was created.
 	Epoch int
-	// Exact reports whether Adjacency provably equals the one-shot
-	// batch construction: true until a merge re-associates the ⊕ fold
-	// without the associativity guard, and restored by Compact. (With
-	// CheckAssociative set the guard is sampled, not proven — a
-	// violation outside the sample can still slip through.)
-	Exact bool
 
 	log *logView[V]
 }
@@ -969,51 +887,20 @@ func (l *logView[V]) build() {
 	}
 }
 
-// Compact rebuilds the adjacency one-shot from the full incidence log —
-// the escape hatch for algebras where the delta identity doesn't hold,
-// and a periodic re-pack for long-lived views. The rebuilt state is the
-// exact sequential Definition I.3 fold.
-func (v *View[V]) Compact() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.compactLocked()
-}
-
-func (v *View[V]) compactLocked() error {
-	rowMap, colMap, err := v.syncUniverseLocked()
+// rebuildLocked replaces main with the batch construction over the whole
+// log, whose universe must be synced: what a checkpoint needs at Open
+// when it was written before every fold started from main's cells.
+func (v *View[V]) rebuildLocked() error {
+	eout, ein, err := v.logsLocked().arrays()
 	if err != nil {
 		return err
 	}
-	if len(v.srcID) > 0 {
-		// The rebuild spans the synced universe and replaces main whole:
-		// nothing of the old main is embedded, unless the rebuild fails.
-		adj, err := v.rebuildLocked()
-		if err != nil {
-			if rerr := v.respanMainLocked(rowMap, colMap); rerr != nil {
-				return fmt.Errorf("%w (and main could not follow the universe: %v)", err, rerr)
-			}
-			return err
-		}
-		if !v.mainShared {
-			v.mainScr.Recycle(v.main.Matrix())
-		}
-		v.main = adj
-		v.mainShared = false
-	}
-	v.folded = len(v.srcID)
-	v.appends = 0
-	v.exact = true
-	return nil
-}
-
-// rebuildLocked constructs the adjacency one-shot from the whole log,
-// over the synced universe.
-func (v *View[V]) rebuildLocked() (*assoc.Array[V], error) {
-	eout, ein, err := v.logsLocked().arrays()
+	adj, err := assoc.Correlate(eout, ein, v.ops, assoc.MulOptions{})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return assoc.Correlate(eout, ein, v.ops, assoc.MulOptions{})
+	v.main, v.mainShared, v.folded = adj, false, len(v.srcID)
+	return nil
 }
 
 // Stats summarizes the view without exposing its arrays. Taking stats
@@ -1030,9 +917,7 @@ type Stats struct {
 	InVertices  int   // distinct destination vertices, as of the last fold
 	AdjNNZ      int   // stored entries in the materialized main level
 	PendingNNZ  int   // edges in the log's unfolded suffix: Edges minus what main covers
-	Appends     int   // batches since the last compact
 	Epoch       int   // batches ever applied
-	Exact       bool  // see Snapshot.Exact
 	Folds       int   // folds run: one per whole-array read or checkpoint that found unfolded edges, or point read that found them past the threshold
 	FoldNanos   int64 // time in them: universe sync + suffix fold + merge into main
 }
@@ -1055,9 +940,7 @@ func (v *View[V]) Stats() Stats {
 		InVertices:  v.uCols.Len(),
 		AdjNNZ:      v.main.NNZ(),
 		PendingNNZ:  len(v.srcID) - v.folded,
-		Appends:     v.appends,
 		Epoch:       int(v.epoch.Load()),
-		Exact:       v.exact,
 		Folds:       v.folds,
 		FoldNanos:   v.foldNanos,
 	}

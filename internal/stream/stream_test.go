@@ -72,7 +72,7 @@ func TestIncrementalEqualsBatchAcrossPairsAndSplits(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			edges := randomEdges(r, 60, 12, weights)
 			want := oneShot(t, edges, ops)
-			v := NewView(ops, Options{CheckAssociative: trial%2 == 0})
+			v := NewView(ops)
 			for lo := 0; lo < len(edges); {
 				hi := lo + 1 + r.Intn(17)
 				if hi > len(edges) {
@@ -116,7 +116,7 @@ func TestFromIncidencePlusAppend(t *testing.T) {
 		outT[i] = assoc.Triple[float64]{Row: e.Key, Col: e.Src, Val: e.Out}
 		inT[i] = assoc.Triple[float64]{Row: e.Key, Col: e.Dst, Val: e.In}
 	}
-	v, err := FromIncidence(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ops, Options{})
+	v, err := FromIncidence(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,98 +128,61 @@ func TestFromIncidencePlusAppend(t *testing.T) {
 	}
 }
 
-// The honest limitation, and its escape hatch: a non-associative ⊕
-// diverges under re-associated delta merges, and Compact() recovers the
-// exact batch result.
-func TestNonAssociativeDivergesAndCompactRecovers(t *testing.T) {
-	avg := semiring.Ops[float64]{
-		Name: "avg.*",
-		Add:  func(a, b float64) float64 { return (a + b) / 2 },
-		Mul:  func(a, b float64) float64 { return a * b },
-		Zero: 0, One: 1,
-		Equal: value.Float64Equal,
-	}
-	edges := []Edge[float64]{
-		Weighted("k1", "a", "b", 1.0, 1),
-		Weighted("k2", "a", "b", 3.0, 1),
-		Weighted("k3", "a", "b", 5.0, 1),
-	}
-	want := oneShot(t, edges, avg) // ((1⊕3)⊕5) = 3.5 at (a,b)
-
-	v := NewView(avg, Options{})
-	// Split {k1} | {k2,k3} with a snapshot read in between: the read
-	// folds {k1} into the materialized level, so the second batch's
-	// contribution groups against already-folded state —
-	// 1 ⊕ (3⊕5) = 2.5 instead of the sequential ((1⊕3)⊕5) = 3.5.
-	// (Without the intermediate read the backlog folds flat and stays
-	// exact; re-association happens only at materialize boundaries.)
-	if err := v.Append(edges[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if early := mustSnap(t, v); !early.Exact {
-		t.Error("single-batch state should be exact")
-	}
-	if err := v.Append(edges[1:]); err != nil {
-		t.Fatal(err)
-	}
-	snap := mustSnap(t, v)
-	if snap.Exact {
-		t.Error("re-associated unverified merge still claims exactness")
-	}
-	gv, _ := snap.Adjacency.At("a", "b")
-	wv, _ := want.At("a", "b")
-	if gv == wv {
-		t.Fatalf("expected divergence for non-associative ⊕, both %v", gv)
-	}
-
-	// Compact rebuilds the exact sequential fold from the log.
-	if err := v.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	snap = mustSnap(t, v)
-	if !snap.Exact {
-		t.Error("compacted view should be exact")
-	}
-	if !snap.Adjacency.Equal(want, eqF) {
-		t.Error("Compact did not recover the batch result")
-	}
-
-	// With the guard on the append is refused up front — at the FIRST
-	// batch already, because avg's Zero is not a ⊕-identity
-	// ((1 ⊕ 0)/2 = 0.5 ≠ 1), which breaks the guard's pruning
-	// hypothesis before associativity even enters.
-	g := NewView(avg, Options{CheckAssociative: true})
-	if err := g.Append(edges[:1]); err == nil {
-		t.Error("guard accepted a pair whose Zero is not a ⊕-identity")
-	}
-	if err := g.Append(edges[1:]); err == nil {
-		t.Error("associativity guard missed a non-associative ⊕")
-	}
-}
-
-// Auto-compaction bounds drift: with CompactEvery 1 every append is
-// followed by a rebuild, so even a non-associative ⊕ tracks the batch
-// result.
-func TestAutoCompactTracksBatch(t *testing.T) {
-	avg := semiring.Ops[float64]{
-		Name: "avg.*",
-		Add:  func(a, b float64) float64 { return (a + b) / 2 },
-		Mul:  func(a, b float64) float64 { return a * b },
-		Zero: 0, One: 1,
-		Equal: value.Float64Equal,
-	}
-	r := rand.New(rand.NewSource(9))
-	edges := randomEdges(r, 30, 5, []float64{1, 2, 4})
-	want := oneShot(t, edges, avg)
-	v := NewView(avg, Options{CompactEvery: 1})
-	for lo := 0; lo < len(edges); lo += 5 {
-		if err := v.Append(edges[lo : lo+5]); err != nil {
-			t.Fatal(err)
+// Incremental is batch for a ⊕ that is not associative: a read between
+// batches folds the first into main, and the next fold continues main's
+// cell instead of grouping the later contributions on their own. Under
+// avg.* that grouping gave 1 ⊕ (3⊕5) = 2.5 for the sequential
+// ((1⊕3)⊕5) = 3.5; under float64 +.* it gave 0.1 + (0.2+0.3) =
+// 0.59999999999999998 for (0.1+0.2)+0.3 = 0.60000000000000009. Every read
+// schedule must give the batch construction's bits.
+func TestNonAssociativeFoldsAsBatch(t *testing.T) {
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range []struct {
+		ops  semiring.Ops[float64]
+		ws   []float64
+		want float64
+	}{
+		{avgOps(), []float64{1, 3, 5}, 3.5},
+		{semiring.PlusTimes(), []float64{0.1, 0.2, 0.3}, 0.60000000000000009},
+	} {
+		edges := make([]Edge[float64], len(c.ws))
+		for i, w := range c.ws {
+			edges[i] = Weighted(fmt.Sprintf("k%d", i+1), "a", "b", w, 1)
 		}
-	}
-	snap := mustSnap(t, v)
-	if !snap.Exact || !snap.Adjacency.Equal(want, eqF) {
-		t.Error("auto-compacted view diverges from batch")
+		want := oneShot(t, edges, c.ops)
+		if w, _ := want.At("a", "b"); !bits(w, c.want) {
+			t.Fatalf("%s: the batch construction holds %v, want %v", c.ops.Name, w, c.want)
+		}
+		// Every cut of the stream into batches, with a whole-array read, a
+		// point read or nothing after each.
+		for cut := 1; cut < len(edges); cut++ {
+			for _, read := range []string{"none", "snapshot", "point"} {
+				v := NewView(c.ops)
+				if err := v.Append(edges[:cut]); err != nil {
+					t.Fatal(err)
+				}
+				switch read {
+				case "snapshot":
+					mustSnap(t, v)
+				case "point":
+					if _, err := v.Point(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := v.Append(edges[cut:]); err != nil {
+					t.Fatal(err)
+				}
+				pt, err := v.Point()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pv, _ := pt.At("a", "b")
+				snap := mustSnap(t, v)
+				if d := assoc.Diff(snap.Adjacency, want, bits, nil); d != "" || !bits(pv, c.want) {
+					t.Errorf("%s, cut at %d, read %s: point read %v, snapshot %s", c.ops.Name, cut, read, pv, d)
+				}
+			}
+		}
 	}
 }
 
@@ -229,7 +192,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	ops := semiring.PlusTimes()
 	r := rand.New(rand.NewSource(3))
 	edges := randomEdges(r, 100, 8, []float64{1, 2})
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	if err := v.Append(edges[:50]); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +234,7 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 	ops := semiring.MaxPlus()
 	r := rand.New(rand.NewSource(21))
 	edges := randomEdges(r, 400, 20, []float64{0, 1, 3})
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -311,7 +274,7 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 // Key-discipline violations are rejected without corrupting the view.
 func TestAppendKeyDiscipline(t *testing.T) {
 	ops := semiring.PlusTimes()
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	if err := v.Append([]Edge[float64]{{Key: "e5", Src: "a", Dst: "b"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +295,7 @@ func TestAppendKeyDiscipline(t *testing.T) {
 		t.Errorf("rejected batches corrupted the log: %+v", st)
 	}
 	// Auto-keys and the unweighted default compose.
-	auto := NewView(ops, Options{})
+	auto := NewView(ops)
 	if err := auto.Append([]Edge[float64]{{Src: "a", Dst: "b"}, {Src: "b", Dst: "c"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +325,7 @@ func TestRMATIngestMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewView(ops, Options{})
+	v := NewView(ops)
 	es := g.Edges()
 	for lo := 0; lo < len(es); lo += 97 {
 		hi := lo + 97
@@ -393,7 +356,7 @@ func TestAutoKeysAfterBootstrap(t *testing.T) {
 	ops := semiring.PlusTimes()
 	outT := []assoc.Triple[float64]{{Row: "e00000001", Col: "a", Val: 1}}
 	inT := []assoc.Triple[float64]{{Row: "e00000001", Col: "b", Val: 1}}
-	v, err := FromIncidence(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ops, Options{})
+	v, err := FromIncidence(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,14 +398,13 @@ func edgesOf(s Snapshot[float64]) []Edge[float64] {
 }
 
 // A load nobody reads is appends only, and its first read is ONE fold —
-// the batch construction over the log so far, so Exact holds and the
-// adjacency is bit for bit what assoc.Correlate makes of Logs(). Every
-// batch grows the universe on both sides; the arms differ in which value
-// columns the log holds when the fold reads its suffix. The second read,
-// after one more batch, merges a fold into a main that is not empty:
-// Exact falls unless the associativity guard vouches for the merge. (The
-// load is sized past the 4096-entry backlog budget views once had, under
-// which its fourth batch folded and its first read merged.)
+// the batch construction over the log so far, bit for bit what
+// assoc.Correlate makes of Logs(). Every batch grows the universe on both
+// sides; the arms differ in which value columns the log holds when the
+// fold reads its suffix. The second read, after one more batch, folds
+// onto a main that is not empty, and is still the batch construction.
+// (The load is sized past the 4096-entry backlog budget views once had,
+// under which its fourth batch folded and its first read merged.)
 func TestUnreadAppendsFoldOnce(t *testing.T) {
 	const batches, per = 6, 1200
 	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -460,55 +422,52 @@ func TestUnreadAppendsFoldOnce(t *testing.T) {
 		}},
 	}
 	for _, arm := range arms {
-		for _, guard := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/guard=%v", arm.name, guard), func(t *testing.T) {
-				r := rand.New(rand.NewSource(7))
-				ops := plusTimes(t)
-				v := NewView(ops, Options{CheckAssociative: guard})
-				batch := func(b int) []Edge[float64] {
-					es := make([]Edge[float64], per)
-					for i := range es {
-						// Vertices up to the batch's own: each batch brings new ones.
-						es[i] = Edge[float64]{Src: fmt.Sprintf("s%03d", r.Intn(40*(b+1))), Dst: fmt.Sprintf("d%03d", r.Intn(40*(b+1)))}
-						arm.weight(b, &es[i])
-					}
-					es[0].Src, es[1].Dst = fmt.Sprintf("s%03d", 40*b+39), fmt.Sprintf("d%03d", 40*b+39)
-					return es
+		t.Run(arm.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(7))
+			ops := plusTimes(t)
+			v := NewView(ops)
+			batch := func(b int) []Edge[float64] {
+				es := make([]Edge[float64], per)
+				for i := range es {
+					// Vertices up to the batch's own: each batch brings new ones.
+					es[i] = Edge[float64]{Src: fmt.Sprintf("s%03d", r.Intn(40*(b+1))), Dst: fmt.Sprintf("d%03d", r.Intn(40*(b+1)))}
+					arm.weight(b, &es[i])
 				}
-				check := func(when string, folds int, exact bool) {
-					t.Helper()
-					snap := mustSnap(t, v)
-					eout, ein, err := snap.Logs()
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := assoc.Diff(snap.Adjacency, want, bits, nil); d != "" {
-						t.Errorf("%s: %s", when, d)
-					}
-					if st := v.Stats(); st.Folds != folds || st.PendingNNZ != 0 || st.Exact != exact || snap.Exact != exact {
-						t.Errorf("%s: %d folds, %d pending, exact %v (snapshot %v); want %d, 0, %v",
-							when, st.Folds, st.PendingNNZ, st.Exact, snap.Exact, folds, exact)
-					}
-				}
-				for b := 0; b < batches; b++ {
-					if err := v.Append(batch(b)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if st := v.Stats(); st.Folds != 0 || st.PendingNNZ != st.Edges || st.Edges != batches*per || st.AdjNNZ != 0 {
-					t.Errorf("before any read: %d folds, %d of %d edges pending, %d entries", st.Folds, st.PendingNNZ, st.Edges, st.AdjNNZ)
-				}
-				check("first read", 1, true)
-				check("clean read", 1, true)
-				if err := v.Append(batch(batches)); err != nil {
+				es[0].Src, es[1].Dst = fmt.Sprintf("s%03d", 40*b+39), fmt.Sprintf("d%03d", 40*b+39)
+				return es
+			}
+			check := func(when string, folds int) {
+				t.Helper()
+				snap := mustSnap(t, v)
+				eout, ein, err := snap.Logs()
+				if err != nil {
 					t.Fatal(err)
 				}
-				check("read after one more batch", 2, guard)
-			})
-		}
+				want, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := assoc.Diff(snap.Adjacency, want, bits, nil); d != "" {
+					t.Errorf("%s: %s", when, d)
+				}
+				if st := v.Stats(); st.Folds != folds || st.PendingNNZ != 0 {
+					t.Errorf("%s: %d folds, %d pending; want %d, 0", when, st.Folds, st.PendingNNZ, folds)
+				}
+			}
+			for b := 0; b < batches; b++ {
+				if err := v.Append(batch(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := v.Stats(); st.Folds != 0 || st.PendingNNZ != st.Edges || st.Edges != batches*per || st.AdjNNZ != 0 {
+				t.Errorf("before any read: %d folds, %d of %d edges pending, %d entries", st.Folds, st.PendingNNZ, st.Edges, st.AdjNNZ)
+			}
+			check("first read", 1)
+			check("clean read", 1)
+			if err := v.Append(batch(batches)); err != nil {
+				t.Fatal(err)
+			}
+			check("read after one more batch", 2)
+		})
 	}
 }

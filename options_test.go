@@ -21,7 +21,6 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		spelled   []string
 	}{
 		{"internal/sparse", "MxmOptions", []string{"sparse.MxmOptions", "assoc.MulOptions", "adjarray.MulOptions"}},
-		{"internal/stream", "Options", []string{"stream.Options", "adjarray.StreamOptions"}},
 		{"internal/stream", "DurableOptions", []string{"stream.DurableOptions", "adjarray.DurableStreamOptions"}},
 		{"internal/wal", "Options", []string{"wal.Options"}},
 		{"internal/core", "Request", []string{"core.Request", "adjarray.BuildRequest"}},
