@@ -188,24 +188,25 @@ func main() {
 // SIGINT/SIGTERM cancel the context for a clean exit instead of the
 // process parking on a bare select {} forever.
 func run(cfg config) error {
-	opt := core.IngestOptions{
+	// Without -data-dir the store is in memory and Durable goes unread.
+	var policy wal.SyncPolicy
+	if cfg.dataDir != "" {
+		var err error
+		if policy, err = wal.ParseSyncPolicy(cfg.fsync); err != nil {
+			return err
+		}
+	}
+	ing, err := core.NewIngest(core.IngestOptions{
 		Semiring:           cfg.semiring,
 		BatchSize:          cfg.batch,
 		Shards:             cfg.shards,
 		SkipConditionCheck: cfg.skip,
-	}
-	if cfg.dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(cfg.fsync)
-		if err != nil {
-			return err
-		}
-		opt.DataDir = cfg.dataDir
-		opt.Durable = stream.DurableOptions[float64]{
+		DataDir:            cfg.dataDir,
+		Durable: stream.DurableOptions[float64]{
 			WAL:             wal.Options{Policy: policy, Interval: cfg.fsyncInterval},
 			CheckpointEvery: cfg.ckptEvery,
-		}
-	}
-	ing, err := core.NewIngest(opt)
+		},
+	})
 	if err != nil {
 		return err
 	}

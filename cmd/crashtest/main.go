@@ -1,49 +1,56 @@
-// Command crashtest is the durability fault-injection harness: it
-// SIGKILLs a child ingester at random points mid-stream, recovers the
-// store, and proves the recovered adjacency is bit-identical to the
-// dense Definition I.3 oracle over every batch the child acknowledged
-// as durable before dying.
+// Command crashtest is the durability kill harness: it SIGKILLs a child
+// ingester at random points mid-stream, recovers the store, and proves
+// the recovered adjacency is bit-identical to the dense Definition I.3
+// oracle over every batch the child acknowledged as durable before
+// dying. One harness serves every shard count: at one shard the store
+// is a single log; at more, a kill can land mid-scatter.
 //
 // The harness re-execs its own binary as the child (CRASHTEST_CHILD=1
-// in the environment). The child opens the durable store, reads the
-// recovered epoch, and continues appending deterministic batches —
+// in the environment). The child opens the durable store, repairs any
+// partial scatter, and continues appending deterministic batches —
 // batch b's size, endpoints, and weights derive from (seed, b) alone,
 // so the parent can regenerate the exact stream prefix for any
-// recovered epoch without coordination. The child prints "acked b"
-// after each append; under the per-batch fsync policy that line is a
-// durability promise, and the parent holds recovery to it: a recovered
-// epoch below the last acked line is data loss and fails the run.
+// recovered epoch vector without coordination. The child prints "acked
+// b" after each append; under the per-batch fsync policy that line is a
+// durability promise, and the parent holds recovery to it: fewer
+// recovered batches than the last acked line, or than the previous
+// iteration verified, is data loss and fails the run.
 //
 // Weights are small integers, so the ⊕-fold is exact in float64
 // regardless of association order and the oracle comparison can demand
 // bit identity, not tolerance.
 //
-// With -corrupt the harness also injects damage into a cleanly written
-// store — torn final record, bit flip mid-log, bit flip in the newest
-// checkpoint — and asserts recovery either repairs to a verified
-// prefix, falls back to an older checkpoint and replays forward, or
-// refuses with the typed corruption error. Silent wrongness is the one
-// outcome that must never happen.
+// Two hazards are specific to sharding and gated at shards > 1:
 //
-// With -faults the harness runs randomized disk-fault schedules in
-// process (internal/iofault: EIO, ENOSPC, short writes, torn writes
-// against the live WAL and checkpoint paths) and asserts the wedge
-// contract — no failed fsync advances the durable boundary, the store
-// goes read-only and stays there, and a clean reopen is bit-identical
-// to the oracle over everything acknowledged — plus a scripted
-// degraded-mode serving scenario where every read endpoint must answer
-// non-5xx while ingest sheds 503.
+//   - A SIGKILL can land mid-scatter: the dying Append had written its
+//     sub-batch to shard 0's WAL but not yet to shard 2's, so the
+//     recovered per-shard epochs disagree about the final global batch.
+//     Recovery must serve exactly the union of per-shard prefixes —
+//     bit-identical to the dense oracle over those edges — and the next
+//     run must repair the partial batch (re-append only the missing
+//     sub-batches) before continuing the stream.
+//
+//   - Damage can hit ONE shard directory while its siblings stay
+//     intact (TestTornShardDirectory): the torn shard repairs to its own
+//     verified prefix, the gathered adjacency reflects the mixed epoch
+//     vector exactly, and the same catch-up restores the lost sub-batch.
+//
+// At one shard every batch is non-empty on shard 0, so the union of
+// prefixes is the prefix and the catch-up appends nothing.
+//
+// Corruption, disk-fault schedules and degraded serving run in process
+// and are tested where they live: internal/stream (TestFaultSchedules,
+// the TestDurable* corruption tests), internal/wal and internal/serve
+// (TestIngestDegradedMode).
 //
 // Usage:
 //
-//	crashtest -iters 50 -seed 7
-//	crashtest -iters 200 -dir /mnt/scratch -corrupt=false
-//	crashtest -iters 0 -corrupt=false -shards 1 -fault-schedules 50
+//	crashtest -iters 50 -seed 7 -shards 1
+//	crashtest -iters 200 -dir /mnt/scratch -shards 3
 package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -63,6 +70,15 @@ import (
 
 const childEnv = "CRASHTEST_CHILD"
 
+// The kill schedule. Each child run may append batchesPerRun batches past
+// the recovered epoch and checkpoints every checkpointEvery; the SIGKILL
+// lands after a random delay of at most killAfterMaxMS.
+const (
+	batchesPerRun   = 48
+	checkpointEvery = 7
+	killAfterMaxMS  = 30
+)
+
 func main() {
 	if os.Getenv(childEnv) == "1" {
 		if err := childMain(); err != nil {
@@ -75,16 +91,14 @@ func main() {
 	flag.IntVar(&cfg.Iters, "iters", 50, "kill-and-recover iterations")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "workload seed (batch contents derive from it)")
 	flag.StringVar(&cfg.Dir, "dir", "", "scratch directory (default: a fresh temp dir)")
-	flag.IntVar(&cfg.BatchesPerRun, "batches-per-run", 48, "batch quota granted to each child run")
-	flag.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 7, "child checkpoints every N batches (0 = never)")
-	flag.IntVar(&cfg.KillAfterMaxMS, "kill-after-max-ms", 30, "upper bound on the random delay before SIGKILL")
-	corrupt := flag.Bool("corrupt", true, "also run the corruption-injection scenarios")
-	shards := flag.Int("shards", 3, "also run the sharded kill-and-recover harness with this many shards (<= 1 disables)")
-	faults := flag.Bool("faults", true, "run the randomized disk-fault schedule suite and the scripted degraded-serving scenario")
-	faultSchedules := flag.Int("fault-schedules", 50, "randomized fault schedules for -faults (0 disables the schedule loop)")
+	flag.IntVar(&cfg.Shards, "shards", 3, "shard count of the store under test (1 = one log)")
 	flag.Parse()
 
 	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, "crashtest: "+format+"\n", args...) }
+	if cfg.Iters < 1 || cfg.Shards < 1 {
+		logf("-iters and -shards must be at least 1, got %d and %d", cfg.Iters, cfg.Shards)
+		os.Exit(2)
+	}
 	if cfg.Dir == "" {
 		dir, err := os.MkdirTemp("", "crashtest-*")
 		if err != nil {
@@ -94,43 +108,9 @@ func main() {
 		defer os.RemoveAll(dir)
 		cfg.Dir = dir
 	}
-	// -iters 0 skips the kill harnesses entirely (e.g. a CI arm that
-	// only runs the fault-schedule suite).
-	if cfg.Iters > 0 {
-		if err := runHarness(cfg, logf); err != nil {
-			logf("FAIL: %v", err)
-			os.Exit(1)
-		}
-		if *shards > 1 {
-			if err := runShardedHarness(cfg, *shards, logf); err != nil {
-				logf("FAIL: %v", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *corrupt {
-		if *shards > 1 {
-			if err := runShardedTornShard(filepath.Join(cfg.Dir, "corrupt"), cfg.Seed, logf); err != nil {
-				logf("FAIL: %v", err)
-				os.Exit(1)
-			}
-		}
-		if err := runCorruption(filepath.Join(cfg.Dir, "corrupt"), cfg.Seed, logf); err != nil {
-			logf("FAIL: %v", err)
-			os.Exit(1)
-		}
-	}
-	if *faults {
-		if *faultSchedules > 0 {
-			if err := runFaultSchedules(filepath.Join(cfg.Dir, "faults"), cfg.Seed, *faultSchedules, logf); err != nil {
-				logf("FAIL: %v", err)
-				os.Exit(1)
-			}
-		}
-		if err := runDegradedServing(filepath.Join(cfg.Dir, "degraded-serve"), cfg.Seed, logf); err != nil {
-			logf("FAIL: %v", err)
-			os.Exit(1)
-		}
+	if err := runHarness(cfg, logf); err != nil {
+		logf("FAIL: %v", err)
+		os.Exit(1)
 	}
 	logf("PASS")
 }
@@ -169,62 +149,143 @@ func batchEdges(seed int64, b uint64) []stream.Edge[float64] {
 	return edges
 }
 
-// oracle computes the dense Definition I.3 adjacency over batches
-// [1, epoch] regenerated from the seed.
-func oracle(seed int64, epoch uint64, ops semiring.Ops[float64]) (*assoc.Array[float64], error) {
-	var outT, inT []assoc.Triple[float64]
-	for b := uint64(1); b <= epoch; b++ {
-		for _, e := range batchEdges(seed, b) {
-			outT = append(outT, assoc.Triple[float64]{Row: e.Key, Col: e.Src, Val: e.Out})
-			inT = append(inT, assoc.Triple[float64]{Row: e.Key, Col: e.Dst, Val: e.In})
-		}
+// scatterBatch regenerates global batch b and groups it by the store's
+// shard routing.
+func scatterBatch(sv *stream.Store[float64], seed int64, b uint64) [][]stream.Edge[float64] {
+	bySh := make([][]stream.Edge[float64], sv.Shards())
+	for _, e := range batchEdges(seed, b) {
+		s := sv.ShardFor(e.Src)
+		bySh[s] = append(bySh[s], e)
 	}
-	eout := assoc.FromTriples(outT, nil)
-	ein := assoc.FromTriples(inT, nil)
-	return assoc.MulDense(eout.Transpose(), ein, ops)
+	return bySh
 }
 
-// verifyRecovered opens the store, checks nothing acknowledged durable
-// was lost, and holds the recovered adjacency to bit identity against
-// the oracle. It returns the recovered epoch.
-func verifyRecovered(dir string, seed int64, minEpoch uint64) (uint64, error) {
+func anyPositive(xs []int) bool {
+	for _, x := range xs {
+		if x > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// walkCap bounds the batch walk during epoch reconstruction; reaching
+// it means the recovered epochs cannot be explained by the workload.
+const walkCap = 1 << 20
+
+// catchUp reconciles a recovered store with the deterministic stream:
+// walking global batches in order, each shard consumes its recovered
+// epoch's worth of non-empty sub-batches; any sub-batch a shard is
+// missing (a mid-scatter kill's unreached shards, or a torn shard tail)
+// is re-appended in batch order — per shard the missing sub-batches are
+// always the newest, so explicit keys keep ascending. Returns the next
+// unwritten global batch.
+func catchUp(sv *stream.Store[float64], seed int64) (uint64, error) {
+	remaining := append([]int{}, sv.Stats().Epochs...)
+	b := uint64(0)
+	for anyPositive(remaining) {
+		b++
+		if b > walkCap {
+			return 0, fmt.Errorf("recovered shard epochs %v unexplained after %d batches", sv.Stats().Epochs, walkCap)
+		}
+		var missing []stream.Edge[float64]
+		for s, sub := range scatterBatch(sv, seed, b) {
+			if len(sub) == 0 {
+				continue
+			}
+			if remaining[s] > 0 {
+				remaining[s]--
+			} else {
+				missing = append(missing, sub...)
+			}
+		}
+		if len(missing) > 0 {
+			if err := sv.Append(missing); err != nil {
+				return 0, fmt.Errorf("repair batch %d: %w", b, err)
+			}
+		}
+	}
+	return b + 1, nil
+}
+
+// verifyRecovered reopens the store, reconstructs which edges each shard
+// recovered (its epoch counts non-empty sub-batches, consumed in batch
+// order), and holds the gathered adjacency to bit identity against the
+// dense oracle over exactly that edge union. It returns the per-shard
+// epoch vector and the count of global batches fully covered by every
+// shard; covered < minEpoch is acknowledged data loss.
+func verifyRecovered(dir string, seed int64, shards int, minEpoch uint64) ([]int, uint64, error) {
 	ops, err := mustOps()
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
 	if err != nil {
-		return 0, fmt.Errorf("recovery failed: %w", err)
+		return nil, 0, fmt.Errorf("recovery failed: %w", err)
 	}
-	defer d.Close() //adjlint:ignore syncerr read-only recovery probe; nothing was appended to lose
-	st := d.Durability()[0]
-	if st.Epoch < minEpoch {
-		return 0, fmt.Errorf("LOST ACKNOWLEDGED DATA: recovered epoch %d < last acked %d", st.Epoch, minEpoch)
+	defer sv.Close() //adjlint:ignore syncerr read-only recovery probe; nothing was appended to lose
+	epochs := append([]int{}, sv.Stats().Epochs...)
+	remaining := append([]int{}, epochs...)
+
+	var outT, inT []assoc.Triple[float64]
+	covered, full := uint64(0), true
+	for b := uint64(1); anyPositive(remaining); b++ {
+		if b > walkCap {
+			return nil, 0, fmt.Errorf("recovered shard epochs %v unexplained after %d batches", epochs, walkCap)
+		}
+		batchFull := true
+		for s, sub := range scatterBatch(sv, seed, b) {
+			if len(sub) == 0 {
+				continue
+			}
+			if remaining[s] == 0 {
+				batchFull = false
+				continue
+			}
+			remaining[s]--
+			for _, e := range sub {
+				outT = append(outT, assoc.Triple[float64]{Row: e.Key, Col: e.Src, Val: e.Out})
+				inT = append(inT, assoc.Triple[float64]{Row: e.Key, Col: e.Dst, Val: e.In})
+			}
+		}
+		if full && batchFull {
+			covered = b
+		} else {
+			full = false
+		}
 	}
-	snap, err := d.Snapshot()
+	if covered < minEpoch {
+		return nil, 0, fmt.Errorf("LOST ACKNOWLEDGED DATA: covered %d global batches < last acked %d (epoch vector %v)",
+			covered, minEpoch, epochs)
+	}
+
+	eout := assoc.FromTriples(outT, nil)
+	ein := assoc.FromTriples(inT, nil)
+	want, err := assoc.MulDense(eout.Transpose(), ein, ops)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	want, err := oracle(seed, st.Epoch, ops)
+	snap, err := sv.Snapshot()
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	bitEqual := func(a, b float64) bool { return a == b }
 	if diff := assoc.Diff(want, snap.Adjacency, bitEqual, value.FormatFloat); diff != "" {
-		return 0, fmt.Errorf("recovered adjacency diverges from the dense oracle at epoch %d: %s", st.Epoch, diff)
+		return nil, 0, fmt.Errorf("recovered adjacency diverges from the dense oracle (epoch vector %v): %s", epochs, diff)
 	}
-	return st.Epoch, nil
+	return epochs, covered, nil
 }
 
 // ---------------------------------------------------------------------
 // Child: ingest until killed
 // ---------------------------------------------------------------------
 
-// childMain recovers the store and keeps appending workload batches
-// until its quota or a SIGKILL. Configuration arrives via environment
-// (the parent re-execs this same binary), and every "acked b" line is
-// printed only after Append returned under the per-batch fsync policy —
-// i.e. after the batch hit stable storage.
+// childMain recovers the store, repairs any partial scatter, and keeps
+// appending global batches until its quota or a SIGKILL. Configuration
+// arrives via environment (the parent re-execs this same binary), and
+// every "acked b" line is printed only after Append returned under
+// per-shard SyncEveryAppend — all of batch b's sub-batches hit their
+// shards' stable storage.
 func childMain() error {
 	dir := os.Getenv("CRASHTEST_DIR")
 	if dir == "" {
@@ -238,39 +299,43 @@ func childMain() error {
 	if err != nil {
 		return fmt.Errorf("CRASHTEST_MAX: %w", err)
 	}
-	ckptEvery, _ := strconv.Atoi(os.Getenv("CRASHTEST_CKPT"))
-	if shards, _ := strconv.Atoi(os.Getenv("CRASHTEST_SHARDS")); shards > 1 {
-		return childShardedMain(dir, seed, maxB, shards, ckptEvery)
+	shards, err := strconv.Atoi(os.Getenv("CRASHTEST_SHARDS"))
+	if err != nil {
+		return fmt.Errorf("CRASHTEST_SHARDS: %w", err)
 	}
 	ops, err := mustOps()
 	if err != nil {
 		return err
 	}
-	d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{
 		WAL: wal.Options{
 			Policy: wal.SyncEveryAppend,
 			// Tiny segments force rotation (and retirement, under the
 			// checkpoint cadence) inside the kill window.
 			SegmentBytes: 16 << 10,
 		},
-		CheckpointEvery: ckptEvery,
+		CheckpointEvery: checkpointEvery,
 	})
 	if err != nil {
 		return err
 	}
-	// Error-path backstop only: the success path returns d.Close() below,
-	// and acked batches are already durable under SyncEveryAppend.
+	// Error-path backstop only: the success path returns sv.Close()
+	// below, and acked batches are already durable under SyncEveryAppend.
 	//adjlint:ignore syncerr
-	defer d.Close()
-	for b := d.Durability()[0].Epoch + 1; b <= maxB; b++ {
-		if err := d.Append(batchEdges(seed, b)); err != nil {
+	defer sv.Close()
+	next, err := catchUp(sv, seed)
+	if err != nil {
+		return err
+	}
+	for b := next; b <= maxB; b++ {
+		if err := sv.Append(batchEdges(seed, b)); err != nil {
 			return fmt.Errorf("batch %d: %w", b, err)
 		}
 		// Unbuffered on purpose: the ack must be in the pipe before the
 		// next append can die.
 		fmt.Fprintf(os.Stdout, "acked %d\n", b)
 	}
-	return d.Close()
+	return sv.Close()
 }
 
 // ---------------------------------------------------------------------
@@ -278,20 +343,21 @@ func childMain() error {
 // ---------------------------------------------------------------------
 
 type harnessConfig struct {
-	Iters           int
-	Seed            int64
-	Dir             string
-	BatchesPerRun   int
-	CheckpointEvery int
-	KillAfterMaxMS  int
+	Iters  int
+	Seed   int64
+	Dir    string
+	Shards int
 }
 
 // runHarness drives the kill-and-recover loop over one store directory:
 // each iteration grants the child a fresh batch quota on top of the
-// recovered epoch, kills it after a random delay, and verifies the
+// covered epoch, kills it after a random delay, and verifies the
 // recovered state — so later iterations recover stores shaped by many
 // earlier crashes (checkpoints mid-history, retired segments, torn
-// tails already repaired once).
+// tails already repaired once, partial scatters). Recovery may never
+// cover fewer batches than the child acknowledged, nor than the
+// previous iteration verified: a child killed before its first ack
+// still owes everything before it.
 func runHarness(cfg harnessConfig, logf func(string, ...any)) error {
 	self, err := os.Executable()
 	if err != nil {
@@ -305,14 +371,13 @@ func runHarness(cfg harnessConfig, logf func(string, ...any)) error {
 	epoch := uint64(0)
 	killed := 0
 	for it := 0; it < cfg.Iters; it++ {
-		quota := epoch + uint64(cfg.BatchesPerRun)
 		cmd := exec.Command(self)
 		cmd.Env = append(os.Environ(),
 			childEnv+"=1",
 			"CRASHTEST_DIR="+dir,
 			"CRASHTEST_SEED="+strconv.FormatInt(cfg.Seed, 10),
-			"CRASHTEST_MAX="+strconv.FormatUint(quota, 10),
-			"CRASHTEST_CKPT="+strconv.Itoa(cfg.CheckpointEvery),
+			"CRASHTEST_MAX="+strconv.FormatUint(epoch+batchesPerRun, 10),
+			"CRASHTEST_SHARDS="+strconv.Itoa(cfg.Shards),
 		)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.StdoutPipe()
@@ -334,14 +399,14 @@ func runHarness(cfg harnessConfig, logf func(string, ...any)) error {
 				}
 			}
 		}()
-		// A delay of up to KillAfterMaxMS lands the SIGKILL anywhere from
-		// before the first append to mid-checkpoint to after quota
-		// exhaustion — all of which recovery must survive.
-		time.Sleep(time.Duration(rng.Intn(cfg.KillAfterMaxMS*1000+1)) * time.Microsecond)
+		// A delay of up to killAfterMaxMS lands the SIGKILL anywhere from
+		// before the first append to mid-scatter to mid-checkpoint to
+		// after quota exhaustion — all of which recovery must survive.
+		time.Sleep(time.Duration(rng.Intn(killAfterMaxMS*1000+1)) * time.Microsecond)
 		_ = cmd.Process.Kill()
 		werr := cmd.Wait()
 		<-done
-		next, err := verifyRecovered(dir, cfg.Seed, acked.Load())
+		epochs, covered, err := verifyRecovered(dir, cfg.Seed, cfg.Shards, max(epoch, acked.Load()))
 		if err != nil {
 			return fmt.Errorf("iteration %d (acked %d): %w", it, acked.Load(), err)
 		}
@@ -350,160 +415,13 @@ func runHarness(cfg harnessConfig, logf func(string, ...any)) error {
 			// kill landed; only an actual mid-run kill counts.
 			killed++
 		}
-		logf("iter %d: acked %d, recovered epoch %d", it, acked.Load(), next)
-		epoch = next
+		logf("iter %d: acked %d, covered %d, epoch vector %v", it, acked.Load(), covered, epochs)
+		epoch = covered
 	}
 	if killed == 0 {
-		return fmt.Errorf("no iteration actually killed the child mid-run; increase -batches-per-run or lower -kill-after-max-ms")
+		return fmt.Errorf("no iteration actually killed the child mid-run (quota %d batches, kill delay at most %d ms)",
+			batchesPerRun, killAfterMaxMS)
 	}
-	logf("done: %d iterations (%d mid-run kills), final epoch %d", cfg.Iters, killed, epoch)
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Corruption injection
-// ---------------------------------------------------------------------
-
-// buildCleanStore writes `batches` workload batches with the given
-// checkpoint cadence and closes cleanly (no final checkpoint, so a WAL
-// tail always remains to corrupt).
-func buildCleanStore(dir string, seed int64, batches uint64, ckptEvery int) error {
-	ops, err := mustOps()
-	if err != nil {
-		return err
-	}
-	d, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{})
-	if err != nil {
-		return err
-	}
-	for b := uint64(1); b <= batches; b++ {
-		if err := d.Append(batchEdges(seed, b)); err != nil {
-			d.Abort()
-			return err
-		}
-		if ckptEvery > 0 && b%uint64(ckptEvery) == 0 {
-			if err := d.Checkpoint(); err != nil {
-				d.Abort()
-				return err
-			}
-		}
-	}
-	return d.Close()
-}
-
-// lastSegment returns the path of the newest WAL segment in dir.
-func lastSegment(dir string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil || len(matches) == 0 {
-		return "", fmt.Errorf("no WAL segments in %s (%v)", dir, err)
-	}
-	last := matches[0]
-	for _, m := range matches[1:] {
-		if m > last {
-			last = m
-		}
-	}
-	return last, nil
-}
-
-// flipByte XORs one byte of the file at off (negative: from the end).
-func flipByte(path string, off int64) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if off < 0 {
-		off += int64(len(buf))
-	}
-	if off < 0 || off >= int64(len(buf)) {
-		return fmt.Errorf("flip offset %d out of range for %s (%d bytes)", off, path, len(buf))
-	}
-	buf[off] ^= 0x40
-	return os.WriteFile(path, buf, 0o666)
-}
-
-// runCorruption runs the scripted damage scenarios, each in a fresh
-// store under root.
-func runCorruption(root string, seed int64, logf func(string, ...any)) error {
-	const batches = 12
-	ops, err := mustOps()
-	if err != nil {
-		return err
-	}
-
-	// Scenario 1: torn final record. Recovery truncates the tail and
-	// serves the longest verified prefix — epoch 11, bit-identical.
-	dir := filepath.Join(root, "torn-tail")
-	if err := buildCleanStore(dir, seed, batches, 0); err != nil {
-		return err
-	}
-	seg, err := lastSegment(dir)
-	if err != nil {
-		return err
-	}
-	fi, err := os.Stat(seg)
-	if err != nil {
-		return err
-	}
-	if err := os.Truncate(seg, fi.Size()-5); err != nil {
-		return err
-	}
-	epoch, err := verifyRecovered(dir, seed, batches-1)
-	if err != nil {
-		return fmt.Errorf("torn tail: %w", err)
-	}
-	if epoch != batches-1 {
-		return fmt.Errorf("torn tail: recovered epoch %d, want %d", epoch, batches-1)
-	}
-	logf("corruption: torn tail repaired to epoch %d", epoch)
-
-	// Scenario 2: bit flip mid-log (no checkpoint covers it). Recovery
-	// must refuse with the typed corruption error — serving a prefix
-	// would silently drop acknowledged batches below intact records.
-	dir = filepath.Join(root, "midlog-flip")
-	if err := buildCleanStore(dir, seed, batches, 0); err != nil {
-		return err
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil || len(segs) == 0 {
-		return fmt.Errorf("no segments to corrupt")
-	}
-	fi, err = os.Stat(segs[0])
-	if err != nil {
-		return err
-	}
-	if err := flipByte(segs[0], fi.Size()/2); err != nil {
-		return err
-	}
-	if _, err := stream.Open(dir, ops, 1, stream.DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
-		return fmt.Errorf("mid-log flip: Open returned %v, want the typed corruption error", err)
-	}
-	logf("corruption: mid-log bit flip refused with ErrCorrupt")
-
-	// Scenario 3: stale checkpoint + longer WAL. The newest checkpoint
-	// is damaged; recovery must fall back to the older one and replay
-	// the full WAL forward — no acknowledged batch lost.
-	dir = filepath.Join(root, "stale-ckpt")
-	if err := buildCleanStore(dir, seed, batches, 4); err != nil {
-		return err
-	}
-	ckpts, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
-	if err != nil || len(ckpts) < 2 {
-		return fmt.Errorf("want >= 2 checkpoints to injure, got %v", ckpts)
-	}
-	newest := ckpts[0]
-	for _, c := range ckpts[1:] {
-		if c > newest {
-			newest = c
-		}
-	}
-	if err := flipByte(newest, -3); err != nil {
-		return err
-	}
-	epoch, err = verifyRecovered(dir, seed, batches)
-	if err != nil {
-		return fmt.Errorf("stale checkpoint: %w", err)
-	}
-	logf("corruption: damaged newest checkpoint; fell back and replayed to epoch %d", epoch)
+	logf("done: %d iterations at %d shards (%d mid-run kills), covered %d global batches", cfg.Iters, cfg.Shards, killed, epoch)
 	return nil
 }

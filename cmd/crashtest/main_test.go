@@ -3,7 +3,11 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"adjarray/internal/stream"
 )
 
 // TestMain doubles as the child entry point: the harness re-execs
@@ -22,89 +26,169 @@ func TestMain(m *testing.M) {
 
 // TestKillAndRecover is the acceptance gate: random SIGKILLs against a
 // live ingester, recovery verified bit-identical to the dense oracle
-// over everything acknowledged durable. Full mode runs the 50
-// iterations the acceptance criteria name; -short keeps CI's race run
-// inside its budget.
+// over everything acknowledged durable. At 3 shards a kill can land
+// mid-scatter, so recovery must serve exactly the union of per-shard
+// prefixes and the next child run must repair the partial global batch
+// before continuing. Full mode runs the iterations the acceptance
+// criteria name; -short keeps CI's race run inside its budget.
 func TestKillAndRecover(t *testing.T) {
-	cfg := harnessConfig{
-		Iters:           50,
-		Seed:            7,
-		Dir:             t.TempDir(),
-		BatchesPerRun:   48,
-		CheckpointEvery: 7,
-		KillAfterMaxMS:  30,
-	}
-	if testing.Short() {
-		cfg.Iters = 10
-	}
-	if err := runHarness(cfg, t.Logf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCorruptionInjection covers the scripted damage scenarios: torn
-// tail repaired to a verified prefix, mid-log bit flip refused with the
-// typed error, damaged newest checkpoint recovered through the older
-// one plus a full WAL replay.
-func TestCorruptionInjection(t *testing.T) {
-	if err := runCorruption(t.TempDir(), 7, t.Logf); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		shards, iters, short int
+		seed                 int64
+	}{
+		{shards: 1, iters: 50, short: 10, seed: 7},
+		{shards: 3, iters: 25, short: 8, seed: 11},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			cfg := harnessConfig{Iters: tc.iters, Seed: tc.seed, Dir: t.TempDir(), Shards: tc.shards}
+			if testing.Short() {
+				cfg.Iters = tc.short
+			}
+			if err := runHarness(cfg, t.Logf); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// TestShardedKillAndRecover: the same discipline against the 3-shard
-// store — a kill can land mid-scatter, so recovery must serve exactly
-// the union of per-shard prefixes (bit-identical to the dense oracle
-// over those edges) and the next child run must repair the partial
-// global batch before continuing.
-func TestShardedKillAndRecover(t *testing.T) {
-	cfg := harnessConfig{
-		Iters:           25,
-		Seed:            11,
-		Dir:             t.TempDir(),
-		BatchesPerRun:   48,
-		CheckpointEvery: 7,
-		KillAfterMaxMS:  30,
-	}
-	if testing.Short() {
-		cfg.Iters = 8
-	}
-	if err := runShardedHarness(cfg, 3, t.Logf); err != nil {
+// writeStore appends the workload's batches 1..batches to a fresh store
+// and returns its per-shard epoch vector. It ends with Sync and Abort,
+// not Close: no final checkpoint, so every shard keeps a WAL tail.
+func writeStore(t *testing.T, dir string, seed int64, shards int, batches uint64) []int {
+	t.Helper()
+	ops, err := mustOps()
+	if err != nil {
 		t.Fatal(err)
+	}
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Abort()
+	for b := uint64(1); b <= batches; b++ {
+		if err := sv.Append(batchEdges(seed, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sv.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return append([]int{}, sv.Stats().Epochs...)
+}
+
+// TestVerifierCatchesLoss holds the verifier itself to its two refusals:
+// a store that covers fewer batches than were acknowledged is data loss,
+// and a store holding an edge the stream never wrote diverges from the
+// oracle.
+func TestVerifierCatchesLoss(t *testing.T) {
+	const seed, batches = 5, 12
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			writeStore(t, dir, seed, shards, batches)
+			if _, covered, err := verifyRecovered(dir, seed, shards, batches); err != nil || covered != batches {
+				t.Fatalf("intact store: covered %d, err %v; want %d and nil", covered, err, batches)
+			}
+			if _, _, err := verifyRecovered(dir, seed, shards, batches+1); err == nil || !strings.Contains(err.Error(), "LOST ACKNOWLEDGED DATA") {
+				t.Fatalf("one batch past the store: err %v, want the loss error", err)
+			}
+
+			// One edge outside the stream: its key ascends past every
+			// batch's, and its product 0.25 is no sum of the stream's
+			// integer products, so no regenerated batch can explain it.
+			ops, err := mustOps()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sv.Append([]stream.Edge[float64]{stream.Weighted("k999999999", "s00", "t00", 0.5, 0.5)}); err != nil {
+				sv.Abort()
+				t.Fatal(err)
+			}
+			if err := sv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := verifyRecovered(dir, seed, shards, batches); err == nil || !strings.Contains(err.Error(), "diverges from the dense oracle") {
+				t.Fatalf("store with a foreign edge: err %v, want the divergence error", err)
+			}
+		})
 	}
 }
 
-// TestFaultSchedules is the -faults acceptance gate: randomized disk-
-// fault schedules against one store, each verified for the wedge
-// contract (durable boundary frozen at the last ack, sticky read-only)
-// and bit-identical recovery. Full mode runs the 50 schedules the
-// acceptance criteria name; -short keeps the race run in budget.
-func TestFaultSchedules(t *testing.T) {
-	n := 50
-	if testing.Short() {
-		n = 12
+// lastSegment returns the path of the newest WAL segment in dir.
+func lastSegment(t *testing.T, dir string) string {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no WAL segments in %s (%v)", dir, err)
 	}
-	if err := runFaultSchedules(t.TempDir(), 13, n, t.Logf); err != nil {
-		t.Fatal(err)
+	last := matches[0]
+	for _, m := range matches[1:] {
+		if m > last {
+			last = m
+		}
 	}
+	return last
 }
 
-// TestDegradedServing scripts the serving half: a wedged store behind
-// the HTTP front door must shed ingest with 503 + Retry-After while
-// every read endpoint stays non-5xx, and the acked data must survive a
-// clean reopen.
-func TestDegradedServing(t *testing.T) {
-	if err := runDegradedServing(t.TempDir(), 13, t.Logf); err != nil {
+// TestTornShardDirectory kills exactly one shard directory of a cleanly
+// written 3-shard store (its newest WAL segment torn). Recovery must
+// repair that shard to its verified prefix — epoch exactly one below its
+// pre-damage value, siblings untouched — and serve the gathered
+// adjacency bit-identical to the oracle over the now-uneven prefixes.
+// The harness's catch-up then restores the lost sub-batch from the
+// deterministic stream and the store verifies at full coverage again.
+func TestTornShardDirectory(t *testing.T) {
+	const seed, shards, batches, victim = 11, 3, 14, 1
+	dir := t.TempDir()
+	before := writeStore(t, dir, seed, shards, batches)
+
+	seg := lastSegment(t, filepath.Join(dir, fmt.Sprintf("shard-%03d", victim)))
+	fi, err := os.Stat(seg)
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestShardedTornShardDirectory kills exactly one shard directory of a
-// cleanly written store (torn WAL tail) and proves the other shards are
-// untouched, the gathered adjacency matches the oracle over the uneven
-// prefixes, and a catch-up pass restores full coverage.
-func TestShardedTornShardDirectory(t *testing.T) {
-	if err := runShardedTornShard(t.TempDir(), 11, t.Logf); err != nil {
+	if err := os.Truncate(seg, fi.Size()-5); err != nil {
 		t.Fatal(err)
+	}
+
+	epochs, _, err := verifyRecovered(dir, seed, shards, 0)
+	if err != nil {
+		t.Fatalf("torn shard: %v", err)
+	}
+	for s := range epochs {
+		want := before[s]
+		if s == victim {
+			want--
+		}
+		if epochs[s] != want {
+			t.Fatalf("torn shard: epoch vector %v after damage, want %v with shard %d one back", epochs, before, victim)
+		}
+	}
+
+	ops, err := mustOps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := catchUp(sv, seed); err != nil {
+		sv.Abort()
+		t.Fatal(err)
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	epochs, covered, err := verifyRecovered(dir, seed, shards, batches)
+	if err != nil {
+		t.Fatalf("after catch-up: %v", err)
+	}
+	if covered != batches {
+		t.Fatalf("after catch-up: covered %d batches, want %d (epoch vector %v)", covered, batches, epochs)
 	}
 }

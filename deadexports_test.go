@@ -35,6 +35,11 @@ func TestNoDeadExports(t *testing.T) {
 		"graph.Graph.EdgesBetween":     "a method of the public adjarray.Graph alias",
 		"keys.Set.Interned":            "the keys, stream and graph tests assert through it that a set was built interned",
 		"semiring.KernelGeneric":       "the zero ScalarKernel, named so that no kernel reads as generic",
+		"iofault.Wrap":                 "the fault injector that the stream, wal and serve fault tests arm",
+		"iofault.Injector.Arm":         "the fault injector that the stream, wal and serve fault tests arm",
+		"iofault.Injector.ArmRandom":   "the fault injector that the stream, wal and serve fault tests arm",
+		"iofault.Injector.Clear":       "the fault injector that the stream, wal and serve fault tests arm",
+		"iofault.Injector.Injected":    "the fault injector that the stream, wal and serve fault tests arm",
 		"dataset.ErdosRenyi":           "queued: a generator the algo, tstore and root tests draw inputs from",
 		"dataset.Bipartite":            "queued: a generator the tstore tests and a root benchmark draw inputs from",
 		"dataset.MultiEdge":            "queued: a generator the tstore tests draw inputs from",

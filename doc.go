@@ -73,7 +73,7 @@
 //     count, a sharded one that lost its SHARDS file, a format-1
 //     checkpoint (last written by PR 15) — and a kill-and-recover
 //     gate in cmd/crashtest holding recovery bit-identical to the dense
-//     oracle;
+//     oracle at every shard count;
 //   - production serving: internal/serve is cmd/adjserve's front door —
 //     Prometheus-style GET /metrics (dependency-free internal/obs),
 //     bounded admission pools per endpoint class shedding overload as
@@ -112,8 +112,10 @@
 //     the front door keeps serving reads from the last good snapshot,
 //     shedding ingest as 503 + Retry-After (/healthz and the
 //     adjserve_storage_* metrics expose the ok → degraded → read-only
-//     state machine; cmd/crashtest -faults gates the contract with
-//     randomized fault schedules held bit-identical to the oracle);
+//     state machine; internal/stream's TestFaultSchedules gates the
+//     contract with randomized fault schedules held bit-identical to
+//     the oracle, and internal/serve's TestIngestDegradedMode the
+//     serving side);
 //   - static analysis: internal/lint + cmd/adjlint is a go/analysis-
 //     style suite that mechanically gates the invariants past PRs had
 //     to find by hand — nondeterministic ⊕-folds over map iteration,

@@ -1,7 +1,7 @@
 // Package iofault is the storage layer's VFS seam. Every durable byte
 // the WAL writer, checkpoint store, and recovery reader move goes
-// through an FS; production code uses the OS passthrough, and tests or
-// the crashtest harness substitute a FaultFS whose deterministic,
+// through an FS; production code uses the OS passthrough, and the
+// fault tests substitute a FaultFS whose deterministic,
 // seed-driven Injector can fail any single operation — EIO, ENOSPC, a
 // short write, a failed fsync, a torn write — on a scripted or random
 // schedule. The point is to make "durable" a tested contract instead

@@ -27,8 +27,7 @@ type DurableOptions[V any] struct {
 	CheckpointEvery int
 	// FS routes every durable byte — WAL segments, checkpoints,
 	// directory fsyncs — through a filesystem seam; nil selects the
-	// real filesystem. Tests and the crashtest harness install an
-	// iofault.FaultFS here.
+	// real filesystem. The fault tests install an iofault.FaultFS here.
 	FS iofault.FS
 }
 

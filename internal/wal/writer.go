@@ -64,7 +64,7 @@ type Options struct {
 	// 4 MiB). Smaller segments retire sooner after a checkpoint.
 	SegmentBytes int64
 	// FS routes every file operation; nil selects the real filesystem.
-	// Tests and the crashtest harness install an iofault.FaultFS here.
+	// The fault tests install an iofault.FaultFS here.
 	FS iofault.FS
 }
 

@@ -32,6 +32,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		"serve.Options.MaxIngestEdges": "a bound on outside input, which FuzzIngestBody lowers to reach",
 		"stream.DurableOptions.Codec":  "substitution seam: value types other than float64 bring their own",
 		"wal.Options.FS":               "substitution seam: stream hands its own FS down",
+		"stream.DurableOptions.FS":     "substitution seam: the fault tests hand in an injecting FS",
 		"serve.Options.Registry":       "substitution seam: a caller that already owns a registry",
 	}
 
