@@ -40,16 +40,14 @@ func TestNoDeadExports(t *testing.T) {
 		"iofault.Injector.ArmRandom":   "the fault injector that the stream, wal and serve fault tests arm",
 		"iofault.Injector.Clear":       "the fault injector that the stream, wal and serve fault tests arm",
 		"iofault.Injector.Injected":    "the fault injector that the stream, wal and serve fault tests arm",
-		"dataset.ErdosRenyi":           "queued: a generator the algo, tstore and root tests draw inputs from",
-		"dataset.Bipartite":            "queued: a generator the tstore tests and a root benchmark draw inputs from",
-		"dataset.MultiEdge":            "queued: a generator the tstore tests draw inputs from",
+		"dataset.ErdosRenyi":           "queued: a generator the algo and root tests draw inputs from",
+		"dataset.Bipartite":            "queued: a generator a root benchmark draws inputs from",
 		"dataset.DocCorpus":            "queued: the corpus a root benchmark checks shared-word counts on",
 		"dataset.SharedWordsExpected":  "queued: the count that root benchmark checks against",
 		"dataset.SyntheticTable":       "queued: the table a root benchmark explodes",
 		"dataset.DefaultSyntheticSpec": "queued: the spec of that table",
 	}
 	allowedPackages := map[string]string{
-		"adjarray/internal/tstore":        "ROADMAP item 7(a): imported by nothing since the stream store replaced it; its deletion is its own change",
 		"adjarray/internal/lint/linttest": "the analyzers' test harness, imported by their tests only",
 	}
 

@@ -93,24 +93,3 @@ func Bipartite(r *rand.Rand, nLeft, nRight, m int) *graph.Graph {
 	}
 	return g
 }
-
-// MultiEdge samples a graph of n vertices where every sampled ordered
-// pair carries between 1 and maxMult parallel edges — the stress
-// workload for ⊕ aggregation semantics (Lemma II.2 territory).
-func MultiEdge(r *rand.Rand, n, pairs, maxMult int) *graph.Graph {
-	var edges []graph.Edge
-	id := 0
-	for p := 0; p < pairs; p++ {
-		src, dst := vkey(r.Intn(n)), vkey(r.Intn(n))
-		mult := 1 + r.Intn(maxMult)
-		for c := 0; c < mult; c++ {
-			edges = append(edges, graph.Edge{Key: ekey(id), Src: src, Dst: dst})
-			id++
-		}
-	}
-	g, err := graph.New(edges)
-	if err != nil {
-		panic("dataset: generator produced invalid graph: " + err.Error())
-	}
-	return g
-}

@@ -82,7 +82,7 @@ func TestBipartiteSidesDisjoint(t *testing.T) {
 }
 
 func TestMultiEdgeParallelism(t *testing.T) {
-	g := MultiEdge(rand.New(rand.NewSource(8)), 5, 30, 4)
+	g := multiEdge(rand.New(rand.NewSource(8)), 5, 30, 4)
 	maxPar := 0
 	for _, e := range g.Edges() {
 		if n := len(g.EdgesBetween(e.Src, e.Dst)); n > maxPar {
@@ -90,7 +90,7 @@ func TestMultiEdgeParallelism(t *testing.T) {
 		}
 	}
 	if maxPar < 2 {
-		t.Error("MultiEdge should produce parallel edges")
+		t.Error("multiEdge should produce parallel edges")
 	}
 }
 
@@ -102,7 +102,7 @@ func TestVerifyConstructionAcrossGenerators(t *testing.T) {
 		ErdosRenyi(r, 24, 0.08),
 		RMAT(r, 5, 4),
 		Bipartite(r, 12, 9, 50),
-		MultiEdge(r, 8, 25, 3),
+		multiEdge(r, 8, 25, 3),
 	}
 	for gi, g := range gs {
 		for _, ops := range semiring.Figure3Pairs() {
@@ -169,4 +169,25 @@ func TestSectionIIIUnionIntersectCorrelation(t *testing.T) {
 			t.Errorf("A(%s,%s) = %v, want %v", x, y, v, byName[x].Intersect(byName[y]))
 		}
 	})
+}
+
+// multiEdge samples a graph of n vertices where every sampled ordered
+// pair carries between 1 and maxMult parallel edges — the stress
+// workload for ⊕ aggregation semantics (Lemma II.2 territory).
+func multiEdge(r *rand.Rand, n, pairs, maxMult int) *graph.Graph {
+	var edges []graph.Edge
+	id := 0
+	for p := 0; p < pairs; p++ {
+		src, dst := vkey(r.Intn(n)), vkey(r.Intn(n))
+		mult := 1 + r.Intn(maxMult)
+		for c := 0; c < mult; c++ {
+			edges = append(edges, graph.Edge{Key: ekey(id), Src: src, Dst: dst})
+			id++
+		}
+	}
+	g, err := graph.New(edges)
+	if err != nil {
+		panic("dataset: generator produced invalid graph: " + err.Error())
+	}
+	return g
 }
