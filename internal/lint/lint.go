@@ -12,17 +12,17 @@
 //	cowmut      in-place mutation of snapshot-shared //adjlint:cow
 //	            slices (PR 5/7's copy-on-write id→position arrays)
 //
-// plus ports of the x/tools nilness, shadow, and unusedwrite passes
-// (see internal/lint/extra for why they are local reimplementations).
+// plus shadow, a port of the x/tools pass of that name (see
+// internal/lint/shadow for why it is a local reimplementation).
 package lint
 
 import (
 	"adjarray/internal/lint/analysis"
 	"adjarray/internal/lint/cowmut"
 	"adjarray/internal/lint/detfold"
-	"adjarray/internal/lint/extra"
 	"adjarray/internal/lint/loader"
 	"adjarray/internal/lint/poolleak"
+	"adjarray/internal/lint/shadow"
 	"adjarray/internal/lint/syncerr"
 )
 
@@ -33,9 +33,7 @@ func Analyzers() []*analysis.Analyzer {
 		syncerr.Analyzer,
 		poolleak.Analyzer,
 		cowmut.Analyzer,
-		extra.Nilness,
-		extra.Shadow,
-		extra.Unusedwrite,
+		shadow.Analyzer,
 	}
 }
 

@@ -1,4 +1,4 @@
-// Fixture for the bundled shadow port.
+// Fixture for the shadow analyzer.
 package shadowtest
 
 func shadowed(xs []int) int {
