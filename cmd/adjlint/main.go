@@ -1,139 +1,57 @@
-// Command adjlint runs the repo's custom static-analysis suite
-// (internal/lint): the five algebraic/concurrency invariant analyzers
-// plus the bundled nilness/shadow/unusedwrite ports.
-//
-// Two modes, matching x/tools' multichecker+unitchecker pair:
-//
-// Standalone, over package patterns (uses `go list -export` under the
-// hood, so it works offline from the build cache):
-//
-//	adjlint ./...
-//
-// As a vet tool, driven per-compilation-unit by the go command:
+// Command adjlint runs the repo's static-analysis suite
+// (internal/lint: detfold, syncerr, poolleak, cowmut and shadow) over
+// package patterns, loaded through `go list -export`, so it works
+// offline from the build cache:
 //
 //	go build -o adjlint ./cmd/adjlint
-//	go vet -vettool=$PWD/adjlint ./...
+//	./adjlint ./...
 //
-// The vet protocol (a *.cfg JSON argument per package, -V=full
-// fingerprinting, -flags discovery, facts files) is implemented here
-// on the standard library alone — the same importer mechanism
-// unitchecker uses.
-//
-// Individual analyzers can be disabled with -<name>=false. Findings
-// print as file:line:col: message [analyzer]; the exit status is
-// non-zero when any finding is reported, so CI can gate on it.
+// No pattern means ./... . Findings print as
+// file:line:col: message [analyzer]; the exit status is 2 when there
+// is any finding and 1 when the packages do not load.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"adjarray/internal/lint"
-	"adjarray/internal/lint/analysis"
 	"adjarray/internal/lint/loader"
 )
 
 func main() {
-	all := lint.Analyzers()
-	enabled := map[string]*bool{}
-	for _, a := range all {
-		doc, _, _ := strings.Cut(a.Doc, "\n")
-		enabled[a.Name] = flag.Bool(a.Name, true, doc)
-	}
-	versionFlag := flag.String("V", "", "print version and exit (vet protocol)")
-	flagsFlag := flag.Bool("flags", false, "print the tool's flags as JSON and exit (vet protocol)")
-	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON (vet protocol)")
-	flag.Parse()
-
-	if *versionFlag != "" {
-		printVersion()
-		return
-	}
-	if *flagsFlag {
-		printFlags(all)
-		return
-	}
-
-	var analyzers []*analysis.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitcheck(args[0], analyzers, *jsonFlag)
-		return
-	}
-	standalone(args, analyzers)
-}
-
-// standalone loads package patterns through the go command and runs
-// the suite over every matched package.
-func standalone(patterns []string, analyzers []*analysis.Analyzer) {
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := loader.Load("", patterns...)
+	findings, err := run("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	findings := 0
-	for _, p := range pkgs {
-		fs, err := lint.RunPackage(p, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adjlint: %s: %v\n", p.Path, err)
-			os.Exit(1)
-		}
-		for _, f := range fs {
-			fmt.Printf("%s: %s [%s]\n", f.Position, f.Message, f.Analyzer)
-			findings++
-		}
+	for _, f := range findings {
+		fmt.Printf("%s: %s [%s]\n", f.Position, f.Message, f.Analyzer)
 	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "adjlint: %d finding(s)\n", findings)
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "adjlint: %d finding(s)\n", len(findings))
 		os.Exit(2)
 	}
 }
 
-// printVersion implements -V=full: the go command fingerprints vet
-// tools by this line to key its action cache.
-func printVersion() {
-	progname, _ := os.Executable()
-	h := sha256.New()
-	if f, err := os.Open(progname); err == nil {
-		io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, h.Sum(nil))
-}
-
-// printFlags implements -flags: the go command asks a vet tool which
-// flags it supports before passing any through.
-func printFlags(all []*analysis.Analyzer) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	for _, a := range all {
-		doc, _, _ := strings.Cut(a.Doc, "\n")
-		out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: doc})
-	}
-	out = append(out, jsonFlag{Name: "json", Bool: true, Usage: "emit JSON output"})
-	data, err := json.Marshal(out)
+// run loads the patterns from dir ("" = the working directory) and
+// applies the whole suite to every matched package.
+func run(dir string, patterns ...string) ([]lint.Finding, error) {
+	pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
-	os.Stdout.Write(data)
-	fmt.Println()
+	var all []lint.Finding
+	for _, p := range pkgs {
+		fs, err := lint.RunPackage(p, lint.Analyzers())
+		if err != nil {
+			return nil, fmt.Errorf("adjlint: %s: %v", p.Path, err)
+		}
+		all = append(all, fs...)
+	}
+	return all, nil
 }

@@ -120,8 +120,9 @@
 //     style suite that mechanically gates the invariants past PRs had
 //     to find by hand — nondeterministic ⊕-folds over map iteration,
 //     dropped fsync errors on the WAL path, sync.Pool scratch aliasing,
-//     and in-place mutation of copy-on-write snapshot slices; run standalone (adjlint ./...) or
-//     as go vet -vettool, gating in CI.
+//     and in-place mutation of copy-on-write snapshot slices (plus a
+//     port of the x/tools shadow pass); adjlint ./... runs it, gating
+//     in CI and in cmd/adjlint's TestModuleIsClean.
 //
 // # Batch and incremental construction
 //

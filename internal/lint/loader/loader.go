@@ -3,8 +3,8 @@
 // `go list -export -deps -json` for package metadata and compiled
 // export data, parses the target packages from source, and type-checks
 // them against the export data through the standard library's gc
-// importer (the same mechanism x/tools' unitchecker uses). Offline by
-// construction — everything comes from the local build cache.
+// importer. Offline by construction — everything comes from the local
+// build cache.
 package loader
 
 import (
