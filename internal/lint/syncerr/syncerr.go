@@ -1,7 +1,8 @@
 // Package syncerr flags discarded error returns from durability-
-// critical calls — Sync, Close, Flush, and Truncate on *os.File and on
-// the WAL/stream writer types — inside the packages that own the
-// durable write path (internal/wal, internal/stream, cmd/crashtest).
+// critical calls — Sync, SyncDir, Close, Flush, and Truncate on
+// *os.File, on the iofault.File/FS every durable write goes through,
+// and on the WAL/stream writer types — inside the packages that own
+// the durable write path (internal/wal, internal/stream, cmd/crashtest).
 //
 // A WAL that drops an fsync error has silently voided its durability
 // contract: the caller was acknowledged, the kernel reported the data
@@ -32,7 +33,7 @@ var DefaultScope = []string{"internal/wal", "internal/stream", "cmd/crashtest"}
 
 // methodNames are the durability-bearing methods whose error return
 // must not be discarded.
-var methodNames = map[string]bool{"Sync": true, "Close": true, "Flush": true, "Truncate": true}
+var methodNames = map[string]bool{"Sync": true, "SyncDir": true, "Close": true, "Flush": true, "Truncate": true}
 
 // Analyzer is the syncerr pass over the default scope.
 var Analyzer = New(DefaultScope...)
@@ -43,7 +44,7 @@ var Analyzer = New(DefaultScope...)
 func New(scope ...string) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "syncerr",
-		Doc:  "flag discarded Sync/Close/Flush/Truncate errors on the durable write path (durability silently voided otherwise)",
+		Doc:  "flag discarded Sync/SyncDir/Close/Flush/Truncate errors on the durable write path (durability silently voided otherwise)",
 		Run: func(pass *analysis.Pass) (any, error) {
 			return run(pass, scope)
 		},
@@ -121,14 +122,15 @@ func check(pass *analysis.Pass, call *ast.CallExpr, how string) {
 }
 
 // durabilityBearing reports whether methods on this receiver type are
-// on the durable write path: os.File itself, and every exported type
-// of the WAL and stream packages (writers, durable views, sharded
-// views, checkpoint stores).
+// on the durable write path: os.File itself, the iofault File and FS
+// the WAL and the store write through, and every exported type of the
+// WAL and stream packages (writers, durable views, sharded views,
+// checkpoint stores).
 func durabilityBearing(pkgPath, typeName string) bool {
 	switch pkgPath {
 	case "os":
 		return typeName == "File"
-	case "adjarray/internal/wal", "adjarray/internal/stream":
+	case "adjarray/internal/iofault", "adjarray/internal/wal", "adjarray/internal/stream":
 		return true
 	}
 	return false

@@ -6,6 +6,7 @@ package syncerrtest
 import (
 	"os"
 
+	"adjarray/internal/iofault"
 	"adjarray/internal/wal"
 )
 
@@ -29,6 +30,29 @@ func blankAssign(f *os.File) {
 // walClose drops a WAL writer close — rotation/final-sync errors vanish.
 func walClose(w *wal.Writer) {
 	w.Close() // want `discarded error from \(adjarray/internal/wal\.Writer\)\.Close`
+}
+
+// faultFileSync drops the fsync of the file the WAL actually writes
+// through: an iofault.File, not an *os.File.
+func faultFileSync(f iofault.File) {
+	f.Sync() // want `discarded error from \(adjarray/internal/iofault\.File\)\.Sync`
+}
+
+// faultFileClose discards an iofault.File close through a defer.
+func faultFileClose(f iofault.File) {
+	defer f.Close() // want `discarded by defer error from \(adjarray/internal/iofault\.File\)\.Close`
+	f.Write([]byte("x"))
+}
+
+// syncDirBlank drops the directory fsync that makes a rename or a
+// creation durable.
+func syncDirBlank(fsys iofault.FS, dir string) {
+	_ = fsys.SyncDir(dir) // want `assigned to blank error from \(adjarray/internal/iofault\.FS\)\.SyncDir`
+}
+
+// syncDirGood checks it: no finding.
+func syncDirGood(fsys iofault.FS, dir string) error {
+	return fsys.SyncDir(dir)
 }
 
 // flushGood is the checked-fsync pattern from internal/wal/writer.go
