@@ -1,8 +1,10 @@
 package adjarray_test
 
 // bench_test.go — the benchmark harness regenerating every figure and
-// experiment of the paper (E1–E11 in DESIGN.md), plus the ablations of
-// the design choices DESIGN.md calls out. Run with:
+// experiment of the paper, plus ablations of the design choices. Each
+// experiment's benchmark opens with an `// E<n> —` comment naming the
+// figure, theorem or section it reproduces (E1–E11); each ablation's
+// opens with `// Ablation —`. Run with:
 //
 //	go test -bench=. -benchmem
 //
