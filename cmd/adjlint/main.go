@@ -6,7 +6,7 @@
 //	go build -o adjlint ./cmd/adjlint
 //	./adjlint ./...
 //
-// No pattern means ./... . Findings print as
+// With no pattern it checks ./... . Findings print as
 // file:line:col: message [analyzer]; the exit status is 2 when there
 // is any finding and 1 when the packages do not load.
 package main
@@ -47,7 +47,7 @@ func run(dir string, patterns ...string) ([]lint.Finding, error) {
 	}
 	var all []lint.Finding
 	for _, p := range pkgs {
-		fs, err := lint.RunPackage(p, lint.Analyzers())
+		fs, err := lint.RunPackage(p)
 		if err != nil {
 			return nil, fmt.Errorf("adjlint: %s: %v", p.Path, err)
 		}

@@ -45,10 +45,10 @@ type Finding struct {
 	Message  string
 }
 
-// RunPackage applies the given analyzers to one loaded package.
-func RunPackage(p *loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+// RunPackage applies the whole suite to one loaded package.
+func RunPackage(p *loader.Package) ([]Finding, error) {
 	var out []Finding
-	for _, a := range analyzers {
+	for _, a := range Analyzers() {
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      p.Fset,
