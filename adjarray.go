@@ -362,8 +362,8 @@ func NewCSRGraph(a *Array[float64]) (*CSRGraph, error) { return algo.FromArray(a
 func NewCSRGraphPattern[V any](a *Array[V]) (*CSRGraph, error) { return algo.FromPattern(a) }
 
 // CSRGraphFromSnapshot builds a CSRGraph from a live stream snapshot's
-// adjacency — the serving path: algorithm queries on a maintained view
-// while ingest continues.
+// adjacency: algorithm queries on a maintained view while ingest
+// continues.
 func CSRGraphFromSnapshot(s AdjacencySnapshot[float64]) (*CSRGraph, error) {
 	return algo.FromSnapshot(s)
 }

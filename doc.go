@@ -96,10 +96,12 @@
 //     read-your-write costs O(batch), not a copy of the shard. In its
 //     "epochs" the owner's entry is the epoch the answer was pinned
 //     at, a sibling's is that shard's current epoch, read without its
-//     lock, a fold or a gather. Algorithm answers and /batch pin every
-//     shard and build their Graph from the pinned shards' arrays
-//     (algo.FromArrays: one copy, straight into the kernels' vertex
-//     space); only /triples reads the gathered store-wide array. The
+//     lock, a fold or a gather. Algorithm answers and /batch take every
+//     shard's point pin (stream.Store.PointPin) and fold nothing below
+//     that threshold either: the Graph is built from each shard's main
+//     continued by its suffix (algo.FromPins: one pattern copy, straight
+//     into the kernels' vertex space); only /triples reads the gathered
+//     store-wide array. The
 //     query_static and
 //     mixed_rw workloads of the repository's benchmark (bench/,
 //     BENCHMARK.json) drive the front door of a real adjserve child and

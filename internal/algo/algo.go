@@ -18,8 +18,10 @@
 //     (sparse.SpMSpVPush / sparse.SpMVPull) over the adjacency's CSR
 //     embedded in the square union vertex space (FromArray) — or, for an
 //     adjacency held as row-disjoint parts, the shards of a store, the
-//     parts' rows copied once each straight into that space (FromArrays),
-//     the store-wide array never assembled — switching push→pull
+//     parts' rows copied once each straight into that space (FromArrays;
+//     FromPins continues each shard's rows with the edges it has not
+//     folded yet as it copies them), the store-wide array never
+//     assembled — switching push→pull
 //     automatically as the frontier densifies, with a lazily built
 //     transpose for the pull direction and string↔id translation only
 //     at the API boundary.
@@ -48,11 +50,11 @@
 // The map-returning methods (BFSLevels, SSSP, WidestPath, PageRank) are
 // presized adapters over them for callers that look vertices up by key.
 //
-// Graphs built with FromSnapshot read a stream.View's maintained CSR
-// directly, which is how cmd/adjserve answers /bfs, /sssp, /widest,
-// /pagerank and /triangles from live snapshots during ingest:
-// internal/serve writes the vector forms to the socket in key order,
-// without a map in between.
+// Graphs built with FromPins read a store's maintained shards and their
+// unfolded log suffixes directly, which is how cmd/adjserve answers
+// /bfs, /sssp, /widest, /pagerank and /triangles from live pins during
+// ingest: internal/serve writes the vector forms to the socket in key
+// order, without a map in between.
 package algo
 
 import (

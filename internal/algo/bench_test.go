@@ -77,9 +77,10 @@ func BenchmarkAlgoPageRank(b *testing.B) {
 	arm(b, "oneshot", func() error { _, _, err := PageRank(adj, damping, tol, iters); return err })
 }
 
-// BenchmarkFromArrays is what a new epoch vector costs the serving path
-// per Graph: the gather of two row-disjoint parts into the vertex space,
-// alone ("build") and with the first structural query's pattern
+// BenchmarkFromArrays is the Graph build of a new epoch vector whose
+// shards have no unfolded edges (FromPins over such pins is this build):
+// the gather of two row-disjoint parts into the vertex space as a
+// pattern, alone ("build") and with the first structural query's pattern
 // transpose ("build+bfs").
 func BenchmarkFromArrays(b *testing.B) {
 	adj, _, src := benchAdjacency(b, 12)

@@ -17,10 +17,11 @@ import (
 
 // Graph is the engine every algorithm in this package runs on: an
 // adjacency array's sparse matrix — or the matrices of its row-disjoint
-// parts, FromArrays — embedded into the SQUARE union vertex space
-// (rows ∪ cols), with vertices as integer ids and string keys resolved
-// only at the API boundary. The package functions over *assoc.Array
-// build one, call the method of the same name and drop it.
+// parts, FromArrays, each continued by the edges its shard has not folded
+// yet, FromPins — embedded into the SQUARE union vertex space (rows ∪
+// cols), with vertices as integer ids and string keys resolved only at
+// the API boundary. The package functions over *assoc.Array build one,
+// call the method of the same name and drop it.
 //
 // The source and rank kernels answer with VECTORS over Vertices(), in
 // key order (BFSLevelVector, SSSPVector, WidestPathVector,
@@ -29,15 +30,22 @@ import (
 // allocated per vertex. The map-returning methods of the same names are
 // adapters over them for callers that want to look vertices up by key.
 //
-// A Graph is immutable and safe for concurrent use; the transpose
-// needed by the pull kernels is built lazily, once, on first use — as a
-// pattern, 4 bytes per stored entry, which is all BFS, PageRank and
-// TriangleCount read. Only the weighted pull (SSSP, WidestPath) needs
-// Aᵀ's values, and lays them onto that pattern on its first use: a Graph
-// costs 12 + 4 (+ 8 once a weighted pull ran) bytes per entry.
+// A Graph is immutable and safe for concurrent use. It is built as a
+// PATTERN, 4 bytes per stored entry, which is all BFS, PageRank,
+// Components and TriangleCount read; so is the transpose the pull
+// kernels need, built lazily, once, on first use. Only the weighted
+// kernels (SSSP, WidestPath) read values, and lay them on at their first
+// use — onto the pattern from the arrays the Graph was built from (8 B
+// per entry; shared outright when one array needs no fold), then onto
+// the transpose (8 more): a Graph costs 4 + 4 (+ 16 once a weighted
+// kernel ran) bytes per entry.
 type Graph struct {
 	verts *keys.Set
-	adj   *sparse.CSR[float64]
+	adj   *sparse.Pattern
+	src   *sparse.Gather[float64] // what adj was built from, until its values are laid from it
+
+	valOnce sync.Once
+	val     *sparse.CSR[float64]
 
 	trOnce sync.Once
 	tr     *sparse.Pattern
@@ -63,18 +71,109 @@ func FromArray(a *assoc.Array[float64]) (*Graph, error) {
 }
 
 // FromArrays builds a Graph from an adjacency array held as row-disjoint
-// parts — the pinned shards of a store partitioned by source vertex. The
-// vertex set is the union of every part's row and column keys, and each
-// part's stored rows are copied once, straight into that square space
-// (assoc.ConcatRowsSquare): the store-wide rows × cols array is never
-// assembled on the way. Parts that store the same row are refused, the
-// error naming the row and the parts.
+// parts. The vertex set is the union of every part's row and column
+// keys, and each part's stored rows are copied once, as a pattern,
+// straight into that square space (sparse.Gather): the store-wide rows ×
+// cols array is never assembled on the way. Parts that store the same row
+// are refused, the error naming the row and the parts.
 func FromArrays(parts []*assoc.Array[float64]) (*Graph, error) {
-	sq, err := assoc.ConcatRowsSquare(parts)
+	return build(parts, nil, semiring.Ops[float64]{})
+}
+
+// FromPins builds a Graph from a store's point pins at one epoch vector
+// (stream.Store.PointPin): each shard's main, continued by the log suffix
+// it has not folded — each cell's products folded onto main's value in
+// log order, a fold equal to Zero pruned, as the shard's own fold would
+// (PointSnapshot.Delta) — and placed, with the vertices only the suffix
+// has met, in the square space, in one pass. It is the Graph FromArrays
+// builds over the shards' folded arrays, bit for bit and for any ⊕, with
+// no shard folded and no main copied on the way.
+func FromPins(pins []stream.PointSnapshot[float64]) (*Graph, error) {
+	parts := make([]*assoc.Array[float64], len(pins))
+	deltas := make([]stream.Delta[float64], len(pins))
+	var ops semiring.Ops[float64]
+	for k, p := range pins {
+		parts[k], deltas[k] = p.Main(), p.Delta()
+		if len(deltas[k].Row) > 0 {
+			ops = deltas[k].Ops
+		}
+	}
+	return build(parts, deltas, ops)
+}
+
+// build lays parts, each continued by its delta when deltas holds one
+// with edges, into the square space over every key they hold and every
+// key the deltas bring.
+func build(parts []*assoc.Array[float64], deltas []stream.Delta[float64], ops semiring.Ops[float64]) (*Graph, error) {
+	continued := func(k int) bool { return k < len(deltas) && len(deltas[k].Row) > 0 }
+	// Part k's row keys are sets[at[k]], its column keys the next, and the
+	// keys only its delta holds the one after that, when it has one.
+	sets, at := make([]*keys.Set, 0, 3*len(parts)), make([]int, len(parts))
+	for k, p := range parts {
+		at[k] = len(sets)
+		sets = append(sets, p.RowKeys(), p.ColKeys())
+		if continued(k) {
+			sets = append(sets, deltas[k].Fresh)
+		}
+	}
+	verts, pos, err := keys.UnionAll(sets)
 	if err != nil {
+		return nil, fmt.Errorf("algo: vertex keys: %w", err)
+	}
+	n := verts.Len()
+	src := &sparse.Gather[float64]{
+		Parts: make([]*sparse.CSR[float64], len(parts)), RowPos: make([][]int32, len(parts)), ColPos: make([][]int32, len(parts)),
+		Ops: ops, Rows: n, Cols: n,
+	}
+	for k, p := range parts {
+		src.Parts[k], src.RowPos[k], src.ColPos[k] = p.Matrix(), pos[at[k]], pos[at[k]+1]
+		if !continued(k) {
+			continue
+		}
+		if src.Deltas == nil {
+			src.Deltas = make([]*sparse.CSR[float64], len(parts))
+		}
+		d, freshPos := deltas[k], pos[at[k]+2]
+		row := place(d.Row, p.RowKeys().Len(), src.RowPos[k], freshPos)
+		col := place(d.Col, p.ColKeys().Len(), src.ColPos[k], freshPos)
+		if src.Deltas[k], err = sparse.GroupUnitRows(n, n, row, col, d.Prod, nil, ops, nil); err != nil {
+			return nil, fmt.Errorf("algo: part %d's delta: %w", k, err)
+		}
+	}
+	adj, err := src.Pattern()
+	if err != nil {
+		var rc *sparse.RowConflictError
+		if errors.As(err, &rc) {
+			return nil, fmt.Errorf("algo: gather into vertex space: row %q is stored by part %d and by part %d, and parts must own disjoint rows: %w",
+				verts.Key(rc.Row), rc.First, rc.Second, err)
+		}
 		return nil, fmt.Errorf("algo: gather into vertex space: %w", err)
 	}
-	return &Graph{verts: sq.RowKeys(), adj: sq.Matrix()}, nil
+	g := &Graph{verts: verts, adj: adj, src: src}
+	if len(parts) == 1 && src.Deltas == nil {
+		g.weighted() // one array with nothing to fold shares its values: no gather to keep
+	}
+	return g, nil
+}
+
+// place maps a delta's positions — below past in its main's keys, from
+// there on in its fresh keys — into the square space, through the two
+// maps the union returned (nil: the identity).
+func place(ids []int32, past int, mainPos, freshPos []int32) []int32 {
+	out := make([]int32, len(ids))
+	for e, x := range ids {
+		switch i := int(x) - past; {
+		case i < 0 && mainPos != nil:
+			out[e] = mainPos[x]
+		case i < 0:
+			out[e] = x
+		case freshPos != nil:
+			out[e] = freshPos[i]
+		default:
+			out[e] = int32(i)
+		}
+	}
+	return out
 }
 
 // FromPattern builds a Graph from any array's pattern with weight 1 per
@@ -85,9 +184,9 @@ func FromPattern[V any](a *assoc.Array[V]) (*Graph, error) {
 	return FromArray(ones)
 }
 
-// FromSnapshot builds a Graph from a live stream snapshot's adjacency —
-// the serving path: the snapshot is O(1) to take and immutable, so the
-// Graph reads the maintained CSR directly while ingest continues.
+// FromSnapshot builds a Graph from a live stream snapshot's adjacency:
+// the snapshot is immutable, so the Graph reads the maintained CSR
+// directly while ingest continues.
 func FromSnapshot(s stream.Snapshot[float64]) (*Graph, error) {
 	return FromArray(s.Adjacency)
 }
@@ -101,15 +200,28 @@ func (g *Graph) NumEdges() int { return g.adj.NNZ() }
 // transpose returns the cached pattern of Aᵀ, building it on first use
 // (the pull kernels and PageRank gather along in-edges).
 func (g *Graph) transpose() *sparse.Pattern {
-	g.trOnce.Do(func() { g.tr = g.adj.Pattern().Transpose() })
+	g.trOnce.Do(func() { g.tr = g.adj.Transpose() })
 	return g.tr
+}
+
+// weighted returns A with its values, on the pattern's own index arrays:
+// laid from the arrays the Graph was built from on first use.
+func (g *Graph) weighted() *sparse.CSR[float64] {
+	g.valOnce.Do(func() {
+		a, err := g.src.Onto(g.adj)
+		if err != nil {
+			panic("algo: " + err.Error()) // the pattern is the gather's own
+		}
+		g.val, g.src = a, nil // the gather's maps and deltas are needed no more
+	})
+	return g.val
 }
 
 // weightedTranspose returns the cached Aᵀ with its values, on the
 // pattern transpose's own index arrays.
 func (g *Graph) weightedTranspose() *sparse.CSR[float64] {
 	g.trValOnce.Do(func() {
-		t, err := g.adj.TransposeOnto(g.transpose())
+		t, err := g.weighted().TransposeOnto(g.transpose())
 		if err != nil {
 			panic("algo: " + err.Error()) // the pattern is adj's own
 		}
@@ -253,7 +365,7 @@ func (g *Graph) relaxToFixpoint(src int32, seed float64, ops semiring.Ops[float6
 				frontMask[u] = false
 			}
 		} else {
-			touched = sparse.SpMSpVPush(g.adj, frontier, frontVals, ops.Add, ops.Mul, acc, hit, touched)
+			touched = sparse.SpMSpVPush(g.weighted(), frontier, frontVals, ops.Add, ops.Mul, acc, hit, touched)
 			// Push discovers outputs in scatter order; the next frontier
 			// must be ascending to keep the following round's fold order.
 			sortIDs(touched)
@@ -384,7 +496,7 @@ func (g *Graph) Components() (map[string]string, error) {
 		Zero: 0, One: 1,
 		Equal: func(a, b float64) bool { return a == b },
 	}
-	ones := onesLike(g.adj)
+	ones := sparse.Convert(g.adj, func(_, _ int, _ struct{}) float64 { return 1 })
 	sym, err := sparse.EWiseAdd(ones, ones.Transpose(), patternOps)
 	if err != nil {
 		return nil, err
@@ -425,11 +537,6 @@ func (g *Graph) Components() (map[string]string, error) {
 		out[g.verts.Key(i)] = g.verts.Key(int(label[i]))
 	}
 	return out, nil
-}
-
-// onesLike copies a matrix's pattern with every stored value 1.
-func onesLike(m *sparse.CSR[float64]) *sparse.CSR[float64] {
-	return m.Map(func(_, _ int, _ float64) float64 { return 1 })
 }
 
 // TriangleCount is the CSR-native triangle count: per stored edge (i,j)

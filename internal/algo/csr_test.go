@@ -428,7 +428,7 @@ func TestFromArraysMatchesFromArrayOfTheGathered(t *testing.T) {
 		if err := got.adj.Validate(); err != nil {
 			t.Fatalf("%s[%d], %d parts: %v", inst.Name, i, k, err)
 		}
-		if !sparse.Equal(got.adj, want.adj, value.Float64Equal) {
+		if !sparse.Equal(got.weighted(), want.weighted(), value.Float64Equal) {
 			t.Fatalf("%s[%d], %d parts: the CSR differs from the gathered array's", inst.Name, i, k)
 		}
 	}
@@ -447,7 +447,7 @@ func TestFromArraySharingAndRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, vals := adj.Matrix().Row(0)
-	_, gvals := g.adj.Row(0)
+	_, gvals := g.weighted().Row(0)
 	if g.verts.Len() != 4 || &vals[0] != &gvals[0] {
 		t.Errorf("a non-square array's values were copied into the Graph (%d vertices)", g.verts.Len())
 	}
@@ -455,7 +455,7 @@ func TestFromArraySharingAndRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2, err := FromArray(square); err != nil || g2.adj != square.Matrix() {
+	if g2, err := FromArray(square); err != nil || g2.weighted() != square.Matrix() {
 		t.Errorf("a square array's matrix was not used as it is (%v)", err)
 	}
 	other := assoc.FromTriples([]assoc.Triple[float64]{{Row: "c", Col: "a", Val: 3}}, nil)
@@ -491,10 +491,13 @@ func TestCSRGraphErrors(t *testing.T) {
 }
 
 // The bytes of a serving Graph, as a MemStats delta: building it from
-// two row-disjoint parts copies every stored entry once (12 B: a column
-// index and a value), the structural kernels add the pattern transpose
-// (4 B) and vectors over the vertices, and only the first weighted pull
-// lays the transpose's values down (8 B more).
+// two row-disjoint parts copies every stored entry's column once (4 B: the
+// pattern), the structural kernels add the pattern transpose (4 B) and
+// vectors over the vertices, and only the first weighted kernel lays
+// values down, onto the pattern and onto its transpose (8 B each). The
+// values moved from the build to that first weighted kernel: the sum of
+// the two bounds is what it was when the build copied them (16 + 8 B per
+// entry).
 func TestGraphBytesPerEntry(t *testing.T) {
 	adj, _, src := benchAdjacency(t, 12)
 	parts := dealRows(adj, 2)
@@ -524,7 +527,7 @@ func TestGraphBytesPerEntry(t *testing.T) {
 	// position maps of the gather (16), two row pointers and the
 	// transpose's cursor (12), BFS's levels and frontiers (16), PageRank's
 	// rank, scaled rank and inverse degrees (24).
-	if limit := 16*nnz + 96*verts + 1<<12; structural > limit {
+	if limit := 8*nnz + 96*verts + 1<<12; structural > limit {
 		t.Errorf("FromArrays + BFS + PageRank allocated %d B for %d entries over %d vertices (%.1f B/entry), want at most %d",
 			structural, nnz, verts, float64(structural)/float64(nnz), limit)
 	}
@@ -533,12 +536,13 @@ func TestGraphBytesPerEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The values on the pattern (8 per entry), its cursor (4 per vertex),
-	// and the relaxation's vectors: values and accumulator (16), three
-	// masks (3), and the frontiers, their values and the touched list,
-	// each grown by doubling (up to 2 × 20).
+	// The values on the pattern and on its transpose (8 + 8 per entry),
+	// the transpose's cursor (4 per vertex), and the relaxation's vectors:
+	// values and accumulator (16), three masks (3), and the frontiers,
+	// their values and the touched list, each grown by doubling (up to
+	// 2 × 20).
 	t.Logf("%d B for the first weighted pull", weighted)
-	if limit := 8*nnz + 72*verts + 1<<12; weighted > limit {
+	if limit := 16*nnz + 72*verts + 1<<12; weighted > limit {
 		t.Errorf("the first SSSP allocated %d B for %d entries over %d vertices, want at most %d", weighted, nnz, verts, limit)
 	}
 	if got := allocated(func() { g.SSSPVector(src) }); got >= 8*nnz {

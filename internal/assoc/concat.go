@@ -33,31 +33,6 @@ func ConcatRows[V any](parts []*Array[V]) (*Array[V], error) {
 	if err != nil {
 		return nil, fmt.Errorf("assoc: ConcatRows column keys: %w", err)
 	}
-	return concatRows(parts, rows, cols, rowPos, colPos)
-}
-
-// ConcatRowsSquare is ConcatRows into the square space a graph kernel
-// runs in: both sides span one vertex set, the union of every part's row
-// AND column keys. With one part that is an embedding — values shared,
-// never copied, and a part already square over one key set comes back
-// with its own matrix.
-func ConcatRowsSquare[V any](parts []*Array[V]) (*Array[V], error) {
-	sets := make([]*keys.Set, 0, 2*len(parts))
-	for _, p := range parts {
-		sets = append(sets, p.rows, p.cols)
-	}
-	verts, pos, err := keys.UnionAll(sets)
-	if err != nil {
-		return nil, fmt.Errorf("assoc: ConcatRowsSquare vertex keys: %w", err)
-	}
-	rowPos, colPos := make([][]int32, len(parts)), make([][]int32, len(parts))
-	for k := range parts {
-		rowPos[k], colPos[k] = pos[2*k], pos[2*k+1]
-	}
-	return concatRows(parts, verts, verts, rowPos, colPos)
-}
-
-func concatRows[V any](parts []*Array[V], rows, cols *keys.Set, rowPos, colPos [][]int32) (*Array[V], error) {
 	mats := make([]*sparse.CSR[V], len(parts))
 	for k, p := range parts {
 		mats[k] = p.mat

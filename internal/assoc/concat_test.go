@@ -67,20 +67,6 @@ func TestConcatRowsMatchesEmbedThenAdd(t *testing.T) {
 		if d := Diff(got, referenceGather(t, parts, ops), eqFloat, nil); d != "" {
 			t.Fatalf("trial %d (%d parts): %s", trial, len(parts), d)
 		}
-
-		// The square form is the same entries over rows ∪ cols on both sides.
-		sq, err := ConcatRowsSquare(parts)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		verts := got.rows.Union(got.cols)
-		want, err := got.EmbedInto(verts, verts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := Diff(sq, want, eqFloat, nil); d != "" {
-			t.Fatalf("trial %d (%d parts), square: %s", trial, len(parts), d)
-		}
 	}
 }
 
@@ -91,7 +77,7 @@ func TestConcatRowsNamesTheSharedRow(t *testing.T) {
 	b := FromTriples([]Triple[float64]{{Row: "carol", Col: "x", Val: 3}}, nil)
 	c := FromTriples([]Triple[float64]{{Row: "bob", Col: "z", Val: 4}, {Row: "dave", Col: "x", Val: 5}}, nil)
 	for name, concat := range map[string]func([]*Array[float64]) (*Array[float64], error){
-		"ConcatRows": ConcatRows[float64], "ConcatRowsSquare": ConcatRowsSquare[float64],
+		"ConcatRows": ConcatRows[float64],
 	} {
 		if _, err := concat([]*Array[float64]{a, b}); err != nil {
 			t.Fatalf("%s of disjoint parts: %v", name, err)
@@ -109,29 +95,11 @@ func TestConcatRowsNamesTheSharedRow(t *testing.T) {
 	}
 }
 
-// One part keeps today's sharing: returned as it is when there is nothing
-// to align, its matrix itself when it is already square over one key set,
-// and otherwise an embedding that shares its values.
+// One part is returned as it is: there is nothing to align.
 func TestConcatRowsOfOnePartShares(t *testing.T) {
 	a := FromTriples([]Triple[float64]{{Row: "a", Col: "b", Val: 1}, {Row: "c", Col: "d", Val: 2}}, nil)
 	if got, err := ConcatRows([]*Array[float64]{a}); err != nil || got != a {
 		t.Errorf("ConcatRows of one part = %v, %v; want the part itself", got, err)
-	}
-	sq, err := ConcatRowsSquare([]*Array[float64]{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, vals := a.mat.Row(0)
-	_, sqVals := sq.mat.Row(0) // "a" is the first vertex too
-	if sq.rows.Len() != 4 || sq.rows != sq.cols || &vals[0] != &sqVals[0] {
-		t.Errorf("square form of a non-square part: %v × %v, values shared %v", sq.rows, sq.cols, &vals[0] == &sqVals[0])
-	}
-	square, err := a.EmbedInto(sq.rows, sq.cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := ConcatRowsSquare([]*Array[float64]{square}); err != nil || again.mat != square.mat {
-		t.Errorf("a square part over one key set: matrix %p, want its own %p (%v)", again.mat, square.mat, err)
 	}
 }
 

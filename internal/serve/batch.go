@@ -61,16 +61,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	shards, epochs, ok := s.snapshot(w)
+	pins, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
 	// A source's whole row lives on the shard its routing hash names, so
-	// that shard's pinned array answers a point op cell for cell as the
-	// gathered one would. The batch's pin folded every shard: a point op
-	// reads no suffix.
+	// that shard's point pin — main beside its unfolded suffix — answers a
+	// point op cell for cell as the gathered array would, and a batch of
+	// point ops folds nothing.
 	owner := func(src string) stream.PointSnapshot[float64] {
-		return shards[s.ing.Store().ShardFor(src)].Point()
+		return pins[s.ing.Store().ShardFor(src)]
 	}
 	// The Graph is built (or fetched from the cache) at most once per
 	// batch, and only when an algorithm op actually needs it.
@@ -80,7 +80,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return g, nil
 		}
 		var err error
-		g, err = s.cache.graphFor(shards, epochs)
+		g, err = s.cache.graphFor(pins, epochs)
 		return g, err
 	}
 

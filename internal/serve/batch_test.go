@@ -69,6 +69,37 @@ func TestBatchMixedOps(t *testing.T) {
 	}
 }
 
+// A /batch of point ops reads every shard's point pin — main beside its
+// unfolded suffix — so at a new vector it folds no shard, and its at and
+// row ops answer what a fold would have stored: a cell the suffix
+// continues, a cell it adds, and a source only the suffix has met.
+func TestBatchPointOpsFoldNothing(t *testing.T) {
+	ing := newTestIngest(t, core.IngestOptions{Shards: 2})
+	seedEdges(t, ing, [2]string{"a", "b"}, [2]string{"c", "d"}) // folds every shard
+	if err := ing.AppendBatch([]stream.Edge[float64]{{Src: "a", Dst: "x"}, {Src: "c", Dst: "d"}, {Src: "new", Dst: "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(ing, Options{})
+	before := ing.Store().Stats()
+	code, out := postBatch(t, s, `{"ops":[{"op":"at","src":"c","dst":"d"},{"op":"row","src":"a"},{"op":"at","src":"new","dst":"a"}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("/batch = %d", code)
+	}
+	if after := ing.Store().Stats(); after.Folds != before.Folds || after.Pending != before.Pending {
+		t.Errorf("a batch of point ops: folds %d → %d, pending %d → %d; want neither to move", before.Folds, after.Folds, before.Pending, after.Pending)
+	}
+	results := out["results"].([]any)
+	if r := results[0].(map[string]any); r["stored"] != true || r["value"].(float64) != 2 {
+		t.Errorf("at c→d = %v, want the stored 1 continued by the suffix's 1", r)
+	}
+	if r := results[1].(map[string]any)["row"].(map[string]any); len(r) != 2 || r["b"] != 1.0 || r["x"] != 1.0 {
+		t.Errorf("row a = %v, want b and x", r)
+	}
+	if r := results[2].(map[string]any); r["stored"] != true {
+		t.Errorf("at new→a = %v, want the suffix's edge", r)
+	}
+}
+
 func TestBatchRequestValidation(t *testing.T) {
 	s, _ := triangleServer(t)
 

@@ -84,7 +84,14 @@ func appendJSONString(dst []byte, s string) []byte {
 // exponents not padded). ±Inf and NaN, which JSON has no number for but
 // the tropical algebras store as ordinary values (an unweighted max.min
 // edge has width +Inf), are written as the library's FormatFloat string.
+// An integer below 2⁵³ in magnitude — a unit weight, a distance over
+// unit weights — is written by AppendInt, whose digits are the 'f' form's
+// without the shortest-representation search; negative zero is not, as
+// encoding/json writes it "-0".
 func appendJSONFloat(dst []byte, f float64) []byte {
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(dst, i, 10)
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return appendJSONString(dst, value.FormatFloat(f))
 	}

@@ -43,6 +43,7 @@ func FuzzAppendJSONFloat(f *testing.F) {
 	for _, v := range []float64{
 		1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), -1e21, 1e-9, 1.5e-10, 1e-10, 1e22, 1e100, 1e-100,
 		1 << 53, 1<<53 + 2, 1<<63 - 1024, 100, 0.1, 1.0 / 3, math.SmallestNonzeroFloat64, -math.MaxFloat64, math.Pi,
+		0, math.Copysign(0, -1), -3, 1<<53 - 1, -(1<<53 - 1), -(1 << 53), 1 << 62, -1 << 63,
 	} {
 		f.Add(v)
 	}

@@ -31,37 +31,43 @@ func allocatedBy(t *testing.T, s *Server, r *http.Request) float64 {
 // graph, as counts that repeat: after an acknowledged 32-edge append that
 // introduces a vertex, the read-your-write /at folds nothing — it reads
 // the owning shard's main beside the 16 or so edges the append left it,
-// and allocates its answer — and the algorithm query that follows pays
-// both shards' folds (each one copy of that shard's main, read from the
-// old one through the universe's position maps), one copy of the graph
-// straight into the kernel's vertex space, its pattern transpose and the
-// kernel's vectors. The bounds are the largest of 40 measurements (/at
-// 2.0 KB, /bfs 5.15 MB, /pagerank 6.85 MB — its spread is whether a
-// collection emptied the kernel pools; the first fold of each shard has no
-// merge scratch to reuse, later vectors read 4.54 and 5.75 MB) plus 10%.
-// While the owner's fold sat in the /at the same three read 1.06, 4.47
-// and 5.80 MB; with 8-byte indices and a valued transpose 1.41, 7.10 and
-// 7.52 MB. (Embedding main before the merge, gathering the shards with ⊕
-// into a store-wide array and embedding that again into the vertex space
-// cost /at 2.4–2.5 MB, /bfs 10.8–12.1 MB and /pagerank 11.4–13.8 MB.) At
-// an unchanged vector a query allocates what TestAnswerAllocations bounds.
+// and allocates its answer — and neither does the algorithm query that
+// follows: it pins every shard in the point pin's form and builds its
+// Graph from each shard's main continued by its unfolded suffix, one
+// pattern copy of the graph straight into the kernel's vertex space, then
+// its pattern transpose and the kernel's vectors. No shard folds below the
+// threshold, so Stats().Folds does not move. The bounds are the largest of
+// 40 measurements (/at 2.1 KB, /bfs 2.43 MB, /pagerank 4.14 MB — its
+// spread, 3.04 to 4.14 MB, is whether a collection emptied the response
+// buffer pool) plus 11–12%. When the query folded both shards first (each
+// one copy of that shard's main, read from the old one through the
+// universe's position maps) and copied the graph with its values into the
+// vertex space, the same three read 2.0 KB, 5.15 and 6.85 MB; while the
+// owner's fold sat in the /at, 1.06, 4.47 and 5.80 MB; with 8-byte indices
+// and a valued transpose 1.41, 7.10 and 7.52 MB. (Embedding main before
+// the merge, gathering the shards with ⊕ into a store-wide array and
+// embedding that again into the vertex space cost /at 2.4–2.5 MB, /bfs
+// 10.8–12.1 MB and /pagerank 11.4–13.8 MB.) At an unchanged vector a query
+// allocates what TestAnswerAllocations bounds.
 func TestNewEpochAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const KB, MB = 1 << 10, 1 << 20
-	s := New(rmatIngest(t, 14, 2), Options{})
+	ing := rmatIngest(t, 14, 2)
+	s := New(ing, Options{})
 	r := rand.New(rand.NewSource(2))
 	w := &discard{header: http.Header{}}
 	for i, query := range []struct {
 		path  string
 		bound float64
 	}{
-		{"/bfs?src=" + rmatHub, 5.7 * MB}, {"/pagerank?iters=20", 7.5 * MB},
-		{"/bfs?src=" + rmatHub, 5.7 * MB}, {"/pagerank?iters=20", 7.5 * MB},
+		{"/bfs?src=" + rmatHub, 2.7 * MB}, {"/pagerank?iters=20", 4.65 * MB},
+		{"/bfs?src=" + rmatHub, 2.7 * MB}, {"/pagerank?iters=20", 4.65 * MB},
 	} {
 		body, probe := newEpochBatch(r, i)
 		serveDiscarding(t, s, w, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
+		folds := ing.Store().Stats().Folds
 		at := allocatedBy(t, s, httptest.NewRequest("GET", probe, nil))
 		first := allocatedBy(t, s, httptest.NewRequest("GET", query.path, nil))
 		t.Logf("new vector %d: /at %.1f KB, %s %.2f MB", i, at/KB, query.path, first/MB)
@@ -69,7 +75,10 @@ func TestNewEpochAllocations(t *testing.T) {
 			t.Errorf("the read-your-write /at allocated %.1f KB; want at most 16 KB — it folds nothing", at/KB)
 		}
 		if first > query.bound {
-			t.Errorf("%s at a new vector allocated %.2f MB; want at most %.1f MB", query.path, first/MB, query.bound/MB)
+			t.Errorf("%s at a new vector allocated %.2f MB; want at most %.2f MB", query.path, first/MB, query.bound/MB)
+		}
+		if st := ing.Store().Stats(); st.Folds != folds || st.Pending == 0 {
+			t.Errorf("%s at a new vector below the fold threshold: folds %d → %d, %d edges pending; want no fold", query.path, folds, st.Folds, st.Pending)
 		}
 	}
 	if objects, bytes := perAnswer(t, s, "/pagerank?iters=20"); objects > 128 || bytes > 1.5*MB {

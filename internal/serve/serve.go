@@ -24,12 +24,14 @@
 //
 // Every response carries the epoch vector its snapshot was pinned at,
 // so clients can order reads across shards. A whole-graph answer (an
-// algorithm, /triples, /batch) pins every shard. The pin gathers
-// nothing: the cached Graph is built from the pinned shards' arrays,
-// each shard's rows copied once into the square vertex space the kernels
-// run in (algo.FromArrays), a /batch point op reads the pinned shard
-// that owns its source, and only /triples asks the store for the
-// gathered store-wide array. Shards own disjoint rows and both the Graph
+// algorithm, /triples, /batch) pins every shard. An algorithm or /batch
+// pin folds and gathers nothing: it takes every shard's point pin, main
+// beside the log's unfolded suffix (stream.Store.PointPin); the cached
+// Graph is built from those, each shard's main continued by its suffix
+// as its rows are copied once, as a pattern, into the square vertex space
+// the kernels run in (algo.FromPins); a /batch point op reads the point
+// pin of the shard that owns its source; and only /triples asks the
+// store for the gathered store-wide array. Shards own disjoint rows and both the Graph
 // build and the gather check it: a store whose shards overlap answers
 // 500 naming the row on those paths, while point reads keep answering. A
 // point read (/at, /row) pins only the shard that owns its source vertex
@@ -59,7 +61,6 @@ import (
 	"time"
 
 	"adjarray/internal/algo"
-	"adjarray/internal/assoc"
 	"adjarray/internal/core"
 	"adjarray/internal/obs"
 	"adjarray/internal/stream"
@@ -155,7 +156,7 @@ func New(ing *core.Ingest, opt Options) *Server {
 	}
 	s.buffers.New = func() any { return new(bytes.Buffer) }
 	s.met = newMetrics(opt.Registry, ing)
-	s.cache = &graphCache{met: s.met, build: algo.FromArrays}
+	s.cache = &graphCache{met: s.met, build: algo.FromPins}
 	s.readPool = newPool("read", opt.ReadWorkers, opt.ReadQueue, opt.RetryAfter, s.met)
 	s.algoPool = newPool("algo", opt.AlgoWorkers, opt.AlgoQueue, opt.RetryAfter, s.met)
 	s.routes()
@@ -229,27 +230,28 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// takeSnapshot pins one consistent read without gathering it: every
-// shard's snapshot at one epoch vector (cached per vector by the store)
-// and the vector. Whoever needs one array over the whole store — only
-// /triples — asks the store for the gathered snapshot instead.
-func (s *Server) takeSnapshot() ([]stream.Snapshot[float64], []int, error) {
-	snap, err := s.ing.Store().Pin()
+// takeSnapshot pins one consistent read of the whole graph without
+// folding or gathering it: every shard's point pin — main beside the
+// log's unfolded suffix — at one epoch vector, and the vector
+// (stream.Store.PointPin). Whoever needs one array over the whole store
+// — only /triples — asks the store for the gathered snapshot instead.
+func (s *Server) takeSnapshot() ([]stream.PointSnapshot[float64], []int, error) {
+	pins, epochs, err := s.ing.Store().PointPin()
 	if err != nil {
 		return nil, nil, err
 	}
-	s.met.observeEpochs(snap.Epochs)
-	return snap.Shards, snap.Epochs, nil
+	s.met.observeEpochs(epochs)
+	return pins, epochs, nil
 }
 
 // snapshot is takeSnapshot with the HTTP error path folded in.
-func (s *Server) snapshot(w http.ResponseWriter) ([]stream.Snapshot[float64], []int, bool) {
-	shards, epochs, err := s.takeSnapshot()
+func (s *Server) snapshot(w http.ResponseWriter) ([]stream.PointSnapshot[float64], []int, bool) {
+	pins, epochs, err := s.takeSnapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return nil, nil, false
 	}
-	return shards, epochs, true
+	return pins, epochs, true
 }
 
 // pinOwner pins a point read: the point pin of the one shard that owns
@@ -277,10 +279,13 @@ func (s *Server) pinOwner(w http.ResponseWriter, src string) (stream.PointSnapsh
 // graphCache memoizes the CSR-native algo.Graph per snapshot epoch
 // vector: algorithm queries between ingest batches reuse one id-space
 // embedding (and its lazily built transpose) instead of rebuilding per
-// request. The Graph is built from the pinned shards' arrays directly —
-// each shard's rows copied once into the square vertex space the kernels
-// run in — so a new vector costs one copy of the graph, and the cached
-// Graph keeps no store-wide array alive beside its own.
+// request. The Graph is built from the shards' point pins directly —
+// each shard's main continued by its unfolded suffix as it is copied, as
+// a pattern, into the square vertex space the kernels run in — so a new
+// vector costs one pattern copy of the graph (4 B per entry) and no
+// shard's fold, and the cached Graph keeps no store-wide array alive
+// beside its own: values are read from the pinned mains, and laid on
+// only when a weighted kernel first asks.
 //
 // Snapshots are taken OUTSIDE the cache lock, so two concurrent
 // requests can pin different epochs and reach graphFor in either
@@ -299,7 +304,7 @@ type graphCache struct {
 	epochs []int
 	entry  *graphEntry
 	met    *metrics
-	build  func([]*assoc.Array[float64]) (*algo.Graph, error) // algo.FromArrays; tests gate it
+	build  func([]stream.PointSnapshot[float64]) (*algo.Graph, error) // algo.FromPins; tests gate it
 }
 
 // graphEntry is one Graph, built or being built.
@@ -311,7 +316,7 @@ type graphEntry struct {
 
 // graphFor returns a Graph for the pinned snapshot (shards at epochs),
 // cached when the vector is current or newer than the cached one.
-func (c *graphCache) graphFor(shards []stream.Snapshot[float64], epochs []int) (*algo.Graph, error) {
+func (c *graphCache) graphFor(pins []stream.PointSnapshot[float64], epochs []int) (*algo.Graph, error) {
 	c.mu.Lock()
 	e := c.entry
 	switch {
@@ -328,13 +333,7 @@ func (c *graphCache) graphFor(shards []stream.Snapshot[float64], epochs []int) (
 		c.met.cacheStale.Inc()
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		parts := make([]*assoc.Array[float64], len(shards))
-		for i, sn := range shards {
-			parts[i] = sn.Adjacency
-		}
-		e.g, e.err = c.build(parts)
-	})
+	e.once.Do(func() { e.g, e.err = c.build(pins) })
 	return e.g, e.err
 }
 
@@ -465,11 +464,11 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 // error (404); an algorithm refusing the instance (asymmetric
 // triangles, no fixpoint) is 422.
 func (s *Server) algoQuery(w http.ResponseWriter, run func(g *algo.Graph) (result, error)) {
-	shards, epochs, ok := s.snapshot(w)
+	pins, epochs, ok := s.snapshot(w)
 	if !ok {
 		return
 	}
-	g, err := s.cache.graphFor(shards, epochs)
+	g, err := s.cache.graphFor(pins, epochs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

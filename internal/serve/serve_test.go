@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"adjarray/internal/algo"
-	"adjarray/internal/assoc"
 	"adjarray/internal/core"
 	"adjarray/internal/stream"
 )
@@ -440,14 +439,14 @@ func TestGraphCacheBuildsOutsideItsLock(t *testing.T) {
 	// From here on a build for the new snapshot blocks until released.
 	var newBuilds atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
-	s.cache.build = func(parts []*assoc.Array[float64]) (*algo.Graph, error) {
-		if parts[0] == adj2[0].Adjacency {
+	s.cache.build = func(pins []stream.PointSnapshot[float64]) (*algo.Graph, error) {
+		if pins[0].Epoch == adj2[0].Epoch {
 			if newBuilds.Add(1) == 1 {
 				close(entered)
 			}
 			<-release
 		}
-		return algo.FromArrays(parts)
+		return algo.FromPins(pins)
 	}
 	graphs := make(chan *algo.Graph, 2)
 	request := func() {

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
 
 	"adjarray/internal/semiring"
 )
@@ -118,71 +117,246 @@ func checkMonotone(pos []int32, bound int, name string) error {
 // ConcatRows gathers row-disjoint parts into one rows×cols matrix: row i
 // of parts[k] lands at row rowPos[k][i] with its columns renumbered
 // through colPos[k] — Embed's maps, one pair per part, checked the same
-// way. The parts' rows are counted into the result's rowPtr, prefixed,
-// and each stored row is copied once into an exact-size result; no two
-// values ever meet, so there is no ⊕ and no operator pair to ask for.
+// way — and each stored row is copied once into an exact-size result; no
+// two values ever meet, so there is no ⊕ and no operator pair to ask for.
 // That rests on the parts owning disjoint rows, which is checked, not
-// assumed: a row stored by two parts is refused with a
-// *RowConflictError naming it (a part's EMPTY row claims nothing). One
-// part is Embed: its values are shared, not copied.
-//
-//adjlint:cow-writer
+// assumed: a row stored by two parts is refused with a *RowConflictError
+// naming it (a part's EMPTY row claims nothing). One part is Embed: its
+// values are shared, not copied. It is the Gather without deltas.
 func ConcatRows[V any](parts []*CSR[V], rowPos, colPos [][]int32, rows, cols int) (*CSR[V], error) {
-	if len(rowPos) != len(parts) || len(colPos) != len(parts) {
-		return nil, fmt.Errorf("sparse: ConcatRows has %d parts, %d row maps, %d column maps", len(parts), len(rowPos), len(colPos))
+	g := &Gather[V]{Parts: parts, RowPos: rowPos, ColPos: colPos, Rows: rows, Cols: cols}
+	bound, err := g.check()
+	if err != nil {
+		return nil, err
 	}
 	if len(parts) == 1 {
 		return Embed(parts[0], rowPos[0], colPos[0], rows, cols)
 	}
-	nnz := 0
-	for k, m := range parts {
-		if err := checkEmbed(m, rowPos[k], colPos[k], rows, cols); err != nil {
-			return nil, fmt.Errorf("sparse: ConcatRows part %d: %w", k, err)
+	rowPtr, colIdx, val := make([]int32, rows+1), make([]int32, bound), make([]V, bound)
+	n, err := g.walk(rowPtr, colIdx, val)
+	if err != nil {
+		return nil, err
+	}
+	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx[:n], val: val[:n]}, nil
+}
+
+// A Gather is row-disjoint parts bound for one Rows×Cols matrix, as
+// ConcatRows takes them, each optionally continued by a delta: Deltas[k],
+// when Deltas holds one, spans the result's own space and holds part k's
+// later contributions in runs — one cell's in their order, as
+// GroupUnitRows leaves them. A run folds onto the part's value — or, where
+// the part stores none, onto the run's first entry — left to right under
+// Ops, and a fold equal to Zero is no entry: EWiseAddInto's fold, read
+// through the part's maps instead of written into a copy of it first.
+// Without deltas no two values meet and Ops is not read.
+//
+// Rows are visited in order, each part's through a cursor, so the result
+// is written in one pass. Disjointness is checked as in ConcatRows: a row
+// two parts both emit is a *RowConflictError (a row that is empty, or
+// whose every cell folds to Zero, claims nothing).
+//
+// Pattern writes the result's structure alone; Onto lays its values onto
+// that pattern later, by the same pass — a consumer that reads the values
+// rarely pays for them only when it does.
+type Gather[V any] struct {
+	Parts          []*CSR[V]
+	RowPos, ColPos [][]int32
+	Deltas         []*CSR[V] // nil, or one per part; a nil entry continues nothing
+	Ops            semiring.Ops[V]
+	Rows, Cols     int
+}
+
+// Pattern returns the gathered matrix's structure. One part without a
+// delta is Embed's: its index arrays are shared wherever Embed shares
+// them.
+func (g *Gather[V]) Pattern() (*Pattern, error) {
+	bound, err := g.check()
+	if err != nil {
+		return nil, err
+	}
+	if g.embeds() {
+		m, err := Embed(g.Parts[0], g.RowPos[0], g.ColPos[0], g.Rows, g.Cols)
+		if err != nil {
+			return nil, err
 		}
-		nnz += len(m.colIdx)
+		return m.Pattern(), nil
 	}
-	if err := checkIndexRange(rows, cols, nnz); err != nil {
-		return nil, fmt.Errorf("sparse: ConcatRows: %w", err)
+	rowPtr, colIdx := make([]int32, g.Rows+1), make([]int32, bound)
+	n, err := g.walk(rowPtr, colIdx, nil)
+	if err != nil {
+		return nil, err
 	}
-	rowPtr := make([]int32, rows+1)
-	for k, m := range parts {
-		for i := 0; i < m.rows; i++ {
-			n := m.rowPtr[i+1] - m.rowPtr[i]
-			if n == 0 {
-				continue
-			}
-			r := rowAt(rowPos[k], i)
-			if rowPtr[r+1] != 0 {
-				return nil, &RowConflictError{Row: r, First: firstOwner(parts, rowPos, r), Second: k}
-			}
-			rowPtr[r+1] = n
+	return &Pattern{rows: g.Rows, cols: g.Cols, rowPtr: rowPtr, colIdx: colIdx[:n:n], val: make([]struct{}, n)}, nil
+}
+
+// Onto returns the gathered matrix with its values, on p — what Pattern
+// returned: the result shares p's index arrays and only the values are
+// laid down. One part without a delta shares that part's values too, and
+// is the part itself when nothing moves.
+//
+//adjlint:cow-writer
+func (g *Gather[V]) Onto(p *Pattern) (*CSR[V], error) {
+	bound, err := g.check()
+	if err != nil {
+		return nil, err
+	}
+	if p.rows != g.Rows || p.cols != g.Cols {
+		return nil, fmt.Errorf("sparse: Gather.Onto: a %d×%d pattern for a %d×%d gather", p.rows, p.cols, g.Rows, g.Cols)
+	}
+	var val []V
+	if g.embeds() {
+		m := g.Parts[0]
+		if g.RowPos[0] == nil && g.ColPos[0] == nil && g.Rows == m.rows && g.Cols == m.cols {
+			return m, nil
+		}
+		val = m.val
+	} else {
+		val = make([]V, bound)
+		if _, err := g.walk(nil, nil, val); err != nil {
+			return nil, err
 		}
 	}
-	for r := 0; r < rows; r++ {
-		rowPtr[r+1] += rowPtr[r]
+	if len(val) < len(p.colIdx) {
+		return nil, fmt.Errorf("sparse: Gather.Onto: %d values for a pattern of %d entries", len(val), len(p.colIdx))
 	}
-	colIdx := make([]int32, rowPtr[rows])
-	val := make([]V, rowPtr[rows])
-	for k, m := range parts {
-		cp := colPos[k]
-		for i := 0; i < m.rows; i++ {
-			lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-			if lo == hi {
+	n := len(p.colIdx)
+	return &CSR[V]{rows: p.rows, cols: p.cols, rowPtr: p.rowPtr, colIdx: p.colIdx, val: val[:n:n]}, nil
+}
+
+// embeds reports whether the gather is one part and nothing to fold:
+// Embed, which shares what it can.
+func (g *Gather[V]) embeds() bool {
+	return len(g.Parts) == 1 && (g.Deltas == nil || g.Deltas[0] == nil)
+}
+
+// check validates the parts' maps and the deltas' shapes against the
+// result's space and returns the bound on its stored entries: every
+// part's plus every delta's.
+func (g *Gather[V]) check() (bound int, err error) {
+	k := len(g.Parts)
+	if len(g.RowPos) != k || len(g.ColPos) != k || (g.Deltas != nil && len(g.Deltas) != k) {
+		return 0, fmt.Errorf("sparse: ConcatRows has %d parts, %d row maps, %d column maps and %d deltas", k, len(g.RowPos), len(g.ColPos), len(g.Deltas))
+	}
+	for i, m := range g.Parts {
+		if err := checkEmbed(m, g.RowPos[i], g.ColPos[i], g.Rows, g.Cols); err != nil {
+			return 0, fmt.Errorf("sparse: ConcatRows part %d: %w", i, err)
+		}
+		bound += len(m.colIdx)
+		if d := g.delta(i); d != nil {
+			if d.rows != g.Rows || d.cols != g.Cols {
+				return 0, fmt.Errorf("sparse: ConcatRows part %d: a %d×%d delta for a %d×%d result", i, d.rows, d.cols, g.Rows, g.Cols)
+			}
+			bound += len(d.colIdx)
+		}
+	}
+	if err := checkIndexRange(g.Rows, g.Cols, bound); err != nil {
+		return 0, fmt.Errorf("sparse: ConcatRows: %w", err)
+	}
+	return bound, nil
+}
+
+func (g *Gather[V]) delta(k int) *CSR[V] {
+	if g.Deltas == nil {
+		return nil
+	}
+	return g.Deltas[k]
+}
+
+// walk writes the result's rows in order — whichever of rowPtr, colIdx
+// and val it is handed, each sized to check's bound — and returns the
+// entries written. Row r is the part whose row lands there, merged with
+// that part's delta row r.
+//
+//adjlint:cow-writer
+func (g *Gather[V]) walk(rowPtr, colIdx []int32, val []V) (int, error) {
+	next := make([]int, len(g.Parts)) // each part's next row
+	at := 0
+	for r := 0; r < g.Rows; r++ {
+		owner := -1
+		for k, m := range g.Parts {
+			var lo, hi int32
+			if i := next[k]; i < m.rows && rowAt(g.RowPos[k], i) == r {
+				lo, hi = m.rowPtr[i], m.rowPtr[i+1]
+				next[k]++
+			}
+			start := at
+			if d := g.delta(k); d != nil && d.rowPtr[r] < d.rowPtr[r+1] {
+				at = g.mergeRow(k, lo, hi, d.rowPtr[r], d.rowPtr[r+1], colIdx, val, at)
+			} else {
+				at = copyRow(m, lo, hi, g.ColPos[k], colIdx, val, at)
+			}
+			if at == start {
 				continue
 			}
-			at := rowPtr[rowAt(rowPos[k], i)]
-			copy(val[at:], m.val[lo:hi])
-			if cp == nil {
-				copy(colIdx[at:], m.colIdx[lo:hi])
-				continue
+			if owner >= 0 {
+				return 0, &RowConflictError{Row: r, First: owner, Second: k}
 			}
-			dst := colIdx[at:]
+			owner = k
+		}
+		if rowPtr != nil {
+			rowPtr[r+1] = int32(at)
+		}
+	}
+	return at, nil
+}
+
+// copyRow writes m's entries [lo, hi) at at, their columns through cp,
+// into whichever of colIdx and val is non-nil, and returns the new end.
+func copyRow[V any](m *CSR[V], lo, hi int32, cp, colIdx []int32, val []V, at int) int {
+	if colIdx != nil {
+		dst := colIdx[at:]
+		if cp == nil {
+			copy(dst, m.colIdx[lo:hi])
+		} else {
 			for p, j := range m.colIdx[lo:hi] {
 				dst[p] = cp[j]
 			}
 		}
 	}
-	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+	if val != nil {
+		copy(val[at:], m.val[lo:hi])
+	}
+	return at + int(hi-lo)
+}
+
+// mergeRow writes part k's entries [lo, hi) two-way merged with its
+// delta's entries [q, qe) — one result row — as mergeUnion does, and
+// returns the new end.
+func (g *Gather[V]) mergeRow(k int, lo, hi, q, qe int32, colIdx []int32, val []V, at int) int {
+	m, d, cp := g.Parts[k], g.Deltas[k], g.ColPos[k]
+	emit := func(j int32, v V) {
+		if colIdx != nil {
+			colIdx[at] = j
+		}
+		if val != nil {
+			val[at] = v
+		}
+		at++
+	}
+	p := lo
+	for q < qe {
+		sj, j := d.colIdx[q], int32(-1)
+		for ; p < hi; p++ { // the part's cells before the delta's next one
+			if j = m.colIdx[p]; cp != nil {
+				j = cp[j]
+			}
+			if j >= sj {
+				break
+			}
+			emit(j, m.val[p])
+		}
+		end := runEnd(d.colIdx, q, qe)
+		acc, from := d.val[q], q+1
+		if p < hi && j == sj {
+			acc, from = m.val[p], q // the part's value, continued
+			p++
+		}
+		if s := foldRun(g.Ops, acc, d.val, from, end); !g.Ops.IsZero(s) {
+			emit(sj, s)
+		}
+		q = end
+	}
+	return copyRow(m, p, hi, cp, colIdx, val, at)
 }
 
 // rowAt is where row i lands under a position map; nil is the identity.
@@ -191,24 +365,6 @@ func rowAt(pos []int32, i int) int {
 		return i
 	}
 	return int(pos[i])
-}
-
-// firstOwner finds the lowest part storing output row r — the error
-// path's look-up, so ConcatRows keeps no owner per row.
-func firstOwner[V any](parts []*CSR[V], rowPos [][]int32, r int) int {
-	for k, m := range parts {
-		i := r
-		if rowPos[k] != nil {
-			var ok bool
-			if i, ok = slices.BinarySearch(rowPos[k], int32(r)); !ok {
-				continue
-			}
-		}
-		if i < m.rows && m.rowPtr[i+1] > m.rowPtr[i] {
-			return k
-		}
-	}
-	return -1
 }
 
 // RowConflictError is ConcatRows' refusal: output row Row is stored by

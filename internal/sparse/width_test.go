@@ -26,6 +26,7 @@ func TestOneIndexWidth(t *testing.T) {
 		"algo: Graph.BFSLevelVector result":  "hop counts by vertex position, handed to the caller",
 		"stream: StoreSnapshot.Epochs":       "the epoch vector: batch counters, one per shard",
 		"stream: Store.OwnerSnapshot result": "the epoch vector",
+		"stream: Store.PointPin result":      "the epoch vector",
 		"stream: StoreStats.Epochs":          "the epoch vector",
 		"stream: Store.pinned":               "the epoch vector of the last pin",
 	}

@@ -5,14 +5,17 @@ import (
 	"strings"
 
 	"adjarray/internal/assoc"
+	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
 )
 
 // PointSnapshot is a view pinned for point reads: one cell (At) or one
 // row (Row), answered from main ⊕ the log's unfolded suffix without
-// folding either. It is the second of a view's two pins. Snapshot, the
-// whole-array pin, folds the suffix so that Adjacency is one array;
-// Point never does while the suffix stays under the threshold beside
+// folding either — or for a graph build, which reads main (Main) and the
+// suffix placed against it (Delta) and folds each cell as it copies it.
+// It is the second of a view's two pins. Snapshot, the whole-array pin,
+// folds the suffix so that Adjacency is one array; Point never does
+// while the suffix stays under the threshold beside
 // foldScratchKeep: it captures main and the slice headers of the
 // suffix's columns — the log is append-only past a captured length, a
 // value column that comes into being later is a new slice, and
@@ -35,13 +38,17 @@ type PointSnapshot[V any] struct {
 	// folded it first.
 	Folded bool
 
-	view *View[V] // ops and the interners, fixed at construction; nil with an empty suffix
+	view *View[V] // ops and the interners, fixed at construction
 	main *assoc.Array[V]
 	// The suffix log[folded:n], by slice header.
 	//adjlint:cow
 	srcID, dstID []int32
 	//adjlint:cow
 	out, in []V // nil: every entry is ops.One
+	// Where an id sits in main's key sets (the universe main spans): -1 or
+	// out of range for an id main has not met.
+	//adjlint:cow
+	srcPos, dstPos []int32
 }
 
 // Point pins the view for point reads. It folds first only when the
@@ -64,6 +71,7 @@ func (v *View[V]) Point() (PointSnapshot[V], error) {
 		Epoch: int(v.epoch.Load()), Folded: folded,
 		view: v, main: v.main,
 		srcID: v.srcID[from:n:n], dstID: v.dstID[from:n:n],
+		srcPos: v.srcPos, dstPos: v.dstPos,
 	}
 	if v.out != nil {
 		p.out = v.out[from:n:n]
@@ -74,11 +82,69 @@ func (v *View[V]) Point() (PointSnapshot[V], error) {
 	return p, nil
 }
 
-// Point is the snapshot as a point read sees it: the folded adjacency
-// and an empty suffix.
-func (s Snapshot[V]) Point() PointSnapshot[V] {
-	return PointSnapshot[V]{Epoch: s.Epoch, main: s.Adjacency}
+// Main is the folded level the pin reads beside its suffix: the
+// adjacency of the log up to the last fold.
+func (p PointSnapshot[V]) Main() *assoc.Array[V] { return p.main }
+
+// Delta is a point pin's unfolded suffix as a consumer of the whole
+// adjacency continues main with it: every edge placed in main's key sets
+// — or among Fresh, the endpoint keys they do not hold yet — with its
+// ⊗-product, in log order. Folding each cell's products onto main's value
+// in that order under Ops, a fold equal to Zero pruned, is the fold the
+// view would run (sparse.Gather does exactly that), and main's key sets
+// with Fresh are the universe it would grow to.
+type Delta[V any] struct {
+	// Fresh is the suffix's endpoint keys that main's key set on their
+	// side does not hold, either side's, sorted.
+	Fresh *keys.Set
+	// Row[k] is edge k's row: a position in main's row keys, or, from
+	// main.RowKeys().Len() on, in Fresh. Col[k] is its column, likewise
+	// past main's column keys.
+	Row, Col []int32
+	// Prod[k] is edge k's Eout ⊗ Ein.
+	Prod []V
+	// Ops is the view's operator pair.
+	Ops semiring.Ops[V]
 }
+
+// Delta returns the suffix placed against main. It reads the interners
+// for the keys of vertices main has not met and allocates O(suffix):
+// nothing of main is copied and no universe is synced. An empty suffix is
+// the zero Delta.
+func (p PointSnapshot[V]) Delta() Delta[V] {
+	n := len(p.srcID)
+	if n == 0 {
+		return Delta[V]{}
+	}
+	v := p.view
+	rows, cols := p.main.RowKeys().Len(), p.main.ColKeys().Len()
+	var fresh []string
+	for k := range n {
+		if !held(p.srcPos, p.srcID[k]) {
+			fresh = append(fresh, v.srcIn.Key(p.srcID[k]))
+		}
+		if !held(p.dstPos, p.dstID[k]) {
+			fresh = append(fresh, v.dstIn.Key(p.dstID[k]))
+		}
+	}
+	d := Delta[V]{Fresh: keys.New(fresh...), Row: make([]int32, n), Col: make([]int32, n), Prod: make([]V, n), Ops: v.ops}
+	place := func(in *keys.Interner, pos []int32, id int32, past int) int32 {
+		if held(pos, id) {
+			return pos[id]
+		}
+		i, _ := d.Fresh.IndexSorted(in.Key(id))
+		return int32(past + i)
+	}
+	for k := range n {
+		d.Row[k] = place(v.srcIn, p.srcPos, p.srcID[k], rows)
+		d.Col[k] = place(v.dstIn, p.dstPos, p.dstID[k], cols)
+		d.Prod[k] = p.product(k)
+	}
+	return d
+}
+
+// held reports whether id has a position in pos.
+func held(pos []int32, id int32) bool { return int(id) < len(pos) && pos[id] >= 0 }
 
 // Suffix is the number of log edges read beside main: 0 on a view folded
 // up to its log, where a read costs what it costs on a Snapshot.

@@ -347,13 +347,12 @@ type gather[V any] struct {
 // immutable and copy-on-write exactly as View.Snapshot — and returns
 // them WITHOUT gathering: Shards, the epoch vector and the counters are
 // filled, Adjacency only if a Snapshot at the same vector has gathered
-// already. It is the read for a consumer that works from the shards'
-// arrays themselves: a graph kernel builds its vertex space straight
-// from them (algo.FromArrays), a /batch's point ops go to the pinned
-// shard that owns their row (ShardFor), and neither needs the store-wide
-// array a gather would copy together. (A point read on its own does not
-// pin the store at all: OwnerSnapshot.) While the vector is unchanged the same snapshot
-// is returned again, without touching the heap.
+// already. It is the read for a consumer that needs every shard's main
+// folded up to the vector — Snapshot's gather, a caller reporting what
+// the folds cost — but not the store-wide array itself. (A graph kernel
+// and a /batch read no folded array: PointPin; a point read on its own
+// pins one shard: OwnerSnapshot.) While the vector is unchanged the same
+// snapshot is returned again, without touching the heap.
 //
 // A shard whose epoch moved since the last pin has a fold to run; the
 // first such shard folds on the caller's goroutine and every further one
@@ -502,6 +501,26 @@ func (s *Store[V]) OwnerSnapshot(src string) (PointSnapshot[V], []int, error) {
 	return pt, epochs, nil
 }
 
+// PointPin is OwnerSnapshot for every shard: each shard's point pin —
+// main beside its unfolded suffix, folded first only past the threshold
+// (View.Point) — at one epoch vector, and the vector. It is the read for
+// a consumer of the whole graph that continues main with the suffix as it
+// reads it (algo.FromPins, through PointSnapshot.Delta), so a new vector
+// copies no shard's main and syncs no universe: what Pin pays a fold for
+// is paid once, by that consumer's own pass. An error is the first
+// failing shard's.
+func (s *Store[V]) PointPin() ([]PointSnapshot[V], []int, error) {
+	pins, epochs := make([]PointSnapshot[V], len(s.parts)), make([]int, len(s.parts))
+	for i, p := range s.parts {
+		pt, err := p.v.Point()
+		if err != nil {
+			return nil, nil, fmt.Errorf("stream: shard %d: %w", i, err)
+		}
+		pins[i], epochs[i] = pt, pt.Epoch
+	}
+	return pins, epochs, nil
+}
+
 // mergeAdjacency gathers the per-shard adjacencies into one array
 // spanning the union vertex universe. Shards own disjoint row sets, so
 // this is a concatenation — every stored row copied once, no ⊕ — and it
@@ -605,7 +624,7 @@ type StoreStats struct {
 	Edges     int     // edges across all shard logs
 	Epochs    []int   // per-shard batch epochs (the consistency vector)
 	AdjNNZ    int     // stored adjacency entries across shards (rows are disjoint, so the sum is exact)
-	Pending   int     // edges in the shards' unfolded log suffixes (all of Edges on a store nobody has read; under point reads alone it may stay non-zero, bounded by max(4096, AdjNNZ/8) per shard)
+	Pending   int     // edges in the shards' unfolded log suffixes (all of Edges on a store nobody has read; under point reads and graph queries it may stay non-zero, bounded by max(4096, AdjNNZ/8) per shard)
 	Folds     int     // folds run across shards
 	FoldNanos int64   // time in them, summed (shards fold concurrently)
 	PerShard  []Stats // the full per-shard counters

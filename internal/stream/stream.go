@@ -74,12 +74,14 @@
 // storage with the live state (copy-on-write — an append never mutates
 // storage reachable from a handed-out pin), so that readers never block
 // ingest. The whole-array pin, Snapshot, is what a consumer of the
-// adjacency as one array takes (a graph kernel, the gather, a checkpoint):
-// it folds the log's unfolded suffix first and is O(1) when there is none.
-// The point pin, Point, is what a read of one cell or one row takes: it
-// never folds (up to a threshold, pointFoldShare) and answers from the
-// materialized array ⊕ the suffix, scanned — the delta identity read
-// instead of applied, O(suffix) per read and no allocation to pin.
+// adjacency as one stored array takes (the gather, a checkpoint): it
+// folds the log's unfolded suffix first and is O(1) when there is none.
+// The point pin, Point, is what a read of one cell or one row takes, and
+// a graph kernel too, which continues the materialized array with the
+// suffix as it copies it (PointSnapshot.Delta): it never folds (up to a
+// threshold, pointFoldShare) and answers from the materialized array ⊕
+// the suffix, scanned — the delta identity read instead of applied,
+// O(suffix) per read and no allocation to pin.
 package stream
 
 import (
@@ -148,13 +150,14 @@ func Weighted[V any](key, src, dst string, out, in V) Edge[V] {
 // (Snapshot, a checkpoint's pin), never an append: the suffix
 // costs nothing beyond the log itself. A bulk load nobody reads is
 // therefore appends only, and its first whole-array read pays one fold —
-// what batch construction over the same edges costs. A point read (Point)
-// is not such a someone: it reads main's cell and the suffix's
-// contributions to it and folds them as the fold would, from main's
-// value on, and makes the view fold
-// only once the suffix has grown past max(foldScratchKeep,
-// main.NNZ()/pointFoldShare) edges — so under point reads alone
-// Stats.PendingNNZ stays non-zero, bounded by that.
+// what batch construction over the same edges costs. A point pin (Point)
+// is not such a someone: a point read reads main's cell and the
+// suffix's contributions to it and folds them as the fold would, from
+// main's value on, a graph build does the same for every cell as it
+// copies main, and the pin makes the view fold only once the suffix has
+// grown past max(foldScratchKeep, main.NNZ()/pointFoldShare) edges — so
+// under point reads and graph queries Stats.PendingNNZ stays non-zero,
+// bounded by that.
 type View[V any] struct {
 	mu  sync.Mutex
 	ops semiring.Ops[V]
@@ -636,8 +639,8 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 // later fold a thousandth its size.
 const foldScratchKeep = 1 << 12
 
-// pointFoldShare sets where a point read stops scanning the unfolded
-// suffix and folds it instead (View.Point): past
+// pointFoldShare sets where a point pin stops reading the unfolded suffix
+// beside main and folds it instead (View.Point): past
 // max(foldScratchKeep, main.NNZ()/pointFoldShare) edges. Derived from the
 // two costs, not tuned: a read scans the suffix at ≈1 ns per edge, a fold
 // costs ≈100 ns per suffix edge plus a 12 B copy of every stored entry of
@@ -909,7 +912,7 @@ func (v *View[V]) rebuildLocked() error {
 // so several may later collapse into one stored cell, and their endpoints
 // join the vertex counts at the fold). On a view nobody has read,
 // PendingNNZ is Edges and Folds is 0; on one that is only asked point
-// reads PendingNNZ may stay non-zero, bounded by
+// reads and graph queries PendingNNZ may stay non-zero, bounded by
 // max(foldScratchKeep, AdjNNZ/pointFoldShare).
 type Stats struct {
 	Edges       int   // edges in the log
@@ -918,7 +921,7 @@ type Stats struct {
 	AdjNNZ      int   // stored entries in the materialized main level
 	PendingNNZ  int   // edges in the log's unfolded suffix: Edges minus what main covers
 	Epoch       int   // batches ever applied
-	Folds       int   // folds run: one per whole-array read or checkpoint that found unfolded edges, or point read that found them past the threshold
+	Folds       int   // folds run: one per whole-array read or checkpoint that found unfolded edges, or point pin that found them past the threshold
 	FoldNanos   int64 // time in them: universe sync + suffix fold + merge into main
 }
 
