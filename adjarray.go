@@ -338,12 +338,12 @@ func CorrelateKeys[V, W any](a *Array[V], b *Array[W]) (*Array[Set], error) {
 // Graph algorithms on constructed adjacency arrays.
 //
 // One engine, two call shapes. CSRGraph runs every algorithm on
-// integer-id CSR kernels with automatic push–pull switching; the
-// package-level functions below are its one-shot form — build a
-// CSRGraph from the array, call the method of the same name, drop it.
-// Use them for one question about one array. Hold a CSRGraph whenever a
-// second query meets the same array: the build is O(nnz), and the
-// transpose and PageRank's 1/outdeg vector are built once per graph
+// integer-id CSR kernels that push along out-edges; the package-level
+// functions below are its one-shot form — build a CSRGraph from the
+// array, call the method of the same name, drop it. Use them for one
+// question about one array. Hold a CSRGraph whenever a second query
+// meets the same array: the build is O(nnz), and the weighted kernels'
+// values and PageRank's 1/outdeg vector are laid on once per graph
 // rather than once per call.
 
 // CSRGraph is the engine the algorithms run on: an adjacency array

@@ -210,10 +210,10 @@
 // frontiers and touched lists, the interner's ids, the view's edge log
 // and ADJCKPT's colIdx section are all 4 bytes wide, and nothing is
 // widened or narrowed in between. A stored entry of a float64 array is
-// 12 bytes (8 of value) and a row 4; a serving algo.Graph is 16 bytes
-// per entry — its CSR plus a pattern-only transpose, a
-// sparse.CSR[struct{}] whose values occupy nothing — and 24 once SSSP
-// or WidestPath has pulled along weighted in-edges. The cap that buys is
+// 12 bytes (8 of value) and a row 4; a serving algo.Graph is 4 bytes
+// per entry — a pattern, a sparse.CSR[struct{}] whose values occupy
+// nothing, which every kernel pushes along without a transpose — and 12
+// once SSSP or WidestPath has laid the values on. The cap that buys is
 // 2³¹−1 rows, columns and stored entries per array. It is refused by
 // name wherever an array is assembled (errors wrapping
 // sparse.ErrIndexRange or keys.ErrTooManyKeys; NewGraph and the interner

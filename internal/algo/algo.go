@@ -14,24 +14,24 @@
 //
 // There is one engine and two call shapes:
 //
-//   - Graph runs the iterations on integer-id sparse-vector kernels
-//     (sparse.SpMSpVPush / sparse.SpMVPull) over the adjacency's CSR
-//     embedded in the square union vertex space (FromArray) — or, for an
-//     adjacency held as row-disjoint parts, the shards of a store, the
-//     parts' rows copied once each straight into that space (FromArrays;
-//     FromPins continues each shard's rows with the edges it has not
-//     folded yet as it copies them), the store-wide array never
-//     assembled — switching push→pull
-//     automatically as the frontier densifies, with a lazily built
-//     transpose for the pull direction and string↔id translation only
-//     at the API boundary.
+//   - Graph runs the iterations as vxm over A's rows — each frontier
+//     pushed along its out-edges (sparse.SpMSpVPush, or the same scatter
+//     inlined) — over the adjacency's pattern embedded in the square
+//     union vertex space (FromArray) — or, for an adjacency held as
+//     row-disjoint parts, the shards of a store, the parts' rows copied
+//     once each straight into that space (FromArrays; FromPins continues
+//     each shard's rows with the edges it has not folded yet as it copies
+//     them), the store-wide array never assembled — holding no
+//     transpose, with string↔id translation only at the API boundary. A
+//     Graph is 4 bytes per stored entry, and 12 once a weighted kernel
+//     has laid the values on.
 //   - The package-level functions over *assoc.Array (BFSLevels, SSSP,
 //     WidestPath, Components, TriangleCount, PageRank) are the one-shot
 //     form: build a Graph, call the method, drop the Graph. They answer
 //     one question about one array. Hold a Graph instead whenever a
 //     second query meets the same array: the build is O(nnz), and the
-//     transpose and PageRank's 1/outdeg vector are built once per Graph,
-//     not once per call.
+//     weighted kernels' values and PageRank's 1/outdeg vector are laid on
+//     once per Graph, not once per call.
 //
 // The string-keyed loops over assoc.Mul that the kernels were derived
 // from are the differential oracle in reference_test.go. Results are

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -240,6 +241,27 @@ func TestTriangleCountRejectsAsymmetric(t *testing.T) {
 	a := assoc.FromTriples([]assoc.Triple[float64]{{Row: "a", Col: "b", Val: 1}}, nil)
 	if _, err := TriangleCount(a); err == nil {
 		t.Error("asymmetric array accepted")
+	}
+	// A hub joined both ways to 40 spokes, and one entry without its
+	// mirror in the middle of the hub's row — stored in the hub's row, or
+	// missing from it. Its other end has a symmetric edge to a vertex off
+	// the hub, so every row is non-empty, no triangle is formed, and only
+	// the probe of that one entry can find the asymmetry.
+	for _, hubSide := range []bool{true, false} {
+		var tr []assoc.Triple[float64]
+		for i := 0; i < 40; i++ {
+			s := fmt.Sprintf("s%02d", i)
+			tr = append(tr, assoc.Triple[float64]{Row: "hub", Col: s, Val: 1}, assoc.Triple[float64]{Row: s, Col: "hub", Val: 1})
+		}
+		tr = append(tr, assoc.Triple[float64]{Row: "s19x", Col: "zz", Val: 1}, assoc.Triple[float64]{Row: "zz", Col: "s19x", Val: 1})
+		if hubSide {
+			tr = append(tr, assoc.Triple[float64]{Row: "hub", Col: "s19x", Val: 1})
+		} else {
+			tr = append(tr, assoc.Triple[float64]{Row: "s19x", Col: "hub", Val: 1})
+		}
+		if _, err := TriangleCount(assoc.FromTriples(tr, nil)); err == nil {
+			t.Errorf("an asymmetric entry in the middle of a hub row (stored in the hub's row: %v) accepted", hubSide)
+		}
 	}
 }
 

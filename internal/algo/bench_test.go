@@ -80,8 +80,8 @@ func BenchmarkAlgoPageRank(b *testing.B) {
 // BenchmarkFromArrays is the Graph build of a new epoch vector whose
 // shards have no unfolded edges (FromPins over such pins is this build):
 // the gather of two row-disjoint parts into the vertex space as a
-// pattern, alone ("build") and with the first structural query's pattern
-// transpose ("build+bfs").
+// pattern, alone ("build") and followed by the first structural query on
+// it, a BFS ("build+bfs") or a 20-iteration PageRank ("build+pagerank").
 func BenchmarkFromArrays(b *testing.B) {
 	adj, _, src := benchAdjacency(b, 12)
 	parts := dealRows(adj, 2)
@@ -92,6 +92,14 @@ func BenchmarkFromArrays(b *testing.B) {
 			return err
 		}
 		_, err = g.BFSLevelVector(src)
+		return err
+	})
+	arm(b, "build+pagerank", func() error {
+		g, err := FromArrays(parts)
+		if err != nil {
+			return err
+		}
+		_, _, err = g.PageRankVector(0.85, 1e-9, 20)
 		return err
 	})
 }

@@ -31,14 +31,13 @@ import (
 // adapters over them for callers that want to look vertices up by key.
 //
 // A Graph is immutable and safe for concurrent use. It is built as a
-// PATTERN, 4 bytes per stored entry, which is all BFS, PageRank,
-// Components and TriangleCount read; so is the transpose the pull
-// kernels need, built lazily, once, on first use. Only the weighted
+// PATTERN, 4 bytes per stored entry, and holds no transpose: BFS, SSSP,
+// WidestPath and PageRank push along out-edges and TriangleCount probes
+// rows (Components alone symmetrizes, per call). Only the weighted
 // kernels (SSSP, WidestPath) read values, and lay them on at their first
-// use — onto the pattern from the arrays the Graph was built from (8 B
-// per entry; shared outright when one array needs no fold), then onto
-// the transpose (8 more): a Graph costs 4 + 4 (+ 16 once a weighted
-// kernel ran) bytes per entry.
+// use, onto the pattern from the arrays the Graph was built from (8 B per
+// entry; shared outright when one array needs no fold): a Graph costs 4
+// bytes per entry, 12 once a weighted kernel ran.
 type Graph struct {
 	verts *keys.Set
 	adj   *sparse.Pattern
@@ -46,12 +45,6 @@ type Graph struct {
 
 	valOnce sync.Once
 	val     *sparse.CSR[float64]
-
-	trOnce sync.Once
-	tr     *sparse.Pattern
-
-	trValOnce sync.Once
-	trVal     *sparse.CSR[float64]
 
 	invOnce sync.Once
 	invDeg  []float64 // PageRank's 1/outdeg(u); 0 marks a dangling vertex
@@ -197,13 +190,6 @@ func (g *Graph) Vertices() *keys.Set { return g.verts }
 // NumEdges returns the number of stored adjacency entries.
 func (g *Graph) NumEdges() int { return g.adj.NNZ() }
 
-// transpose returns the cached pattern of Aᵀ, building it on first use
-// (the pull kernels and PageRank gather along in-edges).
-func (g *Graph) transpose() *sparse.Pattern {
-	g.trOnce.Do(func() { g.tr = g.adj.Transpose() })
-	return g.tr
-}
-
 // weighted returns A with its values, on the pattern's own index arrays:
 // laid from the arrays the Graph was built from on first use.
 func (g *Graph) weighted() *sparse.CSR[float64] {
@@ -217,40 +203,12 @@ func (g *Graph) weighted() *sparse.CSR[float64] {
 	return g.val
 }
 
-// weightedTranspose returns the cached Aᵀ with its values, on the
-// pattern transpose's own index arrays.
-func (g *Graph) weightedTranspose() *sparse.CSR[float64] {
-	g.trValOnce.Do(func() {
-		t, err := g.weighted().TransposeOnto(g.transpose())
-		if err != nil {
-			panic("algo: " + err.Error()) // the pattern is adj's own
-		}
-		g.trVal = t
-	})
-	return g.trVal
-}
-
 func (g *Graph) vertex(source string) (int32, error) {
 	id, ok := g.verts.IndexSorted(source)
 	if !ok {
 		return 0, fmt.Errorf("algo: source %q %w", source, ErrNotVertex)
 	}
 	return int32(id), nil
-}
-
-// pullAlpha tunes the push→pull switch: a step runs pull once the edges
-// leaving the frontier exceed nnz/pullAlpha, i.e. a push would touch a
-// comparable share of the matrix anyway and one sequential transpose
-// scan wins over scattered writes.
-const pullAlpha = 8
-
-// frontierEdges sums the out-degrees of the frontier rows.
-func (g *Graph) frontierEdges(ids []int32) int {
-	e := 0
-	for _, u := range ids {
-		e += g.adj.RowNNZ(int(u))
-	}
-	return e
 }
 
 // BFSLevels returns the hop counts of BFSLevelVector as a map over the
@@ -277,9 +235,7 @@ func (g *Graph) BFSLevels(source string) (map[string]int, error) {
 
 // BFSLevelVector returns breadth-first hop counts from source over the
 // adjacency pattern, indexed by position in Vertices(); -1 marks an
-// unreached vertex. Direction-optimizing — sparse frontiers push along
-// out-edges, dense frontiers pull along in-edges with early exit per
-// vertex.
+// unreached vertex. Each level pushes the frontier along its out-edges.
 func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 	src, err := g.vertex(source)
 	if err != nil {
@@ -295,31 +251,12 @@ func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 	var next []int32
 	for depth := 1; len(frontier) > 0; depth++ {
 		next = next[:0]
-		if g.frontierEdges(frontier)*pullAlpha > g.adj.NNZ() {
-			// Pull: every undiscovered vertex scans its in-neighbors for a
-			// member of the current frontier; first hit wins.
-			t := g.transpose()
-			for v := int32(0); int(v) < n; v++ {
-				if level[v] >= 0 {
-					continue
-				}
-				cols, _ := t.Row(int(v))
-				for _, u := range cols {
-					if level[u] == depth-1 {
-						level[v] = depth
-						next = append(next, v)
-						break
-					}
-				}
-			}
-		} else {
-			for _, u := range frontier {
-				cols, _ := g.adj.Row(int(u))
-				for _, v := range cols {
-					if level[v] < 0 {
-						level[v] = depth
-						next = append(next, v)
-					}
+		for _, u := range frontier {
+			cols, _ := g.adj.Row(int(u))
+			for _, v := range cols {
+				if level[v] < 0 {
+					level[v] = depth
+					next = append(next, v)
 				}
 			}
 		}
@@ -331,13 +268,14 @@ func (g *Graph) BFSLevelVector(source string) ([]int, error) {
 // relaxToFixpoint runs the shared frontier-relaxation loop of the
 // weighted algorithms: starting from a single seeded value, it iterates
 // dist' = dist ⊕ (dist ⊕.⊗ A) to fixpoint, keeping the active set
-// sparse. Contributions to an output fold in ascending in-neighbor
-// order (the kernels' contract), folds equal to the algebra's Zero are
-// pruned, and a merge leaves a stored value in place unless ⊕ moves it
-// — exactly the semantics of the assoc reference loop
-// (reference_test.go), so converged results are bit-identical. Returns
-// the dense value array and its presence mask, or an error after bound
-// unconverged rounds.
+// sparse. Each round pushes the frontier along its out-edges
+// (sparse.SpMSpVPush), and the frontier is kept ascending, so
+// contributions to an output fold in ascending in-neighbor order; folds
+// equal to the algebra's Zero are pruned, and a merge leaves a stored
+// value in place unless ⊕ moves it — exactly the semantics of the assoc
+// reference loop (reference_test.go), so converged results are
+// bit-identical. Returns the dense value array and its presence mask, or
+// an error after bound unconverged rounds.
 func (g *Graph) relaxToFixpoint(src int32, seed float64, ops semiring.Ops[float64], bound int, diverged string) ([]float64, []bool, error) {
 	n := g.verts.Len()
 	val := make([]float64, n)
@@ -346,30 +284,18 @@ func (g *Graph) relaxToFixpoint(src int32, seed float64, ops semiring.Ops[float6
 
 	frontier := []int32{src}
 	frontVals := []float64{seed}
-	frontMask := make([]bool, n)
+	a := g.weighted()
 	acc := make([]float64, n)
 	hit := make([]bool, n)
 	var touched []int32
-	nnz := g.adj.NNZ()
 	for round := 0; len(frontier) > 0; round++ {
 		if round > bound {
 			return nil, nil, fmt.Errorf("algo: %s", diverged)
 		}
-		touched = touched[:0]
-		if g.frontierEdges(frontier)*pullAlpha > nnz {
-			for _, u := range frontier {
-				frontMask[u] = true
-			}
-			touched = sparse.SpMVPull(g.weightedTranspose(), val, frontMask, ops.Add, ops.Mul, acc, hit, touched)
-			for _, u := range frontier {
-				frontMask[u] = false
-			}
-		} else {
-			touched = sparse.SpMSpVPush(g.weighted(), frontier, frontVals, ops.Add, ops.Mul, acc, hit, touched)
-			// Push discovers outputs in scatter order; the next frontier
-			// must be ascending to keep the following round's fold order.
-			sortIDs(touched)
-		}
+		touched = sparse.SpMSpVPush(a, frontier, frontVals, ops.Add, ops.Mul, acc, hit, touched[:0])
+		// Push discovers outputs in scatter order; the next frontier
+		// must be ascending to keep the following round's fold order.
+		sortIDs(touched)
 		frontier = frontier[:0]
 		frontVals = frontVals[:0]
 		for _, v := range touched {
@@ -543,18 +469,18 @@ func (g *Graph) Components() (map[string]string, error) {
 // of the symmetric pattern, the wedge count |N(i) ∩ N(j)| by sorted
 // intersection — the masked (A·A) ∘ A of the reference without
 // materializing products — summed and divided by 6. Only index
-// structure is read, so the symmetry check reuses the Graph's cached
-// pattern transpose and no value is copied.
+// structure is read: symmetry is checked by probing, each stored (i,j)
+// searching row j for i, so nothing the size of the matrix is built.
 func (g *Graph) TriangleCount() (int, error) {
-	if !sparse.SamePattern(g.adj, g.transpose()) {
-		return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
-	}
 	var wedges int64
 	n := g.verts.Len()
 	for i := 0; i < n; i++ {
 		ri, _ := g.adj.Row(i)
 		for _, j := range ri {
 			rj, _ := g.adj.Row(int(j))
+			if _, ok := slices.BinarySearch(rj, int32(i)); !ok {
+				return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
+			}
 			wedges += intersectCount(ri, rj)
 		}
 	}
@@ -598,10 +524,11 @@ func (g *Graph) PageRank(damping, tol float64, maxIter int) (map[string]float64,
 }
 
 // PageRankVector is damped PageRank with uniform teleport and
-// dangling-mass redistribution, indexed by position in Vertices(): one
-// dense pull over the transpose per iteration, numerically identical to
-// the reference (same ascending in-neighbor fold, same vertex-order
-// reductions). Returns the ranks and iterations used.
+// dangling-mass redistribution, indexed by position in Vertices(): each
+// iteration scatters rank[u]/outdeg(u) along the out-edges of every u in
+// ascending u, so each vertex's inflow folds its in-neighbors in
+// ascending order, numerically identical to the reference (same fold,
+// same vertex-order reductions). Returns the ranks and iterations used.
 func (g *Graph) PageRankVector(damping, tol float64, maxIter int) ([]float64, int, error) {
 	if damping <= 0 || damping >= 1 {
 		return nil, 0, fmt.Errorf("algo: damping must be in (0,1), got %v", damping)
@@ -610,11 +537,11 @@ func (g *Graph) PageRankVector(damping, tol float64, maxIter int) ([]float64, in
 	if n == 0 {
 		return []float64{}, 0, nil
 	}
-	// Pᵀ(v, u) = 1/outdeg(u) depends on the column alone, so the
-	// normalized matrix is the transpose's pattern plus one vector —
-	// built once per Graph, so a burst of PageRank queries against one
-	// cached snapshot epoch pays it once. Scaling rank by it before the
-	// pull forms the products rank[u]·Pᵀ(v, u) the reference forms.
+	// P(u, v) = 1/outdeg(u) depends on the row alone, so the normalized
+	// matrix is the pattern plus one vector — built once per Graph, so a
+	// burst of PageRank queries against one cached snapshot epoch pays it
+	// once. Scaling rank[u] by it forms the products rank[u]·P(u, v) the
+	// reference forms.
 	g.invOnce.Do(func() {
 		g.invDeg = make([]float64, n)
 		for u := range g.invDeg {
@@ -623,31 +550,31 @@ func (g *Graph) PageRankVector(damping, tol float64, maxIter int) ([]float64, in
 			}
 		}
 	})
-	inv, t := g.invDeg, g.transpose()
+	inv := g.invDeg
 
 	rank := make([]float64, n)
-	scaled := make([]float64, n)
+	flow := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1 / float64(n)
 	}
 	for iter := 1; iter <= maxIter; iter++ {
+		clear(flow)
 		dangling := 0.0
 		for u, r := range rank {
 			if inv[u] == 0 {
 				dangling += r
-			} else {
-				scaled[u] = r * inv[u]
+				continue
+			}
+			scaled := r * inv[u]
+			cols, _ := g.adj.Row(u)
+			for _, v := range cols {
+				flow[v] += scaled
 			}
 		}
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		delta := 0.0
-		for v := 0; v < n; v++ {
-			flow := 0.0
-			cols, _ := t.Row(v)
-			for _, u := range cols {
-				flow += scaled[u]
-			}
-			nv := base + damping*flow
+		for v, f := range flow {
+			nv := base + damping*f
 			delta += math.Abs(nv - rank[v])
 			rank[v] = nv
 		}

@@ -377,9 +377,9 @@ func TestVectorFormsFollowVertexOrder(t *testing.T) {
 }
 
 // PageRank keeps one 1/outdeg vector per Graph, not an out-degree-
-// normalized copy of the transpose: once the transpose and that vector
-// exist, a query allocates its two rank vectors and nothing the size of
-// the matrix.
+// normalized copy of the matrix: once that vector exists, a query
+// allocates its rank and inflow vectors and nothing the size of the
+// matrix.
 func TestPageRankBuildsNoMatrix(t *testing.T) {
 	_, g, _ := benchAdjacency(t, 10)
 	if _, _, err := g.PageRankVector(0.85, 1e-9, 5); err != nil {
@@ -492,12 +492,10 @@ func TestCSRGraphErrors(t *testing.T) {
 
 // The bytes of a serving Graph, as a MemStats delta: building it from
 // two row-disjoint parts copies every stored entry's column once (4 B: the
-// pattern), the structural kernels add the pattern transpose (4 B) and
-// vectors over the vertices, and only the first weighted kernel lays
-// values down, onto the pattern and onto its transpose (8 B each). The
-// values moved from the build to that first weighted kernel: the sum of
-// the two bounds is what it was when the build copied them (16 + 8 B per
-// entry).
+// pattern), the structural kernels push along it and add only vectors
+// over the vertices, and only the first weighted kernel lays values down,
+// onto the pattern's own arrays (8 B). No kernel builds a transpose, so
+// a Graph is 4 B per entry, and 12 once a weighted kernel ran.
 func TestGraphBytesPerEntry(t *testing.T) {
 	adj, _, src := benchAdjacency(t, 12)
 	parts := dealRows(adj, 2)
@@ -524,10 +522,9 @@ func TestGraphBytesPerEntry(t *testing.T) {
 	nnz, verts := g.NumEdges(), g.Vertices().Len()
 	t.Logf("%d entries over %d vertices: %d B structural", nnz, verts, structural)
 	// Per vertex: its key's header in the vertex set (16), the four
-	// position maps of the gather (16), two row pointers and the
-	// transpose's cursor (12), BFS's levels and frontiers (16), PageRank's
-	// rank, scaled rank and inverse degrees (24).
-	if limit := 8*nnz + 96*verts + 1<<12; structural > limit {
+	// position maps of the gather (16), its row pointer (4), BFS's levels
+	// and frontiers (16), PageRank's rank, inflow and inverse degrees (24).
+	if limit := 4*nnz + 88*verts + 1<<12; structural > limit {
 		t.Errorf("FromArrays + BFS + PageRank allocated %d B for %d entries over %d vertices (%.1f B/entry), want at most %d",
 			structural, nnz, verts, float64(structural)/float64(nnz), limit)
 	}
@@ -536,16 +533,15 @@ func TestGraphBytesPerEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The values on the pattern and on its transpose (8 + 8 per entry),
-	// the transpose's cursor (4 per vertex), and the relaxation's vectors:
-	// values and accumulator (16), three masks (3), and the frontiers,
-	// their values and the touched list, each grown by doubling (up to
-	// 2 × 20).
-	t.Logf("%d B for the first weighted pull", weighted)
-	if limit := 16*nnz + 72*verts + 1<<12; weighted > limit {
+	// The values on the pattern (8 per entry) and the relaxation's
+	// vectors: values and accumulator (16), two masks (2), and the
+	// frontiers, their values and the touched list, each grown by
+	// doubling (up to 2 × 20).
+	t.Logf("%d B for the first weighted kernel", weighted)
+	if limit := 8*nnz + 64*verts + 1<<12; weighted > limit {
 		t.Errorf("the first SSSP allocated %d B for %d entries over %d vertices, want at most %d", weighted, nnz, verts, limit)
 	}
 	if got := allocated(func() { g.SSSPVector(src) }); got >= 8*nnz {
-		t.Errorf("a second SSSP allocated %d B: the valued transpose was built again", got)
+		t.Errorf("a second SSSP allocated %d B: the values were laid on again", got)
 	}
 }

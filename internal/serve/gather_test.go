@@ -35,16 +35,19 @@ func allocatedBy(t *testing.T, s *Server, r *http.Request) float64 {
 // follows: it pins every shard in the point pin's form and builds its
 // Graph from each shard's main continued by its unfolded suffix, one
 // pattern copy of the graph straight into the kernel's vertex space, then
-// its pattern transpose and the kernel's vectors. No shard folds below the
-// threshold, so Stats().Folds does not move. The bounds are the largest of
-// 40 measurements (/at 2.1 KB, /bfs 2.43 MB, /pagerank 4.14 MB — its
-// spread, 3.04 to 4.14 MB, is whether a collection emptied the response
-// buffer pool) plus 11–12%. When the query folded both shards first (each
-// one copy of that shard's main, read from the old one through the
-// universe's position maps) and copied the graph with its values into the
-// vertex space, the same three read 2.0 KB, 5.15 and 6.85 MB; while the
-// owner's fold sat in the /at, 1.06, 4.47 and 5.80 MB; with 8-byte indices
-// and a valued transpose 1.41, 7.10 and 7.52 MB. (Embedding main before
+// the kernel's vectors: every kernel pushes along that pattern, and no
+// transpose is built. No shard folds below the threshold, so
+// Stats().Folds does not move. The bounds are the largest of 40
+// measurements (/at 2.0 KB, /bfs 1.88 MB, /pagerank 3.58 MB — the spreads,
+// 1.27 to 1.88 and 2.48 to 3.58 MB, are whether a collection emptied the
+// response buffer pool) plus 11–12%. While the Graph built a pattern
+// transpose, /bfs and /pagerank read 2.43 and 4.14 MB. When the query
+// folded both shards first (each one copy of that shard's main, read from
+// the old one through the universe's position maps) and copied the graph
+// with its values into the vertex space, the same three read 2.0 KB, 5.15
+// and 6.85 MB; while the owner's fold sat in the /at, 1.06, 4.47 and 5.80
+// MB; with 8-byte indices and a valued transpose 1.41, 7.10 and 7.52 MB.
+// (Embedding main before
 // the merge, gathering the shards with ⊕ into a store-wide array and
 // embedding that again into the vertex space cost /at 2.4–2.5 MB, /bfs
 // 10.8–12.1 MB and /pagerank 11.4–13.8 MB.) At an unchanged vector a query
@@ -62,8 +65,8 @@ func TestNewEpochAllocations(t *testing.T) {
 		path  string
 		bound float64
 	}{
-		{"/bfs?src=" + rmatHub, 2.7 * MB}, {"/pagerank?iters=20", 4.65 * MB},
-		{"/bfs?src=" + rmatHub, 2.7 * MB}, {"/pagerank?iters=20", 4.65 * MB},
+		{"/bfs?src=" + rmatHub, 2.1 * MB}, {"/pagerank?iters=20", 4.0 * MB},
+		{"/bfs?src=" + rmatHub, 2.1 * MB}, {"/pagerank?iters=20", 4.0 * MB},
 	} {
 		body, probe := newEpochBatch(r, i)
 		serveDiscarding(t, s, w, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))

@@ -278,14 +278,15 @@ func (s *Server) pinOwner(w http.ResponseWriter, src string) (stream.PointSnapsh
 
 // graphCache memoizes the CSR-native algo.Graph per snapshot epoch
 // vector: algorithm queries between ingest batches reuse one id-space
-// embedding (and its lazily built transpose) instead of rebuilding per
-// request. The Graph is built from the shards' point pins directly —
-// each shard's main continued by its unfolded suffix as it is copied, as
-// a pattern, into the square vertex space the kernels run in — so a new
-// vector costs one pattern copy of the graph (4 B per entry) and no
-// shard's fold, and the cached Graph keeps no store-wide array alive
-// beside its own: values are read from the pinned mains, and laid on
-// only when a weighted kernel first asks.
+// embedding instead of rebuilding per request. The Graph is built from
+// the shards' point pins directly — each shard's main continued by its
+// unfolded suffix as it is copied, as a pattern, into the square vertex
+// space the kernels run in — so a new vector costs one pattern copy of
+// the graph (4 B per entry) and no shard's fold, and the cached Graph
+// keeps no store-wide array alive beside its own: every kernel pushes
+// along that pattern, no transpose is built, and values are read from
+// the pinned mains and laid on (8 B more, 12 in all) only when a weighted
+// kernel first asks.
 //
 // Snapshots are taken OUTSIDE the cache lock, so two concurrent
 // requests can pin different epochs and reach graphFor in either

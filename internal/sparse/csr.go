@@ -225,35 +225,6 @@ func (m *CSR[V]) Transpose() *CSR[V] {
 	return &CSR[V]{rows: m.cols, cols: m.rows, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
-// TransposeOnto returns mᵀ laid onto its own pattern t — what
-// m.Pattern().Transpose() returned: the result shares t's index arrays
-// and only the values move, in one counting pass over m. t's shape and
-// the length of each of its rows are checked against m; that those rows
-// hold m's columns and not some others of the same lengths is the
-// caller's word.
-func (m *CSR[V]) TransposeOnto(t *Pattern) (*CSR[V], error) {
-	if t.rows != m.cols || t.cols != m.rows || len(t.colIdx) != len(m.colIdx) {
-		return nil, fmt.Errorf("sparse: TransposeOnto: a %d×%d pattern of %d entries is not the transpose of a %d×%d matrix of %d",
-			t.rows, t.cols, len(t.colIdx), m.rows, m.cols, len(m.colIdx))
-	}
-	val := make([]V, len(m.val))
-	next := slices.Clone(t.rowPtr[:t.rows])
-	for p, j := range m.colIdx { // row-major: each column's entries in ascending row order
-		q := next[j]
-		if int(q) == len(val) {
-			break // a row of t is shorter than m's column; reported below
-		}
-		next[j]++
-		val[q] = m.val[p]
-	}
-	for j, end := range next {
-		if end != t.rowPtr[j+1] {
-			return nil, fmt.Errorf("sparse: TransposeOnto: row %d of the pattern does not have the length of the matrix's column", j)
-		}
-	}
-	return &CSR[V]{rows: t.rows, cols: t.cols, rowPtr: t.rowPtr, colIdx: t.colIdx, val: val}, nil
-}
-
 // ExtractRows returns the sub-matrix consisting of the given rows (in
 // the given order, which need not be sorted). Row indices must be in
 // range.
