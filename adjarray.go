@@ -287,8 +287,10 @@ func AdjacencyViewFromIncidence[V any](eout, ein *Array[V], ops Ops[V]) (*Adjace
 // appends to different shards never contend. Snapshot pins one
 // consistent epoch per shard and concatenates the per-shard adjacencies
 // — bit-identical to the one-shard construction because shards own
-// disjoint adjacency rows, which the gather checks; Pin is the same
-// without the gather. One shard is shards = 1, not another type.
+// disjoint adjacency rows, which the gather checks. PointPin pins every
+// shard and OwnerSnapshot the one owning a source, neither gathering and
+// each folding only past a threshold. One shard is shards = 1, not
+// another type.
 type AdjacencyStore[V any] = stream.Store[V]
 
 // AdjacencyStoreSnapshot is an immutable scatter-gather read view

@@ -378,11 +378,6 @@ func run(cfg config) error {
 	if err := f.flush(); err != nil {
 		return err
 	}
-	pinStart := time.Now()
-	if _, err := store.Pin(); err != nil { // fold every shard for the final stats; nothing needs the gather
-		return err
-	}
-	pin := time.Since(pinStart)
 	st := store.Stats()
 	folded := 0 // shards that have folded
 	for _, ps := range st.PerShard {
@@ -390,13 +385,13 @@ func run(cfg config) error {
 			folded++
 		}
 	}
-	// The shards fold at once, so on several cores the pin's wall time is
-	// less than the fold time summed over them.
+	// Nothing folds for this line: the edges no read has asked for yet
+	// are pending, and the first read past the fold threshold folds them.
 	fmt.Fprintf(os.Stderr,
-		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, pin %v, folds %v over %d shards\n",
+		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, folds %v over %d shards\n",
 		f.edges.Load(), time.Since(start).Round(time.Millisecond),
 		st.Shards, st.AdjNNZ, st.Pending, st.Epochs,
-		pin.Round(time.Microsecond), time.Duration(st.FoldNanos).Round(time.Microsecond), folded)
+		time.Duration(st.FoldNanos).Round(time.Microsecond), folded)
 
 	if srv != nil {
 		fmt.Fprintln(os.Stderr, "adjserve: stream ended; still serving (interrupt to exit)")

@@ -534,8 +534,8 @@ func TestIngestAllocatesPerReadNotPerLine(t *testing.T) {
 
 // A preload's one fold spells an unweighted side's column of One with one
 // allocation of its size (1 MB here), not the ~5× of growing it an element
-// at a time: file → ingest → flush → Pin of the 131,072-edge preload
-// allocates 12.9 MB, run after run, where it allocated 16.9.
+// at a time: file → ingest → flush → first point pin of the 131,072-edge
+// preload allocates 12.9 MB, run after run, where it allocated 16.9.
 func TestPreloadAllocations(t *testing.T) {
 	data := preloadLines()
 	var before, after runtime.MemStats
@@ -547,15 +547,16 @@ func TestPreloadAllocations(t *testing.T) {
 	}
 }
 
-// preload is adjserve from opening -in to its "ingested …" line, in
-// process: the lines → ingest → flush → Pin, one shard, batches of 512.
+// preload is adjserve from opening -in to its first answer, in process:
+// the lines → ingest → flush → the first point pin, which folds what is
+// past the threshold (all of it, here); one shard, batches of 512.
 func preload(tb testing.TB, data []byte) (*core.Ingest, *front) {
 	ing, f, _ := preloadShards(tb, data, 1)
 	return ing, f
 }
 
 // preloadShards is preload on a store of the given shard count; pin is
-// the time the closing Pin took.
+// the time the first Store.PointPin took.
 func preloadShards(tb testing.TB, data []byte, shards int) (ing *core.Ingest, f *front, pin time.Duration) {
 	tb.Helper()
 	ing, err := core.NewIngest(core.IngestOptions{Semiring: "+.*", BatchSize: 512, Shards: shards})
@@ -570,7 +571,7 @@ func preloadShards(tb testing.TB, data []byte, shards int) (ing *core.Ingest, f 
 		tb.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := ing.Store().Pin(); err != nil {
+	if _, _, err := ing.Store().PointPin(); err != nil {
 		tb.Fatal(err)
 	}
 	return ing, f, time.Since(start)
@@ -591,15 +592,15 @@ func preloadLines() []byte {
 
 // BenchmarkPreload is adjserve's time to its first answer, in process:
 // preload over the lines of a 131,072-edge file — everything between
-// opening -in and the "ingested …" line — on one shard and on two (what
-// bench's mixed_rw child runs). pin_ms is the closing Pin, whose shards
-// fold at once; fold_ms the store's own count of the time in folds,
-// summed over the shards (and folds how many there were), so on two
-// cores pin_ms comes out below fold_ms. parse_ms is a pass of the same
-// lines into a front that never appends (so it also writes every edge of
-// the file to memory: an upper bound), append_ms what is left of the op
-// past the parse and the pin: the appends run beside the parse, so it is
-// what of them the parse did not hide.
+// opening -in and the first read's pin — on one shard and on two (what
+// bench's mixed_rw child runs). first_pin_ms is the first Store.PointPin,
+// which folds every shard one after another; fold_ms the store's own
+// count of the time in folds, summed over the shards (and folds how many
+// there were). parse_ms is a pass of the same lines into a front that
+// never appends (so it also writes every edge of the file to memory: an
+// upper bound), append_ms what is left of the op past the parse and the
+// pin: the appends run beside the parse, so it is what of them the parse
+// did not hide.
 func BenchmarkPreload(b *testing.B) {
 	data := preloadLines()
 	for _, shards := range []int{1, 2} {
@@ -616,7 +617,7 @@ func BenchmarkPreload(b *testing.B) {
 				b.StopTimer()
 				st := ing.Store().Stats()
 				if st.Pending != 0 || int64(st.Edges) != f.edges.Load() {
-					b.Fatalf("%d edges accepted, %d stored, %d pending after the Pin", f.edges.Load(), st.Edges, st.Pending)
+					b.Fatalf("%d edges accepted, %d stored, %d pending after the first point pin", f.edges.Load(), st.Edges, st.Pending)
 				}
 				pin += p
 				fold += time.Duration(st.FoldNanos)
@@ -632,7 +633,7 @@ func BenchmarkPreload(b *testing.B) {
 			ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
 			b.ReportMetric(ms(parse), "parse_ms")
 			b.ReportMetric(ms(total-parse-pin), "append_ms")
-			b.ReportMetric(ms(pin), "pin_ms")
+			b.ReportMetric(ms(pin), "first_pin_ms")
 			b.ReportMetric(ms(fold), "fold_ms")
 			b.ReportMetric(float64(folds)/float64(b.N), "folds")
 		})

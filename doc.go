@@ -54,8 +54,8 @@
 //   - one ingest store, shards × optional WAL: OpenAdjacencyStore
 //     (internal/stream.Open) hash-partitions the vertex space by source
 //     across N ≥ 1 shards (per-shard views and append locks), with
-//     snapshots pinned to a per-shard epoch vector (Pin) and gathered at
-//     most once per vector (Snapshot). Shards own disjoint adjacency
+//     snapshots that pin a per-shard epoch vector and gather the shards'
+//     adjacencies (Snapshot). Shards own disjoint adjacency
 //     rows, so the gather is a concatenation — every stored row copied
 //     once, no ⊕ — bit-identical to one shard for any operator pair, and
 //     the disjointness is checked: two shards storing one source row are
@@ -83,7 +83,7 @@
 //     WidestPathVector, PageRankVector) by an append-style encoder,
 //     byte-compatible with the former encoding/json output over maps
 //     (a golden test and two fuzz targets hold it to that). A view
-//     has two pins. The whole-array pin (Snapshot, Pin) folds the
+//     has two pins. The whole-array pin (Snapshot) folds the
 //     log's unfolded suffix into the materialized array first, because
 //     its consumers want one array. The point pin
 //     (AdjacencyStore.OwnerSnapshot, for /at and /row) pins only the

@@ -15,10 +15,10 @@ import (
 
 // The Graph a store's point pins build (FromPins: every shard's main
 // continued by its unfolded suffix as it is copied) against the Graph
-// FromArrays builds over the arrays Store.Pin folds at the same vector:
-// the same vertices, the same pattern, the same weights and the same
-// BFS, SSSP, widest-path, PageRank and triangle answers, bit for bit, at
-// 1, 2 and 3 shards. The weights are sums of 0.1, 0.2 and 0.3 under +.*,
+// FromArrays builds over the arrays Store.Snapshot folds at the same
+// vector: the same vertices, the same pattern, the same weights and the
+// same BFS, SSSP, widest-path, PageRank and triangle answers, bit for
+// bit, at 1, 2 and 3 shards. The weights are sums of 0.1, 0.2 and 0.3 under +.*,
 // whose ⊕ does not associate, so a run folded in any order but the log's
 // shows. The rounds append suffixes that bring new source and
 // destination vertices, continue cells main stores, fold a main cell and
@@ -52,7 +52,7 @@ func TestFromPinsMatchesFromArraysOverPin(t *testing.T) {
 			if err := store.Append(random(40, 300)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := store.Pin(); err != nil { // the preload's fold: main holds it
+			if _, err := store.Snapshot(); err != nil { // the preload's fold: main holds it
 				t.Fatal(err)
 			}
 			for round, batch := range []struct {
@@ -69,7 +69,7 @@ func TestFromPinsMatchesFromArraysOverPin(t *testing.T) {
 				}},
 				{"main cells continued", func() []stream.Edge[float64] { return random(40, 60) }},
 				{"cells folded to Zero", func() []stream.Edge[float64] {
-					pin, err := store.Pin()
+					pin, err := store.Snapshot()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +90,7 @@ func TestFromPinsMatchesFromArraysOverPin(t *testing.T) {
 				if err := store.Append(batch.edges()); err != nil {
 					t.Fatal(err)
 				}
-				// The point pins first: Pin folds, and they must not see it.
+				// The point pins first: Snapshot folds, and they must not see it.
 				pins, epochs, err := store.PointPin()
 				if err != nil {
 					t.Fatal(err)
@@ -103,12 +103,12 @@ func TestFromPinsMatchesFromArraysOverPin(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d (%s): %v", round, batch.name, err)
 				}
-				pin, err := store.Pin()
+				pin, err := store.Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(pin.Epochs, epochs) {
-					t.Fatalf("round %d: Pin at %v, the point pins at %v", round, pin.Epochs, epochs)
+					t.Fatalf("round %d: Snapshot at %v, the point pins at %v", round, pin.Epochs, epochs)
 				}
 				parts := make([]*assoc.Array[float64], len(pin.Shards))
 				for k, sn := range pin.Shards {

@@ -447,8 +447,9 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		// bound, and the response says how much was actually returned.
 		limit = min(n, s.opt.TriplesMax)
 	}
-	// The one answer read off the store-wide array: the first stored
-	// entries in row-major key order interleave every shard's rows.
+	// The one answer read off the store-wide array, which Snapshot folds
+	// and gathers on every call: the first stored entries in row-major
+	// key order interleave every shard's rows.
 	snap, err := s.ing.Store().Snapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -28,7 +28,6 @@ func TestOneIndexWidth(t *testing.T) {
 		"stream: Store.OwnerSnapshot result": "the epoch vector",
 		"stream: Store.PointPin result":      "the epoch vector",
 		"stream: StoreStats.Epochs":          "the epoch vector",
-		"stream: Store.pinned":               "the epoch vector of the last pin",
 	}
 	used := map[string]bool{}
 	fset := token.NewFileSet()

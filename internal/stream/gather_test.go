@@ -185,8 +185,8 @@ func TestGatherRefusesARowTwoShardsStore(t *testing.T) {
 
 // The same through a directory: a 2-shard store reopened after shard-001
 // was replaced by a copy of shard-000. Gathering is refused with the
-// row's key — Snapshot errs — while the pin and the point read, which
-// gather nothing, keep answering.
+// row's key — Snapshot errs — while the point read, which gathers
+// nothing, keeps answering.
 func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
@@ -227,44 +227,12 @@ func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 	if !errors.As(err, &rc) || !strings.Contains(err.Error(), fmt.Sprintf("%q", src)) {
 		t.Fatalf("gathering a store whose shards both hold %q's row: got %v", src, err)
 	}
-	pin, err := st.Pin()
-	if err != nil || len(pin.Shards) != 2 || pin.Adjacency != nil {
-		t.Errorf("the pin gathers nothing and has nothing to refuse: %v (adjacency %v)", err, pin.Adjacency)
-	}
 	sn, _, err := st.OwnerSnapshot(src)
 	if err != nil {
 		t.Fatalf("point read: %v", err)
 	}
 	if v, ok := sn.At(src, "y"); !ok || v != 1 {
 		t.Errorf("the owner's row reads (%v, %v)", v, ok)
-	}
-}
-
-// A pin does not gather, and says so: Adjacency stays nil until a
-// Snapshot at the same vector has run the gather, which every later pin
-// and snapshot at that vector then shares.
-func TestPinDoesNotGather(t *testing.T) {
-	sv := memStore(t, semiring.PlusTimes(), 3)
-	if err := sv.Append(randomEdges(rand.New(rand.NewSource(5)), 40, 9, []float64{1, 2})); err != nil {
-		t.Fatal(err)
-	}
-	pin, err := sv.Pin()
-	if err != nil || pin.Adjacency != nil || len(pin.Shards) != 3 || pin.Edges != 40 {
-		t.Fatalf("first pin: %v, adjacency %v, %d shards, %d edges", err, pin.Adjacency, len(pin.Shards), pin.Edges)
-	}
-	snap := mustShardSnap(t, sv)
-	if !slices.Equal(snap.Epochs, pin.Epochs) || snap.g != pin.g {
-		t.Fatalf("the snapshot at the pinned vector %v is another one (%v)", pin.Epochs, snap.Epochs)
-	}
-	if again, err := sv.Pin(); err != nil || again.Adjacency != snap.Adjacency {
-		t.Errorf("a pin after the gather does not carry it: %v", err)
-	}
-	one := memStore(t, semiring.PlusTimes(), 1)
-	if err := one.Append([]Edge[float64]{{Src: "a", Dst: "b"}}); err != nil {
-		t.Fatal(err)
-	}
-	if snap := mustShardSnap(t, one); snap.Adjacency != snap.Shards[0].Adjacency {
-		t.Error("one shard's gather is not that shard's array")
 	}
 }
 

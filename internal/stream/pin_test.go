@@ -25,15 +25,16 @@ func sourcesPerShard(sv *Store[float64]) []string {
 	return srcs
 }
 
-// Pin folds the shards whose epochs moved at once, one goroutine each
-// past the first. Under concurrent Append, OwnerSnapshot and other Pins,
-// every pin holds, shard for shard, the array that shard's own Snapshot
-// held at the pinned epoch — taken here from a twin store fed the same
-// batches, one Snapshot per shard after every batch. +.* over small
-// integers is exact under any grouping, so where the folds fell does not
-// matter. A fold that fails is reported by its shard, the lowest-indexed
-// one when several fail. Run under -race.
-func TestPinFoldsShardsConcurrently(t *testing.T) {
+// Snapshot pins every shard at one epoch vector, folding the shards
+// whose epochs moved one after another. Under concurrent Append,
+// OwnerSnapshot and other Snapshots, every snapshot holds, shard for
+// shard, the array that shard's own Snapshot held at the pinned epoch —
+// taken here from a twin store fed the same batches, one Snapshot per
+// shard after every batch. +.* over small integers is exact under any
+// grouping, so where the folds fell does not matter. A fold that fails is
+// reported by its shard, the lowest-indexed one when several fail. Run
+// under -race.
+func TestSnapshotPinsEveryShardUnderAppends(t *testing.T) {
 	ops := plusTimes(t)
 	for _, shards := range []int{2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -87,7 +88,7 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for !done.Load() {
-						pin, err := sv.Pin()
+						pin, err := sv.Snapshot()
 						if err != nil {
 							errc <- err
 							return
@@ -112,20 +113,19 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 			for err := range errc {
 				t.Fatal(err)
 			}
-			last, err := sv.Pin()
+			last, err := sv.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			pins = append(pins, last)
-			// A store pinned only once, at the end, has every shard to fold:
-			// the first on the caller's goroutine, every other one aside.
+			// A store pinned only once, at the end, has every shard to fold.
 			cold := memStore(t, ops, shards)
 			for _, b := range batches {
 				if err := cold.Append(b); err != nil {
 					t.Fatal(err)
 				}
 			}
-			coldPin, err := cold.Pin()
+			coldPin, err := cold.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,14 +176,14 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 					return nil
 				}
 			}
-			_, err := sv.Pin()
+			_, err := sv.Snapshot()
 			if prefix := fmt.Sprintf("stream: shard %d: ", c.want); !errors.Is(err, errFold) || !strings.HasPrefix(err.Error(), prefix) {
 				t.Fatalf("got %v, want %q…", err, prefix)
 			}
 			for _, i := range c.failing {
 				sv.parts[i].v.failpoint = nil
 			}
-			pin, err := sv.Pin()
+			pin, err := sv.Snapshot()
 			if err != nil {
 				t.Fatalf("once the failure is gone: %v", err)
 			}
@@ -193,30 +193,5 @@ func TestPinFoldsShardsConcurrently(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// A pin at the vector of the last one folds nothing and starts no
-// goroutine: it allocates nothing, up to four shards.
-func TestPinAtAnUnchangedVectorAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates")
-	}
-	ops := plusTimes(t)
-	for _, shards := range []int{1, 2, 3, 4} {
-		sv := memStore(t, ops, shards)
-		if err := sv.Append(randomEdges(rand.New(rand.NewSource(3)), 64, 20, []float64{1})); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sv.Pin(); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			if _, err := sv.Pin(); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%d shards: a pin at an unchanged vector allocates %.1f times", shards, allocs)
-		}
 	}
 }

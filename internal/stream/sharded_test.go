@@ -204,9 +204,10 @@ func TestShardedConcurrentAppendMatchesBatch(t *testing.T) {
 	}
 }
 
-// Snapshots are cached per epoch vector: unchanged vector returns the
-// same snapshot (sharing its lazily merged adjacency); an append to one
-// shard bumps exactly that vector component.
+// A snapshot at an unchanged epoch vector folds nothing: every shard
+// returns the array it cached at its epoch, and the gather of them is
+// the same array. An append to one shard bumps exactly that vector
+// component.
 func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 	ops := semiring.PlusTimes()
 	sv := memStore(t, ops, 3)
@@ -221,8 +222,15 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 	if len(s1.Epochs) != 3 {
 		t.Fatalf("epoch vector length %d, want 3", len(s1.Epochs))
 	}
-	if s2 := mustShardSnap(t, sv); s2.Adjacency != s1.Adjacency || s2.g != s1.g {
-		t.Error("unchanged epoch vector must return the cached snapshot")
+	folds := sv.Stats().Folds
+	s2 := mustShardSnap(t, sv)
+	for i := range s2.Shards {
+		if s2.Shards[i].Adjacency != s1.Shards[i].Adjacency {
+			t.Errorf("unchanged epoch vector: shard %d returned another array", i)
+		}
+	}
+	if !slices.Equal(s2.Epochs, s1.Epochs) || !s2.Adjacency.Equal(s1.Adjacency, ops.Equal) || sv.Stats().Folds != folds {
+		t.Error("unchanged epoch vector must gather the same arrays without a fold")
 	}
 
 	target := sv.ShardFor("zz")
@@ -230,9 +238,6 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3 := mustShardSnap(t, sv)
-	if s3.g == s1.g {
-		t.Fatal("append must invalidate the cached snapshot")
-	}
 	for i := range s3.Epochs {
 		want := s1.Epochs[i]
 		if i == target {
@@ -251,8 +256,7 @@ func TestShardedSnapshotEpochVectorAndCaching(t *testing.T) {
 // OwnerSnapshot is the read for one row: it answers from the owning
 // shard exactly what the gathered adjacency holds for that row, folds no
 // shard — not even the owner, whose unfolded edges it reads beside main —
-// caches no gather, and reports the owner's pinned epoch beside the
-// siblings' current ones.
+// and reports the owner's pinned epoch beside the siblings' current ones.
 func TestOwnerSnapshotPinsOneShard(t *testing.T) {
 	ops := semiring.PlusTimes()
 	for _, shards := range []int{1, 2, 3, 5} {
@@ -273,9 +277,6 @@ func TestOwnerSnapshotPinsOneShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := sv.Stats()
-		if sv.cached.g != nil {
-			t.Errorf("%d shards: a point read cached a gather", shards)
-		}
 		for i := range epochs {
 			if epochs[i] != after.Epochs[i] {
 				t.Errorf("%d shards: epochs[%d] = %d, want the shard's epoch %d", shards, i, epochs[i], after.Epochs[i])
@@ -548,7 +549,8 @@ func TestShardRoutingDeterministic(t *testing.T) {
 }
 
 // A snapshot read for its adjacency never merges the incidence logs:
-// the gather is per epoch vector, the log merge on first request.
+// Logs merges them when asked, each shard's own logs built once per
+// shard snapshot.
 func TestStoreSnapshotMergesLogsOnDemand(t *testing.T) {
 	ops := semiring.PlusTimes()
 	st := memStore(t, ops, 2)
@@ -559,15 +561,20 @@ func TestStoreSnapshotMergesLogsOnDemand(t *testing.T) {
 	if ss.Adjacency.NNZ() == 0 {
 		t.Fatal("empty gathered adjacency")
 	}
-	if ss.g.eout != nil || ss.g.ein != nil {
-		t.Fatal("Snapshot merged the incidence logs before anyone asked")
+	for i, sn := range ss.Shards {
+		if sn.log.eout != nil || sn.log.ein != nil {
+			t.Fatalf("Snapshot built shard %d's incidence logs before anyone asked", i)
+		}
 	}
 	eout, ein, err := ss.Logs()
 	if err != nil || eout.RowKeys().Len() != 30 || ein.RowKeys().Len() != 30 {
 		t.Fatalf("Logs() = %v rows / %v rows, %v", eout.RowKeys().Len(), ein.RowKeys().Len(), err)
 	}
-	if again := mustShardSnap(t, st); again.g != ss.g {
-		t.Error("unchanged vector must share the merged logs")
+	again := mustShardSnap(t, st)
+	for i, sn := range again.Shards {
+		if sn.log.eout != ss.Shards[i].log.eout || sn.log.eout == nil {
+			t.Errorf("unchanged vector: shard %d built its logs again", i)
+		}
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/iofault"
@@ -64,14 +62,6 @@ type Store[V any] struct {
 	parts []*partition[V]
 
 	scatter sync.Pool // *[][]Edge[V], one sub-batch per shard
-
-	// cmu guards the last snapshot, reused while the epoch vector is
-	// unchanged so repeated queries share one gather, and the vector the
-	// last pin saw, which outlives the snapshot (Append drops that): a
-	// shard whose epoch is still the one pinned has nothing to fold.
-	cmu    sync.Mutex
-	cached StoreSnapshot[V]
-	pinned []int
 }
 
 // FNV-1a, fixed parameters: the routing hash must be identical across
@@ -279,10 +269,6 @@ func (s *Store[V]) Append(edges []Edge[V]) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	// The cached snapshot's vector is about to go stale; dropping it now
-	// rather than at the next Snapshot lets the arrays it pins go as
-	// soon as the views move on.
-	defer s.dropCached()
 	n := len(s.parts)
 	if n == 1 {
 		return s.parts[0].append(edges)
@@ -309,11 +295,9 @@ func (s *Store[V]) Append(edges []Edge[V]) error {
 
 // StoreSnapshot is an immutable scatter-gather read view: per-shard
 // snapshots pinned at one epoch vector and the adjacency gathered from
-// them. Every copy of one snapshot shares the gather.
+// them.
 type StoreSnapshot[V any] struct {
 	// Adjacency is A = Eoutᵀ ⊕.⊗ Ein over the union vertex universe.
-	// Snapshot always fills it; Pin only when the gather at this vector
-	// has already run.
 	Adjacency *assoc.Array[V]
 	// Shards holds each shard's pinned snapshot, ascending shard order.
 	Shards []Snapshot[V]
@@ -326,151 +310,33 @@ type StoreSnapshot[V any] struct {
 	// Edges is the edge count across all shard logs.
 	Edges int
 
-	g *gather[V]
-}
-
-// gather is the lazily merged state behind one epoch vector.
-type gather[V any] struct {
 	ops semiring.Ops[V]
-
-	adjOnce sync.Once
-	adj     *assoc.Array[V]
-	adjErr  error
-	adjDone atomic.Bool // adj and adjErr are set: readable without going through adjOnce
-
-	logOnce   sync.Once
-	eout, ein *assoc.Array[V]
-	logErr    error
 }
 
-// Pin pins one consistent epoch per shard — each shard's snapshot
-// immutable and copy-on-write exactly as View.Snapshot — and returns
-// them WITHOUT gathering: Shards, the epoch vector and the counters are
-// filled, Adjacency only if a Snapshot at the same vector has gathered
-// already. It is the read for a consumer that needs every shard's main
-// folded up to the vector — Snapshot's gather, a caller reporting what
-// the folds cost — but not the store-wide array itself. (A graph kernel
-// and a /batch read no folded array: PointPin; a point read on its own
-// pins one shard: OwnerSnapshot.) While the vector is unchanged the same
-// snapshot is returned again, without touching the heap.
-//
-// A shard whose epoch moved since the last pin has a fold to run; the
-// first such shard folds on the caller's goroutine and every further one
-// on its own, so the shards' folds overlap instead of queueing. An error
-// is the lowest-indexed shard's.
-func (s *Store[V]) Pin() (StoreSnapshot[V], error) {
-	var few [4]Snapshot[V] // keeps the unchanged-vector path off the heap
-	snaps := few[:0]
-	if len(s.parts) > len(few) {
-		snaps = make([]Snapshot[V], 0, len(s.parts))
-	}
-	snaps = snaps[:len(s.parts)]
-	s.cmu.Lock()
-	last := s.pinned
-	s.cmu.Unlock()
-	var aside []int32 // the moved shards after the first, ascending
-	lead := false
-	for i, p := range s.parts {
-		if last != nil && int(p.epoch()) == last[i] {
-			continue
-		}
-		if lead {
-			aside = append(aside, int32(i))
-		}
-		lead = true
-	}
-	var bg *foldsAside[V]
-	if len(aside) > 0 {
-		bg = s.foldAside(aside)
-	}
-	var err error
-	errAt := len(s.parts)
-	for i, p := range s.parts {
-		if len(aside) > 0 && int(aside[0]) == i {
-			aside = aside[1:]
-			continue
-		}
-		var serr error
-		if snaps[i], serr = p.v.Snapshot(); serr != nil && i < errAt {
-			err, errAt = serr, i
-		}
-	}
-	if bg != nil {
-		bg.wg.Wait()
-		for j, i := range bg.shards {
-			snaps[i] = bg.snaps[j]
-			if bg.errs[j] != nil && int(i) < errAt {
-				err, errAt = bg.errs[j], int(i)
-			}
-		}
-	}
-	if err != nil {
-		return StoreSnapshot[V]{}, fmt.Errorf("stream: shard %d: %w", errAt, err)
-	}
-	s.cmu.Lock()
-	fresh := s.cached.g == nil
-	for i := range snaps {
-		fresh = fresh || s.cached.Epochs[i] != snaps[i].Epoch
-	}
-	if fresh {
-		c := StoreSnapshot[V]{Shards: slices.Clone(snaps), Epochs: make([]int, len(snaps)), g: &gather[V]{ops: s.ops}}
-		for i, sn := range snaps {
-			c.Epochs[i] = sn.Epoch
-			c.Epoch += sn.Epoch
-			c.Edges += sn.Edges
-		}
-		s.cached, s.pinned = c, c.Epochs
-	}
-	snap := s.cached
-	s.cmu.Unlock()
-	if snap.g.adjDone.Load() {
-		snap.Adjacency = snap.g.adj
-	}
-	return snap, nil
-}
-
-// foldsAside is Pin's shards that snapshot on goroutines of their own.
-type foldsAside[V any] struct {
-	wg     sync.WaitGroup
-	shards []int32
-	snaps  []Snapshot[V]
-	errs   []error
-}
-
-// foldAside starts one goroutine per shard in shards, each taking that
-// shard's Snapshot (a fold, if it has appends to fold); wait on wg before
-// reading what they return.
-func (s *Store[V]) foldAside(shards []int32) *foldsAside[V] {
-	bg := &foldsAside[V]{shards: shards, snaps: make([]Snapshot[V], len(shards)), errs: make([]error, len(shards))}
-	bg.wg.Add(len(shards))
-	for j, i := range shards {
-		go func() {
-			defer bg.wg.Done()
-			bg.snaps[j], bg.errs[j] = s.parts[i].v.Snapshot()
-		}()
-	}
-	return bg
-}
-
-// Snapshot is Pin plus the gather: the read view with Adjacency filled,
-// the per-shard adjacencies concatenated into one array over the union
-// vertex universe. The gather runs once per epoch vector, outside the
-// store's locks, and is shared by every snapshot at that vector; a
-// one-shard store has nothing to gather.
+// Snapshot pins one consistent epoch per shard — each shard's
+// View.Snapshot in shard order, immutable and copy-on-write, folding a
+// shard that has appends to fold — and gathers them: the per-shard
+// adjacencies concatenated into one array over the union vertex universe
+// (a one-shard store has nothing to gather). It is the read for a
+// consumer of the store-wide array; a graph kernel and a /batch read no
+// folded array (PointPin), and a point read pins one shard
+// (OwnerSnapshot). An error is the lowest-indexed failing shard's.
 func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
-	snap, err := s.Pin()
+	snap := StoreSnapshot[V]{Shards: make([]Snapshot[V], len(s.parts)), Epochs: make([]int, len(s.parts)), ops: s.ops}
+	for i, p := range s.parts {
+		sn, err := p.v.Snapshot()
+		if err != nil {
+			return StoreSnapshot[V]{}, fmt.Errorf("stream: shard %d: %w", i, err)
+		}
+		snap.Shards[i], snap.Epochs[i] = sn, sn.Epoch
+		snap.Epoch += sn.Epoch
+		snap.Edges += sn.Edges
+	}
+	adj, err := mergeAdjacency(snap.Shards)
 	if err != nil {
 		return StoreSnapshot[V]{}, err
 	}
-	g := snap.g
-	g.adjOnce.Do(func() {
-		g.adj, g.adjErr = mergeAdjacency(snap.Shards)
-		g.adjDone.Store(true)
-	})
-	if g.adjErr != nil {
-		return StoreSnapshot[V]{}, g.adjErr
-	}
-	snap.Adjacency = g.adj
+	snap.Adjacency = adj
 	return snap, nil
 }
 
@@ -506,8 +372,8 @@ func (s *Store[V]) OwnerSnapshot(src string) (PointSnapshot[V], []int, error) {
 // (View.Point) — at one epoch vector, and the vector. It is the read for
 // a consumer of the whole graph that continues main with the suffix as it
 // reads it (algo.FromPins, through PointSnapshot.Delta), so a new vector
-// copies no shard's main and syncs no universe: what Pin pays a fold for
-// is paid once, by that consumer's own pass. An error is the first
+// copies no shard's main and syncs no universe: what Snapshot pays a fold
+// for is paid once, by that consumer's own pass. An error is the first
 // failing shard's.
 func (s *Store[V]) PointPin() ([]PointSnapshot[V], []int, error) {
 	pins, epochs := make([]PointSnapshot[V], len(s.parts)), make([]int, len(s.parts))
@@ -543,19 +409,13 @@ func mergeAdjacency[V any](shards []Snapshot[V]) (*assoc.Array[V], error) {
 // (ascending explicit streams; prefixed auto keys), so the row sets are
 // disjoint and the gather — like the adjacency merge — never
 // ⊕-combines entries. The merged log's row order is ascending key
-// order, exactly a one-shard log's order. Computed on first request,
-// once per snapshot.
+// order, exactly a one-shard log's order. The merge runs on each call;
+// each shard's own logs are built once per shard snapshot.
 func (s StoreSnapshot[V]) Logs() (eout, ein *assoc.Array[V], err error) {
-	g := s.g
-	g.logOnce.Do(func() { g.eout, g.ein, g.logErr = mergeLogs(s.Shards, g.ops) })
-	return g.eout, g.ein, g.logErr
-}
-
-func mergeLogs[V any](shards []Snapshot[V], ops semiring.Ops[V]) (eout, ein *assoc.Array[V], err error) {
-	if eout, ein, err = shards[0].Logs(); err != nil {
+	if eout, ein, err = s.Shards[0].Logs(); err != nil {
 		return nil, nil, err
 	}
-	for _, sn := range shards[1:] {
+	for _, sn := range s.Shards[1:] {
 		if sn.Edges == 0 {
 			continue
 		}
@@ -563,10 +423,10 @@ func mergeLogs[V any](shards []Snapshot[V], ops semiring.Ops[V]) (eout, ein *ass
 		if err != nil {
 			return nil, nil, err
 		}
-		if eout, err = assoc.Add(eout, so, ops); err != nil {
+		if eout, err = assoc.Add(eout, so, s.ops); err != nil {
 			return nil, nil, err
 		}
-		if ein, err = assoc.Add(ein, si, ops); err != nil {
+		if ein, err = assoc.Add(ein, si, s.ops); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -583,12 +443,6 @@ func (s *Store[V]) eachShard(fn func(p *partition[V]) error) error {
 		}
 	}
 	return first
-}
-
-func (s *Store[V]) dropCached() {
-	s.cmu.Lock()
-	s.cached = StoreSnapshot[V]{}
-	s.cmu.Unlock()
 }
 
 // Sync forces every shard's log to stable storage, advancing each
@@ -626,7 +480,7 @@ type StoreStats struct {
 	AdjNNZ    int     // stored adjacency entries across shards (rows are disjoint, so the sum is exact)
 	Pending   int     // edges in the shards' unfolded log suffixes (all of Edges on a store nobody has read; under point reads and graph queries it may stay non-zero, bounded by max(4096, AdjNNZ/8) per shard)
 	Folds     int     // folds run across shards
-	FoldNanos int64   // time in them, summed (shards fold concurrently)
+	FoldNanos int64   // time in them, summed over the shards
 	PerShard  []Stats // the full per-shard counters
 }
 
