@@ -41,6 +41,7 @@ func TestNoDeadExports(t *testing.T) {
 		"iofault.Injector.Clear":       "the fault injector that the stream, wal and serve fault tests arm",
 		"iofault.Injector.Injected":    "the fault injector that the stream, wal and serve fault tests arm",
 		"dataset.ErdosRenyi":           "queued: a generator the algo and root tests draw inputs from",
+		"dataset.RMAT":                 "queued: a generator the algo, stream, serve and root tests draw inputs from",
 		"dataset.Bipartite":            "queued: a generator a root benchmark draws inputs from",
 		"dataset.DocCorpus":            "queued: the corpus a root benchmark checks shared-word counts on",
 		"dataset.SharedWordsExpected":  "queued: the count that root benchmark checks against",

@@ -259,6 +259,17 @@
 //	a, err := adjarray.Correlate(eout, ein, adjarray.PlusTimes(), adjarray.MulOptions{})
 //	// a("alice", "bob") = 1, a("alice", "carol") = 1
 //
-// See the examples directory for complete programs, including the
-// reproduction of the paper's music-metadata figures.
+// The programs, each held by a test in its own directory:
+//
+//	go run ./examples/quickstart   # a follow graph's adjacency array, validated
+//	go run ./examples/music        # Figures 3 and 5 under seven pairs, checked against the paper
+//	go run ./examples/docwords     # set-valued ∪.∩ arrays on structured data
+//	go run ./examples/algorithms   # BFS, paths, components, PageRank on a built array
+//	go run ./examples/streaming    # an adjacency array maintained batch by batch
+//	go run ./cmd/semiringlab       # the Section III table; -pair, -gadgets, -custom
+//	go run ./cmd/explode -in table.tsv -o triples.tsv
+//	go run ./cmd/adjbuild -eout eout.tsv -ein ein.tsv -semiring "+.*" -o adj.tsv
+//	go run ./cmd/adjserve -semiring +.* -serve :8080 < edges.txt
+//	go run ./cmd/crashtest -iters 10 -shards 1
+//	go run ./cmd/adjlint ./...
 package adjarray

@@ -100,7 +100,8 @@ func ExampleSSSP() {
 }
 
 // The end-to-end pipeline refuses algebras that cannot guarantee an
-// adjacency array.
+// adjacency array. SkipConditionCheck forces the construction, and the
+// violation that would have refused it travels with the result.
 func ExampleBuild() {
 	eout := adjarray.FromTriples([]adjarray.Triple[float64]{{Row: "k", Col: "a", Val: 1}}, nil)
 	ein := adjarray.FromTriples([]adjarray.Triple[float64]{{Row: "k", Col: "b", Val: 1}}, nil)
@@ -108,8 +109,17 @@ func ExampleBuild() {
 		Eout: eout, Ein: ein, Semiring: "max.+@0",
 	})
 	fmt.Println(err != nil)
+	res, err := adjarray.Build(adjarray.BuildRequest{
+		Eout: eout, Ein: ein, Semiring: "max.+@0", SkipConditionCheck: true,
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("nnz=%d, carried violation: %s\n", res.Adjacency.NNZ(), res.Violation)
 	// Output:
 	// true
+	// nnz=1, carried violation: annihilator (Lemma II.4) on graph{2 edges, 2 out-vertices, 2 in-vertices}: graph: A(a,b) non-zero but no edge a→b exists
 }
 
 // A store partitions the vertex space by source across shards, each with

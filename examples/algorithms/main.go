@@ -64,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("min.+ distances from depot:", sortedF(dist))
+	fmt.Println("min.+ distances from depot:", sortedF(dist, adjarray.FormatFloat))
 
 	// Widest (max bottleneck) paths (max.min).
 	width, err := adjarray.WidestPath(a, "depot")
@@ -72,7 +72,7 @@ func main() {
 		log.Fatal(err)
 	}
 	delete(width, "depot") // +Inf at the source; omit for display
-	fmt.Println("max.min bottleneck widths from depot:", sortedF(width))
+	fmt.Println("max.min bottleneck widths from depot:", sortedF(width, adjarray.FormatFloat))
 
 	// Weakly connected components (min.select1st propagation).
 	comp, err := adjarray.Components(a)
@@ -81,12 +81,14 @@ func main() {
 	}
 	fmt.Println("components:", sortedS(comp))
 
-	// PageRank over the pattern.
+	// PageRank over the pattern, at six digits: the last bits of a rank
+	// depend on whether the compiler fuses multiply-add.
 	rank, iters, err := adjarray.PageRank(a, 0.85, 1e-9, 200)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("PageRank (%d iterations): %v\n", iters, sortedF(rank))
+	fmt.Printf("PageRank (%d iterations): %v\n", iters,
+		sortedF(rank, func(v float64) string { return fmt.Sprintf("%.6f", v) }))
 
 	// Reachability closure.
 	tc, err := adjarray.TransitiveClosure(a)
@@ -105,10 +107,10 @@ func sorted(m map[string]int) []string {
 	return out
 }
 
-func sortedF(m map[string]float64) []string {
+func sortedF(m map[string]float64, format func(float64) string) []string {
 	out := make([]string, 0, len(m))
 	for k, v := range m {
-		out = append(out, fmt.Sprintf("%s:%s", k, adjarray.FormatFloat(v)))
+		out = append(out, fmt.Sprintf("%s:%s", k, format(v)))
 	}
 	sort.Strings(out)
 	return out

@@ -3,8 +3,9 @@
 // A database table of music tracks is exploded into a sparse incidence
 // array (Figure 1), genre and writer sub-arrays are selected with
 // Matlab-style key ranges (Figure 2), and writer×genre adjacency arrays
-// are constructed under several operator pairs (Figures 3 and 5),
-// showing how ⊕ chooses between aggregating and selecting edges.
+// are constructed under the seven operator pairs of Figures 3 and 5,
+// showing how ⊕ chooses between aggregating and selecting edges. Every
+// panel is compared with the values printed in the paper.
 //
 // Run with: go run ./examples/music
 package main
@@ -44,14 +45,8 @@ func main() {
 
 	// 4. Correlate: A = E1ᵀ ⊕.⊗ E2 relates genres to writers through
 	// shared tracks. Under +.× the value counts co-occurrences; under
-	// max.min it only records existence.
-	for _, ops := range []adjarray.Ops[float64]{adjarray.PlusTimes(), adjarray.MaxMin()} {
-		a, err := adjarray.Correlate(e1, e2, ops, adjarray.MulOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("E1ᵀ %s E2 (Figure 3 panel):\n%s\n", ops.Name, adjarray.Format(a, adjarray.FormatFloat))
-	}
+	// max.min it only records existence (Figure 3).
+	panels("Figure 3", e1, e2, dataset.Figure3Expected())
 
 	// 5. Re-weight E1 (Figure 4: Electronic=1, Pop=2, Rock=3) and watch
 	// how each ⊗ propagates the diverse weights (Figure 5).
@@ -65,13 +60,8 @@ func main() {
 			return 1
 		}
 	})
-	for _, ops := range []adjarray.Ops[float64]{adjarray.PlusTimes(), adjarray.MaxPlus(), adjarray.MinMax()} {
-		a, err := adjarray.Correlate(e1w, e2, ops, adjarray.MulOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("weighted E1ᵀ %s E2 (Figure 5 panel):\n%s\n", ops.Name, adjarray.Format(a, adjarray.FormatFloat))
-	}
+	fmt.Printf("re-weighted E1 matches Figure 4: %v\n\n", e1w.Equal(dataset.MusicE1Weighted(), same))
+	panels("Figure 5", e1w, e2, dataset.Figure5Expected())
 
 	// 6. The same correlation through the end-to-end Build service,
 	// which checks the Theorem II.1 conditions first.
@@ -84,3 +74,18 @@ func main() {
 	fmt.Printf("Build(min.+, all cores): nnz=%d, conditions ok=%v\n",
 		res.Adjacency.NNZ(), res.Report.TheoremII1())
 }
+
+// panels prints E1ᵀ ⊕.⊗ E2 under each of the paper's seven pairs and
+// whether it equals the figure's panel.
+func panels(figure string, e1, e2 *adjarray.Array[float64], paper map[string]*adjarray.Array[float64]) {
+	for _, ops := range adjarray.Figure3Pairs() {
+		a, err := adjarray.Correlate(e1, e2, ops, adjarray.MulOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("E1ᵀ %s E2 (%s panel):\n%s", ops.Name, figure, adjarray.Format(a, adjarray.FormatFloat))
+		fmt.Printf("matches the paper: %v\n\n", a.Equal(paper[ops.Name], same))
+	}
+}
+
+func same(x, y float64) bool { return x == y }

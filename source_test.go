@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -41,4 +42,29 @@ func parseGo(t *testing.T, fset *token.FileSet, name string) *ast.File {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// A program must justify itself with a test or be deleted: every
+// directory under cmd/ and examples/ with a non-test package main file
+// also holds a _test.go.
+func TestEveryProgramHasATest(t *testing.T) {
+	fset := token.NewFileSet()
+	programs := map[string]bool{}
+	for _, root := range []string{"cmd", "examples"} {
+		for _, name := range goSources(t, root, true) {
+			if parseGo(t, fset, name).Name.Name == "main" {
+				programs[filepath.Dir(name)] = true
+			}
+		}
+	}
+	var dirs []string
+	for dir := range programs {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		if tests, err := filepath.Glob(filepath.Join(dir, "*_test.go")); err != nil || len(tests) == 0 {
+			t.Errorf("program %s has no test: give it one, or delete it", filepath.ToSlash(dir))
+		}
+	}
 }
