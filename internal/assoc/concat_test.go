@@ -30,7 +30,7 @@ func referenceGather(t *testing.T, parts []*Array[float64], ops semiring.Ops[flo
 			acc = e
 			continue
 		}
-		if acc, err = AddInto(acc, e, ops, false); err != nil {
+		if acc, err = Add(acc, e, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,16 +103,23 @@ func TestConcatRowsOfOnePartShares(t *testing.T) {
 	}
 }
 
-// The merge with the alignment handed in against the merge that works it
-// out: the same result, for accumulators whose key sets are grown before,
-// between and after their keys.
-func TestAddIntoMappedMatchesAddInto(t *testing.T) {
-	ops := semiring.PlusTimes()
+// A fold through the maps a key-set union yields — how a view carries its
+// adjacency into a grown universe — against Add, which aligns the
+// operands itself and shares no code with the Gather: the same array, for
+// accumulators whose key sets are grown before, between and after their
+// keys, and for a delta whose every key is new.
+func TestGatherThroughUnionMapsMatchesAdd(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {
+		ops := semiring.PlusTimes()
 		a := FromTriples(randomTriples(r, 20, 8, 8, "r"), ops.Add)
 		b := FromTriples(randomTriples(r, 10, 12, 12, "r"), ops.Add)
-		want, err := AddInto(a, b, ops, false)
+		if trial == 0 {
+			ops = semiring.MaxPlus()
+			a = FromTriples([]Triple[float64]{{Row: "a", Col: "a", Val: 1}}, nil)
+			b = FromTriples([]Triple[float64]{{Row: "b", Col: "c", Val: 2}}, nil)
+		}
+		want, err := Add(a, b, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +129,15 @@ func TestAddIntoMappedMatchesAddInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scratch sparse.MergeScratch[float64]
-		got, err := AddIntoMapped(a, aligned, rowPos, colPos, ops, false, &scratch)
+		fold := sparse.Gather[float64]{
+			Parts: []*sparse.CSR[float64]{a.mat}, RowPos: [][]int32{rowPos}, ColPos: [][]int32{colPos},
+			Deltas: []*sparse.CSR[float64]{aligned.mat}, Ops: ops, Rows: rows.Len(), Cols: cols.Len(),
+		}
+		m, err := fold.Matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(rows, cols, m)
 		if err != nil {
 			t.Fatal(err)
 		}

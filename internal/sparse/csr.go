@@ -25,7 +25,7 @@
 // and scalar arguments stay int. The price is a cap: a matrix has at
 // most 2³¹−1 rows, columns and stored entries, and whatever assembles
 // one refuses more with an error wrapping ErrIndexRange (index.go) —
-// NewCSR, FoldUnitRows, Embed/ConcatRows/EWiseAddInto and Mxm's
+// NewCSR, FoldUnitRows, Embed/Gather and Mxm's
 // symbolic bound by returning it, COO.ToCSR, which returns no error, by
 // panicking with it.
 package sparse

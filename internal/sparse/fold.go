@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 
 	"adjarray/internal/parallel"
 	"adjarray/internal/semiring"
@@ -87,7 +88,7 @@ type GroupScratch[V any] struct {
 // ordered by column and, within a column, by k — each cell's run, left
 // unfolded and unpruned. It is the half of a fold that a maintained
 // adjacency runs when the cells may continue ones it already stores:
-// EWiseAddInto folds each run onto the stored value as it walks both
+// a Gather folds each run onto the stored value as it walks both
 // (see there), so every cell is the one left fold over all its edges,
 // whatever ⊕ is. Two stable counting sorts, by column and then by row,
 // order the contributions in O(n + rows + cols).
@@ -105,7 +106,7 @@ func GroupUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops sem
 	if scr == nil {
 		scr = new(GroupScratch[V])
 	}
-	colPtr, rowPtr := growTo(scr.colPtr, cols+1, false), growTo(scr.rowPtr, rows+1, false)
+	colPtr, rowPtr := slices.Grow(scr.colPtr[:0], cols+1)[:cols+1], slices.Grow(scr.rowPtr[:0], rows+1)[:rows+1]
 	clear(colPtr)
 	clear(rowPtr)
 	for k, r := range row {
@@ -121,14 +122,14 @@ func GroupUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops sem
 	for r := 0; r < rows; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	perm := growTo(scr.perm, n, true) // the contributions by column, each column's in k order
+	perm := slices.Grow(scr.perm[:0], n)[:n] // the contributions by column, each column's in k order
 	for k, c := range col {
 		perm[colPtr[c]] = int32(k)
 		colPtr[c]++
 	}
-	next := growTo(scr.next, rows, false) // each row's cursor
+	next := slices.Grow(scr.next[:0], rows)[:rows] // each row's cursor
 	copy(next, rowPtr[:rows])
-	colIdx, val := growTo(scr.colIdx, n, true), growTo(scr.val, n, true)
+	colIdx, val := slices.Grow(scr.colIdx[:0], n)[:n], slices.Grow(scr.val[:0], n)[:n]
 	for _, k := range perm {
 		q := next[row[k]]
 		next[row[k]]++

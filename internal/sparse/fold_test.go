@@ -214,8 +214,8 @@ func TestFoldUnitRowsMatchesMxmAndOracle(t *testing.T) {
 // A fold in two parts is the fold in one: the prefix's FoldUnitRows, then
 // the rest grouped by GroupUnitRows — each row by column, each cell's
 // run in edge order, nothing folded or pruned — and its runs folded onto
-// the prefix's cells by EWiseAddInto, is the one fold over all the edges,
-// in place or not. For every registry pair on its adversarial sample and
+// the prefix's cells by the prefix's one-part Gather, is the one fold
+// over all the edges. For every registry pair on its adversarial sample and
 // for a−b, which is not associative, wherever Zero is a ⊕-identity (where
 // it is not, a prefix cell folded to Zero is gone, and the rest starts it
 // from absence).
@@ -280,21 +280,23 @@ func TestGroupedRunsContinueTheFold(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, inPlace := range []bool{false, true} {
-						merged, err := sparse.EWiseAddInto(prefix.Clone(), runs, ops, inPlace, nil, nil, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := assoc.New(rowKeys, colKeys, merged)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := got.Validate(); err != nil {
-							t.Fatalf("in place %v: invalid structure: %v", inPlace, err)
-						}
-						if d := assoc.Diff(want, got, ops.Equal, value.FormatFloat); d != "" && identity {
-							t.Fatalf("in place %v: the runs do not continue the prefix's fold: %s", inPlace, d)
-						}
+					fold := sparse.Gather[float64]{
+						Parts: []*sparse.CSR[float64]{prefix}, RowPos: [][]int32{nil}, ColPos: [][]int32{nil},
+						Deltas: []*sparse.CSR[float64]{runs}, Ops: ops, Rows: c.rows, Cols: c.cols,
+					}
+					merged, err := fold.Matrix()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := assoc.New(rowKeys, colKeys, merged)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("invalid structure: %v", err)
+					}
+					if d := assoc.Diff(want, got, ops.Equal, value.FormatFloat); d != "" && identity {
+						t.Fatalf("the runs do not continue the prefix's fold: %s", d)
 					}
 					if prefix.NNZ() > 0 && runs.NNZ() > 0 {
 						continued++

@@ -1,9 +1,9 @@
 package sparse
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"adjarray/internal/semiring"
@@ -133,7 +133,19 @@ func TestEmbedRejectsBadPositions(t *testing.T) {
 	}
 }
 
-func TestEWiseAddIntoMatchesEWiseAdd(t *testing.T) {
+// foldInto is a view's fold: the gather of dst alone, continued by src's
+// runs, dst read through rowPos and colPos into src's space.
+func foldInto(dst, src *CSR[float64], ops semiring.Ops[float64], rowPos, colPos []int32) (*CSR[float64], error) {
+	g := Gather[float64]{
+		Parts: []*CSR[float64]{dst}, RowPos: [][]int32{rowPos}, ColPos: [][]int32{colPos},
+		Deltas: []*CSR[float64]{src}, Ops: ops, Rows: src.rows, Cols: src.cols,
+	}
+	return g.Matrix()
+}
+
+// A delta without runs continues its part as EWiseAdd adds them, and the
+// part is left as it was: a gather never writes what it reads.
+func TestGatherFoldMatchesEWiseAdd(t *testing.T) {
 	ops := semiring.PlusTimes()
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 100; trial++ {
@@ -144,80 +156,37 @@ func TestEWiseAddIntoMatchesEWiseAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EWiseAddInto(dst.Clone(), src, ops, trial%2 == 0, nil, nil, nil)
+		before := dst.Clone()
+		got, err := foldInto(dst, src, ops, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !Equal(got, want, func(a, b float64) bool { return a == b }) {
-			t.Fatalf("trial %d: merge mismatch", trial)
+			t.Fatalf("trial %d: fold mismatch", trial)
+		}
+		if !Equal(dst, before, func(a, b float64) bool { return a == b }) {
+			t.Fatalf("trial %d: the gather wrote its part", trial)
 		}
 	}
 }
 
-func TestEWiseAddIntoInPlaceSubset(t *testing.T) {
+func TestGatherFoldPrunesZeroFolds(t *testing.T) {
+	// Signed +.* : 2 ⊕ −2 folds to zero and must be pruned.
 	ops := semiring.PlusTimes()
-	// src pattern ⊆ dst pattern → in-place fold returns dst itself.
-	dst := NewCOO[float64](2, 4)
-	dst.MustAppend(0, 1, 1)
-	dst.MustAppend(0, 3, 2)
-	dst.MustAppend(1, 0, 3)
-	d := dst.ToCSR(nil)
-	src := NewCOO[float64](2, 4)
-	src.MustAppend(0, 3, 10)
-	s := src.ToCSR(nil)
-	got, err := EWiseAddInto(d, s, ops, true, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != d {
-		t.Error("subset in-place merge should return dst")
-	}
-	if v, _ := got.At(0, 3); v != 12 {
-		t.Errorf("fold = %v", v)
-	}
-	// Non-subset src must leave dst untouched even with inPlace.
-	src2 := NewCOO[float64](2, 4)
-	src2.MustAppend(1, 2, 5)
-	before := d.Clone()
-	got2, err := EWiseAddInto(d, src2.ToCSR(nil), ops, true, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 == d {
-		t.Error("non-subset merge must allocate")
-	}
-	if !Equal(d, before, func(a, b float64) bool { return a == b }) {
-		t.Error("dst mutated on the allocating path")
-	}
-	// Empty src returns dst unchanged.
-	if got3, _ := EWiseAddInto(d, Empty[float64](2, 4), ops, false, nil, nil, nil); got3 != d {
-		t.Error("empty src should return dst")
-	}
-}
-
-func TestEWiseAddIntoPrunesZeroFolds(t *testing.T) {
-	// Signed +.* : 2 ⊕ −2 folds to zero and must be pruned on both paths.
-	ops := semiring.PlusTimes()
-	mk := func() *CSR[float64] {
-		c := NewCOO[float64](1, 3)
-		c.MustAppend(0, 0, 2)
-		c.MustAppend(0, 2, 1)
-		return c.ToCSR(nil)
-	}
+	dst := NewCOO[float64](1, 3)
+	dst.MustAppend(0, 0, 2)
+	dst.MustAppend(0, 2, 1)
 	src := NewCOO[float64](1, 3)
 	src.MustAppend(0, 0, -2)
-	s := src.ToCSR(nil)
-	for _, inPlace := range []bool{false, true} {
-		got, err := EWiseAddInto(mk(), s, ops, inPlace, nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NNZ() != 1 {
-			t.Errorf("inPlace=%v: zero fold kept, nnz=%d", inPlace, got.NNZ())
-		}
-		if _, ok := got.At(0, 0); ok {
-			t.Errorf("inPlace=%v: pruned entry still present", inPlace)
-		}
+	got, err := foldInto(dst.ToCSR(nil), src.ToCSR(nil), ops, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NNZ() != 1 {
+		t.Errorf("zero fold kept, nnz=%d", got.NNZ())
+	}
+	if _, ok := got.At(0, 0); ok {
+		t.Error("pruned entry still present")
 	}
 }
 
@@ -238,10 +207,10 @@ func growInto(r *rand.Rand, rows, cols int) (rowPos, colPos []int32, newRows, ne
 	return rowPos, colPos, newRows, newCols
 }
 
-// The merge that reads its accumulator through position maps against the
-// two steps it replaces — embed the accumulator into the grown space,
-// then merge — for every registered pair, with and without a recycled
-// buffer, deltas that cancel stored values included.
+// The mapped merge, a fold that reads its part through position maps,
+// against the two steps it replaces — embed the part into the grown
+// space, then fold — for every registered pair, deltas that cancel stored
+// values included.
 func TestMappedMergeMatchesEmbedThenMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for _, entry := range semiring.Registry() {
@@ -258,23 +227,16 @@ func TestMappedMergeMatchesEmbedThenMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := EWiseAddInto(embedded, src, ops, false, nil, nil, nil)
+			want, err := foldInto(embedded, src, ops, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s trial %d (%d×%d into %d×%d)", ops.Name, trial, rows, cols, newRows, newCols)
-			got, err := EWiseAddInto(dst.Clone(), src, ops, trial%2 == 0, nil, rowPos, colPos)
+			got, err := foldInto(dst, src, ops, rowPos, colPos)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			csrEqual(t, got, want, label)
-			var scratch MergeScratch[float64]
-			scratch.Recycle(randomCSRFor(r, newRows, newCols, 0.2))
-			got, err = EWiseAddInto(dst.Clone(), src, ops, trial%2 == 0, &scratch, rowPos, colPos)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			csrEqual(t, got, want, label+" recycled buffer")
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -282,8 +244,8 @@ func TestMappedMergeMatchesEmbedThenMerge(t *testing.T) {
 	}
 }
 
-// Maps are checked like Embed's, and an accumulator that does not fit the
-// result's space without one is a shape error.
+// Maps are checked like Embed's, and a part that does not fit the
+// result's space without one is refused, the error naming the Gather.
 func TestMappedMergeChecksItsMaps(t *testing.T) {
 	ops := semiring.PlusTimes()
 	r := rand.New(rand.NewSource(29))
@@ -293,49 +255,31 @@ func TestMappedMergeChecksItsMaps(t *testing.T) {
 		"non-monotone rowPos": {{2, 1, 0}, nil},
 		"out-of-range colPos": {nil, {0, 1, 4}},
 	} {
-		if _, err := EWiseAddInto(dst, src, ops, false, nil, maps[0], maps[1]); err == nil {
+		if _, err := foldInto(dst, src, ops, maps[0], maps[1]); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	var se *ShapeError
-	if _, err := EWiseAddInto(src, dst, ops, false, nil, nil, nil); !errors.As(err, &se) {
-		t.Errorf("an accumulator larger than the result: got %v, want a *ShapeError", err)
+	if _, err := foldInto(src, dst, ops, nil, nil); err == nil || !strings.Contains(err.Error(), "sparse: Gather part 0") {
+		t.Errorf("a part larger than the result: got %v, want the Gather's refusal of part 0", err)
 	}
 }
 
-// A merge that must allocate — nothing recycled, as when a snapshot still
-// holds the previous result — allocates exactly; head-room is for a
-// recycled buffer that proved too small, where a next merge will want it.
-func TestMergeAllocatesExactlyUnlessRecycling(t *testing.T) {
+// A fold's result is sized by the union count: with no cell folding to
+// Zero, its buffers hold exactly its entries, whether the part moves or
+// not.
+func TestGatherAllocatesExactly(t *testing.T) {
 	ops := semiring.PlusTimes()
 	r := rand.New(rand.NewSource(31))
-	dst, src := randomCSRGrow(r, 30, 30, 0.2), randomCSRGrow(r, 30, 30, 0.2)
-	var scratch MergeScratch[float64]
-	got, err := EWiseAddInto(dst, src, ops, false, &scratch, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(got.colIdx) != len(got.colIdx) || cap(got.val) != len(got.val) {
-		t.Errorf("empty scratch: %d entries in buffers of %d and %d", got.NNZ(), cap(got.colIdx), cap(got.val))
-	}
-	scratch.Recycle(randomCSRGrow(r, 30, 30, 0.01))
-	got, err = EWiseAddInto(dst, src, ops, false, &scratch, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(got.colIdx) < got.NNZ()+got.NNZ()/2 || cap(got.val) < got.NNZ()+got.NNZ()/2 {
-		t.Errorf("a recycled buffer that was too small was replaced without head-room: %d entries in %d and %d", got.NNZ(), cap(got.colIdx), cap(got.val))
-	}
-	// An accumulator handed over to be consumed is what the next merge
-	// recycles, unless the result still is that accumulator.
-	acc := dst.Clone()
-	if next, err := EWiseAddInto(acc, src, ops, true, &scratch, nil, nil); err != nil || next == acc {
-		t.Fatalf("a merge that adds cells ran in place (%v)", err)
-	}
-	if cap(scratch.val) == 0 || &scratch.val[:1][0] != &acc.val[0] {
-		t.Error("the consumed accumulator's backing was not donated to the scratch")
-	}
-	if same, err := EWiseAddInto(acc, Empty[float64](30, 30), ops, true, &scratch, nil, nil); err != nil || same != acc {
-		t.Fatalf("an empty delta did not return the accumulator itself (%v)", err)
+	for trial := 0; trial < 20; trial++ {
+		dst := randomCSRGrow(r, 30, 30, 0.2)
+		rowPos, colPos, newRows, newCols := growInto(r, 30, 30)
+		src := randomCSRGrow(r, newRows, newCols, 0.2)
+		got, err := foldInto(dst, src, ops, rowPos, colPos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(got.colIdx) != len(got.colIdx) || cap(got.val) != len(got.val) {
+			t.Errorf("trial %d: %d entries in buffers of %d and %d", trial, got.NNZ(), cap(got.colIdx), cap(got.val))
+		}
 	}
 }

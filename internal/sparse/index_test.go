@@ -146,11 +146,11 @@ func TestBytesPerStoredEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := EWiseAddInto(folded, gathered, ops, false, nil, nil, nil)
+	merged, err := foldInto(folded, gathered, ops, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, m := range map[string]*CSR[float64]{"FoldUnitRows": folded, "ConcatRows": gathered, "EWiseAddInto": merged} {
+	for name, m := range map[string]*CSR[float64]{"FoldUnitRows": folded, "ConcatRows": gathered, "Gather.Matrix": merged} {
 		if m.NNZ() != len(row) {
 			t.Fatalf("%s stores %d entries, want %d", name, m.NNZ(), len(row))
 		}

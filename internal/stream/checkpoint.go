@@ -88,8 +88,9 @@ const ckptChunk = 16 << 10
 // image is a view pinned for a checkpoint: everything the file will
 // hold, captured by slice header under the view lock in O(1). The log
 // is append-only past the captured lengths, the position arrays and the
-// interner prefixes are never rewritten, and main is marked shared, so
-// the image stays the view of its epoch while appends and folds go on.
+// interner prefixes are never rewritten, and a fold replaces main instead
+// of writing it, so the image stays the view of its epoch while appends
+// and folds go on.
 type image[V any] struct {
 	ops              string
 	log              *logView[V]
@@ -104,7 +105,6 @@ type image[V any] struct {
 // folded (materializeLocked), so main covers the whole log, the universe
 // does too and main spans it.
 func (v *View[V]) imageLocked() *image[V] {
-	v.mainShared = true
 	im := &image[V]{
 		ops: v.ops.Name, log: v.logsLocked(), main: v.main.Matrix(),
 		epoch: int(v.epoch.Load()), autoSeq: v.autoSeq, autoBase: v.autoBase,

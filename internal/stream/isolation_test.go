@@ -27,8 +27,8 @@ func avgOps() semiring.Ops[float64] {
 
 // Snapshot isolation under concurrent Append, Snapshot and Point — run
 // under -race. Snapshots captured mid-ingest are deep-frozen (their
-// triples must not change no matter how much the view advances, and
-// point pins keep main shared while folds run), and the final state
+// triples must not change no matter how much the view advances, and a
+// fold never writes the main a pin holds), and the final state
 // equals the one-shot batch construction.
 func TestSnapshotIsolationUnderConcurrentAppend(t *testing.T) {
 	ops := semiring.PlusTimes()

@@ -18,8 +18,8 @@ import (
 // while the suffix stays under the threshold beside
 // foldScratchKeep: it captures main and the slice headers of the
 // suffix's columns — the log is append-only past a captured length, a
-// value column that comes into being later is a new slice, and
-// mainShared keeps a later fold from merging in place — so pinning costs
+// value column that comes into being later is a new slice, and a later
+// fold replaces main instead of writing it — so pinning costs
 // O(1), allocates nothing, syncs no universe, and a read-your-write costs
 // a scan of the few edges written since the last fold instead of a copy
 // of the shard.
@@ -27,7 +27,7 @@ import (
 // The answer is the cell the fold would have stored, bit for bit and for
 // any ⊕: the fold's own left fold — main's value where main stores the
 // cell, else the suffix's first ⊗-product, then ⊕ each later product
-// onto it in log order (sparse.EWiseAddInto over the suffix's runs); a
+// onto it in log order (sparse.Gather over the suffix's runs); a
 // result equal to Zero is an absent cell. A point read therefore answers what the
 // Snapshot that follows it stores, and that is the batch construction's
 // cell.
@@ -65,7 +65,6 @@ func (v *View[V]) Point() (PointSnapshot[V], error) {
 		}
 		folded = true
 	}
-	v.mainShared = true
 	from, n := v.folded, len(v.srcID)
 	p := PointSnapshot[V]{
 		Epoch: int(v.epoch.Load()), Folded: folded,

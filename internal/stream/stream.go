@@ -45,9 +45,10 @@
 // graph's pair of incidence columns, sparse.FoldUnitRows folds them in
 // one shot, and its result becomes the adjacency. Otherwise the suffix's
 // cells may continue ones the adjacency holds: sparse.GroupUnitRows
-// groups its ⊗-products by cell, in log order and unfolded, and the merge
-// (sparse.EWiseAddInto) folds each run onto the adjacency's value there,
-// left to right, as it walks both. That merge is also what carries the
+// groups its ⊗-products by cell, in log order and unfolded, and the one
+// gather merge (sparse.Gather, the adjacency its one part and the runs its
+// delta) folds each run onto the adjacency's value there, left to right,
+// as it walks both, into a new array. That merge is also what carries the
 // adjacency into a universe the sync grew: it reads the old array through
 // the position maps the sync's sweep produced, one pass from the old
 // storage into the new, and no embedded copy is made first. The key-ordered incidence arrays Eout and
@@ -196,10 +197,11 @@ type View[V any] struct {
 	srcPos, dstPos []int32
 	synced         int
 
-	main       *assoc.Array[V] // materialized adjacency (snapshots share it); spans uRows × uCols
-	folded     int             // main covers log[:folded]; the rest is the pending level
-	mainShared bool            // a Snapshot or a PointSnapshot holds main's storage
-	mainScr    sparse.MergeScratch[V]
+	// main is the materialized adjacency, spanning uRows × uCols; pins
+	// share it, and a fold replaces it with the Gather's new matrix,
+	// never writing the one it read.
+	main   *assoc.Array[V]
+	folded int // main covers log[:folded]; the rest is the pending level
 
 	// logs is what Snapshot hands out for the current log and universe;
 	// nil once an append moved either. Keeping it lets every snapshot of
@@ -557,8 +559,7 @@ func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int32, err error) {
 
 // respanMainLocked embeds main alone into a universe that a sync grew
 // and no merge followed — the backlog folded to nothing, or the fold
-// failed — through the maps that sync returned. Values are shared, so
-// mainShared stays as it is.
+// failed — through the maps that sync returned. Values are shared.
 func (v *View[V]) respanMainLocked(rowMap, colMap []int32) error {
 	if v.main.RowKeys() == v.uRows && v.main.ColKeys() == v.uCols {
 		return nil
@@ -660,14 +661,15 @@ const pointFoldShare = 8
 // incidence columns — and its array IS the adjacency of the log so far
 // (the bulk-load case: one fold, batch construction's cost). Otherwise
 // sparse.GroupUnitRows takes each edge's ⊗-product and groups them by
-// cell, arrival order kept within each, and the merge folds every run
-// onto main's value where main stores the cell (onto its first product
-// where it does not), deleting a cell that folds to the algebra's zero;
-// when the sync grew the universe, that merge is also what moves main
-// into it: main is read through the sync's position maps, one pass from
-// its old storage into the new array. Either way every cell holds the
-// left fold of all its edges in key order, as the batch construction
-// over the log would.
+// cell, arrival order kept within each, and the merge — main's one-part
+// sparse.Gather, which writes a new array and never main's storage —
+// folds every run onto main's value where main stores the cell (onto its
+// first product where it does not), deleting a cell that folds to the
+// algebra's zero; when the sync grew the universe, that merge is also
+// what moves main into it: main is read through the sync's position
+// maps, one pass from its old storage into the new array. Either way
+// every cell holds the left fold of all its edges in key order, as the
+// batch construction over the log would.
 func (v *View[V]) materializeLocked() error {
 	if v.folded == len(v.srcID) {
 		return nil
@@ -723,28 +725,30 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 		if err != nil {
 			return err
 		}
-		v.main, v.mainShared = main, false
+		v.main = main
 		return nil
 	}
 	// Otherwise the suffix's cells may continue main's: grouped by cell and
-	// left unfolded, its runs fold onto main's values in the merge. The
-	// grouping only feeds the merge — EWiseAddInto never returns or retains
-	// its src backing — so it lives in the scratch the next fold reuses.
+	// left unfolded, its runs fold onto main's values in the gather of main
+	// alone, read through the sync's maps. The grouping only feeds the
+	// gather, which retains none of a delta's backing, so it lives in the
+	// scratch the next fold reuses.
 	gm, err := sparse.GroupUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, out, in, v.ops, &s.group)
 	if err != nil {
 		return err
 	}
 	v.folded = len(v.srcID)
-	runs, err := assoc.New(v.uRows, v.uCols, gm)
+	fold := sparse.Gather[V]{
+		Parts: []*sparse.CSR[V]{v.main.Matrix()}, RowPos: [][]int32{rowMap}, ColPos: [][]int32{colMap},
+		Deltas: []*sparse.CSR[V]{gm}, Ops: v.ops, Rows: v.uRows.Len(), Cols: v.uCols.Len(),
+	}
+	m, err := fold.Matrix()
 	if err != nil {
 		return err
 	}
-	main, err := assoc.AddIntoMapped(v.main, runs, rowMap, colMap, v.ops, !v.mainShared, &v.mainScr)
+	main, err := assoc.New(v.uRows, v.uCols, m)
 	if err != nil {
 		return err
-	}
-	if main != v.main {
-		v.mainShared = false
 	}
 	v.main = main
 	return nil
@@ -779,7 +783,6 @@ func (v *View[V]) Snapshot() (Snapshot[V], error) {
 	if err := v.materializeLocked(); err != nil {
 		return Snapshot[V]{}, err
 	}
-	v.mainShared = true
 	return Snapshot[V]{
 		Adjacency: v.main,
 		Edges:     len(v.srcID),
@@ -902,7 +905,7 @@ func (v *View[V]) rebuildLocked() error {
 	if err != nil {
 		return err
 	}
-	v.main, v.mainShared, v.folded = adj, false, len(v.srcID)
+	v.main, v.folded = adj, len(v.srcID)
 	return nil
 }
 
