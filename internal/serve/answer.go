@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"net/http"
 	"strconv"
 
@@ -16,22 +15,64 @@ import (
 // encoding/json gave the map[string]any these answers used to be — and
 // whose per-vertex entries follow the graph's vertex key set, which is
 // the same order. So each shape below is a fixed sequence of appends,
-// and the kernels' dense vectors go to the socket without passing
-// through a map.
+// and the kernels' dense vectors go to the socket a chunk at a time,
+// without passing through a map or being held whole.
 
-// writeAnswer renders one read answer into a pooled buffer and writes it
-// in one shot with an explicit Content-Length and encoding/json's
-// trailing newline. A failed network write is the client's disconnect;
-// it is counted, not retried.
-func (s *Server) writeAnswer(w http.ResponseWriter, render func(b []byte) []byte) {
-	buf := s.buffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer s.buffers.Put(buf)
-	buf.Write(append(render(buf.AvailableBuffer()), '\n'))
+// chunk is the most of an answer held before it is written. Renderers
+// spill after each entry, so no write carries more than one chunk and
+// one entry, and an answer's memory does not grow with its length.
+const chunk = 32 << 10
+
+// answer is a read answer on its way to the socket. A renderer appends
+// to the slice it is handed, as any append encoder does, and hands it to
+// spill after each entry; spill writes it to w once it passes one chunk.
+// The first failed write ends the answer: nothing more is written, and a
+// renderer stops at its next spill.
+type answer struct {
+	w    http.ResponseWriter
+	held []byte // the pooled chunk, between answers
+	sent bool   // part of the answer is written, so it has no Content-Length
+	err  error  // the write that failed
+}
+
+// spill writes b once it passes one chunk and returns what is still held.
+func (a *answer) spill(b []byte) []byte {
+	if len(b) > chunk {
+		a.write(b)
+		b = b[:0]
+	}
+	return b
+}
+
+// write sends b, unless an earlier write failed.
+func (a *answer) write(b []byte) {
+	if a.err == nil {
+		_, a.err = a.w.Write(b)
+	}
+	a.sent = true
+}
+
+// writeAnswer renders one read answer, with encoding/json's trailing
+// newline, through a pooled chunk. An answer that fits one chunk goes out
+// in one write with an explicit Content-Length; a longer one goes out a
+// chunk at a time, with chunked transfer encoding and the same bytes. A
+// failed network write is the client's disconnect; it is counted once,
+// not retried.
+func (s *Server) writeAnswer(w http.ResponseWriter, render func(a *answer, b []byte) []byte) {
+	a := s.answers.Get().(*answer)
+	a.w = w
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	b := append(render(a, a.held[:0]), '\n')
+	if !a.sent && len(b) <= chunk {
+		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	}
+	a.write(b)
+	if a.err != nil {
 		s.met.writeErrors.Inc()
+	}
+	if cap(b) <= 2*chunk { // else one outsized entry grew it: not pooled
+		*a = answer{held: b[:0]}
+		s.answers.Put(a)
 	}
 }
 
@@ -90,18 +131,20 @@ func appendAt(b []byte, st stamp, pt stream.PointSnapshot[float64], src, dst str
 // the pinned shard's CSR row and column key set, merged with what the
 // log's unfolded suffix adds to it; a source that holds no row has the
 // empty one.
-func appendRow(b []byte, st stamp, pt stream.PointSnapshot[float64], src string) []byte {
+func appendRow(a *answer, b []byte, st stamp, pt stream.PointSnapshot[float64], src string) []byte {
 	b = append(b, '{')
 	b = st.appendTo(b)
 	b = append(b, `"row":{`...)
-	open := len(b)
+	n := 0
 	pt.Row(src, func(dst string, v float64) {
-		if len(b) > open {
+		if n > 0 {
 			b = append(b, ',')
 		}
+		n++
 		b = appendJSONString(b, dst)
 		b = append(b, ':')
 		b = appendJSONFloat(b, v)
+		b = a.spill(b) // Row cannot stop early; after a failed write this drops what is held
 	})
 	b = append(b, `},"src":`...)
 	b = appendJSONString(b, src)
@@ -111,7 +154,7 @@ func appendRow(b []byte, st stamp, pt stream.PointSnapshot[float64], src string)
 // appendTriples answers the first limit stored entries in row-major key
 // order: stamp, limit, total, triples (col, row, val each), truncated.
 // The sweep stops at the limit, so ?limit=1 on a large graph is O(1).
-func appendTriples(b []byte, st stamp, adj *assoc.Array[float64], limit int) []byte {
+func appendTriples(a *answer, b []byte, st stamp, adj *assoc.Array[float64], limit int) []byte {
 	total := adj.NNZ()
 	b = append(b, '{')
 	b = st.appendTo(b)
@@ -133,7 +176,8 @@ func appendTriples(b []byte, st stamp, adj *assoc.Array[float64], limit int) []b
 		b = appendJSONFloat(b, v)
 		b = append(b, '}')
 		n++
-		return n < limit
+		b = a.spill(b)
+		return a.err == nil && n < limit
 	})
 	b = append(b, `],"truncated":`...)
 	b = strconv.AppendBool(b, total > n)
@@ -142,14 +186,14 @@ func appendTriples(b []byte, st stamp, adj *assoc.Array[float64], limit int) []b
 
 // result is a whole-graph kernel's answer, still in the kernel's vector
 // form: it appends the JSON value of the "result" field.
-type result func(b []byte) []byte
+type result func(a *answer, b []byte) []byte
 
 // appendResult answers a whole-graph query: stamp, result.
-func appendResult(b []byte, st stamp, res result) []byte {
+func appendResult(a *answer, b []byte, st stamp, res result) []byte {
 	b = append(b, '{')
 	b = st.appendTo(b)
 	b = append(b, `"result":`...)
-	b = res(b)
+	b = res(a, b)
 	return append(b, '}')
 }
 
@@ -164,19 +208,23 @@ func bfsAnswer(g *algo.Graph, src string) (result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(b []byte) []byte {
+	return func(a *answer, b []byte) []byte {
 		b = append(b, '{')
-		open := len(b)
+		n := 0
 		for i, l := range level {
 			if l < 0 {
 				continue
 			}
-			if len(b) > open {
+			if n > 0 {
 				b = append(b, ',')
 			}
+			n++
 			b = appendJSONString(b, g.Vertices().Key(i))
 			b = append(b, ':')
 			b = strconv.AppendInt(b, int64(l), 10)
+			if b = a.spill(b); a.err != nil {
+				return b
+			}
 		}
 		return append(b, '}')
 	}, nil
@@ -187,7 +235,7 @@ func ssspAnswer(g *algo.Graph, src string) (result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(b []byte) []byte { return appendVector(b, g.Vertices(), dist, has) }, nil
+	return func(a *answer, b []byte) []byte { return appendVector(a, b, g.Vertices(), dist, has) }, nil
 }
 
 func widestAnswer(g *algo.Graph, src string) (result, error) {
@@ -195,7 +243,7 @@ func widestAnswer(g *algo.Graph, src string) (result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(b []byte) []byte { return appendVector(b, g.Vertices(), width, has) }, nil
+	return func(a *answer, b []byte) []byte { return appendVector(a, b, g.Vertices(), width, has) }, nil
 }
 
 func trianglesAnswer(g *algo.Graph) (result, error) {
@@ -203,7 +251,7 @@ func trianglesAnswer(g *algo.Graph) (result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(b []byte) []byte { return strconv.AppendInt(b, int64(n), 10) }, nil
+	return func(_ *answer, b []byte) []byte { return strconv.AppendInt(b, int64(n), 10) }, nil
 }
 
 func pageRankAnswer(g *algo.Graph, damping, tol float64, iters int) (result, error) {
@@ -211,11 +259,11 @@ func pageRankAnswer(g *algo.Graph, damping, tol float64, iters int) (result, err
 	if err != nil {
 		return nil, err
 	}
-	return func(b []byte) []byte {
+	return func(a *answer, b []byte) []byte {
 		b = append(b, `{"iterations":`...)
 		b = strconv.AppendInt(b, int64(used), 10)
 		b = append(b, `,"rank":`...)
-		b = appendVector(b, g.Vertices(), rank, nil)
+		b = appendVector(a, b, g.Vertices(), rank, nil)
 		return append(b, '}')
 	}, nil
 }
@@ -223,19 +271,23 @@ func pageRankAnswer(g *algo.Graph, damping, tol float64, iters int) (result, err
 // appendVector writes a kernel's dense vector as the object of its
 // present entries, keyed by vertex, in key order; a nil has means every
 // vertex is present.
-func appendVector(b []byte, verts *keys.Set, val []float64, has []bool) []byte {
+func appendVector(a *answer, b []byte, verts *keys.Set, val []float64, has []bool) []byte {
 	b = append(b, '{')
-	open := len(b)
+	n := 0
 	for i, v := range val {
 		if has != nil && !has[i] {
 			continue
 		}
-		if len(b) > open {
+		if n > 0 {
 			b = append(b, ',')
 		}
+		n++
 		b = appendJSONString(b, verts.Key(i))
 		b = append(b, ':')
 		b = appendJSONFloat(b, v)
+		if b = a.spill(b); a.err != nil {
+			return b
+		}
 	}
 	return append(b, '}')
 }

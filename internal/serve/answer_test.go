@@ -82,7 +82,10 @@ func perAnswer(t *testing.T, s *Server, path string) (objects, bytes float64) {
 // whatever the graph's size (it was a Select over every column key and a
 // matrix extraction), and a whole-graph answer costs its kernel's
 // vectors, not a map entry and a boxed float per vertex (28k–43k objects
-// per answer on this graph).
+// per answer on this graph). The byte bound is the largest of 90
+// measurements (/sssp, 0.65 MB) plus 12%; while each answer was rendered
+// whole into a pooled buffer, /sssp read up to 0.78 MB and the bound was
+// 1.5 MB.
 func TestAnswerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -97,8 +100,8 @@ func TestAnswerAllocations(t *testing.T) {
 	for _, path := range []string{"/bfs?src=" + rmatHub, "/sssp?src=" + rmatHub, "/pagerank?iters=20"} {
 		objects, bytes := perAnswer(t, large, path)
 		t.Logf("%s: %v objects, %.0f bytes", path, objects, bytes)
-		if objects > 128 || bytes > 1.5*(1<<20) {
-			t.Errorf("%s allocates %v objects and %.0f bytes per answer; want at most 128 objects and 1.5 MB", path, objects, bytes)
+		if objects > 128 || bytes > 0.73*(1<<20) {
+			t.Errorf("%s allocates %v objects and %.0f bytes per answer; want at most 128 objects and 0.73 MB", path, objects, bytes)
 		}
 	}
 }
@@ -226,6 +229,7 @@ func BenchmarkAnswer(b *testing.B) {
 		{"sssp", "GET", "/sssp?src=v000000", ""},
 		{"pagerank", "GET", "/pagerank?iters=20", ""},
 		{"batch", "POST", "/batch", batch},
+		{"batch-pagerank", "POST", "/batch", pageRankBatch(16, 20)}, // ~1.5 MB, many chunks
 		{"triples", "GET", "/triples?limit=10000", ""},
 	} {
 		b.Run(arm.name, func(b *testing.B) {

@@ -84,7 +84,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return g, err
 	}
 
-	s.writeAnswer(w, func(b []byte) []byte {
+	s.writeAnswer(w, func(a *answer, b []byte) []byte {
 		b = append(b, `{"count":`...)
 		b = strconv.AppendInt(b, int64(len(req.Ops)), 10)
 		b = append(b, ',')
@@ -95,8 +95,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				b = append(b, ',')
 			}
 			var err error
-			if b, err = s.appendOp(b, op, owner, graph); err != nil {
+			if b, err = s.appendOp(a, b, op, owner, graph); err != nil {
 				b = appendOpError(b, op.Op, err)
+			}
+			if b = a.spill(b); a.err != nil {
+				return b // the client is gone: run no more ops
 			}
 		}
 		return append(b, `]}`...)
@@ -137,7 +140,7 @@ func opStatus(err error) int {
 // appendOp answers one batch op from the shared pinned snapshot, in the
 // shape of its standalone endpoint with the op's name for a stamp. An
 // op that fails appends nothing.
-func (s *Server) appendOp(b []byte, op batchOp, owner func(src string) stream.PointSnapshot[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
+func (s *Server) appendOp(a *answer, b []byte, op batchOp, owner func(src string) stream.PointSnapshot[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
 	st := stamp{op: op.Op}
 	var run func(g *algo.Graph) (result, error)
 	switch op.Op {
@@ -150,7 +153,7 @@ func (s *Server) appendOp(b []byte, op batchOp, owner func(src string) stream.Po
 		if op.Src == "" {
 			return b, badOp("row wants src")
 		}
-		return appendRow(b, st, owner(op.Src), op.Src), nil
+		return appendRow(a, b, st, owner(op.Src), op.Src), nil
 	case "pagerank":
 		damping, tol, iters := 0.85, 1e-9, 100
 		if op.Damping != nil {
@@ -186,5 +189,5 @@ func (s *Server) appendOp(b []byte, op batchOp, owner func(src string) stream.Po
 	if err != nil {
 		return b, err
 	}
-	return appendResult(b, st, res), nil
+	return appendResult(a, b, st, res), nil
 }

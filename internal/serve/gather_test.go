@@ -38,10 +38,10 @@ func allocatedBy(t *testing.T, s *Server, r *http.Request) float64 {
 // the kernel's vectors: every kernel pushes along that pattern, and no
 // transpose is built. No shard folds below the threshold, so
 // Stats().Folds does not move. The bounds are the largest of 40
-// measurements (/at 2.0 KB, /bfs 1.88 MB, /pagerank 3.58 MB — the spreads,
-// 1.27 to 1.88 and 2.48 to 3.58 MB, are whether a collection emptied the
-// response buffer pool) plus 11–12%. While the Graph built a pattern
-// transpose, /bfs and /pagerank read 2.43 and 4.14 MB. When the query
+// measurements (/at 2.4 KB, /bfs 1.42 MB, /pagerank 1.48 MB) plus 12%.
+// While each answer was rendered whole into a pooled buffer, /bfs and
+// /pagerank read up to 1.88 and 3.58 MB; while the Graph built a pattern
+// transpose, 2.43 and 4.14 MB. When the query
 // folded both shards first (each one copy of that shard's main, read from
 // the old one through the universe's position maps) and copied the graph
 // with its values into the vertex space, the same three read 2.0 KB, 5.15
@@ -65,8 +65,8 @@ func TestNewEpochAllocations(t *testing.T) {
 		path  string
 		bound float64
 	}{
-		{"/bfs?src=" + rmatHub, 2.1 * MB}, {"/pagerank?iters=20", 4.0 * MB},
-		{"/bfs?src=" + rmatHub, 2.1 * MB}, {"/pagerank?iters=20", 4.0 * MB},
+		{"/bfs?src=" + rmatHub, 1.6 * MB}, {"/pagerank?iters=20", 1.65 * MB},
+		{"/bfs?src=" + rmatHub, 1.6 * MB}, {"/pagerank?iters=20", 1.65 * MB},
 	} {
 		body, probe := newEpochBatch(r, i)
 		serveDiscarding(t, s, w, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
@@ -84,8 +84,8 @@ func TestNewEpochAllocations(t *testing.T) {
 			t.Errorf("%s at a new vector below the fold threshold: folds %d → %d, %d edges pending; want no fold", query.path, folds, st.Folds, st.Pending)
 		}
 	}
-	if objects, bytes := perAnswer(t, s, "/pagerank?iters=20"); objects > 128 || bytes > 1.5*MB {
-		t.Errorf("/pagerank at an unchanged vector allocates %v objects and %.2f MB per answer; want at most 128 objects and 1.5 MB", objects, bytes/MB)
+	if objects, bytes := perAnswer(t, s, "/pagerank?iters=20"); objects > 128 || bytes > 0.73*MB {
+		t.Errorf("/pagerank at an unchanged vector allocates %v objects and %.2f MB per answer; want at most 128 objects and 0.73 MB", objects, bytes/MB)
 	}
 }
 

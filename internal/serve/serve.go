@@ -41,10 +41,13 @@
 //
 // Read answers are written, not marshalled: the kernels answer with
 // vectors over the graph's vertex key set, which is already in key
-// order, and answer.go appends them to a pooled buffer field by field
-// in the order encoding/json gives map keys — so the bytes are the ones
-// the former map-and-reflect path produced (the golden test holds them
-// to it), without a map entry or a boxed float per vertex. writeJSON
+// order, and answer.go appends them field by field, in the order
+// encoding/json gives map keys, to a pooled chunk that goes to the
+// socket whenever it fills — so the bytes are the ones the former
+// map-and-reflect path produced (the golden test holds them to it),
+// without a map entry or a boxed float per vertex, and no answer is held
+// whole: an answer that fits one chunk goes out in one write with its
+// Content-Length, a longer one with chunked transfer encoding. writeJSON
 // remains for the small, fixed-shape bodies: /stats, /healthz and the
 // /ingest ack.
 package serve
@@ -143,7 +146,8 @@ type Server struct {
 	met      *metrics
 	readPool *pool
 	algoPool *pool
-	buffers  sync.Pool // *bytes.Buffer, one response body each (writeJSON, writeAnswer)
+	buffers  sync.Pool // *bytes.Buffer, one small response body each (writeJSON)
+	answers  sync.Pool // *answer, each holding a chunk-sized slice between read answers (writeAnswer)
 }
 
 // New builds the front door over ing.
@@ -155,6 +159,7 @@ func New(ing *core.Ingest, opt Options) *Server {
 		mux: http.NewServeMux(),
 	}
 	s.buffers.New = func() any { return new(bytes.Buffer) }
+	s.answers.New = func() any { return new(answer) } // its chunk grows with the first answers it holds
 	s.met = newMetrics(opt.Registry, ing)
 	s.cache = &graphCache{met: s.met, build: algo.FromPins}
 	s.readPool = newPool("read", opt.ReadWorkers, opt.ReadQueue, opt.RetryAfter, s.met)
@@ -415,7 +420,7 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeAnswer(w, func(b []byte) []byte { return appendAt(b, stamp{epochs: epochs}, pt, src, dst) })
+	s.writeAnswer(w, func(_ *answer, b []byte) []byte { return appendAt(b, stamp{epochs: epochs}, pt, src, dst) })
 }
 
 func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
@@ -428,7 +433,7 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeAnswer(w, func(b []byte) []byte { return appendRow(b, stamp{epochs: epochs}, pt, src) })
+	s.writeAnswer(w, func(a *answer, b []byte) []byte { return appendRow(a, b, stamp{epochs: epochs}, pt, src) })
 }
 
 // triplesDefault is the /triples row budget when the client sends no
@@ -456,8 +461,8 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.observeEpochs(snap.Epochs)
-	s.writeAnswer(w, func(b []byte) []byte {
-		return appendTriples(b, stamp{epochs: snap.Epochs}, snap.Adjacency, limit)
+	s.writeAnswer(w, func(a *answer, b []byte) []byte {
+		return appendTriples(a, b, stamp{epochs: snap.Epochs}, snap.Adjacency, limit)
 	})
 }
 
@@ -480,7 +485,7 @@ func (s *Server) algoQuery(w http.ResponseWriter, run func(g *algo.Graph) (resul
 		http.Error(w, err.Error(), opStatus(err))
 		return
 	}
-	s.writeAnswer(w, func(b []byte) []byte { return appendResult(b, stamp{epochs: epochs}, res) })
+	s.writeAnswer(w, func(a *answer, b []byte) []byte { return appendResult(a, b, stamp{epochs: epochs}, res) })
 }
 
 func (s *Server) sourceQuery(run func(g *algo.Graph, src string) (result, error)) http.HandlerFunc {
