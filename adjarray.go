@@ -224,9 +224,11 @@ const BackendDense = core.BackendDense
 // construction on the selected backend, optional validation.
 func Build(req BuildRequest) (*BuildResult, error) { return core.Build(req) }
 
-// Incremental maintenance (streaming ingest).
+// Incremental maintenance (streaming ingest). There is one way in: an
+// AdjacencyStore, opened with OpenAdjacencyStore (or behind an Ingest,
+// which batches edges into one).
 
-// StreamEdge is one ingested edge for a maintained adjacency view.
+// StreamEdge is one ingested edge for a maintained adjacency store.
 // Weight presence is explicit (HasOut/HasIn); an unset side ingests as
 // the algebra's One — the unweighted convention.
 type StreamEdge[V any] = stream.Edge[V]
@@ -237,53 +239,35 @@ func WeightedStreamEdge[V any](key, src, dst string, out, in V) StreamEdge[V] {
 	return stream.Weighted(key, src, dst, out, in)
 }
 
-// AdjacencyView maintains A = Eoutᵀ ⊕.⊗ Ein under continuous edge
-// ingest: appended batches apply via the delta identity
-// A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:] instead of full rebuilds. An Append
-// costs O(batch) whether or not the batch introduces vertices: the view
-// stores its edge log by stable vertex id — the edges not yet folded are
-// that log's suffix, nothing more — and establishes key order once per
-// fold, which a whole-array read (Snapshot) or a checkpoint triggers: a
-// bulk load nobody reads is appends only, and its first Snapshot pays one
-// fold, the batch construction. A read of one cell or row (Point) folds
-// nothing. Whatever the folds, every cell is batch construction's left
-// fold over its edges, for any ⊕ whose Zero is a ⊕-identity.
-type AdjacencyView[V any] = stream.View[V]
-
-// AdjacencySnapshot is an immutable read view of an AdjacencyView: the
-// adjacency array and counters as fields, the key-ordered incidence
-// arrays Eout and Ein of its epoch through Logs(), built on first
-// request.
+// AdjacencySnapshot is one shard's immutable read view, as
+// AdjacencyStoreSnapshot.Shards holds it: the adjacency array and
+// counters as fields, the key-ordered incidence arrays Eout and Ein of
+// its epoch through Logs(), built on first request.
 type AdjacencySnapshot[V any] = stream.Snapshot[V]
 
-// AdjacencyPointSnapshot is a view pinned for point reads — At(src, dst)
-// and Row(src, yield), nothing else — by AdjacencyView.Point or
-// AdjacencyStore.OwnerSnapshot: it answers from the folded adjacency ⊕
-// the log's unfolded suffix, bit-identical to the fold it does not run,
-// so a read-your-write costs O(batch) instead of a fold of the view.
+// AdjacencyPointSnapshot is one shard pinned for point reads — At(src,
+// dst) and Row(src, yield), nothing else — by AdjacencyStore.OwnerSnapshot
+// or PointPin: it answers from the folded adjacency ⊕ the log's unfolded
+// suffix, bit-identical to the fold it does not run, so a read-your-write
+// costs O(batch) instead of a fold of the shard.
 type AdjacencyPointSnapshot[V any] = stream.PointSnapshot[V]
 
-// StreamStats summarizes a view's counters.
+// StreamStats summarizes one shard's counters, as
+// AdjacencyStoreStats.PerShard holds them.
 type StreamStats = stream.Stats
-
-// NewAdjacencyView creates an empty maintained view.
-func NewAdjacencyView[V any](ops Ops[V]) *AdjacencyView[V] {
-	return stream.NewView(ops)
-}
-
-// AdjacencyViewFromIncidence bootstraps a view from batch-built
-// incidence arrays (exactly one entry per row and side, Definition I.4);
-// subsequent appends apply deltas on top.
-func AdjacencyViewFromIncidence[V any](eout, ein *Array[V], ops Ops[V]) (*AdjacencyView[V], error) {
-	return stream.FromIncidence(eout, ein, ops)
-}
 
 // The ingest store: N ≥ 1 shards (route-by-hash scatter, scatter-gather
 // snapshots), in memory or on a directory (see stream.Store).
 
-// AdjacencyStore hash-partitions the ingested vertex space across
-// goroutine-shards, each owning its own AdjacencyView and — opened on a
-// directory — its own write-ahead log and checkpoints, so concurrent
+// AdjacencyStore maintains A = Eoutᵀ ⊕.⊗ Ein under continuous edge
+// ingest: an appended batch applies via the delta identity
+// A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:] instead of a full rebuild, at O(batch)
+// whether or not it introduces vertices, and a whole-array read
+// (Snapshot) or a checkpoint folds what is pending; every cell is the
+// batch construction's left fold over its edges, for any ⊕ whose Zero
+// is a ⊕-identity. It hash-partitions the vertex space across
+// goroutine-shards, each owning its own maintained view and — opened on
+// a directory — its own write-ahead log and checkpoints, so concurrent
 // appends to different shards never contend. Snapshot pins one
 // consistent epoch per shard and concatenates the per-shard adjacencies
 // — bit-identical to the one-shard construction because shards own
@@ -313,7 +297,8 @@ func OpenAdjacencyStore[V any](dir string, ops Ops[V], shards int, dopt DurableS
 }
 
 // Ingest accumulates edge triples and feeds an AdjacencyStore — the
-// ingest-side counterpart of Build.
+// ingest-side counterpart of Build, and the one edge batcher: Add and
+// Flush are safe for concurrent use.
 type Ingest = core.Ingest
 
 // IngestOptions configures an Ingest accumulator.
@@ -362,13 +347,6 @@ func NewCSRGraph(a *Array[float64]) (*CSRGraph, error) { return algo.FromArray(a
 // NewCSRGraphPattern builds a CSRGraph from any array's pattern with
 // weight 1 per stored entry.
 func NewCSRGraphPattern[V any](a *Array[V]) (*CSRGraph, error) { return algo.FromPattern(a) }
-
-// CSRGraphFromSnapshot builds a CSRGraph from a live stream snapshot's
-// adjacency: algorithm queries on a maintained view while ingest
-// continues.
-func CSRGraphFromSnapshot(s AdjacencySnapshot[float64]) (*CSRGraph, error) {
-	return algo.FromSnapshot(s)
-}
 
 // BFSLevels computes breadth-first hop counts from source over the
 // array's pattern (∨.∧ frontier expansion).

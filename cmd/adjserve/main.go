@@ -13,6 +13,12 @@
 // (which annihilates: such an edge contributes no adjacency entry).
 // Lines starting with '#' and blank lines are skipped.
 //
+// Every edge takes one way in: the stream's edges go to core.Ingest.Add,
+// the one batcher, which appends every -batch of them to the store as one
+// delta batch (a -flush-every ticker appends a partial one, and shutdown
+// the last); a POST /ingest body is its own batch. Behind it is one
+// stream.Store, in memory or on -data-dir.
+//
 // Ingest is sharded by default: -shards (default GOMAXPROCS) partitions
 // the vertex space by source-vertex hash across goroutine-shards, each
 // owning its own view (and, when durable, its own WAL and checkpoints),
@@ -156,7 +162,7 @@ func main() {
 	flag.StringVar(&cfg.semiring, "semiring", "+.*", "operator pair (registry name)")
 	flag.StringVar(&cfg.in, "in", "-", "edge stream: file path or - for stdin")
 	flag.BoolVar(&cfg.keyed, "keyed", false, "lines carry an explicit leading edge key")
-	flag.IntVar(&cfg.batch, "batch", 512, "edges per delta batch")
+	flag.IntVar(&cfg.batch, "batch", core.DefaultBatchSize, "edges per delta batch")
 	flag.IntVar(&cfg.shards, "shards", -1, "goroutine-shards for ingest (route-by-hash on src); < 0 = GOMAXPROCS, or what -data-dir already holds")
 	flag.StringVar(&cfg.serve, "serve", "", "HTTP listen address for snapshot queries (e.g. :8080); empty = ingest only")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "listen address for pprof, runtime/trace and runtime metrics (e.g. 127.0.0.1:6060), outside admission control; empty = off")
@@ -230,17 +236,13 @@ func run(cfg config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	f := newFront(ing, cfg.batch)
 	fatal := make(chan error, 3) // server, debug listener or flusher failure
 
 	// Every exit path — stream end, SIGINT/SIGTERM, fatal server error —
 	// flushes buffered edges, writes a final covering checkpoint, and
-	// closes the log; a crash between here and exit is then recoverable
-	// from the checkpoint alone.
+	// closes the log (ing.Close); a crash between here and exit is then
+	// recoverable from the checkpoint alone.
 	defer func() {
-		if err := f.flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "adjserve: final flush:", err)
-		}
 		if err := ing.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "adjserve: durability shutdown:", err)
 		} else if store.Persistent() {
@@ -306,7 +308,7 @@ func run(cfg config) error {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if err := f.flush(); err != nil {
+					if err := ing.Flush(); err != nil {
 						if errors.Is(err, stream.ErrReadOnly) {
 							// The store wedged read-only; the server keeps
 							// answering reads, so stop flushing instead of
@@ -333,8 +335,15 @@ func run(cfg config) error {
 	}
 
 	start := time.Now()
+	// What the appender handed to ing.Add, read once ingest has returned:
+	// by then the appender has exited.
+	edges := 0
+	add := func(es []stream.Edge[float64]) error {
+		edges += len(es)
+		return ing.Add(es...)
+	}
 	ingested := make(chan error, 1)
-	go func() { ingested <- ingest(src, cfg.keyed, f) }()
+	go func() { ingested <- ingest(src, cfg.keyed, add) }()
 
 	readOnly := false
 	select {
@@ -375,7 +384,7 @@ func run(cfg config) error {
 		}
 	}
 
-	if err := f.flush(); err != nil {
+	if err := ing.Flush(); err != nil {
 		return err
 	}
 	st := store.Stats()
@@ -389,7 +398,7 @@ func run(cfg config) error {
 	// are pending, and the first read past the fold threshold folds them.
 	fmt.Fprintf(os.Stderr,
 		"adjserve: ingested %d edges in %v across %d shards — %d adjacency entries (%d pending), epoch vector %v, folds %v over %d shards\n",
-		f.edges.Load(), time.Since(start).Round(time.Millisecond),
+		edges, time.Since(start).Round(time.Millisecond),
 		st.Shards, st.AdjNNZ, st.Pending, st.Epochs,
 		time.Duration(st.FoldNanos).Round(time.Microsecond), folded)
 
@@ -405,81 +414,14 @@ func run(cfg config) error {
 	return nil
 }
 
-// front is the ingest-side write path. The process-wide critical
-// section is the local batch buffer and the edge counter (an atomic);
-// the append itself — scatter, per-shard key assignment, fold, WAL
-// write — runs OUTSIDE that lock against the store's per-shard locks,
-// so concurrent producers (and the periodic flusher) only contend when
-// they touch the same shard. A small ordering mutex serializes buffer
-// swap + append so batches reach each shard in arrival order, which
-// keeps explicit -keyed streams within the per-shard ascending-key
-// discipline.
-type front struct {
-	ing  *core.Ingest
-	size int
-
-	mu    sync.Mutex // batch-buffer guard only
-	amu   sync.Mutex // swap+append ordering (never held while buffering edges)
-	buf   []stream.Edge[float64]
-	spare []stream.Edge[float64] // the previous flush's buffer, reused under amu
-	edges atomic.Int64
-}
-
-func newFront(ing *core.Ingest, batch int) *front {
-	if batch <= 0 {
-		batch = 512
-	}
-	return &front{
-		ing: ing, size: batch,
-		buf:   make([]stream.Edge[float64], 0, batch),
-		spare: make([]stream.Edge[float64], 0, batch),
-	}
-}
-
-// addAll buffers the edges of one read, taking the buffer lock once per
-// batch they fill rather than once per edge, and flushes each full batch
-// — the store sees the same batches whatever the reads were.
-func (f *front) addAll(es []stream.Edge[float64]) error {
-	for len(es) > 0 {
-		f.mu.Lock()
-		n := min(len(es), f.size-len(f.buf)) // > 0: whoever fills the buffer flushes it
-		f.buf = append(f.buf, es[:n]...)
-		full := len(f.buf) >= f.size
-		f.mu.Unlock()
-		f.edges.Add(int64(n))
-		es = es[n:]
-		if full {
-			if err := f.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flush appends whatever is buffered: the buffer is swapped for the
-// spare under the narrow lock and appended outside it.
-func (f *front) flush() error {
-	f.amu.Lock()
-	defer f.amu.Unlock()
-	f.mu.Lock()
-	b := f.buf
-	f.buf = f.spare
-	f.mu.Unlock()
-	err := f.ing.AppendBatch(b)
-	clear(b) // the store keeps nothing of the batch; neither should we
-	f.spare = b[:0]
-	return err
-}
-
 // maxLine bounds one line of the stream: a line this long or longer,
 // its terminator aside, is refused.
 const maxLine = 1 << 20
 
-// ingest drains the edge stream into the front, which counts accepted
-// edges on its atomic counter. Each Read's complete lines become ONE
-// string, every field of every edge a substring of it, and the read's
-// edges reach the front together — no string per line, no field slice per
+// ingest drains the edge stream into add — in adjserve, core.Ingest.Add,
+// which batches them into the store. Each Read's complete lines become
+// ONE string, every field of every edge a substring of it, and the read's
+// edges reach add together — no string per line, no field slice per
 // line, no lock per edge. They reach it on a second goroutine
 // (appender), so the store appends one read's edges while the next read
 // is parsed; two edge buffers take turns. A Read returns what is there,
@@ -489,8 +431,8 @@ const maxLine = 1 << 20
 // ahead of any error of a later read, once the next read is handed over
 // or the stream ends: a stream that stalls delays the report, not the
 // stop — no edge after a refused append is appended.
-func ingest(src io.Reader, keyed bool, f *front) error {
-	a := startAppender(f)
+func ingest(src io.Reader, keyed bool, add func([]stream.Edge[float64]) error) error {
+	a := startAppender(add)
 	buf := make([]byte, 0, 1<<16) // holds, between reads, the line still arriving
 	var bufs [2][]stream.Edge[float64]
 	turn := 0
@@ -557,15 +499,15 @@ func ingest(src io.Reader, keyed bool, f *front) error {
 	}
 }
 
-// read is one Read's edges on their way to the front, and the line they
+// read is one Read's edges on their way to add, and the line they
 // ended on — what an append error names.
 type read struct {
 	edges []stream.Edge[float64]
 	line  int
 }
 
-// appender is ingest's second goroutine: it hands each read's edges to the
-// front, and so to the store, while ingest parses the next read. reads is
+// appender is ingest's second goroutine: it hands each read's edges to
+// add, and so to the store, while ingest parses the next read. reads is
 // unbuffered: a send completes when the appender takes the read, which it
 // does only once it is done with the one before — so the buffer ingest
 // sent the time before is free again, and two buffers suffice. After the
@@ -578,13 +520,13 @@ type appender struct {
 	err    error
 }
 
-func startAppender(f *front) *appender {
+func startAppender(add func([]stream.Edge[float64]) error) *appender {
 	a := &appender{reads: make(chan read), done: make(chan struct{})}
 	go func() {
 		defer close(a.done)
 		for r := range a.reads {
 			if a.err == nil {
-				if err := f.addAll(r.edges); err != nil {
+				if err := add(r.edges); err != nil {
 					a.err = fmt.Errorf("line %d: %w", r.line, err)
 					a.failed.Store(true)
 				}
@@ -684,11 +626,4 @@ func edgeOf(f []string, line string, keyed bool) (stream.Edge[float64], error) {
 		e.HasIn = true
 	}
 	return e, nil
-}
-
-// handler builds the default production front door over ing — run()
-// uses serve.New directly with the flag-derived options; this helper
-// keeps the cmd-level integration tests on the default configuration.
-func handler(ing *core.Ingest) http.Handler {
-	return serve.New(ing, serve.Options{})
 }

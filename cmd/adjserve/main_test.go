@@ -58,9 +58,12 @@ func TestParseEdge(t *testing.T) {
 	}
 }
 
-func newTestIngest(t *testing.T) *core.Ingest {
+func newTestIngest(t *testing.T) *core.Ingest { return newBatchIngest(t, 4) }
+
+// newBatchIngest is an in-memory +.* ingest that batches every size edges.
+func newBatchIngest(t *testing.T, size int) *core.Ingest {
 	t.Helper()
-	ing, err := core.NewIngest(core.IngestOptions{Semiring: "+.*", BatchSize: 4})
+	ing, err := core.NewIngest(core.IngestOptions{Semiring: "+.*", BatchSize: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if _, err := ing.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	h := handler(ing)
+	h := serve.New(ing, serve.Options{})
 
 	if code, body := get(t, h, "/stats"); code != 200 || body["Edges"].(float64) != 3 {
 		t.Fatalf("/stats = %d %v", code, body)
@@ -195,7 +198,7 @@ func TestDurableRestartAndHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := handler(ing)
+	h := serve.New(ing, serve.Options{})
 	code, body := get(t, h, "/healthz")
 	if code != 200 || body["ok"] != true || body["durable"] != true {
 		t.Fatalf("/healthz = %d %v", code, body)
@@ -211,7 +214,7 @@ func TestDurableRestartAndHealthz(t *testing.T) {
 // In-memory ingests must report healthy-but-not-durable, not error.
 func TestHealthzInMemory(t *testing.T) {
 	ing := newTestIngest(t)
-	code, body := get(t, handler(ing), "/healthz")
+	code, body := get(t, serve.New(ing, serve.Options{}), "/healthz")
 	if code != 200 || body["ok"] != true || body["durable"] != false {
 		t.Fatalf("/healthz = %d %v", code, body)
 	}
@@ -231,7 +234,7 @@ func TestBFSDuringConcurrentIngest(t *testing.T) {
 	if _, err := ing.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	h := handler(ing)
+	h := serve.New(ing, serve.Options{})
 
 	var mu sync.Mutex
 	done := make(chan struct{})
@@ -300,25 +303,27 @@ func TestBFSDuringConcurrentIngest(t *testing.T) {
 	}
 }
 
-// add buffers one edge and flushes full batches — how edges reached the
-// front while ingest read a line at a time.
-func (f *front) add(e stream.Edge[float64]) error {
-	f.mu.Lock()
-	f.buf = append(f.buf, e)
-	full := len(f.buf) >= f.size
-	f.mu.Unlock()
-	f.edges.Add(1)
-	if full {
-		return f.flush()
+// counting is the add run gives ingest: it hands the edges to ing.Add
+// and counts them in *n.
+func counting(ing *core.Ingest, n *int64) func([]stream.Edge[float64]) error {
+	return func(es []stream.Edge[float64]) error {
+		*n += int64(len(es))
+		return ing.Add(es...)
 	}
-	return nil
+}
+
+// collect is an add that appends nothing: it keeps what it is handed.
+func collect(into *[]stream.Edge[float64]) func([]stream.Edge[float64]) error {
+	return func(es []stream.Edge[float64]) error {
+		*into = append(*into, es...)
+		return nil
+	}
 }
 
 // referenceIngest is ingest as it was before it read a Read at a time: a
-// Scanner token, a string and a field slice per line, one lock round-trip
-// per edge. It also returns the number of lines it scanned.
-func referenceIngest(src io.Reader, keyed bool, f *front) (int, error) {
-	lines := 0
+// Scanner token, a string and a field slice per line. It returns the
+// edges it accepted and the number of lines it scanned.
+func referenceIngest(src io.Reader, keyed bool) (edges []stream.Edge[float64], lines int, err error) {
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -329,16 +334,14 @@ func referenceIngest(src io.Reader, keyed bool, f *front) (int, error) {
 		}
 		e, err := parseEdge(line, keyed)
 		if err != nil {
-			return lines, fmt.Errorf("line %d: %w", lines, err)
+			return edges, lines, fmt.Errorf("line %d: %w", lines, err)
 		}
-		if err := f.add(e); err != nil {
-			return lines, fmt.Errorf("line %d: %w", lines, err)
-		}
+		edges = append(edges, e)
 	}
 	if err := sc.Err(); err != nil {
-		return lines, fmt.Errorf("read: %w", err)
+		return edges, lines, fmt.Errorf("read: %w", err)
 	}
-	return lines, nil
+	return edges, lines, nil
 }
 
 // readings are the ways the differential cuts one stream into Reads.
@@ -355,13 +358,12 @@ var readings = []struct {
 // checkIngestMatchesReference holds ingest to referenceIngest on one
 // stream under every reading: the same edges in the same order, the same
 // accepted count, the same first error at the same line. Nothing is
-// flushed (the fronts' batches never fill), so the edges are read back
-// from the buffers. The one licensed difference: the reference reports an
-// over-long line as the Scanner's error, without a position.
+// appended: ingest hands its edges to a collecting add. The one licensed
+// difference: the reference reports an over-long line as the Scanner's
+// error, without a position.
 func checkIngestMatchesReference(t *testing.T, data []byte, keyed bool) {
 	t.Helper()
-	ref := &front{size: 1 << 62}
-	lines, refErr := referenceIngest(bytes.NewReader(data), keyed, ref)
+	ref, lines, refErr := referenceIngest(bytes.NewReader(data), keyed)
 	want := ""
 	switch {
 	case errors.Is(refErr, bufio.ErrTooLong):
@@ -370,21 +372,21 @@ func checkIngestMatchesReference(t *testing.T, data []byte, keyed bool) {
 		want = refErr.Error()
 	}
 	for _, rd := range readings {
-		f := &front{size: 1 << 62}
+		var edges []stream.Edge[float64]
 		got := ""
-		if err := ingest(rd.wrap(bytes.NewReader(data)), keyed, f); err != nil {
+		if err := ingest(rd.wrap(bytes.NewReader(data)), keyed, collect(&edges)); err != nil {
 			got = err.Error()
 		}
 		if got != want {
 			t.Errorf("%s: error %q, reference %q", rd.name, got, want)
 		}
-		if f.edges.Load() != ref.edges.Load() || len(f.buf) != len(ref.buf) {
-			t.Fatalf("%s: accepted %d edges (%d buffered), reference %d (%d)", rd.name, f.edges.Load(), len(f.buf), ref.edges.Load(), len(ref.buf))
+		if len(edges) != len(ref) {
+			t.Fatalf("%s: accepted %d edges, reference %d", rd.name, len(edges), len(ref))
 		}
-		for i, e := range f.buf {
+		for i, e := range edges {
 			// NaN weights parse; compare them as the text they came from would.
-			if fmt.Sprintf("%+v", e) != fmt.Sprintf("%+v", ref.buf[i]) {
-				t.Fatalf("%s: edge %d is %+v, reference %+v", rd.name, i, e, ref.buf[i])
+			if fmt.Sprintf("%+v", e) != fmt.Sprintf("%+v", ref[i]) {
+				t.Fatalf("%s: edge %d is %+v, reference %+v", rd.name, i, e, ref[i])
 			}
 		}
 	}
@@ -441,27 +443,37 @@ func FuzzIngestLines(f *testing.F) {
 // Errors keep their line: a parse error its own, an over-long line the one
 // it would have been, an append the store refuses the last line of the
 // read whose edges were being handed over — and what was accepted before
-// the error stays accepted.
+// the error stays accepted: it is stored once the batcher flushes.
 func TestIngestErrorsNameTheirLine(t *testing.T) {
 	cases := []struct {
 		name, in string
 		keyed    bool
 		want     string
-		edges    int64
+		handed   int64 // to ing.Add
+		stored   int   // after a final flush
 	}{
-		{"parse", "a b\n# c\nb\n", false, `line 3: want 'src dst [out [in]]', got "b"`, 1},
-		{"weight", "a b\nb c 1 z\n", false, "line 2: in weight: ", 1},
-		{"too long", "a b\n\n" + strings.Repeat("x", 1<<20) + "\n", false, "line 3: longer than 1 MiB", 1},
-		{"append", "k2 a b\nk1 b c\nk3 c d\n", true, "line 3: stream: ", 2}, // the read ends at line 3; its first batch was refused
+		{"parse", "a b\n# c\nb\n", false, `line 3: want 'src dst [out [in]]', got "b"`, 1, 1},
+		{"weight", "a b\nb c 1 z\n", false, "line 2: in weight: ", 1, 1},
+		{"too long", "a b\n\n" + strings.Repeat("x", 1<<20) + "\n", false, "line 3: longer than 1 MiB", 1, 1},
+		// The read ends at line 3; its first batch was refused, and Add
+		// buffered nothing past it.
+		{"append", "k2 a b\nk1 b c\nk3 c d\n", true, "line 3: stream: ", 3, 0},
 	}
 	for _, c := range cases {
-		f := newFront(newTestIngest(t), 2)
-		err := ingest(strings.NewReader(c.in), c.keyed, f)
+		ing := newBatchIngest(t, 2)
+		var handed int64
+		err := ingest(strings.NewReader(c.in), c.keyed, counting(ing, &handed))
 		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want prefix %q", c.name, err, c.want)
 		}
-		if got := f.edges.Load(); got != c.edges {
-			t.Errorf("%s: %d edges accepted, want %d", c.name, got, c.edges)
+		if handed != c.handed {
+			t.Errorf("%s: %d edges handed over, want %d", c.name, handed, c.handed)
+		}
+		if err := ing.Flush(); err != nil {
+			t.Fatalf("%s: flush: %v", c.name, err)
+		}
+		if got := ing.Store().Stats().Edges; got != c.stored {
+			t.Errorf("%s: %d edges stored, want %d", c.name, got, c.stored)
 		}
 	}
 }
@@ -488,7 +500,7 @@ func TestIngestReportsAnAppendAheadOfALaterRead(t *testing.T) {
 		name   string
 		reads  chunks
 		want   string
-		edges  int64 // accepted by the front
+		edges  int64 // handed to ing.Add
 		stored int   // appended to the store
 	}{
 		{"append, then a parse error", chunks{"k2 a b\nk1 a c\n", "k3 c d\nbad\n"}, "line 2: stream: ", 2, 0},
@@ -497,14 +509,14 @@ func TestIngestReportsAnAppendAheadOfALaterRead(t *testing.T) {
 		{"a parse error after good reads", chunks{"k1 a b\nk2 b c\n", "k3 c d\nbad\n"}, `line 4: want 'src dst [out [in]]', got "bad"`, 3, 2},
 	}
 	for _, c := range cases {
-		ing := newTestIngest(t)
-		f := newFront(ing, 2)
-		err := ingest(&c.reads, true, f)
+		ing := newBatchIngest(t, 2)
+		var handed int64
+		err := ingest(&c.reads, true, counting(ing, &handed))
 		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want prefix %q", c.name, err, c.want)
 		}
-		if got := f.edges.Load(); got != c.edges {
-			t.Errorf("%s: %d edges accepted, want %d", c.name, got, c.edges)
+		if handed != c.edges {
+			t.Errorf("%s: %d edges handed over, want %d", c.name, handed, c.edges)
 		}
 		if got := ing.Store().Stats().Edges; got != c.stored {
 			t.Errorf("%s: %d edges stored, want %d", c.name, got, c.stored)
@@ -520,10 +532,11 @@ func TestIngestAllocatesPerReadNotPerLine(t *testing.T) {
 	for i := 0; i < lines; i++ {
 		fmt.Fprintf(&b, "v%d v%d\n", i%97, i%89)
 	}
-	f := &front{size: 1 << 62, buf: make([]stream.Edge[float64], 0, lines)}
+	edges := make([]stream.Edge[float64], 0, lines)
+	add := collect(&edges)
 	allocs := testing.AllocsPerRun(5, func() {
-		f.buf = f.buf[:0]
-		if err := ingest(bytes.NewReader(b.Bytes()), false, f); err != nil {
+		edges = edges[:0]
+		if err := ingest(bytes.NewReader(b.Bytes()), false, add); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -540,41 +553,35 @@ func TestPreloadAllocations(t *testing.T) {
 	data := preloadLines()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	preload(t, data)
+	preloadShards(t, data, 1)
 	runtime.ReadMemStats(&after)
 	if got := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; got > 13 {
 		t.Errorf("the preload allocated %.2f MB; want at most 13", got)
 	}
 }
 
-// preload is adjserve from opening -in to its first answer, in process:
-// the lines → ingest → flush → the first point pin, which folds what is
-// past the threshold (all of it, here); one shard, batches of 512.
-func preload(tb testing.TB, data []byte) (*core.Ingest, *front) {
-	ing, f, _ := preloadShards(tb, data, 1)
-	return ing, f
-}
-
-// preloadShards is preload on a store of the given shard count; pin is
-// the time the first Store.PointPin took.
-func preloadShards(tb testing.TB, data []byte, shards int) (ing *core.Ingest, f *front, pin time.Duration) {
+// preloadShards is adjserve from opening -in to its first answer, in
+// process, on a store of the given shard count: the lines → ingest →
+// flush → the first point pin, which folds what is past the threshold
+// (all of it, here); batches of 512. handed is what ingest handed to
+// ing.Add, pin the time the first Store.PointPin took.
+func preloadShards(tb testing.TB, data []byte, shards int) (ing *core.Ingest, handed int64, pin time.Duration) {
 	tb.Helper()
 	ing, err := core.NewIngest(core.IngestOptions{Semiring: "+.*", BatchSize: 512, Shards: shards})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f = newFront(ing, 512)
-	if err := ingest(bytes.NewReader(data), false, f); err != nil {
+	if err := ingest(bytes.NewReader(data), false, counting(ing, &handed)); err != nil {
 		tb.Fatal(err)
 	}
-	if err := f.flush(); err != nil {
+	if err := ing.Flush(); err != nil {
 		tb.Fatal(err)
 	}
 	start := time.Now()
 	if _, _, err := ing.Store().PointPin(); err != nil {
 		tb.Fatal(err)
 	}
-	return ing, f, time.Since(start)
+	return ing, handed, time.Since(start)
 }
 
 // preloadLines is the stream bench's query_static child is started on:
@@ -596,7 +603,7 @@ func preloadLines() []byte {
 // bench's mixed_rw child runs). first_pin_ms is the first Store.PointPin,
 // which folds every shard one after another; fold_ms the store's own
 // count of the time in folds, summed over the shards (and folds how many
-// there were). parse_ms is a pass of the same lines into a front that
+// there were). parse_ms is a pass of the same lines into an add that
 // never appends (so it also writes every edge of the file to memory: an
 // upper bound), append_ms what is left of the op past the parse and the
 // pin: the appends run beside the parse, so it is what of them the parse
@@ -607,24 +614,25 @@ func BenchmarkPreload(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var total, parse, fold, pin time.Duration
 			folds := 0
-			dry := &front{size: 1 << 62}
+			var dry []stream.Edge[float64]
+			add := collect(&dry)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				ing, f, p := preloadShards(b, data, shards)
+				ing, handed, p := preloadShards(b, data, shards)
 				total += time.Since(start)
 				b.StopTimer()
 				st := ing.Store().Stats()
-				if st.Pending != 0 || int64(st.Edges) != f.edges.Load() {
-					b.Fatalf("%d edges accepted, %d stored, %d pending after the first point pin", f.edges.Load(), st.Edges, st.Pending)
+				if st.Pending != 0 || int64(st.Edges) != handed {
+					b.Fatalf("%d edges handed over, %d stored, %d pending after the first point pin", handed, st.Edges, st.Pending)
 				}
 				pin += p
 				fold += time.Duration(st.FoldNanos)
 				folds += st.Folds
-				dry.buf = dry.buf[:0]
+				dry = dry[:0]
 				start = time.Now()
-				if err := ingest(bytes.NewReader(data), false, dry); err != nil {
+				if err := ingest(bytes.NewReader(data), false, add); err != nil {
 					b.Fatal(err)
 				}
 				parse += time.Since(start)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adjarray/internal/core"
+	"adjarray/internal/serve"
 	"adjarray/internal/stream"
 )
 
@@ -59,7 +60,7 @@ func TestEpochVectorPinnedDuringShardedIngest(t *testing.T) {
 	if err := sv.Append(seed); err != nil {
 		t.Fatal(err)
 	}
-	h := handler(ing)
+	h := serve.New(ing, serve.Options{})
 
 	done := make(chan struct{})
 	var readers sync.WaitGroup
@@ -111,10 +112,9 @@ func TestEpochVectorPinnedDuringShardedIngest(t *testing.T) {
 		}(w)
 	}
 
-	// Concurrent multi-shard ingest through the narrow-lock front (the
+	// Concurrent multi-shard ingest through the Ingest batcher (the
 	// production write path), three producers.
 	const producers, perProducer = 3, 300
-	f := newFront(ing, 8)
 	var writers sync.WaitGroup
 	writerErr := make([]error, producers)
 	for p := 0; p < producers; p++ {
@@ -126,7 +126,7 @@ func TestEpochVectorPinnedDuringShardedIngest(t *testing.T) {
 				e := stream.Weighted("",
 					fmt.Sprintf("v%02d", r.Intn(24)),
 					fmt.Sprintf("v%02d", r.Intn(24)), 1.0, 1.0)
-				if err := f.add(e); err != nil {
+				if err := ing.Add(e); err != nil {
 					writerErr[p] = err
 					return
 				}
@@ -141,7 +141,7 @@ func TestEpochVectorPinnedDuringShardedIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.flush(); err != nil {
+	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,7 +211,7 @@ func TestShardedDurableRestartAndHealthz(t *testing.T) {
 		t.Fatalf("recovered %d edges, want 17", st.Edges)
 	}
 
-	h := handler(ing)
+	h := serve.New(ing, serve.Options{})
 	code, body := get(t, h, "/healthz")
 	if code != 200 || body["ok"] != true || body["durable"] != true {
 		t.Fatalf("/healthz = %d %v", code, body)

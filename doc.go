@@ -38,8 +38,9 @@
 //     everything else multiplies on the one engine; serial or parallel
 //     by Workers), with the dense Definition I.3 oracle as the one
 //     verification backend beside it;
-//   - incremental maintenance: AdjacencyView keeps A up to date under
-//     continuous edge ingest in two levels, LSM-style: the materialized
+//   - incremental maintenance: an AdjacencyStore, the one ingest object,
+//     keeps A up to date under continuous edge ingest; each of its shards
+//     holds it in two levels, LSM-style: the materialized
 //     adjacency, and the suffix of the edge log it does not cover yet —
 //     no second structure, the log itself, kept by stable interner id,
 //     so an append is O(batch) even when it introduces vertices. Key
@@ -49,8 +50,9 @@
 //     checkpoint — never on an append's own account: a bulk load is
 //     appends, then ONE fold at its first read, which meeting an empty
 //     adjacency is the batch construction itself.
-//     Ingest accumulates arriving triples into the delta batches of one
-//     AdjacencyStore;
+//     Ingest, the one edge batcher (Add and Flush are safe for
+//     concurrent use), accumulates arriving triples into the delta
+//     batches of one AdjacencyStore;
 //   - one ingest store, shards × optional WAL: OpenAdjacencyStore
 //     (internal/stream.Open) hash-partitions the vertex space by source
 //     across N ≥ 1 shards (per-shard views and append locks), with
@@ -134,10 +136,10 @@
 //
 //	A ⊕= Eout[K′,:]ᵀ ⊕.⊗ Ein[K′,:]
 //
-// An AdjacencyView owns an append-only incidence log plus the current
-// adjacency and applies batches through this identity instead of
-// rebuilding; Snapshot returns immutable copy-on-write read views in
-// O(1). Edge keys must arrive in ascending order, which keeps the
+// Each shard of an AdjacencyStore owns an append-only incidence log plus
+// the current adjacency and applies batches through this identity
+// instead of rebuilding; Snapshot returns immutable copy-on-write read
+// views. Edge keys must arrive in ascending order, which keeps the
 // per-cell ⊕ fold ORDER equal to the sequential Definition I.3 fold, and
 // a fold starts each cell it touches from the value the adjacency holds
 // there, so it never regroups either: the maintained state is the
@@ -155,8 +157,8 @@
 // Definition I.4 gives each incidence array of a graph one entry per
 // edge row, so for a graph A = Eoutᵀ ⊕.⊗ Ein is a group-by: A(s,d) is
 // the ⊕-fold, in ascending edge-key order, of Eout(k,s) ⊗ Ein(k,d) over
-// the edges k from s to d. Correlate — and with it Adjacency, Build, a
-// bootstrapped view — recognises that shape by itself (one row
+// the edges k from s to d. Correlate — and with it Adjacency and Build —
+// recognises that shape by itself (one row
 // key set, both matrices marked unit-row where their row pointers were
 // last walked) and runs sparse.FoldUnitRows on the two column arrays: a
 // stable counting sort on the source, then per row a stable grouping on

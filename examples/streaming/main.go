@@ -23,8 +23,12 @@ import (
 )
 
 func main() {
-	// 1. A maintained view under +.× — ⊕ counts parallel edges.
-	v := adjarray.NewAdjacencyView(adjarray.PlusTimes())
+	// 1. A maintained store under +.× — ⊕ counts parallel edges. Directory
+	// "" keeps it in memory; one shard.
+	v, err := adjarray.OpenAdjacencyStore("", adjarray.PlusTimes(), 1, adjarray.DurableStreamOptions[float64]{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 2. Edges arrive in batches (keys left empty: auto-assigned in
 	// arrival order, satisfying the ascending-key log discipline).
@@ -37,7 +41,7 @@ func main() {
 		if err := v.Append(batch); err != nil {
 			log.Fatal(err)
 		}
-		snap, err := v.Snapshot() // O(1) read view; never blocks ingest
+		snap, err := v.Snapshot() // an immutable read view; ingest goes on
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +56,7 @@ func main() {
 	fmt.Println("\nmaintained adjacency (+.*):")
 	fmt.Print(adjarray.Format(snap.Adjacency, adjarray.FormatFloat))
 
-	// 3. The incremental state equals the one-shot construction. The view
+	// 3. The incremental state equals the one-shot construction. The store
 	// keeps its edge log by vertex id; Logs builds the key-ordered
 	// incidence arrays.
 	eout, ein, err := snap.Logs()
@@ -68,7 +72,7 @@ func main() {
 	// 4. Averaging is NOT associative: grouping the later edges on their
 	// own, 1 ⊕ (3⊕5), would give 2.50. A fold starts each cell from the
 	// value the earlier edges folded to, so a read between the batches
-	// changes nothing: the view holds the sequential fold ((1⊕3)⊕5).
+	// changes nothing: the store holds the sequential fold ((1⊕3)⊕5).
 	avg := adjarray.Ops[float64]{
 		Name: "avg.*",
 		Add:  func(a, b float64) float64 { return (a + b) / 2 },
@@ -76,7 +80,10 @@ func main() {
 		Zero: 0, One: 1,
 		Equal: func(a, b float64) bool { return a == b },
 	}
-	w := adjarray.NewAdjacencyView(avg)
+	w, err := adjarray.OpenAdjacencyStore("", avg, 1, adjarray.DurableStreamOptions[float64]{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	weighted := []adjarray.StreamEdge[float64]{
 		{Src: "a", Dst: "b", Out: 1, HasOut: true},
 		{Src: "a", Dst: "b", Out: 3, HasOut: true},

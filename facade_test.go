@@ -159,10 +159,13 @@ func TestFacadeConformance(t *testing.T) {
 }
 
 func TestFacadeCSRGraphAndStreaming(t *testing.T) {
-	// A maintained view ingests a mix of weighted and unweighted edges
+	// A maintained store ingests a mix of weighted and unweighted edges
 	// under max.min — the widest-path pair whose One (+Inf) the old
 	// Zero-sentinel convention could not produce from Go zero values.
-	v := adjarray.NewAdjacencyView(adjarray.MaxMin())
+	v, err := adjarray.OpenAdjacencyStore("", adjarray.MaxMin(), 1, adjarray.DurableStreamOptions[float64]{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := v.Append([]adjarray.StreamEdge[float64]{
 		{Src: "a", Dst: "b"}, // unweighted: width +Inf
 		adjarray.WeightedStreamEdge("", "b", "c", 3.0, 3),
@@ -177,7 +180,7 @@ func TestFacadeCSRGraphAndStreaming(t *testing.T) {
 		t.Fatalf("unweighted max.min edge = %v (stored=%v), want +Inf", w, ok)
 	}
 
-	g, err := adjarray.CSRGraphFromSnapshot(snap)
+	g, err := adjarray.NewCSRGraph(snap.Adjacency)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +196,7 @@ func TestFacadeCSRGraphAndStreaming(t *testing.T) {
 		t.Fatalf("CSR widest = %v, oracle = %v", width, oracle)
 	}
 
-	cg, err := adjarray.NewCSRGraph(snap.Adjacency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels, err := cg.BFSLevels("a")
+	levels, err := g.BFSLevels("a")
 	if err != nil {
 		t.Fatal(err)
 	}

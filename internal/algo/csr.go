@@ -177,13 +177,6 @@ func FromPattern[V any](a *assoc.Array[V]) (*Graph, error) {
 	return FromArray(ones)
 }
 
-// FromSnapshot builds a Graph from a live stream snapshot's adjacency:
-// the snapshot is immutable, so the Graph reads the maintained CSR
-// directly while ingest continues.
-func FromSnapshot(s stream.Snapshot[float64]) (*Graph, error) {
-	return FromArray(s.Adjacency)
-}
-
 // Vertices returns the graph's ordered vertex key set.
 func (g *Graph) Vertices() *keys.Set { return g.verts }
 

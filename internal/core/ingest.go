@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"adjarray/internal/semiring"
 	"adjarray/internal/stream"
@@ -16,6 +17,14 @@ import (
 // II.1 condition analysis as Build, up front, so a pair that cannot
 // guarantee an adjacency array is refused before any edge is accepted.
 //
+// Ingest is the one place edges are batched: Add and Flush are safe for
+// concurrent use. The critical section every producer shares is the
+// batch buffer alone, taken once per batch an Add fills; the append —
+// scatter, per-shard key assignment, WAL write — runs outside it, under
+// an ordering lock that swaps the full buffer for a spare, so batches
+// reach each shard in arrival order and explicitly keyed streams keep
+// the per-shard ascending-key discipline.
+//
 // The store has Shards ≥ 1 shards: batches scatter by source-vertex hash
 // across per-shard views (each with its own lock and, with DataDir set,
 // its own WAL and checkpoints), and Snapshot gathers the per-shard
@@ -23,20 +32,27 @@ import (
 // read view pinned at a consistent epoch vector.
 type Ingest struct {
 	store *stream.Store[float64]
-	batch []stream.Edge[float64]
 	size  int
 	ops   semiring.Ops[float64]
 	rep   semiring.Report
+
+	mu    sync.Mutex // the batch buffer only
+	batch []stream.Edge[float64]
+	amu   sync.Mutex // swap + append, in arrival order; never held while buffering
+	spare []stream.Edge[float64]
 }
+
+// DefaultBatchSize is the batch an IngestOptions.BatchSize <= 0 selects.
+const DefaultBatchSize = 512
 
 // IngestOptions configures an Ingest accumulator.
 type IngestOptions struct {
 	// Semiring is the registry name of the operator pair, e.g. "+.*".
 	Semiring string
 	// BatchSize is how many edges buffer before an automatic flush into
-	// the store; <= 0 selects 512. Larger batches amortize per-batch
-	// costs, smaller ones shrink the window in which Add-ed edges are
-	// not yet visible to Snapshot.
+	// the store; <= 0 selects DefaultBatchSize. Larger batches amortize
+	// per-batch costs, smaller ones shrink the window in which Add-ed
+	// edges are not yet visible to Snapshot.
 	BatchSize int
 	// Shards partitions the ingest across that many goroutine-shards
 	// (route-by-hash on the source vertex): 0 or 1 is one shard, < 0
@@ -69,7 +85,7 @@ func NewIngest(opt IngestOptions) (*Ingest, error) {
 	}
 	size := opt.BatchSize
 	if size <= 0 {
-		size = 512
+		size = DefaultBatchSize
 	}
 	store, err := stream.Open(opt.DataDir, entry.Ops, opt.Shards, opt.Durable)
 	if err != nil {
@@ -77,44 +93,64 @@ func NewIngest(opt IngestOptions) (*Ingest, error) {
 	}
 	return &Ingest{
 		store: store,
-		batch: make([]stream.Edge[float64], 0, size),
 		size:  size,
 		ops:   entry.Ops,
 		rep:   report,
+		batch: make([]stream.Edge[float64], 0, size),
+		spare: make([]stream.Edge[float64], 0, size),
 	}, nil
 }
 
-// Add buffers one edge; a full buffer flushes into the store. Edge keys
-// must arrive in strictly increasing order across the whole ingest (or
-// be left empty for auto-assignment — don't mix the two).
-func (in *Ingest) Add(e stream.Edge[float64]) error {
-	in.batch = append(in.batch, e)
-	if len(in.batch) >= in.size {
-		return in.Flush()
+// Add buffers edges, taking the buffer lock once per batch they fill,
+// and flushes each full batch — the store sees the same batches however
+// the edges were split across calls. Edge keys must arrive in strictly
+// increasing order across the whole ingest (or be left empty for
+// auto-assignment — don't mix the two). On a refused batch Add returns
+// Flush's error and buffers none of the edges past that batch.
+func (in *Ingest) Add(edges ...stream.Edge[float64]) error {
+	for len(edges) > 0 {
+		in.mu.Lock()
+		n := min(len(edges), in.size-len(in.batch)) // 0 only when full: whoever fills the buffer flushes it
+		in.batch = append(in.batch, edges[:n]...)
+		full := len(in.batch) >= in.size
+		in.mu.Unlock()
+		edges = edges[n:]
+		if full {
+			if err := in.Flush(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// Flush appends the buffered edges to the store as one delta batch. A
-// batch a shard rejects (a key-discipline violation) is DROPPED with the
-// returned error — shards apply batches
-// atomically, so none of its edges were ingested there, and keeping them
-// buffered would wedge every subsequent Add on the same failure. (A
-// multi-shard flush is atomic per shard: the error names the shard that
-// rejected its sub-batch.)
+// Flush appends the buffered edges to the store as one delta batch: the
+// buffer is swapped for the spare under the buffer lock and appended
+// outside it. A batch a shard rejects (a key-discipline violation) is
+// DROPPED with the returned error — shards apply batches atomically, so
+// none of its edges were ingested there, and keeping them buffered would
+// wedge every subsequent Add on the same failure. (A multi-shard flush
+// is atomic per shard: the error names the shard that rejected its
+// sub-batch.)
 func (in *Ingest) Flush() error {
-	err := in.store.Append(in.batch)
-	in.batch = in.batch[:0]
+	in.amu.Lock()
+	defer in.amu.Unlock()
+	in.mu.Lock()
+	b := in.batch
+	in.batch = in.spare
+	in.mu.Unlock()
+	err := in.store.Append(b)
+	clear(b) // the store keeps nothing of the batch; neither should we
+	in.spare = b[:0]
 	return err
 }
 
 // AppendBatch appends pre-batched edges directly to the store,
-// bypassing the Add/Flush accumulator. Unlike Add/Flush it is safe for
-// concurrent use — the shards serialize internally — which is what a
-// network ingest endpoint needs. Edges buffered in the accumulator are
-// unaffected; the usual key discipline applies across both paths. When
-// the durable store is read-only (storage failure) the error matches
-// stream.ErrReadOnly.
+// bypassing the Add/Flush accumulator — what a network ingest endpoint
+// needs, whose request is already its batch. Edges buffered in the
+// accumulator are unaffected; the usual key discipline applies across
+// both paths. When the durable store is read-only (storage failure) the
+// error matches stream.ErrReadOnly.
 func (in *Ingest) AppendBatch(edges []stream.Edge[float64]) error {
 	return in.store.Append(edges)
 }

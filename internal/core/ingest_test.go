@@ -131,8 +131,8 @@ func TestIngestSnapshotIsTheStoreSnapshot(t *testing.T) {
 	}
 }
 
-// AppendBatch is the one concurrent write seam: producers append
-// keyless batches while a reader pins snapshots, at one shard and two.
+// AppendBatch is safe for concurrent use: producers append keyless
+// batches while a reader pins snapshots, at one shard and two.
 // Run under -race.
 func TestIngestAppendBatchConcurrent(t *testing.T) {
 	for _, shards := range []int{1, 2} {
@@ -172,5 +172,89 @@ func TestIngestAppendBatchConcurrent(t *testing.T) {
 		if snap, err := ing.Snapshot(); err != nil || snap.Edges != producers*batches*per {
 			t.Fatalf("%d shards: %d edges (%v), want %d", shards, snap.Edges, err, producers*batches*per)
 		}
+	}
+}
+
+// Add and Flush are safe for concurrent use: two producers Add one
+// ascending keyed stream between them, taking turns, while a third
+// goroutine flushes in a loop. Every batch reaches its shards in arrival
+// order, so no append is refused for key order, every edge is stored,
+// and the adjacency is the one-shot Correlate of the stream. Run under
+// -race.
+func TestIngestAddIsSafeForConcurrentUse(t *testing.T) {
+	ing, err := NewIngest(IngestOptions{Semiring: "+.*", BatchSize: 16, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	edges := make([]stream.Edge[float64], n)
+	outT := make([]assoc.Triple[float64], n)
+	inT := make([]assoc.Triple[float64], n)
+	for i := range edges {
+		key, src, dst := fmt.Sprintf("e%06d", i), fmt.Sprintf("v%02d", i*7%31), fmt.Sprintf("v%02d", i*13%29)
+		edges[i] = stream.Weighted(key, src, dst, float64(1+i%3), float64(1+i%5))
+		outT[i] = assoc.Triple[float64]{Row: key, Col: src, Val: edges[i].Out}
+		inT[i] = assoc.Triple[float64]{Row: key, Col: dst, Val: edges[i].In}
+	}
+	// The stream is cut into runs of 1 to 5 edges; producer p Adds the runs
+	// of even (p = 0) or odd (p = 1) index, each after the other's last.
+	var runs [][]stream.Edge[float64]
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+len(runs)%5)
+		runs, lo = append(runs, edges[lo:hi]), hi
+	}
+	turns := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	turns[0] <- struct{}{}
+	var producers, flusher sync.WaitGroup
+	errs := make([]error, 3)
+	for p := range turns {
+		producers.Add(1)
+		go func(p int) {
+			defer producers.Done()
+			for r := p; r < len(runs); r += 2 {
+				<-turns[p]
+				if err := ing.Add(runs[r]...); err != nil && errs[p] == nil {
+					errs[p] = err
+				}
+				turns[1-p] <- struct{}{}
+			}
+		}(p)
+	}
+	stop := make(chan struct{})
+	flusher.Add(1)
+	go func() {
+		defer flusher.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := ing.Flush(); err != nil && errs[2] == nil {
+					errs[2] = err
+				}
+			}
+		}
+	}()
+	producers.Wait()
+	close(stop)
+	flusher.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := ing.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ing.Store().Stats(); st.Edges != n || snap.Edges != n {
+		t.Fatalf("%d edges stored (%d in the snapshot), want %d", st.Edges, snap.Edges, n)
+	}
+	want, err := assoc.Correlate(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ing.Ops(), assoc.MulOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.Adjacency.Equal(want, func(a, b float64) bool { return a == b }) {
+		t.Error("concurrently Add-ed adjacency != one-shot Correlate")
 	}
 }

@@ -23,7 +23,7 @@ import (
 // incremental maps internal/stream maintains), never a property of the
 // ids themselves.
 //
-// Concurrency: writes (Intern, InternBatch) are serialized by an
+// Concurrency: writes (InternBatch) are serialized by an
 // internal mutex; reads (Lookup, Key, Len) take a read lock, so bound
 // Sets handed to snapshot readers can resolve keys while ingest keeps
 // interning. Batch entry points amortize the lock to one acquisition
@@ -188,19 +188,6 @@ func (in *Interner) growLocked() {
 		tab[slot] = id
 	}
 	in.tab, in.mask = tab, mask
-}
-
-// Intern resolves k, adding it with the next dense id if absent. The
-// key bytes are copied into the slab; the caller's string is not
-// retained.
-func (in *Interner) Intern(k string) int32 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	id, slot, ok := in.lookupLocked(k)
-	if ok {
-		return id
-	}
-	return in.internLocked(k, slot)
 }
 
 // InternBatch resolves each ks[i] into ids[i], interning absent keys,

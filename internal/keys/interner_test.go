@@ -8,6 +8,18 @@ import (
 	"testing"
 )
 
+// Intern resolves k, adding it with the next dense id if absent — one
+// key of InternBatch, which is what the package's callers intern with.
+func (in *Interner) Intern(k string) int32 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	id, slot, ok := in.lookupLocked(k)
+	if ok {
+		return id
+	}
+	return in.internLocked(k, slot)
+}
+
 // adversarialKeys is the key vocabulary the conformance generators use:
 // the interner's byte-oriented hash must treat all of these as opaque,
 // distinct byte strings.

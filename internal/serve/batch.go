@@ -155,7 +155,7 @@ func (s *Server) appendOp(a *answer, b []byte, op batchOp, owner func(src string
 		}
 		return appendRow(a, b, st, owner(op.Src), op.Src), nil
 	case "pagerank":
-		damping, tol, iters := 0.85, 1e-9, 100
+		damping, tol, iters := defaultDamping, defaultTol, defaultIters
 		if op.Damping != nil {
 			damping = *op.Damping
 		}

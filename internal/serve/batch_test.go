@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -66,6 +67,26 @@ func TestBatchMixedOps(t *testing.T) {
 	// One pinned snapshot: the response-level epoch vector covers every op.
 	if out["epochs"] == nil || out["epoch"] == nil {
 		t.Fatalf("batch response missing epoch fields: %v", out)
+	}
+}
+
+// A /batch pagerank op that sets no parameter runs the PageRank GET
+// /pagerank runs without query parameters: the same ranks, bit for bit,
+// after the same number of iterations.
+func TestBatchPageRankDefaultsAreTheEndpoints(t *testing.T) {
+	s, _ := triangleServer(t)
+	code, got := get(t, s, "/pagerank")
+	if code != 200 {
+		t.Fatalf("/pagerank = %d", code)
+	}
+	code, out := postBatch(t, s, `{"ops":[{"op":"pagerank"}]}`)
+	if code != 200 {
+		t.Fatalf("batch = %d", code)
+	}
+	want := got["result"].(map[string]any)
+	res := out["results"].([]any)[0].(map[string]any)["result"].(map[string]any)
+	if !reflect.DeepEqual(res, want) || want["iterations"].(float64) < 2 {
+		t.Fatalf("batch pagerank = %v, GET /pagerank = %v", res, want)
 	}
 }
 

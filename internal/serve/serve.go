@@ -499,6 +499,14 @@ func (s *Server) sourceQuery(run func(g *algo.Graph, src string) (result, error)
 	}
 }
 
+// The PageRank parameters a request leaves out, on GET /pagerank and a
+// /batch pagerank op alike.
+const (
+	defaultDamping = 0.85
+	defaultTol     = 1e-9
+	defaultIters   = 100
+)
+
 // pageRankParams validates the iteration's domain: damping ∈ (0, 1)
 // — the algorithm's own domain — (1.5 or −0.2 parse fine but drive the
 // power iteration to NaN or divergence, burning the full budget),
@@ -520,7 +528,7 @@ func (s *Server) pageRankParams(damping, tol float64, iters int) error {
 }
 
 func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	damping, tol, iters := 0.85, 1e-9, 100
+	damping, tol, iters := defaultDamping, defaultTol, defaultIters
 	q := r.URL.Query()
 	var err error
 	if v := q.Get("damping"); v != "" {

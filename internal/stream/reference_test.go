@@ -168,12 +168,11 @@ func checkLogs(t *testing.T, what string, sn Snapshot[float64], ref *referenceLo
 }
 
 // logProgram is what one seed draws: how batches are keyed and weighted,
-// and how the log starts.
+// and whether the log is durable.
 type logProgram struct {
 	keying    int // 0 generated, 1 given, 2 both within a batch, 3 any of those per batch
 	weighting int // 0 never, 1 always, 2 not before batch lateFrom, 3 per edge and side
 	lateFrom  int
-	bootstrap bool // start from FromIncidence over given keys, then generate
 	durable   bool
 }
 
@@ -197,7 +196,7 @@ func TestLogMatchesSpelledOutReference(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			prog := logProgram{
 				keying: int(seed) % 4, weighting: int(seed/4) % 4, lateFrom: 3 + r.Intn(6),
-				bootstrap: seed%6 == 5, durable: seed%2 == 0,
+				durable: seed%2 == 0,
 			}
 			what := fmt.Sprintf("%s seed %d %+v", ops.Name, seed, prog)
 			ref := &referenceLog{one: ops.One}
@@ -207,26 +206,10 @@ func TestLogMatchesSpelledOutReference(t *testing.T) {
 			vertex := func() string { return fmt.Sprintf("v%02d", r.Intn(12)) }
 			ws := weights(ops.One, ops.Zero)
 
-			switch {
-			case prog.bootstrap:
-				boot := make([]Edge[float64], 5)
-				for i := range boot {
-					boot[i] = Weighted(givenKey(), vertex(), vertex(), ws[r.Intn(len(ws))], ws[r.Intn(len(ws))])
-				}
-				if err := ref.append(boot); err != nil {
-					t.Fatal(err)
-				}
-				ref.autoBase, ref.autoSeq = "", 0 // a bootstrap is not a batch: the generator has not moved
-				eout, ein := ref.arrays(len(boot))
-				v, err := FromIncidence(eout, ein, ops)
-				if err != nil {
-					t.Fatalf("%s: bootstrap: %v", what, err)
-				}
-				sub.v = v
-			case prog.durable:
+			if prog.durable {
 				sub.dir = t.TempDir()
 				sub.open()
-			default:
+			} else {
 				sub.v = NewView(ops)
 			}
 

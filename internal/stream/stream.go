@@ -313,74 +313,12 @@ func NewView[V any](ops semiring.Ops[V]) *View[V] {
 	}
 }
 
-// FromIncidence bootstraps a view from an existing batch-built pair of
-// incidence arrays: the initial adjacency is constructed one-shot (the
-// sequential fold), and subsequent Appends continue it. Every row must
-// hold exactly one entry per side (Definition I.4) — the shape the edge
-// log stores.
-func FromIncidence[V any](eout, ein *assoc.Array[V], ops semiring.Ops[V]) (*View[V], error) {
-	if !eout.RowKeys().Equal(ein.RowKeys()) {
-		return nil, fmt.Errorf("stream: incidence arrays disagree on edge keys")
-	}
-	v := NewView(ops)
-	if eout.RowKeys().Len() == 0 {
-		return v, nil
-	}
-	adj, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
-	if err != nil {
-		return nil, err
-	}
-	v.keys = spelledKeys(eout.RowKeys().Keys())
-	if v.srcPos, v.srcID, v.out, err = bootstrapSide(v.srcIn, eout); err != nil {
-		return nil, err
-	}
-	if v.dstPos, v.dstID, v.in, err = bootstrapSide(v.dstIn, ein); err != nil {
-		return nil, err
-	}
-	v.uRows, v.uCols, v.main = eout.ColKeys(), ein.ColKeys(), adj
-	v.synced, v.folded = len(v.srcID), len(v.srcID)
-	return v, nil
-}
-
 // spelledKeys is the key column of a log whose keys are all given.
 func spelledKeys(ks []string) keyCol {
 	if len(ks) == 0 {
 		return keyCol{}
 	}
 	return keyCol{runs: []keyRun{{}}, spelled: ks}
-}
-
-// bootstrapSide interns one bootstrap array's column universe, binds the
-// key Set to the interner, and reads the array's unit rows back into log
-// columns.
-func bootstrapSide[V any](in *keys.Interner, a *assoc.Array[V]) (pos, ids []int32, vals []V, err error) {
-	set := a.ColKeys()
-	colID := make([]int32, set.Len())
-	for j := range colID {
-		colID[j] = in.Intern(set.Key(j))
-	}
-	pos = make([]int32, in.Len())
-	for j, id := range colID {
-		pos[id] = int32(j)
-	}
-	set.Bind(&keys.InternIndex{In: in, Pos: pos})
-	ids, vals, err = unitRowIDs(a.Matrix(), colID)
-	return pos, ids, vals, err
-}
-
-// unitRowIDs reads an incidence matrix — exactly one entry per row
-// (Definition I.4) — back into log columns: each row's vertex id (colID
-// maps a column position to its interner id) and its value.
-func unitRowIDs[V any](m *sparse.CSR[V], colID []int32) (ids []int32, vals []V, err error) {
-	ids, vals = make([]int32, m.Rows()), make([]V, m.Rows())
-	for i := range ids {
-		cols, vs := m.Row(i)
-		if len(cols) != 1 {
-			return nil, nil, fmt.Errorf("stream: incidence row %d holds %d entries, want exactly one", i, len(cols))
-		}
-		ids[i], vals[i] = colID[cols[0]], vs[0]
-	}
-	return ids, vals, nil
 }
 
 // grow returns s with room for n more elements, doubling on growth: the
@@ -438,8 +376,8 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 			base = "e"
 		}
 		if n0 > 0 && !last.less(keyRef{s: base, seq: seq + i, auto: true}) {
-			// The next generated key would not sort after the log (a
-			// bootstrap or a recovered log with other keys): reseed the
+			// The next generated key would not sort after the log (given
+			// keys past it, or a recovered log with other keys): reseed the
 			// generator past the log's last key.
 			base, seq = last.String()+"+", -i
 		}
