@@ -317,24 +317,41 @@ func BenchmarkGenericVsSpecialized(b *testing.B) {
 	}
 }
 
-// Ablation — serial vs parallel transpose.
-func BenchmarkTransposeParallel(b *testing.B) {
-	g := dataset.RMAT(rand.New(rand.NewSource(9)), 12, 8)
-	one := func(graph.Edge) float64 { return 1 }
-	eout, _, _ := graph.Incidence(g, semiring.PlusTimes(), graph.Weights[float64]{Out: one, In: one})
-	m := eout.Matrix()
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.Transpose()
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sparse.TransposeParallel(m, -1)
-		}
-	})
+// Ablation — the two sides of Correlate's kernel choice, under max.min
+// (the generic path). A graph's incidence pair folds; the same pair
+// after assoc.Convert must fold too, since the choice is read from
+// rowPtr; an exploded table's EᵀE, whose rows hold several entries,
+// multiplies. Each arm times Correlate alone.
+func BenchmarkCorrelateShapes(b *testing.B) {
+	ops := semiring.MaxMin()
+	g := dataset.RMAT(rand.New(rand.NewSource(9)), 14, 8)
+	eout, ein, err := graph.Incidence(g, ops, graph.Weights[float64]{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	same := func(_, _ string, v float64) float64 { return v }
+	tab := dataset.SyntheticTable(rand.New(rand.NewSource(15)), dataset.DefaultSyntheticSpec(8000))
+	e, err := assoc.Explode(tab, assoc.ExplodeOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		a, c *assoc.Array[float64]
+	}{
+		{"rmat-s14-incidence", eout, ein},
+		{"rmat-s14-converted", assoc.Convert(eout, same), assoc.Convert(ein, same)},
+		{"explode-8000-EtE", e, e},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := assoc.Correlate(arm.a, arm.c, ops, assoc.MulOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // Ablation — masked vs unmasked triangle counting: C⟨A⟩ = A·A versus

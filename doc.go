@@ -158,9 +158,9 @@
 // edge row, so for a graph A = Eoutᵀ ⊕.⊗ Ein is a group-by: A(s,d) is
 // the ⊕-fold, in ascending edge-key order, of Eout(k,s) ⊗ Ein(k,d) over
 // the edges k from s to d. Correlate — and with it Adjacency and Build —
-// recognises that shape by itself (one row
-// key set, both matrices marked unit-row where their row pointers were
-// last walked) and runs sparse.FoldUnitRows on the two column arrays: a
+// recognises that shape by itself (one row key set, and rowPtr[i] = i
+// for every row of both matrices, an O(rows) scan) and runs
+// sparse.FoldUnitRows on the two column arrays: a
 // stable counting sort on the source, then per row a stable grouping on
 // the target. Nothing is transposed; a view's fold of its unfolded log
 // suffix is the same kernel while the view holds no adjacency yet, and
@@ -173,6 +173,11 @@
 // contributions to A(s,d) in the order the fold does, and both apply ⊕
 // left to right and prune at emission. internal/conformance enforces it,
 // the engine as the explicit reference and the fold as a path under test.
+// Two kernels, because each wins on its own shape: the fold's scratch
+// grows with the number of ⊗ products, the engine's with nnz(A), so
+// folding rows with several entries (an exploded table's EᵀE) costs
+// several times the bytes. go test -run '^$' -bench CorrelateShapes
+// -benchmem . times one arm of each.
 //
 // # Multiplication engine
 //

@@ -205,13 +205,6 @@ func (a *Array[V]) Transpose() *Array[V] {
 	return &Array[V]{rows: a.cols, cols: a.rows, mat: a.mat.Transpose()}
 }
 
-// TransposeParallel is Transpose with the storage scatter parallelized
-// across workers, read as MulOptions.Workers is (0 or 1 serial, < 0
-// GOMAXPROCS); identical result.
-func (a *Array[V]) TransposeParallel(workers int) *Array[V] {
-	return &Array[V]{rows: a.cols, cols: a.rows, mat: sparse.TransposeParallel(a.mat, workers)}
-}
-
 // RowDegrees returns the stored-entry count per row key.
 func (a *Array[V]) RowDegrees() map[string]int {
 	out := make(map[string]int, a.rows.Len())

@@ -59,12 +59,12 @@ func Mul[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V],
 // transpose operation T and the array multiplication ⊕.⊗"). The result
 // relates A's column keys to B's column keys through the shared row keys.
 //
-// This is the one place construction chooses its kernel. Operands that
-// share their row key set and hold one entry per row — the incidence
-// arrays of a graph (Definition I.4) — are folded column against column
-// by sparse.FoldUnitRows; everything else is Mul(Aᵀ, B), transposed on
-// the parallel scatter kernel when opt requests parallelism. Both fold
-// each cell in ascending shared-key order: the choice never shows.
+// This is the one place construction chooses its kernel, read from the
+// operands each call. Operands that share their row key set and hold one
+// entry per row (rowPtr[i] = i) — the incidence arrays of a graph
+// (Definition I.4) — are folded column against column by
+// sparse.FoldUnitRows; everything else is Mul(Aᵀ, B). Both fold each
+// cell in ascending shared-key order: the choice never shows.
 func Correlate[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
 	if a.mat.UnitRows() && b.mat.UnitRows() && a.rows.Equal(b.rows) {
 		_, src, out := a.mat.Parts()
@@ -75,7 +75,7 @@ func Correlate[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Arr
 		}
 		return &Array[V]{rows: a.cols, cols: b.cols, mat: m}, nil
 	}
-	return Mul(a.TransposeParallel(opt.Workers), b, ops, opt)
+	return Mul(a.Transpose(), b, ops, opt)
 }
 
 // Add computes the element-wise A ⊕ B over the union of key sets:

@@ -53,14 +53,20 @@ func TestCorrelateFoldsUnitRowsAndFallsBackOtherwise(t *testing.T) {
 		{"two-entry row", append([]Triple[float64]{{"k2", "c", 9}}, graphOut...), graphIn, false},
 		{"empty row", graphOut, graphIn[:3], false}, // k4 has a source and no target
 		{"unequal row keys", graphOut, append([]Triple[float64]{{"k5", "y", 9}}, graphIn[1:]...), false},
+		{"graph after assoc.Convert", graphOut, graphIn, true},
 	} {
 		a, b := FromTriples(c.out, nil), FromTriples(c.in, nil)
-		if c.name == "empty row" {
+		switch c.name {
+		case "empty row":
 			// Same row keys, one row of b left without an entry.
 			var err error
 			if b, err = b.Reindex(a.RowKeys(), b.ColKeys()); err != nil {
 				t.Fatal(err)
 			}
+		case "graph after assoc.Convert":
+			// A new value array over the same pattern is still a graph.
+			half := func(_, _ string, v float64) float64 { return v / 2 }
+			a, b = Convert(a, half), Convert(b, half)
 		}
 		folds := a.mat.UnitRows() && b.mat.UnitRows() && a.rows.Equal(b.rows)
 		if folds != c.folds {

@@ -1,9 +1,7 @@
 package assoc
 
 import (
-	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
-	"adjarray/internal/sparse"
 	"adjarray/internal/value"
 )
 
@@ -20,47 +18,26 @@ import (
 // MulKeys computes the provenance product of A : K1×K3 and B : K3×K2:
 // entry (k1, k2) is the set of shared keys k ∈ K3 with A(k1,k) and
 // B(k,k2) both stored. The result's entries are never empty sets.
+//
+// It is Mul under ∪.∪ over the operands converted to singleton key
+// sets — each A entry becomes {its column key}, each B entry {its row
+// key} — so every matching k contributes {k} ∪ {k} = {k}, and ⊕ = ∪
+// accumulates them.
 func MulKeys[V, W any](a *Array[V], b *Array[W]) (*Array[value.Set], error) {
-	am, bm := a.mat, b.mat
-	sharedKeys := a.cols
-	if !a.cols.Equal(b.rows) {
-		sharedKeys = a.cols.Intersect(b.rows)
-		_, aColIdx := a.cols.Select(keys.InSet{Set: sharedKeys})
-		_, bRowIdx := b.rows.Select(keys.InSet{Set: sharedKeys})
-		var err error
-		am, err = am.ExtractCols(aColIdx)
-		if err != nil {
-			return nil, err
-		}
-		bm, err = bm.ExtractRows(bRowIdx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Convert both operands to singleton key sets indexed by the shared
-	// dimension, then multiply under ∪.∪: every matching k contributes
-	// {k}, and ⊕ = ∪ accumulates them. ⊗ must also produce {k}: both
-	// operands of a product carry the same k by construction, so ∪ works
-	// as "keep the key".
-	ak := sparse.Convert(am, func(_, j int, _ V) value.Set {
-		return value.NewSet(sharedKeys.Key(j))
-	})
-	bk := sparse.Convert(bm, func(i, _ int, _ W) value.Set {
-		return value.NewSet(sharedKeys.Key(i))
-	})
-	cm, err := sparse.Mxm(nil, ak, bk, keyUnionOps(), sparse.MxmOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &Array[value.Set]{rows: a.rows, cols: b.cols, mat: cm}, nil
+	return Mul(Convert(a, colKey[V]), Convert(b, rowKey[W]), keyUnionOps(), MulOptions{})
 }
 
 // CorrelateKeys computes the provenance form of the paper's adjacency
 // construction: C = AᵀB with C(a, b) = the set of edge keys k with
-// Eout(k,a) and Ein(k,b) non-zero.
+// Eout(k,a) and Ein(k,b) non-zero. It is MulKeys(Aᵀ, B) through
+// Correlate, so a graph's incidence pair takes the fold.
 func CorrelateKeys[V, W any](a *Array[V], b *Array[W]) (*Array[value.Set], error) {
-	return MulKeys(a.Transpose(), b)
+	return Correlate(Convert(a, rowKey[V]), Convert(b, rowKey[W]), keyUnionOps(), MulOptions{})
 }
+
+func rowKey[V any](row, _ string, _ V) value.Set { return value.NewSet(row) }
+
+func colKey[V any](_, col string, _ V) value.Set { return value.NewSet(col) }
 
 // keyUnionOps is the ∪.∪ pair over key sets. It satisfies all three
 // Theorem II.1 conditions (∅ is the only zero; union of non-empty sets

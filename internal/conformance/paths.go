@@ -53,7 +53,7 @@ func builtinPaths() []Path {
 			Name: "parallel",
 			Build: func(eout, ein *assoc.Array[float64], ops semiring.Ops[float64], _ Instance) (*assoc.Array[float64], error) {
 				opt := assoc.MulOptions{Workers: 2, FlopFloor: -1}
-				return assoc.Mul(eout.TransposeParallel(opt.Workers), ein, ops, opt)
+				return assoc.Mul(eout.Transpose(), ein, ops, opt)
 			},
 		},
 		{

@@ -57,11 +57,9 @@ func BalancedSpans[T int32 | int64](prefix []T, spans int) []int {
 }
 
 // ForSpans runs fn over the spans of a BalancedSpans partition, one
-// goroutine per non-empty span, exposing the span index as a stable
-// worker identity (each span is owned by exactly one goroutine, so fn
-// may touch span-indexed state without locking). Blocks until all spans
-// finish. With one non-empty span it degrades to a plain call.
-func ForSpans(bounds []int, fn func(span, lo, hi int)) {
+// goroutine per non-empty span, and blocks until all spans finish. With
+// one non-empty span it degrades to a plain call.
+func ForSpans(bounds []int, fn func(lo, hi int)) {
 	live := 0
 	lastS := -1
 	for s := 0; s+1 < len(bounds); s++ {
@@ -74,7 +72,7 @@ func ForSpans(bounds []int, fn func(span, lo, hi int)) {
 		return
 	}
 	if live == 1 {
-		fn(lastS, bounds[lastS], bounds[lastS+1])
+		fn(bounds[lastS], bounds[lastS+1])
 		return
 	}
 	var wg sync.WaitGroup
@@ -84,10 +82,10 @@ func ForSpans(bounds []int, fn func(span, lo, hi int)) {
 			continue
 		}
 		wg.Add(1)
-		go func(s, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
+			fn(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 }

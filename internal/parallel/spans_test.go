@@ -105,7 +105,7 @@ func TestForSpansCoversEachIndexOnce(t *testing.T) {
 	}
 	b := BalancedSpans(prefixOf(w), 5)
 	var hits [97]atomic.Int32
-	ForSpans(b, func(_, lo, hi int) {
+	ForSpans(b, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			hits[i].Add(1)
 		}
@@ -119,7 +119,7 @@ func TestForSpansCoversEachIndexOnce(t *testing.T) {
 
 func TestForSpansEmpty(t *testing.T) {
 	called := false
-	ForSpans([]int{0, 0, 0}, func(_, _, _ int) { called = true })
+	ForSpans([]int{0, 0, 0}, func(_, _ int) { called = true })
 	if called {
 		t.Fatal("fn called for empty spans")
 	}

@@ -204,7 +204,7 @@ func BenchmarkFoldUnitRows(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/mxm-w%d", ops.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Mxm(nil, TransposeParallel(eout, workers), ein, ops, opt); err != nil {
+					if _, err := Mxm(nil, eout.Transpose(), ein, ops, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

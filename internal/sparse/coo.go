@@ -90,10 +90,8 @@ func (c *COO[V]) ToCSR(combine func(V, V) V) *CSR[V] {
 		rowPtr[ts[i].Row+1]++
 		i = j
 	}
-	unitRows := true
 	for i := 0; i < c.rows; i++ {
-		unitRows = unitRows && rowPtr[i+1] == 1
 		rowPtr[i+1] += rowPtr[i]
 	}
-	return &CSR[V]{rows: c.rows, cols: c.cols, rowPtr: rowPtr, colIdx: colIdx, val: val, unitRows: unitRows}
+	return &CSR[V]{rows: c.rows, cols: c.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }

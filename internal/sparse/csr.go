@@ -14,8 +14,11 @@
 // All of them therefore produce identical results even for
 // order-sensitive ⊕ operations; in particular FoldUnitRows on the
 // columns of (Eout, Ein) and Mxm on (Eoutᵀ, Ein) are bit-identical,
-// and which one runs (assoc.Correlate decides, from the operands'
-// shape) never shows in a result.
+// and which one runs never shows in a result. assoc.Correlate folds
+// when UnitRows (rowPtr[i] = i for every i) holds for both operands:
+// the fold's scratch grows with the number of ⊗ products, Mxm's with
+// nnz(C), so rows with several entries multiply (go test -run '^$'
+// -bench CorrelateShapes -benchmem . times one arm of each).
 //
 // An index is an int32, once: a position in a finite key set
 // (Definition I.1), the width the interner's ids, the edge log and the
@@ -51,28 +54,17 @@ type CSR[V any] struct {
 	rowPtr     []int32 // len rows+1
 	colIdx     []int32 // len nnz
 	val        []V     // len nnz
-	// unitRows: every row stores exactly one entry (rowPtr[i] = i), the
-	// shape of a graph's incidence array. Noted where construction walks
-	// rowPtr anyway; false only costs speed.
-	unitRows bool
 }
 
 // NewCSR assembles a CSR from raw components, validating the structural
 // invariants (monotone rowPtr, in-bounds strictly-increasing columns).
 // The slices are retained, not copied.
 func NewCSR[V any](rows, cols int, rowPtr, colIdx []int32, val []V) (*CSR[V], error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("sparse: negative dimensions %d×%d", rows, cols)
-	}
 	if err := checkIndexRange(rows, cols, len(colIdx)); err != nil {
 		return nil, err
 	}
-	if len(rowPtr) != rows+1 {
-		return nil, fmt.Errorf("sparse: rowPtr length %d, want %d", len(rowPtr), rows+1)
-	}
 	m := &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
-	var err error
-	if m.unitRows, err = m.validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -87,10 +79,17 @@ func (m *CSR[V]) Cols() int { return m.cols }
 // NNZ returns the number of stored entries.
 func (m *CSR[V]) NNZ() int { return len(m.colIdx) }
 
-// UnitRows reports whether m is known to store exactly one entry in
-// every row (Definition I.4's incidence shape), which lets
-// assoc.Correlate fold its columns instead of multiplying.
-func (m *CSR[V]) UnitRows() bool { return m.unitRows }
+// UnitRows reports whether every row of m stores exactly one entry
+// (rowPtr[i] = i; Definition I.4's incidence shape, so a matrix with
+// no rows has it), read from rowPtr in O(rows).
+func (m *CSR[V]) UnitRows() bool {
+	for i, p := range m.rowPtr {
+		if int(p) != i {
+			return false
+		}
+	}
+	return true
+}
 
 // RowNNZ returns the number of stored entries in row i.
 func (m *CSR[V]) RowNNZ(i int) int { return int(m.rowPtr[i+1] - m.rowPtr[i]) }
@@ -117,7 +116,7 @@ type Pattern = CSR[struct{}]
 // arrays.
 func (m *CSR[V]) Pattern() *Pattern {
 	return &Pattern{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx,
-		val: make([]struct{}, len(m.colIdx)), unitRows: m.unitRows}
+		val: make([]struct{}, len(m.colIdx))}
 }
 
 // At returns the stored value at (i, j) and whether an entry exists.
@@ -161,10 +160,9 @@ func (m *CSR[V]) IterateUntil(fn func(i, j int, v V) bool) bool {
 // Clone deep-copies the matrix.
 func (m *CSR[V]) Clone() *CSR[V] {
 	out := &CSR[V]{rows: m.rows, cols: m.cols,
-		rowPtr:   slices.Clone(m.rowPtr),
-		colIdx:   slices.Clone(m.colIdx),
-		val:      slices.Clone(m.val),
-		unitRows: m.unitRows}
+		rowPtr: slices.Clone(m.rowPtr),
+		colIdx: slices.Clone(m.colIdx),
+		val:    slices.Clone(m.val)}
 	return out
 }
 
@@ -249,7 +247,7 @@ func (m *CSR[V]) ExtractRows(rows []int32) (*CSR[V], error) {
 		val = append(val, m.val[lo:hi]...)
 		rowPtr[r+1] = int32(len(colIdx))
 	}
-	return &CSR[V]{rows: len(rows), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val, unitRows: m.unitRows}, nil
+	return &CSR[V]{rows: len(rows), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
 }
 
 // ExtractCols returns the sub-matrix consisting of the given columns,
@@ -284,8 +282,7 @@ func (m *CSR[V]) ExtractCols(cols []int32) (*CSR[V], error) {
 		}
 		rowPtr[i+1] = int32(len(colIdx))
 	}
-	return &CSR[V]{rows: m.rows, cols: len(cols), rowPtr: rowPtr, colIdx: colIdx, val: val,
-		unitRows: m.unitRows && len(colIdx) == len(m.colIdx)}, nil // no entry dropped
+	return &CSR[V]{rows: m.rows, cols: len(cols), rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
 }
 
 // Equal reports whether two matrices have identical dimensions, pattern,

@@ -69,7 +69,7 @@ func FoldUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops semi
 	if bounds := spansOver(f.rowPtr, opt); bounds == nil {
 		f.span(0, rows)
 	} else {
-		parallel.ForSpans(bounds, func(_, lo, hi int) { f.span(lo, hi) })
+		parallel.ForSpans(bounds, func(lo, hi int) { f.span(lo, hi) })
 	}
 	return finalizeTwoPhase(rows, cols, f.rowPtr, f.rowLen, f.colIdx, f.val), nil
 }

@@ -371,8 +371,10 @@ func TestFoldUnitRowsRejectsBadInput(t *testing.T) {
 	}
 }
 
-// The unit-row mark is set where rowPtr is walked, survives the
-// structure-preserving operations, and is never set on anything else.
+// UnitRows is read from rowPtr, so every operation that keeps one entry
+// per row keeps it — Convert and Map included, which share or copy the
+// pattern without a mark to carry — and nothing else has it. A matrix
+// with no rows is unit-row, however it was built.
 func TestUnitRowsIsRecorded(t *testing.T) {
 	unit, err := sparse.NewCSR(3, 4, []int32{0, 1, 2, 3}, []int32{2, 0, 2}, []float64{1, 2, 3})
 	if err != nil {
@@ -401,14 +403,23 @@ func TestUnitRowsIsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noRows, err := sparse.NewCSR(0, 3, []int32{0}, nil, []float64{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	double := func(_, _ int, v float64) float64 { return 2 * v }
 	for name, c := range map[string]struct {
-		m    *sparse.CSR[float64]
+		m    interface{ UnitRows() bool }
 		want bool
 	}{
 		"NewCSR": {unit, true}, "ExtractRows": {sub, true}, "ExtractCols keeping all": {all, true},
 		"ExtractCols dropping entries": {dropped, false}, "Clone": {unit.Clone(), true},
 		"COO": {coo.ToCSR(nil), true}, "two-entry row": {two, false}, "empty row": {gap, false},
-		"Transpose": {unit.Transpose(), false}, "no rows": {sparse.Empty[float64](0, 3), false},
+		"Transpose": {unit.Transpose(), false}, "no rows": {sparse.Empty[float64](0, 3), true},
+		"NewCSR with no rows": {noRows, true},
+		"Convert":             {sparse.Convert(unit, func(_, _ int, v float64) int { return int(v) }), true},
+		"Map":                 {unit.Map(double), true}, "Pattern": {unit.Pattern(), true},
+		"Convert of a two-entry row": {sparse.Convert(two, double), false},
 	} {
 		if got := c.m.UnitRows(); got != c.want {
 			t.Errorf("%s: UnitRows() = %v, want %v", name, got, c.want)

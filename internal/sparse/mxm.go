@@ -75,7 +75,7 @@ func Mxm[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], opt MxmOptions
 		if bounds == nil {
 			symbolicSpan(a, b, rowPtr, 0, rows)
 		} else {
-			parallel.ForSpans(bounds, func(_, lo, hi int) { symbolicSpan(a, b, rowPtr, lo, hi) })
+			parallel.ForSpans(bounds, func(lo, hi int) { symbolicSpan(a, b, rowPtr, lo, hi) })
 		}
 		if err := prefixCounts(rowPtr); err != nil {
 			return nil, fmt.Errorf("sparse: Mxm: symbolic bound: %w", err)
@@ -88,7 +88,7 @@ func Mxm[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], opt MxmOptions
 	if bounds == nil {
 		numericSpan(mask, a, b, ops, rowPtr, rowLen, colIdx, val, 0, rows)
 	} else {
-		parallel.ForSpans(bounds, func(_, lo, hi int) {
+		parallel.ForSpans(bounds, func(lo, hi int) {
 			numericSpan(mask, a, b, ops, rowPtr, rowLen, colIdx, val, lo, hi)
 		})
 	}

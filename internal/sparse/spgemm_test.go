@@ -254,24 +254,6 @@ func TestMulEmptyOperands(t *testing.T) {
 	}
 }
 
-func TestTransposeParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		m := randomCSR(r, 1+r.Intn(50), 1+r.Intn(50), 0.2)
-		want := m.Transpose()
-		for _, w := range []int{1, 2, 4, 16} {
-			got := TransposeParallel(m, w)
-			if !Equal(want, got, value.Float64Equal) {
-				t.Fatalf("trial %d workers %d: parallel transpose differs", trial, w)
-			}
-		}
-	}
-	empty := Empty[float64](4, 7)
-	if got := TransposeParallel(empty, 8); got.Rows() != 7 || got.Cols() != 4 {
-		t.Error("parallel transpose of empty wrong shape")
-	}
-}
-
 func TestEWiseAdd(t *testing.T) {
 	a := fromTriples(t, 2, 2, [][3]float64{{0, 0, 1}, {0, 1, 2}})
 	b := fromTriples(t, 2, 2, [][3]float64{{0, 1, 3}, {1, 1, 4}})
