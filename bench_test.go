@@ -255,8 +255,9 @@ func BenchmarkSpGEMMVariants(b *testing.B) {
 	}
 }
 
-// Ablation — key alignment: pre-aligned shared dimension vs key sets
-// that need intersection and extraction first.
+// Ablation — key alignment: a pre-aligned shared dimension vs key sets
+// that Mul must first embed into their union (keys.UnionAll +
+// sparse.Embed, values shared).
 func BenchmarkKeyAlignment(b *testing.B) {
 	g := dataset.Bipartite(rand.New(rand.NewSource(5)), 256, 256, 4096)
 	one := func(graph.Edge) float64 { return 1 }
@@ -264,7 +265,7 @@ func BenchmarkKeyAlignment(b *testing.B) {
 	aligned := eout.Transpose()
 
 	// Misaligned: drop one edge row from ein so the shared key sets
-	// differ and Mul must intersect.
+	// differ and Mul must align them.
 	ts := ein.Triples()[1:]
 	einMis := assoc.FromTriples(ts, nil)
 

@@ -308,7 +308,7 @@ func TestOneShotFormsMatchReferenceOnEdgeCases(t *testing.T) {
 			ww, werr := refWidestPath(c.adj, src)
 			gw, widestErr := WidestPath(c.adj, src)
 			agree(t, ctx+": widest", "oneshot", ww, werr, gw, widestErr)
-			if !verts.Contains(src) {
+			if _, ok := verts.IndexSorted(src); !ok {
 				for _, err := range []error{bfsErr, ssspErr, widestErr} {
 					if !errors.Is(err, ErrNotVertex) {
 						t.Errorf("%s: %v does not wrap ErrNotVertex", ctx, err)
@@ -451,7 +451,7 @@ func TestFromArraySharingAndRefusal(t *testing.T) {
 	if g.verts.Len() != 4 || &vals[0] != &gvals[0] {
 		t.Errorf("a non-square array's values were copied into the Graph (%d vertices)", g.verts.Len())
 	}
-	square, err := adj.EmbedInto(g.verts, g.verts)
+	square, err := adj.Reindex(g.verts, g.verts)
 	if err != nil {
 		t.Fatal(err)
 	}

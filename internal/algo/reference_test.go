@@ -35,13 +35,20 @@ func vectorEntries[V any](vec *assoc.Array[V]) map[string]V {
 	return out
 }
 
+// isVertex reports whether k is a row or a column key of a.
+func isVertex[V any](a *assoc.Array[V], k string) bool {
+	_, inRows := a.RowKeys().IndexSorted(k)
+	_, inCols := a.ColKeys().IndexSorted(k)
+	return inRows || inCols
+}
+
 // refBFSLevels computes breadth-first levels from source over the pattern
 // of adjacency array a, by frontier expansion under the or.and algebra:
 // next = frontier ∨.∧ A. The result maps each reachable vertex to its
 // hop count (source = 0). Vertices that are only row keys (pure sinks
 // unreachable from source) are absent.
 func refBFSLevels[V any](a *assoc.Array[V], source string) (map[string]int, error) {
-	if !a.RowKeys().Contains(source) && !a.ColKeys().Contains(source) {
+	if !isVertex(a, source) {
 		return nil, fmt.Errorf("algo: source %q is not a vertex of the array", source)
 	}
 	pattern := Pattern(a, nil)
@@ -76,7 +83,7 @@ func refBFSLevels[V any](a *assoc.Array[V], source string) (map[string]int, erro
 // adjacency values; they must be non-negative or at least free of
 // negative cycles (a remaining change after |V| rounds reports one).
 func refSSSP(a *assoc.Array[float64], source string) (map[string]float64, error) {
-	if !a.RowKeys().Contains(source) && !a.ColKeys().Contains(source) {
+	if !isVertex(a, source) {
 		return nil, fmt.Errorf("algo: source %q is not a vertex of the array", source)
 	}
 	ops := semiring.MinPlus()
@@ -106,7 +113,7 @@ func refSSSP(a *assoc.Array[float64], source string) (map[string]float64, error)
 // the smallest edge weight on the path. The source itself has width
 // +Inf (the algebra's ⊗-identity: an empty path constrains nothing).
 func refWidestPath(a *assoc.Array[float64], source string) (map[string]float64, error) {
-	if !a.RowKeys().Contains(source) && !a.ColKeys().Contains(source) {
+	if !isVertex(a, source) {
 		return nil, fmt.Errorf("algo: source %q is not a vertex of the array", source)
 	}
 	ops := semiring.MaxMin()

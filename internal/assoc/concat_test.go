@@ -7,13 +7,30 @@ import (
 	"strings"
 	"testing"
 
+	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
 	"adjarray/internal/sparse"
 )
 
+func eqFloat(a, b float64) bool { return a == b }
+
+func randomTriples(r *rand.Rand, n, rowCard, colCard int, rowPrefix string) []Triple[float64] {
+	ts := make([]Triple[float64], 0, n)
+	for i := 0; i < n; i++ {
+		ts = append(ts, Triple[float64]{
+			Row: fmt.Sprintf("%s%04d", rowPrefix, r.Intn(rowCard)),
+			Col: fmt.Sprintf("c%04d", r.Intn(colCard)),
+			Val: float64(r.Intn(9) + 1),
+		})
+	}
+	return ts
+}
+
 // referenceGather is the gather ConcatRows replaces: union the key sets
-// pairwise, embed every part into the union space, ⊕ them together in
-// order. On row-disjoint parts no ⊕ combines two values.
+// pairwise, reindex every part into the union space by key, ⊕ them
+// together in order. On row-disjoint parts no ⊕ combines two values.
+// Reindex resolves keys by string and shares no code with the position
+// maps ConcatRows renumbers through.
 func referenceGather(t *testing.T, parts []*Array[float64], ops semiring.Ops[float64]) *Array[float64] {
 	t.Helper()
 	rows, cols := parts[0].rows, parts[0].cols
@@ -22,7 +39,7 @@ func referenceGather(t *testing.T, parts []*Array[float64], ops semiring.Ops[flo
 	}
 	var acc *Array[float64]
 	for _, p := range parts {
-		e, err := p.EmbedInto(rows, cols)
+		e, err := p.Reindex(rows, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,14 +140,20 @@ func TestGatherThroughUnionMapsMatchesAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, rowPos, _ := a.rows.UnionOffsets(b.rows)
-		cols, colPos, _ := a.cols.UnionOffsets(b.cols)
-		aligned, err := b.EmbedInto(rows, cols)
+		rows, rowPos, err := keys.UnionAll([]*keys.Set{a.rows, b.rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols, colPos, err := keys.UnionAll([]*keys.Set{a.cols, b.cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aligned, err := b.Reindex(rows, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fold := sparse.Gather[float64]{
-			Parts: []*sparse.CSR[float64]{a.mat}, RowPos: [][]int32{rowPos}, ColPos: [][]int32{colPos},
+			Parts: []*sparse.CSR[float64]{a.mat}, RowPos: [][]int32{rowPos[0]}, ColPos: [][]int32{colPos[0]},
 			Deltas: []*sparse.CSR[float64]{aligned.mat}, Ops: ops, Rows: rows.Len(), Cols: cols.Len(),
 		}
 		m, err := fold.Matrix()

@@ -16,35 +16,25 @@ type MulOptions = sparse.MxmOptions
 // ⊗ B(k,k2), with the fold running in ascending key order over the
 // shared dimension.
 //
-// Key alignment follows D4M semantics: the shared dimension is the
-// intersection of A's column keys and B's row keys (keys present on only
-// one side contribute nothing — their partner entries are zero). The
-// result has A's row keys × B's column keys. Entries that fold to the
-// algebra's zero are pruned.
+// Key alignment follows D4M semantics: a key that only one side holds
+// meets an empty row or column on the other and contributes nothing, so
+// A's columns and B's rows are embedded into their union
+// (keys.UnionAll + sparse.Embed, values shared). The maps are strictly
+// increasing, so every cell still folds in ascending shared-key order.
+// The result has A's row keys × B's column keys. Entries that fold to
+// the algebra's zero are pruned.
 func Mul[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
 	am, bm := a.mat, b.mat
 	if !a.cols.Equal(b.rows) {
-		shared := a.cols.Intersect(b.rows)
-		// Extract only the side whose keys actually shrink: when the
-		// shared dimension already is one side's full key set (the
-		// common case — e.g. incidence arrays sharing their edge keys
-		// with a few extras on one side), that side's matrix is used
-		// as-is and no copy is made.
-		if !shared.Equal(a.cols) {
-			_, aColIdx := a.cols.Select(keys.InSet{Set: shared})
-			var err error
-			am, err = am.ExtractCols(aColIdx)
-			if err != nil {
-				return nil, fmt.Errorf("assoc: align lhs: %w", err)
-			}
+		shared, pos, err := keys.UnionAll([]*keys.Set{a.cols, b.rows})
+		if err != nil {
+			return nil, err
 		}
-		if !shared.Equal(b.rows) {
-			_, bRowIdx := b.rows.Select(keys.InSet{Set: shared})
-			var err error
-			bm, err = bm.ExtractRows(bRowIdx)
-			if err != nil {
-				return nil, fmt.Errorf("assoc: align rhs: %w", err)
-			}
+		if am, err = sparse.Embed(am, nil, pos[0], a.rows.Len(), shared.Len()); err != nil {
+			return nil, fmt.Errorf("assoc: align lhs: %w", err)
+		}
+		if bm, err = sparse.Embed(bm, pos[1], nil, shared.Len(), b.cols.Len()); err != nil {
+			return nil, fmt.Errorf("assoc: align rhs: %w", err)
 		}
 	}
 	cm, err := sparse.Mxm(nil, am, bm, ops, opt)
@@ -106,21 +96,24 @@ func ElementMul[V any](a, b *Array[V], ops semiring.Ops[V]) (*Array[V], error) {
 	return &Array[V]{rows: ar.rows, cols: ar.cols, mat: m}, nil
 }
 
-// alignUnion embeds both operands into the union key space, with a fast
-// path when they are already aligned. Alignment is pure integer-index
-// embedding (keys.UnionOffsets + sparse.Embed): no string hashing, no
-// COO re-sort, and values are never copied.
+// alignUnion embeds both operands into the union key space
+// (keys.UnionAll + sparse.Embed): no string hashing, no COO re-sort, and
+// values are never copied. An operand already in that space keeps its
+// matrix as it is.
 func alignUnion[V any](a, b *Array[V]) (*Array[V], *Array[V], error) {
-	if a.rows.Equal(b.rows) && a.cols.Equal(b.cols) {
-		return a, b, nil
+	rows, rowPos, err := keys.UnionAll([]*keys.Set{a.rows, b.rows})
+	if err != nil {
+		return nil, nil, err
 	}
-	rows, aRowPos, bRowPos := a.rows.UnionOffsets(b.rows)
-	cols, aColPos, bColPos := a.cols.UnionOffsets(b.cols)
-	am, err := sparse.Embed(a.mat, aRowPos, aColPos, rows.Len(), cols.Len())
+	cols, colPos, err := keys.UnionAll([]*keys.Set{a.cols, b.cols})
+	if err != nil {
+		return nil, nil, err
+	}
+	am, err := sparse.Embed(a.mat, rowPos[0], colPos[0], rows.Len(), cols.Len())
 	if err != nil {
 		return nil, nil, fmt.Errorf("assoc: align lhs: %w", err)
 	}
-	bm, err := sparse.Embed(b.mat, bRowPos, bColPos, rows.Len(), cols.Len())
+	bm, err := sparse.Embed(b.mat, rowPos[1], colPos[1], rows.Len(), cols.Len())
 	if err != nil {
 		return nil, nil, fmt.Errorf("assoc: align rhs: %w", err)
 	}

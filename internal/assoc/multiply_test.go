@@ -1,10 +1,12 @@
 package assoc
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
 
+	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
 	"adjarray/internal/sparse"
 )
@@ -109,6 +111,83 @@ func TestMulKeyAlignmentIntersectsSharedDimension(t *testing.T) {
 	if v, ok := c.At("r", "c"); !ok || v != 1*10+2*100 {
 		t.Errorf("aligned product = %v,%v; want 210", v, ok)
 	}
+
+	// The fold order under alignment: A-only keys sort between the shared
+	// ones and B-only keys before and after them, under a ⊕ that keeps
+	// its left operand and on the parallel engine. Every cell must be
+	// what Mul gives over operands intersected by string first.
+	a = FromTriples([]Triple[float64]{
+		{"r1", "k2", 2}, {"r1", "k3", 9}, {"r1", "k4", 3}, {"r1", "k6", 5},
+		{"r2", "k3", 7}, {"r2", "k5", 4}, {"r2", "k6", 6},
+		{"r3", "k4", 8}, {"r3", "k5", 1},
+	}, nil)
+	b = FromTriples([]Triple[float64]{
+		{"k0", "c1", 3}, {"k2", "c1", 7}, {"k2", "c2", 2}, {"k4", "c1", 5},
+		{"k4", "c2", 9}, {"k6", "c1", 4}, {"k6", "c2", 6}, {"k9", "c2", 8},
+	}, nil)
+	for _, ops := range []semiring.Ops[float64]{semiring.PlusTimes(), semiring.LeftmostNonzero()} {
+		for _, opt := range []MulOptions{{}, {Workers: 2, FlopFloor: -1}} {
+			if d := mulAgainstIntersectFirst(t, a, b, ops, opt); d != "" {
+				t.Errorf("%s, %+v: %s", ops.Name, opt, d)
+			}
+		}
+	}
+	if c, err = Mul(a, b, semiring.LeftmostNonzero(), MulOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := c.At("r1", "c1"); v != 2*7 {
+		t.Errorf("first.* at (r1,c1) = %v, want the k2 product 14", v)
+	}
+}
+
+// mulAgainstIntersectFirst reports where Mul(a, b) differs, bit for bit,
+// from Mul over the operands restricted by string to the keys both A's
+// columns and B's rows hold — the D4M definition of the alignment, which
+// reaches Mul already aligned.
+func mulAgainstIntersectFirst(t *testing.T, a, b *Array[float64], ops semiring.Ops[float64], opt MulOptions) string {
+	t.Helper()
+	inB := make(map[string]bool, b.rows.Len())
+	for _, k := range b.rows.Keys() {
+		inB[k] = true
+	}
+	var both []string
+	for _, k := range a.cols.Keys() {
+		if inB[k] {
+			both = append(both, k)
+		}
+	}
+	shared := keys.New(both...)
+	var at, bt []Triple[float64]
+	for _, tr := range a.Triples() {
+		if inB[tr.Col] {
+			at = append(at, tr)
+		}
+	}
+	for _, tr := range b.Triples() {
+		if _, ok := shared.IndexSorted(tr.Row); ok {
+			bt = append(bt, tr)
+		}
+	}
+	ra, err := FromTriples(at, nil).Reindex(a.rows, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := FromTriples(bt, nil).Reindex(shared, b.cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Mul(ra, rb, ops, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Mul(a, b, ops, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
+		return err.Error()
+	}
+	return Diff(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }, nil)
 }
 
 func TestMulDisjointSharedDimensionIsEmpty(t *testing.T) {
@@ -312,7 +391,7 @@ func TestExplodeMusicStyle(t *testing.T) {
 		t.Fatalf("exploded nnz = %d", e.NNZ())
 	}
 	for _, k := range []string{"Genre|Rock", "Genre|Pop", "Writer|Ann", "Writer|Bob"} {
-		if !e.ColKeys().Contains(k) {
+		if _, ok := e.ColKeys().IndexSorted(k); !ok {
 			t.Errorf("missing exploded column %q", k)
 		}
 	}

@@ -11,7 +11,11 @@ import (
 	"testing/quick"
 )
 
-func TestUnionOffsetsMatchesUnion(t *testing.T) {
+// The two-set union of every alignment (a product's shared dimension,
+// an element-wise operation's key spaces, a view's universe growth)
+// against the map-free Union: same keys, and each map sends every key of
+// its side to itself in u.
+func TestUnionAllMatchesUnion(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
 	for trial := 0; trial < 200; trial++ {
@@ -25,7 +29,10 @@ func TestUnionOffsetsMatchesUnion(t *testing.T) {
 			}
 		}
 		s, tt := New(sk...), New(tk...)
-		u, sPos, tPos := s.UnionOffsets(tt)
+		u, pos, err := UnionAll([]*Set{s, tt})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !u.Equal(s.Union(tt)) {
 			t.Fatalf("trial %d: union mismatch: %v vs %v", trial, u, s.Union(tt))
 		}
@@ -41,36 +48,42 @@ func TestUnionOffsetsMatchesUnion(t *testing.T) {
 				}
 			}
 		}
-		check(s, sPos, "s")
-		check(tt, tPos, "t")
+		check(s, pos[0], "s")
+		check(tt, pos[1], "t")
 	}
 }
 
-func TestUnionOffsetsFastPaths(t *testing.T) {
+// The two-set cases an alignment meets most: an input that holds every
+// key comes back as u itself, and a map that is the identity is nil.
+func TestUnionAllFastPaths(t *testing.T) {
+	union := func(s, t *Set) (*Set, []int32, []int32) {
+		u, pos, _ := UnionAll([]*Set{s, t})
+		return u, pos[0], pos[1]
+	}
 	s := New("a", "b", "c")
 	// Equal sets: identity both sides, u is s itself.
-	u, sp, tp := s.UnionOffsets(New("a", "b", "c"))
+	u, sp, tp := union(s, New("a", "b", "c"))
 	if u != s || sp != nil || tp != nil {
 		t.Errorf("equal sets should share: %v %v %v", u, sp, tp)
 	}
 	// Subset of s: u is s, t mapped.
-	u, sp, tp = s.UnionOffsets(New("a", "c"))
+	u, sp, tp = union(s, New("a", "c"))
 	if u != s || sp != nil || !reflect.DeepEqual(tp, []int32{0, 2}) {
 		t.Errorf("subset path: %v %v %v", u, sp, tp)
 	}
 	// Prefix subset with identity positions.
-	u, sp, tp = s.UnionOffsets(New("a", "b"))
+	u, sp, tp = union(s, New("a", "b"))
 	if u != s || sp != nil || tp != nil {
 		t.Errorf("prefix subset should be identity: %v %v %v", u, sp, tp)
 	}
 	// s subset of t.
 	big := New("a", "b", "c", "d")
-	u, sp, tp = s.UnionOffsets(big)
+	u, sp, tp = union(s, big)
 	if u != big || sp != nil || tp != nil {
 		t.Errorf("s⊆t identity: %v %v %v", u, sp, tp)
 	}
 	// Pure suffix growth: s's positions stay the identity.
-	u, sp, tp = s.UnionOffsets(New("x", "y"))
+	u, sp, tp = union(s, New("x", "y"))
 	if sp != nil || !reflect.DeepEqual(tp, []int32{3, 4}) {
 		t.Errorf("suffix growth: %v %v", sp, tp)
 	}
@@ -78,33 +91,11 @@ func TestUnionOffsetsFastPaths(t *testing.T) {
 		t.Errorf("suffix union: %v", u.Keys())
 	}
 	// Empty sides.
-	if u, _, _ := s.UnionOffsets(New()); u != s {
+	if u, _, _ := union(s, New()); u != s {
 		t.Error("t empty should return s")
 	}
-	if u, _, _ := New().UnionOffsets(s); u != s {
+	if u, _, _ := union(New(), s); u != s {
 		t.Error("s empty should return t")
-	}
-}
-
-func TestPositionsIn(t *testing.T) {
-	super := New("a", "c", "e", "g", "i")
-	sub := New("c", "g")
-	pos, ok := sub.PositionsIn(super)
-	if !ok || len(pos) != 2 || pos[0] != 1 || pos[1] != 3 {
-		t.Fatalf("positions %v ok=%v", pos, ok)
-	}
-	if pos, ok := super.PositionsIn(super); !ok || pos != nil {
-		t.Errorf("identity should be nil positions, got %v ok=%v", pos, ok)
-	}
-	if _, ok := New("c", "x").PositionsIn(super); ok {
-		t.Error("missing key resolved")
-	}
-	if _, ok := super.PositionsIn(sub); ok {
-		t.Error("superset resolved into subset")
-	}
-	// Prefix-aligned subset is still non-identity when shorter.
-	if pos, ok := New("a", "c").PositionsIn(super); !ok || pos != nil {
-		t.Errorf("prefix subset: %v ok=%v", pos, ok)
 	}
 }
 
@@ -119,11 +110,11 @@ func TestIndexSortedAgreesWithIndex(t *testing.T) {
 	}
 }
 
-// UnionAll against the pairwise sweep it replaces: folding the sets in
-// with repeated UnionOffsets gives the same union, and every position map
+// UnionAll against the map-free pairwise Union: folding the sets in
+// with repeated Union gives the same union, and every position map
 // sends each key to itself. Small alphabets make overlaps, duplicates of
 // one set and empty sets all common.
-func TestUnionAllMatchesRepeatedUnionOffsets(t *testing.T) {
+func TestUnionAllMatchesRepeatedUnion(t *testing.T) {
 	check := func(raw [][]uint8) bool {
 		sets := make([]*Set, len(raw))
 		for i, bs := range raw {
@@ -144,7 +135,7 @@ func TestUnionAllMatchesRepeatedUnionOffsets(t *testing.T) {
 		}
 		want := New()
 		for _, s := range sets {
-			want, _, _ = want.UnionOffsets(s)
+			want = want.Union(s)
 		}
 		if !u.Equal(want) || len(pos) != len(sets) {
 			t.Logf("union %v, want %v (%d maps for %d sets)", u, want, len(pos), len(sets))

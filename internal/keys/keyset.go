@@ -19,8 +19,8 @@ import (
 // Set is a finite totally-ordered set of string keys.
 //
 // The map-based reverse index is built lazily on the first Index call:
-// most intermediate Sets (Union/Intersect/Select results flowing
-// through multiplication alignment) are only ever iterated or compared,
+// most intermediate Sets (UnionAll/Select results flowing through
+// multiplication alignment) are only ever iterated or compared,
 // and building a map per intermediate Set dominated allocation on the
 // construction path. Membership tests use binary search on the sorted
 // key slice, which needs no index at all.
@@ -122,13 +122,6 @@ func (s *Set) Index(k string) (int, bool) {
 	return i, ok
 }
 
-// Contains reports membership by binary search — O(log n) without
-// forcing the reverse index into existence.
-func (s *Set) Contains(k string) bool {
-	_, ok := s.IndexSorted(k)
-	return ok
-}
-
 // IndexSorted returns the position of k by binary search — O(log n)
 // without forcing the reverse index into existence; the right lookup for
 // short-lived Sets (delta batches) indexed only a handful of times.
@@ -139,8 +132,7 @@ func (s *Set) IndexSorted(k string) (int, bool) {
 
 // Equal reports whether two sets hold the same keys in the same order
 // (which, both being sorted, is plain set equality). Identical Sets and
-// Sets sharing a backing slice (as returned by the Union/Intersect fast
-// paths) compare in O(1).
+// Sets sharing a backing slice compare in O(1).
 func (s *Set) Equal(t *Set) bool {
 	if s == t {
 		return true
@@ -187,30 +179,6 @@ func (s *Set) Union(t *Set) *Set {
 	}
 	out = append(out, s.keys[i:]...)
 	out = append(out, t.keys[j:]...)
-	return fromSortedUnique(out)
-}
-
-// Intersect returns the ordered intersection of two sets by a sorted
-// two-pointer merge — O(n+m) with no hashing. Equal sets (including
-// shared-backing ones) intersect to themselves in O(1).
-func (s *Set) Intersect(t *Set) *Set {
-	if s.Equal(t) {
-		return s
-	}
-	var out []string
-	i, j := 0, 0
-	for i < len(s.keys) && j < len(t.keys) {
-		switch {
-		case s.keys[i] < t.keys[j]:
-			i++
-		case s.keys[i] > t.keys[j]:
-			j++
-		default:
-			out = append(out, s.keys[i])
-			i++
-			j++
-		}
-	}
 	return fromSortedUnique(out)
 }
 

@@ -85,16 +85,6 @@ func (l List) Match(k string) bool {
 
 func (l List) bounds() (string, string, bool) { return "", "", false }
 
-// InSet selects exactly the keys present in another Set.
-type InSet struct {
-	Set *Set
-}
-
-// Match reports membership in the set.
-func (s InSet) Match(k string) bool { return s.Set.Contains(k) }
-
-func (s InSet) bounds() (string, string, bool) { return "", "", false }
-
 // Parse understands the D4M-flavoured selector strings used by the CLIs
 // and figures:
 //

@@ -21,9 +21,9 @@ import (
 
 // referenceGather is the gather mergeAdjacency ran before it became a
 // concatenation, kept as the reference: union the shards' key sets
-// pairwise, embed every shard's adjacency into the union space (positions
-// through the union sets' reverse indexes) and ⊕-merge them in ascending
-// shard order. Shards own disjoint rows, so no ⊕ combines two values.
+// pairwise, reindex every shard's adjacency into the union space by key
+// (assoc.Array.Reindex, which shares no code with the position maps) and
+// ⊕-merge them in ascending shard order. Shards own disjoint rows, so no ⊕ combines two values.
 func referenceGather[V any](t *testing.T, shards []Snapshot[V], ops semiring.Ops[V]) *assoc.Array[V] {
 	t.Helper()
 	if len(shards) == 1 {
@@ -40,7 +40,7 @@ func referenceGather[V any](t *testing.T, shards []Snapshot[V], ops semiring.Ops
 	}
 	var acc *assoc.Array[V]
 	for _, sn := range shards {
-		pe, err := sn.Adjacency.EmbedInto(uRows, uCols)
+		pe, err := sn.Adjacency.Reindex(uRows, uCols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func referenceGather[V any](t *testing.T, shards []Snapshot[V], ops semiring.Ops
 	return acc
 }
 
-// The concatenating gather against the embed-then-⊕ one, key sets
+// The concatenating gather against the reindex-then-⊕ one, key sets
 // included: every registered operator pair — the non-examples and the
 // signed ring, whose cells fold to zero and are pruned, with them — on 1,
 // 2, 3 and 5 shards, over a stream whose vertex universe keeps growing,

@@ -517,8 +517,8 @@ func (v *View[V]) respanMainLocked(rowMap, colMap []int32) error {
 // growSide returns one side's universe grown to cover ids — the
 // interner ids of the log entries appended since the last sync. The ids
 // not yet in the universe are collected, ONLY their keys are sorted
-// (the interner already deduplicated them), and one merge sweep unions
-// them into the sorted key Set, yielding the position maps for free.
+// (the interner already deduplicated them), and keys.UnionAll merges
+// them into the sorted key Set, yielding the position maps.
 // pos is never written: growth builds a new id → position array and
 // binds it to the new Set. oldPos maps a position in set to its position
 // in the grown Set (nil: unchanged). With nothing new, set and pos come
@@ -552,7 +552,11 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("stream: new vertex keys: %w", err)
 	}
-	grownSet, oldPos, extraPos := set.UnionOffsets(extra)
+	grownSet, maps, err := keys.UnionAll([]*keys.Set{set, extra})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("stream: vertex universe: %w", err)
+	}
+	oldPos, extraPos := maps[0], maps[1]
 	if oldPos != nil {
 		for id, p := range grown {
 			if p >= 0 {
