@@ -78,36 +78,31 @@
 //     oracle at every shard count;
 //   - production serving: internal/serve is cmd/adjserve's front door —
 //     Prometheus-style GET /metrics (dependency-free internal/obs),
-//     bounded admission pools per endpoint class shedding overload as
-//     429 + Retry-After, and POST /batch answering many ops from one
-//     pinned snapshot. Read answers are written in vertex-key order
-//     from the kernels' vectors (CSRGraph's BFSLevelVector, SSSPVector,
-//     WidestPathVector, PageRankVector) by an append-style encoder,
-//     byte-compatible with the former encoding/json output over maps
-//     (a golden test and two fuzz targets hold it to that). A view
-//     has two pins. The whole-array pin (Snapshot) folds the
-//     log's unfolded suffix into the materialized array first, because
-//     its consumers want one array. The point pin
-//     (AdjacencyStore.OwnerSnapshot, for /at and /row) pins only the
-//     shard that owns the source vertex and never folds it, up to a
-//     threshold of max(4096, nnz/8) unfolded edges: it answers
+//     two bounded admission pools shedding overload as 429 +
+//     Retry-After, and seven read ops (at, row, bfs, sssp, widest,
+//     pagerank, triangles), each a GET route and a POST /batch op of
+//     its name, dispatched, validated and mapped to a status by one
+//     function for both (serve's prepare). A point op reads the point
+//     pin of the shard that owns its source
+//     (AdjacencyStore.OwnerSnapshot on a GET), which folds nothing up
+//     to a threshold of max(4096, nnz/8) unfolded edges: it answers
 //     main(s,d) ⊕ the ⊕-fold of the suffix's contributions to (s,d) in
 //     log order — main on the left, since main holds the earlier edge
 //     keys, which is the grouping the fold's merge would have made, so
-//     the answer is bit-identical to the fold it did not run — and a
-//     read-your-write costs O(batch), not a copy of the shard. In its
-//     "epochs" the owner's entry is the epoch the answer was pinned
-//     at, a sibling's is that shard's current epoch, read without its
-//     lock, a fold or a gather. Algorithm answers and /batch take every
-//     shard's point pin (stream.Store.PointPin) and fold nothing below
-//     that threshold either: the Graph is built from each shard's main
-//     continued by its suffix (algo.FromPins: one pattern copy, straight
-//     into the kernels' vertex space); only /triples reads the gathered
-//     store-wide array. The
-//     query_static and
-//     mixed_rw workloads of the repository's benchmark (bench/,
-//     BENCHMARK.json) drive the front door of a real adjserve child and
-//     record per-endpoint latency percentiles;
+//     the answer is bit-identical to the fold it did not run — and its
+//     "epochs" carry the owner's pinned epoch beside each sibling's
+//     current one. A kernel runs on the Graph built from every shard's
+//     point pin (stream.Store.PointPin, algo.FromPins: one pattern
+//     copy, straight into the kernels' vertex space), cached per epoch
+//     vector; a /batch pins every shard once and its ops share that pin
+//     and one Graph. Only /triples reads the gathered store-wide array
+//     (Snapshot, which folds first). Answers are written in vertex-key
+//     order from the kernels' vectors by an append-style encoder,
+//     byte-compatible with the former encoding/json output over maps
+//     (a golden test and three fuzz targets hold it to that). The
+//     query_static and mixed_rw workloads of the repository's benchmark
+//     (bench/, BENCHMARK.json) drive the front door of a real adjserve
+//     child and record per-endpoint latency percentiles;
 //   - fault tolerance: internal/iofault injects deterministic disk
 //     faults (EIO, ENOSPC, short and torn writes) through a VFS seam
 //     under the WAL and the store's shards; a failed fsync or log write
@@ -243,7 +238,11 @@
 // (keys.Set.Bind), so Set.Index delegates to the shared hash table
 // instead of building a second map per Set — for huge universes that
 // second map used to double the key-set memory. The facade API stays
-// string-keyed; interning is purely an internal representation.
+// string-keyed; interning is purely an internal representation. A key
+// that would carry an interner's slab past the 4 GiB its offsets reach,
+// or its count past 2³¹−1, is refused with an error wrapping
+// keys.ErrTooManyKeys: a stream append refused so leaves the view as it
+// was, and NewGraph returns the refusal.
 //
 // The batch path interns too: NewGraph sorts the edge list once,
 // interns each endpoint column and keeps per-edge positions, and

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -103,13 +104,17 @@ func New(edges []Edge) (*Graph, error) {
 	g := &Graph{edgeKeys: edgeKeys}
 	// The two endpoint columns share nothing: each has its own interner.
 	var wg sync.WaitGroup
+	var srcErr, dstErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		g.outVerts, g.src = internColumn(edges, order, func(e *Edge) string { return e.Src })
+		g.outVerts, g.src, srcErr = internColumn(edges, order, func(e *Edge) string { return e.Src })
 	}()
-	g.inVerts, g.dst = internColumn(edges, order, func(e *Edge) string { return e.Dst })
+	g.inVerts, g.dst, dstErr = internColumn(edges, order, func(e *Edge) string { return e.Dst })
 	wg.Wait()
+	if err := cmp.Or(srcErr, dstErr); err != nil {
+		return nil, fmt.Errorf("graph: vertex keys: %w", err)
+	}
 	return g, nil
 }
 
@@ -122,10 +127,11 @@ func edgeAt(edges []Edge, order []int32, i int) *Edge {
 
 // internColumn dedupes one endpoint column through a fresh interner —
 // so only the distinct keys are ever sorted — and returns them as a
-// Set bound to that interner with each edge's position in it. The
-// column is read a block at a time — the interner writes its ids
+// Set bound to that interner with each edge's position in it, or the
+// interner's refusal of a key (keys.ErrTooManyKeys). The column is read
+// a block at a time — the interner writes its ids
 // straight into the column — and is never copied out whole.
-func internColumn(edges []Edge, order []int32, key func(*Edge) string) (*keys.Set, []int32) {
+func internColumn(edges []Edge, order []int32, key func(*Edge) string) (*keys.Set, []int32, error) {
 	in := keys.NewInterner()
 	col := make([]int32, len(edges))
 	var ks [256]string
@@ -134,13 +140,15 @@ func internColumn(edges []Edge, order []int32, key func(*Edge) string) (*keys.Se
 		for i := range blk {
 			ks[i] = key(edgeAt(edges, order, lo+i))
 		}
-		in.InternBatch(ks[:len(blk)], blk)
+		if err := in.InternBatch(ks[:len(blk)], blk); err != nil {
+			return nil, nil, err
+		}
 	}
 	set, pos := in.SortedView()
 	for i, id := range col {
 		col[i] = pos[id]
 	}
-	return set, col
+	return set, col, nil
 }
 
 // MustNew is New panicking on error, for statically valid literals.

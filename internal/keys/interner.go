@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"fmt"
 	"hash/maphash"
 	"math"
 	"slices"
@@ -152,16 +153,10 @@ func (in *Interner) Lookup(k string) (int32, bool) {
 }
 
 // internLocked adds k (which must be absent, at the given free slot)
-// and returns its new id.
-func (in *Interner) internLocked(k string, slot uint32) int32 {
-	if len(in.slab)+len(k) > math.MaxUint32 {
-		// Offsets are uint32; wrapping would silently conflate distinct
-		// keys (corrupted adjacency), so fail loudly at the 4 GiB
-		// cumulative-key-bytes boundary instead.
-		panic("keys: interner slab exceeds 4GiB of key bytes")
-	}
-	if len(in.off)-1 > math.MaxInt32 {
-		panic("keys: interner exceeds 2^31 distinct keys")
+// and returns its new id, or refuses it (internable) and changes nothing.
+func (in *Interner) internLocked(k string, slot uint32) (int32, error) {
+	if err := internable(int(in.off[len(in.off)-1]), len(k), len(in.off)); err != nil {
+		return 0, err
 	}
 	id := int32(len(in.off) - 1)
 	in.slab = append(in.slab, k...)
@@ -171,8 +166,28 @@ func (in *Interner) internLocked(k string, slot uint32) int32 {
 	if n := len(in.off) - 1; n*3 > len(in.tab)*2 {
 		in.growLocked()
 	}
-	return id
+	return id, nil
 }
+
+// internable refuses the n-th key, k bytes long, of an interner whose slab
+// ends at offset slab: past the 4 GiB a uint32 offset reaches a wrapped
+// offset would conflate distinct keys, and past 2³¹−1 keys an id is not
+// an int32. Either refusal wraps ErrTooManyKeys.
+func internable(slab, k, n int) error {
+	if slab+k > math.MaxUint32 {
+		return slabFull{slab, k}
+	}
+	return checkLen(n)
+}
+
+// slabFull is a key that would carry the slab past 4 GiB.
+type slabFull struct{ slab, k int }
+
+func (e slabFull) Error() string {
+	return fmt.Sprintf("keys: a %d-byte key would carry the interner's %d key bytes past the 4 GiB its offsets reach", e.k, e.slab)
+}
+
+func (slabFull) Is(target error) bool { return target == ErrTooManyKeys }
 
 func (in *Interner) growLocked() {
 	tab := newInternTable(2 * len(in.tab))
@@ -191,20 +206,23 @@ func (in *Interner) growLocked() {
 }
 
 // InternBatch resolves each ks[i] into ids[i], interning absent keys,
-// under one lock acquisition. It returns the interner's length BEFORE
-// the batch: every ids[i] ≥ that length is a key this batch introduced.
-func (in *Interner) InternBatch(ks []string, ids []int32) int {
+// under one lock acquisition. A key the interner cannot number
+// (internable) ends the batch with the error; the keys before it stay
+// interned, ids no caller has been handed.
+func (in *Interner) InternBatch(ks []string, ids []int32) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	before := len(in.off) - 1
 	for i, k := range ks {
 		id, slot, ok := in.lookupLocked(k)
 		if !ok {
-			id = in.internLocked(k, slot)
+			var err error
+			if id, err = in.internLocked(k, slot); err != nil {
+				return err
+			}
 		}
 		ids[i] = id
 	}
-	return before
+	return nil
 }
 
 // SortedView returns the interner's current keys as a sorted Set bound

@@ -1,9 +1,12 @@
 package keys
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -11,13 +14,11 @@ import (
 // Intern resolves k, adding it with the next dense id if absent — one
 // key of InternBatch, which is what the package's callers intern with.
 func (in *Interner) Intern(k string) int32 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	id, slot, ok := in.lookupLocked(k)
-	if ok {
-		return id
+	ids := []int32{0}
+	if err := in.InternBatch([]string{k}, ids); err != nil {
+		panic(err)
 	}
-	return in.internLocked(k, slot)
+	return ids[0]
 }
 
 // adversarialKeys is the key vocabulary the conformance generators use:
@@ -79,9 +80,8 @@ func TestInternBatchAndLookupBatch(t *testing.T) {
 	in.Intern("pre")
 	batch := []string{"b", "a", "b", "pre", "c"}
 	ids := make([]int32, len(batch))
-	before := in.InternBatch(batch, ids)
-	if before != 1 {
-		t.Fatalf("before = %d, want 1", before)
+	if err := in.InternBatch(batch, ids); err != nil || in.Len() != 4 {
+		t.Fatalf("InternBatch = %v, %d keys; want nil and 4", err, in.Len())
 	}
 	// "b"=1, "a"=2, "b"=1 again (dedup), "pre"=0, "c"=3.
 	want := []int32{1, 2, 1, 0, 3}
@@ -255,4 +255,43 @@ func TestInternerConcurrentReaders(t *testing.T) {
 		}(int64(r))
 	}
 	wg.Wait()
+}
+
+// The interner numbers keys while its slab stays within the 4 GiB its
+// uint32 offsets reach and its ids within an int32; the key past either
+// bound is refused with an error wrapping ErrTooManyKeys, where it once
+// panicked. Both bounds are reached by their sizes alone, on the check
+// internLocked makes before it appends.
+func TestInternerRefusesPastItsBounds(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot hold 4 GiB here")
+	}
+	for _, c := range []struct {
+		slab, k, n int
+		refused    bool
+	}{
+		{math.MaxUint32 - 5, 5, 1, false},
+		{math.MaxUint32 - 5, 6, 1, true},
+		{math.MaxUint32, 0, 1, false},
+		{math.MaxUint32, 1, 1, true},
+		{0, 1, math.MaxInt32, false},
+		{0, 1, math.MaxInt32 + 1, true},
+	} {
+		err := internable(c.slab, c.k, c.n)
+		if c.refused != (err != nil) || err != nil && !errors.Is(err, ErrTooManyKeys) {
+			t.Errorf("key %d of %d bytes on a %d-byte slab: %v; want refused %v, by ErrTooManyKeys", c.n, c.k, c.slab, err, c.refused)
+		}
+	}
+	// Through InternBatch, on an interner whose slab ends 3 bytes short of
+	// 4 GiB — its last offset says so; no key is stored, so none is read:
+	// the 4-byte key is refused, the batch stops at it, and nothing moves.
+	in := NewInterner()
+	in.off[0] = math.MaxUint32 - 3
+	ids := []int32{-1, -1}
+	if err := in.InternBatch([]string{"four", "abc"}, ids); !errors.Is(err, ErrTooManyKeys) {
+		t.Fatalf("a 4-byte key 3 bytes short of 4 GiB: %v; want ErrTooManyKeys", err)
+	}
+	if in.Len() != 0 || len(in.slab) != 0 || ids[0] != -1 || ids[1] != -1 {
+		t.Errorf("the refused batch left %d keys, a %d-byte slab and ids %v", in.Len(), len(in.slab), ids)
+	}
 }

@@ -112,14 +112,14 @@ func (st stamp) appendTo(b []byte) []byte {
 }
 
 // appendAt answers one cell: dst, stamp, src, stored, value.
-func appendAt(b []byte, st stamp, pt stream.PointSnapshot[float64], src, dst string) []byte {
-	val, stored := pt.At(src, dst)
+func appendAt(_ *answer, b []byte, st stamp, pt stream.PointSnapshot[float64], op batchOp) []byte {
+	val, stored := pt.At(op.Src, op.Dst)
 	b = append(b, `{"dst":`...)
-	b = appendJSONString(b, dst)
+	b = appendJSONString(b, op.Dst)
 	b = append(b, ',')
 	b = st.appendTo(b)
 	b = append(b, `"src":`...)
-	b = appendJSONString(b, src)
+	b = appendJSONString(b, op.Src)
 	b = append(b, `,"stored":`...)
 	b = strconv.AppendBool(b, stored)
 	b = append(b, `,"value":`...)
@@ -131,12 +131,12 @@ func appendAt(b []byte, st stamp, pt stream.PointSnapshot[float64], src, dst str
 // the pinned shard's CSR row and column key set, merged with what the
 // log's unfolded suffix adds to it; a source that holds no row has the
 // empty one.
-func appendRow(a *answer, b []byte, st stamp, pt stream.PointSnapshot[float64], src string) []byte {
+func appendRow(a *answer, b []byte, st stamp, pt stream.PointSnapshot[float64], op batchOp) []byte {
 	b = append(b, '{')
 	b = st.appendTo(b)
 	b = append(b, `"row":{`...)
 	n := 0
-	pt.Row(src, func(dst string, v float64) {
+	pt.Row(op.Src, func(dst string, v float64) {
 		if n > 0 {
 			b = append(b, ',')
 		}
@@ -147,7 +147,7 @@ func appendRow(a *answer, b []byte, st stamp, pt stream.PointSnapshot[float64], 
 		b = a.spill(b) // Row cannot stop early; after a failed write this drops what is held
 	})
 	b = append(b, `},"src":`...)
-	b = appendJSONString(b, src)
+	b = appendJSONString(b, op.Src)
 	return append(b, '}')
 }
 
@@ -197,14 +197,8 @@ func appendResult(a *answer, b []byte, st stamp, res result) []byte {
 	return append(b, '}')
 }
 
-// sourceKernels are the single-source queries, by the name they have as
-// an endpoint and as a /batch op.
-var sourceKernels = map[string]func(g *algo.Graph, src string) (result, error){
-	"bfs": bfsAnswer, "sssp": ssspAnswer, "widest": widestAnswer,
-}
-
-func bfsAnswer(g *algo.Graph, src string) (result, error) {
-	level, err := g.BFSLevelVector(src)
+func bfsAnswer(g *algo.Graph, op batchOp) (result, error) {
+	level, err := g.BFSLevelVector(op.Src)
 	if err != nil {
 		return nil, err
 	}
@@ -230,23 +224,23 @@ func bfsAnswer(g *algo.Graph, src string) (result, error) {
 	}, nil
 }
 
-func ssspAnswer(g *algo.Graph, src string) (result, error) {
-	dist, has, err := g.SSSPVector(src)
+func ssspAnswer(g *algo.Graph, op batchOp) (result, error) {
+	dist, has, err := g.SSSPVector(op.Src)
 	if err != nil {
 		return nil, err
 	}
 	return func(a *answer, b []byte) []byte { return appendVector(a, b, g.Vertices(), dist, has) }, nil
 }
 
-func widestAnswer(g *algo.Graph, src string) (result, error) {
-	width, has, err := g.WidestPathVector(src)
+func widestAnswer(g *algo.Graph, op batchOp) (result, error) {
+	width, has, err := g.WidestPathVector(op.Src)
 	if err != nil {
 		return nil, err
 	}
 	return func(a *answer, b []byte) []byte { return appendVector(a, b, g.Vertices(), width, has) }, nil
 }
 
-func trianglesAnswer(g *algo.Graph) (result, error) {
+func trianglesAnswer(g *algo.Graph, _ batchOp) (result, error) {
 	n, err := g.TriangleCount()
 	if err != nil {
 		return nil, err
@@ -254,8 +248,8 @@ func trianglesAnswer(g *algo.Graph) (result, error) {
 	return func(_ *answer, b []byte) []byte { return strconv.AppendInt(b, int64(n), 10) }, nil
 }
 
-func pageRankAnswer(g *algo.Graph, damping, tol float64, iters int) (result, error) {
-	rank, used, err := g.PageRankVector(damping, tol, iters)
+func pageRankAnswer(g *algo.Graph, op batchOp) (result, error) {
+	rank, used, err := g.PageRankVector(op.pageRank())
 	if err != nil {
 		return nil, err
 	}

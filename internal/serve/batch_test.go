@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"adjarray/internal/algo"
 	"adjarray/internal/core"
 	"adjarray/internal/stream"
 )
@@ -118,6 +119,34 @@ func TestBatchPointOpsFoldNothing(t *testing.T) {
 	}
 	if r := results[2].(map[string]any); r["stored"] != true {
 		t.Errorf("at new→a = %v, want the suffix's edge", r)
+	}
+}
+
+// Once a write has failed the client is gone, and a /batch starts no
+// further op: not only is nothing more written, no kernel runs for it. A
+// 256-op bfs batch on the R-MAT scale-13 store, each answer longer than a
+// chunk (58 KB), whose first write fails runs the one bfs whose answer
+// reached that write — counted by wrapping the op table's bfs entry.
+func TestBatchRunsNoOpAfterAFailedWrite(t *testing.T) {
+	s := New(rmatIngest(t, 13, 1), Options{})
+	bfs := readOps["bfs"]
+	t.Cleanup(func() { readOps["bfs"] = bfs })
+	runs := 0
+	counted := bfs
+	counted.kernel = func(g *algo.Graph, op batchOp) (result, error) {
+		runs++
+		return bfs.kernel(g, op)
+	}
+	readOps["bfs"] = counted
+	op := `{"op":"bfs","src":"` + rmatHub + `"}`
+	body := `{"ops":[` + strings.Repeat(op+",", 255) + op + `]}`
+	w := &writeRecorder{header: http.Header{}, failAt: 1}
+	s.ServeHTTP(w, httptest.NewRequest("POST", "/batch", strings.NewReader(body)))
+	if len(w.sizes) != 1 {
+		t.Fatalf("the writer saw %d writes; want the one that failed", len(w.sizes))
+	}
+	if runs != 1 {
+		t.Errorf("%d of 256 bfs ops ran after the first write failed inside the first; want 1", runs)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,6 +149,50 @@ func FuzzBatchBody(f *testing.F) {
 		// A read batch writes nothing.
 		if after := ing.Store().Stats(); after.Edges != before.Edges || after.Epochs[0] != before.Epochs[0] {
 			t.Fatalf("the store moved under a read batch: %d edges at %v → %d at %v", before.Edges, before.Epochs, after.Edges, after.Epochs)
+		}
+	})
+}
+
+// queryRoutes are the GET read routes: the seven ops and /triples.
+var queryRoutes = []string{"/at", "/row", "/triples", "/bfs", "/sssp", "/widest", "/pagerank", "/triangles"}
+
+// FuzzQuery holds every GET read answer — any route with any raw query
+// string, parameters unknown, repeated, empty, badly escaped or out of
+// range included — to the reference renderer: status, headers and body,
+// byte for byte, 400 texts included. shape picks the route and the
+// store: one or two shards, symmetric or not (so /triangles both refuses
+// and answers), under one of the golden operator pairs.
+func FuzzQuery(f *testing.F) {
+	// goldenRequests marks itself a helper and fails only on a /batch body
+	// it cannot marshal; the GET targets it builds are all that is kept.
+	for _, rq := range goldenRequests(&testing.T{}) {
+		path, query, _ := strings.Cut(rq.target, "?")
+		if route := slices.Index(queryRoutes, path); rq.method == "GET" && route >= 0 {
+			f.Add(uint8(route), query)
+			f.Add(uint8(route+len(queryRoutes)), query)
+		}
+	}
+	semirings := []string{"+.*", "max.min", "min.+"}
+	f.Fuzz(func(t *testing.T, shape uint8, query string) {
+		n := int(shape)
+		route := queryRoutes[n%len(queryRoutes)]
+		n /= len(queryRoutes)
+		ing := goldenStore(t, semirings[n%len(semirings)], 1+n/3%2, n/6%2 == 1)
+		live, ref := New(ing, Options{}), newRefServer(ing, Options{})
+		serve := func(h http.Handler) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest("GET", route, nil)
+			req.URL.RawQuery = query
+			h.ServeHTTP(rec, req)
+			return rec
+		}
+		got, want := serve(live), serve(ref)
+		if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Fatalf("GET %s?%s: status %d headers %v, reference %d %v", route, query, got.Code, got.Header(), want.Code, want.Header())
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("GET %s?%s: body differs from the reference at byte %d\n got: %.300q\nwant: %.300q", route, query,
+				firstDifference(got.Body.Bytes(), want.Body.Bytes()), got.Body.String(), want.Body.String())
 		}
 	})
 }

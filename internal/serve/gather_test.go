@@ -149,6 +149,8 @@ func TestOnlyTriplesGathers(t *testing.T) {
 // reported, not summed: whatever needs every shard's rows together
 // (/bfs builds the Graph, /triples gathers) answers 500 naming the row,
 // and the point reads, which go to the owning shard alone, keep answering.
+// Inside a /batch the same holds op by op: the bfs op reports the 500 in
+// its place, and the at and row ops beside it answer.
 func TestACopiedShardIsReportedNotSummed(t *testing.T) {
 	dir := t.TempDir()
 	ing := newTestIngest(t, core.IngestOptions{Shards: 2, DataDir: dir})
@@ -185,5 +187,20 @@ func TestACopiedShardIsReportedNotSummed(t *testing.T) {
 	}
 	if code, row := get(t, s, "/row?src="+src); code != http.StatusOK || len(row["row"].(map[string]any)) != 2 {
 		t.Errorf("/row = %d %v", code, row)
+	}
+	code, out := postBatch(t, s, fmt.Sprintf(`{"ops":[{"op":"at","src":%q,"dst":"y"},{"op":"bfs","src":%[1]q},{"op":"row","src":%[1]q}]}`, src))
+	if code != http.StatusOK {
+		t.Fatalf("/batch = %d", code)
+	}
+	results := out["results"].([]any)
+	if bfs := results[1].(map[string]any); bfs["status"] != float64(http.StatusInternalServerError) ||
+		!strings.Contains(fmt.Sprint(bfs["error"]), fmt.Sprintf("%q", src)) {
+		t.Errorf("the batch's bfs op = %v; want status 500 naming row %q", bfs, src)
+	}
+	if at := results[0].(map[string]any); at["stored"] != true {
+		t.Errorf("the batch's at op = %v", at)
+	}
+	if row := results[2].(map[string]any); row["row"] == nil || len(row["row"].(map[string]any)) != 2 {
+		t.Errorf("the batch's row op = %v", row)
 	}
 }

@@ -1,61 +1,36 @@
-// Package serve is adjserve's production front door: the HTTP layer
-// that answers adjacency and graph-algorithm queries from live
-// snapshots of a core.Ingest. It was extracted from cmd/adjserve once
-// the serving path grew the concerns a front door needs beyond routing:
+// Package serve is adjserve's front door: the HTTP layer that answers
+// adjacency and graph-algorithm queries from live pins of a core.Ingest's
+// store, and takes edges on POST /ingest.
 //
-//   - Observability: a Prometheus-style GET /metrics (internal/obs)
-//     exposing ingest counters, per-shard epochs and WAL lag, snapshot
-//     epoch age, graph-cache hit/rebuild counts, admission-control
-//     queue depths, and per-endpoint latency histograms.
-//   - Admission control: two bounded worker pools — cheap point reads
-//     (/at, /row, /triples) and expensive algorithm queries (/bfs,
-//     /sssp, /widest, /pagerank, /triangles, /batch) — with queue-depth
-//     limits that shed excess load as 429 + Retry-After instead of
-//     letting a burst pile up goroutines.
-//   - Batched queries: POST /batch executes many ops against ONE
-//     pinned snapshot and one cached Graph, amortizing the epoch-vector
-//     pin and the id-space embedding across the whole request.
-//   - Degraded-mode serving: POST /ingest appends edges over HTTP;
-//     when a storage fault wedges the durable store read-only the
-//     ingest path sheds 503 + Retry-After while every read endpoint
-//     keeps answering from the last good snapshot. /healthz reports the
-//     ok → degraded → read-only state machine and /metrics exposes it
-//     as adjserve_storage_state / adjserve_storage_faults_total.
+// The seven read ops — at, row, bfs, sssp, widest, pagerank and triangles
+// — are each a GET route of their name and a POST /batch op of their
+// name, and both go through one function, prepare (op.go): it validates
+// the op, binds it to what it reads and runs it, leaving the answer that
+// a GET and a /batch entry both write. A point op (at, row) reads the
+// point pin of the shard that owns its source, which holds the whole row,
+// so a GET of one pins that shard alone. A kernel runs on the Graph built
+// from every shard's point pin (algo.FromPins), cached per epoch vector;
+// a /batch pins every shard once and its ops share that pin and one
+// Graph. None of these folds or gathers; only /triples reads the gathered
+// store-wide array. A store whose shards overlap answers 500 naming the
+// row wherever every shard's rows meet, and keeps answering point reads.
 //
-// Every response carries the epoch vector its snapshot was pinned at,
-// so clients can order reads across shards. A whole-graph answer (an
-// algorithm, /triples, /batch) pins every shard. An algorithm or /batch
-// pin folds and gathers nothing: it takes every shard's point pin, main
-// beside the log's unfolded suffix (stream.Store.PointPin); the cached
-// Graph is built from those, each shard's main continued by its suffix
-// as its rows are copied once, as a pattern, into the square vertex space
-// the kernels run in (algo.FromPins); a /batch point op reads the point
-// pin of the shard that owns its source; and only /triples asks the
-// store for the gathered store-wide array. Shards own disjoint rows and both the Graph
-// build and the gather check it: a store whose shards overlap answers
-// 500 naming the row on those paths, while point reads keep answering. A
-// point read (/at, /row) pins only the shard that owns its source vertex
-// — that shard holds the whole row — so its vector is the owner's pinned
-// epoch with each sibling's current epoch beside it, and no sibling
-// folds, is waited for or is gathered for it.
+// Around the ops: two admission pools shed excess load as 429 +
+// Retry-After, GET /metrics exposes the server's series, and a store
+// wedged read-only sheds /ingest as 503 while every read keeps answering.
+// Every answer carries the epoch vector it was pinned at.
 //
-// Read answers are written, not marshalled: the kernels answer with
-// vectors over the graph's vertex key set, which is already in key
-// order, and answer.go appends them field by field, in the order
-// encoding/json gives map keys, to a pooled chunk that goes to the
-// socket whenever it fills — so the bytes are the ones the former
-// map-and-reflect path produced (the golden test holds them to it),
-// without a map entry or a boxed float per vertex, and no answer is held
-// whole: an answer that fits one chunk goes out in one write with its
-// Content-Length, a longer one with chunked transfer encoding. writeJSON
-// remains for the small, fixed-shape bodies: /stats, /healthz and the
-// /ingest ack.
+// Read answers are written, not marshalled (answer.go): each shape is a
+// fixed sequence of appends, in the order encoding/json gives map keys,
+// to a pooled chunk that goes to the socket whenever it fills — so the
+// bytes are those of the former map-and-json.Encoder path (the golden
+// test holds them to it), and no answer is held whole. writeJSON remains
+// for the small, fixed-shape bodies: /stats, /healthz and the /ingest ack.
 package serve
 
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
 	"slices"
@@ -153,11 +128,7 @@ type Server struct {
 // New builds the front door over ing.
 func New(ing *core.Ingest, opt Options) *Server {
 	opt = opt.withDefaults()
-	s := &Server{
-		ing: ing,
-		opt: opt,
-		mux: http.NewServeMux(),
-	}
+	s := &Server{ing: ing, opt: opt, mux: http.NewServeMux()}
 	s.buffers.New = func() any { return new(bytes.Buffer) }
 	s.answers.New = func() any { return new(answer) } // its chunk grows with the first answers it holds
 	s.met = newMetrics(opt.Registry, ing)
@@ -176,7 +147,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Metrics() *Registry { return s.met.reg }
 
 // routes wires every endpoint through the metrics middleware and, for
-// snapshot/algorithm queries, the matching admission pool. /stats,
+// the reads, the matching admission pool. /stats,
 // /healthz and /metrics bypass admission: an operator must be able to
 // observe an overloaded process.
 func (s *Server) routes() {
@@ -198,27 +169,23 @@ func (s *Server) routes() {
 	// /ingest bypasses the read/algo pools — its backpressure is the
 	// storage state machine (503 on read-only), not queue depth.
 	handle("/ingest", nil, s.handleIngest)
-	handle("/at", s.readPool, s.handleAt)
-	handle("/row", s.readPool, s.handleRow)
-	handle("/triples", s.readPool, s.handleTriples)
-	for name, kernel := range sourceKernels {
-		handle("/"+name, s.algoPool, s.sourceQuery(kernel))
+	// Every read op is a route of its name: a point op in the read pool, a
+	// kernel in the algorithm pool.
+	for name, op := range readOps {
+		p := s.algoPool
+		if op.point != nil {
+			p = s.readPool
+		}
+		handle("/"+name, p, s.handleQuery(name))
 	}
-	handle("/triangles", s.algoPool, func(w http.ResponseWriter, r *http.Request) {
-		s.algoQuery(w, trianglesAnswer)
-	})
-	handle("/pagerank", s.algoPool, s.handlePageRank)
+	handle("/triples", s.readPool, s.handleTriples)
 	handle("/batch", s.algoPool, s.handleBatch)
 }
 
 // writeJSON encodes v into a pooled buffer and writes the response in
-// one shot with an explicit Content-Length. Encoding into the buffer
-// first means an encode failure still has the full status line
-// available — the old streaming encoder could fail after headers and
-// half the body were on the wire, and its follow-up http.Error then
-// corrupted the response with a "superfluous WriteHeader" on top of
-// broken JSON. A failed network write is the client's disconnect; it
-// is counted, not retried.
+// one shot with an explicit Content-Length, so an encode failure can
+// still answer with a clean 500. A failed network write is the client's
+// disconnect; it is counted, not retried.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	buf := s.buffers.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -237,9 +204,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 
 // takeSnapshot pins one consistent read of the whole graph without
 // folding or gathering it: every shard's point pin — main beside the
-// log's unfolded suffix — at one epoch vector, and the vector
-// (stream.Store.PointPin). Whoever needs one array over the whole store
-// — only /triples — asks the store for the gathered snapshot instead.
+// log's unfolded suffix — at one epoch vector (stream.Store.PointPin).
 func (s *Server) takeSnapshot() ([]stream.PointSnapshot[float64], []int, error) {
 	pins, epochs, err := s.ing.Store().PointPin()
 	if err != nil {
@@ -249,49 +214,15 @@ func (s *Server) takeSnapshot() ([]stream.PointSnapshot[float64], []int, error) 
 	return pins, epochs, nil
 }
 
-// snapshot is takeSnapshot with the HTTP error path folded in.
-func (s *Server) snapshot(w http.ResponseWriter) ([]stream.PointSnapshot[float64], []int, bool) {
-	pins, epochs, err := s.takeSnapshot()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return nil, nil, false
-	}
-	return pins, epochs, true
-}
-
-// pinOwner pins a point read: the point pin of the one shard that owns
-// src's row — main beside the log's unfolded suffix, nothing folded up to
-// the threshold — and the epoch vector to answer with (see
-// stream.Store.OwnerSnapshot), with the HTTP error path folded in.
-func (s *Server) pinOwner(w http.ResponseWriter, src string) (stream.PointSnapshot[float64], []int, bool) {
-	pt, epochs, err := s.ing.Store().OwnerSnapshot(src)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return pt, nil, false
-	}
-	s.met.observeEpochs(epochs)
-	switch {
-	case pt.Folded:
-		s.met.pointFolded.Inc()
-	case pt.Suffix() > 0:
-		s.met.pointSuffix.Inc()
-	}
-	return pt, epochs, true
-}
-
 // ---- graph cache ----
 
 // graphCache memoizes the CSR-native algo.Graph per snapshot epoch
 // vector: algorithm queries between ingest batches reuse one id-space
-// embedding instead of rebuilding per request. The Graph is built from
-// the shards' point pins directly — each shard's main continued by its
-// unfolded suffix as it is copied, as a pattern, into the square vertex
-// space the kernels run in — so a new vector costs one pattern copy of
-// the graph (4 B per entry) and no shard's fold, and the cached Graph
-// keeps no store-wide array alive beside its own: every kernel pushes
-// along that pattern, no transpose is built, and values are read from
-// the pinned mains and laid on (8 B more, 12 in all) only when a weighted
-// kernel first asks.
+// embedding instead of rebuilding per request. A new vector costs one
+// pattern copy of the graph (4 B per entry) into the square vertex space
+// the kernels run in, and no shard's fold; values are read from the
+// pinned mains and laid on (8 B more) only when a weighted kernel first
+// asks.
 //
 // Snapshots are taken OUTSIDE the cache lock, so two concurrent
 // requests can pin different epochs and reach graphFor in either
@@ -410,32 +341,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
-	src, dst := r.URL.Query().Get("src"), r.URL.Query().Get("dst")
-	if src == "" || dst == "" {
-		http.Error(w, "want ?src=...&dst=...", http.StatusBadRequest)
-		return
-	}
-	pt, epochs, ok := s.pinOwner(w, src)
-	if !ok {
-		return
-	}
-	s.writeAnswer(w, func(_ *answer, b []byte) []byte { return appendAt(b, stamp{epochs: epochs}, pt, src, dst) })
-}
-
-func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
-	src := r.URL.Query().Get("src")
-	if src == "" {
-		http.Error(w, "want ?src=...", http.StatusBadRequest)
-		return
-	}
-	pt, epochs, ok := s.pinOwner(w, src)
-	if !ok {
-		return
-	}
-	s.writeAnswer(w, func(a *answer, b []byte) []byte { return appendRow(a, b, stamp{epochs: epochs}, pt, src) })
-}
-
 // triplesDefault is the /triples row budget when the client sends no
 // ?limit; Options.TriplesMax clamps it like any other limit.
 const triplesDefault = 10000
@@ -464,94 +369,4 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	s.writeAnswer(w, func(a *answer, b []byte) []byte {
 		return appendTriples(a, b, stamp{epochs: snap.Epochs}, snap.Adjacency, limit)
 	})
-}
-
-// algoQuery runs a kernel against the per-epoch-vector cached Graph and
-// writes its answer. A source that is not a vertex is the client's
-// error (404); an algorithm refusing the instance (asymmetric
-// triangles, no fixpoint) is 422.
-func (s *Server) algoQuery(w http.ResponseWriter, run func(g *algo.Graph) (result, error)) {
-	pins, epochs, ok := s.snapshot(w)
-	if !ok {
-		return
-	}
-	g, err := s.cache.graphFor(pins, epochs)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	res, err := run(g)
-	if err != nil {
-		http.Error(w, err.Error(), opStatus(err))
-		return
-	}
-	s.writeAnswer(w, func(a *answer, b []byte) []byte { return appendResult(a, b, stamp{epochs: epochs}, res) })
-}
-
-func (s *Server) sourceQuery(run func(g *algo.Graph, src string) (result, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		src := r.URL.Query().Get("src")
-		if src == "" {
-			http.Error(w, "want ?src=...", http.StatusBadRequest)
-			return
-		}
-		s.algoQuery(w, func(g *algo.Graph) (result, error) { return run(g, src) })
-	}
-}
-
-// The PageRank parameters a request leaves out, on GET /pagerank and a
-// /batch pagerank op alike.
-const (
-	defaultDamping = 0.85
-	defaultTol     = 1e-9
-	defaultIters   = 100
-)
-
-// pageRankParams validates the iteration's domain: damping ∈ (0, 1)
-// — the algorithm's own domain — (1.5 or −0.2 parse fine but drive the
-// power iteration to NaN or divergence, burning the full budget),
-// tol > 0, and iters within the server bound.
-func (s *Server) pageRankParams(damping, tol float64, iters int) error {
-	if !(damping > 0 && damping < 1) { // the negated form also rejects NaN
-		return fmt.Errorf("damping must satisfy 0 < damping < 1, got %v", damping)
-	}
-	if !(tol > 0) {
-		return fmt.Errorf("tol must be positive, got %v", tol)
-	}
-	if iters <= 0 {
-		return fmt.Errorf("iters must be positive, got %d", iters)
-	}
-	if iters > s.opt.MaxIters {
-		return fmt.Errorf("iters %d exceeds the server maximum %d", iters, s.opt.MaxIters)
-	}
-	return nil
-}
-
-func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	damping, tol, iters := defaultDamping, defaultTol, defaultIters
-	q := r.URL.Query()
-	var err error
-	if v := q.Get("damping"); v != "" {
-		if damping, err = strconv.ParseFloat(v, 64); err != nil {
-			http.Error(w, "bad damping", http.StatusBadRequest)
-			return
-		}
-	}
-	if v := q.Get("tol"); v != "" {
-		if tol, err = strconv.ParseFloat(v, 64); err != nil {
-			http.Error(w, "bad tol", http.StatusBadRequest)
-			return
-		}
-	}
-	if v := q.Get("iters"); v != "" {
-		if iters, err = strconv.Atoi(v); err != nil {
-			http.Error(w, "bad iters", http.StatusBadRequest)
-			return
-		}
-	}
-	if err := s.pageRankParams(damping, tol, iters); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.algoQuery(w, func(g *algo.Graph) (result, error) { return pageRankAnswer(g, damping, tol, iters) })
 }

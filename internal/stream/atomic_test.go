@@ -2,9 +2,11 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"adjarray/internal/iofault"
+	"adjarray/internal/keys"
 	"adjarray/internal/wal"
 )
 
@@ -145,6 +147,50 @@ func TestAppendRollsBackAtEveryFailpoint(t *testing.T) {
 		}
 		snapEqual(t, mustSnap(t, subject), mustSnap(t, control), tc.site)
 	}
+}
+
+// A batch the interner refuses — a key past the 4 GiB its slab offsets
+// reach or past 2³¹−1 keys, which once panicked under the view lock — is
+// refused whole: Append returns the refusal (keys.ErrTooManyKeys), the
+// view is as it was, and the batch's new vertices, interned up to the
+// refused key, are orphans no later read sees. Neither bound can be
+// reached here without allocating it (keys.TestInternerRefusesPastItsBounds
+// reaches both on the interner), so the refusal is returned where the
+// interning ends, as the destinations' InternBatch returns it.
+func TestRefusedInternLeavesTheViewUnchanged(t *testing.T) {
+	ops := plusTimes(t)
+	subject, control := NewView(ops), NewView(ops)
+	for _, b := range atomicSeed() {
+		if err := subject.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := control.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fingerprint(subject)
+	subject.failpoint = func(site string) error {
+		if site == "append:interned" {
+			return fmt.Errorf("stream: batch destinations: keys: 2147483648 keys %w", keys.ErrTooManyKeys)
+		}
+		return nil
+	}
+	refused := []Edge[float64]{Weighted("e06", "s9", "t9", 1.0, 1.0), Weighted("e07", "s1", "t8", 1.0, 1.0)}
+	if err := subject.Append(refused); !errors.Is(err, keys.ErrTooManyKeys) {
+		t.Fatalf("Append = %v; want the interner's refusal", err)
+	}
+	subject.failpoint = nil
+	if got := fingerprint(subject); got != before {
+		t.Fatalf("the refused batch moved the view: %+v, want %+v", got, before)
+	}
+	next := []Edge[float64]{Weighted("e06", "s1", "t3", 2.0, 2.0)}
+	if err := subject.Append(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := control.Append(next); err != nil {
+		t.Fatal(err)
+	}
+	snapEqual(t, mustSnap(t, subject), mustSnap(t, control), "after a refused batch")
 }
 
 // A mid-batch failure under the durable wrapper must keep the WAL

@@ -421,10 +421,15 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 
 	// One lock acquisition per side resolves the whole batch to interner
 	// ids, new vertices included: a new key takes the next id, and no
-	// existing id — so nothing already stored — moves.
+	// existing id — so nothing already stored — moves. A key the interner
+	// cannot number (keys.ErrTooManyKeys) refuses the batch.
 	s.srcIDs, s.dstIDs = grow(s.srcIDs[:0], n)[:n], grow(s.dstIDs[:0], n)[:n]
-	v.srcIn.InternBatch(s.srcs, s.srcIDs)
-	v.dstIn.InternBatch(s.dsts, s.dstIDs)
+	if err := v.srcIn.InternBatch(s.srcs, s.srcIDs); err != nil {
+		return fmt.Errorf("stream: batch sources: %w", err)
+	}
+	if err := v.dstIn.InternBatch(s.dsts, s.dstIDs); err != nil {
+		return fmt.Errorf("stream: batch destinations: %w", err)
+	}
 	if err := v.fail("append:interned"); err != nil {
 		return err
 	}
