@@ -416,6 +416,14 @@ func ingestSeeds() [][]byte {
 		[]byte(long(1<<16-2) + " b\nc d\n"),             // … and one byte past it
 		[]byte("caf\xc3\xa9 b\n\xff\xfe b\na\x85b c\n"), // UTF-8, invalid UTF-8, a bare NEL byte
 		[]byte("\r"),
+		// At the edges of splitEdge's ASCII split:
+		[]byte("a\vb\n\fc\fd\f\n"),                             // \v and \f separate
+		[]byte("a b\r\nc d \r\ne f\r"),                         // a trailing \r, with a blank and at the end
+		[]byte("  a b\n\t c d \t\n"),                           // leading and trailing blanks
+		[]byte("a b 1\nb c 2\n"),                               // three fields: a weight, or a key
+		[]byte("a #b\nc\t#\n#d e\n"),                           // '#' starts field two: no comment
+		[]byte("a\xc2\xa0 b\nc \xc3\xa9\nd\x80\te\nf g\xa0\n"), // a byte ≥ 0x80 beside a separator
+		[]byte("a b\nc\n"),                                     // a lone field
 		nil,
 	}
 }
@@ -604,8 +612,7 @@ func preloadLines() []byte {
 // which folds every shard one after another; fold_ms the store's own
 // count of the time in folds, summed over the shards (and folds how many
 // there were). parse_ms is a pass of the same lines into an add that
-// never appends (so it also writes every edge of the file to memory: an
-// upper bound), append_ms what is left of the op past the parse and the
+// keeps nothing, append_ms what is left of the op past the parse and the
 // pin: the appends run beside the parse, so it is what of them the parse
 // did not hide.
 func BenchmarkPreload(b *testing.B) {
@@ -614,8 +621,7 @@ func BenchmarkPreload(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var total, parse, fold, pin time.Duration
 			folds := 0
-			var dry []stream.Edge[float64]
-			add := collect(&dry)
+			discard := func([]stream.Edge[float64]) error { return nil }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -630,9 +636,8 @@ func BenchmarkPreload(b *testing.B) {
 				pin += p
 				fold += time.Duration(st.FoldNanos)
 				folds += st.Folds
-				dry = dry[:0]
 				start = time.Now()
-				if err := ingest(bytes.NewReader(data), false, add); err != nil {
+				if err := ingest(bytes.NewReader(data), false, discard); err != nil {
 					b.Fatal(err)
 				}
 				parse += time.Since(start)
@@ -644,6 +649,43 @@ func BenchmarkPreload(b *testing.B) {
 			b.ReportMetric(ms(pin), "first_pin_ms")
 			b.ReportMetric(ms(fold), "fold_ms")
 			b.ReportMetric(float64(folds)/float64(b.N), "folds")
+		})
+	}
+}
+
+// BenchmarkLineEdge is ingest's work on one line of the stream: the
+// preload's R-MAT "src dst" lines, the same lines behind a key (-keyed)
+// and with two weights, all of which splitEdge reads, and with a
+// non-ASCII vertex name, which goes to parseEdge.
+func BenchmarkLineEdge(b *testing.B) {
+	plain := strings.SplitN(string(preloadLines()), "\n", 4097)[:4096]
+	with := func(f func(i int, line string) string) []string {
+		out := make([]string, len(plain))
+		for i, line := range plain {
+			out[i] = f(i, line)
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		keyed bool
+		lines []string
+	}{
+		{"two-field", false, plain},
+		{"keyed", true, with(func(i int, line string) string { return fmt.Sprintf("k%06d %s", i, line) })},
+		{"weighted", false, with(func(_ int, line string) string { return line + " 2.5 0.5" })},
+		{"non-ASCII", false, with(func(_ int, line string) string { return "caf\u00e9" + line })},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			edges := make([]stream.Edge[float64], 0, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				es, err := lineEdge(edges, c.lines[i&(len(c.lines)-1)], c.keyed)
+				if err != nil || len(es) != 1 {
+					b.Fatalf("%d edges, error %v", len(es), err)
+				}
+			}
 		})
 	}
 }

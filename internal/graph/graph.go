@@ -76,30 +76,44 @@ func New(edges []Edge) (*Graph, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d edges exceed the 2^31-1 an edge index holds", n)
 	}
+	// Edges given in strict key order are taken as they lie: FromSorted's
+	// one pass over their keys is the test, and the first invalid edge
+	// in that order is the one reported. Any other order is sorted.
+	eks := make([]string, n)
+	bad := -1
+	for i := range edges {
+		e := &edges[i]
+		if bad < 0 && (e.Key == "" || e.Src == "" || e.Dst == "") {
+			bad = i
+		}
+		eks[i] = e.Key
+	}
+	edgeKeys, err := keys.FromSorted(eks)
 	// order[i] is where the i-th edge in key order sits in edges; nil
 	// when that is i itself.
 	var order []int32
-	if !slices.IsSortedFunc(edges, func(a, b Edge) int { return strings.Compare(a.Key, b.Key) }) {
+	switch {
+	case err != nil:
 		order = make([]int32, n)
 		for i := range order {
 			order[i] = int32(i)
 		}
 		slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(edges[a].Key, edges[b].Key) })
-	}
-	eks := make([]string, n)
-	for i := range eks {
-		e := edgeAt(edges, order, i)
-		if e.Key == "" || e.Src == "" || e.Dst == "" {
-			return nil, fmt.Errorf("graph: edge %d has empty key/src/dst: %+v", i, *e)
+		for i := range eks {
+			e := edgeAt(edges, order, i)
+			if e.Key == "" || e.Src == "" || e.Dst == "" {
+				return nil, fmt.Errorf("graph: edge %d has empty key/src/dst: %+v", i, *e)
+			}
+			if i > 0 && eks[i-1] == e.Key {
+				return nil, fmt.Errorf("graph: duplicate edge key %q", e.Key)
+			}
+			eks[i] = e.Key
 		}
-		if i > 0 && eks[i-1] == e.Key {
-			return nil, fmt.Errorf("graph: duplicate edge key %q", e.Key)
+		if edgeKeys, err = keys.FromSorted(eks); err != nil {
+			return nil, fmt.Errorf("graph: edge keys: %w", err) // unreachable: checked above
 		}
-		eks[i] = e.Key
-	}
-	edgeKeys, err := keys.FromSorted(eks)
-	if err != nil {
-		return nil, fmt.Errorf("graph: edge keys: %w", err) // unreachable: checked above
+	case bad >= 0:
+		return nil, fmt.Errorf("graph: edge %d has empty key/src/dst: %+v", bad, edges[bad])
 	}
 	g := &Graph{edgeKeys: edgeKeys}
 	// The two endpoint columns share nothing: each has its own interner.

@@ -29,16 +29,22 @@ type Weights[V any] struct {
 // entry would contradict Definition I.4's "non-zero iff incident".
 func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *assoc.Array[V], err error) {
 	n := g.NumEdges()
-	// Both columns of an unweighted graph are n copies of One, and the
-	// arrays are never written: Eout and Ein share one.
 	outV := make([]V, n)
 	inV := outV
-	if w.Out != nil || w.In != nil {
+	if w.Out == nil && w.In == nil {
+		// Both columns of an unweighted graph are n copies of One, and the
+		// arrays are never written: Eout and Ein share one. One is checked
+		// once, and is refused at the first edge.
+		if n > 0 && ops.IsZero(ops.One) {
+			return nil, nil, fmt.Errorf("graph: out-weight of edge %q is the zero element", g.edgeKeys.Key(0))
+		}
+		for i := range outV {
+			outV[i] = ops.One
+		}
+	} else {
 		inV = make([]V, n)
-	}
-	for i := range outV {
-		ov, iv := ops.One, ops.One
-		if w.Out != nil || w.In != nil {
+		for i := range outV {
+			ov, iv := ops.One, ops.One
 			e := g.edge(i)
 			if w.Out != nil {
 				ov = w.Out(e)
@@ -46,14 +52,14 @@ func Incidence[V any](g *Graph, ops semiring.Ops[V], w Weights[V]) (eout, ein *a
 			if w.In != nil {
 				iv = w.In(e)
 			}
+			if ops.IsZero(ov) {
+				return nil, nil, fmt.Errorf("graph: out-weight of edge %q is the zero element", g.edgeKeys.Key(i))
+			}
+			if ops.IsZero(iv) {
+				return nil, nil, fmt.Errorf("graph: in-weight of edge %q is the zero element", g.edgeKeys.Key(i))
+			}
+			outV[i], inV[i] = ov, iv
 		}
-		if ops.IsZero(ov) {
-			return nil, nil, fmt.Errorf("graph: out-weight of edge %q is the zero element", g.edgeKeys.Key(i))
-		}
-		if ops.IsZero(iv) {
-			return nil, nil, fmt.Errorf("graph: in-weight of edge %q is the zero element", g.edgeKeys.Key(i))
-		}
-		outV[i], inV[i] = ov, iv
 	}
 	// One entry per row, rows already in edge-key order: the structure
 	// of both arrays — the row pointer 0..n and the endpoint columns —

@@ -361,25 +361,56 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	ops := v.ops
 	s := &v.scr
 	n0, n := len(v.srcID), len(edges)
-	var last keyRef
-	if n0 > 0 {
-		last = v.keys.ref(n0 - 1)
+	s.srcs, s.dsts = s.srcs[:0], s.dsts[:0]
+	genAt, given := -1, 0 // the first edge whose key is generated; the given keys
+	hasOut, hasIn := v.out != nil, v.in != nil
+	for i := range edges {
+		e := &edges[i]
+		if e.Key != "" {
+			given++
+		} else if genAt < 0 {
+			genAt = i
+		}
+		hasOut, hasIn = hasOut || e.HasOut, hasIn || e.HasIn
+		s.srcs = append(s.srcs, e.Src)
+		s.dsts = append(s.dsts, e.Dst)
 	}
+	// The values are staged only for a column that exists or that the
+	// batch brings into being.
+	s.outs, s.ins = s.outs[:0], s.ins[:0]
+	if hasOut || hasIn {
+		for _, e := range edges {
+			ov, iv := e.Out, e.In
+			if !e.HasOut {
+				ov = ops.One
+			}
+			if !e.HasIn {
+				iv = ops.One
+			}
+			s.outs = append(s.outs, ov)
+			s.ins = append(s.ins, iv)
+		}
+	}
+
 	// Keys are checked as references: a generated key is a sequence
 	// number under the generator's base, compared as a number while it
 	// follows a key of its own run and formatted only where it meets
 	// another kind of key. The generator state moves only if the batch
 	// commits.
+	var last keyRef
+	if n0 > 0 {
+		last = v.keys.ref(n0 - 1)
+	}
 	base, seq := v.autoBase, v.autoSeq
-	if i := slices.IndexFunc(edges, func(e Edge[V]) bool { return e.Key == "" }); i >= 0 {
+	if genAt >= 0 {
 		if base == "" {
 			base = "e"
 		}
-		if n0 > 0 && !last.less(keyRef{s: base, seq: seq + i, auto: true}) {
+		if n0 > 0 && !last.less(keyRef{s: base, seq: seq + genAt, auto: true}) {
 			// The next generated key would not sort after the log (given
 			// keys past it, or a recovered log with other keys): reseed the
 			// generator past the log's last key.
-			base, seq = last.String()+"+", -i
+			base, seq = last.String()+"+", -genAt
 		}
 	}
 	keyOf := func(i int) keyRef {
@@ -388,35 +419,22 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 		}
 		return keyRef{s: base, seq: seq + i, auto: true}
 	}
-	s.srcs, s.dsts = s.srcs[:0], s.dsts[:0]
-	s.outs, s.ins = s.outs[:0], s.ins[:0]
-	var prev keyRef
-	given := 0
-	hasOut, hasIn := v.out != nil, v.in != nil
-	for i, e := range edges {
-		key := keyOf(i)
-		if e.Key != "" {
-			given++
+	// A batch whose keys are all generated, at one width, is one run that
+	// increases by itself, and its first key was just checked against the
+	// log's last (or the generator reseeded past it). Any other batch is
+	// checked key by key.
+	if given > 0 || seq < 0 || seq+n > autoKeyLimit {
+		var prev keyRef
+		for i := range edges {
+			key := keyOf(i)
+			if i > 0 && !prev.less(key) {
+				return fmt.Errorf("stream: batch edge keys not strictly increasing at %d: %q <= %q", i, key, prev)
+			}
+			prev = key
 		}
-		if i > 0 && !prev.less(key) {
-			return fmt.Errorf("stream: batch edge keys not strictly increasing at %d: %q <= %q", i, key, prev)
+		if first := keyOf(0); n0 > 0 && !last.less(first) {
+			return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", first, last)
 		}
-		prev = key
-		ov, iv := e.Out, e.In
-		if !e.HasOut {
-			ov = ops.One
-		}
-		if !e.HasIn {
-			iv = ops.One
-		}
-		hasOut, hasIn = hasOut || e.HasOut, hasIn || e.HasIn
-		s.srcs = append(s.srcs, e.Src)
-		s.dsts = append(s.dsts, e.Dst)
-		s.outs = append(s.outs, ov)
-		s.ins = append(s.ins, iv)
-	}
-	if first := keyOf(0); n0 > 0 && !last.less(first) {
-		return fmt.Errorf("stream: batch key %q does not sort after the log's last key %q", first, last)
 	}
 
 	// One lock acquisition per side resolves the whole batch to interner
@@ -433,12 +451,16 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	if err := v.fail("append:interned"); err != nil {
 		return err
 	}
-	// A batch of generated keys that continues the log's run adds nothing
-	// to the key column; one of unweighted edges nothing to a value column
-	// that does not exist yet.
-	v.keys.spelled = grow(v.keys.spelled, given)
-	for i := range edges {
-		v.keys.add(n0+i, keyOf(i))
+	// A batch of generated keys adds one run to the key column at most —
+	// none when it continues the log's — and one of unweighted edges
+	// nothing to a value column that does not exist yet.
+	if given == 0 {
+		v.keys.add(n0, keyOf(0))
+	} else {
+		v.keys.spelled = grow(v.keys.spelled, given)
+		for i := range edges {
+			v.keys.add(n0+i, keyOf(i))
+		}
 	}
 	v.srcID = append(grow(v.srcID, n), s.srcIDs...)
 	v.dstID = append(grow(v.dstID, n), s.dstIDs...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -443,5 +444,112 @@ func TestUnreadAppendsFoldOnce(t *testing.T) {
 			}
 			check("read after one more batch", 2)
 		})
+	}
+}
+
+// A batch whose keys are all generated adds one run to the key column at
+// most, and spells no key; batches that mix generated and given keys, in
+// one batch or one after the other, are checked key by key, and accepted
+// or refused with the texts they always had.
+func TestGeneratedBatchIsOneRun(t *testing.T) {
+	batch := func(keys ...string) []Edge[float64] {
+		es := make([]Edge[float64], len(keys))
+		for i, k := range keys {
+			es[i] = Edge[float64]{Key: k, Src: fmt.Sprint("v", i%7), Dst: fmt.Sprint("v", i%5)}
+		}
+		return es
+	}
+	generated := func(n int) []Edge[float64] { return batch(make([]string, n)...) }
+
+	v := NewView(semiring.PlusTimes())
+	for b := 0; b < 3; b++ {
+		if err := v.Append(generated(512)); err != nil {
+			t.Fatal(err)
+		}
+		if len(v.keys.runs) != 1 || len(v.keys.spelled) != 0 {
+			t.Fatalf("after %d generated batches: %d runs, %d spelled keys", b+1, len(v.keys.runs), len(v.keys.spelled))
+		}
+	}
+	if err := v.Append(batch("f")); err != nil {
+		t.Fatal(err)
+	}
+	runs, spelled := len(v.keys.runs), len(v.keys.spelled)
+	if err := v.Append(generated(512)); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.keys.runs) != runs+1 || len(v.keys.spelled) != spelled {
+		t.Errorf("a generated batch after a given key: runs %d → %d, spelled %d → %d", runs, len(v.keys.runs), spelled, len(v.keys.spelled))
+	}
+	ks := v.keys.spell(len(v.srcID))
+	for i, k := range ks {
+		want := fmt.Sprintf("e%012d", i)
+		switch {
+		case i == 1536:
+			want = "f"
+		case i > 1536:
+			want = fmt.Sprintf("f+%012d", i-1537)
+		}
+		if k != want {
+			t.Fatalf("key %d is %q, want %q", i, k, want)
+		}
+	}
+
+	refused := func(i int, key, prev string) string {
+		return fmt.Sprintf("stream: batch edge keys not strictly increasing at %d: %q <= %q", i, key, prev)
+	}
+	stale := func(key, last string) string {
+		return fmt.Sprintf("stream: batch key %q does not sort after the log's last key %q", key, last)
+	}
+	cases := []struct {
+		name    string
+		seq     int // the generator's state before the first batch
+		batches [][]Edge[float64]
+		errs    []string // each batch's error, "" for none
+		keys    []string // the log's keys after the last batch
+	}{
+		{"generated, then given", 0,
+			[][]Edge[float64]{generated(3), batch("a"), batch("e000000000002"), batch("e000000000003"), generated(2), batch("f")},
+			[]string{"", stale("a", "e000000000002"), stale("e000000000002", "e000000000002"), "", "", ""},
+			[]string{"e000000000000", "e000000000001", "e000000000002", "e000000000003", "e000000000004", "e000000000005", "f"}},
+		{"given, then generated", 0,
+			[][]Edge[float64]{batch("k"), generated(2), batch("k+000000000001"), batch("l"), generated(1)},
+			[]string{"", "", stale("k+000000000001", "k+000000000001"), "", ""},
+			[]string{"k", "k+000000000000", "k+000000000001", "l", "l+000000000000"}},
+		{"given past the generator, then generated", 0,
+			[][]Edge[float64]{batch("e000000000005"), generated(3), generated(2)},
+			[]string{"", "", ""},
+			[]string{"e000000000005", "e000000000005+000000000000", "e000000000005+000000000001", "e000000000005+000000000002", "e000000000005+000000000003", "e000000000005+000000000004"}},
+		{"given, then generated, in one batch", 0,
+			[][]Edge[float64]{batch("z", ""), batch("", "z"), generated(1)},
+			[]string{refused(1, "e000000000001", "z"), "", ""},
+			[]string{"e000000000000", "z", "z+000000000000"}},
+		{"generated, then given, in one batch", 0,
+			[][]Edge[float64]{batch("", "", "b", ""), batch("", "zz"), batch("zz", "")},
+			[]string{refused(2, "b", "e000000000001"), "", stale("zz", "zz")},
+			[]string{"e000000000000", "zz"}},
+		{"generated keys that change width", autoKeyLimit - 2,
+			[][]Edge[float64]{generated(4), generated(2), generated(1)},
+			[]string{refused(2, "e1000000000000", "e999999999999"), "", ""},
+			[]string{"e999999999998", "e999999999999", "e999999999999+000000000000"}},
+		{"generated keys past the width", autoKeyLimit,
+			[][]Edge[float64]{generated(3), generated(2)},
+			[]string{"", ""},
+			[]string{"e1000000000000", "e1000000000001", "e1000000000002", "e1000000000003", "e1000000000004"}},
+	}
+	for _, c := range cases {
+		v := NewView(semiring.PlusTimes())
+		v.autoSeq = c.seq
+		for i, b := range c.batches {
+			got := ""
+			if err := v.Append(b); err != nil {
+				got = err.Error()
+			}
+			if got != c.errs[i] {
+				t.Errorf("%s: batch %d: error %q, want %q", c.name, i, got, c.errs[i])
+			}
+		}
+		if got := v.keys.spell(len(v.srcID)); !slices.Equal(got, c.keys) {
+			t.Errorf("%s: keys %q, want %q", c.name, got, c.keys)
+		}
 	}
 }
