@@ -23,7 +23,6 @@ import (
 // interface or nothing.
 func TestNoDeadExports(t *testing.T) {
 	allowed := map[string]string{
-		"assoc.MulMasked":              "the masked mxm with no production caller: ROADMAP item 5(a) decides keep or delete",
 		"assoc.ReduceAll":              "the total the algo, conformance-law and dataset tests check a product against",
 		"assoc.Array.RowDegrees":       "the figure tests check the paper's Figure 1 out-degrees through it",
 		"dataset.Figure1RowDegrees":    "the paper's Figure 1 out-degrees, which the root figure tests check",

@@ -161,9 +161,8 @@
 // suffix is the same kernel while the view holds no adjacency yet, and
 // then sparse.GroupUnitRows, which groups the suffix by cell and leaves
 // the folding to the merge that continues the adjacency's cells.
-// Anything else — hyperedge rows, multi-hop A·A, masked
-// products, row keys that merely overlap — multiplies on the engine
-// below. The results cannot be told apart: row s of a unit-row Eoutᵀ
+// Anything else — hyperedge rows, multi-hop A·A, row keys that merely
+// overlap — multiplies on the engine below. The results cannot be told apart: row s of a unit-row Eoutᵀ
 // lists the edges out of s in key order, so the engine meets the
 // contributions to A(s,d) in the order the fold does, and both apply ⊕
 // left to right and prune at emission. internal/conformance enforces it,
@@ -177,10 +176,8 @@
 // # Multiplication engine
 //
 // Every general array multiplication runs on one engine,
-// sparse.Mxm(mask, A, B, ⊕.⊗, options): two-phase symbolic/numeric
-// SpGEMM. A stamp-only
-// symbolic pass computes exact per-row output sizes (under a mask the
-// mask's own row sizes are the bound and the pass is skipped), the
+// sparse.Mxm(A, B, ⊕.⊗, options): two-phase symbolic/numeric SpGEMM. A
+// stamp-only symbolic pass computes exact per-row output sizes, the
 // output arrays are allocated once, and the numeric pass writes rows in
 // place (no stitch step). MulOptions{} is serial: one span, run inline.
 // With MulOptions.Workers > 1 (or < 0 for GOMAXPROCS) both phases run

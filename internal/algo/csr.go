@@ -458,48 +458,54 @@ func (g *Graph) Components() (map[string]string, error) {
 	return out, nil
 }
 
-// TriangleCount is the CSR-native triangle count: per stored edge (i,j)
-// of the symmetric pattern, the wedge count |N(i) ∩ N(j)| by sorted
-// intersection — the masked (A·A) ∘ A of the reference without
-// materializing products — summed and divided by 6. Only index
-// structure is read: symmetry is checked by probing, each stored (i,j)
-// searching row j for i, so nothing the size of the matrix is built.
+// TriangleCount is the CSR-native triangle count: the masked product
+// L·L⟨L⟩ read off the pattern, no L built. For each stored (i,j) with
+// j < i it counts the k < j that rows i and j both hold, so each
+// triangle is counted once. The reference sums (A·A) ∘ A, the wedge
+// count W = trace(A³), which is 6T plus 3·deg(i) − 2 for every vertex i
+// with a stored (i,i); that term is added back, so W, its divisibility
+// check and the answer are the reference's. Only index structure is
+// read. Symmetry is probed: each stored (i,j) below the diagonal finds
+// (j,i), and as many entries lie above the diagonal as below.
 func (g *Graph) TriangleCount() (int, error) {
-	var wedges int64
-	n := g.verts.Len()
-	for i := 0; i < n; i++ {
+	var tri, loops, lower, upper int64
+	for i := 0; i < g.verts.Len(); i++ {
 		ri, _ := g.adj.Row(i)
-		for _, j := range ri {
+		below, diag := slices.BinarySearch(ri, int32(i))
+		lower += int64(below)
+		upper += int64(len(ri) - below)
+		if diag {
+			upper--
+			loops += 3*int64(len(ri)) - 2
+		}
+		for p, j := range ri[:below] {
 			rj, _ := g.adj.Row(int(j))
 			if _, ok := slices.BinarySearch(rj, int32(i)); !ok {
 				return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
 			}
-			wedges += intersectCount(ri, rj)
+			// ri[:p] holds the k < j of row i; count those row j holds.
+			for a, b := 0, 0; a < p && b < len(rj); {
+				switch {
+				case ri[a] < rj[b]:
+					a++
+				case ri[a] > rj[b]:
+					b++
+				default:
+					tri++
+					a++
+					b++
+				}
+			}
 		}
 	}
+	if lower != upper {
+		return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
+	}
+	wedges := 6*tri + loops
 	if wedges%6 != 0 {
 		return 0, fmt.Errorf("algo: wedge count %v not divisible by 6 (self-loops present?)", wedges)
 	}
 	return int(wedges / 6), nil
-}
-
-// intersectCount counts common elements of two ascending id slices.
-func intersectCount(a, b []int32) int64 {
-	var c int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }
 
 // PageRank is the CSR-native damped PageRank as a map: PageRankVector's

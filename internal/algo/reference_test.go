@@ -201,13 +201,16 @@ func refTriangleCount[V any](a *assoc.Array[V]) (int, error) {
 		return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
 	}
 	ops := semiring.PlusTimes()
-	// Masked multiply computes (A·A) ∘ A directly, never materializing
-	// the dense wedge matrix A² — the GraphBLAS triangle idiom.
-	masked, err := assoc.MulMasked(p, p, p, ops, assoc.MulOptions{})
+	// The literal definition: A² whole, then kept on A's pattern.
+	sq, err := assoc.Mul(p, p, ops, assoc.MulOptions{})
 	if err != nil {
 		return 0, err
 	}
-	total, any := assoc.ReduceAll(masked, ops.Add)
+	wedges, err := assoc.ElementMul(sq, p, ops)
+	if err != nil {
+		return 0, err
+	}
+	total, any := assoc.ReduceAll(wedges, ops.Add)
 	if !any {
 		return 0, nil
 	}

@@ -37,7 +37,7 @@ func Mul[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V],
 			return nil, fmt.Errorf("assoc: align rhs: %w", err)
 		}
 	}
-	cm, err := sparse.Mxm(nil, am, bm, ops, opt)
+	cm, err := sparse.Mxm(am, bm, ops, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -118,24 +118,6 @@ func alignUnion[V any](a, b *Array[V]) (*Array[V], *Array[V], error) {
 		return nil, nil, fmt.Errorf("assoc: align rhs: %w", err)
 	}
 	return &Array[V]{rows: rows, cols: cols, mat: am}, &Array[V]{rows: rows, cols: cols, mat: bm}, nil
-}
-
-// MulMasked computes (A ⊕.⊗ B) ∘ pattern(M) without materializing the
-// full product — GraphBLAS-style masked multiplication. The operands
-// must already be key-aligned: A's column keys equal B's row keys, and
-// M's key sets equal A's rows × B's columns.
-func MulMasked[V, M any](a, b *Array[V], mask *Array[M], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
-	if !a.cols.Equal(b.rows) {
-		return nil, fmt.Errorf("assoc: MulMasked requires aligned shared keys")
-	}
-	if !mask.rows.Equal(a.rows) || !mask.cols.Equal(b.cols) {
-		return nil, fmt.Errorf("assoc: MulMasked mask keys must be rows(A)×cols(B)")
-	}
-	m, err := sparse.Mxm(mask.mat.Pattern(), a.mat, b.mat, ops, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Array[V]{rows: a.rows, cols: b.cols, mat: m}, nil
 }
 
 // MulDense computes A ⊕.⊗ B by the literal Definition I.3, folding over

@@ -42,10 +42,9 @@ func incidenceWorkload(n, ef int) (*CSR[float64], *CSR[float64]) {
 
 // BenchmarkMxm times the engine serial and at 2 workers against the
 // merge reference, on random squares and on the adjacency-construction
-// shape of the root BenchmarkConstructionScaling. (The masked arms are
-// BenchmarkMulMaskedParallel; the append-grown legacy/gustavson/hash
-// kernels this benchmark used to carry left their last numbers in
-// CHANGES.md, PR 13.)
+// shape of the root BenchmarkConstructionScaling. (The append-grown
+// legacy/gustavson/hash kernels this benchmark used to carry left their
+// last numbers in CHANGES.md, PR 13.)
 func BenchmarkMxm(b *testing.B) {
 	type workload struct {
 		name string
@@ -69,7 +68,7 @@ func BenchmarkMxm(b *testing.B) {
 			b.Run(w.name+"/"+arm.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Mxm(nil, w.a, w.c, ops, arm.opt); err != nil {
+					if _, err := Mxm(w.a, w.c, ops, arm.opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -139,7 +138,7 @@ func BenchmarkParallelFlopFloor(b *testing.B) {
 			b.Run(fmt.Sprintf("n%d/%s", n, cfg.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Mxm(nil, a, c, ops, MxmOptions{Workers: 4, FlopFloor: cfg.floor}); err != nil {
+					if _, err := Mxm(a, c, ops, MxmOptions{Workers: 4, FlopFloor: cfg.floor}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -204,7 +203,7 @@ func BenchmarkFoldUnitRows(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/mxm-w%d", ops.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Mxm(nil, eout.Transpose(), ein, ops, opt); err != nil {
+					if _, err := Mxm(eout.Transpose(), ein, ops, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

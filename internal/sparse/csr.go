@@ -108,8 +108,8 @@ func (m *CSR[V]) Parts() (rowPtr, colIdx []int32, val []V) { return m.rowPtr, m.
 
 // Pattern is the structure of a CSR without its values: a []struct{}
 // occupies nothing, so a Pattern costs its index arrays and its
-// Transpose 4 bytes per stored entry. It is the form a mask takes (Mxm)
-// and what the structural graph kernels read.
+// Transpose 4 bytes per stored entry. It is what the structural graph
+// kernels read.
 type Pattern = CSR[struct{}]
 
 // Pattern returns m's structure, sharing (not copying) its index

@@ -174,7 +174,7 @@ func TestFoldUnitRowsMatchesMxmAndOracle(t *testing.T) {
 					}
 					return a
 				}
-				mxm := wrap(sparse.Mxm(nil, eout.Transpose(), ein, ops, sparse.MxmOptions{}))
+				mxm := wrap(sparse.Mxm(eout.Transpose(), ein, ops, sparse.MxmOptions{}))
 				for _, workers := range []int{1, 2, 4} {
 					opt := sparse.MxmOptions{Workers: workers, FlopFloor: -1}
 					fold := wrap(sparse.FoldUnitRows(c.rows, c.cols, c.row, c.col, c.out, c.in, ops, opt))

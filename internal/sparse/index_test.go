@@ -93,7 +93,7 @@ func TestMxmRefusesAnOverflowingSymbolicBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		if _, err := Mxm(nil, col, row, semiring.PlusTimes(), MxmOptions{Workers: workers, FlopFloor: -1}); !errors.Is(err, ErrIndexRange) {
+		if _, err := Mxm(col, row, semiring.PlusTimes(), MxmOptions{Workers: workers, FlopFloor: -1}); !errors.Is(err, ErrIndexRange) {
 			t.Errorf("workers %d: %v, want an error wrapping ErrIndexRange", workers, err)
 		}
 	}

@@ -2,31 +2,27 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
 
 	"adjarray/internal/parallel"
 	"adjarray/internal/semiring"
 )
 
-// Mxm — the one multiplication engine: C⟨M⟩ = A ⊕.⊗ B, two-phase
+// Mxm — the one multiplication engine: C = A ⊕.⊗ B, two-phase
 // symbolic/numeric, over flop-balanced row spans.
 //
-//  1. Bound: every output row gets a disjoint range of the output
-//     arrays. Unmasked, a stamp-only symbolic pass (no values, no ⊗/⊕
-//     calls) counts the distinct output columns per row. Masked, row i
-//     of C⟨M⟩ ⊆ row i of M, so the mask's own rowPtr is the bound and
-//     the symbolic pass is skipped.
+//  1. Bound: a stamp-only symbolic pass (no values, no ⊗/⊕ calls)
+//     counts the distinct output columns per row, so every output row
+//     gets a disjoint range of the output arrays.
 //  2. The bounds are prefix-summed into rowPtr and colIdx/val are
 //     allocated exactly once.
 //  3. Numeric phase: the value fold runs row by row, writing each row's
 //     entries directly into its [rowPtr[i], rowPtr[i+1]) range.
 //
-// Entries that fold to the algebra's zero are pruned at emission, and a
-// masked row holds only the mask cells the product reaches, so a row
-// can end up shorter than its bound; finalizeTwoPhase compacts storage
-// leftward in that case. Output rows are independent and each row folds
-// in ascending-k order (Definition I.3) whatever span it lands in, so
-// the result is bit-identical across Workers for any ⊕, including
+// Entries that fold to the algebra's zero are pruned at emission, so a
+// row can end up shorter than its bound; finalizeTwoPhase compacts
+// storage leftward in that case. Output rows are independent and each
+// row folds in ascending-k order (Definition I.3) whatever span it lands
+// in, so the result is bit-identical across Workers for any ⊕, including
 // non-commutative and non-associative ones.
 
 // DefaultParallelFlopFloor is the symbolic flop count below which Mxm
@@ -47,49 +43,38 @@ type MxmOptions struct {
 	FlopFloor int64
 }
 
-// Mxm computes C = A ⊕.⊗ B restricted to the cells mask stores
-// (GraphBLAS's C⟨M⟩; nil mask = the whole product), pruning entries
-// that fold to the algebra's zero. Contributions to cells outside the
-// mask are never accumulated, not merely filtered afterwards. The mask
-// is a Pattern, so Mxm needs no second type parameter. Scratch comes
-// from the package pools, so repeated multiplications allocate only
-// their output. A product whose symbolic bound passes 2³¹−1 entries is
-// refused (ErrIndexRange) before anything is allocated for it.
-func Mxm[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], opt MxmOptions) (*CSR[V], error) {
+// Mxm computes C = A ⊕.⊗ B, pruning entries that fold to the algebra's
+// zero. Scratch comes from the package pools, so repeated
+// multiplications allocate only their output. A product whose symbolic
+// bound passes 2³¹−1 entries is refused (ErrIndexRange) before anything
+// is allocated for it.
+func Mxm[V any](a, b *CSR[V], ops semiring.Ops[V], opt MxmOptions) (*CSR[V], error) {
 	if err := checkDims(a, b); err != nil {
 		return nil, err
-	}
-	if mask != nil && (mask.rows != a.rows || mask.cols != b.cols) {
-		return nil, &ShapeError{ARows: a.rows, ACols: b.cols, BRows: mask.rows, BCols: mask.cols}
 	}
 	rows := a.rows
 	// nil bounds = one span, run inline: no goroutine, no closure, no
 	// flop prefix.
 	bounds := flopSpans(a, b, opt)
 
-	var rowPtr []int32
-	if mask != nil {
-		rowPtr = slices.Clone(mask.rowPtr)
+	rowPtr := make([]int32, rows+1)
+	if bounds == nil {
+		symbolicSpan(a, b, rowPtr, 0, rows)
 	} else {
-		rowPtr = make([]int32, rows+1)
-		if bounds == nil {
-			symbolicSpan(a, b, rowPtr, 0, rows)
-		} else {
-			parallel.ForSpans(bounds, func(lo, hi int) { symbolicSpan(a, b, rowPtr, lo, hi) })
-		}
-		if err := prefixCounts(rowPtr); err != nil {
-			return nil, fmt.Errorf("sparse: Mxm: symbolic bound: %w", err)
-		}
+		parallel.ForSpans(bounds, func(lo, hi int) { symbolicSpan(a, b, rowPtr, lo, hi) })
+	}
+	if err := prefixCounts(rowPtr); err != nil {
+		return nil, fmt.Errorf("sparse: Mxm: symbolic bound: %w", err)
 	}
 
 	colIdx := make([]int32, rowPtr[rows])
 	val := make([]V, rowPtr[rows])
 	rowLen := make([]int32, rows)
 	if bounds == nil {
-		numericSpan(mask, a, b, ops, rowPtr, rowLen, colIdx, val, 0, rows)
+		numericSpan(a, b, ops, rowPtr, rowLen, colIdx, val, 0, rows)
 	} else {
 		parallel.ForSpans(bounds, func(lo, hi int) {
-			numericSpan(mask, a, b, ops, rowPtr, rowLen, colIdx, val, lo, hi)
+			numericSpan(a, b, ops, rowPtr, rowLen, colIdx, val, lo, hi)
 		})
 	}
 	return finalizeTwoPhase(rows, b.cols, rowPtr, rowLen, colIdx, val), nil
@@ -112,7 +97,7 @@ func spanWorkers(workers, n int) int {
 // carry most of the flops, so the per-row flop prefix is cut at
 // equal-work targets (parallel.BalancedSpans) rather than splitting
 // rows evenly. The same spans drive both phases: the numeric pass scans
-// the same flops the symbolic pass counted, masked or not.
+// the same flops the symbolic pass counted.
 func flopSpans[V any](a, b *CSR[V], opt MxmOptions) []int {
 	if spanWorkers(opt.Workers, a.rows) == 1 {
 		return nil
@@ -187,20 +172,14 @@ func symbolicRow[V any](a, b *CSR[V], i int, s *stampBox) int32 {
 
 // numericSpan folds rows [lo, hi) into their preallocated output
 // ranges and records how many entries each row kept in rowLen.
-func numericSpan[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], rowPtr, rowLen, colIdx []int32, val []V, lo, hi int) {
+func numericSpan[V any](a, b *CSR[V], ops semiring.Ops[V], rowPtr, rowLen, colIdx []int32, val []V, lo, hi int) {
 	pool := accPoolFor[V]()
 	sb := getStampBox(b.cols)
 	vb := getAccBox[V](pool, b.cols)
 	s := pooledSPA(sb, vb)
-	if mask == nil {
-		rowFn := numericRowFor(ops)
-		for i := lo; i < hi; i++ {
-			rowLen[i] = int32(rowFn(a, b, ops, i, s, colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]))
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			rowLen[i] = int32(maskedRow(mask, a, b, ops, i, s, colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]))
-		}
+	rowFn := numericRowFor(ops)
+	for i := lo; i < hi; i++ {
+		rowLen[i] = int32(rowFn(a, b, ops, i, s, colIdx[rowPtr[i]:rowPtr[i+1]], val[rowPtr[i]:rowPtr[i+1]]))
 	}
 	releaseKernelScratch(pool, sb, s, vb)
 }
@@ -234,70 +213,13 @@ func numericRow[V any](a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstC
 	return s.emit(ops, dstCol, dstVal)
 }
 
-// maskedRow is numericRow restricted to the cells of mask row i; dst
-// slices must have room for that mask row.
-func maskedRow[V any](mask *Pattern, a, b *CSR[V], ops semiring.Ops[V], i int, s *spa[V], dstCol []int32, dstVal []V) int {
-	open := mask.colIdx[mask.rowPtr[i]:mask.rowPtr[i+1]]
-	if len(open) == 0 {
-		return 0
-	}
-	s.accumulateMasked(open, a, b, ops, i)
-	return s.emit(ops, dstCol, dstVal)
-}
-
-// accumulateMasked is reset + accumulate restricted to the columns in
-// open (one mask row, ascending): contributions elsewhere are skipped
-// before ⊗ is called. One stamp array carries both facts — a row takes
-// two consecutive stamp values, cur-1 marking a column open and not yet
-// hit, cur marking it accumulated — so emit reads the stamps unchanged.
-func (s *spa[V]) accumulateMasked(open []int32, a, b *CSR[V], ops semiring.Ops[V], i int) {
-	s.current += 2
-	acc, stamp, cur := s.acc, s.stamp, s.current
-	unhit := cur - 1
-	for _, j := range open {
-		stamp[j] = unhit
-	}
-	touched := s.touched[:0]
-	var minJ, maxJ int32 = -1, -1
-	for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ { // ascending k: Definition I.3 fold order
-		k := a.colIdx[p]
-		av := a.val[p]
-		lo, hi := b.rowPtr[k], b.rowPtr[k+1]
-		bVal := b.val[lo:hi]
-		// Most of a selective mask's scan fails this one comparison:
-		// stamps only grow, so anything below unhit is a stale column.
-		for q, j := range b.colIdx[lo:hi] {
-			st := stamp[j]
-			if st < unhit {
-				continue
-			}
-			prod := ops.Mul(av, bVal[q])
-			if st == cur {
-				acc[j] = ops.Add(acc[j], prod)
-				continue
-			}
-			stamp[j] = cur
-			acc[j] = prod
-			touched = append(touched, j)
-			if minJ < 0 || j < minJ {
-				minJ = j
-			}
-			if j > maxJ {
-				maxJ = j
-			}
-		}
-	}
-	s.touched = touched
-	s.minJ, s.maxJ = minJ, maxJ
-}
-
 // finalizeTwoPhase assembles the CSR from the bound-sized storage.
 // rowPtr holds the bound offsets and rowLen the per-row counts actually
 // written by the numeric phase. When every row filled its bound the
 // storage is already exact and is adopted as-is; else rows are
 // compacted and the slices resliced. A result that fills under half its
-// bound — a selective mask — is copied to exact size instead, so a
-// long-lived product does not pin the bound.
+// bound — most cells cancelling to zero — is copied to exact size
+// instead, so a long-lived product does not pin the bound.
 func finalizeTwoPhase[V any](rows, cols int, rowPtr, rowLen, colIdx []int32, val []V) *CSR[V] {
 	short := false
 	for i := 0; i < rows; i++ {

@@ -164,36 +164,6 @@ func TestQuickMulDistributesOverAdd(t *testing.T) {
 	}
 }
 
-// Masked multiply is always a sub-pattern of the mask and of the full
-// product.
-func TestQuickMaskedSubPattern(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomCSR(r, 1+r.Intn(12), 1+r.Intn(12), 0.3)
-		b := randomCSR(r, a.Cols(), 1+r.Intn(12), 0.3)
-		mask := randomCSR(r, a.Rows(), b.Cols(), 0.4)
-		ops := semiring.PlusTimes()
-		got, err := Mxm(mask.Pattern(), a, b, ops, MxmOptions{})
-		if err != nil {
-			return false
-		}
-		full, _ := mxm(a, b, ops)
-		ok := true
-		got.Iterate(func(i, j int, v float64) {
-			if _, inMask := mask.At(i, j); !inMask {
-				ok = false
-			}
-			if fv, inFull := full.At(i, j); !inFull || fv != v {
-				ok = false
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // Prune then pattern-check: pruning explicit zeros never grows nnz and
 // removes exactly the zero entries.
 func TestQuickPrune(t *testing.T) {

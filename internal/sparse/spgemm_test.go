@@ -104,7 +104,7 @@ func TestMulDimensionMismatch(t *testing.T) {
 			t.Error("dimension mismatch accepted")
 		}
 	}
-	if _, err := Mxm(nil, a, b, semiring.PlusTimes(), MxmOptions{Workers: 4}); err == nil {
+	if _, err := Mxm(a, b, semiring.PlusTimes(), MxmOptions{Workers: 4}); err == nil {
 		t.Error("parallel Mxm accepted mismatch")
 	}
 }
@@ -132,7 +132,7 @@ func TestMulProducesSortedColumns(t *testing.T) {
 	for name, mul := range map[string]func(x, y *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error){
 		"mxm": mxm[float64], "merge": MulMerge[float64],
 		"mxm-par": func(x, y *CSR[float64], o semiring.Ops[float64]) (*CSR[float64], error) {
-			return Mxm(nil, x, y, o, MxmOptions{Workers: 3, FlopFloor: -1})
+			return Mxm(x, y, o, MxmOptions{Workers: 3, FlopFloor: -1})
 		},
 	} {
 		c, err := mul(a, b, semiring.PlusTimes())
@@ -168,7 +168,7 @@ func TestMulVariantsAgreeRandom(t *testing.T) {
 		rows, inner, cols := 1+r.Intn(30), 1+r.Intn(30), 1+r.Intn(30)
 		a := randomCSR(r, rows, inner, 0.15)
 		b := randomCSR(r, inner, cols, 0.15)
-		checkMxm(t, fmt.Sprintf("trial %d", trial), nil, a, b, semiring.PlusTimes(), true)
+		checkMxm(t, fmt.Sprintf("trial %d", trial), a, b, semiring.PlusTimes(), true)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestMulVariantsAgreeNonCommutative(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomCSR(r, 20, 25, 0.2)
 		b := randomCSR(r, 25, 15, 0.2)
-		checkMxm(t, fmt.Sprintf("trial %d", trial), nil, a, b, ops, true)
+		checkMxm(t, fmt.Sprintf("trial %d", trial), a, b, ops, true)
 	}
 }
 
@@ -244,7 +244,7 @@ func TestMulEmptyOperands(t *testing.T) {
 	if err != nil || c.NNZ() != 0 || c.Rows() != 3 || c.Cols() != 2 {
 		t.Errorf("empty product wrong: %v", err)
 	}
-	c, err = Mxm(nil, b, d, semiring.PlusTimes(), MxmOptions{Workers: 4, FlopFloor: -1})
+	c, err = Mxm(b, d, semiring.PlusTimes(), MxmOptions{Workers: 4, FlopFloor: -1})
 	if err != nil || c.NNZ() != 0 {
 		t.Errorf("parallel empty product wrong: %v", err)
 	}
@@ -352,4 +352,15 @@ func TestEWiseSetValues(t *testing.T) {
 	if _, ok := x.At(0, 0); ok {
 		t.Error("disjoint intersection should be pruned as zero")
 	}
+}
+
+func TestSortInts(t *testing.T) {
+	xs := []int32{5, 1, 4, 1, 3}
+	sortInts(xs)
+	for i := 1; i < len(xs); i++ {
+		if xs[i-1] > xs[i] {
+			t.Fatalf("not sorted: %v", xs)
+		}
+	}
+	sortInts(nil) // must not panic
 }

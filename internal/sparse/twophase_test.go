@@ -63,7 +63,7 @@ func TestTwoPhaseVariantsBitIdenticalToOracle(t *testing.T) {
 		a := signedCSR(r, rows, inner, density)
 		b := signedCSR(r, inner, cols, density)
 		for _, ops := range algebras {
-			checkMxm(t, fmt.Sprintf("trial %d", trial), nil, a, b, ops, false)
+			checkMxm(t, fmt.Sprintf("trial %d", trial), a, b, ops, false)
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestTwoPhaseCompactsPrunedRows(t *testing.T) {
 	if _, ok := got.At(0, 0); ok {
 		t.Error("cancelled entry (0,0) survived pruning")
 	}
-	par, err := Mxm(nil, a, b, ops, MxmOptions{Workers: 3, FlopFloor: -1})
+	par, err := Mxm(a, b, ops, MxmOptions{Workers: 3, FlopFloor: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestMulParallelNumericPassRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 4, 8, 16} {
-		got, err := Mxm(nil, a, b, ops, MxmOptions{Workers: w, FlopFloor: -1})
+		got, err := Mxm(a, b, ops, MxmOptions{Workers: w, FlopFloor: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,29 +137,26 @@ func TestMulParallelNumericPassRace(t *testing.T) {
 }
 
 // The adaptive emission must agree with the sort-always path entry for
-// entry on workloads mixing dense and hypersparse rows — masked rows
-// included, which emit through the same spa.emit.
+// entry on workloads mixing dense and hypersparse rows.
 func TestAdaptiveEmissionMatchesSortAlways(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	ops := semiring.LeftmostNonzero()
 	for trial := 0; trial < 10; trial++ {
 		a := signedCSR(r, 40, 30, 0.3)
 		b := signedCSR(r, 30, 500, 0.02+r.Float64()*0.2)
-		for _, mask := range []*Pattern{nil, signedCSR(r, 40, 500, 0.5).Pattern()} {
-			adaptive, err := Mxm(mask, a, b, ops, MxmOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := adaptiveSpanFactor
-			adaptiveSpanFactor = 0 // force the sort path everywhere
-			sorted, err := Mxm(mask, a, b, ops, MxmOptions{})
-			adaptiveSpanFactor = old
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(adaptive, sorted, value.Float64Equal) {
-				t.Fatalf("adaptive emission changed the result (masked=%v)", mask != nil)
-			}
+		adaptive, err := Mxm(a, b, ops, MxmOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := adaptiveSpanFactor
+		adaptiveSpanFactor = 0 // force the sort path everywhere
+		sorted, err := Mxm(a, b, ops, MxmOptions{})
+		adaptiveSpanFactor = old
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(adaptive, sorted, value.Float64Equal) {
+			t.Fatalf("trial %d: adaptive emission changed the result", trial)
 		}
 	}
 }

@@ -324,15 +324,11 @@ func (p *partition[V]) append(edges []Edge[V]) error {
 	}
 	p.buf = appendBatch(p.buf[:0], edges, p.codec)
 	before := p.epoch()
-	verr := p.v.Append(edges)
-	if verr != nil && p.epoch() == before {
+	if err := p.v.Append(edges); err != nil {
 		// The batch was rolled back; the view is unchanged and the log
 		// must stay unchanged too.
-		return verr
+		return err
 	}
-	// Committed — possibly with a post-commit maintenance error, in
-	// which case the epoch still advanced and the record must still be
-	// written to keep seq == epoch; verr is reported after.
 	_, err := p.w.Append(p.buf)
 	p.walDurable.Store(p.w.DurableSeq())
 	if err != nil {
@@ -346,7 +342,7 @@ func (p *partition[V]) append(edges []Edge[V]) error {
 		default:
 		}
 	}
-	return verr
+	return nil
 }
 
 // storageFailedLocked records the sticky WAL failure and returns it
