@@ -372,8 +372,8 @@ func Components[V any](a *Array[V]) (map[string]string, error) {
 	return algo.Components(a)
 }
 
-// TriangleCount counts triangles of a symmetric adjacency pattern via
-// (A ⊕.⊗ A) ∘ A under +.×.
+// TriangleCount counts triangles on three distinct vertices of a
+// symmetric adjacency pattern via (L ⊕.⊗ L) ∘ L under +.×, L = tril(A, −1).
 func TriangleCount[V any](a *Array[V]) (int, error) { return algo.TriangleCount(a) }
 
 // TransitiveClosure computes the ≥1-hop reachability pattern by

@@ -173,9 +173,9 @@ func main() {
 	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL fsync policy: batch (sync every append), interval, or off")
 	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 100*time.Millisecond, "sync cadence for -fsync interval")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 256, "background checkpoint after this many batches (0 = only at shutdown)")
-	flag.IntVar(&cfg.readWorkers, "read-workers", 0, "concurrent cheap reads (/at, /row, /triples); 0 = default 64")
+	flag.IntVar(&cfg.readWorkers, "read-workers", 0, "concurrent cheap reads (/at, /row); 0 = default 64")
 	flag.IntVar(&cfg.readQueue, "read-queue", 0, "cheap reads that may wait for a worker before shedding 429; 0 = default 256, negative = no queue")
-	flag.IntVar(&cfg.algoWorkers, "algo-workers", 0, "concurrent algorithm queries (/bfs, /pagerank, /batch, ...); 0 = GOMAXPROCS")
+	flag.IntVar(&cfg.algoWorkers, "algo-workers", 0, "concurrent algorithm queries (/bfs, /pagerank, /triples, /batch, ...); 0 = GOMAXPROCS")
 	flag.IntVar(&cfg.algoQueue, "algo-queue", 0, "algorithm queries that may wait before shedding 429; 0 = 4x workers, negative = no queue")
 	flag.DurationVar(&cfg.retryAfter, "retry-after", time.Second, "Retry-After hint on shed (429) responses")
 	flag.IntVar(&cfg.triplesMax, "triples-max", 0, "hard clamp on /triples ?limit; 0 = default 100000")

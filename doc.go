@@ -95,14 +95,14 @@
 //     point pin (stream.Store.PointPin, algo.FromPins: one pattern
 //     copy, straight into the kernels' vertex space), cached per epoch
 //     vector; a /batch pins every shard once and its ops share that pin
-//     and one Graph. Only /triples reads the gathered store-wide array
-//     (Snapshot, which folds first). Answers are written in vertex-key
-//     order from the kernels' vectors by an append-style encoder,
-//     byte-compatible with the former encoding/json output over maps
-//     (a golden test and three fuzz targets hold it to that). The
-//     query_static and mixed_rw workloads of the repository's benchmark
-//     (bench/, BENCHMARK.json) drive the front door of a real adjserve
-//     child and record per-endpoint latency percentiles;
+//     and one Graph, which /triples reads too; no read folds or gathers.
+//     Answers are written in vertex-key order from the kernels' vectors
+//     by an append-style encoder, byte-compatible with the former
+//     encoding/json output over maps (a golden test and three fuzz
+//     targets hold it to that). The query_static and mixed_rw workloads
+//     of the repository's benchmark (bench/, BENCHMARK.json) drive the
+//     front door of a real adjserve child and record per-endpoint
+//     latency percentiles;
 //   - fault tolerance: internal/iofault injects deterministic disk
 //     faults (EIO, ENOSPC, short and torn writes) through a VFS seam
 //     under the WAL and the store's shards; a failed fsync or log write

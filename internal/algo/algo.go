@@ -142,10 +142,10 @@ func Components[V any](a *assoc.Array[V]) (map[string]string, error) {
 	return g.Components()
 }
 
-// TriangleCount counts triangles in an undirected simple graph given as
-// a symmetric adjacency pattern: tri = Σ (A ⊕.⊗ A) ∘ A under +.×,
-// divided by 6 (each triangle is counted twice per vertex). Returns an
-// error if the array is not symmetric.
+// TriangleCount counts the triangles, on three distinct vertices, of an
+// undirected graph given as a symmetric adjacency pattern: Σ (L·L) ∘ L
+// under +.× with L = tril(A, −1), so self-loops count for nothing.
+// Returns an error if the array is not symmetric.
 func TriangleCount[V any](a *assoc.Array[V]) (int, error) {
 	g, err := FromPattern(a)
 	if err != nil {

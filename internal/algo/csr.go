@@ -34,10 +34,10 @@ import (
 // PATTERN, 4 bytes per stored entry, and holds no transpose: BFS, SSSP,
 // WidestPath and PageRank push along out-edges and TriangleCount probes
 // rows (Components alone symmetrizes, per call). Only the weighted
-// kernels (SSSP, WidestPath) read values, and lay them on at their first
-// use, onto the pattern from the arrays the Graph was built from (8 B per
-// entry; shared outright when one array needs no fold): a Graph costs 4
-// bytes per entry, 12 once a weighted kernel ran.
+// kernels (SSSP, WidestPath) and IterateUntil read values, and lay them
+// on at their first use, onto the pattern from the arrays the Graph was
+// built from (8 B per entry; shared outright when one array needs no
+// fold): a Graph costs 4 bytes per entry, 12 once values were read.
 type Graph struct {
 	verts *keys.Set
 	adj   *sparse.Pattern
@@ -182,6 +182,14 @@ func (g *Graph) Vertices() *keys.Set { return g.verts }
 
 // NumEdges returns the number of stored adjacency entries.
 func (g *Graph) NumEdges() int { return g.adj.NNZ() }
+
+// IterateUntil visits the stored entries, values laid on, in row-major
+// key order until fn returns false; it reports whether the sweep ended.
+func (g *Graph) IterateUntil(fn func(row, col string, v float64) bool) bool {
+	return g.weighted().IterateUntil(func(i, j int, v float64) bool {
+		return fn(g.verts.Key(i), g.verts.Key(j), v)
+	})
+}
 
 // weighted returns A with its values, on the pattern's own index arrays:
 // laid from the arrays the Graph was built from on first use.
@@ -458,17 +466,15 @@ func (g *Graph) Components() (map[string]string, error) {
 	return out, nil
 }
 
-// TriangleCount is the CSR-native triangle count: the masked product
-// L·L⟨L⟩ read off the pattern, no L built. For each stored (i,j) with
-// j < i it counts the k < j that rows i and j both hold, so each
-// triangle is counted once. The reference sums (A·A) ∘ A, the wedge
-// count W = trace(A³), which is 6T plus 3·deg(i) − 2 for every vertex i
-// with a stored (i,i); that term is added back, so W, its divisibility
-// check and the answer are the reference's. Only index structure is
-// read. Symmetry is probed: each stored (i,j) below the diagonal finds
-// (j,i), and as many entries lie above the diagonal as below.
+// TriangleCount is the CSR-native count of triangles on three distinct
+// vertices: Σ (L·L) ∘ L with L = tril(A, −1), read off the pattern, no L
+// built, so a stored (i,i) is on no triangle. For each stored (i,j) with
+// j < i it counts the k < j that rows i and j both hold, so each triangle
+// is counted once. Only index structure is read. Symmetry is probed: each
+// stored (i,j) below the diagonal finds (j,i), and as many entries lie
+// above the diagonal as below.
 func (g *Graph) TriangleCount() (int, error) {
-	var tri, loops, lower, upper int64
+	var tri, lower, upper int64
 	for i := 0; i < g.verts.Len(); i++ {
 		ri, _ := g.adj.Row(i)
 		below, diag := slices.BinarySearch(ri, int32(i))
@@ -476,7 +482,6 @@ func (g *Graph) TriangleCount() (int, error) {
 		upper += int64(len(ri) - below)
 		if diag {
 			upper--
-			loops += 3*int64(len(ri)) - 2
 		}
 		for p, j := range ri[:below] {
 			rj, _ := g.adj.Row(int(j))
@@ -501,11 +506,7 @@ func (g *Graph) TriangleCount() (int, error) {
 	if lower != upper {
 		return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
 	}
-	wedges := 6*tri + loops
-	if wedges%6 != 0 {
-		return 0, fmt.Errorf("algo: wedge count %v not divisible by 6 (self-loops present?)", wedges)
-	}
-	return int(wedges / 6), nil
+	return int(tri), nil
 }
 
 // PageRank is the CSR-native damped PageRank as a map: PageRankVector's

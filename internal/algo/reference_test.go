@@ -190,34 +190,35 @@ func refComponents[V any](a *assoc.Array[V]) (map[string]string, error) {
 	return out, nil
 }
 
-// refTriangleCount counts triangles in an undirected simple graph given as
-// a symmetric adjacency pattern: tri = Σ (A ⊕.⊗ A) ∘ A under +.×,
-// divided by 6 (each triangle is counted twice per vertex). Returns an
-// error if the array is not symmetric.
+// refTriangleCount counts triangles on three distinct vertices of an
+// undirected graph given as a symmetric adjacency pattern: the literal
+// T = Σ (L ⊕.⊗ L) ∘ L under +.×, with L = tril(A, −1) the entries whose
+// row key follows their column key, so each triangle i > k > j is counted
+// once, at (i, j) through k. Returns an error if the array is not
+// symmetric.
 func refTriangleCount[V any](a *assoc.Array[V]) (int, error) {
 	p := assoc.Convert(a, func(_, _ string, _ V) float64 { return 1 })
-	pt := p.Transpose()
-	if !assoc.SamePattern(p, pt) {
+	if !assoc.SamePattern(p, p.Transpose()) {
 		return 0, fmt.Errorf("algo: triangle counting requires a symmetric adjacency array")
 	}
+	var lower []assoc.Triple[float64]
+	p.Iterate(func(r, c string, v float64) {
+		if r > c {
+			lower = append(lower, assoc.Triple[float64]{Row: r, Col: c, Val: v})
+		}
+	})
+	l := assoc.FromTriples(lower, nil)
 	ops := semiring.PlusTimes()
-	// The literal definition: A² whole, then kept on A's pattern.
-	sq, err := assoc.Mul(p, p, ops, assoc.MulOptions{})
+	sq, err := assoc.Mul(l, l, ops, assoc.MulOptions{})
 	if err != nil {
 		return 0, err
 	}
-	wedges, err := assoc.ElementMul(sq, p, ops)
+	tri, err := assoc.ElementMul(sq, l, ops)
 	if err != nil {
 		return 0, err
 	}
-	total, any := assoc.ReduceAll(wedges, ops.Add)
-	if !any {
-		return 0, nil
-	}
-	if math.Mod(total, 6) != 0 {
-		return 0, fmt.Errorf("algo: wedge count %v not divisible by 6 (self-loops present?)", total)
-	}
-	return int(total) / 6, nil
+	total, _ := assoc.ReduceAll(tri, ops.Add)
+	return int(total), nil
 }
 
 // refPageRank computes the damped PageRank of the array's pattern with

@@ -163,8 +163,8 @@ func (in *Ingest) StorageHealth() (stream.StorageHealth, []stream.StorageHealth)
 
 // Snapshot flushes and returns a consistent read view including every
 // edge Add-ed so far: per-shard epochs pinned as one vector (Epochs,
-// with Epoch their sum) and the adjacency gathered at it. The merged
-// incidence logs are computed only when Logs() asks for them.
+// with Epoch their sum) and the adjacency gathered at it, which no served
+// read asks for. The merged incidence logs are built when Logs() asks.
 func (in *Ingest) Snapshot() (stream.StoreSnapshot[float64], error) {
 	if err := in.Flush(); err != nil {
 		return stream.StoreSnapshot[float64]{}, err

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"adjarray/internal/algo"
-	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
 	"adjarray/internal/stream"
 )
@@ -154,8 +153,8 @@ func appendRow(a *answer, b []byte, st stamp, pt stream.PointSnapshot[float64], 
 // appendTriples answers the first limit stored entries in row-major key
 // order: stamp, limit, total, triples (col, row, val each), truncated.
 // The sweep stops at the limit, so ?limit=1 on a large graph is O(1).
-func appendTriples(a *answer, b []byte, st stamp, adj *assoc.Array[float64], limit int) []byte {
-	total := adj.NNZ()
+func appendTriples(a *answer, b []byte, st stamp, g *algo.Graph, limit int) []byte {
+	total := g.NumEdges()
 	b = append(b, '{')
 	b = st.appendTo(b)
 	b = append(b, `"limit":`...)
@@ -164,7 +163,7 @@ func appendTriples(a *answer, b []byte, st stamp, adj *assoc.Array[float64], lim
 	b = strconv.AppendInt(b, int64(total), 10)
 	b = append(b, `,"triples":[`...)
 	n := 0
-	adj.IterateUntil(func(rk, ck string, v float64) bool {
+	g.IterateUntil(func(rk, ck string, v float64) bool {
 		if n > 0 {
 			b = append(b, ',')
 		}

@@ -45,7 +45,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	pins, epochs, err := s.takeSnapshot()
+	pins, epochs, err := s.pinShards()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -51,7 +52,11 @@ func allocatedBy(t *testing.T, s *Server, r *http.Request) float64 {
 // the merge, gathering the shards with ⊕ into a store-wide array and
 // embedding that again into the vertex space cost /at 2.4–2.5 MB, /bfs
 // 10.8–12.1 MB and /pagerank 11.4–13.8 MB.) At an unchanged vector a query
-// allocates what TestAnswerAllocations bounds.
+// allocates what TestAnswerAllocations bounds. /triples?limit=10 reads
+// the same cached Graph, its values laid on: 2.00 MB at a new vector
+// (3.99 MB while it folded both shards and gathered the store-wide
+// array), after which the /bfs at that vector builds nothing, and 17
+// objects and 1,072 B at an unchanged one (1.9 MB while it gathered).
 func TestNewEpochAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -67,6 +72,7 @@ func TestNewEpochAllocations(t *testing.T) {
 	}{
 		{"/bfs?src=" + rmatHub, 1.6 * MB}, {"/pagerank?iters=20", 1.65 * MB},
 		{"/bfs?src=" + rmatHub, 1.6 * MB}, {"/pagerank?iters=20", 1.65 * MB},
+		{"/triples?limit=10", 2.25 * MB},
 	} {
 		body, probe := newEpochBatch(r, i)
 		serveDiscarding(t, s, w, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
@@ -84,17 +90,26 @@ func TestNewEpochAllocations(t *testing.T) {
 			t.Errorf("%s at a new vector below the fold threshold: folds %d → %d, %d edges pending; want no fold", query.path, folds, st.Folds, st.Pending)
 		}
 	}
+	bfs := allocatedBy(t, s, httptest.NewRequest("GET", "/bfs?src="+rmatHub, nil))
+	objs, size := perAnswer(t, s, "/triples?limit=10")
+	t.Logf("then /bfs %.2f MB; /triples?limit=10 at an unchanged vector %v objects, %.0f B", bfs/MB, objs, size)
+	if bfs > 0.73*MB {
+		t.Errorf("/bfs after /triples at one vector allocated %.2f MB; want at most 0.73 MB — the Graph is shared", bfs/MB)
+	}
+	if objs > 32 || size > 4*KB {
+		t.Errorf("/triples?limit=10 at an unchanged vector allocates %v objects and %.0f B per answer; want at most 32 objects and 4 KB", objs, size)
+	}
 	if objects, bytes := perAnswer(t, s, "/pagerank?iters=20"); objects > 128 || bytes > 0.73*MB {
 		t.Errorf("/pagerank at an unchanged vector allocates %v objects and %.2f MB per answer; want at most 128 objects and 0.73 MB", objects, bytes/MB)
 	}
 }
 
-// Only /triples reads the store-wide array, and so only /triples folds.
-// Every algorithm endpoint and /batch work from the shards' point pins —
-// the Graph is built from each shard's main and unfolded suffix, a point
-// op reads its owner's — so after each of them no shard has folded and
-// the appended edges are still pending, on any shard count.
-func TestOnlyTriplesGathers(t *testing.T) {
+// No read folds or gathers. Every read route and /batch work from the
+// shards' point pins — the Graph, which /triples reads too, is built from
+// each shard's main and unfolded suffix, a point op reads its owner's —
+// so after each of them no shard has folded and the appended edges are
+// still pending, on any shard count.
+func TestNoReadFoldsOrGathers(t *testing.T) {
 	for _, shards := range []int{2, 3, 5} {
 		ing := newTestIngest(t, core.IngestOptions{Shards: shards})
 		var edges [][2]string
@@ -117,9 +132,13 @@ func TestOnlyTriplesGathers(t *testing.T) {
 				t.Errorf("%d shards: %s folded: folds %d → %d, pending %d → %d", shards, route, before.Folds, st.Folds, before.Pending, st.Pending)
 			}
 		}
-		for _, path := range []string{"/bfs?src=v00", "/sssp?src=v00", "/widest?src=v00", "/pagerank?iters=5", "/triangles", "/at?src=v00&dst=v01", "/row?src=v00"} {
-			if code, _ := get(t, s, path); code != http.StatusOK {
+		for _, path := range []string{"/bfs?src=v00", "/sssp?src=v00", "/widest?src=v00", "/pagerank?iters=5", "/triangles", "/at?src=v00&dst=v01", "/row?src=v00", "/triples"} {
+			code, out := get(t, s, path)
+			if code != http.StatusOK {
 				t.Fatalf("%d shards: GET %s = %d", shards, path, code)
+			}
+			if path == "/triples" && out["total"] != float64(len(edges)+2) {
+				t.Errorf("%d shards: /triples total %v; want %d", shards, out["total"], len(edges)+2)
 			}
 			foldsNothing(path)
 		}
@@ -135,19 +154,13 @@ func TestOnlyTriplesGathers(t *testing.T) {
 		if row := results[1].(map[string]any)["row"].(map[string]any); len(row) != 4 {
 			t.Errorf("%d shards: the batch's row op read %v from its owner's pinned array", shards, row)
 		}
-		if code, out := get(t, s, "/triples"); code != http.StatusOK || out["total"] != float64(len(edges)+2) {
-			t.Fatalf("%d shards: /triples = %d, %v", shards, code, out["total"])
-		}
-		if st := ing.Store().Stats(); st.Pending != 0 {
-			t.Errorf("%d shards: /triples answered with %d edges unfolded", shards, st.Pending)
-		}
 	}
 }
 
 // A store whose shards are not row-disjoint — a 2-shard directory
 // reopened after shard-001 was replaced by a copy of shard-000 — is
 // reported, not summed: whatever needs every shard's rows together
-// (/bfs builds the Graph, /triples gathers) answers 500 naming the row,
+// (/bfs and /triples build the Graph) answers 500 naming the row,
 // and the point reads, which go to the owning shard alone, keep answering.
 // Inside a /batch the same holds op by op: the bfs op reports the 500 in
 // its place, and the at and row ops beside it answer.
@@ -202,5 +215,49 @@ func TestACopiedShardIsReportedNotSummed(t *testing.T) {
 	}
 	if row := results[2].(map[string]any); row["row"] == nil || len(row["row"].(map[string]any)) != 2 {
 		t.Errorf("the batch's row op = %v", row)
+	}
+}
+
+// /triples over a suffix no fold has reached — FuzzQuery's stores are
+// folded whole — writes the reference's bytes: the live answer before the
+// reference folds the store, and again after it. The suffix brings fresh
+// vertices, grows a stored cell by ⊕ and, under +.*, cancels one to Zero.
+func TestTriplesOverAnUnfoldedSuffixMatchTheReference(t *testing.T) {
+	for _, shards := range []int{1, 2, 3} {
+		for semiring, vals := range goldenValues {
+			for _, limit := range []string{"1", "7", "", "1000"} {
+				ing := goldenStore(t, semiring, shards, false)
+				one := ing.Ops().One
+				edge := func(src, dst string, out float64) stream.Edge[float64] {
+					return stream.Edge[float64]{Src: src, Dst: dst, Out: out, In: one, HasOut: true, HasIn: true}
+				}
+				suffix := []stream.Edge[float64]{edge("fresh", "a", vals[2]), edge("c", "new\x00fresh", vals[3]), edge("b", "c", vals[4])}
+				if semiring == "+.*" {
+					suffix = append(suffix, edge("a", "b", -vals[0])) // goldenStore's first cell, a→b, holds vals[0]
+				}
+				if err := ing.AppendBatch(suffix); err != nil {
+					t.Fatal(err)
+				}
+				if st := ing.Store().Stats(); st.Pending != len(suffix) {
+					t.Fatalf("%d edges pending; want the %d of the suffix", st.Pending, len(suffix))
+				}
+				rq := goldenGet("/triples")
+				if limit != "" {
+					rq = goldenGet("/triples", "limit", limit)
+				}
+				before := serveGolden(New(ing, Options{}), rq)
+				want := serveGolden(newRefServer(ing, Options{}), rq)
+				after := serveGolden(New(ing, Options{}), rq)
+				for i, got := range []*httptest.ResponseRecorder{before, after} {
+					if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+						t.Errorf("%s, %d shards, GET %s, answer %d of 2: %d %.300q; reference %d %.300q", semiring, shards, rq.target, i+1,
+							got.Code, got.Body.String(), want.Code, want.Body.String())
+					}
+				}
+				if semiring == "+.*" && strings.Contains(want.Body.String(), `"col":"b","row":"a"`) {
+					t.Errorf("%d shards: a→b was not cancelled to Zero: %s", shards, want.Body.String())
+				}
+			}
+		}
 	}
 }

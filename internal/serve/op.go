@@ -209,7 +209,7 @@ func (p *pinned) graph() (*algo.Graph, error) {
 		return p.g, nil
 	}
 	if p.pins == nil {
-		pins, epochs, err := p.s.takeSnapshot()
+		pins, epochs, err := p.s.pinShards()
 		if err != nil {
 			return nil, storeError{err}
 		}

@@ -11,9 +11,9 @@
 // so a GET of one pins that shard alone. A kernel runs on the Graph built
 // from every shard's point pin (algo.FromPins), cached per epoch vector;
 // a /batch pins every shard once and its ops share that pin and one
-// Graph. None of these folds or gathers; only /triples reads the gathered
-// store-wide array. A store whose shards overlap answers 500 naming the
-// row wherever every shard's rows meet, and keeps answering point reads.
+// Graph, which /triples reads too. None of these folds or gathers. A
+// store whose shards overlap answers 500 naming the row wherever every
+// shard's rows meet, and keeps answering point reads.
 //
 // Around the ops: two admission pools shed excess load as 429 +
 // Retry-After, GET /metrics exposes the server's series, and a store
@@ -62,12 +62,13 @@ type Options struct {
 	// lock, so its size is a latency bound on every concurrent reader.
 	MaxIngestEdges int
 	// ReadWorkers and ReadQueue bound the cheap-read pool: concurrent
-	// /at, /row, /triples executions and how many may wait (defaults
-	// 64 and 256).
+	// /at and /row executions and how many may wait (defaults 64 and
+	// 256).
 	ReadWorkers, ReadQueue int
-	// AlgoWorkers and AlgoQueue bound the algorithm pool: concurrent
-	// /bfs, /sssp, /widest, /pagerank, /triangles, /batch executions
-	// and how many may wait (defaults GOMAXPROCS and 4×workers).
+	// AlgoWorkers and AlgoQueue bound the algorithm pool, where every
+	// Graph is built: concurrent /bfs, /sssp, /widest, /pagerank,
+	// /triangles, /triples, /batch executions and how many may wait
+	// (defaults GOMAXPROCS and 4×workers).
 	AlgoWorkers, AlgoQueue int
 	// RetryAfter is the hint returned with shed (429) responses
 	// (default 1s).
@@ -178,7 +179,7 @@ func (s *Server) routes() {
 		}
 		handle("/"+name, p, s.handleQuery(name))
 	}
-	handle("/triples", s.readPool, s.handleTriples)
+	handle("/triples", s.algoPool, s.handleTriples)
 	handle("/batch", s.algoPool, s.handleBatch)
 }
 
@@ -202,10 +203,10 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// takeSnapshot pins one consistent read of the whole graph without
+// pinShards pins one consistent read of the whole graph without
 // folding or gathering it: every shard's point pin — main beside the
 // log's unfolded suffix — at one epoch vector (stream.Store.PointPin).
-func (s *Server) takeSnapshot() ([]stream.PointSnapshot[float64], []int, error) {
+func (s *Server) pinShards() ([]stream.PointSnapshot[float64], []int, error) {
 	pins, epochs, err := s.ing.Store().PointPin()
 	if err != nil {
 		return nil, nil, err
@@ -221,8 +222,8 @@ func (s *Server) takeSnapshot() ([]stream.PointSnapshot[float64], []int, error) 
 // embedding instead of rebuilding per request. A new vector costs one
 // pattern copy of the graph (4 B per entry) into the square vertex space
 // the kernels run in, and no shard's fold; values are read from the
-// pinned mains and laid on (8 B more) only when a weighted kernel first
-// asks.
+// pinned mains and laid on (8 B more) only when a weighted kernel or
+// /triples first asks.
 //
 // Snapshots are taken OUTSIDE the cache lock, so two concurrent
 // requests can pin different epochs and reach graphFor in either
@@ -357,16 +358,13 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		// bound, and the response says how much was actually returned.
 		limit = min(n, s.opt.TriplesMax)
 	}
-	// The one answer read off the store-wide array, which Snapshot folds
-	// and gathers on every call: the first stored entries in row-major
-	// key order interleave every shard's rows.
-	snap, err := s.ing.Store().Snapshot()
+	p := &pinned{s: s}
+	g, err := p.graph()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.met.observeEpochs(snap.Epochs)
 	s.writeAnswer(w, func(a *answer, b []byte) []byte {
-		return appendTriples(a, b, stamp{epochs: snap.Epochs}, snap.Adjacency, limit)
+		return appendTriples(a, b, stamp{epochs: p.epochs}, g, limit)
 	})
 }

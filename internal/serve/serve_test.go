@@ -315,13 +315,13 @@ func TestGraphCacheRejectsStaleOverwrite(t *testing.T) {
 
 	// Request A pins the epoch-1 snapshot but is "slow": it has not
 	// reached the cache yet.
-	adjOld, epochsOld, err := s.takeSnapshot()
+	adjOld, epochsOld, err := s.pinShards()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An ingest batch lands and request B pins + caches epoch 2.
 	seedEdges(t, ing, [2]string{"b", "c"})
-	adjNew, epochsNew, err := s.takeSnapshot()
+	adjNew, epochsNew, err := s.pinShards()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestGraphCacheRaceAroundAppend(t *testing.T) {
 		request := func() {
 			defer wg.Done()
 			<-start
-			adj, epochs, err := s.takeSnapshot()
+			adj, epochs, err := s.pinShards()
 			if err != nil {
 				t.Error(err)
 				return
@@ -398,7 +398,7 @@ func TestGraphCacheRaceAroundAppend(t *testing.T) {
 		// Whatever the interleaving, a request pinning the final state
 		// must find or install the newest vector — and once it has, the
 		// cached vector is final (nothing older can replace it).
-		adj, epochs, err := s.takeSnapshot()
+		adj, epochs, err := s.pinShards()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +423,7 @@ func TestGraphCacheBuildsOutsideItsLock(t *testing.T) {
 	ing := newTestIngest(t, core.IngestOptions{BatchSize: 1})
 	seedEdges(t, ing, [2]string{"a", "b"})
 	s := New(ing, Options{})
-	adj1, epochs1, err := s.takeSnapshot()
+	adj1, epochs1, err := s.pinShards()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestGraphCacheBuildsOutsideItsLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedEdges(t, ing, [2]string{"b", "c"})
-	adj2, epochs2, err := s.takeSnapshot()
+	adj2, epochs2, err := s.pinShards()
 	if err != nil {
 		t.Fatal(err)
 	}

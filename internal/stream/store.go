@@ -317,10 +317,10 @@ type StoreSnapshot[V any] struct {
 // View.Snapshot in shard order, immutable and copy-on-write, folding a
 // shard that has appends to fold — and gathers them: the per-shard
 // adjacencies concatenated into one array over the union vertex universe
-// (a one-shard store has nothing to gather). It is the read for a
-// consumer of the store-wide array; a graph kernel and a /batch read no
-// folded array (PointPin), and a point read pins one shard
-// (OwnerSnapshot). An error is the lowest-indexed failing shard's.
+// (a one-shard store has nothing to gather). Its callers are the
+// conformance tier, crashtest, the examples and bench; no served read
+// calls it (PointPin builds the Graph, OwnerSnapshot pins a point read's
+// shard). An error is the lowest-indexed failing shard's.
 func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
 	snap := StoreSnapshot[V]{Shards: make([]Snapshot[V], len(s.parts)), Epochs: make([]int, len(s.parts)), ops: s.ops}
 	for i, p := range s.parts {
