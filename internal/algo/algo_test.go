@@ -152,7 +152,7 @@ func dijkstra(a *assoc.Array[float64], src string) map[string]float64 {
 			return dist
 		}
 		done[best] = true
-		if _, ok := a.RowKeys().IndexSorted(best); !ok {
+		if _, ok := a.RowKeys().Index(best); !ok {
 			continue
 		}
 		for i := 0; i < a.ColKeys().Len(); i++ {

@@ -205,7 +205,7 @@ func (g *Graph) weighted() *sparse.CSR[float64] {
 }
 
 func (g *Graph) vertex(source string) (int32, error) {
-	id, ok := g.verts.IndexSorted(source)
+	id, ok := g.verts.Index(source)
 	if !ok {
 		return 0, fmt.Errorf("algo: source %q %w", source, ErrNotVertex)
 	}

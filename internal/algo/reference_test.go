@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"adjarray/internal/assoc"
+	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
 	"adjarray/internal/value"
 )
@@ -35,10 +36,15 @@ func vectorEntries[V any](vec *assoc.Array[V]) map[string]V {
 	return out
 }
 
+// refVertices is a's vertex set: New over its row and column keys.
+func refVertices[V any](a *assoc.Array[V]) *keys.Set {
+	return keys.New(append(a.RowKeys().Keys(), a.ColKeys().Keys()...)...)
+}
+
 // isVertex reports whether k is a row or a column key of a.
 func isVertex[V any](a *assoc.Array[V], k string) bool {
-	_, inRows := a.RowKeys().IndexSorted(k)
-	_, inCols := a.ColKeys().IndexSorted(k)
+	_, inRows := a.RowKeys().Index(k)
+	_, inCols := a.ColKeys().Index(k)
 	return inRows || inCols
 }
 
@@ -88,7 +94,7 @@ func refSSSP(a *assoc.Array[float64], source string) (map[string]float64, error)
 	}
 	ops := semiring.MinPlus()
 	dist := RowVector("d", map[string]float64{source: 0})
-	bound := a.RowKeys().Union(a.ColKeys()).Len()
+	bound := refVertices(a).Len()
 	for round := 0; ; round++ {
 		relaxed, err := assoc.Mul(dist, a, ops, assoc.MulOptions{})
 		if err != nil {
@@ -118,7 +124,7 @@ func refWidestPath(a *assoc.Array[float64], source string) (map[string]float64, 
 	}
 	ops := semiring.MaxMin()
 	width := RowVector("w", map[string]float64{source: value.PosInf})
-	bound := a.RowKeys().Union(a.ColKeys()).Len()
+	bound := refVertices(a).Len()
 	for round := 0; ; round++ {
 		relaxed, err := assoc.Mul(width, a, ops, assoc.MulOptions{})
 		if err != nil {
@@ -143,7 +149,7 @@ func refWidestPath(a *assoc.Array[float64], source string) (map[string]float64, 
 // connected component), via min-label propagation over the symmetrized
 // pattern with the min.select1st pair.
 func refComponents[V any](a *assoc.Array[V]) (map[string]string, error) {
-	verts := a.RowKeys().Union(a.ColKeys())
+	verts := refVertices(a)
 	if verts.Len() == 0 {
 		return map[string]string{}, nil
 	}
@@ -230,7 +236,7 @@ func refPageRank[V any](a *assoc.Array[V], damping, tol float64, maxIter int) (m
 	if damping <= 0 || damping >= 1 {
 		return nil, 0, fmt.Errorf("algo: damping must be in (0,1), got %v", damping)
 	}
-	verts := a.RowKeys().Union(a.ColKeys())
+	verts := refVertices(a)
 	n := verts.Len()
 	if n == 0 {
 		return map[string]float64{}, 0, nil

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"adjarray/internal/keys"
+	"adjarray/internal/semiring"
 	"adjarray/internal/sparse"
 )
 
@@ -35,23 +36,26 @@ type Triple[V any] struct {
 // FromTriples builds an Array from entries. Duplicate (row, col) pairs
 // are folded left-to-right in slice order with combine; nil combine
 // keeps the last write (D4M overwrite semantics). Key sets are the sets
-// of distinct keys that appear.
+// of distinct keys that appear. Every cell is stored, whatever its value.
+// The entries are grouped by cell as a view's unfolded edges are
+// (sparse.GroupUnitRows) and each cell's run folded (sparse.FoldRuns).
 func FromTriples[V any](ts []Triple[V], combine func(V, V) V) *Array[V] {
-	rk := make([]string, 0, len(ts))
-	ck := make([]string, 0, len(ts))
-	for _, t := range ts {
-		rk = append(rk, t.Row)
-		ck = append(ck, t.Col)
+	rk, ck := make([]string, len(ts)), make([]string, len(ts))
+	for k, t := range ts {
+		rk[k], ck[k] = t.Row, t.Col
 	}
-	rows := keys.New(rk...)
-	cols := keys.New(ck...)
-	coo := sparse.NewCOO[V](rows.Len(), cols.Len())
-	for _, t := range ts {
+	rows, cols := keys.New(rk...), keys.New(ck...)
+	row, col, val := make([]int32, len(ts)), make([]int32, len(ts)), make([]V, len(ts))
+	for k, t := range ts {
 		ri, _ := rows.Index(t.Row)
 		ci, _ := cols.Index(t.Col)
-		coo.MustAppend(ri, ci, t.Val)
+		row[k], col[k], val[k] = int32(ri), int32(ci), t.Val
 	}
-	return &Array[V]{rows: rows, cols: cols, mat: coo.ToCSR(combine)}
+	m, err := sparse.GroupUnitRows(rows.Len(), cols.Len(), row, col, val, nil, semiring.Ops[V]{}, nil)
+	if err != nil {
+		panic(err) // only past 2³¹−1 entries, as make past its range
+	}
+	return &Array[V]{rows: rows, cols: cols, mat: sparse.FoldRuns(m, combine)}
 }
 
 // New wraps explicit key sets and a matching sparse matrix. The matrix
@@ -133,16 +137,6 @@ func (a *Array[V]) Iterate(fn func(row, col string, v V)) {
 	})
 }
 
-// IterateUntil visits stored entries in row-major key order until fn
-// returns false, and reports whether the sweep ran to completion — the
-// early-exit path for bounded reads (a server answering ?limit=1 must
-// not walk every entry).
-func (a *Array[V]) IterateUntil(fn func(row, col string, v V) bool) bool {
-	return a.mat.IterateUntil(func(i, j int, v V) bool {
-		return fn(a.rows.Key(i), a.cols.Key(j), v)
-	})
-}
-
 // Equal reports whether two arrays have identical key sets and entries.
 func (a *Array[V]) Equal(b *Array[V], eq func(V, V) bool) bool {
 	return a.rows.Equal(b.rows) && a.cols.Equal(b.cols) && sparse.Equal(a.mat, b.mat, eq)
@@ -215,28 +209,40 @@ func (a *Array[V]) RowDegrees() map[string]int {
 }
 
 // Reindex embeds the array into larger (or reordered) key sets: entries
-// keep their (rowKey, colKey) coordinates, mapped into the new sets.
-// Every existing key must be present in the new sets.
+// keep their (rowKey, colKey) coordinates, mapped into the new sets
+// (keys.UnionAll + sparse.Embed, values shared). Every existing key must
+// be present in the new sets.
 func (a *Array[V]) Reindex(newRows, newCols *keys.Set) (*Array[V], error) {
-	coo := sparse.NewCOO[V](newRows.Len(), newCols.Len())
-	var missing string
-	a.mat.Iterate(func(i, j int, v V) {
-		ri, ok := newRows.Index(a.rows.Key(i))
-		if !ok {
-			missing = "row " + a.rows.Key(i)
-			return
-		}
-		ci, ok := newCols.Index(a.cols.Key(j))
-		if !ok {
-			missing = "col " + a.cols.Key(j)
-			return
-		}
-		coo.MustAppend(ri, ci, v)
-	})
-	if missing != "" {
-		return nil, fmt.Errorf("assoc: Reindex target sets missing %s", missing)
+	rowPos, err := positionsIn(a.rows, newRows, "row")
+	if err != nil {
+		return nil, err
 	}
-	return &Array[V]{rows: newRows, cols: newCols, mat: coo.ToCSR(nil)}, nil
+	colPos, err := positionsIn(a.cols, newCols, "col")
+	if err != nil {
+		return nil, err
+	}
+	m, err := sparse.Embed(a.mat, rowPos, colPos, newRows.Len(), newCols.Len())
+	if err != nil {
+		return nil, err
+	}
+	return &Array[V]{rows: newRows, cols: newCols, mat: m}, nil
+}
+
+// positionsIn returns where each key of s lies in t — UnionAll's map,
+// nil for the identity — or names the first key of s that t lacks.
+func positionsIn(s, t *keys.Set, side string) ([]int32, error) {
+	u, pos, err := keys.UnionAll([]*keys.Set{t, s})
+	if err != nil {
+		return nil, err
+	}
+	if u.Len() != t.Len() {
+		i := 0
+		for i < t.Len() && u.Key(i) == t.Key(i) {
+			i++
+		}
+		return nil, fmt.Errorf("assoc: Reindex target sets missing %s %s", side, u.Key(i))
+	}
+	return pos[1], nil
 }
 
 // Convert maps stored values through f into a new value type, keeping

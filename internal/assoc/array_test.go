@@ -1,6 +1,11 @@
 package assoc
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -68,10 +73,17 @@ func TestKeySetsAreSorted(t *testing.T) {
 func TestNewValidatesShape(t *testing.T) {
 	rows := keys.New("a", "b")
 	cols := keys.New("x")
-	if _, err := New(rows, cols, sparse.NewCOO[float64](2, 2).ToCSR(nil)); err == nil {
+	empty := func(r, c int) *sparse.CSR[float64] {
+		m, err := sparse.NewCSR[float64](r, c, make([]int32, r+1), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if _, err := New(rows, cols, empty(2, 2)); err == nil {
 		t.Error("mismatched matrix accepted")
 	}
-	if _, err := New(rows, cols, sparse.NewCOO[float64](2, 1).ToCSR(nil)); err != nil {
+	if _, err := New(rows, cols, empty(2, 1)); err != nil {
 		t.Errorf("valid shape rejected: %v", err)
 	}
 }
@@ -104,23 +116,6 @@ func TestIterateOrder(t *testing.T) {
 	want := []string{"r1/c1", "r1/c2", "r2/c2"}
 	if strings.Join(seen, " ") != strings.Join(want, " ") {
 		t.Errorf("Iterate order %v, want %v", seen, want)
-	}
-}
-
-func TestIterateUntilEarlyExit(t *testing.T) {
-	var seen []string
-	done := tiny().IterateUntil(func(r, c string, v float64) bool {
-		seen = append(seen, r+"/"+c)
-		return len(seen) < 2
-	})
-	if done {
-		t.Error("IterateUntil reported completion after an early stop")
-	}
-	if strings.Join(seen, " ") != "r1/c1 r1/c2" {
-		t.Errorf("IterateUntil visited %v, want first two entries in key order", seen)
-	}
-	if !tiny().IterateUntil(func(string, string, float64) bool { return true }) {
-		t.Error("full sweep reported early stop")
 	}
 }
 
@@ -252,6 +247,141 @@ func TestFormatGrid(t *testing.T) {
 	for _, line := range strings.Split(s, "\n") {
 		if strings.HasPrefix(line, "r2") && strings.Contains(line, "1") {
 			t.Errorf("structural zero rendered: %q", line)
+		}
+	}
+}
+
+// refFromTriples is the construction FromTriples replaced, kept as the
+// oracle: key sets by New, each triple's coordinates by a map, the
+// triples stable-sorted row-major and each cell's duplicates folded left
+// to right in slice order (nil keeps the last).
+func refFromTriples(ts []Triple[float64], combine func(a, b float64) float64) (rows, cols *keys.Set, rowPtr, colIdx []int32, val []float64) {
+	var rk, ck []string
+	for _, t := range ts {
+		rk, ck = append(rk, t.Row), append(ck, t.Col)
+	}
+	rows, cols = keys.New(rk...), keys.New(ck...)
+	at := func(s *keys.Set) map[string]int {
+		m := map[string]int{}
+		for i := 0; i < s.Len(); i++ {
+			m[s.Key(i)] = i
+		}
+		return m
+	}
+	ri, ci := at(rows), at(cols)
+	type cell struct {
+		r, c int
+		v    float64
+	}
+	cs := make([]cell, len(ts))
+	for k, t := range ts {
+		cs[k] = cell{ri[t.Row], ci[t.Col], t.Val}
+	}
+	sort.SliceStable(cs, func(a, b int) bool {
+		if cs[a].r != cs[b].r {
+			return cs[a].r < cs[b].r
+		}
+		return cs[a].c < cs[b].c
+	})
+	rowPtr = make([]int32, rows.Len()+1)
+	for i := 0; i < len(cs); {
+		j, acc := i+1, cs[i].v
+		for ; j < len(cs) && cs[j].r == cs[i].r && cs[j].c == cs[i].c; j++ {
+			if combine != nil {
+				acc = combine(acc, cs[j].v)
+			} else {
+				acc = cs[j].v
+			}
+		}
+		colIdx, val = append(colIdx, int32(cs[i].c)), append(val, acc)
+		rowPtr[cs[i].r+1]++
+		i = j
+	}
+	for r := 0; r < rows.Len(); r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	return rows, cols, rowPtr, colIdx, val
+}
+
+// FromTriples against the stable-sort reference, bit for bit: random
+// triples over small key alphabets, so cells repeat, with explicit zeros
+// among the values, under overwrite and under the non-commutative 2a+b.
+func TestFromTriplesMatchesStableSortReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	combines := map[string]func(a, b float64) float64{
+		"nil":  nil,
+		"2a+b": func(a, b float64) float64 { return 2*a + b },
+	}
+	vals := []float64{0, 1, -2, 0.5, 3}
+	for trial := 0; trial < 300; trial++ {
+		ts := make([]Triple[float64], r.Intn(40))
+		for k := range ts {
+			ts[k] = Triple[float64]{Row: fmt.Sprintf("r%d", r.Intn(6)), Col: fmt.Sprintf("c%d", r.Intn(6)), Val: vals[r.Intn(len(vals))]}
+		}
+		for name, combine := range combines {
+			got := FromTriples(ts, combine)
+			rows, cols, rowPtr, colIdx, val := refFromTriples(ts, combine)
+			gp, gc, gv := got.Matrix().Parts()
+			bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if !got.RowKeys().Equal(rows) || !got.ColKeys().Equal(cols) ||
+				!slices.Equal(gp, rowPtr) || !slices.Equal(gc, colIdx) || !slices.EqualFunc(gv, val, bits) {
+				t.Fatalf("trial %d, combine %s: FromTriples %v %v %v %v %v, want %v %v %v %v %v\ntriples %v",
+					trial, name, got.RowKeys(), got.ColKeys(), gp, gc, gv, rows, cols, rowPtr, colIdx, val, ts)
+			}
+		}
+	}
+}
+
+// Reindex into random supersets against per-entry lookups: every stored
+// entry lands at its keys in the new sets with its value, and nothing
+// else is stored. A target set lacking one of the array's keys is
+// refused, naming the first such key.
+func TestReindexMatchesPerEntryLookups(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		ts := make([]Triple[float64], 1+r.Intn(20))
+		for k := range ts {
+			ts[k] = Triple[float64]{Row: fmt.Sprintf("r%d", r.Intn(8)), Col: fmt.Sprintf("c%d", r.Intn(8)), Val: float64(1 + r.Intn(9))}
+		}
+		a := FromTriples(ts, nil)
+		grow := func(s *keys.Set, prefix string) *keys.Set {
+			ks := s.Keys()
+			for i := 0; i < 12; i++ {
+				if r.Intn(2) == 0 {
+					ks = append(ks, fmt.Sprintf("%s%d", prefix, i))
+				}
+			}
+			return keys.New(ks...)
+		}
+		rows, cols := grow(a.RowKeys(), "r"), grow(a.ColKeys(), "c")
+		got, err := a.Reindex(rows, cols)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.RowKeys() != rows || got.ColKeys() != cols || got.NNZ() != a.NNZ() {
+			t.Fatalf("trial %d: reindexed over %v×%v with %d entries, want %v×%v with %d", trial, got.RowKeys(), got.ColKeys(), got.NNZ(), rows, cols, a.NNZ())
+		}
+		a.Matrix().Iterate(func(i, j int, v float64) {
+			ri, _ := rows.Index(a.RowKeys().Key(i))
+			ci, _ := cols.Index(a.ColKeys().Key(j))
+			if w, ok := got.Matrix().At(ri, ci); !ok || w != v {
+				t.Fatalf("trial %d: (%s,%s) = %v,%v, want %v", trial, a.RowKeys().Key(i), a.ColKeys().Key(j), w, ok, v)
+			}
+		})
+	}
+	a := FromTriples([]Triple[float64]{{"r1", "c1", 1}, {"r3", "c2", 2}, {"r5", "c3", 3}}, nil)
+	for _, c := range []struct {
+		rows, cols *keys.Set
+		want       string
+	}{
+		{keys.New("r1", "r5"), a.ColKeys(), "assoc: Reindex target sets missing row r3"},
+		{keys.New("r0"), a.ColKeys(), "assoc: Reindex target sets missing row r1"},
+		{keys.New("r0", "r1", "r3", "r5"), keys.New("c0", "c1", "c2", "c3"), ""},
+		{a.RowKeys(), keys.New("c1", "c2", "c4"), "assoc: Reindex target sets missing col c3"},
+	} {
+		_, err := a.Reindex(c.rows, c.cols)
+		if got := fmt.Sprint(err); (c.want == "" && err != nil) || (c.want != "" && got != c.want) {
+			t.Errorf("Reindex(%v, %v) = %v, want %q", c.rows, c.cols, err, c.want)
 		}
 	}
 }

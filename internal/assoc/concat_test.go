@@ -14,6 +14,16 @@ import (
 
 func eqFloat(a, b float64) bool { return a == b }
 
+// unionKeys is New over every set's keys: a union that shares no code
+// with UnionAll's sweep.
+func unionKeys(sets ...*keys.Set) *keys.Set {
+	var all []string
+	for _, s := range sets {
+		all = append(all, s.Keys()...)
+	}
+	return keys.New(all...)
+}
+
 func randomTriples(r *rand.Rand, n, rowCard, colCard int, rowPrefix string) []Triple[float64] {
 	ts := make([]Triple[float64], 0, n)
 	for i := 0; i < n; i++ {
@@ -29,14 +39,15 @@ func randomTriples(r *rand.Rand, n, rowCard, colCard int, rowPrefix string) []Tr
 // referenceGather is the gather ConcatRows replaces: union the key sets
 // pairwise, reindex every part into the union space by key, ⊕ them
 // together in order. On row-disjoint parts no ⊕ combines two values.
-// Reindex resolves keys by string and shares no code with the position
-// maps ConcatRows renumbers through.
+// The union is New's over every part's keys, not UnionAll's sweep, and
+// the merge is Add's ⊕, not the gather's row copy.
 func referenceGather(t *testing.T, parts []*Array[float64], ops semiring.Ops[float64]) *Array[float64] {
 	t.Helper()
-	rows, cols := parts[0].rows, parts[0].cols
-	for _, p := range parts[1:] {
-		rows, cols = rows.Union(p.rows), cols.Union(p.cols)
+	rowSets, colSets := make([]*keys.Set, len(parts)), make([]*keys.Set, len(parts))
+	for k, p := range parts {
+		rowSets[k], colSets[k] = p.rows, p.cols
 	}
+	rows, cols := unionKeys(rowSets...), unionKeys(colSets...)
 	var acc *Array[float64]
 	for _, p := range parts {
 		e, err := p.Reindex(rows, cols)

@@ -71,9 +71,9 @@ func withExtraKeys(t *testing.T, a *Array[float64], mask byte, rowSide bool) *Ar
 	}
 	rows, cols := a.rows, a.cols
 	if rowSide {
-		rows = rows.Union(keys.New(extra...))
+		rows = unionKeys(rows, keys.New(extra...))
 	} else {
-		cols = cols.Union(keys.New(extra...))
+		cols = unionKeys(cols, keys.New(extra...))
 	}
 	out, err := a.Reindex(rows, cols)
 	if err != nil {

@@ -24,24 +24,36 @@ type MulOptions = sparse.MxmOptions
 // The result has A's row keys × B's column keys. Entries that fold to
 // the algebra's zero are pruned.
 func Mul[V any](a, b *Array[V], ops semiring.Ops[V], opt MulOptions) (*Array[V], error) {
-	am, bm := a.mat, b.mat
-	if !a.cols.Equal(b.rows) {
-		shared, pos, err := keys.UnionAll([]*keys.Set{a.cols, b.rows})
-		if err != nil {
-			return nil, err
-		}
-		if am, err = sparse.Embed(am, nil, pos[0], a.rows.Len(), shared.Len()); err != nil {
-			return nil, fmt.Errorf("assoc: align lhs: %w", err)
-		}
-		if bm, err = sparse.Embed(bm, pos[1], nil, shared.Len(), b.cols.Len()); err != nil {
-			return nil, fmt.Errorf("assoc: align rhs: %w", err)
-		}
+	am, bm, err := alignInner(a, b)
+	if err != nil {
+		return nil, err
 	}
 	cm, err := sparse.Mxm(am, bm, ops, opt)
 	if err != nil {
 		return nil, err
 	}
 	return &Array[V]{rows: a.rows, cols: b.cols, mat: cm}, nil
+}
+
+// alignInner embeds A's columns and B's rows into their union
+// (keys.UnionAll + sparse.Embed, values shared): the shared dimension of
+// a product. Operands that already share it keep their matrices.
+func alignInner[V any](a, b *Array[V]) (am, bm *sparse.CSR[V], err error) {
+	am, bm = a.mat, b.mat
+	if a.cols.Equal(b.rows) {
+		return am, bm, nil
+	}
+	shared, pos, err := keys.UnionAll([]*keys.Set{a.cols, b.rows})
+	if err != nil {
+		return nil, nil, err
+	}
+	if am, err = sparse.Embed(am, nil, pos[0], a.rows.Len(), shared.Len()); err != nil {
+		return nil, nil, fmt.Errorf("assoc: align lhs: %w", err)
+	}
+	if bm, err = sparse.Embed(bm, pos[1], nil, shared.Len(), b.cols.Len()); err != nil {
+		return nil, nil, fmt.Errorf("assoc: align rhs: %w", err)
+	}
+	return am, bm, nil
 }
 
 // Correlate computes AᵀB — the paper's fundamental correlation operation
@@ -97,7 +109,7 @@ func ElementMul[V any](a, b *Array[V], ops semiring.Ops[V]) (*Array[V], error) {
 }
 
 // alignUnion embeds both operands into the union key space
-// (keys.UnionAll + sparse.Embed): no string hashing, no COO re-sort, and
+// (keys.UnionAll + sparse.Embed): no string hashing, no sort, and
 // values are never copied. An operand already in that space keeps its
 // matrix as it is.
 func alignUnion[V any](a, b *Array[V]) (*Array[V], *Array[V], error) {
@@ -124,20 +136,15 @@ func alignUnion[V any](a, b *Array[V]) (*Array[V], *Array[V], error) {
 // EVERY shared key including structural zeros (materialized as ops.Zero).
 // This is the mathematical ground truth used by the theorem machinery;
 // see sparse.MulDense for why it differs from Mul exactly when the
-// Theorem II.1 conditions fail. Key alignment: the shared dimension is
-// the union in this case — absent keys contribute explicit zeros, which
+// Theorem II.1 conditions fail. Key alignment is Mul's: the shared
+// dimension is the union — absent keys contribute explicit zeros, which
 // is precisely what the theorem's counterexamples need.
 func MulDense[V any](a, b *Array[V], ops semiring.Ops[V]) (*Array[V], error) {
-	shared := a.cols.Union(b.rows)
-	am, err := a.Reindex(a.rows, shared)
+	am, bm, err := alignInner(a, b)
 	if err != nil {
 		return nil, err
 	}
-	bm, err := b.Reindex(shared, b.cols)
-	if err != nil {
-		return nil, err
-	}
-	cm, err := sparse.MulDense(am.mat, bm.mat, ops)
+	cm, err := sparse.MulDense(am, bm, ops)
 	if err != nil {
 		return nil, err
 	}

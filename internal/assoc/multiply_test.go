@@ -164,7 +164,7 @@ func mulAgainstIntersectFirst(t *testing.T, a, b *Array[float64], ops semiring.O
 		}
 	}
 	for _, tr := range b.Triples() {
-		if _, ok := shared.IndexSorted(tr.Row); ok {
+		if _, ok := shared.Index(tr.Row); ok {
 			bt = append(bt, tr)
 		}
 	}
@@ -217,7 +217,7 @@ func TestMulKernelsAndParallelAgree(t *testing.T) {
 	// The reference: sparse.MulMerge over the union of the edge keys
 	// (an edge key on one side only is an empty row on the other, and
 	// contributes nothing).
-	edges := eout.RowKeys().Union(ein.RowKeys())
+	edges := unionKeys(eout.RowKeys(), ein.RowKeys())
 	eo, err := eout.Reindex(edges, eout.ColKeys())
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestExplodeMusicStyle(t *testing.T) {
 		t.Fatalf("exploded nnz = %d", e.NNZ())
 	}
 	for _, k := range []string{"Genre|Rock", "Genre|Pop", "Writer|Ann", "Writer|Bob"} {
-		if _, ok := e.ColKeys().IndexSorted(k); !ok {
+		if _, ok := e.ColKeys().Index(k); !ok {
 			t.Errorf("missing exploded column %q", k)
 		}
 	}

@@ -202,7 +202,13 @@ func (g *Graph) InVertices() *keys.Set { return g.inVerts }
 
 // Vertices returns the full vertex set Kout ∪ Kin.
 func (g *Graph) Vertices() *keys.Set {
-	g.vertsOnce.Do(func() { g.verts = g.outVerts.Union(g.inVerts) })
+	g.vertsOnce.Do(func() {
+		u, _, err := keys.UnionAll([]*keys.Set{g.outVerts, g.inVerts})
+		if err != nil {
+			panic("graph: vertices: " + err.Error()) // only past 2³¹−1 vertices
+		}
+		g.verts = u
+	})
 	return g.verts
 }
 

@@ -67,7 +67,7 @@ func (g *tripleGraph) between(src, dst string) []Edge {
 	return out
 }
 
-// tripleIncidence is the former Incidence: []Triple → COO → CSR.
+// tripleIncidence is the former Incidence: []Triple → FromTriples → CSR.
 func tripleIncidence[V any](g *tripleGraph, ops semiring.Ops[V], w Weights[V]) (eout, ein *assoc.Array[V], err error) {
 	outW := w.Out
 	if outW == nil {
@@ -175,7 +175,7 @@ func checkAgainstTripleRoute(t *testing.T, edges []Edge, ops semiring.Ops[float6
 		t.Fatalf("key sets K=%v Kout=%v Kin=%v, want %v %v %v",
 			g.EdgeKeys(), g.OutVertices(), g.InVertices(), want.edgeKeys, want.outVerts, want.inVerts)
 	}
-	verts := want.outVerts.Union(want.inVerts)
+	verts := keys.New(append(want.outVerts.Keys(), want.inVerts.Keys()...)...)
 	if first, again := g.Vertices(), g.Vertices(); !first.Equal(verts) || first != again {
 		t.Fatalf("Vertices %v, want %v, the same Set on every call", first, verts)
 	}

@@ -13,8 +13,8 @@ import (
 
 // The two-set union of every alignment (a product's shared dimension,
 // an element-wise operation's key spaces, a view's universe growth)
-// against the map-free Union: same keys, and each map sends every key of
-// its side to itself in u.
+// against New over both sides' keys: same keys, and each map sends every
+// key of its side to itself in u.
 func TestUnionAllMatchesUnion(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
@@ -33,8 +33,8 @@ func TestUnionAllMatchesUnion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !u.Equal(s.Union(tt)) {
-			t.Fatalf("trial %d: union mismatch: %v vs %v", trial, u, s.Union(tt))
+		if want := New(append(sk, tk...)...); !u.Equal(want) {
+			t.Fatalf("trial %d: union mismatch: %v vs %v", trial, u, want)
 		}
 		check := func(side *Set, pos []int32, name string) {
 			for i := 0; i < side.Len(); i++ {
@@ -99,20 +99,21 @@ func TestUnionAllFastPaths(t *testing.T) {
 	}
 }
 
-func TestIndexSortedAgreesWithIndex(t *testing.T) {
+// An unbound Set's Index is a binary search: a hit is the key's place in
+// the order, and a miss — before, between or past the keys — is (0, false).
+func TestUnboundIndexFollowsKeyOrder(t *testing.T) {
 	s := New("b", "d", "f", "h")
-	for _, k := range []string{"a", "b", "c", "d", "h", "z"} {
-		i1, ok1 := s.Index(k)
-		i2, ok2 := s.IndexSorted(k)
-		if ok1 != ok2 || (ok1 && i1 != i2) {
-			t.Errorf("key %q: Index (%d,%v) vs IndexSorted (%d,%v)", k, i1, ok1, i2, ok2)
+	want := map[string]int{"b": 0, "d": 1, "f": 2, "h": 3}
+	for _, k := range []string{"a", "b", "c", "d", "f", "h", "z", ""} {
+		i, ok := s.Index(k)
+		if w, hit := want[k]; ok != hit || i != w {
+			t.Errorf("Index(%q) = %d,%v, want %d,%v", k, i, ok, w, hit)
 		}
 	}
 }
 
-// UnionAll against the map-free pairwise Union: folding the sets in
-// with repeated Union gives the same union, and every position map
-// sends each key to itself. Small alphabets make overlaps, duplicates of
+// UnionAll against New over every set's keys: the same union, and
+// every position map sends each key to itself. Small alphabets make overlaps, duplicates of
 // one set and empty sets all common.
 func TestUnionAllMatchesRepeatedUnion(t *testing.T) {
 	check := func(raw [][]uint8) bool {
@@ -133,10 +134,11 @@ func TestUnionAllMatchesRepeatedUnion(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		want := New()
+		var all []string
 		for _, s := range sets {
-			want = want.Union(s)
+			all = append(all, s.Keys()...)
 		}
+		want := New(all...)
 		if !u.Equal(want) || len(pos) != len(sets) {
 			t.Logf("union %v, want %v (%d maps for %d sets)", u, want, len(pos), len(sets))
 			return false
@@ -186,10 +188,8 @@ func TestUnionAllSharesWhatItCan(t *testing.T) {
 	}
 }
 
-// The sweep compares keys; it neither builds nor consults a reverse
-// index, on its inputs or on the union it returns (building one per
-// union — a map entry per key — is what a gather paid on every new
-// epoch).
+// The sweep compares keys; it binds nothing, on its inputs or on the
+// union it returns (a Set holds no reverse index of its own to build).
 func TestUnionAllBuildsNoIndex(t *testing.T) {
 	var a, b, c []string
 	for i := 0; i < 300; i++ {
@@ -211,7 +211,7 @@ func TestUnionAllBuildsNoIndex(t *testing.T) {
 		t.Fatalf("union of %d keys, maps %v", u.Len(), pos)
 	}
 	for i, s := range append(sets, u) {
-		if s.index != nil || s.Interned() {
+		if s.Interned() {
 			t.Errorf("set %d came out of UnionAll with a reverse index", i)
 		}
 	}

@@ -262,9 +262,8 @@ func (in *Interner) SortedView() (*Set, []int32) {
 
 // InternIndex is an interner-backed reverse index for a Set: position
 // lookups resolve through the interner's hash table plus a fixed
-// id→position map, instead of the Set building its own map[string]int —
-// which for a huge universe would double the key-set memory (the
-// ensureIndex cost this replaces).
+// id→position map in O(1), where an unbound Set binary-searches its keys,
+// and no per-Set copy of the keys' hash structure exists.
 //
 // Pos[id] is the position in the Set of the key with that id; ids ≥
 // len(Pos) (interned after this Set was formed) and ids mapped to a

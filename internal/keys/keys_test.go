@@ -21,8 +21,8 @@ func TestNewSortsAndDedups(t *testing.T) {
 			t.Errorf("Index(%q) = %d,%v", k, idx, ok)
 		}
 	}
-	if _, ok := s.IndexSorted("z"); ok {
-		t.Error("IndexSorted(z) should miss")
+	if i, ok := s.Index("z"); ok || i != 0 {
+		t.Errorf("Index(z) = %d,%v, want a miss", i, ok)
 	}
 }
 
@@ -58,13 +58,22 @@ func TestKeysReturnsCopy(t *testing.T) {
 	}
 }
 
+// union is the two-set UnionAll.
+func union(s, t *Set) *Set {
+	u, _, err := UnionAll([]*Set{s, t})
+	if err != nil {
+		panic(err)
+	}
+	return u
+}
+
 func TestUnionIntersect(t *testing.T) {
 	a := New("a", "b", "c")
 	b := New("b", "c", "d")
-	if got := a.Union(b); !got.Equal(New("a", "b", "c", "d")) {
+	if got := union(a, b); !got.Equal(New("a", "b", "c", "d")) {
 		t.Errorf("Union = %v", got)
 	}
-	if !a.Union(New()).Equal(a) {
+	if !union(a, New()).Equal(a) {
 		t.Error("Union with empty should be identity")
 	}
 }
@@ -226,7 +235,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 	}
 	unionComm := func(x, y []string) bool {
 		a, b := mk(x), mk(y)
-		return a.Union(b).Equal(b.Union(a))
+		return union(a, b).Equal(union(b, a))
 	}
 	if err := quick.Check(unionComm, cfg); err != nil {
 		t.Error(err)
@@ -263,13 +272,13 @@ func TestStringTruncates(t *testing.T) {
 	}
 }
 
-// The reverse index is lazy: Index must work (and be consistent with
-// the key order) on Sets produced by every constructor and set
-// operation, including concurrent first use.
+// Index must work (and be consistent with the key order) on Sets
+// produced by every constructor and set operation, under concurrent
+// use.
 func TestLazyIndexConsistency(t *testing.T) {
 	sets := []*Set{
 		New("d", "b", "a", "c"),
-		New("a", "x").Union(New("b", "y")),
+		union(New("a", "x"), New("b", "y")),
 	}
 	if sub, _ := New("p", "q", "r").Select(Prefix{P: "q"}); true {
 		sets = append(sets, sub)
@@ -288,7 +297,7 @@ func TestLazyIndexConsistency(t *testing.T) {
 		}
 		for w := 0; w < 4; w++ {
 			if !<-done {
-				t.Fatalf("set %d: lazy index inconsistent with key order", n)
+				t.Fatalf("set %d: Index inconsistent with key order", n)
 			}
 		}
 		if _, present := s.Index("zzz-missing"); present {
@@ -297,22 +306,22 @@ func TestLazyIndexConsistency(t *testing.T) {
 	}
 }
 
-// Union's fast paths may return a shared Set; the result
+// UnionAll's fast paths may return a shared Set; the result
 // must still be correct and Equal must recognise shared backing in O(1).
 func TestSetSharingFastPaths(t *testing.T) {
 	s := New("a", "b", "c")
 	empty := New()
-	if got := s.Union(empty); got != s {
+	if got := union(s, empty); got != s {
 		t.Error("Union with empty should return the set itself")
 	}
-	if got := empty.Union(s); got != s {
-		t.Error("empty.Union(s) should return s")
+	if got := union(empty, s); got != s {
+		t.Error("union(empty, s) should return s")
 	}
 	twin := New("a", "b", "c")
 	if !s.Equal(twin) || !twin.Equal(s) {
 		t.Error("equal-content sets must compare equal")
 	}
-	if got := s.Union(twin); !got.Equal(s) {
+	if got := union(s, twin); !got.Equal(s) {
 		t.Error("union of equal sets wrong")
 	}
 }

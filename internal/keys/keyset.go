@@ -4,7 +4,8 @@
 // selection ("Matlab-style notation to denote ranges of keys", Figure 1).
 //
 // Keys are strings under lexicographic order; a Set stores them sorted
-// and deduplicated with a lazily built O(1) reverse index. Sets are
+// and deduplicated, and that slice is all it keeps beside an optional
+// interner binding. Every alignment of Sets is one UnionAll. Sets are
 // immutable after construction and safe for concurrent readers.
 package keys
 
@@ -12,28 +13,17 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Set is a finite totally-ordered set of string keys.
-//
-// The map-based reverse index is built lazily on the first Index call:
-// most intermediate Sets (UnionAll/Select results flowing through
-// multiplication alignment) are only ever iterated or compared,
-// and building a map per intermediate Set dominated allocation on the
-// construction path. Membership tests use binary search on the sorted
-// key slice, which needs no index at all.
-//
-// A Set that originates from an Interner can instead be Bound to an
-// InternIndex: Index then resolves through the interner's shared hash
-// table and a flat id→position array, and the map[string]int — a second
-// full copy of the key bytes' hash structure, which for huge universes
-// doubled the key-set memory — is never built.
+// Set is a finite totally-ordered set of string keys: the sorted key
+// slice, and nothing else but an optional binding to an InternIndex.
+// Index binary-searches the slice — no reverse index is ever built — or,
+// for a Set bound to an interner (a view's universe, a checkpoint's, a
+// graph's sides: every Set a served read looks up), resolves through the
+// interner's shared hash table and a flat id→position array.
 type Set struct {
 	keys     []string
-	idxOnce  sync.Once
-	index    map[string]int
 	interned atomic.Pointer[InternIndex]
 }
 
@@ -67,18 +57,6 @@ func fromSortedUnique(ks []string) *Set {
 	return &Set{keys: ks}
 }
 
-// ensureIndex builds the reverse index exactly once. Safe for
-// concurrent readers: Sets are immutable apart from this memoization.
-func (s *Set) ensureIndex() {
-	s.idxOnce.Do(func() {
-		idx := make(map[string]int, len(s.keys))
-		for i, k := range s.keys {
-			idx[k] = i
-		}
-		s.index = idx
-	})
-}
-
 // Len returns the number of keys.
 func (s *Set) Len() int { return len(s.keys) }
 
@@ -92,8 +70,8 @@ func (s *Set) Keys() []string {
 	return out
 }
 
-// Bind attaches an interner-backed reverse index, replacing the lazy
-// map[string]int for this Set. The binding must describe exactly this
+// Bind attaches an interner-backed reverse index, replacing the binary
+// search for this Set. The binding must describe exactly this
 // Set's keys (ix.Index(s.Key(i)) == i for all i, and misses for every
 // other key); internal/stream maintains such bindings incrementally as
 // its vertex universes grow. Binding is an atomic publish, so it is
@@ -106,28 +84,21 @@ func (s *Set) Bind(ix *InternIndex) {
 }
 
 // Interned reports whether this Set resolves Index through an
-// interner-backed binding (no per-Set map).
+// interner-backed binding.
 func (s *Set) Interned() bool { return s.interned.Load() != nil }
 
-// Index returns the position of k and whether it is present. A Set
-// bound to an interner resolves through the interner's hash table; the
-// first call on an unbound Set builds its map reverse index. Repeated
-// lookups are O(1) either way.
+// Index returns the position of k and whether it is present: through
+// the interner when the Set is bound to one, in O(1), and by binary
+// search otherwise, in O(log n).
 func (s *Set) Index(k string) (int, bool) {
 	if ix := s.interned.Load(); ix != nil {
 		return ix.Index(k)
 	}
-	s.ensureIndex()
-	i, ok := s.index[k]
-	return i, ok
-}
-
-// IndexSorted returns the position of k by binary search — O(log n)
-// without forcing the reverse index into existence; the right lookup for
-// short-lived Sets (delta batches) indexed only a handful of times.
-func (s *Set) IndexSorted(k string) (int, bool) {
 	i := sort.SearchStrings(s.keys, k)
-	return i, i < len(s.keys) && s.keys[i] == k
+	if i < len(s.keys) && s.keys[i] == k {
+		return i, true
+	}
+	return 0, false
 }
 
 // Equal reports whether two sets hold the same keys in the same order
@@ -149,37 +120,6 @@ func (s *Set) Equal(t *Set) bool {
 		}
 	}
 	return true
-}
-
-// Union returns the ordered union of two sets. When one side is empty
-// or the sets are equal, the other Set is returned as-is (Sets are
-// immutable, so sharing is safe).
-func (s *Set) Union(t *Set) *Set {
-	if len(s.keys) == 0 {
-		return t
-	}
-	if len(t.keys) == 0 || s.Equal(t) {
-		return s
-	}
-	out := make([]string, 0, len(s.keys)+len(t.keys))
-	i, j := 0, 0
-	for i < len(s.keys) && j < len(t.keys) {
-		switch {
-		case s.keys[i] < t.keys[j]:
-			out = append(out, s.keys[i])
-			i++
-		case s.keys[i] > t.keys[j]:
-			out = append(out, t.keys[j])
-			j++
-		default:
-			out = append(out, s.keys[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s.keys[i:]...)
-	out = append(out, t.keys[j:]...)
-	return fromSortedUnique(out)
 }
 
 // Select applies a Selector, returning the selected sub-Set and, for

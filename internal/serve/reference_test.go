@@ -157,9 +157,10 @@ func (s *refServer) handleTriples(w http.ResponseWriter, r *http.Request) {
 	}
 	total := adj.NNZ()
 	rows := make([]map[string]any, 0, min(limit, total))
-	adj.IterateUntil(func(rk, ck string, v float64) bool {
-		rows = append(rows, map[string]any{"row": rk, "col": ck, "val": safeFloat(v)})
-		return len(rows) < limit
+	adj.Iterate(func(rk, ck string, v float64) {
+		if len(rows) < limit {
+			rows = append(rows, map[string]any{"row": rk, "col": ck, "val": safeFloat(v)})
+		}
 	})
 	s.writeJSON(w, epochFields(map[string]any{
 		"triples": rows, "total": total, "limit": limit,

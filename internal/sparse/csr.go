@@ -1,6 +1,6 @@
 // Package sparse provides the hand-rolled sparse-matrix kernels the
-// library is built on: CSR storage generic over the value type, COO
-// construction, transpose, sub-matrix extraction, element-wise merges,
+// library is built on: CSR storage generic over the value type,
+// transpose, sub-matrix extraction, element-wise merges,
 // the SpGEMM (sparse × sparse multiply) engine Mxm with its merge
 // reference and dense oracle, and FoldUnitRows, the group-by that the
 // product of two unit-row (incidence) matrices collapses to.
@@ -27,10 +27,9 @@
 // stored entry of a CSR[float64] costs 12 bytes and a row 4. Dimensions
 // and scalar arguments stay int. The price is a cap: a matrix has at
 // most 2³¹−1 rows, columns and stored entries, and whatever assembles
-// one refuses more with an error wrapping ErrIndexRange (index.go) —
-// NewCSR, FoldUnitRows, Embed/Gather and Mxm's
-// symbolic bound by returning it, COO.ToCSR, which returns no error, by
-// panicking with it.
+// one refuses more with an error wrapping ErrIndexRange (index.go):
+// NewCSR, FoldUnitRows, GroupUnitRows, Embed/Gather and Mxm's symbolic
+// bound all return it.
 package sparse
 
 import (

@@ -142,6 +142,40 @@ func GroupUnitRows[V any](rows, cols int, row, col []int32, out, in []V, ops sem
 	return &CSR[V]{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
 }
 
+// FoldRuns folds each of m's runs — a row's entries that share a column,
+// as GroupUnitRows leaves them — into one entry, left to right with
+// combine; a nil combine keeps the run's last value. Nothing is pruned:
+// every run is a stored cell, whatever its value. m is only read, and
+// is the result itself when no run holds more than one entry.
+func FoldRuns[V any](m *CSR[V], combine func(V, V) V) *CSR[V] {
+	n := 0
+	for r := 0; r < m.rows; r++ {
+		for q, end := m.rowPtr[r], m.rowPtr[r+1]; q < end; q = runEnd(m.colIdx, q, end) {
+			n++
+		}
+	}
+	if n == len(m.colIdx) {
+		return m
+	}
+	rowPtr, colIdx, val := make([]int32, m.rows+1), make([]int32, 0, n), make([]V, 0, n)
+	for r := 0; r < m.rows; r++ {
+		for q, end := m.rowPtr[r], m.rowPtr[r+1]; q < end; {
+			e := runEnd(m.colIdx, q, end)
+			acc := m.val[e-1]
+			if combine != nil {
+				acc = m.val[q]
+				for _, v := range m.val[q+1 : e] {
+					acc = combine(acc, v)
+				}
+			}
+			colIdx, val = append(colIdx, m.colIdx[q]), append(val, acc)
+			q = e
+		}
+		rowPtr[r+1] = int32(len(colIdx))
+	}
+	return &CSR[V]{rows: m.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+}
+
 // foldJob is one FoldUnitRows call: the contributions, and the output
 // arrays every span writes its own rows of. rowPtr bounds each output
 // row by its contribution count; rowLen is the scatter's cursor, from

@@ -26,9 +26,10 @@ import (
 //
 // Values are never copied: the result shares m's value slice, plus its
 // column slice when colPos is nil, and an embedding that moves nothing
-// into a space of m's own shape is m itself. This is the integer-index
-// counterpart of assoc.Reindex — O(rows+nnz) with no string hashing and
-// no COO sort.
+// into a space of m's own shape is m itself. Every alignment of key sets
+// ends here, behind keys.UnionAll's position maps — assoc's products,
+// element-wise operations and Reindex — in O(rows+nnz) with no string
+// hashing and no sort.
 func Embed[V any](m *CSR[V], rowPos, colPos []int32, newRows, newCols int) (*CSR[V], error) {
 	if err := checkEmbed(m, rowPos, colPos, newRows, newCols); err != nil {
 		return nil, err

@@ -25,15 +25,6 @@ func checkIndexRange(rows, cols, nnz int) error {
 	return nil
 }
 
-// mustFitIndex is checkIndexRange for the assembler that returns no
-// error (COO.ToCSR): like make with a length out of range, it panics —
-// with the error, so a recover can still errors.Is it.
-func mustFitIndex(rows, cols, nnz int) {
-	if err := checkIndexRange(rows, cols, nnz); err != nil {
-		panic(err)
-	}
-}
-
 // prefixCounts turns the per-row entry counts in rowPtr[1:] into row
 // offsets, in place. Each count fits an index (a row has at most cols
 // entries); their sum may not, and is refused before it wraps.

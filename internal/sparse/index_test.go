@@ -11,17 +11,6 @@ import (
 	"adjarray/internal/semiring"
 )
 
-// recovered runs f and returns what it panicked with, as an error.
-func recovered(f func()) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err, _ = p.(error)
-		}
-	}()
-	f()
-	return nil
-}
-
 // Every assembler refuses a shape an int32 cannot index with the one
 // ErrIndexRange — and does so from the dimensions alone, before it
 // allocates anything of their size.
@@ -34,8 +23,14 @@ func TestDimensionsPastTheIndexRangeAreRefused(t *testing.T) {
 	ops := semiring.PlusTimes()
 	small := Empty[float64](2, 2)
 	for name, refuse := range map[string]func() error{
-		"COO.ToCSR rows":    func() error { return recovered(func() { NewCOO[float64](big, 1).ToCSR(nil) }) },
-		"COO.ToCSR columns": func() error { return recovered(func() { NewCOO[float64](1, big).ToCSR(nil) }) },
+		"GroupUnitRows rows": func() error {
+			_, err := GroupUnitRows(big, 1, nil, nil, []float64{}, nil, ops, nil)
+			return err
+		},
+		"GroupUnitRows columns": func() error {
+			_, err := GroupUnitRows(1, big, nil, nil, []float64{}, nil, ops, nil)
+			return err
+		},
 		"NewCSR rows": func() error {
 			_, err := NewCSR[float64](big, 1, nil, nil, nil)
 			return err

@@ -21,23 +21,19 @@ import (
 
 // referenceGather is the gather mergeAdjacency ran before it became a
 // concatenation, kept as the reference: union the shards' key sets
-// pairwise, reindex every shard's adjacency into the union space by key
-// (assoc.Array.Reindex, which shares no code with the position maps) and
+// (keys.New over all their keys, not UnionAll's sweep), reindex every
+// shard's adjacency into the union space (assoc.Array.Reindex) and
 // ⊕-merge them in ascending shard order. Shards own disjoint rows, so no ⊕ combines two values.
 func referenceGather[V any](t *testing.T, shards []Snapshot[V], ops semiring.Ops[V]) *assoc.Array[V] {
 	t.Helper()
 	if len(shards) == 1 {
 		return shards[0].Adjacency
 	}
-	var uRows, uCols *keys.Set
+	var rk, ck []string
 	for _, sn := range shards {
-		if uRows == nil {
-			uRows, uCols = sn.Adjacency.RowKeys(), sn.Adjacency.ColKeys()
-			continue
-		}
-		uRows = uRows.Union(sn.Adjacency.RowKeys())
-		uCols = uCols.Union(sn.Adjacency.ColKeys())
+		rk, ck = append(rk, sn.Adjacency.RowKeys().Keys()...), append(ck, sn.Adjacency.ColKeys().Keys()...)
 	}
+	uRows, uCols := keys.New(rk...), keys.New(ck...)
 	var acc *assoc.Array[V]
 	for _, sn := range shards {
 		pe, err := sn.Adjacency.Reindex(uRows, uCols)

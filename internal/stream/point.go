@@ -131,7 +131,7 @@ func (p PointSnapshot[V]) Delta() Delta[V] {
 		if held(pos, id) {
 			return pos[id]
 		}
-		i, _ := d.Fresh.IndexSorted(in.Key(id))
+		i, _ := d.Fresh.Index(in.Key(id))
 		return int32(past + i)
 	}
 	for k := range n {

@@ -578,6 +578,32 @@ func TestStoreSnapshotMergesLogsOnDemand(t *testing.T) {
 	}
 }
 
+// A shard checks edge keys against its own log only, so two appends of
+// key k1 whose sources route to different shards are both accepted. The
+// gathered logs must then refuse, naming the key and both shards, and not
+// hand back an Eout whose row k1 holds two sources.
+func TestLogsRefuseAnEdgeKeyTwoShardsHold(t *testing.T) {
+	st := memStore(t, semiring.PlusTimes(), 2)
+	a, b := "a", "b"
+	for i := 0; st.ShardFor(b) == st.ShardFor(a); i++ {
+		b = fmt.Sprintf("b%d", i)
+	}
+	for _, src := range []string{a, b} {
+		if err := st.Append([]Edge[float64]{{Key: "k1", Src: src, Dst: "d"}}); err != nil {
+			t.Fatalf("append k1 from %s: %v", src, err)
+		}
+	}
+	eout, _, err := mustShardSnap(t, st).Logs()
+	if err == nil {
+		t.Fatalf("Logs() accepted k1 on two shards; Eout row k1 holds %d sources", eout.Matrix().RowNNZ(0))
+	}
+	for _, want := range []string{`row "k1"`, "part 0", "part 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Logs() error %q does not name %s", err, want)
+		}
+	}
+}
+
 // One Open owns the layout: a directory refuses an explicit shard count
 // other than the one it holds — across the 1↔N boundary too, where the
 // one-shard layout (root) and the N-shard layout (SHARDS + shard-NNN/)

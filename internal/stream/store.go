@@ -309,8 +309,6 @@ type StoreSnapshot[V any] struct {
 	Epoch int
 	// Edges is the edge count across all shard logs.
 	Edges int
-
-	ops semiring.Ops[V]
 }
 
 // Snapshot pins one consistent epoch per shard — each shard's
@@ -322,7 +320,7 @@ type StoreSnapshot[V any] struct {
 // calls it (PointPin builds the Graph, OwnerSnapshot pins a point read's
 // shard). An error is the lowest-indexed failing shard's.
 func (s *Store[V]) Snapshot() (StoreSnapshot[V], error) {
-	snap := StoreSnapshot[V]{Shards: make([]Snapshot[V], len(s.parts)), Epochs: make([]int, len(s.parts)), ops: s.ops}
+	snap := StoreSnapshot[V]{Shards: make([]Snapshot[V], len(s.parts)), Epochs: make([]int, len(s.parts))}
 	for i, p := range s.parts {
 		sn, err := p.v.Snapshot()
 		if err != nil {
@@ -405,30 +403,27 @@ func mergeAdjacency[V any](shards []Snapshot[V]) (*assoc.Array[V], error) {
 }
 
 // Logs gathers the per-shard incidence logs into one pair spanning the
-// union edge-key and vertex universes. Edge keys are globally unique
+// union edge-key and vertex universes, as the adjacency is gathered: a
+// concatenation of row-disjoint parts (assoc.ConcatRows), every row
+// copied once and no entry ⊕-combined. Edge keys are globally unique
 // (ascending explicit streams; prefixed auto keys), so the row sets are
-// disjoint and the gather — like the adjacency merge — never
-// ⊕-combines entries. The merged log's row order is ascending key
-// order, exactly a one-shard log's order. The merge runs on each call;
-// each shard's own logs are built once per shard snapshot.
+// disjoint; an edge key two shards both hold is refused, the error
+// naming it and the two shards (a part is a shard). The merged log's row
+// order is ascending key order, exactly a one-shard log's order. The
+// gather runs on each call; each shard's own logs are built once per
+// shard snapshot.
 func (s StoreSnapshot[V]) Logs() (eout, ein *assoc.Array[V], err error) {
-	if eout, ein, err = s.Shards[0].Logs(); err != nil {
-		return nil, nil, err
+	outs, ins := make([]*assoc.Array[V], len(s.Shards)), make([]*assoc.Array[V], len(s.Shards))
+	for i, sn := range s.Shards {
+		if outs[i], ins[i], err = sn.Logs(); err != nil {
+			return nil, nil, err
+		}
 	}
-	for _, sn := range s.Shards[1:] {
-		if sn.Edges == 0 {
-			continue
-		}
-		so, si, err := sn.Logs()
-		if err != nil {
-			return nil, nil, err
-		}
-		if eout, err = assoc.Add(eout, so, s.ops); err != nil {
-			return nil, nil, err
-		}
-		if ein, err = assoc.Add(ein, si, s.ops); err != nil {
-			return nil, nil, err
-		}
+	if eout, err = assoc.ConcatRows(outs); err != nil {
+		return nil, nil, fmt.Errorf("stream: gathering %d shards' Eout (a part is a shard): %w", len(outs), err)
+	}
+	if ein, err = assoc.ConcatRows(ins); err != nil {
+		return nil, nil, fmt.Errorf("stream: gathering %d shards' Ein (a part is a shard): %w", len(ins), err)
 	}
 	return eout, ein, nil
 }
