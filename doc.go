@@ -69,7 +69,10 @@
 //     adjacency, as CRC-closed sections (ADJCKPT format 2, the one
 //     format) — pinned by slice header under the view lock and
 //     streamed to disk with that lock released, so readers never wait
-//     on one and nothing it allocates grows with the view. Recovery has
+//     on one and nothing it allocates grows with the view; a load reads
+//     it back in pieces, validating every section and then decoding each
+//     straight into the arrays the view keeps, never holding the file
+//     beside them. Recovery has
 //     torn-tail repair, typed corruption errors, a refusal by name of
 //     what it will not read — a directory under a different shard
 //     count, a sharded one that lost its SHARDS file, a format-1

@@ -366,6 +366,13 @@ func (f *faultFile) Read(p []byte) (int, error) {
 	return f.inner.Read(p)
 }
 
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.fs.fail(OpRead, f.path); err != nil {
+		return 0, err
+	}
+	return f.inner.ReadAt(p, off)
+}
+
 func (f *faultFile) Write(p []byte) (int, error) {
 	k, ok := f.fs.inj.decide(OpWrite, f.path)
 	if !ok {

@@ -24,7 +24,7 @@ const (
 	OpAny Op = iota
 	// OpOpen covers OpenFile and CreateTemp.
 	OpOpen
-	// OpRead covers File.Read and ReadFile.
+	// OpRead covers File.Read, File.ReadAt and ReadFile.
 	OpRead
 	// OpWrite covers File.Write and WriteFile.
 	OpWrite
@@ -77,6 +77,7 @@ func (o Op) String() string {
 type File interface {
 	Write(p []byte) (int, error)
 	Read(p []byte) (int, error)
+	ReadAt(p []byte, off int64) (int, error)
 	Sync() error
 	Close() error
 	Name() string

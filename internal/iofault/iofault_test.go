@@ -56,6 +56,32 @@ func TestScriptedRuleMatching(t *testing.T) {
 	}
 }
 
+// TestReadAtIsARead: ReadAt is faulted as a read, and an unfaulted one
+// reads where it is told.
+func TestReadAtIsARead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt-x.ckpt")
+	if err := os.WriteFile(path, []byte("0123456789"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inj := New()
+	inj.Arm(Rule{Op: OpRead, Path: "ckpt-", Kind: EIO, After: 1, Count: 1})
+	f, err := Wrap(OS, inj).OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p := make([]byte, 3)
+	if n, err := f.ReadAt(p, 4); err != nil || n != 3 || string(p) != "456" {
+		t.Fatalf("ReadAt = %d %q %v, want 3 \"456\"", n, p, err)
+	}
+	if _, err := f.ReadAt(p, 0); !errors.Is(err, ErrInjected) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("armed ReadAt: err = %v, want an injected EIO", err)
+	}
+	if ev := inj.Events(); len(ev) != 1 || ev[0].Op != OpRead {
+		t.Fatalf("events = %+v, want one read fault", ev)
+	}
+}
+
 // TestShortAndTornWrites checks the on-disk state the write kinds
 // leave behind: a short write lands a strict prefix, a torn write
 // lands at most the buffer length and never grows the file past it.

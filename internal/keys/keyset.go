@@ -71,14 +71,18 @@ func (s *Set) Keys() []string {
 }
 
 // Bind attaches an interner-backed reverse index, replacing the binary
-// search for this Set. The binding must describe exactly this
-// Set's keys (ix.Index(s.Key(i)) == i for all i, and misses for every
-// other key); internal/stream maintains such bindings incrementally as
-// its vertex universes grow. Binding is an atomic publish, so it is
-// safe even when another goroutine is concurrently calling Index — but
-// callers should bind before sharing the Set where possible.
+// search for this Set, and reads every key back from the interner
+// (KeysByPos): a bound Set's keys view the interner's slab as it is at
+// binding, so no bound Set keeps alive a slab array that interning has
+// since moved away from — a growing vertex universe, rebound at every
+// growth, holds the live slab and nothing older. The binding must
+// describe exactly this Set's keys (ix.Index(s.Key(i)) == i for all i,
+// and misses for every other key); internal/stream maintains such
+// bindings incrementally as its vertex universes grow. Bind rewrites the
+// key slice in place, so bind a Set before sharing it.
 func (s *Set) Bind(ix *InternIndex) {
 	if ix != nil {
+		ix.In.KeysByPos(ix.Pos, s.keys)
 		s.interned.Store(ix)
 	}
 }

@@ -3,9 +3,10 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"strings"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/keys"
@@ -244,10 +245,15 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 
 // decodeCheckpoint reconstructs a View from a validated checkpoint file.
 // Bytes that passed their checksums but do not decode into a consistent
-// view are a *wal.CorruptError; a checkpoint written under another
-// algebra is refused with a plain error.
+// view are a *wal.CorruptError; a section that cannot be read again is
+// the read's own error, typed as wal returned it; a checkpoint written
+// under another algebra is refused with a plain error.
 func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueCodec[V]) (*View[V], error) {
-	v, name, err := decodeSections(ck.Sections, ops, codec)
+	v, name, err := decodeSections(ck, ops, codec)
+	var rf readFailure
+	if errors.As(err, &rf) {
+		return nil, rf.err
+	}
 	if err != nil {
 		return nil, &wal.CorruptError{Path: ck.Path, Reason: err.Error()}
 	}
@@ -257,12 +263,20 @@ func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec Valu
 	return v, nil
 }
 
-// sectionDecoder reads a checkpoint's sections. The first failure is
-// sticky: every later read returns nothing, and the caller checks err
-// once.
+// readFailure is a section that could not be read again — a failed read,
+// or a body that no longer hashes to what validation read — passed up as
+// wal reported it rather than as a decoding error.
+type readFailure struct{ err error }
+
+func (r readFailure) Error() string { return r.err.Error() }
+
+// sectionDecoder reads a checkpoint's sections, each straight from the
+// file through the checkpoint's one buffer into where it is kept: the
+// file is never held whole. The first failure is sticky: every later
+// read returns nothing, and the caller checks err once.
 type sectionDecoder struct {
-	secs []wal.Section
-	err  error
+	ck  *wal.Checkpoint
+	err error
 }
 
 func (d *sectionDecoder) fail(format string, args ...any) {
@@ -271,26 +285,65 @@ func (d *sectionDecoder) fail(format string, args ...any) {
 	}
 }
 
-// body returns a section's bytes, nothing once the decoder has failed.
-func (d *sectionDecoder) body(tag uint32) []byte {
+// size returns a section's body length, 0 once the decoder has failed.
+func (d *sectionDecoder) size(tag uint32) int {
 	if d.err != nil {
+		return 0
+	}
+	return int(d.ck.Sections[tag-1].Len)
+}
+
+// read streams a section to fn in pieces of whole width-byte entries
+// (wal.Checkpoint.ReadSection); fn returns false to stop. It reports
+// whether the whole section was read and taken. A failed read fails d; a
+// stop does not — fn fails d itself if the stop is a failure.
+func (d *sectionDecoder) read(tag uint32, width int, fn func(p []byte) bool) bool {
+	if d.err != nil {
+		return false
+	}
+	err := d.ck.ReadSection(int(tag-1), width, func(p []byte) error {
+		if !fn(p) {
+			return errStopped
+		}
+		return nil
+	})
+	if err != nil && err != errStopped {
+		d.err = readFailure{err}
+	}
+	return err == nil
+}
+
+var errStopped = errors.New("stream: checkpoint: section read stopped")
+
+// whole returns a section's bytes in a new slice of its exact length,
+// nil once the decoder has failed.
+func (d *sectionDecoder) whole(tag uint32) []byte {
+	b := make([]byte, 0, d.size(tag))
+	if !d.read(tag, 1, func(p []byte) bool { b = append(b, p...); return true }) {
 		return nil
 	}
-	return d.secs[tag-1].Body
+	return b
 }
 
 // u32s reads a section that is one array of 4-byte words, as putU32s
-// wrote them. Its length is the section's, so the allocation is bounded
-// by the bytes present.
-func u32s[T int32 | uint32](d *sectionDecoder, tag uint32, name string) []T {
-	b := d.body(tag)
-	if len(b)%4 != 0 {
-		d.fail("%s section is %d bytes, not a whole number of 4-byte entries", name, len(b))
+// wrote them, into a new slice, after lead zero entries. Its length is
+// the section's, so the allocation is bounded by the bytes present.
+func u32s[T int32 | uint32](d *sectionDecoder, tag uint32, name string, lead int) []T {
+	n := d.size(tag)
+	if n%4 != 0 {
+		d.fail("%s section is %d bytes, not a whole number of 4-byte entries", name, n)
 		return nil
 	}
-	xs := make([]T, len(b)/4)
-	for i := range xs {
-		xs[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+	xs := make([]T, lead+n/4)
+	at := lead
+	if !d.read(tag, 4, func(p []byte) bool {
+		for ; len(p) > 0; p = p[4:] {
+			xs[at] = T(binary.LittleEndian.Uint32(p))
+			at++
+		}
+		return true
+	}) {
+		return nil
 	}
 	return xs
 }
@@ -301,7 +354,7 @@ func u32s[T int32 | uint32](d *sectionDecoder, tag uint32, name string) []T {
 // The one exception is the word 0xFFFFFFFF in a section that may hold
 // "none" (a position map's −1).
 func indexes(d *sectionDecoder, tag uint32, name string, none bool) []int32 {
-	xs := u32s[int32](d, tag, name)
+	xs := u32s[int32](d, tag, name, 0)
 	for i, x := range xs {
 		if x < 0 && !(none && x == -1) {
 			d.fail("%s section: the word at byte offset %d is %#x, not an index below 2³¹", name, 4*i, uint32(x))
@@ -311,9 +364,35 @@ func indexes(d *sectionDecoder, tag uint32, name string, none bool) []int32 {
 	return xs
 }
 
-// vals decodes exactly n values that fill the section.
+// maxValueWidth bounds the entry width a value section is decoded at in
+// pieces: a piece holds whole entries only up to the read buffer's
+// length, and no fixed-width value comes near this.
+const maxValueWidth = 64
+
+// vals decodes exactly n values that fill the section. A section of n
+// entries of one width is decoded in pieces, each value from exactly its
+// own bytes, straight into the column. It is read whole and decoded as
+// one self-delimiting run, as a variable-width codec writes it, only
+// when it is not, or when an entry does not decode from exactly its
+// width.
 func vals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueCodec[V]) []V {
-	b := d.body(tag)
+	if size := d.size(tag); n > 0 && size > 0 && size%n == 0 && size/n <= maxValueWidth {
+		w, i := size/n, 0
+		vs := make([]V, n)
+		if d.read(tag, w, func(p []byte) bool {
+			for ; len(p) > 0; p, i = p[w:], i+1 {
+				v, got, err := codec.Decode(p[:w])
+				if err != nil || got != w {
+					return false
+				}
+				vs[i] = v
+			}
+			return true
+		}) {
+			return vs
+		}
+	}
+	b := d.whole(tag)
 	if d.err != nil {
 		return nil
 	}
@@ -333,24 +412,26 @@ func vals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueC
 }
 
 // side rebuilds one side of the vertex universe: the interner from its
-// offset and slab sections (the slab is copied: an interner outlives the
-// file's bytes and appends to its slab), the id → position array, the
-// sorted key Set the two describe, and the log's endpoint ids on that
-// side, every one of which must name a vertex that has a position.
+// offset and slab sections (each read into the array the interner keeps
+// and appends to), the id → position array, the sorted key Set the two
+// describe, and the log's endpoint ids on that side, every one of which
+// must name a vertex that has a position.
 func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string, want uint64) (in *keys.Interner, pos []int32, set *keys.Set, ids []int32) {
-	ends := u32s[uint32](d, offTag, name+" key offset")
+	off := u32s[uint32](d, offTag, name+" key offset", 1)
 	pos = indexes(d, posTag, name+" position", true)
 	ids = indexes(d, idTag, name+" id", false)
 	if d.err != nil {
 		return nil, nil, nil, nil
 	}
-	if uint64(len(ends)) != want {
-		d.fail("counts %d %s keys, offsets hold %d", want, name, len(ends))
+	if uint64(len(off)-1) != want {
+		d.fail("counts %d %s keys, offsets hold %d", want, name, len(off)-1)
 		return nil, nil, nil, nil
 	}
-	off := make([]uint32, len(ends)+1)
-	copy(off[1:], ends)
-	in, err := keys.InternerFromParts(off, slices.Clone(d.body(slabTag)))
+	slab := d.whole(slabTag)
+	if d.err != nil {
+		return nil, nil, nil, nil
+	}
+	in, err := keys.InternerFromParts(off, slab)
 	if err == nil {
 		set, err = sideFromPos(in, pos)
 	}
@@ -369,106 +450,114 @@ func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string
 
 // edgeKeys reads the key column of an n-edge log whose generator stands
 // at (base, seq). Empty sections mean the column is that generator's one
-// run and was left to meta; stored keys are walked where they lie —
-// offsets monotone, keys strictly ascending, the slab used up — and only
-// if some key is not the one the run would hold are they kept, as
-// substrings of one string. A log whose every key the run generates stays
-// a run, whoever spelled it out.
+// run and was left to meta; stored keys are walked as their offsets
+// stream in — offsets monotone, keys strictly ascending, the slab used
+// up — and only if some key is not the one the run would hold are they
+// kept, as substrings of one string: the slab, read into it. A log whose
+// every key the run generates stays a run, whoever spelled it out.
 func (d *sectionDecoder) edgeKeys(n int, base string, seq uint64) keyCol {
-	off, slab := d.body(secKeyOff), d.body(secKeySlab)
-	if d.err != nil || n == 0 && len(off) == 0 && len(slab) == 0 {
+	offLen, slabLen := d.size(secKeyOff), d.size(secKeySlab)
+	if d.err != nil || n == 0 && offLen == 0 && slabLen == 0 {
 		return keyCol{}
 	}
 	// checkCounters has bounded seq, so it is an int.
 	run := keyCol{runs: []keyRun{{base: base, seq: int(seq) - n, gen: true}}}
 	isRun := run.oneRun(n, base, int(seq))
-	if len(off) == 0 {
+	if offLen == 0 {
 		switch {
-		case len(slab) != 0:
-			d.fail("no edge key offsets beside a key slab of %d bytes", len(slab))
+		case slabLen != 0:
+			d.fail("no edge key offsets beside a key slab of %d bytes", slabLen)
 		case !isRun:
 			d.fail("no edge keys stored, and the generator (base %q, sequence %d) has not produced the log's %d", base, seq, n)
 		}
 		return run
 	}
-	if len(off) != 4*n {
-		d.fail("edge key offsets are %d bytes, want %d for %d edges", len(off), 4*n, n)
+	if offLen != 4*n {
+		d.fail("edge key offsets are %d bytes, want %d for %d edges", offLen, 4*n, n)
 		return keyCol{}
 	}
-	var prev []byte
-	var buf [64]byte
-	at := uint32(0)
-	for i := 0; i < n; i++ {
-		end := binary.LittleEndian.Uint32(off[4*i:])
-		if end < at || uint64(end) > uint64(len(slab)) {
-			d.fail("edge key offsets not monotone at key %d", i)
-			return keyCol{}
-		}
-		key := slab[at:end]
-		if i > 0 && bytes.Compare(prev, key) >= 0 {
-			d.fail("edge keys not strictly sorted at %d: %q >= %q", i, prev, key)
-			return keyCol{}
-		}
-		if isRun {
-			isRun = bytes.Equal(key, appendAutoKey(buf[:0], base, int(seq)-n+i))
-		}
-		prev, at = key, end
+	var sb strings.Builder
+	sb.Grow(slabLen)
+	if !d.read(secKeySlab, 1, func(p []byte) bool { sb.Write(p); return true }) {
+		return keyCol{}
 	}
-	if int(at) != len(slab) {
-		d.fail("edge key offsets end at %d, slab is %d bytes", at, len(slab))
+	all := sb.String()
+	ks := make([]string, n)
+	var buf [64]byte
+	at, i := uint32(0), 0
+	if !d.read(secKeyOff, 4, func(p []byte) bool {
+		for ; len(p) > 0; p, i = p[4:], i+1 {
+			end := binary.LittleEndian.Uint32(p)
+			if end < at || uint64(end) > uint64(len(all)) {
+				d.fail("edge key offsets not monotone at key %d", i)
+				return false
+			}
+			key := all[at:end]
+			if i > 0 && ks[i-1] >= key {
+				d.fail("edge keys not strictly sorted at %d: %q >= %q", i, ks[i-1], key)
+				return false
+			}
+			if isRun {
+				isRun = string(appendAutoKey(buf[:0], base, int(seq)-n+i)) == key
+			}
+			ks[i], at = key, end
+		}
+		return true
+	}) {
+		return keyCol{}
+	}
+	if int(at) != len(all) {
+		d.fail("edge key offsets end at %d, slab is %d bytes", at, len(all))
 		return keyCol{}
 	}
 	if isRun {
 		return run
-	}
-	all := string(slab)
-	ks := make([]string, n)
-	at = 0
-	for i := range ks {
-		end := binary.LittleEndian.Uint32(off[4*i:])
-		ks[i], at = all[at:end], end
 	}
 	return spelledKeys(ks)
 }
 
 // logVals reads one of the log's value columns: nil — the column does not
 // exist, every entry is One — when the section is empty, and also when it
-// spells out n values that each encode as One does (walked where they
-// lie); anything else is decoded as the weighted column it is.
+// spells out n values that each encode as One does (compared as they
+// stream in); anything else is decoded as the weighted column it is.
 func logVals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueCodec[V], one []byte) []V {
-	b := d.body(tag)
-	if len(b) == 0 {
+	size := d.size(tag)
+	if size == 0 {
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		_, w, err := codec.Decode(b)
-		if err != nil || !bytes.Equal(b[:w], one) {
-			return vals(d, tag, name, n, codec)
+	w := len(one)
+	if size == n*w && d.read(tag, w, func(p []byte) bool {
+		for ; len(p) > 0; p = p[w:] {
+			if !bytes.Equal(p[:w], one) {
+				return false
+			}
 		}
-		b = b[w:]
+		return true
+	}) {
+		return nil
 	}
-	if len(b) != 0 {
-		d.fail("%d trailing bytes after %d %s values", len(b), n, name)
-	}
-	return nil
+	return vals(d, tag, name, n, codec)
 }
 
 // decodeSections reconstructs a View from a checkpoint's sections,
 // returning the algebra name it was written under. Nothing is built and
-// inverted back: the log columns decode into the slices the view
-// keeps, the edge keys are substrings of one string, and the position
-// arrays are the stored ones. Every structural invariant is re-validated
-// on the way in — interner offsets, position-map bijectivity, key
-// sortedness, ids inside the universe, CSR shape (through NewCSR) and
-// the cross-section counts — so damaged bytes that beat the checksums
-// still cannot become a silently wrong view.
+// inverted back, and nothing is read twice into memory: each section is
+// read from the file straight into the slice the view keeps — the log
+// columns, the interners' offsets and slabs, the position arrays, main's
+// CSR — through the checkpoint's one buffer; only the meta section and a
+// variable-width codec's value section are read whole first. Every
+// structural invariant is re-validated on the way in — interner offsets,
+// position-map bijectivity, key sortedness, ids inside the universe, CSR
+// shape (through NewCSR) and the cross-section counts — so damaged bytes
+// that beat the checksums still cannot become a silently wrong view.
 //
 // The meta word exact reads 0 in a file written by a view whose folds
 // grouped the edges appended since the previous fold on their own: its
 // main may hold another grouping than the log's one left fold, so main
 // is rebuilt from the log here. The appends word counted the batches
 // since such a view's last compaction and is not kept.
-func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], codec ValueCodec[V]) (*View[V], string, error) {
+func decodeSections[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueCodec[V]) (*View[V], string, error) {
+	secs := ck.Sections
 	if len(secs) != numSections {
 		return nil, "", fmt.Errorf("stream: checkpoint holds %d sections, want %d", len(secs), numSections)
 	}
@@ -477,7 +566,11 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], codec ValueC
 			return nil, "", fmt.Errorf("stream: checkpoint section %d is tagged %d", i+1, s.Tag)
 		}
 	}
-	b := secs[secMeta-1].Body
+	d := &sectionDecoder{ck: ck}
+	b := d.whole(secMeta)
+	if d.err != nil {
+		return nil, "", d.err
+	}
 	var meta [7]uint64
 	var err error
 	for i := range meta {
@@ -502,7 +595,6 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], codec ValueC
 
 	// The id columns say how long the log is — they are stored for every
 	// edge, so the bytes present bound every allocation below.
-	d := &sectionDecoder{secs: secs}
 	srcIn, srcPos, srcSet, srcID := d.side(secSrcOff, secSrcSlab, secSrcPos, secSrcID, "source", meta[4])
 	dstIn, dstPos, dstSet, dstID := d.side(secDstOff, secDstSlab, secDstPos, secDstID, "destination", meta[5])
 	edges := len(srcID)
@@ -513,22 +605,31 @@ func decodeSections[V any](secs []wal.Section, ops semiring.Ops[V], codec ValueC
 	one := codec.Append(nil, ops.One)
 	out := logVals(d, secOut, "Eout", edges, codec, one)
 	in := logVals(d, secIn, "Ein", edges, codec, one)
-	rp := d.body(secRowPtr)
+	rpLen := d.size(secRowPtr)
 	cols := indexes(d, secColIdx, "adjacency column", false)
 	val := vals(d, secVal, "adjacency", len(cols), codec)
 	if d.err != nil {
 		return nil, "", d.err
 	}
-	if len(rp) != 8*(srcSet.Len()+1) {
-		return nil, "", fmt.Errorf("stream: adjacency row pointer is %d bytes, want %d for %d rows", len(rp), 8*(srcSet.Len()+1), srcSet.Len())
+	if rpLen != 8*(srcSet.Len()+1) {
+		return nil, "", fmt.Errorf("stream: adjacency row pointer is %d bytes, want %d for %d rows", rpLen, 8*(srcSet.Len()+1), srcSet.Len())
 	}
-	rowPtr := make([]int32, srcSet.Len()+1)
-	for i := range rowPtr {
-		p := binary.LittleEndian.Uint64(rp[8*i:])
-		if p > uint64(len(cols)) || p > math.MaxInt32 {
-			return nil, "", fmt.Errorf("stream: adjacency row pointer section: rowPtr[%d] at byte offset %d is %d, past the %d stored entries", i, 8*i, p, len(cols))
+	rowPtr := make([]int32, 0, srcSet.Len()+1)
+	d.read(secRowPtr, 8, func(p []byte) bool {
+		for ; len(p) > 0 && err == nil; p = p[8:] {
+			i, q := len(rowPtr), binary.LittleEndian.Uint64(p)
+			if q > uint64(len(cols)) || q > math.MaxInt32 {
+				err = fmt.Errorf("stream: adjacency row pointer section: rowPtr[%d] at byte offset %d is %d, past the %d stored entries", i, 8*i, q, len(cols))
+			}
+			rowPtr = append(rowPtr, int32(q))
 		}
-		rowPtr[i] = int32(p)
+		return err == nil
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	if d.err != nil {
+		return nil, "", d.err
 	}
 	mainM, err := sparse.NewCSR(srcSet.Len(), dstSet.Len(), rowPtr, cols, val)
 	if err != nil {

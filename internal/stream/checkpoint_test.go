@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -190,25 +191,82 @@ func writeImage(t testing.TB, v *View[float64]) []byte {
 
 // readImage decodes checkpoint file bytes back into a view.
 func readImage(buf []byte, ops semiring.Ops[float64]) (*View[float64], error) {
-	ck, err := wal.ParseCheckpoint("mem", buf)
+	ck, err := parseImage("mem", buf)
 	if err != nil {
 		return nil, err
 	}
 	return decodeCheckpoint(ck, ops, Float64Codec())
 }
 
+// parseImage validates checkpoint file bytes held in memory.
+func parseImage(path string, buf []byte) (*wal.Checkpoint, error) {
+	return wal.ParseCheckpoint(path, bytes.NewReader(buf), int64(len(buf)))
+}
+
+// memSection is a checkpoint section with its body in memory: what the
+// tests damage before reframe writes it back with valid checksums.
+type memSection struct {
+	Tag  uint32
+	Body []byte
+}
+
+// imageSections validates checkpoint file bytes and reads every section
+// whole.
+func imageSections(t testing.TB, buf []byte) (seq uint64, secs []memSection) {
+	t.Helper()
+	ck, err := parseImage("mem", buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range ck.Sections {
+		body := make([]byte, 0, s.Len)
+		if err := ck.ReadSection(i, 1, func(p []byte) error { body = append(body, p...); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		secs = append(secs, memSection{Tag: s.Tag, Body: body})
+	}
+	return ck.Seq, secs
+}
+
+// reframe writes sections as a checkpoint file, checksums and all, and
+// validates it again: damage done to a body reaches the decoder instead
+// of dying at a CRC.
+func reframe(t testing.TB, path string, seq uint64, secs []memSection) *wal.Checkpoint {
+	t.Helper()
+	var mem memFS
+	_, _, err := wal.WriteCheckpointFS(&mem, "", seq, func(w *wal.CheckpointWriter) error {
+		for _, s := range secs {
+			if err := w.Section(s.Tag); err != nil {
+				return err
+			}
+			if _, err := w.Write(s.Body); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := parseImage(path, mem.file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
+}
+
 // sectionOffsets returns where each section's body starts in a format-2
 // file, then where the footer starts.
 func sectionOffsets(t testing.TB, buf []byte) []int {
 	t.Helper()
-	ck, err := wal.ParseCheckpoint("", buf)
+	ck, err := parseImage("", buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const header, trailer = 24, 16
 	offs := []int{header}
 	for _, s := range ck.Sections {
-		offs = append(offs, offs[len(offs)-1]+(len(s.Body)+7)&^7+trailer)
+		offs = append(offs, offs[len(offs)-1]+(int(s.Len)+7)&^7+trailer)
 	}
 	if end := offs[len(offs)-1]; end != len(buf)-24 {
 		t.Fatalf("sections end at %d, footer starts at %d", end, len(buf)-24)
@@ -839,7 +897,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, newest)
-		if _, err := wal.ParseCheckpoint(path, tc.file); !errors.Is(err, wal.ErrCorrupt) {
+		if _, err := parseImage(path, tc.file); !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("%s: parse err = %v, want ErrCorrupt", tc.name, err)
 		}
 		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
@@ -870,10 +928,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 // Only a position map may hold "none", and only as 0xFFFFFFFF.
 func TestStoredIndexPast31BitsIsRefusedBySectionAndOffset(t *testing.T) {
 	ops := plusTimes(t)
-	ck, err := wal.ParseCheckpoint("mem", writeImage(t, orphanedView(t, ops)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, clean := imageSections(t, writeImage(t, orphanedView(t, ops)))
 	for _, tc := range []struct {
 		tag     uint32
 		section string
@@ -892,12 +947,12 @@ func TestStoredIndexPast31BitsIsRefusedBySectionAndOffset(t *testing.T) {
 		// "none" in a position map is what a rolled-back batch leaves.
 		{secSrcPos, "source position", 4, 0xffffffff, true},
 	} {
-		body := ck.Sections[tc.tag-1].Body
+		body := clean[tc.tag-1].Body
 		if len(body) < 2*tc.width {
 			t.Fatalf("the %s section holds %d bytes", tc.section, len(body))
 		}
 		for _, at := range []int{0, len(body) - tc.width} {
-			secs := slices.Clone(ck.Sections)
+			secs := slices.Clone(clean)
 			mut := slices.Clone(body)
 			if tc.width == 4 {
 				binary.LittleEndian.PutUint32(mut[at:], uint32(tc.word))
@@ -905,7 +960,7 @@ func TestStoredIndexPast31BitsIsRefusedBySectionAndOffset(t *testing.T) {
 				binary.LittleEndian.PutUint64(mut[at:], tc.word)
 			}
 			secs[tc.tag-1].Body = mut
-			_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: secs}, ops, Float64Codec())
+			_, err := decodeCheckpoint(reframe(t, "mem", seq, secs), ops, Float64Codec())
 			// What else the view makes of a position gone may still refuse
 			// it; the word itself is not the reason.
 			var ce *wal.CorruptError
@@ -924,52 +979,50 @@ func TestStoredIndexPast31BitsIsRefusedBySectionAndOffset(t *testing.T) {
 func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 	ops := plusTimes(t)
 	v := controlViewOf(t, durableBatches(45, 3, 7), ops)
-	ck, err := wal.ParseCheckpoint("mem", writeImage(t, v))
-	if err != nil {
-		t.Fatal(err)
-	}
+	image := writeImage(t, v)
+	seq, clean := imageSections(t, image)
 	le32 := func(b []byte, x uint32) { b[0], b[1], b[2], b[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24) }
 	cases := []struct {
 		name string
-		mut  func(secs []wal.Section) []wal.Section
+		mut  func(secs []memSection) []memSection
 	}{
-		{"a section missing", func(s []wal.Section) []wal.Section { return s[:len(s)-1] }},
-		{"sections swapped", func(s []wal.Section) []wal.Section { s[3], s[4] = s[4], s[3]; return s }},
-		{"edge count disagrees", func(s []wal.Section) []wal.Section { s[secMeta-1].Body[0]++; return s }},
-		{"counter out of range", func(s []wal.Section) []wal.Section { s[secMeta-1].Body[8*2+7] = 0x7f; return s }},
-		{"odd-length id array", func(s []wal.Section) []wal.Section { s[secSrcID-1].Body = s[secSrcID-1].Body[:5]; return s }},
-		{"id outside the interner", func(s []wal.Section) []wal.Section { le32(s[secSrcID-1].Body, 1<<20); return s }},
-		{"negative id", func(s []wal.Section) []wal.Section { le32(s[secDstID-1].Body, 1<<31); return s }},
-		{"position not a bijection", func(s []wal.Section) []wal.Section { copy(s[secSrcPos-1].Body[4:8], s[secSrcPos-1].Body[:4]); return s }},
-		{"position map too long", func(s []wal.Section) []wal.Section {
+		{"a section missing", func(s []memSection) []memSection { return s[:len(s)-1] }},
+		{"sections swapped", func(s []memSection) []memSection { s[3], s[4] = s[4], s[3]; return s }},
+		{"edge count disagrees", func(s []memSection) []memSection { s[secMeta-1].Body[0]++; return s }},
+		{"counter out of range", func(s []memSection) []memSection { s[secMeta-1].Body[8*2+7] = 0x7f; return s }},
+		{"odd-length id array", func(s []memSection) []memSection { s[secSrcID-1].Body = s[secSrcID-1].Body[:5]; return s }},
+		{"id outside the interner", func(s []memSection) []memSection { le32(s[secSrcID-1].Body, 1<<20); return s }},
+		{"negative id", func(s []memSection) []memSection { le32(s[secDstID-1].Body, 1<<31); return s }},
+		{"position not a bijection", func(s []memSection) []memSection { copy(s[secSrcPos-1].Body[4:8], s[secSrcPos-1].Body[:4]); return s }},
+		{"position map too long", func(s []memSection) []memSection {
 			s[secDstPos-1].Body = append(s[secDstPos-1].Body, 0xff, 0xff, 0xff, 0xff)
 			return s
 		}},
-		{"interner offsets not monotone", func(s []wal.Section) []wal.Section { le32(s[secSrcOff-1].Body, 1<<30); return s }},
-		{"edge keys out of order", func(s []wal.Section) []wal.Section { s[secKeySlab-1].Body[0] = 'z'; return s }},
-		{"key offsets past the slab", func(s []wal.Section) []wal.Section {
+		{"interner offsets not monotone", func(s []memSection) []memSection { le32(s[secSrcOff-1].Body, 1<<30); return s }},
+		{"edge keys out of order", func(s []memSection) []memSection { s[secKeySlab-1].Body[0] = 'z'; return s }},
+		{"key offsets past the slab", func(s []memSection) []memSection {
 			b := s[secKeyOff-1].Body
 			le32(b[len(b)-4:], 1<<24)
 			return s
 		}},
-		{"no key offsets beside a key slab", func(s []wal.Section) []wal.Section { s[secKeyOff-1].Body = nil; return s }},
-		{"key offsets beside no key slab", func(s []wal.Section) []wal.Section { s[secKeySlab-1].Body = nil; return s }},
-		{"no keys stored and no generator to have made them", func(s []wal.Section) []wal.Section {
+		{"no key offsets beside a key slab", func(s []memSection) []memSection { s[secKeyOff-1].Body = nil; return s }},
+		{"key offsets beside no key slab", func(s []memSection) []memSection { s[secKeySlab-1].Body = nil; return s }},
+		{"no keys stored and no generator to have made them", func(s []memSection) []memSection {
 			s[secKeyOff-1].Body, s[secKeySlab-1].Body = nil, nil
 			return s
 		}},
-		{"values short", func(s []wal.Section) []wal.Section { s[secOut-1].Body = s[secOut-1].Body[8:]; return s }},
-		{"values long", func(s []wal.Section) []wal.Section { s[secIn-1].Body = append(s[secIn-1].Body, 0); return s }},
-		{"row pointer past the entries", func(s []wal.Section) []wal.Section { s[secRowPtr-1].Body[8+2] = 1; return s }},
-		{"row pointer short", func(s []wal.Section) []wal.Section { s[secRowPtr-1].Body = s[secRowPtr-1].Body[8:]; return s }},
-		{"column past the universe", func(s []wal.Section) []wal.Section { le32(s[secColIdx-1].Body, 1<<16); return s }},
+		{"values short", func(s []memSection) []memSection { s[secOut-1].Body = s[secOut-1].Body[8:]; return s }},
+		{"values long", func(s []memSection) []memSection { s[secIn-1].Body = append(s[secIn-1].Body, 0); return s }},
+		{"row pointer past the entries", func(s []memSection) []memSection { s[secRowPtr-1].Body[8+2] = 1; return s }},
+		{"row pointer short", func(s []memSection) []memSection { s[secRowPtr-1].Body = s[secRowPtr-1].Body[8:]; return s }},
+		{"column past the universe", func(s []memSection) []memSection { le32(s[secColIdx-1].Body, 1<<16); return s }},
 	}
 	for _, tc := range cases {
-		secs := make([]wal.Section, len(ck.Sections))
-		for i, s := range ck.Sections {
-			secs[i] = wal.Section{Tag: s.Tag, Body: slices.Clone(s.Body)}
+		secs := make([]memSection, len(clean))
+		for i, s := range clean {
+			secs[i] = memSection{Tag: s.Tag, Body: slices.Clone(s.Body)}
 		}
-		_, err := decodeCheckpoint(&wal.Checkpoint{Path: "mem", Seq: ck.Seq, Sections: tc.mut(secs)}, ops, Float64Codec())
+		_, err := decodeCheckpoint(reframe(t, "mem", seq, tc.mut(secs)), ops, Float64Codec())
 		if !errors.Is(err, wal.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
@@ -977,26 +1030,30 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 	// A log of generated keys and unit weights stores neither, and what
 	// stands in for the keys is the generator in meta: one that has not
 	// reached the log's length cannot have made it.
-	implicit, err := wal.ParseCheckpoint("mem", writeImage(t, sizedView(t, 512, false)))
+	implicitImage := writeImage(t, sizedView(t, 512, false))
+	implicit, err := parseImage("mem", implicitImage)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tag := range []uint32{secKeyOff, secKeySlab, secOut, secIn} {
-		if n := len(implicit.Sections[tag-1].Body); n != 0 {
+		if n := implicit.Sections[tag-1].Len; n != 0 {
 			t.Fatalf("section %d of an unkeyed unit log holds %d bytes", tag, n)
 		}
 	}
 	if v, err := decodeCheckpoint(implicit, ops, Float64Codec()); err != nil || len(v.srcID) != 512 {
 		t.Fatalf("an unkeyed unit log does not reopen: %v", err)
 	}
-	meta := slices.Clone(implicit.Sections[secMeta-1].Body)
-	le32(meta[8*3:], 511) // the auto-key sequence
-	implicit.Sections[secMeta-1].Body = meta
-	if _, err := decodeCheckpoint(implicit, ops, Float64Codec()); !errors.Is(err, wal.ErrCorrupt) {
+	implicitSeq, implicitSecs := imageSections(t, implicitImage)
+	le32(implicitSecs[secMeta-1].Body[8*3:], 511) // the auto-key sequence
+	if _, err := decodeCheckpoint(reframe(t, "mem", implicitSeq, implicitSecs), ops, Float64Codec()); !errors.Is(err, wal.ErrCorrupt) {
 		t.Errorf("a generator at 511 behind 512 unstored keys: err = %v, want ErrCorrupt", err)
 	}
 	// Another algebra's checkpoint is refused, but it is not damage.
 	other, _ := semiring.Lookup("min.+")
+	ck, err := parseImage("mem", image)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := decodeCheckpoint(ck, other.Ops, Float64Codec()); err == nil || errors.Is(err, wal.ErrCorrupt) {
 		t.Errorf("checkpoint of +.* opened under min.+: err = %v, want a refusal that is not ErrCorrupt", err)
 	}
@@ -1150,11 +1207,8 @@ func TestReopenRebuildsARegroupedMain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, err := wal.ParseCheckpoint(newest, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return binary.LittleEndian.Uint64(ck.Sections[secMeta-1].Body[8*6:])
+		_, secs := imageSections(t, buf)
+		return binary.LittleEndian.Uint64(secs[secMeta-1].Body[8*6:])
 	}
 	if w := exactWord(); w != 0 {
 		t.Fatalf("the fixture's checkpoint says exact %d, want 0", w)

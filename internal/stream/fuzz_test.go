@@ -23,7 +23,7 @@ const (
 // frameSections is the fuzz target's own framing of a file's sections —
 // tag, length, body — so that mutations reach decodeSections instead of
 // dying at a CRC.
-func frameSections(secs []wal.Section) []byte {
+func frameSections(secs []memSection) []byte {
 	var b []byte
 	for _, s := range secs {
 		b = binary.LittleEndian.AppendUint32(b, s.Tag)
@@ -33,14 +33,14 @@ func frameSections(secs []wal.Section) []byte {
 	return b
 }
 
-func unframeSections(b []byte) []wal.Section {
-	var secs []wal.Section
+func unframeSections(b []byte) []memSection {
+	var secs []memSection
 	for len(b) >= 8 && len(secs) < 2*numSections {
 		n := int(binary.LittleEndian.Uint32(b[4:]))
 		if n > len(b)-8 {
 			break
 		}
-		secs = append(secs, wal.Section{Tag: binary.LittleEndian.Uint32(b), Body: b[8 : 8+n]})
+		secs = append(secs, memSection{Tag: binary.LittleEndian.Uint32(b), Body: b[8 : 8+n]})
 		b = b[8+n:]
 	}
 	return secs
@@ -111,7 +111,7 @@ func FuzzDecodeView(f *testing.F) {
 	// Format 1 comes back as the typed refusal, whatever is done to it.
 	for _, file := range fixtureCheckpoints(f) {
 		var ce *wal.CorruptError
-		if ck, err := wal.ParseCheckpoint("", file); ck != nil || !errors.As(err, &ce) || ce.Offset != 8 {
+		if ck, err := parseImage("", file); ck != nil || !errors.As(err, &ce) || ce.Offset != 8 {
 			f.Fatalf("format-1 fixture: checkpoint %v, err %v; want the refusal at the version word", ck, err)
 		}
 		f.Add(uint8(fuzzFile), file)
@@ -140,21 +140,18 @@ func FuzzDecodeView(f *testing.F) {
 	} {
 		file := writeImage(f, v)
 		f.Add(uint8(fuzzFile), file)
-		ck, err := wal.ParseCheckpoint("", file)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(uint8(fuzzSections), frameSections(ck.Sections))
+		_, sections := imageSections(f, file)
+		f.Add(uint8(fuzzSections), frameSections(sections))
 		for _, tag := range []uint32{secKeyOff, secKeySlab, secOut, secIn} {
-			secs := slices.Clone(ck.Sections)
+			secs := slices.Clone(sections)
 			secs[tag-1].Body = nil
 			f.Add(uint8(fuzzSections), frameSections(secs))
 		}
 		// The word 2³¹, which is no index, as the adjacency's first column
 		// and as its second row pointer.
 		for tag, at := range map[uint32]int{secColIdx: 0, secRowPtr: 8} {
-			if body := ck.Sections[tag-1].Body; len(body) >= at+4 {
-				secs := slices.Clone(ck.Sections)
+			if body := sections[tag-1].Body; len(body) >= at+4 {
+				secs := slices.Clone(sections)
 				secs[tag-1].Body = slices.Clone(body)
 				binary.LittleEndian.PutUint32(secs[tag-1].Body[at:], 0x80000000)
 				f.Add(uint8(fuzzSections), frameSections(secs))
@@ -164,7 +161,7 @@ func FuzzDecodeView(f *testing.F) {
 			flipped := slices.Clone(file)
 			flipped[off] ^= 0x04
 			f.Add(uint8(fuzzFile), flipped)
-			secs := slices.Clone(ck.Sections)
+			secs := slices.Clone(sections)
 			if len(secs[i].Body) > 0 {
 				secs[i].Body = slices.Clone(secs[i].Body)
 				secs[i].Body[len(secs[i].Body)/2] ^= 0x04
@@ -180,11 +177,11 @@ func FuzzDecodeView(f *testing.F) {
 		switch mode % fuzzModes {
 		case fuzzFile:
 			var err error
-			if ck, err = wal.ParseCheckpoint("fuzz", data); err != nil {
+			if ck, err = parseImage("fuzz", data); err != nil {
 				return
 			}
 		case fuzzSections:
-			ck = &wal.Checkpoint{Path: "fuzz", Sections: unframeSections(data)}
+			ck = reframe(t, "fuzz", 0, unframeSections(data))
 		}
 		v, err := decodeCheckpoint(ck, ops, Float64Codec())
 		runtime.ReadMemStats(&after)

@@ -1,13 +1,18 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"adjarray/internal/assoc"
 	"adjarray/internal/dataset"
+	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
 	"adjarray/internal/value"
 )
@@ -217,4 +222,116 @@ func TestScratchPoolAliasing(t *testing.T) {
 	if diff := assoc.Diff(oracle, snap.Adjacency, value.Float64Equal, value.FormatFloat); diff != "" {
 		t.Fatalf("view state corrupted by pooled scratch: %s", diff)
 	}
+}
+
+// Every key of a view's vertex universe lies in its interner's live slab:
+// each sync rebinds the grown universe to it, so no Set the view keeps
+// pins a slab array that interning has since moved away from — over a
+// growing vertex space, those arrays together are as large as the live
+// one. Appends and folds alternate until each slab has moved five times.
+func TestUniverseKeysViewTheLiveSlab(t *testing.T) {
+	v := NewView(plusTimes(t))
+	slab := func(in *keys.Interner) []byte {
+		_, s := in.Prefix(in.Len())
+		return s
+	}
+	moves := func(in *keys.Interner, last **byte, n *int) {
+		if p := unsafe.SliceData(slab(in)); p != *last {
+			*last, *n = p, *n+1
+		}
+	}
+	var srcAt, dstAt *byte
+	srcMoves, dstMoves := 0, 0
+	for b := 0; srcMoves < 6 || dstMoves < 6; b++ {
+		batch := make([]Edge[float64], 64)
+		for i := range batch {
+			batch[i] = Edge[float64]{Src: fmt.Sprintf("s%06d", b*64+i), Dst: fmt.Sprintf("d%06d", (b*64+i)*7)}
+		}
+		if err := v.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		if b%3 == 0 {
+			if _, err := v.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		moves(v.srcIn, &srcAt, &srcMoves)
+		moves(v.dstIn, &dstAt, &dstMoves)
+	}
+	if _, err := v.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		name string
+		set  *keys.Set
+		in   *keys.Interner
+	}{{"row", v.uRows, v.srcIn}, {"column", v.uCols, v.dstIn}} {
+		live := slab(side.in)
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(live)))
+		for i := 0; i < side.set.Len(); i++ {
+			k := side.set.Key(i)
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p < lo || p+uintptr(len(k)) > lo+uintptr(len(live)) {
+				t.Fatalf("%s key %d (%q) lies outside the interner's live slab of %d bytes: the universe pins a slab array interning moved away from",
+					side.name, i, k, len(live))
+			}
+		}
+	}
+}
+
+// A fold reads main as its matrix alone once the universe is synced: the
+// key sets main spanned — the universe the sync replaced, and the slab
+// array its keys view — are garbage from there, not held beside the array
+// the merge builds. A merge that fails there still leaves main spanning
+// the grown universe, and the next fold is the batch construction.
+func TestFoldReleasesTheReplacedUniverse(t *testing.T) {
+	ops := plusTimes(t)
+	batch := func(b int) []Edge[float64] {
+		es := make([]Edge[float64], 32)
+		for i := range es {
+			es[i] = Weighted("", fmt.Sprintf("s%04d", b*32+i), fmt.Sprintf("d%04d", (b*32+i)%50), float64(1+i%3), 1)
+		}
+		return es
+	}
+	v := NewView(ops)
+	var all [][]Edge[float64]
+	for b := 0; b < 3; b++ {
+		all = append(all, batch(b))
+		if err := v.Append(all[b]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all = append(all, batch(3))
+	if err := v.Append(all[3]); err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	runtime.SetFinalizer(v.uRows, func(*keys.Set) { close(released) })
+	boom := errors.New("merge refused")
+	v.failpoint = func(site string) error {
+		if site != "fold:merge" {
+			return nil
+		}
+		runtime.GC()
+		select {
+		case <-released:
+		case <-time.After(10 * time.Second):
+			t.Error("the universe the sync replaced is still reachable when the merge starts")
+		}
+		return boom
+	}
+	if _, err := v.Snapshot(); !errors.Is(err, boom) {
+		t.Fatalf("fold: err = %v, want the refused merge", err)
+	}
+	v.failpoint = nil
+	if v.main.RowKeys() != v.uRows || v.main.ColKeys() != v.uCols {
+		t.Fatal("after a failed merge main does not span the synced universe")
+	}
+	got, err := v.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapEqual(t, got, controlView(t, all, len(all), ops), "after a failed merge")
 }

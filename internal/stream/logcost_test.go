@@ -160,3 +160,34 @@ func TestBootstrapFoldLeavesNoScratch(t *testing.T) {
 	}
 	runtime.KeepAlive(load)
 }
+
+// The append scratch stages a batch's endpoints — the caller's strings: a
+// request body, a preload read — and holds none of them once Append
+// returns, committed or refused. Otherwise a small batch after a large
+// one keeps the large one's strings, and what they point into, alive.
+func TestAppendStagingHoldsNoCallerStrings(t *testing.T) {
+	v := NewView(plusTimes(t))
+	staged := func(label string) {
+		t.Helper()
+		for _, col := range [][]string{v.scr.srcs, v.scr.dsts} {
+			for i, k := range col[:cap(col)] {
+				if k != "" {
+					t.Fatalf("%s: staging slot %d still holds %q", label, i, k)
+				}
+			}
+		}
+	}
+	if err := v.Append(unkeyedBatch(256)); err != nil {
+		t.Fatal(err)
+	}
+	staged("after a batch of 256")
+	if err := v.Append(unkeyedBatch(3)); err != nil {
+		t.Fatal(err)
+	}
+	staged("after a batch of 3")
+	refused := []Edge[float64]{{Key: "k2", Src: "a", Dst: "b"}, {Key: "k1", Src: "c", Dst: "d"}}
+	if err := v.Append(refused); err == nil {
+		t.Fatal("a batch whose keys descend was taken")
+	}
+	staged("after a refused batch")
+}

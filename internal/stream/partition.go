@@ -218,6 +218,7 @@ func openPartition[V any](dir string, ops semiring.Ops[V], prefix string, opt Du
 	if ck != nil {
 		ckptSeq = ck.Seq
 		v, err = decodeCheckpoint(ck, ops, codec)
+		ck.Close() //adjlint:ignore syncerr a file only read; what was decoded from it is checked
 		if err != nil {
 			return nil, fmt.Errorf("stream: checkpoint seq %d: %w", ckptSeq, err)
 		}

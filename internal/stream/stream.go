@@ -222,10 +222,10 @@ type View[V any] struct {
 	scr batchScratch[V] // per-append and per-fold buffers, reused under mu
 
 	// failpoint, when set (tests only), is consulted at named sites
-	// inside Append and at the start of a fold; a non-nil return aborts
-	// the append (or the fold) there. It exists to prove the rollback
-	// below restores the view exactly, and that a store reports a failed
-	// fold by its shard.
+	// inside Append, and at the start of a fold and before its merge; a
+	// non-nil return aborts the append (or the fold) there. It exists to
+	// prove the rollback below restores the view exactly, that a store
+	// reports a failed fold by its shard, and what a fold holds.
 	failpoint func(site string) error
 }
 
@@ -323,8 +323,9 @@ func spelledKeys(ks []string) keyCol {
 
 // grow returns s with room for n more elements, doubling on growth: the
 // built-in append backs off to ~1.25x for large slices, which costs
-// ~2.5x more copying over an append-only log's lifetime (internal/sparse
-// and internal/keys grow their logs the same way).
+// ~2.5x more copying over an append-only log's lifetime. (The interner's
+// slab and offsets grow by the built-in append; the arrays it leaves
+// behind are garbage once the universe rebinds — growSide.)
 func grow[T any](s []T, n int) []T {
 	if cap(s)-len(s) >= n {
 		return s
@@ -362,6 +363,10 @@ func (v *View[V]) appendLocked(edges []Edge[V]) error {
 	s := &v.scr
 	n0, n := len(v.srcID), len(edges)
 	s.srcs, s.dsts = s.srcs[:0], s.dsts[:0]
+	// The staged endpoints are the caller's strings — a request body, a
+	// preload read — and the interner copies what it keeps: the scratch
+	// must not hold them past the batch, however it ends.
+	defer func() { clear(s.srcs); clear(s.dsts) }()
 	genAt, given := -1, 0 // the first edge whose key is generated; the given keys
 	hasOut, hasIn := v.out != nil, v.in != nil
 	for i := range edges {
@@ -522,14 +527,13 @@ func (v *View[V]) syncUniverseLocked() (rowMap, colMap []int32, err error) {
 	return rowMap, colMap, nil
 }
 
-// respanMainLocked embeds main alone into a universe that a sync grew
-// and no merge followed — the backlog folded to nothing, or the fold
-// failed — through the maps that sync returned. Values are shared.
-func (v *View[V]) respanMainLocked(rowMap, colMap []int32) error {
-	if v.main.RowKeys() == v.uRows && v.main.ColKeys() == v.uCols {
-		return nil
-	}
-	m, err := sparse.Embed(v.main.Matrix(), rowMap, colMap, v.uRows.Len(), v.uCols.Len())
+// respanMainLocked makes main the matrix old — main's before the sync —
+// embedded alone into the synced universe, where no merge followed: the
+// backlog folded to nothing, or the fold failed. The maps are the ones
+// the sync returned; values are shared, and a universe that did not grow
+// moves nothing.
+func (v *View[V]) respanMainLocked(old *sparse.CSR[V], rowMap, colMap []int32) error {
+	m, err := sparse.Embed(old, rowMap, colMap, v.uRows.Len(), v.uCols.Len())
 	if err != nil {
 		return err
 	}
@@ -549,7 +553,11 @@ func (v *View[V]) respanMainLocked(rowMap, colMap []int32) error {
 // pos is never written: growth builds a new id → position array and
 // binds it to the new Set. oldPos maps a position in set to its position
 // in the grown Set (nil: unchanged). With nothing new, set and pos come
-// back as they are.
+// back as they are. Binding reads the grown Set's keys back from the
+// interner's live slab into the slice UnionAll just made (keys.Set.Bind),
+// so the universe never pins a slab array that interning has moved away
+// from: over a growing vertex space, one from every earlier sync, which
+// add up to several times the live key bytes.
 func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grownSet *keys.Set, grown, oldPos []int32, err error) {
 	// grown is pos extended over the whole interner, made on the first
 	// new id; -2 marks "queued".
@@ -598,6 +606,8 @@ func growSide(in *keys.Interner, set *keys.Set, pos []int32, ids []int32) (grown
 		}
 		grown[id] = p
 	}
+	// grownSet is UnionAll's new Set (set lacks the fresh keys), so
+	// rebinding its keys touches nothing another Set holds.
 	grownSet.Bind(&keys.InternIndex{In: in, Pos: grown})
 	return grownSet, grown, oldPos, nil
 }
@@ -655,18 +665,29 @@ func (v *View[V]) materializeLocked() error {
 	if err != nil {
 		return err
 	}
-	err = v.mergeBacklogLocked(rowMap, colMap)
+	// From here main is read as its matrix alone. The key sets it spans are
+	// the universe the sync replaced, whose keys view an older slab array:
+	// held by no one but pins, they must not stay alive beside the array
+	// the merge builds, where a collection would count them twice over.
+	old := v.main.Matrix()
+	v.main = nil
+	if err = v.fail("fold:merge"); err == nil {
+		err = v.mergeBacklogLocked(old, rowMap, colMap)
+	}
 	// A suffix that folded to nothing, or failed to, merged nothing.
-	if rerr := v.respanMainLocked(rowMap, colMap); err == nil {
-		err = rerr
+	if v.main == nil {
+		if rerr := v.respanMainLocked(old, rowMap, colMap); err == nil {
+			err = rerr
+		}
 	}
 	return err
 }
 
-// mergeBacklogLocked is materializeLocked past the sync: rowMap and
-// colMap place main's key sets in the universe, as the sync returned
-// them.
-func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
+// mergeBacklogLocked is materializeLocked past the sync: old is main's
+// matrix, and rowMap and colMap place its rows and columns in the
+// universe, as the sync returned them. It sets main unless the suffix
+// folds to nothing.
+func (v *View[V]) mergeBacklogLocked(old *sparse.CSR[V], rowMap, colMap []int32) error {
 	from, n := v.folded, len(v.srcID)-v.folded
 	s := &v.scr
 	if n > foldScratchKeep {
@@ -679,7 +700,7 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 	// A value column the log does not hold is One in every entry, here as
 	// in Logs: the fold takes One ⊗ in[k], as batch construction would.
 	out, in := s.onesFor(v.out, from, n, v.ops.One), s.onesFor(v.in, from, n, v.ops.One)
-	if v.main.NNZ() == 0 {
+	if old.NNZ() == 0 {
 		// Nothing was folded before: this is Definition I.4's one fold over
 		// the log so far, in edge order. It becomes main and owns its storage.
 		fm, err := sparse.FoldUnitRows(v.uRows.Len(), v.uCols.Len(), s.foldRow, s.foldCol, out, in, v.ops, sparse.MxmOptions{})
@@ -708,7 +729,7 @@ func (v *View[V]) mergeBacklogLocked(rowMap, colMap []int32) error {
 	}
 	v.folded = len(v.srcID)
 	fold := sparse.Gather[V]{
-		Parts: []*sparse.CSR[V]{v.main.Matrix()}, RowPos: [][]int32{rowMap}, ColPos: [][]int32{colMap},
+		Parts: []*sparse.CSR[V]{old}, RowPos: [][]int32{rowMap}, ColPos: [][]int32{colMap},
 		Deltas: []*sparse.CSR[V]{gm}, Ops: v.ops, Rows: v.uRows.Len(), Cols: v.uCols.Len(),
 	}
 	m, err := fold.Matrix()

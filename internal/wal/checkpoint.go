@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,13 +35,13 @@ import (
 //
 // A section's length and checksum close it instead of opening it, so a
 // writer streams a body of any size through a fixed buffer without
-// knowing its length first; the reader, which holds the whole file,
-// walks the sections backwards from the footer. Every byte of the file
-// is covered: the seq by the header CRC, each body, tag and length by
-// its section CRC, the footer by its own, and padding, version and
-// magics by being checked for their exact values — so a flipped bit
-// anywhere, or a file cut at any byte (the footer is gone, or its length
-// disagrees), fails validation.
+// knowing its length first; the reader walks the sections backwards from
+// the footer, reading the file in pieces through one buffer of its own.
+// Every byte of the file is covered: the seq by the header CRC, each
+// body, tag and length by its section CRC, the footer by its own, and
+// padding, version and magics by being checked for their exact values —
+// so a flipped bit anywhere, or a file cut at any byte (the footer is
+// gone, or its length disagrees), fails validation.
 //
 // Version 1 — one opaque payload under one header CRC, last written by
 // PR 15 — is refused by name: a second reader is a second format to keep
@@ -58,9 +59,10 @@ const (
 // covering seq.
 func checkpointName(seq uint64) string { return fmt.Sprintf("ckpt-%016x.ckpt", seq) }
 
-// ckptBufSize is the write granularity of a checkpoint: a file of any
+// ckptBufSize is the I/O granularity of a checkpoint: a file of any
 // size goes to disk in writes of this many bytes (a body chunk at least
-// as large is written as it is), and a small one in a single write.
+// as large is written as it is), and a small one in a single write; a
+// load reads it back in pieces of at most this many.
 const ckptBufSize = 256 << 10
 
 // CheckpointWriter frames the sections of one format-2 checkpoint file.
@@ -261,14 +263,20 @@ func listCheckpoints(fsys iofault.FS, dir string) ([]checkpointInfo, error) {
 	return cks, nil
 }
 
-// Section is one validated section of a checkpoint. Body aliases the
-// file's bytes.
+// Section is one validated section of a checkpoint: its tag and where
+// its body lies in the file. The body itself is not held; ReadSection
+// reads it.
 type Section struct {
-	Tag  uint32
-	Body []byte
+	Tag uint32
+	// Len is the body's length in bytes.
+	Len int64
+	off int64  // where the body starts in the file
+	crc uint32 // the body's CRC-32C, as validation read it
 }
 
-// Checkpoint is a checkpoint file that passed validation.
+// Checkpoint is a checkpoint file that passed validation, open for
+// reading its sections. A Checkpoint from LoadCheckpointFS holds its
+// file open until Close.
 type Checkpoint struct {
 	// Path is the file the checkpoint was read from.
 	Path string
@@ -276,78 +284,138 @@ type Checkpoint struct {
 	Seq uint64
 	// Sections are the file's sections, in file order.
 	Sections []Section
+
+	r    io.ReaderAt
+	file iofault.File // closed by Close; nil when the caller owns r
+	buf  []byte       // the one read buffer: validation's, then every ReadSection's
 }
 
-// ParseCheckpoint validates the bytes of one checkpoint file. Damage of
-// any kind — and a version this package does not read — is a
-// *CorruptError naming path.
-func ParseCheckpoint(path string, buf []byte) (*Checkpoint, error) {
-	corrupt := func(off int, format string, args ...any) (*Checkpoint, error) {
-		return nil, &CorruptError{Path: path, Offset: int64(off), Reason: fmt.Sprintf(format, args...)}
+// readAt fills p from the file at off. A file that ends early has
+// changed since its size was taken.
+func (ck *Checkpoint) readAt(p []byte, off int64) error {
+	n, err := ck.r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
 	}
-	if len(buf) < ckptHeaderSize {
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("wal: read checkpoint %s at %d: %w", ck.Path, off, err)
+}
+
+// pieces reads the n bytes at off through ck.buf, step bytes at a time,
+// hands each piece to fn when there is one, and returns their CRC-32C.
+func (ck *Checkpoint) pieces(off, n, step int64, fn func(p []byte) error) (uint32, error) {
+	var crc uint32
+	for end := off + n; off < end; {
+		p := ck.buf[:min(step, end-off)]
+		if err := ck.readAt(p, off); err != nil {
+			return 0, err
+		}
+		crc = crc32.Update(crc, castagnoli, p)
+		if fn != nil {
+			if err := fn(p); err != nil {
+				return 0, err
+			}
+		}
+		off += int64(len(p))
+	}
+	return crc, nil
+}
+
+// ParseCheckpoint validates the size bytes of one checkpoint file that r
+// reads. Damage of any kind — and a version this package does not read —
+// is a *CorruptError naming path; a failed read is returned wrapped, not
+// as damage. The file is read through one buffer of at most ckptBufSize
+// bytes: the header, then the footer, then every section's trailer,
+// padding and body from the last section back — so checking a file of
+// any size holds none of it.
+func ParseCheckpoint(path string, r io.ReaderAt, size int64) (*Checkpoint, error) {
+	corrupt := func(off int64, format string, args ...any) (*Checkpoint, error) {
+		return nil, &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf(format, args...)}
+	}
+	ck := &Checkpoint{Path: path, r: r}
+	if size < ckptHeaderSize {
 		return corrupt(0, "short checkpoint header")
 	}
-	if string(buf[:8]) != ckptMagic {
+	var hdr [ckptHeaderSize]byte
+	if err := ck.readAt(hdr[:], 0); err != nil {
+		return nil, err
+	}
+	if string(hdr[:8]) != ckptMagic {
 		return corrupt(0, "bad checkpoint magic")
 	}
-	ck := &Checkpoint{Path: path, Seq: binary.LittleEndian.Uint64(buf[16:])}
-	wantCRC := binary.LittleEndian.Uint32(buf[12:])
-	switch v := binary.LittleEndian.Uint32(buf[8:]); v {
+	ck.Seq = binary.LittleEndian.Uint64(hdr[16:])
+	switch v := binary.LittleEndian.Uint32(hdr[8:]); v {
 	case 2:
 	case 1:
 		return corrupt(8, "ADJCKPT format 1 is no longer readable; open the directory once with a build at or before b3cab25 (PR 22) and checkpoint")
 	default:
 		return corrupt(8, "unsupported checkpoint version %d", v)
 	}
-	if crc32.Checksum(buf[16:ckptHeaderSize], castagnoli) != wantCRC {
+	if crc32.Checksum(hdr[16:], castagnoli) != binary.LittleEndian.Uint32(hdr[12:]) {
 		return corrupt(12, "checkpoint header checksum mismatch")
 	}
-	end := len(buf) - ckptFooterSize
+	end := size - ckptFooterSize
 	if end < ckptHeaderSize {
-		return corrupt(len(buf), "checkpoint ends before its footer")
+		return corrupt(size, "checkpoint ends before its footer")
 	}
-	foot := buf[end:]
+	var foot [ckptFooterSize]byte
+	if err := ck.readAt(foot[:], end); err != nil {
+		return nil, err
+	}
 	if string(foot[16:]) != ckptEndMagic {
 		return corrupt(end+16, "bad checkpoint end magic (file cut short?)")
 	}
-	if total := binary.LittleEndian.Uint64(foot[8:]); total != uint64(len(buf)) {
-		return corrupt(end+8, "checkpoint size %d does not match footer length %d", len(buf), total)
+	if total := binary.LittleEndian.Uint64(foot[8:]); total != uint64(size) {
+		return corrupt(end+8, "checkpoint size %d does not match footer length %d", size, total)
 	}
-	if binary.LittleEndian.Uint32(foot[4:]) != footerCRC(foot) {
+	if binary.LittleEndian.Uint32(foot[4:]) != footerCRC(foot[:]) {
 		return corrupt(end+4, "checkpoint footer checksum mismatch")
 	}
 	// Every section takes at least its trailer, which bounds the count
 	// before anything is allocated for it.
-	count := int(binary.LittleEndian.Uint32(foot))
+	count := int64(binary.LittleEndian.Uint32(foot[:]))
 	if count > (end-ckptHeaderSize)/ckptTrailerSize {
 		return corrupt(end, "footer counts %d sections in %d bytes", count, end-ckptHeaderSize)
 	}
+	ck.buf = make([]byte, min(size, ckptBufSize))
 	ck.Sections = make([]Section, count)
+	// A trailer is read with the 8 bytes before it, which hold the
+	// section's padding.
+	var tb [8 + ckptTrailerSize]byte
 	for i := count - 1; i >= 0; i-- {
 		t := end - ckptTrailerSize
 		if t < ckptHeaderSize {
 			return corrupt(end, "section %d: trailer runs into the header", i)
 		}
-		n := binary.LittleEndian.Uint64(buf[t+8:])
+		lo := max(t-8, ckptHeaderSize)
+		tail := tb[:end-lo]
+		if err := ck.readAt(tail, lo); err != nil {
+			return nil, err
+		}
+		tr := tail[t-lo:]
+		n := binary.LittleEndian.Uint64(tr[8:])
 		if n > uint64(t-ckptHeaderSize) {
 			return corrupt(t+8, "section %d: length %d exceeds the file", i, n)
 		}
-		padded := int(n+7) &^ 7
-		start := t - padded
+		start := t - (int64(n+7) &^ 7)
 		if start < ckptHeaderSize {
 			return corrupt(t+8, "section %d: length %d exceeds the file", i, n)
 		}
-		body := buf[start : start+int(n) : start+int(n)]
-		for _, b := range buf[start+int(n) : t] {
+		for _, b := range tail[start+int64(n)-lo : t-lo] {
 			if b != 0 {
-				return corrupt(start+int(n), "section %d: non-zero padding", i)
+				return corrupt(start+int64(n), "section %d: non-zero padding", i)
 			}
 		}
-		if trailerCRC(crc32.Checksum(body, castagnoli), buf[t:]) != binary.LittleEndian.Uint32(buf[t+4:]) {
+		crc, err := ck.pieces(start, int64(n), int64(len(ck.buf)), nil)
+		if err != nil {
+			return nil, err
+		}
+		if trailerCRC(crc, tr) != binary.LittleEndian.Uint32(tr[4:]) {
 			return corrupt(start, "section %d: checksum mismatch", i)
 		}
-		ck.Sections[i] = Section{Tag: binary.LittleEndian.Uint32(buf[t:]), Body: body}
+		ck.Sections[i] = Section{Tag: binary.LittleEndian.Uint32(tr), Len: int64(n), off: start, crc: crc}
 		end = start
 	}
 	if end != ckptHeaderSize {
@@ -356,27 +424,51 @@ func ParseCheckpoint(path string, buf []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
+// ReadSection reads section i's body again, through the checkpoint's one
+// buffer, handing fn each piece in file order; every piece but the last
+// is a whole multiple of width bytes (a width up to the buffer's length,
+// which is ckptBufSize or the whole file), so a decoder of fixed-width
+// entries never sees one cut in two. fn's error ends the read and is
+// returned. At the end the pieces must hash to what validation read, or
+// the body changed in between: a *CorruptError, and whatever fn made of
+// the pieces is not the checkpoint.
+func (ck *Checkpoint) ReadSection(i, width int, fn func(p []byte) error) error {
+	s := ck.Sections[i]
+	step := int64(len(ck.buf) / width * width)
+	if step == 0 { // a file shorter than one entry: the body is one piece
+		step = int64(len(ck.buf))
+	}
+	crc, err := ck.pieces(s.off, s.Len, step, fn)
+	if err == nil && crc != s.crc {
+		err = &CorruptError{Path: ck.Path, Offset: s.off, Reason: fmt.Sprintf("section %d: checksum mismatch on the second read", i)}
+	}
+	return err
+}
+
+// Close closes the file a loaded checkpoint holds open.
+func (ck *Checkpoint) Close() error {
+	if ck.file == nil {
+		return nil
+	}
+	return ck.file.Close()
+}
+
 // LoadCheckpointFS returns the newest checkpoint that passes
-// validation and the per-file errors of any newer checkpoints skipped
-// on the way (stale checkpoint + longer WAL replay is the designed
-// fallback). With no checkpoint files at all it returns a nil
+// validation, open for reading (the caller closes it), and the per-file
+// errors of any newer checkpoints skipped on the way (stale checkpoint +
+// longer WAL replay is the designed fallback). A failed read skips a
+// file as damage does. With no checkpoint files at all it returns a nil
 // checkpoint — an empty-state recovery, not an error. When checkpoint
 // files exist but every one is invalid it fails with the newest file's
-// *CorruptError: silently restarting empty would discard state that
-// provably existed.
+// error: silently restarting empty would discard state that provably
+// existed.
 func LoadCheckpointFS(fsys iofault.FS, dir string) (ck *Checkpoint, skipped []error, err error) {
 	cks, err := listCheckpoints(fsys, dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, info := range cks {
-		buf, rerr := fsys.ReadFile(info.path)
-		if rerr == nil {
-			if ck, rerr = ParseCheckpoint(info.path, buf); rerr == nil && ck.Seq != info.seq {
-				rerr = &CorruptError{Path: info.path, Offset: 16,
-					Reason: fmt.Sprintf("header seq %d does not match file name seq %d", ck.Seq, info.seq)}
-			}
-		}
+		ck, rerr := openCheckpoint(fsys, info)
 		if rerr == nil {
 			return ck, skipped, nil
 		}
@@ -386,6 +478,29 @@ func LoadCheckpointFS(fsys iofault.FS, dir string) (ck *Checkpoint, skipped []er
 		return nil, skipped, skipped[0]
 	}
 	return nil, nil, nil
+}
+
+// openCheckpoint opens and validates one checkpoint file.
+func openCheckpoint(fsys iofault.FS, info checkpointInfo) (*Checkpoint, error) {
+	fi, err := fsys.Stat(info.path)
+	if err != nil {
+		return nil, err
+	}
+	f, err := fsys.OpenFile(info.path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	ck, err := ParseCheckpoint(info.path, f, fi.Size())
+	if err == nil && ck.Seq != info.seq {
+		err = &CorruptError{Path: info.path, Offset: 16,
+			Reason: fmt.Sprintf("header seq %d does not match file name seq %d", ck.Seq, info.seq)}
+	}
+	if err != nil {
+		f.Close() //adjlint:ignore syncerr a file only read, refused; the validation error is the one reported
+		return nil, err
+	}
+	ck.file = f
+	return ck, nil
 }
 
 // RetireCheckpointsFS deletes all but the keep newest checkpoint files.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,10 +38,31 @@ func loadCheckpoint(dir string) (payload []byte, seq uint64, skipped []error, er
 	if err != nil || ck == nil {
 		return nil, 0, skipped, err
 	}
+	defer ck.Close()
 	if len(ck.Sections) != 1 || ck.Sections[0].Tag != testTag {
 		return nil, 0, skipped, errors.New("not a writeCheckpoint file")
 	}
-	return ck.Sections[0].Body, ck.Seq, skipped, nil
+	payload, err = sectionBody(ck, 0, 1)
+	return payload, ck.Seq, skipped, err
+}
+
+// parse validates checkpoint bytes held in memory.
+func parse(path string, b []byte) (*Checkpoint, error) {
+	return ParseCheckpoint(path, bytes.NewReader(b), int64(len(b)))
+}
+
+// sectionBody reads section i whole, in pieces of whole width-byte
+// entries.
+func sectionBody(ck *Checkpoint, i, width int) ([]byte, error) {
+	var b []byte
+	err := ck.ReadSection(i, width, func(p []byte) error {
+		if len(p)%width != 0 && len(b)+len(p) != int(ck.Sections[i].Len) {
+			return fmt.Errorf("a %d-byte piece that is not the last, at width %d", len(p), width)
+		}
+		b = append(b, p...)
+		return nil
+	})
+	return b, err
 }
 
 // TestFormatOneIsRefused: a format-1 file — one PR 15 really wrote — is a
@@ -67,7 +89,7 @@ func TestFormatOneIsRefused(t *testing.T) {
 			t.Fatalf("err = %v, want a *CorruptError at offset 8 of %s naming format 1 and the last build that reads it", err, path)
 		}
 	}
-	ck, err := ParseCheckpoint(path, old)
+	ck, err := parse(path, old)
 	if refused(err); ck != nil {
 		t.Fatalf("ParseCheckpoint handed back a checkpoint beside the refusal: %+v", ck)
 	}
@@ -130,9 +152,13 @@ func TestSectionsRoundTrip(t *testing.T) {
 	if ck.Seq != 11 || len(ck.Sections) != len(bodies) {
 		t.Fatalf("loaded seq %d with %d sections, want 11, %d", ck.Seq, len(ck.Sections), len(bodies))
 	}
+	defer ck.Close()
 	for i, s := range ck.Sections {
-		if s.Tag != uint32(100+i) || !bytes.Equal(s.Body, bodies[i]) {
-			t.Errorf("section %d: tag %d body %x, want tag %d body %x", i, s.Tag, s.Body, 100+i, bodies[i])
+		for _, width := range []int{1, 4, 8} {
+			body, err := sectionBody(ck, i, width)
+			if err != nil || s.Tag != uint32(100+i) || s.Len != int64(len(bodies[i])) || !bytes.Equal(body, bodies[i]) {
+				t.Errorf("section %d at width %d: tag %d body %x (%v), want tag %d body %x", i, width, s.Tag, body, err, 100+i, bodies[i])
+			}
 		}
 	}
 	// No sections at all is a file too.
@@ -154,7 +180,7 @@ func TestEveryByteIsCovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseCheckpoint(path, clean); err != nil {
+	if _, err := parse(path, clean); err != nil {
 		t.Fatal(err)
 	}
 	for i := range clean {
@@ -162,16 +188,16 @@ func TestEveryByteIsCovered(t *testing.T) {
 			damaged := bytes.Clone(clean)
 			damaged[i] ^= bit
 			var ce *CorruptError
-			if _, err := ParseCheckpoint(path, damaged); !errors.As(err, &ce) {
+			if _, err := parse(path, damaged); !errors.As(err, &ce) {
 				t.Fatalf("byte %d of %d flipped by %#x: err = %v, want *CorruptError", i, len(clean), bit, err)
 			}
 		}
-		if _, err := ParseCheckpoint(path, clean[:i]); !errors.Is(err, ErrCorrupt) {
+		if _, err := parse(path, clean[:i]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut to %d of %d bytes: err = %v, want ErrCorrupt", i, len(clean), err)
 		}
 	}
 	// Bytes after the footer are damage as well.
-	if _, err := ParseCheckpoint(path, append(bytes.Clone(clean), 0)); !errors.Is(err, ErrCorrupt) {
+	if _, err := parse(path, append(bytes.Clone(clean), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("a trailing byte: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -193,7 +219,7 @@ func TestSectionCountIsBoundedByTheFile(t *testing.T) {
 	binary.LittleEndian.PutUint32(foot[4:], footerCRC(foot))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := ParseCheckpoint(path, buf); !errors.Is(err, ErrCorrupt) {
+	if _, err := parse(path, buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 	runtime.ReadMemStats(&after)
@@ -259,5 +285,30 @@ func TestWriteFaultAtEveryCall(t *testing.T) {
 				t.Fatalf("%s call %d faulted: loaded seq %d", op, after, ck.Seq)
 			}
 		}
+	}
+}
+
+// ReadSection reads a body again and checks it against what validation
+// read: a body that changed in between is a *CorruptError at the
+// section's start, whatever the pieces handed out held.
+func TestReadSectionRechecksTheBody(t *testing.T) {
+	path, bodies := sectionedFile(t, t.TempDir())
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := parse(path, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(bodies) - 1
+	start := ck.Sections[last].off
+	buf[start] ^= 0x01 // the reader reads buf itself
+	var ce *CorruptError
+	if _, err := sectionBody(ck, last, 1); !errors.As(err, &ce) || ce.Offset != start {
+		t.Fatalf("a body changed after validation: err = %v, want a *CorruptError at %d", err, start)
+	}
+	if got, err := sectionBody(ck, last-1, 8); err != nil || !bytes.Equal(got, bodies[last-1]) {
+		t.Fatalf("an untouched section: %x, %v; want %x", got, err, bodies[last-1])
 	}
 }

@@ -58,8 +58,12 @@
 // fails validation (see checkpoint.go for the layout; a file of format 1,
 // last written by PR 15, is refused by name). <seq> is the sequence
 // number of the last record the checkpoint covers, so recovery is "load
-// newest valid checkpoint, replay records > seq". A checkpoint that
-// fails validation is skipped in favor of the next older one (stale
+// newest valid checkpoint, replay records > seq". A load reads the file
+// in pieces through one buffer (ReadAt): validation first, every section
+// checksummed, then each section again for the caller to decode, checked
+// once more as it streams, so no load holds a checkpoint whole. A
+// checkpoint that fails validation, or whose reading fails, is skipped in
+// favor of the next older one (stale
 // checkpoint + longer WAL replay is the designed fallback); only when
 // every checkpoint file is invalid does loading fail with the typed
 // error. Segments wholly covered by a checkpoint are retired by
