@@ -285,14 +285,15 @@ type AdjacencyStoreSnapshot[V any] = stream.StoreSnapshot[V]
 type AdjacencyStoreStats = stream.StoreStats
 
 // DurableStreamOptions tunes the durable side of a store opened on a
-// directory (fsync policy, checkpoint cadence, value codec).
-type DurableStreamOptions[V any] = stream.DurableOptions[V]
+// directory (fsync policy, segment size, checkpoint cadence); such a
+// store holds float64 values.
+type DurableStreamOptions = stream.DurableOptions
 
 // OpenAdjacencyStore opens a store: dir "" keeps it in memory, anything
 // else recovers from (or creates) that directory. shards 0 or 1 is one
 // shard, < 0 selects GOMAXPROCS; a directory that already holds a store
 // refuses an explicit count other than its own.
-func OpenAdjacencyStore[V any](dir string, ops Ops[V], shards int, dopt DurableStreamOptions[V]) (*AdjacencyStore[V], error) {
+func OpenAdjacencyStore[V any](dir string, ops Ops[V], shards int, dopt DurableStreamOptions) (*AdjacencyStore[V], error) {
 	return stream.Open(dir, ops, shards, dopt)
 }
 

@@ -58,8 +58,9 @@
 // With -data-dir the store is durable: on start the view is recovered
 // from the newest valid checkpoint plus a WAL replay (the recovered and
 // durable epochs are logged), every ingested batch is written ahead to
-// the log under the -fsync policy (batch, interval, or off), background
-// checkpoints run every -checkpoint-every batches, and shutdown —
+// the log under the -fsync policy (batch; or off, where a batch is
+// durable once a segment rotation, a checkpoint or shutdown covers it),
+// background checkpoints run every -checkpoint-every batches, and shutdown —
 // stream end or SIGINT/SIGTERM — flushes partial batches and writes a
 // final covering checkpoint before the process exits. One shard keeps
 // its WAL and checkpoints at the directory root; several keep one
@@ -119,19 +120,18 @@ import (
 
 // config carries the parsed flags.
 type config struct {
-	semiring      string
-	in            string
-	keyed         bool
-	batch         int
-	shards        int
-	serve         string
-	debugAddr     string
-	flushEvery    time.Duration
-	skip          bool
-	dataDir       string
-	fsync         string
-	fsyncInterval time.Duration
-	ckptEvery     int
+	semiring   string
+	in         string
+	keyed      bool
+	batch      int
+	shards     int
+	serve      string
+	debugAddr  string
+	flushEvery time.Duration
+	skip       bool
+	dataDir    string
+	fsync      string
+	ckptEvery  int
 
 	// Front-door tuning (see internal/serve.Options).
 	readWorkers int
@@ -170,8 +170,7 @@ func main() {
 	flag.DurationVar(&cfg.flushEvery, "flush-every", time.Second, "with -serve, flush partial batches at this interval so slow streams stay visible")
 	flag.BoolVar(&cfg.skip, "skip-condition-check", false, "accept pairs that fail the Theorem II.1 conditions")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: recover on start, WAL every batch, checkpoint on shutdown; empty = in-memory")
-	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL fsync policy: batch (sync every append), interval, or off")
-	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 100*time.Millisecond, "sync cadence for -fsync interval")
+	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL fsync policy: batch (sync every append) or off (durable only at segment rotation, checkpoint and shutdown)")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 256, "background checkpoint after this many batches (0 = only at shutdown)")
 	flag.IntVar(&cfg.readWorkers, "read-workers", 0, "concurrent cheap reads (/at, /row); 0 = default 64")
 	flag.IntVar(&cfg.readQueue, "read-queue", 0, "cheap reads that may wait for a worker before shedding 429; 0 = default 256, negative = no queue")
@@ -209,8 +208,8 @@ func run(cfg config) error {
 		Shards:             cfg.shards,
 		SkipConditionCheck: cfg.skip,
 		DataDir:            cfg.dataDir,
-		Durable: stream.DurableOptions[float64]{
-			WAL:             wal.Options{Policy: policy, Interval: cfg.fsyncInterval},
+		Durable: stream.DurableOptions{
+			WAL:             wal.Options{Policy: policy},
 			CheckpointEvery: cfg.ckptEvery,
 		},
 	})

@@ -219,7 +219,7 @@ func verifyRecovered(dir string, seed int64, shards int, minEpoch uint64) ([]int
 	if err != nil {
 		return nil, 0, err
 	}
-	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions{})
 	if err != nil {
 		return nil, 0, fmt.Errorf("recovery failed: %w", err)
 	}
@@ -307,7 +307,7 @@ func childMain() error {
 	if err != nil {
 		return err
 	}
-	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions{
 		WAL: wal.Options{
 			Policy: wal.SyncEveryAppend,
 			// Tiny segments force rotation (and retirement, under the

@@ -60,7 +60,7 @@ func writeStore(t *testing.T, dir string, seed int64, shards int, batches uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestVerifierCatchesLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
+			sv, err := stream.Open(dir, ops, shards, stream.DurableOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestTornShardDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions[float64]{})
+	sv, err := stream.Open(dir, ops, shards, stream.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

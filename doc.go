@@ -62,8 +62,9 @@
 //     once, no ⊕ — bit-identical to one shard for any operator pair, and
 //     the disjointness is checked: two shards storing one source row are
 //     refused by key, never summed. One shard is shards = 1; in-memory
-//     is "no directory". On a directory every shard recovers from a
-//     write-ahead incidence log plus checkpoints (internal/wal). A
+//     is "no directory". On a directory — a float64 store only — every
+//     shard recovers from a write-ahead incidence log plus checkpoints
+//     (internal/wal), fsynced per batch or left to the OS (-fsync off). A
 //     checkpoint is the view as it lies in memory — the id-space edge
 //     log, the interner slabs, the id → position arrays and the folded
 //     adjacency, as CRC-closed sections (ADJCKPT format 2, the one
@@ -75,7 +76,8 @@
 //     beside them. Recovery has
 //     torn-tail repair, typed corruption errors, a refusal by name of
 //     what it will not read — a directory under a different shard
-//     count, a sharded one that lost its SHARDS file, a format-1
+//     count, a sharded one that lost its SHARDS file, a checkpoint
+//     whose main was folded in groups (meta word exact 0), a format-1
 //     checkpoint (last written by PR 15) — and a kill-and-recover
 //     gate in cmd/crashtest holding recovery bit-identical to the dense
 //     oracle at every shard count;

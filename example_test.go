@@ -128,7 +128,7 @@ func ExampleBuild() {
 // the store in memory; a directory would make every append durable.
 func ExampleOpenAdjacencyStore() {
 	sv, err := adjarray.OpenAdjacencyStore("", adjarray.PlusTimes(), 4,
-		adjarray.DurableStreamOptions[float64]{})
+		adjarray.DurableStreamOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return

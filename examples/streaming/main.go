@@ -25,7 +25,7 @@ import (
 func main() {
 	// 1. A maintained store under +.× — ⊕ counts parallel edges. Directory
 	// "" keeps it in memory; one shard.
-	v, err := adjarray.OpenAdjacencyStore("", adjarray.PlusTimes(), 1, adjarray.DurableStreamOptions[float64]{})
+	v, err := adjarray.OpenAdjacencyStore("", adjarray.PlusTimes(), 1, adjarray.DurableStreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func main() {
 		Zero: 0, One: 1,
 		Equal: func(a, b float64) bool { return a == b },
 	}
-	w, err := adjarray.OpenAdjacencyStore("", avg, 1, adjarray.DurableStreamOptions[float64]{})
+	w, err := adjarray.OpenAdjacencyStore("", avg, 1, adjarray.DurableStreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

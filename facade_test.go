@@ -162,7 +162,7 @@ func TestFacadeCSRGraphAndStreaming(t *testing.T) {
 	// A maintained store ingests a mix of weighted and unweighted edges
 	// under max.min — the widest-path pair whose One (+Inf) the old
 	// Zero-sentinel convention could not produce from Go zero values.
-	v, err := adjarray.OpenAdjacencyStore("", adjarray.MaxMin(), 1, adjarray.DurableStreamOptions[float64]{})
+	v, err := adjarray.OpenAdjacencyStore("", adjarray.MaxMin(), 1, adjarray.DurableStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestFromPinsMatchesFromArraysOverPin(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(shards)))
-			store, err := stream.Open("", ops, shards, stream.DurableOptions[float64]{})
+			store, err := stream.Open("", ops, shards, stream.DurableOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func sameGraph(t *testing.T, where string, got, want *Graph) {
 // vertices, some growing value columns — is the Graph the same pins build
 // once the appends have stopped, weights included. Run under -race.
 func TestFromPinsUnderConcurrentAppends(t *testing.T) {
-	store, err := stream.Open("", semiring.PlusTimes(), 2, stream.DurableOptions[float64]{})
+	store, err := stream.Open("", semiring.PlusTimes(), 2, stream.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

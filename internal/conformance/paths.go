@@ -173,7 +173,7 @@ func buildStreamSharded(_, _ *assoc.Array[float64], ops semiring.Ops[float64], i
 func replayStore(dir string, ops semiring.Ops[float64], inst Instance, shards int, read string) (*assoc.Array[float64], error) {
 	// No fsync: the simulated failure is a process exit, not a power
 	// cut, so written-but-unsynced records must survive the reopen.
-	dopt := stream.DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	dopt := stream.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}
 	s, err := stream.Open(dir, ops, shards, dopt)
 	if err != nil {
 		return nil, err
@@ -233,7 +233,7 @@ func appendBatches(s *stream.Store[float64], inst Instance, acked func(nth, cut 
 }
 
 func buildStreamPointRead(_, _ *assoc.Array[float64], ops semiring.Ops[float64], inst Instance) (*assoc.Array[float64], error) {
-	s, err := stream.Open("", ops, 2, stream.DurableOptions[float64]{})
+	s, err := stream.Open("", ops, 2, stream.DurableOptions{})
 	if err != nil {
 		return nil, err
 	}

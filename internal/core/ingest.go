@@ -68,8 +68,8 @@ type IngestOptions struct {
 	// a covering checkpoint.
 	DataDir string
 	// Durable tunes the durability layer when DataDir is set (fsync
-	// policy, checkpoint cadence, codec).
-	Durable stream.DurableOptions[float64]
+	// policy, checkpoint cadence).
+	Durable stream.DurableOptions
 }
 
 // NewIngest resolves the operator pair, runs the condition analysis, and

@@ -359,13 +359,6 @@ type faultFile struct {
 
 func (f *faultFile) Name() string { return f.path }
 
-func (f *faultFile) Read(p []byte) (int, error) {
-	if err := f.fs.fail(OpRead, f.path); err != nil {
-		return 0, err
-	}
-	return f.inner.Read(p)
-}
-
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.fs.fail(OpRead, f.path); err != nil {
 		return 0, err

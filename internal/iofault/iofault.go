@@ -24,7 +24,7 @@ const (
 	OpAny Op = iota
 	// OpOpen covers OpenFile and CreateTemp.
 	OpOpen
-	// OpRead covers File.Read, File.ReadAt and ReadFile.
+	// OpRead covers File.ReadAt and ReadFile.
 	OpRead
 	// OpWrite covers File.Write and WriteFile.
 	OpWrite
@@ -76,7 +76,6 @@ func (o Op) String() string {
 // File is the slice of *os.File the durability layer uses.
 type File interface {
 	Write(p []byte) (int, error)
-	Read(p []byte) (int, error)
 	ReadAt(p []byte, off int64) (int, error)
 	Sync() error
 	Close() error

@@ -40,7 +40,7 @@ func TestIngestDegradedMode(t *testing.T) {
 	dir := t.TempDir()
 	ing := newTestIngest(t, core.IngestOptions{
 		DataDir: dir,
-		Durable: stream.DurableOptions[float64]{
+		Durable: stream.DurableOptions{
 			WAL: wal.Options{Policy: wal.SyncEveryAppend},
 			FS:  iofault.Wrap(iofault.OS, inj),
 		},
@@ -213,7 +213,7 @@ func TestReadsAnswerWhileACheckpointIsWritten(t *testing.T) {
 	gate := &gateFS{FS: iofault.OS, reached: make(chan struct{}), release: make(chan struct{})}
 	ing := newTestIngest(t, core.IngestOptions{
 		DataDir: t.TempDir(),
-		Durable: stream.DurableOptions[float64]{FS: gate},
+		Durable: stream.DurableOptions{FS: gate},
 	})
 	defer ing.Close()
 	release := sync.OnceFunc(func() { close(gate.release) })

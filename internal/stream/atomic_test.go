@@ -202,7 +202,7 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 	batches := durableBatches(77, 4, 5)
 	dir := t.TempDir()
 
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDurableAppendRollbackKeepsLogAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	re, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

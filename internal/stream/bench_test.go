@@ -221,7 +221,7 @@ func BenchmarkStreamAppendGrowingUniverse(b *testing.B) {
 	})
 	b.Run("shards2", func(b *testing.B) {
 		ingest(b, func() func([]Edge[float64]) error {
-			s, err := Open("", semiring.PlusTimes(), 2, DurableOptions[float64]{})
+			s, err := Open("", semiring.PlusTimes(), 2, DurableOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func BenchmarkShardedAppendScaling(b *testing.B) {
 	perBatch := func(shards int) time.Duration {
 		var best time.Duration
 		for rep := 0; rep < reps; rep++ {
-			sv, err := Open("", semiring.PlusTimes(), shards, DurableOptions[float64]{})
+			sv, err := Open("", semiring.PlusTimes(), shards, DurableOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,13 +18,15 @@ import (
 // interner-id space, the two interners' slabs, the id → position arrays
 // of the sorted vertex universe, and the folded adjacency. internal/wal
 // frames the file (header, per-section CRC, footer); the sections and
-// what is in them are defined here. All integers are little-endian.
+// what is in them are defined here. All integers are little-endian, and
+// every value is a float64 written as its 8-byte IEEE-754 word: only a
+// float64 store is opened on a directory.
 //
 //	meta     u64 edges, appends, epoch, autoSeq, srcKeys, dstKeys, exact;
 //	         then the algebra's name and the auto-key base, each a uvarint
 //	         length and that many bytes. appends is written as epoch and
-//	         exact as 1: the words of a view that never compacted (see
-//	         decodeSections for a 0)
+//	         exact as 1: the words of a view that never compacted (a file
+//	         whose exact reads 0 is refused, see decodeSections)
 //	srcOff   u32[srcKeys]  end offset of each source key in srcSlab
 //	srcSlab  the source interner's key bytes, back to back, in id order
 //	dstOff, dstSlab        the same for the destination interner
@@ -39,23 +40,23 @@ import (
 //	keySlab  the edge keys' bytes, back to back, in log order
 //	srcID    i32[edges]    source id of each edge
 //	dstID    i32[edges]    destination id of each edge
-//	out, in  [edges]       Eout(k, src), Ein(k, dst) through the ValueCodec
-//	         — or empty, when no edge carried a weight on that side: every
-//	         value is the algebra's One
+//	out, in  f64[edges]    Eout(k, src), Ein(k, dst) — or empty, when no
+//	         edge carried a weight on that side: every value is the
+//	         algebra's One
 //	rowPtr   u64[rows+1]   the adjacency CSR over the sorted universe
 //	colIdx   u32[nnz]
-//	val      [nnz]         through the ValueCodec
+//	val      f64[nnz]
 //
 // An empty key or value section of a non-empty log is a column the view
 // does not hold either (keyCol, View.out): what a checkpoint stores is
 // what lies in memory. The id columns are there for every edge and give
-// the log its length. A float64 view therefore costs 8 bytes per edge for
-// an unkeyed, unweighted stream — and, for one that spells them out, 8
-// more per weighted side and 4 bytes plus the key for its edge key — then
-// 12 bytes per stored adjacency entry and 8 bytes plus the key per vertex
-// and side (16 on the source side, which carries the row pointer).
-// Readers accept the spelled-out form of a column that could have been
-// left out (PRs 16–20 wrote every column in full) and do not keep it.
+// the log its length. A view therefore costs 8 bytes per edge for an
+// unkeyed, unweighted stream — and, for one that spells them out, 8 more
+// per weighted side and 4 bytes plus the key for its edge key — then 12
+// bytes per stored adjacency entry and 8 bytes plus the key per vertex
+// and side (16 on the source side, which carries the row pointer). A
+// column spelled out that could have been left out (older writers spelled
+// out every column) is read as the column it is.
 //
 // Version 1 of the file held the position-space CSRs of Eout and Ein, to
 // be inverted back into this log on every load; nothing has written it
@@ -161,10 +162,12 @@ func putU32s[T int32 | uint32](e *sectionEncoder, tag uint32, xs []T) {
 	}
 }
 
-func putVals[V any](e *sectionEncoder, tag uint32, vs []V, codec ValueCodec[V]) {
+// putF64s writes a section of values, the column converted once: a view
+// with a checkpoint is a float64 view.
+func putF64s[V any](e *sectionEncoder, tag uint32, col []V) {
 	e.section(tag)
-	for _, v := range vs {
-		e.buf = codec.Append(e.buf, v)
+	for _, v := range any(col).([]float64) {
+		e.buf = appendF64(e.buf, v)
 		e.spill()
 	}
 }
@@ -178,7 +181,7 @@ func putBytes(e *sectionEncoder, tag uint32, b []byte) {
 }
 
 // encode writes the image as the sections above.
-func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
+func (im *image[V]) encode(w *wal.CheckpointWriter) error {
 	// Room past the chunk for the element whose append crosses it.
 	e := &sectionEncoder{w: w, buf: make([]byte, 0, ckptChunk+256)}
 	l := im.log
@@ -202,7 +205,7 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 
 	// A key column that is the generator's one run is in meta already:
 	// both of its sections stay empty. So does the section of a value
-	// column that does not exist (putVals over nil).
+	// column that does not exist (putF64s over nil).
 	stored := !l.keys.oneRun(edges, im.autoBase, im.autoSeq)
 	e.section(secKeyOff)
 	if stored {
@@ -229,8 +232,8 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 
 	putU32s(e, secSrcID, l.srcID)
 	putU32s(e, secDstID, l.dstID)
-	putVals(e, secOut, l.out, codec)
-	putVals(e, secIn, l.in, codec)
+	putF64s(e, secOut, l.out)
+	putF64s(e, secIn, l.in)
 
 	rowPtr, colIdx, val := im.main.Parts()
 	e.section(secRowPtr)
@@ -239,7 +242,7 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 		e.spill()
 	}
 	putU32s(e, secColIdx, colIdx)
-	putVals(e, secVal, val, codec)
+	putF64s(e, secVal, val)
 	return e.finish()
 }
 
@@ -248,8 +251,8 @@ func (im *image[V]) encode(w *wal.CheckpointWriter, codec ValueCodec[V]) error {
 // view are a *wal.CorruptError; a section that cannot be read again is
 // the read's own error, typed as wal returned it; a checkpoint written
 // under another algebra is refused with a plain error.
-func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueCodec[V]) (*View[V], error) {
-	v, name, err := decodeSections(ck, ops, codec)
+func decodeCheckpoint[V any](ck *wal.Checkpoint, ops semiring.Ops[V]) (*View[V], error) {
+	v, name, err := decodeSections(ck, ops)
 	var rf readFailure
 	if errors.As(err, &rf) {
 		return nil, rf.err
@@ -364,51 +367,23 @@ func indexes(d *sectionDecoder, tag uint32, name string, none bool) []int32 {
 	return xs
 }
 
-// maxValueWidth bounds the entry width a value section is decoded at in
-// pieces: a piece holds whole entries only up to the read buffer's
-// length, and no fixed-width value comes near this.
-const maxValueWidth = 64
-
-// vals decodes exactly n values that fill the section. A section of n
-// entries of one width is decoded in pieces, each value from exactly its
-// own bytes, straight into the column. It is read whole and decoded as
-// one self-delimiting run, as a variable-width codec writes it, only
-// when it is not, or when an entry does not decode from exactly its
-// width.
-func vals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueCodec[V]) []V {
-	if size := d.size(tag); n > 0 && size > 0 && size%n == 0 && size/n <= maxValueWidth {
-		w, i := size/n, 0
-		vs := make([]V, n)
-		if d.read(tag, w, func(p []byte) bool {
-			for ; len(p) > 0; p, i = p[w:], i+1 {
-				v, got, err := codec.Decode(p[:w])
-				if err != nil || got != w {
-					return false
-				}
-				vs[i] = v
-			}
-			return true
-		}) {
-			return vs
-		}
-	}
-	b := d.whole(tag)
-	if d.err != nil {
+// f64s reads a section of exactly n values, as putF64s wrote them,
+// straight into a new column of V, which is float64 (see putF64s).
+func f64s[V any](d *sectionDecoder, tag uint32, name string, n int) []V {
+	if size := d.size(tag); size != 8*n {
+		d.fail("%s section is %d bytes, want %d for %d values", name, size, 8*n, n)
 		return nil
 	}
-	vs := make([]V, n)
-	for i := range vs {
-		v, w, err := codec.Decode(b)
-		if err != nil {
-			d.fail("%s value %d: %v", name, i, err)
-			return nil
+	vs, i := make([]float64, n), 0
+	if !d.read(tag, 8, func(p []byte) bool {
+		for ; len(p) > 0; p, i = p[8:], i+1 {
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p))
 		}
-		vs[i], b = v, b[w:]
+		return true
+	}) {
+		return nil
 	}
-	if len(b) != 0 {
-		d.fail("%d trailing bytes after %d %s values", len(b), n, name)
-	}
-	return vs
+	return any(vs).([]V)
 }
 
 // side rebuilds one side of the vertex universe: the interner from its
@@ -452,22 +427,19 @@ func (d *sectionDecoder) side(offTag, slabTag, posTag, idTag uint32, name string
 // at (base, seq). Empty sections mean the column is that generator's one
 // run and was left to meta; stored keys are walked as their offsets
 // stream in — offsets monotone, keys strictly ascending, the slab used
-// up — and only if some key is not the one the run would hold are they
-// kept, as substrings of one string: the slab, read into it. A log whose
-// every key the run generates stays a run, whoever spelled it out.
+// up — and kept as substrings of one string: the slab, read into it.
 func (d *sectionDecoder) edgeKeys(n int, base string, seq uint64) keyCol {
 	offLen, slabLen := d.size(secKeyOff), d.size(secKeySlab)
 	if d.err != nil || n == 0 && offLen == 0 && slabLen == 0 {
 		return keyCol{}
 	}
-	// checkCounters has bounded seq, so it is an int.
-	run := keyCol{runs: []keyRun{{base: base, seq: int(seq) - n, gen: true}}}
-	isRun := run.oneRun(n, base, int(seq))
 	if offLen == 0 {
+		// checkCounters has bounded seq, so it is an int.
+		run := keyCol{runs: []keyRun{{base: base, seq: int(seq) - n, gen: true}}}
 		switch {
 		case slabLen != 0:
 			d.fail("no edge key offsets beside a key slab of %d bytes", slabLen)
-		case !isRun:
+		case !run.oneRun(n, base, int(seq)):
 			d.fail("no edge keys stored, and the generator (base %q, sequence %d) has not produced the log's %d", base, seq, n)
 		}
 		return run
@@ -483,7 +455,6 @@ func (d *sectionDecoder) edgeKeys(n int, base string, seq uint64) keyCol {
 	}
 	all := sb.String()
 	ks := make([]string, n)
-	var buf [64]byte
 	at, i := uint32(0), 0
 	if !d.read(secKeyOff, 4, func(p []byte) bool {
 		for ; len(p) > 0; p, i = p[4:], i+1 {
@@ -497,9 +468,6 @@ func (d *sectionDecoder) edgeKeys(n int, base string, seq uint64) keyCol {
 				d.fail("edge keys not strictly sorted at %d: %q >= %q", i, ks[i-1], key)
 				return false
 			}
-			if isRun {
-				isRun = string(appendAutoKey(buf[:0], base, int(seq)-n+i)) == key
-			}
 			ks[i], at = key, end
 		}
 		return true
@@ -510,33 +478,17 @@ func (d *sectionDecoder) edgeKeys(n int, base string, seq uint64) keyCol {
 		d.fail("edge key offsets end at %d, slab is %d bytes", at, len(all))
 		return keyCol{}
 	}
-	if isRun {
-		return run
-	}
 	return spelledKeys(ks)
 }
 
 // logVals reads one of the log's value columns: nil — the column does not
-// exist, every entry is One — when the section is empty, and also when it
-// spells out n values that each encode as One does (compared as they
-// stream in); anything else is decoded as the weighted column it is.
-func logVals[V any](d *sectionDecoder, tag uint32, name string, n int, codec ValueCodec[V], one []byte) []V {
-	size := d.size(tag)
-	if size == 0 {
+// exist, every entry is One — when the section is empty, and otherwise
+// the n values it holds.
+func logVals[V any](d *sectionDecoder, tag uint32, name string, n int) []V {
+	if d.size(tag) == 0 {
 		return nil
 	}
-	w := len(one)
-	if size == n*w && d.read(tag, w, func(p []byte) bool {
-		for ; len(p) > 0; p = p[w:] {
-			if !bytes.Equal(p[:w], one) {
-				return false
-			}
-		}
-		return true
-	}) {
-		return nil
-	}
-	return vals(d, tag, name, n, codec)
+	return f64s[V](d, tag, name, n)
 }
 
 // decodeSections reconstructs a View from a checkpoint's sections,
@@ -544,19 +496,19 @@ func logVals[V any](d *sectionDecoder, tag uint32, name string, n int, codec Val
 // inverted back, and nothing is read twice into memory: each section is
 // read from the file straight into the slice the view keeps — the log
 // columns, the interners' offsets and slabs, the position arrays, main's
-// CSR — through the checkpoint's one buffer; only the meta section and a
-// variable-width codec's value section are read whole first. Every
-// structural invariant is re-validated on the way in — interner offsets,
-// position-map bijectivity, key sortedness, ids inside the universe, CSR
-// shape (through NewCSR) and the cross-section counts — so damaged bytes
-// that beat the checksums still cannot become a silently wrong view.
+// CSR — through the checkpoint's one buffer; only the meta section is
+// read whole first. Every structural invariant is re-validated on the way
+// in — interner offsets, position-map bijectivity, key sortedness, ids
+// inside the universe, CSR shape (through NewCSR) and the cross-section
+// counts — so damaged bytes that beat the checksums still cannot become a
+// silently wrong view.
 //
 // The meta word exact reads 0 in a file written by a view whose folds
 // grouped the edges appended since the previous fold on their own: its
-// main may hold another grouping than the log's one left fold, so main
-// is rebuilt from the log here. The appends word counted the batches
-// since such a view's last compaction and is not kept.
-func decodeSections[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueCodec[V]) (*View[V], string, error) {
+// main may hold another grouping than the log's one left fold, and such
+// a file is refused by name. The appends word counted the batches since
+// such a view's last compaction and is not kept.
+func decodeSections[V any](ck *wal.Checkpoint, ops semiring.Ops[V]) (*View[V], string, error) {
 	secs := ck.Sections
 	if len(secs) != numSections {
 		return nil, "", fmt.Errorf("stream: checkpoint holds %d sections, want %d", len(secs), numSections)
@@ -589,6 +541,9 @@ func decodeSections[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueC
 	if len(b) != 0 || meta[6] > 1 {
 		return nil, "", fmt.Errorf("stream: malformed checkpoint meta section")
 	}
+	if meta[6] == 0 {
+		return nil, "", fmt.Errorf("stream: checkpoint meta word exact is 0: its main was folded in groups, which no build after 44460c2 rebuilds; open the directory once with a build at or before 44460c2 and checkpoint after one more batch")
+	}
 	if err := checkCounters(meta[1], meta[2], meta[3]); err != nil {
 		return nil, "", err
 	}
@@ -602,12 +557,11 @@ func decodeSections[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueC
 		d.fail("counts %d edges; it holds %d source and %d destination ids", meta[0], edges, len(dstID))
 	}
 	edgeKeys := d.edgeKeys(edges, autoBase, meta[3])
-	one := codec.Append(nil, ops.One)
-	out := logVals(d, secOut, "Eout", edges, codec, one)
-	in := logVals(d, secIn, "Ein", edges, codec, one)
+	out := logVals[V](d, secOut, "Eout", edges)
+	in := logVals[V](d, secIn, "Ein", edges)
 	rpLen := d.size(secRowPtr)
 	cols := indexes(d, secColIdx, "adjacency column", false)
-	val := vals(d, secVal, "adjacency", len(cols), codec)
+	val := f64s[V](d, secVal, "adjacency", len(cols))
 	if d.err != nil {
 		return nil, "", d.err
 	}
@@ -659,11 +613,6 @@ func decodeSections[V any](ck *wal.Checkpoint, ops semiring.Ops[V], codec ValueC
 		autoBase: autoBase,
 	}
 	v.epoch.Store(int64(meta[2]))
-	if meta[6] == 0 {
-		if err := v.rebuildLocked(); err != nil {
-			return nil, "", err
-		}
-	}
 	return v, name, nil
 }
 

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -181,7 +181,7 @@ func writeImage(t testing.TB, v *View[float64]) []byte {
 	v.mu.Unlock()
 	var mem memFS
 	_, size, err := wal.WriteCheckpointFS(&mem, "", uint64(im.epoch), func(w *wal.CheckpointWriter) error {
-		return im.encode(w, Float64Codec())
+		return im.encode(w)
 	})
 	if err != nil || int64(len(mem.file)) != size {
 		t.Fatalf("checkpoint: %d bytes written, %d reported (%v)", len(mem.file), size, err)
@@ -195,7 +195,7 @@ func readImage(buf []byte, ops semiring.Ops[float64]) (*View[float64], error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeCheckpoint(ck, ops, Float64Codec())
+	return decodeCheckpoint(ck, ops)
 }
 
 // parseImage validates checkpoint file bytes held in memory.
@@ -274,19 +274,12 @@ func sectionOffsets(t testing.TB, buf []byte) []int {
 	return offs
 }
 
-// An unchanged view is not checkpointed again: no value is encoded and
-// the filesystem is not touched — every operation is armed to fail, and
-// none does. (Every Close right after a background checkpoint and every
-// interval tick of an idle store take this path.)
+// An unchanged view is not checkpointed again: the filesystem is not
+// touched — every operation is armed to fail, and none does. (Every Close
+// right after a background checkpoint takes this path.)
 func TestCheckpointOfUnchangedViewDoesNothing(t *testing.T) {
 	inj := iofault.New()
-	encoded := 0
-	codec := Float64Codec()
-	counting := ValueCodec[float64]{
-		Append: func(dst []byte, v float64) []byte { encoded++; return codec.Append(dst, v) },
-		Decode: codec.Decode,
-	}
-	st, err := Open(t.TempDir(), plusTimes(t), 1, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj), Codec: counting})
+	st, err := Open(t.TempDir(), plusTimes(t), 1, DurableOptions{FS: iofault.Wrap(iofault.OS, inj)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,15 +295,14 @@ func TestCheckpointOfUnchangedViewDoesNothing(t *testing.T) {
 	if st.Durability()[0].Checkpoints != 1 {
 		t.Fatalf("durability = %+v, want one checkpoint", st.Durability()[0])
 	}
-	encoded = 0
 	inj.Arm(iofault.Rule{Op: iofault.OpAny, Kind: iofault.EIO})
 	for i := 0; i < 3; i++ {
 		if err := st.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint of an unchanged view: %v", err)
 		}
 	}
-	if encoded != 0 || inj.Injected() != 0 {
-		t.Errorf("an unchanged view cost %d value encodes and %d filesystem calls, want 0 and 0", encoded, inj.Injected())
+	if inj.Injected() != 0 {
+		t.Errorf("an unchanged view cost %d filesystem calls, want 0", inj.Injected())
 	}
 	if d := st.Durability()[0]; d.Checkpoints != 1 || d.Storage.State != StorageOK {
 		t.Errorf("durability after no-op checkpoints = %+v", d)
@@ -354,7 +346,7 @@ func TestCheckpointDoesNotHoldTheViewLock(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
 	gate := &gateFS{FS: iofault.OS, reached: make(chan struct{}), release: make(chan struct{})}
-	st, err := Open(dir, ops, 1, DurableOptions[float64]{FS: gate})
+	st, err := Open(dir, ops, 1, DurableOptions{FS: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +425,7 @@ func TestCheckpointCostIndependentOfLogSize(t *testing.T) {
 	}
 	const per = 256
 	typical := func(logged int) (bytes, allocs uint64, size int64) {
-		st, err := Open(t.TempDir(), plusTimes(t), 1, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+		st, err := Open(t.TempDir(), plusTimes(t), 1, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -665,7 +657,7 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(16 + shards)))
 			verts := scatteredVertices(r, 48)
 			dir := t.TempDir()
-			st, err := Open(dir, ops, shards, DurableOptions[float64]{})
+			st, err := Open(dir, ops, shards, DurableOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -716,7 +708,7 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 					}
 				}
 				st.Abort()
-				if st, err = Open(dir, ops, shards, DurableOptions[float64]{}); err != nil {
+				if st, err = Open(dir, ops, shards, DurableOptions{}); err != nil {
 					t.Fatalf("%s/%d shards, phase %d: reopen: %v", ops.Name, shards, phase, err)
 				}
 				label := fmt.Sprintf("%s/%d shards, phase %d", ops.Name, shards, phase)
@@ -751,7 +743,7 @@ func TestCheckpointRoundTripEveryPair(t *testing.T) {
 func faultedStore(t *testing.T, dir string, batches [][]Edge[float64]) (*Store[float64], *iofault.Injector) {
 	t.Helper()
 	inj := iofault.New()
-	st, err := Open(dir, plusTimes(t), 1, DurableOptions[float64]{
+	st, err := Open(dir, plusTimes(t), 1, DurableOptions{
 		FS: iofault.Wrap(iofault.OS, inj),
 	})
 	if err != nil {
@@ -825,7 +817,7 @@ func TestCheckpointFaultAtEveryCall(t *testing.T) {
 			}
 			st.Abort()
 
-			re, err := Open(dir, ops, 1, DurableOptions[float64]{})
+			re, err := Open(dir, ops, 1, DurableOptions{})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", label, err)
 			}
@@ -852,7 +844,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 	ops := plusTimes(t)
 	batches := durableBatches(44, 9, 8)
 	master := t.TempDir()
-	st, err := Open(master, ops, 1, DurableOptions[float64]{})
+	st, err := Open(master, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -903,7 +895,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(dir, ops, 1, DurableOptions[float64]{})
+		re, err := Open(dir, ops, 1, DurableOptions{})
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", tc.name, err)
 		}
@@ -916,7 +908,7 @@ func TestCheckpointDamagePerSectionFallsBack(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, "ckpt-0000000000000003.ckpt")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, ops, 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+		if _, err := Open(dir, ops, 1, DurableOptions{}); !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("%s: sole damaged checkpoint: Open err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
@@ -960,7 +952,7 @@ func TestStoredIndexPast31BitsIsRefusedBySectionAndOffset(t *testing.T) {
 				binary.LittleEndian.PutUint64(mut[at:], tc.word)
 			}
 			secs[tc.tag-1].Body = mut
-			_, err := decodeCheckpoint(reframe(t, "mem", seq, secs), ops, Float64Codec())
+			_, err := decodeCheckpoint(reframe(t, "mem", seq, secs), ops)
 			// What else the view makes of a position gone may still refuse
 			// it; the word itself is not the reason.
 			var ce *wal.CorruptError
@@ -1022,7 +1014,7 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 		for i, s := range clean {
 			secs[i] = memSection{Tag: s.Tag, Body: slices.Clone(s.Body)}
 		}
-		_, err := decodeCheckpoint(reframe(t, "mem", seq, tc.mut(secs)), ops, Float64Codec())
+		_, err := decodeCheckpoint(reframe(t, "mem", seq, tc.mut(secs)), ops)
 		if !errors.Is(err, wal.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
@@ -1040,12 +1032,12 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 			t.Fatalf("section %d of an unkeyed unit log holds %d bytes", tag, n)
 		}
 	}
-	if v, err := decodeCheckpoint(implicit, ops, Float64Codec()); err != nil || len(v.srcID) != 512 {
+	if v, err := decodeCheckpoint(implicit, ops); err != nil || len(v.srcID) != 512 {
 		t.Fatalf("an unkeyed unit log does not reopen: %v", err)
 	}
 	implicitSeq, implicitSecs := imageSections(t, implicitImage)
 	le32(implicitSecs[secMeta-1].Body[8*3:], 511) // the auto-key sequence
-	if _, err := decodeCheckpoint(reframe(t, "mem", implicitSeq, implicitSecs), ops, Float64Codec()); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := decodeCheckpoint(reframe(t, "mem", implicitSeq, implicitSecs), ops); !errors.Is(err, wal.ErrCorrupt) {
 		t.Errorf("a generator at 511 behind 512 unstored keys: err = %v, want ErrCorrupt", err)
 	}
 	// Another algebra's checkpoint is refused, but it is not damage.
@@ -1054,7 +1046,7 @@ func TestDecodeSectionsRejectsInconsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeCheckpoint(ck, other.Ops, Float64Codec()); err == nil || errors.Is(err, wal.ErrCorrupt) {
+	if _, err := decodeCheckpoint(ck, other.Ops); err == nil || errors.Is(err, wal.ErrCorrupt) {
 		t.Errorf("checkpoint of +.* opened under min.+: err = %v, want a refusal that is not ErrCorrupt", err)
 	}
 }
@@ -1078,7 +1070,6 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
 	}
-	codec := Float64Codec()
 	allocated := func(fn func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -1090,20 +1081,20 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 	// 0, three empty strings) until the bytes run out a quarter in.
 	record := append([]byte{0xa0, 0x1f}, make([]byte, 4096)...)
 	if got := allocated(func() {
-		if _, err := decodeBatch(record, codec, nil); err == nil {
+		if _, err := decodeBatch(record, nil); err == nil {
 			t.Error("a record claiming 4,000 edges in 4 KiB decoded")
 		}
 	}); got > 16<<10 {
 		t.Errorf("refusing it allocated %d bytes", got)
 	}
-	if _, err := decodeBatch(append([]byte{0x80, 0x08}, make([]byte, 4096)...), codec, nil); err != nil {
+	if _, err := decodeBatch(append([]byte{0x80, 0x08}, make([]byte, 4096)...), nil); err != nil {
 		t.Errorf("1,024 empty edges in 4 KiB are a valid record: %v", err)
 	}
 
 	// End to end: a record whose frame is intact and whose contents are
 	// not a batch.
 	dir := t.TempDir()
-	w, err := wal.NewWriter(dir, 1, wal.Options{})
+	w, err := wal.NewWriter(iofault.OS, dir, 1, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1113,7 +1104,7 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, plusTimes(t), 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, plusTimes(t), 1, DurableOptions{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("a WAL record that is not a batch: Open err = %v, want ErrCorrupt", err)
 	}
 }
@@ -1124,7 +1115,7 @@ func TestDecodersBoundAllocationsByLength(t *testing.T) {
 func TestDurabilityReportsCheckpoints(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	st, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	st, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1152,7 +1143,7 @@ func TestDurabilityReportsCheckpoints(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	re, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1168,88 +1159,46 @@ func TestDurabilityReportsCheckpoints(t *testing.T) {
 	}
 }
 
-// pr30Batches is the edge stream testdata/pr30 was written from (see
-// gen.go there, which holds the copy this must stay in step with): a→b
-// weighted 0.1, a read, a→b weighted 0.2 and 0.3, the checkpoint, then
-// b→a in the WAL tail.
-func pr30Batches() [][]Edge[float64] {
-	return [][]Edge[float64]{
-		{Weighted("k1", "a", "b", 0.1, 1)},
-		{Weighted("k2", "a", "b", 0.2, 1), Weighted("k3", "a", "b", 0.3, 1)},
-		{Weighted("k4", "b", "a", 0.5, 1)},
-	}
-}
-
 // testdata/pr30 holds a directory written while a view's folds grouped
 // the edges appended since its previous fold on their own: the
-// checkpoint's main holds 0.1 + (0.2 + 0.3) = 0.59999999999999998 at a→b
-// and its meta word exact reads 0. Open rebuilds that main from the
-// checkpoint's own log, so the store serves the batch construction,
-// (0.1 + 0.2) + 0.3 = 0.60000000000000009 — bit for bit what
-// assoc.Correlate makes of Logs(), the WAL tail included — and a
-// checkpoint written now reads exact 1 and reopens the same.
-func TestReopenRebuildsARegroupedMain(t *testing.T) {
+// checkpoint's main holds 0.1 + (0.2 + 0.3) at a→b where the batch
+// construction holds (0.1 + 0.2) + 0.3, and its meta word exact reads 0.
+// Such a file is refused, not rebuilt, as format 1 is: Open hands back no
+// store and a *wal.CorruptError that names the checkpoint file, the word
+// and the last build that rebuilds such a main — never a store opened
+// empty or from the WAL tail alone — and leaves the directory as it
+// found it.
+func TestRegroupedMainsAreRefused(t *testing.T) {
 	ops := semiring.PlusTimes()
-	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	dir := filepath.Join(t.TempDir(), "store")
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pr30", "regrouped"))); err != nil {
 		t.Fatal(err)
 	}
-	// The meta word exact of the directory's newest checkpoint.
-	exactWord := func() uint64 {
-		t.Helper()
-		paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("checkpoints %v (%v), want some", paths, err)
-		}
-		newest := slices.Max(paths) // the names are zero-padded sequence numbers
-		buf, err := os.ReadFile(newest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, secs := imageSections(t, buf)
-		return binary.LittleEndian.Uint64(secs[secMeta-1].Body[8*6:])
+	const ckpt = "ckpt-0000000000000002.ckpt"
+	buf, err := os.ReadFile(filepath.Join(dir, ckpt))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w := exactWord(); w != 0 {
-		t.Fatalf("the fixture's checkpoint says exact %d, want 0", w)
+	if _, secs := imageSections(t, buf); binary.LittleEndian.Uint64(secs[secMeta-1].Body[8*6:]) != 0 {
+		t.Fatal("the fixture's checkpoint does not say exact 0")
 	}
-	for round, label := range []string{"as written at 32bfbc3", "after a checkpoint of its own"} {
-		st, err := Open(dir, ops, 1, DurableOptions[float64]{})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+	before := dirBytes(t, dir)
+	for _, shards := range []int{1, 0, -1} {
+		st, err := Open(dir, ops, shards, DurableOptions{})
+		if st != nil {
+			t.Fatalf("opened with %d shards asked: %d edges", shards, st.Stats().Edges)
 		}
-		if rec := st.Recovery()[0]; rec.CheckpointSeq == 0 || (rec.Replayed > 0) != (round == 0) {
-			t.Errorf("%s: recovered %+v, want a checkpoint, with a WAL tail the first time only", label, rec)
+		var ce *wal.CorruptError
+		if !errors.As(err, &ce) || ce.Path != filepath.Join(dir, ckpt) {
+			t.Fatalf("%d shards asked: err = %v, want a *wal.CorruptError naming %s", shards, err, ckpt)
 		}
-		pt, _, err := st.OwnerSnapshot("a")
-		if err != nil {
-			t.Fatal(err)
+		for _, want := range []string{ckpt, "exact is 0", "44460c2", "checkpoint"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%d shards asked: the refusal does not say %q: %v", shards, want, err)
+			}
 		}
-		snap := mustShardSnap(t, st)
-		eout, ein, err := snap.Logs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := assoc.Correlate(eout, ein, ops, assoc.MulOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := assoc.Diff(snap.Adjacency, want, bits, nil); d != "" {
-			t.Errorf("%s: %s", label, d)
-		}
-		got, _ := snap.Adjacency.At("a", "b")
-		pv, _ := pt.At("a", "b")
-		if !bits(got, 0.60000000000000009) || !bits(pv, got) || snap.Edges != 4 {
-			t.Errorf("%s: a→b reads %v (point read %v) over %d edges, want 0.60000000000000009 over 4", label, got, pv, snap.Edges)
-		}
-		if err := st.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if w := exactWord(); w != 1 {
-			t.Errorf("%s: a checkpoint written now says exact %d, want 1", label, w)
+		if after := dirBytes(t, dir); !maps.Equal(after, before) {
+			t.Fatalf("%d shards asked: the refused open changed the directory: %d files before, %d after", shards, len(before), len(after))
 		}
 	}
 }

@@ -7,52 +7,6 @@ import (
 	"strings"
 )
 
-// ValueCodec serializes the view's value type V for the WAL and
-// checkpoint formats. Append encodes one value; Decode returns the
-// value and how many bytes it consumed. Encodings may be
-// variable-width but must be self-delimiting.
-type ValueCodec[V any] struct {
-	Append func(dst []byte, v V) []byte
-	Decode func(b []byte) (V, int, error)
-}
-
-// Float64Codec is the fixed 8-byte IEEE-754 little-endian codec — the
-// codec for the float64 views the commands serve.
-func Float64Codec() ValueCodec[float64] {
-	return ValueCodec[float64]{
-		Append: func(dst []byte, v float64) []byte {
-			return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		},
-		Decode: func(b []byte) (float64, int, error) {
-			if len(b) < 8 {
-				return 0, 0, fmt.Errorf("stream: truncated float64 value")
-			}
-			return math.Float64frombits(binary.LittleEndian.Uint64(b)), 8, nil
-		},
-	}
-}
-
-// defaultCodec resolves the built-in codec for V when the caller did
-// not supply one. Only float64 has a default.
-func defaultCodec[V any]() (ValueCodec[V], bool) {
-	var zero V
-	if _, ok := any(zero).(float64); !ok {
-		return ValueCodec[V]{}, false
-	}
-	f := Float64Codec()
-	return ValueCodec[V]{
-		Append: func(dst []byte, v V) []byte { return f.Append(dst, any(v).(float64)) },
-		Decode: func(b []byte) (V, int, error) {
-			x, n, err := f.Decode(b)
-			if err != nil {
-				var z V
-				return z, 0, err
-			}
-			return any(x).(V), n, nil
-		},
-	}, true
-}
-
 // --- primitive helpers -------------------------------------------------
 
 func appendStr(dst []byte, s string) []byte {
@@ -77,6 +31,16 @@ func decodeU64(b []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(b), b[8:], nil
 }
 
+// appendF64 writes a value as every durable byte holds one: the 8-byte
+// little-endian IEEE-754 word.
+func appendF64(dst []byte, v float64) []byte { return appendU64(dst, math.Float64bits(v)) }
+
+// decodeF64 reads the word appendF64 wrote.
+func decodeF64(b []byte) (float64, []byte, error) {
+	u, rest, err := decodeU64(b)
+	return math.Float64frombits(u), rest, err
+}
+
 // --- WAL batch records -------------------------------------------------
 
 // Edge flag bits in the WAL batch encoding.
@@ -85,13 +49,15 @@ const (
 	edgeHasIn  = 1 << 1
 )
 
-// appendBatch encodes one edge batch as a WAL record payload. Edges
-// are stored verbatim — including empty auto-assign keys, which replay
-// re-derives identically because autoSeq/autoBase are checkpointed, and
-// an absent weight as a flag bit, not as One. The view's log in memory
-// and the checkpoint's log sections hold generated keys and unit weights
-// the same way: not at all.
-func appendBatch[V any](dst []byte, edges []Edge[V], codec ValueCodec[V]) []byte {
+// appendBatch encodes one edge batch of a float64 store — the only kind
+// with a log — as a WAL record payload. Edges are stored verbatim —
+// including empty auto-assign keys, which replay re-derives identically
+// because autoSeq/autoBase are checkpointed, and an absent weight as a
+// flag bit, not as One. The view's log in memory and the checkpoint's
+// log sections hold generated keys and unit weights the same way: not
+// at all.
+func appendBatch[V any](dst []byte, batch []Edge[V]) []byte {
+	edges := any(batch).([]Edge[float64])
 	dst = binary.AppendUvarint(dst, uint64(len(edges)))
 	for _, e := range edges {
 		var flags byte
@@ -106,10 +72,10 @@ func appendBatch[V any](dst []byte, edges []Edge[V], codec ValueCodec[V]) []byte
 		dst = appendStr(dst, e.Src)
 		dst = appendStr(dst, e.Dst)
 		if e.HasOut {
-			dst = codec.Append(dst, e.Out)
+			dst = appendF64(dst, e.Out)
 		}
 		if e.HasIn {
-			dst = codec.Append(dst, e.In)
+			dst = appendF64(dst, e.In)
 		}
 	}
 	return dst
@@ -120,7 +86,7 @@ func appendBatch[V any](dst []byte, edges []Edge[V], codec ValueCodec[V]) []byte
 // into one slice. The endpoint names are substrings of one copy of the
 // record — they live until the batch is interned — and only a given edge
 // key, which the log keeps, is a string of its own.
-func decodeBatch[V any](b []byte, codec ValueCodec[V], into []Edge[V]) ([]Edge[V], error) {
+func decodeBatch(b []byte, into []Edge[float64]) ([]Edge[float64], error) {
 	n, w := binary.Uvarint(b)
 	// An edge is at least its flag byte and three string lengths, which
 	// bounds the count — and the allocation — by the record's length.
@@ -142,7 +108,7 @@ func decodeBatch[V any](b []byte, codec ValueCodec[V], into []Edge[V]) ([]Edge[V
 	}
 	edges := into[:0]
 	if uint64(cap(edges)) < n {
-		edges = make([]Edge[V], 0, n)
+		edges = make([]Edge[float64], 0, n)
 	}
 	edges = edges[:n]
 	clear(edges)
@@ -165,18 +131,16 @@ func decodeBatch[V any](b []byte, codec ValueCodec[V], into []Edge[V]) ([]Edge[V
 			return nil, err
 		}
 		if flags&edgeHasOut != 0 {
-			v, w, err := codec.Decode(b)
-			if err != nil {
+			if e.Out, b, err = decodeF64(b); err != nil {
 				return nil, err
 			}
-			e.Out, e.HasOut, b = v, true, b[w:]
+			e.HasOut = true
 		}
 		if flags&edgeHasIn != 0 {
-			v, w, err := codec.Decode(b)
-			if err != nil {
+			if e.In, b, err = decodeF64(b); err != nil {
 				return nil, err
 			}
-			e.In, e.HasIn, b = v, true, b[w:]
+			e.HasIn = true
 		}
 	}
 	if len(b) != 0 {

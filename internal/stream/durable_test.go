@@ -66,7 +66,7 @@ func flatSnap(t *testing.T, s *Store[float64]) Snapshot[float64] {
 // memStore opens an in-memory store.
 func memStore(t *testing.T, ops semiring.Ops[float64], shards int) *Store[float64] {
 	t.Helper()
-	s, err := Open("", ops, shards, DurableOptions[float64]{})
+	s, err := Open("", ops, shards, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDurableRoundTripCleanClose(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(1, 12, 7)
 
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatalf("Open fresh: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestDurableRoundTripCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(2, 10, 5)
 
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 	}
 	d.Abort() // unclean exit: no final checkpoint
 
-	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestDurableCheckpointPlusTailReplay(t *testing.T) {
 func TestDurableAutoKeysReplayIdentically(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDurableAutoKeysReplayIdentically(t *testing.T) {
 	want := flatSnap(t, d)
 	d.Abort()
 
-	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(3, 8, 6)
 
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+	d, err := Open(dir, ops, 1, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestDurableMidLogCorruptionIsTypedError(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(4, 6, 5)
 
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestDurableMidLogCorruptionIsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open(dir, ops, 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, ops, 1, DurableOptions{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("mid-log corruption: Open err = %v, want wal.ErrCorrupt", err)
 	}
 }
@@ -319,7 +319,7 @@ func TestDurableStaleCheckpointLongerWAL(t *testing.T) {
 	dir := t.TempDir()
 	batches := durableBatches(5, 10, 4)
 
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestDurableStaleCheckpointLongerWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen with stale checkpoint: %v", err)
 	}
@@ -382,7 +382,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 	// end-to-end path.
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 	if err := os.WriteFile(cks[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, ops, 1, DurableOptions[float64]{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, ops, 1, DurableOptions{}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("sole damaged checkpoint: Open err = %v, want wal.ErrCorrupt", err)
 	}
 }
@@ -413,7 +413,7 @@ func TestDurableCheckpointPayloadCorruptionFailsTyped(t *testing.T) {
 func TestDurableBackgroundCheckpoint(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{CheckpointEvery: 3})
+	d, err := Open(dir, ops, 1, DurableOptions{CheckpointEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d2, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -484,7 +484,7 @@ func TestDurableRejectedBatchTouchesNothing(t *testing.T) {
 
 func TestDurableWrongAlgebraRefused(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, plusTimes(t), 1, DurableOptions[float64]{})
+	d, err := Open(dir, plusTimes(t), 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,32 @@ func TestDurableWrongAlgebraRefused(t *testing.T) {
 	if !ok {
 		t.Fatal("min.+ pair not registered")
 	}
-	if _, err := Open(dir, e.Ops, 1, DurableOptions[float64]{}); err == nil {
+	if _, err := Open(dir, e.Ops, 1, DurableOptions{}); err == nil {
 		t.Fatal("checkpoint written under +.* opened under min.+")
+	}
+}
+
+// A durable store holds float64: Open refuses any other value type before
+// it touches the directory, so a refused open leaves none behind — no
+// SHARDS file to pin a shard count on a later open — while the same
+// algebra in memory opens.
+func TestADurableStoreOfAnotherValueTypeIsRefusedUntouched(t *testing.T) {
+	ops := semiring.BoolOrAnd()
+	dir := filepath.Join(t.TempDir(), "store")
+	for _, shards := range []int{2, 1, -1} {
+		st, err := Open(dir, ops, shards, DurableOptions{})
+		if st != nil || err == nil || !strings.Contains(err.Error(), "float64") {
+			t.Fatalf("%d shards: store %v, err %v; want a refusal naming float64", shards, st, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%d shards: the refused open left %s behind (%v)", shards, dir, err)
+		}
+	}
+	st, err := Open("", ops, 2, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append([]Edge[bool]{{Src: "a", Dst: "b"}}); err != nil {
+		t.Fatal(err)
 	}
 }

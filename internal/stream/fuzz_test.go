@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"adjarray/internal/semiring"
@@ -116,6 +117,17 @@ func FuzzDecodeView(f *testing.F) {
 		}
 		f.Add(uint8(fuzzFile), file)
 	}
+	// A main regrouped under exact 0 (testdata/pr30) too.
+	regrouped, err := os.ReadFile("testdata/pr30/regrouped/ckpt-0000000000000002.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if ck, err := parseImage("", regrouped); err != nil {
+		f.Fatal(err)
+	} else if v, err := decodeCheckpoint(ck, ops); v != nil || !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "exact is 0") {
+		f.Fatalf("regrouped fixture: view %v, err %v; want the refusal of exact 0", v, err)
+	}
+	f.Add(uint8(fuzzFile), regrouped)
 	// What PR 20 wrote: format 2 with every key and value spelled out.
 	spelled, err := filepath.Glob("testdata/pr20/*1/*.ckpt")
 	if err != nil || len(spelled) != 2 {
@@ -183,7 +195,7 @@ func FuzzDecodeView(f *testing.F) {
 		case fuzzSections:
 			ck = reframe(t, "fuzz", 0, unframeSections(data))
 		}
-		v, err := decodeCheckpoint(ck, ops, Float64Codec())
+		v, err := decodeCheckpoint(ck, ops)
 		runtime.ReadMemStats(&after)
 		// The largest legitimate ratio is a 16-byte string header per
 		// 4-byte entry of a position map or a key-offset column; the fuzz
@@ -217,16 +229,15 @@ func FuzzDecodeView(f *testing.F) {
 // batch that encodes back to bytes decoding to the same batch — never a
 // panic, never more memory than the record's length accounts for.
 func FuzzDecodeBatch(f *testing.F) {
-	codec := Float64Codec()
 	for _, batch := range append(pr14Batches(), durableBatches(48, 2, 5)...) {
-		f.Add(appendBatch(nil, batch, codec))
+		f.Add(appendBatch(nil, batch))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xa0, 0x1f, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		edges, err := decodeBatch(data, codec, nil)
+		edges, err := decodeBatch(data, nil)
 		runtime.ReadMemStats(&after)
 		// An edge is four bytes at least and 72 in memory, plus its strings.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<20); got > limit {
@@ -238,7 +249,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		// Into a slice that held another batch, as a replay decodes: nothing
 		// of that batch may show through.
 		stale := slices.Repeat([]Edge[float64]{Weighted("stale", "stale", "stale", 9.0, 9)}, len(edges)+1)
-		again, err := decodeBatch(appendBatch(nil, edges, codec), codec, stale)
+		again, err := decodeBatch(appendBatch(nil, edges), stale)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}

@@ -186,7 +186,7 @@ func TestGatherRefusesARowTwoShardsStore(t *testing.T) {
 func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 	ops := plusTimes(t)
 	dir := t.TempDir()
-	st, err := Open(dir, ops, 2, DurableOptions[float64]{})
+	st, err := Open(dir, ops, 2, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestStoreWithACopiedShardRefusesToGather(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err = Open(dir, ops, 2, DurableOptions[float64]{})
+	st, err = Open(dir, ops, 2, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 func checkpointedStore(t testing.TB, scale, edgeFactor int) string {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(dir, plusTimes(t), 1, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+	st, err := Open(dir, plusTimes(t), 1, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCheckpointLoadBytes(t *testing.T) {
 	if err != nil || ck == nil {
 		t.Fatalf("load: checkpoint %v, %v", ck, err)
 	}
-	v, err := decodeCheckpoint(ck, plusTimes(t), Float64Codec())
+	v, err := decodeCheckpoint(ck, plusTimes(t))
 	runtime.ReadMemStats(&after)
 	if cerr := ck.Close(); err != nil || cerr != nil {
 		t.Fatal(err, cerr)
@@ -105,7 +105,7 @@ func TestCheckpointLoadReadFaultAtEveryCall(t *testing.T) {
 	ops := plusTimes(t)
 	batches := durableBatches(50, 9, 8)
 	master := t.TempDir()
-	st, err := Open(master, ops, 1, DurableOptions[float64]{})
+	st, err := Open(master, ops, 1, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCheckpointLoadReadFaultAtEveryCall(t *testing.T) {
 		}
 		inj := iofault.New()
 		inj.Arm(iofault.Rule{Op: iofault.OpRead, Path: "ckpt-0000000000000007.ckpt", Kind: iofault.EIO, After: after, Count: 1})
-		re, err := Open(dir, ops, 1, DurableOptions[float64]{FS: iofault.Wrap(iofault.OS, inj)})
+		re, err := Open(dir, ops, 1, DurableOptions{FS: iofault.Wrap(iofault.OS, inj)})
 		if inj.Injected() == 0 { // past the load's last read
 			if err != nil {
 				t.Fatalf("unfaulted open: %v", err)
@@ -173,7 +173,7 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := Open(dir, ops, 1, DurableOptions[float64]{})
+		st, err := Open(dir, ops, 1, DurableOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,14 +13,10 @@ import (
 
 // DurableOptions tunes the durable side of a store opened on a
 // directory.
-type DurableOptions[V any] struct {
+type DurableOptions struct {
 	// WAL selects the fsync policy and segment sizing (wal.Options
 	// defaults apply).
 	WAL wal.Options
-	// Codec serializes V for the log and checkpoints. Zero selects the
-	// built-in codec when V is float64; other value types must supply
-	// one.
-	Codec ValueCodec[V]
 	// CheckpointEvery triggers a background checkpoint once this many
 	// batches accumulate past the last checkpoint (0: none in the
 	// background; Store.Checkpoint still writes one on request).
@@ -119,11 +115,10 @@ type DurabilityStats struct {
 	// the published file.
 	CheckpointBytes    int64
 	CheckpointDuration time.Duration
-	// Policy is the fsync policy's string form (batch/interval/off), or
-	// "none" for an in-memory shard.
+	// Policy is the fsync policy's string form: "batch" (DurableEpoch
+	// follows Epoch), "off" (it moves only at Sync, a checkpoint, Close
+	// or a segment rotation), or "none" for an in-memory shard.
 	Policy string
-	// Recovery is what the last Open found.
-	Recovery RecoveryInfo
 	// Storage is the store's storage-health state.
 	Storage StorageHealth
 }
@@ -151,11 +146,10 @@ type DurabilityStats struct {
 type partition[V any] struct {
 	v *View[V]
 
-	mu    sync.Mutex
-	w     *wal.Writer // nil: in-memory, and every field below is unused
-	dir   string
-	codec ValueCodec[V]
-	opt   DurableOptions[V]
+	mu  sync.Mutex
+	w   *wal.Writer // nil: in-memory, and every field below is unused
+	dir string
+	opt DurableOptions
 
 	// What durability and health report. Written under mu where they
 	// change, read without it: a checkpoint holds mu for as long as the
@@ -183,21 +177,13 @@ type partition[V any] struct {
 // openPartition creates the shard's view — fresh in memory when dir is
 // "", recovered from dir otherwise — with prefix seeding its auto-key
 // generator unless a checkpoint already carries one.
-func openPartition[V any](dir string, ops semiring.Ops[V], prefix string, opt DurableOptions[V]) (*partition[V], error) {
+func openPartition[V any](dir string, ops semiring.Ops[V], prefix string, opt DurableOptions) (*partition[V], error) {
 	if dir == "" {
 		v := NewView(ops)
 		v.autoBase = prefix
 		return &partition[V]{v: v}, nil
 	}
-	codec := opt.Codec
-	if codec.Append == nil || codec.Decode == nil {
-		var ok bool
-		if codec, ok = defaultCodec[V](); !ok {
-			return nil, fmt.Errorf("stream: no value codec for this value type; set DurableOptions.Codec")
-		}
-	}
 	fsys := opt.FS
-	opt.WAL.FS = fsys
 
 	var rec RecoveryInfo
 	// A temp file is never a recovery source; reap orphans before
@@ -217,7 +203,7 @@ func openPartition[V any](dir string, ops semiring.Ops[V], prefix string, opt Du
 	var ckptSeq uint64
 	if ck != nil {
 		ckptSeq = ck.Seq
-		v, err = decodeCheckpoint(ck, ops, codec)
+		v, err = decodeCheckpoint(ck, ops)
 		ck.Close() //adjlint:ignore syncerr a file only read; what was decoded from it is checked
 		if err != nil {
 			return nil, fmt.Errorf("stream: checkpoint seq %d: %w", ckptSeq, err)
@@ -232,18 +218,18 @@ func openPartition[V any](dir string, ops semiring.Ops[V], prefix string, opt Du
 	}
 
 	expect := ckptSeq
-	var edges []Edge[V] // every record decodes into this one slice
+	var edges []Edge[float64] // every record decodes into this one slice
 	st, err := wal.ReplayFS(fsys, dir, ckptSeq, func(seq uint64, payload []byte) error {
 		if seq != expect+1 {
 			return fmt.Errorf("stream: replay reached seq %d at view epoch %d", seq, expect)
 		}
 		var err error
-		if edges, err = decodeBatch(payload, codec, edges); err != nil {
+		if edges, err = decodeBatch(payload, edges); err != nil {
 			// The record's checksum held and its contents still do not
 			// decode: damage, not an I/O condition.
 			return &wal.CorruptError{Path: dir, Reason: fmt.Sprintf("record seq %d: %v", seq, err)}
 		}
-		if err := v.Append(edges); err != nil {
+		if err := v.Append(any(edges).([]Edge[V])); err != nil {
 			return fmt.Errorf("stream: replaying wal record seq %d: %w", seq, err)
 		}
 		expect = seq
@@ -255,12 +241,12 @@ func openPartition[V any](dir string, ops semiring.Ops[V], prefix string, opt Du
 	rec.Replayed = st.Records
 	rec.TornBytes = st.TornBytes
 
-	w, err := wal.NewWriter(dir, max(st.LastSeq, ckptSeq)+1, opt.WAL)
+	w, err := wal.NewWriter(fsys, dir, max(st.LastSeq, ckptSeq)+1, opt.WAL)
 	if err != nil {
 		return nil, err
 	}
 	p := &partition[V]{
-		v: v, w: w, dir: dir, codec: codec, opt: opt, recovery: rec,
+		v: v, w: w, dir: dir, opt: opt, recovery: rec,
 		notify: make(chan struct{}, 1), done: make(chan struct{}),
 	}
 	p.ckptSeq.Store(ckptSeq)
@@ -323,7 +309,7 @@ func (p *partition[V]) append(edges []Edge[V]) error {
 	if err := p.usableLocked(); err != nil {
 		return err
 	}
-	p.buf = appendBatch(p.buf[:0], edges, p.codec)
+	p.buf = appendBatch(p.buf[:0], edges)
 	before := p.epoch()
 	if err := p.v.Append(edges); err != nil {
 		// The batch was rolled back; the view is unchanged and the log
@@ -437,7 +423,7 @@ func (p *partition[V]) checkpointLocked() error {
 	im := v.imageLocked()
 	v.mu.Unlock()
 	seq := uint64(im.epoch)
-	emit := func(w *wal.CheckpointWriter) error { return im.encode(w, p.codec) }
+	emit := func(w *wal.CheckpointWriter) error { return im.encode(w) }
 	// The write phase retries: ENOSPC/EIO can be transient (space
 	// freed, path remounted), and the temp-file dance is idempotent.
 	// Appends stall on p.mu for the backoff total, so it stays capped.
@@ -514,7 +500,6 @@ func (p *partition[V]) durability() DurabilityStats {
 		CheckpointBytes:    p.ckptBytes.Load(),
 		CheckpointDuration: time.Duration(p.ckptDur.Load()),
 		Policy:             p.opt.WAL.Policy.String(),
-		Recovery:           p.recovery,
 		Storage:            p.health(),
 	}
 }

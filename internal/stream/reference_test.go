@@ -113,7 +113,7 @@ type logSubject struct {
 }
 
 func (s *logSubject) open() {
-	st, err := Open(s.dir, s.ops, 1, DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}})
+	st, err := Open(s.dir, s.ops, 1, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		s.t.Fatalf("open: %v", err)
 	}

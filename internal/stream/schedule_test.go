@@ -76,7 +76,7 @@ func faultSchedules(t *testing.T, seed int64, schedules int) {
 		schedSeed := seed ^ int64(i+1)*0x9e3779b9
 		rng := rand.New(rand.NewSource(schedSeed))
 		inj := iofault.New()
-		d, err := Open(dir, ops, 1, DurableOptions[float64]{
+		d, err := Open(dir, ops, 1, DurableOptions{
 			FS: iofault.Wrap(iofault.OS, inj),
 			WAL: wal.Options{
 				Policy:       wal.SyncEveryAppend,
@@ -163,7 +163,7 @@ func faultSchedules(t *testing.T, seed int64, schedules int) {
 // identity against the dense Definition I.3 product over batches
 // [1, recovered epoch]. It returns the recovered epoch.
 func verifyScheduleRecovery(dir string, ops semiring.Ops[float64], seed int64, minEpoch uint64) (uint64, error) {
-	d, err := Open(dir, ops, 1, DurableOptions[float64]{})
+	d, err := Open(dir, ops, 1, DurableOptions{})
 	if err != nil {
 		return 0, fmt.Errorf("recovery failed: %w", err)
 	}

@@ -352,7 +352,7 @@ func TestShardedDurableRecoveryMatchesSingleView(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ops := semiring.PlusTimes()
 	dir := t.TempDir()
-	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	dopt := DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}
 
 	sv, err := Open(filepath.Join(dir, "store"), ops, 3, dopt)
 	if err != nil {
@@ -422,7 +422,7 @@ func TestShardedDurableRecoveryMatchesSingleView(t *testing.T) {
 func TestShardedDurableAutoKeysRecoverExactly(t *testing.T) {
 	ops := semiring.PlusTimes()
 	dir := filepath.Join(t.TempDir(), "store")
-	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	dopt := DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}
 	sv, err := Open(dir, ops, 2, dopt)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +463,7 @@ func TestShardedDurableAutoKeysRecoverExactly(t *testing.T) {
 func TestOpenShardedCountMismatchRefused(t *testing.T) {
 	ops := semiring.PlusTimes()
 	dir := filepath.Join(t.TempDir(), "store")
-	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	dopt := DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}
 	sv, err := Open(dir, ops, 2, dopt)
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestOpenWithoutShardsFileRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	cfs := &countFS{FS: iofault.OS}
 	cfs.reset()
-	st, err := Open(dir, ops, 2, DurableOptions[float64]{FS: cfs})
+	st, err := Open(dir, ops, 2, DurableOptions{FS: cfs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestOpenWithoutShardsFileRefused(t *testing.T) {
 	}
 	before := dirBytes(t, dir)
 	for _, shards := range []int{1, 0, 3, 2, -1} {
-		re, err := Open(dir, ops, shards, DurableOptions[float64]{})
+		re, err := Open(dir, ops, shards, DurableOptions{})
 		if re != nil {
 			t.Fatalf("%d shards asked: opened with %d shards and %d of 16 edges", shards, re.Shards(), re.Stats().Edges)
 		}
@@ -528,7 +528,7 @@ func TestOpenWithoutShardsFileRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, shardMetaFile), []byte("2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, ops, -1, DurableOptions[float64]{})
+	re, err := Open(dir, ops, -1, DurableOptions{})
 	if err != nil || re.Shards() != 2 || re.Stats().Edges != 16 {
 		t.Fatalf("with SHARDS restored: %v", err)
 	}
@@ -610,7 +610,7 @@ func TestLogsRefuseAnEdgeKeyTwoShardsHold(t *testing.T) {
 // do not share a file — and a count left to GOMAXPROCS adopts it.
 func TestOpenLayoutMismatchRefused(t *testing.T) {
 	ops := semiring.PlusTimes()
-	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	dopt := DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}
 	for _, tc := range []struct{ first, then int }{{1, 4}, {4, 1}, {2, 3}, {0, 2}} {
 		dir := filepath.Join(t.TempDir(), "store")
 		st, err := Open(dir, ops, tc.first, dopt)
@@ -645,7 +645,7 @@ func TestOpenLayoutMismatchRefused(t *testing.T) {
 // (one shard under shard-000/) is one of them.
 func TestStoreReopensLegacyAutoKeyDirectories(t *testing.T) {
 	ops := semiring.PlusTimes()
-	dopt := DurableOptions[float64]{WAL: wal.Options{Policy: wal.SyncNever}}
+	dopt := DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}
 	for _, tc := range []struct {
 		shards int
 		gap    int // sequence numbers skipped, as after a rejected batch

@@ -103,8 +103,13 @@ const shardMetaFile = "SHARDS"
 // gone are refused under every count — Open reads what the directory
 // holds or says by name why not.
 //
-// dopt tunes the durable side and is ignored in memory.
-func Open[V any](dir string, ops semiring.Ops[V], shards int, dopt DurableOptions[V]) (*Store[V], error) {
+// A durable store holds float64 values, the one type its logs and
+// checkpoints encode: any other V is refused before dir is touched. dopt
+// tunes the durable side and is ignored in memory.
+func Open[V any](dir string, ops semiring.Ops[V], shards int, dopt DurableOptions) (*Store[V], error) {
+	if _, ok := any(ops.Zero).(float64); !ok && dir != "" {
+		return nil, fmt.Errorf("stream: a store on a directory holds float64 values, not %T", ops.Zero)
+	}
 	if dopt.FS == nil {
 		dopt.FS = iofault.OS
 	}
@@ -261,10 +266,11 @@ func (s *Store[V]) Persistent() bool { return s.parts[0].durable() }
 //
 // On a durable store the batch is framed into the owning shards' WALs
 // under the configured fsync policy: with SyncEveryAppend it is durable
-// when Append returns, otherwise durability trails by at most the sync
-// interval. Once a shard's WAL write or fsync has failed that shard is
-// read-only: every further Append routed to it returns an error
-// matching ErrReadOnly while its siblings keep accepting their rows.
+// when Append returns; with SyncNever it is durable only after the next
+// Sync, checkpoint, Close or segment rotation of its shard. Once a
+// shard's WAL write or fsync has failed that shard is read-only: every
+// further Append routed to it returns an error matching ErrReadOnly
+// while its siblings keep accepting their rows.
 func (s *Store[V]) Append(edges []Edge[V]) error {
 	if len(edges) == 0 {
 		return nil

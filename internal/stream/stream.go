@@ -883,22 +883,6 @@ func (l *logView[V]) build() {
 	}
 }
 
-// rebuildLocked replaces main with the batch construction over the whole
-// log, whose universe must be synced: what a checkpoint needs at Open
-// when it was written before every fold started from main's cells.
-func (v *View[V]) rebuildLocked() error {
-	eout, ein, err := v.logsLocked().arrays()
-	if err != nil {
-		return err
-	}
-	adj, err := assoc.Correlate(eout, ein, v.ops, assoc.MulOptions{})
-	if err != nil {
-		return err
-	}
-	v.main, v.folded = adj, len(v.srcID)
-	return nil
-}
-
 // Stats summarizes the view without exposing its arrays. Taking stats
 // never folds: AdjNNZ and the vertex counts describe the folded main
 // level only, with PendingNNZ edges of the log still to fold (pre-fold,

@@ -25,8 +25,7 @@ import (
 	"adjarray/internal/semiring"
 )
 
-// pr30Batches must stay in step with the copy in
-// internal/stream/checkpoint_test.go.
+// pr30Batches is the edge stream the fixture was written from.
 func pr30Batches() [][]Edge[float64] {
 	return [][]Edge[float64]{
 		{Weighted("k1", "a", "b", 0.1, 1)},

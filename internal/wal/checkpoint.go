@@ -290,17 +290,17 @@ type Checkpoint struct {
 	buf  []byte       // the one read buffer: validation's, then every ReadSection's
 }
 
-// readAt fills p from the file at off. A file that ends early has
-// changed since its size was taken.
-func (ck *Checkpoint) readAt(p []byte, off int64) error {
-	n, err := ck.r.ReadAt(p, off)
+// readAt fills p from the file at path, which r reads, at off. A file
+// that ends early has changed since its size was taken.
+func readAt(r io.ReaderAt, path string, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
 	if n == len(p) {
 		return nil
 	}
 	if err == nil || err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("wal: read checkpoint %s at %d: %w", ck.Path, off, err)
+	return fmt.Errorf("wal: read %s at %d: %w", path, off, err)
 }
 
 // pieces reads the n bytes at off through ck.buf, step bytes at a time,
@@ -309,7 +309,7 @@ func (ck *Checkpoint) pieces(off, n, step int64, fn func(p []byte) error) (uint3
 	var crc uint32
 	for end := off + n; off < end; {
 		p := ck.buf[:min(step, end-off)]
-		if err := ck.readAt(p, off); err != nil {
+		if err := readAt(ck.r, ck.Path, p, off); err != nil {
 			return 0, err
 		}
 		crc = crc32.Update(crc, castagnoli, p)
@@ -339,7 +339,7 @@ func ParseCheckpoint(path string, r io.ReaderAt, size int64) (*Checkpoint, error
 		return corrupt(0, "short checkpoint header")
 	}
 	var hdr [ckptHeaderSize]byte
-	if err := ck.readAt(hdr[:], 0); err != nil {
+	if err := readAt(ck.r, ck.Path, hdr[:], 0); err != nil {
 		return nil, err
 	}
 	if string(hdr[:8]) != ckptMagic {
@@ -361,7 +361,7 @@ func ParseCheckpoint(path string, r io.ReaderAt, size int64) (*Checkpoint, error
 		return corrupt(size, "checkpoint ends before its footer")
 	}
 	var foot [ckptFooterSize]byte
-	if err := ck.readAt(foot[:], end); err != nil {
+	if err := readAt(ck.r, ck.Path, foot[:], end); err != nil {
 		return nil, err
 	}
 	if string(foot[16:]) != ckptEndMagic {
@@ -391,7 +391,7 @@ func ParseCheckpoint(path string, r io.ReaderAt, size int64) (*Checkpoint, error
 		}
 		lo := max(t-8, ckptHeaderSize)
 		tail := tb[:end-lo]
-		if err := ck.readAt(tail, lo); err != nil {
+		if err := readAt(ck.r, ck.Path, tail, lo); err != nil {
 			return nil, err
 		}
 		tr := tail[t-lo:]

@@ -13,14 +13,15 @@ import (
 // a segment file, including 0 and the file length.
 func recordBoundaries(t *testing.T, path string) []int64 {
 	t.Helper()
-	buf, err := os.ReadFile(path)
-	if err != nil {
+	var s segment
+	if err := s.open(iofault.OS, path); err != nil {
 		t.Fatal(err)
 	}
+	defer s.close()
 	offs := []int64{0}
 	var off int64
-	for off < int64(len(buf)) {
-		_, _, next, ok, err := parseRecord(path, buf, off)
+	for off < s.size {
+		_, _, next, ok, err := s.record(off)
 		if err != nil || !ok {
 			t.Fatalf("segment %s is not clean at offset %d (ok=%v err=%v)", path, off, ok, err)
 		}

@@ -27,11 +27,11 @@
 // # Durability policies
 //
 // The Writer fsyncs per Options.Policy: SyncEveryAppend acknowledges a
-// record as durable before Append returns; SyncInterval bounds the
-// un-synced window by Options.Interval (plus whatever the caller's own
-// Sync calls add); SyncNever leaves persistence to the OS. DurableSeq
-// reports the highest sequence number guaranteed on stable storage —
-// the "acknowledged durable" boundary recovery promises to restore.
+// record as durable before Append returns; SyncNever fsyncs only when
+// the caller calls Sync, when a full segment rotates and at Close, and
+// leaves the records in between to the OS. DurableSeq reports the
+// highest sequence number guaranteed on stable storage — the
+// "acknowledged durable" boundary recovery promises to restore.
 //
 // # Recovery semantics
 //

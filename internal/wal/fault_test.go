@@ -17,7 +17,7 @@ import (
 func TestWriterWedgesOnSyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	inj := iofault.New()
-	w, err := NewWriter(dir, 1, Options{Policy: SyncEveryAppend, FS: iofault.Wrap(iofault.OS, inj)})
+	w, err := NewWriter(iofault.Wrap(iofault.OS, inj), dir, 1, Options{Policy: SyncEveryAppend})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestWriterWedgesOnWriteFailure(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			inj := iofault.New()
-			w, err := NewWriter(dir, 1, Options{Policy: SyncEveryAppend, FS: iofault.Wrap(iofault.OS, inj)})
+			w, err := NewWriter(iofault.Wrap(iofault.OS, inj), dir, 1, Options{Policy: SyncEveryAppend})
 			if err != nil {
 				t.Fatalf("NewWriter: %v", err)
 			}

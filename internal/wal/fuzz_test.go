@@ -23,7 +23,7 @@ func FuzzReplay(f *testing.F) {
 	// A real log of two segments, whole; with its final frame torn; and
 	// with the same tear in the first segment, where it is mid-log.
 	dir := f.TempDir()
-	w, err := NewWriter(dir, 1, Options{Policy: SyncNever, SegmentBytes: 150})
+	w, err := NewWriter(iofault.OS, dir, 1, Options{Policy: SyncNever, SegmentBytes: 150})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func FuzzReplay(f *testing.F) {
 		replay := func() ([]record, RecoverStats, error) {
 			var got []record
 			st, err := ReplayFS(iofault.OS, dir, fromSeq, func(seq uint64, payload []byte) error {
-				got = append(got, record{seq, payload})
+				got = append(got, record{seq, bytes.Clone(payload)})
 				return nil
 			})
 			return got, st, err

@@ -66,10 +66,12 @@ func listSegments(fsys iofault.FS, dir string) ([]segmentInfo, error) {
 }
 
 // ReplayFS scans the log and calls fn once per valid record with seq >=
-// fromSeq, in sequence order. Records below fromSeq (covered by a
-// checkpoint) are skipped without validation when their whole segment
-// is below the floor, and validated-but-skipped when they share a
-// segment with needed records.
+// fromSeq, in sequence order; the payload fn is handed lives only until
+// fn returns. Records below fromSeq (covered by a checkpoint) are skipped
+// without validation when their whole segment is below the floor, and
+// validated-but-skipped when they share a segment with needed records.
+// Every segment is read through one window (see segment), so a replay
+// holds no segment whole.
 //
 // A torn tail (see the package comment) is truncated in place and
 // reported through RecoverStats. Mid-log damage — a checksum failure
@@ -101,17 +103,18 @@ func ReplayFS(fsys iofault.FS, dir string, fromSeq uint64, fn func(seq uint64, p
 	}
 	segs = segs[first:]
 
+	var s segment // one window, reused from segment to segment
+	defer s.close()
 	expect := segs[0].startSeq
 	for si, seg := range segs {
 		last := si == len(segs)-1
-		buf, err := fsys.ReadFile(seg.path)
-		if err != nil {
+		if err := s.open(fsys, seg.path); err != nil {
 			return st, err
 		}
 		st.Segments++
 		var off int64
-		for off < int64(len(buf)) {
-			seq, payload, next, ok, perr := parseRecord(seg.path, buf, off)
+		for off < s.size {
+			seq, payload, next, ok, perr := s.record(off)
 			if perr != nil {
 				return st, perr
 			}
@@ -121,7 +124,8 @@ func ReplayFS(fsys iofault.FS, dir string, fromSeq uint64, fn func(seq uint64, p
 				if !last {
 					return st, &CorruptError{Path: seg.path, Offset: off, Reason: "torn record before the log tail"}
 				}
-				st.TornPath, st.TornOffset, st.TornBytes = seg.path, off, int64(len(buf))-off
+				st.TornPath, st.TornOffset, st.TornBytes = seg.path, off, s.size-off
+				s.close()
 				if err := fsys.Truncate(seg.path, off); err != nil {
 					return st, fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
 				}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func payloadFor(seq uint64) []byte {
 // writer (still open).
 func writeLog(t *testing.T, dir string, n int, opt Options) *Writer {
 	t.Helper()
-	w, err := NewWriter(dir, 1, opt)
+	w, err := NewWriter(iofault.OS, dir, 1, opt)
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -151,7 +152,7 @@ func TestNewWriterReusesDeadSegmentFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte{0xde, 0xad}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriter(dir, 1, Options{Policy: SyncNever})
+	w, err := NewWriter(iofault.OS, dir, 1, Options{Policy: SyncNever})
 	if err != nil {
 		t.Fatalf("NewWriter over dead segment: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestNewWriterReusesDeadSegmentFile(t *testing.T) {
 
 func TestDurableSeqPerPolicy(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
-		w, err := NewWriter(t.TempDir(), 1, Options{Policy: SyncEveryAppend})
+		w, err := NewWriter(iofault.OS, t.TempDir(), 1, Options{Policy: SyncEveryAppend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestDurableSeqPerPolicy(t *testing.T) {
 		}
 	})
 	t.Run("off", func(t *testing.T) {
-		w, err := NewWriter(t.TempDir(), 1, Options{Policy: SyncNever})
+		w, err := NewWriter(iofault.OS, t.TempDir(), 1, Options{Policy: SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,14 +215,16 @@ func TestParseSyncPolicy(t *testing.T) {
 		in   string
 		want SyncPolicy
 	}{{"batch", SyncEveryAppend}, {"every", SyncEveryAppend}, {"always", SyncEveryAppend},
-		{"interval", SyncInterval}, {"off", SyncNever}, {"never", SyncNever}, {"none", SyncNever}} {
+		{"off", SyncNever}, {"never", SyncNever}, {"none", SyncNever}} {
 		got, err := ParseSyncPolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseSyncPolicy(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Error("ParseSyncPolicy accepted junk")
+	for _, junk := range []string{"sometimes", "interval"} {
+		if _, err := ParseSyncPolicy(junk); err == nil {
+			t.Errorf("ParseSyncPolicy accepted %q", junk)
+		}
 	}
 }
 
@@ -327,7 +330,7 @@ func TestWriterRecoveryCycle(t *testing.T) {
 	if st.LastSeq != 25 {
 		t.Fatalf("first replay LastSeq = %d", st.LastSeq)
 	}
-	w2, err := NewWriter(dir, st.LastSeq+1, Options{Policy: SyncEveryAppend, SegmentBytes: 512})
+	w2, err := NewWriter(iofault.OS, dir, st.LastSeq+1, Options{Policy: SyncEveryAppend, SegmentBytes: 512})
 	if err != nil {
 		t.Fatalf("NewWriter after recovery: %v", err)
 	}
@@ -363,7 +366,7 @@ func TestReplayStaleTailGapUnderCheckpoint(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := NewWriter(dir, 11, Options{Policy: SyncNever})
+	w2, err := NewWriter(iofault.OS, dir, 11, Options{Policy: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,5 +411,39 @@ func TestReplayCallbackErrorAborts(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Replay err = %v, want the callback's error", err)
+	}
+}
+
+// A replay reads each segment through one window, so a log the floor
+// covers whole costs a window, not its segments: a clean reopen replays
+// nothing and must not allocate the last segment only to skip it.
+func TestReplayOfACoveredLogAllocatesAWindow(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(iofault.OS, dir, 1, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("edge"), 1<<10)
+	const records = 900 // 3.7 MB, one segment
+	for i := 0; i < records; i++ {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := ReplayFS(iofault.OS, dir, records, func(uint64, []byte) error {
+		t.Fatal("a covered record was delivered")
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil || st.Segments != 1 || st.LastSeq != records || st.Records != 0 {
+		t.Fatalf("replay: %+v, %v", st, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 256<<10 {
+		t.Errorf("replaying a covered %d-record log allocated %d bytes, want under 256 KiB", records, grew)
 	}
 }

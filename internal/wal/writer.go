@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"adjarray/internal/iofault"
 )
@@ -17,13 +16,9 @@ const (
 	// SyncEveryAppend fsyncs before Append returns: every accepted
 	// record is durable when acknowledged. The safe default.
 	SyncEveryAppend SyncPolicy = iota
-	// SyncInterval fsyncs when Options.Interval has elapsed since the
-	// last sync (checked on Append; callers may also Sync explicitly).
-	// A crash loses at most the records of the open window.
-	SyncInterval
-	// SyncNever performs no fsync (Close still syncs); persistence is
-	// whatever the OS page cache survives. Nothing is acknowledged
-	// durable until an explicit Sync.
+	// SyncNever performs no fsync in Append; persistence is whatever the
+	// OS page cache survives. DurableSeq moves only at an explicit Sync,
+	// a segment rotation or Close.
 	SyncNever
 )
 
@@ -31,8 +26,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncEveryAppend:
 		return "batch"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "off"
 	default:
@@ -45,39 +38,19 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "batch", "every", "always":
 		return SyncEveryAppend, nil
-	case "interval":
-		return SyncInterval, nil
 	case "off", "never", "none":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch|interval|off)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch|off)", s)
 }
 
 // Options tunes a Writer.
 type Options struct {
 	// Policy selects the fsync discipline (default SyncEveryAppend).
 	Policy SyncPolicy
-	// Interval is the maximum un-synced window under SyncInterval
-	// (default 100ms).
-	Interval time.Duration
 	// SegmentBytes rotates the active segment past this size (default
 	// 4 MiB). Smaller segments retire sooner after a checkpoint.
 	SegmentBytes int64
-	// FS routes every file operation; nil selects the real filesystem.
-	// The fault tests install an iofault.FaultFS here.
-	FS iofault.FS
-}
-
-func (o *Options) defaults() {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	if o.FS == nil {
-		o.FS = iofault.OS
-	}
 }
 
 // ErrWedged matches the sticky error a Writer surfaces once a write or
@@ -104,33 +77,34 @@ func (e *WedgedError) Is(target error) bool { return target == ErrWedged }
 // Writer appends records to a segmented log. Not safe for concurrent
 // use; the owning view serializes appends under its own lock.
 type Writer struct {
+	fsys iofault.FS
 	dir  string
 	opt  Options
 	f    iofault.File
-	path string
 	size int64
 
 	nextSeq    uint64 // seq the next Append will be assigned
 	durableSeq uint64 // highest seq guaranteed on stable storage
-	lastSync   time.Time
 	buf        []byte
 	wedged     error // sticky: the write/fsync failure that stopped the writer
 }
 
-// NewWriter opens a fresh segment whose first record will carry seq
-// nextSeq (1 for an empty log). Existing segments are left untouched —
-// recovery always starts a new segment rather than appending to a file
-// whose tail it just validated, so a half-written old tail can never
-// damage new records.
-func NewWriter(dir string, nextSeq uint64, opt Options) (*Writer, error) {
-	opt.defaults()
+// NewWriter opens, through fsys, a fresh segment whose first record
+// will carry seq nextSeq (1 for an empty log). Existing segments are
+// left untouched — recovery always starts a new segment rather than
+// appending to a file whose tail it just validated, so a half-written
+// old tail can never damage new records.
+func NewWriter(fsys iofault.FS, dir string, nextSeq uint64, opt Options) (*Writer, error) {
+	if opt.SegmentBytes <= 0 {
+		opt.SegmentBytes = 4 << 20
+	}
 	if nextSeq == 0 {
 		nextSeq = 1
 	}
-	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, opt: opt, nextSeq: nextSeq, durableSeq: nextSeq - 1, lastSync: time.Now()}
+	w := &Writer{fsys: fsys, dir: dir, opt: opt, nextSeq: nextSeq, durableSeq: nextSeq - 1}
 	if err := w.openSegment(); err != nil {
 		return nil, err
 	}
@@ -143,13 +117,13 @@ func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016x.seg", seq) }
 
 func (w *Writer) openSegment() error {
 	path := filepath.Join(w.dir, segmentName(w.nextSeq))
-	f, err := w.opt.FS.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	f, err := w.fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if os.IsExist(err) {
 		// A file with this start seq can pre-exist only when a previous
 		// process crashed before writing any valid record to it (replay
 		// would otherwise have advanced nextSeq past the name). Its
 		// contents are therefore dead bytes; truncate and reuse.
-		f, err = w.opt.FS.OpenFile(path, os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
+		f, err = w.fsys.OpenFile(path, os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	}
 	if err != nil {
 		return err
@@ -157,11 +131,11 @@ func (w *Writer) openSegment() error {
 	// The file must itself survive a crash: fsync its directory entry
 	// once at creation, or recovery may find records in a file that is
 	// not there.
-	if err := w.opt.FS.SyncDir(w.dir); err != nil {
+	if err := w.fsys.SyncDir(w.dir); err != nil {
 		f.Close() //adjlint:ignore syncerr error-path close; the syncDir failure is the one reported
 		return err
 	}
-	w.f, w.path, w.size = f, path, 0
+	w.f, w.size = f, 0
 	return nil
 }
 
@@ -176,8 +150,8 @@ func (w *Writer) wedge(err error) error {
 
 // Append frames payload as the next record, writes it, and applies the
 // sync policy. It returns the record's sequence number. With
-// SyncEveryAppend the record is durable on return; under the other
-// policies it is durable only once DurableSeq passes it.
+// SyncEveryAppend the record is durable on return; under SyncNever it
+// is durable only once DurableSeq passes it.
 //
 // A write or fsync failure wedges the writer permanently (see
 // WedgedError): the failed bytes may sit torn at the segment tail, and
@@ -202,16 +176,9 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 	}
 	w.size += int64(len(w.buf))
 	w.nextSeq++
-	switch w.opt.Policy {
-	case SyncEveryAppend:
+	if w.opt.Policy == SyncEveryAppend {
 		if err := w.Sync(); err != nil {
 			return 0, err
-		}
-	case SyncInterval:
-		if time.Since(w.lastSync) >= w.opt.Interval {
-			if err := w.Sync(); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return seq, nil
@@ -219,8 +186,8 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 
 // rotate syncs and closes the active segment and opens the next one.
 func (w *Writer) rotate() error {
-	// Always sync a segment before abandoning it: under lazy policies
-	// the caller's durability window must not silently extend to "until
+	// Always sync a segment before abandoning it: under SyncNever the
+	// caller's durability window must not silently extend to "until
 	// some old rotated file happens to hit disk".
 	if err := w.Sync(); err != nil {
 		return err
@@ -250,7 +217,6 @@ func (w *Writer) Sync() error {
 		return w.wedge(fmt.Errorf("wal: sync: %w", err))
 	}
 	w.durableSeq = w.nextSeq - 1
-	w.lastSync = time.Now()
 	return nil
 }
 

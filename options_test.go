@@ -30,8 +30,6 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	allowed := map[string]string{
 		"sparse.MxmOptions.FlopFloor":  "a differential test's only way to force the parallel engine on a small input (the golden figures and the conformance paths run it)",
 		"serve.Options.MaxIngestEdges": "a bound on outside input, which FuzzIngestBody lowers to reach",
-		"stream.DurableOptions.Codec":  "substitution seam: value types other than float64 bring their own",
-		"wal.Options.FS":               "substitution seam: stream hands its own FS down",
 		"stream.DurableOptions.FS":     "substitution seam: the fault tests hand in an injecting FS",
 		"serve.Options.Registry":       "substitution seam: a caller that already owns a registry",
 	}
