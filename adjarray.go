@@ -297,16 +297,16 @@ func OpenAdjacencyStore[V any](dir string, ops Ops[V], shards int, dopt DurableS
 	return stream.Open(dir, ops, shards, dopt)
 }
 
-// Ingest accumulates edge triples and feeds an AdjacencyStore — the
-// ingest-side counterpart of Build, and the one edge batcher: Add and
-// Flush are safe for concurrent use.
+// Ingest appends edge triples to an AdjacencyStore as it is handed them,
+// in batches of at most BatchSize — the ingest-side counterpart of Build.
+// Add is safe for concurrent use.
 type Ingest = core.Ingest
 
-// IngestOptions configures an Ingest accumulator.
+// IngestOptions configures an Ingest.
 type IngestOptions = core.IngestOptions
 
 // NewIngest resolves the operator pair, checks the Theorem II.1
-// conditions, and returns an empty accumulator.
+// conditions, and opens the AdjacencyStore the Ingest appends to.
 func NewIngest(opt IngestOptions) (*Ingest, error) { return core.NewIngest(opt) }
 
 // Provenance multiplication (D4M CatKeyMul analogue).

@@ -13,11 +13,15 @@
 // (which annihilates: such an edge contributes no adjacency entry).
 // Lines starting with '#' and blank lines are skipped.
 //
-// Every edge takes one way in: the stream's edges go to core.Ingest.Add,
-// the one batcher, which appends every -batch of them to the store as one
-// delta batch (a -flush-every ticker appends a partial one, and shutdown
-// the last); a POST /ingest body is its own batch. Behind it is one
-// stream.Store, in memory or on -data-dir.
+// Every edge takes one way in: the edges of each read of the stream go
+// to core.Ingest.Add, which appends them to the store before the next
+// read's are handed over, in delta batches of at most -batch; a POST
+// /ingest body is its own batch. Behind it is one stream.Store, in memory
+// or on -data-dir. A read's edges are visible as soon as they are
+// appended, however slowly the stream trickles. The trade: with -data-dir
+// -fsync batch, a trickling stream pays one fsync per read. A fast stream
+// still batches itself, because the next read takes everything that piled
+// up while the last one was being appended.
 //
 // Ingest is sharded by default: -shards (default GOMAXPROCS) partitions
 // the vertex space by source-vertex hash across goroutine-shards, each
@@ -60,13 +64,13 @@
 // durable epochs are logged), every ingested batch is written ahead to
 // the log under the -fsync policy (batch; or off, where a batch is
 // durable once a segment rotation, a checkpoint or shutdown covers it),
-// background checkpoints run every -checkpoint-every batches, and shutdown —
-// stream end or SIGINT/SIGTERM — flushes partial batches and writes a
-// final covering checkpoint before the process exits. One shard keeps
-// its WAL and checkpoints at the directory root; several keep one
-// subdirectory each plus a SHARDS meta file. Reopening with -shards
-// left at its default adopts the count the directory holds; an explicit
-// different count is refused (it would re-partition the vertex space).
+// background checkpoints run every -checkpoint-every batches, and
+// shutdown — stream end or SIGINT/SIGTERM — writes a final covering
+// checkpoint before the process exits. One shard keeps its WAL and
+// checkpoints at the directory root; several keep one subdirectory each
+// plus a SHARDS meta file. Reopening with -shards left at its default
+// adopts the count the directory holds; an explicit different count is
+// refused (it would re-partition the vertex space).
 //
 // A storage fault (failed fsync, ENOSPC, I/O error on the WAL) wedges
 // the durable store read-only rather than risking silent data loss.
@@ -106,7 +110,6 @@ import (
 	"os/signal"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -120,18 +123,17 @@ import (
 
 // config carries the parsed flags.
 type config struct {
-	semiring   string
-	in         string
-	keyed      bool
-	batch      int
-	shards     int
-	serve      string
-	debugAddr  string
-	flushEvery time.Duration
-	skip       bool
-	dataDir    string
-	fsync      string
-	ckptEvery  int
+	semiring  string
+	in        string
+	keyed     bool
+	batch     int
+	shards    int
+	serve     string
+	debugAddr string
+	skip      bool
+	dataDir   string
+	fsync     string
+	ckptEvery int
 
 	// Front-door tuning (see internal/serve.Options).
 	readWorkers int
@@ -163,11 +165,10 @@ func main() {
 	flag.StringVar(&cfg.semiring, "semiring", "+.*", "operator pair (registry name)")
 	flag.StringVar(&cfg.in, "in", "-", "edge stream: file path or - for stdin")
 	flag.BoolVar(&cfg.keyed, "keyed", false, "lines carry an explicit leading edge key")
-	flag.IntVar(&cfg.batch, "batch", core.DefaultBatchSize, "edges per delta batch")
+	flag.IntVar(&cfg.batch, "batch", core.DefaultBatchSize, "at most this many edges per delta batch")
 	flag.IntVar(&cfg.shards, "shards", -1, "goroutine-shards for ingest (route-by-hash on src); < 0 = GOMAXPROCS, or what -data-dir already holds")
 	flag.StringVar(&cfg.serve, "serve", "", "HTTP listen address for snapshot queries (e.g. :8080); empty = ingest only")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "listen address for pprof, runtime/trace and runtime metrics (e.g. 127.0.0.1:6060), outside admission control; empty = off")
-	flag.DurationVar(&cfg.flushEvery, "flush-every", time.Second, "with -serve, flush partial batches at this interval so slow streams stay visible")
 	flag.BoolVar(&cfg.skip, "skip-condition-check", false, "accept pairs that fail the Theorem II.1 conditions")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: recover on start, WAL every batch, checkpoint on shutdown; empty = in-memory")
 	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL fsync policy: batch (sync every append) or off (durable only at segment rotation, checkpoint and shutdown)")
@@ -236,12 +237,12 @@ func run(cfg config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fatal := make(chan error, 3) // server, debug listener or flusher failure
+	fatal := make(chan error, 2) // server or debug listener failure
 
 	// Every exit path — stream end, SIGINT/SIGTERM, fatal server error —
-	// flushes buffered edges, writes a final covering checkpoint, and
-	// closes the log (ing.Close); a crash between here and exit is then
-	// recoverable from the checkpoint alone.
+	// writes a final covering checkpoint and closes the log (ing.Close);
+	// a crash between here and exit is then recoverable from the
+	// checkpoint alone.
 	defer func() {
 		if err := ing.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "adjserve: durability shutdown:", err)
@@ -289,41 +290,6 @@ func run(cfg config) error {
 		fmt.Fprintf(os.Stderr, "adjserve: pprof, trace and runtime metrics on %s\n", cfg.debugAddr)
 	}
 
-	// The flusher keeps partial batches visible on slow streams. It is a
-	// ticker goroutine with an explicit stop: once the input stream ends
-	// (or the process is interrupted) it terminates instead of flushing —
-	// and leaking — forever, as the old time.Tick loop did.
-	flushStop := make(chan struct{})
-	var flushWG sync.WaitGroup
-	if srv != nil && cfg.flushEvery > 0 {
-		flushWG.Add(1)
-		go func() {
-			defer flushWG.Done()
-			t := time.NewTicker(cfg.flushEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-flushStop:
-					return
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := ing.Flush(); err != nil {
-						if errors.Is(err, stream.ErrReadOnly) {
-							// The store wedged read-only; the server keeps
-							// answering reads, so stop flushing instead of
-							// killing the process.
-							fmt.Fprintln(os.Stderr, "adjserve: storage read-only; periodic flush stopped:", err)
-							return
-						}
-						fatal <- fmt.Errorf("flush: %w", err)
-						return
-					}
-				}
-			}
-		}()
-	}
-
 	src := io.Reader(os.Stdin)
 	if cfg.in != "-" {
 		file, err := os.Open(cfg.in)
@@ -365,17 +331,12 @@ func run(cfg config) error {
 	case <-ctx.Done():
 		// Interrupted mid-stream: report what was ingested and exit
 		// cleanly (deferred server shutdown and file close still run).
-		close(flushStop)
-		flushWG.Wait()
 		fmt.Fprintln(os.Stderr, "adjserve: interrupted")
 		return nil
 	}
-	close(flushStop)
-	flushWG.Wait()
-
 	if readOnly {
-		// Skip the final flush and stats — both would just re-report the
-		// wedge — and park in the serving loop.
+		// Skip the stats, which would just re-report the wedge, and park
+		// in the serving loop.
 		select {
 		case <-ctx.Done():
 			return nil
@@ -384,9 +345,6 @@ func run(cfg config) error {
 		}
 	}
 
-	if err := ing.Flush(); err != nil {
-		return err
-	}
 	st := store.Stats()
 	folded := 0 // shards that have folded
 	for _, ps := range st.PerShard {
@@ -419,7 +377,7 @@ func run(cfg config) error {
 const maxLine = 1 << 20
 
 // ingest drains the edge stream into add — in adjserve, core.Ingest.Add,
-// which batches them into the store. Each Read's complete lines become
+// which appends them to the store. Each Read's complete lines become
 // ONE string, every field of every edge a substring of it, and the read's
 // edges reach add together — no string per line, no field slice per
 // line, no lock per edge; lineEdge writes a line's edge in place, in the
@@ -427,13 +385,12 @@ const maxLine = 1 << 20
 // Xeon: go test ./cmd/adjserve -run '^$' -bench LineEdge). They reach
 // add on a second goroutine (appender), so the store appends one read's
 // edges while the next read is parsed; two edge buffers take turns. A
-// Read returns what is there, so a slow stream's edges are buffered (and
-// flushed by the ticker) as they arrive. An error names its line; an
-// append error names the last line of the read whose edges were being
-// handed over, and is reported ahead of any error of a later read, once
-// the next read is handed over or the stream ends: a stream that stalls
-// delays the report, not the stop — no edge after a refused append is
-// appended.
+// Read returns what is there, so a slow stream's edges are appended as
+// they arrive. An error names its line; an append error names the last
+// line of the read whose edges were being handed over, and is reported
+// ahead of any error of a later read, once the next read is handed over
+// or the stream ends: a stream that stalls delays the report, not the
+// stop — no edge after a refused append is appended.
 func ingest(src io.Reader, keyed bool, add func([]stream.Edge[float64]) error) error {
 	a := startAppender(add)
 	buf := make([]byte, 0, 1<<16) // holds, between reads, the line still arriving

@@ -166,12 +166,10 @@ func TestDurableRestartAndHealthz(t *testing.T) {
 	}
 
 	ing := open()
-	for _, e := range []stream.Edge[float64]{
+	if err := ing.Add([]stream.Edge[float64]{
 		{Src: "a", Dst: "b"}, {Src: "b", Dst: "c"}, {Src: "a", Dst: "c"},
-	} {
-		if err := ing.Add(e); err != nil {
-			t.Fatal(err)
-		}
+	}...); err != nil {
+		t.Fatal(err)
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
@@ -192,9 +190,6 @@ func TestDurableRestartAndHealthz(t *testing.T) {
 	// Ingest continues on the recovered store: auto keys must extend the
 	// checkpointed sequence, not collide with it.
 	if err := ing.Add(stream.Edge[float64]{Src: "c", Dst: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,7 +217,7 @@ func TestHealthzInMemory(t *testing.T) {
 
 // Algorithm queries against live snapshots while ingest continues — the
 // -race target: readers hit /bfs, /pagerank, /stats and /triples
-// concurrently with mu-guarded Add/Flush on the shared accumulator.
+// concurrently with Add on the shared ingest.
 func TestBFSDuringConcurrentIngest(t *testing.T) {
 	ing := newTestIngest(t)
 	// Seed a known reachable pair so /bfs?src=v00 always resolves.
@@ -236,7 +231,6 @@ func TestBFSDuringConcurrentIngest(t *testing.T) {
 	}
 	h := serve.New(ing, serve.Options{})
 
-	var mu sync.Mutex
 	done := make(chan struct{})
 	var readers sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -266,28 +260,14 @@ func TestBFSDuringConcurrentIngest(t *testing.T) {
 			Src: fmt.Sprintf("v%02d", r.Intn(24)),
 			Dst: fmt.Sprintf("v%02d", r.Intn(24)),
 		}
-		mu.Lock()
-		err := ing.Add(e)
-		mu.Unlock()
-		if err != nil {
+		if err := ing.Add(e); err != nil {
 			t.Fatal(err)
-		}
-		if i%64 == 0 {
-			mu.Lock()
-			err := ing.Flush()
-			mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	close(done)
 	readers.Wait()
 
-	mu.Lock()
-	_, err := ing.Snapshot()
-	mu.Unlock()
-	if err != nil {
+	if _, err := ing.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	code, body := get(t, h, "/bfs?src=v00")
@@ -451,20 +431,20 @@ func FuzzIngestLines(f *testing.F) {
 // Errors keep their line: a parse error its own, an over-long line the one
 // it would have been, an append the store refuses the last line of the
 // read whose edges were being handed over — and what was accepted before
-// the error stays accepted: it is stored once the batcher flushes.
+// the error stays accepted: it is stored.
 func TestIngestErrorsNameTheirLine(t *testing.T) {
 	cases := []struct {
 		name, in string
 		keyed    bool
 		want     string
 		handed   int64 // to ing.Add
-		stored   int   // after a final flush
+		stored   int
 	}{
 		{"parse", "a b\n# c\nb\n", false, `line 3: want 'src dst [out [in]]', got "b"`, 1, 1},
 		{"weight", "a b\nb c 1 z\n", false, "line 2: in weight: ", 1, 1},
 		{"too long", "a b\n\n" + strings.Repeat("x", 1<<20) + "\n", false, "line 3: longer than 1 MiB", 1, 1},
 		// The read ends at line 3; its first batch was refused, and Add
-		// buffered nothing past it.
+		// appended nothing past it.
 		{"append", "k2 a b\nk1 b c\nk3 c d\n", true, "line 3: stream: ", 3, 0},
 	}
 	for _, c := range cases {
@@ -476,9 +456,6 @@ func TestIngestErrorsNameTheirLine(t *testing.T) {
 		}
 		if handed != c.handed {
 			t.Errorf("%s: %d edges handed over, want %d", c.name, handed, c.handed)
-		}
-		if err := ing.Flush(); err != nil {
-			t.Fatalf("%s: flush: %v", c.name, err)
 		}
 		if got := ing.Store().Stats().Edges; got != c.stored {
 			t.Errorf("%s: %d edges stored, want %d", c.name, got, c.stored)
@@ -514,7 +491,7 @@ func TestIngestReportsAnAppendAheadOfALaterRead(t *testing.T) {
 		{"append, then a parse error", chunks{"k2 a b\nk1 a c\n", "k3 c d\nbad\n"}, "line 2: stream: ", 2, 0},
 		{"append, then good lines", chunks{"k2 a b\nk1 a c\n", "k3 c d\nk4 d e\n", "k5 e f\n"}, "line 2: stream: ", 2, 0},
 		{"append and a parse error in one read", chunks{"k2 a b\nk1 a c\nbad\n"}, "line 3: stream: ", 2, 0},
-		{"a parse error after good reads", chunks{"k1 a b\nk2 b c\n", "k3 c d\nbad\n"}, `line 4: want 'src dst [out [in]]', got "bad"`, 3, 2},
+		{"a parse error after good reads", chunks{"k1 a b\nk2 b c\n", "k3 c d\nbad\n"}, `line 4: want 'src dst [out [in]]', got "bad"`, 3, 3},
 	}
 	for _, c := range cases {
 		ing := newBatchIngest(t, 2)
@@ -529,6 +506,46 @@ func TestIngestReportsAnAppendAheadOfALaterRead(t *testing.T) {
 		if got := ing.Store().Stats().Edges; got != c.stored {
 			t.Errorf("%s: %d edges stored, want %d", c.name, got, c.stored)
 		}
+	}
+}
+
+// stalling is a stream that sends its first chunk and then blocks, as a
+// quiet stdin does, until release is closed; then it ends.
+type stalling struct {
+	first   string
+	release chan struct{}
+}
+
+func (r *stalling) Read(p []byte) (int, error) {
+	if r.first != "" {
+		n := copy(p, r.first)
+		r.first = r.first[n:]
+		return n, nil
+	}
+	<-r.release
+	return 0, io.EOF
+}
+
+// A read's edges are in the store while the stream stalls after it: no
+// batch waits to fill.
+func TestIngestShowsAStalledStream(t *testing.T) {
+	ing := newBatchIngest(t, core.DefaultBatchSize)
+	src := &stalling{first: "a b\nb c\n", release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- ingest(src, false, func(es []stream.Edge[float64]) error { return ing.Add(es...) }) }()
+	for deadline := time.Now().Add(10 * time.Second); ing.Store().Stats().Edges != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(src.release)
+			<-done
+			t.Fatalf("the stream stalls after 2 edges, and the store holds %d", ing.Store().Stats().Edges)
+		}
+	}
+	close(src.release)
+	if err := <-done; err != nil {
+		t.Fatalf("stream end: %v", err)
+	}
+	if got := ing.Store().Stats().Edges; got != 2 {
+		t.Errorf("%d edges stored at stream end, want 2", got)
 	}
 }
 
@@ -555,7 +572,7 @@ func TestIngestAllocatesPerReadNotPerLine(t *testing.T) {
 
 // A preload's one fold spells an unweighted side's column of One with one
 // allocation of its size (1 MB here), not the ~5× of growing it an element
-// at a time: file → ingest → flush → first point pin of the 131,072-edge
+// at a time: file → ingest → first point pin of the 131,072-edge
 // preload allocates 12.9 MB, run after run, where it allocated 16.9.
 func TestPreloadAllocations(t *testing.T) {
 	data := preloadLines()
@@ -570,7 +587,7 @@ func TestPreloadAllocations(t *testing.T) {
 
 // preloadShards is adjserve from opening -in to its first answer, in
 // process, on a store of the given shard count: the lines → ingest →
-// flush → the first point pin, which folds what is past the threshold
+// the first point pin, which folds what is past the threshold
 // (all of it, here); batches of 512. handed is what ingest handed to
 // ing.Add, pin the time the first Store.PointPin took.
 func preloadShards(tb testing.TB, data []byte, shards int) (ing *core.Ingest, handed int64, pin time.Duration) {
@@ -580,9 +597,6 @@ func preloadShards(tb testing.TB, data []byte, shards int) (ing *core.Ingest, ha
 		tb.Fatal(err)
 	}
 	if err := ingest(bytes.NewReader(data), false, counting(ing, &handed)); err != nil {
-		tb.Fatal(err)
-	}
-	if err := ing.Flush(); err != nil {
 		tb.Fatal(err)
 	}
 	start := time.Now()

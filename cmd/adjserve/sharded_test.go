@@ -112,8 +112,8 @@ func TestEpochVectorPinnedDuringShardedIngest(t *testing.T) {
 		}(w)
 	}
 
-	// Concurrent multi-shard ingest through the Ingest batcher (the
-	// production write path), three producers.
+	// Concurrent multi-shard ingest through Ingest.Add (the production
+	// write path), three producers.
 	const producers, perProducer = 3, 300
 	var writers sync.WaitGroup
 	writerErr := make([]error, producers)
@@ -141,10 +141,6 @@ func TestEpochVectorPinnedDuringShardedIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ing.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	st := sv.Stats()
 	if want := len(seed) + producers*perProducer; st.Edges != want {
 		t.Fatalf("ingested %d edges, want %d", st.Edges, want)

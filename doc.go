@@ -50,9 +50,9 @@
 //     checkpoint — never on an append's own account: a bulk load is
 //     appends, then ONE fold at its first read, which meeting an empty
 //     adjacency is the batch construction itself.
-//     Ingest, the one edge batcher (Add and Flush are safe for
-//     concurrent use), accumulates arriving triples into the delta
-//     batches of one AdjacencyStore;
+//     Ingest appends arriving triples to one AdjacencyStore as it is
+//     handed them, in delta batches of at most BatchSize (Add is safe
+//     for concurrent use);
 //   - one ingest store, shards × optional WAL: OpenAdjacencyStore
 //     (internal/stream.Open) hash-partitions the vertex space by source
 //     across N ≥ 1 shards (per-shard views and append locks), with

@@ -19,7 +19,7 @@
 //     inlined) — over the adjacency's pattern embedded in the square
 //     union vertex space (FromArray) — or, for an adjacency held as
 //     row-disjoint parts, the shards of a store, the parts' rows copied
-//     once each straight into that space (FromArrays; FromPins continues
+//     once each straight into that space (FromPins continues
 //     each shard's rows with the edges it has not folded yet as it copies
 //     them), the store-wide array never assembled — holding no
 //     transpose, with string↔id translation only at the API boundary. A

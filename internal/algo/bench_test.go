@@ -85,9 +85,9 @@ func BenchmarkAlgoPageRank(b *testing.B) {
 func BenchmarkFromArrays(b *testing.B) {
 	adj, _, src := benchAdjacency(b, 12)
 	parts := dealRows(adj, 2)
-	arm(b, "build", func() error { _, err := FromArrays(parts); return err })
+	arm(b, "build", func() error { _, err := fromArrays(parts); return err })
 	arm(b, "build+bfs", func() error {
-		g, err := FromArrays(parts)
+		g, err := fromArrays(parts)
 		if err != nil {
 			return err
 		}
@@ -95,7 +95,7 @@ func BenchmarkFromArrays(b *testing.B) {
 		return err
 	})
 	arm(b, "build+pagerank", func() error {
-		g, err := FromArrays(parts)
+		g, err := fromArrays(parts)
 		if err != nil {
 			return err
 		}

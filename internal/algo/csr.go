@@ -17,7 +17,7 @@ import (
 
 // Graph is the engine every algorithm in this package runs on: an
 // adjacency array's sparse matrix — or the matrices of its row-disjoint
-// parts, FromArrays, each continued by the edges its shard has not folded
+// parts, each continued by the edges its shard has not folded
 // yet, FromPins — embedded into the SQUARE union vertex space (rows ∪
 // cols), with vertices as integer ids and string keys resolved only at
 // the API boundary. The package functions over *assoc.Array build one,
@@ -60,17 +60,7 @@ var ErrNotVertex = errors.New("is not a vertex of the array")
 // index structure but never values; when the array is already square
 // over one key set, its matrix is used as-is.
 func FromArray(a *assoc.Array[float64]) (*Graph, error) {
-	return FromArrays([]*assoc.Array[float64]{a})
-}
-
-// FromArrays builds a Graph from an adjacency array held as row-disjoint
-// parts. The vertex set is the union of every part's row and column
-// keys, and each part's stored rows are copied once, as a pattern,
-// straight into that square space (sparse.Gather): the store-wide rows ×
-// cols array is never assembled on the way. Parts that store the same row
-// are refused, the error naming the row and the parts.
-func FromArrays(parts []*assoc.Array[float64]) (*Graph, error) {
-	return build(parts, nil, semiring.Ops[float64]{})
+	return build([]*assoc.Array[float64]{a}, nil, semiring.Ops[float64]{})
 }
 
 // FromPins builds a Graph from a store's point pins at one epoch vector
@@ -78,8 +68,8 @@ func FromArrays(parts []*assoc.Array[float64]) (*Graph, error) {
 // it has not folded — each cell's products folded onto main's value in
 // log order, a fold equal to Zero pruned, as the shard's own fold would
 // (PointSnapshot.Delta) — and placed, with the vertices only the suffix
-// has met, in the square space, in one pass. It is the Graph FromArrays
-// builds over the shards' folded arrays, bit for bit and for any ⊕, with
+// has met, in the square space, in one pass. It is the Graph build makes
+// of the shards' folded arrays alone, bit for bit and for any ⊕, with
 // no shard folded and no main copied on the way.
 func FromPins(pins []stream.PointSnapshot[float64]) (*Graph, error) {
 	parts := make([]*assoc.Array[float64], len(pins))
@@ -94,9 +84,13 @@ func FromPins(pins []stream.PointSnapshot[float64]) (*Graph, error) {
 	return build(parts, deltas, ops)
 }
 
-// build lays parts, each continued by its delta when deltas holds one
-// with edges, into the square space over every key they hold and every
-// key the deltas bring.
+// build lays an adjacency array held as row-disjoint parts, each
+// continued by its delta when deltas holds one with edges, into the
+// square space over every key they hold and every key the deltas bring.
+// Each part's stored rows are copied once, as a pattern, straight into
+// that space (sparse.Gather): the store-wide rows × cols array is never
+// assembled on the way. Parts that store the same row are refused, the
+// error naming the row and the parts.
 func build(parts []*assoc.Array[float64], deltas []stream.Delta[float64], ops semiring.Ops[float64]) (*Graph, error) {
 	continued := func(k int) bool { return k < len(deltas) && len(deltas[k].Row) > 0 }
 	// Part k's row keys are sets[at[k]], its column keys the next, and the

@@ -477,6 +477,13 @@ func TestPageRankBuildsNoMatrix(t *testing.T) {
 	}
 }
 
+// fromArrays is the Graph of an adjacency array held as row-disjoint
+// parts, none continued by a delta: FromPins over pins with no unfolded
+// edges.
+func fromArrays(parts []*assoc.Array[float64]) (*Graph, error) {
+	return build(parts, nil, semiring.Ops[float64]{})
+}
+
 // A Graph built from an adjacency array's row-disjoint parts is the Graph
 // built from the array gathered first: the same vertex set, the same CSR
 // entry for entry — over the conformance generators' instances (unicode,
@@ -498,7 +505,7 @@ func TestFromArraysMatchesFromArrayOfTheGathered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s[%d]: %v", inst.Name, i, err)
 		}
-		got, err := FromArrays(parts)
+		got, err := fromArrays(parts)
 		if err != nil {
 			t.Fatalf("%s[%d]: %v", inst.Name, i, err)
 		}
@@ -539,7 +546,7 @@ func TestFromArraySharingAndRefusal(t *testing.T) {
 		t.Errorf("a square array's matrix was not used as it is (%v)", err)
 	}
 	other := assoc.FromTriples([]assoc.Triple[float64]{{Row: "c", Col: "a", Val: 3}}, nil)
-	_, err = FromArrays([]*assoc.Array[float64]{adj, other})
+	_, err = fromArrays([]*assoc.Array[float64]{adj, other})
 	var rc *sparse.RowConflictError
 	if !errors.As(err, &rc) || !strings.Contains(err.Error(), `"c"`) {
 		t.Errorf("two parts storing row c: got %v", err)
@@ -589,7 +596,7 @@ func TestGraphBytesPerEntry(t *testing.T) {
 	var g *Graph
 	structural := allocated(func() {
 		var err error
-		if g, err = FromArrays(parts); err != nil {
+		if g, err = fromArrays(parts); err != nil {
 			t.Fatal(err)
 		}
 		if _, err = g.BFSLevelVector(src); err != nil {
@@ -605,7 +612,7 @@ func TestGraphBytesPerEntry(t *testing.T) {
 	// position maps of the gather (16), its row pointer (4), BFS's levels
 	// and frontiers (16), PageRank's rank, inflow and inverse degrees (24).
 	if limit := 4*nnz + 88*verts + 1<<12; structural > limit {
-		t.Errorf("FromArrays + BFS + PageRank allocated %d B for %d entries over %d vertices (%.1f B/entry), want at most %d",
+		t.Errorf("fromArrays + BFS + PageRank allocated %d B for %d entries over %d vertices (%.1f B/entry), want at most %d",
 			structural, nnz, verts, float64(structural)/float64(nnz), limit)
 	}
 	weighted := allocated(func() {

@@ -15,7 +15,7 @@ import (
 
 // The Graph a store's point pins build (FromPins: every shard's main
 // continued by its unfolded suffix as it is copied) against the Graph
-// FromArrays builds over the arrays Store.Snapshot folds at the same
+// fromArrays builds over the arrays Store.Snapshot folds at the same
 // vector: the same vertices, the same pattern, the same weights and the
 // same BFS, SSSP, widest-path, PageRank and triangle answers, bit for
 // bit, at 1, 2 and 3 shards. The weights are sums of 0.1, 0.2 and 0.3 under +.*,
@@ -114,7 +114,7 @@ func TestFromPinsMatchesFromArraysOverPin(t *testing.T) {
 				for k, sn := range pin.Shards {
 					parts[k] = sn.Adjacency
 				}
-				want, err := FromArrays(parts)
+				want, err := fromArrays(parts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adjarray/internal/assoc"
+	"adjarray/internal/semiring"
 	"adjarray/internal/stream"
 )
 
@@ -30,11 +31,11 @@ func TestIngestMatchesBuild(t *testing.T) {
 		if err := ing.Add(stream.Edge[float64]{Key: key, Src: e.src, Dst: e.dst}); err != nil {
 			t.Fatal(err)
 		}
+		if st := ing.Store().Stats(); st.Edges != i+1 {
+			t.Fatalf("after Add %d the store holds %d edges", i+1, st.Edges)
+		}
 		outT[i] = assoc.Triple[float64]{Row: key, Col: e.src, Val: 1}
 		inT[i] = assoc.Triple[float64]{Row: key, Col: e.dst, Val: 1}
-	}
-	if len(ing.batch) >= 7 {
-		t.Fatalf("accumulator did not auto-flush: %d buffered", len(ing.batch))
 	}
 	snap, err := ing.Snapshot()
 	if err != nil {
@@ -50,14 +51,26 @@ func TestIngestMatchesBuild(t *testing.T) {
 	if !snap.Adjacency.Equal(res.Adjacency, func(a, b float64) bool { return a == b }) {
 		t.Error("ingest-maintained adjacency != batch Build")
 	}
-	if !ing.Report().TheoremII1() {
-		t.Error("+.* should satisfy the Theorem II.1 conditions")
-	}
 }
 
 func TestIngestRejectsUnknownPair(t *testing.T) {
 	if _, err := NewIngest(IngestOptions{Semiring: "no.such"}); err == nil {
 		t.Error("unknown pair accepted")
+	}
+}
+
+// A pair that fails the Theorem II.1 conditions is refused before a
+// store is opened, unless the check is skipped.
+func TestIngestRefusesAPairThatFailsTheConditions(t *testing.T) {
+	if _, err := NewIngest(IngestOptions{Semiring: "max.+@0"}); err == nil || !strings.Contains(err.Error(), "cannot guarantee") {
+		t.Errorf("max.+@0: err = %v, want the Theorem II.1 refusal", err)
+	}
+	ing, err := NewIngest(IngestOptions{Semiring: "max.+@0", SkipConditionCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -122,7 +135,8 @@ func TestIngestSnapshotIsTheStoreSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Adjacency.Equal(direct.Adjacency, ing.Ops().Equal) || !slices.Equal(snap.Epochs, direct.Epochs) || snap.Adjacency.NNZ() != 3 || len(snap.Epochs) != 2 || snap.Epoch != snap.Epochs[0]+snap.Epochs[1] {
+	entry, _ := semiring.Lookup("+.*")
+	if !snap.Adjacency.Equal(direct.Adjacency, entry.Ops.Equal) || !slices.Equal(snap.Epochs, direct.Epochs) || snap.Adjacency.NNZ() != 3 || len(snap.Epochs) != 2 || snap.Epoch != snap.Epochs[0]+snap.Epochs[1] {
 		t.Fatalf("Ingest.Snapshot = %+v, store snapshot %+v", snap, direct)
 	}
 	eout, ein, err := snap.Logs()
@@ -175,12 +189,11 @@ func TestIngestAppendBatchConcurrent(t *testing.T) {
 	}
 }
 
-// Add and Flush are safe for concurrent use: two producers Add one
-// ascending keyed stream between them, taking turns, while a third
-// goroutine flushes in a loop. Every batch reaches its shards in arrival
-// order, so no append is refused for key order, every edge is stored,
-// and the adjacency is the one-shot Correlate of the stream. Run under
-// -race.
+// Add is safe for concurrent use: two producers Add one ascending keyed
+// stream between them, taking turns, while a third goroutine pins point
+// snapshots in a loop. Every batch reaches its shards in call order, so
+// no append is refused for key order, every edge is stored, and the
+// adjacency is the one-shot Correlate of the stream. Run under -race.
 func TestIngestAddIsSafeForConcurrentUse(t *testing.T) {
 	ing, err := NewIngest(IngestOptions{Semiring: "+.*", BatchSize: 16, Shards: 3})
 	if err != nil {
@@ -205,7 +218,7 @@ func TestIngestAddIsSafeForConcurrentUse(t *testing.T) {
 	}
 	turns := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	turns[0] <- struct{}{}
-	var producers, flusher sync.WaitGroup
+	var producers, pinner sync.WaitGroup
 	errs := make([]error, 3)
 	for p := range turns {
 		producers.Add(1)
@@ -221,15 +234,15 @@ func TestIngestAddIsSafeForConcurrentUse(t *testing.T) {
 		}(p)
 	}
 	stop := make(chan struct{})
-	flusher.Add(1)
+	pinner.Add(1)
 	go func() {
-		defer flusher.Done()
+		defer pinner.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				if err := ing.Flush(); err != nil && errs[2] == nil {
+				if _, _, err := ing.Store().PointPin(); err != nil && errs[2] == nil {
 					errs[2] = err
 				}
 			}
@@ -237,7 +250,7 @@ func TestIngestAddIsSafeForConcurrentUse(t *testing.T) {
 	}()
 	producers.Wait()
 	close(stop)
-	flusher.Wait()
+	pinner.Wait()
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +263,8 @@ func TestIngestAddIsSafeForConcurrentUse(t *testing.T) {
 	if st := ing.Store().Stats(); st.Edges != n || snap.Edges != n {
 		t.Fatalf("%d edges stored (%d in the snapshot), want %d", st.Edges, snap.Edges, n)
 	}
-	want, err := assoc.Correlate(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), ing.Ops(), assoc.MulOptions{})
+	entry, _ := semiring.Lookup("+.*")
+	want, err := assoc.Correlate(assoc.FromTriples(outT, nil), assoc.FromTriples(inT, nil), entry.Ops, assoc.MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

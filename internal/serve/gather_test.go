@@ -227,7 +227,7 @@ func TestTriplesOverAnUnfoldedSuffixMatchTheReference(t *testing.T) {
 		for semiring, vals := range goldenValues {
 			for _, limit := range []string{"1", "7", "", "1000"} {
 				ing := goldenStore(t, semiring, shards, false)
-				one := ing.Ops().One
+				one := oneOf(t, semiring)
 				edge := func(src, dst string, out float64) stream.Edge[float64] {
 					return stream.Edge[float64]{Src: src, Dst: dst, Out: out, In: one, HasOut: true, HasIn: true}
 				}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"adjarray/internal/core"
+	"adjarray/internal/semiring"
 	"adjarray/internal/stream"
 )
 
@@ -35,6 +36,16 @@ var goldenValues = map[string][]float64{
 	"min.+":   {0, math.Copysign(0, -1), math.Inf(-1), math.NaN(), 1e21, -1e-7, 123456789.125, 7},
 }
 
+// oneOf is the One of the registered operator pair name.
+func oneOf(t *testing.T, name string) float64 {
+	t.Helper()
+	entry, ok := semiring.Lookup(name)
+	if !ok {
+		t.Fatalf("no operator pair %q", name)
+	}
+	return entry.Ops.One
+}
+
 // goldenStore ingests a graph over goldenKeys whose stored values cycle
 // through the pair's goldenValues: a ring (so every vertex is reached),
 // chords, and — when symmetric — every edge's reverse.
@@ -43,7 +54,7 @@ func goldenStore(t *testing.T, semiring string, shards int, symmetric bool) *cor
 	ing := newTestIngest(t, core.IngestOptions{Semiring: semiring, Shards: shards, BatchSize: 5})
 	// out ⊗ One = out, so the stored value is the listed one — with −0 for
 	// min.+'s One, the identity of + that keeps a −0.
-	one := ing.Ops().One
+	one := oneOf(t, semiring)
 	if one == 0 {
 		one = math.Copysign(0, -1)
 	}

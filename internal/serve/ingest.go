@@ -29,8 +29,8 @@ type ingestEdge struct {
 }
 
 // handleIngest is the HTTP write path: POST /ingest appends one batch
-// of edges atomically through core.Ingest.AppendBatch (bypassing the
-// process's stdin accumulator, so HTTP and stream ingest compose).
+// of edges atomically through core.Ingest.AppendBatch, whatever
+// -batch: the request is its batch.
 //
 // Degraded-mode contract: when the durable store has gone read-only
 // after a storage fault (a wedged WAL — see internal/stream), the

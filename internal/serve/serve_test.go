@@ -35,12 +35,15 @@ func newTestIngest(t *testing.T, opt core.IngestOptions) *core.Ingest {
 	return ing
 }
 
+// seedEdges adds edges in one Add: one batch, while they fit BatchSize.
 func seedEdges(t *testing.T, ing *core.Ingest, edges ...[2]string) {
 	t.Helper()
-	for _, e := range edges {
-		if err := ing.Add(stream.Edge[float64]{Src: e[0], Dst: e[1]}); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([]stream.Edge[float64], len(edges))
+	for i, e := range edges {
+		batch[i] = stream.Edge[float64]{Src: e[0], Dst: e[1]}
+	}
+	if err := ing.Add(batch...); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := ing.Snapshot(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -235,6 +236,42 @@ func TestDurableAutoKeysReplayIdentically(t *testing.T) {
 	defer d2.Close()
 	got := flatSnap(t, d2)
 	snapEqual(t, got, want, "auto keys")
+}
+
+// Abort simulates an unclean exit, so it syncs nothing: under SyncNever
+// no batch becomes durable on its account. Within the process the page
+// cache still holds the log, so a reopen recovers every batch.
+func TestAbortSyncsNothing(t *testing.T) {
+	ops := plusTimes(t)
+	for _, shards := range []int{1, 2} {
+		dir := t.TempDir()
+		opt := DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}
+		d, err := Open(dir, ops, shards, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range durableBatches(5, 3, 6) {
+			if err := d.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := flatSnap(t, d)
+		d.Abort()
+		for i, st := range d.Durability() {
+			if st.DurableEpoch != 0 {
+				t.Errorf("%d shards: shard %d is durable to epoch %d after Abort, want 0", shards, i, st.DurableEpoch)
+			}
+		}
+
+		d2, err := Open(dir, ops, shards, opt)
+		if err != nil {
+			t.Fatalf("%d shards: reopen: %v", shards, err)
+		}
+		snapEqual(t, flatSnap(t, d2), want, fmt.Sprintf("%d shards: reopen after Abort", shards))
+		if err := d2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestDurableTornTailRecoversPrefix(t *testing.T) {

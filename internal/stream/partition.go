@@ -506,7 +506,16 @@ func (p *partition[V]) durability() DurabilityStats {
 
 // close syncs the log and releases the shard, reporting a sticky write
 // failure if the log itself closed cleanly.
-func (p *partition[V]) close() error {
+func (p *partition[V]) close() error { return p.release(false) }
+
+// abort is close without the promise: the crash-simulation hook. The log
+// is abandoned unsynced, so the durable epoch stays where the fsync
+// policy left it.
+func (p *partition[V]) abort() { p.release(true) }
+
+// release marks the shard closed, stops its background checkpoints and
+// closes its log — or, with abandon, lets go of it unsynced.
+func (p *partition[V]) release(abandon bool) error {
 	if p.w == nil {
 		return nil
 	}
@@ -517,7 +526,12 @@ func (p *partition[V]) close() error {
 	}
 	p.closed = true
 	close(p.done)
-	err := p.w.Close()
+	var err error
+	if abandon {
+		p.w.Abandon()
+	} else {
+		err = p.w.Close()
+	}
 	p.walDurable.Store(p.w.DurableSeq())
 	if err == nil {
 		err = p.failed
@@ -525,9 +539,4 @@ func (p *partition[V]) close() error {
 	p.mu.Unlock()
 	p.bg.Wait()
 	return err
-}
-
-// abort is close without the promise: the crash-simulation hook.
-func (p *partition[V]) abort() {
-	p.close() //adjlint:ignore syncerr deliberate crash simulation; losing unsynced bytes is the point
 }

@@ -224,6 +224,18 @@ func (w *Writer) Sync() error {
 // storage.
 func (w *Writer) DurableSeq() uint64 { return w.durableSeq }
 
+// Abandon releases the active segment without syncing it, as a process
+// that dies does: what the policy has not made durable yet is left to
+// the page cache, and DurableSeq stays where the last fsync put it. The
+// Writer is unusable afterwards.
+func (w *Writer) Abandon() {
+	if w.f == nil {
+		return
+	}
+	w.f.Close() //adjlint:ignore syncerr an abandoned segment promises nothing past DurableSeq; a failed close loses only what was never promised
+	w.f = nil
+}
+
 // Close syncs and closes the active segment. The Writer is unusable
 // afterwards. A wedged writer closes its file descriptor without
 // syncing (the sync already failed once; a second "success" would be a
